@@ -513,6 +513,20 @@ pub(crate) fn sim_fleets_impl(
     }
 }
 
+/// `at_s`, unless it rounds onto or before `now`, in which case the next
+/// microsecond tick. `SimTime` quantizes to whole microseconds, so a wake
+/// or re-check aimed within half a tick of `now` would land back on this
+/// same instant, where the f64 guard that sent it (`now_s >= until_s`,
+/// `age >= delay`) is still false: the event would re-fire forever
+/// without advancing the clock.
+fn strictly_after_now(now: SimTime, at_s: f64) -> f64 {
+    if SimTime::from_secs_f64(at_s) <= now {
+        SimTime(now.as_micros() + 1).as_secs_f64()
+    } else {
+        at_s
+    }
+}
+
 fn worker_tick(
     engine: &mut Engine,
     state: Rc<RefCell<SimState>>,
@@ -551,7 +565,8 @@ fn worker_tick(
     if let Some(until_s) = benched_until {
         let st = state.clone();
         let w = worker.clone();
-        engine.schedule_at(SimTime::from_secs_f64(until_s), move |e| {
+        let wake = strictly_after_now(engine.now(), until_s);
+        engine.schedule_at(SimTime::from_secs_f64(wake), move |e| {
             worker_tick(e, st, w, itype, cfg);
         });
         return;
@@ -979,15 +994,7 @@ fn hedge_check_at(
         match next {
             Next::Stop | Next::Wake(None) => {}
             Next::Rearm(at) => {
-                // `SimTime` quantizes to whole microseconds, so a target
-                // within half a tick of `now` rounds back onto this same
-                // instant and the check would re-fire forever without
-                // advancing the clock. Bump such targets one tick forward.
-                let at = if SimTime::from_secs_f64(at) <= e.now() {
-                    SimTime(e.now().as_micros() + 1).as_secs_f64()
-                } else {
-                    at
-                };
+                let at = strictly_after_now(e.now(), at);
                 hedge_check_at(e, state, task, pulled_s, at, itype, cfg)
             }
             Next::Wake(Some(w)) => {
@@ -1467,7 +1474,8 @@ fn as_worker_tick(
     };
     if let Some(until_s) = benched_until {
         let st = state.clone();
-        engine.schedule_at(SimTime::from_secs_f64(until_s), move |e| {
+        let wake = strictly_after_now(engine.now(), until_s);
+        engine.schedule_at(SimTime::from_secs_f64(wake), move |e| {
             as_worker_tick(e, st, slot, itype, cfg);
         });
         return;
@@ -1779,7 +1787,10 @@ fn as_hedge_check_at(
         };
         match next {
             Next::Stop => {}
-            Next::Rearm(at) => as_hedge_check_at(e, state, task, pulled_s, at, itype, cfg),
+            Next::Rearm(at) => {
+                let at = strictly_after_now(e.now(), at);
+                as_hedge_check_at(e, state, task, pulled_s, at, itype, cfg)
+            }
             Next::Wake => as_wake_idle(e, state, itype, cfg),
         }
     });

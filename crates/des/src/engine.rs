@@ -15,11 +15,46 @@
 //! — no scans, no heap rebuilds) and [`Engine::reschedule_at`]. This is
 //! what lets `ppc-resilience` deadline/hedge timer churn cost one slab
 //! write instead of a queue restructure.
+//!
+//! Beside the queue sits one **fixed-delay lane** ([`Engine::set_lane`]):
+//! a FIFO of closure-free `(at, seq, token)` ticks, each scheduled the
+//! same constant delay after the moment it was pushed, so FIFO order *is*
+//! `(at, seq)` order and the lane needs no priority queue. Ticks draw
+//! `seq` from the engine's one counter and [`Engine::step`] fires
+//! whichever of the lane head and the queue head is smaller, so a tick is
+//! keyed, ordered and counted exactly like the `schedule_in(delay, ..)`
+//! closure it replaces. The lane's owner may declare a **quiet horizon**
+//! ([`Engine::set_quiet_horizon`]): ticks strictly before it are no-ops
+//! the engine re-arms itself (one `seq`, one push, no handler call), and
+//! [`Engine::run`] / [`Engine::run_until`] advance whole rounds of such
+//! ticks at once. This is what makes the MapReduce sim's idle-slot polls
+//! cost O(1) per scheduling decision instead of one boxed closure per
+//! poll.
 
 use crate::queue::{EventEntry, EventQueue, QueueImpl, QueueKind};
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 type EventFn = Box<dyn FnOnce(&mut Engine)>;
+type LaneFn = Box<dyn FnMut(&mut Engine, u32)>;
+
+/// One pending lane tick: fires `token` at `at`, ordered by `seq`.
+#[derive(Clone, Copy)]
+struct LaneTick {
+    at: SimTime,
+    seq: u64,
+    token: u32,
+}
+
+/// The fixed-delay lane: ticks in `(at, seq)` order, the delay they were
+/// all scheduled with, the quiet horizon, and the handler non-quiet ticks
+/// go to (taken out while it runs).
+struct Lane {
+    delay: SimTime,
+    ticks: VecDeque<LaneTick>,
+    quiet_until: SimTime,
+    handler: Option<LaneFn>,
+}
 
 /// A stable handle to a scheduled (not yet fired) event.
 ///
@@ -52,6 +87,7 @@ pub struct Engine {
     slots: Vec<Slot>,
     free: Vec<u32>,
     queue: QueueImpl,
+    lane: Lane,
 }
 
 impl Default for Engine {
@@ -78,6 +114,12 @@ impl Engine {
             slots: Vec::new(),
             free: Vec::new(),
             queue: QueueImpl::new(kind),
+            lane: Lane {
+                delay: SimTime::ZERO,
+                ticks: VecDeque::new(),
+                quiet_until: SimTime::ZERO,
+                handler: None,
+            },
         }
     }
 
@@ -101,10 +143,11 @@ impl Engine {
         self.cancelled
     }
 
-    /// Number of live events still pending (cancelled events leave this
-    /// count immediately, even though their queue tombstone lingers).
+    /// Number of live events still pending, lane ticks included
+    /// (cancelled events leave this count immediately, even though their
+    /// queue tombstone lingers).
     pub fn pending(&self) -> usize {
-        self.live
+        self.live + self.lane.ticks.len()
     }
 
     fn alloc(&mut self, seq: u64, f: EventFn) -> EventId {
@@ -169,6 +212,39 @@ impl Engine {
         self.schedule_at(self.now + delay, f)
     }
 
+    /// Install the fixed-delay lane: every [`lane_push`](Engine::lane_push)
+    /// fires `handler(engine, token)` `delay` after the push, keyed and
+    /// ordered exactly like `schedule_in(delay, ..)`. Panics if lane ticks
+    /// are still pending.
+    pub fn set_lane(&mut self, delay: SimTime, handler: impl FnMut(&mut Engine, u32) + 'static) {
+        assert!(
+            self.lane.ticks.is_empty(),
+            "set_lane with lane ticks pending"
+        );
+        self.lane.delay = delay;
+        self.lane.handler = Some(Box::new(handler));
+    }
+
+    /// Schedule a lane tick for `token` the lane's delay after now.
+    pub fn lane_push(&mut self, token: u32) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.lane.ticks.push_back(LaneTick {
+            at: self.now + self.lane.delay,
+            seq,
+            token,
+        });
+    }
+
+    /// Declare lane ticks strictly before `horizon` no-ops: the engine
+    /// fires them without calling the handler, re-arming each one lane
+    /// delay later, exactly as a handler that only re-pushed its token
+    /// would. The owner must move the horizon whenever its state changes
+    /// what a tick would do; ticks at or after it reach the handler.
+    pub fn set_quiet_horizon(&mut self, horizon: SimTime) {
+        self.lane.quiet_until = horizon;
+    }
+
     /// Whether `id` still refers to a pending event.
     pub fn is_scheduled(&self, id: EventId) -> bool {
         self.slots
@@ -215,7 +291,22 @@ impl Engine {
     }
 
     /// Fire a single event if one is pending; returns whether one fired.
+    /// A quiet lane tick counts as one event.
     pub fn step(&mut self) -> bool {
+        self.fire_next(None)
+    }
+
+    /// Fire the next event. With `batch_before`, a quiet lane head may
+    /// instead advance whole rounds of quiet ticks that all fall strictly
+    /// before that time.
+    fn fire_next(&mut self, batch_before: Option<SimTime>) -> bool {
+        if let Some(&tick) = self.lane.ticks.front() {
+            let queued = self.live_queue_head();
+            if queued.is_none_or(|q| (tick.at, tick.seq) < (q.at, q.seq)) {
+                self.fire_lane(tick, queued, batch_before);
+                return true;
+            }
+        }
         loop {
             let Some(e) = self.queue.pop() else {
                 return false;
@@ -232,9 +323,70 @@ impl Engine {
         }
     }
 
+    /// Fire the lane head `tick`, which precedes the queue's live head
+    /// `queued`.
+    fn fire_lane(
+        &mut self,
+        tick: LaneTick,
+        queued: Option<EventEntry>,
+        batch_before: Option<SimTime>,
+    ) {
+        let quiet = tick.at < self.lane.quiet_until;
+        if let Some(limit) = batch_before.filter(|_| quiet) {
+            let bound = limit
+                .min(self.lane.quiet_until)
+                .min(queued.map_or(SimTime(u64::MAX), |q| q.at));
+            if self.skip_quiet_rounds(bound) {
+                return;
+            }
+        }
+        self.lane.ticks.pop_front();
+        self.now = tick.at;
+        self.fired += 1;
+        if quiet {
+            // What a handler that only re-polled would do.
+            self.lane_push(tick.token);
+            return;
+        }
+        let mut handler = self
+            .lane
+            .handler
+            .take()
+            .expect("lane tick fired with no lane handler installed");
+        handler(self, tick.token);
+        self.lane.handler.get_or_insert(handler);
+    }
+
+    /// Fire `k ≥ 1` whole rounds of quiet lane ticks at once, the largest
+    /// `k` whose every tick falls strictly before `bound`; returns whether
+    /// any round fit. With `n` ticks and sequence counter `c`, round-by-
+    /// round re-arming leaves tick `i` at `(at_i + k·delay, c + (k−1)·n + i)`
+    /// with the counter at `c + k·n`, which is what this writes directly.
+    fn skip_quiet_rounds(&mut self, bound: SimTime) -> bool {
+        let delay = self.lane.delay.as_micros();
+        let last = match self.lane.ticks.back() {
+            Some(t) => t.at.as_micros(),
+            None => return false,
+        };
+        if delay == 0 || last >= bound.as_micros() {
+            return false;
+        }
+        let k = (bound.as_micros() - last - 1) / delay + 1;
+        let n = self.lane.ticks.len() as u64;
+        let base = self.seq + (k - 1) * n;
+        for (i, t) in self.lane.ticks.iter_mut().enumerate() {
+            t.at = SimTime(t.at.as_micros() + (k - 1) * delay) + self.lane.delay;
+            t.seq = base + i as u64;
+        }
+        self.seq = base + n;
+        self.fired += k * n;
+        self.now = SimTime(last + (k - 1) * delay);
+        true
+    }
+
     /// Run until the calendar drains; returns the final simulated time.
     pub fn run(&mut self) -> SimTime {
-        while self.step() {}
+        while self.fire_next(Some(SimTime(u64::MAX))) {}
         self.now
     }
 
@@ -246,20 +398,30 @@ impl Engine {
             if at > deadline {
                 break;
             }
-            self.step();
+            self.fire_next(Some(SimTime(deadline.as_micros().saturating_add(1))));
         }
         let next = self.peek_time();
         self.now = self.now.max(deadline.min(next.unwrap_or(deadline)));
         self.now
     }
 
-    /// Time of the next pending (live) event, if any. Takes `&mut self`
-    /// to discard cancelled tombstones and let the wheel reorganize.
+    /// Time of the next pending (live) event, lane ticks included, if any.
+    /// Takes `&mut self` to discard cancelled tombstones and let the wheel
+    /// reorganize.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        let queued = self.live_queue_head().map(|e| e.at);
+        match self.lane.ticks.front() {
+            Some(t) => Some(queued.map_or(t.at, |q| q.min(t.at))),
+            None => queued,
+        }
+    }
+
+    /// The queue's smallest live key, discarding tombstones above it.
+    fn live_queue_head(&mut self) -> Option<EventEntry> {
         loop {
             let e = self.queue.peek()?;
             if self.key_is_live(e) {
-                return Some(e.at);
+                return Some(e);
             }
             self.queue.pop();
         }
@@ -450,6 +612,121 @@ mod tests {
             let end = e.run();
             assert!(!*fired.borrow());
             assert_eq!(end, SimTime::from_secs(1));
+        });
+    }
+
+    /// A poller model in the shape of the MapReduce sim: `n` pollers tick
+    /// every `delay`, doing nothing before a quiet horizon that randomly
+    /// timed work events move; each productive tick logs and may retire
+    /// its poller. Run once on the lane and once with the poll as a boxed
+    /// closure that re-arms itself while quiet.
+    fn poller_run(kind: QueueKind, seed: u64, lane: bool) -> (Vec<(u64, u32)>, u64, u64) {
+        use ppc_core::rng::Pcg32;
+        struct World {
+            delay: SimTime,
+            horizon: std::cell::Cell<SimTime>,
+            log: RefCell<Vec<(u64, u32)>>,
+        }
+        /// A productive tick: log, then re-poll unless (time, token) says retire.
+        fn body(e: &Engine, w: &World, token: u32) -> bool {
+            let now = e.now().as_micros();
+            w.log.borrow_mut().push((now, token));
+            !(now / w.delay.as_micros().max(1) + u64::from(token)).is_multiple_of(5)
+        }
+        fn closure_poll(e: &mut Engine, w: Rc<World>, token: u32) {
+            if e.now() >= w.horizon.get() && !body(e, &w, token) {
+                return;
+            }
+            e.schedule_in(w.delay, move |e| closure_poll(e, w, token));
+        }
+        let mut rng = Pcg32::new(0x9011 ^ seed);
+        let delay = SimTime(1 + u64::from(rng.next_below(1_000)));
+        let w = Rc::new(World {
+            delay,
+            horizon: std::cell::Cell::new(SimTime::ZERO),
+            log: RefCell::default(),
+        });
+        let mut e = Engine::with_queue(kind);
+        if lane {
+            let w = w.clone();
+            e.set_lane(delay, move |e, token| {
+                if body(e, &w, token) {
+                    e.lane_push(token);
+                }
+            });
+        }
+        for token in 0..1 + rng.next_below(12) {
+            if lane {
+                e.lane_push(token);
+            } else {
+                let w = w.clone();
+                e.schedule_in(delay, move |e| closure_poll(e, w, token));
+            }
+        }
+        for _ in 0..rng.next_below(30) {
+            let at = SimTime(u64::from(rng.next_below(200)) * delay.as_micros() / 2);
+            let quiet_for = SimTime(u64::from(rng.next_below(50)) * delay.as_micros());
+            let w = w.clone();
+            e.schedule_at(at, move |e| {
+                let h = e.now() + quiet_for;
+                w.horizon.set(h);
+                if lane {
+                    e.set_quiet_horizon(h);
+                }
+                w.log.borrow_mut().push((e.now().as_micros(), u32::MAX));
+            });
+        }
+        let end = e.run().as_micros();
+        assert_eq!(e.pending(), 0);
+        let log = w.log.borrow().clone();
+        (log, end, e.events_fired())
+    }
+
+    #[test]
+    fn lane_ticks_match_self_rearming_closures() {
+        on_all_backends(|e| {
+            for seed in 0..64 {
+                let want = poller_run(QueueKind::BinaryHeap, seed, false);
+                assert_eq!(poller_run(e.queue_kind(), seed, true), want, "seed {seed}");
+            }
+        });
+    }
+
+    #[test]
+    fn lane_ticks_tie_with_queue_events_by_sequence() {
+        on_all_backends(|mut e| {
+            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+            let l = log.clone();
+            e.set_lane(SimTime(10), move |_, token| l.borrow_mut().push(token));
+            let l = log.clone();
+            e.schedule_at(SimTime(10), move |_| l.borrow_mut().push(100));
+            e.lane_push(1);
+            let l = log.clone();
+            e.schedule_at(SimTime(10), move |_| l.borrow_mut().push(101));
+            e.lane_push(2);
+            assert_eq!(e.pending(), 4);
+            assert_eq!(e.peek_time(), Some(SimTime(10)));
+            e.run();
+            assert_eq!(*log.borrow(), vec![100, 1, 101, 2]);
+            assert_eq!(e.events_fired(), 4);
+        });
+    }
+
+    #[test]
+    fn quiet_rounds_advance_in_bulk_and_stop_at_the_horizon() {
+        on_all_backends(|mut e| {
+            let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+            let l = log.clone();
+            e.set_lane(SimTime(3), move |e, token| {
+                l.borrow_mut().push((e.now().as_micros(), token))
+            });
+            e.lane_push(7);
+            e.schedule_at(SimTime(1), |e| e.lane_push(8));
+            e.set_quiet_horizon(SimTime(3_000_000));
+            // Half a million quiet rounds, then both ticks reach the handler.
+            assert_eq!(e.run(), SimTime(3_000_001));
+            assert_eq!(*log.borrow(), vec![(3_000_000, 7), (3_000_001, 8)]);
+            assert_eq!(e.events_fired(), 1 + 2 * 1_000_000);
         });
     }
 

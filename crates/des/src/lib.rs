@@ -15,7 +15,10 @@
 //!   heap oracle, hierarchical timing wheel, or calendar queue — all with
 //!   the identical `(time, sequence)` pop order, so the backend choice is
 //!   invisible to results). Events are slab-stored behind stable
-//!   [`EventId`] handles with O(1) cancellation and rescheduling.
+//!   [`EventId`] handles with O(1) cancellation and rescheduling. A
+//!   closure-free fixed-delay lane ([`Engine::set_lane`]) carries periodic
+//!   polls with the same keys and order, and skips whole rounds of polls
+//!   its owner declares idle ([`Engine::set_quiet_horizon`]).
 //! * [`resource::FifoServer`] — a `c`-server FIFO queue, the building block
 //!   for modeled CPUs, disks, NICs, and service frontends.
 //! * [`stats`] — counters and time-weighted gauges for utilization curves.

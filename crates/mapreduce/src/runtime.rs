@@ -465,7 +465,7 @@ pub(crate) fn run_job_impl(
                         match map_result {
                             Ok(()) => {
                                 let (mut emitted, _all_local) = ctx.finish();
-                                map_output_records.fetch_add(emitted.len(), Ordering::Relaxed);
+                                let map_records = emitted.len();
                                 // Map-side combine: fold each key's values
                                 // with the reducer before the shuffle.
                                 if job.use_combiner && job.n_reducers > 0 {
@@ -489,7 +489,6 @@ pub(crate) fn run_job_impl(
                                         }
                                     }
                                 }
-                                shuffle_records.fetch_add(emitted.len(), Ordering::Relaxed);
                                 let done_s = clock.now_s();
                                 note_success(
                                     health,
@@ -503,6 +502,12 @@ pub(crate) fn run_job_impl(
                                     CompleteOutcome::First => {
                                         let job_done = sched.is_complete();
                                         drop(sched);
+                                        // Only the committing attempt's
+                                        // records count; a speculative
+                                        // duplicate's are discarded below.
+                                        map_output_records
+                                            .fetch_add(map_records, Ordering::Relaxed);
+                                        shuffle_records.fetch_add(emitted.len(), Ordering::Relaxed);
                                         if job.n_reducers == 0 {
                                             // Map-only: commit outputs directly.
                                             // A dead local datanode can't take

@@ -14,7 +14,7 @@
 use crate::input::InputSplit;
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{HedgeConfig, HedgePolicy};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Identifies one attempt of one task (task index, attempt ordinal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,6 +99,14 @@ pub struct Scheduler {
     stats: SchedulerStats,
     /// Launch time of each live attempt, for latency observation.
     attempt_started: HashMap<AttemptId, f64>,
+    /// Hedge candidates, oldest-running first: `(started_seq, task)` of
+    /// every `Running` task below the live-attempt cap (kept only when
+    /// hedging is on). `started_at_s` is non-decreasing in `started_seq`,
+    /// so the first entry is also the oldest by clock and the only one a
+    /// hedge decision needs to look at.
+    candidates: BTreeSet<(u64, usize)>,
+    /// `started_at_s` of the latest launch (checks the ordering above).
+    last_started_at_s: f64,
 }
 
 impl Scheduler {
@@ -142,6 +150,8 @@ impl Scheduler {
             seq: 0,
             stats: SchedulerStats::default(),
             attempt_started: HashMap::new(),
+            candidates: BTreeSet::new(),
+            last_started_at_s: f64::NEG_INFINITY,
         }
     }
 
@@ -207,19 +217,19 @@ impl Scheduler {
             self.stats.remote_assignments += 1;
             return Some(self.launch(task, false, false, now_s));
         }
-        // 3. Hedged duplicate.
+        // 3. Hedged duplicate: the oldest-running candidate is also the
+        // one that has run longest, so if it is not yet past the hedge
+        // delay, no candidate is.
         if let Some(policy) = &self.hedge {
             let n_tasks = self.splits.len();
             let candidate = self
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    t.phase == TaskPhase::Running
-                        && policy.should_hedge(now_s - t.started_at_s, t.live_attempts, n_tasks)
-                })
-                .min_by_key(|(_, t)| t.started_seq)
-                .map(|(i, _)| i);
+                .candidates
+                .first()
+                .map(|&(_, task)| task)
+                .filter(|&task| {
+                    let t = &self.tasks[task];
+                    policy.should_hedge(now_s - t.started_at_s, t.live_attempts, n_tasks)
+                });
             if let Some(task) = candidate {
                 self.hedge
                     .as_mut()
@@ -238,6 +248,26 @@ impl Scheduler {
         None
     }
 
+    /// The earliest clock time at which [`Scheduler::next_at`] could hand
+    /// out work, given the current state: `now_s` while a task is pending;
+    /// otherwise the oldest hedge candidate's start plus the hedge delay
+    /// when hedging is on and its budget allows; otherwise `None` (only a
+    /// completion or failure can make work appear). Pure. The value is the
+    /// exact f64 sum `started_at_s + delay`; `next_at` compares `now_s -
+    /// started_at_s >= delay`, so a caller that treats earlier instants as
+    /// idle should leave a rounding margin below it.
+    pub fn earliest_assign_s(&self, now_s: f64) -> Option<f64> {
+        if !self.pending.is_empty() {
+            return Some(now_s);
+        }
+        let policy = self.hedge.as_ref()?;
+        if !policy.budget_remaining(self.splits.len()) {
+            return None;
+        }
+        let &(_, task) = self.candidates.first()?;
+        Some(self.tasks[task].started_at_s + policy.hedge_delay())
+    }
+
     /// The current hedge delay (None when hedging is off) — what the
     /// runtimes use to decide how long an idle slot should wait before
     /// asking again.
@@ -251,6 +281,12 @@ impl Scheduler {
     }
 
     fn launch(&mut self, task: usize, local: bool, speculative: bool, now_s: f64) -> Assignment {
+        debug_assert!(
+            now_s >= self.last_started_at_s,
+            "launch clock went backwards: {now_s} < {}",
+            self.last_started_at_s
+        );
+        self.last_started_at_s = now_s;
         self.tasks[task].phase = TaskPhase::Running;
         self.seq += 1;
         self.tasks[task].started_seq = self.seq;
@@ -273,11 +309,28 @@ impl Scheduler {
         };
         t.next_attempt += 1;
         self.attempt_started.insert(id, now_s);
+        self.reindex(task);
         Assignment {
             id,
             split: task,
             local,
             speculative,
+        }
+    }
+
+    /// Bring `task`'s hedge-candidate entry in line with its state. Its
+    /// `started_seq` only changes while it is `Pending` (never indexed), so
+    /// the key is the one any stale entry would carry.
+    fn reindex(&mut self, task: usize) {
+        let Some(policy) = &self.hedge else {
+            return;
+        };
+        let t = &self.tasks[task];
+        let key = (t.started_seq, task);
+        if t.phase == TaskPhase::Running && t.live_attempts < policy.config().max_live_attempts {
+            self.candidates.insert(key);
+        } else {
+            self.candidates.remove(&key);
         }
     }
 
@@ -296,7 +349,7 @@ impl Scheduler {
         }
         let t = &mut self.tasks[id.task];
         t.live_attempts = t.live_attempts.saturating_sub(1);
-        match t.phase {
+        let outcome = match t.phase {
             TaskPhase::Done | TaskPhase::Failed => {
                 self.stats.duplicate_completions += 1;
                 CompleteOutcome::Duplicate
@@ -306,11 +359,19 @@ impl Scheduler {
                 self.n_done += 1;
                 CompleteOutcome::First
             }
-        }
+        };
+        self.reindex(id.task);
+        outcome
     }
 
     /// Report an attempt's failure.
     pub fn fail(&mut self, id: AttemptId) -> FailOutcome {
+        let outcome = self.fail_inner(id);
+        self.reindex(id.task);
+        outcome
+    }
+
+    fn fail_inner(&mut self, id: AttemptId) -> FailOutcome {
         self.attempt_started.remove(&id);
         let t = &mut self.tasks[id.task];
         t.live_attempts = t.live_attempts.saturating_sub(1);
@@ -479,6 +540,80 @@ mod tests {
         // Budget = ceil(0.5 × 2) = 1: no further duplicates even later.
         assert_eq!(s.complete_at(h.id, 25.0), CompleteOutcome::First);
         assert!(s.next_at(DataNodeId(1), 100.0).is_none());
+    }
+
+    /// The hedge candidate as `next_at` chose it before the index: scan
+    /// every task, keep the running ones the policy approves, take the
+    /// oldest by start stamp.
+    fn scan_candidate(s: &Scheduler, now_s: f64) -> Option<usize> {
+        let policy = s.hedge.as_ref()?;
+        let n_tasks = s.splits.len();
+        s.tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| {
+                t.phase == TaskPhase::Running
+                    && policy.should_hedge(now_s - t.started_at_s, t.live_attempts, n_tasks)
+            })
+            .min_by_key(|(_, t)| t.started_seq)
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn candidate_index_matches_full_scan() {
+        use ppc_core::rng::Pcg32;
+        for seed in 0..300u64 {
+            let mut rng = Pcg32::new(0x5CA7 ^ (seed << 8));
+            let n_tasks = 1 + rng.next_below(12) as usize;
+            let hosts = (0..n_tasks)
+                .map(|_| vec![rng.next_below(3) as usize])
+                .collect();
+            let cfg = match rng.next_below(3) {
+                0 => HedgeConfig::legacy_speculation(),
+                1 => HedgeConfig::quantile(f64::from(rng.next_below(4))),
+                _ => HedgeConfig {
+                    quantile: 0.5,
+                    factor: 1.0,
+                    min_observations: 1,
+                    min_delay_s: f64::from(rng.next_below(3)) * 0.5,
+                    budget_fraction: [0.25, 1.0, f64::INFINITY][rng.next_below(3) as usize],
+                    max_live_attempts: 2 + rng.next_below(3),
+                },
+            };
+            let mut s = Scheduler::with_policy(splits(hosts), Some(cfg), 1 + rng.next_below(4));
+            let mut now = 0.0;
+            let mut live: Vec<AttemptId> = Vec::new();
+            for _ in 0..200 {
+                now += f64::from(rng.next_below(4)) * 0.5;
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        let idle = s.pending.is_empty();
+                        let want = if idle { scan_candidate(&s, now) } else { None };
+                        let earliest = s.earliest_assign_s(now);
+                        let got = s.next_at(DataNodeId(rng.next_below(3) as usize), now);
+                        if idle {
+                            assert_eq!(got.as_ref().map(|a| a.id.task), want, "seed {seed}");
+                        }
+                        match got {
+                            Some(a) => {
+                                assert!(earliest.is_some_and(|t| t <= now), "seed {seed}");
+                                live.push(a.id);
+                            }
+                            None => assert!(earliest.is_none_or(|t| t > now), "seed {seed}"),
+                        }
+                    }
+                    op if !live.is_empty() => {
+                        let id = live.swap_remove(rng.next_below(live.len() as u32) as usize);
+                        if op == 2 {
+                            s.complete_at(id, now);
+                        } else {
+                            s.fail(id);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

@@ -157,6 +157,16 @@ struct SimState {
     health: Option<HealthTracker>,
 }
 
+/// One simulation: the mutable state plus what every event reads.
+struct Sim {
+    state: RefCell<SimState>,
+    tasks: Vec<TaskSpec>,
+    /// `(node, workers on that node)` of each worker slot, by flat index.
+    slots: Vec<(DataNodeId, usize)>,
+    itype: ppc_compute::instance::InstanceType,
+    cfg: HadoopSimConfig,
+}
+
 /// Simulate a map-only Hadoop job of `tasks` on `cluster`.
 #[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_mapreduce::simulate`")]
 pub fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &HadoopSimConfig) -> MapReduceReport {
@@ -236,7 +246,7 @@ pub(crate) fn simulate_impl(
         Some(p) => p.hedge,
         None => legacy_speculative.then(HedgeConfig::legacy_speculation),
     };
-    let state = Rc::new(RefCell::new(SimState {
+    let state = RefCell::new(SimState {
         scheduler: Scheduler::with_policy(splits, hedge, cfg.max_attempts),
         rngs: (0..total_workers)
             .map(|w| Pcg32::for_stream(cfg.seed, w as u64))
@@ -254,34 +264,40 @@ pub(crate) fn simulate_impl(
             .resilience
             .and_then(|p| p.quarantine)
             .map(HealthTracker::new),
-    }));
+    });
+    let sim = Rc::new(Sim {
+        state,
+        tasks: tasks.to_vec(),
+        slots: cluster
+            .nodes()
+            .iter()
+            .flat_map(|node| (0..node.workers).map(|_| (DataNodeId(node.id), node.workers)))
+            .collect(),
+        itype: cluster.itype(),
+        cfg: *cfg,
+    });
 
-    let tasks: Rc<Vec<TaskSpec>> = Rc::new(tasks.to_vec());
+    // Idle slots re-poll the master on the engine's fixed-delay lane; the
+    // quiet horizon (kept by `sync_quiet_horizon`) lets the engine skip
+    // polls that would find no work.
     let mut engine = Engine::with_queue(cfg.queue);
-    let itype = cluster.itype();
-    let cfg = *cfg;
-
-    let mut windex: usize = 0;
-    for node in cluster.nodes() {
-        for _ in 0..node.workers {
-            let state = state.clone();
-            let tasks = tasks.clone();
-            let node_id = DataNodeId(node.id);
-            let workers = node.workers;
-            let worker = windex;
-            windex += 1;
-            engine.schedule_at(SimTime::ZERO, move |e| {
-                worker_tick(e, state, tasks, node_id, workers, worker, itype, cfg);
-            });
-        }
+    let poller = sim.clone();
+    engine.set_lane(
+        SimTime::from_secs_f64(cfg.poll_interval_s),
+        move |e, worker| worker_tick(e, &poller, worker as usize),
+    );
+    for worker in 0..sim.slots.len() {
+        let sim = sim.clone();
+        engine.schedule_at(SimTime::ZERO, move |e| worker_tick(e, &sim, worker));
     }
 
     let _end = engine.run();
-    let st = state.borrow();
+    let tasks = &sim.tasks;
+    let st = sim.state.borrow();
     let makespan = st.completed_at.unwrap_or(SimTime::ZERO).as_secs_f64();
     let stats = st.scheduler.stats();
 
-    let platform = format!("hadoop-sim-{}", itype.name);
+    let platform = format!("hadoop-sim-{}", cluster.itype().name);
     // The trace's meta carries the *same* f64 makespan and core count as
     // the summary, so efficiency recomputed from the job span matches the
     // report's exactly.
@@ -324,17 +340,39 @@ pub(crate) fn simulate_impl(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_tick(
-    engine: &mut Engine,
-    state: Rc<RefCell<SimState>>,
-    tasks: Rc<Vec<TaskSpec>>,
-    node: DataNodeId,
-    workers_on_node: usize,
-    worker: usize,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: HadoopSimConfig,
-) {
+/// Lane polls strictly before the returned instant would find no work, so
+/// the engine may re-arm them without calling [`worker_tick`]. A poll
+/// changes nothing unless it gets an assignment or finds the job complete
+/// (which ends its chain); a polling worker has passed the health gate and
+/// its health only moves on its own completions. So the horizon is `now`
+/// once the job is complete, and otherwise the scheduler's
+/// [`Scheduler::earliest_assign_s`] (never, if `None`), less a margin that
+/// keeps float rounding from skipping the first productive poll. Called
+/// after every scheduler mutation.
+fn sync_quiet_horizon(engine: &mut Engine, st: &SimState) {
+    let now = engine.now();
+    let horizon = if st.scheduler.is_complete() {
+        now
+    } else {
+        match st.scheduler.earliest_assign_s(now.as_secs_f64()) {
+            // `as` saturates (and floors): relative and absolute margins
+            // put every earlier microsecond clear of `age >= delay`.
+            Some(t) => SimTime::from_micros((((t * 1e6) * (1.0 - 1e-9)) as u64).saturating_sub(2)),
+            None => SimTime(u64::MAX),
+        }
+    };
+    engine.set_quiet_horizon(horizon);
+}
+
+fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
+    let Sim {
+        state,
+        tasks,
+        slots,
+        itype,
+        cfg,
+    } = &**sim;
+    let (node, workers_on_node) = slots[worker];
     let now_s = engine.now().as_secs_f64();
     // Health gate: a benched worker sleeps until its release time instead
     // of taking work; an expired bench releases (to probation) here.
@@ -371,10 +409,10 @@ fn worker_tick(
         }
     };
     if let Some(until_s) = benched_until {
-        let st2 = state.clone();
+        let sim = sim.clone();
         let wake = (until_s - now_s).max(cfg.poll_interval_s);
         engine.schedule_in(SimTime::from_secs_f64(wake), move |e| {
-            worker_tick(e, st2, tasks, node, workers_on_node, worker, itype, cfg);
+            worker_tick(e, &sim, worker);
         });
         return;
     }
@@ -403,13 +441,11 @@ fn worker_tick(
                 return;
             }
             // Re-poll later (a retry may repopulate the queue).
-            let st2 = state.clone();
-            engine.schedule_in(SimTime::from_secs_f64(cfg.poll_interval_s), move |e| {
-                worker_tick(e, st2, tasks, node, workers_on_node, worker, itype, cfg);
-            });
+            engine.lane_push(worker as u32);
             return;
         }
     };
+    sync_quiet_horizon(engine, &state.borrow());
     if assignment.speculative && cfg.resilience.is_some() {
         if let Some(rec) = &state.borrow().rec {
             rec.event(TraceEvent {
@@ -435,8 +471,7 @@ fn worker_tick(
         } else {
             st.remote_bytes += task.profile.input_bytes;
         }
-        let mut t_exec_base =
-            task_service_seconds(&itype, workers_on_node, &task.profile, &cfg.app);
+        let mut t_exec_base = task_service_seconds(itype, workers_on_node, &task.profile, &cfg.app);
         let jitter = if cfg.jitter_sigma > 0.0 {
             st.rngs[worker].log_normal(0.0, cfg.jitter_sigma)
         } else {
@@ -503,11 +538,14 @@ fn worker_tick(
         )
     };
 
-    let st2 = state.clone();
+    let sim = sim.clone();
     engine.schedule_in(SimTime::from_secs_f64(duration_s), move |e| {
         let end = e.now().as_secs_f64();
         {
-            let mut st = st2.borrow_mut();
+            let Sim {
+                state, tasks, cfg, ..
+            } = &*sim;
+            let mut st = state.borrow_mut();
             let terminal = if fails {
                 st.scheduler.fail(assignment.id);
                 false
@@ -584,8 +622,9 @@ fn worker_tick(
             if st.scheduler.is_complete() && st.completed_at.is_none() {
                 st.completed_at = Some(e.now());
             }
+            sync_quiet_horizon(e, &st);
         }
-        worker_tick(e, st2, tasks, node, workers_on_node, worker, itype, cfg);
+        worker_tick(e, &sim, worker);
     });
 }
 

@@ -110,11 +110,21 @@ impl HedgeConfig {
 /// Runtime state of the hedging decision: observed completion latencies
 /// feeding the quantile trigger, plus the hedge budget counter. One per
 /// job, shared by whatever dispatches attempts in that paradigm.
+///
+/// Every dispatcher asks for the delay on each hedge decision, so it is
+/// kept current on [`observe`](HedgePolicy::observe) instead: latencies
+/// stay sorted (binary-search insertion) and the delay is cached, making
+/// [`hedge_delay`](HedgePolicy::hedge_delay) and
+/// [`should_hedge`](HedgePolicy::should_hedge) O(1).
 #[derive(Debug, Clone)]
 pub struct HedgePolicy {
     cfg: HedgeConfig,
-    /// First-attempt completion latencies observed so far, seconds.
+    /// First-attempt completion latencies observed so far, seconds,
+    /// ascending; equal values keep their arrival order, exactly as a
+    /// stable sort of the arrival sequence would place them.
     latencies: Vec<f64>,
+    /// `hedge_delay()` for the current `latencies`.
+    delay_s: f64,
     hedges_launched: usize,
 }
 
@@ -123,6 +133,7 @@ impl HedgePolicy {
         HedgePolicy {
             cfg,
             latencies: Vec::new(),
+            delay_s: cfg.min_delay_s,
             hedges_launched: 0,
         }
     }
@@ -134,22 +145,26 @@ impl HedgePolicy {
     /// Feed one completed attempt's latency into the quantile estimate.
     pub fn observe(&mut self, latency_s: f64) {
         if latency_s.is_finite() && latency_s >= 0.0 {
-            self.latencies.push(latency_s);
+            let at = self.latencies.partition_point(|&x| x <= latency_s);
+            self.latencies.insert(at, latency_s);
+            self.delay_s = self.compute_delay();
         }
+    }
+
+    fn compute_delay(&self) -> f64 {
+        let n = self.latencies.len();
+        if n < self.cfg.min_observations || n == 0 {
+            return self.cfg.min_delay_s;
+        }
+        let idx = ((self.cfg.quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
+        (self.latencies[idx] * self.cfg.factor).max(self.cfg.min_delay_s)
     }
 
     /// The delay past which a running task becomes a hedge candidate:
     /// `max(min_delay_s, quantile_latency × factor)` once
     /// `min_observations` completions are in, `min_delay_s` before that.
     pub fn hedge_delay(&self) -> f64 {
-        if self.latencies.len() < self.cfg.min_observations || self.latencies.is_empty() {
-            return self.cfg.min_delay_s;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx =
-            ((self.cfg.quantile * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        (sorted[idx] * self.cfg.factor).max(self.cfg.min_delay_s)
+        self.delay_s
     }
 
     /// Whether a task that has been running `age_s` with `live_attempts`
@@ -161,7 +176,9 @@ impl HedgePolicy {
             && age_s >= self.hedge_delay()
     }
 
-    fn budget_remaining(&self, n_tasks: usize) -> bool {
+    /// Whether the hedge budget over a job of `n_tasks` allows another
+    /// duplicate.
+    pub fn budget_remaining(&self, n_tasks: usize) -> bool {
         if self.cfg.budget_fraction.is_infinite() {
             return true;
         }
@@ -545,6 +562,57 @@ mod tests {
         assert_eq!(p.hedge_delay(), 20.0);
         assert!(!p.should_hedge(19.0, 1, 10));
         assert!(p.should_hedge(20.0, 1, 10));
+    }
+
+    /// The delay as the policy used to compute it on every call: clone the
+    /// observations in arrival order, stable-sort, index the quantile.
+    fn reference_delay(cfg: &HedgeConfig, arrivals: &[f64]) -> f64 {
+        if arrivals.len() < cfg.min_observations || arrivals.is_empty() {
+            return cfg.min_delay_s;
+        }
+        let mut sorted = arrivals.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = ((cfg.quantile * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+        (sorted[idx] * cfg.factor).max(cfg.min_delay_s)
+    }
+
+    #[test]
+    fn cached_delay_matches_clone_and_sort_recomputation() {
+        use ppc_core::rng::Pcg32;
+        for seed in 0..200u64 {
+            let mut rng = Pcg32::new(0x4ED6E ^ seed);
+            let cfg = HedgeConfig {
+                quantile: [0.0, 0.5, 0.75, 0.95, 1.0][rng.next_below(5) as usize],
+                factor: [0.0, 1.0, 1.5, 3.0][rng.next_below(4) as usize],
+                min_observations: rng.next_below(6) as usize,
+                min_delay_s: f64::from(rng.next_below(4)),
+                budget_fraction: 0.5,
+                max_live_attempts: 2,
+            };
+            let mut p = HedgePolicy::new(cfg);
+            let mut arrivals = Vec::new();
+            for _ in 0..rng.next_below(120) {
+                // Coarse values so ties are common; signed zeros, negatives
+                // and non-finite values exercise the filter.
+                let v = match rng.next_below(12) {
+                    0 => -0.0,
+                    1 => -1.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    _ => f64::from(rng.next_below(16)) * 0.5,
+                };
+                p.observe(v);
+                if v.is_finite() && v >= 0.0 {
+                    arrivals.push(v);
+                }
+                let want = reference_delay(&cfg, &arrivals);
+                assert_eq!(
+                    p.hedge_delay().to_bits(),
+                    want.to_bits(),
+                    "seed {seed} after {arrivals:?}"
+                );
+            }
+        }
     }
 
     #[test]

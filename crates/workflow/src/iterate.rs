@@ -9,7 +9,6 @@
 
 use ppc_core::{PpcError, Result};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Map function with a read-only broadcast value.
 pub trait IterMapper<B>: Send + Sync {
@@ -101,38 +100,35 @@ pub fn run_fixed_point<B: Clone + Send + Sync>(
             cache_hits += cache.len();
         }
 
-        // Map phase over the cached splits, in parallel chunks.
-        let emitted: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
-        let error: Mutex<Option<PpcError>> = Mutex::new(None);
+        // Map phase over the cached splits, in parallel chunks. Chunk
+        // outputs are concatenated in split order, not arrival order, so
+        // each key's values reach the reducer in the same order on every
+        // run and float reductions repeat bit for bit.
         let chunk = cache.len().div_ceil(job.parallelism.max(1));
-        std::thread::scope(|scope| {
-            for part in cache.chunks(chunk.max(1)) {
-                let emitted = &emitted;
-                let error = &error;
-                let broadcast = &broadcast;
-                scope.spawn(move || {
-                    for (key, value) in part {
-                        match mapper.map(key, value, broadcast) {
-                            Ok(mut out) => emitted.lock().unwrap().append(&mut out),
-                            Err(e) => {
-                                let mut slot = error.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                return;
-                            }
+        let mut emitted = Vec::new();
+        std::thread::scope(|scope| -> Result<()> {
+            let handles: Vec<_> = cache
+                .chunks(chunk.max(1))
+                .map(|part| {
+                    let broadcast = &broadcast;
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        for (key, value) in part {
+                            out.append(&mut mapper.map(key, value, broadcast)?);
                         }
-                    }
-                });
+                        Ok(out)
+                    })
+                })
+                .collect();
+            for h in handles {
+                emitted.append(&mut h.join().expect("map worker panicked")?);
             }
-        });
-        if let Some(e) = error.into_inner().unwrap() {
-            return Err(e);
-        }
+            Ok(())
+        })?;
 
         // Shuffle + reduce (deterministic key order).
         let mut grouped: BTreeMap<String, Vec<Vec<u8>>> = BTreeMap::new();
-        for (k, v) in emitted.into_inner().unwrap() {
+        for (k, v) in emitted {
             grouped.entry(k).or_default().push(v);
         }
         let reduced: Vec<(String, Vec<u8>)> = grouped

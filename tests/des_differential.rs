@@ -7,7 +7,9 @@
 //!    through the bare [`EventQueue`] trait produce identical sequences.
 //! 2. **Engine traces** — randomized schedule/cancel/reschedule programs
 //!    replayed through [`Engine`] fire the same events at the same
-//!    virtual times in the same order, with identical counters.
+//!    virtual times in the same order, with identical counters; and ticks
+//!    routed through the engine's fixed-delay lane are indistinguishable
+//!    from the self-re-arming closures they replace.
 //! 3. **Whole-platform sims** — each paradigm simulator produces a
 //!    bit-identical report (full JSON) on every backend, under the same
 //!    hostile chaos schedule and hedging policy CI sweeps elsewhere
@@ -196,6 +198,219 @@ fn engines_agree_on_random_programs() {
         for kind in [QueueKind::TimingWheel, QueueKind::Calendar] {
             let got = replay_program(kind, &ops);
             assert_eq!(got, want, "{} vs oracle, seed {seed}", kind.name());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Layer 2b: the fixed-delay lane against the closures it replaces.
+// ---------------------------------------------------------------------
+
+/// One step of a lane program. `Push` goes through the lane in one replay
+/// and through `schedule_in(delay, closure)` in the other.
+#[derive(Clone, Copy)]
+enum LaneOp {
+    Schedule { at_us: u64, token: u32 },
+    Push { token: u32 },
+    Horizon { at_us: u64 },
+    Cancel { pick: usize },
+    Step,
+    RunUntil { at_us: u64 },
+    Peek,
+}
+
+/// State both replays share with their tick handlers.
+struct LaneWorld {
+    delay: SimTime,
+    log: RefCell<Vec<(u64, u32)>>,
+    horizon: std::cell::Cell<SimTime>,
+}
+
+/// A tick's handler, identical in both replays: log it, and, as a pure
+/// function of token and time, schedule a closure event, move the quiet
+/// horizon, and re-push. Returns (re-push, new horizon).
+fn lane_tick_body(e: &mut Engine, w: &Rc<LaneWorld>, token: u32) -> (bool, Option<SimTime>) {
+    let now = e.now().as_micros();
+    w.log.borrow_mut().push((now, token));
+    // SplitMix64's finalizer over (time, token): every low bit depends on
+    // both, so each token's re-push chain ends after a few ticks.
+    let mut h = now ^ u64::from(token) << 32;
+    h = (h ^ h >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ h >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    if h.is_multiple_of(5) {
+        let w2 = w.clone();
+        let at = e.now() + SimTime(h % 3 * (w.delay.as_micros() / 2));
+        e.schedule_at(at, move |e| {
+            w2.log
+                .borrow_mut()
+                .push((e.now().as_micros(), token | 1 << 31))
+        });
+    }
+    let horizon = h
+        .is_multiple_of(7)
+        .then(|| e.now() + SimTime(h % 40 * w.delay.as_micros()));
+    (!h.is_multiple_of(4), horizon)
+}
+
+/// The reference tick: a boxed closure that re-arms itself while quiet.
+fn closure_tick(e: &mut Engine, w: Rc<LaneWorld>, token: u32) {
+    if e.now() < w.horizon.get() {
+        e.schedule_in(w.delay, move |e| closure_tick(e, w, token));
+        return;
+    }
+    let (again, horizon) = lane_tick_body(e, &w, token);
+    if let Some(h) = horizon {
+        w.horizon.set(h);
+    }
+    if again {
+        e.schedule_in(w.delay, move |e| closure_tick(e, w, token));
+    }
+}
+
+/// Everything a lane replay observed.
+#[derive(Debug, PartialEq, Eq)]
+struct LaneObserved {
+    log: Vec<(u64, u32)>,
+    /// `(peek_time, pending, events_fired, now)` at every `Peek` and after
+    /// every `RunUntil`.
+    probes: Vec<(Option<u64>, usize, u64, u64)>,
+    final_now_us: u64,
+    events_fired: u64,
+    events_cancelled: u64,
+}
+
+fn replay_lane_program(kind: QueueKind, delay_us: u64, ops: &[LaneOp], lane: bool) -> LaneObserved {
+    let w = Rc::new(LaneWorld {
+        delay: SimTime(delay_us),
+        log: RefCell::new(Vec::new()),
+        horizon: std::cell::Cell::new(SimTime::ZERO),
+    });
+    let mut engine = Engine::with_queue(kind);
+    if lane {
+        let w = w.clone();
+        engine.set_lane(SimTime(delay_us), move |e, token| {
+            let (again, horizon) = lane_tick_body(e, &w, token);
+            if let Some(h) = horizon {
+                w.horizon.set(h);
+                e.set_quiet_horizon(h);
+            }
+            if again {
+                e.lane_push(token);
+            }
+        });
+    }
+    let mut handles: Vec<EventId> = Vec::new();
+    let mut probes = Vec::new();
+    for op in ops {
+        match *op {
+            LaneOp::Schedule { at_us, token } => {
+                let w = w.clone();
+                handles.push(engine.schedule_at(SimTime(at_us), move |e| {
+                    w.log.borrow_mut().push((e.now().as_micros(), token))
+                }));
+            }
+            LaneOp::Push { token } if lane => engine.lane_push(token),
+            LaneOp::Push { token } => {
+                let w = w.clone();
+                engine.schedule_in(SimTime(delay_us), move |e| closure_tick(e, w, token));
+            }
+            LaneOp::Horizon { at_us } => {
+                w.horizon.set(SimTime(at_us));
+                if lane {
+                    engine.set_quiet_horizon(SimTime(at_us));
+                }
+            }
+            LaneOp::Cancel { pick } => {
+                if !handles.is_empty() {
+                    engine.cancel(handles[pick % handles.len()]);
+                }
+            }
+            LaneOp::Step => {
+                engine.step();
+            }
+            LaneOp::RunUntil { at_us } => {
+                engine.run_until(SimTime(at_us));
+            }
+            LaneOp::Peek => {}
+        }
+        if matches!(op, LaneOp::Peek | LaneOp::RunUntil { .. }) {
+            probes.push((
+                engine.peek_time().map(SimTime::as_micros),
+                engine.pending(),
+                engine.events_fired(),
+                engine.now().as_micros(),
+            ));
+        }
+    }
+    let end = engine.run();
+    assert_eq!(engine.pending(), 0);
+    let log = w.log.borrow().clone();
+    LaneObserved {
+        log,
+        probes,
+        final_now_us: end.as_micros(),
+        events_fired: engine.events_fired(),
+        events_cancelled: engine.events_cancelled(),
+    }
+}
+
+/// Random programs mixing closure events, lane pushes, quiet horizons,
+/// cancels, single steps and `run_until` checkpoints observe the same
+/// fire log, clock, counters, `peek_time` and `pending` whether the ticks
+/// ride the lane (with whole-round quiet advances) or are boxed closures
+/// re-arming themselves, on every backend.
+#[test]
+fn lane_matches_closure_ticks_on_random_programs() {
+    for seed in 0..64u64 {
+        let mut rng = Pcg32::new(0x1A7E ^ (seed << 6));
+        let delay_us = 1 + rng.next_below(2_000) as u64;
+        // A grid of half-delays, so ticks, closures and horizons tie often.
+        let grid = |rng: &mut Pcg32, n: u32| rng.next_below(n) as u64 * delay_us.div_ceil(2);
+        let mut now_hint = 0u64;
+        let mut token = 0u32;
+        let ops: Vec<LaneOp> = (0..60 + rng.next_below(200))
+            .map(|_| match rng.next_below(10) {
+                0 | 1 => {
+                    token += 1;
+                    LaneOp::Schedule {
+                        at_us: now_hint + grid(&mut rng, 60),
+                        token,
+                    }
+                }
+                2 | 3 => {
+                    token += 1;
+                    LaneOp::Push { token }
+                }
+                4 => LaneOp::Horizon {
+                    at_us: now_hint + grid(&mut rng, 120),
+                },
+                5 => LaneOp::Cancel {
+                    pick: rng.next_below(1 << 16) as usize,
+                },
+                6 | 7 => LaneOp::Step,
+                8 => {
+                    now_hint += grid(&mut rng, 30);
+                    LaneOp::RunUntil { at_us: now_hint }
+                }
+                _ => LaneOp::Peek,
+            })
+            .collect();
+        let want = replay_lane_program(QueueKind::BinaryHeap, delay_us, &ops, false);
+        assert!(!want.log.is_empty());
+        for kind in QueueKind::ALL {
+            assert_eq!(
+                replay_lane_program(kind, delay_us, &ops, true),
+                want,
+                "lane vs closures on {}, seed {seed}",
+                kind.name()
+            );
+            assert_eq!(
+                replay_lane_program(kind, delay_us, &ops, false),
+                want,
+                "closures on {} vs oracle, seed {seed}",
+                kind.name()
+            );
         }
     }
 }

@@ -519,3 +519,101 @@ fn all_gray_fleet_completes_with_fault_free_outputs() {
     assert_eq!(report.vertex_failures, 0);
     assert_eq!(report.summary.tasks, 64);
 }
+
+// ---------------------------------------------------------------------
+// Elastic Classic termination: wakes and hedge re-checks aimed within half
+// a microsecond tick of `now` must still advance the clock.
+// ---------------------------------------------------------------------
+
+/// Hedged elastic BLAST: a hedge re-check lands within half a tick of now
+/// and, without the one-tick bump, re-fires at the same instant forever.
+#[test]
+fn elastic_hedge_recheck_near_a_tick_terminates() {
+    use ppc::apps::workload::{blast_sim_base_set, replicate};
+    use ppc::autoscale::AutoscaleConfig;
+    let tasks = replicate(&blast_sim_base_set(1), 8)[..16].to_vec();
+    let ctx = RunContext::elastic(
+        EC2_HCXL,
+        AutoscaleConfig::target_tracking(2, 32, 4.0),
+        Vec::new(),
+    )
+    .with_resilience(ResiliencePolicy::hedged(HedgeConfig::quantile(30.0)));
+    let classic = ppc::engine_by_name("classic").expect("classic engine");
+    let report = classic.simulate(&ctx, &tasks);
+    assert!(report.is_complete(), "failed: {:?}", report.failed);
+    assert_eq!(report.summary.tasks, 16);
+    assert!(
+        (report.summary.makespan_seconds - 1725.8).abs() < 0.1,
+        "makespan {}",
+        report.summary.makespan_seconds
+    );
+}
+
+/// Quarantined elastic Cap3 / GTM under a seeded chaos schedule: a benched
+/// instance's wake rounds to a microsecond before its release time, so
+/// without the bump it wakes, is still benched, and re-wakes at the same
+/// instant forever. Seeds and inputs reproduce the cases found by sweeping
+/// the benchmark's `sim_chaos` elastic calls (seeds 0–2999).
+#[test]
+fn elastic_quarantine_wake_near_a_tick_terminates() {
+    use ppc::apps::workload::{cap3_sim_tasks, gtm_sim_tasks, replicate};
+    use ppc::autoscale::AutoscaleConfig;
+    use ppc::core::rng::Pcg32;
+
+    const HORIZON_S: f64 = 1800.0;
+    const MAX_INSTANCES: u32 = 32;
+    let ctx = |seed: u64, n_tasks: usize| {
+        let mut rng = Pcg32::new(seed ^ 0xA771);
+        let mut at = 0.0;
+        let arrivals = (0..n_tasks)
+            .map(|_| {
+                at += rng.next_f64() * 2.0;
+                at
+            })
+            .collect();
+        let workers = MAX_INSTANCES * EC2_HCXL.cores as u32;
+        let mut rng = Pcg32::new(seed ^ 0xC4A0_5EED);
+        let mut w = || rng.next_below(workers);
+        let (w0, w1, w2, w3) = (w(), w(), w(), w());
+        let mut rng = Pcg32::new(seed ^ 0x7133);
+        let mut t = || rng.next_f64() * HORIZON_S / 2.0;
+        let (t0, t1, t2) = (t(), t(), t());
+        let schedule = FaultSchedule::new(seed)
+            .kill_at(w0, t0)
+            .kill_at(w1, t1)
+            .kill_mid_execute(w2, 1)
+            .degrade(w3, 3.0, 0.0, HORIZON_S)
+            .brownout(t2, t2 + 120.0)
+            .with_death_probabilities(0.01, 0.01, 0.01);
+        RunContext::elastic(
+            EC2_HCXL,
+            AutoscaleConfig::target_tracking(2, MAX_INSTANCES, 4.0),
+            arrivals,
+        )
+        .with_seed(seed)
+        .with_schedule(Arc::new(schedule))
+        .with_resilience(
+            ResiliencePolicy::default()
+                .with_quarantine(QuarantineConfig::default())
+                .with_deadline(7200.0),
+        )
+    };
+    let classic = ppc::engine_by_name("classic").expect("classic engine");
+    let gtm = replicate(&gtm_sim_tasks(264, 100_000), 2);
+    let cap3 = replicate(&cap3_sim_tasks(200, 458), 2);
+    let runs = [
+        (21, &gtm),
+        (254, &gtm),
+        (254, &cap3),
+        (530, &gtm),
+        (2523, &gtm),
+    ];
+    for (seed, tasks) in runs {
+        let report = classic.simulate(&ctx(seed, tasks.len()), tasks);
+        assert_eq!(
+            report.summary.tasks + report.failed.len(),
+            tasks.len(),
+            "seed {seed}"
+        );
+    }
+}

@@ -273,3 +273,355 @@ fn sims_bit_identical_across_event_queue_backends() {
         );
     }
 }
+
+/// FNV-1a over a string, 64-bit.
+fn fnv64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One tie-heavy MapReduce sim configuration of the bit-identity pin.
+/// Every duration sits on a 0.5-s grid (no jitter, free reads, grid task
+/// times, dispatch overheads, kills, windows and deadlines), so idle-slot
+/// polls, completions, kills and quarantine releases keep landing on the
+/// same microsecond and the `(time, sequence)` tie order decides the run.
+#[allow(deprecated)] // case 1 pins the legacy `speculative: false` knob
+fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
+    use ppc::chaos::FaultSchedule;
+    use ppc::core::rng::Pcg32;
+    use ppc::mapreduce::HadoopSimConfig;
+    use ppc::resilience::{HedgeConfig, QuarantineConfig, ResiliencePolicy};
+    use std::sync::Arc;
+
+    let mut rng = Pcg32::new(0x7135_0000 + i);
+    let grid =
+        |rng: &mut Pcg32, lo: u32, hi: u32| f64::from(lo + rng.next_below(hi - lo + 1)) * 0.5;
+    let nodes = 1 + rng.next_below(3) as usize;
+    let per_node = [1, 2, 4, 8][rng.next_below(4) as usize];
+    let workers = (nodes * per_node) as u32;
+    let cluster = Cluster::provision(EC2_HCXL, nodes, per_node);
+    let n_tasks = 4 + rng.next_below(28) as u64;
+    let tasks: Vec<TaskSpec> = (0..n_tasks)
+        .map(|t| {
+            let secs = grid(&mut rng, 1, 12);
+            TaskSpec::new(t, "grid", format!("f{t}"), ResourceProfile::cpu_bound(secs))
+        })
+        .collect();
+    let mut cfg = HadoopSimConfig {
+        dispatch_overhead_s: grid(&mut rng, 0, 2),
+        local_read: LatencyModel::FREE,
+        remote_read: LatencyModel::FREE,
+        replication: 1 + rng.next_below(3) as usize,
+        straggler_p: [0.0, 0.0, 0.2][rng.next_below(3) as usize],
+        straggler_factor: f64::from(2 + rng.next_below(2)),
+        attempt_failure_p: [0.0, 0.0, 0.1, 0.25][rng.next_below(4) as usize],
+        jitter_sigma: 0.0,
+        poll_interval_s: [0.25, 0.5, 1.0, 3.0][rng.next_below(4) as usize],
+        max_attempts: 2 + rng.next_below(4),
+        ..HadoopSimConfig::default()
+    };
+    let mut policy = match rng.next_below(6) {
+        0 => None,
+        1 => {
+            cfg.speculative = false;
+            None
+        }
+        2 => Some(ResiliencePolicy::legacy_speculation()),
+        3 => Some(ResiliencePolicy::hedged(HedgeConfig::quantile(grid(
+            &mut rng, 0, 8,
+        )))),
+        4 => Some(ResiliencePolicy::hedged(HedgeConfig {
+            quantile: 0.5,
+            factor: 1.0,
+            min_observations: 1 + rng.next_below(3) as usize,
+            min_delay_s: grid(&mut rng, 0, 6),
+            budget_fraction: [0.25, 0.5, 1.0, f64::INFINITY][rng.next_below(4) as usize],
+            max_live_attempts: 2 + rng.next_below(2),
+        })),
+        _ => Some(ResiliencePolicy::default()),
+    };
+    if rng.next_below(3) == 0 {
+        policy = Some(
+            policy
+                .unwrap_or_default()
+                .with_quarantine(QuarantineConfig {
+                    slow_factor: 1.5,
+                    failure_threshold: 1 + rng.next_below(3),
+                    min_samples: 1 + rng.next_below(2),
+                    quarantine_s: grid(&mut rng, 1, 20),
+                    probation_tasks: rng.next_below(3),
+                    ..QuarantineConfig::default()
+                }),
+        );
+    }
+    // A deadline only under a finite hedge budget: with unbounded hedging a
+    // task that can never meet its deadline gets a fresh duplicate each
+    // time one is cancelled and the run never ends (an open defect).
+    let unbounded = policy
+        .and_then(|p| p.hedge)
+        .is_some_and(|h| h.budget_fraction.is_infinite());
+    if rng.next_below(4) == 0 && !unbounded {
+        policy = Some(
+            policy
+                .unwrap_or_default()
+                .with_deadline(grid(&mut rng, 2, 16)),
+        );
+    }
+    cfg.resilience = policy;
+    let schedule = match rng.next_below(3) {
+        0 => None,
+        _ => {
+            let mut s = FaultSchedule::new(i);
+            for _ in 0..1 + rng.next_below(4) {
+                s = s.kill_at(rng.next_below(workers), grid(&mut rng, 0, 40));
+            }
+            if rng.next_below(2) == 0 {
+                let from = grid(&mut rng, 0, 10);
+                s = s.degrade(
+                    rng.next_below(workers),
+                    2.0,
+                    from,
+                    from + grid(&mut rng, 1, 30),
+                );
+            }
+            if rng.next_below(3) == 0 {
+                let from = grid(&mut rng, 0, 10);
+                s = s.brownout(from, from + grid(&mut rng, 1, 8));
+            }
+            if rng.next_below(2) == 0 {
+                s = s.with_death_probabilities(0.03, 0.03, 0.03);
+            }
+            Some(Arc::new(s))
+        }
+    };
+    let ctx = RunContext::new(&cluster)
+        .with_seed(i)
+        .with_trace(true)
+        .with_schedule_opt(schedule);
+    ppc::mapreduce::simulate(&ctx, &tasks, &cfg)
+}
+
+/// Bit-identity pin for the MapReduce simulator: the FNV-1a digest of the
+/// full `Debug` rendering (trace included) of 200 tie-heavy runs. The
+/// other pins compare run with run or backend with backend; this one
+/// compares with committed digests, so a change to the order in which
+/// equal-time events fire (idle polls against completions, kills and
+/// releases) fails here even when every backend agrees with itself.
+#[test]
+fn mapreduce_sim_reports_match_golden_digests() {
+    let got: Vec<u64> = (0..200u64)
+        .map(|i| fnv64(&format!("{:?}", tie_heavy_mapreduce_run(i))))
+        .collect();
+    let rendered: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+    assert_eq!(
+        got,
+        MAPREDUCE_GOLDEN,
+        "digests now: [{}]",
+        rendered.join(", ")
+    );
+}
+
+/// Generated by this test at the commit before the idle-poll lane.
+const MAPREDUCE_GOLDEN: [u64; 200] = [
+    0x7967099731d9baa9,
+    0xd214853a5f63228f,
+    0x9b5a553732d1de2d,
+    0x84feac870a433b8c,
+    0xdff4ac20e5041184,
+    0xf9c5f543fee62a71,
+    0x3e8c6d72684b2602,
+    0x51720b36c0ccdf79,
+    0x7c8f7cfcd4319cfa,
+    0x4047b0c41f139a1b,
+    0x236cd7408cfb4524,
+    0xf49891bd1b567645,
+    0xc6fda58a560b8a53,
+    0xe422a2c000844a7a,
+    0x0b07ae7f4346b4c8,
+    0xba8f4ed31f5f987d,
+    0x5ed66699d1239723,
+    0x1f32dfb0b4820038,
+    0x59ed47924f2c7acf,
+    0xbefd30b00e3e1995,
+    0x37070540e709eede,
+    0x4b94ed76bc0d7763,
+    0x17b11906b9ac61ed,
+    0x0615777fe31de978,
+    0x3d3d4507fb2d1e2a,
+    0x5f70600ca676a807,
+    0xc346ad15ee4e49aa,
+    0x7ad60a74c1c4a705,
+    0xa1191498728d58b1,
+    0x78da5f74862ee232,
+    0x53c2466b493704b7,
+    0x4297a9e88d687e9b,
+    0x6c4f34f61385ae17,
+    0x67a9c60f3404ca18,
+    0x9da14bb4db1f6b8d,
+    0x6155f6f37a895b05,
+    0xef558e39a3450aa9,
+    0x40ff716b1ff9e2b7,
+    0x9ebdfdc5d93aaa96,
+    0x9d7231352c9811d3,
+    0x45bcef3f05abb3f4,
+    0xf347714efa41fcd2,
+    0xadc503df3c6d3f83,
+    0x1732d82355c7cbbe,
+    0x36a365332de611be,
+    0xcdaf1e5a9cac0ab1,
+    0xb8d5de6f37b6c526,
+    0x4532ff5351755694,
+    0x820904ce8b09a12a,
+    0x2a3f4a6a10820aa4,
+    0xb73069e7fc68a3ac,
+    0xc5a3377721db1259,
+    0xa71f33f613f27cea,
+    0x6647ef8aee22ac17,
+    0x2c7d3458881cb48c,
+    0xa147488ad2f8f423,
+    0xe1710682cc3d7a6d,
+    0x26672f2a2e987906,
+    0xa3c74e51c6f8ef56,
+    0xddd94baa67f8e74a,
+    0x0dde0f9e1dba6253,
+    0x23937fcc9b85ded4,
+    0x5365edde4c7e25a3,
+    0xdcd3308c1589a8a4,
+    0x92f2aad2762c7b38,
+    0x724d0a88bb14cbac,
+    0x957fe0fa05aafd04,
+    0xc64f994441820562,
+    0xbbe85e0767da30fe,
+    0x7f0419cf809667b3,
+    0xd7c12fbbe34e2a4e,
+    0xb9e4092084e660a6,
+    0x200b62ee9fe11bd4,
+    0x3dcc91301350d9d4,
+    0x4483c5fc5ff376d2,
+    0x751eb046a763b78d,
+    0xa728f9e31a5a1d54,
+    0x3d1cd1ec8084a75e,
+    0x8d1ffd2fc4da4ff5,
+    0x71857fd836080939,
+    0x92a2db354f95f3ef,
+    0x2371ca7125748ccc,
+    0x8321cc5984b44baf,
+    0x639d83e6630c399f,
+    0x0b54ccd05a64c405,
+    0x7eda173380922fae,
+    0x146029c10d8c753c,
+    0xedf576abf27c598e,
+    0x1da5e2051315cbc4,
+    0x52a7303f47475e85,
+    0xe8c1250e1ca40359,
+    0x9c35d5b3d2061d71,
+    0x433c80cd6d965541,
+    0xcd858e7b8d6d2014,
+    0xf83039ab0c174799,
+    0xc9173258731379c6,
+    0x844a25e74daba86e,
+    0x7d03352bba9ff0d9,
+    0xf92ff6e5acc4b8f5,
+    0x6cbd11a77778c32d,
+    0xb18bcaebe6a504fd,
+    0x07642ea9513a7af3,
+    0xceddc34f4d32943e,
+    0x0eefffb0d8767602,
+    0x4b28e8cdc8829d32,
+    0xcc9cb389456d428f,
+    0x7864fa2436108b4c,
+    0x1ef18c4354a72043,
+    0x9bc51f1c421a9986,
+    0xf23c9a85b76c1d8b,
+    0x329c24d2486860f8,
+    0x2f29a8b8186a81a7,
+    0x5924d555086e0946,
+    0x98b4e07c6a0888d4,
+    0x564513e46fb5d9c2,
+    0xefdf94d6bc9324e2,
+    0x3bd2be7b1015dd44,
+    0x8e3299a7828c81d1,
+    0x6a67785d57bb5cf3,
+    0xb96ccfa9f098bec4,
+    0xd653fef1cb795245,
+    0x22f8182210b3df25,
+    0x6a4d85bcff14e09f,
+    0xc6e9d601d3847677,
+    0x33f58558ea25b8d9,
+    0x678eb55c04b79edb,
+    0x19b68353d27805a2,
+    0x36dcbba4a6542f21,
+    0xb6386a169aa08a3b,
+    0xd309215f695a6b3c,
+    0xb54c032a24bf467b,
+    0x0572d978538cff70,
+    0xc846f3e986352d14,
+    0x9a7fd150f0a42d16,
+    0x768bc8258aac51e5,
+    0x73154a93a87b3214,
+    0x109146fecd210978,
+    0x4641fce8691de47e,
+    0x98d9524566aac689,
+    0x26284c750288ad69,
+    0x8fd6b00c8688404e,
+    0xdba38bc9d794045f,
+    0x3e8c064925c60fc3,
+    0xe0f2e523937b21a4,
+    0x1b069fe2d88163bb,
+    0x384f679246bd90b3,
+    0x8c445c70838f04e8,
+    0xf21a17c24b4d0246,
+    0x368c545ca02dc6c1,
+    0x8389f6f95e62cda6,
+    0x999965ba2cf0f20f,
+    0x432ffd38f36fdae8,
+    0x5240a92d20c6b42c,
+    0x3ac20ffe5dc4dea9,
+    0x3231ad53cea4c617,
+    0x3a53534c47fbeb7c,
+    0x3585c3ad8258fdad,
+    0x3530302f76807492,
+    0x499d1c9ff1fadaba,
+    0x591555da1365498c,
+    0xe96bf042125b971a,
+    0x6b2f40ecb62a0384,
+    0xf65a789c6ffa2ff3,
+    0xd7628642ed16fab7,
+    0x9c38b680a99e5aa6,
+    0xfbeb3972e4ae52dc,
+    0x24ff2a238378d8ec,
+    0x4ada2f53c5d33fce,
+    0x87f1020e0c9b7acb,
+    0xa7e82a31d81a7b42,
+    0x6f003c57ce6be62f,
+    0xb9cbdb48ad7a803a,
+    0x3268d20fb383fe4e,
+    0x13de7e96c14b872b,
+    0x1ac9c5a65103ef16,
+    0x7f03b058e89fa67b,
+    0x33a7cbaf76ff7fcf,
+    0x5f1877c2fecfd2f4,
+    0xb8b5e00a59291eea,
+    0x72390bf8ed7dc429,
+    0x7ff8189d2cce7dfe,
+    0xec1e44ed9ef04bd9,
+    0x474d598a03f362b5,
+    0x43df457f1ef7d6cf,
+    0x922b27f46918d4ee,
+    0x194404f76a6b5108,
+    0x9bb5f470abcd688e,
+    0x37d4c26c10d6c2b4,
+    0x5f68f28d99ed1299,
+    0x866740366581bec4,
+    0x8d6b69fb4051c303,
+    0x3d1c86e2f272fc1e,
+    0xd30d6aca28f02d5a,
+    0x14081bb97e987914,
+    0x97f74171159cc661,
+    0xe880be6c86fff8f6,
+    0xc1786ea70504c274,
+    0xa79badce52c3477d,
+    0x41e004beb0a91247,
+    0x4ac4fc696674654c,
+];
