@@ -36,9 +36,14 @@ use std::time::{Duration, Instant};
 pub struct ClassicConfig {
     /// Sleep between polls when the scheduling queue comes up empty.
     pub poll_backoff: Duration,
-    /// Long-poll window for worker receives (SQS `WaitTimeSeconds`): the
-    /// worker blocks up to this long per receive request instead of
-    /// hammering the endpoint with empty receives.
+    /// Long-poll window for worker and monitor receives (SQS
+    /// `WaitTimeSeconds`): each receive request blocks up to this long,
+    /// billed as one request, instead of hammering the endpoint with empty
+    /// receives. It bounds how long a receive can wait, not how long it
+    /// does: a parked receive wakes as soon as a message is sent or a
+    /// lease lapses, and at job end the monitor closes the scheduling
+    /// queue, which releases every parked worker at once. A longer window
+    /// therefore only saves empty receives on an idle queue.
     pub long_poll_wait: Duration,
     /// Retry budget for eventually consistent input fetches.
     pub input_fetch_attempts: u32,
@@ -647,10 +652,10 @@ fn finalize_trace(config: &ClassicConfig, report: &mut ClassicReport) {
 }
 
 /// The monitor thread body: drains the monitoring queue and flips
-/// `shared.stop` once every task is resolved (done or failed). When a
-/// resilience policy with hedging or deadlines is set, the monitor also
-/// plays job manager: it tracks `start:` progress reports and re-dispatches
-/// straggling tasks through `sched` (see [`MonitorDefense`]).
+/// `shared.stop` (closing `sched`) once every task is resolved (done or
+/// failed). When a resilience policy with hedging or deadlines is set, the
+/// monitor also plays job manager: it tracks `start:` progress reports and
+/// re-dispatches straggling tasks through `sched` (see [`MonitorDefense`]).
 fn monitor_loop(
     monitor: &ppc_queue::Queue,
     sched: &ppc_queue::Queue,
@@ -698,6 +703,9 @@ fn monitor_loop(
                     f.sort();
                     *shared.failed.lock().unwrap() = f;
                     shared.stop.store(true, Ordering::Release);
+                    // Wake workers parked in a long poll so the scope
+                    // joins now, not when their wait windows run out.
+                    sched.close();
                 }
             }
             // Guard against a zero-length long-poll window turning
@@ -1953,5 +1961,65 @@ mod tests {
         let exec = reverse_executor();
         let t = run_sequential(&inputs, exec.as_ref()).unwrap();
         assert!(t >= 0.0);
+    }
+
+    /// Kernel thread id of the calling thread (Linux), read from
+    /// `/proc/thread-self`; `None` elsewhere.
+    fn os_tid() -> Option<String> {
+        let link = std::fs::read_link("/proc/thread-self").ok()?;
+        Some(link.file_name()?.to_string_lossy().into_owned())
+    }
+
+    /// A tiny job with a 5-s long-poll window must not wait the window out
+    /// at job end: the monitor closes the scheduling queue as it stops the
+    /// job, which releases every parked worker at once. Checks wall time,
+    /// report, and that every worker thread exits.
+    fn assert_job_end_wakes_parked_workers(ctx: &RunContext) {
+        let (storage, queues, job) = setup(4);
+        let tids = Arc::new(Mutex::new(Vec::new()));
+        let seen = tids.clone();
+        let executor = FnExecutor::new("rev", move |_s, input: &[u8]| {
+            seen.lock().unwrap().extend(os_tid());
+            let mut v = input.to_vec();
+            v.reverse();
+            Ok(v)
+        });
+        let config = ClassicConfig {
+            long_poll_wait: Duration::from_secs(5),
+            ..ClassicConfig::default()
+        };
+        let start = Instant::now();
+        let report = crate::run(ctx, &storage, &queues, &job, executor, &config).unwrap();
+        let took = start.elapsed();
+        assert!(report.is_complete());
+        assert_eq!(report.summary.tasks, 4);
+        assert!(
+            took < Duration::from_secs(2),
+            "job end left workers parked in 5-s long polls: {took:?}"
+        );
+        // The scope saw every worker finish before `run` returned; their OS
+        // threads exit right after (the benchmark's thread check allows 2 s).
+        let gone_by = Instant::now() + Duration::from_secs(2);
+        for tid in tids.lock().unwrap().iter() {
+            let task = format!("/proc/self/task/{tid}");
+            while std::path::Path::new(&task).exists() {
+                assert!(Instant::now() < gone_by, "worker {tid} still alive");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn job_end_wakes_workers_parked_in_long_polls() {
+        assert_job_end_wakes_parked_workers(&RunContext::new(&Cluster::provision(EC2_HCXL, 1, 4)));
+    }
+
+    #[test]
+    fn elastic_job_end_wakes_workers_parked_in_long_polls() {
+        let autoscale = ppc_autoscale::AutoscaleConfig {
+            min_workers: 2,
+            ..fast_autoscale()
+        };
+        assert_job_end_wakes_parked_workers(&RunContext::elastic(EC2_HCXL, autoscale, vec![]));
     }
 }

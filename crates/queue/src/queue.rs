@@ -7,6 +7,7 @@ use ppc_core::sync::Mutex;
 use ppc_core::{PpcError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration for one queue.
@@ -42,10 +43,31 @@ struct InFlight {
     deadline: Instant,
 }
 
-struct State {
+pub(crate) struct State {
     visible: Vec<StoredMessage>,
     in_flight: HashMap<ReceiptHandle, InFlight>,
     rng: Pcg32,
+    /// Lower bound on the earliest in-flight deadline (`None`: nothing in
+    /// flight). Expiry scans run only once it has passed; every lease added
+    /// or shortened lowers it, and long-poll waiters sleep no later than it.
+    next_expiry: Option<Instant>,
+    /// Long-poll receivers parked on [`Queue::arrival`]; state changes
+    /// notify only when this is non-zero.
+    waiters: usize,
+    /// Set by [`Queue::close`]: long polls return empty at once.
+    pub(crate) closed: bool,
+}
+
+impl State {
+    /// The instant a long poll waiting until `deadline` must next wake by
+    /// itself: the deadline, or an earlier lease expiry.
+    pub(crate) fn wake_by(&self, deadline: Instant) -> Instant {
+        self.next_expiry.map_or(deadline, |t| t.min(deadline))
+    }
+
+    pub(crate) fn has_visible(&self) -> bool {
+        !self.visible.is_empty()
+    }
 }
 
 /// Counters for one queue (all API calls are also metered for billing).
@@ -58,6 +80,9 @@ pub struct QueueStats {
     pub failed_deletes: AtomicU64,
     pub visibility_expirations: AtomicU64,
     pub duplicate_deliveries: AtomicU64,
+    /// Times a long poll re-checked the queue after parking or a chaos
+    /// re-poll pause. Not billed: the whole poll is one receive.
+    pub long_poll_wakeups: AtomicU64,
 }
 
 impl QueueStats {
@@ -111,6 +136,9 @@ pub struct Queue {
     next_message_id: AtomicU64,
     next_receipt: AtomicU64,
     state: Mutex<State>,
+    /// Wakes parked long polls: on a send, on a lease that becomes the
+    /// earliest to expire, and on close.
+    arrival: Condvar,
     stats: QueueStats,
 }
 
@@ -137,7 +165,11 @@ impl Queue {
                 visible: Vec::new(),
                 in_flight: HashMap::new(),
                 rng: Pcg32::new(config.seed),
+                next_expiry: None,
+                waiters: 0,
+                closed: false,
             }),
+            arrival: Condvar::new(),
             stats: QueueStats::default(),
         }
     }
@@ -154,14 +186,70 @@ impl Queue {
         &self.stats
     }
 
-    /// Bring timed-out in-flight messages back to the visible pool.
+    pub(crate) fn lock_state(&self) -> MutexGuard<'_, State> {
+        self.state.lock()
+    }
+
+    /// Park a long-poll receiver until `until` or a notification, whichever
+    /// comes first. The caller re-checks the queue either way.
+    pub(crate) fn park<'a>(
+        &self,
+        mut state: MutexGuard<'a, State>,
+        until: Instant,
+    ) -> MutexGuard<'a, State> {
+        let timeout = until.saturating_duration_since(Instant::now());
+        state.waiters += 1;
+        let mut state = match self.arrival.wait_timeout(state, timeout) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        };
+        state.waiters -= 1;
+        state
+    }
+
+    /// Long polls parked right now; tests wait on it to act only once a
+    /// poll is asleep.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.state.lock().waiters
+    }
+
+    /// Wake every parked long poll, if any: they re-check the queue and
+    /// re-arm their timers against the (possibly earlier) next expiry.
+    fn wake_waiters(&self, state: &State) {
+        if state.waiters > 0 {
+            self.arrival.notify_all();
+        }
+    }
+
+    /// Stop serving long polls: parked receivers wake and every later
+    /// [`Self::receive_wait`] returns `Ok(None)` at once (still metered as
+    /// one receive plus one empty receive). Sends, plain receives and
+    /// deletes keep working, so a worker that is mid-task can still report
+    /// and acknowledge. Idempotent.
+    pub fn close(&self) {
+        let mut state = self.state.lock();
+        state.closed = true;
+        self.wake_waiters(&state);
+    }
+
+    /// Bring timed-out in-flight messages back to the visible pool. A no-op
+    /// until the earliest lease can have lapsed; the scan then recomputes
+    /// that bound.
     fn expire_in_flight(&self, state: &mut State, now: Instant) {
-        let expired: Vec<ReceiptHandle> = state
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.deadline <= now)
-            .map(|(r, _)| *r)
-            .collect();
+        if state.next_expiry.is_none_or(|t| t > now) {
+            return;
+        }
+        let mut next = None;
+        let mut expired = Vec::new();
+        for (r, f) in &state.in_flight {
+            if f.deadline <= now {
+                expired.push(*r);
+            } else if next.is_none_or(|t| f.deadline < t) {
+                next = Some(f.deadline);
+            }
+        }
+        state.next_expiry = next;
         for r in expired {
             let f = state.in_flight.remove(&r).expect("receipt present");
             self.stats
@@ -202,17 +290,14 @@ impl Queue {
         };
         if delay.is_zero() {
             state.visible.push(msg);
+            self.wake_waiters(&state);
         } else {
             // Model delay as a pre-hidden message: it sits in flight under a
             // reserved receipt until the delay lapses.
             let receipt = ReceiptHandle(self.next_receipt.fetch_add(1, Ordering::Relaxed));
-            state.in_flight.insert(
-                receipt,
-                InFlight {
-                    msg,
-                    deadline: Instant::now() + delay,
-                },
-            );
+            let deadline = Instant::now() + delay;
+            state.in_flight.insert(receipt, InFlight { msg, deadline });
+            self.note_lease(&mut state, deadline);
         }
         Ok(id)
     }
@@ -221,34 +306,35 @@ impl Queue {
     /// `Ok(None)` means "nothing available this request" — which, per the
     /// eventual-availability contract, can happen even when messages exist.
     pub fn receive(&self) -> Result<Option<Message>> {
-        self.receive_metered(true)
-    }
-
-    /// The receive path with metering optionally suppressed: a long poll
-    /// ([`Self::receive_wait`]) re-checks internally but bills as a single
-    /// request, like SQS `WaitTimeSeconds`.
-    pub(crate) fn receive_metered(&self, meter: bool) -> Result<Option<Message>> {
-        if meter {
-            self.stats.receives.fetch_add(1, Ordering::Relaxed);
-        }
+        self.stats.receives.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         let mut state = self.state.lock();
-        self.roll_transient(&mut state, "receive")?;
-        self.expire_in_flight(&mut state, now);
+        let got = self.receive_locked(&mut state, now)?;
+        if got.is_none() {
+            self.stats.empty_receives.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(got)
+    }
+
+    /// One unmetered receive attempt under the caller's lock. A long poll
+    /// ([`Self::receive_wait`]) repeats this internally but bills as a
+    /// single request, like SQS `WaitTimeSeconds`. `Ok(None)` while
+    /// [`State::has_visible`] holds is a chaos empty receive.
+    pub(crate) fn receive_locked(
+        &self,
+        state: &mut State,
+        now: Instant,
+    ) -> Result<Option<Message>> {
+        self.roll_transient(state, "receive")?;
+        self.expire_in_flight(state, now);
 
         if state.visible.is_empty() {
-            if meter {
-                self.stats.empty_receives.fetch_add(1, Ordering::Relaxed);
-            }
             return Ok(None);
         }
         let chaos = self.config.chaos;
         if chaos.empty_receive_probability > 0.0
             && state.rng.chance(chaos.empty_receive_probability)
         {
-            if meter {
-                self.stats.empty_receives.fetch_add(1, Ordering::Relaxed);
-            }
             return Ok(None);
         }
 
@@ -290,6 +376,7 @@ impl Queue {
                     deadline,
                 },
             );
+            self.note_lease(state, deadline);
             return Ok(Some(delivered));
         }
 
@@ -302,7 +389,17 @@ impl Queue {
             receive_count: msg.receive_count,
         };
         state.in_flight.insert(receipt, InFlight { msg, deadline });
+        self.note_lease(state, deadline);
         Ok(Some(delivered))
+    }
+
+    /// Account for a lease added or shortened to `deadline`: parked long
+    /// polls re-arm their timers if it is now the earliest expiry.
+    fn note_lease(&self, state: &mut State, deadline: Instant) {
+        if state.next_expiry.is_none_or(|t| deadline < t) {
+            state.next_expiry = Some(deadline);
+            self.wake_waiters(state);
+        }
     }
 
     /// Delete a message using the receipt from its most recent receive.
@@ -356,7 +453,9 @@ impl Queue {
         self.expire_in_flight(&mut state, now);
         match state.in_flight.get_mut(&receipt) {
             Some(f) => {
-                f.deadline = now + timeout;
+                let deadline = now + timeout;
+                f.deadline = deadline;
+                self.note_lease(&mut state, deadline);
                 Ok(())
             }
             None => Err(PpcError::InvalidState(format!(
@@ -501,6 +600,38 @@ mod tests {
         // The fresh receipt works.
         q.delete(second.receipt).unwrap();
         assert!(q.is_drained());
+    }
+
+    #[test]
+    fn staggered_leases_each_expire() {
+        // The first expiry scan must keep a bound for the lease still out.
+        let q = quick_queue(10_000);
+        q.send("short").unwrap();
+        q.send("long").unwrap();
+        let a = q.receive().unwrap().unwrap();
+        let b = q.receive().unwrap().unwrap();
+        let (short, long) = if a.body == "short" { (a, b) } else { (b, a) };
+        q.change_visibility(short.receipt, Duration::from_millis(20))
+            .unwrap();
+        q.change_visibility(long.receipt, Duration::from_millis(400))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(q.receive().unwrap().unwrap().id, short.id);
+        assert!(q.receive().unwrap().is_none(), "long lease still out");
+        std::thread::sleep(Duration::from_millis(400));
+        assert_eq!(q.receive().unwrap().unwrap().id, long.id);
+    }
+
+    #[test]
+    fn shortened_lease_expires_early() {
+        let q = quick_queue(10_000);
+        q.send("t").unwrap();
+        let m = q.receive().unwrap().unwrap();
+        q.change_visibility(m.receipt, Duration::from_millis(20))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let again = q.receive().unwrap().expect("shortened lease lapsed");
+        assert_eq!(again.receive_count, 2);
     }
 
     #[test]

@@ -47,12 +47,17 @@ impl QueueService {
     }
 
     /// Delete a queue and all its messages (SQS deletes unconditionally).
+    /// The queue is also [closed](Queue::close), so long polls still held
+    /// on a surviving handle return at once instead of waiting out their
+    /// window.
     pub fn delete_queue(&self, name: &str) -> Result<()> {
-        self.queues
+        let q = self
+            .queues
             .write()
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| PpcError::NotFound(format!("queue '{name}'")))
+            .ok_or_else(|| PpcError::NotFound(format!("queue '{name}'")))?;
+        q.close();
+        Ok(())
     }
 
     /// Names of all queues, sorted.
