@@ -8,7 +8,7 @@ use ppc_bio::blast::{BlastDb, BlastParams};
 use ppc_bio::fasta;
 use ppc_core::exec::Executor;
 use ppc_core::task::TaskSpec;
-use ppc_core::{PpcError, Result};
+use ppc_core::{Cancel, PpcError, Result};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -73,14 +73,21 @@ impl BlastxExecutor {
 }
 
 impl Executor for BlastxExecutor {
-    fn run(&self, _spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+    fn run(&self, spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+        self.run_cancellable(spec, input, &Cancel::never())
+    }
+
+    fn run_cancellable(&self, _spec: &TaskSpec, input: &[u8], cancel: &Cancel) -> Result<Vec<u8>> {
         let queries = fasta::parse(input)?;
         if queries.is_empty() {
             return Err(PpcError::TaskFailed("empty query file".into()));
         }
         let mut out = String::new();
         for q in &queries {
-            for (frame, h) in self.db.search_translated(&q.seq, &self.params) {
+            let hits = self
+                .db
+                .search_translated_cancellable(&q.seq, &self.params, cancel)?;
+            for (frame, h) in hits {
                 writeln!(
                     out,
                     "{}\t{}\t{frame:+}\t{:.1}\t{:.2e}",

@@ -1,10 +1,10 @@
 //! The Cap3 application: FASTA fragments in, contig FASTA out.
 
-use ppc_bio::assembly::{assemble, AssemblyParams};
+use ppc_bio::assembly::{assemble_cancellable, AssemblyParams};
 use ppc_bio::fasta;
 use ppc_core::exec::Executor;
 use ppc_core::task::TaskSpec;
-use ppc_core::{PpcError, Result};
+use ppc_core::{Cancel, PpcError, Result};
 
 /// The "executable" every framework schedules for the Cap3 experiments:
 /// parses one FASTA fragment file, assembles it, and emits the contigs (and
@@ -28,12 +28,16 @@ impl Default for Cap3Executor {
 }
 
 impl Executor for Cap3Executor {
-    fn run(&self, _spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+    fn run(&self, spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+        self.run_cancellable(spec, input, &Cancel::never())
+    }
+
+    fn run_cancellable(&self, _spec: &TaskSpec, input: &[u8], cancel: &Cancel) -> Result<Vec<u8>> {
         let reads = fasta::parse(input)?;
         if reads.is_empty() {
             return Err(PpcError::TaskFailed("empty FASTA input".into()));
         }
-        let assembly = assemble(&reads, &self.params);
+        let assembly = assemble_cancellable(&reads, &self.params, cancel)?;
         let mut records = assembly.to_fasta();
         // Cap3 also reports unassembled reads (the `.cap.singlets` file);
         // we fold them into the same output object.

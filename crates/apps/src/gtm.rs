@@ -7,8 +7,8 @@
 
 use ppc_core::exec::Executor;
 use ppc_core::task::TaskSpec;
-use ppc_core::{PpcError, Result};
-use ppc_gtm::interpolate::interpolate;
+use ppc_core::{Cancel, PpcError, Result};
+use ppc_gtm::interpolate::interpolate_cancellable;
 use ppc_gtm::linalg::Matrix;
 use ppc_gtm::train::GtmModel;
 use std::sync::Arc;
@@ -59,7 +59,11 @@ impl GtmExecutor {
 }
 
 impl Executor for GtmExecutor {
-    fn run(&self, _spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+    fn run(&self, spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+        self.run_cancellable(spec, input, &Cancel::never())
+    }
+
+    fn run_cancellable(&self, _spec: &TaskSpec, input: &[u8], cancel: &Cancel) -> Result<Vec<u8>> {
         let points = decode_points(input)?;
         if points.rows() == 0 {
             return Err(PpcError::TaskFailed("empty point block".into()));
@@ -71,7 +75,7 @@ impl Executor for GtmExecutor {
                 self.model.w.cols()
             )));
         }
-        let coords = interpolate(&self.model, &points);
+        let coords = interpolate_cancellable(&self.model, &points, cancel)?;
         Ok(encode_points(&coords))
     }
 

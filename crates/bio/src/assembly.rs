@@ -21,6 +21,7 @@
 //! which is exactly the property the paper relies on Cap3 having.
 
 use crate::fasta::{reverse_complement, FastaRecord};
+use ppc_core::{Cancel, Result};
 use std::collections::HashMap;
 
 /// Assembly tuning parameters.
@@ -296,11 +297,23 @@ impl ContigBuild {
 
 /// Assemble a set of reads into contigs.
 pub fn assemble(reads: &[FastaRecord], params: &AssemblyParams) -> Assembly {
+    assemble_cancellable(reads, params, &Cancel::never()).expect("never cancelled")
+}
+
+/// [`assemble`] that polls `cancel` per read while indexing, per k-mer
+/// bucket and read pair in overlap detection, and per join in the layout;
+/// returns `Err(Cancelled)` at the first check after the token is set.
+pub fn assemble_cancellable(
+    reads: &[FastaRecord],
+    params: &AssemblyParams,
+    cancel: &Cancel,
+) -> Result<Assembly> {
+    cancel.check()?;
     if reads.is_empty() {
-        return Assembly {
+        return Ok(Assembly {
             contigs: Vec::new(),
             singletons: Vec::new(),
-        };
+        });
     }
     let k = params.k;
 
@@ -318,10 +331,10 @@ pub fn assemble(reads: &[FastaRecord], params: &AssemblyParams) -> Assembly {
         .collect();
 
     // --- 2. Orientation by k-mer voting ---------------------------------
-    let oriented = orient_reads(&trimmed, k);
+    let oriented = orient_reads(&trimmed, k, cancel)?;
 
     // --- 3. Overlap detection -------------------------------------------
-    let overlaps = find_overlaps(&oriented, params);
+    let overlaps = find_overlaps(&oriented, params, cancel)?;
 
     // --- 4. Greedy layout -------------------------------------------------
     let mut sorted = overlaps;
@@ -342,6 +355,7 @@ pub fn assemble(reads: &[FastaRecord], params: &AssemblyParams) -> Assembly {
     let mut read_offset: Vec<i64> = vec![0; oriented.len()];
 
     for ov in sorted {
+        cancel.check()?;
         let (ri, rj) = (dsu.find(ov.i), dsu.find(ov.j));
         if ri == rj {
             continue;
@@ -392,10 +406,10 @@ pub fn assemble(reads: &[FastaRecord], params: &AssemblyParams) -> Assembly {
     }
     contigs.sort_by_key(|c| std::cmp::Reverse(c.consensus.len()));
     singletons.sort();
-    Assembly {
+    Ok(Assembly {
         contigs,
         singletons,
-    }
+    })
 }
 
 /// Check that placing `b` at `place` against `a` keeps the overlapping
@@ -423,11 +437,12 @@ fn contig_merge_ok(a: &ContigBuild, b: &ContigBuild, place: i64, params: &Assemb
 /// Resolve read strands: greedy BFS over the k-mer-sharing graph, flipping
 /// reads whose reverse complement shares more k-mers with already-oriented
 /// neighbours than their forward sequence does.
-fn orient_reads(reads: &[Vec<u8>], k: usize) -> Vec<Vec<u8>> {
+fn orient_reads(reads: &[Vec<u8>], k: usize, cancel: &Cancel) -> Result<Vec<Vec<u8>>> {
     let n = reads.len();
     // k-mer -> read set (forward orientation of stored reads).
     let mut fwd_index: HashMap<&[u8], Vec<usize>> = HashMap::new();
     for (i, seq) in reads.iter().enumerate() {
+        cancel.check()?;
         if seq.len() >= k {
             for w in seq.windows(k) {
                 fwd_index.entry(w).or_default().push(i);
@@ -438,6 +453,7 @@ fn orient_reads(reads: &[Vec<u8>], k: usize) -> Vec<Vec<u8>> {
     let mut fwd_votes: HashMap<(usize, usize), usize> = HashMap::new();
     let mut rc_votes: HashMap<(usize, usize), usize> = HashMap::new();
     for (i, seq) in reads.iter().enumerate() {
+        cancel.check()?;
         if seq.len() < k {
             continue;
         }
@@ -501,7 +517,7 @@ fn orient_reads(reads: &[Vec<u8>], k: usize) -> Vec<Vec<u8>> {
             }
         }
     }
-    reads
+    Ok(reads
         .iter()
         .enumerate()
         .map(|(i, seq)| {
@@ -511,14 +527,19 @@ fn orient_reads(reads: &[Vec<u8>], k: usize) -> Vec<Vec<u8>> {
                 seq.clone()
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Find verified overlaps between oriented reads via shared k-mer seeding.
-fn find_overlaps(reads: &[Vec<u8>], params: &AssemblyParams) -> Vec<Overlap> {
+fn find_overlaps(
+    reads: &[Vec<u8>],
+    params: &AssemblyParams,
+    cancel: &Cancel,
+) -> Result<Vec<Overlap>> {
     let k = params.k;
     let mut index: HashMap<&[u8], Vec<(usize, usize)>> = HashMap::new();
     for (i, seq) in reads.iter().enumerate() {
+        cancel.check()?;
         if seq.len() >= k {
             for (pos, w) in seq.windows(k).enumerate() {
                 index.entry(w).or_default().push((i, pos));
@@ -528,6 +549,7 @@ fn find_overlaps(reads: &[Vec<u8>], params: &AssemblyParams) -> Vec<Overlap> {
     // Candidate offsets per pair.
     let mut candidates: HashMap<(usize, usize), Vec<i64>> = HashMap::new();
     for hits in index.values() {
+        cancel.check()?;
         // Hyper-repetitive k-mers generate mostly false candidates and
         // quadratic work; Cap3 similarly masks repeats.
         if hits.len() < 2 || hits.len() > 64 {
@@ -557,6 +579,7 @@ fn find_overlaps(reads: &[Vec<u8>], params: &AssemblyParams) -> Vec<Overlap> {
     // Verify each candidate offset, keep the best per pair.
     let mut overlaps = Vec::new();
     for ((i, j), offsets) in candidates {
+        cancel.check()?;
         let (si, sj) = (&reads[i], &reads[j]);
         let mut best: Option<Overlap> = None;
         for offset in offsets {
@@ -590,7 +613,7 @@ fn find_overlaps(reads: &[Vec<u8>], params: &AssemblyParams) -> Vec<Overlap> {
             overlaps.push(o);
         }
     }
-    overlaps
+    Ok(overlaps)
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 
 use crate::fasta::FastaRecord;
 use crate::matrix::{self, aa_index, e_value, GAP_EXTEND, GAP_OPEN};
+use ppc_core::{Cancel, Result};
 use std::collections::HashMap;
 
 /// Search tuning parameters (blastp-flavoured defaults).
@@ -139,9 +140,22 @@ impl BlastDb {
 
     /// Search one query; hits sorted by ascending E-value.
     pub fn search(&self, query: &[u8], params: &BlastParams) -> Vec<Hit> {
+        self.search_cancellable(query, params, &Cancel::never())
+            .expect("never cancelled")
+    }
+
+    /// [`BlastDb::search`] that polls `cancel` once per query word while
+    /// seeding and once per diagonal while extending.
+    pub fn search_cancellable(
+        &self,
+        query: &[u8],
+        params: &BlastParams,
+        cancel: &Cancel,
+    ) -> Result<Vec<Hit>> {
         assert_eq!(params.w, self.w, "params.w must match the index word size");
+        cancel.check()?;
         if query.len() < params.w {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         // 1+2: seed positions via neighborhood words.
         // For each query word position, find all db words scoring >= t.
@@ -149,6 +163,7 @@ impl BlastDb {
         // word via neighborhood expansion of the query word.
         let mut diag_seeds: HashMap<(u32, i64), Vec<(u32, u32)>> = HashMap::new();
         for (qpos, qword) in query.windows(params.w).enumerate() {
+            cancel.check()?;
             for packed in neighborhood(qword, params.t) {
                 if let Some(postings) = self.index.get(&packed) {
                     for &(si, spos) in postings {
@@ -165,6 +180,7 @@ impl BlastDb {
         // 3+4: extend the best seed per (subject, diagonal).
         let mut best_per_subject: HashMap<u32, i32> = HashMap::new();
         for ((si, _diag), seeds) in diag_seeds {
+            cancel.check()?;
             let subject = &self.seqs[si as usize].seq;
             // Take the first seed on the diagonal (they extend identically).
             let &(qpos, spos) = seeds.first().expect("non-empty");
@@ -207,7 +223,7 @@ impl BlastDb {
                 .unwrap()
                 .then(a.subject.cmp(&b.subject))
         });
-        hits
+        Ok(hits)
     }
 
     /// Search many queries in parallel (BLAST's `-num_threads` — this is
@@ -222,6 +238,18 @@ impl BlastDb {
     /// nucleotide query and to compare it to a protein database").
     /// Returns hits tagged with the winning frame.
     pub fn search_translated(&self, dna: &[u8], params: &BlastParams) -> Vec<(i8, Hit)> {
+        self.search_translated_cancellable(dna, params, &Cancel::never())
+            .expect("never cancelled")
+    }
+
+    /// [`BlastDb::search_translated`] that polls `cancel` inside every
+    /// segment's search.
+    pub fn search_translated_cancellable(
+        &self,
+        dna: &[u8],
+        params: &BlastParams,
+        cancel: &Cancel,
+    ) -> Result<Vec<(i8, Hit)>> {
         let mut best: HashMap<usize, (i8, Hit)> = HashMap::new();
         for frame in crate::codon::six_frames(dna) {
             // Stops split the translation into ORF segments; search each
@@ -230,7 +258,7 @@ impl BlastDb {
                 if segment.len() < params.w {
                     continue;
                 }
-                for hit in self.search(segment, params) {
+                for hit in self.search_cancellable(segment, params, cancel)? {
                     match best.get(&hit.subject) {
                         Some((_, prior)) if prior.score >= hit.score => {}
                         _ => {
@@ -247,7 +275,7 @@ impl BlastDb {
                 .unwrap()
                 .then(a.1.subject.cmp(&b.1.subject))
         });
-        hits
+        Ok(hits)
     }
 }
 

@@ -32,6 +32,9 @@ pub enum PpcError {
     CapacityExceeded(String),
     /// Serialization / deserialization problems for messages and manifests.
     Codec(String),
+    /// The runtime cancelled this attempt (e.g. another attempt of the same
+    /// task already committed). Never retryable: the work is not wanted.
+    Cancelled(String),
 }
 
 impl PpcError {
@@ -53,6 +56,7 @@ impl PpcError {
             PpcError::TaskFailed(_) => "TaskFailed",
             PpcError::CapacityExceeded(_) => "CapacityExceeded",
             PpcError::Codec(_) => "Codec",
+            PpcError::Cancelled(_) => "Cancelled",
         }
     }
 }
@@ -68,7 +72,8 @@ impl fmt::Display for PpcError {
             | PpcError::Transient(m)
             | PpcError::TaskFailed(m)
             | PpcError::CapacityExceeded(m)
-            | PpcError::Codec(m) => m,
+            | PpcError::Codec(m)
+            | PpcError::Cancelled(m) => m,
         };
         write!(f, "{}: {}", self.code(), msg)
     }
@@ -91,6 +96,7 @@ mod tests {
         assert!(PpcError::Transient("x".into()).is_retryable());
         assert!(!PpcError::NotFound("x".into()).is_retryable());
         assert!(!PpcError::TaskFailed("x".into()).is_retryable());
+        assert!(!PpcError::Cancelled("x".into()).is_retryable());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! input file in, bytes of one output file out — implemented by the Cap3
 //! assembler, the BLAST searcher, the GTM interpolator, and test kernels.
 
+use crate::cancel::Cancel;
 use crate::task::TaskSpec;
 use crate::Result;
 use std::sync::Arc;
@@ -22,6 +23,16 @@ use std::sync::Arc;
 pub trait Executor: Send + Sync {
     /// Process one task's input payload into its output payload.
     fn run(&self, spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>>;
+
+    /// [`Executor::run`] for an attempt the runtime may kill: once `cancel`
+    /// is set, an overriding executor stops at its next check and returns
+    /// [`crate::PpcError::Cancelled`]. The default ignores the token and
+    /// runs to completion, which is always correct (the runtime discards a
+    /// killed attempt's output either way) but holds the slot until done.
+    fn run_cancellable(&self, spec: &TaskSpec, input: &[u8], cancel: &Cancel) -> Result<Vec<u8>> {
+        let _ = cancel;
+        self.run(spec, input)
+    }
 
     /// Human-readable name for logs and reports.
     fn name(&self) -> &str {

@@ -19,11 +19,14 @@
 //!   (queue task messages, distributed GTM models).
 //! * [`sync`] — poison-free `Mutex`/`RwLock` wrappers for the services.
 //! * [`par`] — index-parallel map over scoped threads for the kernels.
+//! * [`cancel`] — the per-attempt [`Cancel`] token runtimes use to kill
+//!   losing speculative attempts.
 //! * [`error`] — the workspace error type.
 //!
 //! The crate is dependency-light by design: everything downstream (storage,
 //! queue, compute, the three frameworks, the applications) builds on it.
 
+pub mod cancel;
 pub mod error;
 pub mod exec;
 pub mod json;
@@ -38,6 +41,7 @@ pub mod sync;
 pub mod task;
 pub mod trace;
 
+pub use cancel::Cancel;
 pub use error::{PpcError, Result};
 pub use exec::{Executor, FnExecutor};
 pub use money::Usd;

@@ -15,7 +15,7 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::retry::RetryPolicy;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
-use ppc_core::{PpcError, Result};
+use ppc_core::{Cancel, PpcError, Result};
 use ppc_exec::{RunContext, RunReport};
 use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
@@ -365,9 +365,10 @@ struct Defense<'a> {
     health: Option<&'a Mutex<HealthTracker>>,
     redundant: &'a AtomicUsize,
     /// Clock time the last vertex settled (committed or permanently
-    /// failed). Native threads cannot be interrupted, so losing duplicates
-    /// may still be draining after this point; the defended report's
-    /// makespan is this settle time, not the join time.
+    /// failed). A killed loser only stops at its executor's next
+    /// cancellation check (never, for an executor that does not override
+    /// `run_cancellable`), so the defended report's makespan is this settle
+    /// time, not the join time.
     finished_s: &'a Mutex<f64>,
     n_tasks: usize,
 }
@@ -382,6 +383,10 @@ struct RunningVertex {
     live: u32,
     hedged: bool,
     cancelled: bool,
+    /// Cancel tokens of the vertex's attempts, the primary's first: the
+    /// first Ok attempt kills the rest, a deadline breach kills the
+    /// primary.
+    tokens: Vec<Cancel>,
     /// Next attempt index to hand a backup; starts past the retry layer's
     /// range so backup spans never collide with primary retries.
     next_attempt: u32,
@@ -398,8 +403,8 @@ struct NodeDefense {
 
 /// What an idle slot found while scanning the node's registry.
 enum Backup {
-    /// Run this backup attempt.
-    Run(TaskSpec, Vec<u8>, u32),
+    /// Run this backup attempt under its cancel token.
+    Run(TaskSpec, Vec<u8>, u32, Cancel),
     /// Nothing eligible yet, but vertices are still outstanding.
     Wait,
     /// The node's partition is fully settled.
@@ -458,7 +463,10 @@ fn note_failure(
 }
 
 /// One traced vertex attempt: chaos dice (primary first attempts only),
-/// local read, execute, and the terminal write mark on success.
+/// local read, execute, and the terminal write mark on success. Returns
+/// `Err(Cancelled)` once `cancel` is set, during execution or the gray
+/// slowdown.
+#[allow(clippy::too_many_arguments)]
 fn vertex_attempt(
     ctx: &SlotCtx,
     spec: &TaskSpec,
@@ -467,6 +475,7 @@ fn vertex_attempt(
     seq: u32,
     attempt: u32,
     dice: bool,
+    cancel: &Cancel,
 ) -> Result<Vec<u8>> {
     ctx.attempts_total.fetch_add(1, Ordering::Relaxed);
     let attempt_start = Instant::now();
@@ -505,10 +514,10 @@ fn vertex_attempt(
     if let Some(tt) = tt.as_mut() {
         tt.mark(Phase::ReadLocal, ctx.clock.now_s());
     }
-    let r = ctx.executor.run(spec, input);
+    let r = ctx.executor.run_cancellable(spec, input, cancel);
     // Gray degradation stretches the execute phase itself, so a straggling
     // attempt is slow in the trace and loses the commit race for real.
-    apply_gray_slowdown(ctx, worker, attempt_start);
+    let r = apply_gray_slowdown(ctx, worker, attempt_start, cancel).and(r);
     if let Some(tt) = tt.as_mut() {
         tt.mark(Phase::Execute, ctx.clock.now_s());
         if r.is_ok() {
@@ -520,14 +529,26 @@ fn vertex_attempt(
     r
 }
 
-/// Stretch the slot's wall time under a gray degradation window.
-fn apply_gray_slowdown(ctx: &SlotCtx, worker: u32, vertex_start: Instant) {
+/// Stretch the slot's wall time under a gray degradation window; the
+/// stretch ends early, with `Err(Cancelled)`, if the attempt is killed.
+fn apply_gray_slowdown(
+    ctx: &SlotCtx,
+    worker: u32,
+    vertex_start: Instant,
+    cancel: &Cancel,
+) -> Result<()> {
     if let Some(schedule) = ctx.chaos {
         let factor = schedule.slowdown(worker, ctx.clock.now_s());
         if factor > 1.0 {
-            std::thread::sleep(vertex_start.elapsed().mul_f64(factor - 1.0));
+            return cancel.sleep(vertex_start.elapsed().mul_f64(factor - 1.0));
         }
     }
+    Ok(())
+}
+
+/// Whether an attempt's error means the runtime killed it.
+fn killed(e: &PpcError) -> bool {
+    matches!(e, PpcError::Cancelled(_))
 }
 
 /// The legacy slot loop: pull vertices off the node's local list until it
@@ -575,7 +596,16 @@ fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<(TaskSpec, Vec<u8>)>>,
         let mut used_attempts = 0u32;
         let out = policy.run_blocking(&mut rng, |attempt| {
             used_attempts = attempt;
-            vertex_attempt(ctx, &spec, &input, worker, seq, attempt, attempt == 0)
+            vertex_attempt(
+                ctx,
+                &spec,
+                &input,
+                worker,
+                seq,
+                attempt,
+                attempt == 0,
+                &Cancel::never(),
+            )
         });
         match out {
             Ok(out) => {
@@ -674,6 +704,7 @@ fn defended_slot_loop(
                 task_seq += 1;
                 // Register before running so other slots can back this
                 // vertex up while it is in flight.
+                let cancel = Cancel::new();
                 node.registry.lock().unwrap().insert(
                     spec.id.0,
                     RunningVertex {
@@ -683,6 +714,7 @@ fn defended_slot_loop(
                         live: 1,
                         hedged: false,
                         cancelled: false,
+                        tokens: vec![cancel.clone()],
                         next_attempt: ctx.config.max_retries + 1,
                     },
                 );
@@ -690,8 +722,17 @@ fn defended_slot_loop(
                 let mut used_attempts = 0u32;
                 let out = retry.run_blocking(&mut rng, |attempt| {
                     used_attempts = attempt;
-                    let r = vertex_attempt(ctx, &spec, &input, worker, seq, attempt, attempt == 0);
-                    if r.is_err() {
+                    let r = vertex_attempt(
+                        ctx,
+                        &spec,
+                        &input,
+                        worker,
+                        seq,
+                        attempt,
+                        attempt == 0,
+                        &cancel,
+                    );
+                    if r.as_ref().is_err_and(|e| !killed(e)) {
                         note_failure(defense.health, ctx.sink, worker, ctx.clock.now_s());
                     }
                     r
@@ -709,12 +750,13 @@ fn defended_slot_loop(
                 );
             }
             None => match next_backup(ctx, defense, node) {
-                Backup::Run(spec, input, attempt) => {
+                Backup::Run(spec, input, attempt, cancel) => {
                     let vertex_start = Instant::now();
                     // Backups roll no chaos dice: the dice model per-pull
                     // hazards and this slot already survived its pull.
-                    let out = vertex_attempt(ctx, &spec, &input, worker, 0, attempt, false);
-                    if out.is_err() {
+                    let out =
+                        vertex_attempt(ctx, &spec, &input, worker, 0, attempt, false, &cancel);
+                    if out.as_ref().is_err_and(|e| !killed(e)) {
                         note_failure(defense.health, ctx.sink, worker, ctx.clock.now_s());
                     }
                     let latency_s = vertex_start.elapsed().as_secs_f64();
@@ -740,13 +782,16 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
         if let Some(e) = reg.values_mut().find(|e| {
             !done.contains(&e.spec.id.0) && !e.cancelled && now_s - e.started_s > d.timeout_s
         }) {
-            // Native threads cannot be interrupted, so "cancel" here means
-            // the overdue attempt is logically abandoned: a replacement
-            // launches now and whichever finishes first still wins.
+            // Kill the overdue primary through its token (it stops at its
+            // executor's next check) and launch a replacement; should the
+            // primary finish first anyway, it still wins.
             e.cancelled = true;
+            e.tokens[0].cancel();
             e.live += 1;
             let attempt = e.next_attempt;
             e.next_attempt += 1;
+            let cancel = Cancel::new();
+            e.tokens.push(cancel.clone());
             if let Some(s) = ctx.sink {
                 s.event(TraceEvent {
                     at_s: now_s,
@@ -754,7 +799,7 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
                     kind: EventKind::Cancel,
                 });
             }
-            return Backup::Run(e.spec.clone(), e.input.clone(), attempt);
+            return Backup::Run(e.spec.clone(), e.input.clone(), attempt, cancel);
         }
     }
     if let Some(hedge) = defense.hedge {
@@ -769,6 +814,8 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
             e.live += 1;
             let attempt = e.next_attempt;
             e.next_attempt += 1;
+            let cancel = Cancel::new();
+            e.tokens.push(cancel.clone());
             if let Some(s) = ctx.sink {
                 s.event(TraceEvent {
                     at_s: now_s,
@@ -776,15 +823,17 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
                     kind: EventKind::Hedge,
                 });
             }
-            return Backup::Run(e.spec.clone(), e.input.clone(), attempt);
+            return Backup::Run(e.spec.clone(), e.input.clone(), attempt, cancel);
         }
     }
     Backup::Wait
 }
 
-/// Settle one finished attempt (primary or backup): first Ok wins and
-/// commits the output, losing duplicates count as redundant work, and a
-/// permanent failure is recorded only once every live attempt has failed.
+/// Settle one finished attempt (primary or backup): first Ok wins, commits
+/// the output and then kills the vertex's other attempts; losing duplicates
+/// (killed or not) count as redundant work; an attempt killed by a deadline
+/// counts as a failed attempt; and a permanent failure is recorded only
+/// once every live attempt has failed.
 #[allow(clippy::too_many_arguments)]
 fn finish_attempt(
     ctx: &SlotCtx,
@@ -824,6 +873,13 @@ fn finish_attempt(
             note_success(defense.health, ctx.sink, worker, latency_s, now_s);
             let mut reg = node.registry.lock().unwrap();
             if let Some(e) = reg.get_mut(&spec.id.0) {
+                if winner {
+                    // Committed: kill the other attempts (this one's own
+                    // token is never checked again).
+                    for token in e.tokens.drain(..) {
+                        token.cancel();
+                    }
+                }
                 e.live = e.live.saturating_sub(1);
                 if e.live == 0 {
                     reg.remove(&spec.id.0);
@@ -831,6 +887,7 @@ fn finish_attempt(
             }
         }
         Err(e) => {
+            let was_killed = killed(&e);
             let mut reg = node.registry.lock().unwrap();
             let last_live = match reg.get_mut(&spec.id.0) {
                 Some(entry) => {
@@ -844,6 +901,22 @@ fn finish_attempt(
                 reg.remove(&spec.id.0);
             }
             drop(reg);
+            if was_killed && done {
+                // A loser killed by the winning attempt: redundant work,
+                // no failure.
+                defense.redundant.fetch_add(1, Ordering::Relaxed);
+                if let Some(s) = ctx.sink {
+                    s.event(TraceEvent {
+                        at_s: now_s,
+                        worker,
+                        kind: EventKind::Cancel,
+                    });
+                }
+            } else if was_killed {
+                // Killed by its deadline (the Cancel event was recorded
+                // there): a failed attempt.
+                note_failure(defense.health, ctx.sink, worker, now_s);
+            }
             if last_live && !done {
                 ctx.failures.fetch_add(1, Ordering::Relaxed);
                 ctx.failed_ids.lock().unwrap().push(spec.id);
@@ -1120,6 +1193,84 @@ mod tests {
             trace.events_of_kind(EventKind::Cancel) > 0,
             "the overdue vertex must have been cancelled"
         );
+    }
+
+    /// Threads of this process whose OS name is `name`; threads inherit
+    /// their creator's name, so this counts a named probe thread and
+    /// everything it spawned.
+    fn threads_named(name: &str) -> usize {
+        std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+            tasks
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == name)
+                .count()
+        })
+    }
+
+    /// Echoes its input after a [`Cancel::sleep`]: 2 s for the first call
+    /// on vertex 0 (a gray straggler), 5 ms otherwise.
+    struct Straggler(std::sync::atomic::AtomicBool);
+
+    impl Executor for Straggler {
+        fn run(&self, spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+            self.run_cancellable(spec, input, &Cancel::never())
+        }
+
+        fn run_cancellable(
+            &self,
+            spec: &TaskSpec,
+            input: &[u8],
+            cancel: &Cancel,
+        ) -> Result<Vec<u8>> {
+            let slow = spec.id.0 == 0 && self.0.swap(false, Ordering::SeqCst);
+            cancel.sleep(Duration::from_millis(if slow { 2000 } else { 5 }))?;
+            Ok(input.to_vec())
+        }
+    }
+
+    #[test]
+    fn winning_backup_kills_the_straggling_primary() {
+        use ppc_resilience::HedgeConfig;
+        const PROBE: &str = "dryad-kill";
+        let cluster = Cluster::provision(BARE_HPC16, 1, 2);
+        let rec = Arc::new(ppc_trace::Recorder::new());
+        let config = DryadConfig {
+            resilience: Some(ResiliencePolicy::hedged(HedgeConfig::quantile(0.02))),
+            trace: Some(rec),
+            ..Default::default()
+        };
+        let exec = Arc::new(Straggler(std::sync::atomic::AtomicBool::new(true)));
+        let start = Instant::now();
+        let (report, mut outputs) = std::thread::Builder::new()
+            .name(PROBE.into())
+            .spawn(move || crate::run(&RunContext::new(&cluster), inputs(8), exec, &config))
+            .unwrap()
+            .join()
+            .unwrap()
+            .unwrap();
+        let wall = start.elapsed();
+        assert!(
+            wall < Duration::from_secs(1),
+            "straggler not killed: {wall:?}"
+        );
+        outputs.sort();
+        let mut expected: Vec<_> = inputs(8)
+            .into_iter()
+            .map(|(spec, input)| (spec.output_key, input))
+            .collect();
+        expected.sort();
+        assert_eq!(outputs, expected, "exactly one output per vertex");
+        assert_eq!(report.vertex_failures, 0, "a killed loser is no failure");
+        assert!(report.summary.redundant_executions >= 1);
+        let trace = report.core.trace.as_ref().unwrap();
+        assert!(trace.events_of_kind(EventKind::Hedge) >= 1);
+        assert!(trace.events_of_kind(EventKind::Cancel) >= 1);
+        // Scoped threads are joined; give the kernel a moment to reap them.
+        let reaped = Instant::now();
+        while threads_named(PROBE) > 0 && reaped.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(threads_named(PROBE), 0, "worker threads leaked");
     }
 
     #[test]

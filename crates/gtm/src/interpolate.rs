@@ -11,16 +11,32 @@
 
 use crate::linalg::Matrix;
 use crate::train::GtmModel;
+use ppc_core::{Cancel, Result};
 
 /// Project out-of-sample rows through a trained model; returns `N × 2`
 /// latent coordinates. Parallelizes over points (the per-worker threading
 /// an Azure/EC2 worker would use).
 pub fn interpolate(model: &GtmModel, out_of_samples: &Matrix) -> Matrix {
+    interpolate_cancellable(model, out_of_samples, &Cancel::never()).expect("never cancelled")
+}
+
+/// [`interpolate`] that checks `cancel` on entry and before each point;
+/// once it is set the remaining points are skipped and the call returns
+/// `Err(Cancelled)`.
+pub fn interpolate_cancellable(
+    model: &GtmModel,
+    out_of_samples: &Matrix,
+    cancel: &Cancel,
+) -> Result<Matrix> {
+    cancel.check()?;
     let y = model.y();
     let k = y.rows();
     let n = out_of_samples.rows();
     let beta = model.beta;
     let coords: Vec<[f64; 2]> = ppc_core::par::par_map(n, |nn| {
+        if cancel.is_cancelled() {
+            return [0.0; 2];
+        }
         // Responsibilities for this point (log-sum-exp stabilized).
         let mut logs = vec![0.0f64; k];
         let mut max_log = f64::NEG_INFINITY;
@@ -46,12 +62,13 @@ pub fn interpolate(model: &GtmModel, out_of_samples: &Matrix) -> Matrix {
         }
         [cx, cy]
     });
+    cancel.check()?;
     let mut out = Matrix::zeros(n, 2);
     for (i, c) in coords.into_iter().enumerate() {
         out[(i, 0)] = c[0];
         out[(i, 1)] = c[1];
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

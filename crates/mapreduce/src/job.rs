@@ -3,7 +3,7 @@
 use crate::input::InputFormat;
 use ppc_core::exec::Executor;
 use ppc_core::task::{ResourceProfile, TaskSpec};
-use ppc_core::{PpcError, Result};
+use ppc_core::{Cancel, PpcError, Result};
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
 use std::sync::Arc;
@@ -99,7 +99,8 @@ impl MapReduceJob {
 }
 
 /// What a map function can do besides compute: read HDFS (with locality
-/// accounting) and emit key/value pairs.
+/// accounting), emit key/value pairs, and notice that the runtime killed
+/// this attempt.
 pub struct MapContext<'a> {
     pub fs: &'a MiniHdfs,
     /// The datanode this map attempt is running on.
@@ -107,6 +108,7 @@ pub struct MapContext<'a> {
     emitted: Vec<(String, Vec<u8>)>,
     /// Whether every HDFS read this task performed was node-local.
     all_local: bool,
+    cancel: Cancel,
 }
 
 impl<'a> MapContext<'a> {
@@ -116,7 +118,21 @@ impl<'a> MapContext<'a> {
             node,
             emitted: Vec::new(),
             all_local: true,
+            cancel: Cancel::never(),
         }
+    }
+
+    /// Attach the attempt's cancellation token (the runtime sets it when
+    /// another attempt of the same task has committed).
+    pub fn with_cancel(mut self, cancel: Cancel) -> MapContext<'a> {
+        self.cancel = cancel;
+        self
+    }
+
+    /// The attempt's cancellation token; long-running map functions should
+    /// poll it (see [`Cancel::check`]).
+    pub fn cancel(&self) -> &Cancel {
+        &self.cancel
     }
 
     /// Read an HDFS file from this mapper's node, tracking locality.
@@ -178,7 +194,7 @@ impl Mapper for ExecutableMapper {
             key.to_string(),
             ResourceProfile::cpu_bound(0.0),
         );
-        let output = self.executor.run(&spec, &input)?;
+        let output = self.executor.run_cancellable(&spec, &input, ctx.cancel())?;
         ctx.emit(format!("{key}.out"), output);
         Ok(())
     }

@@ -4,7 +4,9 @@
 //! the same nodes as the datanodes, which is what makes data-local
 //! scheduling meaningful. Map outputs are committed only for the *first*
 //! completion of a task (Hadoop's output-committer discipline), so
-//! speculative duplicates and retries can never corrupt results.
+//! speculative duplicates and retries can never corrupt results. Once that
+//! commit lands, the task's other live attempts are killed through their
+//! [`Cancel`] tokens, as Hadoop's JobTracker kills the losing attempts.
 
 use crate::input::{compute_splits, InputFormat};
 use crate::job::{partition_for, MapContext, MapReduceJob, Mapper, Reducer};
@@ -14,7 +16,7 @@ use ppc_chaos::{FaultSchedule, RunClock};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::TaskId;
-use ppc_core::{PpcError, Result};
+use ppc_core::{Cancel, PpcError, Result};
 use ppc_exec::{RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
@@ -204,6 +206,9 @@ pub(crate) fn run_job_impl(
     let health = health.as_ref();
     let deadline = config.resilience.and_then(|p| p.deadline);
     let scheduler = Mutex::new(Scheduler::with_policy(splits, hedge, job.max_attempts));
+    // Cancel tokens of each task's attempts, pushed and taken only under
+    // the scheduler lock so a commit never misses a just-launched attempt.
+    let live_tokens: Mutex<Vec<Vec<Cancel>>> = Mutex::new(vec![Vec::new(); n_tasks]);
 
     // Map-side state.
     let intermediate: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
@@ -224,6 +229,7 @@ pub(crate) fn run_job_impl(
         for node in 0..n_nodes {
             for slot in 0..config.slots_per_node {
                 let scheduler = &scheduler;
+                let live_tokens = &live_tokens;
                 let intermediate = &intermediate;
                 let data_local_tasks = &data_local_tasks;
                 let total_attempts = &total_attempts;
@@ -281,9 +287,14 @@ pub(crate) fn run_job_impl(
                             if sched.is_complete() {
                                 break;
                             }
-                            sched.next_at(node_id, clock.now_s())
+                            let assignment = sched.next_at(node_id, clock.now_s());
+                            assignment.map(|a| {
+                                let cancel = Cancel::new();
+                                live_tokens.lock().unwrap()[a.id.task].push(cancel.clone());
+                                (a, cancel)
+                            })
                         };
-                        let assignment = match assignment {
+                        let (assignment, cancel) = match assignment {
                             Some(a) => a,
                             None => {
                                 std::thread::sleep(config.poll_backoff);
@@ -363,7 +374,7 @@ pub(crate) fn run_job_impl(
                             if let Some(until) = schedule.storage_outage_until(clock.now_s()) {
                                 let wait = until - clock.now_s();
                                 if wait > 0.0 {
-                                    std::thread::sleep(Duration::from_secs_f64(wait));
+                                    let _ = cancel.sleep(Duration::from_secs_f64(wait));
                                 }
                             }
                         }
@@ -378,7 +389,7 @@ pub(crate) fn run_job_impl(
                         #[allow(deprecated)]
                         if let Some((task, delay)) = config.straggler_delay {
                             if assignment.id.task == task && assignment.id.attempt == 0 {
-                                std::thread::sleep(delay);
+                                let _ = cancel.sleep(delay);
                             }
                         }
 
@@ -388,7 +399,7 @@ pub(crate) fn run_job_impl(
                             Phase::ReadRemote
                         };
                         let map_started = Instant::now();
-                        let mut ctx = MapContext::new(&fs, node_id);
+                        let mut ctx = MapContext::new(&fs, node_id).with_cancel(cancel.clone());
                         let map_result = match job.input_format {
                             InputFormat::FileName => {
                                 // The "read" is the split metadata itself;
@@ -414,8 +425,28 @@ pub(crate) fn run_job_impl(
                             // schedule's slowdown factor for this worker.
                             let factor = schedule.slowdown(worker, clock.now_s());
                             if factor > 1.0 {
-                                std::thread::sleep(map_started.elapsed().mul_f64(factor - 1.0));
+                                let _ = cancel.sleep(map_started.elapsed().mul_f64(factor - 1.0));
                             }
+                        }
+                        if cancel.is_cancelled() {
+                            // Killed by the task's committing attempt: the
+                            // span closes at the kill, and the loser leaves
+                            // as a duplicate without touching the retry
+                            // budget, the quarantine streak or the latency
+                            // estimate.
+                            let now_s = clock.now_s();
+                            if let Some(tt) = tt.as_mut() {
+                                tt.mark(Phase::Map, now_s);
+                            }
+                            if let Some(s) = sink {
+                                s.event(TraceEvent {
+                                    at_s: now_s,
+                                    worker,
+                                    kind: EventKind::Cancel,
+                                });
+                            }
+                            scheduler.lock().unwrap().release_cancelled(assignment.id);
+                            continue;
                         }
                         if let Some(tt) = tt.as_mut() {
                             tt.mark(Phase::Map, clock.now_s());
@@ -501,6 +532,9 @@ pub(crate) fn run_job_impl(
                                 match sched.complete_at(assignment.id, done_s) {
                                     CompleteOutcome::First => {
                                         let job_done = sched.is_complete();
+                                        let attempts = std::mem::take(
+                                            &mut live_tokens.lock().unwrap()[assignment.id.task],
+                                        );
                                         drop(sched);
                                         // Only the committing attempt's
                                         // records count; a speculative
@@ -533,6 +567,12 @@ pub(crate) fn run_job_impl(
                                             }
                                         } else {
                                             intermediate.lock().unwrap().extend(emitted);
+                                        }
+                                        // Committed: kill the task's other
+                                        // attempts (this one's own token is
+                                        // never checked again).
+                                        for token in attempts {
+                                            token.cancel();
                                         }
                                         if job_done {
                                             *map_done_at.lock().unwrap() = Some(Instant::now());
@@ -780,6 +820,88 @@ mod tests {
             "speculation should hide the straggler: {}s",
             report.summary.makespan_seconds
         );
+    }
+
+    /// Threads of this process whose OS name is `name`; threads inherit
+    /// their creator's name, so this counts a named probe thread and
+    /// everything it spawned.
+    fn threads_named(name: &str) -> usize {
+        std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+            tasks
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == name)
+                .count()
+        })
+    }
+
+    /// Upper-cases its input after a [`Cancel::sleep`] of 150 ms for `f0`
+    /// and 200 ms for every other file.
+    struct Napper;
+
+    impl ppc_core::Executor for Napper {
+        fn run(&self, spec: &ppc_core::TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+            self.run_cancellable(spec, input, &Cancel::never())
+        }
+
+        fn run_cancellable(
+            &self,
+            spec: &ppc_core::TaskSpec,
+            input: &[u8],
+            cancel: &Cancel,
+        ) -> Result<Vec<u8>> {
+            let ms = if spec.input_key == "f0" { 150 } else { 200 };
+            cancel.sleep(Duration::from_millis(ms))?;
+            Ok(input.to_ascii_uppercase())
+        }
+    }
+
+    #[test]
+    fn committed_task_kills_its_speculative_duplicate() {
+        const PROBE: &str = "mr-kill";
+        // One node, two slots, legacy speculation: the slot that finishes
+        // `f0` at 150 ms duplicates the other task, whose original commits
+        // at 200 ms. Left alone, the duplicate would hold the job until
+        // 350 ms; killed, the job ends with the original.
+        let (fs, paths) = make_fs(1, 2);
+        let job = MapReduceJob::map_only("kill", paths, "/out");
+        let mapper = ExecutableMapper::new("upper", Arc::new(Napper));
+        let config = HadoopConfig {
+            slots_per_node: 2,
+            ..HadoopConfig::default()
+        };
+        let start = Instant::now();
+        let report = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .name(PROBE.into())
+                .spawn_scoped(s, || run_job_with(&fs, &job, &mapper, None, &config))
+                .unwrap()
+                .join()
+                .unwrap()
+        })
+        .unwrap();
+        let wall = start.elapsed().as_secs_f64();
+        assert!(wall < 0.3, "duplicate not killed: wall {wall}s");
+        assert!(
+            wall - report.summary.makespan_seconds < 0.05,
+            "tail past the last commit: wall {wall}s, makespan {}s",
+            report.summary.makespan_seconds
+        );
+        assert!(report.is_complete());
+        for i in 0..2 {
+            let out = fs.read(&format!("/out/f{i}.out")).unwrap();
+            assert_eq!(out, format!("DATA-{i}").into_bytes());
+        }
+        assert!(report.scheduler.speculative_assignments >= 1);
+        assert_eq!(
+            report.total_attempts,
+            report.summary.tasks + report.summary.redundant_executions
+        );
+        // Scoped threads are joined; give the kernel a moment to reap them.
+        let reaped = Instant::now();
+        while threads_named(PROBE) > 0 && reaped.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(threads_named(PROBE), 0, "worker threads leaked");
     }
 
     #[test]

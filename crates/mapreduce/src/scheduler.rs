@@ -364,6 +364,26 @@ impl Scheduler {
         outcome
     }
 
+    /// Release a live attempt the runtime killed because another attempt
+    /// of its task already committed (Hadoop kills the losing attempts).
+    /// Like a duplicate that ran to the end it counts in
+    /// `duplicate_completions`, but its truncated run time is no latency
+    /// sample for the hedge policy, and it is no failure: the retry budget
+    /// is untouched.
+    pub fn release_cancelled(&mut self, id: AttemptId) {
+        let live = self.attempt_started.remove(&id).is_some();
+        debug_assert!(live, "released attempt {id:?} is not live");
+        let t = &mut self.tasks[id.task];
+        debug_assert_eq!(
+            t.phase,
+            TaskPhase::Done,
+            "only a committed task's losers are killed"
+        );
+        t.live_attempts = t.live_attempts.saturating_sub(1);
+        self.stats.duplicate_completions += 1;
+        self.reindex(id.task);
+    }
+
     /// Report an attempt's failure.
     pub fn fail(&mut self, id: AttemptId) -> FailOutcome {
         let outcome = self.fail_inner(id);
@@ -495,6 +515,64 @@ mod tests {
         assert_eq!(s.complete(a.id), CompleteOutcome::First);
         assert_eq!(s.complete(dup.id), CompleteOutcome::Duplicate);
         assert_eq!(s.stats().duplicate_completions, 1);
+        assert!(s.is_complete());
+    }
+
+    #[test]
+    fn released_loser_frees_its_slot_without_a_failure() {
+        let mut s = Scheduler::new(splits(vec![vec![0], vec![0]]), true, 1);
+        let a = s.next(DataNodeId(0)).unwrap();
+        let b = s.next(DataNodeId(0)).unwrap();
+        let dup = s.next(DataNodeId(1)).unwrap();
+        assert!(dup.speculative);
+        assert_eq!(dup.id.task, a.id.task);
+        // Two live attempts: `a`'s task left the hedge-candidate index.
+        assert_eq!(s.tasks[a.id.task].live_attempts, 2);
+        assert!(!s.candidates.iter().any(|&(_, t)| t == a.id.task));
+        assert_eq!(s.complete(dup.id), CompleteOutcome::First);
+        s.release_cancelled(a.id);
+        assert_eq!(s.tasks[a.id.task].live_attempts, 0);
+        assert!(!s.attempt_started.contains_key(&a.id));
+        assert!(!s.candidates.iter().any(|&(_, t)| t == a.id.task));
+        let stats = s.stats();
+        assert_eq!(
+            stats.duplicate_completions, 1,
+            "the killed loser is redundant work"
+        );
+        assert_eq!(stats.retries, 0, "and no failure");
+        assert!(s.failed_tasks().is_empty());
+        // With max_attempts = 1 a failure would have failed the task; the
+        // release did not touch the budget, and `b` still completes.
+        assert!(!s.is_complete());
+        assert_eq!(s.complete(b.id), CompleteOutcome::First);
+        assert!(s.is_complete());
+        assert_eq!(s.n_done(), 2);
+    }
+
+    #[test]
+    fn released_loser_feeds_no_latency_sample() {
+        let cfg = HedgeConfig {
+            quantile: 0.5,
+            factor: 1.0,
+            min_observations: 1,
+            min_delay_s: 0.0,
+            budget_fraction: f64::INFINITY,
+            max_live_attempts: 2,
+        };
+        let mut s = Scheduler::with_policy(splits(vec![vec![0], vec![0]]), Some(cfg), 4);
+        let a = s.next_at(DataNodeId(0), 0.0).unwrap();
+        let b = s.next_at(DataNodeId(0), 0.0).unwrap();
+        assert_eq!(s.complete_at(a.id, 2.0), CompleteOutcome::First);
+        assert_eq!(s.hedge_delay_s(), Some(2.0));
+        let dup = s.next_at(DataNodeId(1), 2.0).unwrap();
+        assert_eq!(dup.id.task, b.id.task);
+        // Latencies {1, 2}: p50 = 1.
+        assert_eq!(s.complete_at(dup.id, 3.0), CompleteOutcome::First);
+        assert_eq!(s.hedge_delay_s(), Some(1.0));
+        // The original, killed at t = 3 after running 3 s, is no sample:
+        // {1, 2, 3} would move the p50 to 2.
+        s.release_cancelled(b.id);
+        assert_eq!(s.hedge_delay_s(), Some(1.0));
         assert!(s.is_complete());
     }
 
