@@ -68,7 +68,6 @@ pub fn simulate(ctx: &RunContext, tasks: &[TaskSpec], cfg: &SimConfig) -> Classi
     cfg.seed = ctx.seed_or(cfg.seed);
     cfg.trace = ctx.trace_or(cfg.trace);
     cfg.resilience = ctx.resilience_or(&cfg.resilience);
-    cfg.queue = ctx.queue_or(cfg.queue);
     let schedule = ctx.schedule.clone();
     match &ctx.fleet {
         FleetPlan::Fixed(fleets) => crate::sim::sim_fleets_impl(fleets, tasks, &cfg, schedule),

@@ -21,7 +21,7 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
-use ppc_des::{Engine, EventId, QueueKind, SimTime};
+use ppc_des::{Engine, EventId, SimTime};
 use ppc_exec::{RunContext, RunReport};
 use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
@@ -66,11 +66,6 @@ pub struct SimConfig {
     /// keeps legacy behavior bit-identical. Hedging and deadlines are not
     /// modeled on the NIC-contention path.
     pub resilience: Option<ResiliencePolicy>,
-    /// Event-queue backend for the DES engine. Every backend yields
-    /// bit-identical reports (pinned by `tests/des_differential.rs`); this
-    /// dial only trades queue-operation speed. Defaults to
-    /// [`QueueKind::from_env`] (`PPC_DES_QUEUE`, else the timing wheel).
-    pub queue: QueueKind,
 }
 
 impl SimConfig {
@@ -87,7 +82,6 @@ impl SimConfig {
             trace: false,
             nic_bandwidth_bytes_per_s: None,
             resilience: None,
-            queue: QueueKind::from_env(),
         }
     }
 
@@ -433,7 +427,7 @@ pub(crate) fn sim_fleets_impl(
         }
     }
 
-    let mut engine = Engine::with_queue(cfg.queue);
+    let mut engine = Engine::new();
     let cfg = *cfg;
 
     let mut worker_index = 0;
@@ -1295,7 +1289,7 @@ pub(crate) fn sim_autoscaled_impl(
         hedge_timers: HashMap::new(),
     }));
 
-    let mut engine = Engine::with_queue(cfg.queue);
+    let mut engine = Engine::new();
     // Arrivals first, so that same-instant arrivals precede the worker
     // ticks of the initial fleet (events fire in insertion order).
     for (i, task) in tasks.iter().enumerate() {

@@ -1,13 +1,13 @@
 //! The event core.
 //!
 //! An [`Engine`] owns a slab of pending events (boxed `FnOnce` closures)
-//! and a pluggable [`EventQueue`] of `(time, sequence, slot)` keys.
+//! and a binary heap of `(time, sequence, slot)` keys.
 //! [`Engine::run`] pops the earliest key and fires its event; firing may
 //! schedule further events. Two events at the same instant fire in the
 //! order they were scheduled (the `sequence` tie-break) — an explicit
-//! contract every queue backend implements identically, which, together
-//! with the deterministic PRNGs in `ppc-core::rng`, makes whole platform
-//! simulations reproducible bit for bit on any backend.
+//! contract which, together with the deterministic PRNGs in
+//! `ppc-core::rng`, makes whole platform simulations reproducible bit for
+//! bit.
 //!
 //! [`Engine::schedule_at`] returns a stable [`EventId`]: a generation-
 //! checked handle that supports O(1) [`Engine::cancel`] (the slab slot is
@@ -31,9 +31,10 @@
 //! cost O(1) per scheduling decision instead of one boxed closure per
 //! poll.
 
-use crate::queue::{EventEntry, EventQueue, QueueImpl, QueueKind};
+use crate::queue::{EventEntry, QueueKind};
 use crate::time::SimTime;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 type EventFn = Box<dyn FnOnce(&mut Engine)>;
 type LaneFn = Box<dyn FnMut(&mut Engine, u32)>;
@@ -76,7 +77,7 @@ struct Slot {
     f: Option<EventFn>,
 }
 
-/// Single-threaded discrete-event engine over a pluggable event queue.
+/// Single-threaded discrete-event engine over a binary-heap event queue.
 pub struct Engine {
     now: SimTime,
     seq: u64,
@@ -86,7 +87,7 @@ pub struct Engine {
     live: usize,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    queue: QueueImpl,
+    queue: BinaryHeap<Reverse<EventEntry>>,
     lane: Lane,
 }
 
@@ -97,14 +98,14 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine on the process-default queue backend
-    /// ([`QueueKind::from_env`]: `PPC_DES_QUEUE` or the timing wheel).
+    /// An empty engine. Panics if `PPC_DES_QUEUE` asks for a removed
+    /// backend ([`QueueKind::from_env`]).
     pub fn new() -> Engine {
         Engine::with_queue(QueueKind::from_env())
     }
 
-    /// An engine on an explicit queue backend.
-    pub fn with_queue(kind: QueueKind) -> Engine {
+    /// An empty engine on `kind`, which can only be the binary heap.
+    pub fn with_queue(_kind: QueueKind) -> Engine {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
@@ -113,7 +114,7 @@ impl Engine {
             live: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            queue: QueueImpl::new(kind),
+            queue: BinaryHeap::new(),
             lane: Lane {
                 delay: SimTime::ZERO,
                 ticks: VecDeque::new(),
@@ -121,11 +122,6 @@ impl Engine {
                 handler: None,
             },
         }
-    }
-
-    /// Which queue backend this engine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Current simulated time.
@@ -187,11 +183,11 @@ impl Engine {
         let seq = self.seq;
         self.seq += 1;
         let id = self.alloc(seq, f);
-        self.queue.push(EventEntry {
+        self.queue.push(Reverse(EventEntry {
             at,
             seq,
             idx: id.idx,
-        });
+        }));
         self.live += 1;
         id
     }
@@ -308,7 +304,7 @@ impl Engine {
             }
         }
         loop {
-            let Some(e) = self.queue.pop() else {
+            let Some(Reverse(e)) = self.queue.pop() else {
                 return false;
             };
             if !self.key_is_live(e) {
@@ -406,8 +402,7 @@ impl Engine {
     }
 
     /// Time of the next pending (live) event, lane ticks included, if any.
-    /// Takes `&mut self` to discard cancelled tombstones and let the wheel
-    /// reorganize.
+    /// Takes `&mut self` to discard cancelled tombstones.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let queued = self.live_queue_head().map(|e| e.at);
         match self.lane.ticks.front() {
@@ -419,7 +414,7 @@ impl Engine {
     /// The queue's smallest live key, discarding tombstones above it.
     fn live_queue_head(&mut self) -> Option<EventEntry> {
         loop {
-            let e = self.queue.peek()?;
+            let Reverse(e) = *self.queue.peek()?;
             if self.key_is_live(e) {
                 return Some(e);
             }
@@ -434,40 +429,30 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Every engine test runs on every backend: the suite itself is a
-    /// small differential harness.
-    fn on_all_backends(test: impl Fn(Engine)) {
-        for kind in QueueKind::ALL {
-            test(Engine::with_queue(kind));
-        }
-    }
-
     #[test]
     fn fires_in_time_order() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            for (t, v) in [(30u64, 3u32), (10, 1), (20, 2)] {
-                let log = log.clone();
-                e.schedule_at(SimTime::from_secs(t), move |_| log.borrow_mut().push(v));
-            }
-            let end = e.run();
-            assert_eq!(*log.borrow(), vec![1, 2, 3]);
-            assert_eq!(end, SimTime::from_secs(30));
-            assert_eq!(e.events_fired(), 3);
-        });
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for (t, v) in [(30u64, 3u32), (10, 1), (20, 2)] {
+            let log = log.clone();
+            e.schedule_at(SimTime::from_secs(t), move |_| log.borrow_mut().push(v));
+        }
+        let end = e.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        assert_eq!(end, SimTime::from_secs(30));
+        assert_eq!(e.events_fired(), 3);
     }
 
     #[test]
     fn ties_fire_in_schedule_order() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            for v in 0..100 {
-                let log = log.clone();
-                e.schedule_at(SimTime::from_secs(5), move |_| log.borrow_mut().push(v));
-            }
-            e.run();
-            assert_eq!(*log.borrow(), (0..100).collect::<Vec<_>>());
-        });
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for v in 0..100 {
+            let log = log.clone();
+            e.schedule_at(SimTime::from_secs(5), move |_| log.borrow_mut().push(v));
+        }
+        e.run();
+        assert_eq!(*log.borrow(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -480,139 +465,126 @@ mod tests {
                 e.schedule_in(SimTime::from_secs(2), move |e| tick(e, c));
             }
         }
-        on_all_backends(|mut e| {
-            let count = Rc::new(RefCell::new(0));
-            let c = count.clone();
-            e.schedule_at(SimTime::ZERO, move |e| tick(e, c));
-            let end = e.run();
-            assert_eq!(*count.borrow(), 5);
-            assert_eq!(end, SimTime::from_secs(8));
-        });
+        let mut e = Engine::new();
+        let count = Rc::new(RefCell::new(0));
+        let c = count.clone();
+        e.schedule_at(SimTime::ZERO, move |e| tick(e, c));
+        let end = e.run();
+        assert_eq!(*count.borrow(), 5);
+        assert_eq!(end, SimTime::from_secs(8));
     }
 
     #[test]
     fn scheduling_in_past_clamps_to_now() {
-        on_all_backends(|mut e| {
-            let seen = Rc::new(RefCell::new(SimTime::ZERO));
-            let s = seen.clone();
-            e.schedule_at(SimTime::from_secs(10), move |e| {
-                // Attempt to schedule 5 seconds "ago".
-                let s2 = s.clone();
-                e.schedule_at(SimTime::from_secs(5), move |e| *s2.borrow_mut() = e.now());
-            });
-            e.run();
-            assert_eq!(*seen.borrow(), SimTime::from_secs(10));
+        let mut e = Engine::new();
+        let seen = Rc::new(RefCell::new(SimTime::ZERO));
+        let s = seen.clone();
+        e.schedule_at(SimTime::from_secs(10), move |e| {
+            // Attempt to schedule 5 seconds "ago".
+            let s2 = s.clone();
+            e.schedule_at(SimTime::from_secs(5), move |e| *s2.borrow_mut() = e.now());
         });
+        e.run();
+        assert_eq!(*seen.borrow(), SimTime::from_secs(10));
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<u64>>> = Rc::default();
-            for t in [1u64, 2, 3, 4, 5] {
-                let log = log.clone();
-                e.schedule_at(SimTime::from_secs(t), move |e| {
-                    log.borrow_mut().push(e.now().as_micros())
-                });
-            }
-            e.run_until(SimTime::from_secs(3));
-            assert_eq!(log.borrow().len(), 3);
-            assert_eq!(e.pending(), 2);
-            // Remaining events still run afterwards.
-            e.run();
-            assert_eq!(log.borrow().len(), 5);
-        });
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        for t in [1u64, 2, 3, 4, 5] {
+            let log = log.clone();
+            e.schedule_at(SimTime::from_secs(t), move |e| {
+                log.borrow_mut().push(e.now().as_micros())
+            });
+        }
+        e.run_until(SimTime::from_secs(3));
+        assert_eq!(log.borrow().len(), 3);
+        assert_eq!(e.pending(), 2);
+        // Remaining events still run afterwards.
+        e.run();
+        assert_eq!(log.borrow().len(), 5);
     }
 
     #[test]
     fn step_on_empty_returns_false() {
-        on_all_backends(|mut e| {
-            assert!(!e.step());
-            assert_eq!(e.now(), SimTime::ZERO);
-        });
+        let mut e = Engine::new();
+        assert!(!e.step());
+        assert_eq!(e.now(), SimTime::ZERO);
     }
 
     #[test]
     fn cancel_prevents_firing_and_is_idempotent() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            let l1 = log.clone();
-            let keep = e.schedule_at(SimTime::from_secs(1), move |_| l1.borrow_mut().push(1));
-            let l2 = log.clone();
-            let kill = e.schedule_at(SimTime::from_secs(2), move |_| l2.borrow_mut().push(2));
-            assert_eq!(e.pending(), 2);
-            assert!(e.is_scheduled(kill));
-            assert!(e.cancel(kill));
-            assert!(!e.cancel(kill), "second cancel is a no-op");
-            assert!(!e.is_scheduled(kill));
-            assert_eq!(e.pending(), 1);
-            let end = e.run();
-            assert_eq!(*log.borrow(), vec![1]);
-            assert_eq!(end, SimTime::from_secs(1), "cancelled tail never fires");
-            assert_eq!(e.events_fired(), 1);
-            assert_eq!(e.events_cancelled(), 1);
-            assert!(!e.cancel(keep), "fired events cannot be cancelled");
-        });
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let l1 = log.clone();
+        let keep = e.schedule_at(SimTime::from_secs(1), move |_| l1.borrow_mut().push(1));
+        let l2 = log.clone();
+        let kill = e.schedule_at(SimTime::from_secs(2), move |_| l2.borrow_mut().push(2));
+        assert_eq!(e.pending(), 2);
+        assert!(e.is_scheduled(kill));
+        assert!(e.cancel(kill));
+        assert!(!e.cancel(kill), "second cancel is a no-op");
+        assert!(!e.is_scheduled(kill));
+        assert_eq!(e.pending(), 1);
+        let end = e.run();
+        assert_eq!(*log.borrow(), vec![1]);
+        assert_eq!(end, SimTime::from_secs(1), "cancelled tail never fires");
+        assert_eq!(e.events_fired(), 1);
+        assert_eq!(e.events_cancelled(), 1);
+        assert!(!e.cancel(keep), "fired events cannot be cancelled");
     }
 
     #[test]
     fn cancelled_slot_reuse_does_not_confuse_stale_handles() {
-        on_all_backends(|mut e| {
-            let hit = Rc::new(RefCell::new(0u32));
-            let h = hit.clone();
-            let a = e.schedule_at(SimTime::from_secs(1), move |_| *h.borrow_mut() += 1);
-            assert!(e.cancel(a));
-            // The freed slot is recycled by the next schedule; the stale
-            // handle must not be able to cancel the new occupant.
-            let h = hit.clone();
-            let _b = e.schedule_at(SimTime::from_secs(1), move |_| *h.borrow_mut() += 10);
-            assert!(!e.cancel(a));
-            e.run();
-            assert_eq!(*hit.borrow(), 10);
-        });
+        let mut e = Engine::new();
+        let hit = Rc::new(RefCell::new(0u32));
+        let h = hit.clone();
+        let a = e.schedule_at(SimTime::from_secs(1), move |_| *h.borrow_mut() += 1);
+        assert!(e.cancel(a));
+        // The freed slot is recycled by the next schedule; the stale
+        // handle must not be able to cancel the new occupant.
+        let h = hit.clone();
+        let _b = e.schedule_at(SimTime::from_secs(1), move |_| *h.borrow_mut() += 10);
+        assert!(!e.cancel(a));
+        e.run();
+        assert_eq!(*hit.borrow(), 10);
     }
 
     #[test]
     fn reschedule_moves_and_invalidates_old_handle() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
-            let l = log.clone();
-            let id = e.schedule_at(SimTime::from_secs(5), move |e| {
-                l.borrow_mut().push((e.now().as_micros(), 0))
-            });
-            let l = log.clone();
-            e.schedule_at(SimTime::from_secs(2), move |e| {
-                l.borrow_mut().push((e.now().as_micros(), 1))
-            });
-            let id2 = e.reschedule_at(id, SimTime::from_secs(1)).unwrap();
-            assert!(!e.is_scheduled(id), "old handle is stale");
-            assert!(e.is_scheduled(id2));
-            assert!(e.reschedule_at(id, SimTime::ZERO).is_none());
-            e.run();
-            // Moved event fires first, at its new time.
-            assert_eq!(
-                *log.borrow(),
-                vec![(1_000_000, 0), (2_000_000, 1)],
-                "on {:?}",
-                e.queue_kind()
-            );
-            assert_eq!(e.pending(), 0);
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+        let l = log.clone();
+        let id = e.schedule_at(SimTime::from_secs(5), move |e| {
+            l.borrow_mut().push((e.now().as_micros(), 0))
         });
+        let l = log.clone();
+        e.schedule_at(SimTime::from_secs(2), move |e| {
+            l.borrow_mut().push((e.now().as_micros(), 1))
+        });
+        let id2 = e.reschedule_at(id, SimTime::from_secs(1)).unwrap();
+        assert!(!e.is_scheduled(id), "old handle is stale");
+        assert!(e.is_scheduled(id2));
+        assert!(e.reschedule_at(id, SimTime::ZERO).is_none());
+        e.run();
+        // Moved event fires first, at its new time.
+        assert_eq!(*log.borrow(), vec![(1_000_000, 0), (2_000_000, 1)]);
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]
     fn cancel_from_inside_an_event() {
-        on_all_backends(|mut e| {
-            let fired = Rc::new(RefCell::new(false));
-            let f = fired.clone();
-            let victim = e.schedule_at(SimTime::from_secs(10), move |_| *f.borrow_mut() = true);
-            e.schedule_at(SimTime::from_secs(1), move |e| {
-                assert!(e.cancel(victim));
-            });
-            let end = e.run();
-            assert!(!*fired.borrow());
-            assert_eq!(end, SimTime::from_secs(1));
+        let mut e = Engine::new();
+        let fired = Rc::new(RefCell::new(false));
+        let f = fired.clone();
+        let victim = e.schedule_at(SimTime::from_secs(10), move |_| *f.borrow_mut() = true);
+        e.schedule_at(SimTime::from_secs(1), move |e| {
+            assert!(e.cancel(victim));
         });
+        let end = e.run();
+        assert!(!*fired.borrow());
+        assert_eq!(end, SimTime::from_secs(1));
     }
 
     /// A poller model in the shape of the MapReduce sim: `n` pollers tick
@@ -620,7 +592,7 @@ mod tests {
     /// timed work events move; each productive tick logs and may retire
     /// its poller. Run once on the lane and once with the poll as a boxed
     /// closure that re-arms itself while quiet.
-    fn poller_run(kind: QueueKind, seed: u64, lane: bool) -> (Vec<(u64, u32)>, u64, u64) {
+    fn poller_run(seed: u64, lane: bool) -> (Vec<(u64, u32)>, u64, u64) {
         use ppc_core::rng::Pcg32;
         struct World {
             delay: SimTime,
@@ -646,7 +618,7 @@ mod tests {
             horizon: std::cell::Cell::new(SimTime::ZERO),
             log: RefCell::default(),
         });
-        let mut e = Engine::with_queue(kind);
+        let mut e = Engine::new();
         if lane {
             let w = w.clone();
             e.set_lane(delay, move |e, token| {
@@ -684,60 +656,55 @@ mod tests {
 
     #[test]
     fn lane_ticks_match_self_rearming_closures() {
-        on_all_backends(|e| {
-            for seed in 0..64 {
-                let want = poller_run(QueueKind::BinaryHeap, seed, false);
-                assert_eq!(poller_run(e.queue_kind(), seed, true), want, "seed {seed}");
-            }
-        });
+        for seed in 0..64 {
+            let want = poller_run(seed, false);
+            assert_eq!(poller_run(seed, true), want, "seed {seed}");
+        }
     }
 
     #[test]
     fn lane_ticks_tie_with_queue_events_by_sequence() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            let l = log.clone();
-            e.set_lane(SimTime(10), move |_, token| l.borrow_mut().push(token));
-            let l = log.clone();
-            e.schedule_at(SimTime(10), move |_| l.borrow_mut().push(100));
-            e.lane_push(1);
-            let l = log.clone();
-            e.schedule_at(SimTime(10), move |_| l.borrow_mut().push(101));
-            e.lane_push(2);
-            assert_eq!(e.pending(), 4);
-            assert_eq!(e.peek_time(), Some(SimTime(10)));
-            e.run();
-            assert_eq!(*log.borrow(), vec![100, 1, 101, 2]);
-            assert_eq!(e.events_fired(), 4);
-        });
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let l = log.clone();
+        e.set_lane(SimTime(10), move |_, token| l.borrow_mut().push(token));
+        let l = log.clone();
+        e.schedule_at(SimTime(10), move |_| l.borrow_mut().push(100));
+        e.lane_push(1);
+        let l = log.clone();
+        e.schedule_at(SimTime(10), move |_| l.borrow_mut().push(101));
+        e.lane_push(2);
+        assert_eq!(e.pending(), 4);
+        assert_eq!(e.peek_time(), Some(SimTime(10)));
+        e.run();
+        assert_eq!(*log.borrow(), vec![100, 1, 101, 2]);
+        assert_eq!(e.events_fired(), 4);
     }
 
     #[test]
     fn quiet_rounds_advance_in_bulk_and_stop_at_the_horizon() {
-        on_all_backends(|mut e| {
-            let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
-            let l = log.clone();
-            e.set_lane(SimTime(3), move |e, token| {
-                l.borrow_mut().push((e.now().as_micros(), token))
-            });
-            e.lane_push(7);
-            e.schedule_at(SimTime(1), |e| e.lane_push(8));
-            e.set_quiet_horizon(SimTime(3_000_000));
-            // Half a million quiet rounds, then both ticks reach the handler.
-            assert_eq!(e.run(), SimTime(3_000_001));
-            assert_eq!(*log.borrow(), vec![(3_000_000, 7), (3_000_001, 8)]);
-            assert_eq!(e.events_fired(), 1 + 2 * 1_000_000);
+        let mut e = Engine::new();
+        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+        let l = log.clone();
+        e.set_lane(SimTime(3), move |e, token| {
+            l.borrow_mut().push((e.now().as_micros(), token))
         });
+        e.lane_push(7);
+        e.schedule_at(SimTime(1), |e| e.lane_push(8));
+        e.set_quiet_horizon(SimTime(3_000_000));
+        // Half a million quiet rounds, then both ticks reach the handler.
+        assert_eq!(e.run(), SimTime(3_000_001));
+        assert_eq!(*log.borrow(), vec![(3_000_000, 7), (3_000_001, 8)]);
+        assert_eq!(e.events_fired(), 1 + 2 * 1_000_000);
     }
 
     #[test]
     fn peek_time_skips_cancelled_heads() {
-        on_all_backends(|mut e| {
-            let head = e.schedule_at(SimTime::from_secs(1), |_| {});
-            e.schedule_at(SimTime::from_secs(2), |_| {});
-            assert_eq!(e.peek_time(), Some(SimTime::from_secs(1)));
-            assert!(e.cancel(head));
-            assert_eq!(e.peek_time(), Some(SimTime::from_secs(2)));
-        });
+        let mut e = Engine::new();
+        let head = e.schedule_at(SimTime::from_secs(1), |_| {});
+        e.schedule_at(SimTime::from_secs(2), |_| {});
+        assert_eq!(e.peek_time(), Some(SimTime::from_secs(1)));
+        assert!(e.cancel(head));
+        assert_eq!(e.peek_time(), Some(SimTime::from_secs(2)));
     }
 }

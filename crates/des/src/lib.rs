@@ -11,10 +11,8 @@
 //!
 //! * [`SimTime`] — integer microseconds; total order with no float drift.
 //! * [`Engine`] — an event calendar firing `FnOnce(&mut Engine)` closures
-//!   over a pluggable [`queue::EventQueue`] backend ([`QueueKind`]: binary
-//!   heap oracle, hierarchical timing wheel, or calendar queue — all with
-//!   the identical `(time, sequence)` pop order, so the backend choice is
-//!   invisible to results). Events are slab-stored behind stable
+//!   in `(time, sequence)` order off one binary heap of
+//!   [`queue::EventEntry`] keys. Events are slab-stored behind stable
 //!   [`EventId`] handles with O(1) cancellation and rescheduling. A
 //!   closure-free fixed-delay lane ([`Engine::set_lane`]) carries periodic
 //!   polls with the same keys and order, and skips whole rounds of polls

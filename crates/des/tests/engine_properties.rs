@@ -4,7 +4,7 @@
 //! reproduce exactly from the printed seed.
 
 use ppc_core::rng::Pcg32;
-use ppc_des::{Engine, EventId, QueueKind, SimTime};
+use ppc_des::{Engine, EventId, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -134,96 +134,86 @@ fn billed_hours_monotone() {
     }
 }
 
-/// Cancellation semantics, on every backend: under arbitrary interleavings
+/// Cancellation semantics: under arbitrary interleavings
 /// of schedule / cancel / reschedule, (a) cancelled events never fire,
 /// (b) nothing fires twice, (c) `pending()` always equals the live count,
 /// and (d) everything still live at the end fires exactly once.
 #[test]
 fn cancellation_interleavings_never_misfire() {
-    for kind in QueueKind::ALL {
-        for seed in 0..64u64 {
-            let mut rng = Pcg32::new(0xCA8C ^ seed);
-            let mut engine = Engine::with_queue(kind);
-            let fired: Rc<RefCell<Vec<usize>>> = Rc::default();
-            // Tokens of events scheduled so far; `state` tracks what we
-            // believe each token is: live handle, or retired (fired-soon,
-            // cancelled, or superseded by reschedule).
-            let mut handles: Vec<(usize, EventId)> = Vec::new();
-            let mut live_expected = 0usize;
-            let mut expected_to_fire: Vec<usize> = Vec::new();
-            let mut next_token = 0usize;
-            let ops = 50 + rng.next_below(150) as usize;
-            for _ in 0..ops {
-                match rng.next_below(5) {
-                    // Schedule a fresh event.
-                    0 | 1 => {
-                        let at = SimTime::from_micros(rng.next_below(5_000) as u64);
-                        let token = next_token;
-                        next_token += 1;
-                        let log = fired.clone();
-                        let id = engine.schedule_at(at, move |_| log.borrow_mut().push(token));
-                        handles.push((token, id));
-                        expected_to_fire.push(token);
-                        live_expected += 1;
-                    }
-                    // Cancel a random earlier handle (possibly stale).
-                    2 if !handles.is_empty() => {
-                        let pick = rng.next_below(handles.len() as u32) as usize;
-                        let (token, id) = handles[pick];
-                        let was_live = engine.is_scheduled(id);
-                        let did = engine.cancel(id);
-                        assert_eq!(
-                            did,
-                            was_live,
-                            "[{}] cancel/is_scheduled disagree",
-                            kind.name()
-                        );
-                        if did {
-                            live_expected -= 1;
-                            expected_to_fire.retain(|&t| t != token);
-                        }
-                        assert!(!engine.cancel(id), "[{}] double-cancel", kind.name());
-                    }
-                    // Reschedule a random earlier handle (possibly stale).
-                    3 if !handles.is_empty() => {
-                        let pick = rng.next_below(handles.len() as u32) as usize;
-                        let (token, id) = handles[pick];
-                        let at = SimTime::from_micros(rng.next_below(5_000) as u64);
-                        let was_live = engine.is_scheduled(id);
-                        match engine.reschedule_at(id, at) {
-                            Some(new_id) => {
-                                assert!(was_live);
-                                assert!(!engine.is_scheduled(id));
-                                handles[pick] = (token, new_id);
-                            }
-                            None => assert!(!was_live, "[{}] lost a live handle", kind.name()),
-                        }
-                    }
-                    // Fire the earliest live event mid-interleaving.
-                    4 if engine.step() => live_expected -= 1,
-                    _ => {}
+    for seed in 0..64u64 {
+        let mut rng = Pcg32::new(0xCA8C ^ seed);
+        let mut engine = Engine::new();
+        let fired: Rc<RefCell<Vec<usize>>> = Rc::default();
+        // Tokens of events scheduled so far; `state` tracks what we
+        // believe each token is: live handle, or retired (fired-soon,
+        // cancelled, or superseded by reschedule).
+        let mut handles: Vec<(usize, EventId)> = Vec::new();
+        let mut live_expected = 0usize;
+        let mut expected_to_fire: Vec<usize> = Vec::new();
+        let mut next_token = 0usize;
+        let ops = 50 + rng.next_below(150) as usize;
+        for _ in 0..ops {
+            match rng.next_below(5) {
+                // Schedule a fresh event.
+                0 | 1 => {
+                    let at = SimTime::from_micros(rng.next_below(5_000) as u64);
+                    let token = next_token;
+                    next_token += 1;
+                    let log = fired.clone();
+                    let id = engine.schedule_at(at, move |_| log.borrow_mut().push(token));
+                    handles.push((token, id));
+                    expected_to_fire.push(token);
+                    live_expected += 1;
                 }
-                assert_eq!(
-                    engine.pending(),
-                    live_expected,
-                    "[{} seed {seed}] pending() drifted from live count",
-                    kind.name()
-                );
+                // Cancel a random earlier handle (possibly stale).
+                2 if !handles.is_empty() => {
+                    let pick = rng.next_below(handles.len() as u32) as usize;
+                    let (token, id) = handles[pick];
+                    let was_live = engine.is_scheduled(id);
+                    let did = engine.cancel(id);
+                    assert_eq!(did, was_live, "[seed {seed}] cancel/is_scheduled disagree");
+                    if did {
+                        live_expected -= 1;
+                        expected_to_fire.retain(|&t| t != token);
+                    }
+                    assert!(!engine.cancel(id), "[seed {seed}] double-cancel");
+                }
+                // Reschedule a random earlier handle (possibly stale).
+                3 if !handles.is_empty() => {
+                    let pick = rng.next_below(handles.len() as u32) as usize;
+                    let (token, id) = handles[pick];
+                    let at = SimTime::from_micros(rng.next_below(5_000) as u64);
+                    let was_live = engine.is_scheduled(id);
+                    match engine.reschedule_at(id, at) {
+                        Some(new_id) => {
+                            assert!(was_live);
+                            assert!(!engine.is_scheduled(id));
+                            handles[pick] = (token, new_id);
+                        }
+                        None => assert!(!was_live, "[seed {seed}] lost a live handle"),
+                    }
+                }
+                // Fire the earliest live event mid-interleaving.
+                4 if engine.step() => live_expected -= 1,
+                _ => {}
             }
-            engine.run();
-            assert_eq!(engine.pending(), 0);
-            let mut got = fired.borrow().clone();
-            got.sort_unstable();
-            let mut want = expected_to_fire.clone();
-            want.sort_unstable();
             assert_eq!(
-                got,
-                want,
-                "[{} seed {seed}] fired set != live set (cancelled fired, or live lost)",
-                kind.name()
+                engine.pending(),
+                live_expected,
+                "[seed {seed}] pending() drifted from live count"
             );
-            assert_eq!(engine.events_fired() as usize, want.len());
         }
+        engine.run();
+        assert_eq!(engine.pending(), 0);
+        let mut got = fired.borrow().clone();
+        got.sort_unstable();
+        let mut want = expected_to_fire.clone();
+        want.sort_unstable();
+        assert_eq!(
+            got, want,
+            "[seed {seed}] fired set != live set (cancelled fired, or live lost)"
+        );
+        assert_eq!(engine.events_fired() as usize, want.len());
     }
 }
 

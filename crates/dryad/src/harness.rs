@@ -43,9 +43,8 @@ pub fn run(
 /// schedule drives the event-based chaos model. Panics on malformed sim
 /// dials or a hybrid/elastic fleet plan, like every simulator here.
 ///
-/// Dryad's static-partition simulator is a quantized list scheduler with
-/// no event calendar, so the context's `queue` (event-queue backend)
-/// selection is a no-op here — reports are trivially backend-invariant.
+/// Dryad's static-partition simulator is a quantized list scheduler; it
+/// runs no `ppc-des` event queue.
 pub fn simulate(ctx: &RunContext, tasks: &[TaskSpec], cfg: &DryadSimConfig) -> DryadReport {
     let cluster = match ctx.single_cluster() {
         Ok(c) => c,

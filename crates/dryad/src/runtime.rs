@@ -37,7 +37,11 @@ pub struct DryadConfig {
     /// Deterministic fault schedule. Slots are addressed by flat
     /// node-major index; a scheduled kill takes a vertex slot down (its
     /// in-hand vertex goes back on the node's local list), death dice and
-    /// torn outputs fail single vertex attempts.
+    /// torn outputs fail single vertex attempts. A vertex's dice are
+    /// addressed by its place in a round-robin deal of its node's
+    /// partition over the node's slots (the `k`-th vertex is slot
+    /// `k % slots`'s `k / slots`-th task), not by the slot that happens to
+    /// take it, so which vertices fail does not depend on thread timing.
     pub schedule: Option<Arc<FaultSchedule>>,
     /// Span sink for the run; `None` (or a disabled sink) records nothing
     /// and the report carries the finished [`ppc_trace::Trace`].
@@ -267,8 +271,19 @@ pub(crate) fn run_impl(
                     done: Mutex::new(HashSet::new()),
                     remaining: AtomicUsize::new(node_inputs.len()),
                 });
-                // Within the node, vertices share a local work list.
-                let local: Mutex<VecDeque<(TaskSpec, Vec<u8>)>> = Mutex::new(node_inputs.into());
+                // Within the node, vertices share a local work list; each
+                // carries its chaos-dice address from the round-robin deal.
+                let slots = workers.max(1);
+                let local: Mutex<VecDeque<LocalVertex>> = Mutex::new(
+                    node_inputs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, (spec, input))| {
+                            let dice = ((node_base + k % slots) as u32, (k / slots) as u32);
+                            (spec, input, dice)
+                        })
+                        .collect(),
+                );
                 std::thread::scope(|inner| {
                     for slot in 0..workers {
                         let local = &local;
@@ -339,6 +354,10 @@ pub(crate) fn run_impl(
     };
     Ok((report, outputs))
 }
+
+/// A vertex on its node's local work list: spec, input, and the
+/// `(worker, task_seq)` its first attempt rolls the chaos dice at.
+type LocalVertex = (TaskSpec, Vec<u8>, (u32, u32));
 
 /// Everything a vertex slot touches, shared across every node's slots.
 struct SlotCtx<'a> {
@@ -462,8 +481,9 @@ fn note_failure(
     }
 }
 
-/// One traced vertex attempt: chaos dice (primary first attempts only),
-/// local read, execute, and the terminal write mark on success. Returns
+/// One traced vertex attempt: chaos dice at the `dice` address, if any
+/// (primary first attempts only), local read, execute, and the terminal
+/// write mark on success. Returns
 /// `Err(Cancelled)` once `cancel` is set, during execution or the gray
 /// slowdown.
 #[allow(clippy::too_many_arguments)]
@@ -472,9 +492,8 @@ fn vertex_attempt(
     spec: &TaskSpec,
     input: &[u8],
     worker: u32,
-    seq: u32,
     attempt: u32,
-    dice: bool,
+    dice: Option<(u32, u32)>,
     cancel: &Cancel,
 ) -> Result<Vec<u8>> {
     ctx.attempts_total.fetch_add(1, Ordering::Relaxed);
@@ -489,11 +508,11 @@ fn vertex_attempt(
     if let Some(schedule) = ctx.chaos {
         // Any death die or a torn output costs exactly one failed attempt;
         // the job manager re-runs the vertex.
-        if dice {
-            let died = schedule.die_before_execute(worker, seq)
-                || schedule.die_mid_execute(worker, seq)
-                || schedule.die_before_delete(worker, seq);
-            if died || schedule.is_torn_upload(worker, seq) {
+        if let Some((w, seq)) = dice {
+            let died = schedule.die_before_execute(w, seq)
+                || schedule.die_mid_execute(w, seq)
+                || schedule.die_before_delete(w, seq);
+            if died || schedule.is_torn_upload(w, seq) {
                 if died {
                     ctx.deaths.fetch_add(1, Ordering::Relaxed);
                     if let Some(s) = ctx.sink {
@@ -553,7 +572,7 @@ fn killed(e: &PpcError) -> bool {
 
 /// The legacy slot loop: pull vertices off the node's local list until it
 /// drains. Exactly the pre-resilience behavior — the `None` policy path.
-fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<(TaskSpec, Vec<u8>)>>, worker: u32) {
+fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<LocalVertex>>, worker: u32) {
     if let Some(s) = ctx.sink {
         s.event(TraceEvent {
             at_s: ctx.clock.now_s(),
@@ -565,11 +584,10 @@ fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<(TaskSpec, Vec<u8>)>>,
     // the shared retry layer before declaring it failed.
     let policy = RetryPolicy::immediate(ctx.config.max_retries + 1);
     let mut rng = Pcg32::for_stream(ctx.config.seed, worker as u64);
-    let mut task_seq: u32 = 0;
     let mut last_kill_s: f64 = 0.0;
     loop {
         let item = local.lock().unwrap().pop_front();
-        let (spec, input) = match item {
+        let (spec, input, dice) = match item {
             Some(x) => x,
             None => break,
         };
@@ -586,13 +604,11 @@ fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<(TaskSpec, Vec<u8>)>>,
                         kind: EventKind::Death,
                     });
                 }
-                local.lock().unwrap().push_front((spec, input));
+                local.lock().unwrap().push_front((spec, input, dice));
                 break;
             }
             last_kill_s = now_s;
         }
-        let seq = task_seq;
-        task_seq += 1;
         let mut used_attempts = 0u32;
         let out = policy.run_blocking(&mut rng, |attempt| {
             used_attempts = attempt;
@@ -601,9 +617,8 @@ fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<(TaskSpec, Vec<u8>)>>,
                 &spec,
                 &input,
                 worker,
-                seq,
                 attempt,
-                attempt == 0,
+                (attempt == 0).then_some(dice),
                 &Cancel::never(),
             )
         });
@@ -640,7 +655,7 @@ fn defended_slot_loop(
     ctx: &SlotCtx,
     defense: &Defense,
     node: &NodeDefense,
-    local: &Mutex<VecDeque<(TaskSpec, Vec<u8>)>>,
+    local: &Mutex<VecDeque<LocalVertex>>,
     worker: u32,
 ) {
     if let Some(s) = ctx.sink {
@@ -652,7 +667,6 @@ fn defended_slot_loop(
     }
     let retry = RetryPolicy::immediate(ctx.config.max_retries + 1);
     let mut rng = Pcg32::for_stream(ctx.config.seed, worker as u64);
-    let mut task_seq: u32 = 0;
     let mut last_kill_s: f64 = 0.0;
     loop {
         if let Some(health) = defense.health {
@@ -683,7 +697,7 @@ fn defended_slot_loop(
         }
         let item = local.lock().unwrap().pop_front();
         match item {
-            Some((spec, input)) => {
+            Some((spec, input, dice)) => {
                 if let Some(schedule) = ctx.chaos {
                     let now_s = ctx.clock.now_s();
                     if schedule.kills_in(worker, last_kill_s, now_s) {
@@ -695,13 +709,11 @@ fn defended_slot_loop(
                                 kind: EventKind::Death,
                             });
                         }
-                        local.lock().unwrap().push_front((spec, input));
+                        local.lock().unwrap().push_front((spec, input, dice));
                         break;
                     }
                     last_kill_s = now_s;
                 }
-                let seq = task_seq;
-                task_seq += 1;
                 // Register before running so other slots can back this
                 // vertex up while it is in flight.
                 let cancel = Cancel::new();
@@ -727,9 +739,8 @@ fn defended_slot_loop(
                         &spec,
                         &input,
                         worker,
-                        seq,
                         attempt,
-                        attempt == 0,
+                        (attempt == 0).then_some(dice),
                         &cancel,
                     );
                     if r.as_ref().is_err_and(|e| !killed(e)) {
@@ -754,8 +765,7 @@ fn defended_slot_loop(
                     let vertex_start = Instant::now();
                     // Backups roll no chaos dice: the dice model per-pull
                     // hazards and this slot already survived its pull.
-                    let out =
-                        vertex_attempt(ctx, &spec, &input, worker, 0, attempt, false, &cancel);
+                    let out = vertex_attempt(ctx, &spec, &input, worker, attempt, None, &cancel);
                     if out.as_ref().is_err_and(|e| !killed(e)) {
                         note_failure(defense.health, ctx.sink, worker, ctx.clock.now_s());
                     }
@@ -1106,6 +1116,44 @@ mod tests {
             report.vertex_retries > 0,
             "dice must have cost some attempts"
         );
+    }
+
+    #[test]
+    fn chaos_dice_follow_the_deal_not_the_racing_slot() {
+        // 3 slots per node race for each node's list; the dice must hit the
+        // same vertices whichever slot wins, so every run dies exactly at
+        // the deal addresses the schedule marks.
+        let cluster = Cluster::provision(BARE_HPC16, 2, 3);
+        let schedule = Arc::new(FaultSchedule::new(11).with_death_probabilities(0.1, 0.05, 0.05));
+        let expected: usize = crate::partition::partition_round_robin(inputs(40), 2)
+            .iter()
+            .enumerate()
+            .map(|(node, part)| {
+                (0..part.len())
+                    .filter(|k| {
+                        let (w, seq) = ((node * 3 + k % 3) as u32, (k / 3) as u32);
+                        schedule.die_before_execute(w, seq)
+                            || schedule.die_mid_execute(w, seq)
+                            || schedule.die_before_delete(w, seq)
+                    })
+                    .count()
+            })
+            .sum();
+        assert!(expected > 0, "the schedule must kill something");
+        for _ in 0..8 {
+            let exec = FnExecutor::new("id", |_s, i: &[u8]| Ok(i.to_vec()));
+            let (report, outputs) = run_homomorphic_job_chaos(
+                &cluster,
+                inputs(40),
+                exec,
+                &DryadConfig::default(),
+                Some(schedule.clone()),
+            )
+            .unwrap();
+            assert_eq!(outputs.len(), 40);
+            assert_eq!(report.worker_deaths, expected);
+            assert_eq!(report.total_attempts, 40 + expected);
+        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ use ppc_core::json::Json;
 use ppc_core::metrics::RunSummary;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_des::QueueKind;
 use ppc_resilience::ResiliencePolicy;
 use ppc_trace::{Trace, TraceSink};
 use std::sync::Arc;
@@ -101,10 +100,6 @@ pub struct RunContext {
     /// quarantine, per-task deadlines); overrides the config's when set.
     /// `None` leaves each paradigm's legacy behavior untouched.
     pub resilience: Option<ResiliencePolicy>,
-    /// Event-queue backend for simulated runs; overrides the sim config's
-    /// when set. All backends produce bit-identical results (pinned by
-    /// `tests/des_differential.rs`), so this only affects speed.
-    pub queue: Option<QueueKind>,
 }
 
 impl RunContext {
@@ -122,7 +117,6 @@ impl RunContext {
             sink: None,
             trace: false,
             resilience: None,
-            queue: None,
         }
     }
 
@@ -151,7 +145,6 @@ impl RunContext {
             sink: None,
             trace: false,
             resilience: None,
-            queue: None,
         }
     }
 
@@ -196,12 +189,6 @@ impl RunContext {
         self
     }
 
-    /// Pin the event-queue backend for simulated runs.
-    pub fn with_event_queue(mut self, kind: QueueKind) -> RunContext {
-        self.queue = Some(kind);
-        self
-    }
-
     /// A fresh wall-clock for a native run starting now.
     pub fn clock(&self) -> RunClock {
         RunClock::start()
@@ -237,12 +224,6 @@ impl RunContext {
         config_policy: &Option<ResiliencePolicy>,
     ) -> Option<ResiliencePolicy> {
         self.resilience.or(*config_policy)
-    }
-
-    /// Effective event-queue backend: the context's when set, else the
-    /// sim config's.
-    pub fn queue_or(&self, config_queue: QueueKind) -> QueueKind {
-        self.queue.unwrap_or(config_queue)
     }
 
     /// The fixed fleets of this plan, or an error for elastic plans (for
@@ -469,11 +450,6 @@ mod tests {
         let hedged = ResiliencePolicy::hedged(ppc_resilience::HedgeConfig::quantile(0.5));
         let ctx = ctx.with_resilience(hedged);
         assert_eq!(ctx.resilience_or(&cfg_policy), Some(hedged));
-
-        // Event queue: config fallback, then context override.
-        assert_eq!(ctx.queue_or(QueueKind::BinaryHeap), QueueKind::BinaryHeap);
-        let ctx = ctx.with_event_queue(QueueKind::Calendar);
-        assert_eq!(ctx.queue_or(QueueKind::BinaryHeap), QueueKind::Calendar);
     }
 
     #[test]

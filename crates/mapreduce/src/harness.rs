@@ -55,6 +55,5 @@ pub fn simulate(ctx: &RunContext, tasks: &[TaskSpec], cfg: &HadoopSimConfig) -> 
     cfg.seed = ctx.seed_or(cfg.seed);
     cfg.trace = ctx.trace_or(cfg.trace);
     cfg.resilience = ctx.resilience_or(&cfg.resilience);
-    cfg.queue = ctx.queue_or(cfg.queue);
     crate::sim::simulate_impl(cluster, tasks, &cfg, ctx.schedule.clone())
 }

@@ -21,7 +21,7 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
-use ppc_des::{Engine, QueueKind, SimTime};
+use ppc_des::{Engine, SimTime};
 use ppc_exec::{RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{Health, HealthTracker, HedgeConfig, ResiliencePolicy};
@@ -74,10 +74,6 @@ pub struct HadoopSimConfig {
     /// Record per-attempt `dispatch → read → map → commit` spans into the
     /// report's [`ppc_trace::Trace`].
     pub trace: bool,
-    /// Event-queue backend for the DES engine; every backend yields
-    /// bit-identical reports (pinned by `tests/des_differential.rs`), so
-    /// this dial only trades queue-operation speed.
-    pub queue: QueueKind,
 }
 
 impl Default for HadoopSimConfig {
@@ -100,7 +96,6 @@ impl Default for HadoopSimConfig {
             max_attempts: 4,
             ignore_locality: false,
             trace: false,
-            queue: QueueKind::from_env(),
         }
     }
 }
@@ -280,7 +275,7 @@ pub(crate) fn simulate_impl(
     // Idle slots re-poll the master on the engine's fixed-delay lane; the
     // quiet horizon (kept by `sync_quiet_horizon`) lets the engine skip
     // polls that would find no work.
-    let mut engine = Engine::with_queue(cfg.queue);
+    let mut engine = Engine::new();
     let poller = sim.clone();
     engine.set_lane(
         SimTime::from_secs_f64(cfg.poll_interval_s),

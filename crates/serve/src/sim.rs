@@ -19,7 +19,7 @@ use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
 use ppc_compute::billing::FleetLedger;
 use ppc_compute::instance::InstanceType;
 use ppc_core::rng::Pcg32;
-use ppc_des::{Engine as DesEngine, QueueKind, SimTime};
+use ppc_des::{Engine as DesEngine, SimTime};
 use ppc_exec::RunContext;
 use ppc_trace::{EventKind, TraceEvent, NO_WORKER};
 use std::cell::RefCell;
@@ -92,8 +92,6 @@ pub struct ServeSimConfig {
     pub dispatch_overhead_s: f64,
     /// Billed-hour length (tests compress it).
     pub billing_hour_s: f64,
-    /// Event-queue backend (`RunContext::with_event_queue` overrides).
-    pub queue: QueueKind,
     /// Record per-job lifecycle [`TraceEvent`]s (off for 1M-job runs).
     pub record_events: bool,
     pub tenants: Vec<TenantLoad>,
@@ -109,7 +107,6 @@ impl ServeSimConfig {
             admission: AdmissionPolicy::default(),
             dispatch_overhead_s: 1.0,
             billing_hour_s: 3600.0,
-            queue: QueueKind::TimingWheel,
             record_events: false,
             tenants,
         }
@@ -188,15 +185,14 @@ impl World {
 type Shared = Rc<RefCell<World>>;
 
 /// Run the closed-loop load generator. Deterministic in
-/// `ctx.seed_or(cfg.seed)`; the event-queue backend
-/// (`ctx.queue_or(cfg.queue)`) never changes results, only speed.
+/// `ctx.seed_or(cfg.seed)`.
 pub fn simulate_serve(ctx: &RunContext, cfg: &ServeSimConfig) -> ServeRun {
     assert!(
         !cfg.tenants.is_empty(),
         "serve sim needs at least one tenant"
     );
     let seed = ctx.seed_or(cfg.seed);
-    let mut des = DesEngine::with_queue(ctx.queue_or(cfg.queue));
+    let mut des = DesEngine::new();
 
     let weights: Vec<u32> = cfg.tenants.iter().map(|t| t.spec.weight).collect();
     let n_tenants = cfg.tenants.len();
@@ -630,18 +626,6 @@ mod tests {
         );
         // Every non-rejected job reached a terminal state.
         assert!(run.records.iter().all(|r| r.status.is_terminal()));
-    }
-
-    #[test]
-    fn replay_is_bit_identical_across_backends() {
-        let cfg = two_tenant_cfg(true);
-        let a = simulate_serve(&ctx(), &cfg);
-        let b = simulate_serve(&ctx().with_event_queue(QueueKind::BinaryHeap), &cfg);
-        let c = simulate_serve(&ctx().with_event_queue(QueueKind::Calendar), &cfg);
-        assert_eq!(JobRecord::digest(&a.records), JobRecord::digest(&b.records));
-        assert_eq!(JobRecord::digest(&a.records), JobRecord::digest(&c.records));
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.report, c.report);
     }
 
     #[test]

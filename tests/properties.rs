@@ -431,43 +431,40 @@ fn hedging_preserves_exactly_once_outputs() {
 }
 
 /// Same-timestamp FIFO: events scheduled for the *same* virtual instant
-/// fire in schedule order, on every event-queue backend. This is the
-/// engine's documented tie-break contract (ascending `(time, sequence)`),
-/// and it is what keeps whole-platform simulations bit-identical when the
-/// backend is swapped — so it gets its own property, not just a pin.
+/// fire in schedule order. This is the engine's documented tie-break
+/// contract (ascending `(time, sequence)`), and it is what keeps
+/// whole-platform simulations bit-identical run after run — so it gets its
+/// own property, not just a pin.
 #[test]
 fn equal_time_events_fire_in_schedule_order() {
-    use ppc::des::{Engine, QueueKind, SimTime};
+    use ppc::des::{Engine, SimTime};
     use std::cell::RefCell;
     use std::rc::Rc;
-    for kind in QueueKind::ALL {
-        for seed in 0..32u64 {
-            let mut rng = Pcg32::new(0xF1F0 + seed);
-            // Few distinct instants, many events: collisions guaranteed.
-            let instants: Vec<u64> = (0..4).map(|_| rng.next_below(1000) as u64).collect();
-            let n = 40 + rng.next_below(60);
-            let mut engine = Engine::with_queue(kind);
-            let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-            let mut want: Vec<(u64, u32)> = Vec::new();
-            for token in 0..n {
-                let at = instants[rng.next_below(instants.len() as u32) as usize];
-                want.push((at, token));
-                let l = log.clone();
-                engine.schedule_at(SimTime::from_micros(at), move |e| {
-                    l.borrow_mut().push((e.now().as_micros(), token));
-                });
-            }
-            engine.run();
-            // Stable sort by time only: equal-time entries keep schedule
-            // order — exactly what the engine must reproduce.
-            want.sort_by_key(|&(at, _)| at);
-            assert_eq!(
-                *log.borrow(),
-                want,
-                "{} seed {seed}: same-instant events must fire FIFO",
-                kind.name()
-            );
+    for seed in 0..32u64 {
+        let mut rng = Pcg32::new(0xF1F0 + seed);
+        // Few distinct instants, many events: collisions guaranteed.
+        let instants: Vec<u64> = (0..4).map(|_| rng.next_below(1000) as u64).collect();
+        let n = 40 + rng.next_below(60);
+        let mut engine = Engine::new();
+        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
+        let mut want: Vec<(u64, u32)> = Vec::new();
+        for token in 0..n {
+            let at = instants[rng.next_below(instants.len() as u32) as usize];
+            want.push((at, token));
+            let l = log.clone();
+            engine.schedule_at(SimTime::from_micros(at), move |e| {
+                l.borrow_mut().push((e.now().as_micros(), token));
+            });
         }
+        engine.run();
+        // Stable sort by time only: equal-time entries keep schedule
+        // order — exactly what the engine must reproduce.
+        want.sort_by_key(|&(at, _)| at);
+        assert_eq!(
+            *log.borrow(),
+            want,
+            "seed {seed}: same-instant events must fire FIFO"
+        );
     }
 }
 

@@ -1,6 +1,5 @@
 //! Conformance and property suite for the `ppc-serve` job-service front
-//! door, swept by the CI chaos-seed matrix (`PPC_CHAOS_SEED` ×
-//! `PPC_DES_QUEUE`).
+//! door, swept by the CI chaos-seed matrix (`PPC_CHAOS_SEED`).
 //!
 //! The contract under test, over randomized service configurations:
 //!
@@ -10,8 +9,8 @@
 //!    in exactly one terminal state, and everything the front door let
 //!    in reaches `Done`/`Failed` with a fully-stamped lifecycle.
 //! 2. **Determinism** — the same submission trace replays to identical
-//!    `JobStatus` histories, billing rollups, and report JSON on every
-//!    event-queue backend and on repeat runs.
+//!    `JobStatus` histories, billing rollups, and report JSON on repeat
+//!    runs.
 //! 3. **Billing exactness** — per-tenant rollups sum to the fleet bill
 //!    micro-dollar for micro-dollar, fixed and elastic fleets alike.
 //! 4. **Bounded overload** — under ~2× offered load the bounded buffers
@@ -21,7 +20,6 @@ use ppc::autoscale::AutoscaleConfig;
 use ppc::compute::instance::EC2_HCXL;
 use ppc::core::money::Usd;
 use ppc::core::rng::Pcg32;
-use ppc::des::QueueKind;
 use ppc::exec::RunContext;
 use ppc::serve::{
     simulate_serve, JobStatus, Priority, ServeFleet, ServeRun, ServeSimConfig, TenantLoad,
@@ -169,8 +167,8 @@ fn admission_quotas_hold_on_randomized_configs() {
 
 /// The seed-swept determinism contract: one submission trace replays to
 /// identical `JobStatus` histories (every timestamp of every record),
-/// identical billing rollups, and byte-identical report JSON — across
-/// repeat runs and across all three event-queue backends.
+/// identical billing rollups, and byte-identical report JSON across
+/// repeat runs.
 #[test]
 fn replay_histories_and_billing_are_bit_identical() {
     let mut rng = Pcg32::new(chaos_seed() ^ 0xB17);
@@ -178,22 +176,14 @@ fn replay_histories_and_billing_are_bit_identical() {
         let cfg = random_cfg(&mut rng);
         let ctx = RunContext::local().with_seed(chaos_seed());
         let base = simulate_serve(&ctx, &cfg);
-        for kind in [
-            QueueKind::BinaryHeap,
-            QueueKind::TimingWheel,
-            QueueKind::Calendar,
-        ] {
-            let other = simulate_serve(&ctx.clone().with_event_queue(kind), &cfg);
-            assert_eq!(base.records, other.records, "{kind:?}");
-            assert_eq!(base.report, other.report, "{kind:?}");
-            assert_eq!(
-                base.report.to_json().to_string(),
-                other.report.to_json().to_string(),
-                "{kind:?}"
-            );
-        }
-        // Histories — not just terminal states — reconstruct identically.
         let replay = simulate_serve(&ctx, &cfg);
+        assert_eq!(base.records, replay.records);
+        assert_eq!(base.report, replay.report);
+        assert_eq!(
+            base.report.to_json().to_string(),
+            replay.report.to_json().to_string()
+        );
+        // Histories — not just terminal states — reconstruct identically.
         for (a, b) in base.records.iter().zip(&replay.records) {
             assert_eq!(a.history(), b.history());
         }

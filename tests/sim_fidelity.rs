@@ -201,78 +201,175 @@ fn sim_and_native_agree_on_queue_accounting() {
     assert_eq!(simulated.redundant_executions(), 0);
 }
 
-/// Oracle-vs-wheel bit-identity: each paradigm's simulator must produce
-/// the *same full report JSON* on the binary-heap oracle and the default
-/// timing-wheel backend (and the calendar queue, while we're at it),
-/// under the hostile chaos schedule CI sweeps via `PPC_CHAOS_SEED`. The
-/// makespan fidelity pins above guarantee the sim matches reality; this
-/// pin guarantees the fast event core doesn't move the sim.
-#[test]
-fn sims_bit_identical_across_event_queue_backends() {
+/// The chaos seeds the CI matrix sweeps (`PPC_CHAOS_SEED`); each row of
+/// [`CHAOS_GOLDEN`] belongs to the seed at the same index.
+const CHAOS_SEEDS: [u64; 3] = [4242, 1, 987_654_321];
+
+/// The sims [`chaos_report_digests`] runs, in digest order.
+const CHAOS_CASES: [&str; 6] = [
+    "classic",
+    "classic_elastic",
+    "mapreduce",
+    "dryad",
+    "serve_underload",
+    "serve_overload",
+];
+
+/// FNV-1a digests of every chaos-pinned sim under one seed: the full
+/// report JSON followed by the `Debug` rendering of the whole run (trace,
+/// per-job records and events included). The batch sims run the hostile
+/// schedule with hedging and tracing on, so timer cancellation, re-execution
+/// and span emission all feed the digest; serve runs two tenants on a fixed
+/// fleet, at about half and about twice its capacity.
+fn chaos_report_digests(seed: u64) -> [u64; 6] {
+    use ppc::autoscale::{AutoscaleConfig, Policy};
     use ppc::chaos::FaultSchedule;
     use ppc::compute::instance::BARE_CAP3;
-    use ppc::des::QueueKind;
+    use ppc::resilience::{HedgeConfig, ResiliencePolicy};
+    use ppc::serve::{
+        simulate_serve, ServeFleet, ServeSimConfig, TenantLoad, TenantQuota, TenantSpec,
+    };
     use std::sync::Arc;
 
-    let seed: u64 = std::env::var("PPC_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4242);
-    let chaos_tasks: Vec<TaskSpec> = (0..64)
-        .map(|i| {
-            let mut p = ResourceProfile::cpu_bound(10.0);
-            p.input_bytes = 200 << 10;
-            p.output_bytes = 100 << 10;
-            TaskSpec::new(i, "cap3", format!("f{i}"), p)
-        })
-        .collect();
-    let ctx = |cluster: &Cluster, kind: QueueKind| {
-        RunContext::new(cluster)
-            .with_schedule(Arc::new(FaultSchedule::hostile(seed)))
-            .with_event_queue(kind)
+    let tasks = |n: u64| -> Vec<TaskSpec> {
+        (0..n)
+            .map(|i| {
+                let mut p = ResourceProfile::cpu_bound(10.0 + (i % 7) as f64);
+                p.input_bytes = 200 << 10;
+                p.output_bytes = 100 << 10;
+                TaskSpec::new(i, "cap3", format!("f{i}"), p)
+            })
+            .collect()
     };
+    let hostile = |ctx: RunContext| {
+        ctx.with_schedule(Arc::new(FaultSchedule::hostile(seed)))
+            .with_resilience(ResiliencePolicy::hedged(HedgeConfig::quantile(20.0)))
+            .with_trace(true)
+    };
+    let digest = |json: String, debug: String| fnv64(&format!("{json}\n{debug}"));
 
-    let cluster = Cluster::provision(EC2_HCXL, 4, 8);
-    let cfg = SimConfig::ec2().with_failures(0.0, 60.0);
-    let oracle = classic_simulate(&ctx(&cluster, QueueKind::BinaryHeap), &chaos_tasks, &cfg);
-    assert!(oracle.is_complete(), "failed: {:?}", oracle.failed);
-    for kind in [QueueKind::TimingWheel, QueueKind::Calendar] {
-        let got = classic_simulate(&ctx(&cluster, kind), &chaos_tasks, &cfg);
-        assert_eq!(
-            got.to_json().to_string(),
-            oracle.to_json().to_string(),
-            "classic sim report diverged on {} (seed {seed})",
-            kind.name()
-        );
+    let hcxl = Cluster::provision(EC2_HCXL, 4, 8);
+    let bare = Cluster::provision(BARE_CAP3, 4, 8);
+    let classic_cfg = SimConfig::ec2().with_failures(0.0, 60.0);
+    let classic = classic_simulate(&hostile(RunContext::new(&hcxl)), &tasks(64), &classic_cfg);
+    let autoscale = AutoscaleConfig {
+        policy: Policy::TargetBacklog { per_worker: 12.0 },
+        min_workers: 1,
+        max_workers: 4,
+        interval_s: 10.0,
+        scale_up_cooldown_s: 30.0,
+        scale_down_cooldown_s: 20.0,
+        warmup_s: 0.0,
+        billing_aware: false,
+        billing_window_s: 60.0,
+        billing_hour_s: 3600.0,
+    };
+    let elastic_ctx = RunContext::elastic(EC2_HCXL, autoscale, Vec::new());
+    let elastic = classic_simulate(&hostile(elastic_ctx), &tasks(48), &SimConfig::ec2());
+    let mapreduce = ppc::mapreduce::simulate(
+        &hostile(RunContext::new(&bare)),
+        &tasks(64),
+        &ppc::mapreduce::HadoopSimConfig::default(),
+    );
+    let dryad = ppc::dryad::simulate(
+        &hostile(RunContext::new(&bare)),
+        &tasks(64),
+        &ppc::dryad::DryadSimConfig::default(),
+    );
+    for (name, failed) in [
+        ("classic", &classic.failed),
+        ("classic_elastic", &elastic.failed),
+        ("mapreduce", &mapreduce.failed),
+    ] {
+        assert!(failed.is_empty(), "seed {seed}: {name} failed {failed:?}");
     }
+    let serve = |overload: bool| {
+        let quota = TenantQuota {
+            max_queued: 50,
+            max_running: 8,
+        };
+        let (clients, jobs, think_s) = if overload {
+            (80, 12, 2.0)
+        } else {
+            (20, 25, 40.0)
+        };
+        let tenants = [("blast", 2), ("cap3", 1)]
+            .into_iter()
+            .map(|(name, weight)| {
+                let spec = TenantSpec::new(name, weight).with_quota(quota);
+                let mut load = TenantLoad::new(spec, clients, jobs);
+                load.think_s = think_s;
+                load.deadline_hint_s = (name == "blast").then_some(300.0);
+                load
+            })
+            .collect();
+        let mut cfg = ServeSimConfig::new(EC2_HCXL, ServeFleet::Fixed { instances: 8 }, tenants);
+        cfg.record_events = true;
+        let run = simulate_serve(&RunContext::local().with_seed(seed), &cfg);
+        let debug = format!("{:?}\n{:?}\n{:?}", run.report, run.records, run.events);
+        digest(run.report.to_json().to_string(), debug)
+    };
+    [
+        digest(classic.to_json().to_string(), format!("{classic:?}")),
+        digest(elastic.to_json().to_string(), format!("{elastic:?}")),
+        digest(mapreduce.to_json().to_string(), format!("{mapreduce:?}")),
+        digest(dryad.to_json().to_string(), format!("{dryad:?}")),
+        serve(false),
+        serve(true),
+    ]
+}
 
-    let cluster = Cluster::provision(BARE_CAP3, 4, 8);
-    let cfg = ppc::mapreduce::HadoopSimConfig::default();
-    let oracle =
-        ppc::mapreduce::simulate(&ctx(&cluster, QueueKind::BinaryHeap), &chaos_tasks, &cfg);
-    assert!(oracle.is_complete(), "failed: {:?}", oracle.failed);
-    for kind in [QueueKind::TimingWheel, QueueKind::Calendar] {
-        let got = ppc::mapreduce::simulate(&ctx(&cluster, kind), &chaos_tasks, &cfg);
-        assert_eq!(
-            got.to_json().to_string(),
-            oracle.to_json().to_string(),
-            "mapreduce sim report diverged on {} (seed {seed})",
-            kind.name()
-        );
-    }
-
-    let cfg = ppc::dryad::DryadSimConfig::default();
-    let oracle = ppc::dryad::simulate(&ctx(&cluster, QueueKind::BinaryHeap), &chaos_tasks, &cfg);
-    for kind in [QueueKind::TimingWheel, QueueKind::Calendar] {
-        let got = ppc::dryad::simulate(&ctx(&cluster, kind), &chaos_tasks, &cfg);
-        assert_eq!(
-            got.to_json().to_string(),
-            oracle.to_json().to_string(),
-            "dryad sim report diverged on {} (seed {seed})",
-            kind.name()
+/// Bit-identity pin for the sims under chaos: every case of
+/// [`chaos_report_digests`] on every CI chaos seed must reproduce the
+/// committed digests. They were generated on the timing wheel, then the
+/// default backend, and the calendar queue and the binary heap gave the
+/// same ones; the heap is now the only event queue, so a match means the
+/// removed backends would still agree with it.
+#[test]
+fn sims_bit_identical_across_event_queue_backends() {
+    for (seed, want) in CHAOS_SEEDS.into_iter().zip(CHAOS_GOLDEN) {
+        let got = chaos_report_digests(seed);
+        let moved: Vec<&str> = (0..got.len())
+            .filter(|&i| got[i] != want[i])
+            .map(|i| CHAOS_CASES[i])
+            .collect();
+        let rendered: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+        assert!(
+            moved.is_empty(),
+            "seed {seed}: {moved:?} moved; digests now [{}]",
+            rendered.join(", ")
         );
     }
 }
+
+/// Generated by [`sims_bit_identical_across_event_queue_backends`] on the
+/// timing wheel, one row per [`CHAOS_SEEDS`] entry.
+const CHAOS_GOLDEN: [[u64; 6]; 3] = [
+    [
+        0x81f421d437c53590,
+        0x0c163d8d91887c95,
+        0x25377d007db1fdfb,
+        0x63b07762584402ac,
+        0x5d1eb10573f0a3d6,
+        0x50c9fde0e6b44e7b,
+    ],
+    [
+        0xd55990a010f018bc,
+        0xccc66558259fc5b8,
+        0x0e994efff9f7bd8d,
+        0x42958972bde57fdc,
+        0x038baa496c255040,
+        0x8075838ddc382e52,
+    ],
+    [
+        0xda86c26886cf5a92,
+        0x1a980359b519a658,
+        0x4401c7f5e5023024,
+        0xa1f5ee55079dd19c,
+        0xfa99de34c99fdedf,
+        0x781e850be05db46b,
+    ],
+];
 
 /// FNV-1a over a string, 64-bit.
 fn fnv64(s: &str) -> u64 {
