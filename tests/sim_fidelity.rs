@@ -371,6 +371,184 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     ],
 ];
 
+/// The Classic sim paths [`classic_path_digests`] runs, in digest order.
+const CLASSIC_PATH_CASES: [&str; 7] = [
+    "nic_contention",
+    "fixed_deadline_quarantine",
+    "elastic_deadline_quarantine",
+    "fixed_short_visibility",
+    "elastic_short_visibility",
+    "hybrid_two_fleets",
+    "nic_short_visibility",
+];
+
+/// FNV-1a digests (report JSON + `Debug`, trace on) of the Classic sim
+/// paths the chaos pin above does not reach, under one chaos seed:
+/// shared-NIC transfers (four workers per node, MB-scale data); per-task
+/// deadlines with quarantine on a fixed and on an elastic fleet, with a
+/// gray worker whose tasks overrun the deadline; worker deaths whose
+/// visibility timeout is shorter than a task, where the lost message can
+/// reappear while its dead attempt is still running; and a two-fleet
+/// hybrid run.
+fn classic_path_digests(seed: u64) -> [u64; 7] {
+    use ppc::autoscale::{AutoscaleConfig, Policy};
+    use ppc::chaos::FaultSchedule;
+    use ppc::compute::instance::BARE_CAP3;
+    use ppc::resilience::{HedgeConfig, QuarantineConfig, ResiliencePolicy};
+    use std::sync::Arc;
+
+    let tasks = |n: u64, io_bytes: u64| -> Vec<TaskSpec> {
+        (0..n)
+            .map(|i| {
+                let mut p = ResourceProfile::cpu_bound(10.0 + (i % 7) as f64);
+                p.input_bytes = io_bytes;
+                p.output_bytes = io_bytes / 2;
+                TaskSpec::new(i, "cap3", format!("f{i}"), p)
+            })
+            .collect()
+    };
+    let hostile = || Arc::new(FaultSchedule::hostile(seed));
+    // Worker 5 runs 4x slow for its first 200 s: its tasks overrun a 30-s
+    // deadline, are cancelled and requeued, and it gets quarantined.
+    let gray = || Arc::new(FaultSchedule::hostile(seed).degrade(5, 4.0, 0.0, 200.0));
+    let defended = ResiliencePolicy::default()
+        .with_deadline(30.0)
+        .with_quarantine(QuarantineConfig::default());
+    let autoscale = AutoscaleConfig {
+        policy: Policy::TargetBacklog { per_worker: 6.0 },
+        min_workers: 2,
+        max_workers: 8,
+        interval_s: 10.0,
+        scale_up_cooldown_s: 30.0,
+        scale_down_cooldown_s: 20.0,
+        warmup_s: 5.0,
+        billing_aware: false,
+        billing_window_s: 60.0,
+        billing_hour_s: 3600.0,
+    };
+    let elastic = || RunContext::elastic(EC2_HCXL, autoscale.clone(), Vec::new());
+    let fixed = || RunContext::new(&Cluster::provision(EC2_HCXL, 2, 4));
+    let digest = |r: ppc::classic::ClassicReport| {
+        assert!(r.failed.is_empty(), "seed {seed}: failed {:?}", r.failed);
+        fnv64(&format!("{}\n{r:?}", r.to_json()))
+    };
+    let nic = SimConfig {
+        nic_bandwidth_bytes_per_s: Some(20e6),
+        ..SimConfig::ec2().with_failures(0.05, 60.0)
+    };
+    let short_vt = SimConfig::ec2().with_failures(0.2, 5.0);
+    [
+        digest(classic_simulate(
+            &fixed()
+                .with_schedule(hostile())
+                .with_resilience(
+                    ResiliencePolicy::default().with_quarantine(QuarantineConfig::default()),
+                )
+                .with_trace(true),
+            &tasks(48, 40 << 20),
+            &nic,
+        )),
+        digest(classic_simulate(
+            &fixed()
+                .with_schedule(gray())
+                .with_resilience(defended)
+                .with_trace(true),
+            &tasks(48, 200 << 10),
+            &SimConfig::ec2(),
+        )),
+        digest(classic_simulate(
+            &elastic()
+                .with_schedule(gray())
+                .with_resilience(defended)
+                .with_trace(true),
+            &tasks(48, 200 << 10),
+            &SimConfig::ec2(),
+        )),
+        digest(classic_simulate(
+            &fixed().with_schedule(hostile()).with_trace(true),
+            &tasks(48, 200 << 10),
+            &short_vt,
+        )),
+        digest(classic_simulate(
+            &elastic().with_schedule(hostile()).with_trace(true),
+            &tasks(48, 200 << 10),
+            &short_vt,
+        )),
+        digest(classic_simulate(
+            &RunContext::on_fleets(vec![
+                Cluster::provision(EC2_HCXL, 2, 4),
+                Cluster::provision(BARE_CAP3, 1, 8),
+            ])
+            .with_schedule(hostile())
+            .with_resilience(ResiliencePolicy::hedged(HedgeConfig::quantile(20.0)))
+            .with_trace(true),
+            &tasks(64, 200 << 10),
+            &SimConfig::ec2().with_failures(0.05, 60.0),
+        )),
+        digest(classic_simulate(
+            &fixed().with_schedule(hostile()).with_trace(true),
+            &tasks(48, 40 << 20),
+            &SimConfig {
+                nic_bandwidth_bytes_per_s: Some(20e6),
+                ..short_vt
+            },
+        )),
+    ]
+}
+
+/// Bit-identity pin for the Classic sim's fleet-specific paths:
+/// [`classic_path_digests`] on every CI chaos seed must reproduce the
+/// committed digests.
+#[test]
+fn classic_sim_paths_match_golden_digests() {
+    for (seed, want) in CHAOS_SEEDS.into_iter().zip(CLASSIC_PATH_GOLDEN) {
+        let got = classic_path_digests(seed);
+        let moved: Vec<&str> = (0..got.len())
+            .filter(|&i| got[i] != want[i])
+            .map(|i| CLASSIC_PATH_CASES[i])
+            .collect();
+        let rendered: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+        assert!(
+            moved.is_empty(),
+            "seed {seed}: {moved:?} moved; digests now [{}]",
+            rendered.join(", ")
+        );
+    }
+}
+
+/// Generated by [`classic_sim_paths_match_golden_digests`] before the
+/// fixed- and elastic-fleet Classic sims were merged into one worker
+/// lifecycle, one row per [`CHAOS_SEEDS`] entry.
+const CLASSIC_PATH_GOLDEN: [[u64; 7]; 3] = [
+    [
+        0xd2b340c71f954868,
+        0xb0e6ea5ca1d7b2d3,
+        0x11d66f7f772f4697,
+        0xbd2d18a507a6309f,
+        0xd9978b56b8f7edbf,
+        0x229b6eec28174a79,
+        0x0f4df2d2222a288c,
+    ],
+    [
+        0x8b4c3974b67a49fe,
+        0x15c7888bfc47d25c,
+        0xa242d49d8212a57f,
+        0x77f2f4822e4b6955,
+        0x6fafdc06336b9e33,
+        0x2579461802f86a20,
+        0xd32f373a9c541ba4,
+    ],
+    [
+        0x163f2dc14787bb8c,
+        0xf044ca99ea2986b4,
+        0xce5a6ecf2cd8b4c6,
+        0xddd595f45792d985,
+        0x3412c7250b97a808,
+        0x3024883e1b8f2e14,
+        0x947d6be850579df7,
+    ],
+];
+
 /// FNV-1a over a string, 64-bit.
 fn fnv64(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
