@@ -11,18 +11,25 @@
 //! task from the shared pool the moment it frees up, which is precisely the
 //! "natural load balancing" property the paper credits this architecture
 //! with sharing with Hadoop (§4.2).
+//!
+//! Fixed and elastic fleets run one worker lifecycle ([`worker_tick`] →
+//! [`finish_attempt`], plus one [`hedge_check_at`]). The [`Fleet`] holds
+//! the few steps that differ: the pre-pull gate, timed-kill detection, when
+//! a lost message reappears, and set-up and finalisation.
 
-use crate::report::ClassicReport;
+use crate::report::{ClassicReport, FleetReport};
 use ppc_autoscale::{AutoscaleConfig, Controller, Decision, SlotState, Telemetry};
 use ppc_chaos::FaultSchedule;
+use ppc_compute::billing::CostBreakdown;
 use ppc_compute::cluster::Cluster;
+use ppc_compute::instance::InstanceType;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
-use ppc_des::{Engine, EventId, SimTime};
-use ppc_exec::{RunContext, RunReport};
+use ppc_des::{Engine, EventId, FifoServer, SimTime};
+use ppc_exec::RunReport;
 use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_storage::metering::MeteringSnapshot;
@@ -55,16 +62,17 @@ pub struct SimConfig {
     /// [`ppc_core::trace::Timeline`] is derived from it).
     pub trace: bool,
     /// Model a shared per-instance NIC: concurrent storage transfers on one
-    /// node serialize through a link of this bandwidth (bytes/s). `None`
-    /// (default) gives every worker the full per-connection storage path —
-    /// the regime where paper-scale tasks live; enable it to study
-    /// IO-heavy workloads (the `ablate_nic_contention` bench).
+    /// node serialize through a link of this bandwidth (bytes/s, finite and
+    /// positive). `None` (default) gives every worker the full
+    /// per-connection storage path — the regime where paper-scale tasks
+    /// live; enable it to study IO-heavy workloads (the
+    /// `ablate_nic_contention` bench). Fixed fleets only.
     pub nic_bandwidth_bytes_per_s: Option<f64>,
     /// Straggler and gray-failure defense (hedged duplicate messages,
     /// health-scored worker quarantine, per-task deadlines) — the DES twin
     /// of [`crate::runtime::ClassicConfig::resilience`]. `None` (default)
-    /// keeps legacy behavior bit-identical. Hedging and deadlines are not
-    /// modeled on the NIC-contention path.
+    /// runs undefended. The NIC-contention path models quarantine only;
+    /// [`SimConfig::validate`] rejects a hedge or deadline alongside it.
     pub resilience: Option<ResiliencePolicy>,
 }
 
@@ -108,7 +116,7 @@ impl SimConfig {
     }
 
     /// Reject malformed simulation dials with a descriptive error; every
-    /// `simulate*` entry point checks this up front.
+    /// simulation checks this up front.
     pub fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.failure_rate) {
             return Err(PpcError::InvalidArgument(format!(
@@ -130,6 +138,22 @@ impl SimConfig {
                 self.visibility_timeout_s
             )));
         }
+        if let Some(bw) = self.nic_bandwidth_bytes_per_s {
+            // `bytes / bw` must be a finite, non-negative transfer time.
+            if !bw.is_finite() || bw <= 0.0 {
+                return Err(PpcError::InvalidArgument(format!(
+                    "sim config: nic_bandwidth_bytes_per_s = {bw} must be finite and positive"
+                )));
+            }
+            if self
+                .resilience
+                .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some())
+            {
+                return Err(PpcError::InvalidArgument(
+                    "sim config: hedging and deadlines are not modeled with NIC contention".into(),
+                ));
+            }
+        }
         if let Some(policy) = &self.resilience {
             policy.validate()?;
         }
@@ -137,9 +161,9 @@ impl SimConfig {
     }
 }
 
-/// Panic with the validation message when a simulation entry point is
-/// handed malformed dials — simulators return reports, not `Result`s, so
-/// a bad configuration fails loudly rather than silently skewing results.
+/// Panic with the validation message when a simulation is handed
+/// malformed dials — simulators return reports, not `Result`s, so a bad
+/// configuration fails loudly rather than silently skewing results.
 fn check_sim_inputs(cfg: &SimConfig, schedule: Option<&Arc<FaultSchedule>>) {
     if let Err(e) = cfg.validate() {
         panic!("{e}");
@@ -212,17 +236,23 @@ fn record_attempt(
     ));
 }
 
-/// Score a failed attempt into the health tracker (if any), emitting a
-/// `Quarantine` event on the Healthy→Quarantined edge. No-op on legacy runs.
-fn sim_note_failure(
+/// Score an attempt into the health tracker (if any): a success with its
+/// latency, a failure with `None`. Either can bench the worker (a gray-slow
+/// worker is benched off a success), which emits the `Quarantine` event.
+/// No-op on undefended runs.
+fn note_health(
     health: &mut Option<HealthTracker>,
     rec: &Option<Recorder>,
     worker: u32,
+    latency_s: Option<f64>,
     now_s: f64,
 ) {
     if let Some(tracker) = health {
         let benched_before = matches!(tracker.health(worker), Health::Quarantined { .. });
-        tracker.record_failure(worker, now_s);
+        match latency_s {
+            Some(latency_s) => tracker.record_success(worker, latency_s, now_s),
+            None => tracker.record_failure(worker, now_s),
+        }
         if !benched_before && matches!(tracker.health(worker), Health::Quarantined { .. }) {
             if let Some(rec) = rec {
                 rec.event(TraceEvent {
@@ -235,37 +265,111 @@ fn sim_note_failure(
     }
 }
 
-/// Score a successful attempt's latency into the health tracker (if any) —
-/// a gray-slow worker can be benched off a success, so this too can emit
-/// the `Quarantine` event. No-op on legacy runs.
-fn sim_note_success(
-    health: &mut Option<HealthTracker>,
-    rec: &Option<Recorder>,
-    worker: u32,
-    latency_s: f64,
-    now_s: f64,
-) {
-    if let Some(tracker) = health {
-        let benched_before = matches!(tracker.health(worker), Health::Quarantined { .. });
-        tracker.record_success(worker, latency_s, now_s);
-        if !benched_before && matches!(tracker.health(worker), Health::Quarantined { .. }) {
-            if let Some(rec) = rec {
-                rec.event(TraceEvent {
-                    at_s: now_s,
-                    worker,
-                    kind: EventKind::Quarantine,
-                });
+/// One simulated worker slot.
+#[derive(Clone)]
+struct WorkerRef {
+    /// Flat index of this worker in the fleet (timeline row) — on an
+    /// elastic fleet, the controller's slot id.
+    index: u32,
+    itype: InstanceType,
+    /// Configured workers on this worker's node (drives contention).
+    per_node: usize,
+    /// The node's shared NIC, when NIC contention is modeled.
+    nic: Option<FifoServer>,
+}
+
+/// What a fixed and an elastic fleet do differently; everything else in
+/// the worker lifecycle is shared.
+enum Fleet {
+    /// A fixed fleet. Timed kills are detected per task: a kill landing in
+    /// a pulled task's service window costs that execution. `last_kill`
+    /// holds each worker's last checked virtual time.
+    Fixed { last_kill: Vec<f64> },
+    /// Single-worker instances launched and retired by an autoscale
+    /// controller, which also sweeps for timed kills (whole-instance
+    /// deaths) on each tick.
+    Elastic(Elastic),
+}
+
+struct Elastic {
+    itype: InstanceType,
+    controller: Controller,
+    /// Slots told to retire after their in-hand task.
+    drain: HashSet<u32>,
+    /// Drained slots whose worker has exited, awaiting confirmation at the
+    /// controller's next tick.
+    retired_inbox: Vec<u32>,
+    /// Slots killed by the schedule: their tick chains end, and a task in
+    /// hand at death is lost to the visibility timeout.
+    dead: HashSet<u32>,
+    /// Virtual time of the controller's last timed-kill sweep.
+    last_kill_check_s: f64,
+}
+
+impl WorkerRef {
+    /// An elastic fleet's slot: a single-worker instance, no shared NIC.
+    fn elastic(itype: InstanceType, slot: u32) -> WorkerRef {
+        WorkerRef {
+            index: slot,
+            itype,
+            per_node: 1,
+            nic: None,
+        }
+    }
+}
+
+impl Fleet {
+    /// The pre-pull gate. Fixed-fleet workers always poll. An elastic slot
+    /// stops once the job is done or its instance died; a draining slot
+    /// holds no lease between tasks, so it retires here.
+    fn may_pull(&mut self, slot: u32, job_done: bool) -> bool {
+        match self {
+            Fleet::Fixed { .. } => true,
+            Fleet::Elastic(el) => {
+                if job_done || el.dead.contains(&slot) {
+                    false
+                } else if el.drain.contains(&slot) {
+                    el.retired_inbox.push(slot);
+                    false
+                } else {
+                    true
+                }
             }
         }
+    }
+
+    /// Per-task timed-kill detection: does a kill land in `slot`'s service
+    /// window ending at `window_end`? Elastic fleets leave timed kills to
+    /// the controller's sweep.
+    fn killed_before(&mut self, schedule: &FaultSchedule, slot: u32, window_end: f64) -> bool {
+        match self {
+            Fleet::Fixed { last_kill } => {
+                let last = &mut last_kill[slot as usize];
+                let killed = schedule.kills_in(slot, *last, window_end);
+                *last = window_end;
+                killed
+            }
+            Fleet::Elastic(_) => false,
+        }
+    }
+
+    /// Whether `slot`'s whole instance was killed (elastic fleets only).
+    fn instance_died(&self, slot: u32) -> bool {
+        matches!(self, Fleet::Elastic(el) if el.dead.contains(&slot))
     }
 }
 
 struct SimState {
+    fleet: Fleet,
     rec: Option<Recorder>,
     /// Next attempt index per task id (allocated at message pull).
     attempts: HashMap<u64, u32>,
-    pending: VecDeque<TaskSpec>,
-    idle_workers: Vec<WorkerRef>,
+    /// Visible messages: `(task, visible_since_s)` — the timestamp feeds
+    /// the elastic controller's oldest-message-age telemetry.
+    pending: VecDeque<(TaskSpec, f64)>,
+    /// Parked workers with nothing to do (never a draining slot).
+    idle: Vec<WorkerRef>,
+    in_flight: usize,
     completed: usize,
     executions: usize,
     deaths: usize,
@@ -274,22 +378,23 @@ struct SimState {
     remote_bytes: u64,
     bytes_in: u64,
     bytes_out: u64,
+    /// The run seed; per-slot RNG streams derive from it.
+    seed: u64,
     /// One independent RNG stream per worker slot (jitter, failure dice),
     /// all derived from the run seed — see [`ppc_core::rng::stream_seed`].
+    /// Grown on first use, as an elastic fleet scales out.
     rngs: Vec<Pcg32>,
     /// Optional event-based chaos shared with the other engines.
     schedule: Option<Arc<FaultSchedule>>,
-    /// Per-worker count of tasks pulled so far (the chaos roll index).
+    /// Per-slot count of tasks pulled so far (the chaos roll index).
     task_seqs: Vec<u32>,
-    /// Per-worker virtual time of the last timed-kill check.
-    last_kill: Vec<f64>,
     /// Hedging state when the run carries a [`ResiliencePolicy`] with a
-    /// hedge config; `None` keeps the legacy path untouched.
+    /// hedge config.
     hedge: Option<HedgePolicy>,
     /// Worker quarantine state machine, when the policy asks for one.
     health: Option<HealthTracker>,
     /// Tasks whose first result already committed (first result wins;
-    /// duplicate messages are deleted at pull). Empty on legacy runs.
+    /// duplicate messages are deleted at pull). Empty on undefended runs.
     done: HashSet<u64>,
     /// Tasks that already received their one hedged duplicate.
     hedged: HashSet<u64>,
@@ -308,856 +413,46 @@ struct SimState {
     finished_at_s: f64,
 }
 
-#[derive(Clone)]
-struct WorkerRef {
-    /// Flat index of this worker in the fleet (timeline row).
-    index: usize,
-    /// Configured workers on this worker's node (drives contention).
-    itype_workers: usize,
-    /// The node's shared NIC, when NIC contention is modeled.
-    nic: Option<ppc_des::FifoServer>,
-}
-
-/// Simulate a Classic Cloud run of `tasks` on `cluster`.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_classic::simulate`")]
-pub fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &SimConfig) -> ClassicReport {
-    crate::harness::simulate(&RunContext::new(cluster), tasks, cfg)
-}
-
-/// [`simulate`] under an event-based [`FaultSchedule`].
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `.with_schedule(…)` and call `ppc_classic::simulate`"
-)]
-pub fn simulate_chaos(
-    cluster: &Cluster,
-    tasks: &[TaskSpec],
-    cfg: &SimConfig,
-    schedule: Arc<FaultSchedule>,
-) -> ClassicReport {
-    crate::harness::simulate(
-        &RunContext::new(cluster).with_schedule(schedule),
-        tasks,
-        cfg,
-    )
-}
-
-/// Simulate a *hybrid* Classic Cloud run: several fleets, one queue.
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `RunContext::on_fleets(…)` and call `ppc_classic::simulate`"
-)]
-pub fn simulate_fleets(fleets: &[Cluster], tasks: &[TaskSpec], cfg: &SimConfig) -> ClassicReport {
-    crate::harness::simulate(&RunContext::on_fleets(fleets.to_vec()), tasks, cfg)
-}
-
-/// [`simulate_fleets`] under an optional event-based [`FaultSchedule`].
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `RunContext::on_fleets(…).with_schedule(…)` and call `ppc_classic::simulate`"
-)]
-pub fn simulate_fleets_chaos(
-    fleets: &[Cluster],
-    tasks: &[TaskSpec],
-    cfg: &SimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
-) -> ClassicReport {
-    crate::harness::simulate(
-        &RunContext::on_fleets(fleets.to_vec()).with_schedule(schedule),
-        tasks,
-        cfg,
-    )
-}
-
-/// The fixed-fleet simulation body: every worker slot of every fleet polls
-/// the shared scheduling queue in virtual time — the simulated twin of
-/// [`crate::runtime::run_on_fleets_impl`] for paper-scale what-if studies
-/// ("how much does adding my local cluster to the cloud fleet help?").
-/// Reached through [`crate::simulate`], which resolves the [`RunContext`].
-pub(crate) fn sim_fleets_impl(
-    fleets: &[Cluster],
-    tasks: &[TaskSpec],
-    cfg: &SimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
-) -> ClassicReport {
-    assert!(!tasks.is_empty(), "no tasks to simulate");
-    assert!(!fleets.is_empty(), "no fleets to simulate");
-    check_sim_inputs(cfg, schedule.as_ref());
-    let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
-    // The client's shuffle and the workers' jitter/failure dice draw from
-    // independent streams of the one run seed.
-    let mut client_rng = Pcg32::for_stream(cfg.seed, CLIENT_STREAM);
-    let mut order: Vec<TaskSpec> = tasks.to_vec();
-    // The queue has no ordering guarantee; workers see a shuffled stream.
-    client_rng.shuffle(&mut order);
-
-    let state = Rc::new(RefCell::new(SimState {
-        rec: cfg.trace.then(Recorder::new),
-        attempts: HashMap::new(),
-        pending: order.into(),
-        idle_workers: Vec::new(),
-        completed: 0,
-        executions: 0,
-        deaths: 0,
-        queue_requests: tasks.len() as u64, // the client's sends
-        storage_requests: 0,
-        remote_bytes: 0,
-        bytes_in: 0,
-        bytes_out: 0,
-        rngs: (0..total_workers)
-            .map(|w| Pcg32::for_stream(cfg.seed, w as u64))
-            .collect(),
-        schedule,
-        task_seqs: vec![0; total_workers],
-        last_kill: vec![0.0; total_workers],
-        hedge: cfg.resilience.and_then(|p| p.hedge).map(HedgePolicy::new),
-        health: cfg
-            .resilience
-            .and_then(|p| p.quarantine)
-            .map(HealthTracker::new),
-        done: HashSet::new(),
-        hedged: HashSet::new(),
-        hedge_timers: HashMap::new(),
-        running: HashMap::new(),
-        n_tasks: tasks.len(),
-        finished_at_s: 0.0,
-    }));
-
-    if let Some(rec) = &state.borrow().rec {
-        // The client pushes every message up front at t = 0.
-        for t in tasks {
-            rec.span(Span::new(t.id.0, 0, NO_WORKER, Phase::Enqueue, 0.0, 0.0));
-        }
-    }
-
-    let mut engine = Engine::new();
-    let cfg = *cfg;
-
-    let mut worker_index = 0;
-    for (fleet_idx, cluster) in fleets.iter().enumerate() {
-        let itype = cluster.itype();
-        for node in cluster.nodes() {
-            // One shared uplink per instance (serializes that node's
-            // concurrent storage transfers) when NIC modeling is on.
-            let nic = cfg
-                .nic_bandwidth_bytes_per_s
-                .map(|_| ppc_des::FifoServer::new(format!("nic-f{fleet_idx}-n{}", node.id), 1));
-            for _slot in 0..node.workers {
-                let state = state.clone();
-                let worker = WorkerRef {
-                    index: worker_index,
-                    itype_workers: node.workers,
-                    nic: nic.clone(),
-                };
-                worker_index += 1;
-                engine.schedule_at(SimTime::ZERO, move |e| {
-                    worker_tick(e, state, worker, itype, cfg);
-                });
-            }
-        }
-    }
-    let itype = fleets[0].itype();
-
-    let end = engine.run();
-    let st = state.borrow();
-    // On defended runs the job is over when the last unique result commits;
-    // hedged losers draining afterwards stretch the engine, not the job.
-    let makespan = if cfg.resilience.is_some() && st.finished_at_s > 0.0 {
-        st.finished_at_s
-    } else {
-        end.as_secs_f64()
-    };
-
-    let platform = format!("classic-sim-{}", itype.name);
-    let trace = st.rec.as_ref().and_then(|rec| {
-        rec.set_meta(RunMeta {
-            platform: platform.clone(),
-            cores: total_workers,
-            tasks: st.completed,
-            makespan_seconds: makespan,
-        });
-        rec.span(Span::job(makespan));
-        rec.snapshot()
-    });
-
-    ClassicReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform,
-                cores: total_workers,
-                tasks: st.completed,
-                makespan_seconds: makespan,
-                redundant_executions: st.executions - st.completed,
-                remote_bytes: st.remote_bytes,
-            },
-            failed: Vec::new(),
-            total_attempts: st.executions,
-            worker_deaths: st.deaths,
-            cost: Some(crate::report::fleets_cost(fleets, makespan)),
-            trace: trace.clone(),
-        },
-        queue_requests: st.queue_requests,
-        executions_per_fleet: Vec::new(),
-        timeline: trace.as_ref().map(ppc_trace::Trace::to_timeline),
-        fleet: None,
-        storage: MeteringSnapshot {
-            requests: st.storage_requests,
-            bytes_in: st.bytes_in,
-            bytes_out: st.bytes_out,
-            stored_bytes: st.bytes_in,
-            peak_stored_bytes: st.bytes_in,
-        },
-    }
-}
-
-/// `at_s`, unless it rounds onto or before `now`, in which case the next
-/// microsecond tick. `SimTime` quantizes to whole microseconds, so a wake
-/// or re-check aimed within half a tick of `now` would land back on this
-/// same instant, where the f64 guard that sent it (`now_s >= until_s`,
-/// `age >= delay`) is still false: the event would re-fire forever
-/// without advancing the clock.
-fn strictly_after_now(now: SimTime, at_s: f64) -> f64 {
-    if SimTime::from_secs_f64(at_s) <= now {
-        SimTime(now.as_micros() + 1).as_secs_f64()
-    } else {
-        at_s
-    }
-}
-
-fn worker_tick(
-    engine: &mut Engine,
-    state: Rc<RefCell<SimState>>,
-    worker: WorkerRef,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-) {
-    // Quarantine gate: a benched worker pulls nothing until its sentence
-    // expires, then re-enters through probation.
-    let benched_until = {
-        let mut st = state.borrow_mut();
-        let now = engine.now().as_secs_f64();
-        let SimState { health, rec, .. } = &mut *st;
-        health.as_mut().and_then(|tracker| {
-            let w = worker.index as u32;
-            let benched_before = matches!(tracker.health(w), Health::Quarantined { .. });
-            if tracker.allow(w, now) {
-                if benched_before {
-                    if let Some(rec) = rec {
-                        rec.event(TraceEvent {
-                            at_s: now,
-                            worker: w,
-                            kind: EventKind::Release,
-                        });
-                    }
-                }
-                None
-            } else {
-                match tracker.health(w) {
-                    Health::Quarantined { until_s } => Some(until_s),
-                    _ => None,
-                }
-            }
-        })
-    };
-    if let Some(until_s) = benched_until {
-        let st = state.clone();
-        let w = worker.clone();
-        let wake = strictly_after_now(engine.now(), until_s);
-        engine.schedule_at(SimTime::from_secs_f64(wake), move |e| {
-            worker_tick(e, st, w, itype, cfg);
-        });
-        return;
-    }
-
-    // Pull the next task from the (simulated) scheduling queue. First
-    // result wins on defended runs: a duplicate of a task whose result
-    // already committed is simply deleted.
-    let task = {
-        let mut st = state.borrow_mut();
-        st.queue_requests += 1; // the receive call
-        loop {
-            match st.pending.pop_front() {
-                Some(t) if st.done.contains(&t.id.0) => {
-                    st.queue_requests += 1; // the stale duplicate's delete
-                }
-                Some(t) => break t,
-                None => {
-                    // Nothing visible: park; a redelivery event will wake us.
-                    st.idle_workers.push(worker);
-                    return;
-                }
-            }
-        }
-    };
-
-    // Model the full pipeline duration for this task.
-    let now_s = engine.now().as_secs_f64();
-    let (t_in, t_exec, t_out, t_ctrl, fails) = {
-        let mut st = state.borrow_mut();
-        st.executions += 1;
-        st.storage_requests += 2;
-        st.bytes_in += task.profile.output_bytes;
-        st.bytes_out += task.profile.input_bytes;
-        st.remote_bytes += task.profile.input_bytes + task.profile.output_bytes;
-
-        let mut t_in = cfg
-            .storage_latency
-            .transfer_seconds(task.profile.input_bytes);
-        let t_out = cfg
-            .storage_latency
-            .transfer_seconds(task.profile.output_bytes);
-        let t_exec_base =
-            task_service_seconds(&itype, worker.itype_workers, &task.profile, &cfg.app);
-        let jitter = if cfg.jitter_sigma > 0.0 {
-            st.rngs[worker.index].log_normal(0.0, cfg.jitter_sigma)
-        } else {
-            1.0
-        };
-        let mut t_exec = t_exec_base * jitter;
-        // receive + monitor-send + delete round trips.
-        let t_ctrl = 3.0 * cfg.queue_latency.request_seconds();
-        st.queue_requests += 2; // monitor send + delete
-        let mut fails = cfg.failure_rate > 0.0 && st.rngs[worker.index].chance(cfg.failure_rate);
-        if let Some(schedule) = st.schedule.clone() {
-            let w = worker.index as u32;
-            let seq = st.task_seqs[worker.index];
-            st.task_seqs[worker.index] += 1;
-            // Gray failure: a degraded worker computes slower.
-            t_exec *= schedule.slowdown(w, now_s);
-            // Storage outage: the fetch's retries ride the window out, so
-            // the download stalls until the outage closes.
-            if let Some(until) = schedule.storage_outage_until(now_s) {
-                t_in += until - now_s;
-            }
-            // Deaths: a pipeline-point die roll, a torn upload, or a timed
-            // kill landing inside this task's service window all cost this
-            // execution — the message reappears after the visibility
-            // timeout, matching the native engine's recovery story.
-            let window_end = now_s + t_in + t_exec + t_out + t_ctrl;
-            let killed = schedule.kills_in(w, st.last_kill[worker.index], window_end);
-            st.last_kill[worker.index] = window_end;
-            fails = fails
-                || killed
-                || schedule.die_before_execute(w, seq)
-                || schedule.die_mid_execute(w, seq)
-                || schedule.die_before_delete(w, seq)
-                || schedule.is_torn_upload(w, seq);
-        }
-        (t_in, t_exec, t_out, t_ctrl, fails)
-    };
-    let mut duration_s = t_in + t_exec + t_out + t_ctrl;
-    // Per-task deadline: an attempt that would outlive the timeout is cut
-    // there and the message re-sent immediately (cancel-and-requeue).
-    let deadline = cfg.resilience.and_then(|p| p.deadline);
-    let cancelled = match deadline {
-        Some(d) if duration_s > d.timeout_s => {
-            duration_s = d.timeout_s;
-            true
-        }
-        _ => false,
-    };
-    // Claim the attempt index at pull time: pulls are ordered in virtual
-    // time, so redeliveries get strictly increasing attempt numbers.
-    let attempt = if cfg.trace {
-        let mut st = state.borrow_mut();
-        let a = st.attempts.entry(task.id.0).or_insert(0);
-        let n = *a;
-        *a += 1;
-        n
-    } else {
-        0
-    };
-    let parts = if cancelled {
-        (t_in.min(duration_s), 0.0, 0.0, 0.0)
-    } else {
-        (t_in, t_exec, t_out, t_ctrl)
-    };
-    if cfg.resilience.is_some() {
-        let mut st = state.borrow_mut();
-        *st.running.entry(task.id.0).or_insert(0) += 1;
-    }
-
-    // NIC contention: route the two transfers through the node's shared
-    // uplink — concurrent transfers on one instance serialize.
-    if let (Some(nic), Some(bw)) = (worker.nic.clone(), cfg.nic_bandwidth_bytes_per_s) {
-        let started_at = engine.now().as_secs_f64();
-        let task_id = task.id.0;
-        let t_nic_in = SimTime::from_secs_f64(task.profile.input_bytes as f64 / bw);
-        let t_nic_out = SimTime::from_secs_f64(task.profile.output_bytes as f64 / bw);
-        let st2 = state.clone();
-        let nic2 = nic.clone();
-        let worker2 = worker.clone();
-        // Download (storage latency + NIC occupancy) -> compute -> upload
-        // (NIC occupancy) -> control -> complete.
-        nic.submit(engine, t_nic_in, move |e| {
-            let st3 = st2.clone();
-            let worker3 = worker2.clone();
-            e.schedule_in(SimTime::from_secs_f64(t_in + t_exec), move |e| {
-                let st4 = st3.clone();
-                let worker4 = worker3.clone();
-                nic2.submit(e, t_nic_out, move |e| {
-                    e.schedule_in(SimTime::from_secs_f64(t_out + t_ctrl), move |e| {
-                        handle_completion(
-                            e, st4, worker4, itype, cfg, task, fails, started_at, task_id, attempt,
-                            parts,
-                        );
-                    });
-                });
-            });
-        });
-        return;
-    }
-
-    // Hedge check: arm a timer one hedge delay past this pull; if the task
-    // is still live when it fires, a duplicate message is enqueued.
-    if !cancelled && cfg.resilience.is_some_and(|p| p.hedge.is_some()) {
-        let delay = state
-            .borrow()
-            .hedge
-            .as_ref()
-            .map(|h| h.hedge_delay())
-            .unwrap_or(0.0);
-        hedge_check_at(
-            engine,
-            state.clone(),
-            task.clone(),
-            now_s,
-            now_s + delay,
-            itype,
-            cfg,
-        );
-    }
-
-    if cancelled {
-        // Deadline breach: the worker gives up at the timeout, re-sends the
-        // message (no visibility-timeout wait), and polls again.
-        let st2 = state.clone();
-        let task_id = task.id.0;
-        engine.schedule_in(SimTime::from_secs_f64(duration_s), move |e| {
-            let now = e.now().as_secs_f64();
-            let woken = {
-                let mut st = st2.borrow_mut();
-                let w = worker.index as u32;
-                let SimState {
-                    running,
-                    health,
-                    rec,
-                    pending,
-                    queue_requests,
-                    idle_workers,
-                    done,
-                    ..
-                } = &mut *st;
-                if let Some(n) = running.get_mut(&task_id) {
-                    *n = n.saturating_sub(1);
-                }
-                sim_note_failure(health, rec, w, now);
-                if let Some(rec) = rec {
-                    let (t_in, t_exec, t_out, t_ctrl) = parts;
-                    record_attempt(
-                        rec,
-                        w,
-                        task_id,
-                        attempt,
-                        now - duration_s,
-                        now,
-                        t_in,
-                        t_exec,
-                        t_out,
-                        t_ctrl,
-                        false,
-                    );
-                    rec.event(TraceEvent {
-                        at_s: now,
-                        worker: w,
-                        kind: EventKind::Cancel,
-                    });
-                }
-                if done.contains(&task_id) {
-                    None
-                } else {
-                    *queue_requests += 1; // the cancel's re-send
-                    pending.push_back(task);
-                    idle_workers.pop()
-                }
-            };
-            if let Some(w) = woken {
-                let st3 = st2.clone();
-                e.schedule_in(SimTime::ZERO, move |e| worker_tick(e, st3, w, itype, cfg));
-            }
-            // Re-poll as an event *after* the wake above, so a woken healthy
-            // worker claims the requeued message ahead of this (possibly
-            // gray) worker — a direct call here would livelock a lone gray
-            // worker on its own cancelled task.
-            e.schedule_in(SimTime::ZERO, move |e| {
-                worker_tick(e, st2, worker, itype, cfg)
-            });
-        });
-        return;
-    }
-
-    if fails {
-        // Worker dies before deleting: the message reappears after the
-        // visibility timeout, waking an idle worker if one exists.
-        let st2 = state.clone();
-        let lost_task = task.clone();
-        engine.schedule_in(SimTime::from_secs_f64(cfg.visibility_timeout_s), move |e| {
-            let woken = {
-                let mut st = st2.borrow_mut();
-                st.pending.push_back(lost_task);
-                st.idle_workers.pop()
-            };
-            if let Some(w) = woken {
-                let st3 = st2.clone();
-                e.schedule_in(SimTime::ZERO, move |e| worker_tick(e, st3, w, itype, cfg));
-            }
-        });
-        let st2 = state.clone();
-        let task_id = task.id.0;
-        engine.schedule_in(SimTime::from_secs_f64(duration_s), move |e| {
-            {
-                let mut st = st2.borrow_mut();
-                st.deaths += 1;
-                let end = e.now().as_secs_f64();
-                let w = worker.index as u32;
-                let SimState {
-                    running,
-                    health,
-                    rec,
-                    ..
-                } = &mut *st;
-                if let Some(n) = running.get_mut(&task_id) {
-                    *n = n.saturating_sub(1);
-                }
-                sim_note_failure(health, rec, w, end);
-                if let Some(rec) = rec {
-                    let (t_in, t_exec, t_out, t_ctrl) = parts;
-                    record_attempt(
-                        rec,
-                        w,
-                        task_id,
-                        attempt,
-                        end - duration_s,
-                        end,
-                        t_in,
-                        t_exec,
-                        t_out,
-                        t_ctrl,
-                        false,
-                    );
-                    rec.event(TraceEvent {
-                        at_s: end,
-                        worker: w,
-                        kind: EventKind::Death,
-                    });
-                }
-            }
-            // The replacement worker polls again immediately.
-            worker_tick(e, st2, worker, itype, cfg);
-        });
-        return;
-    }
-
-    let st2 = state.clone();
-    let started_at = engine.now().as_secs_f64();
-    let task_id = task.id.0;
-    let defended = cfg.resilience.is_some();
-    engine.schedule_in(SimTime::from_secs_f64(duration_s), move |e| {
-        let dead_timers = {
-            let mut st = st2.borrow_mut();
-            let end = e.now().as_secs_f64();
-            let w = worker.index as u32;
-            let SimState {
-                running,
-                health,
-                hedge,
-                done,
-                rec,
-                completed,
-                n_tasks,
-                finished_at_s,
-                hedge_timers,
-                ..
-            } = &mut *st;
-            if let Some(n) = running.get_mut(&task_id) {
-                *n = n.saturating_sub(1);
-            }
-            // First result wins: a hedged loser's output is discarded (its
-            // time shows up as wasted duplicate work in the trace).
-            let winner = !defended || done.insert(task_id);
-            if winner {
-                *completed += 1;
-                if *completed >= *n_tasks {
-                    *finished_at_s = end;
-                }
-                if let Some(h) = hedge {
-                    h.observe(duration_s);
-                }
-            }
-            sim_note_success(health, rec, w, duration_s, end);
-            if let Some(rec) = rec {
-                let (t_in, t_exec, t_out, t_ctrl) = parts;
-                record_attempt(
-                    rec, w, task_id, attempt, started_at, end, t_in, t_exec, t_out, t_ctrl, true,
-                );
-            }
-            // The committed result makes every armed hedge check for this
-            // task a dead no-op; collect the handles while the state is
-            // borrowed, cancel once it isn't.
-            if winner {
-                hedge_timers.remove(&task_id)
-            } else {
-                None
-            }
-        };
-        for id in dead_timers.into_iter().flatten() {
-            e.cancel(id);
-        }
-        worker_tick(e, st2, worker, itype, cfg);
-    });
-}
-
-/// Arm (and, on firing, apply) the hedge check for one pulled attempt: if
-/// the task is still live past the policy's delay, a duplicate message is
-/// enqueued — the Classic Cloud hedge is a queue re-dispatch, since the
-/// queue has no worker affinity and any idle worker picks the copy up.
-/// Re-arms itself while the quantile-derived delay grows past the
-/// attempt's age.
-fn hedge_check_at(
-    engine: &mut Engine,
-    state: Rc<RefCell<SimState>>,
-    task: TaskSpec,
-    pulled_s: f64,
-    at_s: f64,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-) {
-    let task_id = task.id.0;
-    let reg = state.clone();
-    let timer = engine.schedule_at(SimTime::from_secs_f64(at_s.max(pulled_s)), move |e| {
-        enum Next {
-            Stop,
-            Rearm(f64),
-            Wake(Option<WorkerRef>),
-        }
-        let now = e.now().as_secs_f64();
-        let next = {
-            let mut st = state.borrow_mut();
-            let id = task.id.0;
-            let SimState {
-                hedge,
-                hedged,
-                done,
-                running,
-                pending,
-                queue_requests,
-                rec,
-                idle_workers,
-                n_tasks,
-                ..
-            } = &mut *st;
-            let live = running.get(&id).copied().unwrap_or(0);
-            let policy = hedge.as_mut().expect("hedge check armed without a policy");
-            if done.contains(&id) || hedged.contains(&id) || live == 0 {
-                Next::Stop
-            } else {
-                let age = now - pulled_s;
-                if policy.should_hedge(age, live, *n_tasks) {
-                    policy.record_hedge();
-                    hedged.insert(id);
-                    *queue_requests += 1; // the duplicate's send
-                    pending.push_back(task.clone());
-                    if let Some(rec) = rec {
-                        rec.event(TraceEvent {
-                            at_s: now,
-                            worker: NO_WORKER,
-                            kind: EventKind::Hedge,
-                        });
-                    }
-                    Next::Wake(idle_workers.pop())
-                } else {
-                    // Either the delay grew past this attempt's age (re-arm
-                    // at the new deadline) or the budget / live-attempt cap
-                    // said no (this task will not be hedged).
-                    let delay = policy.hedge_delay();
-                    if age < delay {
-                        Next::Rearm(pulled_s + delay)
-                    } else {
-                        Next::Stop
-                    }
-                }
-            }
-        };
-        match next {
-            Next::Stop | Next::Wake(None) => {}
-            Next::Rearm(at) => {
-                let at = strictly_after_now(e.now(), at);
-                hedge_check_at(e, state, task, pulled_s, at, itype, cfg)
-            }
-            Next::Wake(Some(w)) => {
-                let st = state.clone();
-                e.schedule_in(SimTime::ZERO, move |e| worker_tick(e, st, w, itype, cfg));
-            }
-        }
-    });
-    reg.borrow_mut()
-        .hedge_timers
-        .entry(task_id)
-        .or_default()
-        .push(timer);
-}
-
-/// Completion step for the NIC-modeled pipeline: mirror of the tail of
-/// [`worker_tick`], reached after the chained transfer/compute events.
-#[allow(clippy::too_many_arguments)]
-fn handle_completion(
-    engine: &mut Engine,
-    state: Rc<RefCell<SimState>>,
-    worker: WorkerRef,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-    task: TaskSpec,
-    fails: bool,
-    started_at: f64,
-    task_id: u64,
-    attempt: u32,
-    parts: (f64, f64, f64, f64),
-) {
-    let end = engine.now().as_secs_f64();
-    if fails {
-        let st2 = state.clone();
-        engine.schedule_in(SimTime::from_secs_f64(cfg.visibility_timeout_s), move |e| {
-            let woken = {
-                let mut st = st2.borrow_mut();
-                st.pending.push_back(task);
-                st.idle_workers.pop()
-            };
-            if let Some(w) = woken {
-                let st3 = st2.clone();
-                e.schedule_in(SimTime::ZERO, move |e| worker_tick(e, st3, w, itype, cfg));
-            }
-        });
-        {
-            let mut st = state.borrow_mut();
-            st.deaths += 1;
-            let w = worker.index as u32;
-            let SimState {
-                running,
-                health,
-                rec,
-                ..
-            } = &mut *st;
-            if let Some(n) = running.get_mut(&task_id) {
-                *n = n.saturating_sub(1);
-            }
-            sim_note_failure(health, rec, w, end);
-            if let Some(rec) = rec {
-                let (t_in, t_exec, t_out, t_ctrl) = parts;
-                record_attempt(
-                    rec, w, task_id, attempt, started_at, end, t_in, t_exec, t_out, t_ctrl, false,
-                );
-                rec.event(TraceEvent {
-                    at_s: end,
-                    worker: w,
-                    kind: EventKind::Death,
-                });
-            }
-        }
-        worker_tick(engine, state, worker, itype, cfg);
-        return;
-    }
-    {
-        let mut st = state.borrow_mut();
-        let w = worker.index as u32;
-        let defended = cfg.resilience.is_some();
-        let SimState {
-            running,
-            health,
-            hedge,
-            done,
-            rec,
-            completed,
+impl SimState {
+    fn new(
+        cfg: &SimConfig,
+        n_tasks: usize,
+        schedule: Option<Arc<FaultSchedule>>,
+        fleet: Fleet,
+    ) -> SimState {
+        SimState {
+            fleet,
+            rec: cfg.trace.then(Recorder::new),
+            attempts: HashMap::new(),
+            pending: VecDeque::new(),
+            idle: Vec::new(),
+            in_flight: 0,
+            completed: 0,
+            executions: 0,
+            deaths: 0,
+            queue_requests: 0,
+            storage_requests: 0,
+            remote_bytes: 0,
+            bytes_in: 0,
+            bytes_out: 0,
+            seed: cfg.seed,
+            rngs: Vec::new(),
+            schedule,
+            task_seqs: Vec::new(),
+            hedge: cfg.resilience.and_then(|p| p.hedge).map(HedgePolicy::new),
+            health: cfg
+                .resilience
+                .and_then(|p| p.quarantine)
+                .map(HealthTracker::new),
+            done: HashSet::new(),
+            hedged: HashSet::new(),
+            hedge_timers: HashMap::new(),
+            running: HashMap::new(),
             n_tasks,
-            finished_at_s,
-            ..
-        } = &mut *st;
-        if let Some(n) = running.get_mut(&task_id) {
-            *n = n.saturating_sub(1);
-        }
-        let winner = !defended || done.insert(task_id);
-        if winner {
-            *completed += 1;
-            if *completed >= *n_tasks {
-                *finished_at_s = end;
-            }
-            if let Some(h) = hedge {
-                h.observe(end - started_at);
-            }
-        }
-        sim_note_success(health, rec, w, end - started_at, end);
-        if let Some(rec) = rec {
-            let (t_in, t_exec, t_out, t_ctrl) = parts;
-            record_attempt(
-                rec, w, task_id, attempt, started_at, end, t_in, t_exec, t_out, t_ctrl, true,
-            );
+            finished_at_s: 0.0,
         }
     }
-    worker_tick(engine, state, worker, itype, cfg);
-}
 
-// ------------------------------------------------------------ autoscaled
-
-/// State of the autoscaled simulation: the fixed-fleet fields plus the
-/// elastic machinery (controller, drain flags, idle parking by slot id).
-struct AsState {
-    /// Visible messages: `(task, visible_since_s)` — the timestamp feeds
-    /// the oldest-message-age telemetry.
-    pending: VecDeque<(TaskSpec, f64)>,
-    /// Parked workers with nothing to do (never contains draining slots).
-    idle: Vec<u32>,
-    /// Slots told to retire after their in-hand task.
-    drain: std::collections::HashSet<u32>,
-    /// Drained slots whose worker has exited, awaiting confirmation at the
-    /// controller's next tick.
-    retired_inbox: Vec<u32>,
-    in_flight: usize,
-    completed: usize,
-    executions: usize,
-    deaths: usize,
-    queue_requests: u64,
-    storage_requests: u64,
-    remote_bytes: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    n_tasks: usize,
-    finished_at_s: f64,
-    rec: Option<Recorder>,
-    /// Next attempt index per task id (allocated at message pull).
-    attempts: HashMap<u64, u32>,
-    /// The run seed; per-slot RNG streams derive from it lazily.
-    seed: u64,
-    /// Per-slot RNG streams (jitter, failure dice), indexed by controller
-    /// slot id and grown as the fleet scales out.
-    rngs: Vec<Pcg32>,
-    controller: Controller,
-    /// Optional event-based chaos; slots are addressed by controller id.
-    schedule: Option<Arc<FaultSchedule>>,
-    /// Per-slot count of tasks pulled so far (the chaos roll index).
-    task_seqs: Vec<u32>,
-    /// Slots killed by the schedule: their tick chains must end, and a
-    /// task in hand at death is lost to the visibility timeout.
-    dead: std::collections::HashSet<u32>,
-    /// Virtual time of the controller's last timed-kill sweep.
-    last_kill_check_s: f64,
-    /// Hedging / quarantine / first-result-wins bookkeeping — the elastic
-    /// twin of the fields on [`SimState`]; all inert on legacy runs.
-    hedge: Option<HedgePolicy>,
-    health: Option<HealthTracker>,
-    done: HashSet<u64>,
-    hedged: HashSet<u64>,
-    running: HashMap<u64, u32>,
-    /// Armed hedge-check timers per task; see [`SimState::hedge_timers`].
-    hedge_timers: HashMap<u64, Vec<EventId>>,
-}
-
-impl AsState {
     /// Claim the chaos roll index for `slot`'s next task.
     fn next_seq(&mut self, slot: u32) -> u32 {
         let i = slot as usize;
@@ -1178,66 +473,170 @@ impl AsState {
         }
         &mut self.rngs[i]
     }
+
+    /// The report both fleets share; `fleet` is `Some` on elastic runs.
+    fn report(
+        &self,
+        platform: String,
+        cores: usize,
+        makespan: f64,
+        cost: CostBreakdown,
+        fleet: Option<FleetReport>,
+    ) -> ClassicReport {
+        let trace = self.rec.as_ref().and_then(|rec| {
+            rec.set_meta(RunMeta {
+                platform: platform.clone(),
+                cores,
+                tasks: self.completed,
+                makespan_seconds: makespan,
+            });
+            rec.span(Span::job(makespan));
+            rec.snapshot()
+        });
+        ClassicReport {
+            core: RunReport {
+                summary: RunSummary {
+                    platform,
+                    cores,
+                    tasks: self.completed,
+                    makespan_seconds: makespan,
+                    redundant_executions: self.executions - self.completed,
+                    remote_bytes: self.remote_bytes,
+                },
+                failed: Vec::new(),
+                total_attempts: self.executions,
+                worker_deaths: self.deaths,
+                cost: Some(cost),
+                trace: trace.clone(),
+            },
+            queue_requests: self.queue_requests,
+            executions_per_fleet: Vec::new(),
+            timeline: trace.as_ref().map(ppc_trace::Trace::to_timeline),
+            fleet,
+            storage: MeteringSnapshot {
+                requests: self.storage_requests,
+                bytes_in: self.bytes_in,
+                bytes_out: self.bytes_out,
+                stored_bytes: self.bytes_in,
+                peak_stored_bytes: self.bytes_in,
+            },
+        }
+    }
 }
 
-/// Simulate an *elastic* Classic Cloud run: single-worker instances of
-/// `itype` launched and retired in virtual time by a `ppc-autoscale`
-/// [`Controller`] — the simulated twin of
-/// [`crate::runtime::run_job_autoscaled`], sharing its decision logic and
-/// billing exactly (both engines drive the same pure state machine, so a
-/// deterministic workload yields the same fleet-size trajectory).
-///
-/// `arrivals[i]` is the virtual second at which `tasks[i]` enters the
-/// scheduling queue; an empty slice enqueues everything at t = 0.
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `RunContext::elastic(…)` and call `ppc_classic::simulate`"
-)]
-pub fn simulate_autoscaled(
-    itype: ppc_compute::instance::InstanceType,
-    tasks: &[TaskSpec],
-    arrivals: &[f64],
-    cfg: &SimConfig,
-    autoscale: &AutoscaleConfig,
-) -> ClassicReport {
-    crate::harness::simulate(
-        &RunContext::elastic(itype, autoscale.clone(), arrivals.to_vec()),
-        tasks,
-        cfg,
-    )
+/// One simulation: the mutable state plus the config every event reads.
+struct Sim {
+    cfg: SimConfig,
+    st: RefCell<SimState>,
 }
 
-/// [`simulate_autoscaled`] under an optional event-based [`FaultSchedule`].
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `RunContext::elastic(…).with_schedule(…)` and call `ppc_classic::simulate`"
-)]
-pub fn simulate_autoscaled_chaos(
-    itype: ppc_compute::instance::InstanceType,
+/// One pulled message in a worker's hands.
+struct Attempt {
+    task: TaskSpec,
+    /// Attempt index (traced runs; 0 otherwise).
+    attempt: u32,
+    pulled_s: f64,
+    /// Modeled duration, cut at the deadline when `cancelled`.
+    duration_s: f64,
+    /// `(t_in, t_exec, t_out, t_ctrl)` for the trace spans.
+    parts: (f64, f64, f64, f64),
+    /// The attempt dies before its delete (dice, torn upload, timed kill).
+    fails: bool,
+    /// The attempt overruns its deadline and is cut there.
+    cancelled: bool,
+}
+
+/// The fixed-fleet simulation: every worker slot of every fleet polls
+/// the shared scheduling queue in virtual time — the simulated twin of
+/// [`crate::runtime::run_on_fleets_impl`] for paper-scale what-if studies
+/// ("how much does adding my local cluster to the cloud fleet help?").
+/// The client pushes every message, shuffled, at t = 0. Reached through
+/// [`crate::simulate`], which resolves the `RunContext`.
+pub(crate) fn sim_fleets_impl(
+    fleets: &[Cluster],
     tasks: &[TaskSpec],
-    arrivals: &[f64],
     cfg: &SimConfig,
-    autoscale: &AutoscaleConfig,
     schedule: Option<Arc<FaultSchedule>>,
 ) -> ClassicReport {
-    crate::harness::simulate(
-        &RunContext::elastic(itype, autoscale.clone(), arrivals.to_vec()).with_schedule(schedule),
-        tasks,
-        cfg,
+    assert!(!tasks.is_empty(), "no tasks to simulate");
+    assert!(!fleets.is_empty(), "no fleets to simulate");
+    check_sim_inputs(cfg, schedule.as_ref());
+    let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
+    // The client's shuffle and the workers' jitter/failure dice draw from
+    // independent streams of the one run seed.
+    let mut client_rng = Pcg32::for_stream(cfg.seed, CLIENT_STREAM);
+    let mut order: Vec<TaskSpec> = tasks.to_vec();
+    // The queue has no ordering guarantee; workers see a shuffled stream.
+    client_rng.shuffle(&mut order);
+
+    let last_kill = vec![0.0; total_workers];
+    let mut st = SimState::new(cfg, tasks.len(), schedule, Fleet::Fixed { last_kill });
+    st.pending = order.into_iter().map(|t| (t, 0.0)).collect();
+    st.queue_requests = tasks.len() as u64; // the client's sends
+    if let Some(rec) = &st.rec {
+        for t in tasks {
+            rec.span(Span::new(t.id.0, 0, NO_WORKER, Phase::Enqueue, 0.0, 0.0));
+        }
+    }
+    let sim = Rc::new(Sim {
+        cfg: *cfg,
+        st: RefCell::new(st),
+    });
+
+    let mut engine = Engine::new();
+    let mut index = 0;
+    for (fleet_idx, cluster) in fleets.iter().enumerate() {
+        for node in cluster.nodes() {
+            // One shared uplink per instance (serializes that node's
+            // concurrent storage transfers) when NIC modeling is on.
+            let nic = cfg
+                .nic_bandwidth_bytes_per_s
+                .map(|_| FifoServer::new(format!("nic-f{fleet_idx}-n{}", node.id), 1));
+            for _slot in 0..node.workers {
+                let sim = sim.clone();
+                let worker = WorkerRef {
+                    index,
+                    itype: cluster.itype(),
+                    per_node: node.workers,
+                    nic: nic.clone(),
+                };
+                index += 1;
+                engine.schedule_at(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
+            }
+        }
+    }
+
+    let end = engine.run();
+    let st = sim.st.borrow();
+    // On defended runs the job is over when the last unique result commits;
+    // hedged losers draining afterwards stretch the engine, not the job.
+    let makespan = if cfg.resilience.is_some() && st.finished_at_s > 0.0 {
+        st.finished_at_s
+    } else {
+        end.as_secs_f64()
+    };
+    st.report(
+        format!("classic-sim-{}", fleets[0].itype().name),
+        total_workers,
+        makespan,
+        crate::report::fleets_cost(fleets, makespan),
+        None,
     )
 }
 
-/// The elastic simulation body: single-worker instances of `itype`
-/// launched and retired in virtual time by a `ppc-autoscale`
-/// [`Controller`] — the simulated twin of
-/// [`crate::runtime::run_autoscaled_impl`], sharing its decision logic and
-/// billing exactly (both engines drive the same pure state machine, so a
-/// deterministic workload yields the same fleet-size trajectory). Tasks
-/// are delivered FIFO (no shuffle) to keep elastic runs reproducible.
-/// Under a [`FaultSchedule`], timed kills take whole instances down (the
-/// controller detects the death, records it, and launches a replacement
-/// with the scale-up cooldown waived), on top of the per-task chaos the
-/// fixed-fleet simulator models. Reached through [`crate::simulate`].
+/// The elastic simulation: single-worker instances of `itype` launched
+/// and retired in virtual time by a `ppc-autoscale` [`Controller`] — the
+/// simulated twin of [`crate::runtime::run_autoscaled_impl`], sharing its
+/// decision logic and billing exactly (both engines drive the same pure
+/// state machine, so a deterministic workload yields the same fleet-size
+/// trajectory). `arrivals[i]` is the virtual second at which `tasks[i]`
+/// enters the queue (empty: all at t = 0); delivery is FIFO (no shuffle)
+/// to keep elastic runs reproducible. Under a [`FaultSchedule`], timed
+/// kills take whole instances down (the controller detects the death,
+/// records it, and launches a replacement with the scale-up cooldown
+/// waived). Reached through [`crate::simulate`].
 pub(crate) fn sim_autoscaled_impl(
-    itype: ppc_compute::instance::InstanceType,
+    itype: InstanceType,
     tasks: &[TaskSpec],
     arrivals: &[f64],
     cfg: &SimConfig,
@@ -1252,82 +651,54 @@ pub(crate) fn sim_autoscaled_impl(
         tasks.len()
     );
     check_sim_inputs(cfg, schedule.as_ref());
-    let cfg = *cfg;
-    let state = Rc::new(RefCell::new(AsState {
-        pending: VecDeque::new(),
-        idle: Vec::new(),
-        drain: std::collections::HashSet::new(),
-        retired_inbox: Vec::new(),
-        in_flight: 0,
-        completed: 0,
-        executions: 0,
-        deaths: 0,
-        queue_requests: 0,
-        storage_requests: 0,
-        remote_bytes: 0,
-        bytes_in: 0,
-        bytes_out: 0,
-        n_tasks: tasks.len(),
-        finished_at_s: 0.0,
-        rec: cfg.trace.then(Recorder::new),
-        attempts: HashMap::new(),
-        seed: cfg.seed,
-        rngs: Vec::new(),
+    let fleet = Fleet::Elastic(Elastic {
+        itype,
         controller: Controller::new(autoscale.clone()),
-        schedule,
-        task_seqs: Vec::new(),
-        dead: std::collections::HashSet::new(),
+        drain: HashSet::new(),
+        retired_inbox: Vec::new(),
+        dead: HashSet::new(),
         last_kill_check_s: 0.0,
-        hedge: cfg.resilience.and_then(|p| p.hedge).map(HedgePolicy::new),
-        health: cfg
-            .resilience
-            .and_then(|p| p.quarantine)
-            .map(HealthTracker::new),
-        done: HashSet::new(),
-        hedged: HashSet::new(),
-        running: HashMap::new(),
-        hedge_timers: HashMap::new(),
-    }));
+    });
+    let sim = Rc::new(Sim {
+        cfg: *cfg,
+        st: RefCell::new(SimState::new(cfg, tasks.len(), schedule, fleet)),
+    });
 
     let mut engine = Engine::new();
     // Arrivals first, so that same-instant arrivals precede the worker
     // ticks of the initial fleet (events fire in insertion order).
     for (i, task) in tasks.iter().enumerate() {
-        let at = if arrivals.is_empty() {
-            0.0
-        } else {
-            arrivals[i]
-        };
-        let st = state.clone();
+        let at = arrivals.get(i).copied().unwrap_or(0.0);
+        let sim = sim.clone();
         let task = task.clone();
         engine.schedule_at(SimTime::from_secs_f64(at), move |e| {
             let now = e.now().as_secs_f64();
             {
-                let mut s = st.borrow_mut();
-                s.queue_requests += 1; // the client's send
-                if let Some(rec) = &s.rec {
+                let mut st = sim.st.borrow_mut();
+                st.queue_requests += 1; // the client's send
+                if let Some(rec) = &st.rec {
                     rec.span(Span::new(task.id.0, 0, NO_WORKER, Phase::Enqueue, now, now));
                 }
-                s.pending.push_back((task, now));
+                st.pending.push_back((task, now));
             }
-            as_wake_idle(e, st, itype, cfg);
+            wake_idle(e, &sim);
         });
     }
     for slot in 0..autoscale.min_workers {
-        let st = state.clone();
-        engine.schedule_at(SimTime::ZERO, move |e| {
-            as_worker_tick(e, st, slot, itype, cfg);
-        });
+        let sim = sim.clone();
+        let worker = WorkerRef::elastic(itype, slot);
+        engine.schedule_at(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
     }
     {
-        let st = state.clone();
+        let sim = sim.clone();
         engine.schedule_in(SimTime::from_secs_f64(autoscale.interval_s), move |e| {
-            as_controller_tick(e, st, itype, cfg);
+            controller_tick(e, sim);
         });
     }
 
     let end = engine.run();
-    let mut st = state.borrow_mut();
+    let mut guard = sim.st.borrow_mut();
+    let st = &mut *guard;
     let makespan = if st.finished_at_s > 0.0 {
         st.finished_at_s
     } else {
@@ -1335,28 +706,28 @@ pub(crate) fn sim_autoscaled_impl(
     };
 
     // Close the fleet ledger, mirroring the native runtime's finalization.
-    let last_event_s = st.controller.events().last().map(|e| e.at_s).unwrap_or(0.0);
+    let Fleet::Elastic(el) = &mut st.fleet else {
+        unreachable!("an elastic run holds an elastic fleet")
+    };
+    let last_event_s = el.controller.events().last().map_or(0.0, |e| e.at_s);
     let end_s = makespan.max(last_event_s);
-    let inbox = std::mem::take(&mut st.retired_inbox);
-    for slot in inbox {
-        st.controller.confirm_retired(slot, end_s);
+    for slot in std::mem::take(&mut el.retired_inbox) {
+        el.controller.confirm_retired(slot, end_s);
     }
-    let still_draining: Vec<u32> = st
+    let still_draining: Vec<u32> = el
         .controller
         .slots()
         .iter()
-        .filter(|s| s.state == ppc_autoscale::SlotState::Draining)
+        .filter(|s| s.state == SlotState::Draining)
         .map(|s| s.id)
         .collect();
     for slot in still_draining {
-        st.controller.confirm_retired(slot, end_s);
+        el.controller.confirm_retired(slot, end_s);
     }
     let fleet =
-        crate::runtime::fleet_report(&st.controller, itype, autoscale.billing_hour_s, end_s);
-
-    let platform = format!("classic-sim-autoscale-{}", itype.name);
-    let trace = st.rec.as_ref().and_then(|rec| {
-        for ev in st.controller.events() {
+        crate::runtime::fleet_report(&el.controller, itype, autoscale.billing_hour_s, end_s);
+    if let Some(rec) = &st.rec {
+        for ev in el.controller.events() {
             rec.event(TraceEvent {
                 at_s: ev.at_s,
                 worker: ev.slot,
@@ -1368,135 +739,110 @@ pub(crate) fn sim_autoscaled_impl(
                 },
             });
         }
-        rec.set_meta(RunMeta {
-            platform: platform.clone(),
-            cores: fleet.peak_fleet() as usize,
-            tasks: st.completed,
-            makespan_seconds: makespan,
-        });
-        rec.span(Span::job(makespan));
-        rec.snapshot()
-    });
+    }
+    st.report(
+        format!("classic-sim-autoscale-{}", itype.name),
+        fleet.peak_fleet() as usize,
+        makespan,
+        fleet.cost,
+        Some(fleet),
+    )
+}
 
-    ClassicReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform,
-                cores: fleet.peak_fleet() as usize,
-                tasks: st.completed,
-                makespan_seconds: makespan,
-                redundant_executions: st.executions - st.completed,
-                remote_bytes: st.remote_bytes,
-            },
-            failed: Vec::new(),
-            total_attempts: st.executions,
-            worker_deaths: st.deaths,
-            cost: Some(fleet.cost),
-            trace: trace.clone(),
-        },
-        queue_requests: st.queue_requests,
-        executions_per_fleet: Vec::new(),
-        timeline: trace.as_ref().map(ppc_trace::Trace::to_timeline),
-        fleet: Some(fleet),
-        storage: MeteringSnapshot {
-            requests: st.storage_requests,
-            bytes_in: st.bytes_in,
-            bytes_out: st.bytes_out,
-            stored_bytes: st.bytes_in,
-            peak_stored_bytes: st.bytes_in,
-        },
+/// `at_s`, unless it rounds onto or before `now`, in which case the next
+/// microsecond tick. `SimTime` quantizes to whole microseconds, so a wake
+/// or re-check aimed within half a tick of `now` would land back on this
+/// same instant, where the f64 guard that sent it (`now_s >= until_s`,
+/// `age >= delay`) is still false: the event would re-fire forever
+/// without advancing the clock.
+fn strictly_after_now(now: SimTime, at_s: f64) -> f64 {
+    if SimTime::from_secs_f64(at_s) <= now {
+        SimTime(now.as_micros() + 1).as_secs_f64()
+    } else {
+        at_s
     }
 }
 
 /// Wake one parked worker, if any (one message, one worker).
-fn as_wake_idle(
-    engine: &mut Engine,
-    state: Rc<RefCell<AsState>>,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-) {
-    let woken = state.borrow_mut().idle.pop();
-    if let Some(slot) = woken {
-        let st = state.clone();
-        engine.schedule_in(SimTime::ZERO, move |e| {
-            as_worker_tick(e, st, slot, itype, cfg);
-        });
+fn wake_idle(engine: &mut Engine, sim: &Rc<Sim>) {
+    let woken = sim.st.borrow_mut().idle.pop();
+    if let Some(worker) = woken {
+        let sim = sim.clone();
+        engine.schedule_in(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
     }
 }
 
-/// One autoscaled worker iteration: retire if draining, else pull the next
-/// task and model the receive → transfer → execute → report → delete
-/// pipeline (one worker per instance, so no slot contention).
-fn as_worker_tick(
-    engine: &mut Engine,
-    state: Rc<RefCell<AsState>>,
-    slot: u32,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-) {
+/// Make a lost message visible again at `at`, waking a parked worker.
+fn reappear_at(engine: &mut Engine, sim: &Rc<Sim>, task: TaskSpec, at: SimTime) {
+    let sim = sim.clone();
+    engine.schedule_at(at, move |e| {
+        let now = e.now().as_secs_f64();
+        sim.st.borrow_mut().pending.push_back((task, now));
+        wake_idle(e, &sim);
+    });
+}
+
+/// One worker iteration, on either fleet: pass the pre-pull gate and the
+/// quarantine gate, pull the next message (or park), model the receive →
+/// download → execute → upload → report → delete pipeline, and schedule
+/// the attempt's end ([`finish_attempt`]).
+fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
+    let cfg = sim.cfg;
+    let w = worker.index;
     let now_s = engine.now().as_secs_f64();
-    // Quarantine gate (mirrors the fixed-fleet sim): a benched slot pulls
-    // nothing until its sentence expires. Dead, draining, or post-job slots
-    // skip the gate — the main block below retires them.
+    // Quarantine gate: a benched worker pulls nothing until its sentence
+    // expires, then re-enters through probation.
     let benched_until = {
-        let mut st = state.borrow_mut();
-        if st.completed >= st.n_tasks || st.dead.contains(&slot) || st.drain.contains(&slot) {
-            None
-        } else {
-            let AsState { health, rec, .. } = &mut *st;
-            health.as_mut().and_then(|tracker| {
-                let benched_before = matches!(tracker.health(slot), Health::Quarantined { .. });
-                if tracker.allow(slot, now_s) {
-                    if benched_before {
-                        if let Some(rec) = rec {
-                            rec.event(TraceEvent {
-                                at_s: now_s,
-                                worker: slot,
-                                kind: EventKind::Release,
-                            });
-                        }
-                    }
-                    None
-                } else {
-                    match tracker.health(slot) {
-                        Health::Quarantined { until_s } => Some(until_s),
-                        _ => None,
+        let mut st = sim.st.borrow_mut();
+        let job_done = st.completed >= st.n_tasks;
+        if !st.fleet.may_pull(w, job_done) {
+            return;
+        }
+        let SimState { health, rec, .. } = &mut *st;
+        health.as_mut().and_then(|tracker| {
+            let benched_before = matches!(tracker.health(w), Health::Quarantined { .. });
+            if tracker.allow(w, now_s) {
+                if benched_before {
+                    if let Some(rec) = rec {
+                        rec.event(TraceEvent {
+                            at_s: now_s,
+                            worker: w,
+                            kind: EventKind::Release,
+                        });
                     }
                 }
-            })
-        }
+                None
+            } else {
+                match tracker.health(w) {
+                    Health::Quarantined { until_s } => Some(until_s),
+                    _ => None,
+                }
+            }
+        })
     };
     if let Some(until_s) = benched_until {
-        let st = state.clone();
         let wake = strictly_after_now(engine.now(), until_s);
         engine.schedule_at(SimTime::from_secs_f64(wake), move |e| {
-            as_worker_tick(e, st, slot, itype, cfg);
+            worker_tick(e, sim, worker)
         });
         return;
     }
-    let (task, parts, fails, received_at, attempt) = {
-        let mut st = state.borrow_mut();
-        if st.completed >= st.n_tasks {
-            return; // job done; the fleet winds down
-        }
-        if st.dead.contains(&slot) {
-            return; // the instance was chaos-killed: its chain ends
-        }
-        if st.drain.contains(&slot) {
-            // Between tasks the worker holds no lease: exit immediately.
-            st.retired_inbox.push(slot);
-            return;
-        }
+
+    // Pull the next message and model the full pipeline duration for it.
+    let a = {
+        let mut st = sim.st.borrow_mut();
         st.queue_requests += 1; // the receive call
-                                // First result wins on defended runs: stale duplicates are deleted.
-        let (task, _since) = loop {
+                                // First result wins on defended runs: a duplicate of a task whose
+                                // result already committed is simply deleted.
+        let task = loop {
             match st.pending.pop_front() {
                 Some((t, _)) if st.done.contains(&t.id.0) => {
                     st.queue_requests += 1; // the stale duplicate's delete
                 }
-                Some(pair) => break pair,
+                Some((t, _)) => break t,
                 None => {
-                    st.idle.push(slot);
+                    // Nothing visible: park; a redelivery event will wake us.
+                    st.idle.push(worker);
                     return;
                 }
             }
@@ -1506,36 +852,65 @@ fn as_worker_tick(
         st.bytes_in += task.profile.output_bytes;
         st.bytes_out += task.profile.input_bytes;
         st.remote_bytes += task.profile.input_bytes + task.profile.output_bytes;
+        st.in_flight += 1;
+
         let mut t_in = cfg
             .storage_latency
             .transfer_seconds(task.profile.input_bytes);
         let t_out = cfg
             .storage_latency
             .transfer_seconds(task.profile.output_bytes);
+        let t_exec_base =
+            task_service_seconds(&worker.itype, worker.per_node, &task.profile, &cfg.app);
         let jitter = if cfg.jitter_sigma > 0.0 {
-            st.rng(slot).log_normal(0.0, cfg.jitter_sigma)
+            st.rng(w).log_normal(0.0, cfg.jitter_sigma)
         } else {
             1.0
         };
-        let mut t_exec = task_service_seconds(&itype, 1, &task.profile, &cfg.app) * jitter;
+        let mut t_exec = t_exec_base * jitter;
+        // receive + monitor-send + delete round trips.
         let t_ctrl = 3.0 * cfg.queue_latency.request_seconds();
         st.queue_requests += 2; // monitor send + delete
-        st.in_flight += 1;
-        let mut fails = cfg.failure_rate > 0.0 && st.rng(slot).chance(cfg.failure_rate);
+        let mut fails = cfg.failure_rate > 0.0 && st.rng(w).chance(cfg.failure_rate);
         if let Some(schedule) = st.schedule.clone() {
-            let seq = st.next_seq(slot);
-            t_exec *= schedule.slowdown(slot, now_s);
+            let seq = st.next_seq(w);
+            // Gray failure: a degraded worker computes slower.
+            t_exec *= schedule.slowdown(w, now_s);
+            // Storage outage: the fetch's retries ride the window out, so
+            // the download stalls until the outage closes.
             if let Some(until) = schedule.storage_outage_until(now_s) {
                 t_in += until - now_s;
             }
-            // Timed kills are the controller's concern (whole-instance
-            // death); per-task dice and torn uploads cost the execution.
+            // Deaths: a pipeline-point die roll, a torn upload, or a timed
+            // kill landing inside this task's service window all cost this
+            // execution — the message reappears after the visibility
+            // timeout, matching the native engine's recovery story.
+            let window_end = now_s + t_in + t_exec + t_out + t_ctrl;
+            let killed = st.fleet.killed_before(&schedule, w, window_end);
             fails = fails
-                || schedule.die_before_execute(slot, seq)
-                || schedule.die_mid_execute(slot, seq)
-                || schedule.die_before_delete(slot, seq)
-                || schedule.is_torn_upload(slot, seq);
+                || killed
+                || schedule.die_before_execute(w, seq)
+                || schedule.die_mid_execute(w, seq)
+                || schedule.die_before_delete(w, seq)
+                || schedule.is_torn_upload(w, seq);
         }
+        let mut duration_s = t_in + t_exec + t_out + t_ctrl;
+        // Per-task deadline: an attempt that would outlive the timeout is
+        // cut there and the message re-sent immediately (cancel-and-requeue).
+        let cancelled = match cfg.resilience.and_then(|p| p.deadline) {
+            Some(d) if duration_s > d.timeout_s => {
+                duration_s = d.timeout_s;
+                true
+            }
+            _ => false,
+        };
+        let parts = if cancelled {
+            (t_in.min(duration_s), 0.0, 0.0, 0.0)
+        } else {
+            (t_in, t_exec, t_out, t_ctrl)
+        };
+        // Claim the attempt index at pull time: pulls are ordered in virtual
+        // time, so redeliveries get strictly increasing attempt numbers.
         let attempt = if cfg.trace {
             let a = st.attempts.entry(task.id.0).or_insert(0);
             let n = *a;
@@ -1544,199 +919,227 @@ fn as_worker_tick(
         } else {
             0
         };
-        (task, (t_in, t_exec, t_out, t_ctrl), fails, now_s, attempt)
+        if cfg.resilience.is_some() {
+            *st.running.entry(task.id.0).or_insert(0) += 1;
+        }
+        Attempt {
+            task,
+            attempt,
+            pulled_s: now_s,
+            duration_s,
+            parts,
+            fails,
+            cancelled,
+        }
     };
-    let duration_s = {
-        let (t_in, t_exec, t_out, t_ctrl) = parts;
-        t_in + t_exec + t_out + t_ctrl
-    };
-    // Per-task deadline: cut the attempt at the timeout and requeue at once.
-    let deadline = cfg.resilience.and_then(|p| p.deadline);
-    let (duration_s, cancelled) = match deadline {
-        Some(d) if duration_s > d.timeout_s => (d.timeout_s, true),
-        _ => (duration_s, false),
-    };
-    let parts = if cancelled {
-        (parts.0.min(duration_s), 0.0, 0.0, 0.0)
-    } else {
-        parts
-    };
-    let defended = cfg.resilience.is_some();
-    if defended {
-        let mut st = state.borrow_mut();
-        *st.running.entry(task.id.0).or_insert(0) += 1;
+
+    // NIC contention: route the two transfers through the node's shared
+    // uplink — concurrent transfers on one instance serialize. Download
+    // (storage latency + NIC occupancy) -> compute -> upload (NIC
+    // occupancy) -> control -> end.
+    if let (Some(nic), Some(bw)) = (worker.nic.clone(), cfg.nic_bandwidth_bytes_per_s) {
+        let (t_in, t_exec, t_out, t_ctrl) = a.parts;
+        let t_nic_in = SimTime::from_secs_f64(a.task.profile.input_bytes as f64 / bw);
+        let t_nic_out = SimTime::from_secs_f64(a.task.profile.output_bytes as f64 / bw);
+        nic.clone().submit(engine, t_nic_in, move |e| {
+            e.schedule_in(SimTime::from_secs_f64(t_in + t_exec), move |e| {
+                nic.submit(e, t_nic_out, move |e| {
+                    e.schedule_in(SimTime::from_secs_f64(t_out + t_ctrl), move |e| {
+                        finish_attempt(e, sim, worker, a)
+                    });
+                });
+            });
+        });
+        return;
     }
+
     // Hedge check: arm a timer one hedge delay past this pull; if the task
     // is still live when it fires, a duplicate message is enqueued.
-    if !cancelled && cfg.resilience.is_some_and(|p| p.hedge.is_some()) {
-        let delay = state
+    if !a.cancelled && cfg.resilience.is_some_and(|p| p.hedge.is_some()) {
+        let delay = sim
+            .st
             .borrow()
             .hedge
             .as_ref()
-            .map(|h| h.hedge_delay())
-            .unwrap_or(0.0);
-        as_hedge_check_at(
-            engine,
-            state.clone(),
-            task.clone(),
-            now_s,
-            now_s + delay,
-            itype,
-            cfg,
-        );
+            .map_or(0.0, |h| h.hedge_delay());
+        hedge_check_at(engine, &sim, a.task.clone(), now_s, now_s + delay);
     }
-
-    let st2 = state.clone();
-    engine.schedule_in(SimTime::from_secs_f64(duration_s), move |e| {
-        let now = e.now().as_secs_f64();
-        // An instance chaos-killed while this task was in hand loses the
-        // work: the execution never completes and the message reappears.
-        let slot_died = st2.borrow().dead.contains(&slot);
-        let lost = fails || slot_died;
-        let cancel = cancelled && !slot_died;
-        let mut dead_timers = None;
-        {
-            let mut st = st2.borrow_mut();
-            st.in_flight -= 1;
-            let AsState {
-                running,
-                health,
-                hedge,
-                done,
-                rec,
-                completed,
-                n_tasks,
-                finished_at_s,
-                deaths,
-                hedge_timers,
-                ..
-            } = &mut *st;
-            if let Some(n) = running.get_mut(&task.id.0) {
-                *n = n.saturating_sub(1);
-            }
-            if cancel {
-                sim_note_failure(health, rec, slot, now);
-            } else if lost {
-                *deaths += 1;
-                if !slot_died {
-                    sim_note_failure(health, rec, slot, now);
-                }
-            } else {
-                // First result wins: a hedged loser's output is discarded.
-                let winner = !defended || done.insert(task.id.0);
-                if winner {
-                    *completed += 1;
-                    if *completed >= *n_tasks {
-                        *finished_at_s = now;
-                    }
-                    if let Some(h) = hedge {
-                        h.observe(duration_s);
-                    }
-                    // Armed hedge checks for a committed task are dead
-                    // no-ops; collect them here, cancel outside the borrow.
-                    dead_timers = hedge_timers.remove(&task.id.0);
-                }
-                sim_note_success(health, rec, slot, duration_s, now);
-            }
-            if let Some(rec) = rec {
-                let (t_in, t_exec, t_out, t_ctrl) = parts;
-                record_attempt(
-                    rec,
-                    slot,
-                    task.id.0,
-                    attempt,
-                    received_at,
-                    now,
-                    t_in,
-                    t_exec,
-                    t_out,
-                    t_ctrl,
-                    !lost && !cancel,
-                );
-                // Whole-instance deaths are the controller's events; only
-                // per-task dice deaths are recorded here.
-                if fails && !slot_died && !cancel {
-                    rec.event(TraceEvent {
-                        at_s: now,
-                        worker: slot,
-                        kind: EventKind::Death,
-                    });
-                }
-                if cancel {
-                    rec.event(TraceEvent {
-                        at_s: now,
-                        worker: slot,
-                        kind: EventKind::Cancel,
-                    });
-                }
-            }
-        }
-        for id in dead_timers.into_iter().flatten() {
-            e.cancel(id);
-        }
-        if cancel {
-            // Cancel-and-requeue: the worker deleted its lease and re-sent
-            // the message, so the retry is visible immediately.
-            if !st2.borrow().done.contains(&task.id.0) {
-                {
-                    let mut st = st2.borrow_mut();
-                    st.queue_requests += 1; // the cancel's re-send
-                    st.pending.push_back((task, now));
-                }
-                as_wake_idle(e, st2.clone(), itype, cfg);
-            }
-        } else if lost {
-            // The undeleted message reappears one visibility timeout after
-            // its receive, waking a parked worker if one exists.
-            let reappear_at = (received_at + cfg.visibility_timeout_s).max(now);
-            let st3 = st2.clone();
-            e.schedule_at(SimTime::from_secs_f64(reappear_at), move |e| {
-                let at = e.now().as_secs_f64();
-                st3.borrow_mut().pending.push_back((task, at));
-                as_wake_idle(e, st3, itype, cfg);
-            });
-        }
-        if slot_died {
-            return; // dead instances do not poll again
-        }
-        if cancel {
-            // Re-poll after the wake above so a woken healthy instance
-            // claims the requeued message ahead of this (possibly gray)
-            // one — a direct call would livelock a lone gray slot on its
-            // own cancelled task.
-            e.schedule_in(SimTime::ZERO, move |e| {
-                as_worker_tick(e, st2, slot, itype, cfg)
-            });
-        } else {
-            as_worker_tick(e, st2, slot, itype, cfg);
-        }
+    // A fixed fleet's lost message reappears one visibility timeout after
+    // its pull, so its redelivery is scheduled now, ahead of the death.
+    if a.fails && !a.cancelled && matches!(sim.st.borrow().fleet, Fleet::Fixed { .. }) {
+        let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
+        reappear_at(engine, &sim, a.task.clone(), at);
+    }
+    engine.schedule_in(SimTime::from_secs_f64(a.duration_s), move |e| {
+        finish_attempt(e, sim, worker, a)
     });
 }
 
-/// The elastic twin of [`hedge_check_at`]: re-enqueue a duplicate message
-/// for a task still live past the hedge delay, waking a parked instance.
-fn as_hedge_check_at(
-    engine: &mut Engine,
-    state: Rc<RefCell<AsState>>,
-    task: TaskSpec,
-    pulled_s: f64,
-    at_s: f64,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-) {
+/// The end of an attempt, on either fleet: a commit (first result wins),
+/// a death (dice, torn upload, timed kill, or — on an elastic fleet — the
+/// whole instance), or a deadline cancel that re-sends the message at
+/// once. Scores the worker's health, records the attempt's spans, and
+/// polls again unless the instance died.
+fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attempt) {
+    let cfg = sim.cfg;
+    let now = engine.now().as_secs_f64();
+    let w = worker.index;
+    let id = a.task.id.0;
+    let nic = worker.nic.is_some();
+    let (slot_died, fixed) = {
+        let st = sim.st.borrow();
+        (
+            st.fleet.instance_died(w),
+            matches!(st.fleet, Fleet::Fixed { .. }),
+        )
+    };
+    let lost = a.fails || slot_died;
+    let cancel = a.cancelled && !slot_died;
+    // The NIC path measures its latency end to end (it includes queueing
+    // on the shared link); otherwise it is the modeled duration.
+    let latency_s = if nic { now - a.pulled_s } else { a.duration_s };
+    let dead_timers = {
+        let mut st = sim.st.borrow_mut();
+        st.in_flight -= 1;
+        let SimState {
+            running,
+            health,
+            hedge,
+            done,
+            rec,
+            completed,
+            n_tasks,
+            finished_at_s,
+            deaths,
+            hedge_timers,
+            ..
+        } = &mut *st;
+        if let Some(n) = running.get_mut(&id) {
+            *n = n.saturating_sub(1);
+        }
+        let mut dead_timers = None;
+        if cancel {
+            note_health(health, rec, w, None, now);
+        } else if lost {
+            *deaths += 1;
+            if !slot_died {
+                note_health(health, rec, w, None, now);
+            }
+        } else {
+            // First result wins: a hedged loser's output is discarded (its
+            // time shows up as wasted duplicate work in the trace).
+            let winner = cfg.resilience.is_none() || done.insert(id);
+            if winner {
+                *completed += 1;
+                if *completed >= *n_tasks {
+                    *finished_at_s = now;
+                }
+                if let Some(h) = hedge {
+                    h.observe(latency_s);
+                }
+                // The committed result makes every armed hedge check for
+                // this task a dead no-op; cancel them once unborrowed.
+                dead_timers = hedge_timers.remove(&id);
+            }
+            note_health(health, rec, w, Some(latency_s), now);
+        }
+        if let Some(rec) = rec {
+            // A fixed fleet stamps a lost or cancelled attempt back from
+            // its end by the modeled duration.
+            let start_s = if fixed && !nic && (lost || cancel) {
+                now - a.duration_s
+            } else {
+                a.pulled_s
+            };
+            let (t_in, t_exec, t_out, t_ctrl) = a.parts;
+            let ok = !lost && !cancel;
+            record_attempt(
+                rec, w, id, a.attempt, start_s, now, t_in, t_exec, t_out, t_ctrl, ok,
+            );
+            // Whole-instance deaths are the controller's events; only
+            // per-task deaths are recorded here.
+            if a.fails && !slot_died && !cancel {
+                rec.event(TraceEvent {
+                    at_s: now,
+                    worker: w,
+                    kind: EventKind::Death,
+                });
+            }
+            if cancel {
+                rec.event(TraceEvent {
+                    at_s: now,
+                    worker: w,
+                    kind: EventKind::Cancel,
+                });
+            }
+        }
+        dead_timers
+    };
+    for timer in dead_timers.into_iter().flatten() {
+        engine.cancel(timer);
+    }
+    if cancel {
+        // Cancel-and-requeue: the worker deleted its lease and re-sent the
+        // message, so the retry is visible immediately.
+        let requeued = {
+            let mut st = sim.st.borrow_mut();
+            let requeue = !st.done.contains(&id);
+            if requeue {
+                st.queue_requests += 1; // the cancel's re-send
+                st.pending.push_back((a.task, now));
+            }
+            requeue
+        };
+        if requeued {
+            wake_idle(engine, &sim);
+        }
+        // Re-poll as an event *after* the wake above, so a woken healthy
+        // worker claims the requeued message ahead of this (possibly gray)
+        // worker — a direct call here would livelock a lone gray worker on
+        // its own cancelled task.
+        engine.schedule_in(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
+        return;
+    }
+    if lost {
+        // The undeleted message reappears one visibility timeout after its
+        // receive. A fixed fleet already scheduled that at the pull, except
+        // on the NIC path, whose timeout runs from the attempt's end; an
+        // elastic fleet's message reappears no earlier than now.
+        let vt = cfg.visibility_timeout_s;
+        if !fixed {
+            let at = SimTime::from_secs_f64((a.pulled_s + vt).max(now));
+            reappear_at(engine, &sim, a.task, at);
+        } else if nic {
+            let at = engine.now() + SimTime::from_secs_f64(vt);
+            reappear_at(engine, &sim, a.task, at);
+        }
+    }
+    if !slot_died {
+        // The worker (or a dead worker's replacement) polls again at once.
+        worker_tick(engine, sim, worker);
+    }
+}
+
+/// Arm (and, on firing, apply) the hedge check for one pulled attempt: if
+/// the task is still live past the policy's delay, a duplicate message is
+/// enqueued — the Classic Cloud hedge is a queue re-dispatch, since the
+/// queue has no worker affinity and any idle worker picks the copy up.
+/// Re-arms itself while the quantile-derived delay grows past the
+/// attempt's age.
+fn hedge_check_at(engine: &mut Engine, sim: &Rc<Sim>, task: TaskSpec, pulled_s: f64, at_s: f64) {
     let task_id = task.id.0;
-    let reg = state.clone();
+    let sim2 = sim.clone();
     let timer = engine.schedule_at(SimTime::from_secs_f64(at_s.max(pulled_s)), move |e| {
         enum Next {
             Stop,
             Rearm(f64),
             Wake,
         }
+        let sim = sim2;
         let now = e.now().as_secs_f64();
         let next = {
-            let mut st = state.borrow_mut();
-            let id = task.id.0;
-            let AsState {
+            let mut st = sim.st.borrow_mut();
+            let SimState {
                 hedge,
                 hedged,
                 done,
@@ -1747,15 +1150,15 @@ fn as_hedge_check_at(
                 n_tasks,
                 ..
             } = &mut *st;
-            let live = running.get(&id).copied().unwrap_or(0);
+            let live = running.get(&task_id).copied().unwrap_or(0);
             let policy = hedge.as_mut().expect("hedge check armed without a policy");
-            if done.contains(&id) || hedged.contains(&id) || live == 0 {
+            if done.contains(&task_id) || hedged.contains(&task_id) || live == 0 {
                 Next::Stop
             } else {
                 let age = now - pulled_s;
                 if policy.should_hedge(age, live, *n_tasks) {
                     policy.record_hedge();
-                    hedged.insert(id);
+                    hedged.insert(task_id);
                     *queue_requests += 1; // the duplicate's send
                     pending.push_back((task.clone(), now));
                     if let Some(rec) = rec {
@@ -1783,41 +1186,50 @@ fn as_hedge_check_at(
             Next::Stop => {}
             Next::Rearm(at) => {
                 let at = strictly_after_now(e.now(), at);
-                as_hedge_check_at(e, state, task, pulled_s, at, itype, cfg)
+                hedge_check_at(e, &sim, task, pulled_s, at)
             }
-            Next::Wake => as_wake_idle(e, state, itype, cfg),
+            Next::Wake => wake_idle(e, &sim),
         }
     });
-    reg.borrow_mut()
+    sim.st
+        .borrow_mut()
         .hedge_timers
         .entry(task_id)
         .or_default()
         .push(timer);
 }
 
-/// One controller evaluation in virtual time: confirm retirements, take a
-/// telemetry snapshot, apply the decision, and reschedule — until the job
-/// completes, after which the tick chain ends and the engine drains.
-fn as_controller_tick(
-    engine: &mut Engine,
-    state: Rc<RefCell<AsState>>,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: SimConfig,
-) {
+/// One controller evaluation in virtual time: confirm retirements, sweep
+/// for timed kills, take a telemetry snapshot, apply the decision, and
+/// reschedule — until the job completes, after which the tick chain ends
+/// and the engine drains.
+fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
     let now_s = engine.now().as_secs_f64();
     let (launches, warmup_s, interval_s) = {
-        let mut st = state.borrow_mut();
-        let inbox = std::mem::take(&mut st.retired_inbox);
-        for slot in inbox {
-            st.controller.confirm_retired(slot, now_s);
+        let mut guard = sim.st.borrow_mut();
+        let SimState {
+            fleet,
+            idle,
+            schedule,
+            pending,
+            in_flight,
+            completed,
+            n_tasks,
+            ..
+        } = &mut *guard;
+        let Fleet::Elastic(el) = fleet else {
+            unreachable!("only elastic fleets have a controller")
+        };
+        for slot in std::mem::take(&mut el.retired_inbox) {
+            el.controller.confirm_retired(slot, now_s);
         }
         // Dead-instance sweep: a timed kill addressed to a live slot takes
         // the whole instance down. `mark_dead` records the death and
         // waives the scale-up cooldown so `decide` below can launch a
         // replacement on this very tick.
-        if let Some(schedule) = st.schedule.clone() {
-            let from_s = st.last_kill_check_s;
-            let victims: Vec<u32> = st
+        if let Some(schedule) = schedule {
+            let from_s = el.last_kill_check_s;
+            let victims: Vec<u32> = el
                 .controller
                 .slots()
                 .iter()
@@ -1826,63 +1238,65 @@ fn as_controller_tick(
                 .map(|s| s.id)
                 .collect();
             for id in victims {
-                st.controller.mark_dead(id, now_s);
-                st.dead.insert(id);
-                if let Some(pos) = st.idle.iter().position(|&w| w == id) {
-                    st.idle.remove(pos);
+                el.controller.mark_dead(id, now_s);
+                el.dead.insert(id);
+                if let Some(pos) = idle.iter().position(|w| w.index == id) {
+                    idle.remove(pos);
                 }
             }
         }
-        st.last_kill_check_s = now_s;
-        if st.completed >= st.n_tasks {
+        el.last_kill_check_s = now_s;
+        if *completed >= *n_tasks {
             return; // no more ticks: let the engine run dry
         }
-        let oldest_age_s = st
-            .pending
+        let oldest_age_s = pending
             .iter()
             .map(|(_, since)| (now_s - since).max(0.0))
             .fold(None, |acc: Option<f64>, age| {
                 Some(acc.map_or(age, |m: f64| m.max(age)))
             });
         let telemetry = Telemetry {
-            queued: st.pending.len(),
-            in_flight: st.in_flight,
+            queued: pending.len(),
+            in_flight: *in_flight,
             oldest_age_s,
         };
-        let launches = match st.controller.decide(now_s, &telemetry) {
+        let launches = match el.controller.decide(now_s, &telemetry) {
             Decision::Launch { ids } => ids,
             Decision::Drain { ids } => {
                 for id in ids {
-                    st.drain.insert(id);
-                    if let Some(pos) = st.idle.iter().position(|&w| w == id) {
+                    el.drain.insert(id);
+                    if let Some(pos) = idle.iter().position(|w| w.index == id) {
                         // An idle victim holds no lease: retire right now.
-                        st.idle.remove(pos);
-                        st.controller.confirm_retired(id, now_s);
+                        idle.remove(pos);
+                        el.controller.confirm_retired(id, now_s);
                     }
                 }
                 Vec::new()
             }
             Decision::Hold => Vec::new(),
         };
-        let acfg = st.controller.config();
+        let acfg = el.controller.config();
+        let launches: Vec<WorkerRef> = launches
+            .into_iter()
+            .map(|id| WorkerRef::elastic(el.itype, id))
+            .collect();
         (launches, acfg.warmup_s, acfg.interval_s)
     };
-    for slot in launches {
-        let st = state.clone();
+    for worker in launches {
+        let sim = sim.clone();
         engine.schedule_in(SimTime::from_secs_f64(warmup_s), move |e| {
-            as_worker_tick(e, st, slot, itype, cfg);
+            worker_tick(e, sim, worker)
         });
     }
-    let st = state.clone();
     engine.schedule_in(SimTime::from_secs_f64(interval_s), move |e| {
-        as_controller_tick(e, st, itype, cfg);
+        controller_tick(e, sim)
     });
 }
 
 /// Equation 1's sequential baseline on this instance type: all tasks back to
 /// back on one otherwise-idle core, inputs local (no transfer terms).
 pub fn sequential_baseline_seconds(
-    itype: &ppc_compute::instance::InstanceType,
+    itype: &InstanceType,
     tasks: &[TaskSpec],
     app: &AppModel,
 ) -> f64 {
@@ -1897,6 +1311,7 @@ mod tests {
     use super::*;
     use ppc_compute::instance::{EC2_HCXL, EC2_HM4XL, EC2_LARGE};
     use ppc_core::task::ResourceProfile;
+    use ppc_exec::RunContext;
 
     fn cpu_tasks(n: u64, secs: f64) -> Vec<TaskSpec> {
         (0..n)
@@ -1904,9 +1319,9 @@ mod tests {
             .collect()
     }
 
-    // Every simulation below goes through the unified harness entry point
-    // (`crate::simulate` + a `RunContext`); these helpers shadow the
-    // deprecated legacy shims and spell out the context each shape needs.
+    // Every simulation below goes through the harness entry point
+    // (`crate::simulate` + a `RunContext`); these helpers spell out the
+    // context each shape needs.
     fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &SimConfig) -> ClassicReport {
         crate::simulate(&RunContext::new(cluster), tasks, cfg)
     }
