@@ -16,6 +16,7 @@ use ppc_core::report::{Figure, Series};
 use ppc_dryad::{simulate as dryad_sim, DryadSimConfig};
 use ppc_exec::RunContext;
 use ppc_mapreduce::{simulate as hadoop_sim, HadoopSimConfig};
+use ppc_resilience::ResiliencePolicy;
 use ppc_storage::latency::LatencyModel;
 use std::sync::Arc;
 
@@ -286,7 +287,6 @@ pub fn ablate_nic_contention() -> Figure {
 /// Speculative execution on/off under a straggler-prone cluster — the
 /// mechanism the paper credits Hadoop and Dryad with ("duplicate execution
 /// of slower executing tasks"), isolated.
-#[allow(deprecated)] // deliberately ablates the legacy `speculative` knob
 pub fn ablate_speculation() -> Figure {
     let mut fig = Figure::new(
         "Ablation: speculative execution vs straggler probability",
@@ -309,7 +309,7 @@ pub fn ablate_speculation() -> Figure {
             &RunContext::new(&cluster),
             &tasks,
             &HadoopSimConfig {
-                speculative: true,
+                resilience: None,
                 ..base
             },
         );
@@ -317,7 +317,7 @@ pub fn ablate_speculation() -> Figure {
             &RunContext::new(&cluster),
             &tasks,
             &HadoopSimConfig {
-                speculative: false,
+                resilience: Some(ResiliencePolicy::default()),
                 ..base
             },
         );
@@ -587,7 +587,7 @@ pub fn sustained_variation() -> Figure {
 /// and wasted-work fraction, hedged vs unhedged, for all three paradigms.
 pub fn resilience_bench() -> (Figure, Json) {
     use ppc_core::task::{ResourceProfile, TaskSpec};
-    use ppc_resilience::{HedgeConfig, ResiliencePolicy};
+    use ppc_resilience::HedgeConfig;
     use ppc_trace::{Trace, JOB_TASK};
     use std::collections::HashMap;
 

@@ -20,7 +20,7 @@ use ppc_core::retry::{CircuitBreaker, RetryPolicy};
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::{RunContext, RunReport};
+use ppc_exec::RunReport;
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
 use ppc_resilience::{DeadlineConfig, Health, HealthTracker, HedgePolicy, ResiliencePolicy};
@@ -401,48 +401,6 @@ struct Shared {
     per_fleet: Mutex<Vec<usize>>,
 }
 
-/// Execute a job on the given (native) cluster and services.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_classic::run`")]
-pub fn run_job(
-    storage: &Arc<StorageService>,
-    queues: &Arc<QueueService>,
-    cluster: &Cluster,
-    job: &JobSpec,
-    executor: Arc<dyn Executor>,
-    config: &ClassicConfig,
-) -> Result<ClassicReport> {
-    crate::harness::run(
-        &RunContext::new(cluster),
-        storage,
-        queues,
-        job,
-        executor,
-        config,
-    )
-}
-
-/// Execute a job with workers drawn from *several* fleets sharing a queue.
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `RunContext::on_fleets(…)` and call `ppc_classic::run`"
-)]
-pub fn run_job_on_fleets(
-    storage: &Arc<StorageService>,
-    queues: &Arc<QueueService>,
-    fleets: &[Cluster],
-    job: &JobSpec,
-    executor: Arc<dyn Executor>,
-    config: &ClassicConfig,
-) -> Result<ClassicReport> {
-    crate::harness::run(
-        &RunContext::on_fleets(fleets.to_vec()),
-        storage,
-        queues,
-        job,
-        executor,
-        config,
-    )
-}
-
 /// The fixed-fleet native body: workers drawn from one or more fleets all
 /// polling the same scheduling queue — several fleets is the paper's
 /// §2.1.3 extension: "One interesting feature of the Classic Cloud
@@ -450,7 +408,7 @@ pub fn run_job_on_fleets(
 /// clusters side by side with the clouds." Returns once every task has
 /// either completed or been declared failed after `max_deliveries`
 /// attempts. Reached through [`crate::run`], which resolves the
-/// [`RunContext`] into the effective config.
+/// `RunContext` into the effective config.
 pub(crate) fn run_on_fleets_impl(
     storage: &Arc<StorageService>,
     queues: &Arc<QueueService>,
@@ -973,31 +931,6 @@ fn poll_once(
     }
 }
 
-/// Execute a job on an *elastic* fleet.
-#[deprecated(
-    note = "build a `ppc_exec::RunContext` with `RunContext::elastic(…)` and call `ppc_classic::run`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_autoscaled(
-    storage: &Arc<StorageService>,
-    queues: &Arc<QueueService>,
-    itype: ppc_compute::instance::InstanceType,
-    job: &JobSpec,
-    arrivals: &[f64],
-    executor: Arc<dyn Executor>,
-    config: &ClassicConfig,
-    autoscale: &AutoscaleConfig,
-) -> Result<ClassicReport> {
-    crate::harness::run(
-        &RunContext::elastic(itype, autoscale.clone(), arrivals.to_vec()),
-        storage,
-        queues,
-        job,
-        executor,
-        config,
-    )
-}
-
 /// The elastic native body: worker threads are launched and retired while
 /// the job runs, driven by a `ppc-autoscale` [`Controller`] watching the
 /// scheduling queue's
@@ -1015,7 +948,7 @@ pub fn run_job_autoscaled(
 /// leased message is never orphaned by scale-in. The report carries a
 /// [`FleetReport`](crate::report::FleetReport) with the fleet-size
 /// timeline and the staggered per-instance bill. Reached through
-/// [`crate::run`], which resolves the [`RunContext`].
+/// [`crate::run`], which resolves the `RunContext`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_autoscaled_impl(
     storage: &Arc<StorageService>,
@@ -1414,6 +1347,7 @@ mod tests {
     use ppc_compute::instance::EC2_HCXL;
     use ppc_core::exec::FnExecutor;
     use ppc_core::task::ResourceProfile;
+    use ppc_exec::RunContext;
 
     fn setup(n_tasks: u64) -> (Arc<StorageService>, Arc<QueueService>, JobSpec) {
         let storage = StorageService::in_memory();
@@ -1443,9 +1377,9 @@ mod tests {
         })
     }
 
-    // Every native run below goes through the unified harness entry point
-    // (`crate::run` + a `RunContext`); these helpers shadow the deprecated
-    // legacy shims and spell out the context each fleet shape needs.
+    // Every native run below goes through the harness entry point
+    // (`crate::run` + a `RunContext`); these helpers spell out the context
+    // each fleet shape needs.
     fn run_job(
         storage: &Arc<StorageService>,
         queues: &Arc<QueueService>,

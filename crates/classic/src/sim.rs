@@ -12,9 +12,9 @@
 //! "natural load balancing" property the paper credits this architecture
 //! with sharing with Hadoop (§4.2).
 //!
-//! Fixed and elastic fleets run one worker lifecycle ([`worker_tick`] →
-//! [`finish_attempt`], plus one [`hedge_check_at`]). The [`Fleet`] holds
-//! the few steps that differ: the pre-pull gate, timed-kill detection, when
+//! Fixed and elastic fleets run one worker lifecycle (`worker_tick` →
+//! `finish_attempt`, plus one `hedge_check_at`). A `Fleet` holds the few
+//! steps that differ: the pre-pull gate, timed-kill detection, when
 //! a lost message reappears, and set-up and finalisation.
 
 use crate::report::{ClassicReport, FleetReport};
@@ -288,7 +288,7 @@ enum Fleet {
     /// Single-worker instances launched and retired by an autoscale
     /// controller, which also sweeps for timed kills (whole-instance
     /// deaths) on each tick.
-    Elastic(Elastic),
+    Elastic(Box<Elastic>),
 }
 
 struct Elastic {
@@ -651,14 +651,14 @@ pub(crate) fn sim_autoscaled_impl(
         tasks.len()
     );
     check_sim_inputs(cfg, schedule.as_ref());
-    let fleet = Fleet::Elastic(Elastic {
+    let fleet = Fleet::Elastic(Box::new(Elastic {
         itype,
         controller: Controller::new(autoscale.clone()),
         drain: HashSet::new(),
         retired_inbox: Vec::new(),
         dead: HashSet::new(),
         last_kill_check_s: 0.0,
-    });
+    }));
     let sim = Rc::new(Sim {
         cfg: *cfg,
         st: RefCell::new(SimState::new(cfg, tasks.len(), schedule, fleet)),
@@ -1734,6 +1734,51 @@ mod tests {
         let cluster = Cluster::provision(EC2_HCXL, 1, 2);
         let cfg = SimConfig::ec2().with_failures(1.5, 60.0);
         simulate(&cluster, &cpu_tasks(2, 1.0), &cfg);
+    }
+
+    #[test]
+    fn validate_rejects_a_degenerate_nic_bandwidth() {
+        // `bytes / bw` would be infinite or negative, and `SimTime` clamps
+        // both to zero: a dead link would act as an infinitely fast one.
+        for bw in [0.0, -1e6, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig {
+                nic_bandwidth_bytes_per_s: Some(bw),
+                ..SimConfig::ec2()
+            };
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(&err, PpcError::InvalidArgument(m) if m.contains("nic_bandwidth")),
+                "{bw}: {err}"
+            );
+        }
+        let ok = SimConfig {
+            nic_bandwidth_bytes_per_s: Some(125e6),
+            ..SimConfig::ec2()
+        };
+        assert!(ok.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_hedge_or_deadline_with_nic_contention() {
+        use ppc_resilience::{HedgeConfig, QuarantineConfig};
+        let nic = |policy: ResiliencePolicy| SimConfig {
+            nic_bandwidth_bytes_per_s: Some(125e6),
+            resilience: Some(policy),
+            ..SimConfig::ec2()
+        };
+        for policy in [
+            ResiliencePolicy::hedged(HedgeConfig::quantile(20.0)),
+            ResiliencePolicy::default().with_deadline(60.0),
+        ] {
+            let err = nic(policy).validate().unwrap_err();
+            assert!(
+                matches!(&err, PpcError::InvalidArgument(m) if m.contains("NIC")),
+                "{err}"
+            );
+        }
+        // Quarantine is modeled on the NIC path.
+        let quarantine = ResiliencePolicy::default().with_quarantine(QuarantineConfig::default());
+        assert!(nic(quarantine).validate().is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ppc_core::retry::RetryPolicy;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::{RunContext, RunReport};
+use ppc_exec::RunReport;
 use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -134,36 +134,6 @@ impl DryadReport {
 
 /// (output key, output bytes) pairs, in completion order.
 pub use ppc_exec::JobOutputs;
-
-/// Run `executor` over every input, statically partitioned round-robin
-/// across the cluster's nodes. Returns the report and the outputs
-/// (output key → bytes), in completion order.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_dryad::run`")]
-pub fn run_homomorphic_job(
-    cluster: &Cluster,
-    inputs: Vec<(TaskSpec, Vec<u8>)>,
-    executor: Arc<dyn Executor>,
-    config: &DryadConfig,
-) -> Result<(DryadReport, JobOutputs)> {
-    crate::harness::run(&RunContext::new(cluster), inputs, executor, config)
-}
-
-/// [`run_homomorphic_job`] under a deterministic [`FaultSchedule`].
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_dryad::run`")]
-pub fn run_homomorphic_job_chaos(
-    cluster: &Cluster,
-    inputs: Vec<(TaskSpec, Vec<u8>)>,
-    executor: Arc<dyn Executor>,
-    config: &DryadConfig,
-    schedule: Option<Arc<FaultSchedule>>,
-) -> Result<(DryadReport, JobOutputs)> {
-    crate::harness::run(
-        &RunContext::new(cluster).with_schedule(schedule),
-        inputs,
-        executor,
-        config,
-    )
-}
 
 /// The native runtime body, reached through [`crate::run`].
 ///
@@ -948,10 +918,10 @@ mod tests {
     use ppc_compute::instance::BARE_HPC16;
     use ppc_core::exec::FnExecutor;
     use ppc_core::task::ResourceProfile;
+    use ppc_exec::RunContext;
     use std::time::Duration;
 
-    // Route the legacy-named helpers through the RunContext entry point
-    // (explicit items shadow the glob-imported deprecated shims).
+    // Shorthands for the RunContext entry point on one cluster.
     fn run_homomorphic_job(
         cluster: &Cluster,
         inputs: Vec<(TaskSpec, Vec<u8>)>,

@@ -14,7 +14,7 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::{RunContext, RunReport};
+use ppc_exec::RunReport;
 use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
@@ -169,38 +169,18 @@ fn sim_note_failure(
     }
 }
 
-/// Simulate a statically partitioned job of `tasks` on `cluster`.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_dryad::simulate`")]
-pub fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &DryadSimConfig) -> DryadReport {
-    crate::harness::simulate(&RunContext::new(cluster), tasks, cfg)
-}
-
 /// Cap on chaos re-runs of one vertex before it counts as failed (the
 /// i.i.d. death dice can in principle chain forever at p close to 1).
 const MAX_CHAOS_ATTEMPTS: u32 = 16;
 
-/// [`simulate`] under a deterministic [`FaultSchedule`]. Slots are
-/// addressed by flat node-major index; a kill or death die landing on a
-/// vertex costs one full re-run *on the same node* (static partitioning:
-/// work never migrates across nodes). Gray degradation stretches every
-/// vertex the degraded slot runs; cloud-storage outages do not apply to
-/// Dryad's node-local files.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_dryad::simulate`")]
-pub fn simulate_chaos(
-    cluster: &Cluster,
-    tasks: &[TaskSpec],
-    cfg: &DryadSimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
-) -> DryadReport {
-    crate::harness::simulate(
-        &RunContext::new(cluster).with_schedule(schedule),
-        tasks,
-        cfg,
-    )
-}
-
 /// The simulator body, reached through [`crate::simulate`]: independent
 /// per-node list schedules over virtual worker slots.
+///
+/// Under a [`FaultSchedule`], slots are addressed by flat node-major
+/// index; a kill or death die landing on a vertex costs one full re-run
+/// *on the same node* (static partitioning: work never migrates across
+/// nodes). Gray degradation stretches every vertex the degraded slot runs;
+/// cloud-storage outages do not apply to Dryad's node-local files.
 pub(crate) fn simulate_impl(
     cluster: &Cluster,
     tasks: &[TaskSpec],
@@ -649,6 +629,7 @@ mod tests {
     use super::*;
     use ppc_compute::instance::BARE_HPC16;
     use ppc_core::task::ResourceProfile;
+    use ppc_exec::RunContext;
 
     fn cpu_tasks(n: u64, secs: f64) -> Vec<TaskSpec> {
         (0..n)
@@ -665,8 +646,7 @@ mod tests {
         }
     }
 
-    // Route the legacy-named helpers through the RunContext entry point
-    // (explicit items shadow the glob-imported deprecated shims).
+    // Shorthands for the RunContext entry point on one cluster.
     fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &DryadSimConfig) -> DryadReport {
         crate::simulate(&RunContext::new(cluster), tasks, cfg)
     }

@@ -154,16 +154,11 @@ impl RunContext {
     }
 
     /// Attach a fault schedule. Takes either a bare `Arc<FaultSchedule>`
-    /// or the `Option` a chaos entry point may already hold; passing
+    /// or an `Option` the caller may already hold; passing
     /// `None` clears any schedule set earlier.
     pub fn with_schedule(mut self, schedule: impl Into<Option<Arc<FaultSchedule>>>) -> RunContext {
         self.schedule = schedule.into();
         self
-    }
-
-    #[deprecated(since = "0.1.0", note = "with_schedule now accepts an Option directly")]
-    pub fn with_schedule_opt(self, schedule: Option<Arc<FaultSchedule>>) -> RunContext {
-        self.with_schedule(schedule)
     }
 
     /// Attach a trace sink. Takes either a bare `Arc<dyn TraceSink>` or
@@ -172,11 +167,6 @@ impl RunContext {
     pub fn with_sink(mut self, sink: impl Into<Option<Arc<dyn TraceSink>>>) -> RunContext {
         self.sink = sink.into();
         self
-    }
-
-    #[deprecated(since = "0.1.0", note = "with_sink now accepts an Option directly")]
-    pub fn with_sink_opt(self, sink: Option<Arc<dyn TraceSink>>) -> RunContext {
-        self.with_sink(sink)
     }
 
     pub fn with_trace(mut self, on: bool) -> RunContext {

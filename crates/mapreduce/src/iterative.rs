@@ -9,8 +9,8 @@
 //! ([`ppc_workflow::iterate`]) — fixed-point iteration is a staged-execution
 //! concept, not a MapReduce private. This module keeps what *is*
 //! MapReduce-specific: the HDFS cache bootstrap ([`cache_splits`] — static
-//! data read from HDFS once, ever, Twister's defining optimization), the
-//! k-means reference application, and the deprecated legacy entry point.
+//! data read from HDFS once, ever, Twister's defining optimization) and the
+//! k-means reference application.
 
 use ppc_core::{PpcError, Result};
 use ppc_hdfs::fs::MiniHdfs;
@@ -71,27 +71,6 @@ pub fn cache_splits(fs: &Arc<MiniHdfs>, paths: &[String]) -> Result<Vec<(String,
         .iter()
         .map(|p| fs.read(p).map(|d| (p.clone(), d)))
         .collect()
-}
-
-/// Run an iterative MapReduce computation to convergence.
-#[deprecated(note = "use `cache_splits` + `ppc_workflow::run_fixed_point`")]
-pub fn run_iterative<B: Clone + Send + Sync>(
-    fs: &Arc<MiniHdfs>,
-    job: &IterativeJob,
-    mapper: &dyn IterMapper<B>,
-    reducer: &dyn IterReducer,
-    combiner: &dyn Combiner<B>,
-    initial: B,
-) -> Result<(B, IterativeReport)> {
-    let cache = cache_splits(fs, &job.input_paths)?;
-    run_fixed_point(
-        &cache,
-        &job.fixed_point(),
-        mapper,
-        reducer,
-        combiner,
-        initial,
-    )
 }
 
 // --------------------------------------------------------------------------

@@ -21,14 +21,6 @@ pub struct MapReduceJob {
     pub input_format: InputFormat,
     /// Number of reduce tasks (ignored for map-only jobs).
     pub n_reducers: usize,
-    /// Re-run slow tasks on idle slots (Hadoop's speculative execution).
-    ///
-    /// Legacy knob: it maps to
-    /// `ppc_resilience::HedgeConfig::legacy_speculation()` and is ignored
-    /// whenever an explicit `resilience` policy is set on the run config
-    /// (or via `RunContext::with_resilience`).
-    #[deprecated(note = "set a `ppc_resilience::ResiliencePolicy` on the run instead")]
-    pub speculative: bool,
     /// Attempts per task before the job declares it failed.
     pub max_attempts: u32,
     /// Run the reducer as a *map-side combiner* on each map task's output
@@ -43,14 +35,12 @@ impl MapReduceJob {
         input_paths: Vec<String>,
         output_dir: impl Into<String>,
     ) -> Self {
-        #[allow(deprecated)]
         MapReduceJob {
             name: name.into(),
             input_paths,
             output_dir: output_dir.into(),
             input_format: InputFormat::FileName,
             n_reducers: 0,
-            speculative: true,
             max_attempts: 4,
             use_combiner: false,
         }
@@ -63,17 +53,6 @@ impl MapReduceJob {
 
     pub fn with_input_format(mut self, f: InputFormat) -> Self {
         self.input_format = f;
-        self
-    }
-
-    /// Legacy speculation toggle — the hedging policy on the run config
-    /// (`resilience` field, or `RunContext::with_resilience`) supersedes it.
-    #[deprecated(note = "set a `ppc_resilience::ResiliencePolicy` on the run instead")]
-    pub fn with_speculative(mut self, on: bool) -> Self {
-        #[allow(deprecated)]
-        {
-            self.speculative = on;
-        }
         self
     }
 

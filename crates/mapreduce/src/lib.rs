@@ -44,8 +44,6 @@ pub mod sim;
 pub use engine::HadoopEngine;
 pub use harness::{run, simulate};
 pub use input::{InputFormat, InputSplit};
-#[allow(deprecated)]
-pub use iterative::run_iterative;
 pub use iterative::{cache_splits, IterativeJob, IterativeReport};
 pub use job::{ExecutableMapper, MapContext, MapReduceJob, Mapper, Reducer};
 pub use report::MapReduceReport;

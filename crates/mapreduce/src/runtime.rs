@@ -17,7 +17,7 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::TaskId;
 use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::{RunContext, RunReport};
+use ppc_exec::RunReport;
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
 use ppc_resilience::{Health, HealthTracker, HedgeConfig, ResiliencePolicy};
@@ -34,12 +34,10 @@ pub struct HadoopConfig {
     pub slots_per_node: usize,
     /// Injected probability that any map attempt fails (tests retries).
     pub attempt_failure_p: f64,
-    /// Injected extra latency for specific task indices (tests speculation).
-    #[deprecated(note = "inject stragglers via a chaos `FaultSchedule::degrade` instead")]
-    pub straggler_delay: Option<(usize, Duration)>,
-    /// Straggler / gray-failure defense. `None` falls back to the legacy
-    /// `job.speculative` knob; `Some` replaces it entirely (hedging,
-    /// worker quarantine, per-task deadlines all come from the policy).
+    /// Straggler / gray-failure defense. `None` is Hadoop's default
+    /// speculation (`HedgeConfig::legacy_speculation()`); `Some(policy)`
+    /// takes hedging, worker quarantine and per-task deadlines from the
+    /// policy, so `Some(ResiliencePolicy::default())` turns speculation off.
     pub resilience: Option<ResiliencePolicy>,
     /// Poll sleep when no work is available yet.
     pub poll_backoff: Duration,
@@ -59,11 +57,9 @@ pub struct HadoopConfig {
 
 impl Default for HadoopConfig {
     fn default() -> Self {
-        #[allow(deprecated)]
         HadoopConfig {
             slots_per_node: 2,
             attempt_failure_p: 0.0,
-            straggler_delay: None,
             resilience: None,
             poll_backoff: Duration::from_micros(200),
             seed: 0xad00,
@@ -95,36 +91,6 @@ impl HadoopConfig {
         }
         Ok(())
     }
-}
-
-/// Run a job (map-only or map+reduce) on the cluster underlying `fs`.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_mapreduce::run`")]
-pub fn run_job(
-    fs: &Arc<MiniHdfs>,
-    job: &MapReduceJob,
-    mapper: &dyn Mapper,
-    reducer: Option<&dyn Reducer>,
-) -> Result<MapReduceReport> {
-    crate::harness::run(
-        &RunContext::local(),
-        fs,
-        job,
-        mapper,
-        reducer,
-        &HadoopConfig::default(),
-    )
-}
-
-/// [`run_job`] with explicit configuration.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_mapreduce::run`")]
-pub fn run_job_with(
-    fs: &Arc<MiniHdfs>,
-    job: &MapReduceJob,
-    mapper: &dyn Mapper,
-    reducer: Option<&dyn Reducer>,
-    config: &HadoopConfig,
-) -> Result<MapReduceReport> {
-    crate::harness::run(&RunContext::local(), fs, job, mapper, reducer, config)
 }
 
 /// Record a failed attempt with the health tracker, emitting a Quarantine
@@ -191,13 +157,10 @@ pub(crate) fn run_job_impl(
     config.validate()?;
     let splits = compute_splits(fs, &job.input_paths)?;
     let n_tasks = splits.len();
-    // An explicit policy replaces the legacy `job.speculative` knob; with
-    // no policy the legacy knob maps to the same shared machinery.
-    #[allow(deprecated)]
-    let legacy_speculative = job.speculative;
+    // No policy means Hadoop's default speculation.
     let hedge = match &config.resilience {
         Some(p) => p.hedge,
-        None => legacy_speculative.then(HedgeConfig::legacy_speculation),
+        None => Some(HedgeConfig::legacy_speculation()),
     };
     let health: Option<Mutex<HealthTracker>> = config
         .resilience
@@ -385,14 +348,6 @@ pub(crate) fn run_job_impl(
                             note_failure(health, sink, worker, clock.now_s());
                             continue;
                         }
-                        // Injected straggler latency.
-                        #[allow(deprecated)]
-                        if let Some((task, delay)) = config.straggler_delay {
-                            if assignment.id.task == task && assignment.id.attempt == 0 {
-                                let _ = cancel.sleep(delay);
-                            }
-                        }
-
                         let read_phase = if assignment.local {
                             Phase::ReadLocal
                         } else {
@@ -693,9 +648,9 @@ mod tests {
     use crate::job::ExecutableMapper;
     use ppc_core::exec::FnExecutor;
     use ppc_core::PpcError;
+    use ppc_exec::RunContext;
 
-    // Route the legacy-named helpers through the RunContext entry point
-    // (explicit items shadow the glob-imported deprecated shims).
+    // Shorthands for the RunContext entry point on a local context.
     fn run_job(
         fs: &Arc<MiniHdfs>,
         job: &MapReduceJob,
@@ -797,14 +752,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy straggler_delay shim
     fn speculative_execution_rescues_straggler() {
         let (fs, paths) = make_fs(2, 6);
         let job = MapReduceJob::map_only("slow", paths, "/out");
-        let exec = FnExecutor::new("id", |_s, i: &[u8]| Ok(i.to_vec()));
-        let mapper = ExecutableMapper::new("id", exec);
+        let exec = FnExecutor::new("nap", |_s, i: &[u8]| {
+            std::thread::sleep(Duration::from_millis(5));
+            Ok(i.to_vec())
+        });
+        let mapper = ExecutableMapper::new("nap", exec);
+        // Slot 0 is gray for the job's first 100 ms: its first 5-ms task
+        // stretches 60x, to about 300 ms, unless a duplicate commits first.
         let config = HadoopConfig {
-            straggler_delay: Some((0, Duration::from_millis(300))),
+            schedule: Some(Arc::new(FaultSchedule::new(1).degrade(0, 60.0, 0.0, 0.1))),
             slots_per_node: 2,
             ..HadoopConfig::default()
         };

@@ -6,10 +6,10 @@
 //! scheduling behaviour being measured is identical in both.
 //!
 //! Speculation is delegated to the shared [`ppc_resilience::HedgePolicy`]:
-//! the legacy `speculative: bool` maps to
-//! [`HedgeConfig::legacy_speculation`], which reproduces the old
-//! duplicate-the-oldest-running-task behavior bit-for-bit, while richer
-//! configs add quantile-derived hedge delays and a hedge budget.
+//! Hadoop's default speculation is [`HedgeConfig::legacy_speculation`]
+//! (duplicate the oldest running task whenever a slot would otherwise
+//! idle), while richer configs add quantile-derived hedge delays and a
+//! hedge budget.
 
 use crate::input::InputSplit;
 use ppc_hdfs::block::DataNodeId;

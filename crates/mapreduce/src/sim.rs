@@ -22,7 +22,7 @@ use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
 use ppc_des::{Engine, SimTime};
-use ppc_exec::{RunContext, RunReport};
+use ppc_exec::RunReport;
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{Health, HealthTracker, HedgeConfig, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
@@ -55,16 +55,10 @@ pub struct HadoopSimConfig {
     pub seed: u64,
     /// Idle workers re-poll the master at this interval, seconds.
     pub poll_interval_s: f64,
-    /// Enable speculative duplicates (Hadoop default: on).
-    ///
-    /// Legacy knob: maps to
-    /// `ppc_resilience::HedgeConfig::legacy_speculation()` and is ignored
-    /// whenever `resilience` is set (explicitly or via the run context).
-    #[deprecated(note = "set `resilience` (a `ppc_resilience::ResiliencePolicy`) instead")]
-    pub speculative: bool,
-    /// Straggler / gray-failure defense. `None` falls back to the legacy
-    /// `speculative` knob; `Some` replaces it entirely (hedging, worker
-    /// quarantine, per-task deadlines all come from the policy).
+    /// Straggler / gray-failure defense. `None` is Hadoop's default
+    /// speculation (`HedgeConfig::legacy_speculation()`); `Some(policy)`
+    /// takes hedging, worker quarantine and per-task deadlines from the
+    /// policy, so `Some(ResiliencePolicy::default())` turns speculation off.
     pub resilience: Option<ResiliencePolicy>,
     /// Attempt budget per task.
     pub max_attempts: u32,
@@ -78,7 +72,6 @@ pub struct HadoopSimConfig {
 
 impl Default for HadoopSimConfig {
     fn default() -> Self {
-        #[allow(deprecated)]
         HadoopSimConfig {
             app: AppModel::DEFAULT,
             dispatch_overhead_s: 1.0,
@@ -91,7 +84,6 @@ impl Default for HadoopSimConfig {
             jitter_sigma: 0.02,
             seed: 42,
             poll_interval_s: 0.5,
-            speculative: true,
             resilience: None,
             max_attempts: 4,
             ignore_locality: false,
@@ -162,32 +154,12 @@ struct Sim {
     cfg: HadoopSimConfig,
 }
 
-/// Simulate a map-only Hadoop job of `tasks` on `cluster`.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_mapreduce::simulate`")]
-pub fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &HadoopSimConfig) -> MapReduceReport {
-    crate::harness::simulate(&RunContext::new(cluster), tasks, cfg)
-}
-
-/// [`simulate`] under a deterministic [`FaultSchedule`]. Workers are
-/// addressed by their flat spawn index (node-major); kills, death dice,
-/// torn outputs, gray slowdowns and storage outage windows all map onto
-/// Hadoop's recovery mechanism — the failed attempt is re-executed.
-#[deprecated(note = "build a `ppc_exec::RunContext` and call `ppc_mapreduce::simulate`")]
-pub fn simulate_chaos(
-    cluster: &Cluster,
-    tasks: &[TaskSpec],
-    cfg: &HadoopSimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
-) -> MapReduceReport {
-    crate::harness::simulate(
-        &RunContext::new(cluster).with_schedule(schedule),
-        tasks,
-        cfg,
-    )
-}
-
 /// The simulator body, reached through [`crate::simulate`]: drives the
 /// shared [`Scheduler`] over virtual workers on the `ppc-des` engine.
+/// Under a [`FaultSchedule`], workers are addressed by their flat spawn
+/// index (node-major); kills, death dice, torn outputs, gray slowdowns and
+/// storage outage windows all map onto Hadoop's recovery mechanism — the
+/// failed attempt is re-executed.
 pub(crate) fn simulate_impl(
     cluster: &Cluster,
     tasks: &[TaskSpec],
@@ -233,13 +205,10 @@ pub(crate) fn simulate_impl(
         })
         .collect();
 
-    // An explicit policy replaces the legacy `speculative` knob; with no
-    // policy the legacy knob maps to the same shared machinery.
-    #[allow(deprecated)]
-    let legacy_speculative = cfg.speculative;
+    // No policy means Hadoop's default speculation.
     let hedge = match &cfg.resilience {
         Some(p) => p.hedge,
-        None => legacy_speculative.then(HedgeConfig::legacy_speculation),
+        None => Some(HedgeConfig::legacy_speculation()),
     };
     let state = RefCell::new(SimState {
         scheduler: Scheduler::with_policy(splits, hedge, cfg.max_attempts),
@@ -628,6 +597,7 @@ mod tests {
     use super::*;
     use ppc_compute::instance::BARE_CAP3;
     use ppc_core::task::ResourceProfile;
+    use ppc_exec::RunContext;
 
     fn cpu_tasks(n: u64, secs: f64) -> Vec<TaskSpec> {
         (0..n)
@@ -648,8 +618,7 @@ mod tests {
         }
     }
 
-    // Route the legacy-named helpers through the RunContext entry point
-    // (explicit items shadow the glob-imported deprecated shims).
+    // Shorthands for the RunContext entry point on one cluster.
     fn simulate(cluster: &Cluster, tasks: &[TaskSpec], cfg: &HadoopSimConfig) -> MapReduceReport {
         crate::simulate(&RunContext::new(cluster), tasks, cfg)
     }
@@ -713,7 +682,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy `speculative` shim
     fn speculation_rescues_stragglers() {
         let cluster = Cluster::provision(BARE_CAP3, 2, 8);
         let tasks = cpu_tasks(64, 20.0);
@@ -724,12 +692,14 @@ mod tests {
             dispatch_overhead_s: 0.0,
             ..HadoopSimConfig::default()
         };
+        // An empty policy turns speculation off; no policy is Hadoop's
+        // default speculation.
         let no_spec = HadoopSimConfig {
-            speculative: false,
+            resilience: Some(ResiliencePolicy::default()),
             ..slow
         };
         let with_spec = HadoopSimConfig {
-            speculative: true,
+            resilience: None,
             ..slow
         };
         let t_no = simulate(&cluster, &tasks, &no_spec)

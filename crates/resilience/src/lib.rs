@@ -16,8 +16,11 @@
 //! * [`DeadlineConfig`] — per-task deadlines with cancel-and-requeue.
 //!
 //! The knobs travel as one [`ResiliencePolicy`] value on
-//! `ppc_exec::RunContext`; `None` everywhere means "legacy behavior,
-//! bit-identical" — the policy is strictly additive.
+//! `ppc_exec::RunContext` or a paradigm config. With no policy (`None`),
+//! Classic Cloud and Dryad run undefended and MapReduce runs Hadoop's
+//! default speculation ([`HedgeConfig::legacy_speculation`]). A policy
+//! replaces that default, so `Some(ResiliencePolicy::default())` is
+//! "speculation off".
 
 use ppc_core::{PpcError, Result};
 
@@ -45,9 +48,8 @@ pub struct HedgeConfig {
 impl HedgeConfig {
     /// Hadoop's classic speculation, verbatim: duplicate the oldest
     /// running task whenever a worker would otherwise idle — no delay
-    /// threshold, no budget, at most one live duplicate. The shared
-    /// scheduler under this config is bit-identical to the old
-    /// `speculative: bool` path (pinned in `tests/shim_equivalence.rs`).
+    /// threshold, no budget, at most one live duplicate. MapReduce runs
+    /// it when the run carries no policy.
     pub fn legacy_speculation() -> HedgeConfig {
         HedgeConfig {
             quantile: 0.0,
@@ -476,8 +478,9 @@ impl DeadlineConfig {
 }
 
 /// The one resilience knob a [`ppc_exec::RunContext`] carries: each part is
-/// optional and `ResiliencePolicy::default()` (all `None`) reproduces the
-/// legacy behavior of every paradigm bit-for-bit.
+/// optional, and `ResiliencePolicy::default()` (all `None`) turns every
+/// defense off — MapReduce's default speculation included (see the crate
+/// docs for what a run with no policy does).
 ///
 /// [`ppc_exec::RunContext`]: https://docs.rs/ppc-exec
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -496,8 +499,8 @@ impl ResiliencePolicy {
         }
     }
 
-    /// The old Hadoop `speculative: true` behavior expressed as a policy
-    /// (what the deprecated `MapReduceJob::with_speculative` shim maps to).
+    /// Hadoop's default speculation as an explicit policy — what a
+    /// MapReduce run with no policy does.
     pub fn legacy_speculation() -> ResiliencePolicy {
         ResiliencePolicy::hedged(HedgeConfig::legacy_speculation())
     }

@@ -219,3 +219,122 @@ fn engine_trait_runs_the_same_workload_on_all_paradigms() {
         );
     }
 }
+
+/// Chaos for the seed-precedence tests: i.i.d. death dice only, so which
+/// attempts die is a pure function of the effective seed.
+fn seeded_dice() -> Arc<ppc::chaos::FaultSchedule> {
+    Arc::new(ppc::chaos::FaultSchedule::new(13).with_death_probabilities(0.05, 0.02, 0.02))
+}
+
+/// The context's seed wins over the config's, so two configs that embed
+/// different seeds produce bit-identical simulations when driven by the
+/// same `RunContext` — for all three simulators.
+#[test]
+fn context_seed_overrides_config_seed_in_every_simulator() {
+    use ppc::compute::instance::BARE_CAP3;
+    use ppc::core::task::{ResourceProfile, TaskSpec};
+    let tasks: Vec<TaskSpec> = (0..48)
+        .map(|i| {
+            let mut p = ResourceProfile::cpu_bound(20.0 + (i % 7) as f64);
+            p.input_bytes = 100 << 10;
+            p.output_bytes = 50 << 10;
+            TaskSpec::new(i, "cap3", format!("f{i}"), p)
+        })
+        .collect();
+    let ctx_of = |c: &Cluster| {
+        RunContext::new(c)
+            .with_seed(99)
+            .with_schedule(seeded_dice())
+    };
+
+    let cluster = Cluster::provision(EC2_HCXL, 2, 8);
+    let a = ppc::classic::simulate(
+        &ctx_of(&cluster),
+        &tasks,
+        &ppc::classic::SimConfig::ec2().with_seed(1),
+    );
+    let b = ppc::classic::simulate(
+        &ctx_of(&cluster),
+        &tasks,
+        &ppc::classic::SimConfig::ec2().with_seed(2),
+    );
+    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+
+    let cluster = Cluster::provision(BARE_CAP3, 2, 8);
+    let a = ppc::mapreduce::simulate(
+        &ctx_of(&cluster),
+        &tasks,
+        &ppc::mapreduce::HadoopSimConfig {
+            seed: 1,
+            ..Default::default()
+        },
+    );
+    let b = ppc::mapreduce::simulate(
+        &ctx_of(&cluster),
+        &tasks,
+        &ppc::mapreduce::HadoopSimConfig {
+            seed: 2,
+            ..Default::default()
+        },
+    );
+    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+
+    let a = ppc::dryad::simulate(
+        &ctx_of(&cluster),
+        &tasks,
+        &ppc::dryad::DryadSimConfig {
+            seed: 1,
+            ..Default::default()
+        },
+    );
+    let b = ppc::dryad::simulate(
+        &ctx_of(&cluster),
+        &tasks,
+        &ppc::dryad::DryadSimConfig {
+            seed: 2,
+            ..Default::default()
+        },
+    );
+    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+}
+
+/// The same override on the native side: config seeds lose to the context
+/// seed, observable through identical chaos outcomes (which tasks died and
+/// recovered is a pure function of the effective seed in the dryad
+/// runtime's hash-based fault dice).
+#[test]
+fn context_seed_overrides_config_seed_native_dryad() {
+    use ppc::compute::instance::BARE_CAP3;
+    use ppc::core::exec::FnExecutor;
+    use ppc::core::task::{ResourceProfile, TaskSpec};
+    let cluster = Cluster::provision(BARE_CAP3, 2, 2);
+    let inputs: Vec<(TaskSpec, Vec<u8>)> = (0..16)
+        .map(|i| {
+            (
+                TaskSpec::new(i, "rev", format!("f{i}"), ResourceProfile::cpu_bound(0.0)),
+                format!("p{i}").into_bytes(),
+            )
+        })
+        .collect();
+    let reverse: Arc<dyn Executor> = FnExecutor::new("rev", |_s: &TaskSpec, input: &[u8]| {
+        let mut v = input.to_vec();
+        v.reverse();
+        Ok(v)
+    });
+    let ctx = RunContext::new(&cluster)
+        .with_seed(99)
+        .with_schedule(seeded_dice());
+    let run_with_config_seed = |seed: u64| {
+        let cfg = DryadConfig {
+            seed,
+            ..Default::default()
+        };
+        let (report, _) = dryad_run(&ctx, inputs.clone(), reverse.clone(), &cfg).unwrap();
+        (
+            report.summary.tasks,
+            report.worker_deaths,
+            report.core.total_attempts,
+        )
+    };
+    assert_eq!(run_with_config_seed(1), run_with_config_seed(2));
+}

@@ -528,7 +528,7 @@ fn hostile_ctx(cluster: &Cluster, seed: u64) -> RunContext {
 /// seed. The digests were generated when the timing wheel (the default)
 /// and the calendar queue still existed, and were identical on all three
 /// backends, so a match means the heap reproduces their reports.
-fn assert_backend_invariant(name: &str, golden: [u64; 3], report_json: impl Fn(u64) -> String) {
+fn assert_golden_digest(name: &str, golden: [u64; 3], report_json: impl Fn(u64) -> String) {
     for (seed, want) in CHAOS_SEEDS.into_iter().zip(golden) {
         let got = fnv64(&report_json(seed));
         assert_eq!(
@@ -541,11 +541,11 @@ fn assert_backend_invariant(name: &str, golden: [u64; 3], report_json: impl Fn(u
 /// The Classic Cloud simulator's full report under chaos + hedging is the
 /// one every removed backend produced.
 #[test]
-fn classic_sim_is_backend_invariant() {
+fn classic_sim_matches_golden_digest() {
     let tasks = sim_tasks(64);
     let cluster = Cluster::provision(EC2_HCXL, 4, 8);
     let cfg = ppc::classic::SimConfig::ec2().with_failures(0.0, 60.0);
-    assert_backend_invariant(
+    assert_golden_digest(
         "classic",
         [0x599810e06fc905a3, 0xddf28330a0472277, 0x0de56b2f38cd70f7],
         |seed| {
@@ -559,7 +559,7 @@ fn classic_sim_is_backend_invariant() {
 /// The elastic (autoscaled) Classic path runs its own engine loop; its
 /// report is pinned the same way.
 #[test]
-fn classic_elastic_sim_is_backend_invariant() {
+fn classic_elastic_sim_matches_golden_digest() {
     use ppc::autoscale::{AutoscaleConfig, Policy};
     let tasks = sim_tasks(48);
     let autoscale = AutoscaleConfig {
@@ -575,7 +575,7 @@ fn classic_elastic_sim_is_backend_invariant() {
         billing_hour_s: 3600.0,
     };
     let cfg = ppc::classic::SimConfig::ec2();
-    assert_backend_invariant(
+    assert_golden_digest(
         "classic elastic",
         [0x6a080f4639adea05, 0xca62ec1319b1ae94, 0x1182b567263ef9f5],
         |seed| {
@@ -591,11 +591,11 @@ fn classic_elastic_sim_is_backend_invariant() {
 /// The MapReduce simulator's full report under chaos + hedged speculation
 /// is the one every removed backend produced.
 #[test]
-fn mapreduce_sim_is_backend_invariant() {
+fn mapreduce_sim_matches_golden_digest() {
     let tasks = sim_tasks(64);
     let cluster = Cluster::provision(BARE_CAP3, 4, 8);
     let cfg = ppc::mapreduce::HadoopSimConfig::default();
-    assert_backend_invariant(
+    assert_golden_digest(
         "mapreduce",
         [0x4bfc116f754b2b70, 0xeae971959e0274b3, 0x846f1592a021003b],
         |seed| {
@@ -609,11 +609,11 @@ fn mapreduce_sim_is_backend_invariant() {
 /// The Dryad simulator runs no event queue (quantized list scheduler), so
 /// its report never depended on the backend; it is pinned all the same.
 #[test]
-fn dryad_sim_is_backend_invariant() {
+fn dryad_sim_matches_golden_digest() {
     let tasks = sim_tasks(64);
     let cluster = Cluster::provision(BARE_CAP3, 4, 8);
     let cfg = ppc::dryad::DryadSimConfig::default();
-    assert_backend_invariant(
+    assert_golden_digest(
         "dryad",
         [0x9e2c95d7efce97fe, 0x6c87738c351afc43, 0x92e49e2226f48b89],
         |seed| {

@@ -91,7 +91,6 @@ fn simulated_makespan_predicts_native() {
 /// The Hadoop simulator must predict the native MapReduce runtime's
 /// makespan for a controlled-duration workload, just like the Classic one.
 #[test]
-#[allow(deprecated)] // pins the legacy `speculative` knob's fidelity
 fn hadoop_sim_predicts_native_makespan() {
     use ppc::compute::instance::BARE_CAP3;
     use ppc::core::exec::FnExecutor;
@@ -99,6 +98,7 @@ fn hadoop_sim_predicts_native_makespan() {
     use ppc::mapreduce::job::{ExecutableMapper, MapReduceJob};
     use ppc::mapreduce::{run as hadoop_run, HadoopConfig};
     use ppc::mapreduce::{simulate as hadoop_sim, HadoopSimConfig};
+    use ppc::resilience::ResiliencePolicy;
     use ppc::storage::latency::LatencyModel;
 
     let sleep_s = 0.02;
@@ -112,14 +112,16 @@ fn hadoop_sim_predicts_native_makespan() {
         fs.create(&p, &[0u8; 64], None).unwrap();
         paths.push(p);
     }
-    let job = MapReduceJob::map_only("fidelity", paths, "/out").with_speculative(false);
+    let job = MapReduceJob::map_only("fidelity", paths, "/out");
     let exec = FnExecutor::new("sleep", move |_s, i: &[u8]| {
         std::thread::sleep(Duration::from_secs_f64(sleep_s));
         Ok(i.to_vec())
     });
     let mapper = ExecutableMapper::new("sleep", exec);
+    // Speculation off in both engines: an empty resilience policy.
     let config = HadoopConfig {
         slots_per_node: 3,
+        resilience: Some(ResiliencePolicy::default()),
         ..HadoopConfig::default()
     };
     let native = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
@@ -133,7 +135,7 @@ fn hadoop_sim_predicts_native_makespan() {
         local_read: LatencyModel::FREE,
         remote_read: LatencyModel::FREE,
         jitter_sigma: 0.0,
-        speculative: false,
+        resilience: Some(ResiliencePolicy::default()),
         ..HadoopSimConfig::default()
     };
     let simulated = hadoop_sim(&RunContext::new(&cluster), &sim_tasks, &cfg);
@@ -326,7 +328,7 @@ fn chaos_report_digests(seed: u64) -> [u64; 6] {
 /// same ones; the heap is now the only event queue, so a match means the
 /// removed backends would still agree with it.
 #[test]
-fn sims_bit_identical_across_event_queue_backends() {
+fn sims_match_chaos_golden_digests() {
     for (seed, want) in CHAOS_SEEDS.into_iter().zip(CHAOS_GOLDEN) {
         let got = chaos_report_digests(seed);
         let moved: Vec<&str> = (0..got.len())
@@ -342,7 +344,7 @@ fn sims_bit_identical_across_event_queue_backends() {
     }
 }
 
-/// Generated by [`sims_bit_identical_across_event_queue_backends`] on the
+/// Generated by [`sims_match_chaos_golden_digests`] on the
 /// timing wheel, one row per [`CHAOS_SEEDS`] entry.
 const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     [
@@ -561,7 +563,6 @@ fn fnv64(s: &str) -> u64 {
 /// times, dispatch overheads, kills, windows and deadlines), so idle-slot
 /// polls, completions, kills and quarantine releases keep landing on the
 /// same microsecond and the `(time, sequence)` tie order decides the run.
-#[allow(deprecated)] // case 1 pins the legacy `speculative: false` knob
 fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
     use ppc::chaos::FaultSchedule;
     use ppc::core::rng::Pcg32;
@@ -598,10 +599,8 @@ fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
     };
     let mut policy = match rng.next_below(6) {
         0 => None,
-        1 => {
-            cfg.speculative = false;
-            None
-        }
+        // Speculation off.
+        1 => Some(ResiliencePolicy::default()),
         2 => Some(ResiliencePolicy::legacy_speculation()),
         3 => Some(ResiliencePolicy::hedged(HedgeConfig::quantile(grid(
             &mut rng, 0, 8,
@@ -673,7 +672,7 @@ fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
     let ctx = RunContext::new(&cluster)
         .with_seed(i)
         .with_trace(true)
-        .with_schedule_opt(schedule);
+        .with_schedule(schedule);
     ppc::mapreduce::simulate(&ctx, &tasks, &cfg)
 }
 
