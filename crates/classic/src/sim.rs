@@ -565,13 +565,14 @@ pub(crate) fn sim_fleets_impl(
     // The client's shuffle and the workers' jitter/failure dice draw from
     // independent streams of the one run seed.
     let mut client_rng = Pcg32::for_stream(cfg.seed, CLIENT_STREAM);
-    let mut order: Vec<TaskSpec> = tasks.to_vec();
     // The queue has no ordering guarantee; workers see a shuffled stream.
+    // Every message is visible from t = 0.
+    let mut order: Vec<(TaskSpec, f64)> = tasks.iter().map(|t| (t.clone(), 0.0)).collect();
     client_rng.shuffle(&mut order);
 
     let last_kill = vec![0.0; total_workers];
     let mut st = SimState::new(cfg, tasks.len(), schedule, Fleet::Fixed { last_kill });
-    st.pending = order.into_iter().map(|t| (t, 0.0)).collect();
+    st.pending = order.into();
     st.queue_requests = tasks.len() as u64; // the client's sends
     if let Some(rec) = &st.rec {
         for t in tasks {
@@ -787,7 +788,7 @@ fn reappear_at(engine: &mut Engine, sim: &Rc<Sim>, task: TaskSpec, at: SimTime) 
 /// download → execute → upload → report → delete pipeline, and schedule
 /// the attempt's end ([`finish_attempt`]).
 fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
-    let cfg = sim.cfg;
+    let cfg = &sim.cfg;
     let w = worker.index;
     let now_s = engine.now().as_secs_f64();
     // Quarantine gate: a benched worker pulls nothing until its sentence
@@ -981,7 +982,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
 /// once. Scores the worker's health, records the attempt's spans, and
 /// polls again unless the instance died.
 fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attempt) {
-    let cfg = sim.cfg;
+    let cfg = &sim.cfg;
     let now = engine.now().as_secs_f64();
     let w = worker.index;
     let id = a.task.id.0;
