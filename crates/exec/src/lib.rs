@@ -19,9 +19,8 @@
 //!   trace), with the one JSON serializer in place of per-crate copies.
 //!
 //! Context fields *override* the per-paradigm config when set and fall
-//! back to it when not, so legacy configs keep meaning what they meant:
-//! the deprecated variant functions are one-line shims that build an
-//! equivalent `RunContext` and call the new entry points.
+//! back to it when not, so a config keeps meaning what it meant when the
+//! context leaves a field unset.
 
 use ppc_autoscale::AutoscaleConfig;
 use ppc_chaos::{FaultSchedule, RunClock};
@@ -98,7 +97,7 @@ pub struct RunContext {
     pub trace: bool,
     /// Straggler / gray-failure defense (hedged attempts, health-scored
     /// quarantine, per-task deadlines); overrides the config's when set.
-    /// `None` leaves each paradigm's legacy behavior untouched.
+    /// `None` defers to the paradigm config's policy.
     pub resilience: Option<ResiliencePolicy>,
 }
 
