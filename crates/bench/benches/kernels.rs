@@ -2,8 +2,8 @@
 //! self-contained timing harness (no external bench framework).
 //!
 //! These are *performance* benches for the library itself (the tables and
-//! figures of the paper are regenerated by the `src/bin/` binaries, which
-//! are deterministic simulations rather than timing measurements).
+//! figures of the paper are regenerated by the `all` binary, whose
+//! exhibits are deterministic simulations rather than timing measurements).
 //!
 //! Run with `cargo bench -p ppc-bench`. Each benchmark is warmed up, then
 //! sampled `SAMPLES` times; the report prints min / median / mean.

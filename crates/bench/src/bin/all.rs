@@ -1,96 +1,133 @@
-//! Prints the entire reproduced evaluation section — every table, figure,
-//! and ablation — in paper order.
+//! Prints the reproduced evaluation section — every table, figure, and
+//! ablation in paper order, or just the exhibits named on the command line.
 //!
 //! ```bash
-//! cargo run --release -p ppc-bench --bin all             # print to stdout
+//! cargo run --release -p ppc-bench --bin all                  # every exhibit
+//! cargo run --release -p ppc-bench --bin all -- fig04 table4  # just these
 //! cargo run --release -p ppc-bench --bin all -- --csv results/
 //! ```
 //!
-//! With `--csv <dir>` each exhibit is also written as a CSV file for
-//! downstream plotting.
+//! With `--csv <dir>` each table and figure is also written as a CSV file
+//! for downstream plotting. An unknown name lists the valid ones.
 
+use ppc_bench::ablations;
 use ppc_core::report::{Figure, Table};
 use std::path::PathBuf;
 
 enum Exhibit {
-    Table(&'static str, Table),
-    Figure(&'static str, Figure),
+    Table(Table),
+    Figure(Figure),
+    /// Free-form output with no tabular form (and so no CSV).
+    Text(String),
 }
 
-fn exhibits() -> Vec<Exhibit> {
-    use Exhibit::*;
-    vec![
-        Table("table1", ppc_bench::table1()),
-        Table("table2", ppc_bench::table2()),
-        Table("table3", ppc_bench::table3()),
-        Figure("fig03", ppc_bench::fig03()),
-        Figure("fig04", ppc_bench::fig04()),
-        Figure("fig05", ppc_bench::fig05()),
-        Figure("fig06", ppc_bench::fig06()),
-        Table("table4", ppc_bench::table4()),
-        Figure("fig07", ppc_bench::fig07()),
-        Figure("fig08", ppc_bench::fig08()),
-        Figure("fig09", ppc_bench::fig09()),
-        Figure("fig10", ppc_bench::fig10()),
-        Figure("fig11", ppc_bench::fig11()),
-        Figure("fig12", ppc_bench::fig12()),
-        Figure("fig13", ppc_bench::fig13()),
-        Figure("fig14", ppc_bench::fig14()),
-        Figure("fig15", ppc_bench::fig15()),
-        Figure(
-            "ablate_visibility_timeout",
-            ppc_bench::ablations::ablate_visibility_timeout(),
-        ),
-        Figure(
-            "ablate_fault_rate",
-            ppc_bench::ablations::ablate_fault_rate(),
-        ),
-        Figure(
-            "ablate_load_balance",
-            ppc_bench::ablations::ablate_load_balance(),
-        ),
-        Figure("ablate_locality", ppc_bench::ablations::ablate_locality()),
-        Figure(
-            "ablate_granularity",
-            ppc_bench::ablations::ablate_granularity(),
-        ),
-        Figure(
-            "ablate_speculation",
-            ppc_bench::ablations::ablate_speculation(),
-        ),
-        Figure("ablate_hedging", ppc_bench::ablations::ablate_hedging()),
-        Figure(
-            "ablate_nic_contention",
-            ppc_bench::ablations::ablate_nic_contention(),
-        ),
-        Figure(
-            "ablate_storage_latency",
-            ppc_bench::ablations::ablate_storage_latency(),
-        ),
-        Figure("ablate_autoscale", ppc_bench::ablations::ablate_autoscale()),
-        Figure(
-            "sustained_variation",
-            ppc_bench::ablations::sustained_variation(),
-        ),
-    ]
-}
+/// An exhibit's name and how to produce it.
+type Entry = (&'static str, fn() -> Exhibit);
+
+/// Every exhibit, in paper order.
+const EXHIBITS: &[Entry] = &[
+    ("table1", || Exhibit::Table(ppc_bench::table1())),
+    ("table2", || Exhibit::Table(ppc_bench::table2())),
+    ("table3", || Exhibit::Table(ppc_bench::table3())),
+    ("fig03", || Exhibit::Figure(ppc_bench::fig03())),
+    ("fig04", || Exhibit::Figure(ppc_bench::fig04())),
+    ("fig05", || Exhibit::Figure(ppc_bench::fig05())),
+    ("fig06", || Exhibit::Figure(ppc_bench::fig06())),
+    ("table4", || Exhibit::Table(ppc_bench::table4())),
+    ("cost_comparison", || {
+        Exhibit::Table(ppc_bench::cost_comparison_table())
+    }),
+    ("fig07", || Exhibit::Figure(ppc_bench::fig07())),
+    ("fig08", || Exhibit::Figure(ppc_bench::fig08())),
+    ("fig09", || Exhibit::Figure(ppc_bench::fig09())),
+    ("fig10", || Exhibit::Figure(ppc_bench::fig10())),
+    ("fig11", || Exhibit::Figure(ppc_bench::fig11())),
+    ("fig12", || Exhibit::Figure(ppc_bench::fig12())),
+    ("fig13", || Exhibit::Figure(ppc_bench::fig13())),
+    ("fig14", || Exhibit::Figure(ppc_bench::fig14())),
+    ("fig15", || Exhibit::Figure(ppc_bench::fig15())),
+    ("ablate_visibility_timeout", || {
+        Exhibit::Figure(ablations::ablate_visibility_timeout())
+    }),
+    ("ablate_fault_rate", || {
+        Exhibit::Figure(ablations::ablate_fault_rate())
+    }),
+    ("ablate_load_balance", || {
+        Exhibit::Figure(ablations::ablate_load_balance())
+    }),
+    ("ablate_locality", || {
+        Exhibit::Figure(ablations::ablate_locality())
+    }),
+    ("ablate_granularity", || {
+        Exhibit::Figure(ablations::ablate_granularity())
+    }),
+    ("ablate_speculation", || {
+        Exhibit::Figure(ablations::ablate_speculation())
+    }),
+    ("ablate_hedging", || {
+        Exhibit::Figure(ablations::ablate_hedging())
+    }),
+    ("ablate_nic_contention", || {
+        Exhibit::Figure(ablations::ablate_nic_contention())
+    }),
+    ("ablate_iterative_caching", || {
+        Exhibit::Figure(ablations::ablate_iterative_caching())
+    }),
+    ("ablate_storage_latency", || {
+        Exhibit::Figure(ablations::ablate_storage_latency())
+    }),
+    ("ablate_autoscale", || {
+        Exhibit::Figure(ablations::ablate_autoscale())
+    }),
+    ("autoscale_timeline_demo", || {
+        Exhibit::Text(ablations::autoscale_timeline_demo())
+    }),
+    ("sustained_variation", || {
+        Exhibit::Figure(ablations::sustained_variation())
+    }),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .map(|i| PathBuf::from(args.get(i + 1).map(String::as_str).unwrap_or("results")));
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut names = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--csv" {
+            csv_dir = Some(PathBuf::from(
+                args.next().unwrap_or_else(|| "results".into()),
+            ));
+        } else {
+            names.push(arg);
+        }
+    }
+    let selected: Vec<_> = if names.is_empty() {
+        EXHIBITS.iter().collect()
+    } else {
+        names
+            .iter()
+            .map(|name| {
+                EXHIBITS.iter().find(|(n, _)| n == name).unwrap_or_else(|| {
+                    let known: Vec<_> = EXHIBITS.iter().map(|(n, _)| *n).collect();
+                    eprintln!(
+                        "error: unknown exhibit `{name}`; known: {}",
+                        known.join(" ")
+                    );
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    };
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }
-    for exhibit in exhibits() {
-        let (name, rendered, csv) = match &exhibit {
-            Exhibit::Table(name, t) => (*name, t.to_string(), t.to_csv()),
-            Exhibit::Figure(name, f) => (*name, f.to_string(), f.to_csv()),
+    for (name, make) in selected {
+        let (rendered, csv) = match make() {
+            Exhibit::Table(t) => (t.to_string(), Some(t.to_csv())),
+            Exhibit::Figure(f) => (f.to_string(), Some(f.to_csv())),
+            Exhibit::Text(s) => (s, None),
         };
         println!("{rendered}");
-        if let Some(dir) = &csv_dir {
+        if let (Some(dir), Some(csv)) = (&csv_dir, csv) {
             std::fs::write(dir.join(format!("{name}.csv")), csv).expect("write csv");
         }
     }

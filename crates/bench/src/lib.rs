@@ -1,9 +1,9 @@
 //! # ppc-bench — regenerate every table and figure of the paper
 //!
 //! Each `figNN_*` / `tableN_*` function reproduces one exhibit of the
-//! paper's evaluation as a `ppc_core::report` table; the binaries under
-//! `src/bin/` print them (`cargo run -p ppc-bench --bin fig04_...`), and
-//! `--bin all` prints the whole evaluation section in order.
+//! paper's evaluation as a `ppc_core::report` table; `--bin all` prints the
+//! whole evaluation section in order, or the exhibits it is given by name
+//! (`cargo run -p ppc-bench --bin all -- fig04 table4`).
 //!
 //! Absolute values are *modeled* seconds/dollars from the calibrated
 //! simulator (DESIGN.md §6 lists the anchors); the claims being reproduced

@@ -6,7 +6,7 @@
 //! re-run. Exercising that claim well needs more than i.i.d. dice — real
 //! outages are *events*: instance 3 dies at t=2s, node 1 runs at half
 //! speed for a window (a gray failure), the blob store browns out for
-//! 300 ms, an upload is torn halfway through.
+//! 300 ms, an upload is interrupted halfway through.
 //!
 //! [`FaultSchedule`] is that event list, plus an i.i.d. layer for the
 //! classic per-pipeline-point death probabilities. Every query is a pure

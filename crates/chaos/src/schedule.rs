@@ -18,8 +18,8 @@ pub enum FaultEvent {
     KillAt { worker: u32, at_s: f64 },
     /// Kill worker `worker` in the middle of executing its `task_seq`-th
     /// task (0-based, counted per worker): the task's input was read and
-    /// user code ran, but the worker dies during the output upload,
-    /// leaving a torn (partial) object behind.
+    /// user code ran, but the worker dies during the output upload. The
+    /// upload lands nothing: object-store PUTs commit atomically.
     KillMidExecute { worker: u32, task_seq: u32 },
     /// Gray failure: worker `worker` stays alive but runs slower by
     /// `factor` (≥ 1.0) over `[from_s, to_s)`.
@@ -35,9 +35,9 @@ pub enum FaultEvent {
         from_s: f64,
         to_s: f64,
     },
-    /// Worker `worker`'s `task_seq`-th output upload is torn: only a
-    /// prefix of the bytes lands, and the worker treats the upload as
-    /// failed (the message is redelivered and the object overwritten).
+    /// Worker `worker`'s `task_seq`-th output upload is torn: the PUT
+    /// fails partway, so (being atomic) it lands nothing, and the worker
+    /// treats the upload as failed (the message is redelivered).
     TornUpload { worker: u32, task_seq: u32 },
 }
 

@@ -8,8 +8,8 @@
 //! * **before execute** — the worker took the message and died; no output
 //!   exists; redelivery re-runs the task.
 //! * **mid execute** — the worker ran the task but died during the output
-//!   upload, leaving a torn (partial) object behind; redelivery re-runs
-//!   the task and idempotently overwrites the torn object.
+//!   upload; the PUT is atomic, so nothing lands, and redelivery re-runs
+//!   the task.
 //! * **before delete** — the worker produced and uploaded the output but
 //!   died before deleting the message; redelivery runs the task *again*,
 //!   harmlessly overwriting the identical output (idempotence).
@@ -30,7 +30,7 @@ pub struct FaultPlan {
     /// P(die after receiving, before executing).
     pub die_before_execute: f64,
     /// P(die mid-execution: user code ran, but the worker dies during the
-    /// output upload, leaving a torn partial object).
+    /// output upload, which lands nothing).
     pub die_mid_execute: f64,
     /// P(die after uploading output, before deleting the message).
     pub die_before_delete: f64,

@@ -20,10 +20,10 @@ use ppc_core::retry::{CircuitBreaker, RetryPolicy};
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::RunReport;
+use ppc_exec::{HealthTrace, RunReport};
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
-use ppc_resilience::{DeadlineConfig, Health, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_resilience::{Admit, DeadlineConfig, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::service::StorageService;
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::{HashMap, HashSet};
@@ -120,54 +120,6 @@ fn validate_config(config: &ClassicConfig) -> Result<()> {
         policy.validate()?;
     }
     Ok(())
-}
-
-/// Worker-health helpers shared by both native bodies: score an attempt
-/// outcome into the tracker and surface Healthy→Quarantined transitions as
-/// trace events. No-ops when quarantine is off.
-fn note_failure(
-    health: Option<&Mutex<HealthTracker>>,
-    sink: Option<&dyn TraceSink>,
-    worker: u32,
-    now_s: f64,
-) {
-    if let Some(h) = health {
-        let mut tracker = h.lock().unwrap();
-        let benched_before = matches!(tracker.health(worker), Health::Quarantined { .. });
-        tracker.record_failure(worker, now_s);
-        if !benched_before && matches!(tracker.health(worker), Health::Quarantined { .. }) {
-            if let Some(s) = sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker,
-                    kind: EventKind::Quarantine,
-                });
-            }
-        }
-    }
-}
-
-fn note_success(
-    health: Option<&Mutex<HealthTracker>>,
-    sink: Option<&dyn TraceSink>,
-    worker: u32,
-    latency_s: f64,
-    now_s: f64,
-) {
-    if let Some(h) = health {
-        let mut tracker = h.lock().unwrap();
-        let benched_before = matches!(tracker.health(worker), Health::Quarantined { .. });
-        tracker.record_success(worker, latency_s, now_s);
-        if !benched_before && matches!(tracker.health(worker), Health::Quarantined { .. }) {
-            if let Some(s) = sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker,
-                    kind: EventKind::Quarantine,
-                });
-            }
-        }
-    }
 }
 
 /// The monitor thread's straggler defense: watches `start:`/`done:`
@@ -704,28 +656,27 @@ fn poll_once(
 ) {
     let restart_delay = Duration::from_millis(config.fault.restart_delay_ms);
     let sink = live_sink(config);
+    let worker = chaos.worker;
+    // Score a finished attempt (`None` = failed) into the health tracker,
+    // which traces any bench it imposes.
+    let score = |latency_s: Option<f64>, now_s: f64| {
+        if let Some(h) = health {
+            h.lock()
+                .unwrap()
+                .record(worker, latency_s, now_s, &HealthTrace(sink));
+        }
+    };
 
     // Health-scored quarantine: a benched worker stays off the assignment
     // path entirely (it does not even receive), then re-enters through
     // probation when its bench expires.
-    if let Some(h) = health {
+    let benched = health.is_some_and(|h| {
         let now_s = chaos.clock.now_s();
-        let mut tracker = h.lock().unwrap();
-        let benched_before = matches!(tracker.health(chaos.worker), Health::Quarantined { .. });
-        if !tracker.allow(chaos.worker, now_s) {
-            drop(tracker);
-            std::thread::sleep(config.poll_backoff);
-            return;
-        }
-        if benched_before {
-            if let Some(s) = sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker: chaos.worker,
-                    kind: EventKind::Release,
-                });
-            }
-        }
+        h.lock().unwrap().admit(worker, now_s, &HealthTrace(sink)) != Admit::Go
+    });
+    if benched {
+        std::thread::sleep(config.poll_backoff);
+        return;
     }
 
     let polled_at = sink.map(|_| chaos.clock.now_s());
@@ -803,7 +754,7 @@ fn poll_once(
                 kind: EventKind::Death,
             });
         }
-        note_failure(health, sink, chaos.worker, chaos.clock.now_s());
+        score(None, chaos.clock.now_s());
         std::thread::sleep(restart_delay);
         return;
     }
@@ -850,7 +801,7 @@ fn poll_once(
             if let Some(tt) = tt.as_mut() {
                 tt.mark(Phase::Execute, chaos.clock.now_s());
             }
-            note_failure(health, sink, chaos.worker, chaos.clock.now_s());
+            score(None, chaos.clock.now_s());
             return;
         }
     };
@@ -864,11 +815,11 @@ fn poll_once(
         tt.mark(Phase::Execute, chaos.clock.now_s());
     }
 
-    // Death mid-upload: half the output lands as a torn object, then the
-    // worker dies. Redelivery must idempotently overwrite the torn bytes.
+    // Death mid-upload: the worker dies before its PUT completes. An
+    // object-store PUT (S3, Azure Blob) commits atomically, so nothing
+    // lands, and a lapsed lease can never clobber a redelivered attempt's
+    // committed output. Redelivery re-runs the task.
     if chaos.die_mid_execute(seq) {
-        let torn = output[..output.len() / 2].to_vec();
-        let _ = storage.put(&job.output_bucket, &spec.output_key, torn);
         shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
         if let Some(s) = sink {
             s.event(TraceEvent {
@@ -877,16 +828,15 @@ fn poll_once(
                 kind: EventKind::Death,
             });
         }
-        note_failure(health, sink, chaos.worker, chaos.clock.now_s());
+        score(None, chaos.clock.now_s());
         std::thread::sleep(restart_delay);
         return;
     }
-    // Torn upload without a death: the worker's put "fails" after writing
-    // a prefix; it abandons the lease and redelivery retries the task.
+    // Torn upload without a death: the PUT fails partway, so (being
+    // atomic) it writes nothing; the worker abandons the lease and
+    // redelivery retries the task.
     if chaos.torn_upload(seq) {
-        let torn = output[..output.len() / 2].to_vec();
-        let _ = storage.put(&job.output_bucket, &spec.output_key, torn);
-        note_failure(health, sink, chaos.worker, chaos.clock.now_s());
+        score(None, chaos.clock.now_s());
         return;
     }
 
@@ -914,7 +864,7 @@ fn poll_once(
                 kind: EventKind::Death,
             });
         }
-        note_failure(health, sink, chaos.worker, chaos.clock.now_s());
+        score(None, chaos.clock.now_s());
         std::thread::sleep(restart_delay);
         return;
     }
@@ -925,7 +875,7 @@ fn poll_once(
     // harmless by idempotence.
     let _ = sched.delete(msg.receipt);
     let done_s = chaos.clock.now_s();
-    note_success(health, sink, chaos.worker, done_s - attempt_began_s, done_s);
+    score(Some(done_s - attempt_began_s), done_s);
     if let Some(tt) = tt.as_mut() {
         tt.mark(Phase::Ack, done_s);
     }
@@ -1717,10 +1667,9 @@ mod tests {
     }
 
     #[test]
-    fn mid_execute_death_overwrites_torn_output() {
-        // A worker dying mid-upload leaves a torn half-object; the
-        // redelivered task must idempotently overwrite it with the full
-        // output.
+    fn mid_execute_death_leaves_no_output_and_is_redelivered() {
+        // A worker dying mid-upload lands nothing (PUTs are atomic); the
+        // redelivered task must commit the full output.
         let (storage, queues, job) = setup(20);
         let job = job
             .with_visibility_timeout(Duration::from_millis(25))
@@ -1752,8 +1701,46 @@ mod tests {
                 .unwrap();
             let mut expect = format!("payload-{i}").into_bytes();
             expect.reverse();
-            assert_eq!(*out, expect, "torn upload was overwritten in full");
+            assert_eq!(*out, expect, "redelivery committed the full output");
         }
+    }
+
+    #[test]
+    fn interrupted_upload_never_clobbers_committed_output() {
+        // A worker whose lease lapsed can reach its upload after a
+        // redelivered attempt already committed the task. Its interrupted
+        // PUT must land nothing: pre-commit the full output, tear the only
+        // worker's upload, allow no redelivery, and the bytes must survive.
+        let (storage, queues, job) = setup(1);
+        let job = job
+            .with_visibility_timeout(Duration::from_millis(20))
+            .with_max_deliveries(1);
+        let mut full = b"payload-0".to_vec();
+        full.reverse();
+        storage.ensure_bucket(&job.output_bucket);
+        storage
+            .put(&job.output_bucket, "f0.out", full.clone())
+            .unwrap();
+        let config = ClassicConfig {
+            schedule: Some(Arc::new(FaultSchedule::new(1).torn_upload(0, 0))),
+            ..ClassicConfig::default()
+        };
+        let report = run_job(
+            &storage,
+            &queues,
+            &Cluster::provision(EC2_HCXL, 1, 1),
+            &job,
+            reverse_executor(),
+            &config,
+        )
+        .unwrap();
+        assert_eq!(
+            report.failed,
+            vec![TaskId(0)],
+            "the torn task is not retried"
+        );
+        let out = storage.get(&job.output_bucket, "f0.out").unwrap();
+        assert_eq!(*out, full, "committed output survives the torn upload");
     }
 
     #[test]

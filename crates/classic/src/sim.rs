@@ -29,8 +29,8 @@ use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
 use ppc_des::{Engine, EventId, FifoServer, SimTime};
-use ppc_exec::RunReport;
-use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_exec::{HealthTrace, RunReport};
+use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_storage::metering::MeteringSnapshot;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
@@ -66,7 +66,8 @@ pub struct SimConfig {
     /// positive). `None` (default) gives every worker the full
     /// per-connection storage path — the regime where paper-scale tasks
     /// live; enable it to study IO-heavy workloads (the
-    /// `ablate_nic_contention` bench). Fixed fleets only.
+    /// `ablate_nic_contention` bench). Fixed fleets only: an elastic run
+    /// panics on it.
     pub nic_bandwidth_bytes_per_s: Option<f64>,
     /// Straggler and gray-failure defense (hedged duplicate messages,
     /// health-scored worker quarantine, per-task deadlines) — the DES twin
@@ -234,35 +235,6 @@ fn record_attempt(
         start_s,
         end_s,
     ));
-}
-
-/// Score an attempt into the health tracker (if any): a success with its
-/// latency, a failure with `None`. Either can bench the worker (a gray-slow
-/// worker is benched off a success), which emits the `Quarantine` event.
-/// No-op on undefended runs.
-fn note_health(
-    health: &mut Option<HealthTracker>,
-    rec: &Option<Recorder>,
-    worker: u32,
-    latency_s: Option<f64>,
-    now_s: f64,
-) {
-    if let Some(tracker) = health {
-        let benched_before = matches!(tracker.health(worker), Health::Quarantined { .. });
-        match latency_s {
-            Some(latency_s) => tracker.record_success(worker, latency_s, now_s),
-            None => tracker.record_failure(worker, now_s),
-        }
-        if !benched_before && matches!(tracker.health(worker), Health::Quarantined { .. }) {
-            if let Some(rec) = rec {
-                rec.event(TraceEvent {
-                    at_s: now_s,
-                    worker,
-                    kind: EventKind::Quarantine,
-                });
-            }
-        }
-    }
 }
 
 /// One simulated worker slot.
@@ -652,6 +624,12 @@ pub(crate) fn sim_autoscaled_impl(
         tasks.len()
     );
     check_sim_inputs(cfg, schedule.as_ref());
+    // Elastic workers have no per-instance NIC model: refuse the dial
+    // rather than report a run that silently ignored it.
+    assert!(
+        cfg.nic_bandwidth_bytes_per_s.is_none(),
+        "sim config: nic_bandwidth_bytes_per_s is modeled on fixed fleets only, not on an elastic fleet"
+    );
     let fleet = Fleet::Elastic(Box::new(Elastic {
         itype,
         controller: Controller::new(autoscale.clone()),
@@ -793,35 +771,18 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
     let now_s = engine.now().as_secs_f64();
     // Quarantine gate: a benched worker pulls nothing until its sentence
     // expires, then re-enters through probation.
-    let benched_until = {
+    let admit = {
         let mut st = sim.st.borrow_mut();
         let job_done = st.completed >= st.n_tasks;
         if !st.fleet.may_pull(w, job_done) {
             return;
         }
         let SimState { health, rec, .. } = &mut *st;
-        health.as_mut().and_then(|tracker| {
-            let benched_before = matches!(tracker.health(w), Health::Quarantined { .. });
-            if tracker.allow(w, now_s) {
-                if benched_before {
-                    if let Some(rec) = rec {
-                        rec.event(TraceEvent {
-                            at_s: now_s,
-                            worker: w,
-                            kind: EventKind::Release,
-                        });
-                    }
-                }
-                None
-            } else {
-                match tracker.health(w) {
-                    Health::Quarantined { until_s } => Some(until_s),
-                    _ => None,
-                }
-            }
+        health.as_mut().map_or(Admit::Go, |tracker| {
+            tracker.admit(w, now_s, &HealthTrace(rec.as_ref()))
         })
     };
-    if let Some(until_s) = benched_until {
+    if let Admit::Benched { until_s } = admit {
         let wake = strictly_after_now(engine.now(), until_s);
         engine.schedule_at(SimTime::from_secs_f64(wake), move |e| {
             worker_tick(e, sim, worker)
@@ -1018,15 +979,9 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
         if let Some(n) = running.get_mut(&id) {
             *n = n.saturating_sub(1);
         }
+        let ok = !lost && !cancel;
         let mut dead_timers = None;
-        if cancel {
-            note_health(health, rec, w, None, now);
-        } else if lost {
-            *deaths += 1;
-            if !slot_died {
-                note_health(health, rec, w, None, now);
-            }
-        } else {
+        if ok {
             // First result wins: a hedged loser's output is discarded (its
             // time shows up as wasted duplicate work in the trace).
             let winner = cfg.resilience.is_none() || done.insert(id);
@@ -1042,7 +997,12 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
                 // this task a dead no-op; cancel them once unborrowed.
                 dead_timers = hedge_timers.remove(&id);
             }
-            note_health(health, rec, w, Some(latency_s), now);
+        } else if !cancel {
+            *deaths += 1;
+        }
+        // A whole-instance death is no evidence against the worker slot.
+        if let Some(h) = health.as_mut().filter(|_| !slot_died) {
+            h.record(w, ok.then_some(latency_s), now, &HealthTrace(rec.as_ref()));
         }
         if let Some(rec) = rec {
             // A fixed fleet stamps a lost or cancelled attempt back from
@@ -1053,7 +1013,6 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
                 a.pulled_s
             };
             let (t_in, t_exec, t_out, t_ctrl) = a.parts;
-            let ok = !lost && !cancel;
             record_attempt(
                 rec, w, id, a.attempt, start_s, now, t_in, t_exec, t_out, t_ctrl, ok,
             );
@@ -1780,6 +1739,25 @@ mod tests {
         // Quarantine is modeled on the NIC path.
         let quarantine = ResiliencePolicy::default().with_quarantine(QuarantineConfig::default());
         assert!(nic(quarantine).validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "nic_bandwidth_bytes_per_s is modeled on fixed fleets only")]
+    fn elastic_fleet_rejects_nic_contention() {
+        // A 1-B/s link would stall every transfer; an elastic run must not
+        // quietly report the NIC-free makespan instead.
+        let cfg = SimConfig {
+            nic_bandwidth_bytes_per_s: Some(1.0),
+            ..free_cfg()
+        };
+        simulate_autoscaled_chaos(
+            EC2_HCXL,
+            &cpu_tasks(4, 1.0),
+            &[],
+            &cfg,
+            &autoscale_cfg(),
+            None,
+        );
     }
 
     #[test]

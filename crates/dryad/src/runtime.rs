@@ -16,8 +16,8 @@ use ppc_core::retry::RetryPolicy;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::RunReport;
-use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_exec::{HealthTrace, RunReport};
+use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -400,57 +400,6 @@ enum Backup {
     Done,
 }
 
-/// Score a successful attempt with the health tracker, emitting a
-/// Quarantine event if this observation benches the worker.
-fn note_success(
-    health: Option<&Mutex<HealthTracker>>,
-    sink: Option<&dyn TraceSink>,
-    worker: u32,
-    latency_s: f64,
-    now_s: f64,
-) {
-    let Some(health) = health else { return };
-    let mut tracker = health.lock().unwrap();
-    let before = matches!(tracker.health(worker), Health::Quarantined { .. });
-    tracker.record_success(worker, latency_s, now_s);
-    let benched = !before && matches!(tracker.health(worker), Health::Quarantined { .. });
-    drop(tracker);
-    if benched {
-        if let Some(s) = sink {
-            s.event(TraceEvent {
-                at_s: now_s,
-                worker,
-                kind: EventKind::Quarantine,
-            });
-        }
-    }
-}
-
-/// Score a failed attempt with the health tracker, emitting a Quarantine
-/// event if this failure benches the worker.
-fn note_failure(
-    health: Option<&Mutex<HealthTracker>>,
-    sink: Option<&dyn TraceSink>,
-    worker: u32,
-    now_s: f64,
-) {
-    let Some(health) = health else { return };
-    let mut tracker = health.lock().unwrap();
-    let before = matches!(tracker.health(worker), Health::Quarantined { .. });
-    tracker.record_failure(worker, now_s);
-    let benched = !before && matches!(tracker.health(worker), Health::Quarantined { .. });
-    drop(tracker);
-    if benched {
-        if let Some(s) = sink {
-            s.event(TraceEvent {
-                at_s: now_s,
-                worker,
-                kind: EventKind::Quarantine,
-            });
-        }
-    }
-}
-
 /// One traced vertex attempt: chaos dice at the `dice` address, if any
 /// (primary first attempts only), local read, execute, and the terminal
 /// write mark on success. Returns
@@ -638,31 +587,32 @@ fn defended_slot_loop(
     let retry = RetryPolicy::immediate(ctx.config.max_retries + 1);
     let mut rng = Pcg32::for_stream(ctx.config.seed, worker as u64);
     let mut last_kill_s: f64 = 0.0;
+    // Score a failed attempt into the health tracker, which traces any
+    // bench it imposes.
+    let score_failure = || {
+        if let Some(h) = defense.health {
+            let now_s = ctx.clock.now_s();
+            h.lock()
+                .unwrap()
+                .record(worker, None, now_s, &HealthTrace(ctx.sink));
+        }
+    };
     loop {
         if let Some(health) = defense.health {
             // Quarantine gate: a benched slot naps instead of pulling work.
             // Its share of the list is picked up by the node's other slots
             // (within-node balancing is dynamic; across nodes it is not).
             let now_s = ctx.clock.now_s();
-            let mut tracker = health.lock().unwrap();
-            let was_benched = matches!(tracker.health(worker), Health::Quarantined { .. });
-            if !tracker.allow(worker, now_s) {
-                drop(tracker);
+            let admit = health
+                .lock()
+                .unwrap()
+                .admit(worker, now_s, &HealthTrace(ctx.sink));
+            if admit != Admit::Go {
                 if node.remaining.load(Ordering::Acquire) == 0 {
                     break;
                 }
                 std::thread::sleep(Duration::from_micros(500));
                 continue;
-            }
-            drop(tracker);
-            if was_benched {
-                if let Some(s) = ctx.sink {
-                    s.event(TraceEvent {
-                        at_s: now_s,
-                        worker,
-                        kind: EventKind::Release,
-                    });
-                }
             }
         }
         let item = local.lock().unwrap().pop_front();
@@ -714,7 +664,7 @@ fn defended_slot_loop(
                         &cancel,
                     );
                     if r.as_ref().is_err_and(|e| !killed(e)) {
-                        note_failure(defense.health, ctx.sink, worker, ctx.clock.now_s());
+                        score_failure();
                     }
                     r
                 });
@@ -737,7 +687,7 @@ fn defended_slot_loop(
                     // hazards and this slot already survived its pull.
                     let out = vertex_attempt(ctx, &spec, &input, worker, attempt, None, &cancel);
                     if out.as_ref().is_err_and(|e| !killed(e)) {
-                        note_failure(defense.health, ctx.sink, worker, ctx.clock.now_s());
+                        score_failure();
                     }
                     let latency_s = vertex_start.elapsed().as_secs_f64();
                     finish_attempt(ctx, defense, node, &spec, worker, out, 0, latency_s);
@@ -850,7 +800,11 @@ fn finish_attempt(
                 // exactly-once output, the work was redundant.
                 defense.redundant.fetch_add(1, Ordering::Relaxed);
             }
-            note_success(defense.health, ctx.sink, worker, latency_s, now_s);
+            if let Some(h) = defense.health {
+                h.lock()
+                    .unwrap()
+                    .record(worker, Some(latency_s), now_s, &HealthTrace(ctx.sink));
+            }
             let mut reg = node.registry.lock().unwrap();
             if let Some(e) = reg.get_mut(&spec.id.0) {
                 if winner {
@@ -895,7 +849,11 @@ fn finish_attempt(
             } else if was_killed {
                 // Killed by its deadline (the Cancel event was recorded
                 // there): a failed attempt.
-                note_failure(defense.health, ctx.sink, worker, now_s);
+                if let Some(h) = defense.health {
+                    h.lock()
+                        .unwrap()
+                        .record(worker, None, now_s, &HealthTrace(ctx.sink));
+                }
             }
             if last_live && !done {
                 ctx.failures.fetch_add(1, Ordering::Relaxed);

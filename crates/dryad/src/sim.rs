@@ -14,8 +14,8 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::RunReport;
-use ppc_resilience::{Health, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_exec::{HealthTrace, RunReport};
+use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::BinaryHeap;
@@ -124,51 +124,6 @@ impl DryadSimConfig {
     }
 }
 
-/// Score a successful attempt, emitting a Quarantine event if this
-/// observation benches the slot.
-fn sim_note_success(
-    health: &mut Option<HealthTracker>,
-    rec: &Option<Recorder>,
-    worker: u32,
-    latency_s: f64,
-    now_s: f64,
-) {
-    let Some(h) = health.as_mut() else { return };
-    let before = matches!(h.health(worker), Health::Quarantined { .. });
-    h.record_success(worker, latency_s, now_s);
-    if !before && matches!(h.health(worker), Health::Quarantined { .. }) {
-        if let Some(rec) = rec {
-            rec.event(TraceEvent {
-                at_s: now_s,
-                worker,
-                kind: EventKind::Quarantine,
-            });
-        }
-    }
-}
-
-/// Score a failed or cancelled attempt, emitting a Quarantine event if
-/// this observation benches the slot.
-fn sim_note_failure(
-    health: &mut Option<HealthTracker>,
-    rec: &Option<Recorder>,
-    worker: u32,
-    now_s: f64,
-) {
-    let Some(h) = health.as_mut() else { return };
-    let before = matches!(h.health(worker), Health::Quarantined { .. });
-    h.record_failure(worker, now_s);
-    if !before && matches!(h.health(worker), Health::Quarantined { .. }) {
-        if let Some(rec) = rec {
-            rec.event(TraceEvent {
-                at_s: now_s,
-                worker,
-                kind: EventKind::Quarantine,
-            });
-        }
-    }
-}
-
 /// Cap on chaos re-runs of one vertex before it counts as failed (the
 /// i.i.d. death dice can in principle chain forever at p close to 1).
 const MAX_CHAOS_ATTEMPTS: u32 = 16;
@@ -252,30 +207,14 @@ pub(crate) fn simulate_impl(
                     let (start, slot) = loop {
                         let std::cmp::Reverse((fa, s)) = slots.pop().expect("at least one slot");
                         let now_s = fa as f64 / 1e6;
-                        let Some(h) = health.as_mut() else {
-                            break (fa, s);
-                        };
-                        let was_benched = matches!(h.health(s as u32), Health::Quarantined { .. });
-                        if h.allow(s as u32, now_s) {
-                            if was_benched {
-                                if let Some(rec) = &rec {
-                                    rec.event(TraceEvent {
-                                        at_s: now_s,
-                                        worker: s as u32,
-                                        kind: EventKind::Release,
-                                    });
-                                }
-                            }
-                            break (fa, s);
+                        let admit = health.as_mut().map_or(Admit::Go, |h| {
+                            h.admit(s as u32, now_s, &HealthTrace(rec.as_ref()))
+                        });
+                        match admit {
+                            Admit::Go => break (fa, s),
+                            Admit::Benched { until_s } => slots
+                                .push(std::cmp::Reverse(((until_s * 1e6).round() as u64 + 1, s))),
                         }
-                        let until_s = match h.health(s as u32) {
-                            Health::Quarantined { until_s } => until_s,
-                            _ => now_s,
-                        };
-                        slots.push(std::cmp::Reverse((
-                            ((until_s.max(now_s)) * 1e6).round() as u64 + 1,
-                            s,
-                        )));
                     };
                     let w = slot as u32;
                     let local_slot = slot - node_base;
@@ -330,7 +269,9 @@ pub(crate) fn simulate_impl(
                                 });
                             }
                         }
-                        sim_note_failure(&mut health, &rec, w, end_s);
+                        if let Some(h) = &mut health {
+                            h.record(w, None, end_s, &HealthTrace(rec.as_ref()));
+                        }
                         node_finish = node_finish.max(finish);
                         slots.push(std::cmp::Reverse((finish, slot)));
                         earliest = finish;
@@ -369,7 +310,9 @@ pub(crate) fn simulate_impl(
                                     kind: EventKind::Cancel,
                                 });
                             }
-                            sim_note_failure(&mut health, &rec, w, end_s);
+                            if let Some(h) = &mut health {
+                                h.record(w, None, end_s, &HealthTrace(rec.as_ref()));
+                            }
                             node_finish = node_finish.max(finish);
                             slots.push(std::cmp::Reverse((finish, slot)));
                             attempt_idx += 1;
@@ -493,7 +436,10 @@ pub(crate) fn simulate_impl(
                     if let Some(policy) = hedge.as_mut() {
                         policy.observe(winner_latency);
                     }
-                    sim_note_success(&mut health, &rec, winner_w, winner_latency, end_s);
+                    if let Some(h) = &mut health {
+                        let latency_s = Some(winner_latency);
+                        h.record(winner_w, latency_s, end_s, &HealthTrace(rec.as_ref()));
+                    }
                     break;
                 }
                 continue;

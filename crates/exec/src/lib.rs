@@ -17,6 +17,9 @@
 //! * [`RunReport`] is the report core every paradigm embeds (makespan
 //!   summary, failed tasks, attempt/death counters, cost, optional
 //!   trace), with the one JSON serializer in place of per-crate copies.
+//! * [`HealthTrace`] is how every engine hands a run's trace sink to its
+//!   `ppc-resilience` health tracker, which then records its own
+//!   `Quarantine`/`Release` transitions.
 //!
 //! Context fields *override* the per-paradigm config when set and fall
 //! back to it when not, so a config keeps meaning what it meant when the
@@ -32,8 +35,8 @@ use ppc_core::json::Json;
 use ppc_core::metrics::RunSummary;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_resilience::ResiliencePolicy;
-use ppc_trace::{Trace, TraceSink};
+use ppc_resilience::{HealthSink, ResiliencePolicy, Transition};
+use ppc_trace::{EventKind, Trace, TraceEvent, TraceSink};
 use std::sync::Arc;
 
 pub mod workflow;
@@ -304,6 +307,24 @@ impl RunReport {
                 },
             ),
         ])
+    }
+}
+
+/// A [`HealthSink`] that records each quarantine transition a
+/// `HealthTracker` reports as a `Quarantine` / `Release` trace event on the
+/// run's sink, at the tracker's instant (nothing on an untraced run). Native
+/// engines wrap their `Option<&dyn TraceSink>`, simulators their recorder.
+pub struct HealthTrace<'a, S: ?Sized>(pub Option<&'a S>);
+
+impl<S: TraceSink + ?Sized> HealthSink for HealthTrace<'_, S> {
+    fn transition(&self, worker: u32, at_s: f64, transition: Transition) {
+        if let Some(sink) = self.0 {
+            let kind = match transition {
+                Transition::Quarantine => EventKind::Quarantine,
+                Transition::Release => EventKind::Release,
+            };
+            sink.event(TraceEvent { at_s, worker, kind });
+        }
     }
 }
 

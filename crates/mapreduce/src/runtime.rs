@@ -17,10 +17,10 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::TaskId;
 use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::RunReport;
+use ppc_exec::{HealthTrace, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
-use ppc_resilience::{Health, HealthTracker, HedgeConfig, ResiliencePolicy};
+use ppc_resilience::{Admit, HealthTracker, HedgeConfig, ResiliencePolicy};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,55 +93,6 @@ impl HadoopConfig {
     }
 }
 
-/// Record a failed attempt with the health tracker, emitting a Quarantine
-/// event if the failure streak benched the worker.
-fn note_failure(
-    health: Option<&Mutex<HealthTracker>>,
-    sink: Option<&dyn TraceSink>,
-    worker: u32,
-    now_s: f64,
-) {
-    if let Some(h) = health {
-        let mut h = h.lock().unwrap();
-        let benched_before = matches!(h.health(worker), Health::Quarantined { .. });
-        h.record_failure(worker, now_s);
-        if !benched_before && matches!(h.health(worker), Health::Quarantined { .. }) {
-            if let Some(s) = sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker,
-                    kind: EventKind::Quarantine,
-                });
-            }
-        }
-    }
-}
-
-/// Record a successful attempt's latency, emitting a Quarantine event if
-/// the EWMA score just benched the worker as gray.
-fn note_success(
-    health: Option<&Mutex<HealthTracker>>,
-    sink: Option<&dyn TraceSink>,
-    worker: u32,
-    latency_s: f64,
-    now_s: f64,
-) {
-    if let Some(h) = health {
-        let mut h = h.lock().unwrap();
-        let benched_before = matches!(h.health(worker), Health::Quarantined { .. });
-        h.record_success(worker, latency_s, now_s);
-        if !benched_before && matches!(h.health(worker), Health::Quarantined { .. }) {
-            if let Some(s) = sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker,
-                    kind: EventKind::Quarantine,
-                });
-            }
-        }
-    }
-}
-
 /// The native runtime body, reached through [`crate::run`]: co-located
 /// compute and storage, Hadoop's output-committer discipline, retries and
 /// hedging/quarantine/deadlines from the shared [`Scheduler`] +
@@ -206,6 +157,14 @@ pub(crate) fn run_job_impl(
                 scope.spawn(move || {
                     let node_id = DataNodeId(node);
                     let worker = (node * config.slots_per_node + slot) as u32;
+                    // Score a finished attempt (`None` = failed) into the
+                    // health tracker, which traces any bench it imposes.
+                    let score = |latency_s: Option<f64>, now_s: f64| {
+                        if let Some(h) = health {
+                            let sink = HealthTrace(sink);
+                            h.lock().unwrap().record(worker, latency_s, now_s, &sink);
+                        }
+                    };
                     if let Some(s) = sink {
                         s.event(TraceEvent {
                             at_s: clock.now_s(),
@@ -226,22 +185,10 @@ pub(crate) fn run_job_impl(
                             if scheduler.lock().unwrap().is_complete() {
                                 break;
                             }
-                            let benched =
-                                matches!(tracker.health(worker), Health::Quarantined { .. });
-                            if !tracker.allow(worker, now_s) {
+                            if tracker.admit(worker, now_s, &HealthTrace(sink)) != Admit::Go {
                                 drop(tracker);
                                 std::thread::sleep(config.poll_backoff);
                                 continue;
-                            }
-                            if benched {
-                                // allow() just released this worker.
-                                if let Some(s) = sink {
-                                    s.event(TraceEvent {
-                                        at_s: now_s,
-                                        worker,
-                                        kind: EventKind::Release,
-                                    });
-                                }
                             }
                         }
                         let poll_at = sink.map(|_| clock.now_s());
@@ -328,7 +275,7 @@ pub(crate) fn run_job_impl(
                                     });
                                 }
                                 scheduler.lock().unwrap().fail(assignment.id);
-                                note_failure(health, sink, worker, clock.now_s());
+                                score(None, clock.now_s());
                                 continue;
                             }
                             // HDFS brownout/partition: the client rides out
@@ -345,7 +292,7 @@ pub(crate) fn run_job_impl(
                         // Injected attempt failure.
                         if config.attempt_failure_p > 0.0 && rng.chance(config.attempt_failure_p) {
                             scheduler.lock().unwrap().fail(assignment.id);
-                            note_failure(health, sink, worker, clock.now_s());
+                            score(None, clock.now_s());
                             continue;
                         }
                         let read_phase = if assignment.local {
@@ -426,7 +373,7 @@ pub(crate) fn run_job_impl(
                                     }
                                 }
                                 scheduler.lock().unwrap().fail(assignment.id);
-                                note_failure(health, sink, worker, clock.now_s());
+                                score(None, clock.now_s());
                                 continue;
                             }
                         }
@@ -444,7 +391,7 @@ pub(crate) fn run_job_impl(
                                     });
                                 }
                                 scheduler.lock().unwrap().fail(assignment.id);
-                                note_failure(health, sink, worker, now_s);
+                                score(None, now_s);
                                 continue;
                             }
                         }
@@ -476,13 +423,7 @@ pub(crate) fn run_job_impl(
                                     }
                                 }
                                 let done_s = clock.now_s();
-                                note_success(
-                                    health,
-                                    sink,
-                                    worker,
-                                    done_s - attempt_began_s,
-                                    done_s,
-                                );
+                                score(Some(done_s - attempt_began_s), done_s);
                                 let mut sched = scheduler.lock().unwrap();
                                 match sched.complete_at(assignment.id, done_s) {
                                     CompleteOutcome::First => {
@@ -543,7 +484,7 @@ pub(crate) fn run_job_impl(
                             }
                             Err(_) => {
                                 scheduler.lock().unwrap().fail(assignment.id);
-                                note_failure(health, sink, worker, clock.now_s());
+                                score(None, clock.now_s());
                             }
                         }
                     }

@@ -22,9 +22,9 @@ use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
 use ppc_des::{Engine, SimTime};
-use ppc_exec::RunReport;
+use ppc_exec::{HealthTrace, RunReport};
 use ppc_hdfs::block::DataNodeId;
-use ppc_resilience::{Health, HealthTracker, HedgeConfig, ResiliencePolicy};
+use ppc_resilience::{Admit, HealthTracker, HedgeConfig, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink};
 use std::cell::RefCell;
@@ -340,39 +340,17 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
     let now_s = engine.now().as_secs_f64();
     // Health gate: a benched worker sleeps until its release time instead
     // of taking work; an expired bench releases (to probation) here.
-    let benched_until = {
+    let admit = {
         let mut st = state.borrow_mut();
         if st.scheduler.is_complete() {
             return; // cluster drains
         }
         let SimState { health, rec, .. } = &mut *st;
-        match health {
-            Some(h) => {
-                let w = worker as u32;
-                let benched = matches!(h.health(w), Health::Quarantined { .. });
-                if h.allow(w, now_s) {
-                    if benched {
-                        // allow() just released this worker.
-                        if let Some(rec) = rec {
-                            rec.event(TraceEvent {
-                                at_s: now_s,
-                                worker: w,
-                                kind: EventKind::Release,
-                            });
-                        }
-                    }
-                    None
-                } else {
-                    match h.health(w) {
-                        Health::Quarantined { until_s } => Some(until_s),
-                        _ => Some(now_s + cfg.poll_interval_s),
-                    }
-                }
-            }
-            None => None,
-        }
+        health.as_mut().map_or(Admit::Go, |h| {
+            h.admit(worker as u32, now_s, &HealthTrace(rec.as_ref()))
+        })
     };
-    if let Some(until_s) = benched_until {
+    if let Admit::Benched { until_s } = admit {
         let sim = sim.clone();
         let wake = (until_s - now_s).max(cfg.poll_interval_s);
         engine.schedule_in(SimTime::from_secs_f64(wake), move |e| {
@@ -518,26 +496,10 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
             };
             // Health scoring: successes feed the EWMA, failures the
             // streak; either can bench this worker as gray.
-            {
-                let SimState { health, rec, .. } = &mut *st;
-                if let Some(h) = health {
-                    let w = worker as u32;
-                    let benched_before = matches!(h.health(w), Health::Quarantined { .. });
-                    if fails {
-                        h.record_failure(w, end);
-                    } else {
-                        h.record_success(w, end - now_s, end);
-                    }
-                    if !benched_before && matches!(h.health(w), Health::Quarantined { .. }) {
-                        if let Some(rec) = rec {
-                            rec.event(TraceEvent {
-                                at_s: end,
-                                worker: w,
-                                kind: EventKind::Quarantine,
-                            });
-                        }
-                    }
-                }
+            let SimState { health, rec, .. } = &mut *st;
+            if let Some(h) = health {
+                let latency_s = (!fails).then_some(end - now_s);
+                h.record(worker as u32, latency_s, end, &HealthTrace(rec.as_ref()));
             }
             if let Some(rec) = &st.rec {
                 // Phase boundaries, clamped so engine-clock quantization

@@ -298,10 +298,40 @@ impl WorkerScore {
     }
 }
 
+/// What [`HealthTracker::admit`] decided for a worker asking for work.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Admit {
+    /// Hand the worker work. If its bench had just expired, `admit`
+    /// released it to probation and reported the release.
+    Go,
+    /// Benched: no work until `until_s`, when asking again releases it.
+    Benched { until_s: f64 },
+}
+
+/// A quarantine state change, reported by the [`HealthTracker`] that made
+/// it at the instant it made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// The worker was benched as gray (slow or failure-streaked).
+    Quarantine,
+    /// The worker's bench expired; it re-enters through probation.
+    Release,
+}
+
+/// Where a [`HealthTracker`] reports its transitions.
+/// `ppc_exec::HealthTrace` records them as the run's `Quarantine` /
+/// `Release` trace events, which is how every engine, native and
+/// simulated, passes them on.
+pub trait HealthSink {
+    fn transition(&self, worker: u32, at_s: f64, transition: Transition);
+}
+
 /// Scores workers by EWMA completion latency and failure streaks and runs
 /// the quarantine state machine: Healthy → Quarantined (timed bench) →
 /// Probation (earn your way back) → Healthy. Callers ask
-/// [`HealthTracker::allow`] before handing a worker new work.
+/// [`HealthTracker::admit`] before handing a worker new work and
+/// [`HealthTracker::record`] each attempt it finishes; the tracker alone
+/// decides each transition and reports it to the caller's [`HealthSink`].
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
     cfg: QuarantineConfig,
@@ -356,15 +386,8 @@ impl HealthTracker {
         ((self.benched() + 1) as f64) <= self.cfg.max_quarantined_fraction * fleet as f64
     }
 
-    fn bench(&mut self, worker: u32, now_s: f64) {
-        let until_s = now_s + self.cfg.quarantine_s;
-        self.quarantines += 1;
-        self.score(worker).health = Health::Quarantined { until_s };
-        self.score(worker).consecutive_failures = 0;
-    }
-
-    /// Record a successful completion with its observed latency.
-    pub fn record_success(&mut self, worker: u32, latency_s: f64, now_s: f64) {
+    /// Score a success; whether it shows the worker gray-slow.
+    fn score_success(&mut self, worker: u32, latency_s: f64) -> bool {
         let alpha = self.cfg.ewma_alpha;
         let s = self.score(worker);
         s.consecutive_failures = 0;
@@ -383,37 +406,58 @@ impl HealthTracker {
             };
         }
         // Gray check: slow relative to the fleet, with enough evidence.
-        let slow = {
-            let s = &self.workers[worker as usize];
-            s.health == Health::Healthy
-                && s.samples >= self.cfg.min_samples
-                && match (s.ewma_s, self.fleet_median()) {
-                    (Some(e), Some(m)) => e > self.cfg.slow_factor * m,
-                    _ => false,
-                }
-        };
-        if slow && self.can_bench() {
-            self.bench(worker, now_s);
-        }
+        let s = &self.workers[worker as usize];
+        s.health == Health::Healthy
+            && s.samples >= self.cfg.min_samples
+            && match (s.ewma_s, self.fleet_median()) {
+                (Some(e), Some(m)) => e > self.cfg.slow_factor * m,
+                _ => false,
+            }
     }
 
-    /// Record a failed attempt on this worker.
-    pub fn record_failure(&mut self, worker: u32, now_s: f64) {
+    /// Score a failure; whether it trips a streak or breaks probation.
+    fn score_failure(&mut self, worker: u32) -> bool {
         let threshold = self.cfg.failure_threshold;
         let s = self.score(worker);
         s.consecutive_failures += 1;
-        let on_probation = matches!(s.health, Health::Probation { .. });
-        let tripped = s.consecutive_failures >= threshold;
-        let healthy = s.health == Health::Healthy;
-        if (on_probation || (healthy && tripped)) && self.can_bench() {
-            self.bench(worker, now_s);
+        match s.health {
+            Health::Probation { .. } => true,
+            Health::Healthy => s.consecutive_failures >= threshold,
+            Health::Quarantined { .. } => false,
         }
     }
 
-    /// Gate before assignment: `true` while the worker is benched. A
-    /// quarantine whose bench time has elapsed is released to probation
-    /// here (and the release is counted).
-    pub fn allow(&mut self, worker: u32, now_s: f64) -> bool {
+    /// Record one finished attempt: a success with its observed latency,
+    /// a failure (or cancellation) with `None`. Either can bench the
+    /// worker, a success when it shows the worker gray-slow next to the
+    /// fleet, a failure on a streak or during probation; the bench is
+    /// reported to `sink` as a [`Transition::Quarantine`] at `now_s`.
+    pub fn record(
+        &mut self,
+        worker: u32,
+        latency_s: Option<f64>,
+        now_s: f64,
+        sink: &dyn HealthSink,
+    ) {
+        let gray = match latency_s {
+            Some(latency_s) => self.score_success(worker, latency_s),
+            None => self.score_failure(worker),
+        };
+        if gray && self.can_bench() {
+            let until_s = now_s + self.cfg.quarantine_s;
+            self.quarantines += 1;
+            let s = self.score(worker);
+            s.health = Health::Quarantined { until_s };
+            s.consecutive_failures = 0;
+            sink.transition(worker, now_s, Transition::Quarantine);
+        }
+    }
+
+    /// Gate before assignment. A benched worker gets
+    /// [`Admit::Benched`]; a bench that has expired by `now_s` is
+    /// released to probation here, counted, and reported to `sink` as a
+    /// [`Transition::Release`].
+    pub fn admit(&mut self, worker: u32, now_s: f64, sink: &dyn HealthSink) -> Admit {
         let probation_tasks = self.cfg.probation_tasks;
         let s = self.score(worker);
         match s.health {
@@ -431,14 +475,15 @@ impl HealthTracker {
                 s.ewma_s = None;
                 s.samples = 0;
                 self.releases += 1;
-                true
+                sink.transition(worker, now_s, Transition::Release);
+                Admit::Go
             }
-            Health::Quarantined { .. } => false,
-            _ => true,
+            Health::Quarantined { until_s } => Admit::Benched { until_s },
+            _ => Admit::Go,
         }
     }
 
-    /// Current state of one worker (observers; assignment goes via `allow`).
+    /// Current state of one worker (observers; assignment goes via `admit`).
     pub fn health(&self, worker: u32) -> Health {
         self.workers
             .get(worker as usize)
@@ -634,6 +679,22 @@ mod tests {
         assert_eq!(p.hedges_launched(), 3);
     }
 
+    /// Test sink: every transition the tracker reports, in order.
+    #[derive(Default)]
+    struct Log(std::cell::RefCell<Vec<(u32, f64, Transition)>>);
+
+    impl HealthSink for Log {
+        fn transition(&self, worker: u32, at_s: f64, transition: Transition) {
+            self.0.borrow_mut().push((worker, at_s, transition));
+        }
+    }
+
+    impl Log {
+        fn take(&self) -> Vec<(u32, f64, Transition)> {
+            std::mem::take(&mut *self.0.borrow_mut())
+        }
+    }
+
     #[test]
     fn gray_worker_is_quarantined_and_released_through_probation() {
         let cfg = QuarantineConfig {
@@ -643,24 +704,43 @@ mod tests {
             ..QuarantineConfig::default()
         };
         let mut t = HealthTracker::new(cfg);
+        let log = Log::default();
         // Two healthy peers at ~1 s, one gray worker at ~10 s.
         for _ in 0..3 {
-            t.record_success(0, 1.0, 0.0);
-            t.record_success(1, 1.0, 0.0);
+            t.record(0, Some(1.0), 0.0, &log);
+            t.record(1, Some(1.0), 0.0, &log);
         }
-        t.record_success(2, 10.0, 0.0);
-        assert!(t.allow(2, 0.0), "one sample is not yet evidence");
-        t.record_success(2, 10.0, 1.0);
-        assert!(!t.allow(2, 1.0), "gray worker benched");
+        t.record(2, Some(10.0), 0.0, &log);
+        assert_eq!(
+            t.admit(2, 0.0, &log),
+            Admit::Go,
+            "one sample is not yet evidence"
+        );
+        t.record(2, Some(10.0), 1.0, &log);
+        assert_eq!(
+            t.admit(2, 1.0, &log),
+            Admit::Benched { until_s: 11.0 },
+            "gray worker benched"
+        );
         assert_eq!(t.quarantines(), 1);
-        assert!(t.allow(0, 1.0) && t.allow(1, 1.0), "peers unaffected");
+        assert_eq!(log.take(), [(2, 1.0, Transition::Quarantine)]);
+        assert!(
+            t.admit(0, 1.0, &log) == Admit::Go && t.admit(1, 1.0, &log) == Admit::Go,
+            "peers unaffected"
+        );
         // Bench expires → probation → healthy after two successes.
-        assert!(t.allow(2, 12.0), "released after quarantine_s");
+        assert_eq!(
+            t.admit(2, 12.0, &log),
+            Admit::Go,
+            "released after quarantine_s"
+        );
+        assert_eq!(log.take(), [(2, 12.0, Transition::Release)]);
         assert_eq!(t.health(2), Health::Probation { remaining: 2 });
-        t.record_success(2, 1.0, 12.0);
-        t.record_success(2, 1.0, 13.0);
+        t.record(2, Some(1.0), 12.0, &log);
+        t.record(2, Some(1.0), 13.0, &log);
         assert_eq!(t.health(2), Health::Healthy);
         assert_eq!(t.releases(), 1);
+        assert_eq!(log.take(), [], "a release is reported once");
     }
 
     #[test]
@@ -672,15 +752,38 @@ mod tests {
             ..QuarantineConfig::default()
         };
         let mut t = HealthTracker::new(cfg);
-        t.record_success(0, 1.0, 0.0); // a peer, so the fleet isn't one worker
-        t.record_failure(1, 0.0);
-        assert!(t.allow(1, 0.0), "one failure is not a streak");
-        t.record_failure(1, 0.0);
-        assert!(!t.allow(1, 0.0), "streak hit the threshold");
-        assert!(t.allow(1, 6.0), "released to probation");
-        t.record_failure(1, 6.0);
-        assert!(!t.allow(1, 6.0), "a probation failure re-benches at once");
+        let log = Log::default();
+        t.record(0, Some(1.0), 0.0, &log); // a peer, so the fleet isn't one worker
+        t.record(1, None, 0.0, &log);
+        assert_eq!(
+            t.admit(1, 0.0, &log),
+            Admit::Go,
+            "one failure is not a streak"
+        );
+        t.record(1, None, 0.0, &log);
+        assert_eq!(
+            t.admit(1, 0.0, &log),
+            Admit::Benched { until_s: 5.0 },
+            "streak hit the threshold"
+        );
+        // A failure scored while benched neither re-benches nor reports.
+        t.record(1, None, 1.0, &log);
+        assert_eq!(t.admit(1, 6.0, &log), Admit::Go, "released to probation");
+        t.record(1, None, 6.0, &log);
+        assert_eq!(
+            t.admit(1, 6.0, &log),
+            Admit::Benched { until_s: 11.0 },
+            "a probation failure re-benches at once"
+        );
         assert_eq!(t.quarantines(), 2);
+        assert_eq!(
+            log.take(),
+            [
+                (1, 0.0, Transition::Quarantine),
+                (1, 6.0, Transition::Release),
+                (1, 6.0, Transition::Quarantine),
+            ]
+        );
     }
 
     #[test]
@@ -691,17 +794,33 @@ mod tests {
             ..QuarantineConfig::default()
         };
         let mut t = HealthTracker::new(cfg);
+        let log = Log::default();
         // Touch 4 workers so the fleet size is known.
         for w in 0..4 {
-            t.record_success(w, 1.0, 0.0);
+            t.record(w, Some(1.0), 0.0, &log);
         }
-        t.record_failure(0, 0.0);
-        t.record_failure(1, 0.0);
-        assert!(!t.allow(0, 0.0) && !t.allow(1, 0.0));
+        t.record(0, None, 0.0, &log);
+        t.record(1, None, 0.0, &log);
+        assert!(t.admit(0, 0.0, &log) != Admit::Go && t.admit(1, 0.0, &log) != Admit::Go);
         // Benching a third of four would exceed the 50% cap.
-        t.record_failure(2, 0.0);
-        assert!(t.allow(2, 0.0), "fraction cap held the bench");
+        t.record(2, None, 0.0, &log);
+        assert_eq!(
+            t.admit(2, 0.0, &log),
+            Admit::Go,
+            "fraction cap held the bench"
+        );
         assert_eq!(t.quarantines(), 2);
+        assert_eq!(
+            log.take(),
+            [
+                (0, 0.0, Transition::Quarantine),
+                (1, 0.0, Transition::Quarantine),
+            ],
+            "the capped bench is not reported"
+        );
+        assert_eq!(t.admit(0, 30.0, &log), Admit::Go);
+        assert_eq!(t.releases(), 1);
+        assert_eq!(log.take(), [(0, 30.0, Transition::Release)]);
     }
 
     #[test]

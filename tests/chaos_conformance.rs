@@ -7,7 +7,8 @@
 //! correctness contract:
 //!
 //! 1. **Exact output set** — every task's output present, with the exact
-//!    expected bytes (torn half-uploads must have been overwritten).
+//!    expected bytes (an interrupted upload lands nothing, and the
+//!    re-execution commits the whole output).
 //! 2. **Bounded re-execution** — recovery costs extra attempts, never
 //!    unbounded ones.
 //! 3. **Determinism (sims)** — the same schedule replays to bit-identical
@@ -111,8 +112,8 @@ fn classic_native_conforms_under_hostile_schedule() {
     )
     .unwrap();
 
-    // Exact output set, idempotent overwrites included: a torn half-object
-    // must have been replaced by the completed re-execution.
+    // Exact output set: an interrupted upload landed nothing, and the
+    // completed re-execution committed every output in full.
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     assert_eq!(report.summary.tasks, N_TASKS as usize);
     for (key, expect) in expected_outputs() {

@@ -617,3 +617,140 @@ fn elastic_quarantine_wake_near_a_tick_terminates() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Quarantine transitions: the health tracker reports every bench and
+// release itself, so each engine's trace must show them as a well-formed
+// state machine.
+// ---------------------------------------------------------------------
+
+/// Check one trace's `Quarantine` / `Release` events against the tracker's
+/// state machine and return their counts. Per worker, in recorded order,
+/// the events alternate starting with `Quarantine`; each `Release` falls
+/// at or after its `Quarantine` plus `quarantine_s`, and the next
+/// `Quarantine` no earlier than that `Release`.
+fn quarantine_transitions(name: &str, trace: &Trace, quarantine_s: f64) -> (usize, usize) {
+    let mut last: HashMap<u32, (EventKind, f64)> = HashMap::new();
+    let (mut benched, mut released) = (0, 0);
+    for e in trace.events() {
+        match (e.kind, last.get(&e.worker).copied()) {
+            (EventKind::Quarantine, None | Some((EventKind::Release, _))) => {
+                if let Some((_, at_s)) = last.get(&e.worker) {
+                    assert!(
+                        e.at_s >= *at_s,
+                        "{name}: worker {} re-benched at {} before its release at {at_s}",
+                        e.worker,
+                        e.at_s
+                    );
+                }
+                benched += 1;
+            }
+            (EventKind::Release, Some((EventKind::Quarantine, at_s))) => {
+                assert!(
+                    e.at_s >= at_s + quarantine_s,
+                    "{name}: worker {} released at {}, benched at {at_s} for {quarantine_s} s",
+                    e.worker,
+                    e.at_s
+                );
+                released += 1;
+            }
+            (EventKind::Quarantine | EventKind::Release, prev) => panic!(
+                "{name}: worker {} {:?} at {} follows {prev:?}",
+                e.worker, e.kind, e.at_s
+            ),
+            _ => continue,
+        }
+        last.insert(e.worker, (e.kind, e.at_s));
+    }
+    (benched, released)
+}
+
+/// Every engine, simulated and native, under a gray fleet with quarantine
+/// and tracing on: the traced transitions form the tracker's state
+/// machine. The sims run long enough to bench, release and re-bench.
+#[test]
+fn quarantine_transitions_alternate_on_every_engine() {
+    // Worker 0 is so slow its attempts blow the deadline (a failure
+    // streak); worker 1 completes, but 6x slower than its peers (an EWMA
+    // bench).
+    let schedule = Arc::new(
+        FaultSchedule::new(chaos_seed())
+            .degrade(0, 30.0, 0.0, 1e9)
+            .degrade(1, 6.0, 0.0, 1e9),
+    );
+    let quarantine = QuarantineConfig {
+        min_samples: 2,
+        ..Default::default()
+    };
+    let policy = ResiliencePolicy::default()
+        .with_quarantine(quarantine)
+        .with_deadline(100.0);
+    let ctx = |cluster: &Cluster| {
+        RunContext::new(cluster)
+            .with_schedule(schedule.clone())
+            .with_resilience(policy)
+            .with_trace(true)
+    };
+    let tasks = sim_tasks(512);
+    let hcxl = Cluster::provision(EC2_HCXL, 1, 8);
+    let bare = Cluster::provision(BARE_CAP3, 1, 8);
+    let classic = classic_simulate(
+        &ctx(&hcxl),
+        &tasks,
+        &SimConfig {
+            storage_latency: LatencyModel::FREE,
+            queue_latency: LatencyModel::FREE,
+            jitter_sigma: 0.0,
+            ..SimConfig::ec2()
+        },
+    );
+    let mapreduce = hadoop_simulate(
+        &ctx(&bare),
+        &tasks,
+        &HadoopSimConfig {
+            straggler_p: 0.0,
+            jitter_sigma: 0.0,
+            ..Default::default()
+        },
+    );
+    let dryad = dryad_simulate(
+        &ctx(&bare),
+        &tasks,
+        &DryadSimConfig {
+            jitter_sigma: 0.0,
+            ..Default::default()
+        },
+    );
+    for (name, trace) in [
+        ("classic sim", &classic.core.trace),
+        ("mapreduce sim", &mapreduce.core.trace),
+        ("dryad sim", &dryad.core.trace),
+    ] {
+        let trace = trace.as_ref().expect("traced run");
+        let (benched, released) = quarantine_transitions(name, trace, quarantine.quarantine_s);
+        assert!(benched >= 2, "{name}: {benched} benches");
+        assert!(released >= 1, "{name}: {released} releases");
+    }
+
+    // The native engines: worker 0 is 30x slow, and one slow completion
+    // is evidence enough to bench it. Wall-clock runs are too short to
+    // promise a release, so only the shape is pinned.
+    let quarantine = QuarantineConfig {
+        min_samples: 1,
+        quarantine_s: 0.005,
+        ..Default::default()
+    };
+    let policy = Some(ResiliencePolicy::default().with_quarantine(quarantine));
+    for (name, run) in [
+        ("classic native", classic_native(Some(gray(30.0)), policy)),
+        (
+            "mapreduce native",
+            mapreduce_native(Some(gray(30.0)), policy),
+        ),
+        ("dryad native", dryad_native(Some(gray(30.0)), policy)),
+    ] {
+        assert_eq!(run.outputs, expected_outputs(), "{name}");
+        let (benched, _) = quarantine_transitions(name, &run.trace, quarantine.quarantine_s);
+        assert!(benched >= 1, "{name}: the gray worker was never benched");
+    }
+}
