@@ -21,11 +21,15 @@ use std::sync::Arc;
 
 /// Execute `job` natively on the context's fleet plan: real worker
 /// threads polling a real queue, moving real bytes through `storage`.
+/// One body runs both plans:
 ///
 /// * `FleetPlan::Fixed` — one or more fleets share the scheduling queue
-///   (several fleets = the paper's hybrid cloud + local-cluster layout).
+///   (several fleets = the paper's hybrid cloud + local-cluster layout);
+///   every task is sent before any worker starts.
 /// * `FleetPlan::Elastic` — single-worker instances launched and retired
-///   by a `ppc-autoscale` controller while the job runs.
+///   by a `ppc-autoscale` controller while the job runs; a client thread
+///   sends each task at its arrival offset, which must be finite and
+///   non-negative (an `InvalidArgument` error otherwise).
 ///
 /// The context's seed, fault schedule, and trace sink override the
 /// config's `fault.seed`, `schedule`, and `trace` fields when set.
@@ -42,19 +46,7 @@ pub fn run(
     cfg.schedule = ctx.schedule_or(&cfg.schedule);
     cfg.trace = ctx.sink_or(&cfg.trace);
     cfg.resilience = ctx.resilience_or(&cfg.resilience);
-    match &ctx.fleet {
-        FleetPlan::Fixed(_) => {
-            let fleets = ctx.fixed_fleets()?;
-            crate::runtime::run_on_fleets_impl(storage, queues, fleets, job, executor, &cfg)
-        }
-        FleetPlan::Elastic {
-            itype,
-            autoscale,
-            arrivals,
-        } => crate::runtime::run_autoscaled_impl(
-            storage, queues, *itype, job, arrivals, executor, &cfg, autoscale,
-        ),
-    }
+    crate::runtime::run_impl(storage, queues, &ctx.fleet, job, executor, &cfg)
 }
 
 /// Simulate `tasks` in virtual time on the context's fleet plan — the

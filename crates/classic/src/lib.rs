@@ -29,6 +29,7 @@
 //! settings override the per-runtime configs. [`ClassicEngine`] exposes
 //! the same pair behind the paradigm-generic [`ppc_exec::Engine`] trait.
 
+mod elastic;
 pub mod engine;
 pub mod fault;
 pub mod harness;

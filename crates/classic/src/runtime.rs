@@ -7,20 +7,21 @@
 //! Everything that can fail does so through the services' own error
 //! surfaces, and recovery is purely the visibility-timeout mechanism.
 
+use crate::elastic;
 use crate::fault::FaultPlan;
 use crate::report::ClassicReport;
 use crate::spec::JobSpec;
-use ppc_autoscale::{AutoscaleConfig, Controller, Decision, FleetEventKind, SlotState, Telemetry};
+use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
 use ppc_chaos::{FaultSchedule, RunClock};
-use ppc_compute::billing::FleetLedger;
 use ppc_compute::cluster::Cluster;
+use ppc_compute::instance::InstanceType;
 use ppc_core::exec::Executor;
 use ppc_core::metrics::RunSummary;
 use ppc_core::retry::{CircuitBreaker, RetryPolicy};
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::{HealthTrace, RunReport};
+use ppc_exec::{FleetPlan, HealthTrace, RunReport};
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
 use ppc_resilience::{Admit, DeadlineConfig, HealthTracker, HedgePolicy, ResiliencePolicy};
@@ -29,6 +30,7 @@ use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, Trac
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the native runtime.
@@ -51,9 +53,9 @@ pub struct ClassicConfig {
     pub fault: FaultPlan,
     /// Optional event-based chaos: timed worker kills, mid-execution
     /// kills, gray degradation, torn uploads. Workers are addressed by
-    /// flat index (fleet runtimes number slots in spawn order; the
-    /// autoscaled runtime uses controller slot ids). Composes with
-    /// `fault`: both layers are queried.
+    /// flat index (fixed fleets number slots in spawn order; an elastic
+    /// fleet uses controller slot ids). Composes with `fault`: both
+    /// layers are queried.
     pub schedule: Option<Arc<FaultSchedule>>,
     /// Chaos dials for the queues this job creates.
     pub queue_chaos: ppc_queue::chaos::ChaosConfig,
@@ -341,8 +343,19 @@ impl<'a> WorkerChaos<'a> {
     }
 }
 
-/// Shared mutable state between workers and the monitor thread.
-struct Shared {
+/// Everything the threads of one native run share: the job's queues and
+/// services, its config, and the counters the monitor and workers update.
+struct Run<'a> {
+    sched: Arc<ppc_queue::Queue>,
+    monitor: Arc<ppc_queue::Queue>,
+    dlq: Arc<ppc_queue::Queue>,
+    storage: &'a StorageService,
+    job: &'a JobSpec,
+    config: &'a ClassicConfig,
+    executor: &'a dyn Executor,
+    clock: RunClock,
+    breaker: CircuitBreaker,
+    health: Option<Mutex<HealthTracker>>,
     stop: AtomicBool,
     total_executions: AtomicUsize,
     worker_deaths: AtomicUsize,
@@ -353,27 +366,90 @@ struct Shared {
     per_fleet: Mutex<Vec<usize>>,
 }
 
-/// The fixed-fleet native body: workers drawn from one or more fleets all
-/// polling the same scheduling queue — several fleets is the paper's
-/// §2.1.3 extension: "One interesting feature of the Classic Cloud
-/// framework is the ability to extend it to use the local machines and
-/// clusters side by side with the clouds." Returns once every task has
-/// either completed or been declared failed after `max_deliveries`
-/// attempts. Reached through [`crate::run`], which resolves the
-/// `RunContext` into the effective config.
-pub(crate) fn run_on_fleets_impl(
+/// What a fixed and an elastic fleet do differently in a native run, as
+/// in the sim's `Fleet`; everything else is shared.
+enum Fleet<'a> {
+    /// One or more fixed fleets: every worker slot runs for the whole job.
+    Fixed(&'a [Cluster]),
+    /// Single-worker instances launched and drained by a controller.
+    Elastic(Box<Elastic<'a>>),
+}
+
+/// An elastic fleet's live state, driven by a `ppc-autoscale`
+/// [`Controller`] watching the scheduling queue's
+/// [`metrics snapshot`](ppc_queue::Queue::metrics_snapshot). Every
+/// `AutoscaleConfig` time is in wall seconds: tests and examples compress
+/// them (10 ms ticks, 100 ms "billing hours") so elastic behavior plays
+/// out in milliseconds.
+struct Elastic<'a> {
+    itype: InstanceType,
+    autoscale: &'a AutoscaleConfig,
+    arrivals: &'a [f64],
+    controller: Mutex<Controller>,
+    /// Per-slot drain flags, indexed by slot id; grown under the lock as
+    /// the controller launches instances.
+    drain: Mutex<Vec<Arc<AtomicBool>>>,
+    /// Slots whose workers left on their drain flag (drained or killed),
+    /// awaiting confirmation at the controller's next tick.
+    exited: Mutex<Vec<u32>>,
+}
+
+/// The native Classic Cloud body, on either fleet plan. Workers pull from
+/// one scheduling queue, whether they come from one fixed fleet, from
+/// several side by side (the paper's §2.1.3 extension: "One interesting
+/// feature of the Classic Cloud framework is the ability to extend it to
+/// use the local machines and clusters side by side with the clouds."), or
+/// from an elastic pool. Returns once every task has either completed or
+/// been declared failed after `max_deliveries` attempts.
+///
+/// Only these steps branch on the fleet:
+/// * sending: a fixed fleet gets every task before any worker starts, and
+///   a failed send aborts the job; an elastic fleet's client thread sends
+///   each task at its arrival offset (in wall seconds) until the job stops;
+/// * spawning: fixed-fleet workers are numbered in flat spawn order, each
+///   credited to its fleet and traced with a `WorkerStart`; elastic
+///   workers take their controller slot id and a drain flag;
+/// * the controller thread, elastic fleets only. Scale-in drains: a
+///   victim finishes the lease it holds, then exits, and the next tick
+///   confirms it, so scale-in never orphans a leased message;
+/// * the report's platform, core count and cost. An elastic report also
+///   carries a [`FleetReport`](crate::report::FleetReport) with the
+///   fleet-size timeline and the staggered per-instance bill.
+///
+/// Reached through [`crate::run`], which resolves the `RunContext`.
+pub(crate) fn run_impl(
     storage: &Arc<StorageService>,
     queues: &Arc<QueueService>,
-    fleets: &[Cluster],
+    plan: &FleetPlan,
     job: &JobSpec,
     executor: Arc<dyn Executor>,
     config: &ClassicConfig,
 ) -> Result<ClassicReport> {
-    if fleets.is_empty() {
-        return Err(PpcError::InvalidArgument("no worker fleets".into()));
+    if matches!(plan, FleetPlan::Fixed(fleets) if fleets.is_empty()) {
+        return Err(PpcError::InvalidArgument(
+            "run context has an empty fleet list".into(),
+        ));
     }
     job.validate()?;
     validate_config(config)?;
+    let fleet = match plan {
+        FleetPlan::Fixed(fleets) => Fleet::Fixed(fleets),
+        FleetPlan::Elastic {
+            itype,
+            autoscale,
+            arrivals,
+        } => {
+            elastic::check_arrivals(arrivals, job.tasks.len())?;
+            Fleet::Elastic(Box::new(Elastic {
+                itype: *itype,
+                autoscale,
+                arrivals,
+                controller: Mutex::new(Controller::new(autoscale.clone())),
+                drain: Mutex::new(Vec::new()),
+                exited: Mutex::new(Vec::new()),
+            }))
+        }
+    };
 
     let sched = queues.create_queue(
         &job.sched_queue(),
@@ -387,145 +463,135 @@ pub(crate) fn run_on_fleets_impl(
     let dlq = dead_letter_queue(queues, job)?;
     storage.ensure_bucket(&job.output_bucket);
 
-    // Arm the storage service with the chaos schedule (brownouts,
-    // partitions) for the duration of the run; workers share the same
-    // run clock so timed worker kills line up with storage windows.
-    let clock = RunClock::start();
-    if let Some(schedule) = &config.schedule {
-        storage.set_chaos(schedule.clone());
-    }
-    let breaker = CircuitBreaker::new(
-        config.storage_breaker_threshold,
-        config.storage_breaker_reset_s,
-    );
-    let health: Option<Mutex<HealthTracker>> = config
-        .resilience
-        .and_then(|p| p.quarantine)
-        .map(|q| Mutex::new(HealthTracker::new(q)));
-    let health = health.as_ref();
-
-    let storage_before = storage.metering().snapshot();
-    let requests_before = queues.total_requests();
-    let start = Instant::now();
-
-    // The client populates the scheduling queue with tasks (Figure 1).
-    // Transient send failures (queue chaos) retry through the shared
-    // policy; anything else aborts the job before workers start.
-    let send_policy = client_send_policy();
-    let mut send_rng = Pcg32::for_stream(config.fault.seed, CLIENT_STREAM);
-    for task in &job.tasks {
-        let body = task.to_message()?;
-        let sent_at = live_sink(config).map(|_| clock.now_s());
-        send_policy.run_blocking(&mut send_rng, |_| sched.send(body.clone()))?;
-        if let (Some(s), Some(at)) = (live_sink(config), sent_at) {
-            s.span(Span::new(
-                task.id.0,
-                0,
-                NO_WORKER,
-                Phase::Enqueue,
-                at,
-                clock.now_s(),
-            ));
-        }
-    }
-
-    let n_tasks = job.tasks.len();
-    let shared = Shared {
+    let n_fleets = match &fleet {
+        Fleet::Fixed(fleets) => fleets.len(),
+        Fleet::Elastic(_) => 1,
+    };
+    let run = Run {
+        sched,
+        monitor,
+        dlq,
+        storage,
+        job,
+        config,
+        executor: executor.as_ref(),
+        clock: RunClock::start(),
+        breaker: CircuitBreaker::new(
+            config.storage_breaker_threshold,
+            config.storage_breaker_reset_s,
+        ),
+        health: config
+            .resilience
+            .and_then(|p| p.quarantine)
+            .map(|q| Mutex::new(HealthTracker::new(q))),
         stop: AtomicBool::new(false),
         total_executions: AtomicUsize::new(0),
         worker_deaths: AtomicUsize::new(0),
         remote_bytes: AtomicU64::new(0),
         finished_at: Mutex::new(None),
         failed: Mutex::new(Vec::new()),
-        per_fleet: Mutex::new(vec![0; fleets.len()]),
+        per_fleet: Mutex::new(vec![0; n_fleets]),
     };
+    // Arm the storage service with the chaos schedule (brownouts,
+    // partitions) for the duration of the run; workers share the run
+    // clock so timed worker kills line up with storage windows.
+    if let Some(schedule) = &config.schedule {
+        storage.set_chaos(schedule.clone());
+    }
+
+    let storage_before = storage.metering().snapshot();
+    let requests_before = queues.total_requests();
+    let start = Instant::now();
+
+    // The client populates the scheduling queue with tasks (Figure 1). A
+    // fixed fleet gets them all before any worker starts; a send that
+    // fails for good aborts the job.
+    if let Fleet::Fixed(_) = fleet {
+        let mut rng = Pcg32::for_stream(config.fault.seed, CLIENT_STREAM);
+        for task in &job.tasks {
+            run.send(task, &mut rng)?;
+        }
+    }
 
     std::thread::scope(|scope| {
+        let run = &run;
         // Monitor: drains the monitoring queue, decides when the job is done.
-        scope.spawn(|| monitor_loop(&monitor, &sched, config, &shared, job, &clock));
-
-        // Workers: one thread per worker slot, across every fleet. The
-        // chaos schedule addresses workers by their flat spawn index.
-        for (windex, (fleet_id, _node, _slot)) in fleets
-            .iter()
-            .enumerate()
-            .flat_map(|(f, c)| c.worker_slots().map(move |(n, s)| (f, n, s)))
-            .enumerate()
-        {
-            let executor = executor.clone();
-            let sched = sched.clone();
-            let monitor = monitor.clone();
-            let dlq = dlq.clone();
-            let shared = &shared;
-            let storage = storage.clone();
-            let job = &job;
-            let config = &config;
-            let clock = &clock;
-            let breaker = &breaker;
-            scope.spawn(move || {
-                if let Some(s) = live_sink(config) {
-                    s.event(TraceEvent {
-                        at_s: clock.now_s(),
-                        worker: windex as u32,
-                        kind: EventKind::WorkerStart,
+        scope.spawn(|| run.monitor_loop());
+        match &fleet {
+            Fleet::Fixed(fleets) => {
+                // One thread per worker slot, across every fleet. The chaos
+                // schedule addresses workers by their flat spawn index.
+                let fleet_ids = fleets
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(f, c)| c.worker_slots().map(move |_| f));
+                for (windex, fleet_id) in fleet_ids.enumerate() {
+                    let worker = windex as u32;
+                    scope.spawn(move || {
+                        run.event(worker, EventKind::WorkerStart);
+                        run.work(worker, fleet_id, None);
                     });
                 }
-                let mut chaos = WorkerChaos::new(config, clock, windex as u32);
-                while !shared.stop.load(Ordering::Acquire) {
-                    poll_once(
-                        &sched,
-                        &monitor,
-                        &dlq,
-                        shared,
-                        &storage,
-                        job,
-                        config,
-                        executor.as_ref(),
-                        fleet_id,
-                        &mut chaos,
-                        breaker,
-                        health,
-                    );
-                }
-            });
+            }
+            Fleet::Elastic(el) => {
+                scope.spawn(|| run.send_arrivals(el.arrivals, start));
+                scope.spawn(|| el.control(scope, run, start));
+            }
         }
     });
     if config.schedule.is_some() {
         storage.clear_chaos();
     }
 
-    let finished = shared
-        .finished_at
-        .lock()
-        .unwrap()
-        .unwrap_or_else(Instant::now);
+    let finished = run.finished_at.lock().unwrap().unwrap_or_else(Instant::now);
     let makespan = finished.duration_since(start).as_secs_f64();
-    let failed = shared.failed.lock().unwrap().clone();
-    let completed = n_tasks - failed.len();
-    let total_executions = shared.total_executions.load(Ordering::Relaxed);
+    let failed = run.failed.into_inner().unwrap();
+    let completed = job.tasks.len() - failed.len();
+    let total_executions = run.total_executions.load(Ordering::Relaxed);
+    let (platform, cores, cost, fleet) = match fleet {
+        Fleet::Fixed(fleets) => (
+            "classic".to_string(),
+            fleets.iter().map(Cluster::total_workers).sum(),
+            crate::report::fleets_cost(fleets, makespan),
+            None,
+        ),
+        Fleet::Elastic(el) => {
+            let mut ctrl = el.controller.into_inner().unwrap();
+            let exited = el.exited.into_inner().unwrap();
+            let fleet = elastic::close_fleet(&mut ctrl, exited, makespan, el.itype);
+            if let Some(s) = live_sink(config) {
+                elastic::trace_fleet_events(&ctrl, s);
+            }
+            (
+                format!("classic-autoscale-{}", el.itype.name),
+                fleet.peak_fleet() as usize,
+                fleet.cost,
+                Some(fleet),
+            )
+        }
+    };
 
     let storage_after = storage.metering().snapshot();
-    let per_fleet = shared.per_fleet.into_inner().unwrap();
     let mut report = ClassicReport {
         core: RunReport {
             summary: RunSummary {
-                platform: "classic".into(),
-                cores: fleets.iter().map(Cluster::total_workers).sum(),
+                platform,
+                cores,
                 tasks: completed,
                 makespan_seconds: makespan,
                 redundant_executions: total_executions.saturating_sub(completed),
-                remote_bytes: shared.remote_bytes.load(Ordering::Relaxed),
+                remote_bytes: run.remote_bytes.load(Ordering::Relaxed),
             },
             failed,
             total_attempts: total_executions,
-            worker_deaths: shared.worker_deaths.load(Ordering::Relaxed),
-            cost: Some(crate::report::fleets_cost(fleets, makespan)),
+            worker_deaths: run.worker_deaths.load(Ordering::Relaxed),
+            cost: Some(cost),
             trace: None,
         },
         queue_requests: queues.total_requests() - requests_before,
-        executions_per_fleet: per_fleet,
+        executions_per_fleet: run.per_fleet.into_inner().unwrap(),
         timeline: None,
-        fleet: None,
+        fleet,
         storage: ppc_storage::metering::MeteringSnapshot {
             requests: storage_after.requests - storage_before.requests,
             bytes_in: storage_after.bytes_in - storage_before.bytes_in,
@@ -536,7 +602,8 @@ pub(crate) fn run_on_fleets_impl(
     };
     finalize_trace(config, &mut report);
 
-    // Clean up job queues (buckets are left for the caller to inspect).
+    // Clean up the job queues; the DLQ and the buckets are left for the
+    // caller to inspect.
     let _ = queues.delete_queue(&job.sched_queue());
     let _ = queues.delete_queue(&job.monitor_queue());
 
@@ -561,722 +628,459 @@ fn finalize_trace(config: &ClassicConfig, report: &mut ClassicReport) {
     }
 }
 
-/// The monitor thread body: drains the monitoring queue and flips
-/// `shared.stop` (closing `sched`) once every task is resolved (done or
-/// failed). When a resilience policy with hedging or deadlines is set, the
-/// monitor also plays job manager: it tracks `start:` progress reports and
-/// re-dispatches straggling tasks through `sched` (see [`MonitorDefense`]).
-fn monitor_loop(
-    monitor: &ppc_queue::Queue,
-    sched: &ppc_queue::Queue,
-    config: &ClassicConfig,
-    shared: &Shared,
-    job: &JobSpec,
-    clock: &RunClock,
-) {
-    let n_tasks = job.tasks.len();
-    let mut done: HashSet<u64> = HashSet::with_capacity(n_tasks);
-    let mut failed: HashSet<u64> = HashSet::new();
-    let mut defense = MonitorDefense::new(config, job);
-    let sink = live_sink(config);
-    while !shared.stop.load(Ordering::Acquire) {
-        match monitor.receive_wait(config.long_poll_wait) {
-            Ok(Some(msg)) => {
-                if let Some(id) = msg.body.strip_prefix("done:") {
-                    if let Ok(id) = id.parse::<u64>() {
-                        done.insert(id);
-                        failed.remove(&id); // a late success still counts
-                        if let Some(d) = &mut defense {
-                            d.on_done(id, clock.now_s());
-                        }
-                    }
-                } else if let Some(id) = msg.body.strip_prefix("fail:") {
-                    if let Ok(id) = id.parse::<u64>() {
-                        if !done.contains(&id) {
-                            failed.insert(id);
-                        }
-                    }
-                } else if let Some(id) = msg.body.strip_prefix("start:") {
-                    if let (Ok(id), Some(d)) = (id.parse::<u64>(), &mut defense) {
-                        if !done.contains(&id) {
-                            d.on_start(id, clock.now_s());
-                        }
-                    }
+impl Elastic<'_> {
+    /// The controller thread: seeds `min_workers` workers, then ticks
+    /// every `interval_s` (wall seconds), spawning and draining worker
+    /// threads per the policy's decisions until the job stops.
+    fn control<'s, 'e>(&'e self, scope: &'s Scope<'s, 'e>, run: &'e Run<'_>, start: Instant) {
+        let spawn_worker = |slot: u32| {
+            let drain = {
+                let mut flags = self.drain.lock().unwrap();
+                while flags.len() <= slot as usize {
+                    flags.push(Arc::new(AtomicBool::new(false)));
                 }
-                let _ = monitor.delete(msg.receipt);
-                if let Some(probe) = &config.progress {
-                    probe.store(done.len() + failed.len(), Ordering::Relaxed);
+                flags[slot as usize].clone()
+            };
+            // The chaos schedule addresses an elastic fleet's workers by
+            // their controller slot id.
+            scope.spawn(move || {
+                run.work(slot, 0, Some(&drain));
+                if drain.load(Ordering::Acquire) {
+                    self.exited.lock().unwrap().push(slot);
                 }
-                if done.len() + failed.len() >= n_tasks {
-                    *shared.finished_at.lock().unwrap() = Some(Instant::now());
-                    let mut f: Vec<TaskId> = failed.iter().map(|&i| TaskId(i)).collect();
-                    f.sort();
-                    *shared.failed.lock().unwrap() = f;
-                    shared.stop.store(true, Ordering::Release);
-                    // Wake workers parked in a long poll so the scope
-                    // joins now, not when their wait windows run out.
-                    sched.close();
+            });
+        };
+
+        // The controller seeded `min_workers` active slots at t = 0.
+        for slot in 0..self.autoscale.min_workers {
+            spawn_worker(slot);
+        }
+
+        let interval = Duration::from_secs_f64(self.autoscale.interval_s);
+        let quantum = interval.min(Duration::from_millis(2));
+        let mut next_tick = interval;
+        let mut last_tick_s = 0.0_f64;
+        while !run.stop.load(Ordering::Acquire) {
+            std::thread::sleep(quantum);
+            let now = start.elapsed();
+            if now < next_tick {
+                continue;
+            }
+            next_tick += interval;
+            let now_s = now.as_secs_f64();
+            let mut ctrl = self.controller.lock().unwrap();
+            // Dead-instance detection: a timed kill addressed to a live
+            // slot takes the whole instance down. The controller records
+            // the death (waiving the scale-up cooldown) so `decide` below
+            // can launch a replacement immediately.
+            if let Some(schedule) = &run.config.schedule {
+                let victims = elastic::dead_slots(&ctrl, schedule, last_tick_s, now_s);
+                if !victims.is_empty() {
+                    let flags = self.drain.lock().unwrap();
+                    for id in victims {
+                        if let Some(f) = flags.get(id as usize) {
+                            f.store(true, Ordering::Release);
+                        }
+                        ctrl.mark_dead(id, now_s);
+                    }
                 }
             }
-            // Guard against a zero-length long-poll window turning
-            // this loop into a busy spin (and a billing storm).
+            last_tick_s = now_s;
+            elastic::confirm_exits(&mut ctrl, self.exited.lock().unwrap().drain(..), now_s);
+            let snap = run.sched.metrics_snapshot();
+            let telemetry = Telemetry {
+                queued: snap.visible,
+                in_flight: snap.in_flight,
+                oldest_age_s: snap.oldest_age.map(|d| d.as_secs_f64()),
+            };
+            match ctrl.decide(now_s, &telemetry) {
+                Decision::Launch { ids } => {
+                    drop(ctrl);
+                    for id in ids {
+                        spawn_worker(id);
+                    }
+                }
+                Decision::Drain { ids } => {
+                    let flags = self.drain.lock().unwrap();
+                    for id in ids {
+                        flags[id as usize].store(true, Ordering::Release);
+                    }
+                }
+                Decision::Hold => {}
+            }
+        }
+    }
+}
+
+impl Run<'_> {
+    /// Send one task to the scheduling queue, tracing its enqueue span.
+    /// Transient send failures (queue chaos) retry through the client
+    /// policy; a stop mid-retry surfaces as a non-retryable error.
+    fn send(&self, task: &TaskSpec, rng: &mut Pcg32) -> Result<()> {
+        let body = task.to_message()?;
+        let sent_at = live_sink(self.config).map(|_| self.clock.now_s());
+        client_send_policy().run_blocking(rng, |_| {
+            if self.stop.load(Ordering::Acquire) {
+                return Err(PpcError::InvalidState("job stopped".into()));
+            }
+            self.sched.send(body.clone())
+        })?;
+        if let (Some(s), Some(at)) = (live_sink(self.config), sent_at) {
+            s.span(Span::new(
+                task.id.0,
+                0,
+                NO_WORKER,
+                Phase::Enqueue,
+                at,
+                self.clock.now_s(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The elastic client thread: sends each task at its arrival offset
+    /// (every task at once when `arrivals` is empty) until the job stops.
+    /// A task whose send fails is skipped.
+    fn send_arrivals(&self, arrivals: &[f64], start: Instant) {
+        let mut rng = Pcg32::for_stream(self.config.fault.seed, CLIENT_STREAM);
+        let mut order: Vec<usize> = (0..self.job.tasks.len()).collect();
+        // The offsets were checked finite up front, so they compare.
+        if !arrivals.is_empty() {
+            order.sort_by(|&a, &b| arrivals[a].partial_cmp(&arrivals[b]).unwrap());
+        }
+        for i in order {
+            let at = Duration::from_secs_f64(arrivals.get(i).copied().unwrap_or(0.0));
+            while start.elapsed() < at {
+                if self.stop.load(Ordering::Acquire) {
+                    return;
+                }
+                let left = at.saturating_sub(start.elapsed());
+                std::thread::sleep(left.min(Duration::from_millis(2)));
+            }
+            let _ = self.send(&self.job.tasks[i], &mut rng);
+            if self.stop.load(Ordering::Acquire) {
+                return;
+            }
+        }
+    }
+
+    /// Record a worker event at the run clock's now, when tracing is on.
+    fn event(&self, worker: u32, kind: EventKind) {
+        if let Some(s) = live_sink(self.config) {
+            s.event(TraceEvent {
+                at_s: self.clock.now_s(),
+                worker,
+                kind,
+            });
+        }
+    }
+
+    /// One worker's life: poll until the job stops or, on an elastic
+    /// fleet, until its drain flag is raised. One poll holds at most one
+    /// lease, so stopping between polls never abandons a leased message.
+    fn work(&self, worker: u32, fleet_id: usize, drain: Option<&AtomicBool>) {
+        let mut chaos = WorkerChaos::new(self.config, &self.clock, worker);
+        while !self.stop.load(Ordering::Acquire)
+            && !drain.is_some_and(|d| d.load(Ordering::Acquire))
+        {
+            self.poll_once(fleet_id, &mut chaos);
+        }
+    }
+
+    /// The monitor thread body: drains the monitoring queue and flips
+    /// `stop` (closing `sched`) once every task is resolved (done or
+    /// failed). When a resilience policy with hedging or deadlines is set, the
+    /// monitor also plays job manager: it tracks `start:` progress reports and
+    /// re-dispatches straggling tasks through `sched` (see [`MonitorDefense`]).
+    fn monitor_loop(&self) {
+        let Run {
+            monitor,
+            sched,
+            config,
+            job,
+            clock,
+            ..
+        } = self;
+        let n_tasks = job.tasks.len();
+        let mut done: HashSet<u64> = HashSet::with_capacity(n_tasks);
+        let mut failed: HashSet<u64> = HashSet::new();
+        let mut defense = MonitorDefense::new(config, job);
+        let sink = live_sink(config);
+        while !self.stop.load(Ordering::Acquire) {
+            match monitor.receive_wait(config.long_poll_wait) {
+                Ok(Some(msg)) => {
+                    if let Some(id) = msg.body.strip_prefix("done:") {
+                        if let Ok(id) = id.parse::<u64>() {
+                            done.insert(id);
+                            failed.remove(&id); // a late success still counts
+                            if let Some(d) = &mut defense {
+                                d.on_done(id, clock.now_s());
+                            }
+                        }
+                    } else if let Some(id) = msg.body.strip_prefix("fail:") {
+                        if let Ok(id) = id.parse::<u64>() {
+                            if !done.contains(&id) {
+                                failed.insert(id);
+                            }
+                        }
+                    } else if let Some(id) = msg.body.strip_prefix("start:") {
+                        if let (Ok(id), Some(d)) = (id.parse::<u64>(), &mut defense) {
+                            if !done.contains(&id) {
+                                d.on_start(id, clock.now_s());
+                            }
+                        }
+                    }
+                    let _ = monitor.delete(msg.receipt);
+                    if let Some(probe) = &config.progress {
+                        probe.store(done.len() + failed.len(), Ordering::Relaxed);
+                    }
+                    if done.len() + failed.len() >= n_tasks {
+                        *self.finished_at.lock().unwrap() = Some(Instant::now());
+                        let mut f: Vec<TaskId> = failed.iter().map(|&i| TaskId(i)).collect();
+                        f.sort();
+                        *self.failed.lock().unwrap() = f;
+                        self.stop.store(true, Ordering::Release);
+                        // Wake workers parked in a long poll so the scope
+                        // joins now, not when their wait windows run out.
+                        sched.close();
+                    }
+                }
+                // Guard against a zero-length long-poll window turning
+                // this loop into a busy spin (and a billing storm).
+                Ok(None) => {
+                    if config.long_poll_wait.is_zero() {
+                        std::thread::sleep(config.poll_backoff);
+                    }
+                }
+                Err(_) => std::thread::sleep(config.poll_backoff),
+            }
+            if let Some(d) = &mut defense {
+                d.sweep(sched, sink, &done, clock.now_s());
+            }
+        }
+    }
+
+    /// One worker iteration: receive → download → execute → upload → report →
+    /// delete. A `return` leaves any in-flight message to the visibility
+    /// timeout.
+    fn poll_once(&self, fleet_id: usize, chaos: &mut WorkerChaos<'_>) {
+        let Run {
+            sched,
+            monitor,
+            dlq,
+            storage,
+            job,
+            config,
+            executor,
+            breaker,
+            ..
+        } = self;
+        let health = self.health.as_ref();
+        let restart_delay = Duration::from_millis(config.fault.restart_delay_ms);
+        let sink = live_sink(config);
+        let worker = chaos.worker;
+        // Score a finished attempt (`None` = failed) into the health tracker,
+        // which traces any bench it imposes.
+        let score = |latency_s: Option<f64>, now_s: f64| {
+            if let Some(h) = health {
+                h.lock()
+                    .unwrap()
+                    .record(worker, latency_s, now_s, &HealthTrace(sink));
+            }
+        };
+        // An injected death: the worker restarts after a delay and its
+        // message, still in flight, reappears after the visibility timeout.
+        let die = || {
+            self.worker_deaths.fetch_add(1, Ordering::Relaxed);
+            self.event(worker, EventKind::Death);
+            score(None, self.clock.now_s());
+            std::thread::sleep(restart_delay);
+        };
+
+        // Health-scored quarantine: a benched worker stays off the assignment
+        // path entirely (it does not even receive), then re-enters through
+        // probation when its bench expires.
+        let benched = health.is_some_and(|h| {
+            let now_s = chaos.clock.now_s();
+            h.lock().unwrap().admit(worker, now_s, &HealthTrace(sink)) != Admit::Go
+        });
+        if benched {
+            std::thread::sleep(config.poll_backoff);
+            return;
+        }
+
+        let polled_at = sink.map(|_| chaos.clock.now_s());
+        // Long polling (SQS WaitTimeSeconds): one billable request per wait
+        // window instead of a busy-poll storm.
+        let msg = match sched.receive_wait(config.long_poll_wait) {
+            Ok(Some(m)) => m,
             Ok(None) => {
                 if config.long_poll_wait.is_zero() {
                     std::thread::sleep(config.poll_backoff);
                 }
+                return;
             }
-            Err(_) => std::thread::sleep(config.poll_backoff),
-        }
-        if let Some(d) = &mut defense {
-            d.sweep(sched, sink, &done, clock.now_s());
-        }
-    }
-}
-
-/// One worker iteration: receive → download → execute → upload → report →
-/// delete. A `return` leaves any in-flight message to the visibility
-/// timeout, exactly as a `continue` did when this lived inline in the
-/// worker loop. One call holds at most one lease, so a worker that stops
-/// calling this between iterations (stop flag, drain flag) never abandons
-/// a leased message.
-#[allow(clippy::too_many_arguments)]
-fn poll_once(
-    sched: &ppc_queue::Queue,
-    monitor: &ppc_queue::Queue,
-    dlq: &ppc_queue::Queue,
-    shared: &Shared,
-    storage: &StorageService,
-    job: &JobSpec,
-    config: &ClassicConfig,
-    executor: &dyn Executor,
-    fleet_id: usize,
-    chaos: &mut WorkerChaos<'_>,
-    breaker: &CircuitBreaker,
-    health: Option<&Mutex<HealthTracker>>,
-) {
-    let restart_delay = Duration::from_millis(config.fault.restart_delay_ms);
-    let sink = live_sink(config);
-    let worker = chaos.worker;
-    // Score a finished attempt (`None` = failed) into the health tracker,
-    // which traces any bench it imposes.
-    let score = |latency_s: Option<f64>, now_s: f64| {
-        if let Some(h) = health {
-            h.lock()
-                .unwrap()
-                .record(worker, latency_s, now_s, &HealthTrace(sink));
-        }
-    };
-
-    // Health-scored quarantine: a benched worker stays off the assignment
-    // path entirely (it does not even receive), then re-enters through
-    // probation when its bench expires.
-    let benched = health.is_some_and(|h| {
-        let now_s = chaos.clock.now_s();
-        h.lock().unwrap().admit(worker, now_s, &HealthTrace(sink)) != Admit::Go
-    });
-    if benched {
-        std::thread::sleep(config.poll_backoff);
-        return;
-    }
-
-    let polled_at = sink.map(|_| chaos.clock.now_s());
-    // Long polling (SQS WaitTimeSeconds): one billable request per wait
-    // window instead of a busy-poll storm.
-    let msg = match sched.receive_wait(config.long_poll_wait) {
-        Ok(Some(m)) => m,
-        Ok(None) => {
-            if config.long_poll_wait.is_zero() {
+            Err(_) => {
                 std::thread::sleep(config.poll_backoff);
+                return;
             }
-            return;
-        }
-        Err(_) => {
-            std::thread::sleep(config.poll_backoff);
-            return;
-        }
-    };
+        };
 
-    let spec = match TaskSpec::from_message(&msg.body) {
-        Ok(s) => s,
-        Err(_) => {
-            // Poison message: park it in the DLQ, report, and drop it.
+        let spec = match TaskSpec::from_message(&msg.body) {
+            Ok(s) => s,
+            Err(_) => {
+                // Poison message: park it in the DLQ, report, and drop it.
+                let _ = dlq.send(msg.body.clone());
+                let _ = monitor.send("fail:poison".to_string());
+                let _ = sched.delete(msg.receipt);
+                return;
+            }
+        };
+        let seq = chaos.next_seq();
+        let attempt_began_s = chaos.clock.now_s();
+
+        // Attempt number = redelivery ordinal, so chaos re-executions show up
+        // in the trace as distinct attempts of the same task. The structural
+        // Attempt span is flushed when `tt` drops, whichever exit is taken.
+        let mut tt = sink.map(|s| {
+            let mut tt = AttemptMarker::new(
+                s,
+                spec.id.0,
+                msg.receive_count.saturating_sub(1),
+                chaos.worker,
+                polled_at.unwrap_or(0.0),
+            );
+            tt.mark(Phase::Dequeue, chaos.clock.now_s());
+            tt
+        });
+
+        // Dead-letter policy: give up on tasks that keep failing and park the
+        // original message in the DLQ for offline inspection or redrive.
+        if msg.receive_count > job.max_deliveries {
             let _ = dlq.send(msg.body.clone());
-            let _ = monitor.send("fail:poison".to_string());
-            let _ = sched.delete(msg.receipt);
-            return;
-        }
-    };
-    let seq = chaos.next_seq();
-    let attempt_began_s = chaos.clock.now_s();
-
-    // Attempt number = redelivery ordinal, so chaos re-executions show up
-    // in the trace as distinct attempts of the same task. The structural
-    // Attempt span is flushed when `tt` drops, whichever exit is taken.
-    let mut tt = sink.map(|s| {
-        let mut tt = AttemptMarker::new(
-            s,
-            spec.id.0,
-            msg.receive_count.saturating_sub(1),
-            chaos.worker,
-            polled_at.unwrap_or(0.0),
-        );
-        tt.mark(Phase::Dequeue, chaos.clock.now_s());
-        tt
-    });
-
-    // Dead-letter policy: give up on tasks that keep failing and park the
-    // original message in the DLQ for offline inspection or redrive.
-    if msg.receive_count > job.max_deliveries {
-        let _ = dlq.send(msg.body.clone());
-        let _ = monitor.send(format!("fail:{}", spec.id.0));
-        let _ = sched.delete(msg.receipt);
-        return;
-    }
-
-    // Progress report for the monitor's straggler defense: lets it hedge
-    // or deadline-cancel this attempt if it never reports done.
-    if config
-        .resilience
-        .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some())
-    {
-        let _ = monitor.send(format!("start:{}", spec.id.0));
-    }
-
-    // Injected death between receive and execute — a timed kill from the
-    // schedule or an i.i.d. roll. The message stays in flight and
-    // reappears after the visibility timeout.
-    if chaos.kill_event_pending() || chaos.die_before_execute(seq) {
-        shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = sink {
-            s.event(TraceEvent {
-                at_s: chaos.clock.now_s(),
-                worker: chaos.worker,
-                kind: EventKind::Death,
-            });
-        }
-        score(None, chaos.clock.now_s());
-        std::thread::sleep(restart_delay);
-        return;
-    }
-
-    // Download the input file over the storage web interface, behind the
-    // shared circuit breaker: during a storage brownout the first few
-    // workers exhaust their retries and trip the breaker, and everyone
-    // else fast-fails to redelivery instead of piling on.
-    if !breaker.allow(chaos.clock.now_s()) {
-        std::thread::sleep(config.poll_backoff);
-        return; // lease reappears after the timeout
-    }
-    let input = match storage.get_with_retry(
-        &job.input_bucket,
-        &spec.input_key,
-        config.input_fetch_attempts,
-    ) {
-        Ok(d) => {
-            breaker.record_success();
-            if let Some(tt) = tt.as_mut() {
-                tt.mark(Phase::Download, chaos.clock.now_s());
-            }
-            d
-        }
-        Err(e) if e.is_retryable() => {
-            breaker.record_failure(chaos.clock.now_s());
-            return; // let it reappear
-        }
-        Err(_) => {
-            // Input genuinely missing: the task can never run.
             let _ = monitor.send(format!("fail:{}", spec.id.0));
             let _ = sched.delete(msg.receipt);
             return;
         }
-    };
 
-    shared.total_executions.fetch_add(1, Ordering::Relaxed);
-    let exec_started = Instant::now();
-    let output = match executor.run(&spec, &input) {
-        Ok(o) => o,
-        Err(_) => {
-            // Leave the message; redelivery retries until the dead-letter
-            // policy gives up.
-            if let Some(tt) = tt.as_mut() {
-                tt.mark(Phase::Execute, chaos.clock.now_s());
+        // Progress report for the monitor's straggler defense: lets it hedge
+        // or deadline-cancel this attempt if it never reports done.
+        if config
+            .resilience
+            .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some())
+        {
+            let _ = monitor.send(format!("start:{}", spec.id.0));
+        }
+
+        // Injected death between receive and execute — a timed kill from the
+        // schedule or an i.i.d. roll. The message stays in flight and
+        // reappears after the visibility timeout.
+        if chaos.kill_event_pending() || chaos.die_before_execute(seq) {
+            die();
+            return;
+        }
+
+        // Download the input file over the storage web interface, behind the
+        // shared circuit breaker: during a storage brownout the first few
+        // workers exhaust their retries and trip the breaker, and everyone
+        // else fast-fails to redelivery instead of piling on.
+        if !breaker.allow(chaos.clock.now_s()) {
+            std::thread::sleep(config.poll_backoff);
+            return; // lease reappears after the timeout
+        }
+        let input = match storage.get_with_retry(
+            &job.input_bucket,
+            &spec.input_key,
+            config.input_fetch_attempts,
+        ) {
+            Ok(d) => {
+                breaker.record_success();
+                if let Some(tt) = tt.as_mut() {
+                    tt.mark(Phase::Download, chaos.clock.now_s());
+                }
+                d
             }
+            Err(e) if e.is_retryable() => {
+                breaker.record_failure(chaos.clock.now_s());
+                return; // let it reappear
+            }
+            Err(_) => {
+                // Input genuinely missing: the task can never run.
+                let _ = monitor.send(format!("fail:{}", spec.id.0));
+                let _ = sched.delete(msg.receipt);
+                return;
+            }
+        };
+
+        self.total_executions.fetch_add(1, Ordering::Relaxed);
+        let exec_started = Instant::now();
+        let output = match executor.run(&spec, &input) {
+            Ok(o) => o,
+            Err(_) => {
+                // Leave the message; redelivery retries until the dead-letter
+                // policy gives up.
+                if let Some(tt) = tt.as_mut() {
+                    tt.mark(Phase::Execute, chaos.clock.now_s());
+                }
+                score(None, chaos.clock.now_s());
+                return;
+            }
+        };
+        // Gray failure: a degraded (not dead) worker runs slower by the
+        // schedule's factor — it still completes, it just holds tasks longer.
+        let factor = chaos.slowdown();
+        if factor > 1.0 {
+            std::thread::sleep(exec_started.elapsed().mul_f64(factor - 1.0));
+        }
+        if let Some(tt) = tt.as_mut() {
+            tt.mark(Phase::Execute, chaos.clock.now_s());
+        }
+
+        // Death mid-upload: the worker dies before its PUT completes. An
+        // object-store PUT (S3, Azure Blob) commits atomically, so nothing
+        // lands, and a lapsed lease can never clobber a redelivered attempt's
+        // committed output. Redelivery re-runs the task.
+        if chaos.die_mid_execute(seq) {
+            die();
+            return;
+        }
+        // Torn upload without a death: the PUT fails partway, so (being
+        // atomic) it writes nothing; the worker abandons the lease and
+        // redelivery retries the task.
+        if chaos.torn_upload(seq) {
             score(None, chaos.clock.now_s());
             return;
         }
-    };
-    // Gray failure: a degraded (not dead) worker runs slower by the
-    // schedule's factor — it still completes, it just holds tasks longer.
-    let factor = chaos.slowdown();
-    if factor > 1.0 {
-        std::thread::sleep(exec_started.elapsed().mul_f64(factor - 1.0));
-    }
-    if let Some(tt) = tt.as_mut() {
-        tt.mark(Phase::Execute, chaos.clock.now_s());
-    }
 
-    // Death mid-upload: the worker dies before its PUT completes. An
-    // object-store PUT (S3, Azure Blob) commits atomically, so nothing
-    // lands, and a lapsed lease can never clobber a redelivered attempt's
-    // committed output. Redelivery re-runs the task.
-    if chaos.die_mid_execute(seq) {
-        shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = sink {
-            s.event(TraceEvent {
-                at_s: chaos.clock.now_s(),
-                worker: chaos.worker,
-                kind: EventKind::Death,
-            });
+        self.remote_bytes
+            .fetch_add(input.len() as u64 + output.len() as u64, Ordering::Relaxed);
+        if storage
+            .put(&job.output_bucket, &spec.output_key, output)
+            .is_err()
+        {
+            return; // redelivery will retry the whole task
         }
-        score(None, chaos.clock.now_s());
-        std::thread::sleep(restart_delay);
-        return;
-    }
-    // Torn upload without a death: the PUT fails partway, so (being
-    // atomic) it writes nothing; the worker abandons the lease and
-    // redelivery retries the task.
-    if chaos.torn_upload(seq) {
-        score(None, chaos.clock.now_s());
-        return;
-    }
-
-    shared
-        .remote_bytes
-        .fetch_add(input.len() as u64 + output.len() as u64, Ordering::Relaxed);
-    if storage
-        .put(&job.output_bucket, &spec.output_key, output)
-        .is_err()
-    {
-        return; // redelivery will retry the whole task
-    }
-    if let Some(tt) = tt.as_mut() {
-        tt.mark(Phase::Upload, chaos.clock.now_s());
-    }
-
-    // Injected death between upload and delete: the duplicate re-execution
-    // must overwrite with identical output.
-    if chaos.die_before_delete(seq) {
-        shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = sink {
-            s.event(TraceEvent {
-                at_s: chaos.clock.now_s(),
-                worker: chaos.worker,
-                kind: EventKind::Death,
-            });
+        if let Some(tt) = tt.as_mut() {
+            tt.mark(Phase::Upload, chaos.clock.now_s());
         }
-        score(None, chaos.clock.now_s());
-        std::thread::sleep(restart_delay);
-        return;
-    }
 
-    let _ = monitor.send(format!("done:{}", spec.id.0));
-    shared.per_fleet.lock().unwrap()[fleet_id] += 1;
-    // A stale receipt here means someone else finished the task first —
-    // harmless by idempotence.
-    let _ = sched.delete(msg.receipt);
-    let done_s = chaos.clock.now_s();
-    score(Some(done_s - attempt_began_s), done_s);
-    if let Some(tt) = tt.as_mut() {
-        tt.mark(Phase::Ack, done_s);
-    }
-}
-
-/// The elastic native body: worker threads are launched and retired while
-/// the job runs, driven by a `ppc-autoscale` [`Controller`] watching the
-/// scheduling queue's
-/// [`metrics snapshot`](ppc_queue::Queue::metrics_snapshot).
-///
-/// Each autoscaled unit is one single-worker instance of `itype` (the
-/// granularity the controller reasons about); `arrivals[i]` is the wall
-/// offset in seconds at which `job.tasks[i]` is sent to the scheduling
-/// queue (an empty slice sends everything up front). All `AutoscaleConfig`
-/// times are wall seconds — tests and examples compress them (10 ms ticks,
-/// 100 ms "billing hours") so elastic behavior plays out in milliseconds.
-///
-/// Scale-in drains: a victim worker finishes the lease it holds, then
-/// exits; the controller confirms the retirement on its next tick, so a
-/// leased message is never orphaned by scale-in. The report carries a
-/// [`FleetReport`](crate::report::FleetReport) with the fleet-size
-/// timeline and the staggered per-instance bill. Reached through
-/// [`crate::run`], which resolves the `RunContext`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_autoscaled_impl(
-    storage: &Arc<StorageService>,
-    queues: &Arc<QueueService>,
-    itype: ppc_compute::instance::InstanceType,
-    job: &JobSpec,
-    arrivals: &[f64],
-    executor: Arc<dyn Executor>,
-    config: &ClassicConfig,
-    autoscale: &AutoscaleConfig,
-) -> Result<ClassicReport> {
-    job.validate()?;
-    validate_config(config)?;
-    if !arrivals.is_empty() && arrivals.len() != job.tasks.len() {
-        return Err(PpcError::InvalidArgument(format!(
-            "{} arrival offsets for {} tasks",
-            arrivals.len(),
-            job.tasks.len()
-        )));
-    }
-
-    let sched = queues.create_queue(
-        &job.sched_queue(),
-        QueueConfig {
-            visibility_timeout: job.visibility_timeout,
-            chaos: config.queue_chaos,
-            seed: config.fault.seed,
-        },
-    )?;
-    let monitor = queues.create_queue(&job.monitor_queue(), QueueConfig::default())?;
-    let dlq = dead_letter_queue(queues, job)?;
-    storage.ensure_bucket(&job.output_bucket);
-
-    let clock = RunClock::start();
-    if let Some(schedule) = &config.schedule {
-        storage.set_chaos(schedule.clone());
-    }
-    let breaker = CircuitBreaker::new(
-        config.storage_breaker_threshold,
-        config.storage_breaker_reset_s,
-    );
-    let health: Option<Mutex<HealthTracker>> = config
-        .resilience
-        .and_then(|p| p.quarantine)
-        .map(|q| Mutex::new(HealthTracker::new(q)));
-    let health = health.as_ref();
-
-    let storage_before = storage.metering().snapshot();
-    let requests_before = queues.total_requests();
-
-    let n_tasks = job.tasks.len();
-    let shared = Shared {
-        stop: AtomicBool::new(false),
-        total_executions: AtomicUsize::new(0),
-        worker_deaths: AtomicUsize::new(0),
-        remote_bytes: AtomicU64::new(0),
-        finished_at: Mutex::new(None),
-        failed: Mutex::new(Vec::new()),
-        per_fleet: Mutex::new(vec![0; 1]),
-    };
-
-    let controller = Mutex::new(Controller::new(autoscale.clone()));
-    // Per-slot drain flags, indexed by slot id; grown under the lock as
-    // the controller launches instances.
-    let drain_flags: Mutex<Vec<Arc<AtomicBool>>> = Mutex::new(Vec::new());
-    // Slot ids whose workers have exited after a drain, awaiting
-    // confirmation at the controller's next tick.
-    let retired_inbox: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-    // Slots the chaos schedule killed: already Retired via `mark_dead`,
-    // so their workers' exit notifications must not be re-confirmed.
-    let dead_slots: Mutex<HashSet<u32>> = Mutex::new(HashSet::new());
-    let start = Instant::now();
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| monitor_loop(&monitor, &sched, config, &shared, job, &clock));
-
-        // Client: sends each task at its arrival offset.
-        scope.spawn(|| {
-            let mut send_rng = Pcg32::for_stream(config.fault.seed, CLIENT_STREAM);
-            let mut order: Vec<usize> = (0..n_tasks).collect();
-            if !arrivals.is_empty() {
-                order.sort_by(|&a, &b| arrivals[a].partial_cmp(&arrivals[b]).unwrap());
-            }
-            for i in order {
-                let at = Duration::from_secs_f64(if arrivals.is_empty() {
-                    0.0
-                } else {
-                    arrivals[i]
-                });
-                while start.elapsed() < at {
-                    if shared.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep((at - start.elapsed()).min(Duration::from_millis(2)));
-                }
-                let body = match job.tasks[i].to_message() {
-                    Ok(b) => b,
-                    Err(_) => continue,
-                };
-                // Durable submission through the shared retry policy; a
-                // stop mid-retry surfaces as a non-retryable error.
-                let enq_at = live_sink(config).map(|_| clock.now_s());
-                let sent = client_send_policy().run_blocking(&mut send_rng, |_| {
-                    if shared.stop.load(Ordering::Acquire) {
-                        return Err(PpcError::InvalidState("job stopped".into()));
-                    }
-                    sched.send(body.clone())
-                });
-                if sent.is_ok() {
-                    if let Some(s) = live_sink(config) {
-                        s.span(Span::new(
-                            job.tasks[i].id.0,
-                            0,
-                            NO_WORKER,
-                            Phase::Enqueue,
-                            enq_at.unwrap_or(0.0),
-                            clock.now_s(),
-                        ));
-                    }
-                }
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-        });
-
-        // Controller: one thread ticking every `interval_s`, spawning and
-        // draining worker threads per the policy's decisions.
-        scope.spawn(|| {
-            let spawn_worker = |slot: u32| {
-                let drain = {
-                    let mut flags = drain_flags.lock().unwrap();
-                    while flags.len() <= slot as usize {
-                        flags.push(Arc::new(AtomicBool::new(false)));
-                    }
-                    flags[slot as usize].clone()
-                };
-                let sched = sched.clone();
-                let monitor = monitor.clone();
-                let dlq = dlq.clone();
-                let shared = &shared;
-                let storage = storage.clone();
-                let executor = executor.clone();
-                let retired_inbox = &retired_inbox;
-                let clock = &clock;
-                let breaker = &breaker;
-                scope.spawn(move || {
-                    // The chaos schedule addresses autoscaled workers by
-                    // their controller slot id.
-                    let mut chaos = WorkerChaos::new(config, clock, slot);
-                    while !shared.stop.load(Ordering::Acquire) && !drain.load(Ordering::Acquire) {
-                        poll_once(
-                            &sched,
-                            &monitor,
-                            &dlq,
-                            shared,
-                            &storage,
-                            job,
-                            config,
-                            executor.as_ref(),
-                            0,
-                            &mut chaos,
-                            breaker,
-                            health,
-                        );
-                    }
-                    if drain.load(Ordering::Acquire) {
-                        retired_inbox.lock().unwrap().push(slot);
-                    }
-                });
-            };
-
-            // The controller seeded `min_workers` active slots at t = 0.
-            for slot in 0..autoscale.min_workers {
-                spawn_worker(slot);
-            }
-
-            let interval = Duration::from_secs_f64(autoscale.interval_s);
-            let quantum = interval.min(Duration::from_millis(2));
-            let mut next_tick = interval;
-            let mut last_tick_s = 0.0_f64;
-            while !shared.stop.load(Ordering::Acquire) {
-                std::thread::sleep(quantum);
-                let now = start.elapsed();
-                if now < next_tick {
-                    continue;
-                }
-                next_tick += interval;
-                let now_s = now.as_secs_f64();
-                let mut ctrl = controller.lock().unwrap();
-                // Dead-instance detection: a timed kill addressed to a
-                // live slot takes the whole instance down. The controller
-                // records the death (waiving the scale-up cooldown) so
-                // `decide` below can launch a replacement immediately.
-                if let Some(schedule) = &config.schedule {
-                    let victims: Vec<u32> = ctrl
-                        .slots()
-                        .iter()
-                        .filter(|s| matches!(s.state, SlotState::Warming | SlotState::Active))
-                        .filter(|s| schedule.kills_in(s.id, last_tick_s, now_s))
-                        .map(|s| s.id)
-                        .collect();
-                    if !victims.is_empty() {
-                        let flags = drain_flags.lock().unwrap();
-                        let mut dead = dead_slots.lock().unwrap();
-                        for id in victims {
-                            if let Some(f) = flags.get(id as usize) {
-                                f.store(true, Ordering::Release);
-                            }
-                            ctrl.mark_dead(id, now_s);
-                            dead.insert(id);
-                        }
-                    }
-                }
-                last_tick_s = now_s;
-                {
-                    let dead = dead_slots.lock().unwrap();
-                    for slot in retired_inbox.lock().unwrap().drain(..) {
-                        // A dead slot is already Retired; only drained
-                        // workers need their exit confirmed.
-                        if !dead.contains(&slot) {
-                            ctrl.confirm_retired(slot, now_s);
-                        }
-                    }
-                }
-                let snap = sched.metrics_snapshot();
-                let telemetry = Telemetry {
-                    queued: snap.visible,
-                    in_flight: snap.in_flight,
-                    oldest_age_s: snap.oldest_age.map(|d| d.as_secs_f64()),
-                };
-                match ctrl.decide(now_s, &telemetry) {
-                    Decision::Launch { ids } => {
-                        drop(ctrl);
-                        for id in ids {
-                            spawn_worker(id);
-                        }
-                    }
-                    Decision::Drain { ids } => {
-                        let flags = drain_flags.lock().unwrap();
-                        for id in ids {
-                            flags[id as usize].store(true, Ordering::Release);
-                        }
-                    }
-                    Decision::Hold => {}
-                }
-            }
-        });
-    });
-
-    let finished = shared
-        .finished_at
-        .lock()
-        .unwrap()
-        .unwrap_or_else(Instant::now);
-    let makespan = finished.duration_since(start).as_secs_f64();
-    let failed = shared.failed.lock().unwrap().clone();
-    let completed = n_tasks - failed.len();
-    let total_executions = shared.total_executions.load(Ordering::Relaxed);
-
-    // Close the fleet ledger: confirm drains that landed after the last
-    // tick, then bill. The horizon never precedes the last fleet event
-    // (a final tick can outlast the monitor's finish stamp slightly).
-    let mut ctrl = controller.into_inner().unwrap();
-    let last_event_s = ctrl.events().last().map(|e| e.at_s).unwrap_or(0.0);
-    let end_s = makespan.max(last_event_s);
-    let dead = dead_slots.into_inner().unwrap();
-    for slot in retired_inbox.into_inner().unwrap() {
-        if !dead.contains(&slot) {
-            ctrl.confirm_retired(slot, end_s);
+        // Injected death between upload and delete: the duplicate re-execution
+        // must overwrite with identical output.
+        if chaos.die_before_delete(seq) {
+            die();
+            return;
         }
-    }
-    // A drain decided on the final tick may never have reached its worker
-    // before the stop flag did; close those slots' bills at the horizon.
-    let still_draining: Vec<u32> = ctrl
-        .slots()
-        .iter()
-        .filter(|s| s.state == SlotState::Draining)
-        .map(|s| s.id)
-        .collect();
-    for slot in still_draining {
-        ctrl.confirm_retired(slot, end_s);
-    }
-    let fleet = fleet_report(&ctrl, itype, autoscale.billing_hour_s, end_s);
-    if config.schedule.is_some() {
-        storage.clear_chaos();
-    }
 
-    // Replay the controller's fleet ledger into the trace: launches,
-    // drains, retirements, and chaos-killed instances, addressed by slot.
-    if let Some(s) = live_sink(config) {
-        for ev in ctrl.events() {
-            s.event(TraceEvent {
-                at_s: ev.at_s,
-                worker: ev.slot,
-                kind: match ev.kind {
-                    FleetEventKind::Launch => EventKind::Launch,
-                    FleetEventKind::Drain => EventKind::Drain,
-                    FleetEventKind::Retire => EventKind::Retire,
-                    FleetEventKind::Died => EventKind::Death,
-                },
-            });
+        let _ = monitor.send(format!("done:{}", spec.id.0));
+        self.per_fleet.lock().unwrap()[fleet_id] += 1;
+        // A stale receipt here means someone else finished the task first —
+        // harmless by idempotence.
+        let _ = sched.delete(msg.receipt);
+        let done_s = chaos.clock.now_s();
+        score(Some(done_s - attempt_began_s), done_s);
+        if let Some(tt) = tt.as_mut() {
+            tt.mark(Phase::Ack, done_s);
         }
-    }
-
-    let storage_after = storage.metering().snapshot();
-    let mut report = ClassicReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform: format!("classic-autoscale-{}", itype.name),
-                cores: fleet.peak_fleet() as usize,
-                tasks: completed,
-                makespan_seconds: makespan,
-                redundant_executions: total_executions.saturating_sub(completed),
-                remote_bytes: shared.remote_bytes.load(Ordering::Relaxed),
-            },
-            failed,
-            total_attempts: total_executions,
-            worker_deaths: shared.worker_deaths.load(Ordering::Relaxed),
-            cost: Some(fleet.cost),
-            trace: None,
-        },
-        queue_requests: queues.total_requests() - requests_before,
-        executions_per_fleet: shared.per_fleet.into_inner().unwrap(),
-        timeline: None,
-        fleet: Some(fleet),
-        storage: ppc_storage::metering::MeteringSnapshot {
-            requests: storage_after.requests - storage_before.requests,
-            bytes_in: storage_after.bytes_in - storage_before.bytes_in,
-            bytes_out: storage_after.bytes_out - storage_before.bytes_out,
-            stored_bytes: storage_after.stored_bytes,
-            peak_stored_bytes: storage_after.peak_stored_bytes,
-        },
-    };
-    finalize_trace(config, &mut report);
-
-    let _ = queues.delete_queue(&job.sched_queue());
-    let _ = queues.delete_queue(&job.monitor_queue());
-
-    Ok(report)
-}
-
-/// Build the fleet section of an autoscaled report from the controller's
-/// audit log: the fleet-size step function plus the per-instance bill.
-/// Slots still running at `end_s` are billed through the horizon. Shared
-/// by the native runtime and the simulator so both engines account
-/// identically.
-pub(crate) fn fleet_report(
-    ctrl: &Controller,
-    itype: ppc_compute::instance::InstanceType,
-    billing_hour_s: f64,
-    end_s: f64,
-) -> crate::report::FleetReport {
-    let mut timeline = ppc_core::trace::FleetTimeline::new();
-    for e in ctrl.events() {
-        // Drain events do not change the billed fleet; launches, retires,
-        // and chaos-killed instances do.
-        if matches!(
-            e.kind,
-            FleetEventKind::Launch | FleetEventKind::Retire | FleetEventKind::Died
-        ) {
-            timeline.record(e.at_s, e.fleet_after);
-        }
-    }
-    let mut ledger = FleetLedger::new(itype, billing_hour_s);
-    for s in ctrl.slots() {
-        let idx = ledger.launch(s.launched_at);
-        if let Some(t) = s.retired_at {
-            ledger.retire(idx, t.min(end_s));
-        }
-    }
-    crate::report::FleetReport {
-        itype,
-        timeline,
-        horizon_s: end_s,
-        billed_hours: ledger.billed_hours(end_s),
-        wasted_hours: ledger.wasted_hours(end_s),
-        cost: ledger.cost(end_s),
     }
 }
 
@@ -1298,6 +1102,7 @@ mod tests {
     use ppc_core::exec::FnExecutor;
     use ppc_core::task::ResourceProfile;
     use ppc_exec::RunContext;
+    use ppc_trace::Recorder;
 
     fn setup(n_tasks: u64) -> (Arc<StorageService>, Arc<QueueService>, JobSpec) {
         let storage = StorageService::in_memory();
@@ -1543,6 +1348,64 @@ mod tests {
         assert!(report.is_complete());
         assert_eq!(report.summary.cores, 8, "both fleets' workers counted");
         assert_eq!(report.summary.tasks, 24);
+        // Fault-free with a 600-s lease: no task is redelivered, so every
+        // task is credited to exactly one of the two fleets.
+        assert_eq!(report.executions_per_fleet.len(), 2);
+        assert_eq!(report.executions_per_fleet.iter().sum::<usize>(), 24);
+    }
+
+    #[test]
+    fn traced_fixed_fleets_send_first_and_start_each_worker_once() {
+        let (storage, queues, job) = setup(24);
+        let fleets = vec![
+            Cluster::provision(EC2_HCXL, 1, 4),
+            Cluster::provision(ppc_compute::instance::BARE_CAP3, 1, 2),
+        ];
+        let report = crate::run(
+            &RunContext::on_fleets(fleets.clone())
+                .with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>),
+            &storage,
+            &queues,
+            &job,
+            reverse_executor(),
+            &ClassicConfig::default(),
+        )
+        .unwrap();
+        assert!(report.is_complete());
+        assert_eq!(report.summary.platform, "classic");
+        assert_eq!(report.summary.cores, 6);
+        assert_eq!(
+            report.cost,
+            Some(crate::report::fleets_cost(
+                &fleets,
+                report.summary.makespan_seconds
+            ))
+        );
+        assert!(report.fleet.is_none());
+        let trace = report.trace.as_ref().expect("traced run");
+        // One WorkerStart per worker, numbered in flat spawn order.
+        let mut started: Vec<u32> = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::WorkerStart)
+            .map(|e| e.worker)
+            .collect();
+        started.sort_unstable();
+        assert_eq!(started, (0..6).collect::<Vec<u32>>());
+        // Every task was sent before any worker started.
+        let first_start = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::WorkerStart)
+            .map(|e| e.at_s)
+            .fold(f64::INFINITY, f64::min);
+        let sends: Vec<&Span> = trace
+            .spans()
+            .iter()
+            .filter(|s| s.phase == Phase::Enqueue)
+            .collect();
+        assert_eq!(sends.len(), 24);
+        assert!(sends.iter().all(|s| s.end_s <= first_start));
     }
 
     #[test]
@@ -1647,6 +1510,105 @@ mod tests {
             report.total_attempts, 40,
             "no redeliveries: scale-in drained cleanly"
         );
+    }
+
+    #[test]
+    fn traced_elastic_run_replays_its_fleet_ledger() {
+        // Staggered arrivals make the fleet scale out and, usually, back
+        // in. The trace must hold the controller's fleet events, and only
+        // those: no WorkerStart, and no per-task death on a fault-free run.
+        let (storage, queues, job) = setup(40);
+        let arrivals: Vec<f64> = (0..40).map(|i| if i < 30 { 0.0 } else { 0.4 }).collect();
+        let report = crate::run(
+            &RunContext::elastic(EC2_HCXL, fast_autoscale(), arrivals)
+                .with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>),
+            &storage,
+            &queues,
+            &job,
+            sleep_executor(20),
+            &ClassicConfig::default(),
+        )
+        .unwrap();
+        assert!(report.is_complete(), "failed: {:?}", report.failed);
+        assert_eq!(report.executions_per_fleet, vec![40]);
+        let fleet = report
+            .fleet
+            .as_ref()
+            .expect("elastic run reports its fleet");
+        assert_eq!(
+            report.summary.platform,
+            format!("classic-autoscale-{}", EC2_HCXL.name)
+        );
+        assert_eq!(report.summary.cores, fleet.peak_fleet() as usize);
+        assert_eq!(report.cost, Some(fleet.cost));
+        let trace = report.trace.as_ref().expect("traced run");
+        assert_eq!(trace.events_of_kind(EventKind::WorkerStart), 0);
+        // Replaying the trace's launches, retirements and deaths in order
+        // rebuilds the controller's fleet-size timeline; launches take
+        // slot ids in order, and a slot retires only after its drain.
+        let mut replayed = ppc_core::trace::FleetTimeline::new();
+        let (mut size, mut launched) = (0u32, 0u32);
+        let mut draining = HashSet::new();
+        for e in trace.events() {
+            match e.kind {
+                EventKind::Launch => {
+                    assert_eq!(e.worker, launched, "slot ids are handed out in order");
+                    launched += 1;
+                    size += 1;
+                }
+                EventKind::Drain => {
+                    assert!(e.worker < launched, "drain of an unlaunched slot");
+                    assert!(draining.insert(e.worker), "slot drained twice");
+                    continue;
+                }
+                EventKind::Retire => {
+                    assert!(draining.remove(&e.worker), "retire without a drain");
+                    size -= 1;
+                }
+                EventKind::Death => size -= 1,
+                _ => continue,
+            }
+            replayed.record(e.at_s, size);
+        }
+        assert!(launched >= 2, "one burst must trigger scale-out");
+        assert!(draining.is_empty(), "every drained slot retired");
+        assert_eq!(&replayed, &fleet.timeline);
+        // The job's queues are gone; its dead-letter queue stays.
+        assert!(queues.queue(&job.sched_queue()).is_err());
+        assert!(queues.queue(&job.monitor_queue()).is_err());
+        assert!(queues.queue(&job.dead_letter_queue()).is_ok());
+    }
+
+    #[test]
+    fn elastic_run_rejects_bad_arrivals_before_starting() {
+        // Each bad offset must be refused before any thread starts. The run
+        // goes on a helper thread so a regression fails here instead of
+        // hanging the suite.
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let (storage, queues, job) = setup(2);
+                let err = run_job_autoscaled(
+                    &storage,
+                    &queues,
+                    EC2_HCXL,
+                    &job,
+                    &[0.0, bad],
+                    reverse_executor(),
+                    &ClassicConfig::default(),
+                    &fast_autoscale(),
+                )
+                .err();
+                let untouched = queues.queue(&job.sched_queue()).is_err();
+                let _ = tx.send((err, untouched));
+            });
+            let (err, untouched) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("offset {bad}: the run did not return"));
+            let err = err.unwrap_or_else(|| panic!("offset {bad} was accepted"));
+            assert_eq!(err.code(), "InvalidArgument", "offset {bad}: {err}");
+            assert!(untouched, "offset {bad}: the run created its queues");
+        }
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //! with sharing with Hadoop (§4.2).
 //!
 //! Fixed and elastic fleets run one worker lifecycle (`worker_tick` →
-//! `finish_attempt`, plus one `hedge_check_at`). A `Fleet` holds the few
-//! steps that differ: the pre-pull gate, timed-kill detection, when
-//! a lost message reappears, and set-up and finalisation.
+//! `finish_attempt`, plus one `hedge_check_at`), as the native runtime
+//! runs one body for both. A `Fleet` holds the few steps that differ: the
+//! pre-pull gate, timed-kill detection, when a lost message reappears,
+//! and set-up and finalisation. The elastic bookkeeping (dead-instance
+//! sweep, ledger close, fleet-event trace replay) is shared with the
+//! native runtime.
 
+use crate::elastic;
 use crate::report::{ClassicReport, FleetReport};
-use ppc_autoscale::{AutoscaleConfig, Controller, Decision, SlotState, Telemetry};
+use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
 use ppc_chaos::FaultSchedule;
 use ppc_compute::billing::CostBreakdown;
 use ppc_compute::cluster::Cluster;
@@ -520,8 +524,9 @@ struct Attempt {
 
 /// The fixed-fleet simulation: every worker slot of every fleet polls
 /// the shared scheduling queue in virtual time — the simulated twin of
-/// [`crate::runtime::run_on_fleets_impl`] for paper-scale what-if studies
-/// ("how much does adding my local cluster to the cloud fleet help?").
+/// the native [`crate::run`] on fixed fleets, for paper-scale what-if
+/// studies ("how much does adding my local cluster to the cloud fleet
+/// help?").
 /// The client pushes every message, shuffled, at t = 0. Reached through
 /// [`crate::simulate`], which resolves the `RunContext`.
 pub(crate) fn sim_fleets_impl(
@@ -599,15 +604,16 @@ pub(crate) fn sim_fleets_impl(
 
 /// The elastic simulation: single-worker instances of `itype` launched
 /// and retired in virtual time by a `ppc-autoscale` [`Controller`] — the
-/// simulated twin of [`crate::runtime::run_autoscaled_impl`], sharing its
-/// decision logic and billing exactly (both engines drive the same pure
-/// state machine, so a deterministic workload yields the same fleet-size
-/// trajectory). `arrivals[i]` is the virtual second at which `tasks[i]`
-/// enters the queue (empty: all at t = 0); delivery is FIFO (no shuffle)
-/// to keep elastic runs reproducible. Under a [`FaultSchedule`], timed
-/// kills take whole instances down (the controller detects the death,
-/// records it, and launches a replacement with the scale-up cooldown
-/// waived). Reached through [`crate::simulate`].
+/// simulated twin of the native [`crate::run`] on an elastic fleet,
+/// sharing its decision logic and billing exactly (both engines drive the
+/// same pure state machine, so a deterministic workload yields the same
+/// fleet-size trajectory). `arrivals[i]` is the virtual second at which
+/// `tasks[i]` enters the queue (empty: all at t = 0); delivery is FIFO
+/// (no shuffle) to keep elastic runs reproducible. Under a
+/// [`FaultSchedule`], timed kills take whole instances down (the
+/// controller detects the death, records it, and launches a replacement
+/// with the scale-up cooldown waived). Reached through
+/// [`crate::simulate`].
 pub(crate) fn sim_autoscaled_impl(
     itype: InstanceType,
     tasks: &[TaskSpec],
@@ -617,12 +623,9 @@ pub(crate) fn sim_autoscaled_impl(
     schedule: Option<Arc<FaultSchedule>>,
 ) -> ClassicReport {
     assert!(!tasks.is_empty(), "no tasks to simulate");
-    assert!(
-        arrivals.is_empty() || arrivals.len() == tasks.len(),
-        "{} arrival offsets for {} tasks",
-        arrivals.len(),
-        tasks.len()
-    );
+    if let Err(e) = elastic::check_arrivals(arrivals, tasks.len()) {
+        panic!("{e}");
+    }
     check_sim_inputs(cfg, schedule.as_ref());
     // Elastic workers have no per-instance NIC model: refuse the dial
     // rather than report a run that silently ignored it.
@@ -684,40 +687,13 @@ pub(crate) fn sim_autoscaled_impl(
         end.as_secs_f64()
     };
 
-    // Close the fleet ledger, mirroring the native runtime's finalization.
     let Fleet::Elastic(el) = &mut st.fleet else {
         unreachable!("an elastic run holds an elastic fleet")
     };
-    let last_event_s = el.controller.events().last().map_or(0.0, |e| e.at_s);
-    let end_s = makespan.max(last_event_s);
-    for slot in std::mem::take(&mut el.retired_inbox) {
-        el.controller.confirm_retired(slot, end_s);
-    }
-    let still_draining: Vec<u32> = el
-        .controller
-        .slots()
-        .iter()
-        .filter(|s| s.state == SlotState::Draining)
-        .map(|s| s.id)
-        .collect();
-    for slot in still_draining {
-        el.controller.confirm_retired(slot, end_s);
-    }
-    let fleet =
-        crate::runtime::fleet_report(&el.controller, itype, autoscale.billing_hour_s, end_s);
+    let exited = std::mem::take(&mut el.retired_inbox);
+    let fleet = elastic::close_fleet(&mut el.controller, exited, makespan, itype);
     if let Some(rec) = &st.rec {
-        for ev in el.controller.events() {
-            rec.event(TraceEvent {
-                at_s: ev.at_s,
-                worker: ev.slot,
-                kind: match ev.kind {
-                    ppc_autoscale::FleetEventKind::Launch => EventKind::Launch,
-                    ppc_autoscale::FleetEventKind::Drain => EventKind::Drain,
-                    ppc_autoscale::FleetEventKind::Retire => EventKind::Retire,
-                    ppc_autoscale::FleetEventKind::Died => EventKind::Death,
-                },
-            });
-        }
+        elastic::trace_fleet_events(&el.controller, rec);
     }
     st.report(
         format!("classic-sim-autoscale-{}", itype.name),
@@ -1180,24 +1156,15 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
         let Fleet::Elastic(el) = fleet else {
             unreachable!("only elastic fleets have a controller")
         };
-        for slot in std::mem::take(&mut el.retired_inbox) {
-            el.controller.confirm_retired(slot, now_s);
-        }
+        let exited = std::mem::take(&mut el.retired_inbox);
+        elastic::confirm_exits(&mut el.controller, exited, now_s);
         // Dead-instance sweep: a timed kill addressed to a live slot takes
         // the whole instance down. `mark_dead` records the death and
         // waives the scale-up cooldown so `decide` below can launch a
         // replacement on this very tick.
         if let Some(schedule) = schedule {
             let from_s = el.last_kill_check_s;
-            let victims: Vec<u32> = el
-                .controller
-                .slots()
-                .iter()
-                .filter(|s| matches!(s.state, SlotState::Warming | SlotState::Active))
-                .filter(|s| schedule.kills_in(s.id, from_s, now_s))
-                .map(|s| s.id)
-                .collect();
-            for id in victims {
+            for id in elastic::dead_slots(&el.controller, schedule, from_s, now_s) {
                 el.controller.mark_dead(id, now_s);
                 el.dead.insert(id);
                 if let Some(pos) = idle.iter().position(|w| w.index == id) {
@@ -1758,6 +1725,26 @@ mod tests {
             &autoscale_cfg(),
             None,
         );
+    }
+
+    #[test]
+    fn elastic_fleet_rejects_bad_arrivals() {
+        // A negative, NaN or infinite offset must fail loudly, not be
+        // clamped to t = 0.
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let panic = std::panic::catch_unwind(|| {
+                simulate_autoscaled(
+                    EC2_HCXL,
+                    &cpu_tasks(2, 1.0),
+                    &[0.0, bad],
+                    &free_cfg(),
+                    &autoscale_cfg(),
+                )
+            })
+            .expect_err("a bad arrival offset must panic");
+            let msg = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("arrival offset 1 is"), "{bad}: {msg}");
+        }
     }
 
     #[test]

@@ -551,6 +551,72 @@ const CLASSIC_PATH_GOLDEN: [[u64; 7]; 3] = [
     ],
 ];
 
+/// FNV-1a digest (report JSON + `Debug`, trace on) of a defended Dryad sim
+/// under one chaos seed: the hostile schedule plus a gray slot, with
+/// hedging, quarantine and a per-vertex deadline all on, so benches,
+/// releases, backup vertices and deadline cuts all feed the digest.
+fn dryad_defended_digest(seed: u64) -> u64 {
+    use ppc::chaos::FaultSchedule;
+    use ppc::compute::instance::BARE_CAP3;
+    use ppc::resilience::{HedgeConfig, QuarantineConfig, ResiliencePolicy};
+    use ppc::trace::EventKind;
+    use std::sync::Arc;
+
+    let tasks: Vec<TaskSpec> = (0..160)
+        .map(|i| {
+            let mut p = ResourceProfile::cpu_bound(10.0 + (i % 7) as f64);
+            p.input_bytes = 200 << 10;
+            p.output_bytes = 100 << 10;
+            TaskSpec::new(i, "cap3", format!("f{i}"), p)
+        })
+        .collect();
+    // Slot 5 runs 30x slow throughout: its vertices overrun the deadline,
+    // so it is benched, released when its bench expires, and benched again.
+    let schedule = FaultSchedule::hostile(seed).degrade(5, 30.0, 0.0, 1e9);
+    let policy = ResiliencePolicy::hedged(HedgeConfig::quantile(20.0))
+        .with_deadline(60.0)
+        .with_quarantine(QuarantineConfig::default());
+    let report = ppc::dryad::simulate(
+        &RunContext::new(&Cluster::provision(BARE_CAP3, 1, 8))
+            .with_schedule(Arc::new(schedule))
+            .with_resilience(policy)
+            .with_trace(true),
+        &tasks,
+        &ppc::dryad::DryadSimConfig::default(),
+    );
+    assert!(
+        report.failed.is_empty(),
+        "seed {seed}: failed {:?}",
+        report.failed
+    );
+    let trace = report.core.trace.as_ref().expect("traced run");
+    assert!(
+        trace.events_of_kind(EventKind::Release) > 0,
+        "seed {seed}: no quarantine release to pin"
+    );
+    fnv64(&format!("{}\n{report:?}", report.to_json()))
+}
+
+/// Bit-identity pin for the defended Dryad sim: [`dryad_defended_digest`]
+/// on every CI chaos seed must reproduce the committed digests.
+#[test]
+fn dryad_defended_sim_matches_golden_digests() {
+    let got: Vec<u64> = CHAOS_SEEDS.map(dryad_defended_digest).to_vec();
+    let rendered: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+    assert_eq!(
+        got,
+        DRYAD_DEFENDED_GOLDEN,
+        "digests now [{}]",
+        rendered.join(", ")
+    );
+}
+
+/// Generated by [`dryad_defended_sim_matches_golden_digests`] before the
+/// native Classic fixed- and elastic-fleet bodies were merged, one entry
+/// per [`CHAOS_SEEDS`] entry.
+const DRYAD_DEFENDED_GOLDEN: [u64; 3] =
+    [0xfe02682e54944dc3, 0xb919f8f6e19c4f95, 0xaa2b85c8290e73de];
+
 /// FNV-1a over a string, 64-bit.
 fn fnv64(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
