@@ -47,8 +47,8 @@ pub fn ec2_instance_study(tasks: &[TaskSpec], app: AppModel, seed: u64) -> Vec<I
     sixteen_core_ec2_configs()
         .into_iter()
         .map(|cluster| {
-            let cfg = SimConfig::ec2().with_app(app).with_seed(seed);
-            let report = classic_sim(&RunContext::new(&cluster), tasks, &cfg);
+            let cfg = SimConfig::ec2().with_app(app);
+            let report = classic_sim(&RunContext::new(&cluster).with_seed(seed), tasks, &cfg);
             InstanceStudyRow {
                 label: cluster.label().to_string(),
                 makespan_seconds: report.summary.makespan_seconds,
@@ -96,8 +96,9 @@ pub fn azure_instance_study(
                         })
                         .collect();
                     let cluster = Cluster::provision(itype, n_instances, w);
-                    let cfg = SimConfig::azure().with_app(app).with_seed(seed);
-                    let report = classic_sim(&RunContext::new(&cluster), &scaled, &cfg);
+                    let cfg = SimConfig::azure().with_app(app);
+                    let ctx = RunContext::new(&cluster).with_seed(seed);
+                    let report = classic_sim(&ctx, &scaled, &cfg);
                     InstanceStudyRow {
                         label: format!("{}x{}", w, t),
                         makespan_seconds: report.summary.makespan_seconds,
@@ -276,10 +277,9 @@ pub fn run_emr(
     let cluster = Cluster::provision_per_core(itype, n_instances);
     let cfg = HadoopSimConfig {
         app,
-        seed,
         ..HadoopSimConfig::default()
     };
-    let summary = hadoop_sim(&RunContext::new(&cluster), tasks, &cfg)
+    let summary = hadoop_sim(&RunContext::new(&cluster).with_seed(seed), tasks, &cfg)
         .core
         .summary;
     let t1 = sequential_baseline_seconds(&itype, tasks, &app);

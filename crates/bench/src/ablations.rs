@@ -220,8 +220,8 @@ pub fn ablate_granularity() -> Figure {
     for per_file in [3usize, 12, 25, 100, 400] {
         let n_files = total_queries / per_file;
         let tasks = workload::blast_sim_tasks(n_files, per_file);
-        let cfg = SimConfig::ec2().with_seed(29);
-        let report = classic_sim(&RunContext::new(&cluster), &tasks, &cfg);
+        let ctx = RunContext::new(&cluster).with_seed(29);
+        let report = classic_sim(&ctx, &tasks, &SimConfig::ec2());
         let t1 =
             ppc_classic::sim::sequential_baseline_seconds(&EC2_HCXL, &tasks, &AppModel::DEFAULT);
         eff.push(
@@ -305,21 +305,11 @@ pub fn ablate_speculation() -> Figure {
             straggler_factor: 10.0,
             ..Default::default()
         };
-        let on = hadoop_sim(
-            &RunContext::new(&cluster),
-            &tasks,
-            &HadoopSimConfig {
-                resilience: None,
-                ..base
-            },
-        );
+        let on = hadoop_sim(&RunContext::new(&cluster), &tasks, &base);
         let off = hadoop_sim(
-            &RunContext::new(&cluster),
+            &RunContext::new(&cluster).with_resilience(ResiliencePolicy::default()),
             &tasks,
-            &HadoopSimConfig {
-                resilience: Some(ResiliencePolicy::default()),
-                ..base
-            },
+            &base,
         );
         with_spec.push(format!("{p}"), on.summary.makespan_seconds);
         without.push(format!("{p}"), off.summary.makespan_seconds);
@@ -563,13 +553,10 @@ pub fn sustained_variation() -> Figure {
         let cluster = Cluster::provision_per_core(EC2_HCXL, 16);
         let makespans: Vec<f64> = (0..20)
             .map(|seed| {
-                let mut cfg = SimConfig::ec2()
-                    .with_app(AppModel::cap3())
-                    .with_seed(1000 + seed);
+                let mut cfg = SimConfig::ec2().with_app(AppModel::cap3());
                 cfg.jitter_sigma = jitter;
-                classic_sim(&RunContext::new(&cluster), &tasks, &cfg)
-                    .summary
-                    .makespan_seconds
+                let ctx = RunContext::new(&cluster).with_seed(1000 + seed);
+                classic_sim(&ctx, &tasks, &cfg).summary.makespan_seconds
             })
             .collect();
         let stats = ppc_core::metrics::Stats::from_sample(&makespans).expect("non-empty");
@@ -656,7 +643,7 @@ pub fn resilience_bench() -> (Figure, Json) {
         if let Some(p) = policy {
             ctx = ctx.with_resilience(p);
         }
-        ctx
+        ctx.with_trace(true)
     };
 
     let classic = |policy: Option<ResiliencePolicy>| {
@@ -665,7 +652,6 @@ pub fn resilience_bench() -> (Figure, Json) {
             storage_latency: LatencyModel::FREE,
             queue_latency: LatencyModel::FREE,
             jitter_sigma: 0.0,
-            trace: true,
             ..SimConfig::ec2()
         };
         let r = classic_sim(&ctx_of(&cluster, policy), &tasks, &cfg);
@@ -681,17 +667,12 @@ pub fn resilience_bench() -> (Figure, Json) {
         let cfg = HadoopSimConfig {
             straggler_p: 0.0,
             jitter_sigma: 0.0,
-            trace: true,
-            // The empty policy disables legacy speculation, so "unhedged"
-            // really is undefended rather than Hadoop's built-in guess.
-            resilience: Some(policy.unwrap_or_default()),
             ..Default::default()
         };
-        let r = hadoop_sim(
-            &RunContext::new(&cluster).with_schedule(gray.clone()),
-            &tasks,
-            &cfg,
-        );
+        // The empty policy disables legacy speculation, so "unhedged"
+        // really is undefended rather than Hadoop's built-in guess.
+        let ctx = ctx_of(&cluster, Some(policy.unwrap_or_default()));
+        let r = hadoop_sim(&ctx, &tasks, &cfg);
         Mode {
             latencies: winner_latencies(r.core.trace.as_ref().unwrap()),
             makespan: r.summary.makespan_seconds,
@@ -703,7 +684,6 @@ pub fn resilience_bench() -> (Figure, Json) {
         let cluster = Cluster::provision(BARE_CAP3, 1, 16);
         let cfg = DryadSimConfig {
             jitter_sigma: 0.0,
-            trace: true,
             ..Default::default()
         };
         let r = dryad_sim(&ctx_of(&cluster, policy), &tasks, &cfg);

@@ -10,9 +10,8 @@ use ppc_exec::RunContext;
 
 fn show(title: &str, tasks: &[ppc_core::TaskSpec]) {
     let cluster = Cluster::provision(EC2_HCXL, 1, 8);
-    let mut cfg = SimConfig::ec2().with_app(AppModel::cap3());
-    cfg.trace = true;
-    let report = simulate(&RunContext::new(&cluster), tasks, &cfg);
+    let cfg = SimConfig::ec2().with_app(AppModel::cap3());
+    let report = simulate(&RunContext::new(&cluster).with_trace(true), tasks, &cfg);
     let timeline = report.timeline.as_ref().expect("traced");
     println!("## {title}");
     println!(

@@ -279,8 +279,8 @@ fn gtm_classic_point(
     tasks: &[TaskSpec],
 ) -> (f64, f64) {
     let cluster = Cluster::provision(itype, n, workers);
-    let cfg = SimConfig::ec2().with_app(AppModel::DEFAULT).with_seed(19);
-    let report = classic_sim(&RunContext::new(&cluster), tasks, &cfg);
+    let cfg = SimConfig::ec2().with_app(AppModel::DEFAULT);
+    let report = classic_sim(&RunContext::new(&cluster).with_seed(19), tasks, &cfg);
     let t1 = sequential_baseline_seconds(&itype, tasks, &AppModel::DEFAULT);
     let cores = cluster.total_workers();
     (
@@ -407,15 +407,15 @@ pub fn blast_cost_at_scale() -> (ppc_core::Usd, ppc_core::Usd) {
     };
     let ec2_cluster = Cluster::provision_per_core(EC2_HCXL, 16);
     let ec2 = classic_sim(
-        &RunContext::new(&ec2_cluster),
+        &RunContext::new(&ec2_cluster).with_seed(21),
         &tasks,
-        &SimConfig::ec2().with_seed(21),
+        &SimConfig::ec2(),
     );
     let az_cluster = Cluster::provision_per_core(AZURE_LARGE, 16);
     let az = classic_sim(
-        &RunContext::new(&az_cluster),
+        &RunContext::new(&az_cluster).with_seed(21),
         &tasks,
-        &SimConfig::azure().with_seed(21),
+        &SimConfig::azure(),
     );
     (
         ec2_cluster

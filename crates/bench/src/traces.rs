@@ -19,24 +19,22 @@ pub fn traced_cap3_runs() -> Vec<Trace> {
     let tasks = workload::cap3_sim_tasks(128, 200);
 
     let classic_cluster = Cluster::provision(EC2_HCXL, 4, 8);
-    let mut classic_cfg = SimConfig::ec2().with_app(AppModel::cap3());
-    classic_cfg.trace = true;
-    let classic = classic_sim(&RunContext::new(&classic_cluster), &tasks, &classic_cfg);
+    let classic_cfg = SimConfig::ec2().with_app(AppModel::cap3());
+    let classic_ctx = RunContext::new(&classic_cluster).with_trace(true);
+    let classic = classic_sim(&classic_ctx, &tasks, &classic_cfg);
 
-    let bare_cluster = Cluster::provision(BARE_CAP3, 4, 8);
+    let bare_ctx = RunContext::new(&Cluster::provision(BARE_CAP3, 4, 8)).with_trace(true);
     let hadoop_cfg = HadoopSimConfig {
         app: AppModel::cap3(),
-        trace: true,
         ..HadoopSimConfig::default()
     };
-    let hadoop = hadoop_sim(&RunContext::new(&bare_cluster), &tasks, &hadoop_cfg);
+    let hadoop = hadoop_sim(&bare_ctx, &tasks, &hadoop_cfg);
 
     let dryad_cfg = DryadSimConfig {
         app: AppModel::cap3(),
-        trace: true,
         ..DryadSimConfig::default()
     };
-    let dryad = dryad_sim(&RunContext::new(&bare_cluster), &tasks, &dryad_cfg);
+    let dryad = dryad_sim(&bare_ctx, &tasks, &dryad_cfg);
 
     vec![
         classic.core.trace.expect("classic sim trace"),

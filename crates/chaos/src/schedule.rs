@@ -508,14 +508,19 @@ mod tests {
 
     #[test]
     fn validate_rejects_out_of_range() {
-        assert!(FaultSchedule::new(1)
-            .with_death_probabilities(1.2, 0.0, 0.0)
-            .validate()
-            .is_err());
-        assert!(FaultSchedule::new(1)
-            .with_death_probabilities(0.0, -0.1, 0.0)
-            .validate()
-            .is_err());
+        // Each bad death probability is rejected by name.
+        for (dice, name) in [
+            ((1.2, 0.0, 0.0), "die_before_execute"),
+            ((0.0, -0.1, 0.0), "die_mid_execute"),
+            ((0.0, 0.0, 2.0), "die_before_delete"),
+        ] {
+            let e = FaultSchedule::new(1)
+                .with_death_probabilities(dice.0, dice.1, dice.2)
+                .validate()
+                .unwrap_err();
+            assert_eq!(e.code(), "InvalidArgument");
+            assert!(e.to_string().contains(name), "{e}");
+        }
         assert!(FaultSchedule::new(1).kill_at(0, -1.0).validate().is_err());
         assert!(FaultSchedule::new(1)
             .degrade(0, 0.5, 0.0, 1.0)

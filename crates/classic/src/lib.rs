@@ -18,20 +18,21 @@
 //! * [`run`] — the **native** runtime ([`runtime`]): real worker threads
 //!   polling a real `ppc-queue` queue, moving real bytes through
 //!   `ppc-storage`, and running real application kernels. Used by
-//!   examples, tests, and the fault-tolerance studies ([`fault`] injects
-//!   worker deaths).
+//!   examples, tests, and the fault-tolerance studies (the context's
+//!   fault schedule kills workers at each pipeline point).
 //! * [`simulate`] — the **simulated** runtime ([`sim`]): the same pipeline
 //!   modeled on the `ppc-des` engine in virtual time, used for the
 //!   paper-scale experiments (hundreds of cores, hour-scale billing).
 //!
 //! The context's fleet plan picks the shape (single cluster, hybrid
-//! fleets, elastic autoscaled fleet); its seed / fault schedule / trace
-//! settings override the per-runtime configs. [`ClassicEngine`] exposes
-//! the same pair behind the paradigm-generic [`ppc_exec::Engine`] trait.
+//! fleets, elastic autoscaled fleet), and the context alone carries the
+//! run's seed, fault schedule, tracing and resilience policy; the
+//! per-runtime configs hold platform dials only. [`ClassicEngine`]
+//! exposes the same pair behind the paradigm-generic
+//! [`ppc_exec::Engine`] trait.
 
 mod elastic;
 pub mod engine;
-pub mod fault;
 pub mod harness;
 pub mod history;
 pub mod report;
@@ -40,7 +41,6 @@ pub mod sim;
 pub mod spec;
 
 pub use engine::ClassicEngine;
-pub use fault::FaultPlan;
 pub use harness::{run, simulate};
 pub use history::{record, runs_of, RunRecord};
 pub use report::{ClassicReport, FleetReport};

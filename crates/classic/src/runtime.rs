@@ -6,9 +6,25 @@
 //! upload output → report to the monitoring queue → delete the message.
 //! Everything that can fail does so through the services' own error
 //! surfaces, and recovery is purely the visibility-timeout mechanism.
+//!
+//! The run context's [`ppc_chaos::FaultSchedule`] kills workers at the
+//! three interesting points of that pipeline, by timed kill or i.i.d.
+//! death dice:
+//!
+//! * **before execute** — the worker took the message and died; no output
+//!   exists; redelivery re-runs the task.
+//! * **mid execute** — the worker ran the task but died during the output
+//!   upload; the PUT is atomic, so nothing lands, and redelivery re-runs
+//!   the task.
+//! * **before delete** — the worker produced and uploaded the output but
+//!   died before deleting the message; redelivery runs the task *again*,
+//!   harmlessly overwriting the identical output (idempotence).
+//!
+//! A dead worker abandons its current message and is replaced after
+//! [`ClassicConfig::restart_delay_ms`] (the cloud's instance
+//! auto-recovery).
 
 use crate::elastic;
-use crate::fault::FaultPlan;
 use crate::report::ClassicReport;
 use crate::spec::JobSpec;
 use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
@@ -21,7 +37,7 @@ use ppc_core::retry::{CircuitBreaker, RetryPolicy};
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::{FleetPlan, HealthTrace, RunReport};
+use ppc_exec::{FleetPlan, HealthTrace, RunContext, RunReport};
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
 use ppc_resilience::{Admit, DeadlineConfig, HealthTracker, HedgePolicy, ResiliencePolicy};
@@ -49,14 +65,9 @@ pub struct ClassicConfig {
     pub long_poll_wait: Duration,
     /// Retry budget for eventually consistent input fetches.
     pub input_fetch_attempts: u32,
-    /// Worker fault injection (i.i.d. pipeline-point death dice).
-    pub fault: FaultPlan,
-    /// Optional event-based chaos: timed worker kills, mid-execution
-    /// kills, gray degradation, torn uploads. Workers are addressed by
-    /// flat index (fixed fleets number slots in spawn order; an elastic
-    /// fleet uses controller slot ids). Composes with `fault`: both
-    /// layers are queried.
-    pub schedule: Option<Arc<FaultSchedule>>,
+    /// How long a replacement worker takes to come up after an injected
+    /// death, milliseconds.
+    pub restart_delay_ms: u64,
     /// Chaos dials for the queues this job creates.
     pub queue_chaos: ppc_queue::chaos::ChaosConfig,
     /// Consecutive retryable storage-fetch failures before the shared
@@ -71,20 +82,6 @@ pub struct ClassicConfig {
     /// external observer can watch a running job — the role of the paper's
     /// monitoring queue.
     pub progress: Option<Arc<AtomicUsize>>,
-    /// Optional span sink: when set (and enabled) every task attempt
-    /// records its lifecycle phases (`enqueue → dequeue → download →
-    /// execute → upload → ack`) plus worker-death events, and the report
-    /// carries the finished [`ppc_trace::Trace`]. `None` keeps the hot
-    /// path free of any recording cost.
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Straggler and gray-failure defense (hedged duplicate messages,
-    /// health-scored worker quarantine, per-task deadlines). `None` — the
-    /// default — keeps the legacy behavior bit-identical: recovery is the
-    /// visibility timeout alone. Hedging and deadlines re-dispatch the
-    /// task body through the scheduling queue (the Classic analogue of
-    /// speculation); first result wins by output idempotence and the
-    /// monitor's done-set dedupe.
-    pub resilience: Option<ResiliencePolicy>,
 }
 
 impl Default for ClassicConfig {
@@ -93,35 +90,24 @@ impl Default for ClassicConfig {
             poll_backoff: Duration::from_micros(200),
             long_poll_wait: Duration::from_millis(20),
             input_fetch_attempts: 16,
-            fault: FaultPlan::NONE,
-            schedule: None,
+            restart_delay_ms: 0,
             queue_chaos: ppc_queue::chaos::ChaosConfig::NONE,
             storage_breaker_threshold: 8,
             storage_breaker_reset_s: 0.005,
             progress: None,
-            trace: None,
-            resilience: None,
         }
     }
 }
 
-/// The live span sink, if tracing is on: `None` costs one branch.
-fn live_sink(config: &ClassicConfig) -> Option<&dyn TraceSink> {
-    config.trace.as_deref().filter(|s| s.enabled())
-}
+/// Seed of a run whose context sets none.
+const DEFAULT_SEED: u64 = 0;
 
-/// Validate every probability-bearing knob of a [`ClassicConfig`]; run at
-/// each runtime entry point so out-of-range dials fail loudly up front.
-fn validate_config(config: &ClassicConfig) -> Result<()> {
-    config.fault.validate()?;
-    config.queue_chaos.validate()?;
-    if let Some(schedule) = &config.schedule {
-        schedule.validate()?;
-    }
-    if let Some(policy) = &config.resilience {
-        policy.validate()?;
-    }
-    Ok(())
+/// The context's span sink, if tracing is on: `None` costs one branch.
+/// Every task attempt records its lifecycle phases (`enqueue → dequeue →
+/// download → execute → upload → ack`) plus worker events, and the report
+/// carries the finished [`ppc_trace::Trace`].
+fn live_sink(ctx: &RunContext) -> Option<&dyn TraceSink> {
+    ctx.sink.as_deref().filter(|s| s.enabled())
 }
 
 /// The monitor thread's straggler defense: watches `start:`/`done:`
@@ -144,8 +130,8 @@ struct MonitorDefense {
 
 impl MonitorDefense {
     /// Build the defense when the policy asks for hedging or deadlines.
-    fn new(config: &ClassicConfig, job: &JobSpec) -> Option<MonitorDefense> {
-        let policy = config.resilience?;
+    fn new(policy: Option<ResiliencePolicy>, job: &JobSpec) -> Option<MonitorDefense> {
+        let policy = policy?;
         if policy.hedge.is_none() && policy.deadline.is_none() {
             return None;
         }
@@ -263,14 +249,13 @@ fn client_send_policy() -> RetryPolicy {
     }
 }
 
-/// A worker's view of the chaos configuration: the i.i.d. death dice from
-/// the [`FaultPlan`] composed with the optional event-based
-/// [`FaultSchedule`], tracked against the shared run clock. Dice are pure
-/// hashes of `(seed, roll-point, worker, task_seq)`, so outcomes are
-/// deterministic for a given schedule regardless of thread interleaving.
+/// A worker's view of the run's [`FaultSchedule`] (timed kills, death
+/// dice, torn uploads, gray slowdowns), tracked against the shared run
+/// clock. Dice are pure hashes of `(seed, roll-point, worker, task_seq)`,
+/// so outcomes are deterministic for a given schedule regardless of thread
+/// interleaving.
 struct WorkerChaos<'a> {
-    dice: FaultSchedule,
-    events: Option<&'a FaultSchedule>,
+    schedule: Option<&'a FaultSchedule>,
     clock: &'a RunClock,
     worker: u32,
     /// Messages this worker has received so far; the per-task roll index.
@@ -281,10 +266,9 @@ struct WorkerChaos<'a> {
 }
 
 impl<'a> WorkerChaos<'a> {
-    fn new(config: &'a ClassicConfig, clock: &'a RunClock, worker: u32) -> WorkerChaos<'a> {
+    fn new(ctx: &'a RunContext, clock: &'a RunClock, worker: u32) -> WorkerChaos<'a> {
         WorkerChaos {
-            dice: config.fault.to_schedule(),
-            events: config.schedule.as_deref(),
+            schedule: ctx.schedule.as_deref(),
             clock,
             worker,
             task_seq: 0,
@@ -301,56 +285,54 @@ impl<'a> WorkerChaos<'a> {
 
     /// Has a scheduled timed kill fired since the last check?
     fn kill_event_pending(&mut self) -> bool {
-        let Some(events) = self.events else {
+        let Some(schedule) = self.schedule else {
             return false;
         };
         let now = self.clock.now_s();
-        let hit = events.kills_in(self.worker, self.last_kill_s, now);
+        let hit = schedule.kills_in(self.worker, self.last_kill_s, now);
         self.last_kill_s = now;
         hit
     }
 
     fn die_before_execute(&self, seq: u32) -> bool {
-        self.dice.die_before_execute(self.worker, seq)
-            || self
-                .events
-                .is_some_and(|e| e.die_before_execute(self.worker, seq))
+        self.schedule
+            .is_some_and(|s| s.die_before_execute(self.worker, seq))
     }
 
     fn die_mid_execute(&self, seq: u32) -> bool {
-        self.dice.die_mid_execute(self.worker, seq)
-            || self
-                .events
-                .is_some_and(|e| e.die_mid_execute(self.worker, seq))
+        self.schedule
+            .is_some_and(|s| s.die_mid_execute(self.worker, seq))
     }
 
     fn die_before_delete(&self, seq: u32) -> bool {
-        self.dice.die_before_delete(self.worker, seq)
-            || self
-                .events
-                .is_some_and(|e| e.die_before_delete(self.worker, seq))
+        self.schedule
+            .is_some_and(|s| s.die_before_delete(self.worker, seq))
     }
 
     fn torn_upload(&self, seq: u32) -> bool {
-        self.events
-            .is_some_and(|e| e.is_torn_upload(self.worker, seq))
+        self.schedule
+            .is_some_and(|s| s.is_torn_upload(self.worker, seq))
     }
 
     /// Gray-failure slowdown factor in effect for this worker right now.
     fn slowdown(&self) -> f64 {
-        self.events
-            .map_or(1.0, |e| e.slowdown(self.worker, self.clock.now_s()))
+        self.schedule
+            .map_or(1.0, |s| s.slowdown(self.worker, self.clock.now_s()))
     }
 }
 
 /// Everything the threads of one native run share: the job's queues and
-/// services, its config, and the counters the monitor and workers update.
+/// services, its context and config, and the counters the monitor and
+/// workers update.
 struct Run<'a> {
     sched: Arc<ppc_queue::Queue>,
     monitor: Arc<ppc_queue::Queue>,
     dlq: Arc<ppc_queue::Queue>,
     storage: &'a StorageService,
     job: &'a JobSpec,
+    ctx: &'a RunContext,
+    /// The context's seed, else [`DEFAULT_SEED`].
+    seed: u64,
     config: &'a ClassicConfig,
     executor: &'a dyn Executor,
     clock: RunClock,
@@ -394,18 +376,22 @@ struct Elastic<'a> {
     exited: Mutex<Vec<u32>>,
 }
 
-/// The native Classic Cloud body, on either fleet plan. Workers pull from
-/// one scheduling queue, whether they come from one fixed fleet, from
-/// several side by side (the paper's §2.1.3 extension: "One interesting
-/// feature of the Classic Cloud framework is the ability to extend it to
-/// use the local machines and clusters side by side with the clouds."), or
-/// from an elastic pool. Returns once every task has either completed or
-/// been declared failed after `max_deliveries` attempts.
+/// Execute `job` natively on the context's fleet plan: real worker
+/// threads polling a real queue, moving real bytes through `storage`.
+/// Workers pull from one scheduling queue, whether they come from one
+/// fixed fleet, from several side by side (the paper's §2.1.3 extension:
+/// "One interesting feature of the Classic Cloud framework is the ability
+/// to extend it to use the local machines and clusters side by side with
+/// the clouds."), or from an elastic pool of single-worker instances a
+/// `ppc-autoscale` controller launches and retires. Returns once every
+/// task has either completed or been declared failed after
+/// `max_deliveries` attempts.
 ///
 /// Only these steps branch on the fleet:
 /// * sending: a fixed fleet gets every task before any worker starts, and
 ///   a failed send aborts the job; an elastic fleet's client thread sends
-///   each task at its arrival offset (in wall seconds) until the job stops;
+///   each task at its arrival offset (in wall seconds, finite and
+///   non-negative, else an `InvalidArgument` error) until the job stops;
 /// * spawning: fixed-fleet workers are numbered in flat spawn order, each
 ///   credited to its fleet and traced with a `WorkerStart`; elastic
 ///   workers take their controller slot id and a drain flag;
@@ -416,23 +402,27 @@ struct Elastic<'a> {
 ///   carries a [`FleetReport`](crate::report::FleetReport) with the
 ///   fleet-size timeline and the staggered per-instance bill.
 ///
-/// Reached through [`crate::run`], which resolves the `RunContext`.
-pub(crate) fn run_impl(
+/// A malformed context schedule or policy is an `InvalidArgument` error,
+/// returned before any thread starts. Without a context seed the run uses
+/// seed 0.
+pub fn run(
+    ctx: &RunContext,
     storage: &Arc<StorageService>,
     queues: &Arc<QueueService>,
-    plan: &FleetPlan,
     job: &JobSpec,
     executor: Arc<dyn Executor>,
     config: &ClassicConfig,
 ) -> Result<ClassicReport> {
-    if matches!(plan, FleetPlan::Fixed(fleets) if fleets.is_empty()) {
+    if matches!(&ctx.fleet, FleetPlan::Fixed(fleets) if fleets.is_empty()) {
         return Err(PpcError::InvalidArgument(
             "run context has an empty fleet list".into(),
         ));
     }
     job.validate()?;
-    validate_config(config)?;
-    let fleet = match plan {
+    ctx.validate()?;
+    config.queue_chaos.validate()?;
+    let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
+    let fleet = match &ctx.fleet {
         FleetPlan::Fixed(fleets) => Fleet::Fixed(fleets),
         FleetPlan::Elastic {
             itype,
@@ -456,7 +446,7 @@ pub(crate) fn run_impl(
         QueueConfig {
             visibility_timeout: job.visibility_timeout,
             chaos: config.queue_chaos,
-            seed: config.fault.seed,
+            seed,
         },
     )?;
     let monitor = queues.create_queue(&job.monitor_queue(), QueueConfig::default())?;
@@ -473,6 +463,8 @@ pub(crate) fn run_impl(
         dlq,
         storage,
         job,
+        ctx,
+        seed,
         config,
         executor: executor.as_ref(),
         clock: RunClock::start(),
@@ -480,7 +472,7 @@ pub(crate) fn run_impl(
             config.storage_breaker_threshold,
             config.storage_breaker_reset_s,
         ),
-        health: config
+        health: ctx
             .resilience
             .and_then(|p| p.quarantine)
             .map(|q| Mutex::new(HealthTracker::new(q))),
@@ -495,7 +487,7 @@ pub(crate) fn run_impl(
     // Arm the storage service with the chaos schedule (brownouts,
     // partitions) for the duration of the run; workers share the run
     // clock so timed worker kills line up with storage windows.
-    if let Some(schedule) = &config.schedule {
+    if let Some(schedule) = &ctx.schedule {
         storage.set_chaos(schedule.clone());
     }
 
@@ -507,7 +499,7 @@ pub(crate) fn run_impl(
     // fixed fleet gets them all before any worker starts; a send that
     // fails for good aborts the job.
     if let Fleet::Fixed(_) = fleet {
-        let mut rng = Pcg32::for_stream(config.fault.seed, CLIENT_STREAM);
+        let mut rng = Pcg32::for_stream(seed, CLIENT_STREAM);
         for task in &job.tasks {
             run.send(task, &mut rng)?;
         }
@@ -539,7 +531,7 @@ pub(crate) fn run_impl(
             }
         }
     });
-    if config.schedule.is_some() {
+    if ctx.schedule.is_some() {
         storage.clear_chaos();
     }
 
@@ -559,7 +551,7 @@ pub(crate) fn run_impl(
             let mut ctrl = el.controller.into_inner().unwrap();
             let exited = el.exited.into_inner().unwrap();
             let fleet = elastic::close_fleet(&mut ctrl, exited, makespan, el.itype);
-            if let Some(s) = live_sink(config) {
+            if let Some(s) = live_sink(ctx) {
                 elastic::trace_fleet_events(&ctrl, s);
             }
             (
@@ -600,7 +592,7 @@ pub(crate) fn run_impl(
             peak_stored_bytes: storage_after.peak_stored_bytes,
         },
     };
-    finalize_trace(config, &mut report);
+    finalize_trace(ctx, &mut report);
 
     // Clean up the job queues; the DLQ and the buckets are left for the
     // caller to inspect.
@@ -614,8 +606,8 @@ pub(crate) fn run_impl(
 /// trace (and its derived legacy timeline) into the report. The makespan
 /// written here is byte-identical to `report.summary.makespan_seconds`, so
 /// `Trace::parallel_efficiency` reproduces `RunSummary::efficiency` exactly.
-fn finalize_trace(config: &ClassicConfig, report: &mut ClassicReport) {
-    if let Some(s) = live_sink(config) {
+fn finalize_trace(ctx: &RunContext, report: &mut ClassicReport) {
+    if let Some(s) = live_sink(ctx) {
         s.set_meta(RunMeta {
             platform: report.summary.platform.clone(),
             cores: report.summary.cores,
@@ -673,7 +665,7 @@ impl Elastic<'_> {
             // slot takes the whole instance down. The controller records
             // the death (waiving the scale-up cooldown) so `decide` below
             // can launch a replacement immediately.
-            if let Some(schedule) = &run.config.schedule {
+            if let Some(schedule) = &run.ctx.schedule {
                 let victims = elastic::dead_slots(&ctrl, schedule, last_tick_s, now_s);
                 if !victims.is_empty() {
                     let flags = self.drain.lock().unwrap();
@@ -718,14 +710,14 @@ impl Run<'_> {
     /// policy; a stop mid-retry surfaces as a non-retryable error.
     fn send(&self, task: &TaskSpec, rng: &mut Pcg32) -> Result<()> {
         let body = task.to_message()?;
-        let sent_at = live_sink(self.config).map(|_| self.clock.now_s());
+        let sent_at = live_sink(self.ctx).map(|_| self.clock.now_s());
         client_send_policy().run_blocking(rng, |_| {
             if self.stop.load(Ordering::Acquire) {
                 return Err(PpcError::InvalidState("job stopped".into()));
             }
             self.sched.send(body.clone())
         })?;
-        if let (Some(s), Some(at)) = (live_sink(self.config), sent_at) {
+        if let (Some(s), Some(at)) = (live_sink(self.ctx), sent_at) {
             s.span(Span::new(
                 task.id.0,
                 0,
@@ -742,7 +734,7 @@ impl Run<'_> {
     /// (every task at once when `arrivals` is empty) until the job stops.
     /// A task whose send fails is skipped.
     fn send_arrivals(&self, arrivals: &[f64], start: Instant) {
-        let mut rng = Pcg32::for_stream(self.config.fault.seed, CLIENT_STREAM);
+        let mut rng = Pcg32::for_stream(self.seed, CLIENT_STREAM);
         let mut order: Vec<usize> = (0..self.job.tasks.len()).collect();
         // The offsets were checked finite up front, so they compare.
         if !arrivals.is_empty() {
@@ -766,7 +758,7 @@ impl Run<'_> {
 
     /// Record a worker event at the run clock's now, when tracing is on.
     fn event(&self, worker: u32, kind: EventKind) {
-        if let Some(s) = live_sink(self.config) {
+        if let Some(s) = live_sink(self.ctx) {
             s.event(TraceEvent {
                 at_s: self.clock.now_s(),
                 worker,
@@ -779,7 +771,7 @@ impl Run<'_> {
     /// fleet, until its drain flag is raised. One poll holds at most one
     /// lease, so stopping between polls never abandons a leased message.
     fn work(&self, worker: u32, fleet_id: usize, drain: Option<&AtomicBool>) {
-        let mut chaos = WorkerChaos::new(self.config, &self.clock, worker);
+        let mut chaos = WorkerChaos::new(self.ctx, &self.clock, worker);
         while !self.stop.load(Ordering::Acquire)
             && !drain.is_some_and(|d| d.load(Ordering::Acquire))
         {
@@ -796,6 +788,7 @@ impl Run<'_> {
         let Run {
             monitor,
             sched,
+            ctx,
             config,
             job,
             clock,
@@ -804,8 +797,8 @@ impl Run<'_> {
         let n_tasks = job.tasks.len();
         let mut done: HashSet<u64> = HashSet::with_capacity(n_tasks);
         let mut failed: HashSet<u64> = HashSet::new();
-        let mut defense = MonitorDefense::new(config, job);
-        let sink = live_sink(config);
+        let mut defense = MonitorDefense::new(ctx.resilience, job);
+        let sink = live_sink(ctx);
         while !self.stop.load(Ordering::Acquire) {
             match monitor.receive_wait(config.long_poll_wait) {
                 Ok(Some(msg)) => {
@@ -870,14 +863,15 @@ impl Run<'_> {
             dlq,
             storage,
             job,
+            ctx,
             config,
             executor,
             breaker,
             ..
         } = self;
         let health = self.health.as_ref();
-        let restart_delay = Duration::from_millis(config.fault.restart_delay_ms);
-        let sink = live_sink(config);
+        let restart_delay = Duration::from_millis(config.restart_delay_ms);
+        let sink = live_sink(ctx);
         let worker = chaos.worker;
         // Score a finished attempt (`None` = failed) into the health tracker,
         // which traces any bench it imposes.
@@ -965,7 +959,7 @@ impl Run<'_> {
 
         // Progress report for the monitor's straggler defense: lets it hedge
         // or deadline-cancel this attempt if it never reports done.
-        if config
+        if ctx
             .resilience
             .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some())
         {
@@ -1282,19 +1276,17 @@ mod tests {
         let (storage, queues, job) = setup(30);
         let job = job.with_visibility_timeout(Duration::from_millis(25));
         let cluster = Cluster::provision(EC2_HCXL, 2, 4);
+        let ctx = RunContext::new(&cluster)
+            .with_seed(17)
+            .with_schedule(Arc::new(
+                FaultSchedule::new(17).with_death_probabilities(0.08, 0.05, 0.08),
+            ));
         let config = ClassicConfig {
-            fault: FaultPlan::hostile(17),
+            restart_delay_ms: 1,
             ..ClassicConfig::default()
         };
-        let report = run_job(
-            &storage,
-            &queues,
-            &cluster,
-            &job,
-            reverse_executor(),
-            &config,
-        )
-        .unwrap();
+        let report =
+            crate::run(&ctx, &storage, &queues, &job, reverse_executor(), &config).unwrap();
         assert!(report.is_complete(), "all tasks complete despite deaths");
         assert_eq!(report.summary.tasks, 30);
         for i in 0..30 {
@@ -1636,25 +1628,17 @@ mod tests {
         let job = job
             .with_visibility_timeout(Duration::from_millis(25))
             .with_max_deliveries(20);
-        let cluster = Cluster::provision(EC2_HCXL, 2, 4);
+        let ctx = RunContext::new(&Cluster::provision(EC2_HCXL, 2, 4))
+            .with_seed(7)
+            .with_schedule(Arc::new(
+                FaultSchedule::new(7).with_death_probabilities(0.0, 0.45, 0.0),
+            ));
         let config = ClassicConfig {
-            fault: FaultPlan {
-                die_mid_execute: 0.45,
-                restart_delay_ms: 1,
-                seed: 7,
-                ..FaultPlan::NONE
-            },
+            restart_delay_ms: 1,
             ..ClassicConfig::default()
         };
-        let report = run_job(
-            &storage,
-            &queues,
-            &cluster,
-            &job,
-            reverse_executor(),
-            &config,
-        )
-        .unwrap();
+        let report =
+            crate::run(&ctx, &storage, &queues, &job, reverse_executor(), &config).unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);
         assert!(report.worker_deaths > 0, "mid-execute deaths were rolled");
         for i in 0..20 {
@@ -1683,17 +1667,15 @@ mod tests {
         storage
             .put(&job.output_bucket, "f0.out", full.clone())
             .unwrap();
-        let config = ClassicConfig {
-            schedule: Some(Arc::new(FaultSchedule::new(1).torn_upload(0, 0))),
-            ..ClassicConfig::default()
-        };
-        let report = run_job(
+        let ctx = RunContext::new(&Cluster::provision(EC2_HCXL, 1, 1))
+            .with_schedule(Arc::new(FaultSchedule::new(1).torn_upload(0, 0)));
+        let report = crate::run(
+            &ctx,
             &storage,
             &queues,
-            &Cluster::provision(EC2_HCXL, 1, 1),
             &job,
             reverse_executor(),
-            &config,
+            &ClassicConfig::default(),
         )
         .unwrap();
         assert_eq!(
@@ -1753,17 +1735,14 @@ mod tests {
             .torn_upload(2, 1)
             .degrade(3, 3.0, 0.0, 1.0)
             .brownout(0.010, 0.020);
-        let config = ClassicConfig {
-            schedule: Some(Arc::new(schedule)),
-            ..ClassicConfig::default()
-        };
-        let report = run_job(
+        let ctx = RunContext::new(&cluster).with_schedule(Arc::new(schedule));
+        let report = crate::run(
+            &ctx,
             &storage,
             &queues,
-            &cluster,
             &job,
             sleep_executor(2),
-            &config,
+            &ClassicConfig::default(),
         )
         .unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);
@@ -1784,19 +1763,16 @@ mod tests {
     fn invalid_schedule_rejected_up_front() {
         let (storage, queues, job) = setup(2);
         let cluster = Cluster::provision(EC2_HCXL, 1, 1);
-        let config = ClassicConfig {
-            schedule: Some(Arc::new(
-                FaultSchedule::new(1).kill_at(0, 0.01).brownout(0.5, 0.1),
-            )),
-            ..ClassicConfig::default()
-        };
-        let err = run_job(
+        let ctx = RunContext::new(&cluster).with_schedule(Arc::new(
+            FaultSchedule::new(1).kill_at(0, 0.01).brownout(0.5, 0.1),
+        ));
+        let err = crate::run(
+            &ctx,
             &storage,
             &queues,
-            &cluster,
             &job,
             reverse_executor(),
-            &config,
+            &ClassicConfig::default(),
         )
         .unwrap_err();
         assert_eq!(err.code(), "InvalidArgument");
@@ -1809,20 +1785,15 @@ mod tests {
         // the job must still finish every task.
         let (storage, queues, job) = setup(30);
         let job = job.with_visibility_timeout(Duration::from_millis(60));
-        let schedule = FaultSchedule::new(5).kill_at(0, 0.05);
-        let config = ClassicConfig {
-            schedule: Some(Arc::new(schedule)),
-            ..ClassicConfig::default()
-        };
-        let report = run_job_autoscaled(
+        let ctx = RunContext::elastic(EC2_HCXL, fast_autoscale(), vec![])
+            .with_schedule(Arc::new(FaultSchedule::new(5).kill_at(0, 0.05)));
+        let report = crate::run(
+            &ctx,
             &storage,
             &queues,
-            EC2_HCXL,
             &job,
-            &[],
             sleep_executor(10),
-            &config,
-            &fast_autoscale(),
+            &ClassicConfig::default(),
         )
         .unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);

@@ -33,7 +33,7 @@ use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
 use ppc_des::{Engine, EventId, FifoServer, SimTime};
-use ppc_exec::{HealthTrace, RunReport};
+use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_storage::metering::MeteringSnapshot;
@@ -52,8 +52,6 @@ pub struct SimConfig {
     pub queue_latency: LatencyModel,
     /// Application service-time knobs (Windows factor, disk model).
     pub app: AppModel,
-    /// Random seed (task arrival order, jitter, failures).
-    pub seed: u64,
     /// P(a task execution is lost before its delete — worker death).
     pub failure_rate: f64,
     /// Visibility timeout: how long a lost task takes to reappear, seconds.
@@ -61,25 +59,19 @@ pub struct SimConfig {
     /// Log-normal sigma applied to execution times (run-to-run variation;
     /// the paper measured ~1.5–2.3% CV on the clouds).
     pub jitter_sigma: f64,
-    /// Record a per-task span [`ppc_trace::Trace`] in the report (costs
-    /// memory proportional to span count; the legacy per-worker
-    /// [`ppc_core::trace::Timeline`] is derived from it).
-    pub trace: bool,
     /// Model a shared per-instance NIC: concurrent storage transfers on one
     /// node serialize through a link of this bandwidth (bytes/s, finite and
     /// positive). `None` (default) gives every worker the full
     /// per-connection storage path — the regime where paper-scale tasks
     /// live; enable it to study IO-heavy workloads (the
     /// `ablate_nic_contention` bench). Fixed fleets only: an elastic run
-    /// panics on it.
+    /// panics on it. The NIC-contention path models quarantine only: a
+    /// run whose context policy hedges or sets deadlines panics on it.
     pub nic_bandwidth_bytes_per_s: Option<f64>,
-    /// Straggler and gray-failure defense (hedged duplicate messages,
-    /// health-scored worker quarantine, per-task deadlines) — the DES twin
-    /// of [`crate::runtime::ClassicConfig::resilience`]. `None` (default)
-    /// runs undefended. The NIC-contention path models quarantine only;
-    /// [`SimConfig::validate`] rejects a hedge or deadline alongside it.
-    pub resilience: Option<ResiliencePolicy>,
 }
+
+/// Seed of a simulation whose context sets none.
+const DEFAULT_SEED: u64 = 42;
 
 impl SimConfig {
     /// EC2-flavored defaults: 2010 S3/SQS latencies, no failures.
@@ -88,13 +80,10 @@ impl SimConfig {
             storage_latency: LatencyModel::cloud_storage_2010(),
             queue_latency: LatencyModel::cloud_queue_2010(),
             app: AppModel::DEFAULT,
-            seed: 42,
             failure_rate: 0.0,
             visibility_timeout_s: 600.0,
             jitter_sigma: 0.02,
-            trace: false,
             nic_bandwidth_bytes_per_s: None,
-            resilience: None,
         }
     }
 
@@ -106,11 +95,6 @@ impl SimConfig {
 
     pub fn with_app(mut self, app: AppModel) -> SimConfig {
         self.app = app;
-        self
-    }
-
-    pub fn with_seed(mut self, seed: u64) -> SimConfig {
-        self.seed = seed;
         self
     }
 
@@ -150,34 +134,26 @@ impl SimConfig {
                     "sim config: nic_bandwidth_bytes_per_s = {bw} must be finite and positive"
                 )));
             }
-            if self
-                .resilience
-                .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some())
-            {
-                return Err(PpcError::InvalidArgument(
-                    "sim config: hedging and deadlines are not modeled with NIC contention".into(),
-                ));
-            }
-        }
-        if let Some(policy) = &self.resilience {
-            policy.validate()?;
         }
         Ok(())
     }
 }
 
 /// Panic with the validation message when a simulation is handed
-/// malformed dials — simulators return reports, not `Result`s, so a bad
-/// configuration fails loudly rather than silently skewing results.
-fn check_sim_inputs(cfg: &SimConfig, schedule: Option<&Arc<FaultSchedule>>) {
-    if let Err(e) = cfg.validate() {
+/// malformed dials or context — simulators return reports, not `Result`s,
+/// so a bad configuration fails loudly rather than silently skewing
+/// results.
+fn check_sim_inputs(cfg: &SimConfig, ctx: &RunContext) {
+    if let Err(e) = cfg.validate().and_then(|()| ctx.validate()) {
         panic!("{e}");
     }
-    if let Some(schedule) = schedule {
-        if let Err(e) = schedule.validate() {
-            panic!("{e}");
-        }
-    }
+    assert!(
+        cfg.nic_bandwidth_bytes_per_s.is_none()
+            || !ctx
+                .resilience
+                .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some()),
+        "sim config: hedging and deadlines are not modeled with NIC contention"
+    );
 }
 
 /// Distribute one attempt's phase spans over `[start_s, end_s]` from the
@@ -390,15 +366,10 @@ struct SimState {
 }
 
 impl SimState {
-    fn new(
-        cfg: &SimConfig,
-        n_tasks: usize,
-        schedule: Option<Arc<FaultSchedule>>,
-        fleet: Fleet,
-    ) -> SimState {
+    fn new(ctx: &RunContext, n_tasks: usize, fleet: Fleet) -> SimState {
         SimState {
             fleet,
-            rec: cfg.trace.then(Recorder::new),
+            rec: ctx.trace.then(Recorder::new),
             attempts: HashMap::new(),
             pending: VecDeque::new(),
             idle: Vec::new(),
@@ -411,12 +382,12 @@ impl SimState {
             remote_bytes: 0,
             bytes_in: 0,
             bytes_out: 0,
-            seed: cfg.seed,
+            seed: ctx.seed.unwrap_or(DEFAULT_SEED),
             rngs: Vec::new(),
-            schedule,
+            schedule: ctx.schedule.clone(),
             task_seqs: Vec::new(),
-            hedge: cfg.resilience.and_then(|p| p.hedge).map(HedgePolicy::new),
-            health: cfg
+            hedge: ctx.resilience.and_then(|p| p.hedge).map(HedgePolicy::new),
+            health: ctx
                 .resilience
                 .and_then(|p| p.quarantine)
                 .map(HealthTracker::new),
@@ -500,9 +471,11 @@ impl SimState {
     }
 }
 
-/// One simulation: the mutable state plus the config every event reads.
+/// One simulation: the mutable state plus the config and policy every
+/// event reads.
 struct Sim {
     cfg: SimConfig,
+    resilience: Option<ResiliencePolicy>,
     st: RefCell<SimState>,
 }
 
@@ -533,22 +506,21 @@ pub(crate) fn sim_fleets_impl(
     fleets: &[Cluster],
     tasks: &[TaskSpec],
     cfg: &SimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
+    ctx: &RunContext,
 ) -> ClassicReport {
     assert!(!tasks.is_empty(), "no tasks to simulate");
     assert!(!fleets.is_empty(), "no fleets to simulate");
-    check_sim_inputs(cfg, schedule.as_ref());
+    check_sim_inputs(cfg, ctx);
     let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
+    let last_kill = vec![0.0; total_workers];
+    let mut st = SimState::new(ctx, tasks.len(), Fleet::Fixed { last_kill });
     // The client's shuffle and the workers' jitter/failure dice draw from
     // independent streams of the one run seed.
-    let mut client_rng = Pcg32::for_stream(cfg.seed, CLIENT_STREAM);
+    let mut client_rng = Pcg32::for_stream(st.seed, CLIENT_STREAM);
     // The queue has no ordering guarantee; workers see a shuffled stream.
     // Every message is visible from t = 0.
     let mut order: Vec<(TaskSpec, f64)> = tasks.iter().map(|t| (t.clone(), 0.0)).collect();
     client_rng.shuffle(&mut order);
-
-    let last_kill = vec![0.0; total_workers];
-    let mut st = SimState::new(cfg, tasks.len(), schedule, Fleet::Fixed { last_kill });
     st.pending = order.into();
     st.queue_requests = tasks.len() as u64; // the client's sends
     if let Some(rec) = &st.rec {
@@ -558,6 +530,7 @@ pub(crate) fn sim_fleets_impl(
     }
     let sim = Rc::new(Sim {
         cfg: *cfg,
+        resilience: ctx.resilience,
         st: RefCell::new(st),
     });
 
@@ -588,7 +561,7 @@ pub(crate) fn sim_fleets_impl(
     let st = sim.st.borrow();
     // On defended runs the job is over when the last unique result commits;
     // hedged losers draining afterwards stretch the engine, not the job.
-    let makespan = if cfg.resilience.is_some() && st.finished_at_s > 0.0 {
+    let makespan = if ctx.resilience.is_some() && st.finished_at_s > 0.0 {
         st.finished_at_s
     } else {
         end.as_secs_f64()
@@ -620,13 +593,13 @@ pub(crate) fn sim_autoscaled_impl(
     arrivals: &[f64],
     cfg: &SimConfig,
     autoscale: &AutoscaleConfig,
-    schedule: Option<Arc<FaultSchedule>>,
+    ctx: &RunContext,
 ) -> ClassicReport {
     assert!(!tasks.is_empty(), "no tasks to simulate");
     if let Err(e) = elastic::check_arrivals(arrivals, tasks.len()) {
         panic!("{e}");
     }
-    check_sim_inputs(cfg, schedule.as_ref());
+    check_sim_inputs(cfg, ctx);
     // Elastic workers have no per-instance NIC model: refuse the dial
     // rather than report a run that silently ignored it.
     assert!(
@@ -643,7 +616,8 @@ pub(crate) fn sim_autoscaled_impl(
     }));
     let sim = Rc::new(Sim {
         cfg: *cfg,
-        st: RefCell::new(SimState::new(cfg, tasks.len(), schedule, fleet)),
+        resilience: ctx.resilience,
+        st: RefCell::new(SimState::new(ctx, tasks.len(), fleet)),
     });
 
     let mut engine = Engine::new();
@@ -835,7 +809,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         let mut duration_s = t_in + t_exec + t_out + t_ctrl;
         // Per-task deadline: an attempt that would outlive the timeout is
         // cut there and the message re-sent immediately (cancel-and-requeue).
-        let cancelled = match cfg.resilience.and_then(|p| p.deadline) {
+        let cancelled = match sim.resilience.and_then(|p| p.deadline) {
             Some(d) if duration_s > d.timeout_s => {
                 duration_s = d.timeout_s;
                 true
@@ -849,7 +823,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         };
         // Claim the attempt index at pull time: pulls are ordered in virtual
         // time, so redeliveries get strictly increasing attempt numbers.
-        let attempt = if cfg.trace {
+        let attempt = if st.rec.is_some() {
             let a = st.attempts.entry(task.id.0).or_insert(0);
             let n = *a;
             *a += 1;
@@ -857,7 +831,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         } else {
             0
         };
-        if cfg.resilience.is_some() {
+        if sim.resilience.is_some() {
             *st.running.entry(task.id.0).or_insert(0) += 1;
         }
         Attempt {
@@ -893,7 +867,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
 
     // Hedge check: arm a timer one hedge delay past this pull; if the task
     // is still live when it fires, a duplicate message is enqueued.
-    if !a.cancelled && cfg.resilience.is_some_and(|p| p.hedge.is_some()) {
+    if !a.cancelled && sim.resilience.is_some_and(|p| p.hedge.is_some()) {
         let delay = sim
             .st
             .borrow()
@@ -960,7 +934,7 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
         if ok {
             // First result wins: a hedged loser's output is discarded (its
             // time shows up as wasted duplicate work in the trace).
-            let winner = cfg.resilience.is_none() || done.insert(id);
+            let winner = sim.resilience.is_none() || done.insert(id);
             if winner {
                 *completed += 1;
                 if *completed >= *n_tasks {
@@ -1352,7 +1326,8 @@ mod tests {
         let a = simulate(&cluster, &cpu_tasks(50, 5.0), &cfg);
         let b = simulate(&cluster, &cpu_tasks(50, 5.0), &cfg);
         assert_eq!(a.summary.makespan_seconds, b.summary.makespan_seconds);
-        let c = simulate(&cluster, &cpu_tasks(50, 5.0), &cfg.with_seed(7));
+        let ctx = RunContext::new(&cluster).with_seed(7);
+        let c = crate::simulate(&ctx, &cpu_tasks(50, 5.0), &cfg);
         assert_ne!(a.summary.makespan_seconds, c.summary.makespan_seconds);
     }
 
@@ -1483,14 +1458,14 @@ mod tests {
     #[test]
     fn trace_records_worker_intervals() {
         let cluster = Cluster::provision(EC2_HCXL, 1, 4);
-        let mut cfg = SimConfig {
+        let cfg = SimConfig {
             storage_latency: LatencyModel::FREE,
             queue_latency: LatencyModel::FREE,
             jitter_sigma: 0.0,
             ..SimConfig::ec2()
         };
-        cfg.trace = true;
-        let report = simulate(&cluster, &cpu_tasks(12, 10.0), &cfg);
+        let traced = RunContext::new(&cluster).with_trace(true);
+        let report = crate::simulate(&traced, &cpu_tasks(12, 10.0), &cfg);
         let timeline = report.timeline.expect("trace requested");
         assert_eq!(timeline.intervals().len(), 12, "one interval per task");
         assert_eq!(timeline.n_workers(), 4);
@@ -1501,7 +1476,6 @@ mod tests {
         let art = timeline.render_ascii(40);
         assert_eq!(art.lines().count(), 5, "4 worker rows + axis");
         // Untraced runs carry no timeline.
-        cfg.trace = false;
         assert!(simulate(&cluster, &cpu_tasks(4, 1.0), &cfg)
             .timeline
             .is_none());
@@ -1686,26 +1660,28 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_hedge_or_deadline_with_nic_contention() {
+    fn simulate_rejects_hedge_or_deadline_with_nic_contention() {
         use ppc_resilience::{HedgeConfig, QuarantineConfig};
-        let nic = |policy: ResiliencePolicy| SimConfig {
+        let cluster = Cluster::provision(EC2_HCXL, 1, 2);
+        let nic = SimConfig {
             nic_bandwidth_bytes_per_s: Some(125e6),
-            resilience: Some(policy),
             ..SimConfig::ec2()
+        };
+        let run = |policy: ResiliencePolicy| {
+            let ctx = RunContext::new(&cluster).with_resilience(policy);
+            crate::simulate(&ctx, &cpu_tasks(2, 1.0), &nic)
         };
         for policy in [
             ResiliencePolicy::hedged(HedgeConfig::quantile(20.0)),
             ResiliencePolicy::default().with_deadline(60.0),
         ] {
-            let err = nic(policy).validate().unwrap_err();
-            assert!(
-                matches!(&err, PpcError::InvalidArgument(m) if m.contains("NIC")),
-                "{err}"
-            );
+            let panic = std::panic::catch_unwind(|| run(policy)).expect_err("must panic");
+            let msg = panic.downcast_ref::<&str>().expect("static message");
+            assert!(msg.contains("NIC"), "{msg}");
         }
         // Quarantine is modeled on the NIC path.
         let quarantine = ResiliencePolicy::default().with_quarantine(QuarantineConfig::default());
-        assert!(nic(quarantine).validate().is_ok());
+        assert_eq!(run(quarantine).summary.tasks, 2);
     }
 
     #[test]
@@ -1826,12 +1802,13 @@ mod tests {
             storage_latency: LatencyModel::FREE,
             queue_latency: LatencyModel::FREE,
             jitter_sigma: 0.0,
-            trace: true,
             ..SimConfig::ec2()
         };
         let schedule = Arc::new(FaultSchedule::new(1).degrade(0, 30.0, 0.0, 1e9));
         let run = |policy: Option<ResiliencePolicy>| {
-            let mut ctx = RunContext::new(&cluster).with_schedule(schedule.clone());
+            let mut ctx = RunContext::new(&cluster)
+                .with_schedule(schedule.clone())
+                .with_trace(true);
             if let Some(p) = policy {
                 ctx = ctx.with_resilience(p);
             }
@@ -1903,12 +1880,13 @@ mod tests {
             storage_latency: LatencyModel::FREE,
             queue_latency: LatencyModel::FREE,
             jitter_sigma: 0.0,
-            trace: true,
             ..SimConfig::ec2()
         };
         let schedule = Arc::new(FaultSchedule::new(1).degrade(0, 10.0, 0.0, 1e9));
         let run = |policy: Option<ResiliencePolicy>| {
-            let mut ctx = RunContext::new(&cluster).with_schedule(schedule.clone());
+            let mut ctx = RunContext::new(&cluster)
+                .with_schedule(schedule.clone())
+                .with_trace(true);
             if let Some(p) = policy {
                 ctx = ctx.with_resilience(p);
             }
@@ -1947,13 +1925,13 @@ mod tests {
             storage_latency: LatencyModel::FREE,
             queue_latency: LatencyModel::FREE,
             jitter_sigma: 0.0,
-            trace: true,
             ..SimConfig::ec2()
         };
         let schedule = Arc::new(FaultSchedule::new(1).degrade(0, 30.0, 0.0, 1e9));
         let ctx = RunContext::new(&cluster)
             .with_schedule(schedule)
-            .with_resilience(ResiliencePolicy::default().with_deadline(60.0));
+            .with_resilience(ResiliencePolicy::default().with_deadline(60.0))
+            .with_trace(true);
         let report = crate::simulate(&ctx, &tasks, &cfg);
         assert_eq!(report.summary.tasks, 64, "cancelled tasks are requeued");
         let trace = report.core.trace.as_ref().unwrap();

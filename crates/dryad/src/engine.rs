@@ -86,9 +86,9 @@ impl Engine for DryadEngine {
 
     /// Native override: the workflow is lowered onto the vertex graph
     /// first (Dryad's own DAG representation), then each graph stage runs
-    /// on the vertex runtime directly via `run_impl` — no detour through
-    /// the map-only harness, the same path `DryadEngine::run` bottoms out
-    /// in, with per-stage retry budgets mapped onto vertex re-runs.
+    /// on the vertex runtime ([`crate::run`], the path `DryadEngine::run`
+    /// takes under the stage's context), with per-stage retry budgets
+    /// mapped onto vertex re-runs.
     fn run_workflow(
         &self,
         ctx: &RunContext,
@@ -101,15 +101,10 @@ impl Engine for DryadEngine {
             "one vertex per stage partition"
         );
         drive_workflow(ctx, wf, &mut |sctx, _s, workload| {
-            let cluster = sctx.single_cluster()?;
             let mut cfg = self.native.clone();
             cfg.max_retries = workload.max_attempts.saturating_sub(1);
-            cfg.seed = sctx.seed_or(cfg.seed);
-            cfg.schedule = sctx.schedule_or(&cfg.schedule);
-            cfg.trace = sctx.sink_or(&cfg.trace);
-            cfg.resilience = sctx.resilience_or(&cfg.resilience);
-            let (report, outputs) = crate::runtime::run_impl(
-                cluster,
+            let (report, outputs) = crate::run(
+                sctx,
                 workload.inputs.clone(),
                 workload.executor.clone(),
                 &cfg,

@@ -8,7 +8,6 @@
 //! limitation measured in the paper's load-balancing discussion (§4.2).
 
 use ppc_chaos::{FaultSchedule, RunClock};
-use ppc_compute::cluster::Cluster;
 use ppc_core::exec::Executor;
 use ppc_core::json::Json;
 use ppc_core::metrics::RunSummary;
@@ -16,7 +15,7 @@ use ppc_core::retry::RetryPolicy;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::{HealthTrace, RunReport};
+use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -32,38 +31,17 @@ pub struct DryadConfig {
     /// Re-run a failed vertex up to this many extra times before giving up
     /// — Table 3's "re-execution of failed ... tasks" for Dryad.
     pub max_retries: u32,
-    /// Seed for the per-slot retry-backoff RNG streams.
-    pub seed: u64,
-    /// Deterministic fault schedule. Slots are addressed by flat
-    /// node-major index; a scheduled kill takes a vertex slot down (its
-    /// in-hand vertex goes back on the node's local list), death dice and
-    /// torn outputs fail single vertex attempts. A vertex's dice are
-    /// addressed by its place in a round-robin deal of its node's
-    /// partition over the node's slots (the `k`-th vertex is slot
-    /// `k % slots`'s `k / slots`-th task), not by the slot that happens to
-    /// take it, so which vertices fail does not depend on thread timing.
-    pub schedule: Option<Arc<FaultSchedule>>,
-    /// Span sink for the run; `None` (or a disabled sink) records nothing
-    /// and the report carries the finished [`ppc_trace::Trace`].
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Straggler and gray-failure defense. With a hedge or deadline config,
-    /// idle vertex slots launch *backup vertices* for running stragglers on
-    /// their own node (re-execution still never crosses nodes); the first
-    /// Ok attempt wins and losers count as redundant executions. With a
-    /// quarantine config, gray slots are benched off the local work list.
-    /// `None` (the default) keeps the legacy runtime bit-identical.
-    pub resilience: Option<ResiliencePolicy>,
 }
+
+/// Seed of the per-slot retry-backoff RNG streams when the context sets
+/// none.
+const DEFAULT_SEED: u64 = 0xd12ad;
 
 impl Default for DryadConfig {
     fn default() -> Self {
         DryadConfig {
             fail_fast: false,
             max_retries: 2,
-            seed: 0xd12ad,
-            schedule: None,
-            trace: None,
-            resilience: None,
         }
     }
 }
@@ -135,31 +113,43 @@ impl DryadReport {
 /// (output key, output bytes) pairs, in completion order.
 pub use ppc_exec::JobOutputs;
 
-/// The native runtime body, reached through [`crate::run`].
+/// Run `executor` over every input on the context's single cluster,
+/// statically partitioned round-robin across its nodes. Returns the
+/// report and the outputs (output key → bytes), in completion order.
 ///
-/// Workers are addressed by flat slot index (node-major). A scheduled kill
-/// takes a vertex slot down: its in-hand vertex goes back on the node's
-/// local list for a surviving slot — re-execution never crosses nodes,
-/// which is exactly DryadLINQ's static-partitioning constraint. Death dice
-/// and torn outputs fail a single vertex attempt, recovered by the shared
-/// retry layer. Cloud-storage outage windows do *not* apply: Dryad reads
-/// node-local files (the paper's Windows shared directories).
-pub(crate) fn run_impl(
-    cluster: &Cluster,
+/// The context's fault schedule addresses workers by flat slot index
+/// (node-major). A scheduled kill takes a vertex slot down: its in-hand
+/// vertex goes back on the node's local list for a surviving slot —
+/// re-execution never crosses nodes, which is exactly DryadLINQ's
+/// static-partitioning constraint. Death dice and torn outputs fail a
+/// single vertex attempt, recovered by the shared retry layer. A vertex's
+/// dice are addressed by its place in a round-robin deal of its node's
+/// partition over the node's slots (the `k`-th vertex is slot
+/// `k % slots`'s `k / slots`-th task), not by the slot that happens to
+/// take it, so which vertices fail does not depend on thread timing.
+/// Cloud-storage outage windows do *not* apply: Dryad reads node-local
+/// files (the paper's Windows shared directories).
+///
+/// The context's policy is the defense. With a hedge or deadline config,
+/// idle vertex slots launch *backup vertices* for running stragglers on
+/// their own node; the first Ok attempt wins and losers count as
+/// redundant executions. With a quarantine config, gray slots are benched
+/// off the local work list.
+///
+/// A malformed context schedule or policy is an `InvalidArgument` error,
+/// returned before any thread starts. Without a context seed the run uses
+/// seed `0xd12ad`.
+pub fn run(
+    ctx: &RunContext,
     inputs: Vec<(TaskSpec, Vec<u8>)>,
     executor: Arc<dyn Executor>,
     config: &DryadConfig,
 ) -> Result<(DryadReport, JobOutputs)> {
+    let cluster = ctx.single_cluster()?;
     if inputs.is_empty() {
         return Err(PpcError::InvalidArgument("no inputs".into()));
     }
-    let schedule = config.schedule.clone();
-    if let Some(schedule) = &schedule {
-        schedule.validate()?;
-    }
-    if let Some(policy) = &config.resilience {
-        policy.validate()?;
-    }
+    ctx.validate()?;
     let n_tasks = inputs.len();
     let n_nodes = cluster.n_nodes();
     // Static node-level partitioning, fixed before execution.
@@ -185,28 +175,29 @@ pub(crate) fn run_impl(
     let per_node: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n_nodes]);
     let total_bytes = AtomicUsize::new(0);
     let redundant = AtomicUsize::new(0);
-    let chaos = schedule.as_deref();
-    let sink = config.trace.as_deref().filter(|s| s.enabled());
+    let chaos = ctx.schedule.as_deref();
+    let sink = ctx.sink.as_deref().filter(|s| s.enabled());
     let clock = RunClock::start();
 
     // Cluster-wide defense state: one hedge policy and one health tracker
     // shared by every node, so latency observations feed a single quantile
     // even though backup vertices themselves never cross nodes.
-    let hedge_state = config
+    let hedge_state = ctx
         .resilience
         .and_then(|p| p.hedge)
         .map(|cfg| Mutex::new(HedgePolicy::new(cfg)));
-    let health_state = config
+    let health_state = ctx
         .resilience
         .and_then(|p| p.quarantine)
         .map(|cfg| Mutex::new(HealthTracker::new(cfg)));
 
-    let ctx = SlotCtx {
+    let slot_ctx = SlotCtx {
         executor: &executor,
         sink,
         chaos,
         clock: &clock,
         config,
+        seed: ctx.seed.unwrap_or(DEFAULT_SEED),
         outputs: &outputs,
         failures: &failures,
         failed_ids: &failed_ids,
@@ -217,7 +208,7 @@ pub(crate) fn run_impl(
         total_bytes: &total_bytes,
     };
     let finished_s = Mutex::new(0f64);
-    let defense = config.resilience.map(|policy| Defense {
+    let defense = ctx.resilience.map(|policy| Defense {
         policy,
         hedge: hedge_state.as_ref(),
         health: health_state.as_ref(),
@@ -231,7 +222,7 @@ pub(crate) fn run_impl(
         for (node, node_inputs) in partitions.into_iter().enumerate() {
             let workers = cluster.nodes()[node].workers;
             let node_base = node_bases[node];
-            let ctx = &ctx;
+            let ctx = &slot_ctx;
             let defense = defense.as_ref();
             let per_node = &per_node;
             scope.spawn(move || {
@@ -336,6 +327,8 @@ struct SlotCtx<'a> {
     chaos: Option<&'a FaultSchedule>,
     clock: &'a RunClock,
     config: &'a DryadConfig,
+    /// The context's seed, else [`DEFAULT_SEED`].
+    seed: u64,
     outputs: &'a Mutex<Vec<(String, Vec<u8>)>>,
     failures: &'a AtomicUsize,
     failed_ids: &'a Mutex<Vec<TaskId>>,
@@ -502,7 +495,7 @@ fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<LocalVertex>>, worker:
     // Re-execute a failed vertex (Table 3's Dryad fault tolerance) through
     // the shared retry layer before declaring it failed.
     let policy = RetryPolicy::immediate(ctx.config.max_retries + 1);
-    let mut rng = Pcg32::for_stream(ctx.config.seed, worker as u64);
+    let mut rng = Pcg32::for_stream(ctx.seed, worker as u64);
     let mut last_kill_s: f64 = 0.0;
     loop {
         let item = local.lock().unwrap().pop_front();
@@ -585,7 +578,7 @@ fn defended_slot_loop(
         });
     }
     let retry = RetryPolicy::immediate(ctx.config.max_retries + 1);
-    let mut rng = Pcg32::for_stream(ctx.config.seed, worker as u64);
+    let mut rng = Pcg32::for_stream(ctx.seed, worker as u64);
     let mut last_kill_s: f64 = 0.0;
     // Score a failed attempt into the health tracker, which traces any
     // bench it imposes.
@@ -873,10 +866,10 @@ fn finish_attempt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_compute::cluster::Cluster;
     use ppc_compute::instance::BARE_HPC16;
     use ppc_core::exec::FnExecutor;
     use ppc_core::task::ResourceProfile;
-    use ppc_exec::RunContext;
     use std::time::Duration;
 
     // Shorthands for the RunContext entry point on one cluster.
@@ -955,7 +948,6 @@ mod tests {
             &DryadConfig {
                 fail_fast: true,
                 max_retries: 0,
-                ..Default::default()
             },
         )
         .unwrap_err();
@@ -1117,14 +1109,13 @@ mod tests {
         let cluster = Cluster::provision(BARE_HPC16, 1, 4);
         let schedule = Arc::new(FaultSchedule::new(3).degrade(0, 40.0, 0.0, 1e9));
         let run_with = |resilience: Option<ResiliencePolicy>| {
-            let rec = Arc::new(Recorder::new());
-            let config = DryadConfig {
-                resilience,
-                trace: Some(rec.clone()),
-                ..Default::default()
-            };
-            let ctx = RunContext::new(&cluster).with_schedule(schedule.clone());
-            crate::run(&ctx, inputs(16), sleepy(5), &config).unwrap()
+            let mut ctx = RunContext::new(&cluster)
+                .with_schedule(schedule.clone())
+                .with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>);
+            if let Some(p) = resilience {
+                ctx = ctx.with_resilience(p);
+            }
+            crate::run(&ctx, inputs(16), sleepy(5), &DryadConfig::default()).unwrap()
         };
         let (plain, plain_out) = run_with(None);
         let hedged_policy = ResiliencePolicy::hedged(HedgeConfig::quantile(0.02));
@@ -1155,14 +1146,12 @@ mod tests {
         // idle slot cancel the overdue attempt and re-run it.
         let cluster = Cluster::provision(BARE_HPC16, 1, 4);
         let schedule = Arc::new(FaultSchedule::new(3).degrade(0, 40.0, 0.0, 1e9));
-        let rec = Arc::new(ppc_trace::Recorder::new());
-        let config = DryadConfig {
-            resilience: Some(ResiliencePolicy::default().with_deadline(0.05)),
-            trace: Some(rec),
-            ..Default::default()
-        };
-        let ctx = RunContext::new(&cluster).with_schedule(schedule);
-        let (report, outputs) = crate::run(&ctx, inputs(16), sleepy(5), &config).unwrap();
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(schedule)
+            .with_sink(Arc::new(ppc_trace::Recorder::new()) as Arc<dyn TraceSink>)
+            .with_resilience(ResiliencePolicy::default().with_deadline(0.05));
+        let (report, outputs) =
+            crate::run(&ctx, inputs(16), sleepy(5), &DryadConfig::default()).unwrap();
         assert_eq!(outputs.len(), 16, "cancellation must never lose a vertex");
         let trace = report.core.trace.as_ref().unwrap();
         assert!(
@@ -1209,17 +1198,14 @@ mod tests {
         use ppc_resilience::HedgeConfig;
         const PROBE: &str = "dryad-kill";
         let cluster = Cluster::provision(BARE_HPC16, 1, 2);
-        let rec = Arc::new(ppc_trace::Recorder::new());
-        let config = DryadConfig {
-            resilience: Some(ResiliencePolicy::hedged(HedgeConfig::quantile(0.02))),
-            trace: Some(rec),
-            ..Default::default()
-        };
+        let ctx = RunContext::new(&cluster)
+            .with_sink(Arc::new(ppc_trace::Recorder::new()) as Arc<dyn TraceSink>)
+            .with_resilience(ResiliencePolicy::hedged(HedgeConfig::quantile(0.02)));
         let exec = Arc::new(Straggler(std::sync::atomic::AtomicBool::new(true)));
         let start = Instant::now();
         let (report, mut outputs) = std::thread::Builder::new()
             .name(PROBE.into())
-            .spawn(move || crate::run(&RunContext::new(&cluster), inputs(8), exec, &config))
+            .spawn(move || crate::run(&ctx, inputs(8), exec, &DryadConfig::default()))
             .unwrap()
             .join()
             .unwrap()

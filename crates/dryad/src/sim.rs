@@ -7,19 +7,17 @@
 //! precisely why DryadLINQ load-balances worse than the global-queue
 //! platforms — nothing can flow between nodes mid-job.)
 
-use ppc_chaos::FaultSchedule;
 use ppc_compute::cluster::Cluster;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
-use ppc_exec::{HealthTrace, RunReport};
-use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_exec::{HealthTrace, RunContext, RunReport};
+use ppc_resilience::{Admit, HealthTracker, HedgePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::runtime::DryadReport;
 
@@ -33,18 +31,10 @@ pub struct DryadSimConfig {
     pub local_io: LatencyModel,
     /// Log-normal execution jitter sigma.
     pub jitter_sigma: f64,
-    pub seed: u64,
-    /// Record per-vertex phase spans; the report carries the finished
-    /// [`ppc_trace::Trace`].
-    pub trace: bool,
-    /// Straggler and gray-failure defense. With a hedge config, a vertex
-    /// whose service time exceeds the learned delay gets a *backup vertex*
-    /// on the node's next-free slot (never crossing nodes) and the first
-    /// completion wins; a deadline cuts overlong attempts and re-runs them
-    /// through slot selection; a quarantine config benches gray slots off
-    /// the list schedule. `None` keeps the legacy simulator bit-identical.
-    pub resilience: Option<ResiliencePolicy>,
 }
+
+/// Seed of a simulation whose context sets none.
+const DEFAULT_SEED: u64 = 42;
 
 impl Default for DryadSimConfig {
     fn default() -> Self {
@@ -53,9 +43,6 @@ impl Default for DryadSimConfig {
             vertex_overhead_s: 0.3,
             local_io: LatencyModel::local_disk_2010(),
             jitter_sigma: 0.02,
-            seed: 42,
-            trace: false,
-            resilience: None,
         }
     }
 }
@@ -117,9 +104,6 @@ impl DryadSimConfig {
                 self.jitter_sigma
             )));
         }
-        if let Some(policy) = &self.resilience {
-            policy.validate()?;
-        }
         Ok(())
     }
 }
@@ -131,33 +115,37 @@ const MAX_CHAOS_ATTEMPTS: u32 = 16;
 /// The simulator body, reached through [`crate::simulate`]: independent
 /// per-node list schedules over virtual worker slots.
 ///
-/// Under a [`FaultSchedule`], slots are addressed by flat node-major
+/// Under a [`ppc_chaos::FaultSchedule`], slots are addressed by flat node-major
 /// index; a kill or death die landing on a vertex costs one full re-run
 /// *on the same node* (static partitioning: work never migrates across
 /// nodes). Gray degradation stretches every vertex the degraded slot runs;
 /// cloud-storage outages do not apply to Dryad's node-local files.
+///
+/// The context's policy is the defense: with a hedge config, a vertex
+/// whose service time exceeds the learned delay gets a *backup vertex* on
+/// the node's next-free slot (never crossing nodes) and the first
+/// completion wins; a deadline cuts overlong attempts and re-runs them
+/// through slot selection; a quarantine config benches gray slots off the
+/// list schedule.
 pub(crate) fn simulate_impl(
     cluster: &Cluster,
     tasks: &[TaskSpec],
     cfg: &DryadSimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
+    ctx: &RunContext,
 ) -> DryadReport {
     assert!(!tasks.is_empty(), "no tasks to simulate");
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = cfg.validate().and_then(|()| ctx.validate()) {
         panic!("{e}");
     }
-    if let Some(schedule) = &schedule {
-        if let Err(e) = schedule.validate() {
-            panic!("{e}");
-        }
-    }
+    let schedule = ctx.schedule.as_deref();
     let n_nodes = cluster.n_nodes();
     let itype = cluster.itype();
     // One independent RNG stream per worker slot (flat node-major index).
+    let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
     let mut rngs: Vec<Pcg32> = (0..cluster.total_workers())
-        .map(|w| Pcg32::for_stream(cfg.seed, w as u64))
+        .map(|w| Pcg32::for_stream(seed, w as u64))
         .collect();
-    let rec: Option<Recorder> = cfg.trace.then(Recorder::new);
+    let rec: Option<Recorder> = ctx.trace.then(Recorder::new);
 
     // Static round-robin partitioning, fixed before execution starts.
     let partitions = crate::partition::partition_round_robin(tasks.to_vec(), n_nodes);
@@ -170,12 +158,12 @@ pub(crate) fn simulate_impl(
     let mut failed: Vec<TaskId> = Vec::new();
     // Defense state is cluster-wide (one latency quantile, one health
     // ledger) even though backup vertices never cross nodes.
-    let mut hedge = cfg.resilience.and_then(|p| p.hedge).map(HedgePolicy::new);
-    let mut health = cfg
+    let mut hedge = ctx.resilience.and_then(|p| p.hedge).map(HedgePolicy::new);
+    let mut health = ctx
         .resilience
         .and_then(|p| p.quarantine)
         .map(HealthTracker::new);
-    let deadline = cfg.resilience.and_then(|p| p.deadline);
+    let deadline = ctx.resilience.and_then(|p| p.deadline);
     let mut hedged_losers = 0usize;
     let mut node_base = 0usize;
     for (node_idx, node_tasks) in partitions.iter().enumerate() {
@@ -193,7 +181,7 @@ pub(crate) fn simulate_impl(
             let t_in = cfg.local_io.transfer_seconds(task.profile.input_bytes);
             let t_out = cfg.local_io.transfer_seconds(task.profile.output_bytes);
             let t_io = t_in + t_out;
-            if cfg.resilience.is_some() {
+            if ctx.resilience.is_some() {
                 // ---- defended scheduling of one vertex --------------------
                 let mut attempt_idx = 0u32;
                 // A re-attempt (after a death or a deadline cancellation)
@@ -573,9 +561,11 @@ pub(crate) fn simulate_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_chaos::FaultSchedule;
     use ppc_compute::instance::BARE_HPC16;
     use ppc_core::task::ResourceProfile;
-    use ppc_exec::RunContext;
+    use ppc_resilience::ResiliencePolicy;
+    use std::sync::Arc;
 
     fn cpu_tasks(n: u64, secs: f64) -> Vec<TaskSpec> {
         (0..n)
@@ -608,6 +598,22 @@ mod tests {
             tasks,
             cfg,
         )
+    }
+
+    /// A traced run under a 30x gray slot 0, defended by `policy`.
+    fn simulate_gray(
+        cluster: &Cluster,
+        tasks: &[TaskSpec],
+        policy: Option<ResiliencePolicy>,
+    ) -> DryadReport {
+        let schedule = Arc::new(FaultSchedule::new(11).degrade(0, 30.0, 0.0, 1e9));
+        let mut ctx = RunContext::new(cluster)
+            .with_schedule(schedule)
+            .with_trace(true);
+        if let Some(p) = policy {
+            ctx = ctx.with_resilience(p);
+        }
+        crate::simulate(&ctx, tasks, &quiet())
     }
 
     #[test]
@@ -715,17 +721,9 @@ mod tests {
         // backup vertex on a healthy slot wins in ~26s instead.
         let cluster = Cluster::provision(BARE_HPC16, 1, 8);
         let tasks = cpu_tasks(64, 10.0);
-        let schedule = Arc::new(FaultSchedule::new(11).degrade(0, 30.0, 0.0, 1e9));
-        let cfg = DryadSimConfig {
-            trace: true,
-            ..quiet()
-        };
-        let plain = simulate_chaos(&cluster, &tasks, &cfg, Some(schedule.clone()));
-        let hedged_cfg = DryadSimConfig {
-            resilience: Some(ResiliencePolicy::hedged(HedgeConfig::quantile(15.0))),
-            ..cfg
-        };
-        let hedged = simulate_chaos(&cluster, &tasks, &hedged_cfg, Some(schedule));
+        let plain = simulate_gray(&cluster, &tasks, None);
+        let policy = ResiliencePolicy::hedged(HedgeConfig::quantile(15.0));
+        let hedged = simulate_gray(&cluster, &tasks, Some(policy));
         assert_eq!(hedged.summary.tasks, 64);
         let trace = hedged.core.trace.as_ref().unwrap();
         assert!(trace.events_of_kind(EventKind::Hedge) > 0);
@@ -749,23 +747,13 @@ mod tests {
         // flows around it.
         let cluster = Cluster::provision(BARE_HPC16, 1, 8);
         let tasks = cpu_tasks(512, 10.0);
-        let schedule = Arc::new(FaultSchedule::new(11).degrade(0, 30.0, 0.0, 1e9));
-        let cfg = DryadSimConfig {
-            trace: true,
-            ..quiet()
-        };
-        let plain = simulate_chaos(&cluster, &tasks, &cfg, Some(schedule.clone()));
-        let defended_cfg = DryadSimConfig {
-            resilience: Some(
-                ResiliencePolicy::default().with_quarantine(QuarantineConfig {
-                    min_samples: 2,
-                    quarantine_s: 1e5,
-                    ..Default::default()
-                }),
-            ),
-            ..cfg
-        };
-        let defended = simulate_chaos(&cluster, &tasks, &defended_cfg, Some(schedule));
+        let plain = simulate_gray(&cluster, &tasks, None);
+        let policy = ResiliencePolicy::default().with_quarantine(QuarantineConfig {
+            min_samples: 2,
+            quarantine_s: 1e5,
+            ..Default::default()
+        });
+        let defended = simulate_gray(&cluster, &tasks, Some(policy));
         assert_eq!(defended.summary.tasks, 512);
         let trace = defended.core.trace.as_ref().unwrap();
         assert!(trace.events_of_kind(EventKind::Quarantine) > 0);
@@ -783,13 +771,8 @@ mod tests {
         // through slot selection.
         let cluster = Cluster::provision(BARE_HPC16, 1, 8);
         let tasks = cpu_tasks(64, 10.0);
-        let schedule = Arc::new(FaultSchedule::new(11).degrade(0, 30.0, 0.0, 1e9));
-        let cfg = DryadSimConfig {
-            trace: true,
-            resilience: Some(ResiliencePolicy::default().with_deadline(60.0)),
-            ..quiet()
-        };
-        let report = simulate_chaos(&cluster, &tasks, &cfg, Some(schedule));
+        let policy = ResiliencePolicy::default().with_deadline(60.0);
+        let report = simulate_gray(&cluster, &tasks, Some(policy));
         assert_eq!(report.summary.tasks, 64, "no vertex may be lost");
         let trace = report.core.trace.as_ref().unwrap();
         assert!(trace.events_of_kind(EventKind::Cancel) > 0);

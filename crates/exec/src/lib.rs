@@ -8,9 +8,10 @@
 //!
 //! * [`RunContext`] carries everything previously passed ad-hoc — the run
 //!   seed, the fleet layout (fixed clusters or an elastic plan), an
-//!   optional [`FaultSchedule`], an optional [`TraceSink`]/`trace` flag —
-//!   so each paradigm exposes exactly two entry points: `run(ctx, …)`
-//!   (native) and `simulate(ctx, …)` (discrete-event).
+//!   optional [`FaultSchedule`], an optional [`TraceSink`]/`trace` flag,
+//!   an optional [`ResiliencePolicy`] — so each paradigm exposes exactly
+//!   two entry points: `run(ctx, …)` (native) and `simulate(ctx, …)`
+//!   (discrete-event).
 //! * [`Engine`] is the object-safe paradigm trait (`name`/`run`/
 //!   `simulate`) implemented by Classic, Hadoop, and Dryad, letting
 //!   cross-framework studies iterate paradigms generically.
@@ -21,12 +22,13 @@
 //!   `ppc-resilience` health tracker, which then records its own
 //!   `Quarantine`/`Release` transitions.
 //!
-//! Context fields *override* the per-paradigm config when set and fall
-//! back to it when not, so a config keeps meaning what it meant when the
-//! context leaves a field unset.
+//! Run-wide settings live only here: the paradigm configs carry policy
+//! and platform dials, never a seed, fault schedule, trace switch or
+//! resilience policy. A run without a context seed uses its engine's
+//! fixed default, so unseeded runs stay reproducible.
 
 use ppc_autoscale::AutoscaleConfig;
-use ppc_chaos::{FaultSchedule, RunClock};
+use ppc_chaos::FaultSchedule;
 use ppc_compute::billing::CostBreakdown;
 use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::InstanceType;
@@ -87,20 +89,18 @@ impl std::fmt::Debug for FleetPlan {
 #[derive(Clone)]
 pub struct RunContext {
     pub fleet: FleetPlan,
-    /// Run seed. When set it overrides the paradigm config's seed and
-    /// every RNG stream of the run (per-worker streams, client stream,
-    /// fault dice) derives from it; when `None` the config's own seed is
-    /// the single source.
+    /// Run seed: every RNG stream of the run (per-worker streams, client
+    /// stream) derives from it. `None` uses the engine's fixed default.
     pub seed: Option<u64>,
-    /// Deterministic fault schedule; overrides the config's when set.
+    /// Deterministic fault schedule (it carries its own dice seed).
     pub schedule: Option<Arc<FaultSchedule>>,
-    /// Span sink for native runs; overrides the config's when set.
+    /// Span sink for native runs.
     pub sink: Option<Arc<dyn TraceSink>>,
-    /// Record spans in simulated runs (ORed with the sim config's flag).
+    /// Record spans in simulated runs.
     pub trace: bool,
     /// Straggler / gray-failure defense (hedged attempts, health-scored
-    /// quarantine, per-task deadlines); overrides the config's when set.
-    /// `None` defers to the paradigm config's policy.
+    /// quarantine, per-task deadlines). `None` is each paradigm's own
+    /// default: Hadoop's speculation for MapReduce, no defense otherwise.
     pub resilience: Option<ResiliencePolicy>,
 }
 
@@ -163,9 +163,9 @@ impl RunContext {
         self
     }
 
-    /// Attach a trace sink. Takes either a bare `Arc<dyn TraceSink>` or
-    /// the `Option` a native config may already carry; passing `None`
-    /// clears any sink set earlier.
+    /// Attach a trace sink. Takes either a bare `Arc<dyn TraceSink>` or an
+    /// `Option` the caller may already hold; passing `None` clears any
+    /// sink set earlier.
     pub fn with_sink(mut self, sink: impl Into<Option<Arc<dyn TraceSink>>>) -> RunContext {
         self.sink = sink.into();
         self
@@ -181,41 +181,17 @@ impl RunContext {
         self
     }
 
-    /// A fresh wall-clock for a native run starting now.
-    pub fn clock(&self) -> RunClock {
-        RunClock::start()
-    }
-
-    /// Effective seed: the context's when set, else the config's.
-    pub fn seed_or(&self, config_seed: u64) -> u64 {
-        self.seed.unwrap_or(config_seed)
-    }
-
-    /// Effective fault schedule: the context's when set, else the config's.
-    pub fn schedule_or(
-        &self,
-        config_schedule: &Option<Arc<FaultSchedule>>,
-    ) -> Option<Arc<FaultSchedule>> {
-        self.schedule.clone().or_else(|| config_schedule.clone())
-    }
-
-    /// Effective trace sink: the context's when set, else the config's.
-    pub fn sink_or(&self, config_sink: &Option<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
-        self.sink.clone().or_else(|| config_sink.clone())
-    }
-
-    /// Effective sim-trace flag: context OR config.
-    pub fn trace_or(&self, config_trace: bool) -> bool {
-        self.trace || config_trace
-    }
-
-    /// Effective resilience policy: the context's when set, else the
-    /// config's.
-    pub fn resilience_or(
-        &self,
-        config_policy: &Option<ResiliencePolicy>,
-    ) -> Option<ResiliencePolicy> {
-        self.resilience.or(*config_policy)
+    /// Reject a malformed fault schedule or resilience policy. Every
+    /// entry point calls this first: a native run returns the error before
+    /// it starts a thread, a simulation panics with its message.
+    pub fn validate(&self) -> Result<()> {
+        if let Some(schedule) = &self.schedule {
+            schedule.validate()?;
+        }
+        if let Some(policy) = &self.resilience {
+            policy.validate()?;
+        }
+        Ok(())
     }
 
     /// The fixed fleets of this plan, or an error for elastic plans (for
@@ -434,32 +410,25 @@ mod tests {
     }
 
     #[test]
-    fn context_overrides_and_fallbacks() {
+    fn validate_checks_schedule_and_policy() {
         let cluster = Cluster::provision(EC2_HCXL, 2, 8);
         let ctx = RunContext::new(&cluster);
-        // Unset context → config values win.
-        assert_eq!(ctx.seed_or(42), 42);
-        assert!(ctx.schedule_or(&None).is_none());
-        assert!(!ctx.trace_or(false));
-        assert!(ctx.trace_or(true));
-        // Set context → context wins.
-        let sched = Arc::new(FaultSchedule::new(7));
-        let ctx = ctx
-            .with_seed(9)
-            .with_schedule(sched.clone())
-            .with_trace(true);
-        assert_eq!(ctx.seed_or(42), 9);
-        let cfg_sched = Some(Arc::new(FaultSchedule::new(1)));
-        assert!(Arc::ptr_eq(&ctx.schedule_or(&cfg_sched).unwrap(), &sched));
-        assert!(ctx.trace_or(false));
+        assert!(ctx.validate().is_ok());
+        let ok = ctx
+            .clone()
+            .with_schedule(Arc::new(FaultSchedule::hostile(7)))
+            .with_resilience(ResiliencePolicy::legacy_speculation());
+        assert!(ok.validate().is_ok());
 
-        // Resilience: config fallback, then context override.
-        assert!(ctx.resilience_or(&None).is_none());
-        let cfg_policy = Some(ResiliencePolicy::legacy_speculation());
-        assert_eq!(ctx.resilience_or(&cfg_policy), cfg_policy);
-        let hedged = ResiliencePolicy::hedged(ppc_resilience::HedgeConfig::quantile(0.5));
-        let ctx = ctx.with_resilience(hedged);
-        assert_eq!(ctx.resilience_or(&cfg_policy), Some(hedged));
+        let bad_schedule = ctx
+            .clone()
+            .with_schedule(Arc::new(FaultSchedule::new(1).brownout(5.0, 1.0)));
+        assert_eq!(
+            bad_schedule.validate().unwrap_err().code(),
+            "InvalidArgument"
+        );
+        let bad_policy = ctx.with_resilience(ResiliencePolicy::default().with_deadline(-1.0));
+        assert_eq!(bad_policy.validate().unwrap_err().code(), "InvalidArgument");
     }
 
     #[test]

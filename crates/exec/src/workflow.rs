@@ -13,6 +13,7 @@
 //! own per-stage runner, so the DAG semantics stay identical everywhere.
 
 use crate::{Engine, JobOutputs, RunContext, RunReport, Workload};
+use ppc_chaos::RunClock;
 use ppc_compute::billing::CostBreakdown;
 use ppc_core::json::Json;
 use ppc_core::task::TaskSpec;
@@ -152,7 +153,7 @@ pub fn drive_workflow(
 ) -> Result<(WorkflowReport, JobOutputs)> {
     wf.validate_native()?;
     let order = wf.topo_order()?;
-    let clock = ctx.clock();
+    let clock = RunClock::start();
     let want_trace = ctx.trace || ctx.sink.is_some();
 
     let mut outputs: Vec<Option<JobOutputs>> = vec![None; wf.stages.len()];

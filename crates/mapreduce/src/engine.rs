@@ -47,7 +47,7 @@ impl Engine for HadoopEngine {
             n_nodes,
             self.block_size,
             self.replication.min(n_nodes),
-            ctx.seed_or(self.native.seed),
+            ctx.seed.unwrap_or(crate::runtime::DEFAULT_SEED),
         );
         let mut paths = Vec::with_capacity(workload.inputs.len());
         for (spec, input) in &workload.inputs {

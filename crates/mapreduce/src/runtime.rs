@@ -12,16 +12,16 @@ use crate::input::{compute_splits, InputFormat};
 use crate::job::{partition_for, MapContext, MapReduceJob, Mapper, Reducer};
 use crate::report::MapReduceReport;
 use crate::scheduler::{CompleteOutcome, Scheduler};
-use ppc_chaos::{FaultSchedule, RunClock};
+use ppc_chaos::RunClock;
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::TaskId;
 use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::{HealthTrace, RunReport};
+use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
-use ppc_resilience::{Admit, HealthTracker, HedgeConfig, ResiliencePolicy};
-use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink};
+use ppc_resilience::{Admit, HealthTracker, HedgeConfig};
+use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,37 +34,20 @@ pub struct HadoopConfig {
     pub slots_per_node: usize,
     /// Injected probability that any map attempt fails (tests retries).
     pub attempt_failure_p: f64,
-    /// Straggler / gray-failure defense. `None` is Hadoop's default
-    /// speculation (`HedgeConfig::legacy_speculation()`); `Some(policy)`
-    /// takes hedging, worker quarantine and per-task deadlines from the
-    /// policy, so `Some(ResiliencePolicy::default())` turns speculation off.
-    pub resilience: Option<ResiliencePolicy>,
     /// Poll sleep when no work is available yet.
     pub poll_backoff: Duration,
-    pub seed: u64,
-    /// Deterministic fault schedule. Workers are addressed by the flat
-    /// slot index `node * slots_per_node + slot`; a scheduled kill takes
-    /// the whole tasktracker slot down (its in-hand attempt fails and the
-    /// surviving slots re-execute the task), while the i.i.d. death dice
-    /// and torn uploads fail individual attempts — Hadoop's
-    /// output-committer discipline makes both recoverable.
-    pub schedule: Option<Arc<FaultSchedule>>,
-    /// Optional span sink: when set (and enabled) every map attempt records
-    /// its `dispatch → read → map → commit` phases plus slot-death events,
-    /// and the report carries the finished [`ppc_trace::Trace`].
-    pub trace: Option<Arc<dyn TraceSink>>,
 }
+
+/// Seed of a run whose context sets none (per-slot RNG streams, and the
+/// engine's `MiniHdfs` placement).
+pub(crate) const DEFAULT_SEED: u64 = 0xad00;
 
 impl Default for HadoopConfig {
     fn default() -> Self {
         HadoopConfig {
             slots_per_node: 2,
             attempt_failure_p: 0.0,
-            resilience: None,
             poll_backoff: Duration::from_micros(200),
-            seed: 0xad00,
-            schedule: None,
-            trace: None,
         }
     }
 }
@@ -83,21 +66,27 @@ impl HadoopConfig {
                 self.attempt_failure_p
             )));
         }
-        if let Some(schedule) = &self.schedule {
-            schedule.validate()?;
-        }
-        if let Some(policy) = &self.resilience {
-            policy.validate()?;
-        }
         Ok(())
     }
 }
 
-/// The native runtime body, reached through [`crate::run`]: co-located
-/// compute and storage, Hadoop's output-committer discipline, retries and
-/// hedging/quarantine/deadlines from the shared [`Scheduler`] +
-/// [`ResiliencePolicy`].
-pub(crate) fn run_job_impl(
+/// Run a job (map-only or map+reduce) natively on the cluster underlying
+/// `fs`: real threads, real HDFS reads, Hadoop's output-committer
+/// discipline, retries and hedging/quarantine/deadlines from the shared
+/// [`Scheduler`] + the context's [`ppc_resilience::ResiliencePolicy`].
+/// The context's fleet plan is unused (the `MiniHdfs` defines the node
+/// count, `config.slots_per_node` the slots). A malformed config or
+/// context is an `InvalidArgument` error, returned before any thread
+/// starts; without a context seed the run uses seed `0xad00`.
+///
+/// The context's fault schedule addresses workers by the flat slot index
+/// `node * slots_per_node + slot`: a scheduled kill takes the whole
+/// tasktracker slot down (its in-hand attempt fails and the surviving
+/// slots re-execute the task), while the i.i.d. death dice and torn
+/// uploads fail individual attempts — Hadoop's output-committer
+/// discipline makes both recoverable.
+pub fn run(
+    ctx: &RunContext,
     fs: &Arc<MiniHdfs>,
     job: &MapReduceJob,
     mapper: &dyn Mapper,
@@ -106,19 +95,21 @@ pub(crate) fn run_job_impl(
 ) -> Result<MapReduceReport> {
     job.validate()?;
     config.validate()?;
+    ctx.validate()?;
+    let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
     let splits = compute_splits(fs, &job.input_paths)?;
     let n_tasks = splits.len();
     // No policy means Hadoop's default speculation.
-    let hedge = match &config.resilience {
+    let hedge = match &ctx.resilience {
         Some(p) => p.hedge,
         None => Some(HedgeConfig::legacy_speculation()),
     };
-    let health: Option<Mutex<HealthTracker>> = config
+    let health: Option<Mutex<HealthTracker>> = ctx
         .resilience
         .and_then(|p| p.quarantine)
         .map(|q| Mutex::new(HealthTracker::new(q)));
     let health = health.as_ref();
-    let deadline = config.resilience.and_then(|p| p.deadline);
+    let deadline = ctx.resilience.and_then(|p| p.deadline);
     let scheduler = Mutex::new(Scheduler::with_policy(splits, hedge, job.max_attempts));
     // Cancel tokens of each task's attempts, pushed and taken only under
     // the scheduler lock so a commit never misses a just-launched attempt.
@@ -137,7 +128,7 @@ pub(crate) fn run_job_impl(
     let start = Instant::now();
     let clock = RunClock::start();
     let n_nodes = fs.n_nodes();
-    let sink = config.trace.as_deref().filter(|s| s.enabled());
+    let sink = ctx.sink.as_deref().filter(|s| s.enabled());
 
     std::thread::scope(|scope| {
         for node in 0..n_nodes {
@@ -172,10 +163,10 @@ pub(crate) fn run_job_impl(
                             kind: EventKind::WorkerStart,
                         });
                     }
-                    let chaos = config.schedule.as_deref();
+                    let chaos = ctx.schedule.as_deref();
                     let mut task_seq: u32 = 0;
                     let mut last_kill_s: f64 = 0.0;
-                    let mut rng = Pcg32::for_stream(config.seed, worker as u64);
+                    let mut rng = Pcg32::for_stream(seed, worker as u64);
                     loop {
                         // Health gate: a benched worker sleeps instead of
                         // taking work; an expired bench releases here.
@@ -212,7 +203,7 @@ pub(crate) fn run_job_impl(
                             }
                         };
                         let attempt_began_s = clock.now_s();
-                        if assignment.speculative && config.resilience.is_some() {
+                        if assignment.speculative && ctx.resilience.is_some() {
                             if let Some(s) = sink {
                                 s.event(TraceEvent {
                                     at_s: attempt_began_s,
@@ -587,9 +578,9 @@ pub(crate) fn run_job_impl(
 mod tests {
     use super::*;
     use crate::job::ExecutableMapper;
+    use ppc_chaos::FaultSchedule;
     use ppc_core::exec::FnExecutor;
     use ppc_core::PpcError;
-    use ppc_exec::RunContext;
 
     // Shorthands for the RunContext entry point on a local context.
     fn run_job(
@@ -663,10 +654,10 @@ mod tests {
         let mapper = ExecutableMapper::new("id", exec);
         let config = HadoopConfig {
             attempt_failure_p: 0.3,
-            seed: 7,
             ..HadoopConfig::default()
         };
-        let report = run_job_with(&fs, &job, &mapper, None, &config).unwrap();
+        let ctx = RunContext::local().with_seed(7);
+        let report = crate::run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);
         assert!(
             report.scheduler.retries > 0,
@@ -703,12 +694,13 @@ mod tests {
         let mapper = ExecutableMapper::new("nap", exec);
         // Slot 0 is gray for the job's first 100 ms: its first 5-ms task
         // stretches 60x, to about 300 ms, unless a duplicate commits first.
+        let ctx = RunContext::local()
+            .with_schedule(Arc::new(FaultSchedule::new(1).degrade(0, 60.0, 0.0, 0.1)));
         let config = HadoopConfig {
-            schedule: Some(Arc::new(FaultSchedule::new(1).degrade(0, 60.0, 0.0, 0.1))),
             slots_per_node: 2,
             ..HadoopConfig::default()
         };
-        let report = run_job_with(&fs, &job, &mapper, None, &config).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
         assert!(report.is_complete());
         assert!(
             report.scheduler.speculative_assignments > 0,
@@ -921,11 +913,9 @@ mod tests {
         let err = run_job_with(&fs, &job, &mapper, None, &config).unwrap_err();
         assert_eq!(err.code(), "InvalidArgument");
 
-        let config = HadoopConfig {
-            schedule: Some(Arc::new(FaultSchedule::new(1).brownout(0.5, 0.1))),
-            ..HadoopConfig::default()
-        };
-        let err = run_job_with(&fs, &job, &mapper, None, &config).unwrap_err();
+        let ctx =
+            RunContext::local().with_schedule(Arc::new(FaultSchedule::new(1).brownout(0.5, 0.1)));
+        let err = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap_err();
         assert_eq!(err.code(), "InvalidArgument");
     }
 
@@ -949,11 +939,8 @@ mod tests {
             .kill_at(4, 0.010)
             .degrade(2, 3.0, 0.0, 0.060)
             .with_death_probabilities(0.05, 0.05, 0.05);
-        let config = HadoopConfig {
-            schedule: Some(Arc::new(schedule)),
-            ..HadoopConfig::default()
-        };
-        let report = run_job_with(&fs, &job, &mapper, None, &config).unwrap();
+        let ctx = RunContext::local().with_schedule(Arc::new(schedule));
+        let report = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);
         assert_eq!(report.summary.tasks, 24);
         assert!(
@@ -970,11 +957,8 @@ mod tests {
         let exec = FnExecutor::new("id", |_s, i: &[u8]| Ok(i.to_vec()));
         let mapper = ExecutableMapper::new("id", exec);
         let schedule = FaultSchedule::new(3).brownout(0.0, 0.030);
-        let config = HadoopConfig {
-            schedule: Some(Arc::new(schedule)),
-            ..HadoopConfig::default()
-        };
-        let report = run_job_with(&fs, &job, &mapper, None, &config).unwrap();
+        let ctx = RunContext::local().with_schedule(Arc::new(schedule));
+        let report = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
         assert!(report.is_complete());
         // Every worker rode out the 30 ms outage window before reading.
         assert!(

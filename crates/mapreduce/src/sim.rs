@@ -22,7 +22,7 @@ use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
 use ppc_des::{Engine, SimTime};
-use ppc_exec::{HealthTrace, RunReport};
+use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{Admit, HealthTracker, HedgeConfig, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
@@ -52,23 +52,17 @@ pub struct HadoopSimConfig {
     pub attempt_failure_p: f64,
     /// Log-normal execution-time jitter.
     pub jitter_sigma: f64,
-    pub seed: u64,
     /// Idle workers re-poll the master at this interval, seconds.
     pub poll_interval_s: f64,
-    /// Straggler / gray-failure defense. `None` is Hadoop's default
-    /// speculation (`HedgeConfig::legacy_speculation()`); `Some(policy)`
-    /// takes hedging, worker quarantine and per-task deadlines from the
-    /// policy, so `Some(ResiliencePolicy::default())` turns speculation off.
-    pub resilience: Option<ResiliencePolicy>,
     /// Attempt budget per task.
     pub max_attempts: u32,
     /// Ablation switch: pretend the scheduler has no locality information
     /// (every read goes over the cluster network).
     pub ignore_locality: bool,
-    /// Record per-attempt `dispatch → read → map → commit` spans into the
-    /// report's [`ppc_trace::Trace`].
-    pub trace: bool,
 }
+
+/// Seed of a simulation whose context sets none.
+const DEFAULT_SEED: u64 = 42;
 
 impl Default for HadoopSimConfig {
     fn default() -> Self {
@@ -82,12 +76,9 @@ impl Default for HadoopSimConfig {
             straggler_factor: 5.0,
             attempt_failure_p: 0.0,
             jitter_sigma: 0.02,
-            seed: 42,
             poll_interval_s: 0.5,
-            resilience: None,
             max_attempts: 4,
             ignore_locality: false,
-            trace: false,
         }
     }
 }
@@ -121,9 +112,6 @@ impl HadoopSimConfig {
                 "hadoop sim config: poll_interval_s must be positive".into(),
             ));
         }
-        if let Some(policy) = &self.resilience {
-            policy.validate()?;
-        }
         Ok(())
     }
 }
@@ -152,6 +140,8 @@ struct Sim {
     slots: Vec<(DataNodeId, usize)>,
     itype: ppc_compute::instance::InstanceType,
     cfg: HadoopSimConfig,
+    /// The context's policy; `None` is Hadoop's default speculation.
+    resilience: Option<ResiliencePolicy>,
 }
 
 /// The simulator body, reached through [`crate::simulate`]: drives the
@@ -164,22 +154,18 @@ pub(crate) fn simulate_impl(
     cluster: &Cluster,
     tasks: &[TaskSpec],
     cfg: &HadoopSimConfig,
-    schedule: Option<Arc<FaultSchedule>>,
+    ctx: &RunContext,
 ) -> MapReduceReport {
     assert!(!tasks.is_empty(), "no tasks to simulate");
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = cfg.validate().and_then(|()| ctx.validate()) {
         panic!("{e}");
     }
-    if let Some(schedule) = &schedule {
-        if let Err(e) = schedule.validate() {
-            panic!("{e}");
-        }
-    }
+    let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
     let n_nodes = cluster.n_nodes();
     let total_workers = cluster.total_workers();
     // Locality synthesis happens on the master's stream; each worker slot
     // draws its jitter/failure dice from its own stream below.
-    let mut rng = Pcg32::for_stream(cfg.seed, CLIENT_STREAM);
+    let mut rng = Pcg32::for_stream(seed, CLIENT_STREAM);
 
     // Synthesize HDFS locality: each input replicated on `replication`
     // distinct pseudo-random nodes.
@@ -206,25 +192,25 @@ pub(crate) fn simulate_impl(
         .collect();
 
     // No policy means Hadoop's default speculation.
-    let hedge = match &cfg.resilience {
+    let hedge = match &ctx.resilience {
         Some(p) => p.hedge,
         None => Some(HedgeConfig::legacy_speculation()),
     };
     let state = RefCell::new(SimState {
         scheduler: Scheduler::with_policy(splits, hedge, cfg.max_attempts),
         rngs: (0..total_workers)
-            .map(|w| Pcg32::for_stream(cfg.seed, w as u64))
+            .map(|w| Pcg32::for_stream(seed, w as u64))
             .collect(),
         completed_at: None,
         attempts: 0,
         deaths: 0,
         data_local: 0,
         remote_bytes: 0,
-        schedule,
+        schedule: ctx.schedule.clone(),
         task_seqs: vec![0; total_workers],
         last_kill: vec![0.0; total_workers],
-        rec: cfg.trace.then(Recorder::new),
-        health: cfg
+        rec: ctx.trace.then(Recorder::new),
+        health: ctx
             .resilience
             .and_then(|p| p.quarantine)
             .map(HealthTracker::new),
@@ -239,6 +225,7 @@ pub(crate) fn simulate_impl(
             .collect(),
         itype: cluster.itype(),
         cfg: *cfg,
+        resilience: ctx.resilience,
     });
 
     // Idle slots re-poll the master on the engine's fixed-delay lane; the
@@ -335,6 +322,7 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         slots,
         itype,
         cfg,
+        resilience,
     } = &**sim;
     let (node, workers_on_node) = slots[worker];
     let now_s = engine.now().as_secs_f64();
@@ -378,7 +366,7 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
             // the queue, so an idle worker can retire instead of polling.
             if cfg.attempt_failure_p <= 0.0
                 && state.borrow().schedule.is_none()
-                && cfg.resilience.is_none()
+                && resilience.is_none()
             {
                 return;
             }
@@ -388,7 +376,7 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         }
     };
     sync_quiet_horizon(engine, &state.borrow());
-    if assignment.speculative && cfg.resilience.is_some() {
+    if assignment.speculative && resilience.is_some() {
         if let Some(rec) = &state.borrow().rec {
             rec.event(TraceEvent {
                 at_s: now_s,
@@ -464,7 +452,7 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         // timeout is cancelled at the deadline and the task requeued
         // (the cancel burns one unit of the task's attempt budget).
         let mut cancelled = false;
-        if let Some(d) = cfg.resilience.and_then(|p| p.deadline) {
+        if let Some(d) = resilience.and_then(|p| p.deadline) {
             if duration_s > d.timeout_s {
                 duration_s = d.timeout_s;
                 cancelled = true;
@@ -656,18 +644,11 @@ mod tests {
         };
         // An empty policy turns speculation off; no policy is Hadoop's
         // default speculation.
-        let no_spec = HadoopSimConfig {
-            resilience: Some(ResiliencePolicy::default()),
-            ..slow
-        };
-        let with_spec = HadoopSimConfig {
-            resilience: None,
-            ..slow
-        };
-        let t_no = simulate(&cluster, &tasks, &no_spec)
+        let no_spec = RunContext::new(&cluster).with_resilience(ResiliencePolicy::default());
+        let t_no = crate::simulate(&no_spec, &tasks, &slow)
             .summary
             .makespan_seconds;
-        let r_yes = simulate(&cluster, &tasks, &with_spec);
+        let r_yes = simulate(&cluster, &tasks, &slow);
         assert!(r_yes.scheduler.speculative_assignments > 0);
         assert!(
             r_yes.summary.makespan_seconds < t_no,

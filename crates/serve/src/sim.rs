@@ -185,13 +185,13 @@ impl World {
 type Shared = Rc<RefCell<World>>;
 
 /// Run the closed-loop load generator. Deterministic in
-/// `ctx.seed_or(cfg.seed)`.
+/// `ctx.seed.unwrap_or(cfg.seed)`.
 pub fn simulate_serve(ctx: &RunContext, cfg: &ServeSimConfig) -> ServeRun {
     assert!(
         !cfg.tenants.is_empty(),
         "serve sim needs at least one tenant"
     );
-    let seed = ctx.seed_or(cfg.seed);
+    let seed = ctx.seed.unwrap_or(cfg.seed);
     let mut des = DesEngine::new();
 
     let weights: Vec<u32> = cfg.tenants.iter().map(|t| t.spec.weight).collect();

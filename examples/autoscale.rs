@@ -118,12 +118,9 @@ fn simulated() {
         billing_window_s: 180.0,
         billing_hour_s: 900.0,
     };
-    let cfg = SimConfig {
-        trace: true,
-        ..SimConfig::ec2().with_app(AppModel::cap3())
-    };
+    let cfg = SimConfig::ec2().with_app(AppModel::cap3());
     let report = classic_simulate(
-        &RunContext::elastic(EC2_HCXL, autoscale, arrivals.clone()),
+        &RunContext::elastic(EC2_HCXL, autoscale, arrivals.clone()).with_trace(true),
         &tasks,
         &cfg,
     );

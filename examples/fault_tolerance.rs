@@ -10,7 +10,7 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use ppc::classic::fault::FaultPlan;
+use ppc::chaos::FaultSchedule;
 use ppc::classic::spec::JobSpec;
 use ppc::classic::{run as classic_run, ClassicConfig};
 use ppc::compute::cluster::Cluster;
@@ -21,6 +21,7 @@ use ppc::exec::RunContext;
 use ppc::queue::chaos::ChaosConfig;
 use ppc::queue::service::QueueService;
 use ppc::storage::service::StorageService;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ppc::core::Result<()> {
@@ -33,7 +34,14 @@ fn main() -> ppc::core::Result<()> {
     let tasks: Vec<TaskSpec> = (0..n)
         .map(|i| TaskSpec::new(i, "rev", format!("f{i}"), ResourceProfile::cpu_bound(0.0)))
         .collect();
-    let job = JobSpec::new("hostile", tasks).with_visibility_timeout(Duration::from_millis(40));
+    // A delivery dies with P = 1 - 0.90 * 0.95 * 0.90 ≈ 0.23 under the
+    // dice below, and duplicates and lapsed leases waste a few more. With
+    // the default 5 deliveries a task would exhaust its budget (and be
+    // dead-lettered, correctly) in about 2% of runs; with 12 that takes
+    // P ≈ 0.28^12 ≈ 2e-7 per task.
+    let job = JobSpec::new("hostile", tasks)
+        .with_visibility_timeout(Duration::from_millis(40))
+        .with_max_deliveries(12);
     storage.create_bucket(&job.input_bucket)?;
     for i in 0..n {
         storage.put(
@@ -43,14 +51,13 @@ fn main() -> ppc::core::Result<()> {
         )?;
     }
 
+    let ctx = RunContext::new(&cluster)
+        .with_seed(11)
+        .with_schedule(Arc::new(
+            FaultSchedule::new(11).with_death_probabilities(0.10, 0.05, 0.10),
+        ));
     let config = ClassicConfig {
-        fault: FaultPlan {
-            die_before_execute: 0.10,
-            die_mid_execute: 0.05,
-            die_before_delete: 0.10,
-            restart_delay_ms: 1,
-            seed: 11,
-        },
+        restart_delay_ms: 1,
         queue_chaos: ChaosConfig {
             empty_receive_probability: 0.10,
             duplicate_delivery_probability: 0.05,
@@ -64,14 +71,7 @@ fn main() -> ppc::core::Result<()> {
         v.reverse();
         Ok(v)
     });
-    let report = classic_run(
-        &RunContext::new(&cluster),
-        &storage,
-        &queues,
-        &job,
-        executor,
-        &config,
-    )?;
+    let report = classic_run(&ctx, &storage, &queues, &job, executor, &config)?;
 
     println!("hostile environment: 10% death before execute, 10% before delete,");
     println!("                     10% empty receives, 5% duplicate delivery, 2% API errors");

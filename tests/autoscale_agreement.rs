@@ -153,10 +153,10 @@ fn fleet_invariants_hold_across_random_elastic_runs() {
         let arrivals: Vec<f64> = (0..n).map(|_| rng.uniform(0.0, 300.0)).collect();
         let cfg = SimConfig {
             jitter_sigma: 0.1,
-            ..SimConfig::ec2().with_seed(trial)
+            ..SimConfig::ec2()
         };
         let report = classic_simulate(
-            &RunContext::elastic(EC2_HCXL, autoscale_cfg(1.0), arrivals.clone()),
+            &RunContext::elastic(EC2_HCXL, autoscale_cfg(1.0), arrivals.clone()).with_seed(trial),
             &specs,
             &cfg,
         );

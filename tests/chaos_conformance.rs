@@ -98,17 +98,13 @@ fn classic_native_conforms_under_hostile_schedule() {
             .put(&job.input_bucket, &format!("f{i}"), payload(i))
             .unwrap();
     }
-    let config = ClassicConfig {
-        schedule: Some(hostile()),
-        ..ClassicConfig::default()
-    };
     let report = classic_run(
-        &RunContext::new(&cluster),
+        &RunContext::new(&cluster).with_schedule(hostile()),
         &storage,
         &queues,
         &job,
         reverse_executor(),
-        &config,
+        &ClassicConfig::default(),
     )
     .unwrap();
 
@@ -144,11 +140,8 @@ fn mapreduce_native_conforms_under_hostile_schedule() {
     let mut job = MapReduceJob::map_only("conform", paths, "/out");
     job.max_attempts = 8; // headroom for dice-chained attempt failures
     let mapper = ExecutableMapper::new("rev", reverse_executor());
-    let config = HadoopConfig {
-        schedule: Some(hostile()),
-        ..HadoopConfig::default()
-    };
-    let report = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
+    let ctx = RunContext::local().with_schedule(hostile());
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
 
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     assert_eq!(report.summary.tasks, N_TASKS as usize);

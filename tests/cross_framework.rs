@@ -220,17 +220,17 @@ fn engine_trait_runs_the_same_workload_on_all_paradigms() {
     }
 }
 
-/// Chaos for the seed-precedence tests: i.i.d. death dice only, so which
-/// attempts die is a pure function of the effective seed.
+/// Chaos for the seed tests: i.i.d. death dice only, seeded by the
+/// schedule itself, so which attempts die does not depend on the run seed.
 fn seeded_dice() -> Arc<ppc::chaos::FaultSchedule> {
     Arc::new(ppc::chaos::FaultSchedule::new(13).with_death_probabilities(0.05, 0.02, 0.02))
 }
 
-/// The context's seed wins over the config's, so two configs that embed
-/// different seeds produce bit-identical simulations when driven by the
-/// same `RunContext` — for all three simulators.
+/// The seed lives on the context alone. A context without one runs each
+/// simulator at its fixed default seed (42), bit for bit, and different
+/// context seeds give different reports.
 #[test]
-fn context_seed_overrides_config_seed_in_every_simulator() {
+fn unseeded_context_reproduces_default_seed_in_every_simulator() {
     use ppc::compute::instance::BARE_CAP3;
     use ppc::core::task::{ResourceProfile, TaskSpec};
     let tasks: Vec<TaskSpec> = (0..48)
@@ -241,69 +241,33 @@ fn context_seed_overrides_config_seed_in_every_simulator() {
             TaskSpec::new(i, "cap3", format!("f{i}"), p)
         })
         .collect();
-    let ctx_of = |c: &Cluster| {
-        RunContext::new(c)
-            .with_seed(99)
-            .with_schedule(seeded_dice())
-    };
-
-    let cluster = Cluster::provision(EC2_HCXL, 2, 8);
-    let a = ppc::classic::simulate(
-        &ctx_of(&cluster),
-        &tasks,
-        &ppc::classic::SimConfig::ec2().with_seed(1),
-    );
-    let b = ppc::classic::simulate(
-        &ctx_of(&cluster),
-        &tasks,
-        &ppc::classic::SimConfig::ec2().with_seed(2),
-    );
-    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
-
-    let cluster = Cluster::provision(BARE_CAP3, 2, 8);
-    let a = ppc::mapreduce::simulate(
-        &ctx_of(&cluster),
-        &tasks,
-        &ppc::mapreduce::HadoopSimConfig {
-            seed: 1,
-            ..Default::default()
-        },
-    );
-    let b = ppc::mapreduce::simulate(
-        &ctx_of(&cluster),
-        &tasks,
-        &ppc::mapreduce::HadoopSimConfig {
-            seed: 2,
-            ..Default::default()
-        },
-    );
-    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
-
-    let a = ppc::dryad::simulate(
-        &ctx_of(&cluster),
-        &tasks,
-        &ppc::dryad::DryadSimConfig {
-            seed: 1,
-            ..Default::default()
-        },
-    );
-    let b = ppc::dryad::simulate(
-        &ctx_of(&cluster),
-        &tasks,
-        &ppc::dryad::DryadSimConfig {
-            seed: 2,
-            ..Default::default()
-        },
-    );
-    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+    let classic = Cluster::provision(EC2_HCXL, 2, 8);
+    let bare = Cluster::provision(BARE_CAP3, 2, 8);
+    for engine in ppc::engines() {
+        let cluster = if engine.name() == "classic" {
+            &classic
+        } else {
+            &bare
+        };
+        let digest = |seed: Option<u64>| {
+            let mut ctx = RunContext::new(cluster).with_schedule(seeded_dice());
+            if let Some(seed) = seed {
+                ctx = ctx.with_seed(seed);
+            }
+            engine.simulate(&ctx, &tasks).to_json().to_string()
+        };
+        let name = engine.name();
+        assert_eq!(digest(None), digest(Some(42)), "{name}: default seed");
+        assert_ne!(digest(Some(1)), digest(Some(2)), "{name}: seed ignored");
+    }
 }
 
-/// The same override on the native side: config seeds lose to the context
-/// seed, observable through identical chaos outcomes (which tasks died and
-/// recovered is a pure function of the effective seed in the dryad
-/// runtime's hash-based fault dice).
+/// The native side of the same rule: a context without a seed runs native
+/// Dryad at its default seed (`0xd12ad`), observable through identical
+/// chaos outcomes (the runtime's hash-based fault dice make which tasks
+/// died and recovered deterministic).
 #[test]
-fn context_seed_overrides_config_seed_native_dryad() {
+fn unseeded_context_reproduces_default_seed_native_dryad() {
     use ppc::compute::instance::BARE_CAP3;
     use ppc::core::exec::FnExecutor;
     use ppc::core::task::{ResourceProfile, TaskSpec};
@@ -321,14 +285,12 @@ fn context_seed_overrides_config_seed_native_dryad() {
         v.reverse();
         Ok(v)
     });
-    let ctx = RunContext::new(&cluster)
-        .with_seed(99)
-        .with_schedule(seeded_dice());
-    let run_with_config_seed = |seed: u64| {
-        let cfg = DryadConfig {
-            seed,
-            ..Default::default()
-        };
+    let run = |seed: Option<u64>| {
+        let mut ctx = RunContext::new(&cluster).with_schedule(seeded_dice());
+        if let Some(seed) = seed {
+            ctx = ctx.with_seed(seed);
+        }
+        let cfg = DryadConfig::default();
         let (report, _) = dryad_run(&ctx, inputs.clone(), reverse.clone(), &cfg).unwrap();
         (
             report.summary.tasks,
@@ -336,5 +298,90 @@ fn context_seed_overrides_config_seed_native_dryad() {
             report.core.total_attempts,
         )
     };
-    assert_eq!(run_with_config_seed(1), run_with_config_seed(2));
+    assert_eq!(run(None), run(Some(0xd12ad)));
+}
+
+/// Every entry point checks the context up front: a malformed fault
+/// schedule or resilience policy makes the three native runtimes return
+/// `InvalidArgument` before any worker runs a task, and the three
+/// simulators panic with the same message.
+#[test]
+fn every_entry_point_rejects_a_bad_context() {
+    use ppc::chaos::FaultSchedule;
+    use ppc::core::exec::FnExecutor;
+    use ppc::core::task::{ResourceProfile, TaskSpec};
+    use ppc::resilience::ResiliencePolicy;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let cluster = Cluster::provision(BARE_HPC16, 1, 2);
+    let bad_contexts = [
+        (
+            RunContext::new(&cluster)
+                .with_schedule(Arc::new(FaultSchedule::new(1).brownout(5.0, 1.0))),
+            "fault schedule",
+        ),
+        (
+            RunContext::new(&cluster)
+                .with_resilience(ResiliencePolicy::default().with_deadline(-1.0)),
+            "deadline config",
+        ),
+    ];
+    let inputs: Vec<(TaskSpec, Vec<u8>)> = (0..4)
+        .map(|i| {
+            let spec = TaskSpec::new(i, "id", format!("f{i}"), ResourceProfile::cpu_bound(1.0));
+            (spec, vec![i as u8])
+        })
+        .collect();
+    let specs: Vec<TaskSpec> = inputs.iter().map(|(t, _)| t.clone()).collect();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = calls.clone();
+    let executor: Arc<dyn Executor> = FnExecutor::new("id", move |_s: &TaskSpec, i: &[u8]| {
+        counted.fetch_add(1, Ordering::Relaxed);
+        Ok(i.to_vec())
+    });
+
+    for (ctx, message) in &bad_contexts {
+        // Native: an error, and no task ever reached a worker.
+        let storage = StorageService::in_memory();
+        let queues = QueueService::new();
+        let job = JobSpec::new("bad", specs.clone());
+        let classic = classic_run(
+            ctx,
+            &storage,
+            &queues,
+            &job,
+            executor.clone(),
+            &ClassicConfig::default(),
+        );
+        let fs = MiniHdfs::with_defaults(1);
+        fs.create("/in/f0", b"x", None).unwrap();
+        let mr = MapReduceJob::map_only("bad", vec!["/in/f0".into()], "/out");
+        let mapper = ExecutableMapper::new("id", executor.clone());
+        let hadoop = hadoop_run(ctx, &fs, &mr, &mapper, None, &HadoopConfig::default());
+        let dryad = dryad_run(
+            ctx,
+            inputs.clone(),
+            executor.clone(),
+            &DryadConfig::default(),
+        );
+        for (name, err) in [
+            ("classic", classic.map(|_| ()).unwrap_err()),
+            ("mapreduce", hadoop.map(|_| ()).unwrap_err()),
+            ("dryad", dryad.map(|_| ()).unwrap_err()),
+        ] {
+            assert_eq!(err.code(), "InvalidArgument", "{name}: {err}");
+            assert!(err.to_string().contains(message), "{name}: {err}");
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "a worker ran a task");
+
+        // Simulated: a panic carrying the same message.
+        for engine in ppc::engines() {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.simulate(ctx, &specs)
+            }))
+            .expect_err("a bad context must panic");
+            let got = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(got.contains(message), "{}: {got}", engine.name());
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Failure-injection integration tests: every platform keeps its
 //! correctness contract while its infrastructure misbehaves.
 
-use ppc::classic::fault::FaultPlan;
+use ppc::chaos::FaultSchedule;
 use ppc::classic::spec::JobSpec;
 use ppc::classic::{run as classic_run, ClassicConfig};
 use ppc::compute::cluster::Cluster;
@@ -69,7 +69,17 @@ fn classic_survives_combined_failures() {
     let tasks: Vec<TaskSpec> = (0..n)
         .map(|i| TaskSpec::new(i, "rev", format!("f{i}"), ResourceProfile::cpu_bound(0.0)))
         .collect();
-    let job = JobSpec::new("combined", tasks).with_visibility_timeout(Duration::from_millis(30));
+    // The property under test is survival, not retry exhaustion. These
+    // dice kill a delivery with P = 1 - 0.92 * 0.95 * 0.92 ≈ 0.20, and the
+    // flaky queue and the 30-ms lease waste a few more, so about one
+    // delivery in four is lost. With the default 5 deliveries a task
+    // exhausts its budget with P ≈ 0.25^5 ≈ 1e-3, about 2% of 40-task
+    // runs, and dead-lettering it is then correct (see
+    // `poison_task_bounded_by_dead_letter`). With 12 deliveries that is
+    // P ≈ 0.25^12 ≈ 6e-8 per task.
+    let job = JobSpec::new("combined", tasks)
+        .with_visibility_timeout(Duration::from_millis(30))
+        .with_max_deliveries(12);
     storage.create_bucket(&job.input_bucket).unwrap();
     for i in 0..n {
         storage
@@ -80,20 +90,16 @@ fn classic_survives_combined_failures() {
             )
             .unwrap();
     }
+    let dice = FaultSchedule::new(3).with_death_probabilities(0.08, 0.05, 0.08);
+    let ctx = RunContext::new(&cluster)
+        .with_seed(3)
+        .with_schedule(Arc::new(dice));
     let config = ClassicConfig {
-        fault: FaultPlan::hostile(3),
+        restart_delay_ms: 1,
         queue_chaos: ChaosConfig::flaky(),
         ..ClassicConfig::default()
     };
-    let report = classic_run(
-        &RunContext::new(&cluster),
-        &storage,
-        &queues,
-        &job,
-        reverse_executor(),
-        &config,
-    )
-    .unwrap();
+    let report = classic_run(&ctx, &storage, &queues, &job, reverse_executor(), &config).unwrap();
     assert!(report.is_complete(), "failed tasks: {:?}", report.failed);
     assert_eq!(report.summary.tasks, n as usize);
     check_outputs(&storage, &job.output_bucket, n);
@@ -153,10 +159,10 @@ fn hadoop_retries_do_not_duplicate_outputs() {
     let mapper = ExecutableMapper::new("rev", reverse_executor());
     let config = HadoopConfig {
         attempt_failure_p: 0.35,
-        seed: 5,
         ..HadoopConfig::default()
     };
-    let report = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
+    let ctx = RunContext::local().with_seed(5);
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
     assert!(report.is_complete());
     assert!(report.scheduler.retries > 0);
     let outs = fs.list("/out/");

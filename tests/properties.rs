@@ -325,18 +325,15 @@ fn hedging_preserves_exactly_once_outputs() {
                 )
                 .unwrap();
         }
-        let cfg = ppc::classic::ClassicConfig {
-            schedule: Some(schedule.clone()),
-            resilience: Some(policy),
-            ..Default::default()
-        };
         let report = ppc::classic::run(
-            &RunContext::new(&cluster),
+            &RunContext::new(&cluster)
+                .with_schedule(schedule.clone())
+                .with_resilience(policy),
             &storage,
             &queues,
             &job,
             executor(),
-            &cfg,
+            &ppc::classic::ClassicConfig::default(),
         )
         .unwrap();
         assert!(report.is_complete(), "case {case}: {:?}", report.failed);
@@ -359,18 +356,15 @@ fn hedging_preserves_exactly_once_outputs() {
         }
         let mut job = MapReduceJob::map_only("prop", paths, "/out");
         job.max_attempts = 8;
-        let cfg = ppc::mapreduce::HadoopConfig {
-            schedule: Some(schedule.clone()),
-            resilience: Some(policy),
-            ..Default::default()
-        };
         let report = ppc::mapreduce::run(
-            &RunContext::local(),
+            &RunContext::local()
+                .with_schedule(schedule.clone())
+                .with_resilience(policy),
             &fs,
             &job,
             &ExecutableMapper::new("rev", executor()),
             None,
-            &cfg,
+            &ppc::mapreduce::HadoopConfig::default(),
         )
         .unwrap();
         assert!(report.is_complete(), "case {case}: {:?}", report.failed);
@@ -389,13 +383,11 @@ fn hedging_preserves_exactly_once_outputs() {
                 (s, p)
             })
             .collect();
-        let cfg = ppc::dryad::DryadConfig {
-            schedule: Some(schedule.clone()),
-            resilience: Some(policy),
-            ..Default::default()
-        };
-        let (report, outputs) =
-            ppc::dryad::run(&RunContext::new(&cluster), inputs, executor(), &cfg).unwrap();
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(schedule.clone())
+            .with_resilience(policy);
+        let cfg = ppc::dryad::DryadConfig::default();
+        let (report, outputs) = ppc::dryad::run(&ctx, inputs, executor(), &cfg).unwrap();
         assert_eq!(report.vertex_failures, 0, "case {case}");
         let got: BTreeMap<String, Vec<u8>> = outputs.into_iter().collect();
         assert_eq!(got, expected, "dryad case {case}");

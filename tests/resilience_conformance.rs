@@ -36,7 +36,7 @@ use ppc::queue::service::QueueService;
 use ppc::resilience::{HedgeConfig, QuarantineConfig, ResiliencePolicy};
 use ppc::storage::latency::LatencyModel;
 use ppc::storage::service::StorageService;
-use ppc::trace::{EventKind, Recorder, Trace, JOB_TASK};
+use ppc::trace::{EventKind, Recorder, Trace, TraceSink, JOB_TASK};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -156,11 +156,12 @@ fn classic_sim_hedged_p99_beats_unhedged() {
         storage_latency: LatencyModel::FREE,
         queue_latency: LatencyModel::FREE,
         jitter_sigma: 0.0,
-        trace: true,
         ..SimConfig::ec2()
     };
     let run = |policy: Option<ResiliencePolicy>| {
-        let mut ctx = RunContext::new(&cluster).with_schedule(gray(30.0));
+        let mut ctx = RunContext::new(&cluster)
+            .with_schedule(gray(30.0))
+            .with_trace(true);
         if let Some(p) = policy {
             ctx = ctx.with_resilience(p);
         }
@@ -184,19 +185,14 @@ fn mapreduce_sim_hedged_p99_beats_unhedged() {
     let cfg = HadoopSimConfig {
         straggler_p: 0.0,
         jitter_sigma: 0.0,
-        trace: true,
         ..Default::default()
     };
     let run = |policy: ResiliencePolicy| {
-        let cfg = HadoopSimConfig {
-            resilience: Some(policy),
-            ..cfg
-        };
-        hadoop_simulate(
-            &RunContext::new(&cluster).with_schedule(gray(30.0)),
-            &tasks,
-            &cfg,
-        )
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(gray(30.0))
+            .with_trace(true)
+            .with_resilience(policy);
+        hadoop_simulate(&ctx, &tasks, &cfg)
     };
     // An explicit empty policy disables legacy speculation, isolating the
     // hedge as the only difference between the two runs.
@@ -217,19 +213,16 @@ fn dryad_sim_hedged_p99_beats_unhedged() {
     let tasks = sim_tasks(64);
     let cfg = DryadSimConfig {
         jitter_sigma: 0.0,
-        trace: true,
         ..Default::default()
     };
     let run = |policy: Option<ResiliencePolicy>| {
-        let cfg = DryadSimConfig {
-            resilience: policy,
-            ..cfg
-        };
-        dryad_simulate(
-            &RunContext::new(&cluster).with_schedule(gray(30.0)),
-            &tasks,
-            &cfg,
-        )
+        let mut ctx = RunContext::new(&cluster)
+            .with_schedule(gray(30.0))
+            .with_trace(true);
+        if let Some(p) = policy {
+            ctx = ctx.with_resilience(p);
+        }
+        dryad_simulate(&ctx, &tasks, &cfg)
     };
     let unhedged = run(None);
     let hedged = run(Some(hedged_policy(30.0)));
@@ -247,52 +240,25 @@ fn defended_sims_replay_deterministically() {
     let policy = full_policy(30.0, 200.0);
     let cluster = Cluster::provision(EC2_HCXL, 1, 8);
     let tasks = sim_tasks(64);
-    let cfg = SimConfig {
-        trace: true,
-        ..SimConfig::ec2()
+    let defended = |cluster: &Cluster| {
+        RunContext::new(cluster)
+            .with_schedule(gray(30.0))
+            .with_resilience(policy)
+            .with_trace(true)
     };
-    let run = || {
-        classic_simulate(
-            &RunContext::new(&cluster)
-                .with_schedule(gray(30.0))
-                .with_resilience(policy),
-            &tasks,
-            &cfg,
-        )
-    };
+    let ctx = defended(&cluster);
+    let run = || classic_simulate(&ctx, &tasks, &SimConfig::ec2());
     let (a, b) = (run(), run());
     assert_eq!(a.summary.makespan_seconds, b.summary.makespan_seconds);
     assert_eq!(a.total_attempts, b.total_attempts);
 
-    let cluster = Cluster::provision(BARE_CAP3, 1, 8);
-    let cfg = HadoopSimConfig {
-        resilience: Some(policy),
-        trace: true,
-        ..Default::default()
-    };
-    let run = || {
-        hadoop_simulate(
-            &RunContext::new(&cluster).with_schedule(gray(30.0)),
-            &tasks,
-            &cfg,
-        )
-    };
+    let ctx = defended(&Cluster::provision(BARE_CAP3, 1, 8));
+    let run = || hadoop_simulate(&ctx, &tasks, &HadoopSimConfig::default());
     let (a, b) = (run(), run());
     assert_eq!(a.summary.makespan_seconds, b.summary.makespan_seconds);
     assert_eq!(a.total_attempts, b.total_attempts);
 
-    let cfg = DryadSimConfig {
-        resilience: Some(policy),
-        trace: true,
-        ..Default::default()
-    };
-    let run = || {
-        dryad_simulate(
-            &RunContext::new(&cluster).with_schedule(gray(30.0)),
-            &tasks,
-            &cfg,
-        )
-    };
+    let run = || dryad_simulate(&ctx, &tasks, &DryadSimConfig::default());
     let (a, b) = (run(), run());
     assert_eq!(a.summary.makespan_seconds, b.summary.makespan_seconds);
     assert_eq!(a.total_attempts, b.total_attempts);
@@ -304,6 +270,21 @@ struct NativeRun {
     outputs: BTreeMap<String, Vec<u8>>,
     trace: Trace,
     total_attempts: usize,
+}
+
+/// `base` under `schedule` and `policy`, recording spans.
+fn native_ctx(
+    base: RunContext,
+    schedule: Option<Arc<FaultSchedule>>,
+    policy: Option<ResiliencePolicy>,
+) -> RunContext {
+    let ctx = base
+        .with_schedule(schedule)
+        .with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>);
+    match policy {
+        Some(p) => ctx.with_resilience(p),
+        None => ctx,
+    }
 }
 
 fn classic_native(
@@ -322,19 +303,13 @@ fn classic_native(
             .put(&job.input_bucket, &format!("f{i}"), payload(i))
             .unwrap();
     }
-    let config = ClassicConfig {
-        schedule: schedule.clone(),
-        trace: Some(Arc::new(Recorder::new())),
-        resilience: policy,
-        ..ClassicConfig::default()
-    };
     let report = classic_run(
-        &RunContext::new(&cluster),
+        &native_ctx(RunContext::new(&cluster), schedule, policy),
         &storage,
         &queues,
         &job,
         reverse_executor(),
-        &config,
+        &ClassicConfig::default(),
     )
     .unwrap();
     assert!(report.is_complete(), "failed: {:?}", report.failed);
@@ -366,13 +341,8 @@ fn mapreduce_native(
     let mut job = MapReduceJob::map_only("resil", paths, "/out");
     job.max_attempts = 8;
     let mapper = ExecutableMapper::new("rev", reverse_executor());
-    let config = HadoopConfig {
-        schedule,
-        trace: Some(Arc::new(Recorder::new())),
-        resilience: policy,
-        ..HadoopConfig::default()
-    };
-    let report = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
+    let ctx = native_ctx(RunContext::local(), schedule, policy);
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     let outputs = expected_outputs()
         .keys()
@@ -395,17 +365,11 @@ fn dryad_native(
         .map(|s| (payload(s.id.0), s))
         .map(|(p, s)| (s, p))
         .collect();
-    let config = DryadConfig {
-        schedule,
-        trace: Some(Arc::new(Recorder::new())),
-        resilience: policy,
-        ..Default::default()
-    };
     let (report, outputs) = dryad_run(
-        &RunContext::new(&cluster),
+        &native_ctx(RunContext::new(&cluster), schedule, policy),
         inputs,
         reverse_executor(),
-        &config,
+        &DryadConfig::default(),
     )
     .unwrap();
     assert_eq!(

@@ -121,10 +121,10 @@ fn hadoop_sim_predicts_native_makespan() {
     // Speculation off in both engines: an empty resilience policy.
     let config = HadoopConfig {
         slots_per_node: 3,
-        resilience: Some(ResiliencePolicy::default()),
         ..HadoopConfig::default()
     };
-    let native = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
+    let ctx = RunContext::local().with_resilience(ResiliencePolicy::default());
+    let native = hadoop_run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
 
     // --- simulated twin (no dispatch overhead, free IO, BARE_CAP3 runs at
     // the 2.5 GHz reference clock so cpu_seconds_ref maps 1:1) ---
@@ -135,10 +135,10 @@ fn hadoop_sim_predicts_native_makespan() {
         local_read: LatencyModel::FREE,
         remote_read: LatencyModel::FREE,
         jitter_sigma: 0.0,
-        resilience: Some(ResiliencePolicy::default()),
         ..HadoopSimConfig::default()
     };
-    let simulated = hadoop_sim(&RunContext::new(&cluster), &sim_tasks, &cfg);
+    let ctx = RunContext::new(&cluster).with_resilience(ResiliencePolicy::default());
+    let simulated = hadoop_sim(&ctx, &sim_tasks, &cfg);
 
     // Ideal: 24 tasks / 6 slots x 20 ms = 80 ms.
     let ideal = n_tasks as f64 / 6.0 * sleep_s;
@@ -650,7 +650,7 @@ fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
             TaskSpec::new(t, "grid", format!("f{t}"), ResourceProfile::cpu_bound(secs))
         })
         .collect();
-    let mut cfg = HadoopSimConfig {
+    let cfg = HadoopSimConfig {
         dispatch_overhead_s: grid(&mut rng, 0, 2),
         local_read: LatencyModel::FREE,
         remote_read: LatencyModel::FREE,
@@ -708,7 +708,6 @@ fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
                 .with_deadline(grid(&mut rng, 2, 16)),
         );
     }
-    cfg.resilience = policy;
     let schedule = match rng.next_below(3) {
         0 => None,
         _ => {
@@ -735,10 +734,13 @@ fn tie_heavy_mapreduce_run(i: u64) -> ppc::mapreduce::MapReduceReport {
             Some(Arc::new(s))
         }
     };
-    let ctx = RunContext::new(&cluster)
+    let mut ctx = RunContext::new(&cluster)
         .with_seed(i)
         .with_trace(true)
         .with_schedule(schedule);
+    if let Some(p) = policy {
+        ctx = ctx.with_resilience(p);
+    }
     ppc::mapreduce::simulate(&ctx, &tasks, &cfg)
 }
 

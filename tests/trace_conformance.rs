@@ -37,7 +37,7 @@ use ppc::mapreduce::{run as hadoop_run, HadoopConfig};
 use ppc::mapreduce::{simulate as hadoop_simulate, HadoopSimConfig};
 use ppc::queue::service::QueueService;
 use ppc::storage::service::StorageService;
-use ppc::trace::{EventKind, Recorder, Trace};
+use ppc::trace::{EventKind, Recorder, Trace, TraceSink};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,6 +54,11 @@ fn chaos_seed() -> u64 {
 
 fn hostile() -> Arc<FaultSchedule> {
     Arc::new(FaultSchedule::hostile(chaos_seed()))
+}
+
+/// `ctx` recording a native run's spans.
+fn recorded(ctx: RunContext) -> RunContext {
+    ctx.with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>)
 }
 
 fn reverse_executor() -> Arc<dyn Executor> {
@@ -169,18 +174,13 @@ fn classic_native_trace_conforms() {
             )
             .unwrap();
     }
-    let config = ClassicConfig {
-        schedule: Some(hostile()),
-        trace: Some(Arc::new(Recorder::new())),
-        ..ClassicConfig::default()
-    };
     let report = classic_run(
-        &RunContext::new(&cluster),
+        &recorded(RunContext::new(&cluster).with_schedule(hostile())),
         &storage,
         &queues,
         &job,
         reverse_executor(),
-        &config,
+        &ClassicConfig::default(),
     )
     .unwrap();
     assert!(report.is_complete(), "failed: {:?}", report.failed);
@@ -202,10 +202,11 @@ fn classic_native_trace_conforms() {
 fn classic_sim_trace_conforms() {
     let cluster = Cluster::provision(EC2_HCXL, 4, 8);
     let tasks = sim_tasks(64);
-    let mut cfg = SimConfig::ec2().with_failures(0.0, 60.0);
-    cfg.trace = true;
+    let cfg = SimConfig::ec2().with_failures(0.0, 60.0);
     let report = classic_simulate(
-        &RunContext::new(&cluster).with_schedule(hostile()),
+        &RunContext::new(&cluster)
+            .with_schedule(hostile())
+            .with_trace(true),
         &tasks,
         &cfg,
     );
@@ -227,12 +228,8 @@ fn hadoop_native_trace_conforms() {
     let mut job = MapReduceJob::map_only("trace-conform", paths, "/out");
     job.max_attempts = 8;
     let mapper = ExecutableMapper::new("rev", reverse_executor());
-    let config = HadoopConfig {
-        schedule: Some(hostile()),
-        trace: Some(Arc::new(Recorder::new())),
-        ..HadoopConfig::default()
-    };
-    let report = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
+    let ctx = recorded(RunContext::local().with_schedule(hostile()));
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
     assert!(report.is_complete(), "failed: {:?}", report.failed);
 
     let trace = report.trace.as_ref().expect("trace recorded");
@@ -245,14 +242,12 @@ fn hadoop_native_trace_conforms() {
 fn hadoop_sim_trace_conforms() {
     let cluster = Cluster::provision(BARE_CAP3, 4, 8);
     let tasks = sim_tasks(64);
-    let cfg = HadoopSimConfig {
-        trace: true,
-        ..HadoopSimConfig::default()
-    };
     let report = hadoop_simulate(
-        &RunContext::new(&cluster).with_schedule(hostile()),
+        &RunContext::new(&cluster)
+            .with_schedule(hostile())
+            .with_trace(true),
         &tasks,
-        &cfg,
+        &HadoopSimConfig::default(),
     );
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     let trace = report.trace.as_ref().expect("trace recorded");
@@ -271,15 +266,11 @@ fn dryad_native_trace_conforms() {
             )
         })
         .collect();
-    let config = DryadConfig {
-        trace: Some(Arc::new(Recorder::new())),
-        ..DryadConfig::default()
-    };
     let (report, outputs) = dryad_run(
-        &RunContext::new(&cluster).with_schedule(hostile()),
+        &recorded(RunContext::new(&cluster).with_schedule(hostile())),
         inputs,
         reverse_executor(),
-        &config,
+        &DryadConfig::default(),
     )
     .unwrap();
     assert_eq!(outputs.len(), N_TASKS as usize);
@@ -292,14 +283,12 @@ fn dryad_native_trace_conforms() {
 fn dryad_sim_trace_conforms() {
     let cluster = Cluster::provision(BARE_CAP3, 4, 8);
     let tasks = sim_tasks(64);
-    let cfg = DryadSimConfig {
-        trace: true,
-        ..DryadSimConfig::default()
-    };
     let report = dryad_simulate(
-        &RunContext::new(&cluster).with_schedule(hostile()),
+        &RunContext::new(&cluster)
+            .with_schedule(hostile())
+            .with_trace(true),
         &tasks,
-        &cfg,
+        &DryadSimConfig::default(),
     );
     assert_eq!(report.vertex_failures, 0);
     let trace = report.trace.as_ref().expect("trace recorded");

@@ -26,7 +26,7 @@ use ppc::mapreduce::{run as hadoop_run, HadoopConfig};
 use ppc::mapreduce::{simulate as hadoop_simulate, HadoopSimConfig};
 use ppc::queue::service::QueueService;
 use ppc::storage::service::StorageService;
-use ppc::trace::{OverheadReport, Phase, Recorder, Trace};
+use ppc::trace::{OverheadReport, Phase, Recorder, Trace, TraceSink};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -43,6 +43,11 @@ fn cap3_executor() -> Arc<dyn Executor> {
 }
 
 /// The sim side of the same workload: small Cap3 reads, modeled compute.
+/// `ctx` recording a native run's spans.
+fn recorded(ctx: RunContext) -> RunContext {
+    ctx.with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>)
+}
+
 fn cap3_sim_tasks() -> Vec<TaskSpec> {
     (0..N_TASKS)
         .map(|i| {
@@ -116,26 +121,22 @@ fn classic_native_and_sim_speak_the_same_trace_language() {
             .put(&job.input_bucket, &format!("f{i}.fa"), vec![b'A'; 512])
             .unwrap();
     }
-    let config = ClassicConfig {
-        trace: Some(Arc::new(Recorder::new())),
-        ..ClassicConfig::default()
-    };
     let native = classic_run(
-        &RunContext::new(&cluster),
+        &recorded(RunContext::new(&cluster)),
         &storage,
         &queues,
         &job,
         cap3_executor(),
-        &config,
+        &ClassicConfig::default(),
     )
     .unwrap();
     assert!(native.is_complete());
 
     // Simulated run of the same shape.
     let cluster = Cluster::provision(EC2_HCXL, 2, 2);
-    let mut cfg = SimConfig::ec2().with_app(AppModel::cap3());
-    cfg.trace = true;
-    let sim = classic_simulate(&RunContext::new(&cluster), &cap3_sim_tasks(), &cfg);
+    let cfg = SimConfig::ec2().with_app(AppModel::cap3());
+    let ctx = RunContext::new(&cluster).with_trace(true);
+    let sim = classic_simulate(&ctx, &cap3_sim_tasks(), &cfg);
     assert!(sim.is_complete());
 
     assert_parity(native.trace.as_ref().unwrap(), sim.trace.as_ref().unwrap());
@@ -152,20 +153,17 @@ fn hadoop_native_and_sim_speak_the_same_trace_language() {
     }
     let job = MapReduceJob::map_only("cap3-parity", paths, "/out");
     let mapper = ExecutableMapper::new("cap3", cap3_executor());
-    let config = HadoopConfig {
-        trace: Some(Arc::new(Recorder::new())),
-        ..HadoopConfig::default()
-    };
-    let native = hadoop_run(&RunContext::local(), &fs, &job, &mapper, None, &config).unwrap();
+    let ctx = recorded(RunContext::local());
+    let native = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
     assert!(native.is_complete());
 
     let cluster = Cluster::provision(BARE_CAP3, 2, 2);
     let cfg = HadoopSimConfig {
         app: AppModel::cap3(),
-        trace: true,
         ..HadoopSimConfig::default()
     };
-    let sim = hadoop_simulate(&RunContext::new(&cluster), &cap3_sim_tasks(), &cfg);
+    let ctx = RunContext::new(&cluster).with_trace(true);
+    let sim = hadoop_simulate(&ctx, &cap3_sim_tasks(), &cfg);
     assert!(sim.is_complete());
 
     assert_parity(native.trace.as_ref().unwrap(), sim.trace.as_ref().unwrap());
@@ -187,21 +185,18 @@ fn dryad_native_and_sim_speak_the_same_trace_language() {
             )
         })
         .collect();
-    let config = DryadConfig {
-        trace: Some(Arc::new(Recorder::new())),
-        ..DryadConfig::default()
-    };
+    let ctx = recorded(RunContext::new(&cluster));
     let (native, outputs) =
-        dryad_run(&RunContext::new(&cluster), inputs, cap3_executor(), &config).unwrap();
+        dryad_run(&ctx, inputs, cap3_executor(), &DryadConfig::default()).unwrap();
     assert_eq!(outputs.len(), N_TASKS as usize);
 
     let cluster = Cluster::provision(BARE_CAP3, 2, 2);
     let cfg = DryadSimConfig {
         app: AppModel::cap3(),
-        trace: true,
         ..DryadSimConfig::default()
     };
-    let sim = dryad_simulate(&RunContext::new(&cluster), &cap3_sim_tasks(), &cfg);
+    let ctx = RunContext::new(&cluster).with_trace(true);
+    let sim = dryad_simulate(&ctx, &cap3_sim_tasks(), &cfg);
 
     assert_parity(native.trace.as_ref().unwrap(), sim.trace.as_ref().unwrap());
 }
