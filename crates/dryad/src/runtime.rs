@@ -33,10 +33,6 @@ pub struct DryadConfig {
     pub max_retries: u32,
 }
 
-/// Seed of the per-slot retry-backoff RNG streams when the context sets
-/// none.
-const DEFAULT_SEED: u64 = 0xd12ad;
-
 impl Default for DryadConfig {
     fn default() -> Self {
         DryadConfig {
@@ -117,28 +113,32 @@ pub use ppc_exec::JobOutputs;
 /// statically partitioned round-robin across its nodes. Returns the
 /// report and the outputs (output key → bytes), in completion order.
 ///
-/// The context's fault schedule addresses workers by flat slot index
-/// (node-major). A scheduled kill takes a vertex slot down: its in-hand
-/// vertex goes back on the node's local list for a surviving slot —
-/// re-execution never crosses nodes, which is exactly DryadLINQ's
-/// static-partitioning constraint. Death dice and torn outputs fail a
-/// single vertex attempt, recovered by the shared retry layer. A vertex's
-/// dice are addressed by its place in a round-robin deal of its node's
-/// partition over the node's slots (the `k`-th vertex is slot
-/// `k % slots`'s `k / slots`-th task), not by the slot that happens to
-/// take it, so which vertices fail does not depend on thread timing.
-/// Cloud-storage outage windows do *not* apply: Dryad reads node-local
-/// files (the paper's Windows shared directories).
+/// Every slot runs one vertex lifecycle. A failed attempt (a death die or
+/// a torn output) is re-run in place, on the same slot, by the shared
+/// retry layer. The context's fault schedule addresses workers by flat
+/// slot index (node-major); a scheduled kill takes a vertex slot down and
+/// its in-hand vertex goes back on the node's local list for a surviving
+/// slot — re-execution never crosses nodes, which is exactly DryadLINQ's
+/// static-partitioning constraint. So a node whose every slot dies fails
+/// whatever is left on its list. A vertex's dice are addressed by its
+/// place in a round-robin deal of its node's partition over the node's
+/// slots (the `k`-th vertex is slot `k % slots`'s `k / slots`-th task),
+/// not by the slot that happens to take it, so which vertices fail does
+/// not depend on thread timing. Cloud-storage outage windows do *not*
+/// apply: Dryad reads node-local files (the paper's Windows shared
+/// directories).
 ///
 /// The context's policy is the defense. With a hedge or deadline config,
 /// idle vertex slots launch *backup vertices* for running stragglers on
 /// their own node; the first Ok attempt wins and losers count as
 /// redundant executions. With a quarantine config, gray slots are benched
-/// off the local work list.
+/// off the local work list. The makespan is the time the last vertex
+/// settled: a killed loser may still be draining past it.
 ///
 /// A malformed context schedule or policy is an `InvalidArgument` error,
-/// returned before any thread starts. Without a context seed the run uses
-/// seed `0xd12ad`.
+/// returned before any thread starts. Native Dryad takes no context seed:
+/// its fault dice come from the schedule's own seed, and its in-slot
+/// re-runs never back off.
 pub fn run(
     ctx: &RunContext,
     inputs: Vec<(TaskSpec, Vec<u8>)>,
@@ -165,121 +165,89 @@ pub fn run(
         })
         .collect();
 
-    let outputs: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
-    let failures = AtomicUsize::new(0);
-    let failed_ids: Mutex<Vec<TaskId>> = Mutex::new(Vec::new());
-    let retries = AtomicUsize::new(0);
-    let attempts_total = AtomicUsize::new(0);
-    let deaths = AtomicUsize::new(0);
-    let first_error: Mutex<Option<PpcError>> = Mutex::new(None);
-    let per_node: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n_nodes]);
-    let total_bytes = AtomicUsize::new(0);
-    let redundant = AtomicUsize::new(0);
-    let chaos = ctx.schedule.as_deref();
+    // An unset policy runs the same lifecycle with every defense off.
+    let policy = ctx.resilience.unwrap_or_default();
     let sink = ctx.sink.as_deref().filter(|s| s.enabled());
-    let clock = RunClock::start();
-
-    // Cluster-wide defense state: one hedge policy and one health tracker
-    // shared by every node, so latency observations feed a single quantile
-    // even though backup vertices themselves never cross nodes.
-    let hedge_state = ctx
-        .resilience
-        .and_then(|p| p.hedge)
-        .map(|cfg| Mutex::new(HedgePolicy::new(cfg)));
-    let health_state = ctx
-        .resilience
-        .and_then(|p| p.quarantine)
-        .map(|cfg| Mutex::new(HealthTracker::new(cfg)));
-
-    let slot_ctx = SlotCtx {
+    let shared = SlotCtx {
         executor: &executor,
         sink,
-        chaos,
-        clock: &clock,
+        chaos: ctx.schedule.as_deref(),
+        clock: RunClock::start(),
         config,
-        seed: ctx.seed.unwrap_or(DEFAULT_SEED),
-        outputs: &outputs,
-        failures: &failures,
-        failed_ids: &failed_ids,
-        retries: &retries,
-        attempts_total: &attempts_total,
-        deaths: &deaths,
-        first_error: &first_error,
-        total_bytes: &total_bytes,
-    };
-    let finished_s = Mutex::new(0f64);
-    let defense = ctx.resilience.map(|policy| Defense {
         policy,
-        hedge: hedge_state.as_ref(),
-        health: health_state.as_ref(),
-        redundant: &redundant,
-        finished_s: &finished_s,
+        hedge: policy.hedge.map(|cfg| Mutex::new(HedgePolicy::new(cfg))),
+        health: policy
+            .quarantine
+            .map(|cfg| Mutex::new(HealthTracker::new(cfg))),
         n_tasks,
-    });
+        outputs: Mutex::new(Vec::new()),
+        failures: AtomicUsize::new(0),
+        failed_ids: Mutex::new(Vec::new()),
+        retries: AtomicUsize::new(0),
+        attempts_total: AtomicUsize::new(0),
+        deaths: AtomicUsize::new(0),
+        redundant: AtomicUsize::new(0),
+        first_error: Mutex::new(None),
+        finished_s: Mutex::new(0.0),
+    };
+    let per_node: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n_nodes]);
 
-    let start = Instant::now();
     std::thread::scope(|scope| {
         for (node, node_inputs) in partitions.into_iter().enumerate() {
             let workers = cluster.nodes()[node].workers;
             let node_base = node_bases[node];
-            let ctx = &slot_ctx;
-            let defense = defense.as_ref();
+            let ctx = &shared;
             let per_node = &per_node;
             scope.spawn(move || {
                 let node_start = Instant::now();
-                let node_defense = defense.map(|_| NodeDefense {
-                    registry: Mutex::new(HashMap::new()),
-                    done: Mutex::new(HashSet::new()),
-                    remaining: AtomicUsize::new(node_inputs.len()),
-                });
                 // Within the node, vertices share a local work list; each
                 // carries its chaos-dice address from the round-robin deal.
                 let slots = workers.max(1);
-                let local: Mutex<VecDeque<LocalVertex>> = Mutex::new(
-                    node_inputs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, (spec, input))| {
-                            let dice = ((node_base + k % slots) as u32, (k / slots) as u32);
-                            (spec, input, dice)
-                        })
-                        .collect(),
-                );
+                let state = NodeState {
+                    remaining: AtomicUsize::new(node_inputs.len()),
+                    local: Mutex::new(
+                        node_inputs
+                            .into_iter()
+                            .enumerate()
+                            .map(|(k, vertex)| {
+                                let dice = ((node_base + k % slots) as u32, (k / slots) as u32);
+                                (Arc::new(vertex), dice)
+                            })
+                            .collect(),
+                    ),
+                    registry: Mutex::new(HashMap::new()),
+                    done: Mutex::new(HashSet::new()),
+                };
                 std::thread::scope(|inner| {
                     for slot in 0..workers {
-                        let local = &local;
-                        let node_defense = node_defense.as_ref();
-                        let worker = (node_base + slot) as u32;
-                        inner.spawn(move || match (defense, node_defense) {
-                            (Some(d), Some(nd)) => defended_slot_loop(ctx, d, nd, local, worker),
-                            _ => legacy_slot_loop(ctx, local, worker),
-                        });
+                        let state = &state;
+                        inner.spawn(move || slot_loop(ctx, state, (node_base + slot) as u32));
                     }
                 });
+                // Every slot of this node is dead: the vertices left on
+                // its list have nowhere to run.
+                for (vertex, _) in std::mem::take(&mut *state.local.lock().unwrap()) {
+                    let err = PpcError::TaskFailed(format!(
+                        "vertex {}: every slot on node {node} died",
+                        vertex.0.id.0
+                    ));
+                    ctx.fail_vertex(&state, &vertex.0, err);
+                }
                 per_node.lock().unwrap()[node] = node_start.elapsed().as_secs_f64();
             });
         }
     });
-    // Under a defense policy the job is done when its last vertex settles;
-    // losing duplicate threads may still be draining past that point and
-    // must not count against the makespan.
-    let makespan = match defense {
-        Some(_) => {
-            let settled = *finished_s.lock().unwrap();
-            if settled > 0.0 {
-                settled
-            } else {
-                start.elapsed().as_secs_f64()
-            }
-        }
-        None => start.elapsed().as_secs_f64(),
-    };
+    let makespan = *shared.finished_s.lock().unwrap();
 
-    let vertex_failures = failures.load(Ordering::Relaxed);
+    let vertex_failures = shared.failures.load(Ordering::Relaxed);
     if config.fail_fast && vertex_failures > 0 {
-        return Err(first_error.into_inner().unwrap().expect("failure recorded"));
+        return Err(shared
+            .first_error
+            .into_inner()
+            .unwrap()
+            .expect("failure recorded"));
     }
-    let outputs = outputs.into_inner().unwrap();
+    let outputs = shared.outputs.into_inner().unwrap();
     // The meta carries the *same* f64 makespan the summary reports, so
     // Eq. 1 recomputed from the trace matches the engine exactly.
     let trace = sink.and_then(|s| {
@@ -292,7 +260,6 @@ pub fn run(
         s.span(Span::job(makespan));
         s.snapshot()
     });
-    let vertex_retries = retries.load(Ordering::Relaxed);
     let report = DryadReport {
         core: RunReport {
             summary: RunSummary {
@@ -300,66 +267,65 @@ pub fn run(
                 cores: cluster.total_workers(),
                 tasks: outputs.len(),
                 makespan_seconds: makespan,
-                redundant_executions: redundant.load(Ordering::Relaxed),
+                redundant_executions: shared.redundant.load(Ordering::Relaxed),
                 remote_bytes: 0, // node-local files only
             },
-            failed: failed_ids.into_inner().unwrap(),
-            total_attempts: attempts_total.load(Ordering::Relaxed),
-            worker_deaths: deaths.load(Ordering::Relaxed),
+            failed: shared.failed_ids.into_inner().unwrap(),
+            total_attempts: shared.attempts_total.load(Ordering::Relaxed),
+            worker_deaths: shared.deaths.load(Ordering::Relaxed),
             cost: Some(cluster.cost(makespan)),
             trace,
         },
         per_node_seconds: per_node.into_inner().unwrap(),
         vertex_failures,
-        vertex_retries,
+        vertex_retries: shared.retries.load(Ordering::Relaxed),
     };
     Ok((report, outputs))
 }
 
-/// A vertex on its node's local work list: spec, input, and the
-/// `(worker, task_seq)` its first attempt rolls the chaos dice at.
-type LocalVertex = (TaskSpec, Vec<u8>, (u32, u32));
+/// A vertex's spec and node-local input, shared by the local list, the
+/// running-vertex registry and every attempt without copying the input.
+type Vertex = Arc<(TaskSpec, Vec<u8>)>;
 
-/// Everything a vertex slot touches, shared across every node's slots.
+/// A vertex on its node's local work list, with the `(worker, task_seq)`
+/// its first attempt rolls the chaos dice at.
+type LocalVertex = (Vertex, (u32, u32));
+
+/// Everything a vertex slot touches, shared across every node's slots:
+/// the run's inputs, its defense state and its tallies.
 struct SlotCtx<'a> {
     executor: &'a Arc<dyn Executor>,
     sink: Option<&'a dyn TraceSink>,
     chaos: Option<&'a FaultSchedule>,
-    clock: &'a RunClock,
+    clock: RunClock,
     config: &'a DryadConfig,
-    /// The context's seed, else [`DEFAULT_SEED`].
-    seed: u64,
-    outputs: &'a Mutex<Vec<(String, Vec<u8>)>>,
-    failures: &'a AtomicUsize,
-    failed_ids: &'a Mutex<Vec<TaskId>>,
-    retries: &'a AtomicUsize,
-    attempts_total: &'a AtomicUsize,
-    deaths: &'a AtomicUsize,
-    first_error: &'a Mutex<Option<PpcError>>,
-    total_bytes: &'a AtomicUsize,
-}
-
-/// Cluster-wide defense state shared by every node when a
-/// [`ResiliencePolicy`] is configured.
-struct Defense<'a> {
     policy: ResiliencePolicy,
-    hedge: Option<&'a Mutex<HedgePolicy>>,
-    health: Option<&'a Mutex<HealthTracker>>,
-    redundant: &'a AtomicUsize,
+    /// Cluster-wide defense state: one hedge policy and one health tracker
+    /// shared by every node, so latency observations feed a single
+    /// quantile even though backup vertices never cross nodes.
+    hedge: Option<Mutex<HedgePolicy>>,
+    health: Option<Mutex<HealthTracker>>,
+    n_tasks: usize,
+    outputs: Mutex<Vec<(String, Vec<u8>)>>,
+    failures: AtomicUsize,
+    failed_ids: Mutex<Vec<TaskId>>,
+    retries: AtomicUsize,
+    attempts_total: AtomicUsize,
+    deaths: AtomicUsize,
+    redundant: AtomicUsize,
+    first_error: Mutex<Option<PpcError>>,
     /// Clock time the last vertex settled (committed or permanently
     /// failed). A killed loser only stops at its executor's next
     /// cancellation check (never, for an executor that does not override
-    /// `run_cancellable`), so the defended report's makespan is this settle
-    /// time, not the join time.
-    finished_s: &'a Mutex<f64>,
-    n_tasks: usize,
+    /// `run_cancellable`), so the report's makespan is this settle time,
+    /// not the join time.
+    finished_s: Mutex<f64>,
 }
 
 /// A vertex some slot on this node is currently running, visible to the
 /// node's other slots as a backup candidate.
 struct RunningVertex {
-    spec: TaskSpec,
-    input: Vec<u8>,
+    vertex: Vertex,
     started_s: f64,
     /// Attempts (original + backups) still in flight.
     live: u32,
@@ -374,10 +340,11 @@ struct RunningVertex {
     next_attempt: u32,
 }
 
-/// Per-node defense state: the running-vertex registry idle slots scan for
-/// backup candidates, the first-result-wins commit set, and the count of
-/// vertices not yet committed or permanently failed.
-struct NodeDefense {
+/// Per-node state: the local work list, the running-vertex registry idle
+/// slots scan for backup candidates, the first-result-wins commit set, and
+/// the count of vertices not yet committed or permanently failed.
+struct NodeState {
+    local: Mutex<VecDeque<LocalVertex>>,
     registry: Mutex<HashMap<u64, RunningVertex>>,
     done: Mutex<HashSet<u64>>,
     remaining: AtomicUsize,
@@ -386,7 +353,7 @@ struct NodeDefense {
 /// What an idle slot found while scanning the node's registry.
 enum Backup {
     /// Run this backup attempt under its cancel token.
-    Run(TaskSpec, Vec<u8>, u32, Cancel),
+    Run(Vertex, u32, Cancel),
     /// Nothing eligible yet, but vertices are still outstanding.
     Wait,
     /// The node's partition is fully settled.
@@ -482,94 +449,16 @@ fn killed(e: &PpcError) -> bool {
     matches!(e, PpcError::Cancelled(_))
 }
 
-/// The legacy slot loop: pull vertices off the node's local list until it
-/// drains. Exactly the pre-resilience behavior — the `None` policy path.
-fn legacy_slot_loop(ctx: &SlotCtx, local: &Mutex<VecDeque<LocalVertex>>, worker: u32) {
-    if let Some(s) = ctx.sink {
-        s.event(TraceEvent {
-            at_s: ctx.clock.now_s(),
-            worker,
-            kind: EventKind::WorkerStart,
-        });
-    }
-    // Re-execute a failed vertex (Table 3's Dryad fault tolerance) through
-    // the shared retry layer before declaring it failed.
-    let policy = RetryPolicy::immediate(ctx.config.max_retries + 1);
-    let mut rng = Pcg32::for_stream(ctx.seed, worker as u64);
-    let mut last_kill_s: f64 = 0.0;
-    loop {
-        let item = local.lock().unwrap().pop_front();
-        let (spec, input, dice) = match item {
-            Some(x) => x,
-            None => break,
-        };
-        if let Some(schedule) = ctx.chaos {
-            let now_s = ctx.clock.now_s();
-            if schedule.kills_in(worker, last_kill_s, now_s) {
-                // Slot dies: hand the vertex back to a surviving slot on
-                // this node.
-                ctx.deaths.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = ctx.sink {
-                    s.event(TraceEvent {
-                        at_s: now_s,
-                        worker,
-                        kind: EventKind::Death,
-                    });
-                }
-                local.lock().unwrap().push_front((spec, input, dice));
-                break;
-            }
-            last_kill_s = now_s;
-        }
-        let mut used_attempts = 0u32;
-        let out = policy.run_blocking(&mut rng, |attempt| {
-            used_attempts = attempt;
-            vertex_attempt(
-                ctx,
-                &spec,
-                &input,
-                worker,
-                attempt,
-                (attempt == 0).then_some(dice),
-                &Cancel::never(),
-            )
-        });
-        match out {
-            Ok(out) => {
-                if used_attempts > 0 {
-                    ctx.retries
-                        .fetch_add(used_attempts as usize, Ordering::Relaxed);
-                }
-                ctx.total_bytes.fetch_add(out.len(), Ordering::Relaxed);
-                ctx.outputs
-                    .lock()
-                    .unwrap()
-                    .push((spec.output_key.clone(), out));
-            }
-            Err(e) => {
-                ctx.failures.fetch_add(1, Ordering::Relaxed);
-                ctx.failed_ids.lock().unwrap().push(spec.id);
-                let mut fe = ctx.first_error.lock().unwrap();
-                if fe.is_none() {
-                    *fe = Some(e);
-                }
-            }
-        }
-    }
-}
-
-/// The defended slot loop: like [`legacy_slot_loop`], but every running
-/// vertex is registered as a backup candidate, idle slots launch backup
-/// vertices for deadline breaches and hedge-eligible stragglers on their
-/// own node, the first Ok attempt wins (losers count as redundant work),
-/// and quarantined slots are benched off the local list until released.
-fn defended_slot_loop(
-    ctx: &SlotCtx,
-    defense: &Defense,
-    node: &NodeDefense,
-    local: &Mutex<VecDeque<LocalVertex>>,
-    worker: u32,
-) {
+/// A vertex slot's one lifecycle: pull vertices off the node's local
+/// list, re-running a failed attempt in place through the shared retry
+/// layer (Table 3's Dryad fault tolerance). Every running vertex is
+/// registered as a backup candidate; once the list is empty, an idle slot
+/// launches backup vertices for deadline breaches and hedge-eligible
+/// stragglers on its own node (the first Ok attempt wins, losers count as
+/// redundant work), or waits for the node to settle — a slot killed later
+/// pushes its vertex back onto the list. Quarantined slots are benched off
+/// the list until released.
+fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
     if let Some(s) = ctx.sink {
         s.event(TraceEvent {
             at_s: ctx.clock.now_s(),
@@ -578,12 +467,11 @@ fn defended_slot_loop(
         });
     }
     let retry = RetryPolicy::immediate(ctx.config.max_retries + 1);
-    let mut rng = Pcg32::for_stream(ctx.seed, worker as u64);
     let mut last_kill_s: f64 = 0.0;
     // Score a failed attempt into the health tracker, which traces any
     // bench it imposes.
     let score_failure = || {
-        if let Some(h) = defense.health {
+        if let Some(h) = &ctx.health {
             let now_s = ctx.clock.now_s();
             h.lock()
                 .unwrap()
@@ -591,7 +479,7 @@ fn defended_slot_loop(
         }
     };
     loop {
-        if let Some(health) = defense.health {
+        if let Some(health) = &ctx.health {
             // Quarantine gate: a benched slot naps instead of pulling work.
             // Its share of the list is picked up by the node's other slots
             // (within-node balancing is dynamic; across nodes it is not).
@@ -608,12 +496,14 @@ fn defended_slot_loop(
                 continue;
             }
         }
-        let item = local.lock().unwrap().pop_front();
+        let item = node.local.lock().unwrap().pop_front();
         match item {
-            Some((spec, input, dice)) => {
+            Some((vertex, dice)) => {
                 if let Some(schedule) = ctx.chaos {
                     let now_s = ctx.clock.now_s();
                     if schedule.kills_in(worker, last_kill_s, now_s) {
+                        // Slot dies: hand the vertex back to a surviving
+                        // slot on this node.
                         ctx.deaths.fetch_add(1, Ordering::Relaxed);
                         if let Some(s) = ctx.sink {
                             s.event(TraceEvent {
@@ -622,7 +512,7 @@ fn defended_slot_loop(
                                 kind: EventKind::Death,
                             });
                         }
-                        local.lock().unwrap().push_front((spec, input, dice));
+                        node.local.lock().unwrap().push_front((vertex, dice));
                         break;
                     }
                     last_kill_s = now_s;
@@ -631,10 +521,9 @@ fn defended_slot_loop(
                 // vertex up while it is in flight.
                 let cancel = Cancel::new();
                 node.registry.lock().unwrap().insert(
-                    spec.id.0,
+                    vertex.0.id.0,
                     RunningVertex {
-                        spec: spec.clone(),
-                        input: input.clone(),
+                        vertex: vertex.clone(),
                         started_s: ctx.clock.now_s(),
                         live: 1,
                         hedged: false,
@@ -643,47 +532,34 @@ fn defended_slot_loop(
                         next_attempt: ctx.config.max_retries + 1,
                     },
                 );
+                let (spec, input) = &*vertex;
                 let vertex_start = Instant::now();
                 let mut used_attempts = 0u32;
-                let out = retry.run_blocking(&mut rng, |attempt| {
+                // The immediate policy never backs off, so it never draws.
+                let out = retry.run_blocking(&mut Pcg32::new(0), |attempt| {
                     used_attempts = attempt;
-                    let r = vertex_attempt(
-                        ctx,
-                        &spec,
-                        &input,
-                        worker,
-                        attempt,
-                        (attempt == 0).then_some(dice),
-                        &cancel,
-                    );
+                    let dice = (attempt == 0).then_some(dice);
+                    let r = vertex_attempt(ctx, spec, input, worker, attempt, dice, &cancel);
                     if r.as_ref().is_err_and(|e| !killed(e)) {
                         score_failure();
                     }
                     r
                 });
                 let latency_s = vertex_start.elapsed().as_secs_f64();
-                finish_attempt(
-                    ctx,
-                    defense,
-                    node,
-                    &spec,
-                    worker,
-                    out,
-                    used_attempts,
-                    latency_s,
-                );
+                finish_attempt(ctx, node, spec, worker, out, used_attempts, latency_s);
             }
-            None => match next_backup(ctx, defense, node) {
-                Backup::Run(spec, input, attempt, cancel) => {
+            None => match next_backup(ctx, node) {
+                Backup::Run(vertex, attempt, cancel) => {
+                    let (spec, input) = &*vertex;
                     let vertex_start = Instant::now();
                     // Backups roll no chaos dice: the dice model per-pull
                     // hazards and this slot already survived its pull.
-                    let out = vertex_attempt(ctx, &spec, &input, worker, attempt, None, &cancel);
+                    let out = vertex_attempt(ctx, spec, input, worker, attempt, None, &cancel);
                     if out.as_ref().is_err_and(|e| !killed(e)) {
                         score_failure();
                     }
                     let latency_s = vertex_start.elapsed().as_secs_f64();
-                    finish_attempt(ctx, defense, node, &spec, worker, out, 0, latency_s);
+                    finish_attempt(ctx, node, spec, worker, out, 0, latency_s);
                 }
                 Backup::Wait => std::thread::sleep(Duration::from_micros(200)),
                 Backup::Done => break,
@@ -694,16 +570,16 @@ fn defended_slot_loop(
 
 /// Scan the node's registry for a backup candidate: deadline breaches
 /// first (cancel-and-re-execute), then hedge-eligible stragglers.
-fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
+fn next_backup(ctx: &SlotCtx, node: &NodeState) -> Backup {
     if node.remaining.load(Ordering::Acquire) == 0 {
         return Backup::Done;
     }
     let now_s = ctx.clock.now_s();
     let mut reg = node.registry.lock().unwrap();
     let done = node.done.lock().unwrap();
-    if let Some(d) = defense.policy.deadline {
+    if let Some(d) = ctx.policy.deadline {
         if let Some(e) = reg.values_mut().find(|e| {
-            !done.contains(&e.spec.id.0) && !e.cancelled && now_s - e.started_s > d.timeout_s
+            !done.contains(&e.vertex.0.id.0) && !e.cancelled && now_s - e.started_s > d.timeout_s
         }) {
             // Kill the overdue primary through its token (it stops at its
             // executor's next check) and launch a replacement; should the
@@ -722,15 +598,15 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
                     kind: EventKind::Cancel,
                 });
             }
-            return Backup::Run(e.spec.clone(), e.input.clone(), attempt, cancel);
+            return Backup::Run(e.vertex.clone(), attempt, cancel);
         }
     }
-    if let Some(hedge) = defense.hedge {
+    if let Some(hedge) = &ctx.hedge {
         let mut policy = hedge.lock().unwrap();
         if let Some(e) = reg.values_mut().find(|e| {
-            !done.contains(&e.spec.id.0)
+            !done.contains(&e.vertex.0.id.0)
                 && !e.hedged
-                && policy.should_hedge(now_s - e.started_s, e.live, defense.n_tasks)
+                && policy.should_hedge(now_s - e.started_s, e.live, ctx.n_tasks)
         }) {
             policy.record_hedge();
             e.hedged = true;
@@ -746,10 +622,29 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
                     kind: EventKind::Hedge,
                 });
             }
-            return Backup::Run(e.spec.clone(), e.input.clone(), attempt, cancel);
+            return Backup::Run(e.vertex.clone(), attempt, cancel);
         }
     }
     Backup::Wait
+}
+
+impl SlotCtx<'_> {
+    /// Record `spec`'s vertex as permanently failed with `err` and settle
+    /// it on its node.
+    fn fail_vertex(&self, node: &NodeState, spec: &TaskSpec, err: PpcError) {
+        self.failures.fetch_add(1, Ordering::Relaxed);
+        self.failed_ids.lock().unwrap().push(spec.id);
+        self.first_error.lock().unwrap().get_or_insert(err);
+        node.remaining.fetch_sub(1, Ordering::AcqRel);
+        self.settle();
+    }
+
+    /// Advance the last-settle time to now.
+    fn settle(&self) {
+        let now_s = self.clock.now_s();
+        let mut f = self.finished_s.lock().unwrap();
+        *f = f.max(now_s);
+    }
 }
 
 /// Settle one finished attempt (primary or backup): first Ok wins, commits
@@ -757,11 +652,9 @@ fn next_backup(ctx: &SlotCtx, defense: &Defense, node: &NodeDefense) -> Backup {
 /// (killed or not) count as redundant work; an attempt killed by a deadline
 /// counts as a failed attempt; and a permanent failure is recorded only
 /// once every live attempt has failed.
-#[allow(clippy::too_many_arguments)]
 fn finish_attempt(
     ctx: &SlotCtx,
-    defense: &Defense,
-    node: &NodeDefense,
+    node: &NodeState,
     spec: &TaskSpec,
     worker: u32,
     out: Result<Vec<u8>>,
@@ -777,23 +670,21 @@ fn finish_attempt(
                     ctx.retries
                         .fetch_add(used_attempts as usize, Ordering::Relaxed);
                 }
-                ctx.total_bytes.fetch_add(bytes.len(), Ordering::Relaxed);
                 ctx.outputs
                     .lock()
                     .unwrap()
                     .push((spec.output_key.clone(), bytes));
-                if let Some(hedge) = defense.hedge {
+                if let Some(hedge) = &ctx.hedge {
                     hedge.lock().unwrap().observe(latency_s);
                 }
                 node.remaining.fetch_sub(1, Ordering::AcqRel);
-                let mut f = defense.finished_s.lock().unwrap();
-                *f = f.max(now_s);
+                ctx.settle();
             } else {
                 // A duplicate lost the race: its bytes are discarded —
                 // exactly-once output, the work was redundant.
-                defense.redundant.fetch_add(1, Ordering::Relaxed);
+                ctx.redundant.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(h) = defense.health {
+            if let Some(h) = &ctx.health {
                 h.lock()
                     .unwrap()
                     .record(worker, Some(latency_s), now_s, &HealthTrace(ctx.sink));
@@ -831,7 +722,7 @@ fn finish_attempt(
             if was_killed && done {
                 // A loser killed by the winning attempt: redundant work,
                 // no failure.
-                defense.redundant.fetch_add(1, Ordering::Relaxed);
+                ctx.redundant.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = ctx.sink {
                     s.event(TraceEvent {
                         at_s: now_s,
@@ -842,22 +733,14 @@ fn finish_attempt(
             } else if was_killed {
                 // Killed by its deadline (the Cancel event was recorded
                 // there): a failed attempt.
-                if let Some(h) = defense.health {
+                if let Some(h) = &ctx.health {
                     h.lock()
                         .unwrap()
                         .record(worker, None, now_s, &HealthTrace(ctx.sink));
                 }
             }
             if last_live && !done {
-                ctx.failures.fetch_add(1, Ordering::Relaxed);
-                ctx.failed_ids.lock().unwrap().push(spec.id);
-                let mut fe = ctx.first_error.lock().unwrap();
-                if fe.is_none() {
-                    *fe = Some(e);
-                }
-                node.remaining.fetch_sub(1, Ordering::AcqRel);
-                let mut f = defense.finished_s.lock().unwrap();
-                *f = f.max(now_s);
+                ctx.fail_vertex(node, spec, e);
             }
         }
     }

@@ -112,21 +112,50 @@ impl DryadSimConfig {
 /// i.i.d. death dice can in principle chain forever at p close to 1).
 const MAX_CHAOS_ATTEMPTS: u32 = 16;
 
+/// Take the node's next-free slot through the quarantine gate, starting
+/// no earlier than `earliest` (µs): a benched slot re-enters the heap at
+/// its release time, so the list schedule flows around gray slots.
+fn pick_slot(
+    slots: &mut BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    mut health: Option<&mut HealthTracker>,
+    earliest: u64,
+    rec: Option<&Recorder>,
+) -> (u64, usize) {
+    loop {
+        let std::cmp::Reverse((free_at, slot)) = slots.pop().expect("at least one slot");
+        let start = free_at.max(earliest);
+        let admit = health.as_mut().map_or(Admit::Go, |h| {
+            h.admit(slot as u32, start as f64 / 1e6, &HealthTrace(rec))
+        });
+        match admit {
+            Admit::Go => return (start, slot),
+            Admit::Benched { until_s } => slots.push(std::cmp::Reverse((
+                (until_s * 1e6).round() as u64 + 1,
+                slot,
+            ))),
+        }
+    }
+}
+
 /// The simulator body, reached through [`crate::simulate`]: independent
-/// per-node list schedules over virtual worker slots.
+/// per-node list schedules over virtual worker slots, with one vertex
+/// lifecycle for every run.
 ///
-/// Under a [`ppc_chaos::FaultSchedule`], slots are addressed by flat node-major
-/// index; a kill or death die landing on a vertex costs one full re-run
-/// *on the same node* (static partitioning: work never migrates across
-/// nodes). Gray degradation stretches every vertex the degraded slot runs;
-/// cloud-storage outages do not apply to Dryad's node-local files.
+/// Under a [`ppc_chaos::FaultSchedule`], slots are addressed by flat
+/// node-major index. A kill or death die landing on a vertex re-runs it in
+/// place: on the same slot, from the failed attempt's end, with the same
+/// jitter draw — the sim's twin of the native in-slot retry (static
+/// partitioning: work never migrates across nodes). Gray degradation
+/// stretches every vertex the degraded slot runs; cloud-storage outages do
+/// not apply to Dryad's node-local files.
 ///
 /// The context's policy is the defense: with a hedge config, a vertex
 /// whose service time exceeds the learned delay gets a *backup vertex* on
 /// the node's next-free slot (never crossing nodes) and the first
-/// completion wins; a deadline cuts overlong attempts and re-runs them
-/// through slot selection; a quarantine config benches gray slots off the
-/// list schedule.
+/// completion wins; a deadline cancels an overlong attempt at its timeout
+/// and re-runs the vertex through slot selection, no earlier than the
+/// cancel; a quarantine config benches gray slots off the list schedule.
+/// An unset policy runs the same lifecycle with every defense off.
 pub(crate) fn simulate_impl(
     cluster: &Cluster,
     tasks: &[TaskSpec],
@@ -145,6 +174,15 @@ pub(crate) fn simulate_impl(
     let mut rngs: Vec<Pcg32> = (0..cluster.total_workers())
         .map(|w| Pcg32::for_stream(seed, w as u64))
         .collect();
+    // The executing slot draws a vertex's jitter from its own stream; a
+    // re-run in place reuses the draw, a re-slotted attempt draws afresh.
+    let draw = |rng: &mut Pcg32| {
+        if cfg.jitter_sigma > 0.0 {
+            rng.log_normal(0.0, cfg.jitter_sigma)
+        } else {
+            1.0
+        }
+    };
     let rec: Option<Recorder> = ctx.trace.then(Recorder::new);
 
     // Static round-robin partitioning, fixed before execution starts.
@@ -158,12 +196,10 @@ pub(crate) fn simulate_impl(
     let mut failed: Vec<TaskId> = Vec::new();
     // Defense state is cluster-wide (one latency quantile, one health
     // ledger) even though backup vertices never cross nodes.
-    let mut hedge = ctx.resilience.and_then(|p| p.hedge).map(HedgePolicy::new);
-    let mut health = ctx
-        .resilience
-        .and_then(|p| p.quarantine)
-        .map(HealthTracker::new);
-    let deadline = ctx.resilience.and_then(|p| p.deadline);
+    let policy = ctx.resilience.unwrap_or_default();
+    let mut hedge = policy.hedge.map(HedgePolicy::new);
+    let mut health = policy.quarantine.map(HealthTracker::new);
+    let deadline = policy.deadline;
     let mut hedged_losers = 0usize;
     let mut node_base = 0usize;
     for (node_idx, node_tasks) in partitions.iter().enumerate() {
@@ -181,280 +217,24 @@ pub(crate) fn simulate_impl(
             let t_in = cfg.local_io.transfer_seconds(task.profile.input_bytes);
             let t_out = cfg.local_io.transfer_seconds(task.profile.output_bytes);
             let t_io = t_in + t_out;
-            if ctx.resilience.is_some() {
-                // ---- defended scheduling of one vertex --------------------
-                let mut attempt_idx = 0u32;
-                // A re-attempt (after a death or a deadline cancellation)
-                // cannot start before the failed attempt ended, even if the
-                // replacement slot freed up earlier.
-                let mut earliest: u64 = 0;
-                loop {
-                    // Pick a slot through the quarantine gate: a benched
-                    // slot re-enters the heap at its release time, so the
-                    // list schedule flows around gray slots.
-                    let (start, slot) = loop {
-                        let std::cmp::Reverse((fa, s)) = slots.pop().expect("at least one slot");
-                        let now_s = fa as f64 / 1e6;
-                        let admit = health.as_mut().map_or(Admit::Go, |h| {
-                            h.admit(s as u32, now_s, &HealthTrace(rec.as_ref()))
-                        });
-                        match admit {
-                            Admit::Go => break (fa, s),
-                            Admit::Benched { until_s } => slots
-                                .push(std::cmp::Reverse(((until_s * 1e6).round() as u64 + 1, s))),
-                        }
-                    };
-                    let w = slot as u32;
-                    let local_slot = slot - node_base;
-                    let start = start.max(earliest);
-                    let start_s = start as f64 / 1e6;
-                    let jitter = if cfg.jitter_sigma > 0.0 {
-                        rngs[slot].log_normal(0.0, cfg.jitter_sigma)
-                    } else {
-                        1.0
-                    };
-                    let factor = schedule.as_ref().map_or(1.0, |s| s.slowdown(w, start_s));
-                    let dur_s = cfg.vertex_overhead_s + t_exec * jitter * factor + t_io;
-                    let seq = task_seqs[local_slot];
-                    task_seqs[local_slot] += 1;
-                    total_attempts += 1;
-                    let mut killed = false;
-                    let mut dies = false;
-                    if let Some(schedule) = &schedule {
-                        let end_s = start_s + dur_s;
-                        killed = schedule.kills_in(w, last_kill[local_slot], end_s);
-                        last_kill[local_slot] = end_s;
-                        let died = killed
-                            || schedule.die_before_execute(w, seq)
-                            || schedule.die_mid_execute(w, seq)
-                            || schedule.die_before_delete(w, seq);
-                        if died {
-                            deaths += 1;
-                        }
-                        dies = died || schedule.is_torn_upload(w, seq);
-                    }
-                    if dies {
-                        let finish = start + (dur_s * 1e6).round() as u64;
-                        let end_s = finish as f64 / 1e6;
-                        if let Some(rec) = &rec {
-                            record_vertex(
-                                rec,
-                                task.id.0,
-                                attempt_idx,
-                                w,
-                                start_s,
-                                end_s,
-                                cfg.vertex_overhead_s,
-                                t_in,
-                                t_out,
-                                false,
-                            );
-                            if killed {
-                                rec.event(TraceEvent {
-                                    at_s: end_s,
-                                    worker: w,
-                                    kind: EventKind::Death,
-                                });
-                            }
-                        }
-                        if let Some(h) = &mut health {
-                            h.record(w, None, end_s, &HealthTrace(rec.as_ref()));
-                        }
-                        node_finish = node_finish.max(finish);
-                        slots.push(std::cmp::Reverse((finish, slot)));
-                        earliest = finish;
-                        attempt_idx += 1;
-                        if attempt_idx >= MAX_CHAOS_ATTEMPTS {
-                            vertex_failures += 1;
-                            failed.push(task.id);
-                            break;
-                        }
-                        vertex_retries += 1;
-                        continue;
-                    }
-                    if let Some(d) = deadline {
-                        if dur_s > d.timeout_s {
-                            // Cancel the overlong attempt at the deadline
-                            // and re-run through slot selection, where the
-                            // quarantine gate can divert it off a gray slot.
-                            let finish = start + (d.timeout_s * 1e6).round() as u64;
-                            let end_s = finish as f64 / 1e6;
-                            if let Some(rec) = &rec {
-                                record_vertex(
-                                    rec,
-                                    task.id.0,
-                                    attempt_idx,
-                                    w,
-                                    start_s,
-                                    end_s,
-                                    cfg.vertex_overhead_s,
-                                    t_in,
-                                    t_out,
-                                    false,
-                                );
-                                rec.event(TraceEvent {
-                                    at_s: end_s,
-                                    worker: w,
-                                    kind: EventKind::Cancel,
-                                });
-                            }
-                            if let Some(h) = &mut health {
-                                h.record(w, None, end_s, &HealthTrace(rec.as_ref()));
-                            }
-                            node_finish = node_finish.max(finish);
-                            slots.push(std::cmp::Reverse((finish, slot)));
-                            attempt_idx += 1;
-                            if attempt_idx >= MAX_CHAOS_ATTEMPTS {
-                                vertex_failures += 1;
-                                failed.push(task.id);
-                                break;
-                            }
-                            vertex_retries += 1;
-                            continue;
-                        }
-                    }
-                    // The attempt will complete; a straggler may earn a
-                    // backup vertex on the node's next-free slot first.
-                    let mut finish = start + (dur_s * 1e6).round() as u64;
-                    let mut winner_w = w;
-                    let mut winner_latency = dur_s;
-                    let mut hedged = false;
-                    if let Some(policy) = hedge.as_mut() {
-                        let delay = policy.hedge_delay();
-                        if dur_s > delay && policy.should_hedge(delay, 1, tasks.len()) {
-                            let std::cmp::Reverse((b_free, b_slot)) =
-                                slots.pop().expect("at least one slot");
-                            let b_start = b_free.max(start + (delay * 1e6).round() as u64);
-                            if b_start < finish {
-                                let bw = b_slot as u32;
-                                let b_start_s = b_start as f64 / 1e6;
-                                let b_jitter = if cfg.jitter_sigma > 0.0 {
-                                    rngs[b_slot].log_normal(0.0, cfg.jitter_sigma)
-                                } else {
-                                    1.0
-                                };
-                                let b_factor =
-                                    schedule.as_ref().map_or(1.0, |s| s.slowdown(bw, b_start_s));
-                                let b_dur_s =
-                                    cfg.vertex_overhead_s + t_exec * b_jitter * b_factor + t_io;
-                                let b_finish = b_start + (b_dur_s * 1e6).round() as u64;
-                                policy.record_hedge();
-                                total_attempts += 1;
-                                hedged = true;
-                                hedged_losers += 1;
-                                if let Some(rec) = &rec {
-                                    rec.event(TraceEvent {
-                                        at_s: b_start_s,
-                                        worker: NO_WORKER,
-                                        kind: EventKind::Hedge,
-                                    });
-                                }
-                                // First result wins; the loser is cancelled
-                                // at the winner's completion, freeing both
-                                // slots there.
-                                let win = finish.min(b_finish);
-                                if let Some(rec) = &rec {
-                                    record_vertex(
-                                        rec,
-                                        task.id.0,
-                                        attempt_idx,
-                                        w,
-                                        start_s,
-                                        if b_finish < finish {
-                                            win as f64 / 1e6
-                                        } else {
-                                            finish as f64 / 1e6
-                                        },
-                                        cfg.vertex_overhead_s,
-                                        t_in,
-                                        t_out,
-                                        b_finish >= finish,
-                                    );
-                                    record_vertex(
-                                        rec,
-                                        task.id.0,
-                                        attempt_idx + 1,
-                                        bw,
-                                        b_start_s,
-                                        if b_finish < finish {
-                                            b_finish as f64 / 1e6
-                                        } else {
-                                            win as f64 / 1e6
-                                        },
-                                        cfg.vertex_overhead_s,
-                                        t_in,
-                                        t_out,
-                                        b_finish < finish,
-                                    );
-                                }
-                                if b_finish < finish {
-                                    winner_w = bw;
-                                    winner_latency = b_dur_s;
-                                }
-                                node_finish = node_finish.max(win);
-                                slots.push(std::cmp::Reverse((win, slot)));
-                                slots.push(std::cmp::Reverse((win, b_slot)));
-                                finish = win;
-                            } else {
-                                // The backup could not launch before the
-                                // primary finishes: pointless, skip it.
-                                slots.push(std::cmp::Reverse((b_free, b_slot)));
-                            }
-                        }
-                    }
-                    if !hedged {
-                        if let Some(rec) = &rec {
-                            record_vertex(
-                                rec,
-                                task.id.0,
-                                attempt_idx,
-                                w,
-                                start_s,
-                                finish as f64 / 1e6,
-                                cfg.vertex_overhead_s,
-                                t_in,
-                                t_out,
-                                true,
-                            );
-                        }
-                        node_finish = node_finish.max(finish);
-                        slots.push(std::cmp::Reverse((finish, slot)));
-                    }
-                    let end_s = finish as f64 / 1e6;
-                    if let Some(policy) = hedge.as_mut() {
-                        policy.observe(winner_latency);
-                    }
-                    if let Some(h) = &mut health {
-                        let latency_s = Some(winner_latency);
-                        h.record(winner_w, latency_s, end_s, &HealthTrace(rec.as_ref()));
-                    }
-                    break;
-                }
-                continue;
-            }
-            let std::cmp::Reverse((free_at, slot)) = slots.pop().expect("at least one slot");
-            let local_slot = slot - node_base;
-            // The executing slot draws the jitter from its own stream.
-            let jitter = if cfg.jitter_sigma > 0.0 {
-                rngs[slot].log_normal(0.0, cfg.jitter_sigma)
-            } else {
-                1.0
-            };
-            let mut finish = free_at;
-            if let Some(schedule) = &schedule {
+            let mut attempt_idx = 0u32;
+            let (mut start, mut slot) = pick_slot(&mut slots, health.as_mut(), 0, rec.as_ref());
+            let mut jitter = draw(&mut rngs[slot]);
+            loop {
                 let w = slot as u32;
-                let mut attempts = 0u32;
-                loop {
-                    let now_s = finish as f64 / 1e6;
-                    let factor = schedule.slowdown(w, now_s);
-                    let dur = ((cfg.vertex_overhead_s + t_exec * jitter * factor + t_io) * 1e6)
-                        .round() as u64;
-                    finish += dur;
+                let local_slot = slot - node_base;
+                let start_s = start as f64 / 1e6;
+                let factor = schedule.map_or(1.0, |s| s.slowdown(w, start_s));
+                let dur_s = cfg.vertex_overhead_s + t_exec * jitter * factor + t_io;
+                let mut finish = start + (dur_s * 1e6).round() as u64;
+                total_attempts += 1;
+                let mut killed = false;
+                let mut dies = false;
+                if let Some(schedule) = schedule {
                     let seq = task_seqs[local_slot];
                     task_seqs[local_slot] += 1;
                     let end_s = finish as f64 / 1e6;
-                    total_attempts += 1;
-                    let killed = schedule.kills_in(w, last_kill[local_slot], end_s);
+                    killed = schedule.kills_in(w, last_kill[local_slot], end_s);
                     last_kill[local_slot] = end_s;
                     let died = killed
                         || schedule.die_before_execute(w, seq)
@@ -463,60 +243,172 @@ pub(crate) fn simulate_impl(
                     if died {
                         deaths += 1;
                     }
-                    let dies = died || schedule.is_torn_upload(w, seq);
+                    dies = died || schedule.is_torn_upload(w, seq);
+                }
+                let cut = deadline.filter(|d| !dies && dur_s > d.timeout_s);
+                if dies || cut.is_some() {
+                    // A failed attempt: a death re-runs the vertex in place,
+                    // on this slot; a deadline cancels it at the timeout and
+                    // re-runs it through slot selection, where the
+                    // quarantine gate can divert it off a gray slot.
+                    if let Some(d) = cut {
+                        finish = start + (d.timeout_s * 1e6).round() as u64;
+                    }
+                    let end_s = finish as f64 / 1e6;
                     if let Some(rec) = &rec {
                         record_vertex(
                             rec,
                             task.id.0,
-                            attempts,
+                            attempt_idx,
                             w,
-                            now_s,
+                            start_s,
                             end_s,
                             cfg.vertex_overhead_s,
                             t_in,
                             t_out,
-                            !dies,
+                            false,
                         );
-                        if killed {
+                        let kind = match cut {
+                            Some(_) => Some(EventKind::Cancel),
+                            None => killed.then_some(EventKind::Death),
+                        };
+                        if let Some(kind) = kind {
                             rec.event(TraceEvent {
                                 at_s: end_s,
                                 worker: w,
-                                kind: EventKind::Death,
+                                kind,
                             });
                         }
                     }
-                    attempts += 1;
-                    if !dies {
-                        break;
+                    if let Some(h) = &mut health {
+                        h.record(w, None, end_s, &HealthTrace(rec.as_ref()));
                     }
-                    if attempts >= MAX_CHAOS_ATTEMPTS {
+                    node_finish = node_finish.max(finish);
+                    attempt_idx += 1;
+                    if attempt_idx >= MAX_CHAOS_ATTEMPTS {
                         vertex_failures += 1;
                         failed.push(task.id);
+                        slots.push(std::cmp::Reverse((finish, slot)));
                         break;
                     }
                     vertex_retries += 1;
+                    if cut.is_some() {
+                        slots.push(std::cmp::Reverse((finish, slot)));
+                        (start, slot) =
+                            pick_slot(&mut slots, health.as_mut(), finish, rec.as_ref());
+                        jitter = draw(&mut rngs[slot]);
+                    } else {
+                        start = finish;
+                    }
+                    continue;
                 }
-            } else {
-                total_attempts += 1;
-                let dur = ((cfg.vertex_overhead_s + t_exec * jitter + t_io) * 1e6).round() as u64;
-                finish = free_at + dur;
-                if let Some(rec) = &rec {
-                    record_vertex(
-                        rec,
-                        task.id.0,
-                        0,
-                        slot as u32,
-                        free_at as f64 / 1e6,
-                        finish as f64 / 1e6,
-                        cfg.vertex_overhead_s,
-                        t_in,
-                        t_out,
-                        true,
+                // The attempt will complete; a straggler may earn a
+                // backup vertex on the node's next-free slot first.
+                let mut winner_w = w;
+                let mut winner_latency = dur_s;
+                let mut hedged = false;
+                if let Some(policy) = hedge.as_mut() {
+                    let delay = policy.hedge_delay();
+                    if dur_s > delay && policy.should_hedge(delay, 1, tasks.len()) {
+                        let std::cmp::Reverse((b_free, b_slot)) =
+                            slots.pop().expect("at least one slot");
+                        let b_start = b_free.max(start + (delay * 1e6).round() as u64);
+                        if b_start < finish {
+                            let bw = b_slot as u32;
+                            let b_start_s = b_start as f64 / 1e6;
+                            let b_jitter = draw(&mut rngs[b_slot]);
+                            let b_factor = schedule.map_or(1.0, |s| s.slowdown(bw, b_start_s));
+                            let b_dur_s =
+                                cfg.vertex_overhead_s + t_exec * b_jitter * b_factor + t_io;
+                            let b_finish = b_start + (b_dur_s * 1e6).round() as u64;
+                            policy.record_hedge();
+                            total_attempts += 1;
+                            hedged = true;
+                            hedged_losers += 1;
+                            if let Some(rec) = &rec {
+                                rec.event(TraceEvent {
+                                    at_s: b_start_s,
+                                    worker: NO_WORKER,
+                                    kind: EventKind::Hedge,
+                                });
+                            }
+                            // First result wins; the loser is cancelled
+                            // at the winner's completion, freeing both
+                            // slots there.
+                            let win = finish.min(b_finish);
+                            if let Some(rec) = &rec {
+                                record_vertex(
+                                    rec,
+                                    task.id.0,
+                                    attempt_idx,
+                                    w,
+                                    start_s,
+                                    win as f64 / 1e6,
+                                    cfg.vertex_overhead_s,
+                                    t_in,
+                                    t_out,
+                                    b_finish >= finish,
+                                );
+                                record_vertex(
+                                    rec,
+                                    task.id.0,
+                                    attempt_idx + 1,
+                                    bw,
+                                    b_start_s,
+                                    win as f64 / 1e6,
+                                    cfg.vertex_overhead_s,
+                                    t_in,
+                                    t_out,
+                                    b_finish < finish,
+                                );
+                            }
+                            if b_finish < finish {
+                                winner_w = bw;
+                                winner_latency = b_dur_s;
+                            }
+                            node_finish = node_finish.max(win);
+                            slots.push(std::cmp::Reverse((win, slot)));
+                            slots.push(std::cmp::Reverse((win, b_slot)));
+                            finish = win;
+                        } else {
+                            // The backup could not launch before the
+                            // primary finishes: pointless, skip it.
+                            slots.push(std::cmp::Reverse((b_free, b_slot)));
+                        }
+                    }
+                }
+                if !hedged {
+                    if let Some(rec) = &rec {
+                        record_vertex(
+                            rec,
+                            task.id.0,
+                            attempt_idx,
+                            w,
+                            start_s,
+                            finish as f64 / 1e6,
+                            cfg.vertex_overhead_s,
+                            t_in,
+                            t_out,
+                            true,
+                        );
+                    }
+                    node_finish = node_finish.max(finish);
+                    slots.push(std::cmp::Reverse((finish, slot)));
+                }
+                let end_s = finish as f64 / 1e6;
+                if let Some(policy) = hedge.as_mut() {
+                    policy.observe(winner_latency);
+                }
+                if let Some(h) = &mut health {
+                    h.record(
+                        winner_w,
+                        Some(winner_latency),
+                        end_s,
+                        &HealthTrace(rec.as_ref()),
                     );
                 }
+                break;
             }
-            node_finish = node_finish.max(finish);
-            slots.push(std::cmp::Reverse((finish, slot)));
         }
         per_node_seconds.push(node_finish as f64 / 1e6);
         node_base += workers;
@@ -776,6 +668,44 @@ mod tests {
         assert_eq!(report.summary.tasks, 64, "no vertex may be lost");
         let trace = report.core.trace.as_ref().unwrap();
         assert!(trace.events_of_kind(EventKind::Cancel) > 0);
+    }
+
+    #[test]
+    fn deadline_replacement_starts_after_the_cancel() {
+        // One 10s vertex on a 2-slot node whose slot 0 runs 30x slow: the
+        // 60s deadline cancels attempt 0, and its replacement on the
+        // healthy slot cannot start before that cancel.
+        let cluster = Cluster::provision(BARE_HPC16, 1, 2);
+        let schedule = Arc::new(FaultSchedule::new(11).degrade(0, 30.0, 0.0, 1e9));
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(schedule)
+            .with_trace(true)
+            .with_resilience(ResiliencePolicy::default().with_deadline(60.0));
+        let report = crate::simulate(&ctx, &cpu_tasks(1, 10.0), &quiet());
+        let trace = report.core.trace.as_ref().unwrap();
+        let cancel_s = trace
+            .events()
+            .iter()
+            .find(|e| e.kind == EventKind::Cancel)
+            .expect("the overdue attempt is cancelled")
+            .at_s;
+        assert!((cancel_s - 60.0).abs() < 1e-9, "cancel at {cancel_s}");
+        let replacement = trace
+            .spans()
+            .iter()
+            .find(|s| s.attempt == 1 && s.phase == Phase::Attempt)
+            .expect("a replacement attempt");
+        assert!(
+            replacement.start_s >= cancel_s,
+            "replacement starts at {} before the cancel at {cancel_s}",
+            replacement.start_s
+        );
+        let expect = 60.0 + 10.0 * 2.5 / 2.3;
+        assert!(
+            (report.summary.makespan_seconds - expect).abs() < 1e-3,
+            "makespan {}",
+            report.summary.makespan_seconds
+        );
     }
 
     #[test]

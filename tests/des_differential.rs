@@ -608,6 +608,9 @@ fn mapreduce_sim_matches_golden_digest() {
 
 /// The Dryad simulator runs no event queue (quantized list scheduler), so
 /// its report never depended on the backend; it is pinned all the same.
+/// The digests were regenerated when the Dryad sim moved to one vertex
+/// lifecycle (a death re-runs its vertex in place, a deadline replacement
+/// starts no earlier than its cancel).
 #[test]
 fn dryad_sim_matches_golden_digest() {
     let tasks = sim_tasks(64);
@@ -615,7 +618,7 @@ fn dryad_sim_matches_golden_digest() {
     let cfg = ppc::dryad::DryadSimConfig::default();
     assert_golden_digest(
         "dryad",
-        [0x9e2c95d7efce97fe, 0x6c87738c351afc43, 0x92e49e2226f48b89],
+        [0x82cd1c5137a2f155, 0x1210f76a36cc36cd, 0x0fb938ff26c4f37c],
         |seed| {
             ppc::dryad::simulate(&hostile_ctx(&cluster, seed), &tasks, &cfg)
                 .to_json()

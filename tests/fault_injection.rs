@@ -323,3 +323,65 @@ fn autoscaled_poison_parks_in_dlq_and_redrives() {
     assert!(report.is_complete());
     check_outputs(&storage, &job.output_bucket, n);
 }
+
+/// A node whose only vertex slot is killed mid-job cannot hand its list to
+/// another node (static partitioning), so every vertex left on it fails
+/// permanently and shows up in the report — undefended and defended alike,
+/// and `fail_fast` turns it into an error.
+#[test]
+fn dryad_dead_node_fails_its_leftover_vertices() {
+    use ppc::compute::instance::BARE_HPC16;
+    use ppc::dryad::{run as dryad_run, DryadConfig};
+    use ppc::resilience::ResiliencePolicy;
+
+    let cluster = Cluster::provision(BARE_HPC16, 1, 1);
+    let inputs: Vec<(TaskSpec, Vec<u8>)> = (0..4)
+        .map(|i| {
+            (
+                TaskSpec::new(i, "t", format!("f{i}"), ResourceProfile::cpu_bound(0.0)),
+                format!("d{i}").into_bytes(),
+            )
+        })
+        .collect();
+    let slow = FnExecutor::new("slow", |_s, input: &[u8]| {
+        std::thread::sleep(Duration::from_millis(10));
+        Ok(input.to_vec())
+    });
+    let schedule = Arc::new(FaultSchedule::new(5).kill_at(0, 0.001));
+    for resilience in [None, Some(ResiliencePolicy::default())] {
+        let mut ctx = RunContext::new(&cluster).with_schedule(schedule.clone());
+        if let Some(policy) = resilience {
+            ctx = ctx.with_resilience(policy);
+        }
+        let (report, outputs) =
+            dryad_run(&ctx, inputs.clone(), slow.clone(), &DryadConfig::default()).unwrap();
+        // The kill lands during the first vertex (or before it, on a slow
+        // thread start); whatever did not commit must be reported failed.
+        assert!(
+            outputs.len() <= 1,
+            "{resilience:?}: {} outputs",
+            outputs.len()
+        );
+        assert_eq!(report.vertex_failures, 4 - outputs.len(), "{resilience:?}");
+        let mut settled: Vec<String> = report
+            .failed
+            .iter()
+            .map(|id| format!("f{}.out", id.0))
+            .collect();
+        settled.extend(outputs.iter().map(|(key, _)| key.clone()));
+        settled.sort();
+        assert_eq!(
+            settled,
+            ["f0.out", "f1.out", "f2.out", "f3.out"],
+            "{resilience:?}"
+        );
+        let fail_fast = DryadConfig {
+            fail_fast: true,
+            ..DryadConfig::default()
+        };
+        assert!(
+            dryad_run(&ctx, inputs.clone(), slow.clone(), &fail_fast).is_err(),
+            "{resilience:?}: fail_fast must surface the lost vertices"
+        );
+    }
+}

@@ -345,13 +345,16 @@ fn sims_match_chaos_golden_digests() {
 }
 
 /// Generated by [`sims_match_chaos_golden_digests`] on the
-/// timing wheel, one row per [`CHAOS_SEEDS`] entry.
+/// timing wheel, one row per [`CHAOS_SEEDS`] entry. The `dryad` column was
+/// regenerated when the Dryad sim moved to one vertex lifecycle: a death
+/// re-runs its vertex in place, and a deadline replacement starts no
+/// earlier than its cancel.
 const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     [
         0x81f421d437c53590,
         0x0c163d8d91887c95,
         0x25377d007db1fdfb,
-        0x63b07762584402ac,
+        0xfc9a5f931f464c62,
         0x5d1eb10573f0a3d6,
         0x50c9fde0e6b44e7b,
     ],
@@ -359,7 +362,7 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
         0xd55990a010f018bc,
         0xccc66558259fc5b8,
         0x0e994efff9f7bd8d,
-        0x42958972bde57fdc,
+        0x13fd8123f436f0c0,
         0x038baa496c255040,
         0x8075838ddc382e52,
     ],
@@ -367,7 +370,7 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
         0xda86c26886cf5a92,
         0x1a980359b519a658,
         0x4401c7f5e5023024,
-        0xa1f5ee55079dd19c,
+        0x44bd2d2f85e0a821,
         0xfa99de34c99fdedf,
         0x781e850be05db46b,
     ],
@@ -611,11 +614,70 @@ fn dryad_defended_sim_matches_golden_digests() {
     );
 }
 
-/// Generated by [`dryad_defended_sim_matches_golden_digests`] before the
-/// native Classic fixed- and elastic-fleet bodies were merged, one entry
-/// per [`CHAOS_SEEDS`] entry.
+/// Generated by [`dryad_defended_sim_matches_golden_digests`] when the
+/// Dryad sim moved to one vertex lifecycle (a death re-runs its vertex in
+/// place, a deadline replacement starts no earlier than its cancel), one
+/// entry per [`CHAOS_SEEDS`] entry.
 const DRYAD_DEFENDED_GOLDEN: [u64; 3] =
-    [0xfe02682e54944dc3, 0xb919f8f6e19c4f95, 0xaa2b85c8290e73de];
+    [0x88b0a18311bd588d, 0x2e25ea600c29220d, 0x46268589b88798c4];
+
+/// FNV-1a digests (report JSON + `Debug`, trace on) of the undefended
+/// Dryad sim under one chaos seed: fault-free, then under the hostile
+/// schedule plus a gray slot and a timed kill, with no resilience policy.
+fn dryad_undefended_digests(seed: u64) -> [u64; 2] {
+    use ppc::chaos::FaultSchedule;
+    use ppc::compute::instance::BARE_CAP3;
+    use std::sync::Arc;
+
+    let tasks: Vec<TaskSpec> = (0..160)
+        .map(|i| {
+            let mut p = ResourceProfile::cpu_bound(10.0 + (i % 7) as f64);
+            p.input_bytes = 200 << 10;
+            p.output_bytes = 100 << 10;
+            TaskSpec::new(i, "cap3", format!("f{i}"), p)
+        })
+        .collect();
+    let cluster = Cluster::provision(BARE_CAP3, 2, 8);
+    let digest = |schedule: Option<FaultSchedule>| {
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(schedule.map(Arc::new))
+            .with_trace(true)
+            .with_seed(seed);
+        let report = ppc::dryad::simulate(&ctx, &tasks, &ppc::dryad::DryadSimConfig::default());
+        fnv64(&format!("{}\n{report:?}", report.to_json()))
+    };
+    let chaos = FaultSchedule::hostile(seed)
+        .degrade(5, 30.0, 0.0, 1e9)
+        .kill_at(3, 40.0);
+    [digest(None), digest(Some(chaos))]
+}
+
+/// Bit-identity pin for the undefended Dryad sim: [`dryad_undefended_digests`]
+/// on every CI chaos seed must reproduce the committed digests, so a death
+/// keeps re-running its vertex in place on the same slot.
+#[test]
+fn dryad_undefended_sim_matches_golden_digests() {
+    let got: Vec<[u64; 2]> = CHAOS_SEEDS.map(dryad_undefended_digests).to_vec();
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|[a, b]| format!("[0x{a:016x}, 0x{b:016x}]"))
+        .collect();
+    assert_eq!(
+        got,
+        DRYAD_UNDEFENDED_GOLDEN,
+        "digests now [{}]",
+        rendered.join(", ")
+    );
+}
+
+/// Generated by [`dryad_undefended_sim_matches_golden_digests`] while the
+/// Dryad sim still had a separate undefended branch, one `[fault-free,
+/// chaos]` pair per [`CHAOS_SEEDS`] entry.
+const DRYAD_UNDEFENDED_GOLDEN: [[u64; 2]; 3] = [
+    [0xac72b45d505fb726, 0xd6f66a32c0f1cbc1],
+    [0x96ca956331d6332c, 0xd1a283fbe8592af6],
+    [0x02960e2577198242, 0xd76ca0b3677ea9d1],
+];
 
 /// FNV-1a over a string, 64-bit.
 fn fnv64(s: &str) -> u64 {
