@@ -784,8 +784,8 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         let t_ctrl = 3.0 * cfg.queue_latency.request_seconds();
         st.queue_requests += 2; // monitor send + delete
         let mut fails = cfg.failure_rate > 0.0 && st.rng(w).chance(cfg.failure_rate);
-        if let Some(schedule) = st.schedule.clone() {
-            let seq = st.next_seq(w);
+        let schedule = st.schedule.clone();
+        if let Some(schedule) = &schedule {
             // Gray failure: a degraded worker computes slower.
             t_exec *= schedule.slowdown(w, now_s);
             // Storage outage: the fetch's retries ride the window out, so
@@ -793,18 +793,6 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
             if let Some(until) = schedule.storage_outage_until(now_s) {
                 t_in += until - now_s;
             }
-            // Deaths: a pipeline-point die roll, a torn upload, or a timed
-            // kill landing inside this task's service window all cost this
-            // execution — the message reappears after the visibility
-            // timeout, matching the native engine's recovery story.
-            let window_end = now_s + t_in + t_exec + t_out + t_ctrl;
-            let killed = st.fleet.killed_before(&schedule, w, window_end);
-            fails = fails
-                || killed
-                || schedule.die_before_execute(w, seq)
-                || schedule.die_mid_execute(w, seq)
-                || schedule.die_before_delete(w, seq)
-                || schedule.is_torn_upload(w, seq);
         }
         let mut duration_s = t_in + t_exec + t_out + t_ctrl;
         // Per-task deadline: an attempt that would outlive the timeout is
@@ -816,6 +804,21 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
             }
             _ => false,
         };
+        if let Some(schedule) = schedule {
+            let seq = st.next_seq(w);
+            // Deaths: a pipeline-point die roll, a torn upload, or a timed
+            // kill landing inside this task's service window (cut at the
+            // deadline) all cost this execution — the message reappears
+            // after the visibility timeout, matching the native engine's
+            // recovery story. A death outranks the cut.
+            let killed = st.fleet.killed_before(&schedule, w, now_s + duration_s);
+            fails = fails
+                || killed
+                || schedule.die_before_execute(w, seq)
+                || schedule.die_mid_execute(w, seq)
+                || schedule.die_before_delete(w, seq)
+                || schedule.is_torn_upload(w, seq);
+        }
         let parts = if cancelled {
             (t_in.min(duration_s), 0.0, 0.0, 0.0)
         } else {
@@ -878,7 +881,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
     }
     // A fixed fleet's lost message reappears one visibility timeout after
     // its pull, so its redelivery is scheduled now, ahead of the death.
-    if a.fails && !a.cancelled && matches!(sim.st.borrow().fleet, Fleet::Fixed { .. }) {
+    if a.fails && matches!(sim.st.borrow().fleet, Fleet::Fixed { .. }) {
         let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
         reappear_at(engine, &sim, a.task.clone(), at);
     }
@@ -906,7 +909,7 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
         )
     };
     let lost = a.fails || slot_died;
-    let cancel = a.cancelled && !slot_died;
+    let cancel = a.cancelled && !a.fails && !slot_died;
     // The NIC path measures its latency end to end (it includes queueing
     // on the shared link); otherwise it is the modeled duration.
     let latency_s = if nic { now - a.pulled_s } else { a.duration_s };
@@ -1911,6 +1914,40 @@ mod tests {
             defended.summary.makespan_seconds,
             undefended.summary.makespan_seconds
         );
+    }
+
+    #[test]
+    fn deadline_cut_comes_before_a_later_kill() {
+        use ppc_resilience::ResiliencePolicy;
+        // Worker 0 runs 30x slow and is killed at 100 s; the 60 s deadline
+        // cuts each of its attempts. The kill lands in its second cut
+        // attempt, which dies: the death outranks the cut.
+        let cluster = Cluster::provision(EC2_HCXL, 1, 2);
+        let cfg = SimConfig {
+            jitter_sigma: 0.0,
+            ..SimConfig::ec2()
+        };
+        let schedule = FaultSchedule::new(11)
+            .degrade(0, 30.0, 0.0, 1e9)
+            .kill_at(0, 100.0);
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(Arc::new(schedule))
+            .with_resilience(ResiliencePolicy::default().with_deadline(60.0))
+            .with_trace(true);
+        let report = crate::simulate(&ctx, &cpu_tasks(20, 10.0), &cfg);
+        assert_eq!(report.summary.tasks, 20);
+        assert_eq!(report.worker_deaths, 1, "the kill is not lost");
+        let trace = report.core.trace.as_ref().unwrap();
+        let deaths: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Death)
+            .map(|e| (e.worker, e.at_s))
+            .collect();
+        assert_eq!(deaths.len(), 1);
+        let (worker, at_s) = deaths[0];
+        assert_eq!(worker, 0);
+        assert!((120.0..121.0).contains(&at_s), "death at {at_s}");
     }
 
     #[test]

@@ -11,16 +11,17 @@ use ppc_chaos::{FaultSchedule, RunClock};
 use ppc_core::exec::Executor;
 use ppc_core::json::Json;
 use ppc_core::metrics::RunSummary;
-use ppc_core::retry::RetryPolicy;
-use ppc_core::rng::Pcg32;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{Cancel, PpcError, Result};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
-use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_resilience::{
+    Admit, AttemptId, AttemptLedger, CompleteOutcome, DeadlineConfig, FailOutcome, HealthTracker,
+    ResiliencePolicy,
+};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration for the native Dryad runtime.
@@ -29,7 +30,8 @@ pub struct DryadConfig {
     /// Fail the whole job on the first unrecoverable vertex failure.
     pub fail_fast: bool,
     /// Re-run a failed vertex up to this many extra times before giving up
-    /// — Table 3's "re-execution of failed ... tasks" for Dryad.
+    /// — Table 3's "re-execution of failed ... tasks" for Dryad. Every
+    /// failed attempt counts: a primary, a backup or a deadline cut.
     pub max_retries: u32,
 }
 
@@ -56,7 +58,7 @@ pub struct DryadReport {
     /// Vertices that failed *permanently* (exhausted their retries);
     /// `core.failed` lists their task ids.
     pub vertex_failures: usize,
-    /// Vertex re-executions that recovered a transient failure.
+    /// Failed vertex attempts that earned their vertex another attempt.
     pub vertex_retries: usize,
 }
 
@@ -113,27 +115,27 @@ pub use ppc_exec::JobOutputs;
 /// statically partitioned round-robin across its nodes. Returns the
 /// report and the outputs (output key → bytes), in completion order.
 ///
-/// Every slot runs one vertex lifecycle. A failed attempt (a death die or
-/// a torn output) is re-run in place, on the same slot, by the shared
-/// retry layer. The context's fault schedule addresses workers by flat
-/// slot index (node-major); a scheduled kill takes a vertex slot down and
-/// its in-hand vertex goes back on the node's local list for a surviving
-/// slot — re-execution never crosses nodes, which is exactly DryadLINQ's
-/// static-partitioning constraint. So a node whose every slot dies fails
-/// whatever is left on its list. A vertex's dice are addressed by its
-/// place in a round-robin deal of its node's partition over the node's
-/// slots (the `k`-th vertex is slot `k % slots`'s `k / slots`-th task),
-/// not by the slot that happens to take it, so which vertices fail does
-/// not depend on thread timing. Cloud-storage outage windows do *not*
-/// apply: Dryad reads node-local files (the paper's Windows shared
-/// directories).
+/// Every slot runs one vertex lifecycle over a run-wide [`AttemptLedger`]
+/// with one partition per node: it launches attempts, keeps each vertex's
+/// budget of `max_retries + 1` failed attempts and decides
+/// first-result-wins commit. A failed attempt (a death die or a torn
+/// output) is re-run in place when no other attempt of the vertex is live.
+/// The fault schedule addresses workers by flat slot index (node-major); a
+/// scheduled kill takes a slot down and its in-hand vertex goes back on the
+/// node's list for a surviving slot — re-execution never crosses nodes
+/// (DryadLINQ's static partitioning), so a node whose every slot dies fails
+/// what is left on its list. A vertex's dice are addressed by its place in
+/// a round-robin deal of its node's partition over the node's slots (the
+/// `k`-th vertex is slot `k % slots`'s `k / slots`-th task), not by the
+/// slot that takes it, so which vertices fail does not depend on thread
+/// timing. Storage outages do *not* apply: Dryad reads node-local files.
 ///
-/// The context's policy is the defense. With a hedge or deadline config,
-/// idle vertex slots launch *backup vertices* for running stragglers on
-/// their own node; the first Ok attempt wins and losers count as
-/// redundant executions. With a quarantine config, gray slots are benched
-/// off the local work list. The makespan is the time the last vertex
-/// settled: a killed loser may still be draining past it.
+/// The context's policy is the defense. Once its node's list is empty, an
+/// idle slot cuts the node's oldest attempt past the deadline and re-runs
+/// it, else backs up the node's oldest hedge-eligible straggler; the first
+/// Ok attempt kills the others (redundant executions). A quarantine config
+/// benches gray slots off the list. The makespan is the time the last
+/// vertex settled: a killed loser may still be draining past it.
 ///
 /// A malformed context schedule or policy is an `InvalidArgument` error,
 /// returned before any thread starts. Native Dryad takes no context seed:
@@ -150,104 +152,97 @@ pub fn run(
         return Err(PpcError::InvalidArgument("no inputs".into()));
     }
     ctx.validate()?;
-    let n_tasks = inputs.len();
     let n_nodes = cluster.n_nodes();
-    // Static node-level partitioning, fixed before execution.
-    let partitions = crate::partition::partition_round_robin(inputs, n_nodes);
-    // Flat worker index of each node's first slot.
-    let node_bases: Vec<usize> = cluster
-        .nodes()
-        .iter()
-        .scan(0usize, |acc, n| {
-            let base = *acc;
-            *acc += n.workers;
-            Some(base)
-        })
-        .collect();
+    // Static node-level partitioning, fixed before execution. Ledger task
+    // ids number the vertices node-major; each node's local list carries
+    // its vertices' ids and chaos-dice addresses from the round-robin deal.
+    let mut vertices = Vec::new();
+    let mut partitions = Vec::new();
+    let mut nodes = Vec::with_capacity(n_nodes);
+    let mut node_base = 0usize;
+    for (node, part) in crate::partition::partition_round_robin(inputs, n_nodes)
+        .into_iter()
+        .enumerate()
+    {
+        let slots = cluster.nodes()[node].workers.max(1);
+        let local: VecDeque<_> = part
+            .into_iter()
+            .enumerate()
+            .map(|(k, vertex)| {
+                vertices.push(vertex);
+                partitions.push(node);
+                let dice = ((node_base + k % slots) as u32, (k / slots) as u32);
+                (vertices.len() - 1, dice)
+            })
+            .collect();
+        nodes.push(NodeState {
+            index: node,
+            base: node_base,
+            remaining: AtomicUsize::new(local.len()),
+            local: Mutex::new(local),
+        });
+        node_base += cluster.nodes()[node].workers;
+    }
 
     // An unset policy runs the same lifecycle with every defense off.
-    let policy = ctx.resilience.unwrap_or_default();
+    let policy: ResiliencePolicy = ctx.resilience.unwrap_or_default();
     let sink = ctx.sink.as_deref().filter(|s| s.enabled());
     let shared = SlotCtx {
         executor: &executor,
         sink,
         chaos: ctx.schedule.as_deref(),
         clock: RunClock::start(),
-        config,
-        policy,
-        hedge: policy.hedge.map(|cfg| Mutex::new(HedgePolicy::new(cfg))),
+        deadline: policy.deadline,
+        attempts: Mutex::new(Attempts {
+            ledger: AttemptLedger::new(partitions, policy.hedge, config.max_retries + 1),
+            live: HashMap::new(),
+        }),
         health: policy
             .quarantine
             .map(|cfg| Mutex::new(HealthTracker::new(cfg))),
-        n_tasks,
+        vertices,
         outputs: Mutex::new(Vec::new()),
-        failures: AtomicUsize::new(0),
-        failed_ids: Mutex::new(Vec::new()),
-        retries: AtomicUsize::new(0),
+        failed: Mutex::new(Vec::new()),
         attempts_total: AtomicUsize::new(0),
         deaths: AtomicUsize::new(0),
-        redundant: AtomicUsize::new(0),
-        first_error: Mutex::new(None),
         finished_s: Mutex::new(0.0),
     };
     let per_node: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n_nodes]);
 
     std::thread::scope(|scope| {
-        for (node, node_inputs) in partitions.into_iter().enumerate() {
-            let workers = cluster.nodes()[node].workers;
-            let node_base = node_bases[node];
+        for state in &nodes {
+            let workers = cluster.nodes()[state.index].workers;
             let ctx = &shared;
             let per_node = &per_node;
             scope.spawn(move || {
                 let node_start = Instant::now();
-                // Within the node, vertices share a local work list; each
-                // carries its chaos-dice address from the round-robin deal.
-                let slots = workers.max(1);
-                let state = NodeState {
-                    remaining: AtomicUsize::new(node_inputs.len()),
-                    local: Mutex::new(
-                        node_inputs
-                            .into_iter()
-                            .enumerate()
-                            .map(|(k, vertex)| {
-                                let dice = ((node_base + k % slots) as u32, (k / slots) as u32);
-                                (Arc::new(vertex), dice)
-                            })
-                            .collect(),
-                    ),
-                    registry: Mutex::new(HashMap::new()),
-                    done: Mutex::new(HashSet::new()),
-                };
                 std::thread::scope(|inner| {
                     for slot in 0..workers {
-                        let state = &state;
-                        inner.spawn(move || slot_loop(ctx, state, (node_base + slot) as u32));
+                        inner.spawn(move || slot_loop(ctx, state, (state.base + slot) as u32));
                     }
                 });
                 // Every slot of this node is dead: the vertices left on
                 // its list have nowhere to run.
-                for (vertex, _) in std::mem::take(&mut *state.local.lock().unwrap()) {
+                for (task, _) in std::mem::take(&mut *state.local.lock().unwrap()) {
+                    let spec = &ctx.vertices[task].0;
                     let err = PpcError::TaskFailed(format!(
-                        "vertex {}: every slot on node {node} died",
-                        vertex.0.id.0
+                        "vertex {}: every slot on node {} died",
+                        spec.id.0, state.index
                     ));
-                    ctx.fail_vertex(&state, &vertex.0, err);
+                    ctx.fail_vertex(state, spec, err);
                 }
-                per_node.lock().unwrap()[node] = node_start.elapsed().as_secs_f64();
+                per_node.lock().unwrap()[state.index] = node_start.elapsed().as_secs_f64();
             });
         }
     });
     let makespan = *shared.finished_s.lock().unwrap();
 
-    let vertex_failures = shared.failures.load(Ordering::Relaxed);
-    if config.fail_fast && vertex_failures > 0 {
-        return Err(shared
-            .first_error
-            .into_inner()
-            .unwrap()
-            .expect("failure recorded"));
+    let mut failed = shared.failed.into_inner().unwrap();
+    if config.fail_fast && !failed.is_empty() {
+        return Err(failed.swap_remove(0).1);
     }
     let outputs = shared.outputs.into_inner().unwrap();
+    let ledger = shared.attempts.into_inner().unwrap().ledger;
     // The meta carries the *same* f64 makespan the summary reports, so
     // Eq. 1 recomputed from the trace matches the engine exactly.
     let trace = sink.and_then(|s| {
@@ -267,217 +262,152 @@ pub fn run(
                 cores: cluster.total_workers(),
                 tasks: outputs.len(),
                 makespan_seconds: makespan,
-                redundant_executions: shared.redundant.load(Ordering::Relaxed),
+                redundant_executions: ledger.duplicate_completions() as usize,
                 remote_bytes: 0, // node-local files only
             },
-            failed: shared.failed_ids.into_inner().unwrap(),
+            failed: failed.iter().map(|&(id, _)| id).collect(),
             total_attempts: shared.attempts_total.load(Ordering::Relaxed),
             worker_deaths: shared.deaths.load(Ordering::Relaxed),
             cost: Some(cluster.cost(makespan)),
             trace,
         },
         per_node_seconds: per_node.into_inner().unwrap(),
-        vertex_failures,
-        vertex_retries: shared.retries.load(Ordering::Relaxed),
+        vertex_failures: failed.len(),
+        vertex_retries: ledger.retries() as usize,
     };
     Ok((report, outputs))
 }
 
-/// A vertex's spec and node-local input, shared by the local list, the
-/// running-vertex registry and every attempt without copying the input.
-type Vertex = Arc<(TaskSpec, Vec<u8>)>;
+/// The ledger and, beside it, each live attempt's cancel token and worker.
+/// A deadline cut removes its victim here, so the victim's slot finds its
+/// attempt already settled.
+struct Attempts {
+    ledger: AttemptLedger,
+    live: HashMap<AttemptId, (Cancel, u32)>,
+}
 
-/// A vertex on its node's local work list, with the `(worker, task_seq)`
-/// its first attempt rolls the chaos dice at.
-type LocalVertex = (Vertex, (u32, u32));
+impl Attempts {
+    /// Launch `task` on `worker`; the clock is read under the lock, in order.
+    fn launch(&mut self, task: usize, clock: &RunClock, worker: u32) -> (AttemptId, Cancel) {
+        let id = self.ledger.launch(task, clock.now_s());
+        self.track(id, worker)
+    }
+
+    fn track(&mut self, id: AttemptId, worker: u32) -> (AttemptId, Cancel) {
+        let cancel = Cancel::new();
+        self.live.insert(id, (cancel.clone(), worker));
+        (id, cancel)
+    }
+}
 
 /// Everything a vertex slot touches, shared across every node's slots:
-/// the run's inputs, its defense state and its tallies.
+/// the run's inputs, its defense state and its tallies. Lock order: never
+/// take `health` while holding `attempts`.
 struct SlotCtx<'a> {
     executor: &'a Arc<dyn Executor>,
     sink: Option<&'a dyn TraceSink>,
     chaos: Option<&'a FaultSchedule>,
     clock: RunClock,
-    config: &'a DryadConfig,
-    policy: ResiliencePolicy,
-    /// Cluster-wide defense state: one hedge policy and one health tracker
-    /// shared by every node, so latency observations feed a single
-    /// quantile even though backup vertices never cross nodes.
-    hedge: Option<Mutex<HedgePolicy>>,
+    deadline: Option<DeadlineConfig>,
+    /// One ledger for the run, so latency observations feed a single
+    /// hedge quantile even though backup vertices never cross nodes.
+    attempts: Mutex<Attempts>,
     health: Option<Mutex<HealthTracker>>,
-    n_tasks: usize,
+    /// Every vertex's spec and node-local input, by ledger task id.
+    vertices: Vec<(TaskSpec, Vec<u8>)>,
     outputs: Mutex<Vec<(String, Vec<u8>)>>,
-    failures: AtomicUsize,
-    failed_ids: Mutex<Vec<TaskId>>,
-    retries: AtomicUsize,
+    /// Permanently failed vertices with their errors, in failure order.
+    failed: Mutex<Vec<(TaskId, PpcError)>>,
     attempts_total: AtomicUsize,
     deaths: AtomicUsize,
-    redundant: AtomicUsize,
-    first_error: Mutex<Option<PpcError>>,
-    /// Clock time the last vertex settled (committed or permanently
-    /// failed). A killed loser only stops at its executor's next
-    /// cancellation check (never, for an executor that does not override
-    /// `run_cancellable`), so the report's makespan is this settle time,
-    /// not the join time.
+    /// Clock time the last vertex settled: the makespan, since a killed
+    /// loser stops only at its executor's next cancellation check.
     finished_s: Mutex<f64>,
 }
 
-/// A vertex some slot on this node is currently running, visible to the
-/// node's other slots as a backup candidate.
-struct RunningVertex {
-    vertex: Vertex,
-    started_s: f64,
-    /// Attempts (original + backups) still in flight.
-    live: u32,
-    hedged: bool,
-    cancelled: bool,
-    /// Cancel tokens of the vertex's attempts, the primary's first: the
-    /// first Ok attempt kills the rest, a deadline breach kills the
-    /// primary.
-    tokens: Vec<Cancel>,
-    /// Next attempt index to hand a backup; starts past the retry layer's
-    /// range so backup spans never collide with primary retries.
-    next_attempt: u32,
-}
-
-/// Per-node state: the local work list, the running-vertex registry idle
-/// slots scan for backup candidates, the first-result-wins commit set, and
-/// the count of vertices not yet committed or permanently failed.
+/// Per-node state: the local work list and the count of vertices not yet
+/// committed or permanently failed.
 struct NodeState {
-    local: Mutex<VecDeque<LocalVertex>>,
-    registry: Mutex<HashMap<u64, RunningVertex>>,
-    done: Mutex<HashSet<u64>>,
+    /// The node's index, which is also its ledger partition.
+    index: usize,
+    /// Flat worker index of the node's first slot.
+    base: usize,
+    /// Ledger task ids of the vertices not yet started, each with the
+    /// `(worker, task_seq)` its first attempt rolls the chaos dice at.
+    local: Mutex<VecDeque<(usize, (u32, u32))>>,
     remaining: AtomicUsize,
 }
 
-/// What an idle slot found while scanning the node's registry.
-enum Backup {
-    /// Run this backup attempt under its cancel token.
-    Run(Vertex, u32, Cancel),
-    /// Nothing eligible yet, but vertices are still outstanding.
-    Wait,
-    /// The node's partition is fully settled.
-    Done,
-}
-
 /// One traced vertex attempt: chaos dice at the `dice` address, if any
-/// (primary first attempts only), local read, execute, and the terminal
-/// write mark on success. Returns
-/// `Err(Cancelled)` once `cancel` is set, during execution or the gray
-/// slowdown.
-#[allow(clippy::too_many_arguments)]
+/// (a vertex's first attempt only), local read, execute, and the terminal
+/// write mark on success. Returns `Err(Cancelled)` once `cancel` is set,
+/// during execution or the gray slowdown.
 fn vertex_attempt(
     ctx: &SlotCtx,
-    spec: &TaskSpec,
-    input: &[u8],
+    id: AttemptId,
     worker: u32,
-    attempt: u32,
     dice: Option<(u32, u32)>,
     cancel: &Cancel,
 ) -> Result<Vec<u8>> {
+    let (spec, input) = &ctx.vertices[id.task];
     ctx.attempts_total.fetch_add(1, Ordering::Relaxed);
     let attempt_start = Instant::now();
     // Each attempt is its own span subtree; dropping the marker on a
     // failure path still closes it.
     let mut tt = ctx.sink.map(|s| {
-        let mut tt = AttemptMarker::new(s, spec.id.0, attempt, worker, ctx.clock.now_s());
+        let mut tt = AttemptMarker::new(s, spec.id.0, id.attempt, worker, ctx.clock.now_s());
         tt.mark(Phase::VertexStart, ctx.clock.now_s());
         tt
     });
-    if let Some(schedule) = ctx.chaos {
+    if let (Some(schedule), Some((w, seq))) = (ctx.chaos, dice) {
         // Any death die or a torn output costs exactly one failed attempt;
         // the job manager re-runs the vertex.
-        if let Some((w, seq)) = dice {
-            let died = schedule.die_before_execute(w, seq)
-                || schedule.die_mid_execute(w, seq)
-                || schedule.die_before_delete(w, seq);
-            if died || schedule.is_torn_upload(w, seq) {
-                if died {
-                    ctx.deaths.fetch_add(1, Ordering::Relaxed);
-                    if let Some(s) = ctx.sink {
-                        s.event(TraceEvent {
-                            at_s: ctx.clock.now_s(),
-                            worker,
-                            kind: EventKind::Death,
-                        });
-                    }
-                }
-                return Err(PpcError::Transient("chaos: vertex attempt killed".into()));
+        let died = schedule.die_before_execute(w, seq)
+            || schedule.die_mid_execute(w, seq)
+            || schedule.die_before_delete(w, seq);
+        if died || schedule.is_torn_upload(w, seq) {
+            if died {
+                ctx.deaths.fetch_add(1, Ordering::Relaxed);
+                ctx.event(worker, EventKind::Death, ctx.clock.now_s());
             }
+            return Err(PpcError::Transient("chaos: vertex attempt killed".into()));
         }
     }
     // Inputs are already in node-local memory: the read phase is an
-    // instant, but it keeps the native phase set aligned with the
-    // simulator's.
+    // instant that keeps the native phase set aligned with the sim's.
     if let Some(tt) = tt.as_mut() {
         tt.mark(Phase::ReadLocal, ctx.clock.now_s());
     }
-    let r = ctx.executor.run_cancellable(spec, input, cancel);
+    let mut r = ctx.executor.run_cancellable(spec, input, cancel);
     // Gray degradation stretches the execute phase itself, so a straggling
-    // attempt is slow in the trace and loses the commit race for real.
-    let r = apply_gray_slowdown(ctx, worker, attempt_start, cancel).and(r);
+    // attempt is slow in the trace and loses the commit race for real; the
+    // stretch ends early, with `Err(Cancelled)`, if the attempt is killed.
+    let factor = ctx.chaos.map(|s| s.slowdown(worker, ctx.clock.now_s()));
+    if let Some(factor) = factor.filter(|&f| f > 1.0) {
+        r = cancel
+            .sleep(attempt_start.elapsed().mul_f64(factor - 1.0))
+            .and(r);
+    }
     if let Some(tt) = tt.as_mut() {
         tt.mark(Phase::Execute, ctx.clock.now_s());
         if r.is_ok() {
             // Under hedging a backup vertex may race this attempt; the
-            // write that reaches the commit set first is the terminal one.
+            // write that reaches the ledger first is the terminal one.
             tt.mark(Phase::Write, ctx.clock.now_s());
         }
     }
     r
 }
 
-/// Stretch the slot's wall time under a gray degradation window; the
-/// stretch ends early, with `Err(Cancelled)`, if the attempt is killed.
-fn apply_gray_slowdown(
-    ctx: &SlotCtx,
-    worker: u32,
-    vertex_start: Instant,
-    cancel: &Cancel,
-) -> Result<()> {
-    if let Some(schedule) = ctx.chaos {
-        let factor = schedule.slowdown(worker, ctx.clock.now_s());
-        if factor > 1.0 {
-            return cancel.sleep(vertex_start.elapsed().mul_f64(factor - 1.0));
-        }
-    }
-    Ok(())
-}
-
-/// Whether an attempt's error means the runtime killed it.
-fn killed(e: &PpcError) -> bool {
-    matches!(e, PpcError::Cancelled(_))
-}
-
-/// A vertex slot's one lifecycle: pull vertices off the node's local
-/// list, re-running a failed attempt in place through the shared retry
-/// layer (Table 3's Dryad fault tolerance). Every running vertex is
-/// registered as a backup candidate; once the list is empty, an idle slot
-/// launches backup vertices for deadline breaches and hedge-eligible
-/// stragglers on its own node (the first Ok attempt wins, losers count as
-/// redundant work), or waits for the node to settle — a slot killed later
-/// pushes its vertex back onto the list. Quarantined slots are benched off
-/// the list until released.
+/// A vertex slot's one lifecycle: pull vertices off the node's local list
+/// and run each through the ledger (Table 3's Dryad fault tolerance). Once
+/// the list is empty, an idle slot cuts deadline breaches and backs up
+/// hedge-eligible stragglers on its own node, or waits for the node to
+/// settle — a slot killed later pushes its vertex back onto the list.
+/// Quarantined slots are benched off the list until released.
 fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
-    if let Some(s) = ctx.sink {
-        s.event(TraceEvent {
-            at_s: ctx.clock.now_s(),
-            worker,
-            kind: EventKind::WorkerStart,
-        });
-    }
-    let retry = RetryPolicy::immediate(ctx.config.max_retries + 1);
+    ctx.event(worker, EventKind::WorkerStart, ctx.clock.now_s());
     let mut last_kill_s: f64 = 0.0;
-    // Score a failed attempt into the health tracker, which traces any
-    // bench it imposes.
-    let score_failure = || {
-        if let Some(h) = &ctx.health {
-            let now_s = ctx.clock.now_s();
-            h.lock()
-                .unwrap()
-                .record(worker, None, now_s, &HealthTrace(ctx.sink));
-        }
-    };
     loop {
         if let Some(health) = &ctx.health {
             // Quarantine gate: a benched slot naps instead of pulling work.
@@ -497,252 +427,189 @@ fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
             }
         }
         let item = node.local.lock().unwrap().pop_front();
-        match item {
-            Some((vertex, dice)) => {
+        let (id, cancel, dice) = match item {
+            Some((task, dice)) => {
                 if let Some(schedule) = ctx.chaos {
                     let now_s = ctx.clock.now_s();
                     if schedule.kills_in(worker, last_kill_s, now_s) {
                         // Slot dies: hand the vertex back to a surviving
                         // slot on this node.
                         ctx.deaths.fetch_add(1, Ordering::Relaxed);
-                        if let Some(s) = ctx.sink {
-                            s.event(TraceEvent {
-                                at_s: now_s,
-                                worker,
-                                kind: EventKind::Death,
-                            });
-                        }
-                        node.local.lock().unwrap().push_front((vertex, dice));
+                        ctx.event(worker, EventKind::Death, now_s);
+                        node.local.lock().unwrap().push_front((task, dice));
                         break;
                     }
                     last_kill_s = now_s;
                 }
-                // Register before running so other slots can back this
-                // vertex up while it is in flight.
-                let cancel = Cancel::new();
-                node.registry.lock().unwrap().insert(
-                    vertex.0.id.0,
-                    RunningVertex {
-                        vertex: vertex.clone(),
-                        started_s: ctx.clock.now_s(),
-                        live: 1,
-                        hedged: false,
-                        cancelled: false,
-                        tokens: vec![cancel.clone()],
-                        next_attempt: ctx.config.max_retries + 1,
-                    },
-                );
-                let (spec, input) = &*vertex;
-                let vertex_start = Instant::now();
-                let mut used_attempts = 0u32;
-                // The immediate policy never backs off, so it never draws.
-                let out = retry.run_blocking(&mut Pcg32::new(0), |attempt| {
-                    used_attempts = attempt;
-                    let dice = (attempt == 0).then_some(dice);
-                    let r = vertex_attempt(ctx, spec, input, worker, attempt, dice, &cancel);
-                    if r.as_ref().is_err_and(|e| !killed(e)) {
-                        score_failure();
-                    }
-                    r
-                });
-                let latency_s = vertex_start.elapsed().as_secs_f64();
-                finish_attempt(ctx, node, spec, worker, out, used_attempts, latency_s);
+                let (id, cancel) = ctx
+                    .attempts
+                    .lock()
+                    .unwrap()
+                    .launch(task, &ctx.clock, worker);
+                (id, cancel, Some(dice))
             }
-            None => match next_backup(ctx, node) {
-                Backup::Run(vertex, attempt, cancel) => {
-                    let (spec, input) = &*vertex;
-                    let vertex_start = Instant::now();
-                    // Backups roll no chaos dice: the dice model per-pull
-                    // hazards and this slot already survived its pull.
-                    let out = vertex_attempt(ctx, spec, input, worker, attempt, None, &cancel);
-                    if out.as_ref().is_err_and(|e| !killed(e)) {
-                        score_failure();
-                    }
-                    let latency_s = vertex_start.elapsed().as_secs_f64();
-                    finish_attempt(ctx, node, spec, worker, out, 0, latency_s);
+            // The node's partition is fully settled.
+            None if node.remaining.load(Ordering::Acquire) == 0 => break,
+            None => match ctx.idle_work(node, worker) {
+                // Backups roll no chaos dice: the dice model per-pull
+                // hazards and this slot already survived its pull.
+                Some((id, cancel)) => (id, cancel, None),
+                None => {
+                    std::thread::sleep(Duration::from_micros(200));
+                    continue;
                 }
-                Backup::Wait => std::thread::sleep(Duration::from_micros(200)),
-                Backup::Done => break,
             },
-        }
+        };
+        ctx.run_vertex(node, worker, id, cancel, dice);
     }
-}
-
-/// Scan the node's registry for a backup candidate: deadline breaches
-/// first (cancel-and-re-execute), then hedge-eligible stragglers.
-fn next_backup(ctx: &SlotCtx, node: &NodeState) -> Backup {
-    if node.remaining.load(Ordering::Acquire) == 0 {
-        return Backup::Done;
-    }
-    let now_s = ctx.clock.now_s();
-    let mut reg = node.registry.lock().unwrap();
-    let done = node.done.lock().unwrap();
-    if let Some(d) = ctx.policy.deadline {
-        if let Some(e) = reg.values_mut().find(|e| {
-            !done.contains(&e.vertex.0.id.0) && !e.cancelled && now_s - e.started_s > d.timeout_s
-        }) {
-            // Kill the overdue primary through its token (it stops at its
-            // executor's next check) and launch a replacement; should the
-            // primary finish first anyway, it still wins.
-            e.cancelled = true;
-            e.tokens[0].cancel();
-            e.live += 1;
-            let attempt = e.next_attempt;
-            e.next_attempt += 1;
-            let cancel = Cancel::new();
-            e.tokens.push(cancel.clone());
-            if let Some(s) = ctx.sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker: NO_WORKER,
-                    kind: EventKind::Cancel,
-                });
-            }
-            return Backup::Run(e.vertex.clone(), attempt, cancel);
-        }
-    }
-    if let Some(hedge) = &ctx.hedge {
-        let mut policy = hedge.lock().unwrap();
-        if let Some(e) = reg.values_mut().find(|e| {
-            !done.contains(&e.vertex.0.id.0)
-                && !e.hedged
-                && policy.should_hedge(now_s - e.started_s, e.live, ctx.n_tasks)
-        }) {
-            policy.record_hedge();
-            e.hedged = true;
-            e.live += 1;
-            let attempt = e.next_attempt;
-            e.next_attempt += 1;
-            let cancel = Cancel::new();
-            e.tokens.push(cancel.clone());
-            if let Some(s) = ctx.sink {
-                s.event(TraceEvent {
-                    at_s: now_s,
-                    worker: NO_WORKER,
-                    kind: EventKind::Hedge,
-                });
-            }
-            return Backup::Run(e.vertex.clone(), attempt, cancel);
-        }
-    }
-    Backup::Wait
 }
 
 impl SlotCtx<'_> {
-    /// Record `spec`'s vertex as permanently failed with `err` and settle
-    /// it on its node.
-    fn fail_vertex(&self, node: &NodeState, spec: &TaskSpec, err: PpcError) {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        self.failed_ids.lock().unwrap().push(spec.id);
-        self.first_error.lock().unwrap().get_or_insert(err);
-        node.remaining.fetch_sub(1, Ordering::AcqRel);
-        self.settle();
+    /// Record a trace event, when tracing.
+    fn event(&self, worker: u32, kind: EventKind, at_s: f64) {
+        if let Some(s) = self.sink {
+            s.event(TraceEvent { at_s, worker, kind });
+        }
     }
 
-    /// Advance the last-settle time to now.
-    fn settle(&self) {
+    /// Score a finished attempt (`None` = failed) on `worker`'s health.
+    fn score(&self, worker: u32, latency_s: Option<f64>) {
+        if let Some(h) = &self.health {
+            let now_s = self.clock.now_s();
+            h.lock()
+                .unwrap()
+                .record(worker, latency_s, now_s, &HealthTrace(self.sink));
+        }
+    }
+
+    /// Run and settle attempt `id`, then each in-place re-run it earns.
+    fn run_vertex(
+        &self,
+        node: &NodeState,
+        worker: u32,
+        mut id: AttemptId,
+        mut cancel: Cancel,
+        mut dice: Option<(u32, u32)>,
+    ) {
+        loop {
+            let started = Instant::now();
+            let out = vertex_attempt(self, id, worker, dice.take(), &cancel);
+            let latency_s = started.elapsed().as_secs_f64();
+            match self.settle_attempt(node, worker, id, &cancel, out, latency_s) {
+                Some((next, token)) => (id, cancel) = (next, token),
+                None => return,
+            }
+        }
+    }
+
+    /// Settle a finished attempt: the first Ok commits and kills the
+    /// vertex's other attempts, a killed loser leaves as redundant work,
+    /// and a failure may return an in-place re-run.
+    fn settle_attempt(
+        &self,
+        node: &NodeState,
+        worker: u32,
+        id: AttemptId,
+        cancel: &Cancel,
+        out: Result<Vec<u8>>,
+        latency_s: f64,
+    ) -> Option<(AttemptId, Cancel)> {
+        let mut st = self.attempts.lock().unwrap();
         let now_s = self.clock.now_s();
-        let mut f = self.finished_s.lock().unwrap();
-        *f = f.max(now_s);
-    }
-}
-
-/// Settle one finished attempt (primary or backup): first Ok wins, commits
-/// the output and then kills the vertex's other attempts; losing duplicates
-/// (killed or not) count as redundant work; an attempt killed by a deadline
-/// counts as a failed attempt; and a permanent failure is recorded only
-/// once every live attempt has failed.
-fn finish_attempt(
-    ctx: &SlotCtx,
-    node: &NodeState,
-    spec: &TaskSpec,
-    worker: u32,
-    out: Result<Vec<u8>>,
-    used_attempts: u32,
-    latency_s: f64,
-) {
-    let now_s = ctx.clock.now_s();
-    match out {
-        Ok(bytes) => {
-            let winner = node.done.lock().unwrap().insert(spec.id.0);
-            if winner {
-                if used_attempts > 0 {
-                    ctx.retries
-                        .fetch_add(used_attempts as usize, Ordering::Relaxed);
-                }
-                ctx.outputs
-                    .lock()
-                    .unwrap()
-                    .push((spec.output_key.clone(), bytes));
-                if let Some(hedge) = &ctx.hedge {
-                    hedge.lock().unwrap().observe(latency_s);
-                }
-                node.remaining.fetch_sub(1, Ordering::AcqRel);
-                ctx.settle();
-            } else {
-                // A duplicate lost the race: its bytes are discarded —
-                // exactly-once output, the work was redundant.
-                ctx.redundant.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(h) = &ctx.health {
-                h.lock()
-                    .unwrap()
-                    .record(worker, Some(latency_s), now_s, &HealthTrace(ctx.sink));
-            }
-            let mut reg = node.registry.lock().unwrap();
-            if let Some(e) = reg.get_mut(&spec.id.0) {
-                if winner {
-                    // Committed: kill the other attempts (this one's own
-                    // token is never checked again).
-                    for token in e.tokens.drain(..) {
+        // Gone if cut at its deadline: the cutter already failed it.
+        st.live.remove(&id)?;
+        match out {
+            Ok(bytes) => {
+                let first = st.ledger.complete_at(id, now_s) == CompleteOutcome::First;
+                for (other, (token, _)) in st.live.iter().filter(|_| first) {
+                    if other.task == id.task {
                         token.cancel();
                     }
                 }
-                e.live = e.live.saturating_sub(1);
-                if e.live == 0 {
-                    reg.remove(&spec.id.0);
+                drop(st);
+                if first {
+                    let key = self.vertices[id.task].0.output_key.clone();
+                    self.outputs.lock().unwrap().push((key, bytes));
+                    self.vertex_settled(node);
                 }
+                // A duplicate that lost the race is discarded: exactly-once
+                // output, the ledger counts the redundant work.
+                self.score(worker, Some(latency_s));
+                None
             }
+            Err(_) if cancel.is_cancelled() => {
+                // Killed by the vertex's committing attempt: redundant
+                // work, no failure.
+                st.ledger.release_cancelled(id);
+                drop(st);
+                self.event(worker, EventKind::Cancel, now_s);
+                None
+            }
+            Err(e) => self.fail_attempt(st, node, id, worker, worker, e),
         }
-        Err(e) => {
-            let was_killed = killed(&e);
-            let mut reg = node.registry.lock().unwrap();
-            let last_live = match reg.get_mut(&spec.id.0) {
-                Some(entry) => {
-                    entry.live = entry.live.saturating_sub(1);
-                    entry.live == 0
-                }
-                None => true,
-            };
-            let done = node.done.lock().unwrap().contains(&spec.id.0);
-            if last_live {
-                reg.remove(&spec.id.0);
-            }
-            drop(reg);
-            if was_killed && done {
-                // A loser killed by the winning attempt: redundant work,
-                // no failure.
-                ctx.redundant.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = ctx.sink {
-                    s.event(TraceEvent {
-                        at_s: now_s,
-                        worker,
-                        kind: EventKind::Cancel,
-                    });
-                }
-            } else if was_killed {
-                // Killed by its deadline (the Cancel event was recorded
-                // there): a failed attempt.
-                if let Some(h) = &ctx.health {
-                    h.lock()
-                        .unwrap()
-                        .record(worker, None, now_s, &HealthTrace(ctx.sink));
-                }
-            }
-            if last_live && !done {
-                ctx.fail_vertex(node, spec, e);
-            }
+    }
+
+    /// An idle slot's turn on its node: cut the oldest attempt past the
+    /// deadline and take over its re-run, else launch a backup of the
+    /// oldest hedge-eligible straggler. `None`: nothing to run yet.
+    fn idle_work(&self, node: &NodeState, worker: u32) -> Option<(AttemptId, Cancel)> {
+        let mut st = self.attempts.lock().unwrap();
+        let now_s = self.clock.now_s();
+        let overdue = self
+            .deadline
+            .and_then(|d| st.ledger.overdue(node.index, now_s, d.timeout_s));
+        if let Some(victim) = overdue {
+            // Kill the overdue attempt (it stops at its executor's next
+            // check) and fail it now: a cut is a failed attempt.
+            let (token, victim_worker) =
+                st.live.remove(&victim).expect("overdue attempts are live");
+            token.cancel();
+            self.event(NO_WORKER, EventKind::Cancel, now_s);
+            let spec = &self.vertices[victim.task].0;
+            let err = PpcError::Cancelled(format!("vertex {}: past its deadline", spec.id.0));
+            return self.fail_attempt(st, node, victim, victim_worker, worker, err);
         }
+        let id = st.ledger.launch_hedge(node.index, now_s)?;
+        self.event(NO_WORKER, EventKind::Hedge, now_s);
+        Some(st.track(id, worker))
+    }
+
+    /// Fail attempt `id`, run on `failed_on`, in the ledger: re-run the
+    /// vertex on `worker` when no other attempt of it is live, or fail it
+    /// for good with `err` once its budget is spent.
+    fn fail_attempt(
+        &self,
+        mut st: MutexGuard<Attempts>,
+        node: &NodeState,
+        id: AttemptId,
+        failed_on: u32,
+        worker: u32,
+        err: PpcError,
+    ) -> Option<(AttemptId, Cancel)> {
+        let outcome = st.ledger.fail(id);
+        let rerun = (outcome == FailOutcome::Retried && st.ledger.live_attempts(id.task) == 0)
+            .then(|| st.launch(id.task, &self.clock, worker));
+        drop(st);
+        self.score(failed_on, None);
+        if outcome == FailOutcome::TaskFailed {
+            self.fail_vertex(node, &self.vertices[id.task].0, err);
+        }
+        rerun
+    }
+
+    /// Record `spec`'s vertex as permanently failed with `err` and settle
+    /// it on its node.
+    fn fail_vertex(&self, node: &NodeState, spec: &TaskSpec, err: PpcError) {
+        self.failed.lock().unwrap().push((spec.id, err));
+        self.vertex_settled(node);
+    }
+
+    /// Count one vertex of `node` settled, now.
+    fn vertex_settled(&self, node: &NodeState) {
+        node.remaining.fetch_sub(1, Ordering::AcqRel);
+        let now_s = self.clock.now_s();
+        let mut f = self.finished_s.lock().unwrap();
+        *f = f.max(now_s);
     }
 }
 

@@ -226,7 +226,10 @@ pub(crate) fn simulate_impl(
                 let start_s = start as f64 / 1e6;
                 let factor = schedule.map_or(1.0, |s| s.slowdown(w, start_s));
                 let dur_s = cfg.vertex_overhead_s + t_exec * jitter * factor + t_io;
-                let mut finish = start + (dur_s * 1e6).round() as u64;
+                // A deadline cuts the attempt first: kills and dice then
+                // land only inside the span it actually runs.
+                let cut = deadline.filter(|d| dur_s > d.timeout_s);
+                let mut finish = start + (cut.map_or(dur_s, |d| d.timeout_s) * 1e6).round() as u64;
                 total_attempts += 1;
                 let mut killed = false;
                 let mut dies = false;
@@ -245,15 +248,13 @@ pub(crate) fn simulate_impl(
                     }
                     dies = died || schedule.is_torn_upload(w, seq);
                 }
-                let cut = deadline.filter(|d| !dies && dur_s > d.timeout_s);
+                // A death outranks the cut.
+                let cut = cut.filter(|_| !dies);
                 if dies || cut.is_some() {
                     // A failed attempt: a death re-runs the vertex in place,
                     // on this slot; a deadline cancels it at the timeout and
                     // re-runs it through slot selection, where the
                     // quarantine gate can divert it off a gray slot.
-                    if let Some(d) = cut {
-                        finish = start + (d.timeout_s * 1e6).round() as u64;
-                    }
                     let end_s = finish as f64 / 1e6;
                     if let Some(rec) = &rec {
                         record_vertex(
@@ -700,6 +701,32 @@ mod tests {
             "replacement starts at {} before the cancel at {cancel_s}",
             replacement.start_s
         );
+        let expect = 60.0 + 10.0 * 2.5 / 2.3;
+        assert!(
+            (report.summary.makespan_seconds - expect).abs() < 1e-3,
+            "makespan {}",
+            report.summary.makespan_seconds
+        );
+    }
+
+    #[test]
+    fn deadline_cut_comes_before_a_later_kill() {
+        // Slot 0 runs 30x slow and is killed at 100 s. The 60 s deadline
+        // cuts its ~326 s attempt first, so the kill lands after the
+        // attempt ended: a cancel at 60 s and a replacement on slot 1.
+        let cluster = Cluster::provision(BARE_HPC16, 1, 2);
+        let schedule = FaultSchedule::new(11)
+            .degrade(0, 30.0, 0.0, 1e9)
+            .kill_at(0, 100.0);
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(Arc::new(schedule))
+            .with_trace(true)
+            .with_resilience(ResiliencePolicy::default().with_deadline(60.0));
+        let report = crate::simulate(&ctx, &cpu_tasks(1, 10.0), &quiet());
+        let trace = report.core.trace.as_ref().unwrap();
+        let events: Vec<_> = trace.events().iter().map(|e| (e.kind, e.at_s)).collect();
+        assert_eq!(events, [(EventKind::Cancel, 60.0)]);
+        assert_eq!(report.worker_deaths, 0);
         let expect = 60.0 + 10.0 * 2.5 / 2.3;
         assert!(
             (report.summary.makespan_seconds - expect).abs() < 1e-3,

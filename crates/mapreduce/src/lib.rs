@@ -20,8 +20,10 @@
 //! Map-only jobs (all three paper applications), full map/shuffle/reduce
 //! jobs, and Twister-style **iterative MapReduce** ([`iterative`] — the
 //! paper's §8 future work) are all supported. Two runtimes share the
-//! [`scheduler::Scheduler`], and both are reached through exactly two
-//! entry points driven by a [`ppc_exec::RunContext`]:
+//! [`scheduler::Scheduler`] — a locality-aware queue over the shared
+//! [`ppc_resilience::AttemptLedger`], which owns attempt state, retries
+//! and speculation — and both are reached through exactly two entry
+//! points driven by a [`ppc_exec::RunContext`]:
 //!
 //! * [`run`] — the native runtime ([`runtime`]): real threads against a
 //!   real `MiniHdfs`.

@@ -415,29 +415,40 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         let t_write = cfg.local_read.transfer_seconds(task.profile.output_bytes);
         let mut fails =
             cfg.attempt_failure_p > 0.0 && st.rngs[worker].chance(cfg.attempt_failure_p);
-        let mut killed = false;
-        if let Some(schedule) = st.schedule.clone() {
-            let w = worker as u32;
-            let seq = st.task_seqs[worker];
+        let schedule = st.schedule.clone();
+        let seq = st.task_seqs[worker];
+        if let Some(schedule) = &schedule {
             st.task_seqs[worker] += 1;
             // Gray degradation stretches the attempt; an HDFS outage
             // window stalls the read until the window closes (the
             // client rides it out rather than burning attempts).
-            t_exec_base *= schedule.slowdown(w, now_s);
+            t_exec_base *= schedule.slowdown(worker as u32, now_s);
             if let Some(until) = schedule.storage_outage_until(now_s) {
                 t_read += until - now_s;
             }
-            // A kill landing anywhere in the attempt's service window,
-            // any death die, or a torn output fails the attempt; the
-            // scheduler re-executes on the attempt budget.
-            let window_end = now_s
-                + cfg.dispatch_overhead_s
-                + t_read
-                + t_exec_base * jitter * straggle
-                + t_write;
+        }
+        let mut duration_s =
+            cfg.dispatch_overhead_s + t_read + t_exec_base * jitter * straggle + t_write;
+        // Per-task deadline: an attempt that cannot finish inside the
+        // timeout is cancelled at the deadline and the task requeued
+        // (the cancel burns one unit of the task's attempt budget).
+        let cut = resilience
+            .and_then(|p| p.deadline)
+            .filter(|d| duration_s > d.timeout_s);
+        if let Some(d) = cut {
+            duration_s = d.timeout_s;
+        }
+        let mut killed = false;
+        let mut died = false;
+        if let Some(schedule) = schedule {
+            // A kill landing anywhere in the attempt's service window (cut
+            // at the deadline), any death die, or a torn output fails the
+            // attempt; the scheduler re-executes on the attempt budget.
+            let w = worker as u32;
+            let window_end = now_s + duration_s;
             killed = schedule.kills_in(w, st.last_kill[worker], window_end);
             st.last_kill[worker] = window_end;
-            let died = killed
+            died = killed
                 || schedule.die_before_execute(w, seq)
                 || schedule.die_mid_execute(w, seq)
                 || schedule.die_before_delete(w, seq);
@@ -446,18 +457,8 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
             }
             fails = fails || died || schedule.is_torn_upload(w, seq);
         }
-        let mut duration_s =
-            cfg.dispatch_overhead_s + t_read + t_exec_base * jitter * straggle + t_write;
-        // Per-task deadline: an attempt that cannot finish inside the
-        // timeout is cancelled at the deadline and the task requeued
-        // (the cancel burns one unit of the task's attempt budget).
-        let mut cancelled = false;
-        if let Some(d) = resilience.and_then(|p| p.deadline) {
-            if duration_s > d.timeout_s {
-                duration_s = d.timeout_s;
-                cancelled = true;
-            }
-        }
+        // A death outranks the cut.
+        let cancelled = cut.is_some() && !died;
         (
             duration_s,
             fails || cancelled,
@@ -545,7 +546,7 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppc_compute::instance::BARE_CAP3;
+    use ppc_compute::instance::{BARE_CAP3, EC2_HCXL};
     use ppc_core::task::ResourceProfile;
     use ppc_exec::RunContext;
 
@@ -707,6 +708,74 @@ mod tests {
         );
         assert_eq!(a.summary.makespan_seconds, b.summary.makespan_seconds);
         assert_eq!(a.total_attempts, b.total_attempts);
+    }
+
+    #[test]
+    fn deadline_cut_comes_before_a_later_kill() {
+        // The lone slot runs 30x slow and is killed at 100 s; every
+        // attempt is cut at the 60 s deadline. The kill lands inside the
+        // second attempt's cut span [60, 120], never the first's.
+        let cluster = Cluster::provision(EC2_HCXL, 1, 1);
+        let cfg = HadoopSimConfig {
+            local_read: LatencyModel::FREE,
+            remote_read: LatencyModel::FREE,
+            max_attempts: 3,
+            ..quiet(HadoopSimConfig::default())
+        };
+        let schedule = FaultSchedule::new(11)
+            .degrade(0, 30.0, 0.0, 1e9)
+            .kill_at(0, 100.0);
+        let ctx = RunContext::new(&cluster)
+            .with_schedule(Arc::new(schedule))
+            .with_trace(true)
+            .with_resilience(ResiliencePolicy::default().with_deadline(60.0));
+        let report = crate::simulate(&ctx, &cpu_tasks(1, 10.0), &cfg);
+        let trace = report.core.trace.as_ref().unwrap();
+        let events: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Cancel | EventKind::Death))
+            .map(|e| (e.kind, e.at_s))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (EventKind::Cancel, 60.0),
+                (EventKind::Death, 120.0),
+                (EventKind::Cancel, 180.0)
+            ]
+        );
+        assert_eq!(report.worker_deaths, 1);
+        assert_eq!(
+            report.failed.len(),
+            1,
+            "three failed attempts spend the budget"
+        );
+    }
+
+    #[test]
+    fn spent_budget_stops_hedging_under_a_deadline() {
+        // Unbounded legacy hedging plus a deadline no attempt can meet:
+        // once the task's failures spend its budget it gets no fresh
+        // hedges, so the run ends with the task failed. On a helper
+        // thread, so a regression fails here instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cluster = Cluster::provision(EC2_HCXL, 1, 2);
+            let cfg = HadoopSimConfig {
+                max_attempts: 3,
+                ..HadoopSimConfig::default()
+            };
+            let ctx = RunContext::new(&cluster)
+                .with_resilience(ResiliencePolicy::legacy_speculation().with_deadline(2.0));
+            let report = crate::simulate(&ctx, &cpu_tasks(1, 10.0), &cfg);
+            let _ = tx.send((report.failed.len(), report.total_attempts));
+        });
+        let (failed, attempts) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the simulation did not return within 10 s");
+        assert_eq!(failed, 1);
+        assert_eq!(attempts, 4, "two launches and two hedges");
     }
 
     #[test]

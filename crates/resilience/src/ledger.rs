@@ -1,0 +1,661 @@
+//! The attempt ledger: one sans-IO state machine for every attempt of a
+//! job's tasks — launches, hedges, the failure budget, first-result-wins
+//! commit and killed losers. Callers pass the time of each call.
+//! MapReduce's scheduler keeps every task in one partition (Hadoop's
+//! global queue); native Dryad gives each node its own.
+
+use crate::{HedgeConfig, HedgePolicy};
+use std::collections::{BTreeSet, HashMap};
+
+/// Identifies one attempt of one task (task index, attempt ordinal).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AttemptId {
+    pub task: usize,
+    pub attempt: u32,
+}
+
+/// What [`AttemptLedger::complete_at`] tells the caller about an attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompleteOutcome {
+    /// This attempt finished the task.
+    First,
+    /// The task was already done: this attempt's work is redundant.
+    Duplicate,
+}
+
+/// What [`AttemptLedger::fail`] tells the caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailOutcome {
+    /// Another attempt is due; with none live, the task is pending again.
+    Retried,
+    /// The retry budget is exhausted; the task is failed permanently.
+    TaskFailed,
+    /// Done already, or the budget is spent while a duplicate is live.
+    Stale,
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum TaskPhase {
+    #[default]
+    Pending,
+    Running,
+    Done,
+    Failed,
+}
+
+#[derive(Default)]
+struct TaskState {
+    partition: usize,
+    phase: TaskPhase,
+    live_attempts: u32,
+    next_attempt: u32,
+    failures: u32,
+    /// Launch stamp and clock time of the current running period.
+    started_seq: u64,
+    started_at_s: f64,
+}
+
+/// The attempt state of one job's tasks. See the module docs.
+pub struct AttemptLedger {
+    tasks: Vec<TaskState>,
+    n_done: usize,
+    n_failed: usize,
+    hedge: Option<HedgePolicy>,
+    max_attempts: u32,
+    seq: u64,
+    retries: u64,
+    duplicate_completions: u64,
+    /// Launch time of each live attempt.
+    attempt_started: HashMap<AttemptId, f64>,
+    /// Each partition's hedge candidates when hedging is on: `(started_seq,
+    /// task)` of every `Running` task below the live-attempt cap with
+    /// budget left. Launch clocks are monotone, so a partition's first
+    /// entry is its oldest and the only one a hedge decision needs.
+    candidates: Vec<BTreeSet<(u64, usize)>>,
+    last_started_at_s: f64,
+}
+
+impl AttemptLedger {
+    /// `partitions.len()` pending tasks, task `i` in `partitions[i]`; no
+    /// hedges without a config; `max_attempts` failures fail a task.
+    pub fn new(
+        partitions: Vec<usize>,
+        hedge: Option<HedgeConfig>,
+        max_attempts: u32,
+    ) -> AttemptLedger {
+        assert!(max_attempts >= 1);
+        let n_partitions = partitions.iter().max().map_or(0, |&p| p + 1);
+        AttemptLedger {
+            tasks: partitions
+                .into_iter()
+                .map(|partition| TaskState {
+                    partition,
+                    ..TaskState::default()
+                })
+                .collect(),
+            n_done: 0,
+            n_failed: 0,
+            hedge: hedge.map(HedgePolicy::new),
+            max_attempts,
+            seq: 0,
+            retries: 0,
+            duplicate_completions: 0,
+            attempt_started: HashMap::new(),
+            candidates: vec![BTreeSet::new(); n_partitions],
+            last_started_at_s: f64::NEG_INFINITY,
+        }
+    }
+
+    pub fn n_done(&self) -> usize {
+        self.n_done
+    }
+
+    /// All tasks resolved (done or permanently failed).
+    #[inline]
+    pub fn is_complete(&self) -> bool {
+        self.n_done + self.n_failed == self.tasks.len()
+    }
+
+    pub fn failed_tasks(&self) -> Vec<usize> {
+        self.tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.phase == TaskPhase::Failed)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    #[inline]
+    pub fn live_attempts(&self, task: usize) -> u32 {
+        self.tasks[task].live_attempts
+    }
+
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    pub fn duplicate_completions(&self) -> u64 {
+        self.duplicate_completions
+    }
+
+    pub fn hedges_launched(&self) -> usize {
+        self.hedge.as_ref().map_or(0, |p| p.hedges_launched())
+    }
+
+    /// Start a pending task's next attempt; launch times never go back.
+    pub fn launch(&mut self, task: usize, now_s: f64) -> AttemptId {
+        debug_assert!(
+            now_s >= self.last_started_at_s,
+            "launch clock went backwards: {now_s} < {}",
+            self.last_started_at_s
+        );
+        self.last_started_at_s = now_s;
+        self.seq += 1;
+        let t = &mut self.tasks[task];
+        debug_assert_eq!(t.phase, TaskPhase::Pending, "task {task} is not pending");
+        t.phase = TaskPhase::Running;
+        t.started_seq = self.seq;
+        t.started_at_s = now_s;
+        self.launch_attempt(task, now_s)
+    }
+
+    /// Duplicate the oldest running task of `partition` if the
+    /// [`HedgePolicy`] approves it at `now_s`; if the oldest is not past
+    /// the hedge delay, no candidate is.
+    pub fn launch_hedge(&mut self, partition: usize, now_s: f64) -> Option<AttemptId> {
+        let task = self.first_candidate(partition)?;
+        let t = &self.tasks[task];
+        let policy = self.hedge.as_mut()?;
+        if !policy.should_hedge(now_s - t.started_at_s, t.live_attempts, self.tasks.len()) {
+            return None;
+        }
+        policy.record_hedge();
+        Some(self.launch_attempt(task, now_s))
+    }
+
+    /// The earliest time [`AttemptLedger::launch_hedge`] could launch in
+    /// `partition` (`None`: not before the state changes). It is the f64
+    /// sum `started_at_s + delay`, while `launch_hedge` tests `now_s -
+    /// started_at_s >= delay`: leave a rounding margin below it.
+    pub fn earliest_hedge_s(&self, partition: usize) -> Option<f64> {
+        let policy = self.hedge.as_ref()?;
+        if !policy.budget_remaining(self.tasks.len()) {
+            return None;
+        }
+        let task = self.first_candidate(partition)?;
+        Some(self.tasks[task].started_at_s + policy.hedge_delay())
+    }
+
+    /// The oldest live attempt of a running task in `partition` past
+    /// `timeout_s` at `now_s`: a deadline breach. Scans live attempts.
+    pub fn overdue(&self, partition: usize, now_s: f64, timeout_s: f64) -> Option<AttemptId> {
+        self.attempt_started
+            .iter()
+            .filter(|&(id, &at)| {
+                let t = &self.tasks[id.task];
+                t.partition == partition && t.phase == TaskPhase::Running && now_s - at > timeout_s
+            })
+            .min_by(|(a, at), (b, bt)| {
+                at.total_cmp(bt)
+                    .then((a.task, a.attempt).cmp(&(b.task, b.attempt)))
+            })
+            .map(|(&id, _)| id)
+    }
+
+    fn first_candidate(&self, partition: usize) -> Option<usize> {
+        let &(_, task) = self.candidates.get(partition)?.first()?;
+        Some(task)
+    }
+
+    fn launch_attempt(&mut self, task: usize, now_s: f64) -> AttemptId {
+        let t = &mut self.tasks[task];
+        t.live_attempts += 1;
+        let id = AttemptId {
+            task,
+            attempt: t.next_attempt,
+        };
+        t.next_attempt += 1;
+        self.attempt_started.insert(id, now_s);
+        self.reindex(task);
+        id
+    }
+
+    /// Take attempt `id` off the live set; its launch time, if it was live.
+    fn retire(&mut self, id: AttemptId) -> Option<f64> {
+        let t = &mut self.tasks[id.task];
+        t.live_attempts = t.live_attempts.saturating_sub(1);
+        self.attempt_started.remove(&id)
+    }
+
+    /// Bring `task`'s candidate entry in line with its state (its key only
+    /// changes while `Pending`, never indexed).
+    fn reindex(&mut self, task: usize) {
+        let Some(policy) = &self.hedge else {
+            return;
+        };
+        let t = &self.tasks[task];
+        let key = (t.started_seq, task);
+        let candidates = &mut self.candidates[t.partition];
+        if t.phase == TaskPhase::Running
+            && t.live_attempts < policy.config().max_live_attempts
+            && t.failures < self.max_attempts
+        {
+            candidates.insert(key);
+        } else {
+            candidates.remove(&key);
+        }
+    }
+
+    /// Settle a successful attempt; its latency feeds the hedge quantile.
+    pub fn complete_at(&mut self, id: AttemptId, now_s: f64) -> CompleteOutcome {
+        if let (Some(started), Some(policy)) = (self.retire(id), &mut self.hedge) {
+            policy.observe(now_s - started);
+        }
+        let t = &mut self.tasks[id.task];
+        let outcome = match t.phase {
+            TaskPhase::Done | TaskPhase::Failed => {
+                self.duplicate_completions += 1;
+                CompleteOutcome::Duplicate
+            }
+            _ => {
+                t.phase = TaskPhase::Done;
+                self.n_done += 1;
+                CompleteOutcome::First
+            }
+        };
+        self.reindex(id.task);
+        outcome
+    }
+
+    /// Release a loser killed after its task committed: a duplicate
+    /// completion, but no latency sample and no failure.
+    pub fn release_cancelled(&mut self, id: AttemptId) {
+        let live = self.retire(id).is_some();
+        debug_assert!(live, "released attempt {id:?} is not live");
+        debug_assert_eq!(
+            self.tasks[id.task].phase,
+            TaskPhase::Done,
+            "only a committed task's losers are killed"
+        );
+        self.duplicate_completions += 1;
+        self.reindex(id.task);
+    }
+
+    /// Settle a failed attempt (a death, an error or a deadline cut).
+    pub fn fail(&mut self, id: AttemptId) -> FailOutcome {
+        self.retire(id);
+        let t = &mut self.tasks[id.task];
+        let outcome = match t.phase {
+            TaskPhase::Done | TaskPhase::Failed => FailOutcome::Stale,
+            _ => {
+                t.failures += 1;
+                if t.failures < self.max_attempts {
+                    self.retries += 1;
+                    if t.live_attempts == 0 {
+                        t.phase = TaskPhase::Pending;
+                    }
+                    FailOutcome::Retried
+                } else if t.live_attempts == 0 {
+                    t.phase = TaskPhase::Failed;
+                    self.n_failed += 1;
+                    FailOutcome::TaskFailed
+                } else {
+                    // Let the still-live duplicate finish.
+                    FailOutcome::Stale
+                }
+            }
+        };
+        self.reindex(id.task);
+        outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppc_core::rng::Pcg32;
+
+    /// A ledger over `n` tasks in partition 0, with Hadoop's default
+    /// speculation on or off.
+    fn ledger(n: usize, speculative: bool, max_attempts: u32) -> AttemptLedger {
+        let hedge = speculative.then(HedgeConfig::legacy_speculation);
+        AttemptLedger::new(vec![0; n], hedge, max_attempts)
+    }
+
+    #[test]
+    fn duplicate_completion_counts_redundant() {
+        let mut l = ledger(1, true, 4);
+        let a = l.launch(0, 0.0);
+        let dup = l.launch_hedge(0, 0.0).unwrap();
+        assert_eq!(l.complete_at(a, 0.0), CompleteOutcome::First);
+        assert_eq!(l.complete_at(dup, 0.0), CompleteOutcome::Duplicate);
+        assert_eq!(l.duplicate_completions(), 1);
+        assert!(l.is_complete());
+    }
+
+    #[test]
+    fn released_loser_frees_its_slot_without_a_failure() {
+        let mut l = ledger(2, true, 1);
+        let a = l.launch(0, 0.0);
+        let b = l.launch(1, 0.0);
+        let dup = l.launch_hedge(0, 0.0).unwrap();
+        assert_eq!(dup.task, a.task);
+        // Two live attempts: `a`'s task left the hedge-candidate index.
+        assert_eq!(l.live_attempts(a.task), 2);
+        assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
+        assert_eq!(l.complete_at(dup, 0.0), CompleteOutcome::First);
+        l.release_cancelled(a);
+        assert_eq!(l.live_attempts(a.task), 0);
+        assert!(!l.attempt_started.contains_key(&a));
+        assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
+        assert_eq!(
+            l.duplicate_completions(),
+            1,
+            "the killed loser is redundant work"
+        );
+        assert_eq!(l.retries(), 0, "and no failure");
+        assert!(l.failed_tasks().is_empty());
+        // With max_attempts = 1 a failure would have failed the task; the
+        // release did not touch the budget, and `b` still completes.
+        assert!(!l.is_complete());
+        assert_eq!(l.complete_at(b, 0.0), CompleteOutcome::First);
+        assert!(l.is_complete());
+        assert_eq!(l.n_done(), 2);
+    }
+
+    #[test]
+    fn released_loser_feeds_no_latency_sample() {
+        let cfg = HedgeConfig {
+            quantile: 0.5,
+            factor: 1.0,
+            min_observations: 1,
+            min_delay_s: 0.0,
+            budget_fraction: f64::INFINITY,
+            max_live_attempts: 2,
+        };
+        let mut l = AttemptLedger::new(vec![0, 0], Some(cfg), 4);
+        let delay = |l: &AttemptLedger| l.hedge.as_ref().unwrap().hedge_delay();
+        let a = l.launch(0, 0.0);
+        let b = l.launch(1, 0.0);
+        assert_eq!(l.complete_at(a, 2.0), CompleteOutcome::First);
+        assert_eq!(delay(&l), 2.0);
+        let dup = l.launch_hedge(0, 2.0).unwrap();
+        assert_eq!(dup.task, b.task);
+        // Latencies {1, 2}: p50 = 1.
+        assert_eq!(l.complete_at(dup, 3.0), CompleteOutcome::First);
+        assert_eq!(delay(&l), 1.0);
+        // The original, killed at t = 3 after running 3 s, is no sample:
+        // {1, 2, 3} would move the p50 to 2.
+        l.release_cancelled(b);
+        assert_eq!(delay(&l), 1.0);
+        assert!(l.is_complete());
+    }
+
+    #[test]
+    fn late_success_after_budget_exhausted_via_live_duplicate() {
+        let mut l = ledger(1, true, 1);
+        let a = l.launch(0, 0.0);
+        let dup = l.launch_hedge(0, 0.0).unwrap();
+        // First attempt fails and the budget is gone, but the duplicate is
+        // still live, so the task is not failed yet.
+        assert_eq!(l.fail(a), FailOutcome::Stale);
+        assert!(!l.is_complete());
+        assert_eq!(l.complete_at(dup, 0.0), CompleteOutcome::First);
+        assert!(l.is_complete());
+        assert!(l.failed_tasks().is_empty());
+    }
+
+    #[test]
+    fn spent_budget_gets_no_fresh_hedges() {
+        // Unbounded hedging: each failure below the budget leaves the task
+        // a candidate, but once its failures reach the budget the last
+        // live attempt runs alone and the task then fails.
+        let mut l = ledger(1, true, 2);
+        let a = l.launch(0, 0.0);
+        let h1 = l.launch_hedge(0, 0.0).unwrap();
+        assert_eq!(l.fail(a), FailOutcome::Retried);
+        let h2 = l
+            .launch_hedge(0, 1.0)
+            .expect("one failure: still a candidate");
+        assert_eq!(l.fail(h1), FailOutcome::Stale, "budget spent, h2 live");
+        assert_eq!(l.launch_hedge(0, 2.0), None);
+        assert_eq!(l.earliest_hedge_s(0), None);
+        assert_eq!(l.fail(h2), FailOutcome::TaskFailed);
+        assert_eq!(l.failed_tasks(), vec![0]);
+    }
+
+    #[test]
+    fn hedges_and_deadlines_stay_in_their_partition() {
+        let mut l = AttemptLedger::new(vec![0, 1, 1], Some(HedgeConfig::legacy_speculation()), 4);
+        let a = l.launch(0, 0.0);
+        let b = l.launch(1, 1.0);
+        let c = l.launch(2, 2.0);
+        assert_eq!(l.overdue(1, 10.0, 5.0), Some(b), "oldest breach of node 1");
+        assert_eq!(l.overdue(0, 10.0, 10.0), None, "strictly past the timeout");
+        assert_eq!(l.overdue(0, 10.5, 10.0), Some(a));
+        assert_eq!(l.earliest_hedge_s(1), Some(1.0));
+        assert_eq!(l.launch_hedge(1, 3.0).map(|h| h.task), Some(1));
+        assert_eq!(l.launch_hedge(1, 3.0).map(|h| h.task), Some(2));
+        assert_eq!(l.launch_hedge(1, 3.0), None, "node 1 is at the cap");
+        assert_eq!(l.launch_hedge(0, 3.0).map(|h| h.task), Some(0));
+        // A committed task's losers are no deadline breaches.
+        assert_eq!(l.complete_at(c, 4.0), CompleteOutcome::First);
+        assert_eq!(l.overdue(1, 100.0, 1.0).map(|id| id.task), Some(1));
+    }
+
+    /// The ledger's decisions recomputed by scanning every task and live
+    /// attempt: no candidate index, no cached counts.
+    struct Model {
+        partitions: Vec<usize>,
+        phase: Vec<TaskPhase>,
+        failures: Vec<u32>,
+        next_attempt: Vec<u32>,
+        started: Vec<(u64, f64)>,
+        live: Vec<(AttemptId, f64)>,
+        seq: u64,
+        policy: HedgePolicy,
+        max_attempts: u32,
+        retries: u64,
+        duplicates: u64,
+    }
+
+    impl Model {
+        fn live_of(&self, task: usize) -> u32 {
+            self.live.iter().filter(|(id, _)| id.task == task).count() as u32
+        }
+
+        fn take(&mut self, id: AttemptId) -> f64 {
+            let i = self.live.iter().position(|&(l, _)| l == id).unwrap();
+            self.live.swap_remove(i).1
+        }
+
+        /// Running tasks of `p` below the live cap with budget left,
+        /// oldest first.
+        fn candidate(&self, p: usize) -> Option<usize> {
+            (0..self.phase.len())
+                .filter(|&t| {
+                    self.partitions[t] == p
+                        && self.phase[t] == TaskPhase::Running
+                        && self.live_of(t) < self.policy.config().max_live_attempts
+                        && self.failures[t] < self.max_attempts
+                })
+                .min_by_key(|&t| self.started[t].0)
+        }
+
+        fn launch_attempt(&mut self, task: usize, now: f64) -> AttemptId {
+            let id = AttemptId {
+                task,
+                attempt: self.next_attempt[task],
+            };
+            self.next_attempt[task] += 1;
+            self.live.push((id, now));
+            id
+        }
+
+        fn fail(&mut self, id: AttemptId) -> FailOutcome {
+            self.take(id);
+            let t = id.task;
+            if matches!(self.phase[t], TaskPhase::Done | TaskPhase::Failed) {
+                return FailOutcome::Stale;
+            }
+            self.failures[t] += 1;
+            let live = self.live_of(t);
+            if self.failures[t] < self.max_attempts {
+                self.retries += 1;
+                if live == 0 {
+                    self.phase[t] = TaskPhase::Pending;
+                }
+                FailOutcome::Retried
+            } else if live == 0 {
+                self.phase[t] = TaskPhase::Failed;
+                FailOutcome::TaskFailed
+            } else {
+                FailOutcome::Stale
+            }
+        }
+    }
+
+    #[test]
+    fn ledger_matches_scan_reference_model() {
+        for seed in 0..300u64 {
+            let mut rng = Pcg32::new(0x5CA7 ^ (seed << 8));
+            let n_tasks = 1 + rng.next_below(12) as usize;
+            let n_parts = 1 + rng.next_below(3);
+            let partitions: Vec<usize> = (0..n_tasks)
+                .map(|_| rng.next_below(n_parts) as usize)
+                .collect();
+            let cfg = match rng.next_below(3) {
+                0 => HedgeConfig::legacy_speculation(),
+                1 => HedgeConfig::quantile(f64::from(rng.next_below(4))),
+                _ => HedgeConfig {
+                    quantile: 0.5,
+                    factor: 1.0,
+                    min_observations: 1,
+                    min_delay_s: f64::from(rng.next_below(3)) * 0.5,
+                    budget_fraction: [0.25, 1.0, f64::INFINITY][rng.next_below(3) as usize],
+                    max_live_attempts: 2 + rng.next_below(3),
+                },
+            };
+            let max_attempts = 1 + rng.next_below(4);
+            let mut l = AttemptLedger::new(partitions.clone(), Some(cfg), max_attempts);
+            let mut m = Model {
+                partitions,
+                phase: vec![TaskPhase::Pending; n_tasks],
+                failures: vec![0; n_tasks],
+                next_attempt: vec![0; n_tasks],
+                started: vec![(0, 0.0); n_tasks],
+                live: Vec::new(),
+                seq: 0,
+                policy: HedgePolicy::new(cfg),
+                max_attempts,
+                retries: 0,
+                duplicates: 0,
+            };
+            let mut now = 0.0;
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                now += f64::from(rng.next_below(4)) * 0.5;
+                let p = rng.next_below(n_parts) as usize;
+                match rng.next_below(7) {
+                    // Launch (or relaunch, in place) a pending task.
+                    0 | 1 => {
+                        let pending: Vec<usize> = (0..n_tasks)
+                            .filter(|&t| m.phase[t] == TaskPhase::Pending)
+                            .collect();
+                        if pending.is_empty() {
+                            continue;
+                        }
+                        let task = pending[rng.next_below(pending.len() as u32) as usize];
+                        m.seq += 1;
+                        m.phase[task] = TaskPhase::Running;
+                        m.started[task] = (m.seq, now);
+                        let want = m.launch_attempt(task, now);
+                        assert_eq!(l.launch(task, now), want, "{ctx}");
+                    }
+                    // Hedge within one partition.
+                    2 => {
+                        let cand = m.candidate(p);
+                        let earliest = cand
+                            .filter(|_| m.policy.budget_remaining(n_tasks))
+                            .map(|t| m.started[t].1 + m.policy.hedge_delay());
+                        assert_eq!(l.earliest_hedge_s(p), earliest, "{ctx}");
+                        let want = cand.filter(|&t| {
+                            m.policy
+                                .should_hedge(now - m.started[t].1, m.live_of(t), n_tasks)
+                        });
+                        let got = l.launch_hedge(p, now);
+                        assert_eq!(got.map(|id| id.task), want, "{ctx}");
+                        if let Some(task) = want {
+                            m.policy.record_hedge();
+                            assert_eq!(got, Some(m.launch_attempt(task, now)), "{ctx}");
+                        }
+                    }
+                    // The oldest deadline breach within one partition.
+                    3 => {
+                        let timeout = f64::from(rng.next_below(6)) * 0.5;
+                        let want = m
+                            .live
+                            .iter()
+                            .filter(|(id, at)| {
+                                m.partitions[id.task] == p
+                                    && m.phase[id.task] == TaskPhase::Running
+                                    && now - at > timeout
+                            })
+                            .min_by(|a, b| {
+                                (a.1, a.0.task, a.0.attempt)
+                                    .partial_cmp(&(b.1, b.0.task, b.0.attempt))
+                                    .unwrap()
+                            })
+                            .map(|&(id, _)| id);
+                        assert_eq!(l.overdue(p, now, timeout), want, "{ctx}");
+                    }
+                    // Settle a random live attempt.
+                    op if !m.live.is_empty() => {
+                        let (id, _) = m.live[rng.next_below(m.live.len() as u32) as usize];
+                        let done = m.phase[id.task] == TaskPhase::Done;
+                        if op == 4 && done {
+                            m.take(id);
+                            m.duplicates += 1;
+                            l.release_cancelled(id);
+                        } else if op <= 5 {
+                            let started = m.take(id);
+                            m.policy.observe(now - started);
+                            let want = if matches!(
+                                m.phase[id.task],
+                                TaskPhase::Done | TaskPhase::Failed
+                            ) {
+                                m.duplicates += 1;
+                                CompleteOutcome::Duplicate
+                            } else {
+                                m.phase[id.task] = TaskPhase::Done;
+                                CompleteOutcome::First
+                            };
+                            assert_eq!(l.complete_at(id, now), want, "{ctx}");
+                        } else {
+                            let want = m.fail(id);
+                            assert_eq!(l.fail(id), want, "{ctx}");
+                        }
+                    }
+                    _ => {}
+                }
+                let count = |ph| m.phase.iter().filter(|&&x| x == ph).count();
+                assert_eq!(l.n_done(), count(TaskPhase::Done), "{ctx}");
+                assert_eq!(
+                    l.is_complete(),
+                    count(TaskPhase::Done) + count(TaskPhase::Failed) == n_tasks,
+                    "{ctx}"
+                );
+                assert_eq!(l.retries(), m.retries, "{ctx}");
+                assert_eq!(l.duplicate_completions(), m.duplicates, "{ctx}");
+                assert_eq!(l.hedges_launched(), m.policy.hedges_launched(), "{ctx}");
+                for t in 0..n_tasks {
+                    assert_eq!(l.live_attempts(t), m.live_of(t), "{ctx} task {t}");
+                }
+                let failed: Vec<usize> = (0..n_tasks)
+                    .filter(|&t| m.phase[t] == TaskPhase::Failed)
+                    .collect();
+                assert_eq!(l.failed_tasks(), failed, "{ctx}");
+            }
+        }
+    }
+}

@@ -14,6 +14,12 @@
 //!   failure streaks, bench gray workers off the assignment path, and
 //!   release them through a probation window.
 //! * [`DeadlineConfig`] — per-task deadlines with cancel-and-requeue.
+//! * [`AttemptLedger`] — the sans-IO attempt state machine the policies
+//!   act on: launches, hedges of the oldest candidate in a partition, the
+//!   oldest deadline breach, the per-task failure budget (a task that has
+//!   spent it gets no fresh hedges), first-result-wins commit and the
+//!   release of killed losers. MapReduce's scheduler keeps every task in
+//!   one partition; native Dryad uses one partition per node.
 //!
 //! The knobs travel as one [`ResiliencePolicy`] value on
 //! `ppc_exec::RunContext` or a paradigm config. With no policy (`None`),
@@ -23,6 +29,9 @@
 //! "speculation off".
 
 use ppc_core::{PpcError, Result};
+
+mod ledger;
+pub use ledger::{AttemptId, AttemptLedger, CompleteOutcome, FailOutcome};
 
 /// When to launch a duplicate (hedged) attempt for a running task.
 #[derive(Debug, Clone, Copy, PartialEq)]
