@@ -22,7 +22,7 @@ use crate::gtm::{encode_points, GtmExecutor};
 use crate::workload::{blast_sim_tasks, cap3_sim_tasks, gtm_sim_tasks};
 use ppc_bio::blast::BlastDb;
 use ppc_bio::codon::arbitrary_coding_dna;
-use ppc_bio::fasta;
+use ppc_bio::fasta::{self, FastaRecord};
 use ppc_bio::simulate::{protein_database, shotgun_reads, ProteinDbParams, ShotgunParams};
 use ppc_core::task::TaskSpec;
 use ppc_core::PpcError;
@@ -77,6 +77,20 @@ pub fn featurize_hits(table: &[u8], dim: usize) -> Matrix {
     Matrix::from_rows(rows)
 }
 
+/// The protein database [`bio_pipeline_native`] builds for `seed`.
+pub fn pipeline_protein_db(seed: u64) -> Vec<FastaRecord> {
+    protein_database(
+        &ProteinDbParams {
+            n_families: 8,
+            members_per_family: 2,
+            len_min: 120,
+            len_max: 250,
+            divergence: 0.12,
+        },
+        seed,
+    )
+}
+
 /// The native Cap3 → blastx → GTM pipeline over real payloads.
 ///
 /// Each input file is a shotgun read set over a coding DNA sequence that
@@ -86,16 +100,7 @@ pub fn featurize_hits(table: &[u8], dim: usize) -> Matrix {
 pub fn bio_pipeline_native(n_files: usize, reads_per_file: usize, seed: u64) -> Workflow {
     // Shared protein database: the annotation target AND the source of the
     // simulated genomes (like resequencing a known proteome).
-    let db_recs = protein_database(
-        &ProteinDbParams {
-            n_families: 8,
-            members_per_family: 2,
-            len_min: 120,
-            len_max: 250,
-            divergence: 0.12,
-        },
-        seed,
-    );
+    let db_recs = pipeline_protein_db(seed);
     let db = Arc::new(BlastDb::build(db_recs.clone(), 3));
 
     // Stage 1: assemble. One read set per file, each over the coding DNA

@@ -11,9 +11,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use ppc_apps::pipeline::{bio_pipeline_native, pipeline_protein_db};
 use ppc_apps::workload;
 use ppc_bio::assembly::{assemble, AssemblyParams};
 use ppc_bio::blast::{BlastDb, BlastParams};
+use ppc_bio::fasta;
 use ppc_bio::simulate::{
     protein_database, queries_from_db, random_genome, shotgun_reads, ProteinDbParams, ShotgunParams,
 };
@@ -80,6 +82,29 @@ fn bench_blast() {
     bench("blast_search_4_queries", || {
         for q in &queries {
             black_box(db.search(black_box(&q.seq), &params));
+        }
+    });
+}
+
+/// blastx over one annotate-stage input of the native bio pipeline: the
+/// contigs Cap3 assembles from the pipeline's first read set, searched in
+/// six frames against the pipeline's own database.
+fn bench_blastx() {
+    let wf = bio_pipeline_native(2, 32, 1);
+    let assemble = &wf.stages[0];
+    let cap3 = assemble.executor.as_ref().unwrap();
+    let contigs = vec![(
+        assemble.specs[0].output_key.clone(),
+        cap3.run(&assemble.specs[0], &assemble.inputs[0]).unwrap(),
+    )];
+    let adapter = wf.data_in_edge(1).unwrap().adapter.as_ref().unwrap();
+    let input = adapter.adapt(&contigs, &wf.stages[1].specs[..1]).unwrap();
+    let queries = fasta::parse(&input[0]).unwrap();
+    let db = BlastDb::build(pipeline_protein_db(1), 3);
+    let params = BlastParams::default();
+    bench("blastx_pipeline_file", || {
+        for q in &queries {
+            black_box(db.search_translated(black_box(&q.seq), &params));
         }
     });
 }
@@ -183,6 +208,7 @@ fn bench_hadoop_sim() {
 fn main() {
     bench_assembly();
     bench_blast();
+    bench_blastx();
     bench_gtm_interpolate();
     bench_queue_ops();
     bench_classic_sim();

@@ -33,40 +33,49 @@ pub const BLOSUM62: [[i32; 20]; 20] = [
     [ 0, -3, -3, -3, -1, -2, -2, -3, -3,  3,  1, -2,  1, -1, -2, -2,  0, -3, -2,  4], // V
 ];
 
+/// Residue code of the bytes [`AMINO_ACIDS`] does not name (`X`, `B`, `Z`,
+/// the stop `*`, …): one code past the standard twenty.
+pub const UNKNOWN: u8 = 20;
+
+/// Residue code of every byte: each standard amino acid, in either case,
+/// maps to its BLOSUM62 index `0..20`; every other byte to [`UNKNOWN`].
+pub const CODES: [u8; 256] = {
+    let mut codes = [UNKNOWN; 256];
+    let mut i = 0;
+    while i < AMINO_ACIDS.len() {
+        codes[AMINO_ACIDS[i] as usize] = i as u8;
+        codes[AMINO_ACIDS[i].to_ascii_lowercase() as usize] = i as u8;
+        i += 1;
+    }
+    codes
+};
+
+/// BLOSUM62 over residue codes: the [`UNKNOWN`] row and column score the
+/// worst-case -4 against everything, itself included.
+pub const CODE_SCORES: [[i32; 21]; 21] = {
+    let mut table = [[-4; 21]; 21];
+    let mut i = 0;
+    while i < 20 {
+        let mut j = 0;
+        while j < 20 {
+            table[i][j] = BLOSUM62[i][j];
+            j += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
 /// Map an amino-acid byte to its BLOSUM62 index; `None` for non-standard.
 pub fn aa_index(b: u8) -> Option<usize> {
-    match b.to_ascii_uppercase() {
-        b'A' => Some(0),
-        b'R' => Some(1),
-        b'N' => Some(2),
-        b'D' => Some(3),
-        b'C' => Some(4),
-        b'Q' => Some(5),
-        b'E' => Some(6),
-        b'G' => Some(7),
-        b'H' => Some(8),
-        b'I' => Some(9),
-        b'L' => Some(10),
-        b'K' => Some(11),
-        b'M' => Some(12),
-        b'F' => Some(13),
-        b'P' => Some(14),
-        b'S' => Some(15),
-        b'T' => Some(16),
-        b'W' => Some(17),
-        b'Y' => Some(18),
-        b'V' => Some(19),
-        _ => None,
-    }
+    let code = CODES[b as usize];
+    (code != UNKNOWN).then_some(code as usize)
 }
 
 /// Score a pair of residues; non-standard residues score the worst-case -4.
 #[inline]
 pub fn score(a: u8, b: u8) -> i32 {
-    match (aa_index(a), aa_index(b)) {
-        (Some(i), Some(j)) => BLOSUM62[i][j],
-        _ => -4,
-    }
+    CODE_SCORES[CODES[a as usize] as usize][CODES[b as usize] as usize]
 }
 
 /// BLAST-style affine gap penalties (blastp defaults: 11/1).

@@ -7,11 +7,13 @@
 //! speculative duplicates and retries can never corrupt results. Once that
 //! commit lands, the task's other live attempts are killed through their
 //! [`Cancel`] tokens, as Hadoop's JobTracker kills the losing attempts.
+//! Under a deadline the master, on the calling thread, cuts each attempt
+//! that overruns it the same way, and the cut fails the attempt.
 
 use crate::input::{compute_splits, InputFormat};
 use crate::job::{partition_for, MapContext, MapReduceJob, Mapper, Reducer};
 use crate::report::MapReduceReport;
-use crate::scheduler::{CompleteOutcome, Scheduler};
+use crate::scheduler::{AttemptId, CompleteOutcome, Scheduler};
 use ppc_chaos::RunClock;
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
@@ -22,7 +24,7 @@ use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
 use ppc_resilience::{Admit, HealthTracker, HedgeConfig};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -110,10 +112,10 @@ pub fn run(
         .map(|q| Mutex::new(HealthTracker::new(q)));
     let health = health.as_ref();
     let deadline = ctx.resilience.and_then(|p| p.deadline);
-    let scheduler = Mutex::new(Scheduler::with_policy(splits, hedge, job.max_attempts));
-    // Cancel tokens of each task's attempts, pushed and taken only under
-    // the scheduler lock so a commit never misses a just-launched attempt.
-    let live_tokens: Mutex<Vec<Vec<Cancel>>> = Mutex::new(vec![Vec::new(); n_tasks]);
+    let master = Mutex::new(Master {
+        sched: Scheduler::with_policy(splits, hedge, job.max_attempts),
+        live: HashMap::new(),
+    });
 
     // Map-side state.
     let intermediate: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
@@ -129,12 +131,23 @@ pub fn run(
     let clock = RunClock::start();
     let n_nodes = fs.n_nodes();
     let sink = ctx.sink.as_deref().filter(|s| s.enabled());
+    // Score a finished attempt (`None` = failed) of `worker` into the
+    // health tracker, which traces any bench it imposes. Never called
+    // under the master lock: the health gate takes the two in the other
+    // order.
+    let score = |worker: u32, latency_s: Option<f64>, now_s: f64| {
+        if let Some(h) = health {
+            let sink = HealthTrace(sink);
+            h.lock().unwrap().record(worker, latency_s, now_s, &sink);
+        }
+    };
 
     std::thread::scope(|scope| {
+        let mut slots = Vec::new();
         for node in 0..n_nodes {
             for slot in 0..config.slots_per_node {
-                let scheduler = &scheduler;
-                let live_tokens = &live_tokens;
+                let master = &master;
+                let score = &score;
                 let intermediate = &intermediate;
                 let data_local_tasks = &data_local_tasks;
                 let total_attempts = &total_attempts;
@@ -145,15 +158,16 @@ pub fn run(
                 let shuffle_records = &shuffle_records;
                 let fs = fs.clone();
                 let clock = &clock;
-                scope.spawn(move || {
+                slots.push(scope.spawn(move || {
                     let node_id = DataNodeId(node);
                     let worker = (node * config.slots_per_node + slot) as u32;
-                    // Score a finished attempt (`None` = failed) into the
-                    // health tracker, which traces any bench it imposes.
-                    let score = |latency_s: Option<f64>, now_s: f64| {
-                        if let Some(h) = health {
-                            let sink = HealthTrace(sink);
-                            h.lock().unwrap().record(worker, latency_s, now_s, &sink);
+                    let score =
+                        |latency_s: Option<f64>, now_s: f64| score(worker, latency_s, now_s);
+                    // Fail attempt `id` and score the failure, unless a
+                    // deadline cut already did both.
+                    let fail = |id: AttemptId| {
+                        if master.lock().unwrap().settle(id, |s| s.fail(id)).is_some() {
+                            score(None, clock.now_s());
                         }
                     };
                     if let Some(s) = sink {
@@ -173,7 +187,7 @@ pub fn run(
                         if let Some(h) = health {
                             let now_s = clock.now_s();
                             let mut tracker = h.lock().unwrap();
-                            if scheduler.lock().unwrap().is_complete() {
+                            if master.lock().unwrap().sched.is_complete() {
                                 break;
                             }
                             if tracker.admit(worker, now_s, &HealthTrace(sink)) != Admit::Go {
@@ -184,14 +198,14 @@ pub fn run(
                         }
                         let poll_at = sink.map(|_| clock.now_s());
                         let assignment = {
-                            let mut sched = scheduler.lock().unwrap();
-                            if sched.is_complete() {
+                            let mut m = master.lock().unwrap();
+                            if m.sched.is_complete() {
                                 break;
                             }
-                            let assignment = sched.next_at(node_id, clock.now_s());
+                            let assignment = m.sched.next_at(node_id, clock.now_s());
                             assignment.map(|a| {
                                 let cancel = Cancel::new();
-                                live_tokens.lock().unwrap()[a.id.task].push(cancel.clone());
+                                m.live.insert(a.id, (cancel.clone(), worker));
                                 (a, cancel)
                             })
                         };
@@ -212,7 +226,7 @@ pub fn run(
                                 });
                             }
                         }
-                        let split = scheduler.lock().unwrap().split(assignment.split).clone();
+                        let split = master.lock().unwrap().sched.split(assignment.split).clone();
                         // Master → slot handoff done: the Dispatch phase
                         // covers the poll and the scheduling decision.
                         let mut tt = sink.map(|s| {
@@ -251,7 +265,8 @@ pub fn run(
                                         kind: EventKind::Death,
                                     });
                                 }
-                                scheduler.lock().unwrap().fail(assignment.id);
+                                let id = assignment.id;
+                                master.lock().unwrap().settle(id, |s| s.fail(id));
                                 break;
                             }
                             last_kill_s = now_s;
@@ -265,8 +280,7 @@ pub fn run(
                                         kind: EventKind::Death,
                                     });
                                 }
-                                scheduler.lock().unwrap().fail(assignment.id);
-                                score(None, clock.now_s());
+                                fail(assignment.id);
                                 continue;
                             }
                             // HDFS brownout/partition: the client rides out
@@ -282,8 +296,7 @@ pub fn run(
 
                         // Injected attempt failure.
                         if config.attempt_failure_p > 0.0 && rng.chance(config.attempt_failure_p) {
-                            scheduler.lock().unwrap().fail(assignment.id);
-                            score(None, clock.now_s());
+                            fail(assignment.id);
                             continue;
                         }
                         let read_phase = if assignment.local {
@@ -326,19 +339,23 @@ pub fn run(
                             // span closes at the kill, and the loser leaves
                             // as a duplicate without touching the retry
                             // budget, the quarantine streak or the latency
-                            // estimate.
+                            // estimate. (Cut at its deadline instead: the
+                            // master already failed it.)
                             let now_s = clock.now_s();
                             if let Some(tt) = tt.as_mut() {
                                 tt.mark(Phase::Map, now_s);
                             }
-                            if let Some(s) = sink {
+                            let killed = master
+                                .lock()
+                                .unwrap()
+                                .settle(assignment.id, |s| s.release_cancelled(assignment.id));
+                            if let (Some(()), Some(s)) = (killed, sink) {
                                 s.event(TraceEvent {
                                     at_s: now_s,
                                     worker,
                                     kind: EventKind::Cancel,
                                 });
                             }
-                            scheduler.lock().unwrap().release_cancelled(assignment.id);
                             continue;
                         }
                         if let Some(tt) = tt.as_mut() {
@@ -363,26 +380,7 @@ pub fn run(
                                         });
                                     }
                                 }
-                                scheduler.lock().unwrap().fail(assignment.id);
-                                score(None, clock.now_s());
-                                continue;
-                            }
-                        }
-                        // Per-task deadline: an attempt past the timeout is
-                        // cancelled and the task requeued (the cancel still
-                        // counts against the task's attempt budget).
-                        if let Some(d) = deadline {
-                            let now_s = clock.now_s();
-                            if now_s - attempt_began_s > d.timeout_s {
-                                if let Some(s) = sink {
-                                    s.event(TraceEvent {
-                                        at_s: now_s,
-                                        worker,
-                                        kind: EventKind::Cancel,
-                                    });
-                                }
-                                scheduler.lock().unwrap().fail(assignment.id);
-                                score(None, now_s);
+                                fail(assignment.id);
                                 continue;
                             }
                         }
@@ -414,15 +412,28 @@ pub fn run(
                                     }
                                 }
                                 let done_s = clock.now_s();
+                                let mut m = master.lock().unwrap();
+                                let outcome = m.settle(assignment.id, |s| {
+                                    s.complete_at(assignment.id, done_s)
+                                });
+                                let Some(outcome) = outcome else {
+                                    // Cut at its deadline while finishing.
+                                    continue;
+                                };
+                                let job_done = m.sched.is_complete();
+                                // The task's other live attempts, killed
+                                // once this one commits.
+                                let task = assignment.id.task;
+                                let losers: Vec<Cancel> = m
+                                    .live
+                                    .iter()
+                                    .filter(|(id, _)| id.task == task)
+                                    .map(|(_, (token, _))| token.clone())
+                                    .collect();
+                                drop(m);
                                 score(Some(done_s - attempt_began_s), done_s);
-                                let mut sched = scheduler.lock().unwrap();
-                                match sched.complete_at(assignment.id, done_s) {
+                                match outcome {
                                     CompleteOutcome::First => {
-                                        let job_done = sched.is_complete();
-                                        let attempts = std::mem::take(
-                                            &mut live_tokens.lock().unwrap()[assignment.id.task],
-                                        );
-                                        drop(sched);
                                         // Only the committing attempt's
                                         // records count; a speculative
                                         // duplicate's are discarded below.
@@ -455,10 +466,7 @@ pub fn run(
                                         } else {
                                             intermediate.lock().unwrap().extend(emitted);
                                         }
-                                        // Committed: kill the task's other
-                                        // attempts (this one's own token is
-                                        // never checked again).
-                                        for token in attempts {
+                                        for token in losers {
                                             token.cancel();
                                         }
                                         if job_done {
@@ -473,13 +481,32 @@ pub fn run(
                                     CompleteOutcome::Duplicate => { /* discard redundant output */ }
                                 }
                             }
-                            Err(_) => {
-                                scheduler.lock().unwrap().fail(assignment.id);
-                                score(None, clock.now_s());
-                            }
+                            Err(_) => fail(assignment.id),
                         }
                     }
-                });
+                }));
+            }
+        }
+        // Hadoop's task timeout: while the slots run, the master cuts each
+        // attempt past the deadline. It fails the attempt in the ledger and
+        // cancels its token, so the attempt stops at its kernel's next
+        // check, even on a node with no idle slot, and the task re-runs.
+        if let Some(d) = deadline {
+            while !slots.iter().all(|slot| slot.is_finished()) {
+                let now_s = clock.now_s();
+                let cut = master.lock().unwrap().cut_overdue(now_s, d.timeout_s);
+                let Some(worker) = cut else {
+                    std::thread::sleep(config.poll_backoff);
+                    continue;
+                };
+                if let Some(s) = sink {
+                    s.event(TraceEvent {
+                        at_s: now_s,
+                        worker,
+                        kind: EventKind::Cancel,
+                    });
+                }
+                score(worker, None, now_s);
             }
         }
     });
@@ -519,7 +546,7 @@ pub fn run(
         }
     }
 
-    let sched = scheduler.into_inner().unwrap();
+    let sched = master.into_inner().unwrap().sched;
     let failed = sched.failed_tasks();
     let finished = if job.n_reducers == 0 {
         map_done_at
@@ -572,6 +599,35 @@ pub fn run(
     .inspect(|r| {
         debug_assert!(r.summary.tasks + r.failed.len() == n_tasks);
     })
+}
+
+/// The master's state under one lock: the scheduler, and each live
+/// attempt's cancel token and worker slot. An attempt leaves the live set
+/// when it settles or is cut, so a commit never misses a just-launched
+/// duplicate, and a deadline cut and the attempt's own settling never
+/// both reach the ledger.
+struct Master {
+    sched: Scheduler,
+    live: HashMap<AttemptId, (Cancel, u32)>,
+}
+
+impl Master {
+    /// Take attempt `id` off the live set and settle it with `op`; `None`
+    /// when a deadline cut already settled it.
+    fn settle<R>(&mut self, id: AttemptId, op: impl FnOnce(&mut Scheduler) -> R) -> Option<R> {
+        self.live.remove(&id)?;
+        Some(op(&mut self.sched))
+    }
+
+    /// Cut the oldest attempt past `timeout_s` at `now_s`: fail it and
+    /// cancel its token. Returns the worker slot it ran on.
+    fn cut_overdue(&mut self, now_s: f64, timeout_s: f64) -> Option<u32> {
+        let id = self.sched.overdue(now_s, timeout_s)?;
+        let (token, worker) = self.live.remove(&id).expect("overdue attempts are live");
+        token.cancel();
+        self.sched.fail(id);
+        Some(worker)
+    }
 }
 
 #[cfg(test)]
@@ -794,6 +850,65 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(threads_named(PROBE), 0, "worker threads leaked");
+    }
+
+    /// Passes its input through after a [`Cancel::sleep`] of 60 ms, noting
+    /// how long each call's sleep ran before it returned.
+    struct Overrunner(Mutex<Vec<Duration>>);
+
+    impl ppc_core::Executor for Overrunner {
+        fn run(&self, spec: &ppc_core::TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+            self.run_cancellable(spec, input, &Cancel::never())
+        }
+
+        fn run_cancellable(
+            &self,
+            _spec: &ppc_core::TaskSpec,
+            input: &[u8],
+            cancel: &Cancel,
+        ) -> Result<Vec<u8>> {
+            let started = Instant::now();
+            let slept = cancel.sleep(Duration::from_millis(60));
+            self.0.lock().unwrap().push(started.elapsed());
+            slept.map(|()| input.to_vec())
+        }
+    }
+
+    #[test]
+    fn deadline_cuts_attempts_on_a_node_with_no_idle_slot() {
+        // One node, one slot: no slot is ever idle while the attempt runs,
+        // so the master must cut it. Every 60-ms attempt is cut at the
+        // 30-ms deadline, and the task fails after its three attempts
+        // (run to the end, they would take 180 ms).
+        let (fs, paths) = make_fs(1, 1);
+        let mut job = MapReduceJob::map_only("overrun", paths, "/out");
+        job.max_attempts = 3;
+        let exec = Arc::new(Overrunner(Mutex::new(Vec::new())));
+        let mapper = ExecutableMapper::new("overrun", exec.clone());
+        let ctx = RunContext::local()
+            .with_resilience(ppc_resilience::ResiliencePolicy::default().with_deadline(0.03));
+        let config = HadoopConfig {
+            slots_per_node: 1,
+            ..HadoopConfig::default()
+        };
+        let start = Instant::now();
+        let report = crate::run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
+        let wall = start.elapsed();
+        assert_eq!(report.failed, vec![TaskId(0)]);
+        assert_eq!(report.total_attempts, 3);
+        let ran = exec.0.lock().unwrap();
+        assert_eq!(ran.len(), 3, "one call per attempt");
+        for d in ran.iter() {
+            let ms = d.as_secs_f64() * 1e3;
+            assert!(
+                (25.0..55.0).contains(&ms),
+                "attempt ran {ms:.1} ms, not cut near 30"
+            );
+        }
+        assert!(
+            wall < Duration::from_millis(150),
+            "task failed after {wall:?}"
+        );
     }
 
     #[test]

@@ -129,6 +129,11 @@ impl Scheduler {
         self.ledger.earliest_hedge_s(0)
     }
 
+    /// The oldest live attempt past `timeout_s` at `now_s`, if any.
+    pub fn overdue(&self, now_s: f64, timeout_s: f64) -> Option<AttemptId> {
+        self.ledger.overdue(0, now_s, timeout_s)
+    }
+
     pub fn complete_at(&mut self, id: AttemptId, now_s: f64) -> CompleteOutcome {
         self.ledger.complete_at(id, now_s)
     }
