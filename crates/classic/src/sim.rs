@@ -13,15 +13,20 @@
 //! with sharing with Hadoop (§4.2).
 //!
 //! Fixed and elastic fleets run one worker lifecycle (`worker_tick` →
-//! `finish_attempt`, plus one `hedge_check_at`), as the native runtime
-//! runs one body for both. A `Fleet` holds the few steps that differ: the
-//! pre-pull gate, timed-kill detection, when a lost message reappears,
-//! and set-up and finalisation. The elastic bookkeeping (dead-instance
-//! sweep, ledger close, fleet-event trace replay) is shared with the
-//! native runtime.
+//! `finish_attempt`), as the native runtime runs one body for both. Every
+//! attempt lives in one [`AttemptLedger`] partition, since the queue has
+//! no worker affinity: it owns launches, redeliveries, hedges, first
+//! result wins and the delivery budget (native Classic's default
+//! `max_deliveries`), and one timer sends its hedges as queue messages.
+//! A `Fleet` holds the few steps that differ: the pre-pull gate,
+//! timed-kill detection, when a lost message reappears, and set-up and
+//! finalisation. The elastic bookkeeping (dead-instance sweep, fleet
+//! ledger close, fleet-event trace replay) is shared with the native
+//! runtime.
 
 use crate::elastic;
 use crate::report::{ClassicReport, FleetReport};
+use crate::spec::DEFAULT_MAX_DELIVERIES;
 use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
 use ppc_chaos::FaultSchedule;
 use ppc_compute::billing::CostBreakdown;
@@ -30,16 +35,18 @@ use ppc_compute::instance::InstanceType;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
-use ppc_core::task::TaskSpec;
+use ppc_core::task::{ResourceProfile, TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
 use ppc_des::{Engine, EventId, FifoServer, SimTime};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
-use ppc_resilience::{Admit, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_resilience::{
+    Admit, AttemptId, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker, ResiliencePolicy,
+};
 use ppc_storage::latency::LatencyModel;
 use ppc_storage::metering::MeteringSnapshot;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -161,60 +168,34 @@ fn check_sim_inputs(cfg: &SimConfig, ctx: &RunContext) {
 /// and the monitor-send + delete round-trips close it; a failed attempt
 /// lumps everything after the download into `execute` (the worker died
 /// somewhere in there) and records no terminal ack.
-#[allow(clippy::too_many_arguments)]
 fn record_attempt(
     rec: &Recorder,
     worker: u32,
     task: u64,
-    attempt: u32,
+    a: &Attempt,
     start_s: f64,
     end_s: f64,
-    t_in: f64,
-    t_exec: f64,
-    t_out: f64,
-    t_ctrl: f64,
     ok: bool,
 ) {
-    let c = t_ctrl / 3.0;
-    let mut at = start_s;
-    let mut push = |phase, dur: f64| {
-        rec.span(Span::new(task, attempt, worker, phase, at, at + dur));
-        at += dur;
+    let (t_in, t_exec, t_out, t_ctrl) = a.parts;
+    let span = |phase, from: f64, to: f64| {
+        rec.span(Span::new(task, a.id.attempt, worker, phase, from, to));
     };
-    push(Phase::Dequeue, c);
-    push(Phase::Download, t_in);
+    let c = t_ctrl / 3.0;
+    span(Phase::Dequeue, start_s, start_s + c);
+    let downloaded = start_s + c + t_in;
+    span(Phase::Download, start_s + c, downloaded);
     if ok {
-        push(Phase::Execute, t_exec);
+        span(Phase::Execute, downloaded, downloaded + t_exec);
         // Anchor the tail on end_s so NIC queueing delay (if any) lands in
         // the attempt gap between execute and upload.
         let up = end_s - 2.0 * c - t_out;
-        rec.span(Span::new(
-            task,
-            attempt,
-            worker,
-            Phase::Upload,
-            up,
-            up + t_out,
-        ));
-        rec.span(Span::new(
-            task,
-            attempt,
-            worker,
-            Phase::Ack,
-            up + t_out,
-            end_s,
-        ));
+        span(Phase::Upload, up, up + t_out);
+        span(Phase::Ack, up + t_out, end_s);
     } else {
-        rec.span(Span::new(task, attempt, worker, Phase::Execute, at, end_s));
+        span(Phase::Execute, downloaded, end_s);
     }
-    rec.span(Span::new(
-        task,
-        attempt,
-        worker,
-        Phase::Attempt,
-        start_s,
-        end_s,
-    ));
+    span(Phase::Attempt, start_s, end_s);
 }
 
 /// One simulated worker slot.
@@ -311,18 +292,29 @@ impl Fleet {
     }
 }
 
+/// One visible queue message.
+struct Message {
+    task: usize,
+    /// A hedge copy's attempt, launched in the ledger when it was sent.
+    hedge: Option<u32>,
+    /// When it became visible: the elastic controller's oldest-message age.
+    since_s: f64,
+}
+
 struct SimState {
     fleet: Fleet,
     rec: Option<Recorder>,
-    /// Next attempt index per task id (allocated at message pull).
-    attempts: HashMap<u64, u32>,
-    /// Visible messages: `(task, visible_since_s)` — the timestamp feeds
-    /// the elastic controller's oldest-message-age telemetry.
-    pending: VecDeque<(TaskSpec, f64)>,
+    /// Every attempt of every task, in one partition. Its failure budget
+    /// is the delivery budget: a task that spends it is dead-lettered.
+    ledger: AttemptLedger,
+    /// The one armed hedge timer and its instant (hedged runs only).
+    hedge_timer: Option<(EventId, SimTime)>,
+    /// Visible messages, oldest first: every send is a `push_back` at the
+    /// current time and every receive a `pop_front`.
+    pending: VecDeque<Message>,
     /// Parked workers with nothing to do (never a draining slot).
     idle: Vec<WorkerRef>,
     in_flight: usize,
-    completed: usize,
     executions: usize,
     deaths: usize,
     queue_requests: u64,
@@ -340,28 +332,10 @@ struct SimState {
     schedule: Option<Arc<FaultSchedule>>,
     /// Per-slot count of tasks pulled so far (the chaos roll index).
     task_seqs: Vec<u32>,
-    /// Hedging state when the run carries a [`ResiliencePolicy`] with a
-    /// hedge config.
-    hedge: Option<HedgePolicy>,
     /// Worker quarantine state machine, when the policy asks for one.
     health: Option<HealthTracker>,
-    /// Tasks whose first result already committed (first result wins;
-    /// duplicate messages are deleted at pull). Empty on undefended runs.
-    done: HashSet<u64>,
-    /// Tasks that already received their one hedged duplicate.
-    hedged: HashSet<u64>,
-    /// Armed hedge-check timers per task, cancelled O(1) the moment the
-    /// task's first result commits — dead timers stop stretching the
-    /// engine's tail (and its event count) for free. Stale handles of
-    /// timers that already fired are harmless: `Engine::cancel` is a no-op
-    /// on them.
-    hedge_timers: HashMap<u64, Vec<EventId>>,
-    /// Live attempt count per task (primary + hedge), defended runs only.
-    running: HashMap<u64, u32>,
-    /// Job size, for the hedge budget.
-    n_tasks: usize,
-    /// When the last unique task committed. On defended runs this is the
-    /// makespan — hedged losers may still be draining after it.
+    /// When the ledger resolved its last task. On defended runs this is
+    /// the makespan — hedged losers may still be draining after it.
     finished_at_s: f64,
 }
 
@@ -370,11 +344,15 @@ impl SimState {
         SimState {
             fleet,
             rec: ctx.trace.then(Recorder::new),
-            attempts: HashMap::new(),
+            ledger: AttemptLedger::new(
+                vec![0; n_tasks],
+                ctx.resilience.and_then(|p| p.hedge),
+                DEFAULT_MAX_DELIVERIES,
+            ),
+            hedge_timer: None,
             pending: VecDeque::new(),
             idle: Vec::new(),
             in_flight: 0,
-            completed: 0,
             executions: 0,
             deaths: 0,
             queue_requests: 0,
@@ -386,16 +364,10 @@ impl SimState {
             rngs: Vec::new(),
             schedule: ctx.schedule.clone(),
             task_seqs: Vec::new(),
-            hedge: ctx.resilience.and_then(|p| p.hedge).map(HedgePolicy::new),
             health: ctx
                 .resilience
                 .and_then(|p| p.quarantine)
                 .map(HealthTracker::new),
-            done: HashSet::new(),
-            hedged: HashSet::new(),
-            hedge_timers: HashMap::new(),
-            running: HashMap::new(),
-            n_tasks,
             finished_at_s: 0.0,
         }
     }
@@ -424,17 +396,19 @@ impl SimState {
     /// The report both fleets share; `fleet` is `Some` on elastic runs.
     fn report(
         &self,
+        tasks: &[(TaskId, ResourceProfile)],
         platform: String,
         cores: usize,
         makespan: f64,
         cost: CostBreakdown,
         fleet: Option<FleetReport>,
     ) -> ClassicReport {
+        let done = self.ledger.n_done();
         let trace = self.rec.as_ref().and_then(|rec| {
             rec.set_meta(RunMeta {
                 platform: platform.clone(),
                 cores,
-                tasks: self.completed,
+                tasks: done,
                 makespan_seconds: makespan,
             });
             rec.span(Span::job(makespan));
@@ -445,12 +419,17 @@ impl SimState {
                 summary: RunSummary {
                     platform,
                     cores,
-                    tasks: self.completed,
+                    tasks: done,
                     makespan_seconds: makespan,
-                    redundant_executions: self.executions - self.completed,
+                    redundant_executions: self.executions - done,
                     remote_bytes: self.remote_bytes,
                 },
-                failed: Vec::new(),
+                failed: self
+                    .ledger
+                    .failed_tasks()
+                    .into_iter()
+                    .map(|i| tasks[i].0)
+                    .collect(),
                 total_attempts: self.executions,
                 worker_deaths: self.deaths,
                 cost: Some(cost),
@@ -476,14 +455,25 @@ impl SimState {
 struct Sim {
     cfg: SimConfig,
     resilience: Option<ResiliencePolicy>,
+    /// Each task's id and resource profile: all an attempt reads of it.
+    tasks: Vec<(TaskId, ResourceProfile)>,
     st: RefCell<SimState>,
+}
+
+impl Sim {
+    fn new(cfg: &SimConfig, ctx: &RunContext, tasks: &[TaskSpec], fleet: Fleet) -> Rc<Sim> {
+        Rc::new(Sim {
+            cfg: *cfg,
+            resilience: ctx.resilience,
+            tasks: tasks.iter().map(|t| (t.id, t.profile)).collect(),
+            st: RefCell::new(SimState::new(ctx, tasks.len(), fleet)),
+        })
+    }
 }
 
 /// One pulled message in a worker's hands.
 struct Attempt {
-    task: TaskSpec,
-    /// Attempt index (traced runs; 0 otherwise).
-    attempt: u32,
+    id: AttemptId,
     pulled_s: f64,
     /// Modeled duration, cut at the deadline when `cancelled`.
     duration_s: f64,
@@ -513,26 +503,30 @@ pub(crate) fn sim_fleets_impl(
     check_sim_inputs(cfg, ctx);
     let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
     let last_kill = vec![0.0; total_workers];
-    let mut st = SimState::new(ctx, tasks.len(), Fleet::Fixed { last_kill });
-    // The client's shuffle and the workers' jitter/failure dice draw from
-    // independent streams of the one run seed.
-    let mut client_rng = Pcg32::for_stream(st.seed, CLIENT_STREAM);
-    // The queue has no ordering guarantee; workers see a shuffled stream.
-    // Every message is visible from t = 0.
-    let mut order: Vec<(TaskSpec, f64)> = tasks.iter().map(|t| (t.clone(), 0.0)).collect();
-    client_rng.shuffle(&mut order);
-    st.pending = order.into();
-    st.queue_requests = tasks.len() as u64; // the client's sends
-    if let Some(rec) = &st.rec {
-        for t in tasks {
-            rec.span(Span::new(t.id.0, 0, NO_WORKER, Phase::Enqueue, 0.0, 0.0));
+    let sim = Sim::new(cfg, ctx, tasks, Fleet::Fixed { last_kill });
+    {
+        let st = &mut *sim.st.borrow_mut();
+        // The client's shuffle and the workers' jitter/failure dice draw
+        // from independent streams of the one run seed.
+        let mut client_rng = Pcg32::for_stream(st.seed, CLIENT_STREAM);
+        // The queue has no ordering guarantee; workers see a shuffled
+        // stream. Every message is visible from t = 0.
+        let mut order: Vec<Message> = (0..tasks.len())
+            .map(|task| Message {
+                task,
+                hedge: None,
+                since_s: 0.0,
+            })
+            .collect();
+        client_rng.shuffle(&mut order);
+        st.pending = order.into();
+        st.queue_requests = tasks.len() as u64; // the client's sends
+        if let Some(rec) = &st.rec {
+            for t in tasks {
+                rec.span(Span::new(t.id.0, 0, NO_WORKER, Phase::Enqueue, 0.0, 0.0));
+            }
         }
     }
-    let sim = Rc::new(Sim {
-        cfg: *cfg,
-        resilience: ctx.resilience,
-        st: RefCell::new(st),
-    });
 
     let mut engine = Engine::new();
     let mut index = 0;
@@ -567,6 +561,7 @@ pub(crate) fn sim_fleets_impl(
         end.as_secs_f64()
     };
     st.report(
+        &sim.tasks,
         format!("classic-sim-{}", fleets[0].itype().name),
         total_workers,
         makespan,
@@ -614,30 +609,25 @@ pub(crate) fn sim_autoscaled_impl(
         dead: HashSet::new(),
         last_kill_check_s: 0.0,
     }));
-    let sim = Rc::new(Sim {
-        cfg: *cfg,
-        resilience: ctx.resilience,
-        st: RefCell::new(SimState::new(ctx, tasks.len(), fleet)),
-    });
+    let sim = Sim::new(cfg, ctx, tasks, fleet);
 
     let mut engine = Engine::new();
     // Arrivals first, so that same-instant arrivals precede the worker
     // ticks of the initial fleet (events fire in insertion order).
-    for (i, task) in tasks.iter().enumerate() {
-        let at = arrivals.get(i).copied().unwrap_or(0.0);
+    for (task, t) in tasks.iter().enumerate() {
+        let at = arrivals.get(task).copied().unwrap_or(0.0);
         let sim = sim.clone();
-        let task = task.clone();
+        let id = t.id.0;
         engine.schedule_at(SimTime::from_secs_f64(at), move |e| {
             let now = e.now().as_secs_f64();
             {
                 let mut st = sim.st.borrow_mut();
                 st.queue_requests += 1; // the client's send
                 if let Some(rec) = &st.rec {
-                    rec.span(Span::new(task.id.0, 0, NO_WORKER, Phase::Enqueue, now, now));
+                    rec.span(Span::new(id, 0, NO_WORKER, Phase::Enqueue, now, now));
                 }
-                st.pending.push_back((task, now));
             }
-            wake_idle(e, &sim);
+            send(e, &sim, task, None);
         });
     }
     for slot in 0..autoscale.min_workers {
@@ -670,6 +660,7 @@ pub(crate) fn sim_autoscaled_impl(
         elastic::trace_fleet_events(&el.controller, rec);
     }
     st.report(
+        &sim.tasks,
         format!("classic-sim-autoscale-{}", itype.name),
         fleet.peak_fleet() as usize,
         makespan,
@@ -701,14 +692,21 @@ fn wake_idle(engine: &mut Engine, sim: &Rc<Sim>) {
     }
 }
 
-/// Make a lost message visible again at `at`, waking a parked worker.
-fn reappear_at(engine: &mut Engine, sim: &Rc<Sim>, task: TaskSpec, at: SimTime) {
-    let sim = sim.clone();
-    engine.schedule_at(at, move |e| {
-        let now = e.now().as_secs_f64();
-        sim.st.borrow_mut().pending.push_back((task, now));
-        wake_idle(e, &sim);
+/// Make a message of `task` visible now, waking a parked worker.
+fn send(engine: &mut Engine, sim: &Rc<Sim>, task: usize, hedge: Option<u32>) {
+    let since_s = engine.now().as_secs_f64();
+    sim.st.borrow_mut().pending.push_back(Message {
+        task,
+        hedge,
+        since_s,
     });
+    wake_idle(engine, sim);
+}
+
+/// Make a lost message visible again at `at`, waking a parked worker.
+fn reappear_at(engine: &mut Engine, sim: &Rc<Sim>, task: usize, at: SimTime) {
+    let sim = sim.clone();
+    engine.schedule_at(at, move |e| send(e, &sim, task, None));
 }
 
 /// One worker iteration, on either fleet: pass the pre-pull gate and the
@@ -723,7 +721,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
     // expires, then re-enters through probation.
     let admit = {
         let mut st = sim.st.borrow_mut();
-        let job_done = st.completed >= st.n_tasks;
+        let job_done = st.ledger.is_complete();
         if !st.fleet.may_pull(w, job_done) {
             return;
         }
@@ -744,36 +742,48 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
     let a = {
         let mut st = sim.st.borrow_mut();
         st.queue_requests += 1; // the receive call
-                                // First result wins on defended runs: a duplicate of a task whose
-                                // result already committed is simply deleted.
-        let task = loop {
-            match st.pending.pop_front() {
-                Some((t, _)) if st.done.contains(&t.id.0) => {
-                    st.queue_requests += 1; // the stale duplicate's delete
+        let id = loop {
+            let Some(m) = st.pending.pop_front() else {
+                // Nothing visible: park; a redelivery event will wake us.
+                st.idle.push(worker);
+                return;
+            };
+            // A message of a resolved task (first result wins) is deleted,
+            // ending the hedge attempt it carries, and so is one past its
+            // task's delivery budget (dead-lettered); any other starts an
+            // attempt, or carries a hedge's.
+            let hedge = m.hedge.map(|attempt| AttemptId {
+                task: m.task,
+                attempt,
+            });
+            let id = if st.ledger.is_resolved(m.task) {
+                if let Some(id) = hedge {
+                    st.ledger.fail(id);
                 }
-                Some((t, _)) => break t,
-                None => {
-                    // Nothing visible: park; a redelivery event will wake us.
-                    st.idle.push(worker);
-                    return;
-                }
+                None
+            } else if hedge.is_some() {
+                hedge
+            } else if st.ledger.live_attempts(m.task) == 0 {
+                Some(st.ledger.launch(m.task, now_s))
+            } else {
+                st.ledger.redeliver(m.task, now_s)
+            };
+            match id {
+                Some(id) => break id,
+                None => st.queue_requests += 1, // the dropped message's delete
             }
         };
+        let profile = sim.tasks[id.task].1;
         st.executions += 1;
         st.storage_requests += 2;
-        st.bytes_in += task.profile.output_bytes;
-        st.bytes_out += task.profile.input_bytes;
-        st.remote_bytes += task.profile.input_bytes + task.profile.output_bytes;
+        st.bytes_in += profile.output_bytes;
+        st.bytes_out += profile.input_bytes;
+        st.remote_bytes += profile.input_bytes + profile.output_bytes;
         st.in_flight += 1;
 
-        let mut t_in = cfg
-            .storage_latency
-            .transfer_seconds(task.profile.input_bytes);
-        let t_out = cfg
-            .storage_latency
-            .transfer_seconds(task.profile.output_bytes);
-        let t_exec_base =
-            task_service_seconds(&worker.itype, worker.per_node, &task.profile, &cfg.app);
+        let mut t_in = cfg.storage_latency.transfer_seconds(profile.input_bytes);
+        let t_out = cfg.storage_latency.transfer_seconds(profile.output_bytes);
+        let t_exec_base = task_service_seconds(&worker.itype, worker.per_node, &profile, &cfg.app);
         let jitter = if cfg.jitter_sigma > 0.0 {
             st.rng(w).log_normal(0.0, cfg.jitter_sigma)
         } else {
@@ -824,22 +834,8 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         } else {
             (t_in, t_exec, t_out, t_ctrl)
         };
-        // Claim the attempt index at pull time: pulls are ordered in virtual
-        // time, so redeliveries get strictly increasing attempt numbers.
-        let attempt = if st.rec.is_some() {
-            let a = st.attempts.entry(task.id.0).or_insert(0);
-            let n = *a;
-            *a += 1;
-            n
-        } else {
-            0
-        };
-        if sim.resilience.is_some() {
-            *st.running.entry(task.id.0).or_insert(0) += 1;
-        }
         Attempt {
-            task,
-            attempt,
+            id,
             pulled_s: now_s,
             duration_s,
             parts,
@@ -854,8 +850,9 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
     // occupancy) -> control -> end.
     if let (Some(nic), Some(bw)) = (worker.nic.clone(), cfg.nic_bandwidth_bytes_per_s) {
         let (t_in, t_exec, t_out, t_ctrl) = a.parts;
-        let t_nic_in = SimTime::from_secs_f64(a.task.profile.input_bytes as f64 / bw);
-        let t_nic_out = SimTime::from_secs_f64(a.task.profile.output_bytes as f64 / bw);
+        let profile = sim.tasks[a.id.task].1;
+        let t_nic_in = SimTime::from_secs_f64(profile.input_bytes as f64 / bw);
+        let t_nic_out = SimTime::from_secs_f64(profile.output_bytes as f64 / bw);
         nic.clone().submit(engine, t_nic_in, move |e| {
             e.schedule_in(SimTime::from_secs_f64(t_in + t_exec), move |e| {
                 nic.submit(e, t_nic_out, move |e| {
@@ -868,22 +865,12 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         return;
     }
 
-    // Hedge check: arm a timer one hedge delay past this pull; if the task
-    // is still live when it fires, a duplicate message is enqueued.
-    if !a.cancelled && sim.resilience.is_some_and(|p| p.hedge.is_some()) {
-        let delay = sim
-            .st
-            .borrow()
-            .hedge
-            .as_ref()
-            .map_or(0.0, |h| h.hedge_delay());
-        hedge_check_at(engine, &sim, a.task.clone(), now_s, now_s + delay);
-    }
+    sync_hedge_timer(engine, &sim);
     // A fixed fleet's lost message reappears one visibility timeout after
     // its pull, so its redelivery is scheduled now, ahead of the death.
     if a.fails && matches!(sim.st.borrow().fleet, Fleet::Fixed { .. }) {
         let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
-        reappear_at(engine, &sim, a.task.clone(), at);
+        reappear_at(engine, &sim, a.id.task, at);
     }
     engine.schedule_in(SimTime::from_secs_f64(a.duration_s), move |e| {
         finish_attempt(e, sim, worker, a)
@@ -893,65 +880,53 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
 /// The end of an attempt, on either fleet: a commit (first result wins),
 /// a death (dice, torn upload, timed kill, or — on an elastic fleet — the
 /// whole instance), or a deadline cancel that re-sends the message at
-/// once. Scores the worker's health, records the attempt's spans, and
-/// polls again unless the instance died.
+/// once. A failed attempt's message is re-sent only while the ledger
+/// retries its task; a fixed fleet's reappearance, scheduled at the pull,
+/// is deleted at its pull instead. Scores the worker's health, records
+/// the attempt's spans, and polls again unless the instance died.
 fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attempt) {
     let cfg = &sim.cfg;
     let now = engine.now().as_secs_f64();
     let w = worker.index;
-    let id = a.task.id.0;
     let nic = worker.nic.is_some();
     let (slot_died, fixed) = {
-        let st = sim.st.borrow();
-        (
-            st.fleet.instance_died(w),
-            matches!(st.fleet, Fleet::Fixed { .. }),
-        )
+        let fleet = &sim.st.borrow().fleet;
+        (fleet.instance_died(w), matches!(fleet, Fleet::Fixed { .. }))
     };
     let lost = a.fails || slot_died;
     let cancel = a.cancelled && !a.fails && !slot_died;
+    let ok = !lost && !cancel;
     // The NIC path measures its latency end to end (it includes queueing
     // on the shared link); otherwise it is the modeled duration.
     let latency_s = if nic { now - a.pulled_s } else { a.duration_s };
-    let dead_timers = {
+    let retried = {
         let mut st = sim.st.borrow_mut();
         st.in_flight -= 1;
         let SimState {
-            running,
+            ledger,
             health,
-            hedge,
-            done,
             rec,
-            completed,
-            n_tasks,
             finished_at_s,
             deaths,
-            hedge_timers,
             ..
         } = &mut *st;
-        if let Some(n) = running.get_mut(&id) {
-            *n = n.saturating_sub(1);
-        }
-        let ok = !lost && !cancel;
-        let mut dead_timers = None;
-        if ok {
-            // First result wins: a hedged loser's output is discarded (its
-            // time shows up as wasted duplicate work in the trace).
-            let winner = sim.resilience.is_none() || done.insert(id);
-            if winner {
-                *completed += 1;
-                if *completed >= *n_tasks {
-                    *finished_at_s = now;
-                }
-                if let Some(h) = hedge {
-                    h.observe(latency_s);
-                }
-                // The committed result makes every armed hedge check for
-                // this task a dead no-op; cancel them once unborrowed.
-                dead_timers = hedge_timers.remove(&id);
-            }
-        } else if !cancel {
-            *deaths += 1;
+        // First result wins: a hedged loser's output is discarded (its
+        // time shows up as wasted duplicate work in the trace).
+        let (resolved, retried) = if ok {
+            (
+                ledger.complete_at(a.id, now) == CompleteOutcome::First,
+                false,
+            )
+        } else {
+            *deaths += usize::from(!cancel);
+            let outcome = ledger.fail(a.id);
+            (
+                outcome == FailOutcome::TaskFailed,
+                outcome == FailOutcome::Retried,
+            )
+        };
+        if resolved && ledger.is_complete() {
+            *finished_at_s = now;
         }
         // A whole-instance death is no evidence against the worker slot.
         if let Some(h) = health.as_mut().filter(|_| !slot_died) {
@@ -965,46 +940,31 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
             } else {
                 a.pulled_s
             };
-            let (t_in, t_exec, t_out, t_ctrl) = a.parts;
-            record_attempt(
-                rec, w, id, a.attempt, start_s, now, t_in, t_exec, t_out, t_ctrl, ok,
-            );
+            record_attempt(rec, w, sim.tasks[a.id.task].0 .0, &a, start_s, now, ok);
             // Whole-instance deaths are the controller's events; only
             // per-task deaths are recorded here.
-            if a.fails && !slot_died && !cancel {
+            let kind = if cancel {
+                Some(EventKind::Cancel)
+            } else {
+                (a.fails && !slot_died).then_some(EventKind::Death)
+            };
+            if let Some(kind) = kind {
                 rec.event(TraceEvent {
                     at_s: now,
                     worker: w,
-                    kind: EventKind::Death,
-                });
-            }
-            if cancel {
-                rec.event(TraceEvent {
-                    at_s: now,
-                    worker: w,
-                    kind: EventKind::Cancel,
+                    kind,
                 });
             }
         }
-        dead_timers
+        retried
     };
-    for timer in dead_timers.into_iter().flatten() {
-        engine.cancel(timer);
-    }
+    sync_hedge_timer(engine, &sim);
     if cancel {
         // Cancel-and-requeue: the worker deleted its lease and re-sent the
         // message, so the retry is visible immediately.
-        let requeued = {
-            let mut st = sim.st.borrow_mut();
-            let requeue = !st.done.contains(&id);
-            if requeue {
-                st.queue_requests += 1; // the cancel's re-send
-                st.pending.push_back((a.task, now));
-            }
-            requeue
-        };
-        if requeued {
-            wake_idle(engine, &sim);
+        if retried {
+            sim.st.borrow_mut().queue_requests += 1; // the cancel's re-send
+            send(engine, &sim, a.id.task, None);
         }
         // Re-poll as an event *after* the wake above, so a woken healthy
         // worker claims the requeued message ahead of this (possibly gray)
@@ -1013,7 +973,7 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
         engine.schedule_in(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
         return;
     }
-    if lost {
+    if lost && retried {
         // The undeleted message reappears one visibility timeout after its
         // receive. A fixed fleet already scheduled that at the pull, except
         // on the NIC path, whose timeout runs from the attempt's end; an
@@ -1021,10 +981,10 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
         let vt = cfg.visibility_timeout_s;
         if !fixed {
             let at = SimTime::from_secs_f64((a.pulled_s + vt).max(now));
-            reappear_at(engine, &sim, a.task, at);
+            reappear_at(engine, &sim, a.id.task, at);
         } else if nic {
             let at = engine.now() + SimTime::from_secs_f64(vt);
-            reappear_at(engine, &sim, a.task, at);
+            reappear_at(engine, &sim, a.id.task, at);
         }
     }
     if !slot_died {
@@ -1033,83 +993,60 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
     }
 }
 
-/// Arm (and, on firing, apply) the hedge check for one pulled attempt: if
-/// the task is still live past the policy's delay, a duplicate message is
-/// enqueued — the Classic Cloud hedge is a queue re-dispatch, since the
-/// queue has no worker affinity and any idle worker picks the copy up.
-/// Re-arms itself while the quantile-derived delay grows past the
-/// attempt's age.
-fn hedge_check_at(engine: &mut Engine, sim: &Rc<Sim>, task: TaskSpec, pulled_s: f64, at_s: f64) {
-    let task_id = task.id.0;
-    let sim2 = sim.clone();
-    let timer = engine.schedule_at(SimTime::from_secs_f64(at_s.max(pulled_s)), move |e| {
-        enum Next {
-            Stop,
-            Rearm(f64),
-            Wake,
-        }
-        let sim = sim2;
-        let now = e.now().as_secs_f64();
-        let next = {
+/// Keep the one hedge timer aimed at the ledger's earliest hedge time:
+/// re-armed (the old one cancelled) when that time moves, dropped when
+/// there is none. Unhedged runs never arm it.
+fn sync_hedge_timer(engine: &mut Engine, sim: &Rc<Sim>) {
+    let mut st = sim.st.borrow_mut();
+    let want = st
+        .ledger
+        .earliest_hedge_s(0)
+        .map(|at_s| SimTime::from_secs_f64(strictly_after_now(engine.now(), at_s)));
+    if st.hedge_timer.map(|(_, at)| at) == want {
+        return;
+    }
+    if let Some((timer, _)) = st.hedge_timer.take() {
+        engine.cancel(timer);
+    }
+    if let Some(at) = want {
+        let sim = sim.clone();
+        let timer = engine.schedule_at(at, move |e| send_hedges(e, sim));
+        st.hedge_timer = Some((timer, at));
+    }
+}
+
+/// The hedge timer: send a duplicate message of each task the ledger
+/// hedges now, oldest first, then re-aim the timer. The Classic Cloud
+/// hedge is a queue re-dispatch, since the queue has no worker affinity
+/// and any idle worker picks the copy up; the loser runs to completion.
+fn send_hedges(engine: &mut Engine, sim: Rc<Sim>) {
+    let now = engine.now().as_secs_f64();
+    sim.st.borrow_mut().hedge_timer = None;
+    loop {
+        let hedge = {
             let mut st = sim.st.borrow_mut();
             let SimState {
-                hedge,
-                hedged,
-                done,
-                running,
-                pending,
+                ledger,
                 queue_requests,
                 rec,
-                n_tasks,
                 ..
             } = &mut *st;
-            let live = running.get(&task_id).copied().unwrap_or(0);
-            let policy = hedge.as_mut().expect("hedge check armed without a policy");
-            if done.contains(&task_id) || hedged.contains(&task_id) || live == 0 {
-                Next::Stop
-            } else {
-                let age = now - pulled_s;
-                if policy.should_hedge(age, live, *n_tasks) {
-                    policy.record_hedge();
-                    hedged.insert(task_id);
-                    *queue_requests += 1; // the duplicate's send
-                    pending.push_back((task.clone(), now));
-                    if let Some(rec) = rec {
-                        rec.event(TraceEvent {
-                            at_s: now,
-                            worker: NO_WORKER,
-                            kind: EventKind::Hedge,
-                        });
-                    }
-                    Next::Wake
-                } else {
-                    // Either the delay grew past this attempt's age (re-arm
-                    // at the new deadline) or the budget / live-attempt cap
-                    // said no (this task will not be hedged).
-                    let delay = policy.hedge_delay();
-                    if age < delay {
-                        Next::Rearm(pulled_s + delay)
-                    } else {
-                        Next::Stop
-                    }
-                }
+            let Some(id) = ledger.launch_hedge(0, now) else {
+                break;
+            };
+            *queue_requests += 1; // the duplicate's send
+            if let Some(rec) = rec {
+                rec.event(TraceEvent {
+                    at_s: now,
+                    worker: NO_WORKER,
+                    kind: EventKind::Hedge,
+                });
             }
+            id
         };
-        match next {
-            Next::Stop => {}
-            Next::Rearm(at) => {
-                let at = strictly_after_now(e.now(), at);
-                hedge_check_at(e, &sim, task, pulled_s, at)
-            }
-            Next::Wake => wake_idle(e, &sim),
-        }
-    });
-    sim.st
-        .borrow_mut()
-        .hedge_timers
-        .entry(task_id)
-        .or_default()
-        .push(timer);
+        send(engine, &sim, hedge.task, Some(hedge.attempt));
+    }
+    sync_hedge_timer(engine, &sim);
 }
 
 /// One controller evaluation in virtual time: confirm retirements, sweep
@@ -1126,8 +1063,7 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
             schedule,
             pending,
             in_flight,
-            completed,
-            n_tasks,
+            ledger,
             ..
         } = &mut *guard;
         let Fleet::Elastic(el) = fleet else {
@@ -1150,19 +1086,14 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
             }
         }
         el.last_kill_check_s = now_s;
-        if *completed >= *n_tasks {
+        if ledger.is_complete() {
             return; // no more ticks: let the engine run dry
         }
-        let oldest_age_s = pending
-            .iter()
-            .map(|(_, since)| (now_s - since).max(0.0))
-            .fold(None, |acc: Option<f64>, age| {
-                Some(acc.map_or(age, |m: f64| m.max(age)))
-            });
         let telemetry = Telemetry {
             queued: pending.len(),
             in_flight: *in_flight,
-            oldest_age_s,
+            // Sends append at the current time: the front is the oldest.
+            oldest_age_s: pending.front().map(|m| (now_s - m.since_s).max(0.0)),
         };
         let launches = match el.controller.decide(now_s, &telemetry) {
             Decision::Launch { ids } => ids,
@@ -1948,6 +1879,58 @@ mod tests {
         let (worker, at_s) = deaths[0];
         assert_eq!(worker, 0);
         assert!((120.0..121.0).contains(&at_s), "death at {at_s}");
+    }
+
+    #[test]
+    fn lone_gray_worker_under_a_deadline_dead_letters_its_tasks() {
+        use ppc_core::task::TaskId;
+        use ppc_resilience::ResiliencePolicy;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // Regression: with no delivery budget, a lone 30x-slow worker cut
+        // at every 60-s deadline requeued the same two tasks for as long
+        // as its gray window lasted (~16.7 M attempts for this 1e9-s one).
+        // Each task now fails after native Classic's 5 deliveries, on a
+        // fixed fleet and on a one-instance elastic fleet, whose
+        // controller tick chain must end.
+        let (tx, rx) = mpsc::channel();
+        let sim = std::thread::spawn(move || {
+            let gray = || FaultSchedule::new(11).degrade(0, 30.0, 0.0, 1e9);
+            let policy = ResiliencePolicy::default().with_deadline(60.0);
+            let one_instance = AutoscaleConfig {
+                min_workers: 1,
+                max_workers: 1,
+                ..autoscale_cfg()
+            };
+            let fixed = RunContext::new(&Cluster::provision(EC2_HCXL, 1, 1))
+                .with_schedule(Arc::new(gray().kill_at(0, 100.0)));
+            let elastic = RunContext::elastic(EC2_HCXL, one_instance, Vec::new())
+                .with_schedule(Arc::new(gray()));
+            let reports = [fixed, elastic].map(|ctx| {
+                let ctx = ctx.with_resilience(policy).with_trace(true);
+                crate::simulate(&ctx, &cpu_tasks(2, 10.0), &SimConfig::ec2())
+            });
+            tx.send(reports).unwrap();
+        });
+        let reports = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the run returns");
+        sim.join().expect("the sim thread finishes cleanly");
+        for (fleet, report) in ["fixed", "elastic"].into_iter().zip(reports) {
+            assert_eq!(report.failed, vec![TaskId(0), TaskId(1)], "{fleet}");
+            assert_eq!(report.summary.tasks, 0, "{fleet}");
+            assert_eq!(report.total_attempts, 10, "{fleet}");
+            let trace = report.core.trace.as_ref().unwrap();
+            for task in 0..2 {
+                let attempts: Vec<u32> = trace
+                    .spans()
+                    .iter()
+                    .filter(|s| s.task == task && s.phase == Phase::Attempt)
+                    .map(|s| s.attempt)
+                    .collect();
+                assert_eq!(attempts, [0, 1, 2, 3, 4], "{fleet}: task {task}");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,11 @@ use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
 use std::time::Duration;
 
+/// Deliveries a task gets before it is dead-lettered, unless a job sets
+/// its own: [`JobSpec::new`]'s `max_deliveries`, and the simulator's
+/// budget of failed attempts.
+pub(crate) const DEFAULT_MAX_DELIVERIES: u32 = 5;
+
 /// A pleasingly parallel job: a set of independent tasks plus the storage
 /// and queue plumbing they flow through.
 #[derive(Debug, Clone)]
@@ -35,7 +40,7 @@ impl JobSpec {
             name,
             tasks,
             visibility_timeout: Duration::from_secs(600),
-            max_deliveries: 5,
+            max_deliveries: DEFAULT_MAX_DELIVERIES,
         }
     }
 

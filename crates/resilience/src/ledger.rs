@@ -1,11 +1,11 @@
 //! The attempt ledger: one sans-IO state machine for every attempt of a
-//! job's tasks — launches, hedges, the failure budget, first-result-wins
-//! commit and killed losers. Callers pass the time of each call.
-//! MapReduce's scheduler keeps every task in one partition (Hadoop's
-//! global queue); native Dryad gives each node its own.
+//! job's tasks — launches, queue redeliveries, hedges, the failure budget,
+//! first-result-wins commit and killed losers. Callers pass the time of
+//! each call. MapReduce's scheduler and the Classic sim keep every task in
+//! one partition (a global queue); native Dryad gives each node its own.
 
 use crate::{HedgeConfig, HedgePolicy};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Identifies one attempt of one task (task index, attempt ordinal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,6 +53,9 @@ struct TaskState {
     /// Launch stamp and clock time of the current running period.
     started_seq: u64,
     started_at_s: f64,
+    /// Ordinal and launch time of up to two live attempts; any more live
+    /// at once spill to [`AttemptLedger::spill`].
+    live: [Option<(u32, f64)>; 2],
 }
 
 /// The attempt state of one job's tasks. See the module docs.
@@ -65,8 +68,8 @@ pub struct AttemptLedger {
     seq: u64,
     retries: u64,
     duplicate_completions: u64,
-    /// Launch time of each live attempt.
-    attempt_started: HashMap<AttemptId, f64>,
+    /// Launch time of each live attempt beyond its task's two inline ones.
+    spill: Vec<(AttemptId, f64)>,
     /// Each partition's hedge candidates when hedging is on: `(started_seq,
     /// task)` of every `Running` task below the live-attempt cap with
     /// budget left. Launch clocks are monotone, so a partition's first
@@ -100,7 +103,7 @@ impl AttemptLedger {
             seq: 0,
             retries: 0,
             duplicate_completions: 0,
-            attempt_started: HashMap::new(),
+            spill: Vec::new(),
             candidates: vec![BTreeSet::new(); n_partitions],
             last_started_at_s: f64::NEG_INFINITY,
         }
@@ -114,6 +117,12 @@ impl AttemptLedger {
     #[inline]
     pub fn is_complete(&self) -> bool {
         self.n_done + self.n_failed == self.tasks.len()
+    }
+
+    /// Whether `task` is resolved: done, or failed permanently.
+    #[inline]
+    pub fn is_resolved(&self, task: usize) -> bool {
+        matches!(self.tasks[task].phase, TaskPhase::Done | TaskPhase::Failed)
     }
 
     pub fn failed_tasks(&self) -> Vec<usize> {
@@ -159,6 +168,16 @@ impl AttemptLedger {
         self.launch_attempt(task, now_s)
     }
 
+    /// Add a live attempt to a running task: a queue redelivery while an
+    /// earlier attempt is still live. The running period, and with it the
+    /// task's hedge age, carries on. `None` once the task's failure budget
+    /// is spent: the delivery is dead-lettered.
+    pub fn redeliver(&mut self, task: usize, now_s: f64) -> Option<AttemptId> {
+        let t = &self.tasks[task];
+        debug_assert_eq!(t.phase, TaskPhase::Running, "task {task} is not running");
+        (t.failures < self.max_attempts).then(|| self.launch_attempt(task, now_s))
+    }
+
     /// Duplicate the oldest running task of `partition` if the
     /// [`HedgePolicy`] approves it at `now_s`; if the oldest is not past
     /// the hedge delay, no candidate is.
@@ -187,11 +206,17 @@ impl AttemptLedger {
     }
 
     /// The oldest live attempt of a running task in `partition` past
-    /// `timeout_s` at `now_s`: a deadline breach. Scans live attempts.
+    /// `timeout_s` at `now_s`: a deadline breach. Scans every task.
     pub fn overdue(&self, partition: usize, now_s: f64, timeout_s: f64) -> Option<AttemptId> {
-        self.attempt_started
-            .iter()
-            .filter(|&(id, &at)| {
+        let inline = self.tasks.iter().enumerate().flat_map(|(task, t)| {
+            t.live
+                .iter()
+                .flatten()
+                .map(move |&(attempt, at)| (AttemptId { task, attempt }, at))
+        });
+        inline
+            .chain(self.spill.iter().copied())
+            .filter(|&(id, at)| {
                 let t = &self.tasks[id.task];
                 t.partition == partition && t.phase == TaskPhase::Running && now_s - at > timeout_s
             })
@@ -199,7 +224,7 @@ impl AttemptLedger {
                 at.total_cmp(bt)
                     .then((a.task, a.attempt).cmp(&(b.task, b.attempt)))
             })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
     }
 
     fn first_candidate(&self, partition: usize) -> Option<usize> {
@@ -215,7 +240,10 @@ impl AttemptLedger {
             attempt: t.next_attempt,
         };
         t.next_attempt += 1;
-        self.attempt_started.insert(id, now_s);
+        match t.live.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some((id.attempt, now_s)),
+            None => self.spill.push((id, now_s)),
+        }
         self.reindex(task);
         id
     }
@@ -223,8 +251,19 @@ impl AttemptLedger {
     /// Take attempt `id` off the live set; its launch time, if it was live.
     fn retire(&mut self, id: AttemptId) -> Option<f64> {
         let t = &mut self.tasks[id.task];
-        t.live_attempts = t.live_attempts.saturating_sub(1);
-        self.attempt_started.remove(&id)
+        let started = match t
+            .live
+            .iter_mut()
+            .find(|slot| matches!(slot, Some((a, _)) if *a == id.attempt))
+        {
+            Some(slot) => slot.take().map(|(_, at)| at),
+            None => {
+                let i = self.spill.iter().position(|&(s, _)| s == id)?;
+                Some(self.spill.swap_remove(i).1)
+            }
+        };
+        t.live_attempts -= 1;
+        started
     }
 
     /// Bring `task`'s candidate entry in line with its state (its key only
@@ -322,6 +361,16 @@ mod tests {
         AttemptLedger::new(vec![0; n], hedge, max_attempts)
     }
 
+    /// Whether `id` is among the ledger's live attempts, inline or spilled.
+    fn is_live(l: &AttemptLedger, id: AttemptId) -> bool {
+        l.tasks[id.task]
+            .live
+            .iter()
+            .flatten()
+            .any(|&(a, _)| a == id.attempt)
+            || l.spill.iter().any(|&(s, _)| s == id)
+    }
+
     #[test]
     fn duplicate_completion_counts_redundant() {
         let mut l = ledger(1, true, 4);
@@ -346,7 +395,7 @@ mod tests {
         assert_eq!(l.complete_at(dup, 0.0), CompleteOutcome::First);
         l.release_cancelled(a);
         assert_eq!(l.live_attempts(a.task), 0);
-        assert!(!l.attempt_started.contains_key(&a));
+        assert!(!is_live(&l, a));
         assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
         assert_eq!(
             l.duplicate_completions(),
@@ -389,6 +438,82 @@ mod tests {
         l.release_cancelled(b);
         assert_eq!(delay(&l), 1.0);
         assert!(l.is_complete());
+    }
+
+    #[test]
+    fn redelivery_and_original_settle_in_either_order() {
+        let cfg = HedgeConfig {
+            quantile: 0.5,
+            factor: 1.0,
+            min_observations: 1,
+            min_delay_s: 5.0,
+            budget_fraction: f64::INFINITY,
+            max_live_attempts: 3,
+        };
+        for (original_first, first_dies) in
+            [(true, true), (true, false), (false, true), (false, false)]
+        {
+            let ctx = format!("original first {original_first}, first dies {first_dies}");
+            let mut l = AttemptLedger::new(vec![0], Some(cfg), 3);
+            let a = l.launch(0, 0.0);
+            // The visibility timeout lapses while `a` still runs.
+            let b = l.redeliver(0, 4.0).expect("budget left");
+            assert_eq!(
+                b,
+                AttemptId {
+                    task: 0,
+                    attempt: 1
+                },
+                "{ctx}"
+            );
+            assert_eq!(l.live_attempts(0), 2, "{ctx}");
+            assert_eq!(
+                l.earliest_hedge_s(0),
+                Some(5.0),
+                "{ctx}: the running period carries on"
+            );
+            let (first, second) = if original_first { (a, b) } else { (b, a) };
+            if first_dies {
+                assert_eq!(l.fail(first), FailOutcome::Retried, "{ctx}");
+                assert!(
+                    !l.is_resolved(0),
+                    "{ctx}: the other attempt keeps it running"
+                );
+                assert_eq!(l.earliest_hedge_s(0), Some(5.0), "{ctx}");
+                assert_eq!(l.complete_at(second, 9.0), CompleteOutcome::First, "{ctx}");
+                assert_eq!(l.retries(), 1, "{ctx}");
+            } else {
+                assert_eq!(l.complete_at(first, 9.0), CompleteOutcome::First, "{ctx}");
+                assert!(l.is_resolved(0), "{ctx}");
+                assert_eq!(
+                    l.complete_at(second, 10.0),
+                    CompleteOutcome::Duplicate,
+                    "{ctx}"
+                );
+                assert_eq!(l.duplicate_completions(), 1, "{ctx}");
+            }
+            assert!(l.is_complete(), "{ctx}");
+            assert!(!is_live(&l, a) && !is_live(&l, b), "{ctx}");
+            assert_eq!(l.live_attempts(0), 0, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn redelivery_past_the_spent_budget_is_dead_lettered() {
+        let mut l = ledger(1, false, 2);
+        let a = l.launch(0, 0.0);
+        let b = l.redeliver(0, 1.0).unwrap();
+        // A third live attempt spills past the two inline slots.
+        let c = l.redeliver(0, 2.0).unwrap();
+        assert_eq!(l.live_attempts(0), 3);
+        assert!(is_live(&l, c) && l.spill.len() == 1);
+        assert_eq!(l.fail(a), FailOutcome::Retried);
+        assert_eq!(l.fail(b), FailOutcome::Stale, "budget spent, c live");
+        assert_eq!(l.redeliver(0, 3.0), None);
+        assert!(!l.is_resolved(0));
+        assert_eq!(l.fail(c), FailOutcome::TaskFailed);
+        assert!(l.is_resolved(0) && l.spill.is_empty());
+        assert_eq!(l.failed_tasks(), vec![0]);
     }
 
     #[test]
@@ -556,7 +681,7 @@ mod tests {
                 let ctx = format!("seed {seed} step {step}");
                 now += f64::from(rng.next_below(4)) * 0.5;
                 let p = rng.next_below(n_parts) as usize;
-                match rng.next_below(7) {
+                match rng.next_below(8) {
                     // Launch (or relaunch, in place) a pending task.
                     0 | 1 => {
                         let pending: Vec<usize> = (0..n_tasks)
@@ -609,6 +734,20 @@ mod tests {
                             .map(|&(id, _)| id);
                         assert_eq!(l.overdue(p, now, timeout), want, "{ctx}");
                     }
+                    // Redeliver a running task (dead-lettered once its
+                    // budget is spent).
+                    7 => {
+                        let running: Vec<usize> = (0..n_tasks)
+                            .filter(|&t| m.phase[t] == TaskPhase::Running)
+                            .collect();
+                        if running.is_empty() {
+                            continue;
+                        }
+                        let task = running[rng.next_below(running.len() as u32) as usize];
+                        let want = (m.failures[task] < m.max_attempts)
+                            .then(|| m.launch_attempt(task, now));
+                        assert_eq!(l.redeliver(task, now), want, "{ctx}");
+                    }
                     // Settle a random live attempt.
                     op if !m.live.is_empty() => {
                         let (id, _) = m.live[rng.next_below(m.live.len() as u32) as usize];
@@ -650,6 +789,8 @@ mod tests {
                 assert_eq!(l.hedges_launched(), m.policy.hedges_launched(), "{ctx}");
                 for t in 0..n_tasks {
                     assert_eq!(l.live_attempts(t), m.live_of(t), "{ctx} task {t}");
+                    let resolved = matches!(m.phase[t], TaskPhase::Done | TaskPhase::Failed);
+                    assert_eq!(l.is_resolved(t), resolved, "{ctx} task {t}");
                 }
                 let failed: Vec<usize> = (0..n_tasks)
                     .filter(|&t| m.phase[t] == TaskPhase::Failed)

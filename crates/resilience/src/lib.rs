@@ -15,10 +15,11 @@
 //!   release them through a probation window.
 //! * [`DeadlineConfig`] — per-task deadlines with cancel-and-requeue.
 //! * [`AttemptLedger`] — the sans-IO attempt state machine the policies
-//!   act on: launches, hedges of the oldest candidate in a partition, the
-//!   oldest deadline breach, the per-task failure budget (a task that has
-//!   spent it gets no fresh hedges), first-result-wins commit and the
-//!   release of killed losers. MapReduce's scheduler keeps every task in
+//!   act on: launches, queue redeliveries, hedges of the oldest candidate
+//!   in a partition, the oldest deadline breach, the per-task failure
+//!   budget (a task that has spent it gets no fresh hedges or
+//!   redeliveries), first-result-wins commit and the release of killed
+//!   losers. MapReduce's scheduler and the Classic sim keep every task in
 //!   one partition; native Dryad uses one partition per node.
 //!
 //! The knobs travel as one [`ResiliencePolicy`] value on

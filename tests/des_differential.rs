@@ -516,8 +516,9 @@ fn sim_tasks(n: u64) -> Vec<TaskSpec> {
 }
 
 /// A hostile chaos schedule plus hedging, so the sims exercise timer
-/// cancellation (hedge timers are cancelled when the primary wins) on
-/// top of the usual churn.
+/// cancellation (the Classic sim cancels and re-arms its one hedge timer
+/// whenever the ledger's earliest hedge time moves) on top of the usual
+/// churn.
 fn hostile_ctx(cluster: &Cluster, seed: u64) -> RunContext {
     RunContext::new(cluster)
         .with_schedule(Arc::new(FaultSchedule::hostile(seed)))
