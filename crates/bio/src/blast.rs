@@ -164,17 +164,19 @@ impl BlastDb {
         self.total_residues
     }
 
-    /// Approximate resident bytes (sequences + index postings) — the number
-    /// the memory-pressure model cares about: 8 bytes per posting plus 16
-    /// per indexed word.
+    /// Approximate resident bytes — the number the memory-pressure model
+    /// cares about: each record (residues, id and 48 bytes of overhead),
+    /// its residue codes (1 byte each), the `starts` table (4 bytes per
+    /// entry, `20^w + 1` entries whatever the database size) and 8 bytes
+    /// per posting.
     pub fn resident_bytes(&self) -> u64 {
         let seq_bytes: usize = self
             .seqs
             .iter()
             .map(|s| s.seq.len() + s.id.len() + 48)
             .sum();
-        let words = self.starts.windows(2).filter(|r| r[0] != r[1]).count();
-        (seq_bytes + self.postings.len() * 8 + words * 16) as u64
+        let code_bytes: usize = self.codes.iter().map(Vec::len).sum();
+        (seq_bytes + code_bytes + self.starts.len() * 4 + self.postings.len() * 8) as u64
     }
 
     pub fn sequence(&self, i: usize) -> &FastaRecord {
@@ -854,6 +856,21 @@ mod tests {
         );
         assert!(big.resident_bytes() > 2 * small.resident_bytes());
         assert!(big.total_residues() > small.total_residues());
+    }
+
+    #[test]
+    fn resident_bytes_count_the_dense_word_table() {
+        // A w = 4 index holds 20^4 + 1 four-byte starts whatever the
+        // database size: 640 004 bytes for a single sequence.
+        let db = BlastDb::build(
+            vec![FastaRecord {
+                id: "only".into(),
+                desc: None,
+                seq: b"MKVLAATGLRWQYHNDE".to_vec(),
+            }],
+            4,
+        );
+        assert!(db.resident_bytes() >= 640_004, "{}", db.resident_bytes());
     }
 
     #[test]

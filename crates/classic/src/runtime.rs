@@ -52,8 +52,6 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for the native runtime.
 #[derive(Debug, Clone)]
 pub struct ClassicConfig {
-    /// Sleep between polls when the scheduling queue comes up empty.
-    pub poll_backoff: Duration,
     /// Long-poll window for worker and monitor receives (SQS
     /// `WaitTimeSeconds`): each receive request blocks up to this long,
     /// billed as one request, instead of hammering the endpoint with empty
@@ -63,20 +61,11 @@ pub struct ClassicConfig {
     /// queue, which releases every parked worker at once. A longer window
     /// therefore only saves empty receives on an idle queue.
     pub long_poll_wait: Duration,
-    /// Retry budget for eventually consistent input fetches.
-    pub input_fetch_attempts: u32,
     /// How long a replacement worker takes to come up after an injected
     /// death, milliseconds.
     pub restart_delay_ms: u64,
     /// Chaos dials for the queues this job creates.
     pub queue_chaos: ppc_queue::chaos::ChaosConfig,
-    /// Consecutive retryable storage-fetch failures before the shared
-    /// circuit breaker opens and workers fast-fail to redelivery instead
-    /// of hammering a browned-out store.
-    pub storage_breaker_threshold: u32,
-    /// Seconds an open storage breaker waits before letting a probe
-    /// request through.
-    pub storage_breaker_reset_s: f64,
     /// Optional live progress probe: the monitor thread stores the number
     /// of resolved (done + failed) tasks here as the job runs, so an
     /// external observer can watch a running job — the role of the paper's
@@ -87,17 +76,24 @@ pub struct ClassicConfig {
 impl Default for ClassicConfig {
     fn default() -> Self {
         ClassicConfig {
-            poll_backoff: Duration::from_micros(200),
             long_poll_wait: Duration::from_millis(20),
-            input_fetch_attempts: 16,
             restart_delay_ms: 0,
             queue_chaos: ppc_queue::chaos::ChaosConfig::NONE,
-            storage_breaker_threshold: 8,
-            storage_breaker_reset_s: 0.005,
             progress: None,
         }
     }
 }
+
+/// Sleep between polls when the scheduling queue comes up empty.
+const POLL_BACKOFF: Duration = Duration::from_micros(200);
+/// Retry budget for eventually consistent input fetches.
+const INPUT_FETCH_ATTEMPTS: u32 = 16;
+/// Consecutive retryable storage-fetch failures before the shared circuit
+/// breaker opens and workers fast-fail to redelivery instead of hammering
+/// a browned-out store.
+const STORAGE_BREAKER_THRESHOLD: u32 = 8;
+/// Seconds an open storage breaker waits before letting a probe through.
+const STORAGE_BREAKER_RESET_S: f64 = 0.005;
 
 /// Seed of a run whose context sets none.
 const DEFAULT_SEED: u64 = 0;
@@ -468,10 +464,7 @@ pub fn run(
         config,
         executor: executor.as_ref(),
         clock: RunClock::start(),
-        breaker: CircuitBreaker::new(
-            config.storage_breaker_threshold,
-            config.storage_breaker_reset_s,
-        ),
+        breaker: CircuitBreaker::new(STORAGE_BREAKER_THRESHOLD, STORAGE_BREAKER_RESET_S),
         health: ctx
             .resilience
             .and_then(|p| p.quarantine)
@@ -842,10 +835,10 @@ impl Run<'_> {
                 // this loop into a busy spin (and a billing storm).
                 Ok(None) => {
                     if config.long_poll_wait.is_zero() {
-                        std::thread::sleep(config.poll_backoff);
+                        std::thread::sleep(POLL_BACKOFF);
                     }
                 }
-                Err(_) => std::thread::sleep(config.poll_backoff),
+                Err(_) => std::thread::sleep(POLL_BACKOFF),
             }
             if let Some(d) = &mut defense {
                 d.sweep(sched, sink, &done, clock.now_s());
@@ -899,7 +892,7 @@ impl Run<'_> {
             h.lock().unwrap().admit(worker, now_s, &HealthTrace(sink)) != Admit::Go
         });
         if benched {
-            std::thread::sleep(config.poll_backoff);
+            std::thread::sleep(POLL_BACKOFF);
             return;
         }
 
@@ -910,12 +903,12 @@ impl Run<'_> {
             Ok(Some(m)) => m,
             Ok(None) => {
                 if config.long_poll_wait.is_zero() {
-                    std::thread::sleep(config.poll_backoff);
+                    std::thread::sleep(POLL_BACKOFF);
                 }
                 return;
             }
             Err(_) => {
-                std::thread::sleep(config.poll_backoff);
+                std::thread::sleep(POLL_BACKOFF);
                 return;
             }
         };
@@ -979,13 +972,13 @@ impl Run<'_> {
         // workers exhaust their retries and trip the breaker, and everyone
         // else fast-fails to redelivery instead of piling on.
         if !breaker.allow(chaos.clock.now_s()) {
-            std::thread::sleep(config.poll_backoff);
+            std::thread::sleep(POLL_BACKOFF);
             return; // lease reappears after the timeout
         }
         let input = match storage.get_with_retry(
             &job.input_bucket,
             &spec.input_key,
-            config.input_fetch_attempts,
+            INPUT_FETCH_ATTEMPTS,
         ) {
             Ok(d) => {
                 breaker.record_success();

@@ -530,13 +530,11 @@ pub(crate) fn sim_fleets_impl(
 
     let mut engine = Engine::new();
     let mut index = 0;
-    for (fleet_idx, cluster) in fleets.iter().enumerate() {
+    for cluster in fleets {
         for node in cluster.nodes() {
             // One shared uplink per instance (serializes that node's
             // concurrent storage transfers) when NIC modeling is on.
-            let nic = cfg
-                .nic_bandwidth_bytes_per_s
-                .map(|_| FifoServer::new(format!("nic-f{fleet_idx}-n{}", node.id), 1));
+            let nic = cfg.nic_bandwidth_bytes_per_s.map(|_| FifoServer::new());
             for _slot in 0..node.workers {
                 let sim = sim.clone();
                 let worker = WorkerRef {

@@ -17,9 +17,8 @@
 //!   closure-free fixed-delay lane ([`Engine::set_lane`]) carries periodic
 //!   polls with the same keys and order, and skips whole rounds of polls
 //!   its owner declares idle ([`Engine::set_quiet_horizon`]).
-//! * [`resource::FifoServer`] — a `c`-server FIFO queue, the building block
-//!   for modeled CPUs, disks, NICs, and service frontends.
-//! * [`stats`] — counters and time-weighted gauges for utilization curves.
+//! * [`resource::FifoServer`] — a one-server FIFO queue: the Classic sim's
+//!   per-node NIC uplink.
 //!
 //! Shared mutable model state lives in `Rc<RefCell<_>>` captured by event
 //! closures — the engine is strictly single-threaded, which is what makes
@@ -29,7 +28,6 @@
 pub mod engine;
 pub mod queue;
 pub mod resource;
-pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, EventId};

@@ -1,12 +1,9 @@
 //! Queueing resources for platform models.
 //!
-//! [`FifoServer`] models a station with `c` identical servers and an
-//! unbounded FIFO queue (an M/G/c station when fed random arrivals). The
-//! simulated platforms use it for CPU worker slots, disk heads, NIC uplinks,
-//! and service frontends (queue/storage endpoints).
+//! [`FifoServer`] models one server with an unbounded FIFO queue: the
+//! Classic sim's per-node NIC uplink, when NIC contention is modeled.
 
 use crate::engine::Engine;
-use crate::stats::TimeWeighted;
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -19,79 +16,25 @@ struct Job {
     on_done: DoneFn,
 }
 
+#[derive(Default)]
 struct Inner {
-    name: String,
-    capacity: usize,
-    busy: usize,
+    busy: bool,
     waiting: VecDeque<Job>,
-    completed: u64,
-    busy_gauge: TimeWeighted,
-    queue_gauge: TimeWeighted,
 }
 
-/// A `c`-server FIFO queueing station. Cheap to clone (shared handle).
-#[derive(Clone)]
+/// A one-server FIFO queueing station. Cheap to clone (shared handle).
+#[derive(Clone, Default)]
 pub struct FifoServer {
     inner: Rc<RefCell<Inner>>,
 }
 
 impl FifoServer {
-    pub fn new(name: impl Into<String>, capacity: usize) -> FifoServer {
-        assert!(capacity > 0, "a server needs at least one slot");
-        FifoServer {
-            inner: Rc::new(RefCell::new(Inner {
-                name: name.into(),
-                capacity,
-                busy: 0,
-                waiting: VecDeque::new(),
-                completed: 0,
-                busy_gauge: TimeWeighted::new(),
-                queue_gauge: TimeWeighted::new(),
-            })),
-        }
-    }
-
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
-    }
-
-    /// Jobs currently in service.
-    pub fn busy(&self) -> usize {
-        self.inner.borrow().busy
-    }
-
-    /// Jobs waiting for a free slot.
-    pub fn queue_len(&self) -> usize {
-        self.inner.borrow().waiting.len()
-    }
-
-    /// Jobs fully served since construction.
-    pub fn completed(&self) -> u64 {
-        self.inner.borrow().completed
-    }
-
-    /// Mean number of busy servers over simulated time so far.
-    pub fn mean_busy(&self, now: SimTime) -> f64 {
-        self.inner.borrow().busy_gauge.mean(now)
-    }
-
-    /// Utilization in `[0,1]`: mean busy servers over capacity.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let inner = self.inner.borrow();
-        inner.busy_gauge.mean(now) / inner.capacity as f64
-    }
-
-    /// Mean queue length over simulated time so far.
-    pub fn mean_queue(&self, now: SimTime) -> f64 {
-        self.inner.borrow().queue_gauge.mean(now)
+    pub fn new() -> FifoServer {
+        FifoServer::default()
     }
 
     /// Submit a job needing `service` time; `on_done` fires at completion.
-    /// Starts immediately if a slot is free, otherwise queues FIFO.
+    /// Starts immediately if the server is free, otherwise queues FIFO.
     pub fn submit(
         &self,
         engine: &mut Engine,
@@ -99,27 +42,13 @@ impl FifoServer {
         on_done: impl FnOnce(&mut Engine) + 'static,
     ) {
         let on_done: DoneFn = Box::new(on_done);
-        let start_now = {
-            let mut inner = self.inner.borrow_mut();
-            let now = engine.now();
-            if inner.busy < inner.capacity {
-                let busy = inner.busy;
-                inner.busy_gauge.record(now, (busy + 1) as f64);
-                inner.busy += 1;
-                true
-            } else {
-                let qlen = inner.waiting.len();
-                inner.queue_gauge.record(now, (qlen + 1) as f64);
-                false
-            }
-        };
-        if start_now {
-            self.begin(engine, service, on_done);
+        let mut inner = self.inner.borrow_mut();
+        if inner.busy {
+            inner.waiting.push_back(Job { service, on_done });
         } else {
-            self.inner
-                .borrow_mut()
-                .waiting
-                .push_back(Job { service, on_done });
+            inner.busy = true;
+            drop(inner);
+            self.begin(engine, service, on_done);
         }
     }
 
@@ -129,26 +58,13 @@ impl FifoServer {
     }
 
     fn finish(&self, engine: &mut Engine, on_done: DoneFn) {
-        // Release the slot and pull the next waiter *before* invoking the
+        // Hand the server to the next waiter *before* invoking the
         // completion callback, so the callback sees a consistent station.
         let next = {
             let mut inner = self.inner.borrow_mut();
-            inner.completed += 1;
-            let now = engine.now();
-            match inner.waiting.pop_front() {
-                Some(job) => {
-                    let qlen = inner.waiting.len();
-                    inner.queue_gauge.record(now, qlen as f64);
-                    // busy count unchanged: the slot hands over directly.
-                    Some(job)
-                }
-                None => {
-                    let busy = inner.busy;
-                    inner.busy_gauge.record(now, (busy - 1) as f64);
-                    inner.busy -= 1;
-                    None
-                }
-            }
+            let next = inner.waiting.pop_front();
+            inner.busy = next.is_some();
+            next
         };
         if let Some(job) = next {
             self.begin(engine, job.service, job.on_done);
@@ -163,10 +79,10 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    fn run_jobs(capacity: usize, jobs: &[(u64, u64)]) -> (Vec<(u64, u64)>, SimTime) {
+    fn run_jobs(jobs: &[(u64, u64)]) -> (Vec<(u64, u64)>, SimTime) {
         // jobs: (arrival_s, service_s); returns (job index, completion time_s).
         let mut e = Engine::new();
-        let server = FifoServer::new("cpu", capacity);
+        let server = FifoServer::new();
         let done: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
         for (idx, &(arr, svc)) in jobs.iter().enumerate() {
             let server = server.clone();
@@ -187,80 +103,15 @@ mod tests {
     #[test]
     fn single_server_serializes() {
         // Two jobs arriving together on one server finish at 5 and 10.
-        let (done, end) = run_jobs(1, &[(0, 5), (0, 5)]);
+        let (done, end) = run_jobs(&[(0, 5), (0, 5)]);
         assert_eq!(done, vec![(0, 5), (1, 10)]);
         assert_eq!(end, SimTime::from_secs(10));
     }
 
     #[test]
-    fn two_servers_run_in_parallel() {
-        let (done, end) = run_jobs(2, &[(0, 5), (0, 5)]);
-        assert_eq!(done, vec![(0, 5), (1, 5)]);
-        assert_eq!(end, SimTime::from_secs(5));
-    }
-
-    #[test]
     fn fifo_order_respected() {
         // Three jobs, one server: later-submitted short job still waits.
-        let (done, _) = run_jobs(1, &[(0, 10), (1, 1), (2, 1)]);
+        let (done, _) = run_jobs(&[(0, 10), (1, 1), (2, 1)]);
         assert_eq!(done, vec![(0, 10), (1, 11), (2, 12)]);
-    }
-
-    #[test]
-    fn counts_and_gauges() {
-        let mut e = Engine::new();
-        let s = FifoServer::new("disk", 1);
-        let s2 = s.clone();
-        e.schedule_at(SimTime::ZERO, move |e| {
-            s2.submit(e, SimTime::from_secs(10), |_| {});
-        });
-        let end = e.run();
-        assert_eq!(s.completed(), 1);
-        assert_eq!(s.busy(), 0);
-        assert_eq!(s.queue_len(), 0);
-        // Busy for the whole run.
-        assert!((s.utilization(end) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_half() {
-        let mut e = Engine::new();
-        let s = FifoServer::new("nic", 1);
-        let s2 = s.clone();
-        e.schedule_at(SimTime::ZERO, move |e| {
-            s2.submit(e, SimTime::from_secs(5), |_| {});
-        });
-        e.run();
-        // Advance an idle tail to 10s by scheduling a no-op.
-        e.schedule_at(SimTime::from_secs(10), |_| {});
-        let end = e.run();
-        assert!((s.utilization(end) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_queue_tracks_waiters() {
-        // One server, two simultaneous 10s jobs: one waits 10s of a 20s run.
-        let (_, end) = {
-            let mut e = Engine::new();
-            let s = FifoServer::new("q", 1);
-            let s1 = s.clone();
-            e.schedule_at(SimTime::ZERO, move |e| {
-                s1.submit(e, SimTime::from_secs(10), |_| {});
-            });
-            let s2 = s.clone();
-            e.schedule_at(SimTime::ZERO, move |e| {
-                s2.submit(e, SimTime::from_secs(10), |_| {});
-            });
-            let end = e.run();
-            assert!((s.mean_queue(end) - 0.5).abs() < 1e-9);
-            ((), end)
-        };
-        assert_eq!(end, SimTime::from_secs(20));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_capacity_rejected() {
-        let _ = FifoServer::new("bad", 0);
     }
 }

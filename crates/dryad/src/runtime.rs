@@ -15,11 +15,10 @@ use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{Cancel, PpcError, Result};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_resilience::{
-    Admit, AttemptId, AttemptLedger, CompleteOutcome, DeadlineConfig, FailOutcome, HealthTracker,
-    ResiliencePolicy,
+    Admit, AttemptId, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker, ResiliencePolicy,
 };
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -116,10 +115,11 @@ pub use ppc_exec::JobOutputs;
 /// report and the outputs (output key → bytes), in completion order.
 ///
 /// Every slot runs one vertex lifecycle over a run-wide [`AttemptLedger`]
-/// with one partition per node: it launches attempts, keeps each vertex's
-/// budget of `max_retries + 1` failed attempts and decides
-/// first-result-wins commit. A failed attempt (a death die or a torn
-/// output) is re-run in place when no other attempt of the vertex is live.
+/// with one partition per node: it launches and arms attempts, keeps each
+/// vertex's budget of `max_retries + 1` failed attempts, decides
+/// first-result-wins commit and holds every live attempt's kill token. A
+/// failed attempt (a death die or a torn output) is re-run in place when
+/// no other attempt of the vertex is live.
 /// The fault schedule addresses workers by flat slot index (node-major); a
 /// scheduled kill takes a slot down and its in-hand vertex goes back on the
 /// node's list for a surviving slot — re-execution never crosses nodes
@@ -130,12 +130,16 @@ pub use ppc_exec::JobOutputs;
 /// slot that takes it, so which vertices fail does not depend on thread
 /// timing. Storage outages do *not* apply: Dryad reads node-local files.
 ///
-/// The context's policy is the defense. Once its node's list is empty, an
-/// idle slot cuts the node's oldest attempt past the deadline and re-runs
-/// it, else backs up the node's oldest hedge-eligible straggler; the first
-/// Ok attempt kills the others (redundant executions). A quarantine config
-/// benches gray slots off the list. The makespan is the time the last
-/// vertex settled: a killed loser may still be draining past it.
+/// The context's policy is the defense. While the node threads run, the
+/// calling thread cuts each attempt past the deadline through the ledger,
+/// which kills and fails it, so a node with no idle slot still cuts its
+/// breaches. The cut vertex re-runs on a slot of its node that was idle at
+/// the cut, if there is one, else in place on the victim's slot. Once its
+/// node's list is empty, an idle slot backs up the node's oldest
+/// hedge-eligible straggler; the first Ok attempt kills the others
+/// (redundant executions). A quarantine config benches gray slots off the
+/// list. The makespan is the time the last vertex settled: a killed loser
+/// may still be draining past it.
 ///
 /// A malformed context schedule or policy is an `InvalidArgument` error,
 /// returned before any thread starts. Native Dryad takes no context seed:
@@ -180,6 +184,7 @@ pub fn run(
             base: node_base,
             remaining: AtomicUsize::new(local.len()),
             local: Mutex::new(local),
+            slots: Mutex::new((0..slots).map(|_| Slot::Busy).collect()),
         });
         node_base += cluster.nodes()[node].workers;
     }
@@ -187,16 +192,13 @@ pub fn run(
     // An unset policy runs the same lifecycle with every defense off.
     let policy: ResiliencePolicy = ctx.resilience.unwrap_or_default();
     let sink = ctx.sink.as_deref().filter(|s| s.enabled());
+    let ledger = AttemptLedger::new(partitions, policy.hedge, config.max_retries + 1);
     let shared = SlotCtx {
         executor: &executor,
         sink,
         chaos: ctx.schedule.as_deref(),
         clock: RunClock::start(),
-        deadline: policy.deadline,
-        attempts: Mutex::new(Attempts {
-            ledger: AttemptLedger::new(partitions, policy.hedge, config.max_retries + 1),
-            live: HashMap::new(),
-        }),
+        ledger: Mutex::new(ledger),
         health: policy
             .quarantine
             .map(|cfg| Mutex::new(HealthTracker::new(cfg))),
@@ -234,6 +236,19 @@ pub fn run(
                 per_node.lock().unwrap()[state.index] = node_start.elapsed().as_secs_f64();
             });
         }
+        // Dryad's vertex timeout: until every vertex settles, cut each
+        // attempt past the deadline, busy slots or not.
+        if let Some(d) = policy.deadline {
+            while nodes
+                .iter()
+                .any(|n| n.remaining.load(Ordering::Acquire) > 0)
+            {
+                let cuts = nodes.iter().filter(|n| shared.cut_overdue(n, d.timeout_s));
+                if cuts.count() == 0 {
+                    std::thread::sleep(IDLE_POLL);
+                }
+            }
+        }
     });
     let makespan = *shared.finished_s.lock().unwrap();
 
@@ -242,7 +257,7 @@ pub fn run(
         return Err(failed.swap_remove(0).1);
     }
     let outputs = shared.outputs.into_inner().unwrap();
-    let ledger = shared.attempts.into_inner().unwrap().ledger;
+    let ledger = shared.ledger.into_inner().unwrap();
     // The meta carries the *same* f64 makespan the summary reports, so
     // Eq. 1 recomputed from the trace matches the engine exactly.
     let trace = sink.and_then(|s| {
@@ -278,40 +293,21 @@ pub fn run(
     Ok((report, outputs))
 }
 
-/// The ledger and, beside it, each live attempt's cancel token and worker.
-/// A deadline cut removes its victim here, so the victim's slot finds its
-/// attempt already settled.
-struct Attempts {
-    ledger: AttemptLedger,
-    live: HashMap<AttemptId, (Cancel, u32)>,
-}
-
-impl Attempts {
-    /// Launch `task` on `worker`; the clock is read under the lock, in order.
-    fn launch(&mut self, task: usize, clock: &RunClock, worker: u32) -> (AttemptId, Cancel) {
-        let id = self.ledger.launch(task, clock.now_s());
-        self.track(id, worker)
-    }
-
-    fn track(&mut self, id: AttemptId, worker: u32) -> (AttemptId, Cancel) {
-        let cancel = Cancel::new();
-        self.live.insert(id, (cancel.clone(), worker));
-        (id, cancel)
-    }
-}
+/// Poll sleep of an idle slot, and of the deadline cutter.
+const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// Everything a vertex slot touches, shared across every node's slots:
-/// the run's inputs, its defense state and its tallies. Lock order: never
-/// take `health` while holding `attempts`.
+/// the run's inputs, its defense state and its tallies. Lock order:
+/// `ledger` before a node's `slots`; never take `health` while holding
+/// `ledger`.
 struct SlotCtx<'a> {
     executor: &'a Arc<dyn Executor>,
     sink: Option<&'a dyn TraceSink>,
     chaos: Option<&'a FaultSchedule>,
     clock: RunClock,
-    deadline: Option<DeadlineConfig>,
     /// One ledger for the run, so latency observations feed a single
     /// hedge quantile even though backup vertices never cross nodes.
-    attempts: Mutex<Attempts>,
+    ledger: Mutex<AttemptLedger>,
     health: Option<Mutex<HealthTracker>>,
     /// Every vertex's spec and node-local input, by ledger task id.
     vertices: Vec<(TaskSpec, Vec<u8>)>,
@@ -336,6 +332,20 @@ struct NodeState {
     /// `(worker, task_seq)` its first attempt rolls the chaos dice at.
     local: Mutex<VecDeque<(usize, (u32, u32))>>,
     remaining: AtomicUsize,
+    /// Each slot's state, by slot index on the node.
+    slots: Mutex<Vec<Slot>>,
+}
+
+/// A slot as a re-run sees it.
+#[derive(Default)]
+enum Slot {
+    #[default]
+    Busy,
+    /// Out of work, polling its node: a deadline cut may hand it a re-run.
+    Idle,
+    /// A vertex's re-run, launched and armed on this slot: in place after a
+    /// failure, or handed over by a deadline cut.
+    Rerun(AttemptId, Cancel),
 }
 
 /// One traced vertex attempt: chaos dice at the `dice` address, if any
@@ -399,16 +409,21 @@ fn vertex_attempt(
     r
 }
 
-/// A vertex slot's one lifecycle: pull vertices off the node's local list
-/// and run each through the ledger (Table 3's Dryad fault tolerance). Once
-/// the list is empty, an idle slot cuts deadline breaches and backs up
-/// hedge-eligible stragglers on its own node, or waits for the node to
-/// settle — a slot killed later pushes its vertex back onto the list.
-/// Quarantined slots are benched off the list until released.
+/// A vertex slot's one lifecycle: run its re-run, if it holds one, else
+/// pull vertices off the node's local list and run each through the ledger
+/// (Table 3's Dryad fault tolerance). Once the list is empty, an idle slot
+/// backs up hedge-eligible stragglers on its own node, or waits for the
+/// node to settle — a slot killed later pushes its vertex back onto the
+/// list. Quarantined slots are benched off the list until released.
 fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
     ctx.event(worker, EventKind::WorkerStart, ctx.clock.now_s());
     let mut last_kill_s: f64 = 0.0;
     loop {
+        let held = std::mem::take(&mut node.slots.lock().unwrap()[worker as usize - node.base]);
+        if let Slot::Rerun(id, cancel) = held {
+            ctx.run_attempt(node, worker, id, cancel, None);
+            continue;
+        }
         if let Some(health) = &ctx.health {
             // Quarantine gate: a benched slot naps instead of pulling work.
             // Its share of the list is picked up by the node's other slots
@@ -441,12 +456,11 @@ fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
                     }
                     last_kill_s = now_s;
                 }
-                let (id, cancel) = ctx
-                    .attempts
-                    .lock()
-                    .unwrap()
-                    .launch(task, &ctx.clock, worker);
-                (id, cancel, Some(dice))
+                // The clock is read under the ledger lock: launch times
+                // stay in order.
+                let mut ledger = ctx.ledger.lock().unwrap();
+                let id = ledger.launch(task, ctx.clock.now_s());
+                (id, ledger.arm(id, worker), Some(dice))
             }
             // The node's partition is fully settled.
             None if node.remaining.load(Ordering::Acquire) == 0 => break,
@@ -455,12 +469,12 @@ fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
                 // hazards and this slot already survived its pull.
                 Some((id, cancel)) => (id, cancel, None),
                 None => {
-                    std::thread::sleep(Duration::from_micros(200));
+                    std::thread::sleep(IDLE_POLL);
                     continue;
                 }
             },
         };
-        ctx.run_vertex(node, worker, id, cancel, dice);
+        ctx.run_attempt(node, worker, id, cancel, dice);
     }
 }
 
@@ -482,51 +496,30 @@ impl SlotCtx<'_> {
         }
     }
 
-    /// Run and settle attempt `id`, then each in-place re-run it earns.
-    fn run_vertex(
-        &self,
-        node: &NodeState,
-        worker: u32,
-        mut id: AttemptId,
-        mut cancel: Cancel,
-        mut dice: Option<(u32, u32)>,
-    ) {
-        loop {
-            let started = Instant::now();
-            let out = vertex_attempt(self, id, worker, dice.take(), &cancel);
-            let latency_s = started.elapsed().as_secs_f64();
-            match self.settle_attempt(node, worker, id, &cancel, out, latency_s) {
-                Some((next, token)) => (id, cancel) = (next, token),
-                None => return,
-            }
-        }
-    }
-
-    /// Settle a finished attempt: the first Ok commits and kills the
-    /// vertex's other attempts, a killed loser leaves as redundant work,
-    /// and a failure may return an in-place re-run.
-    fn settle_attempt(
+    /// Run attempt `id` and settle it: the first Ok commits (the ledger
+    /// kills the vertex's other attempts), a killed loser leaves as
+    /// redundant work, and a failure may earn a re-run in place. An attempt
+    /// cut at its deadline is already settled.
+    fn run_attempt(
         &self,
         node: &NodeState,
         worker: u32,
         id: AttemptId,
-        cancel: &Cancel,
-        out: Result<Vec<u8>>,
-        latency_s: f64,
-    ) -> Option<(AttemptId, Cancel)> {
-        let mut st = self.attempts.lock().unwrap();
+        cancel: Cancel,
+        dice: Option<(u32, u32)>,
+    ) {
+        let started = Instant::now();
+        let out = vertex_attempt(self, id, worker, dice, &cancel);
+        let latency_s = started.elapsed().as_secs_f64();
+        let mut ledger = self.ledger.lock().unwrap();
         let now_s = self.clock.now_s();
-        // Gone if cut at its deadline: the cutter already failed it.
-        st.live.remove(&id)?;
+        if !ledger.is_live(id) {
+            return;
+        }
         match out {
             Ok(bytes) => {
-                let first = st.ledger.complete_at(id, now_s) == CompleteOutcome::First;
-                for (other, (token, _)) in st.live.iter().filter(|_| first) {
-                    if other.task == id.task {
-                        token.cancel();
-                    }
-                }
-                drop(st);
+                let first = ledger.complete_at(id, now_s) == CompleteOutcome::First;
+                drop(ledger);
                 if first {
                     let key = self.vertices[id.task].0.output_key.clone();
                     self.outputs.lock().unwrap().push((key, bytes));
@@ -535,66 +528,78 @@ impl SlotCtx<'_> {
                 // A duplicate that lost the race is discarded: exactly-once
                 // output, the ledger counts the redundant work.
                 self.score(worker, Some(latency_s));
-                None
             }
             Err(_) if cancel.is_cancelled() => {
                 // Killed by the vertex's committing attempt: redundant
                 // work, no failure.
-                st.ledger.release_cancelled(id);
-                drop(st);
+                ledger.release_cancelled(id);
+                drop(ledger);
                 self.event(worker, EventKind::Cancel, now_s);
-                None
             }
-            Err(e) => self.fail_attempt(st, node, id, worker, worker, e),
+            Err(e) => {
+                let outcome = ledger.fail(id);
+                self.failed_attempt(ledger, node, id, outcome, worker, false, e);
+            }
         }
     }
 
-    /// An idle slot's turn on its node: cut the oldest attempt past the
-    /// deadline and take over its re-run, else launch a backup of the
-    /// oldest hedge-eligible straggler. `None`: nothing to run yet.
+    /// An idle slot's turn on its node: launch a backup of the oldest
+    /// hedge-eligible straggler, else mark the slot idle, ready for a cut
+    /// vertex's re-run. `None`: nothing to run yet.
     fn idle_work(&self, node: &NodeState, worker: u32) -> Option<(AttemptId, Cancel)> {
-        let mut st = self.attempts.lock().unwrap();
+        let mut ledger = self.ledger.lock().unwrap();
         let now_s = self.clock.now_s();
-        let overdue = self
-            .deadline
-            .and_then(|d| st.ledger.overdue(node.index, now_s, d.timeout_s));
-        if let Some(victim) = overdue {
-            // Kill the overdue attempt (it stops at its executor's next
-            // check) and fail it now: a cut is a failed attempt.
-            let (token, victim_worker) =
-                st.live.remove(&victim).expect("overdue attempts are live");
-            token.cancel();
-            self.event(NO_WORKER, EventKind::Cancel, now_s);
-            let spec = &self.vertices[victim.task].0;
-            let err = PpcError::Cancelled(format!("vertex {}: past its deadline", spec.id.0));
-            return self.fail_attempt(st, node, victim, victim_worker, worker, err);
-        }
-        let id = st.ledger.launch_hedge(node.index, now_s)?;
+        let Some(id) = ledger.launch_hedge(node.index, now_s) else {
+            node.slots.lock().unwrap()[worker as usize - node.base] = Slot::Idle;
+            return None;
+        };
         self.event(NO_WORKER, EventKind::Hedge, now_s);
-        Some(st.track(id, worker))
+        Some((id, ledger.arm(id, worker)))
     }
 
-    /// Fail attempt `id`, run on `failed_on`, in the ledger: re-run the
-    /// vertex on `worker` when no other attempt of it is live, or fail it
-    /// for good with `err` once its budget is spent.
-    fn fail_attempt(
+    /// Cut `node`'s oldest attempt past `timeout_s`, if any; whether it cut.
+    fn cut_overdue(&self, node: &NodeState, timeout_s: f64) -> bool {
+        let mut ledger = self.ledger.lock().unwrap();
+        let now_s = self.clock.now_s();
+        let Some((id, victim, outcome)) = ledger.cut_overdue(node.index, now_s, timeout_s) else {
+            return false;
+        };
+        self.event(NO_WORKER, EventKind::Cancel, now_s);
+        let spec = &self.vertices[id.task].0;
+        let err = PpcError::Cancelled(format!("vertex {}: past its deadline", spec.id.0));
+        self.failed_attempt(ledger, node, id, outcome, victim, true, err);
+        true
+    }
+
+    /// Act on the ledger's `outcome` for attempt `id`, failed on `worker`:
+    /// re-run the vertex when no other attempt of it is live, or fail it
+    /// for good with `err`. The re-run goes to `worker`'s slot, or, for a
+    /// deadline cut (`to_idle`), to a slot of the node idle now if any.
+    #[allow(clippy::too_many_arguments)]
+    fn failed_attempt(
         &self,
-        mut st: MutexGuard<Attempts>,
+        mut ledger: MutexGuard<AttemptLedger>,
         node: &NodeState,
         id: AttemptId,
-        failed_on: u32,
+        outcome: FailOutcome,
         worker: u32,
+        to_idle: bool,
         err: PpcError,
-    ) -> Option<(AttemptId, Cancel)> {
-        let outcome = st.ledger.fail(id);
-        let rerun = (outcome == FailOutcome::Retried && st.ledger.live_attempts(id.task) == 0)
-            .then(|| st.launch(id.task, &self.clock, worker));
-        drop(st);
-        self.score(failed_on, None);
+    ) {
+        if outcome == FailOutcome::Retried && ledger.live_attempts(id.task) == 0 {
+            let mut slots = node.slots.lock().unwrap();
+            let k = slots
+                .iter()
+                .position(|s| to_idle && matches!(s, Slot::Idle))
+                .unwrap_or(worker as usize - node.base);
+            let rerun = ledger.launch(id.task, self.clock.now_s());
+            slots[k] = Slot::Rerun(rerun, ledger.arm(rerun, (node.base + k) as u32));
+        }
+        drop(ledger);
+        self.score(worker, None);
         if outcome == FailOutcome::TaskFailed {
             self.fail_vertex(node, &self.vertices[id.task].0, err);
         }
-        rerun
     }
 
     /// Record `spec`'s vertex as permanently failed with `err` and settle
@@ -892,8 +897,8 @@ mod tests {
 
     #[test]
     fn deadline_cancels_overdue_vertex() {
-        // Slot 0 is gray (40x, ~200ms per vertex); a 50ms deadline lets an
-        // idle slot cancel the overdue attempt and re-run it.
+        // Slot 0 is gray (40x, ~200ms per vertex); a 50ms deadline cuts
+        // the overdue attempt and an idle slot re-runs it.
         let cluster = Cluster::provision(BARE_HPC16, 1, 4);
         let schedule = Arc::new(FaultSchedule::new(3).degrade(0, 40.0, 0.0, 1e9));
         let ctx = RunContext::new(&cluster)
@@ -983,6 +988,63 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(threads_named(PROBE), 0, "worker threads leaked");
+    }
+
+    /// Echoes its input after a [`Cancel::sleep`] of 60 ms, noting how long
+    /// each call's sleep ran before it returned.
+    struct Overrunner(Mutex<Vec<Duration>>);
+
+    impl Executor for Overrunner {
+        fn run(&self, spec: &TaskSpec, input: &[u8]) -> Result<Vec<u8>> {
+            self.run_cancellable(spec, input, &Cancel::never())
+        }
+
+        fn run_cancellable(
+            &self,
+            _spec: &TaskSpec,
+            input: &[u8],
+            cancel: &Cancel,
+        ) -> Result<Vec<u8>> {
+            let started = Instant::now();
+            let slept = cancel.sleep(Duration::from_millis(60));
+            self.0.lock().unwrap().push(started.elapsed());
+            slept.map(|()| input.to_vec())
+        }
+    }
+
+    #[test]
+    fn deadline_cuts_a_vertex_on_a_node_with_no_idle_slot() {
+        // One node, one slot: no slot is ever idle while the vertex runs,
+        // so the calling thread must cut it. Every 60-ms attempt is cut at
+        // the 30-ms deadline, and the vertex fails after its three attempts
+        // (run to the end, they would take 180 ms).
+        let cluster = Cluster::provision(BARE_HPC16, 1, 1);
+        let exec = Arc::new(Overrunner(Mutex::new(Vec::new())));
+        let ctx = RunContext::new(&cluster)
+            .with_resilience(ResiliencePolicy::default().with_deadline(0.03));
+        let config = DryadConfig {
+            fail_fast: false,
+            max_retries: 2,
+        };
+        let start = Instant::now();
+        let (report, outputs) = crate::run(&ctx, inputs(1), exec.clone(), &config).unwrap();
+        let wall = start.elapsed();
+        assert!(outputs.is_empty());
+        assert_eq!(report.failed, vec![TaskId(0)]);
+        assert_eq!(report.total_attempts, 3);
+        let ran = exec.0.lock().unwrap();
+        assert_eq!(ran.len(), 3, "one call per attempt");
+        for d in ran.iter() {
+            let ms = d.as_secs_f64() * 1e3;
+            assert!(
+                (25.0..55.0).contains(&ms),
+                "attempt ran {ms:.1} ms, not cut near 30"
+            );
+        }
+        assert!(
+            wall < Duration::from_millis(150),
+            "vertex failed after {wall:?}"
+        );
     }
 
     #[test]

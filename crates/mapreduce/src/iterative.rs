@@ -20,45 +20,6 @@ pub use ppc_workflow::iterate::{
     run_fixed_point, Combiner, FixedPointJob, FixedPointReport, IterMapper, IterReducer,
 };
 
-/// An iterative job description (legacy shape: carries the HDFS paths the
-/// workflow-layer [`FixedPointJob`] leaves to the caller).
-#[derive(Debug, Clone)]
-pub struct IterativeJob {
-    pub name: String,
-    /// HDFS paths of the *static* data, cached across iterations.
-    pub input_paths: Vec<String>,
-    /// Hard iteration cap (convergence may stop earlier).
-    pub max_iterations: usize,
-    /// Map parallelism (worker threads).
-    pub parallelism: usize,
-}
-
-impl IterativeJob {
-    pub fn new(name: impl Into<String>, input_paths: Vec<String>) -> IterativeJob {
-        IterativeJob {
-            name: name.into(),
-            input_paths,
-            max_iterations: 50,
-            parallelism: 4,
-        }
-    }
-
-    pub fn with_max_iterations(mut self, n: usize) -> IterativeJob {
-        self.max_iterations = n;
-        self
-    }
-
-    /// The workflow-layer job this legacy description corresponds to.
-    pub fn fixed_point(&self) -> FixedPointJob {
-        FixedPointJob::new(self.name.clone())
-            .with_max_iterations(self.max_iterations)
-            .with_parallelism(self.parallelism)
-    }
-}
-
-/// Outcome of an iterative run — now the workflow layer's report.
-pub type IterativeReport = FixedPointReport;
-
 /// Read the static input splits from HDFS once, producing the in-memory
 /// cache [`run_fixed_point`] iterates over. One HDFS read per split, ever.
 pub fn cache_splits(fs: &Arc<MiniHdfs>, paths: &[String]) -> Result<Vec<(String, Vec<u8>)>> {
@@ -260,13 +221,13 @@ mod tests {
     #[test]
     fn kmeans_converges_to_true_centers() {
         let (fs, paths, truth) = setup(5);
-        let job = IterativeJob::new("kmeans", paths);
+        let job = FixedPointJob::new("kmeans");
         // Deliberately bad initial centroids, one near each cluster.
         let initial = vec![vec![2.0, 2.0], vec![7.0, 1.0], vec![1.0, 7.0]];
-        let cache = cache_splits(&fs, &job.input_paths).unwrap();
+        let cache = cache_splits(&fs, &paths).unwrap();
         let (centroids, report) = run_fixed_point(
             &cache,
-            &job.fixed_point(),
+            &job,
             &KMeansMapper,
             &KMeansReducer,
             &KMeansCombiner { tolerance: 1e-6 },
@@ -299,13 +260,13 @@ mod tests {
     fn static_data_is_cached_across_iterations() {
         let (fs, paths, _) = setup(6);
         let n_paths = paths.len();
-        let job = IterativeJob::new("kmeans", paths).with_max_iterations(7);
+        let job = FixedPointJob::new("kmeans").with_max_iterations(7);
         let initial = vec![vec![1.0, 1.0], vec![8.0, 1.0], vec![1.0, 8.0]];
         let reads_before = fs.read_stats();
-        let cache = cache_splits(&fs, &job.input_paths).unwrap();
+        let cache = cache_splits(&fs, &paths).unwrap();
         let (_, report) = run_fixed_point(
             &cache,
-            &job.fixed_point(),
+            &job,
             &KMeansMapper,
             &KMeansReducer,
             &KMeansCombiner { tolerance: 0.0 },
@@ -325,14 +286,14 @@ mod tests {
     #[test]
     fn max_iterations_bounds_nonconverging_runs() {
         let (fs, paths, _) = setup(7);
-        let job = IterativeJob::new("kmeans", paths).with_max_iterations(3);
+        let job = FixedPointJob::new("kmeans").with_max_iterations(3);
         // tolerance 0 with jittered data never strictly converges... unless
         // assignments stabilize exactly; accept either, but never exceed cap.
         let initial = vec![vec![1.0, 1.0], vec![8.0, 1.0], vec![1.0, 8.0]];
-        let cache = cache_splits(&fs, &job.input_paths).unwrap();
+        let cache = cache_splits(&fs, &paths).unwrap();
         let (_, report) = run_fixed_point(
             &cache,
-            &job.fixed_point(),
+            &job,
             &KMeansMapper,
             &KMeansReducer,
             &KMeansCombiner { tolerance: -1.0 },

@@ -46,7 +46,7 @@ pub mod sim;
 pub use engine::HadoopEngine;
 pub use harness::{run, simulate};
 pub use input::{InputFormat, InputSplit};
-pub use iterative::{cache_splits, IterativeJob, IterativeReport};
+pub use iterative::cache_splits;
 pub use job::{ExecutableMapper, MapContext, MapReduceJob, Mapper, Reducer};
 pub use report::MapReduceReport;
 pub use runtime::HadoopConfig;

@@ -5,10 +5,11 @@
 //! scheduling meaningful. Map outputs are committed only for the *first*
 //! completion of a task (Hadoop's output-committer discipline), so
 //! speculative duplicates and retries can never corrupt results. Once that
-//! commit lands, the task's other live attempts are killed through their
-//! [`Cancel`] tokens, as Hadoop's JobTracker kills the losing attempts.
-//! Under a deadline the master, on the calling thread, cuts each attempt
-//! that overruns it the same way, and the cut fails the attempt.
+//! commit lands, the ledger fires the task's other attempts'
+//! [`Cancel`](ppc_core::Cancel) tokens, as Hadoop's JobTracker kills the
+//! losing attempts. Under a deadline the master, on the calling thread,
+//! cuts each attempt that overruns it the same way, and the cut fails the
+//! attempt.
 
 use crate::input::{compute_splits, InputFormat};
 use crate::job::{partition_for, MapContext, MapReduceJob, Mapper, Reducer};
@@ -18,13 +19,13 @@ use ppc_chaos::RunClock;
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::TaskId;
-use ppc_core::{Cancel, PpcError, Result};
+use ppc_core::{PpcError, Result};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
 use ppc_resilience::{Admit, HealthTracker, HedgeConfig};
 use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -36,9 +37,10 @@ pub struct HadoopConfig {
     pub slots_per_node: usize,
     /// Injected probability that any map attempt fails (tests retries).
     pub attempt_failure_p: f64,
-    /// Poll sleep when no work is available yet.
-    pub poll_backoff: Duration,
 }
+
+/// Poll sleep of a slot with no work yet, and of the deadline master.
+const POLL_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Seed of a run whose context sets none (per-slot RNG streams, and the
 /// engine's `MiniHdfs` placement).
@@ -49,7 +51,6 @@ impl Default for HadoopConfig {
         HadoopConfig {
             slots_per_node: 2,
             attempt_failure_p: 0.0,
-            poll_backoff: Duration::from_micros(200),
         }
     }
 }
@@ -112,10 +113,7 @@ pub fn run(
         .map(|q| Mutex::new(HealthTracker::new(q)));
     let health = health.as_ref();
     let deadline = ctx.resilience.and_then(|p| p.deadline);
-    let master = Mutex::new(Master {
-        sched: Scheduler::with_policy(splits, hedge, job.max_attempts),
-        live: HashMap::new(),
-    });
+    let sched = Mutex::new(Scheduler::with_policy(splits, hedge, job.max_attempts));
 
     // Map-side state.
     let intermediate: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
@@ -133,7 +131,7 @@ pub fn run(
     let sink = ctx.sink.as_deref().filter(|s| s.enabled());
     // Score a finished attempt (`None` = failed) of `worker` into the
     // health tracker, which traces any bench it imposes. Never called
-    // under the master lock: the health gate takes the two in the other
+    // under the scheduler lock: the health gate takes the two in the other
     // order.
     let score = |worker: u32, latency_s: Option<f64>, now_s: f64| {
         if let Some(h) = health {
@@ -141,13 +139,20 @@ pub fn run(
             h.lock().unwrap().record(worker, latency_s, now_s, &sink);
         }
     };
+    // Record a trace event, when tracing.
+    let event = |worker: u32, kind: EventKind, at_s: f64| {
+        if let Some(s) = sink {
+            s.event(TraceEvent { at_s, worker, kind });
+        }
+    };
 
     std::thread::scope(|scope| {
         let mut slots = Vec::new();
         for node in 0..n_nodes {
             for slot in 0..config.slots_per_node {
-                let master = &master;
+                let sched = &sched;
                 let score = &score;
+                let event = &event;
                 let intermediate = &intermediate;
                 let data_local_tasks = &data_local_tasks;
                 let total_attempts = &total_attempts;
@@ -166,17 +171,11 @@ pub fn run(
                     // Fail attempt `id` and score the failure, unless a
                     // deadline cut already did both.
                     let fail = |id: AttemptId| {
-                        if master.lock().unwrap().settle(id, |s| s.fail(id)).is_some() {
+                        if settle(sched, id, |s| s.fail(id)).is_some() {
                             score(None, clock.now_s());
                         }
                     };
-                    if let Some(s) = sink {
-                        s.event(TraceEvent {
-                            at_s: clock.now_s(),
-                            worker,
-                            kind: EventKind::WorkerStart,
-                        });
-                    }
+                    event(worker, EventKind::WorkerStart, clock.now_s());
                     let chaos = ctx.schedule.as_deref();
                     let mut task_seq: u32 = 0;
                     let mut last_kill_s: f64 = 0.0;
@@ -187,46 +186,34 @@ pub fn run(
                         if let Some(h) = health {
                             let now_s = clock.now_s();
                             let mut tracker = h.lock().unwrap();
-                            if master.lock().unwrap().sched.is_complete() {
+                            if sched.lock().unwrap().is_complete() {
                                 break;
                             }
                             if tracker.admit(worker, now_s, &HealthTrace(sink)) != Admit::Go {
                                 drop(tracker);
-                                std::thread::sleep(config.poll_backoff);
+                                std::thread::sleep(POLL_BACKOFF);
                                 continue;
                             }
                         }
                         let poll_at = sink.map(|_| clock.now_s());
-                        let assignment = {
-                            let mut m = master.lock().unwrap();
-                            if m.sched.is_complete() {
+                        let (assignment, cancel, split) = {
+                            let mut s = sched.lock().unwrap();
+                            if s.is_complete() {
                                 break;
                             }
-                            let assignment = m.sched.next_at(node_id, clock.now_s());
-                            assignment.map(|a| {
-                                let cancel = Cancel::new();
-                                m.live.insert(a.id, (cancel.clone(), worker));
-                                (a, cancel)
-                            })
-                        };
-                        let (assignment, cancel) = match assignment {
-                            Some(a) => a,
-                            None => {
-                                std::thread::sleep(config.poll_backoff);
+                            let Some(a) = s.next_at(node_id, clock.now_s()) else {
+                                drop(s);
+                                std::thread::sleep(POLL_BACKOFF);
                                 continue;
-                            }
+                            };
+                            let split = s.split(a.split).clone();
+                            let cancel = s.arm(a.id, worker);
+                            (a, cancel, split)
                         };
                         let attempt_began_s = clock.now_s();
                         if assignment.speculative && ctx.resilience.is_some() {
-                            if let Some(s) = sink {
-                                s.event(TraceEvent {
-                                    at_s: attempt_began_s,
-                                    worker,
-                                    kind: EventKind::Hedge,
-                                });
-                            }
+                            event(worker, EventKind::Hedge, attempt_began_s);
                         }
-                        let split = master.lock().unwrap().sched.split(assignment.split).clone();
                         // Master → slot handoff done: the Dispatch phase
                         // covers the poll and the scheduling decision.
                         let mut tt = sink.map(|s| {
@@ -258,28 +245,16 @@ pub fn run(
                             let now_s = clock.now_s();
                             if schedule.kills_in(worker, last_kill_s, now_s) {
                                 worker_deaths.fetch_add(1, Ordering::Relaxed);
-                                if let Some(s) = sink {
-                                    s.event(TraceEvent {
-                                        at_s: now_s,
-                                        worker,
-                                        kind: EventKind::Death,
-                                    });
-                                }
+                                event(worker, EventKind::Death, now_s);
                                 let id = assignment.id;
-                                master.lock().unwrap().settle(id, |s| s.fail(id));
+                                settle(sched, id, |s| s.fail(id));
                                 break;
                             }
                             last_kill_s = now_s;
                             // I.i.d. crash before the attempt does any work.
                             if schedule.die_before_execute(worker, seq) {
                                 worker_deaths.fetch_add(1, Ordering::Relaxed);
-                                if let Some(s) = sink {
-                                    s.event(TraceEvent {
-                                        at_s: clock.now_s(),
-                                        worker,
-                                        kind: EventKind::Death,
-                                    });
-                                }
+                                event(worker, EventKind::Death, clock.now_s());
                                 fail(assignment.id);
                                 continue;
                             }
@@ -345,16 +320,9 @@ pub fn run(
                             if let Some(tt) = tt.as_mut() {
                                 tt.mark(Phase::Map, now_s);
                             }
-                            let killed = master
-                                .lock()
-                                .unwrap()
-                                .settle(assignment.id, |s| s.release_cancelled(assignment.id));
-                            if let (Some(()), Some(s)) = (killed, sink) {
-                                s.event(TraceEvent {
-                                    at_s: now_s,
-                                    worker,
-                                    kind: EventKind::Cancel,
-                                });
+                            let id = assignment.id;
+                            if settle(sched, id, |s| s.release_cancelled(id)).is_some() {
+                                event(worker, EventKind::Cancel, now_s);
                             }
                             continue;
                         }
@@ -372,13 +340,7 @@ pub fn run(
                             if died || schedule.is_torn_upload(worker, seq) {
                                 if died {
                                     worker_deaths.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(s) = sink {
-                                        s.event(TraceEvent {
-                                            at_s: clock.now_s(),
-                                            worker,
-                                            kind: EventKind::Death,
-                                        });
-                                    }
+                                    event(worker, EventKind::Death, clock.now_s());
                                 }
                                 fail(assignment.id);
                                 continue;
@@ -412,25 +374,16 @@ pub fn run(
                                     }
                                 }
                                 let done_s = clock.now_s();
-                                let mut m = master.lock().unwrap();
-                                let outcome = m.settle(assignment.id, |s| {
-                                    s.complete_at(assignment.id, done_s)
+                                // A first commit kills the task's other
+                                // live attempts.
+                                let id = assignment.id;
+                                let settled = settle(sched, id, |s| {
+                                    (s.complete_at(id, done_s), s.is_complete())
                                 });
-                                let Some(outcome) = outcome else {
+                                let Some((outcome, job_done)) = settled else {
                                     // Cut at its deadline while finishing.
                                     continue;
                                 };
-                                let job_done = m.sched.is_complete();
-                                // The task's other live attempts, killed
-                                // once this one commits.
-                                let task = assignment.id.task;
-                                let losers: Vec<Cancel> = m
-                                    .live
-                                    .iter()
-                                    .filter(|(id, _)| id.task == task)
-                                    .map(|(_, (token, _))| token.clone())
-                                    .collect();
-                                drop(m);
                                 score(Some(done_s - attempt_began_s), done_s);
                                 match outcome {
                                     CompleteOutcome::First => {
@@ -448,26 +401,16 @@ pub fn run(
                                             // committed output.
                                             for (key, value) in emitted {
                                                 let path = format!("{}/{key}", job.output_dir);
-                                                match fs.create(&path, &value, Some(node_id)) {
-                                                    Ok(_) => {}
-                                                    Err(e) if e.code() == "AlreadyExists" => {}
-                                                    Err(_) => {
-                                                        match fs.create(&path, &value, None) {
-                                                            Ok(_) => {}
-                                                            Err(e)
-                                                                if e.code() == "AlreadyExists" => {}
-                                                            Err(e) => panic!(
-                                                                "commit of '{path}' lost: {e}"
-                                                            ),
-                                                        }
-                                                    }
+                                                let created = fs
+                                                    .create(&path, &value, Some(node_id))
+                                                    .or_else(|_| fs.create(&path, &value, None));
+                                                if let Err(e) = created {
+                                                    let exists = e.code() == "AlreadyExists";
+                                                    assert!(exists, "commit of '{path}' lost: {e}");
                                                 }
                                             }
                                         } else {
                                             intermediate.lock().unwrap().extend(emitted);
-                                        }
-                                        for token in losers {
-                                            token.cancel();
                                         }
                                         if job_done {
                                             *map_done_at.lock().unwrap() = Some(Instant::now());
@@ -494,18 +437,12 @@ pub fn run(
         if let Some(d) = deadline {
             while !slots.iter().all(|slot| slot.is_finished()) {
                 let now_s = clock.now_s();
-                let cut = master.lock().unwrap().cut_overdue(now_s, d.timeout_s);
+                let cut = sched.lock().unwrap().cut_overdue(now_s, d.timeout_s);
                 let Some(worker) = cut else {
-                    std::thread::sleep(config.poll_backoff);
+                    std::thread::sleep(POLL_BACKOFF);
                     continue;
                 };
-                if let Some(s) = sink {
-                    s.event(TraceEvent {
-                        at_s: now_s,
-                        worker,
-                        kind: EventKind::Cancel,
-                    });
-                }
+                event(worker, EventKind::Cancel, now_s);
                 score(worker, None, now_s);
             }
         }
@@ -546,7 +483,7 @@ pub fn run(
         }
     }
 
-    let sched = master.into_inner().unwrap().sched;
+    let sched = sched.into_inner().unwrap();
     let failed = sched.failed_tasks();
     let finished = if job.n_reducers == 0 {
         map_done_at
@@ -601,33 +538,14 @@ pub fn run(
     })
 }
 
-/// The master's state under one lock: the scheduler, and each live
-/// attempt's cancel token and worker slot. An attempt leaves the live set
-/// when it settles or is cut, so a commit never misses a just-launched
-/// duplicate, and a deadline cut and the attempt's own settling never
-/// both reach the ledger.
-struct Master {
-    sched: Scheduler,
-    live: HashMap<AttemptId, (Cancel, u32)>,
-}
-
-impl Master {
-    /// Take attempt `id` off the live set and settle it with `op`; `None`
-    /// when a deadline cut already settled it.
-    fn settle<R>(&mut self, id: AttemptId, op: impl FnOnce(&mut Scheduler) -> R) -> Option<R> {
-        self.live.remove(&id)?;
-        Some(op(&mut self.sched))
-    }
-
-    /// Cut the oldest attempt past `timeout_s` at `now_s`: fail it and
-    /// cancel its token. Returns the worker slot it ran on.
-    fn cut_overdue(&mut self, now_s: f64, timeout_s: f64) -> Option<u32> {
-        let id = self.sched.overdue(now_s, timeout_s)?;
-        let (token, worker) = self.live.remove(&id).expect("overdue attempts are live");
-        token.cancel();
-        self.sched.fail(id);
-        Some(worker)
-    }
+/// Settle attempt `id` with `op` unless a deadline cut already did (`None`).
+fn settle<R>(
+    sched: &Mutex<Scheduler>,
+    id: AttemptId,
+    op: impl FnOnce(&mut Scheduler) -> R,
+) -> Option<R> {
+    let mut s = sched.lock().unwrap();
+    s.is_live(id).then(|| op(&mut s))
 }
 
 #[cfg(test)]
@@ -636,7 +554,7 @@ mod tests {
     use crate::job::ExecutableMapper;
     use ppc_chaos::FaultSchedule;
     use ppc_core::exec::FnExecutor;
-    use ppc_core::PpcError;
+    use ppc_core::{Cancel, PpcError};
 
     // Shorthands for the RunContext entry point on a local context.
     fn run_job(

@@ -1,11 +1,13 @@
 //! The master's task scheduler: a global queue with data-locality
 //! preference over the shared [`AttemptLedger`], which owns every
 //! attempt's state (retries, speculative duplicates, first-result-wins
-//! commit) with every task in its one partition. The native runtime and
-//! the simulator both drive it, so the scheduling measured is the same.
-//! Hadoop's default speculation is [`HedgeConfig::legacy_speculation`].
+//! commit, and the native runtime's kill tokens and deadline cuts) with
+//! every task in its one partition. The native runtime and the simulator
+//! both drive it, so the scheduling measured is the same. Hadoop's default
+//! speculation is [`HedgeConfig::legacy_speculation`].
 
 use crate::input::InputSplit;
+use ppc_core::Cancel;
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{AttemptLedger, HedgeConfig};
 use std::collections::VecDeque;
@@ -129,9 +131,23 @@ impl Scheduler {
         self.ledger.earliest_hedge_s(0)
     }
 
-    /// The oldest live attempt past `timeout_s` at `now_s`, if any.
-    pub fn overdue(&self, now_s: f64, timeout_s: f64) -> Option<AttemptId> {
-        self.ledger.overdue(0, now_s, timeout_s)
+    /// Arm attempt `id`, running on `worker`: its kill token.
+    pub fn arm(&mut self, id: AttemptId, worker: u32) -> Cancel {
+        self.ledger.arm(id, worker)
+    }
+
+    /// Whether `id` is still live, not yet settled or cut.
+    pub fn is_live(&self, id: AttemptId) -> bool {
+        self.ledger.is_live(id)
+    }
+
+    /// Cut the oldest armed attempt past `timeout_s` at `now_s` (fire its
+    /// token, fail it) and requeue its task as [`Scheduler::fail`] does.
+    /// Returns the worker it ran on.
+    pub fn cut_overdue(&mut self, now_s: f64, timeout_s: f64) -> Option<u32> {
+        let (id, worker, outcome) = self.ledger.cut_overdue(0, now_s, timeout_s)?;
+        self.requeue(id, outcome);
+        Some(worker)
     }
 
     pub fn complete_at(&mut self, id: AttemptId, now_s: f64) -> CompleteOutcome {
@@ -145,6 +161,10 @@ impl Scheduler {
     /// A retried task with no attempt left live goes back in the queue.
     pub fn fail(&mut self, id: AttemptId) -> FailOutcome {
         let outcome = self.ledger.fail(id);
+        self.requeue(id, outcome)
+    }
+
+    fn requeue(&mut self, id: AttemptId, outcome: FailOutcome) -> FailOutcome {
         if outcome == FailOutcome::Retried && self.ledger.live_attempts(id.task) == 0 {
             self.pending.push_back(id.task);
         }

@@ -1,10 +1,17 @@
 //! The attempt ledger: one sans-IO state machine for every attempt of a
 //! job's tasks — launches, queue redeliveries, hedges, the failure budget,
-//! first-result-wins commit and killed losers. Callers pass the time of
-//! each call. MapReduce's scheduler and the Classic sim keep every task in
-//! one partition (a global queue); native Dryad gives each node its own.
+//! first-result-wins commit, killed losers and deadline cuts. Callers pass
+//! the time of each call. MapReduce's scheduler and the Classic sim keep
+//! every task in one partition (a global queue); native Dryad gives each
+//! node its own.
+//!
+//! A native engine also [`arm`](AttemptLedger::arm)s each attempt it
+//! launches with its worker and gets back its kill token, which the ledger
+//! fires when another attempt commits the task or a deadline cut
+//! ([`AttemptLedger::cut_overdue`]) fails it. Simulators never arm.
 
 use crate::{HedgeConfig, HedgePolicy};
+use ppc_core::Cancel;
 use std::collections::BTreeSet;
 
 /// Identifies one attempt of one task (task index, attempt ordinal).
@@ -70,6 +77,8 @@ pub struct AttemptLedger {
     duplicate_completions: u64,
     /// Launch time of each live attempt beyond its task's two inline ones.
     spill: Vec<(AttemptId, f64)>,
+    /// Kill token and worker of each armed live attempt.
+    armed: Vec<(AttemptId, Cancel, u32)>,
     /// Each partition's hedge candidates when hedging is on: `(started_seq,
     /// task)` of every `Running` task below the live-attempt cap with
     /// budget left. Launch clocks are monotone, so a partition's first
@@ -104,6 +113,7 @@ impl AttemptLedger {
             retries: 0,
             duplicate_completions: 0,
             spill: Vec::new(),
+            armed: Vec::new(),
             candidates: vec![BTreeSet::new(); n_partitions],
             last_started_at_s: f64::NEG_INFINITY,
         }
@@ -205,26 +215,56 @@ impl AttemptLedger {
         Some(self.tasks[task].started_at_s + policy.hedge_delay())
     }
 
-    /// The oldest live attempt of a running task in `partition` past
-    /// `timeout_s` at `now_s`: a deadline breach. Scans every task.
-    pub fn overdue(&self, partition: usize, now_s: f64, timeout_s: f64) -> Option<AttemptId> {
-        let inline = self.tasks.iter().enumerate().flat_map(|(task, t)| {
-            t.live
-                .iter()
-                .flatten()
-                .map(move |&(attempt, at)| (AttemptId { task, attempt }, at))
-        });
-        inline
-            .chain(self.spill.iter().copied())
-            .filter(|&(id, at)| {
+    /// Arm live attempt `id`, running on `worker`: its kill token, which
+    /// fires when another attempt commits the task or a deadline cut fails
+    /// this one.
+    pub fn arm(&mut self, id: AttemptId, worker: u32) -> Cancel {
+        debug_assert!(self.is_live(id), "armed attempt {id:?} is not live");
+        let token = Cancel::new();
+        self.armed.push((id, token.clone(), worker));
+        token
+    }
+
+    /// Whether `id` is live: launched and not yet settled. An engine whose
+    /// attempt is no longer live finds it cut at its deadline.
+    pub fn is_live(&self, id: AttemptId) -> bool {
+        self.launched_at(id).is_some()
+    }
+
+    fn launched_at(&self, id: AttemptId) -> Option<f64> {
+        let spilled = self.spill.iter().filter(|(s, _)| s.task == id.task);
+        let inline = self.tasks[id.task].live.iter().flatten().copied();
+        let mut live = inline.chain(spilled.map(|&(s, at)| (s.attempt, at)));
+        live.find(|&(a, _)| a == id.attempt).map(|(_, at)| at)
+    }
+
+    /// Cut the oldest armed attempt of a running task in `partition` past
+    /// `timeout_s` at `now_s`, a deadline breach: fire its token and fail
+    /// it. Returns the attempt, the worker it was armed on and how failing
+    /// it settled the task.
+    pub fn cut_overdue(
+        &mut self,
+        partition: usize,
+        now_s: f64,
+        timeout_s: f64,
+    ) -> Option<(AttemptId, u32, FailOutcome)> {
+        let (_, id, token, worker) = self
+            .armed
+            .iter()
+            .filter_map(|(id, token, worker)| {
+                let at = self.launched_at(*id);
+                debug_assert!(at.is_some(), "armed attempt {id:?} is not live");
                 let t = &self.tasks[id.task];
-                t.partition == partition && t.phase == TaskPhase::Running && now_s - at > timeout_s
+                let breach = t.partition == partition && t.phase == TaskPhase::Running;
+                let at = at.filter(|at| breach && now_s - at > timeout_s)?;
+                Some((at, *id, token, *worker))
             })
-            .min_by(|(a, at), (b, bt)| {
+            .min_by(|(at, a, ..), (bt, b, ..)| {
                 at.total_cmp(bt)
                     .then((a.task, a.attempt).cmp(&(b.task, b.attempt)))
-            })
-            .map(|(id, _)| id)
+            })?;
+        token.cancel();
+        Some((id, worker, self.fail(id)))
     }
 
     fn first_candidate(&self, partition: usize) -> Option<usize> {
@@ -263,6 +303,9 @@ impl AttemptLedger {
             }
         };
         t.live_attempts -= 1;
+        if let Some(i) = self.armed.iter().position(|(a, _, _)| *a == id) {
+            self.armed.swap_remove(i);
+        }
         started
     }
 
@@ -285,7 +328,8 @@ impl AttemptLedger {
         }
     }
 
-    /// Settle a successful attempt; its latency feeds the hedge quantile.
+    /// Settle a successful attempt; its latency feeds the hedge quantile. A
+    /// first commit fires the task's other armed tokens.
     pub fn complete_at(&mut self, id: AttemptId, now_s: f64) -> CompleteOutcome {
         if let (Some(started), Some(policy)) = (self.retire(id), &mut self.hedge) {
             policy.observe(now_s - started);
@@ -302,6 +346,11 @@ impl AttemptLedger {
                 CompleteOutcome::First
             }
         };
+        if outcome == CompleteOutcome::First {
+            for (_, token, _) in self.armed.iter().filter(|(a, ..)| a.task == id.task) {
+                token.cancel();
+            }
+        }
         self.reindex(id.task);
         outcome
     }
@@ -309,6 +358,12 @@ impl AttemptLedger {
     /// Release a loser killed after its task committed: a duplicate
     /// completion, but no latency sample and no failure.
     pub fn release_cancelled(&mut self, id: AttemptId) {
+        debug_assert!(
+            self.armed
+                .iter()
+                .any(|(a, token, _)| *a == id && token.is_cancelled()),
+            "released attempt {id:?} was not killed"
+        );
         let live = self.retire(id).is_some();
         debug_assert!(live, "released attempt {id:?} is not live");
         debug_assert_eq!(
@@ -361,16 +416,6 @@ mod tests {
         AttemptLedger::new(vec![0; n], hedge, max_attempts)
     }
 
-    /// Whether `id` is among the ledger's live attempts, inline or spilled.
-    fn is_live(l: &AttemptLedger, id: AttemptId) -> bool {
-        l.tasks[id.task]
-            .live
-            .iter()
-            .flatten()
-            .any(|&(a, _)| a == id.attempt)
-            || l.spill.iter().any(|&(s, _)| s == id)
-    }
-
     #[test]
     fn duplicate_completion_counts_redundant() {
         let mut l = ledger(1, true, 4);
@@ -386,16 +431,20 @@ mod tests {
     fn released_loser_frees_its_slot_without_a_failure() {
         let mut l = ledger(2, true, 1);
         let a = l.launch(0, 0.0);
+        let a_token = l.arm(a, 0);
         let b = l.launch(1, 0.0);
+        let b_token = l.arm(b, 1);
         let dup = l.launch_hedge(0, 0.0).unwrap();
         assert_eq!(dup.task, a.task);
         // Two live attempts: `a`'s task left the hedge-candidate index.
         assert_eq!(l.live_attempts(a.task), 2);
         assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
         assert_eq!(l.complete_at(dup, 0.0), CompleteOutcome::First);
+        assert!(a_token.is_cancelled(), "the commit kills the loser");
+        assert!(!b_token.is_cancelled(), "and only its task's attempts");
         l.release_cancelled(a);
         assert_eq!(l.live_attempts(a.task), 0);
-        assert!(!is_live(&l, a));
+        assert!(!l.is_live(a));
         assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
         assert_eq!(
             l.duplicate_completions(),
@@ -426,6 +475,7 @@ mod tests {
         let delay = |l: &AttemptLedger| l.hedge.as_ref().unwrap().hedge_delay();
         let a = l.launch(0, 0.0);
         let b = l.launch(1, 0.0);
+        l.arm(b, 1);
         assert_eq!(l.complete_at(a, 2.0), CompleteOutcome::First);
         assert_eq!(delay(&l), 2.0);
         let dup = l.launch_hedge(0, 2.0).unwrap();
@@ -493,7 +543,7 @@ mod tests {
                 assert_eq!(l.duplicate_completions(), 1, "{ctx}");
             }
             assert!(l.is_complete(), "{ctx}");
-            assert!(!is_live(&l, a) && !is_live(&l, b), "{ctx}");
+            assert!(!l.is_live(a) && !l.is_live(b), "{ctx}");
             assert_eq!(l.live_attempts(0), 0, "{ctx}");
         }
     }
@@ -506,7 +556,7 @@ mod tests {
         // A third live attempt spills past the two inline slots.
         let c = l.redeliver(0, 2.0).unwrap();
         assert_eq!(l.live_attempts(0), 3);
-        assert!(is_live(&l, c) && l.spill.len() == 1);
+        assert!(l.is_live(c) && l.spill.len() == 1);
         assert_eq!(l.fail(a), FailOutcome::Retried);
         assert_eq!(l.fail(b), FailOutcome::Stale, "budget spent, c live");
         assert_eq!(l.redeliver(0, 3.0), None);
@@ -555,21 +605,39 @@ mod tests {
         let a = l.launch(0, 0.0);
         let b = l.launch(1, 1.0);
         let c = l.launch(2, 2.0);
-        assert_eq!(l.overdue(1, 10.0, 5.0), Some(b), "oldest breach of node 1");
-        assert_eq!(l.overdue(0, 10.0, 10.0), None, "strictly past the timeout");
-        assert_eq!(l.overdue(0, 10.5, 10.0), Some(a));
         assert_eq!(l.earliest_hedge_s(1), Some(1.0));
         assert_eq!(l.launch_hedge(1, 3.0).map(|h| h.task), Some(1));
         assert_eq!(l.launch_hedge(1, 3.0).map(|h| h.task), Some(2));
         assert_eq!(l.launch_hedge(1, 3.0), None, "node 1 is at the cap");
         assert_eq!(l.launch_hedge(0, 3.0).map(|h| h.task), Some(0));
+        // Only armed attempts are cut.
+        assert_eq!(l.cut_overdue(1, 10.0, 5.0), None);
+        let tokens = [l.arm(a, 0), l.arm(b, 1), l.arm(c, 2)];
         // A committed task's losers are no deadline breaches.
-        assert_eq!(l.complete_at(c, 4.0), CompleteOutcome::First);
-        assert_eq!(l.overdue(1, 100.0, 1.0).map(|id| id.task), Some(1));
+        let c_hedge = AttemptId {
+            task: 2,
+            attempt: 1,
+        };
+        assert_eq!(l.complete_at(c_hedge, 4.0), CompleteOutcome::First);
+        assert!(tokens[2].is_cancelled() && l.is_live(c));
+        let cut = l.cut_overdue(1, 10.0, 5.0);
+        assert_eq!(cut, Some((b, 1, FailOutcome::Retried)), "oldest breach");
+        assert!(tokens[1].is_cancelled() && !l.is_live(b));
+        assert_eq!(l.cut_overdue(1, 100.0, 1.0), None, "the hedge is unarmed");
+        assert_eq!(
+            l.cut_overdue(0, 10.0, 10.0),
+            None,
+            "strictly past the timeout"
+        );
+        assert!(!tokens[0].is_cancelled());
+        assert_eq!(l.cut_overdue(0, 10.5, 10.0).map(|(id, ..)| id), Some(a));
+        assert!(tokens[0].is_cancelled());
+        l.release_cancelled(c);
     }
 
     /// The ledger's decisions recomputed by scanning every task and live
-    /// attempt: no candidate index, no cached counts.
+    /// attempt: no candidate index, no cached counts. It holds a clone of
+    /// every armed token the ledger hands out.
     struct Model {
         partitions: Vec<usize>,
         phase: Vec<TaskPhase>,
@@ -577,6 +645,8 @@ mod tests {
         next_attempt: Vec<u32>,
         started: Vec<(u64, f64)>,
         live: Vec<(AttemptId, f64)>,
+        armed: Vec<(AttemptId, Cancel, u32)>,
+        launched: Vec<AttemptId>,
         seq: u64,
         policy: HedgePolicy,
         max_attempts: u32,
@@ -590,8 +660,16 @@ mod tests {
         }
 
         fn take(&mut self, id: AttemptId) -> f64 {
+            self.armed.retain(|(a, _, _)| *a != id);
             let i = self.live.iter().position(|&(l, _)| l == id).unwrap();
             self.live.swap_remove(i).1
+        }
+
+        fn token(&self, id: AttemptId) -> Option<&Cancel> {
+            self.armed
+                .iter()
+                .find(|(a, _, _)| *a == id)
+                .map(|(_, t, _)| t)
         }
 
         /// Running tasks of `p` below the live cap with budget left,
@@ -614,6 +692,7 @@ mod tests {
             };
             self.next_attempt[task] += 1;
             self.live.push((id, now));
+            self.launched.push(id);
             id
         }
 
@@ -670,6 +749,8 @@ mod tests {
                 next_attempt: vec![0; n_tasks],
                 started: vec![(0, 0.0); n_tasks],
                 live: Vec::new(),
+                armed: Vec::new(),
+                launched: Vec::new(),
                 seq: 0,
                 policy: HedgePolicy::new(cfg),
                 max_attempts,
@@ -681,7 +762,7 @@ mod tests {
                 let ctx = format!("seed {seed} step {step}");
                 now += f64::from(rng.next_below(4)) * 0.5;
                 let p = rng.next_below(n_parts) as usize;
-                match rng.next_below(8) {
+                match rng.next_below(9) {
                     // Launch (or relaunch, in place) a pending task.
                     0 | 1 => {
                         let pending: Vec<usize> = (0..n_tasks)
@@ -715,24 +796,54 @@ mod tests {
                             assert_eq!(got, Some(m.launch_attempt(task, now)), "{ctx}");
                         }
                     }
-                    // The oldest deadline breach within one partition.
+                    // Cut the oldest armed deadline breach within one
+                    // partition: its token fires and it leaves the live set.
                     3 => {
                         let timeout = f64::from(rng.next_below(6)) * 0.5;
-                        let want = m
-                            .live
+                        let breach = m
+                            .armed
                             .iter()
-                            .filter(|(id, at)| {
+                            .map(|&(id, _, worker)| {
+                                let &(_, at) = m.live.iter().find(|(l, _)| *l == id).unwrap();
+                                (at, id, worker)
+                            })
+                            .filter(|&(at, id, _)| {
                                 m.partitions[id.task] == p
                                     && m.phase[id.task] == TaskPhase::Running
                                     && now - at > timeout
                             })
                             .min_by(|a, b| {
-                                (a.1, a.0.task, a.0.attempt)
-                                    .partial_cmp(&(b.1, b.0.task, b.0.attempt))
+                                (a.0, a.1.task, a.1.attempt)
+                                    .partial_cmp(&(b.0, b.1.task, b.1.attempt))
                                     .unwrap()
+                            });
+                        let token = breach.map(|(_, id, _)| m.token(id).unwrap().clone());
+                        let want = breach.map(|(_, id, worker)| (id, worker, m.fail(id)));
+                        assert_eq!(l.cut_overdue(p, now, timeout), want, "{ctx}");
+                        if let (Some(token), Some((id, ..))) = (token, want) {
+                            assert!(token.is_cancelled(), "{ctx}: cut {id:?} not fired");
+                            assert!(!l.is_live(id), "{ctx}: cut {id:?} still live");
+                        }
+                    }
+                    // Arm a live attempt of a running task, as a native
+                    // engine arms each attempt it launches.
+                    8 => {
+                        let unarmed: Vec<AttemptId> = m
+                            .live
+                            .iter()
+                            .map(|&(id, _)| id)
+                            .filter(|&id| {
+                                m.phase[id.task] == TaskPhase::Running && m.token(id).is_none()
                             })
-                            .map(|&(id, _)| id);
-                        assert_eq!(l.overdue(p, now, timeout), want, "{ctx}");
+                            .collect();
+                        if unarmed.is_empty() {
+                            continue;
+                        }
+                        let id = unarmed[rng.next_below(unarmed.len() as u32) as usize];
+                        let worker = rng.next_below(4);
+                        let token = l.arm(id, worker);
+                        assert!(!token.is_cancelled(), "{ctx}");
+                        m.armed.push((id, token, worker));
                     }
                     // Redeliver a running task (dead-lettered once its
                     // budget is spent).
@@ -752,7 +863,9 @@ mod tests {
                     op if !m.live.is_empty() => {
                         let (id, _) = m.live[rng.next_below(m.live.len() as u32) as usize];
                         let done = m.phase[id.task] == TaskPhase::Done;
-                        if op == 4 && done {
+                        if op == 4 && done && m.token(id).is_some() {
+                            let token = m.token(id).unwrap();
+                            assert!(token.is_cancelled(), "{ctx}: released {id:?} not fired");
                             m.take(id);
                             m.duplicates += 1;
                             l.release_cancelled(id);
@@ -796,6 +909,16 @@ mod tests {
                     .filter(|&t| m.phase[t] == TaskPhase::Failed)
                     .collect();
                 assert_eq!(l.failed_tasks(), failed, "{ctx}");
+                for &id in &m.launched {
+                    let live = m.live.iter().any(|(l, _)| *l == id);
+                    assert_eq!(l.is_live(id), live, "{ctx} {id:?}");
+                }
+                // Only arms of running tasks: a token has fired exactly
+                // when its task committed (a cut one left the armed set).
+                for (id, token, _) in &m.armed {
+                    let done = m.phase[id.task] == TaskPhase::Done;
+                    assert_eq!(token.is_cancelled(), done, "{ctx} {id:?}");
+                }
             }
         }
     }

@@ -16,11 +16,13 @@
 //! * [`DeadlineConfig`] — per-task deadlines with cancel-and-requeue.
 //! * [`AttemptLedger`] — the sans-IO attempt state machine the policies
 //!   act on: launches, queue redeliveries, hedges of the oldest candidate
-//!   in a partition, the oldest deadline breach, the per-task failure
-//!   budget (a task that has spent it gets no fresh hedges or
-//!   redeliveries), first-result-wins commit and the release of killed
-//!   losers. MapReduce's scheduler and the Classic sim keep every task in
-//!   one partition; native Dryad uses one partition per node.
+//!   in a partition, the per-task failure budget (a task that has spent it
+//!   gets no fresh hedges or redeliveries), first-result-wins commit and
+//!   the release of killed losers. It also owns the native engines' live
+//!   attempts: each armed attempt's worker and kill token, fired for the
+//!   losers of a first commit and for the oldest deadline breach it cuts.
+//!   MapReduce's scheduler and the Classic sim keep every task in one
+//!   partition; native Dryad uses one partition per node.
 //!
 //! The knobs travel as one [`ResiliencePolicy`] value on
 //! `ppc_exec::RunContext` or a paradigm config. With no policy (`None`),

@@ -13,9 +13,9 @@
 use ppc::core::rng::Pcg32;
 use ppc::hdfs::fs::MiniHdfs;
 use ppc::mapreduce::iterative::{
-    cache_splits, encode_block, IterativeJob, KMeansCombiner, KMeansMapper, KMeansReducer,
+    cache_splits, encode_block, KMeansCombiner, KMeansMapper, KMeansReducer,
 };
-use ppc::workflow::run_fixed_point;
+use ppc::workflow::{run_fixed_point, FixedPointJob};
 
 fn main() -> ppc::core::Result<()> {
     // Synthetic "compound" clusters in a 2-D property space, spread over
@@ -54,11 +54,11 @@ fn main() -> ppc::core::Result<()> {
         vec![4.0, 7.0],
         vec![10.0, 8.0],
     ];
-    let job = IterativeJob::new("kmeans", paths).with_max_iterations(40);
-    let cache = cache_splits(&fs, &job.input_paths)?;
+    let job = FixedPointJob::new("kmeans").with_max_iterations(40);
+    let cache = cache_splits(&fs, &paths)?;
     let (centroids, report) = run_fixed_point(
         &cache,
-        &job.fixed_point(),
+        &job,
         &KMeansMapper,
         &KMeansReducer,
         &KMeansCombiner { tolerance: 1e-9 },

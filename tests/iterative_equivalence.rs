@@ -7,10 +7,9 @@
 use ppc::core::rng::Pcg32;
 use ppc::hdfs::fs::MiniHdfs;
 use ppc::mapreduce::iterative::{
-    cache_splits, encode_block, Centroids, IterativeJob, KMeansCombiner, KMeansMapper,
-    KMeansReducer,
+    cache_splits, encode_block, Centroids, KMeansCombiner, KMeansMapper, KMeansReducer,
 };
-use ppc::workflow::run_fixed_point;
+use ppc::workflow::{run_fixed_point, FixedPointJob};
 
 /// One serial k-means iteration (assign + recompute).
 fn serial_step(points: &[Vec<f64>], centroids: &Centroids) -> Centroids {
@@ -69,11 +68,11 @@ fn distributed_kmeans_matches_serial_iterates() {
 
     // Run exactly N iterations distributed (tolerance -1 => never converge).
     let n_iter = 6;
-    let job = IterativeJob::new("eq", paths).with_max_iterations(n_iter);
-    let cache = cache_splits(&fs, &job.input_paths).unwrap();
+    let job = FixedPointJob::new("eq").with_max_iterations(n_iter);
+    let cache = cache_splits(&fs, &paths).unwrap();
     let (distributed, report) = run_fixed_point(
         &cache,
-        &job.fixed_point(),
+        &job,
         &KMeansMapper,
         &KMeansReducer,
         &KMeansCombiner { tolerance: -1.0 },
