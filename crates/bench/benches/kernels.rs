@@ -11,6 +11,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use ppc_apps::cap3::Cap3Executor;
 use ppc_apps::pipeline::{bio_pipeline_native, pipeline_protein_db};
 use ppc_apps::workload;
 use ppc_bio::assembly::{assemble, AssemblyParams};
@@ -22,6 +23,7 @@ use ppc_bio::simulate::{
 use ppc_classic::{simulate as classic_sim, SimConfig};
 use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::EC2_HCXL;
+use ppc_core::Executor;
 use ppc_exec::RunContext;
 use ppc_gtm::data::{fingerprints, FingerprintParams};
 use ppc_gtm::interpolate::interpolate;
@@ -62,6 +64,17 @@ fn bench_assembly() {
     );
     bench("cap3_assemble_60_reads", || {
         black_box(assemble(black_box(&reads), &AssemblyParams::default()));
+    });
+}
+
+/// Cap3 over one input file of the job-service lane: 60 reads over a
+/// 2400-base genome, parsed, assembled and written back as FASTA.
+fn bench_cap3_serve_file() {
+    let inputs = workload::cap3_native_inputs(12, 60, 2400, 1);
+    let (spec, input) = &inputs[0];
+    let exec = Cap3Executor::new();
+    bench("cap3_serve_file", || {
+        black_box(exec.run(spec, black_box(input)).unwrap());
     });
 }
 
@@ -207,6 +220,7 @@ fn bench_hadoop_sim() {
 
 fn main() {
     bench_assembly();
+    bench_cap3_serve_file();
     bench_blast();
     bench_blastx();
     bench_gtm_interpolate();
