@@ -20,8 +20,10 @@ use ppc_core::Result;
 /// reference core (16 HCXL cores clear 200 files in ~1000 s, Figure 4).
 pub const CAP3_SECONDS_PER_200_READS: f64 = 80.0;
 
-/// Overlap computation grows super-linearly with reads per file; greedy
-/// OLC with k-mer filtering lands near this exponent empirically.
+/// How the simulated cost of a Cap3 file grows with its reads: the model
+/// of the paper's CAP3 binary, whose overlap computation is super-linear.
+/// It is not a fit of this crate's native kernel, which measures an
+/// exponent of 1.24–1.38 from 120 to 480 reads (see ROADMAP item 13).
 pub const CAP3_READ_EXPONENT: f64 = 1.5;
 
 /// Cap3 profile for a file of `n_reads` reads of roughly `read_len` bases.

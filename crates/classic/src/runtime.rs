@@ -159,8 +159,9 @@ impl MonitorDefense {
         self.hedged.remove(&id);
     }
 
-    /// One pass over the running set: hedge stragglers, cancel-and-requeue
-    /// deadline breaches. Called on every monitor iteration.
+    /// One pass over the running set, oldest attempt first (as the attempt
+    /// ledger picks hedges): hedge stragglers, cancel-and-requeue deadline
+    /// breaches. Called on every monitor iteration.
     fn sweep(
         &mut self,
         sched: &ppc_queue::Queue,
@@ -168,8 +169,9 @@ impl MonitorDefense {
         done: &HashSet<u64>,
         now_s: f64,
     ) {
-        let ids: Vec<u64> = self.running.keys().copied().collect();
-        for id in ids {
+        let mut by_age: Vec<(f64, u64)> = self.running.iter().map(|(&id, &at)| (at, id)).collect();
+        by_age.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (_, id) in by_age {
             if done.contains(&id) {
                 self.running.remove(&id);
                 continue;
@@ -1090,6 +1092,29 @@ mod tests {
     use ppc_core::task::ResourceProfile;
     use ppc_exec::RunContext;
     use ppc_trace::Recorder;
+
+    #[test]
+    fn sweep_resends_overdue_tasks_oldest_first() {
+        // Ten tasks started in a scrambled order, all past a 1-s deadline:
+        // the sweep must re-send them oldest attempt first, ties by id.
+        let (_, _, job) = setup(10);
+        let policy = ResiliencePolicy::default().with_deadline(1.0);
+        let mut defense = MonitorDefense::new(Some(policy), &job).unwrap();
+        let starts = [(7, 0.3), (2, 0.9), (9, 0.1), (4, 0.5), (0, 0.7)];
+        let ties = [(8, 0.2), (1, 0.2), (6, 0.6), (3, 0.4), (5, 0.8)];
+        for &(id, at) in starts.iter().chain(&ties) {
+            defense.on_start(id, at);
+        }
+        let queue = ppc_queue::Queue::new("sweep", QueueConfig::default());
+        defense.sweep(&queue, None, &HashSet::new(), 10.0);
+        let mut sent = Vec::new();
+        while let Some(m) = queue.receive().unwrap() {
+            sent.push((m.id.0, TaskSpec::from_message(&m.body).unwrap().id.0));
+        }
+        sent.sort_unstable();
+        let order: Vec<u64> = sent.into_iter().map(|(_, task)| task).collect();
+        assert_eq!(order, [9, 1, 8, 7, 3, 4, 6, 0, 5, 2]);
+    }
 
     fn setup(n_tasks: u64) -> (Arc<StorageService>, Arc<QueueService>, JobSpec) {
         let storage = StorageService::in_memory();

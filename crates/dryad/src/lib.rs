@@ -19,7 +19,7 @@
 //! * [`partition`] — static partitioners and the partition manifest files
 //!   the paper had to generate.
 //! * [`linq`] — `DVec<T>`, a partitioned collection with `select`, `where`,
-//!   `apply`, `group_by`, executed one vertex per partition.
+//!   `apply`, executed one vertex per partition.
 //! * [`runtime`] — the native homomorphic-apply job runner (the paper's
 //!   "select over data partitions" pattern) on real threads.
 //! * [`sim`] — the discrete-event model for paper-scale runs.

@@ -4,14 +4,12 @@
 //! (conceptual) node. Operators build a new `DVec` by running one vertex per
 //! partition, in parallel threads, mirroring how DryadLINQ translates a
 //! query operator into a stage of vertices over the existing partitions.
-//! `group_by` introduces a repartitioning edge (full bipartite stage
-//! connection), the one non-homomorphic operator we need.
+//! Every operator is homomorphic: partition `i` of the output comes from
+//! partition `i` of the input alone.
 
 use crate::graph::Graph;
 use crate::partition::partition_round_robin;
 use ppc_core::Result;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Mutex;
 
 /// A statically partitioned distributed collection.
@@ -171,107 +169,6 @@ impl<T: Send> DVec<T> {
     }
 }
 
-impl<T: Send> DVec<T> {
-    /// DryadLINQ `Join`: hash-join two distributed collections on a key.
-    /// Both sides are repartitioned by key hash (bipartite edges from both
-    /// inputs into the join stage), then joined partition-locally.
-    pub fn join<U, K>(
-        self,
-        other: DVec<U>,
-        key_left: impl Fn(&T) -> K + Send + Sync,
-        key_right: impl Fn(&U) -> K + Send + Sync,
-    ) -> DVec<(K, T, U)>
-    where
-        T: Clone,
-        U: Send + Clone,
-        K: Hash + Eq + Clone + Send,
-    {
-        let n = self.partitions.len().max(other.partitions.len()).max(1);
-        // Repartition both sides by key hash with one shared hasher.
-        let hasher = std::collections::hash_map::RandomState::new();
-        use std::hash::BuildHasher;
-        let bucket_of = |k: &K| (hasher.hash_one(k) % n as u64) as usize;
-
-        let mut left: Vec<Vec<(K, T)>> = (0..n).map(|_| Vec::new()).collect();
-        for part in self.partitions {
-            for item in part {
-                let k = key_left(&item);
-                left[bucket_of(&k)].push((k, item));
-            }
-        }
-        let mut right: Vec<HashMap<K, Vec<U>>> = (0..n).map(|_| HashMap::new()).collect();
-        for part in other.partitions {
-            for item in part {
-                let k = key_right(&item);
-                right[bucket_of(&k)].entry(k).or_default().push(item);
-            }
-        }
-        // Partition-local join.
-        let partitions: Vec<Vec<(K, T, U)>> = left
-            .into_iter()
-            .zip(right)
-            .map(|(ls, rs)| {
-                let mut out = Vec::new();
-                for (k, l) in ls {
-                    if let Some(matches) = rs.get(&k) {
-                        for r in matches {
-                            out.push((k.clone(), l.clone(), r.clone()));
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        // Fresh graph for the joined collection (a join merges two chains;
-        // we record it as a new input stage, which is what the downstream
-        // operators care about).
-        DVec::from_partitions(partitions)
-    }
-
-    /// DryadLINQ `GroupBy`: hash-repartition by key — the full-bipartite
-    /// stage edge that makes this a genuine DAG, not a pipeline.
-    pub fn group_by<K: Hash + Eq + Send>(
-        mut self,
-        key: impl Fn(&T) -> K + Send + Sync,
-    ) -> DVec<(K, Vec<T>)> {
-        let n = self.partitions.len().max(1);
-        let stage = self.next_stage();
-        let prev_first = self.graph.n_vertices() - self.partitions.len();
-        let prev_n = self.partitions.len();
-        let mut new_vertices = Vec::new();
-        for p in 0..n {
-            new_vertices.push(self.graph.add_vertex(format!("groupby-{p}"), stage, p));
-        }
-        for from in 0..prev_n {
-            for &to in &new_vertices {
-                self.graph
-                    .add_edge(prev_first + from, to)
-                    .expect("valid edge");
-            }
-        }
-        // Execute the shuffle on the client side (Dryad would stream through
-        // channels; the observable result is identical).
-        let mut buckets: Vec<HashMap<K, Vec<T>>> = (0..n).map(|_| HashMap::new()).collect();
-        let hasher = std::collections::hash_map::RandomState::new();
-        use std::hash::BuildHasher;
-        for part in self.partitions.drain(..) {
-            for item in part {
-                let k = key(&item);
-                let b = (hasher.hash_one(&k) % n as u64) as usize;
-                buckets[b].entry(k).or_default().push(item);
-            }
-        }
-        let partitions: Vec<Vec<(K, Vec<T>)>> = buckets
-            .into_iter()
-            .map(|m| m.into_iter().collect())
-            .collect();
-        DVec {
-            partitions,
-            graph: self.graph,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,19 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_groups_everything() {
-        let d = DVec::distribute((0..100).collect::<Vec<i64>>(), 4);
-        let grouped = d.group_by(|x| x % 7);
-        let collected = grouped.collect();
-        assert_eq!(collected.len(), 7);
-        let total: usize = collected.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total, 100);
-        for (k, vs) in collected {
-            assert!(vs.iter().all(|v| v % 7 == k));
-        }
-    }
-
-    #[test]
     fn graph_grows_with_operators() {
         let d = DVec::distribute((0..8).collect::<Vec<i64>>(), 2);
         let d = d.select(|x| x + 1).where_(|x| *x > 2);
@@ -350,14 +234,6 @@ mod tests {
         assert_eq!(g.n_edges(), 4);
         assert!(g.topological_order().is_ok());
         assert_eq!(g.stages().len(), 3);
-    }
-
-    #[test]
-    fn group_by_creates_bipartite_edges() {
-        let d = DVec::distribute((0..8).collect::<Vec<i64>>(), 2);
-        let d = d.group_by(|x| x % 2);
-        // input stage: 2 vertices; groupby stage: 2 vertices; 2x2 edges.
-        assert_eq!(d.graph().n_edges(), 4);
     }
 
     #[test]
@@ -379,45 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn join_matches_nested_loop_semantics() {
-        let orders: Vec<(u32, &str)> = vec![(1, "cap3"), (2, "blast"), (1, "gtm"), (3, "idle")];
-        let users: Vec<(u32, &str)> = vec![(1, "alice"), (2, "bob"), (4, "carol")];
-        let joined = DVec::distribute(orders.clone(), 3)
-            .join(DVec::distribute(users.clone(), 2), |o| o.0, |u| u.0)
-            .collect();
-        let mut got: Vec<(u32, &str, &str)> =
-            joined.into_iter().map(|(k, o, u)| (k, o.1, u.1)).collect();
-        got.sort_unstable();
-        let mut expect = Vec::new();
-        for o in &orders {
-            for u in &users {
-                if o.0 == u.0 {
-                    expect.push((o.0, o.1, u.1));
-                }
-            }
-        }
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn join_with_duplicate_keys_multiplies() {
-        let left = DVec::distribute(vec![("a", 1), ("a", 2)], 2);
-        let right = DVec::distribute(vec![("a", 10), ("a", 20)], 2);
-        let joined = left.join(right, |l| l.0, |r| r.0).collect();
-        assert_eq!(joined.len(), 4, "cartesian within key groups");
-    }
-
-    #[test]
     fn chained_pipeline_end_to_end() {
         let words = vec!["a", "bb", "ccc", "dd", "e", "ffff"];
         let d = DVec::distribute(words, 3)
             .select(|w| w.len())
-            .where_(|l| *l >= 2)
-            .group_by(|l| *l)
-            .select(|(len, hits)| (len, hits.len()));
+            .where_(|l| *l >= 2);
         let mut out = d.collect();
         out.sort_unstable();
-        assert_eq!(out, vec![(2, 2), (3, 1), (4, 1)]);
+        assert_eq!(out, vec![2, 2, 3, 4]);
     }
 }

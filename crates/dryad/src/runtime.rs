@@ -1,27 +1,25 @@
-//! The native Dryad-style job runner for the paper's pattern: a homomorphic
-//! `select` over statically partitioned inputs.
+//! The native Dryad runtime for the paper's pattern, a homomorphic
+//! `select` over statically partitioned inputs: Dryad's policy over the
+//! shared [`SlotPool`], plus its report.
 //!
 //! Inputs are split across nodes **before** the job starts (the Windows
-//! shared directories of §2.3); each node then processes only its own list
-//! using its worker threads. Dynamic balancing happens *within* a node
-//! (vertices share the node's cores) but never across nodes — the defining
-//! limitation measured in the paper's load-balancing discussion (§4.2).
+//! shared directories of §2.3). Each node is one pool partition whose
+//! slots pull only the node's own list, so balancing is dynamic *within*
+//! a node but never across nodes — the limitation the paper's
+//! load-balancing discussion measures (§4.2). A failed vertex re-runs in
+//! place, and a cut one on a slot of its node idle at the cut.
 
-use ppc_chaos::{FaultSchedule, RunClock};
 use ppc_core::exec::Executor;
 use ppc_core::json::Json;
-use ppc_core::metrics::RunSummary;
 use ppc_core::task::{TaskId, TaskSpec};
-use ppc_core::{Cancel, PpcError, Result};
-use ppc_exec::{HealthTrace, RunContext, RunReport};
-use ppc_resilience::{
-    Admit, AttemptId, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker, ResiliencePolicy,
-};
-use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
+use ppc_core::{PpcError, Result};
+use ppc_exec::slots::{Attempt, Pick, Slot, SlotPolicy, SlotPool};
+use ppc_exec::{RunContext, RunReport};
+use ppc_resilience::AttemptLedger;
+use ppc_trace::{Phase, NO_WORKER};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Configuration for the native Dryad runtime.
 #[derive(Debug, Clone)]
@@ -114,32 +112,25 @@ pub use ppc_exec::JobOutputs;
 /// statically partitioned round-robin across its nodes. Returns the
 /// report and the outputs (output key → bytes), in completion order.
 ///
-/// Every slot runs one vertex lifecycle over a run-wide [`AttemptLedger`]
-/// with one partition per node: it launches and arms attempts, keeps each
-/// vertex's budget of `max_retries + 1` failed attempts, decides
-/// first-result-wins commit and holds every live attempt's kill token. A
-/// failed attempt (a death die or a torn output) is re-run in place when
-/// no other attempt of the vertex is live.
-/// The fault schedule addresses workers by flat slot index (node-major); a
-/// scheduled kill takes a slot down and its in-hand vertex goes back on the
-/// node's list for a surviving slot — re-execution never crosses nodes
-/// (DryadLINQ's static partitioning), so a node whose every slot dies fails
-/// what is left on its list. A vertex's dice are addressed by its place in
-/// a round-robin deal of its node's partition over the node's slots (the
-/// `k`-th vertex is slot `k % slots`'s `k / slots`-th task), not by the
-/// slot that takes it, so which vertices fail does not depend on thread
-/// timing. Storage outages do *not* apply: Dryad reads node-local files.
+/// Each node is one partition of the [`SlotPool`] and of a run-wide
+/// ledger, which keeps each vertex's budget of `max_retries + 1` failed
+/// attempts. A failed attempt (a death die, a torn output) re-runs in
+/// place when no other attempt of the vertex is live; a cut one re-runs on
+/// a slot of its node idle at the cut, else in place. Re-execution never
+/// crosses nodes (DryadLINQ's static partitioning): a slot killed as it
+/// pulls a vertex hands it to a surviving slot of its node, and a node
+/// whose every slot dies fails what is left on its list. A vertex's dice
+/// are addressed by its place in a round-robin deal of its node's list over
+/// the node's slots (the `k`-th vertex is slot `k % slots`'s `k / slots`-th
+/// task), on its first attempt only, not by the slot that takes it, so
+/// which vertices fail does not depend on thread timing. Storage outages
+/// do *not* apply: Dryad reads node-local files.
 ///
-/// The context's policy is the defense. While the node threads run, the
-/// calling thread cuts each attempt past the deadline through the ledger,
-/// which kills and fails it, so a node with no idle slot still cuts its
-/// breaches. The cut vertex re-runs on a slot of its node that was idle at
-/// the cut, if there is one, else in place on the victim's slot. Once its
-/// node's list is empty, an idle slot backs up the node's oldest
-/// hedge-eligible straggler; the first Ok attempt kills the others
-/// (redundant executions). A quarantine config benches gray slots off the
-/// list. The makespan is the time the last vertex settled: a killed loser
-/// may still be draining past it.
+/// The context's policy is the defense: once its node's list is empty, an
+/// idle slot backs up the node's oldest hedge-eligible straggler, and the
+/// first Ok attempt kills the others (redundant executions); a quarantine
+/// config benches gray slots off the list. The makespan is the time the
+/// last vertex settled: a killed loser may still be draining past it.
 ///
 /// A malformed context schedule or policy is an `InvalidArgument` error,
 /// returned before any thread starts. Native Dryad takes no context seed:
@@ -156,467 +147,149 @@ pub fn run(
         return Err(PpcError::InvalidArgument("no inputs".into()));
     }
     ctx.validate()?;
-    let n_nodes = cluster.n_nodes();
-    // Static node-level partitioning, fixed before execution. Ledger task
-    // ids number the vertices node-major; each node's local list carries
-    // its vertices' ids and chaos-dice addresses from the round-robin deal.
-    let mut vertices = Vec::new();
-    let mut partitions = Vec::new();
-    let mut nodes = Vec::with_capacity(n_nodes);
-    let mut node_base = 0usize;
-    for (node, part) in crate::partition::partition_round_robin(inputs, n_nodes)
-        .into_iter()
-        .enumerate()
-    {
-        let slots = cluster.nodes()[node].workers.max(1);
-        let local: VecDeque<_> = part
-            .into_iter()
-            .enumerate()
-            .map(|(k, vertex)| {
-                vertices.push(vertex);
-                partitions.push(node);
-                let dice = ((node_base + k % slots) as u32, (k / slots) as u32);
-                (vertices.len() - 1, dice)
-            })
-            .collect();
-        nodes.push(NodeState {
-            index: node,
-            base: node_base,
-            remaining: AtomicUsize::new(local.len()),
-            local: Mutex::new(local),
-            slots: Mutex::new((0..slots).map(|_| Slot::Busy).collect()),
-        });
-        node_base += cluster.nodes()[node].workers;
-    }
-
-    // An unset policy runs the same lifecycle with every defense off.
-    let policy: ResiliencePolicy = ctx.resilience.unwrap_or_default();
-    let sink = ctx.sink.as_deref().filter(|s| s.enabled());
-    let ledger = AttemptLedger::new(partitions, policy.hedge, config.max_retries + 1);
-    let shared = SlotCtx {
-        executor: &executor,
-        sink,
-        chaos: ctx.schedule.as_deref(),
-        clock: RunClock::start(),
-        ledger: Mutex::new(ledger),
-        health: policy
-            .quarantine
-            .map(|cfg| Mutex::new(HealthTracker::new(cfg))),
-        vertices,
-        outputs: Mutex::new(Vec::new()),
-        failed: Mutex::new(Vec::new()),
-        attempts_total: AtomicUsize::new(0),
-        deaths: AtomicUsize::new(0),
-        finished_s: Mutex::new(0.0),
-    };
-    let per_node: Mutex<Vec<f64>> = Mutex::new(vec![0.0; n_nodes]);
-
-    std::thread::scope(|scope| {
-        for state in &nodes {
-            let workers = cluster.nodes()[state.index].workers;
-            let ctx = &shared;
-            let per_node = &per_node;
-            scope.spawn(move || {
-                let node_start = Instant::now();
-                std::thread::scope(|inner| {
-                    for slot in 0..workers {
-                        inner.spawn(move || slot_loop(ctx, state, (state.base + slot) as u32));
-                    }
-                });
-                // Every slot of this node is dead: the vertices left on
-                // its list have nowhere to run.
-                for (task, _) in std::mem::take(&mut *state.local.lock().unwrap()) {
-                    let spec = &ctx.vertices[task].0;
-                    let err = PpcError::TaskFailed(format!(
-                        "vertex {}: every slot on node {} died",
-                        spec.id.0, state.index
-                    ));
-                    ctx.fail_vertex(state, spec, err);
-                }
-                per_node.lock().unwrap()[state.index] = node_start.elapsed().as_secs_f64();
+    // Ledger task ids number the vertices node-major; each node's list
+    // holds a pick per vertex, with its dice address from the deal.
+    let (mut vertices, mut partitions, mut lists, mut homes) = (vec![], vec![], vec![], vec![]);
+    let parts = crate::partition::partition_round_robin(inputs, cluster.n_nodes());
+    for (node, part) in parts.into_iter().enumerate() {
+        let (base, slots) = (homes.len(), cluster.nodes()[node].workers);
+        homes.extend([(node, node)].repeat(slots));
+        let mut list = VecDeque::new();
+        for (k, vertex) in part.into_iter().enumerate() {
+            list.push_back(Pick {
+                task: vertices.len(),
+                launched: None,
+                dice: Some(((base + k % slots) as u32, (k / slots) as u32)),
+                hedge: None,
             });
+            vertices.push(vertex);
+            partitions.push(node);
         }
-        // Dryad's vertex timeout: until every vertex settles, cut each
-        // attempt past the deadline, busy slots or not.
-        if let Some(d) = policy.deadline {
-            while nodes
-                .iter()
-                .any(|n| n.remaining.load(Ordering::Acquire) > 0)
-            {
-                let cuts = nodes.iter().filter(|n| shared.cut_overdue(n, d.timeout_s));
-                if cuts.count() == 0 {
-                    std::thread::sleep(IDLE_POLL);
-                }
-            }
-        }
-    });
-    let makespan = *shared.finished_s.lock().unwrap();
-
-    let mut failed = shared.failed.into_inner().unwrap();
-    if config.fail_fast && !failed.is_empty() {
-        return Err(failed.swap_remove(0).1);
+        lists.push(list);
     }
-    let outputs = shared.outputs.into_inner().unwrap();
-    let ledger = shared.ledger.into_inner().unwrap();
-    // The meta carries the *same* f64 makespan the summary reports, so
-    // Eq. 1 recomputed from the trace matches the engine exactly.
-    let trace = sink.and_then(|s| {
-        s.set_meta(RunMeta {
-            platform: "dryadlinq".into(),
-            cores: cluster.total_workers(),
-            tasks: outputs.len(),
-            makespan_seconds: makespan,
-        });
-        s.span(Span::job(makespan));
-        s.snapshot()
-    });
+    // One ledger, so a single hedge quantile learns from every node.
+    let hedge = ctx.resilience.unwrap_or_default().hedge;
+    let ledger = AttemptLedger::new(partitions, hedge, config.max_retries + 1);
+    let outputs = Mutex::new(Vec::new());
+    let dryad = Dryad {
+        executor,
+        vertices,
+        outputs,
+    };
+    let book = Book { ledger, lists };
+    let (dryad, mut run) = SlotPool::new(ctx, dryad, book, &homes).run();
+    if config.fail_fast && !run.failed.is_empty() {
+        return Err(run.failed.swap_remove(0).1);
+    }
+    let outputs = std::mem::take(&mut *dryad.outputs.lock().unwrap());
+    let makespan = run.finished_s;
+    let failed = run.failed.iter().map(|&(t, _)| dryad.task_id(t)).collect();
+    // Node-local files only: no remote bytes.
+    let core = run.report(
+        "dryadlinq",
+        makespan,
+        0,
+        failed,
+        Some(cluster.cost(makespan)),
+    );
     let report = DryadReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform: "dryadlinq".into(),
-                cores: cluster.total_workers(),
-                tasks: outputs.len(),
-                makespan_seconds: makespan,
-                redundant_executions: ledger.duplicate_completions() as usize,
-                remote_bytes: 0, // node-local files only
-            },
-            failed: failed.iter().map(|&(id, _)| id).collect(),
-            total_attempts: shared.attempts_total.load(Ordering::Relaxed),
-            worker_deaths: shared.deaths.load(Ordering::Relaxed),
-            cost: Some(cluster.cost(makespan)),
-            trace,
-        },
-        per_node_seconds: per_node.into_inner().unwrap(),
-        vertex_failures: failed.len(),
-        vertex_retries: ledger.retries() as usize,
+        core,
+        per_node_seconds: run.partition_s.clone(),
+        vertex_failures: run.failed.len(),
+        vertex_retries: run.book.ledger.retries() as usize,
     };
     Ok((report, outputs))
 }
 
-/// Poll sleep of an idle slot, and of the deadline cutter.
-const IDLE_POLL: Duration = Duration::from_micros(200);
-
-/// Everything a vertex slot touches, shared across every node's slots:
-/// the run's inputs, its defense state and its tallies. Lock order:
-/// `ledger` before a node's `slots`; never take `health` while holding
-/// `ledger`.
-struct SlotCtx<'a> {
-    executor: &'a Arc<dyn Executor>,
-    sink: Option<&'a dyn TraceSink>,
-    chaos: Option<&'a FaultSchedule>,
-    clock: RunClock,
-    /// One ledger for the run, so latency observations feed a single
-    /// hedge quantile even though backup vertices never cross nodes.
-    ledger: Mutex<AttemptLedger>,
-    health: Option<Mutex<HealthTracker>>,
+/// Dryad's slot policy.
+struct Dryad {
+    executor: Arc<dyn Executor>,
     /// Every vertex's spec and node-local input, by ledger task id.
     vertices: Vec<(TaskSpec, Vec<u8>)>,
-    outputs: Mutex<Vec<(String, Vec<u8>)>>,
-    /// Permanently failed vertices with their errors, in failure order.
-    failed: Mutex<Vec<(TaskId, PpcError)>>,
-    attempts_total: AtomicUsize,
-    deaths: AtomicUsize,
-    /// Clock time the last vertex settled: the makespan, since a killed
-    /// loser stops only at its executor's next cancellation check.
-    finished_s: Mutex<f64>,
+    outputs: Mutex<JobOutputs>,
 }
 
-/// Per-node state: the local work list and the count of vertices not yet
-/// committed or permanently failed.
-struct NodeState {
-    /// The node's index, which is also its ledger partition.
-    index: usize,
-    /// Flat worker index of the node's first slot.
-    base: usize,
-    /// Ledger task ids of the vertices not yet started, each with the
-    /// `(worker, task_seq)` its first attempt rolls the chaos dice at.
-    local: Mutex<VecDeque<(usize, (u32, u32))>>,
-    remaining: AtomicUsize,
-    /// Each slot's state, by slot index on the node.
-    slots: Mutex<Vec<Slot>>,
+/// What Dryad's slots take work from, under the pool's lock.
+struct Book {
+    ledger: AttemptLedger,
+    /// Each node's vertices not yet pulled.
+    lists: Vec<VecDeque<Pick>>,
 }
 
-/// A slot as a re-run sees it.
-#[derive(Default)]
-enum Slot {
-    #[default]
-    Busy,
-    /// Out of work, polling its node: a deadline cut may hand it a re-run.
-    Idle,
-    /// A vertex's re-run, launched and armed on this slot: in place after a
-    /// failure, or handed over by a deadline cut.
-    Rerun(AttemptId, Cancel),
-}
+impl SlotPolicy for Dryad {
+    type Book = Book;
+    type Out = Vec<u8>;
+    const LAUNCH_PHASE: Phase = Phase::VertexStart;
 
-/// One traced vertex attempt: chaos dice at the `dice` address, if any
-/// (a vertex's first attempt only), local read, execute, and the terminal
-/// write mark on success. Returns `Err(Cancelled)` once `cancel` is set,
-/// during execution or the gray slowdown.
-fn vertex_attempt(
-    ctx: &SlotCtx,
-    id: AttemptId,
-    worker: u32,
-    dice: Option<(u32, u32)>,
-    cancel: &Cancel,
-) -> Result<Vec<u8>> {
-    let (spec, input) = &ctx.vertices[id.task];
-    ctx.attempts_total.fetch_add(1, Ordering::Relaxed);
-    let attempt_start = Instant::now();
-    // Each attempt is its own span subtree; dropping the marker on a
-    // failure path still closes it.
-    let mut tt = ctx.sink.map(|s| {
-        let mut tt = AttemptMarker::new(s, spec.id.0, id.attempt, worker, ctx.clock.now_s());
-        tt.mark(Phase::VertexStart, ctx.clock.now_s());
-        tt
-    });
-    if let (Some(schedule), Some((w, seq))) = (ctx.chaos, dice) {
-        // Any death die or a torn output costs exactly one failed attempt;
-        // the job manager re-runs the vertex.
-        let died = schedule.die_before_execute(w, seq)
-            || schedule.die_mid_execute(w, seq)
-            || schedule.die_before_delete(w, seq);
-        if died || schedule.is_torn_upload(w, seq) {
-            if died {
-                ctx.deaths.fetch_add(1, Ordering::Relaxed);
-                ctx.event(worker, EventKind::Death, ctx.clock.now_s());
-            }
-            return Err(PpcError::Transient("chaos: vertex attempt killed".into()));
-        }
-    }
-    // Inputs are already in node-local memory: the read phase is an
-    // instant that keeps the native phase set aligned with the sim's.
-    if let Some(tt) = tt.as_mut() {
-        tt.mark(Phase::ReadLocal, ctx.clock.now_s());
-    }
-    let mut r = ctx.executor.run_cancellable(spec, input, cancel);
-    // Gray degradation stretches the execute phase itself, so a straggling
-    // attempt is slow in the trace and loses the commit race for real; the
-    // stretch ends early, with `Err(Cancelled)`, if the attempt is killed.
-    let factor = ctx.chaos.map(|s| s.slowdown(worker, ctx.clock.now_s()));
-    if let Some(factor) = factor.filter(|&f| f > 1.0) {
-        r = cancel
-            .sleep(attempt_start.elapsed().mul_f64(factor - 1.0))
-            .and(r);
-    }
-    if let Some(tt) = tt.as_mut() {
-        tt.mark(Phase::Execute, ctx.clock.now_s());
-        if r.is_ok() {
-            // Under hedging a backup vertex may race this attempt; the
-            // write that reaches the ledger first is the terminal one.
-            tt.mark(Phase::Write, ctx.clock.now_s());
-        }
-    }
-    r
-}
-
-/// A vertex slot's one lifecycle: run its re-run, if it holds one, else
-/// pull vertices off the node's local list and run each through the ledger
-/// (Table 3's Dryad fault tolerance). Once the list is empty, an idle slot
-/// backs up hedge-eligible stragglers on its own node, or waits for the
-/// node to settle — a slot killed later pushes its vertex back onto the
-/// list. Quarantined slots are benched off the list until released.
-fn slot_loop(ctx: &SlotCtx, node: &NodeState, worker: u32) {
-    ctx.event(worker, EventKind::WorkerStart, ctx.clock.now_s());
-    let mut last_kill_s: f64 = 0.0;
-    loop {
-        let held = std::mem::take(&mut node.slots.lock().unwrap()[worker as usize - node.base]);
-        if let Slot::Rerun(id, cancel) = held {
-            ctx.run_attempt(node, worker, id, cancel, None);
-            continue;
-        }
-        if let Some(health) = &ctx.health {
-            // Quarantine gate: a benched slot naps instead of pulling work.
-            // Its share of the list is picked up by the node's other slots
-            // (within-node balancing is dynamic; across nodes it is not).
-            let now_s = ctx.clock.now_s();
-            let admit = health
-                .lock()
-                .unwrap()
-                .admit(worker, now_s, &HealthTrace(ctx.sink));
-            if admit != Admit::Go {
-                if node.remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(500));
-                continue;
-            }
-        }
-        let item = node.local.lock().unwrap().pop_front();
-        let (id, cancel, dice) = match item {
-            Some((task, dice)) => {
-                if let Some(schedule) = ctx.chaos {
-                    let now_s = ctx.clock.now_s();
-                    if schedule.kills_in(worker, last_kill_s, now_s) {
-                        // Slot dies: hand the vertex back to a surviving
-                        // slot on this node.
-                        ctx.deaths.fetch_add(1, Ordering::Relaxed);
-                        ctx.event(worker, EventKind::Death, now_s);
-                        node.local.lock().unwrap().push_front((task, dice));
-                        break;
-                    }
-                    last_kill_s = now_s;
-                }
-                // The clock is read under the ledger lock: launch times
-                // stay in order.
-                let mut ledger = ctx.ledger.lock().unwrap();
-                let id = ledger.launch(task, ctx.clock.now_s());
-                (id, ledger.arm(id, worker), Some(dice))
-            }
-            // The node's partition is fully settled.
-            None if node.remaining.load(Ordering::Acquire) == 0 => break,
-            None => match ctx.idle_work(node, worker) {
-                // Backups roll no chaos dice: the dice model per-pull
-                // hazards and this slot already survived its pull.
-                Some((id, cancel)) => (id, cancel, None),
-                None => {
-                    std::thread::sleep(IDLE_POLL);
-                    continue;
-                }
-            },
-        };
-        ctx.run_attempt(node, worker, id, cancel, dice);
-    }
-}
-
-impl SlotCtx<'_> {
-    /// Record a trace event, when tracing.
-    fn event(&self, worker: u32, kind: EventKind, at_s: f64) {
-        if let Some(s) = self.sink {
-            s.event(TraceEvent { at_s, worker, kind });
-        }
+    fn ledger(book: &mut Book) -> &mut AttemptLedger {
+        &mut book.ledger
     }
 
-    /// Score a finished attempt (`None` = failed) on `worker`'s health.
-    fn score(&self, worker: u32, latency_s: Option<f64>) {
-        if let Some(h) = &self.health {
-            let now_s = self.clock.now_s();
-            h.lock()
-                .unwrap()
-                .record(worker, latency_s, now_s, &HealthTrace(self.sink));
-        }
+    fn task_id(&self, task: usize) -> TaskId {
+        self.vertices[task].0.id
     }
 
-    /// Run attempt `id` and settle it: the first Ok commits (the ledger
-    /// kills the vertex's other attempts), a killed loser leaves as
-    /// redundant work, and a failure may earn a re-run in place. An attempt
-    /// cut at its deadline is already settled.
-    fn run_attempt(
-        &self,
-        node: &NodeState,
-        worker: u32,
-        id: AttemptId,
-        cancel: Cancel,
-        dice: Option<(u32, u32)>,
-    ) {
+    /// The node's next vertex, else a backup of its oldest hedge-eligible
+    /// straggler. Backups and re-runs roll no chaos dice: the dice model
+    /// per-pull hazards.
+    fn take(&self, book: &mut Book, slot: &Slot, now_s: f64) -> Option<Pick> {
+        let p = slot.partition;
+        book.lists[p].pop_front().or_else(|| {
+            let id = book.ledger.launch_hedge(p, now_s)?;
+            Some(Pick {
+                task: id.task,
+                launched: Some(id),
+                dice: None,
+                hedge: Some(NO_WORKER),
+            })
+        })
+    }
+
+    fn put_back(&self, book: &mut Book, slot: &Slot, pick: Pick) {
+        book.lists[slot.partition].push_front(pick);
+    }
+
+    fn requeue(&self, _book: &mut Book, _task: usize) -> bool {
+        false
+    }
+
+    fn attempt(&self, a: &mut Attempt<'_, '_, Self>) -> Result<Vec<u8>> {
         let started = Instant::now();
-        let out = vertex_attempt(self, id, worker, dice, &cancel);
-        let latency_s = started.elapsed().as_secs_f64();
-        let mut ledger = self.ledger.lock().unwrap();
-        let now_s = self.clock.now_s();
-        if !ledger.is_live(id) {
-            return;
+        // Any death die or a torn output costs exactly one failed attempt.
+        a.dice(false)?;
+        a.dice(true)?;
+        // Inputs are already in node-local memory: the read phase is an
+        // instant that keeps the native phase set aligned with the sim's.
+        a.mark(Phase::ReadLocal);
+        let (spec, input) = &self.vertices[a.id.task];
+        // Gray degradation stretches the execute phase itself, so a
+        // straggler is slow in the trace and loses the commit race for real.
+        let r = self.executor.run_cancellable(spec, input, &a.cancel);
+        let r = a.stretch(started).and(r);
+        a.mark(Phase::Execute);
+        if r.is_ok() {
+            // Under hedging the write that reaches the ledger first is the
+            // terminal one.
+            a.mark(Phase::Write);
         }
-        match out {
-            Ok(bytes) => {
-                let first = ledger.complete_at(id, now_s) == CompleteOutcome::First;
-                drop(ledger);
-                if first {
-                    let key = self.vertices[id.task].0.output_key.clone();
-                    self.outputs.lock().unwrap().push((key, bytes));
-                    self.vertex_settled(node);
-                }
-                // A duplicate that lost the race is discarded: exactly-once
-                // output, the ledger counts the redundant work.
-                self.score(worker, Some(latency_s));
-            }
-            Err(_) if cancel.is_cancelled() => {
-                // Killed by the vertex's committing attempt: redundant
-                // work, no failure.
-                ledger.release_cancelled(id);
-                drop(ledger);
-                self.event(worker, EventKind::Cancel, now_s);
-            }
-            Err(e) => {
-                let outcome = ledger.fail(id);
-                self.failed_attempt(ledger, node, id, outcome, worker, false, e);
-            }
-        }
+        r
     }
 
-    /// An idle slot's turn on its node: launch a backup of the oldest
-    /// hedge-eligible straggler, else mark the slot idle, ready for a cut
-    /// vertex's re-run. `None`: nothing to run yet.
-    fn idle_work(&self, node: &NodeState, worker: u32) -> Option<(AttemptId, Cancel)> {
-        let mut ledger = self.ledger.lock().unwrap();
-        let now_s = self.clock.now_s();
-        let Some(id) = ledger.launch_hedge(node.index, now_s) else {
-            node.slots.lock().unwrap()[worker as usize - node.base] = Slot::Idle;
-            return None;
-        };
-        self.event(NO_WORKER, EventKind::Hedge, now_s);
-        Some((id, ledger.arm(id, worker)))
-    }
-
-    /// Cut `node`'s oldest attempt past `timeout_s`, if any; whether it cut.
-    fn cut_overdue(&self, node: &NodeState, timeout_s: f64) -> bool {
-        let mut ledger = self.ledger.lock().unwrap();
-        let now_s = self.clock.now_s();
-        let Some((id, victim, outcome)) = ledger.cut_overdue(node.index, now_s, timeout_s) else {
-            return false;
-        };
-        self.event(NO_WORKER, EventKind::Cancel, now_s);
-        let spec = &self.vertices[id.task].0;
-        let err = PpcError::Cancelled(format!("vertex {}: past its deadline", spec.id.0));
-        self.failed_attempt(ledger, node, id, outcome, victim, true, err);
-        true
-    }
-
-    /// Act on the ledger's `outcome` for attempt `id`, failed on `worker`:
-    /// re-run the vertex when no other attempt of it is live, or fail it
-    /// for good with `err`. The re-run goes to `worker`'s slot, or, for a
-    /// deadline cut (`to_idle`), to a slot of the node idle now if any.
-    #[allow(clippy::too_many_arguments)]
-    fn failed_attempt(
-        &self,
-        mut ledger: MutexGuard<AttemptLedger>,
-        node: &NodeState,
-        id: AttemptId,
-        outcome: FailOutcome,
-        worker: u32,
-        to_idle: bool,
-        err: PpcError,
-    ) {
-        if outcome == FailOutcome::Retried && ledger.live_attempts(id.task) == 0 {
-            let mut slots = node.slots.lock().unwrap();
-            let k = slots
-                .iter()
-                .position(|s| to_idle && matches!(s, Slot::Idle))
-                .unwrap_or(worker as usize - node.base);
-            let rerun = ledger.launch(id.task, self.clock.now_s());
-            slots[k] = Slot::Rerun(rerun, ledger.arm(rerun, (node.base + k) as u32));
-        }
-        drop(ledger);
-        self.score(worker, None);
-        if outcome == FailOutcome::TaskFailed {
-            self.fail_vertex(node, &self.vertices[id.task].0, err);
-        }
-    }
-
-    /// Record `spec`'s vertex as permanently failed with `err` and settle
-    /// it on its node.
-    fn fail_vertex(&self, node: &NodeState, spec: &TaskSpec, err: PpcError) {
-        self.failed.lock().unwrap().push((spec.id, err));
-        self.vertex_settled(node);
-    }
-
-    /// Count one vertex of `node` settled, now.
-    fn vertex_settled(&self, node: &NodeState) {
-        node.remaining.fetch_sub(1, Ordering::AcqRel);
-        let now_s = self.clock.now_s();
-        let mut f = self.finished_s.lock().unwrap();
-        *f = f.max(now_s);
+    fn commit(&self, a: &mut Attempt<'_, '_, Self>, bytes: Vec<u8>) {
+        let key = self.vertices[a.id.task].0.output_key.clone();
+        self.outputs.lock().unwrap().push((key, bytes));
     }
 }
+
+// What the unit tests name from this module's scope.
+#[cfg(test)]
+use {
+    ppc_chaos::FaultSchedule,
+    ppc_core::Cancel,
+    ppc_resilience::ResiliencePolicy,
+    ppc_trace::{EventKind, TraceSink},
+    std::sync::atomic::Ordering,
+};
 
 #[cfg(test)]
 mod tests {

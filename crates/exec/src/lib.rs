@@ -21,6 +21,8 @@
 //! * [`HealthTrace`] is how every engine hands a run's trace sink to its
 //!   `ppc-resilience` health tracker, which then records its own
 //!   `Quarantine`/`Release` transitions.
+//! * [`slots::SlotPool`] is the one native slot lifecycle that native
+//!   MapReduce and native Dryad run as two small [`slots::SlotPolicy`]s.
 //!
 //! Run-wide settings live only here: the paradigm configs carry policy
 //! and platform dials, never a seed, fault schedule, trace switch or
@@ -41,6 +43,7 @@ use ppc_resilience::{HealthSink, ResiliencePolicy, Transition};
 use ppc_trace::{EventKind, Trace, TraceEvent, TraceSink};
 use std::sync::Arc;
 
+pub mod slots;
 pub mod workflow;
 
 pub use ppc_workflow::{

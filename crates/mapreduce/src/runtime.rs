@@ -1,32 +1,29 @@
-//! The native MapReduce runtime: real threads over a real `MiniHdfs`.
+//! The native MapReduce runtime: Hadoop's policy over the shared
+//! [`SlotPool`] on a real `MiniHdfs`, plus its reduce phase and report.
 //!
-//! Compute is co-located with storage, Hadoop style: worker slots live on
-//! the same nodes as the datanodes, which is what makes data-local
-//! scheduling meaningful. Map outputs are committed only for the *first*
-//! completion of a task (Hadoop's output-committer discipline), so
-//! speculative duplicates and retries can never corrupt results. Once that
-//! commit lands, the ledger fires the task's other attempts'
-//! [`Cancel`](ppc_core::Cancel) tokens, as Hadoop's JobTracker kills the
-//! losing attempts. Under a deadline the master, on the calling thread,
-//! cuts each attempt that overruns it the same way, and the cut fails the
-//! attempt.
+//! Slots live on the datanodes, which makes data-local scheduling
+//! meaningful, and share one partition, the global queue: a slot takes
+//! [`Scheduler::next_at`]'s pick (a replica-local task, any task, then a
+//! speculative duplicate), and a failed or cut attempt's task goes back in
+//! the queue. The data path is an HDFS read, the map and the combiner; only
+//! a task's *first* completion commits (Hadoop's output committer), so
+//! duplicates and retries can never corrupt results.
 
-use crate::input::{compute_splits, InputFormat};
+use crate::input::{compute_splits, InputFormat, InputSplit};
 use crate::job::{partition_for, MapContext, MapReduceJob, Mapper, Reducer};
 use crate::report::MapReduceReport;
-use crate::scheduler::{AttemptId, CompleteOutcome, Scheduler};
-use ppc_chaos::RunClock;
-use ppc_core::metrics::RunSummary;
+use crate::scheduler::Scheduler;
 use ppc_core::rng::Pcg32;
 use ppc_core::task::TaskId;
 use ppc_core::{PpcError, Result};
-use ppc_exec::{HealthTrace, RunContext, RunReport};
+use ppc_exec::slots::{Attempt, Pick, Slot, SlotPolicy, SlotPool};
+use ppc_exec::RunContext;
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
-use ppc_resilience::{Admit, HealthTracker, HedgeConfig};
-use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent};
+use ppc_resilience::{AttemptLedger, HedgeConfig};
+use ppc_trace::Phase;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -38,9 +35,6 @@ pub struct HadoopConfig {
     /// Injected probability that any map attempt fails (tests retries).
     pub attempt_failure_p: f64,
 }
-
-/// Poll sleep of a slot with no work yet, and of the deadline master.
-const POLL_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Seed of a run whose context sets none (per-slot RNG streams, and the
 /// engine's `MiniHdfs` placement).
@@ -83,11 +77,12 @@ impl HadoopConfig {
 /// starts; without a context seed the run uses seed `0xad00`.
 ///
 /// The context's fault schedule addresses workers by the flat slot index
-/// `node * slots_per_node + slot`: a scheduled kill takes the whole
-/// tasktracker slot down (its in-hand attempt fails and the surviving
-/// slots re-execute the task), while the i.i.d. death dice and torn
-/// uploads fail individual attempts — Hadoop's output-committer
-/// discipline makes both recoverable.
+/// `node * slots_per_node + slot`, each slot rolling its dice by its count
+/// of tasks taken: a scheduled kill takes the whole tasktracker slot down
+/// (its in-hand attempt fails and the surviving slots re-execute the task;
+/// once every slot is dead, the tasks left fail), while the i.i.d. death
+/// dice and torn uploads fail individual attempts — Hadoop's
+/// output-committer discipline makes both recoverable.
 pub fn run(
     ctx: &RunContext,
     fs: &Arc<MiniHdfs>,
@@ -101,451 +96,213 @@ pub fn run(
     ctx.validate()?;
     let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
     let splits = compute_splits(fs, &job.input_paths)?;
-    let n_tasks = splits.len();
-    // No policy means Hadoop's default speculation.
     let hedge = match &ctx.resilience {
         Some(p) => p.hedge,
         None => Some(HedgeConfig::legacy_speculation()),
     };
-    let health: Option<Mutex<HealthTracker>> = ctx
-        .resilience
-        .and_then(|p| p.quarantine)
-        .map(|q| Mutex::new(HealthTracker::new(q)));
-    let health = health.as_ref();
-    let deadline = ctx.resilience.and_then(|p| p.deadline);
-    let sched = Mutex::new(Scheduler::with_policy(splits, hedge, job.max_attempts));
-
-    // Map-side state.
-    let intermediate: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
-    let data_local_tasks = AtomicUsize::new(0);
-    let total_attempts = AtomicUsize::new(0);
-    let map_output_records = AtomicUsize::new(0);
-    let shuffle_records = AtomicUsize::new(0);
-    let remote_bytes = AtomicU64::new(0);
-    let worker_deaths = AtomicUsize::new(0);
-    let map_done_at: Mutex<Option<Instant>> = Mutex::new(None);
-
-    let start = Instant::now();
-    let clock = RunClock::start();
-    let n_nodes = fs.n_nodes();
-    let sink = ctx.sink.as_deref().filter(|s| s.enabled());
-    // Score a finished attempt (`None` = failed) of `worker` into the
-    // health tracker, which traces any bench it imposes. Never called
-    // under the scheduler lock: the health gate takes the two in the other
-    // order.
-    let score = |worker: u32, latency_s: Option<f64>, now_s: f64| {
-        if let Some(h) = health {
-            let sink = HealthTrace(sink);
-            h.lock().unwrap().record(worker, latency_s, now_s, &sink);
-        }
+    let sched = Scheduler::with_policy(splits.clone(), hedge, job.max_attempts);
+    let (n_nodes, slots) = (fs.n_nodes(), config.slots_per_node);
+    let rng = |w| Mutex::new(Pcg32::for_stream(seed, w as u64));
+    let hadoop = Hadoop {
+        fs,
+        job,
+        mapper,
+        reducer,
+        splits,
+        failure_p: config.attempt_failure_p,
+        rngs: (0..n_nodes * slots).map(rng).collect(),
+        traced_hedges: ctx.resilience.is_some(),
+        intermediate: Mutex::new(Vec::new()),
+        remote_bytes: AtomicU64::new(0),
+        map_output_records: AtomicUsize::new(0),
+        shuffle_records: AtomicUsize::new(0),
     };
-    // Record a trace event, when tracing.
-    let event = |worker: u32, kind: EventKind, at_s: f64| {
-        if let Some(s) = sink {
-            s.event(TraceEvent { at_s, worker, kind });
-        }
-    };
-
-    std::thread::scope(|scope| {
-        let mut slots = Vec::new();
-        for node in 0..n_nodes {
-            for slot in 0..config.slots_per_node {
-                let sched = &sched;
-                let score = &score;
-                let event = &event;
-                let intermediate = &intermediate;
-                let data_local_tasks = &data_local_tasks;
-                let total_attempts = &total_attempts;
-                let remote_bytes = &remote_bytes;
-                let worker_deaths = &worker_deaths;
-                let map_done_at = &map_done_at;
-                let map_output_records = &map_output_records;
-                let shuffle_records = &shuffle_records;
-                let fs = fs.clone();
-                let clock = &clock;
-                slots.push(scope.spawn(move || {
-                    let node_id = DataNodeId(node);
-                    let worker = (node * config.slots_per_node + slot) as u32;
-                    let score =
-                        |latency_s: Option<f64>, now_s: f64| score(worker, latency_s, now_s);
-                    // Fail attempt `id` and score the failure, unless a
-                    // deadline cut already did both.
-                    let fail = |id: AttemptId| {
-                        if settle(sched, id, |s| s.fail(id)).is_some() {
-                            score(None, clock.now_s());
-                        }
-                    };
-                    event(worker, EventKind::WorkerStart, clock.now_s());
-                    let chaos = ctx.schedule.as_deref();
-                    let mut task_seq: u32 = 0;
-                    let mut last_kill_s: f64 = 0.0;
-                    let mut rng = Pcg32::for_stream(seed, worker as u64);
-                    loop {
-                        // Health gate: a benched worker sleeps instead of
-                        // taking work; an expired bench releases here.
-                        if let Some(h) = health {
-                            let now_s = clock.now_s();
-                            let mut tracker = h.lock().unwrap();
-                            if sched.lock().unwrap().is_complete() {
-                                break;
-                            }
-                            if tracker.admit(worker, now_s, &HealthTrace(sink)) != Admit::Go {
-                                drop(tracker);
-                                std::thread::sleep(POLL_BACKOFF);
-                                continue;
-                            }
-                        }
-                        let poll_at = sink.map(|_| clock.now_s());
-                        let (assignment, cancel, split) = {
-                            let mut s = sched.lock().unwrap();
-                            if s.is_complete() {
-                                break;
-                            }
-                            let Some(a) = s.next_at(node_id, clock.now_s()) else {
-                                drop(s);
-                                std::thread::sleep(POLL_BACKOFF);
-                                continue;
-                            };
-                            let split = s.split(a.split).clone();
-                            let cancel = s.arm(a.id, worker);
-                            (a, cancel, split)
-                        };
-                        let attempt_began_s = clock.now_s();
-                        if assignment.speculative && ctx.resilience.is_some() {
-                            event(worker, EventKind::Hedge, attempt_began_s);
-                        }
-                        // Master → slot handoff done: the Dispatch phase
-                        // covers the poll and the scheduling decision.
-                        let mut tt = sink.map(|s| {
-                            let mut tt = AttemptMarker::new(
-                                s,
-                                assignment.id.task as u64,
-                                assignment.id.attempt,
-                                worker,
-                                poll_at.unwrap_or(0.0),
-                            );
-                            tt.mark(Phase::Dispatch, clock.now_s());
-                            tt
-                        });
-                        total_attempts.fetch_add(1, Ordering::Relaxed);
-                        // Locality accounting is per *assignment*, matching
-                        // the simulator: speculative duplicates count too.
-                        if assignment.local {
-                            data_local_tasks.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            remote_bytes.fetch_add(split.len, Ordering::Relaxed);
-                        }
-
-                        let seq = task_seq;
-                        task_seq += 1;
-                        if let Some(schedule) = chaos {
-                            // A scheduled kill takes the whole slot down: the
-                            // in-hand attempt fails and this thread exits, so
-                            // the task re-runs on a surviving slot.
-                            let now_s = clock.now_s();
-                            if schedule.kills_in(worker, last_kill_s, now_s) {
-                                worker_deaths.fetch_add(1, Ordering::Relaxed);
-                                event(worker, EventKind::Death, now_s);
-                                let id = assignment.id;
-                                settle(sched, id, |s| s.fail(id));
-                                break;
-                            }
-                            last_kill_s = now_s;
-                            // I.i.d. crash before the attempt does any work.
-                            if schedule.die_before_execute(worker, seq) {
-                                worker_deaths.fetch_add(1, Ordering::Relaxed);
-                                event(worker, EventKind::Death, clock.now_s());
-                                fail(assignment.id);
-                                continue;
-                            }
-                            // HDFS brownout/partition: the client rides out
-                            // the window (like the cloud-storage retry path)
-                            // instead of burning the task's attempt budget.
-                            if let Some(until) = schedule.storage_outage_until(clock.now_s()) {
-                                let wait = until - clock.now_s();
-                                if wait > 0.0 {
-                                    let _ = cancel.sleep(Duration::from_secs_f64(wait));
-                                }
-                            }
-                        }
-
-                        // Injected attempt failure.
-                        if config.attempt_failure_p > 0.0 && rng.chance(config.attempt_failure_p) {
-                            fail(assignment.id);
-                            continue;
-                        }
-                        let read_phase = if assignment.local {
-                            Phase::ReadLocal
-                        } else {
-                            Phase::ReadRemote
-                        };
-                        let map_started = Instant::now();
-                        let mut ctx = MapContext::new(&fs, node_id).with_cancel(cancel.clone());
-                        let map_result = match job.input_format {
-                            InputFormat::FileName => {
-                                // The "read" is the split metadata itself;
-                                // the span still closes here so the phase
-                                // set matches the simulator's.
-                                if let Some(tt) = tt.as_mut() {
-                                    tt.mark(read_phase, clock.now_s());
-                                }
-                                mapper.map(&split.name, split.path.as_bytes(), &mut ctx)
-                            }
-                            InputFormat::WholeFile => match ctx.read(&split.path) {
-                                Ok(data) => {
-                                    if let Some(tt) = tt.as_mut() {
-                                        tt.mark(read_phase, clock.now_s());
-                                    }
-                                    mapper.map(&split.path, &data, &mut ctx)
-                                }
-                                Err(e) => Err(e),
-                            },
-                        };
-                        if let Some(schedule) = chaos {
-                            // Gray degradation: stretch the attempt by the
-                            // schedule's slowdown factor for this worker.
-                            let factor = schedule.slowdown(worker, clock.now_s());
-                            if factor > 1.0 {
-                                let _ = cancel.sleep(map_started.elapsed().mul_f64(factor - 1.0));
-                            }
-                        }
-                        if cancel.is_cancelled() {
-                            // Killed by the task's committing attempt: the
-                            // span closes at the kill, and the loser leaves
-                            // as a duplicate without touching the retry
-                            // budget, the quarantine streak or the latency
-                            // estimate. (Cut at its deadline instead: the
-                            // master already failed it.)
-                            let now_s = clock.now_s();
-                            if let Some(tt) = tt.as_mut() {
-                                tt.mark(Phase::Map, now_s);
-                            }
-                            let id = assignment.id;
-                            if settle(sched, id, |s| s.release_cancelled(id)).is_some() {
-                                event(worker, EventKind::Cancel, now_s);
-                            }
-                            continue;
-                        }
-                        if let Some(tt) = tt.as_mut() {
-                            tt.mark(Phase::Map, clock.now_s());
-                        }
-                        if let Some(schedule) = chaos {
-                            // Mid-execution death, a torn output, or dying
-                            // before reporting all surface as a failed
-                            // attempt: the output committer only commits the
-                            // first *completed* attempt, so partial output
-                            // can never reach the output directory.
-                            let died = schedule.die_mid_execute(worker, seq)
-                                || schedule.die_before_delete(worker, seq);
-                            if died || schedule.is_torn_upload(worker, seq) {
-                                if died {
-                                    worker_deaths.fetch_add(1, Ordering::Relaxed);
-                                    event(worker, EventKind::Death, clock.now_s());
-                                }
-                                fail(assignment.id);
-                                continue;
-                            }
-                        }
-                        match map_result {
-                            Ok(()) => {
-                                let (mut emitted, _all_local) = ctx.finish();
-                                let map_records = emitted.len();
-                                // Map-side combine: fold each key's values
-                                // with the reducer before the shuffle.
-                                if job.use_combiner && job.n_reducers > 0 {
-                                    if let Some(reducer) = reducer {
-                                        let mut grouped: BTreeMap<String, Vec<Vec<u8>>> =
-                                            BTreeMap::new();
-                                        for (k, v) in emitted.drain(..) {
-                                            grouped.entry(k).or_default().push(v);
-                                        }
-                                        for (k, vs) in grouped {
-                                            match reducer.reduce(&k, &vs) {
-                                                Ok(combined) => emitted.push((k, combined)),
-                                                Err(_) => {
-                                                    // Combining is an optimization;
-                                                    // fall back to raw records.
-                                                    for v in vs {
-                                                        emitted.push((k.clone(), v));
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                let done_s = clock.now_s();
-                                // A first commit kills the task's other
-                                // live attempts.
-                                let id = assignment.id;
-                                let settled = settle(sched, id, |s| {
-                                    (s.complete_at(id, done_s), s.is_complete())
-                                });
-                                let Some((outcome, job_done)) = settled else {
-                                    // Cut at its deadline while finishing.
-                                    continue;
-                                };
-                                score(Some(done_s - attempt_began_s), done_s);
-                                match outcome {
-                                    CompleteOutcome::First => {
-                                        // Only the committing attempt's
-                                        // records count; a speculative
-                                        // duplicate's are discarded below.
-                                        map_output_records
-                                            .fetch_add(map_records, Ordering::Relaxed);
-                                        shuffle_records.fetch_add(emitted.len(), Ordering::Relaxed);
-                                        if job.n_reducers == 0 {
-                                            // Map-only: commit outputs directly.
-                                            // A dead local datanode can't take
-                                            // the write; pipeline through any
-                                            // live one instead of losing the
-                                            // committed output.
-                                            for (key, value) in emitted {
-                                                let path = format!("{}/{key}", job.output_dir);
-                                                let created = fs
-                                                    .create(&path, &value, Some(node_id))
-                                                    .or_else(|_| fs.create(&path, &value, None));
-                                                if let Err(e) = created {
-                                                    let exists = e.code() == "AlreadyExists";
-                                                    assert!(exists, "commit of '{path}' lost: {e}");
-                                                }
-                                            }
-                                        } else {
-                                            intermediate.lock().unwrap().extend(emitted);
-                                        }
-                                        if job_done {
-                                            *map_done_at.lock().unwrap() = Some(Instant::now());
-                                        }
-                                        // The committing attempt is the
-                                        // task's single terminal span.
-                                        if let Some(tt) = tt.as_mut() {
-                                            tt.mark(Phase::Commit, clock.now_s());
-                                        }
-                                    }
-                                    CompleteOutcome::Duplicate => { /* discard redundant output */ }
-                                }
-                            }
-                            Err(_) => fail(assignment.id),
-                        }
-                    }
-                }));
-            }
-        }
-        // Hadoop's task timeout: while the slots run, the master cuts each
-        // attempt past the deadline. It fails the attempt in the ledger and
-        // cancels its token, so the attempt stops at its kernel's next
-        // check, even on a node with no idle slot, and the task re-runs.
-        if let Some(d) = deadline {
-            while !slots.iter().all(|slot| slot.is_finished()) {
-                let now_s = clock.now_s();
-                let cut = sched.lock().unwrap().cut_overdue(now_s, d.timeout_s);
-                let Some(worker) = cut else {
-                    std::thread::sleep(POLL_BACKOFF);
-                    continue;
-                };
-                event(worker, EventKind::Cancel, now_s);
-                score(worker, None, now_s);
-            }
-        }
-    });
+    let homes: Vec<_> = (0..n_nodes).flat_map(|n| [(n, 0)].repeat(slots)).collect();
+    let (hadoop, mut run) = SlotPool::new(ctx, hadoop, sched, &homes).run();
 
     // Reduce phase (if any): shuffle by key, reduce each partition.
-    if let Some(reducer) = reducer {
-        if job.n_reducers > 0 {
-            let all = std::mem::take(&mut *intermediate.lock().unwrap());
-            let mut partitions: Vec<BTreeMap<String, Vec<Vec<u8>>>> =
-                vec![BTreeMap::new(); job.n_reducers];
-            for (key, value) in all {
-                let p = partition_for(&key, job.n_reducers);
-                partitions[p].entry(key).or_default().push(value);
-            }
-            let results: Mutex<Vec<(usize, Vec<u8>)>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for (i, part) in partitions.iter().enumerate() {
-                    let results = &results;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for (key, values) in part {
-                            if let Ok(reduced) = reducer.reduce(key, values) {
-                                out.extend_from_slice(key.as_bytes());
-                                out.push(b'\t');
-                                out.extend_from_slice(&reduced);
-                                out.push(b'\n');
-                            }
-                        }
-                        results.lock().unwrap().push((i, out));
-                    });
+    if let (Some(reducer), true) = (reducer, job.n_reducers > 0) {
+        let mut parts = vec![BTreeMap::<String, Vec<Vec<u8>>>::new(); job.n_reducers];
+        for (key, value) in std::mem::take(&mut *hadoop.intermediate.lock().unwrap()) {
+            let part = &mut parts[partition_for(&key, job.n_reducers)];
+            part.entry(key).or_default().push(value);
+        }
+        let reduce = |part: &BTreeMap<String, Vec<Vec<u8>>>| {
+            let mut out = Vec::new();
+            for (key, values) in part {
+                if let Ok(reduced) = reducer.reduce(key, values) {
+                    out.extend_from_slice(key.as_bytes());
+                    out.push(b'\t');
+                    out.extend_from_slice(&reduced);
+                    out.push(b'\n');
                 }
-            });
-            for (i, data) in results.into_inner().unwrap() {
-                let path = format!("{}/part-r-{:05}", job.output_dir, i);
-                let _ = fs.create(&path, &data, None);
             }
+            out
+        };
+        let outputs: Vec<_> = std::thread::scope(|s| {
+            let reducers: Vec<_> = parts.iter().map(|p| s.spawn(move || reduce(p))).collect();
+            reducers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for (i, data) in outputs.iter().enumerate() {
+            let _ = fs.create(&format!("{}/part-r-{i:05}", job.output_dir), data, None);
         }
     }
 
-    let sched = sched.into_inner().unwrap();
-    let failed = sched.failed_tasks();
-    let finished = if job.n_reducers == 0 {
-        map_done_at
-            .into_inner()
-            .unwrap()
-            .unwrap_or_else(Instant::now)
-    } else {
-        Instant::now() // reduce phase is part of the makespan
+    // The reduce phase, if any, is part of the makespan.
+    let makespan = match job.n_reducers {
+        0 => run.finished_s,
+        _ => run.clock.now_s(),
     };
-    let stats = sched.stats();
-    let attempts = total_attempts.load(Ordering::Relaxed);
-    let done = sched.n_done();
-    let makespan = finished.duration_since(start).as_secs_f64();
-
-    // The trace's meta carries the *same* f64 makespan and core count as
-    // the summary, so efficiency recomputed from the job span matches the
-    // report's exactly.
-    let trace = sink.and_then(|s| {
-        s.set_meta(RunMeta {
-            platform: "hadoop".into(),
-            cores: n_nodes * config.slots_per_node,
-            tasks: done,
-            makespan_seconds: makespan,
-        });
-        s.span(Span::job(makespan));
-        s.snapshot()
-    });
-
+    let remote_bytes = hadoop.remote_bytes.load(Relaxed);
+    let mut failed: Vec<_> = run.failed.iter().map(|&(t, _)| TaskId(t as u64)).collect();
+    failed.sort();
+    let core = run.report("hadoop", makespan, remote_bytes, failed, None);
+    let stats = run.book.stats();
     Ok(MapReduceReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform: "hadoop".into(),
-                cores: n_nodes * config.slots_per_node,
-                tasks: done,
-                makespan_seconds: makespan,
-                redundant_executions: stats.duplicate_completions as usize,
-                remote_bytes: remote_bytes.load(Ordering::Relaxed),
-            },
-            failed: failed.iter().map(|&i| TaskId(i as u64)).collect(),
-            total_attempts: attempts,
-            worker_deaths: worker_deaths.load(Ordering::Relaxed),
-            cost: None,
-            trace,
-        },
+        core,
         scheduler: stats,
-        data_local_tasks: data_local_tasks.load(Ordering::Relaxed),
-        map_output_records: map_output_records.load(Ordering::Relaxed),
-        shuffle_records: shuffle_records.load(Ordering::Relaxed),
-    })
-    .inspect(|r| {
-        debug_assert!(r.summary.tasks + r.failed.len() == n_tasks);
+        // Per *assignment*, as in the simulator: duplicates count too.
+        data_local_tasks: stats.local_assignments as usize,
+        map_output_records: hadoop.map_output_records.load(Relaxed),
+        shuffle_records: hadoop.shuffle_records.load(Relaxed),
     })
 }
 
-/// Settle attempt `id` with `op` unless a deadline cut already did (`None`).
-fn settle<R>(
-    sched: &Mutex<Scheduler>,
-    id: AttemptId,
-    op: impl FnOnce(&mut Scheduler) -> R,
-) -> Option<R> {
-    let mut s = sched.lock().unwrap();
-    s.is_live(id).then(|| op(&mut s))
+/// Hadoop's slot policy, and the map side's tallies.
+struct Hadoop<'a> {
+    fs: &'a Arc<MiniHdfs>,
+    job: &'a MapReduceJob,
+    mapper: &'a dyn Mapper,
+    reducer: Option<&'a dyn Reducer>,
+    splits: Vec<InputSplit>,
+    failure_p: f64,
+    /// Each slot's injected-failure stream, by worker.
+    rngs: Vec<Mutex<Pcg32>>,
+    /// Whether duplicates are traced as hedges (a resilience policy's, not
+    /// Hadoop's default speculation).
+    traced_hedges: bool,
+    intermediate: Mutex<Vec<(String, Vec<u8>)>>,
+    remote_bytes: AtomicU64,
+    map_output_records: AtomicUsize,
+    shuffle_records: AtomicUsize,
+}
+
+impl SlotPolicy for Hadoop<'_> {
+    type Book = Scheduler;
+    /// The map's records after the combiner, and their count before it.
+    type Out = (Vec<(String, Vec<u8>)>, usize);
+    const LAUNCH_PHASE: Phase = Phase::Dispatch;
+
+    fn ledger(sched: &mut Scheduler) -> &mut AttemptLedger {
+        sched.ledger()
+    }
+
+    fn task_id(&self, task: usize) -> TaskId {
+        TaskId(task as u64)
+    }
+
+    fn take(&self, sched: &mut Scheduler, slot: &Slot, now_s: f64) -> Option<Pick> {
+        let a = sched.next_at(DataNodeId(slot.node), now_s)?;
+        if !a.local {
+            self.remote_bytes
+                .fetch_add(self.splits[a.split].len, Relaxed);
+        }
+        Some(Pick {
+            task: a.id.task,
+            launched: Some(a.id),
+            dice: Some((slot.worker, slot.picks)),
+            hedge: (a.speculative && self.traced_hedges).then_some(slot.worker),
+        })
+    }
+
+    fn requeue(&self, sched: &mut Scheduler, task: usize) -> bool {
+        sched.requeue(task);
+        true
+    }
+
+    fn attempt(&self, a: &mut Attempt<'_, '_, Self>) -> Result<Self::Out> {
+        a.dice(false)?;
+        // HDFS brownout/partition: the client rides out the window instead
+        // of burning an attempt.
+        let outage = a.chaos().and_then(|s| s.storage_outage_until(a.now_s()));
+        if let Some(wait) = outage.map(|until| until - a.now_s()).filter(|&w| w > 0.0) {
+            let _ = a.cancel.sleep(Duration::from_secs_f64(wait));
+        }
+        let mut rng = self.rngs[a.slot.worker as usize].lock().unwrap();
+        if self.failure_p > 0.0 && rng.chance(self.failure_p) {
+            return Err(PpcError::Transient("injected attempt failure".into()));
+        }
+        drop(rng);
+        let (split, node) = (&self.splits[a.id.task], DataNodeId(a.slot.node));
+        let read = match split.hosts.contains(&node) {
+            true => Phase::ReadLocal,
+            false => Phase::ReadRemote,
+        };
+        let started = Instant::now();
+        let mut ctx = MapContext::new(self.fs, node).with_cancel(a.cancel.clone());
+        let mapped = match self.job.input_format {
+            // The "read" is the split metadata itself; the span still
+            // closes here so the phase set matches the simulator's.
+            InputFormat::FileName => {
+                a.mark(read);
+                self.mapper
+                    .map(&split.name, split.path.as_bytes(), &mut ctx)
+            }
+            InputFormat::WholeFile => ctx.read(&split.path).and_then(|data| {
+                a.mark(read);
+                self.mapper.map(&split.path, &data, &mut ctx)
+            }),
+        };
+        let _ = a.stretch(started);
+        a.mark(Phase::Map);
+        // Killed by the committing attempt, or cut at the deadline.
+        a.cancel.check()?;
+        // A late death or a torn output fails the attempt: the committer
+        // takes only a *completed* attempt, so no partial output lands.
+        a.dice(true)?;
+        mapped?;
+        let (mut emitted, _all_local) = ctx.finish();
+        let map_records = emitted.len();
+        let combiner = self
+            .reducer
+            .filter(|_| self.job.use_combiner && self.job.n_reducers > 0);
+        if let Some(reducer) = combiner {
+            // Map-side combine: fold each key's values before the shuffle.
+            let mut grouped = BTreeMap::<String, Vec<Vec<u8>>>::new();
+            for (k, v) in emitted.drain(..) {
+                grouped.entry(k).or_default().push(v);
+            }
+            for (k, vs) in grouped {
+                match reducer.reduce(&k, &vs) {
+                    Ok(combined) => emitted.push((k, combined)),
+                    // Combining is an optimization; fall back to raw records.
+                    Err(_) => emitted.extend(vs.into_iter().map(|v| (k.clone(), v))),
+                }
+            }
+        }
+        Ok((emitted, map_records))
+    }
+
+    fn commit(&self, a: &mut Attempt<'_, '_, Self>, (emitted, map_records): Self::Out) {
+        self.map_output_records.fetch_add(map_records, Relaxed);
+        self.shuffle_records.fetch_add(emitted.len(), Relaxed);
+        if self.job.n_reducers > 0 {
+            self.intermediate.lock().unwrap().extend(emitted);
+        } else {
+            // Map-only: a dead local datanode can't take the write, so it
+            // pipelines through any live one instead.
+            for (key, value) in emitted {
+                let path = format!("{}/{key}", self.job.output_dir);
+                let local = self.fs.create(&path, &value, Some(DataNodeId(a.slot.node)));
+                let created = local.or_else(|_| self.fs.create(&path, &value, None));
+                if let Err(e) = created {
+                    assert!(e.code() == "AlreadyExists", "commit of '{path}' lost: {e}");
+                }
+            }
+        }
+        // The committing attempt is the task's single terminal span.
+        a.mark(Phase::Commit);
+    }
 }
 
 #[cfg(test)]
@@ -981,6 +738,26 @@ mod tests {
             "chaos must have failed some attempts"
         );
         assert_eq!(fs.list("/out/").len(), 24);
+    }
+
+    #[test]
+    fn every_slot_killed_fails_the_tasks_left() {
+        // One node, two slots, both killed at 1 ms: each finishes at most
+        // the task in hand when the kill lands, then dies with its next
+        // one. Nothing is left to run the rest, so they must fail.
+        let (fs, paths) = make_fs(1, 8);
+        let job = MapReduceJob::map_only("dead", paths, "/out");
+        let exec = FnExecutor::new("nap", |_s, i: &[u8]| {
+            std::thread::sleep(Duration::from_millis(5));
+            Ok(i.to_vec())
+        });
+        let mapper = ExecutableMapper::new("nap", exec);
+        let schedule = FaultSchedule::new(1).kill_at(0, 0.001).kill_at(1, 0.001);
+        let ctx = RunContext::local().with_schedule(Arc::new(schedule));
+        let report = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+        assert_eq!(report.summary.tasks + report.failed.len(), 8);
+        assert!(!report.is_complete(), "failed: {:?}", report.failed);
+        assert_eq!(fs.list("/out/").len(), report.summary.tasks);
     }
 
     #[test]

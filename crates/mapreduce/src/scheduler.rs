@@ -2,12 +2,11 @@
 //! preference over the shared [`AttemptLedger`], which owns every
 //! attempt's state (retries, speculative duplicates, first-result-wins
 //! commit, and the native runtime's kill tokens and deadline cuts) with
-//! every task in its one partition. The native runtime and the simulator
-//! both drive it, so the scheduling measured is the same. Hadoop's default
-//! speculation is [`HedgeConfig::legacy_speculation`].
+//! every task in its one partition. The native runtime's slot pool and
+//! the simulator both drive it, so the scheduling measured is the same.
+//! Hadoop's default speculation is [`HedgeConfig::legacy_speculation`].
 
 use crate::input::InputSplit;
-use ppc_core::Cancel;
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{AttemptLedger, HedgeConfig};
 use std::collections::VecDeque;
@@ -62,10 +61,6 @@ impl Scheduler {
             local_assignments: 0,
             remote_assignments: 0,
         }
-    }
-
-    pub fn split(&self, index: usize) -> &InputSplit {
-        &self.splits[index]
     }
 
     pub fn n_done(&self) -> usize {
@@ -131,44 +126,27 @@ impl Scheduler {
         self.ledger.earliest_hedge_s(0)
     }
 
-    /// Arm attempt `id`, running on `worker`: its kill token.
-    pub fn arm(&mut self, id: AttemptId, worker: u32) -> Cancel {
-        self.ledger.arm(id, worker)
-    }
-
-    /// Whether `id` is still live, not yet settled or cut.
-    pub fn is_live(&self, id: AttemptId) -> bool {
-        self.ledger.is_live(id)
-    }
-
-    /// Cut the oldest armed attempt past `timeout_s` at `now_s` (fire its
-    /// token, fail it) and requeue its task as [`Scheduler::fail`] does.
-    /// Returns the worker it ran on.
-    pub fn cut_overdue(&mut self, now_s: f64, timeout_s: f64) -> Option<u32> {
-        let (id, worker, outcome) = self.ledger.cut_overdue(0, now_s, timeout_s)?;
-        self.requeue(id, outcome);
-        Some(worker)
+    /// The ledger the native slot pool settles attempts through.
+    pub fn ledger(&mut self) -> &mut AttemptLedger {
+        &mut self.ledger
     }
 
     pub fn complete_at(&mut self, id: AttemptId, now_s: f64) -> CompleteOutcome {
         self.ledger.complete_at(id, now_s)
     }
 
-    pub fn release_cancelled(&mut self, id: AttemptId) {
-        self.ledger.release_cancelled(id)
-    }
-
     /// A retried task with no attempt left live goes back in the queue.
     pub fn fail(&mut self, id: AttemptId) -> FailOutcome {
         let outcome = self.ledger.fail(id);
-        self.requeue(id, outcome)
-    }
-
-    fn requeue(&mut self, id: AttemptId, outcome: FailOutcome) -> FailOutcome {
         if outcome == FailOutcome::Retried && self.ledger.live_attempts(id.task) == 0 {
-            self.pending.push_back(id.task);
+            self.requeue(id.task);
         }
         outcome
+    }
+
+    /// Put retried `task`, with no attempt live, back in the queue.
+    pub fn requeue(&mut self, task: usize) {
+        self.pending.push_back(task);
     }
 }
 

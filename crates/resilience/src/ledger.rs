@@ -123,6 +123,15 @@ impl AttemptLedger {
         self.n_done
     }
 
+    pub fn n_tasks(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// The partition task `task` was placed in.
+    pub fn partition(&self, task: usize) -> usize {
+        self.tasks[task].partition
+    }
+
     /// All tasks resolved (done or permanently failed).
     #[inline]
     pub fn is_complete(&self) -> bool {
