@@ -1,43 +1,63 @@
 //! The event core.
 //!
-//! An [`Engine`] owns a slab of pending events (boxed `FnOnce` closures)
-//! and a binary heap of `(time, sequence, slot)` keys.
-//! [`Engine::run`] pops the earliest key and fires its event; firing may
-//! schedule further events. Two events at the same instant fire in the
-//! order they were scheduled (the `sequence` tie-break) — an explicit
-//! contract which, together with the deterministic PRNGs in
-//! `ppc-core::rng`, makes whole platform simulations reproducible bit for
-//! bit.
+//! An [`Engine`] owns a slab of pending events and a binary heap of
+//! `(time, sequence, slot)` keys. Running it pops the earliest key and
+//! fires its event; firing may schedule further events. Two events at the
+//! same instant fire in the order they were scheduled (the `sequence`
+//! tie-break) — an explicit contract which, together with the
+//! deterministic PRNGs in `ppc-core::rng`, makes whole platform
+//! simulations reproducible bit for bit.
 //!
-//! [`Engine::schedule_at`] returns a stable [`EventId`]: a generation-
-//! checked handle that supports O(1) [`Engine::cancel`] (the slab slot is
-//! freed immediately and the stale queue key is skipped when it surfaces
-//! — no scans, no heap rebuilds) and [`Engine::reschedule_at`]. This is
-//! what lets `ppc-resilience` deadline/hedge timer churn cost one slab
-//! write instead of a queue restructure.
+//! **Typed events.** `Engine<E>` stores a sim-owned event payload `E`
+//! inline in its slab: [`Engine::post_at`] schedules one, and
+//! [`Engine::run_with`] hands each fired payload to a handler the sim
+//! passes in, which may borrow the sim's state directly. The default
+//! instantiation, plain `Engine`, stores boxed closures ([`ClosureEvent`])
+//! and fires them itself: [`Engine::schedule_at`] and [`Engine::run`]. The
+//! MapReduce sim runs on `Engine<u32>` (its event is a worker slot); the
+//! Classic and serve sims run on closures.
 //!
-//! Beside the queue sits one **fixed-delay lane** ([`Engine::set_lane`]):
-//! a FIFO of closure-free `(at, seq, token)` ticks, each scheduled the
-//! same constant delay after the moment it was pushed, so FIFO order *is*
-//! `(at, seq)` order and the lane needs no priority queue. Ticks draw
-//! `seq` from the engine's one counter and [`Engine::step`] fires
+//! Scheduling returns a stable [`EventId`]: a generation-checked handle
+//! that supports O(1) [`Engine::cancel`] (the slab slot is freed
+//! immediately and the stale queue key is skipped when it surfaces — no
+//! scans, no heap rebuilds) and [`Engine::reschedule_at`]. This is what
+//! lets `ppc-resilience` deadline/hedge timer churn cost one slab write
+//! instead of a queue restructure.
+//!
+//! Beside the queue sits one **fixed-delay lane** ([`Engine::set_lane`],
+//! [`Engine::set_lane_delay`]): a FIFO of `(at, seq, token)` ticks, each
+//! scheduled the same constant delay after the moment it was pushed, so
+//! FIFO order *is* `(at, seq)` order and the lane needs no priority queue.
+//! Ticks draw `seq` from the engine's one counter and the engine fires
 //! whichever of the lane head and the queue head is smaller, so a tick is
 //! keyed, ordered and counted exactly like the `schedule_in(delay, ..)`
 //! closure it replaces. The lane's owner may declare a **quiet horizon**
 //! ([`Engine::set_quiet_horizon`]): ticks strictly before it are no-ops
 //! the engine re-arms itself (one `seq`, one push, no handler call), and
-//! [`Engine::run`] / [`Engine::run_until`] advance whole rounds of such
-//! ticks at once. This is what makes the MapReduce sim's idle-slot polls
-//! cost O(1) per scheduling decision instead of one boxed closure per
-//! poll.
+//! running advances whole rounds of such ticks at once. This is what
+//! makes the MapReduce sim's idle-slot polls cost O(1) per scheduling
+//! decision.
 
 use crate::queue::{EventEntry, QueueKind};
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-type EventFn = Box<dyn FnOnce(&mut Engine)>;
+/// A boxed `FnOnce` event: the payload of the default instantiation,
+/// [`Engine`], which fires it by calling it.
+pub struct ClosureEvent(Box<dyn FnOnce(&mut Engine)>);
+
 type LaneFn = Box<dyn FnMut(&mut Engine, u32)>;
+
+/// What fired, as [`Engine::run_with`] and [`Engine::step_with`] hand it
+/// to their handler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fired<E> {
+    /// A scheduled event's payload.
+    Event(E),
+    /// A lane tick's token.
+    Tick(u32),
+}
 
 /// One pending lane tick: fires `token` at `at`, ordered by `seq`.
 #[derive(Clone, Copy)]
@@ -48,13 +68,11 @@ struct LaneTick {
 }
 
 /// The fixed-delay lane: ticks in `(at, seq)` order, the delay they were
-/// all scheduled with, the quiet horizon, and the handler non-quiet ticks
-/// go to (taken out while it runs).
+/// all scheduled with, and the quiet horizon.
 struct Lane {
     delay: SimTime,
     ticks: VecDeque<LaneTick>,
     quiet_until: SimTime,
-    handler: Option<LaneFn>,
 }
 
 /// A stable handle to a scheduled (not yet fired) event.
@@ -71,24 +89,28 @@ pub struct EventId {
 /// One slab slot. `seq` identifies the current occupant (sequence numbers
 /// are globally unique), so queue keys carrying an older `seq` are
 /// recognized as stale tombstones; `gen` does the same for [`EventId`]s.
-struct Slot {
+struct Slot<E> {
     gen: u32,
     seq: u64,
-    f: Option<EventFn>,
+    event: Option<E>,
 }
 
-/// Single-threaded discrete-event engine over a binary-heap event queue.
-pub struct Engine {
+/// Single-threaded discrete-event engine over a binary-heap event queue,
+/// generic over its event payload `E` (boxed closures by default).
+pub struct Engine<E = ClosureEvent> {
     now: SimTime,
     seq: u64,
     fired: u64,
     cancelled: u64,
     /// Live (scheduled, not yet fired or cancelled) events.
     live: usize,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     queue: BinaryHeap<Reverse<EventEntry>>,
     lane: Lane,
+    /// The closure engine's lane handler, taken out while it runs. A typed
+    /// engine hands lane ticks to its run handler instead.
+    lane_handler: Option<LaneFn>,
 }
 
 impl Default for Engine {
@@ -97,15 +119,87 @@ impl Default for Engine {
     }
 }
 
+/// The closure engine: events are `FnOnce(&mut Engine)` closures.
 impl Engine {
     /// An empty engine. Panics if `PPC_DES_QUEUE` asks for a removed
     /// backend ([`QueueKind::from_env`]).
     pub fn new() -> Engine {
-        Engine::with_queue(QueueKind::from_env())
+        Engine::typed()
     }
 
     /// An empty engine on `kind`, which can only be the binary heap.
     pub fn with_queue(_kind: QueueKind) -> Engine {
+        Engine::empty()
+    }
+
+    /// Schedule `f` to fire at absolute time `at` (clamped to `now`).
+    /// The returned handle can be ignored, [`cancel`](Engine::cancel)led,
+    /// or [`reschedule_at`](Engine::reschedule_at)d.
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Engine) + 'static) -> EventId {
+        self.post_at(at, ClosureEvent(Box::new(f)))
+    }
+
+    /// Schedule `f` to fire `delay` after now.
+    pub fn schedule_in(
+        &mut self,
+        delay: SimTime,
+        f: impl FnOnce(&mut Engine) + 'static,
+    ) -> EventId {
+        self.schedule_at(self.now + delay, f)
+    }
+
+    /// Install the fixed-delay lane: every [`lane_push`](Engine::lane_push)
+    /// fires `handler(engine, token)` `delay` after the push, keyed and
+    /// ordered exactly like `schedule_in(delay, ..)`. Panics if `delay` is
+    /// zero or lane ticks are still pending.
+    pub fn set_lane(&mut self, delay: SimTime, handler: impl FnMut(&mut Engine, u32) + 'static) {
+        self.set_lane_delay(delay);
+        self.lane_handler = Some(Box::new(handler));
+    }
+
+    /// Fire a single event if one is pending; returns whether one fired.
+    /// A quiet lane tick counts as one event.
+    pub fn step(&mut self) -> bool {
+        self.step_with(Engine::fire_closure)
+    }
+
+    /// Run until the calendar drains; returns the final simulated time.
+    pub fn run(&mut self) -> SimTime {
+        self.run_with(Engine::fire_closure)
+    }
+
+    /// Run until the calendar drains or the clock passes `deadline`,
+    /// whichever comes first. Events scheduled after the deadline remain
+    /// pending.
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        self.run_until_with(deadline, Engine::fire_closure)
+    }
+
+    fn fire_closure(&mut self, fired: Fired<ClosureEvent>) {
+        match fired {
+            Fired::Event(ClosureEvent(f)) => f(self),
+            Fired::Tick(token) => {
+                let mut handler = self
+                    .lane_handler
+                    .take()
+                    .expect("lane tick fired with no lane handler installed");
+                handler(self, token);
+                self.lane_handler.get_or_insert(handler);
+            }
+        }
+    }
+}
+
+impl<E> Engine<E> {
+    /// An empty typed engine; its events are `E` values, fired through
+    /// [`Engine::run_with`]. Panics like [`Engine::new`].
+    pub fn typed() -> Engine<E> {
+        // Only checks the variable: the heap is the one queue.
+        QueueKind::from_env();
+        Engine::empty()
+    }
+
+    fn empty() -> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
@@ -119,8 +213,8 @@ impl Engine {
                 delay: SimTime::ZERO,
                 ticks: VecDeque::new(),
                 quiet_until: SimTime::ZERO,
-                handler: None,
             },
+            lane_handler: None,
         }
     }
 
@@ -146,12 +240,12 @@ impl Engine {
         self.live + self.lane.ticks.len()
     }
 
-    fn alloc(&mut self, seq: u64, f: EventFn) -> EventId {
+    fn alloc(&mut self, seq: u64, event: E) -> EventId {
         match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
                 slot.seq = seq;
-                slot.f = Some(f);
+                slot.event = Some(event);
                 EventId { idx, gen: slot.gen }
             }
             None => {
@@ -159,7 +253,7 @@ impl Engine {
                 self.slots.push(Slot {
                     gen: 0,
                     seq,
-                    f: Some(f),
+                    event: Some(event),
                 });
                 EventId { idx, gen: 0 }
             }
@@ -167,22 +261,25 @@ impl Engine {
     }
 
     /// Free a slot, invalidating outstanding [`EventId`]s for it.
-    fn release(&mut self, idx: u32) -> EventFn {
+    fn release(&mut self, idx: u32) -> E {
         let slot = &mut self.slots[idx as usize];
-        let f = slot.f.take().expect("releasing an empty slot");
+        let event = slot.event.take().expect("releasing an empty slot");
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(idx);
         self.live -= 1;
-        f
+        event
     }
 
-    fn schedule_boxed(&mut self, at: SimTime, f: EventFn) -> EventId {
+    /// Schedule `event` to fire at absolute time `at` (clamped to `now`).
+    /// The returned handle can be ignored, [`cancel`](Engine::cancel)led,
+    /// or [`reschedule_at`](Engine::reschedule_at)d.
+    pub fn post_at(&mut self, at: SimTime, event: E) -> EventId {
         // Scheduling in the past is a model bug; clamp to `now` so it
         // fires next and the clock stays monotonic.
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let id = self.alloc(seq, f);
+        let id = self.alloc(seq, event);
         self.queue.push(Reverse(EventEntry {
             at,
             seq,
@@ -192,33 +289,23 @@ impl Engine {
         id
     }
 
-    /// Schedule `f` to fire at absolute time `at` (clamped to `now`).
-    /// The returned handle can be ignored, [`cancel`](Engine::cancel)led,
-    /// or [`reschedule_at`](Engine::reschedule_at)d.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Engine) + 'static) -> EventId {
-        self.schedule_boxed(at, Box::new(f))
+    /// Schedule `event` to fire `delay` after now.
+    pub fn post_in(&mut self, delay: SimTime, event: E) -> EventId {
+        self.post_at(self.now + delay, event)
     }
 
-    /// Schedule `f` to fire `delay` after now.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimTime,
-        f: impl FnOnce(&mut Engine) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, f)
-    }
-
-    /// Install the fixed-delay lane: every [`lane_push`](Engine::lane_push)
-    /// fires `handler(engine, token)` `delay` after the push, keyed and
-    /// ordered exactly like `schedule_in(delay, ..)`. Panics if lane ticks
-    /// are still pending.
-    pub fn set_lane(&mut self, delay: SimTime, handler: impl FnMut(&mut Engine, u32) + 'static) {
+    /// Set the fixed-delay lane's delay: every
+    /// [`lane_push`](Engine::lane_push) fires its token `delay` after the
+    /// push, keyed and ordered exactly like an event posted `delay` ahead.
+    /// Panics if `delay` is zero (quiet ticks could then never leave the
+    /// instant they re-arm at) or lane ticks are still pending.
+    pub fn set_lane_delay(&mut self, delay: SimTime) {
+        assert!(delay > SimTime::ZERO, "set_lane with a zero delay");
         assert!(
             self.lane.ticks.is_empty(),
             "set_lane with lane ticks pending"
         );
         self.lane.delay = delay;
-        self.lane.handler = Some(Box::new(handler));
     }
 
     /// Schedule a lane tick for `token` the lane's delay after now.
@@ -245,10 +332,10 @@ impl Engine {
     pub fn is_scheduled(&self, id: EventId) -> bool {
         self.slots
             .get(id.idx as usize)
-            .is_some_and(|s| s.gen == id.gen && s.f.is_some())
+            .is_some_and(|s| s.gen == id.gen && s.event.is_some())
     }
 
-    /// Cancel a pending event in O(1): the closure is dropped and the slab
+    /// Cancel a pending event in O(1): its payload is dropped and the slab
     /// slot freed immediately; the queue key becomes an inert tombstone
     /// skipped when it surfaces (no scans). Returns whether anything was
     /// cancelled — `false` for events already fired, cancelled, or
@@ -263,15 +350,15 @@ impl Engine {
     }
 
     /// Move a pending event to absolute time `at` (clamped to `now`),
-    /// keeping its closure. The old handle goes stale; the event fires at
+    /// keeping its payload. The old handle goes stale; the event fires at
     /// the new time with a fresh sequence number (it ties *after* events
     /// already scheduled there). `None` if `id` was no longer pending.
     pub fn reschedule_at(&mut self, id: EventId, at: SimTime) -> Option<EventId> {
         if !self.is_scheduled(id) {
             return None;
         }
-        let f = self.release(id.idx);
-        Some(self.schedule_boxed(at, f))
+        let event = self.release(id.idx);
+        Some(self.post_at(at, event))
     }
 
     /// Like [`Engine::reschedule_at`], relative to now.
@@ -283,23 +370,57 @@ impl Engine {
     #[inline]
     fn key_is_live(&self, e: EventEntry) -> bool {
         let slot = &self.slots[e.idx as usize];
-        slot.seq == e.seq && slot.f.is_some()
+        slot.seq == e.seq && slot.event.is_some()
     }
 
-    /// Fire a single event if one is pending; returns whether one fired.
-    /// A quiet lane tick counts as one event.
-    pub fn step(&mut self) -> bool {
-        self.fire_next(None)
+    /// Fire a single event, handing it to `handler`, if one is pending;
+    /// returns whether one fired. A quiet lane tick counts as one event
+    /// and reaches no handler.
+    pub fn step_with(&mut self, mut handler: impl FnMut(&mut Self, Fired<E>)) -> bool {
+        self.fire_next(None, &mut handler)
+    }
+
+    /// Run until the calendar drains, handing every fired event and every
+    /// non-quiet lane tick to `handler`; returns the final simulated time.
+    pub fn run_with(&mut self, mut handler: impl FnMut(&mut Self, Fired<E>)) -> SimTime {
+        while self.fire_next(Some(SimTime(u64::MAX)), &mut handler) {}
+        self.now
+    }
+
+    /// [`Engine::run_with`] until the calendar drains or the clock passes
+    /// `deadline`, whichever comes first. Events scheduled after the
+    /// deadline remain pending.
+    pub fn run_until_with(
+        &mut self,
+        deadline: SimTime,
+        mut handler: impl FnMut(&mut Self, Fired<E>),
+    ) -> SimTime {
+        while let Some(at) = self.peek_time() {
+            if at > deadline {
+                break;
+            }
+            let batch_before = SimTime(deadline.as_micros().saturating_add(1));
+            self.fire_next(Some(batch_before), &mut handler);
+        }
+        let next = self.peek_time();
+        self.now = self.now.max(deadline.min(next.unwrap_or(deadline)));
+        self.now
     }
 
     /// Fire the next event. With `batch_before`, a quiet lane head may
     /// instead advance whole rounds of quiet ticks that all fall strictly
     /// before that time.
-    fn fire_next(&mut self, batch_before: Option<SimTime>) -> bool {
+    fn fire_next(
+        &mut self,
+        batch_before: Option<SimTime>,
+        handler: &mut impl FnMut(&mut Self, Fired<E>),
+    ) -> bool {
         if let Some(&tick) = self.lane.ticks.front() {
             let queued = self.live_queue_head();
             if queued.is_none_or(|q| (tick.at, tick.seq) < (q.at, q.seq)) {
-                self.fire_lane(tick, queued, batch_before);
+                if self.fire_lane(tick, queued, batch_before) {
+                    handler(self, Fired::Tick(tick.token));
+                }
                 return true;
             }
         }
@@ -310,30 +431,31 @@ impl Engine {
             if !self.key_is_live(e) {
                 continue; // tombstone of a cancelled/rescheduled event
             }
-            let f = self.release(e.idx);
+            let event = self.release(e.idx);
             debug_assert!(e.at >= self.now, "calendar went backwards");
             self.now = e.at;
             self.fired += 1;
-            f(self);
+            handler(self, Fired::Event(event));
             return true;
         }
     }
 
     /// Fire the lane head `tick`, which precedes the queue's live head
-    /// `queued`.
+    /// `queued`; returns whether the tick is due to the handler (it is
+    /// not quiet).
     fn fire_lane(
         &mut self,
         tick: LaneTick,
         queued: Option<EventEntry>,
         batch_before: Option<SimTime>,
-    ) {
+    ) -> bool {
         let quiet = tick.at < self.lane.quiet_until;
         if let Some(limit) = batch_before.filter(|_| quiet) {
             let bound = limit
                 .min(self.lane.quiet_until)
                 .min(queued.map_or(SimTime(u64::MAX), |q| q.at));
             if self.skip_quiet_rounds(bound) {
-                return;
+                return false;
             }
         }
         self.lane.ticks.pop_front();
@@ -342,15 +464,8 @@ impl Engine {
         if quiet {
             // What a handler that only re-polled would do.
             self.lane_push(tick.token);
-            return;
         }
-        let mut handler = self
-            .lane
-            .handler
-            .take()
-            .expect("lane tick fired with no lane handler installed");
-        handler(self, tick.token);
-        self.lane.handler.get_or_insert(handler);
+        !quiet
     }
 
     /// Fire `k ≥ 1` whole rounds of quiet lane ticks at once, the largest
@@ -378,27 +493,6 @@ impl Engine {
         self.fired += k * n;
         self.now = SimTime(last + (k - 1) * delay);
         true
-    }
-
-    /// Run until the calendar drains; returns the final simulated time.
-    pub fn run(&mut self) -> SimTime {
-        while self.fire_next(Some(SimTime(u64::MAX))) {}
-        self.now
-    }
-
-    /// Run until the calendar drains or the clock passes `deadline`,
-    /// whichever comes first. Events scheduled after the deadline remain
-    /// pending.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(at) = self.peek_time() {
-            if at > deadline {
-                break;
-            }
-            self.fire_next(Some(SimTime(deadline.as_micros().saturating_add(1))));
-        }
-        let next = self.peek_time();
-        self.now = self.now.max(deadline.min(next.unwrap_or(deadline)));
-        self.now
     }
 
     /// Time of the next pending (live) event, lane ticks included, if any.
@@ -696,6 +790,45 @@ mod tests {
         assert_eq!(e.run(), SimTime(3_000_001));
         assert_eq!(*log.borrow(), vec![(3_000_000, 7), (3_000_001, 8)]);
         assert_eq!(e.events_fired(), 1 + 2 * 1_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero delay")]
+    fn a_zero_lane_delay_is_refused() {
+        Engine::new().set_lane(SimTime::ZERO, |_, _| {});
+    }
+
+    #[test]
+    fn typed_events_reach_the_run_handler_in_order() {
+        let mut e: Engine<char> = Engine::typed();
+        e.set_lane_delay(SimTime(4));
+        e.post_at(SimTime(9), 'c');
+        let gone = e.post_at(SimTime(1), 'x');
+        e.post_at(SimTime(5), 'b');
+        let late = e.post_at(SimTime(2), 'a');
+        assert!(e.cancel(gone));
+        let late = e.reschedule_at(late, SimTime(5)).unwrap();
+        assert!(e.is_scheduled(late));
+        e.lane_push(7);
+        let mut log = Vec::new();
+        let end = e.run_with(|e, fired| {
+            log.push((e.now().as_micros(), fired));
+            if fired == Fired::Event('c') {
+                e.post_in(SimTime(1), 'd');
+            }
+        });
+        assert_eq!(
+            log,
+            [
+                (4, Fired::Tick(7)),
+                (5, Fired::Event('b')),
+                (5, Fired::Event('a')),
+                (9, Fired::Event('c')),
+                (10, Fired::Event('d')),
+            ]
+        );
+        assert_eq!(end, SimTime(10));
+        assert_eq!((e.events_fired(), e.events_cancelled()), (5, 1));
     }
 
     #[test]

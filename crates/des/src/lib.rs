@@ -10,27 +10,31 @@
 //! Design:
 //!
 //! * [`SimTime`] — integer microseconds; total order with no float drift.
-//! * [`Engine`] — an event calendar firing `FnOnce(&mut Engine)` closures
-//!   in `(time, sequence)` order off one binary heap of
-//!   [`queue::EventEntry`] keys. Events are slab-stored behind stable
-//!   [`EventId`] handles with O(1) cancellation and rescheduling. A
-//!   closure-free fixed-delay lane ([`Engine::set_lane`]) carries periodic
-//!   polls with the same keys and order, and skips whole rounds of polls
-//!   its owner declares idle ([`Engine::set_quiet_horizon`]).
+//! * [`Engine`] — an event calendar firing events in `(time, sequence)`
+//!   order off one binary heap of [`queue::EventEntry`] keys. Events are
+//!   slab-stored behind stable [`EventId`] handles with O(1) cancellation
+//!   and rescheduling. `Engine<E>` stores a sim-owned payload `E` inline
+//!   and hands each fired one to the sim's handler
+//!   ([`Engine::run_with`]); plain `Engine` stores `FnOnce(&mut Engine)`
+//!   closures and calls them. A closure-free fixed-delay lane
+//!   ([`Engine::set_lane`]) carries periodic polls with the same keys and
+//!   order, and skips whole rounds of polls its owner declares idle
+//!   ([`Engine::set_quiet_horizon`]).
 //! * [`resource::FifoServer`] — a one-server FIFO queue: the Classic sim's
 //!   per-node NIC uplink.
 //!
-//! Shared mutable model state lives in `Rc<RefCell<_>>` captured by event
-//! closures — the engine is strictly single-threaded, which is what makes
-//! determinism cheap (see *Rust Atomics and Locks* on why sharing across
-//! threads would demand much heavier machinery for zero benefit here).
+//! A typed sim's handler borrows its state directly; closure sims share
+//! theirs in `Rc<RefCell<_>>` captured by event closures. The engine is
+//! strictly single-threaded, which is what makes determinism cheap (see
+//! *Rust Atomics and Locks* on why sharing across threads would demand
+//! much heavier machinery for zero benefit here).
 
 pub mod engine;
 pub mod queue;
 pub mod resource;
 pub mod time;
 
-pub use engine::{Engine, EventId};
+pub use engine::{ClosureEvent, Engine, EventId, Fired};
 pub use queue::{EventQueue, QueueKind};
 pub use resource::FifoServer;
 pub use time::SimTime;

@@ -1,10 +1,10 @@
 //! The event queue behind the [`Engine`](crate::Engine).
 //!
-//! The engine stores event payloads (boxed closures) in a slab and pushes
-//! only light `(time, sequence, slot)` [`EventEntry`] keys into a binary
-//! heap, `BinaryHeap<Reverse<EventEntry>>`, which pops them in ascending
-//! `(time, sequence)` order: time order with insertion-order FIFO
-//! tie-breaks. That order is what keeps whole platform simulations
+//! The engine stores event payloads (typed values or boxed closures) in a
+//! slab and pushes only light `(time, sequence, slot)` [`EventEntry`] keys
+//! into a binary heap, `BinaryHeap<Reverse<EventEntry>>`, which pops them
+//! in ascending `(time, sequence)` order: time order with insertion-order
+//! FIFO tie-breaks. That order is what keeps whole platform simulations
 //! bit-for-bit reproducible; `tests/sim_fidelity.rs` at the workspace root
 //! pins sim reports to committed digests.
 //!

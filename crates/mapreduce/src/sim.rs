@@ -10,26 +10,32 @@
 //! paper's Table 3 rows: data is on local disks (no cloud-storage transfer),
 //! scheduling adds locality awareness, and fault tolerance is re-execution
 //! plus speculative duplicates rather than queue visibility timeouts.
+//!
+//! The sim runs on a typed `ppc_des::Engine<u32>` whose event is a worker
+//! slot's flat index: every slot has at most one event pending (its first
+//! tick, a benched wake, a re-poll on the engine's fixed-delay lane, or
+//! the completion of the attempt it runs), and the attempt's data sits in
+//! the sim's per-slot table, so an event allocates nothing. The run
+//! handler borrows the sim's state and the caller's task list directly;
+//! the splits it synthesizes carry only their locality hints.
 
 use crate::input::InputSplit;
 use crate::report::MapReduceReport;
-use crate::scheduler::{CompleteOutcome, Scheduler};
+use crate::scheduler::{Assignment, CompleteOutcome, Scheduler};
 use ppc_chaos::FaultSchedule;
 use ppc_compute::cluster::Cluster;
+use ppc_compute::instance::InstanceType;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
-use ppc_des::{Engine, SimTime};
+use ppc_des::{Engine, Fired, SimTime};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{Admit, HealthTracker, HedgeConfig, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Configuration of the simulated Hadoop platform.
 #[derive(Debug, Clone, Copy)]
@@ -107,39 +113,53 @@ impl HadoopSimConfig {
                 "hadoop sim config: max_attempts must be at least 1".into(),
             ));
         }
-        if self.poll_interval_s <= 0.0 {
-            return Err(PpcError::InvalidArgument(
-                "hadoop sim config: poll_interval_s must be positive".into(),
-            ));
+        // The engine's clock ticks in microseconds: a shorter interval
+        // would round to a zero lane delay.
+        if !self.poll_interval_s.is_finite() || self.poll_interval_s < 1e-6 {
+            return Err(PpcError::InvalidArgument(format!(
+                "hadoop sim config: poll_interval_s = {} must be finite and at least 1 µs",
+                self.poll_interval_s
+            )));
         }
         Ok(())
     }
 }
 
-struct SimState {
+/// An attempt in flight on a worker slot: what its completion settles.
+struct Attempt {
+    assignment: Assignment,
+    started_s: f64,
+    fails: bool,
+    killed: bool,
+    cancelled: bool,
+    t_read: f64,
+    t_write: f64,
+}
+
+/// One simulation. Its engine's event is a worker slot's flat index: each
+/// slot has at most one event pending, which is the completion of its
+/// attempt in `running` if there is one, and otherwise its first tick, a
+/// benched wake or (on the engine's lane) a re-poll.
+struct Sim<'a> {
     scheduler: Scheduler,
     /// One independent stream per worker slot.
     rngs: Vec<Pcg32>,
+    running: Vec<Option<Attempt>>,
     completed_at: Option<SimTime>,
     attempts: usize,
     deaths: usize,
     data_local: usize,
     remote_bytes: u64,
-    schedule: Option<Arc<FaultSchedule>>,
+    schedule: Option<&'a FaultSchedule>,
     task_seqs: Vec<u32>,
     last_kill: Vec<f64>,
     rec: Option<Recorder>,
     health: Option<HealthTracker>,
-}
-
-/// One simulation: the mutable state plus what every event reads.
-struct Sim {
-    state: RefCell<SimState>,
-    tasks: Vec<TaskSpec>,
+    tasks: &'a [TaskSpec],
     /// `(node, workers on that node)` of each worker slot, by flat index.
     slots: Vec<(DataNodeId, usize)>,
-    itype: ppc_compute::instance::InstanceType,
-    cfg: HadoopSimConfig,
+    itype: InstanceType,
+    cfg: &'a HadoopSimConfig,
     /// The context's policy; `None` is Hadoop's default speculation.
     resilience: Option<ResiliencePolicy>,
 }
@@ -168,13 +188,13 @@ pub(crate) fn simulate_impl(
     let mut rng = Pcg32::for_stream(seed, CLIENT_STREAM);
 
     // Synthesize HDFS locality: each input replicated on `replication`
-    // distinct pseudo-random nodes.
+    // distinct pseudo-random nodes. The sim reads no paths.
+    let want = cfg.replication.min(n_nodes);
     let splits: Vec<InputSplit> = tasks
         .iter()
         .enumerate()
         .map(|(index, t)| {
-            let mut hosts: Vec<DataNodeId> = Vec::new();
-            let want = cfg.replication.min(n_nodes);
+            let mut hosts: Vec<DataNodeId> = Vec::with_capacity(want);
             while hosts.len() < want {
                 let h = DataNodeId(rng.next_below(n_nodes as u32) as usize);
                 if !hosts.contains(&h) {
@@ -183,8 +203,8 @@ pub(crate) fn simulate_impl(
             }
             InputSplit {
                 index,
-                path: t.input_key.clone(),
-                name: t.input_key.clone(),
+                path: String::new(),
+                name: String::new(),
                 len: t.profile.input_bytes,
                 hosts,
             }
@@ -196,17 +216,18 @@ pub(crate) fn simulate_impl(
         Some(p) => p.hedge,
         None => Some(HedgeConfig::legacy_speculation()),
     };
-    let state = RefCell::new(SimState {
+    let mut sim = Sim {
         scheduler: Scheduler::with_policy(splits, hedge, cfg.max_attempts),
         rngs: (0..total_workers)
             .map(|w| Pcg32::for_stream(seed, w as u64))
             .collect(),
+        running: (0..total_workers).map(|_| None).collect(),
         completed_at: None,
         attempts: 0,
         deaths: 0,
         data_local: 0,
         remote_bytes: 0,
-        schedule: ctx.schedule.clone(),
+        schedule: ctx.schedule.as_deref(),
         task_seqs: vec![0; total_workers],
         last_kill: vec![0.0; total_workers],
         rec: ctx.trace.then(Recorder::new),
@@ -214,49 +235,41 @@ pub(crate) fn simulate_impl(
             .resilience
             .and_then(|p| p.quarantine)
             .map(HealthTracker::new),
-    });
-    let sim = Rc::new(Sim {
-        state,
-        tasks: tasks.to_vec(),
+        tasks,
         slots: cluster
             .nodes()
             .iter()
             .flat_map(|node| (0..node.workers).map(|_| (DataNodeId(node.id), node.workers)))
             .collect(),
         itype: cluster.itype(),
-        cfg: *cfg,
+        cfg,
         resilience: ctx.resilience,
-    });
+    };
 
     // Idle slots re-poll the master on the engine's fixed-delay lane; the
     // quiet horizon (kept by `sync_quiet_horizon`) lets the engine skip
     // polls that would find no work.
-    let mut engine = Engine::new();
-    let poller = sim.clone();
-    engine.set_lane(
-        SimTime::from_secs_f64(cfg.poll_interval_s),
-        move |e, worker| worker_tick(e, &poller, worker as usize),
-    );
+    let mut engine = Engine::typed();
+    engine.set_lane_delay(SimTime::from_secs_f64(cfg.poll_interval_s));
     for worker in 0..sim.slots.len() {
-        let sim = sim.clone();
-        engine.schedule_at(SimTime::ZERO, move |e| worker_tick(e, &sim, worker));
+        engine.post_at(SimTime::ZERO, worker as u32);
     }
+    engine.run_with(|e, fired| match fired {
+        Fired::Event(worker) | Fired::Tick(worker) => sim.slot_event(e, worker as usize),
+    });
 
-    let _end = engine.run();
-    let tasks = &sim.tasks;
-    let st = sim.state.borrow();
-    let makespan = st.completed_at.unwrap_or(SimTime::ZERO).as_secs_f64();
-    let stats = st.scheduler.stats();
+    let makespan = sim.completed_at.unwrap_or(SimTime::ZERO).as_secs_f64();
+    let stats = sim.scheduler.stats();
 
     let platform = format!("hadoop-sim-{}", cluster.itype().name);
     // The trace's meta carries the *same* f64 makespan and core count as
     // the summary, so efficiency recomputed from the job span matches the
     // report's exactly.
-    let trace = st.rec.as_ref().and_then(|rec| {
+    let trace = sim.rec.as_ref().and_then(|rec| {
         rec.set_meta(RunMeta {
             platform: platform.clone(),
             cores: cluster.total_workers(),
-            tasks: st.scheduler.n_done(),
+            tasks: sim.scheduler.n_done(),
             makespan_seconds: makespan,
         });
         rec.span(Span::job(makespan));
@@ -268,31 +281,31 @@ pub(crate) fn simulate_impl(
             summary: RunSummary {
                 platform,
                 cores: cluster.total_workers(),
-                tasks: st.scheduler.n_done(),
+                tasks: sim.scheduler.n_done(),
                 makespan_seconds: makespan,
                 redundant_executions: stats.duplicate_completions as usize,
-                remote_bytes: st.remote_bytes,
+                remote_bytes: sim.remote_bytes,
             },
-            failed: st
+            failed: sim
                 .scheduler
                 .failed_tasks()
                 .iter()
                 .map(|&i| tasks[i].id)
                 .collect(),
-            total_attempts: st.attempts,
-            worker_deaths: st.deaths,
+            total_attempts: sim.attempts,
+            worker_deaths: sim.deaths,
             cost: Some(cluster.cost(makespan)),
             trace,
         },
         scheduler: stats,
-        data_local_tasks: st.data_local,
+        data_local_tasks: sim.data_local,
         map_output_records: 0,
         shuffle_records: 0,
     }
 }
 
 /// Lane polls strictly before the returned instant would find no work, so
-/// the engine may re-arm them without calling [`worker_tick`]. A poll
+/// the engine may re-arm them without calling [`Sim::worker_tick`]. A poll
 /// changes nothing unless it gets an assignment or finds the job complete
 /// (which ends its chain); a polling worker has passed the health gate and
 /// its health only moves on its own completions. So the horizon is `now`
@@ -300,12 +313,12 @@ pub(crate) fn simulate_impl(
 /// [`Scheduler::earliest_assign_s`] (never, if `None`), less a margin that
 /// keeps float rounding from skipping the first productive poll. Called
 /// after every scheduler mutation.
-fn sync_quiet_horizon(engine: &mut Engine, st: &SimState) {
+fn sync_quiet_horizon(engine: &mut Engine<u32>, scheduler: &Scheduler) {
     let now = engine.now();
-    let horizon = if st.scheduler.is_complete() {
+    let horizon = if scheduler.is_complete() {
         now
     } else {
-        match st.scheduler.earliest_assign_s(now.as_secs_f64()) {
+        match scheduler.earliest_assign_s(now.as_secs_f64()) {
             // `as` saturates (and floors): relative and absolute margins
             // put every earlier microsecond clear of `age >= delay`.
             Some(t) => SimTime::from_micros((((t * 1e6) * (1.0 - 1e-9)) as u64).saturating_sub(2)),
@@ -315,81 +328,66 @@ fn sync_quiet_horizon(engine: &mut Engine, st: &SimState) {
     engine.set_quiet_horizon(horizon);
 }
 
-fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
-    let Sim {
-        state,
-        tasks,
-        slots,
-        itype,
-        cfg,
-        resilience,
-    } = &**sim;
-    let (node, workers_on_node) = slots[worker];
-    let now_s = engine.now().as_secs_f64();
-    // Health gate: a benched worker sleeps until its release time instead
-    // of taking work; an expired bench releases (to probation) here.
-    let admit = {
-        let mut st = state.borrow_mut();
-        if st.scheduler.is_complete() {
+impl Sim<'_> {
+    /// Worker slot `worker`'s one pending event fired: settle its attempt,
+    /// if it was running one, then let it ask for work.
+    fn slot_event(&mut self, engine: &mut Engine<u32>, worker: usize) {
+        if let Some(attempt) = self.running[worker].take() {
+            self.settle(engine, worker, attempt);
+        }
+        self.worker_tick(engine, worker);
+    }
+
+    fn worker_tick(&mut self, engine: &mut Engine<u32>, worker: usize) {
+        let (node, workers_on_node) = self.slots[worker];
+        let cfg = self.cfg;
+        let now_s = engine.now().as_secs_f64();
+        if self.scheduler.is_complete() {
             return; // cluster drains
         }
-        let SimState { health, rec, .. } = &mut *st;
-        health.as_mut().map_or(Admit::Go, |h| {
-            h.admit(worker as u32, now_s, &HealthTrace(rec.as_ref()))
-        })
-    };
-    if let Admit::Benched { until_s } = admit {
-        let sim = sim.clone();
-        let wake = (until_s - now_s).max(cfg.poll_interval_s);
-        engine.schedule_in(SimTime::from_secs_f64(wake), move |e| {
-            worker_tick(e, &sim, worker);
+        // Health gate: a benched worker sleeps until its release time
+        // instead of taking work; an expired bench releases (to
+        // probation) here.
+        let admit = self.health.as_mut().map_or(Admit::Go, |h| {
+            h.admit(worker as u32, now_s, &HealthTrace(self.rec.as_ref()))
         });
-        return;
-    }
-    let assignment = {
-        let mut st = state.borrow_mut();
+        if let Admit::Benched { until_s } = admit {
+            let wake = (until_s - now_s).max(cfg.poll_interval_s);
+            engine.post_in(SimTime::from_secs_f64(wake), worker as u32);
+            return;
+        }
         // Locality-blind ablation: ask as a node that matches no replica.
         let asking = if cfg.ignore_locality {
             DataNodeId(usize::MAX)
         } else {
             node
         };
-        st.scheduler.next_at(asking, now_s)
-    };
-
-    let assignment = match assignment {
-        Some(a) => a,
-        None => {
+        let Some(assignment) = self.scheduler.next_at(asking, now_s) else {
             // With no failure injection, no chaos, and no resilience
             // policy (whose hedge delays and deadline cancels can put
             // work back on the queue later), a retry can never repopulate
             // the queue, so an idle worker can retire instead of polling.
-            if cfg.attempt_failure_p <= 0.0
-                && state.borrow().schedule.is_none()
-                && resilience.is_none()
+            if cfg.attempt_failure_p <= 0.0 && self.schedule.is_none() && self.resilience.is_none()
             {
                 return;
             }
             // Re-poll later (a retry may repopulate the queue).
             engine.lane_push(worker as u32);
             return;
+        };
+        sync_quiet_horizon(engine, &self.scheduler);
+        if assignment.speculative && self.resilience.is_some() {
+            if let Some(rec) = &self.rec {
+                rec.event(TraceEvent {
+                    at_s: now_s,
+                    worker: worker as u32,
+                    kind: EventKind::Hedge,
+                });
+            }
         }
-    };
-    sync_quiet_horizon(engine, &state.borrow());
-    if assignment.speculative && resilience.is_some() {
-        if let Some(rec) = &state.borrow().rec {
-            rec.event(TraceEvent {
-                at_s: now_s,
-                worker: worker as u32,
-                kind: EventKind::Hedge,
-            });
-        }
-    }
 
-    let (duration_s, fails, killed, cancelled, t_read, t_write) = {
-        let mut st = state.borrow_mut();
-        st.attempts += 1;
-        let task = &tasks[assignment.split];
+        self.attempts += 1;
+        let task = &self.tasks[assignment.split];
         let read_model = if assignment.local {
             cfg.local_read
         } else {
@@ -397,28 +395,28 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         };
         let mut t_read = read_model.transfer_seconds(task.profile.input_bytes);
         if assignment.local {
-            st.data_local += 1;
+            self.data_local += 1;
         } else {
-            st.remote_bytes += task.profile.input_bytes;
+            self.remote_bytes += task.profile.input_bytes;
         }
-        let mut t_exec_base = task_service_seconds(itype, workers_on_node, &task.profile, &cfg.app);
+        let mut t_exec_base =
+            task_service_seconds(&self.itype, workers_on_node, &task.profile, &cfg.app);
+        let rng = &mut self.rngs[worker];
         let jitter = if cfg.jitter_sigma > 0.0 {
-            st.rngs[worker].log_normal(0.0, cfg.jitter_sigma)
+            rng.log_normal(0.0, cfg.jitter_sigma)
         } else {
             1.0
         };
-        let straggle = if cfg.straggler_p > 0.0 && st.rngs[worker].chance(cfg.straggler_p) {
+        let straggle = if cfg.straggler_p > 0.0 && rng.chance(cfg.straggler_p) {
             cfg.straggler_factor
         } else {
             1.0
         };
         let t_write = cfg.local_read.transfer_seconds(task.profile.output_bytes);
-        let mut fails =
-            cfg.attempt_failure_p > 0.0 && st.rngs[worker].chance(cfg.attempt_failure_p);
-        let schedule = st.schedule.clone();
-        let seq = st.task_seqs[worker];
-        if let Some(schedule) = &schedule {
-            st.task_seqs[worker] += 1;
+        let mut fails = cfg.attempt_failure_p > 0.0 && rng.chance(cfg.attempt_failure_p);
+        let seq = self.task_seqs[worker];
+        if let Some(schedule) = self.schedule {
+            self.task_seqs[worker] += 1;
             // Gray degradation stretches the attempt; an HDFS outage
             // window stalls the read until the window closes (the
             // client rides it out rather than burning attempts).
@@ -432,7 +430,8 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         // Per-task deadline: an attempt that cannot finish inside the
         // timeout is cancelled at the deadline and the task requeued
         // (the cancel burns one unit of the task's attempt budget).
-        let cut = resilience
+        let cut = self
+            .resilience
             .and_then(|p| p.deadline)
             .filter(|d| duration_s > d.timeout_s);
         if let Some(d) = cut {
@@ -440,107 +439,114 @@ fn worker_tick(engine: &mut Engine, sim: &Rc<Sim>, worker: usize) {
         }
         let mut killed = false;
         let mut died = false;
-        if let Some(schedule) = schedule {
+        if let Some(schedule) = self.schedule {
             // A kill landing anywhere in the attempt's service window (cut
             // at the deadline), any death die, or a torn output fails the
             // attempt; the scheduler re-executes on the attempt budget.
             let w = worker as u32;
             let window_end = now_s + duration_s;
-            killed = schedule.kills_in(w, st.last_kill[worker], window_end);
-            st.last_kill[worker] = window_end;
+            killed = schedule.kills_in(w, self.last_kill[worker], window_end);
+            self.last_kill[worker] = window_end;
             died = killed
                 || schedule.die_before_execute(w, seq)
                 || schedule.die_mid_execute(w, seq)
                 || schedule.die_before_delete(w, seq);
             if died {
-                st.deaths += 1;
+                self.deaths += 1;
             }
             fails = fails || died || schedule.is_torn_upload(w, seq);
         }
         // A death outranks the cut.
         let cancelled = cut.is_some() && !died;
-        (
-            duration_s,
-            fails || cancelled,
+        engine.post_in(SimTime::from_secs_f64(duration_s), worker as u32);
+        self.running[worker] = Some(Attempt {
+            assignment,
+            started_s: now_s,
+            fails: fails || cancelled,
             killed,
             cancelled,
             t_read,
             t_write,
-        )
-    };
+        });
+    }
 
-    let sim = sim.clone();
-    engine.schedule_in(SimTime::from_secs_f64(duration_s), move |e| {
-        let end = e.now().as_secs_f64();
-        {
-            let Sim {
-                state, tasks, cfg, ..
-            } = &*sim;
-            let mut st = state.borrow_mut();
-            let terminal = if fails {
-                st.scheduler.fail(assignment.id);
-                false
-            } else {
-                st.scheduler.complete_at(assignment.id, end) == CompleteOutcome::First
-            };
-            // Health scoring: successes feed the EWMA, failures the
-            // streak; either can bench this worker as gray.
-            let SimState { health, rec, .. } = &mut *st;
-            if let Some(h) = health {
-                let latency_s = (!fails).then_some(end - now_s);
-                h.record(worker as u32, latency_s, end, &HealthTrace(rec.as_ref()));
-            }
-            if let Some(rec) = &st.rec {
-                // Phase boundaries, clamped so engine-clock quantization
-                // can never produce a negative-length span. Commit is
-                // recorded only for the attempt that actually finished the
-                // task, so each completed task has exactly one terminal
-                // span; duplicate and failed attempts fold the tail into
-                // the map phase.
-                let task_id = tasks[assignment.split].id.0;
-                let w = worker as u32;
-                let a = assignment.id.attempt;
-                let d1 = (now_s + cfg.dispatch_overhead_s).min(end);
-                let d2 = (d1 + t_read).min(end);
-                let d3 = if terminal {
-                    (end - t_write).max(d2)
-                } else {
-                    end
-                };
-                let read_phase = if assignment.local {
-                    Phase::ReadLocal
-                } else {
-                    Phase::ReadRemote
-                };
-                rec.span(Span::new(task_id, a, w, Phase::Dispatch, now_s, d1));
-                rec.span(Span::new(task_id, a, w, read_phase, d1, d2));
-                rec.span(Span::new(task_id, a, w, Phase::Map, d2, d3));
-                if terminal {
-                    rec.span(Span::new(task_id, a, w, Phase::Commit, d3, end));
-                }
-                rec.span(Span::new(task_id, a, w, Phase::Attempt, now_s, end));
-                if killed {
-                    rec.event(TraceEvent {
-                        at_s: end,
-                        worker: w,
-                        kind: EventKind::Death,
-                    });
-                }
-                if cancelled {
-                    rec.event(TraceEvent {
-                        at_s: end,
-                        worker: w,
-                        kind: EventKind::Cancel,
-                    });
-                }
-            }
-            if st.scheduler.is_complete() && st.completed_at.is_none() {
-                st.completed_at = Some(e.now());
-            }
-            sync_quiet_horizon(e, &st);
+    /// Settle `worker`'s finished attempt at the engine's now.
+    fn settle(&mut self, engine: &mut Engine<u32>, worker: usize, attempt: Attempt) {
+        let Attempt {
+            assignment,
+            started_s: now_s,
+            fails,
+            killed,
+            cancelled,
+            t_read,
+            t_write,
+        } = attempt;
+        let end = engine.now().as_secs_f64();
+        let terminal = if fails {
+            self.scheduler.fail(assignment.id);
+            false
+        } else {
+            self.scheduler.complete_at(assignment.id, end) == CompleteOutcome::First
+        };
+        // Health scoring: successes feed the EWMA, failures the streak;
+        // either can bench this worker as gray.
+        if let Some(h) = &mut self.health {
+            let latency_s = (!fails).then_some(end - now_s);
+            h.record(
+                worker as u32,
+                latency_s,
+                end,
+                &HealthTrace(self.rec.as_ref()),
+            );
         }
-        worker_tick(e, &sim, worker);
-    });
+        if let Some(rec) = &self.rec {
+            // Phase boundaries, clamped so engine-clock quantization can
+            // never produce a negative-length span. Commit is recorded only
+            // for the attempt that actually finished the task, so each
+            // completed task has exactly one terminal span; duplicate and
+            // failed attempts fold the tail into the map phase.
+            let task_id = self.tasks[assignment.split].id.0;
+            let w = worker as u32;
+            let a = assignment.id.attempt;
+            let d1 = (now_s + self.cfg.dispatch_overhead_s).min(end);
+            let d2 = (d1 + t_read).min(end);
+            let d3 = if terminal {
+                (end - t_write).max(d2)
+            } else {
+                end
+            };
+            let read_phase = if assignment.local {
+                Phase::ReadLocal
+            } else {
+                Phase::ReadRemote
+            };
+            rec.span(Span::new(task_id, a, w, Phase::Dispatch, now_s, d1));
+            rec.span(Span::new(task_id, a, w, read_phase, d1, d2));
+            rec.span(Span::new(task_id, a, w, Phase::Map, d2, d3));
+            if terminal {
+                rec.span(Span::new(task_id, a, w, Phase::Commit, d3, end));
+            }
+            rec.span(Span::new(task_id, a, w, Phase::Attempt, now_s, end));
+            if killed {
+                rec.event(TraceEvent {
+                    at_s: end,
+                    worker: w,
+                    kind: EventKind::Death,
+                });
+            }
+            if cancelled {
+                rec.event(TraceEvent {
+                    at_s: end,
+                    worker: w,
+                    kind: EventKind::Cancel,
+                });
+            }
+        }
+        if self.scheduler.is_complete() && self.completed_at.is_none() {
+            self.completed_at = Some(engine.now());
+        }
+        sync_quiet_horizon(engine, &self.scheduler);
+    }
 }
 
 #[cfg(test)]
@@ -549,6 +555,7 @@ mod tests {
     use ppc_compute::instance::{BARE_CAP3, EC2_HCXL};
     use ppc_core::task::ResourceProfile;
     use ppc_exec::RunContext;
+    use std::sync::Arc;
 
     fn cpu_tasks(n: u64, secs: f64) -> Vec<TaskSpec> {
         (0..n)
@@ -776,6 +783,44 @@ mod tests {
             .expect("the simulation did not return within 10 s");
         assert_eq!(failed, 1);
         assert_eq!(attempts, 4, "two launches and two hedges");
+    }
+
+    #[test]
+    fn sub_microsecond_or_nan_poll_interval_is_rejected() {
+        // Such an interval rounds to a 0-µs lane delay, so an idle slot
+        // under a resilience policy re-polled at one instant forever. On
+        // a helper thread, so a regression fails here instead of hanging.
+        for poll_interval_s in [1e-9, f64::NAN] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let sim = std::thread::spawn(move || {
+                let cluster = Cluster::provision(EC2_HCXL, 1, 4);
+                let cfg = HadoopSimConfig {
+                    poll_interval_s,
+                    ..HadoopSimConfig::default()
+                };
+                let ctx = RunContext::new(&cluster)
+                    .with_resilience(ResiliencePolicy::default().with_deadline(60.0));
+                crate::simulate(&ctx, &cpu_tasks(2, 10.0), &cfg);
+                let _ = tx.send(());
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+                Ok(()) => panic!("poll_interval_s = {poll_interval_s} was accepted"),
+                Err(_) => panic!("poll_interval_s = {poll_interval_s}: no return within 10 s"),
+            }
+            let err = sim.join().expect_err("the simulation panicked");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("poll_interval_s"), "{msg}");
+        }
+        for (poll_interval_s, ok) in [(1e-6, true), (0.5, true), (f64::INFINITY, false)] {
+            let cfg = HadoopSimConfig {
+                poll_interval_s,
+                ..HadoopSimConfig::default()
+            };
+            assert_eq!(cfg.validate().is_ok(), ok, "{poll_interval_s}");
+        }
     }
 
     #[test]

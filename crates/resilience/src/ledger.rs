@@ -12,7 +12,8 @@
 
 use crate::{HedgeConfig, HedgePolicy};
 use ppc_core::Cancel;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifies one attempt of one task (task index, attempt ordinal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,6 +64,19 @@ struct TaskState {
     /// Ordinal and launch time of up to two live attempts; any more live
     /// at once spill to [`AttemptLedger::spill`].
     live: [Option<(u32, f64)>; 2],
+    /// Whether the partition's candidate heap holds this task's key for
+    /// the current `started_seq`.
+    indexed: bool,
+}
+
+impl TaskState {
+    /// Whether the task may be hedged: running, below the live-attempt
+    /// cap, with failure budget left.
+    fn is_candidate(&self, max_live_attempts: u32, max_attempts: u32) -> bool {
+        self.phase == TaskPhase::Running
+            && self.live_attempts < max_live_attempts
+            && self.failures < max_attempts
+    }
 }
 
 /// The attempt state of one job's tasks. See the module docs.
@@ -79,11 +93,14 @@ pub struct AttemptLedger {
     spill: Vec<(AttemptId, f64)>,
     /// Kill token and worker of each armed live attempt.
     armed: Vec<(AttemptId, Cancel, u32)>,
-    /// Each partition's hedge candidates when hedging is on: `(started_seq,
-    /// task)` of every `Running` task below the live-attempt cap with
-    /// budget left. Launch clocks are monotone, so a partition's first
-    /// entry is its oldest and the only one a hedge decision needs.
-    candidates: Vec<BTreeSet<(u64, usize)>>,
+    /// Each partition's hedge candidates when hedging is on: a min-heap of
+    /// `(started_seq, task)` keys holding every task that
+    /// [`is_candidate`](TaskState::is_candidate), plus stale keys of tasks
+    /// that no longer are, pruned lazily. [`AttemptLedger::reindex`] keeps
+    /// the head a live candidate. Launch clocks are monotone, so the head
+    /// is the partition's oldest candidate, the only one a hedge decision
+    /// needs.
+    candidates: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
     last_started_at_s: f64,
 }
 
@@ -114,7 +131,7 @@ impl AttemptLedger {
             duplicate_completions: 0,
             spill: Vec::new(),
             armed: Vec::new(),
-            candidates: vec![BTreeSet::new(); n_partitions],
+            candidates: vec![BinaryHeap::new(); n_partitions],
             last_started_at_s: f64::NEG_INFINITY,
         }
     }
@@ -184,6 +201,7 @@ impl AttemptLedger {
         t.phase = TaskPhase::Running;
         t.started_seq = self.seq;
         t.started_at_s = now_s;
+        t.indexed = false;
         self.launch_attempt(task, now_s)
     }
 
@@ -277,7 +295,7 @@ impl AttemptLedger {
     }
 
     fn first_candidate(&self, partition: usize) -> Option<usize> {
-        let &(_, task) = self.candidates.get(partition)?.first()?;
+        let &Reverse((_, task)) = self.candidates.get(partition)?.peek()?;
         Some(task)
     }
 
@@ -318,22 +336,34 @@ impl AttemptLedger {
         started
     }
 
-    /// Bring `task`'s candidate entry in line with its state (its key only
-    /// changes while `Pending`, never indexed).
+    /// Bring the candidate heap of `task`'s partition in line with the
+    /// task's new state, in amortized O(log n) with no per-call
+    /// allocation: push the task's key if it has become a candidate and
+    /// its key is not in the heap, then pop stale keys off the head until
+    /// the head is a candidate. Only `task` changed, so every other key
+    /// kept its standing; a key's `started_seq` only changes on
+    /// [`launch`](AttemptLedger::launch), which unindexes the task.
     fn reindex(&mut self, task: usize) {
         let Some(policy) = &self.hedge else {
             return;
         };
-        let t = &self.tasks[task];
-        let key = (t.started_seq, task);
-        let candidates = &mut self.candidates[t.partition];
-        if t.phase == TaskPhase::Running
-            && t.live_attempts < policy.config().max_live_attempts
-            && t.failures < self.max_attempts
-        {
-            candidates.insert(key);
-        } else {
-            candidates.remove(&key);
+        let (cap, max_attempts) = (policy.config().max_live_attempts, self.max_attempts);
+        let t = &mut self.tasks[task];
+        let heap = &mut self.candidates[t.partition];
+        if !t.indexed && t.is_candidate(cap, max_attempts) {
+            heap.push(Reverse((t.started_seq, task)));
+            t.indexed = true;
+        }
+        while let Some(&Reverse((seq, head))) = heap.peek() {
+            let h = &mut self.tasks[head];
+            let current = h.started_seq == seq;
+            if current && h.is_candidate(cap, max_attempts) {
+                break;
+            }
+            if current {
+                h.indexed = false;
+            }
+            heap.pop();
         }
     }
 
@@ -445,16 +475,16 @@ mod tests {
         let b_token = l.arm(b, 1);
         let dup = l.launch_hedge(0, 0.0).unwrap();
         assert_eq!(dup.task, a.task);
-        // Two live attempts: `a`'s task left the hedge-candidate index.
+        // Two live attempts: `a`'s task is no hedge candidate.
         assert_eq!(l.live_attempts(a.task), 2);
-        assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
+        assert_eq!(l.first_candidate(0), Some(b.task));
         assert_eq!(l.complete_at(dup, 0.0), CompleteOutcome::First);
         assert!(a_token.is_cancelled(), "the commit kills the loser");
         assert!(!b_token.is_cancelled(), "and only its task's attempts");
         l.release_cancelled(a);
         assert_eq!(l.live_attempts(a.task), 0);
         assert!(!l.is_live(a));
-        assert!(!l.candidates[0].iter().any(|&(_, t)| t == a.task));
+        assert_eq!(l.first_candidate(0), Some(b.task));
         assert_eq!(
             l.duplicate_completions(),
             1,
@@ -728,11 +758,14 @@ mod tests {
         }
     }
 
+    /// Programs run long enough, over enough tasks, that tasks leave the
+    /// candidate set and rejoin it both with their heap key still buried
+    /// (re-validated in place) and after it was pruned (pushed again).
     #[test]
     fn ledger_matches_scan_reference_model() {
         for seed in 0..300u64 {
             let mut rng = Pcg32::new(0x5CA7 ^ (seed << 8));
-            let n_tasks = 1 + rng.next_below(12) as usize;
+            let n_tasks = 1 + rng.next_below(24) as usize;
             let n_parts = 1 + rng.next_below(3);
             let partitions: Vec<usize> = (0..n_tasks)
                 .map(|_| rng.next_below(n_parts) as usize)
@@ -767,7 +800,7 @@ mod tests {
                 duplicates: 0,
             };
             let mut now = 0.0;
-            for step in 0..300 {
+            for step in 0..1_000 {
                 let ctx = format!("seed {seed} step {step}");
                 now += f64::from(rng.next_below(4)) * 0.5;
                 let p = rng.next_below(n_parts) as usize;

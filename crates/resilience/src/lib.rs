@@ -32,6 +32,8 @@
 //! "speculation off".
 
 use ppc_core::{PpcError, Result};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 mod ledger;
 pub use ledger::{AttemptId, AttemptLedger, CompleteOutcome, FailOutcome};
@@ -126,27 +128,64 @@ impl HedgeConfig {
 /// job, shared by whatever dispatches attempts in that paradigm.
 ///
 /// Every dispatcher asks for the delay on each hedge decision, so it is
-/// kept current on [`observe`](HedgePolicy::observe) instead: latencies
-/// stay sorted (binary-search insertion) and the delay is cached, making
+/// kept current on [`observe`](HedgePolicy::observe) instead, making
 /// [`hedge_delay`](HedgePolicy::hedge_delay) and
-/// [`should_hedge`](HedgePolicy::should_hedge) O(1).
+/// [`should_hedge`](HedgePolicy::should_hedge) O(1). The quantile is the
+/// exact order statistic at index `clamp(ceil(q·n), 1, n) − 1`, kept in
+/// two heaps split at it: a max-heap of the `k` smallest observations,
+/// whose top it is, and a min-heap of the rest. `k` grows by at most one
+/// per observation, so `observe` is O(log n).
 #[derive(Debug, Clone)]
 pub struct HedgePolicy {
     cfg: HedgeConfig,
-    /// First-attempt completion latencies observed so far, seconds,
-    /// ascending; equal values keep their arrival order, exactly as a
-    /// stable sort of the arrival sequence would place them.
-    latencies: Vec<f64>,
-    /// `hedge_delay()` for the current `latencies`.
+    /// The `k` smallest observations; the top is the quantile.
+    low: BinaryHeap<Latency>,
+    /// The other observations.
+    high: BinaryHeap<Reverse<Latency>>,
+    /// `hedge_delay()` for the observations so far.
     delay_s: f64,
     hedges_launched: usize,
 }
+
+/// One observed completion latency, seconds, with its arrival ordinal.
+/// Ordered by value, equal values (`-0.0` and `0.0` included) by arrival,
+/// exactly as a stable sort of the arrival sequence would place them.
+#[derive(Debug, Clone, Copy)]
+struct Latency {
+    seconds: f64,
+    arrival: u64,
+}
+
+impl Ord for Latency {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Observations are finite, so `partial_cmp` is total here.
+        self.seconds
+            .partial_cmp(&other.seconds)
+            .unwrap_or(Ordering::Equal)
+            .then(self.arrival.cmp(&other.arrival))
+    }
+}
+
+impl PartialOrd for Latency {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Latency {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Latency {}
 
 impl HedgePolicy {
     pub fn new(cfg: HedgeConfig) -> HedgePolicy {
         HedgePolicy {
             cfg,
-            latencies: Vec::new(),
+            low: BinaryHeap::new(),
+            high: BinaryHeap::new(),
             delay_s: cfg.min_delay_s,
             hedges_launched: 0,
         }
@@ -158,20 +197,36 @@ impl HedgePolicy {
 
     /// Feed one completed attempt's latency into the quantile estimate.
     pub fn observe(&mut self, latency_s: f64) {
-        if latency_s.is_finite() && latency_s >= 0.0 {
-            let at = self.latencies.partition_point(|&x| x <= latency_s);
-            self.latencies.insert(at, latency_s);
-            self.delay_s = self.compute_delay();
+        if !(latency_s.is_finite() && latency_s >= 0.0) {
+            return;
         }
-    }
-
-    fn compute_delay(&self) -> f64 {
-        let n = self.latencies.len();
-        if n < self.cfg.min_observations || n == 0 {
-            return self.cfg.min_delay_s;
+        let n = self.low.len() + self.high.len();
+        let sample = Latency {
+            seconds: latency_s,
+            arrival: n as u64,
+        };
+        // The newest arrival sorts after every equal value.
+        if self.low.peek().is_some_and(|top| sample < *top) {
+            self.low.push(sample);
+        } else {
+            self.high.push(Reverse(sample));
         }
-        let idx = ((self.cfg.quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
-        (self.latencies[idx] * self.cfg.factor).max(self.cfg.min_delay_s)
+        let n = n + 1;
+        let k = ((self.cfg.quantile * n as f64).ceil() as usize).clamp(1, n);
+        while self.low.len() > k {
+            let top = self.low.pop().expect("low holds more than k");
+            self.high.push(Reverse(top));
+        }
+        while self.low.len() < k {
+            let Reverse(least) = self.high.pop().expect("n >= k");
+            self.low.push(least);
+        }
+        let quantile = self.low.peek().expect("k >= 1").seconds;
+        self.delay_s = if n < self.cfg.min_observations {
+            self.cfg.min_delay_s
+        } else {
+            (quantile * self.cfg.factor).max(self.cfg.min_delay_s)
+        };
     }
 
     /// The delay past which a running task becomes a hedge candidate:
@@ -651,7 +706,10 @@ mod tests {
             };
             let mut p = HedgePolicy::new(cfg);
             let mut arrivals = Vec::new();
-            for _ in 0..rng.next_below(120) {
+            // Every fortieth sequence runs long enough for the two quantile
+            // heaps to rebalance at realistic sizes.
+            let len = rng.next_below(if seed % 40 == 0 { 2_000 } else { 120 });
+            for _ in 0..len {
                 // Coarse values so ties are common; signed zeros, negatives
                 // and non-finite values exercise the filter.
                 let v = match rng.next_below(12) {

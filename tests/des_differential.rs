@@ -9,9 +9,10 @@
 //! 2. **Engine traces** — randomized schedule/cancel/reschedule programs
 //!    replayed through [`Engine`] fire the same events at the same
 //!    virtual times in the same order, with the same counters, as the
-//!    model's replay; and ticks routed through the engine's fixed-delay
+//!    model's replay; ticks routed through the engine's fixed-delay
 //!    lane are indistinguishable from the self-re-arming closures they
-//!    replace.
+//!    replace; and a typed engine fires the same programs in the same
+//!    `(at, seq)` order as the closure engine.
 //! 3. **Whole-platform sims** — each paradigm simulator's full report
 //!    JSON, under the hostile chaos schedule and hedging policy CI sweeps
 //!    elsewhere, matches a digest generated while the timing wheel and
@@ -23,7 +24,7 @@ use ppc::compute::instance::{BARE_CAP3, EC2_HCXL};
 use ppc::core::rng::Pcg32;
 use ppc::core::task::{ResourceProfile, TaskSpec};
 use ppc::des::queue::EventEntry;
-use ppc::des::{Engine, EventId, QueueKind, SimTime};
+use ppc::des::{Engine, EventId, Fired, QueueKind, SimTime};
 use ppc::exec::RunContext;
 use ppc::resilience::{HedgeConfig, ResiliencePolicy};
 use std::cell::RefCell;
@@ -486,6 +487,243 @@ fn lane_matches_closure_ticks_on_random_programs() {
             replay_lane_program(delay_us, &ops, true),
             want,
             "lane vs closures, seed {seed}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Layer 2c: typed events against boxed closures.
+// ---------------------------------------------------------------------
+
+/// One step of a program run on both engine instantiations.
+#[derive(Clone, Copy)]
+enum TypedOp {
+    Schedule { at_us: u64, token: u32 },
+    Cancel { pick: usize },
+    Reschedule { pick: usize, at_us: u64 },
+    Push { token: u32 },
+    Horizon { at_us: u64 },
+    Step,
+    RunUntil { at_us: u64 },
+}
+
+/// Lane ticks are logged with this bit set.
+const TICK: u32 = 1 << 31;
+
+/// What a fired event or lane tick does, as a pure function of time and
+/// token: maybe post a follow-up event `(delay, token)`, and whether a
+/// tick re-pushes its token.
+fn reaction(now_us: u64, token: u32) -> (Option<(u64, u32)>, bool) {
+    let mut h = now_us ^ u64::from(token) << 32;
+    h = (h ^ h >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ h >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    let follow = h
+        .is_multiple_of(3)
+        .then(|| (h % 4_000, (token & !TICK).wrapping_add(1 << 20)));
+    (follow, !h.is_multiple_of(4))
+}
+
+/// A closure event: log, then maybe post its follow-up.
+fn closure_event(e: &mut Engine, log: Rc<RefCell<Vec<(u64, u32)>>>, token: u32) {
+    let now = e.now().as_micros();
+    log.borrow_mut().push((now, token));
+    if let (Some((delay, next)), _) = reaction(now, token) {
+        e.schedule_in(SimTime(delay), move |e| closure_event(e, log, next));
+    }
+}
+
+/// The typed engine's handler: the same reactions as the closure events
+/// and the closure engine's lane handler.
+fn typed_handler(e: &mut Engine<u32>, fired: Fired<u32>, log: &mut Vec<(u64, u32)>) {
+    let now = e.now().as_micros();
+    match fired {
+        Fired::Event(token) => {
+            log.push((now, token));
+            if let (Some((delay, next)), _) = reaction(now, token) {
+                e.post_in(SimTime(delay), next);
+            }
+        }
+        Fired::Tick(token) => {
+            log.push((now, token | TICK));
+            let (follow, again) = reaction(now, token | TICK);
+            if let Some((delay, next)) = follow {
+                e.post_in(SimTime(delay), next);
+            }
+            if again {
+                e.lane_push(token);
+            }
+        }
+    }
+}
+
+/// `(peek_time, pending, events_fired, now)` of an engine.
+fn probe<E>(e: &mut Engine<E>) -> (Option<u64>, usize, u64, u64) {
+    (
+        e.peek_time().map(SimTime::as_micros),
+        e.pending(),
+        e.events_fired(),
+        e.now().as_micros(),
+    )
+}
+
+/// Run `ops` on the closure engine (`typed == false`) or on
+/// `Engine<u32>`: the fire log, a probe after every `Step` and
+/// `RunUntil`, and the final probe and cancel count.
+fn replay_typed_program(delay_us: u64, ops: &[TypedOp], typed: bool) -> LaneObserved {
+    let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+    let mut closures = Engine::new();
+    let mut events: Engine<u32> = Engine::typed();
+    if typed {
+        events.set_lane_delay(SimTime(delay_us));
+    } else {
+        let log = log.clone();
+        closures.set_lane(SimTime(delay_us), move |e, token| {
+            let now = e.now().as_micros();
+            log.borrow_mut().push((now, token | TICK));
+            let (follow, again) = reaction(now, token | TICK);
+            if let Some((delay, next)) = follow {
+                let log = log.clone();
+                e.schedule_in(SimTime(delay), move |e| closure_event(e, log, next));
+            }
+            if again {
+                e.lane_push(token);
+            }
+        });
+    }
+    let mut handles: Vec<EventId> = Vec::new();
+    let mut probes = Vec::new();
+    for op in ops {
+        match *op {
+            TypedOp::Schedule { at_us, token } => handles.push(if typed {
+                events.post_at(SimTime(at_us), token)
+            } else {
+                let log = log.clone();
+                closures.schedule_at(SimTime(at_us), move |e| closure_event(e, log, token))
+            }),
+            TypedOp::Cancel { pick } => {
+                if !handles.is_empty() {
+                    let id = handles[pick % handles.len()];
+                    if typed {
+                        events.cancel(id);
+                    } else {
+                        closures.cancel(id);
+                    }
+                }
+            }
+            TypedOp::Reschedule { pick, at_us } => {
+                if !handles.is_empty() {
+                    let i = pick % handles.len();
+                    let moved = if typed {
+                        events.reschedule_at(handles[i], SimTime(at_us))
+                    } else {
+                        closures.reschedule_at(handles[i], SimTime(at_us))
+                    };
+                    if let Some(id) = moved {
+                        handles[i] = id;
+                    }
+                }
+            }
+            TypedOp::Push { token } if typed => events.lane_push(token),
+            TypedOp::Push { token } => closures.lane_push(token),
+            TypedOp::Horizon { at_us } if typed => events.set_quiet_horizon(SimTime(at_us)),
+            TypedOp::Horizon { at_us } => closures.set_quiet_horizon(SimTime(at_us)),
+            TypedOp::Step if typed => {
+                let mut log = log.borrow_mut();
+                events.step_with(|e, fired| typed_handler(e, fired, &mut log));
+            }
+            TypedOp::Step => {
+                closures.step();
+            }
+            TypedOp::RunUntil { at_us } if typed => {
+                let mut log = log.borrow_mut();
+                events.run_until_with(SimTime(at_us), |e, fired| typed_handler(e, fired, &mut log));
+            }
+            TypedOp::RunUntil { at_us } => {
+                closures.run_until(SimTime(at_us));
+            }
+        }
+        if matches!(op, TypedOp::Step | TypedOp::RunUntil { .. }) {
+            probes.push(if typed {
+                probe(&mut events)
+            } else {
+                probe(&mut closures)
+            });
+        }
+    }
+    let (end, cancelled) = if typed {
+        let mut log = log.borrow_mut();
+        let end = events.run_with(|e, fired| typed_handler(e, fired, &mut log));
+        (end, events.events_cancelled())
+    } else {
+        (closures.run(), closures.events_cancelled())
+    };
+    let (_, pending, events_fired, _) = if typed {
+        probe(&mut events)
+    } else {
+        probe(&mut closures)
+    };
+    assert_eq!(pending, 0);
+    let log = log.borrow().clone();
+    LaneObserved {
+        log,
+        probes,
+        final_now_us: end.as_micros(),
+        events_fired,
+        events_cancelled: cancelled,
+    }
+}
+
+/// Random programs of schedules, cancels, reschedules, lane pushes, quiet
+/// horizons, single steps and `run_until` checkpoints, whose events and
+/// ticks post follow-ups and re-push, fire in the same `(at, seq)` order
+/// on `Engine<u32>` as on the closure engine: the same fire log, clock,
+/// counters, `peek_time` and `pending`.
+#[test]
+fn typed_engine_matches_closure_engine_on_random_programs() {
+    for seed in 0..64u64 {
+        let mut rng = Pcg32::new(0x7E9ED ^ (seed << 6));
+        let delay_us = 1 + rng.next_below(2_000) as u64;
+        // A grid of half-delays, so ticks, events and horizons tie often.
+        let grid = |rng: &mut Pcg32, n: u32| rng.next_below(n) as u64 * delay_us.div_ceil(2);
+        let mut now_hint = 0u64;
+        let mut token = 0u32;
+        let ops: Vec<TypedOp> = (0..60 + rng.next_below(200))
+            .map(|_| match rng.next_below(11) {
+                0 | 1 => {
+                    token += 1;
+                    TypedOp::Schedule {
+                        at_us: now_hint + grid(&mut rng, 60),
+                        token,
+                    }
+                }
+                2 => TypedOp::Cancel {
+                    pick: rng.next_below(1 << 16) as usize,
+                },
+                3 => TypedOp::Reschedule {
+                    pick: rng.next_below(1 << 16) as usize,
+                    at_us: now_hint + grid(&mut rng, 60),
+                },
+                4 | 5 => {
+                    token += 1;
+                    TypedOp::Push { token }
+                }
+                6 => TypedOp::Horizon {
+                    at_us: now_hint + grid(&mut rng, 120),
+                },
+                7 | 8 => TypedOp::Step,
+                _ => {
+                    now_hint += grid(&mut rng, 30);
+                    TypedOp::RunUntil { at_us: now_hint }
+                }
+            })
+            .collect();
+        let want = replay_typed_program(delay_us, &ops, false);
+        assert!(want.log.iter().any(|&(_, t)| t & TICK != 0));
+        assert_eq!(
+            replay_typed_program(delay_us, &ops, true),
+            want,
+            "typed vs closures, seed {seed}"
         );
     }
 }
