@@ -2,19 +2,13 @@
 //!
 //! The discrete-event simulator predicts task times from a
 //! [`ResourceProfile`]; this module is the single place those profiles come
-//! from. Two sources:
-//!
-//! 1. **Paper anchors** — the constants below are fitted to the paper's
-//!    reported figures (DESIGN.md §6 lists each anchor). They express, e.g.,
-//!    "one 200-read Cap3 file costs ~80 reference-core-seconds", which makes
-//!    the simulated Figure 4 reproduce the measured one by construction of
-//!    the workload, not of the result.
-//! 2. **Measured-from-native** — [`measure_profile`] times the real kernel
-//!    on a real input, for examples that want small-scale realistic numbers.
+//! from. The constants below are paper anchors, fitted to the paper's
+//! reported figures (DESIGN.md §6 lists each anchor). They express, e.g.,
+//! "one 200-read Cap3 file costs ~80 reference-core-seconds", which makes
+//! the simulated Figure 4 reproduce the measured one by construction of the
+//! workload, not of the result.
 
-use ppc_core::exec::Executor;
-use ppc_core::task::{ResourceProfile, TaskSpec};
-use ppc_core::Result;
+use ppc_core::task::ResourceProfile;
 
 /// Cap3 anchor: a 200-read (~500 bp) FASTA file takes ~80 s on one
 /// reference core (16 HCXL cores clear 200 files in ~1000 s, Figure 4).
@@ -80,31 +74,9 @@ pub fn gtm_profile(n_points: usize) -> ResourceProfile {
     }
 }
 
-/// Measure a real kernel run and build a profile from it. The wall time is
-/// recorded as reference-core seconds directly (good enough for examples;
-/// the paper-scale benches use the anchored profiles above).
-pub fn measure_profile(
-    executor: &dyn Executor,
-    spec: &TaskSpec,
-    input: &[u8],
-) -> Result<ResourceProfile> {
-    let start = std::time::Instant::now();
-    let output = executor.run(spec, input)?;
-    let elapsed = start.elapsed().as_secs_f64();
-    Ok(ResourceProfile {
-        cpu_seconds_ref: elapsed,
-        mem_bytes: 64 << 20,
-        shared_mem_bytes: 0,
-        mem_traffic_bytes: 0,
-        input_bytes: input.len() as u64,
-        output_bytes: output.len() as u64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppc_core::exec::FnExecutor;
 
     #[test]
     fn cap3_profile_scales_superlinearly() {
@@ -188,15 +160,5 @@ mod tests {
             (0.9..2.2).contains(&measured_exponent),
             "kernel growth exponent {measured_exponent:.2} (t120={t_small:.4}s, t480={t_big:.4}s)"
         );
-    }
-
-    #[test]
-    fn measure_profile_records_io_sizes() {
-        let exec = FnExecutor::new("pad", |_s, i: &[u8]| Ok(vec![0u8; i.len() * 2]));
-        let spec = TaskSpec::new(0, "pad", "x", ResourceProfile::cpu_bound(0.0));
-        let p = measure_profile(exec.as_ref(), &spec, &[1u8; 100]).unwrap();
-        assert_eq!(p.input_bytes, 100);
-        assert_eq!(p.output_bytes, 200);
-        assert!(p.cpu_seconds_ref >= 0.0);
     }
 }

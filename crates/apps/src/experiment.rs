@@ -1,12 +1,12 @@
 //! Shared experiment drivers for the benchmark harness.
 //!
-//! Three reusable studies cover all of the paper's figures:
+//! Three reusable drivers cover all of the paper's figures:
 //!
 //! * [`ec2_instance_study`] — the 16-core instance-type sweeps behind
 //!   Figures 3/4 (Cap3), 7/8 (BLAST), 12/13 (GTM).
 //! * [`azure_instance_study`] — Figure 9's Azure workers×threads grid.
-//! * [`scalability_study`] — the four-platform efficiency/per-file studies
-//!   behind Figures 5/6, 10/11, 14/15.
+//! * [`run_platform`] — one point of the four-platform efficiency/per-file
+//!   studies behind Figures 5/6, 10/11, 14/15.
 
 use ppc_classic::{sequential_baseline_seconds, simulate as classic_sim, ClassicEngine, SimConfig};
 use ppc_compute::billing::CostBreakdown;
@@ -20,7 +20,7 @@ use ppc_core::metrics::{avg_time_per_task_per_core, parallel_efficiency};
 use ppc_core::task::TaskSpec;
 use ppc_dryad::{DryadEngine, DryadSimConfig};
 use ppc_exec::{Engine, RunContext};
-use ppc_mapreduce::{simulate as hadoop_sim, HadoopEngine, HadoopSimConfig};
+use ppc_mapreduce::{HadoopEngine, HadoopSimConfig};
 
 /// One row of an instance-type study (one bar group in Figures 3/4 etc.).
 #[derive(Debug, Clone)]
@@ -212,7 +212,7 @@ fn default_cores(platform: Platform, _n_tasks: usize) -> usize {
 }
 
 /// Run one platform with an explicit core count.
-pub fn run_platform_sized(
+fn run_platform_sized(
     platform: Platform,
     application: &str,
     tasks: &[TaskSpec],
@@ -262,62 +262,6 @@ pub fn run_platform_sized(
     }
 }
 
-/// Elastic-MapReduce-style run: Hadoop rented on EC2 instances (Table 3
-/// lists "Amazon Elastic MapReduce" as a Hadoop environment). Same
-/// scheduler and overheads as the bare-metal Hadoop sim, but on cloud
-/// instance types with hourly billing — letting the harness compare
-/// "bring your own cluster" vs "rent Hadoop by the hour" vs Classic Cloud.
-pub fn run_emr(
-    itype: InstanceType,
-    n_instances: usize,
-    tasks: &[TaskSpec],
-    app: AppModel,
-    seed: u64,
-) -> (ScalePoint, ppc_compute::billing::CostBreakdown) {
-    let cluster = Cluster::provision_per_core(itype, n_instances);
-    let cfg = HadoopSimConfig {
-        app,
-        ..HadoopSimConfig::default()
-    };
-    let summary = hadoop_sim(&RunContext::new(&cluster).with_seed(seed), tasks, &cfg)
-        .core
-        .summary;
-    let t1 = sequential_baseline_seconds(&itype, tasks, &app);
-    let point = ScalePoint {
-        platform: "EMR",
-        cores: cluster.total_workers(),
-        n_tasks: tasks.len(),
-        makespan_seconds: summary.makespan_seconds,
-        efficiency: parallel_efficiency(t1, summary.makespan_seconds, cluster.total_workers()),
-        per_task_per_core_seconds: avg_time_per_task_per_core(
-            summary.makespan_seconds,
-            cluster.total_workers(),
-            tasks.len(),
-        ),
-    };
-    let cost = cluster.cost(summary.makespan_seconds);
-    (point, cost)
-}
-
-/// The full scalability study: every platform, workload replicated 1..=`max_rep`
-/// times over a fixed paper-sized fleet.
-pub fn scalability_study(
-    application: &str,
-    base_tasks: &[TaskSpec],
-    app: AppModel,
-    max_rep: usize,
-    seed: u64,
-) -> Vec<ScalePoint> {
-    let mut out = Vec::new();
-    for rep in 1..=max_rep {
-        let tasks = crate::workload::replicate(base_tasks, rep);
-        for platform in Platform::ALL {
-            out.push(run_platform(platform, application, &tasks, app, seed));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +270,7 @@ mod tests {
     #[test]
     fn ec2_configs_are_all_16_cores() {
         for c in sixteen_core_ec2_configs() {
-            assert_eq!(c.total_cores(), 16, "{}", c.label());
+            assert_eq!(c.n_nodes() * c.itype().cores, 16, "{}", c.label());
         }
     }
 
@@ -374,7 +318,12 @@ mod tests {
     #[test]
     fn scalability_efficiencies_sane() {
         let base = blast_sim_base_set(3);
-        let points = scalability_study("blast", &base, AppModel::DEFAULT, 2, 4);
+        let points: Vec<_> = (1..=2)
+            .flat_map(|rep| {
+                let tasks = crate::workload::replicate(&base, rep);
+                Platform::ALL.map(|p| run_platform(p, "blast", &tasks, AppModel::DEFAULT, 4))
+            })
+            .collect();
         assert_eq!(points.len(), 8);
         for p in &points {
             assert!(
@@ -436,34 +385,6 @@ mod tests {
             .map(|r| r.makespan_seconds)
             .fold(f64::INFINITY, f64::min);
         assert!(xl_best < small_best, "xl {xl_best} vs small {small_best}");
-    }
-
-    #[test]
-    fn emr_costs_like_classic_but_skips_storage_path() {
-        // EMR (Hadoop-on-EC2) reads local disks, so for I/O-light tasks its
-        // makespan tracks the Classic Cloud's within the dispatch overhead,
-        // and the instance bill is computed the same way.
-        let tasks = cap3_sim_tasks(256, 200);
-        let (point, cost) = run_emr(
-            ppc_compute::instance::EC2_HCXL,
-            16,
-            &tasks,
-            AppModel::cap3(),
-            9,
-        );
-        assert_eq!(point.cores, 128);
-        assert!(point.efficiency > 0.8, "{}", point.efficiency);
-        assert!(cost.compute_cost >= cost.amortized_cost);
-        let classic = run_platform_sized(
-            Platform::ClassicEc2,
-            "cap3",
-            &tasks,
-            AppModel::cap3(),
-            128,
-            9,
-        );
-        let ratio = point.makespan_seconds / classic.makespan_seconds;
-        assert!((0.8..1.3).contains(&ratio), "EMR vs classic ratio {ratio}");
     }
 
     #[test]

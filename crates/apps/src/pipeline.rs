@@ -235,18 +235,6 @@ pub fn bio_pipeline_sim(n_files: usize) -> Workflow {
     wf
 }
 
-/// Like [`bio_pipeline_sim`] but with pipelined (in-memory) edges — the
-/// what-if the paper's "Data Sharing Options" comparison asks: how much of
-/// the makespan is storage round-trips between stages?
-pub fn bio_pipeline_sim_pipelined(n_files: usize) -> Workflow {
-    let mut wf = bio_pipeline_sim(n_files);
-    for e in &mut wf.edges {
-        e.policy = DataPolicy::Pipeline;
-    }
-    wf.name = "cap3-blast-gtm-sim-pipelined".into();
-    wf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +287,6 @@ mod tests {
             assert!(bytes > 0, "stage {} promises no output", e.from);
             assert!(wf.materialize.transfer_s(bytes) > 0.0);
         }
-        let piped = bio_pipeline_sim_pipelined(16);
-        assert!(piped.edges.iter().all(|e| e.policy == DataPolicy::Pipeline));
         // NR-sized shared DB stays on the profile (annotate stage).
         assert!(wf.stages[1]
             .specs

@@ -119,12 +119,6 @@ pub enum Decision {
     Drain { ids: Vec<u32> },
 }
 
-impl Decision {
-    pub fn is_hold(&self) -> bool {
-        matches!(self, Decision::Hold)
-    }
-}
-
 /// One entry in the fleet's audit log — the raw material for the
 /// fleet-size timeline in reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -412,10 +406,10 @@ mod tests {
     #[test]
     fn scale_up_cooldown_holds() {
         let mut c = Controller::new(cfg());
-        assert!(!c.decide(0.0, &telem(12, 0, Some(1.0))).is_hold());
+        assert_ne!(c.decide(0.0, &telem(12, 0, Some(1.0))), Decision::Hold);
         // Backlog still high 10 s later, but cooldown is 30 s.
-        assert!(c.decide(10.0, &telem(40, 0, Some(1.0))).is_hold());
-        assert!(!c.decide(30.0, &telem(40, 0, Some(1.0))).is_hold());
+        assert_eq!(c.decide(10.0, &telem(40, 0, Some(1.0))), Decision::Hold);
+        assert_ne!(c.decide(30.0, &telem(40, 0, Some(1.0))), Decision::Hold);
     }
 
     #[test]
@@ -509,7 +503,7 @@ mod tests {
         });
         c.decide(0.0, &telem(32, 0, Some(1.0))); // grow to 8 at t=0
                                                  // Mid-hour: idle, but nobody is near their boundary -> hold.
-        assert!(c.decide(1800.0, &telem(0, 0, None)).is_hold());
+        assert_eq!(c.decide(1800.0, &telem(0, 0, None)), Decision::Hold);
         assert_eq!(c.billed_fleet(), 8);
         // Inside the last 5 minutes of the billed hour: drain.
         match c.decide(3400.0, &telem(0, 0, None)) {
@@ -527,7 +521,7 @@ mod tests {
         c.decide(0.0, &telem(32, 0, Some(1.0))); // +6 warming
         assert_eq!(c.capacity(), 8);
         // Same backlog during warm-up: no double-launch.
-        assert!(c.decide(40.0, &telem(32, 0, Some(40.0))).is_hold());
+        assert_eq!(c.decide(40.0, &telem(32, 0, Some(40.0))), Decision::Hold);
         // After warm-up the new slots are active.
         c.decide(120.0, &telem(32, 0, Some(1.0)));
         assert!(c
@@ -553,7 +547,7 @@ mod tests {
             },
             ..cfg()
         });
-        assert!(c.decide(0.0, &telem(10, 0, Some(5.0))).is_hold());
+        assert_eq!(c.decide(0.0, &telem(10, 0, Some(5.0))), Decision::Hold);
         match c.decide(100.0, &telem(10, 0, Some(90.0))) {
             Decision::Launch { ids } => assert_eq!(ids.len(), 2),
             other => panic!("expected launch, got {other:?}"),

@@ -23,7 +23,7 @@ use ppc_bio::simulate::{
 use ppc_classic::{simulate as classic_sim, SimConfig};
 use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::EC2_HCXL;
-use ppc_core::Executor;
+use ppc_core::{Cancel, Executor};
 use ppc_exec::RunContext;
 use ppc_gtm::data::{fingerprints, FingerprintParams};
 use ppc_gtm::interpolate::interpolate;
@@ -117,7 +117,9 @@ fn bench_blastx() {
     let params = BlastParams::default();
     bench("blastx_pipeline_file", || {
         for q in &queries {
-            black_box(db.search_translated(black_box(&q.seq), &params));
+            let hits =
+                db.search_translated_cancellable(black_box(&q.seq), &params, &Cancel::never());
+            black_box(hits.expect("never cancelled"));
         }
     });
 }
@@ -173,7 +175,7 @@ fn bench_classic_sim() {
 }
 
 fn bench_alignment() {
-    use ppc_bio::align::{global, local};
+    use ppc_bio::align::local;
     use ppc_bio::simulate::random_protein;
     use ppc_core::rng::Pcg32;
     let mut rng = Pcg32::new(6);
@@ -183,9 +185,6 @@ fn bench_alignment() {
     b[30] = b'W';
     bench("smith_waterman_200aa", || {
         black_box(local(black_box(&a), black_box(&b)));
-    });
-    bench("needleman_wunsch_200aa", || {
-        black_box(global(black_box(&a), black_box(&b)));
     });
 }
 

@@ -576,13 +576,13 @@ pub fn resilience_bench() -> (Figure, Json) {
     use ppc_core::task::{ResourceProfile, TaskSpec};
     use ppc_resilience::HedgeConfig;
     use ppc_trace::{Trace, JOB_TASK};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     // Winner-based per-task latency: first terminal (committing) span end
     // minus first attempt start; losing duplicates do not count.
     fn winner_latencies(trace: &Trace) -> Vec<f64> {
-        let mut started: HashMap<u64, f64> = HashMap::new();
-        let mut committed: HashMap<u64, f64> = HashMap::new();
+        let mut started: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut committed: BTreeMap<u64, f64> = BTreeMap::new();
         for s in trace.spans() {
             if s.task == JOB_TASK {
                 continue;

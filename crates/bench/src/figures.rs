@@ -6,9 +6,7 @@ use ppc_apps::experiment::{
 use ppc_apps::workload;
 use ppc_classic::{sequential_baseline_seconds, simulate as classic_sim, SimConfig};
 use ppc_compute::cluster::Cluster;
-use ppc_compute::instance::{
-    InstanceType, AZURE_SMALL, BARE_HPC16, BARE_XEON24, EC2_HCXL, EC2_HM4XL, EC2_LARGE,
-};
+use ppc_compute::instance::{InstanceType, AZURE_SMALL, EC2_HCXL, EC2_HM4XL, EC2_LARGE};
 use ppc_compute::model::AppModel;
 use ppc_core::metrics::{avg_time_per_task_per_core, parallel_efficiency};
 use ppc_core::report::{Figure, Series};
@@ -396,46 +394,6 @@ pub fn fig15() -> Figure {
     fig
 }
 
-/// §5.2's cost footnote: "The amortized cost to process 768*100 queries
-/// using Classic Cloud-BLAST was ~10$ using EC2 and ~12.50$ using Azure."
-/// EC2 ran 16 HCXL; Azure ran 16 Large instances.
-pub fn blast_cost_at_scale() -> (ppc_core::Usd, ppc_core::Usd) {
-    use ppc_compute::instance::AZURE_LARGE;
-    let tasks = {
-        let base = workload::blast_sim_base_set(11);
-        workload::replicate(&base, 6)
-    };
-    let ec2_cluster = Cluster::provision_per_core(EC2_HCXL, 16);
-    let ec2 = classic_sim(
-        &RunContext::new(&ec2_cluster).with_seed(21),
-        &tasks,
-        &SimConfig::ec2(),
-    );
-    let az_cluster = Cluster::provision_per_core(AZURE_LARGE, 16);
-    let az = classic_sim(
-        &RunContext::new(&az_cluster).with_seed(21),
-        &tasks,
-        &SimConfig::azure(),
-    );
-    (
-        ec2_cluster
-            .cost(ec2.summary.makespan_seconds)
-            .amortized_cost,
-        az_cluster.cost(az.summary.makespan_seconds).amortized_cost,
-    )
-}
-
-/// The bare-metal node type used by the GTM Dryad baseline — re-exported
-/// for the ablation binaries.
-pub fn dryad_gtm_node() -> InstanceType {
-    BARE_HPC16
-}
-
-/// The bare-metal node type used by the GTM Hadoop baseline.
-pub fn hadoop_gtm_node() -> InstanceType {
-    BARE_XEON24
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,7 +558,16 @@ mod tests {
         // Paper: ~$10 EC2 vs ~$12.50 Azure amortized for 768 query files —
         // Azure costs ~25% more. Our modeled dollars are lower in absolute
         // terms, but the provider ratio must hold.
-        let (ec2, azure) = blast_cost_at_scale();
+        // §5.2's footnote: EC2 ran 16 HCXL, Azure 16 Large instances.
+        let tasks = workload::replicate(&workload::blast_sim_base_set(11), 6);
+        let amortized = |itype, cfg: &SimConfig| {
+            let cluster = Cluster::provision_per_core(itype, 16);
+            let ctx = RunContext::new(&cluster).with_seed(21);
+            let makespan = classic_sim(&ctx, &tasks, cfg).summary.makespan_seconds;
+            cluster.cost(makespan).amortized_cost
+        };
+        let ec2 = amortized(EC2_HCXL, &SimConfig::ec2());
+        let azure = amortized(ppc_compute::instance::AZURE_LARGE, &SimConfig::azure());
         assert!(azure > ec2, "azure {azure} vs ec2 {ec2}");
         let ratio = azure.as_f64() / ec2.as_f64();
         assert!(

@@ -311,20 +311,6 @@ pub fn table4_numbers() -> Table4Numbers {
     }
 }
 
-/// Sanity anchor used by tests: the calibrated Cap3 anchor must make the
-/// Figure 4 workload take on the order of 1000 s on 16 HCXL cores.
-pub fn cap3_reference_makespan() -> f64 {
-    let tasks = workload::cap3_sim_tasks(200, 200);
-    let cluster = Cluster::provision_per_core(EC2_HCXL, 2);
-    classic_sim(
-        &RunContext::new(&cluster),
-        &tasks,
-        &SimConfig::ec2().with_app(AppModel::cap3()),
-    )
-    .summary
-    .makespan_seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,7 +368,14 @@ mod tests {
 
     #[test]
     fn cap3_anchor_holds() {
-        let m = cap3_reference_makespan();
+        // The calibrated Cap3 anchor must make the Figure 4 workload take
+        // on the order of 1000 s on 16 HCXL cores.
+        let tasks = workload::cap3_sim_tasks(200, 200);
+        let cluster = Cluster::provision_per_core(EC2_HCXL, 2);
+        let cfg = SimConfig::ec2().with_app(AppModel::cap3());
+        let m = classic_sim(&RunContext::new(&cluster), &tasks, &cfg)
+            .summary
+            .makespan_seconds;
         assert!((800.0..1400.0).contains(&m), "16-core Cap3 makespan {m}");
     }
 

@@ -12,7 +12,7 @@ use ppc_compute::model::AppModel;
 use ppc_dryad::{simulate as dryad_sim, DryadSimConfig};
 use ppc_exec::RunContext;
 use ppc_mapreduce::{simulate as hadoop_sim, HadoopSimConfig};
-use ppc_trace::{OverheadReport, Trace};
+use ppc_trace::Trace;
 
 /// One traced Cap3 run per paradigm simulator, in Table 3 order.
 pub fn traced_cap3_runs() -> Vec<Trace> {
@@ -43,18 +43,10 @@ pub fn traced_cap3_runs() -> Vec<Trace> {
     ]
 }
 
-/// The rendered overhead decompositions for every traced run.
-pub fn overhead_decompositions() -> String {
-    traced_cap3_runs()
-        .iter()
-        .map(|t| OverheadReport::from_trace(t).render())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_trace::OverheadReport;
 
     #[test]
     fn traced_runs_are_sound_and_decompose() {

@@ -1,10 +1,8 @@
-//! Full pairwise alignment: Needleman–Wunsch (global) and Smith–Waterman
-//! (local) with affine gaps and traceback.
+//! Exact local alignment: Smith–Waterman with affine gaps and traceback.
 //!
 //! BLAST's banded gapped extension ([`crate::blast`]) trades exactness for
 //! speed; this module is the exact reference it is validated against (see
-//! the cross-checking tests), and provides the alignment strings a real
-//! BLAST report renders.
+//! the cross-checking tests).
 
 use crate::matrix::{score, GAP_EXTEND, GAP_OPEN};
 
@@ -16,31 +14,9 @@ pub struct Alignment {
     pub aligned_a: Vec<u8>,
     /// Subject with `-` for gaps.
     pub aligned_b: Vec<u8>,
-    /// Start offsets of the aligned region in each input (0 for global).
+    /// Start offsets of the aligned region in each input.
     pub start_a: usize,
     pub start_b: usize,
-}
-
-impl Alignment {
-    /// Fraction of aligned columns that match exactly.
-    pub fn identity(&self) -> f64 {
-        if self.aligned_a.is_empty() {
-            return 0.0;
-        }
-        let matches = self
-            .aligned_a
-            .iter()
-            .zip(&self.aligned_b)
-            .filter(|(x, y)| x == y && **x != b'-')
-            .count();
-        matches as f64 / self.aligned_a.len() as f64
-    }
-
-    /// Gap columns in the alignment.
-    pub fn gaps(&self) -> usize {
-        self.aligned_a.iter().filter(|&&c| c == b'-').count()
-            + self.aligned_b.iter().filter(|&&c| c == b'-').count()
-    }
 }
 
 const NEG: i32 = i32::MIN / 4;
@@ -53,10 +29,10 @@ enum Tb {
     Left, // gap in a (consume b)
 }
 
-/// Affine-gap dynamic programming over the full matrix.
-/// `local` selects Smith–Waterman (clamp at 0, trace from max) vs
-/// Needleman–Wunsch (end-to-end).
-fn align(a: &[u8], b: &[u8], local: bool) -> Alignment {
+/// Local alignment (Smith–Waterman) with affine gaps under BLOSUM62:
+/// dynamic programming over the full matrix, clamped at 0 and traced back
+/// from the best cell.
+pub fn local(a: &[u8], b: &[u8]) -> Alignment {
     let n = a.len();
     let m = b.len();
     // Three-state DP: h = best, e = gap-in-a open, f = gap-in-b open.
@@ -64,19 +40,6 @@ fn align(a: &[u8], b: &[u8], local: bool) -> Alignment {
     let mut e = vec![vec![NEG; m + 1]; n + 1];
     let mut f = vec![vec![NEG; m + 1]; n + 1];
     let mut tb = vec![vec![Tb::Stop; m + 1]; n + 1];
-
-    if !local {
-        for i in 1..=n {
-            f[i][0] = -GAP_OPEN - GAP_EXTEND * i as i32;
-            h[i][0] = f[i][0];
-            tb[i][0] = Tb::Up;
-        }
-        for j in 1..=m {
-            e[0][j] = -GAP_OPEN - GAP_EXTEND * j as i32;
-            h[0][j] = e[0][j];
-            tb[0][j] = Tb::Left;
-        }
-    }
 
     let mut best = (0i32, 0usize, 0usize);
     for i in 1..=n {
@@ -92,7 +55,7 @@ fn align(a: &[u8], b: &[u8], local: bool) -> Alignment {
             } else {
                 Tb::Left
             };
-            if local && v <= 0 {
+            if v <= 0 {
                 v = 0;
                 dir = Tb::Stop;
             }
@@ -104,7 +67,7 @@ fn align(a: &[u8], b: &[u8], local: bool) -> Alignment {
         }
     }
 
-    let (score, mut i, mut j) = if local { best } else { (h[n][m], n, m) };
+    let (score, mut i, mut j) = best;
     let mut ra = Vec::new();
     let mut rb = Vec::new();
     while i > 0 || j > 0 {
@@ -139,16 +102,6 @@ fn align(a: &[u8], b: &[u8], local: bool) -> Alignment {
     }
 }
 
-/// Global alignment (Needleman–Wunsch) with affine gaps under BLOSUM62.
-pub fn global(a: &[u8], b: &[u8]) -> Alignment {
-    align(a, b, false)
-}
-
-/// Local alignment (Smith–Waterman) with affine gaps under BLOSUM62.
-pub fn local(a: &[u8], b: &[u8]) -> Alignment {
-    align(a, b, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,13 +111,10 @@ mod tests {
     #[test]
     fn identical_sequences_align_perfectly() {
         let s = b"MKVLAATGLRWQYHNDEFFK";
-        let g = global(s, s);
-        assert_eq!(g.aligned_a, g.aligned_b);
-        assert!((g.identity() - 1.0).abs() < 1e-12);
-        assert_eq!(g.gaps(), 0);
-        let expect: i32 = s.iter().map(|&c| score(c, c)).sum();
-        assert_eq!(g.score, expect);
         let l = local(s, s);
+        assert_eq!(l.aligned_a, s.to_vec());
+        assert_eq!(l.aligned_b, s.to_vec());
+        let expect: i32 = s.iter().map(|&c| score(c, c)).sum();
         assert_eq!(l.score, expect);
     }
 
@@ -184,12 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn global_handles_deletion_with_affine_gap() {
+    fn deletion_costs_one_affine_gap() {
         let a = b"MKVLAATGLRWQYHNDE";
         let mut b = a.to_vec();
         b.drain(6..9); // one 3-long gap
-        let g = global(a, &b);
-        assert_eq!(g.gaps(), 3);
+        let g = local(a, &b);
+        assert_eq!(g.aligned_b.iter().filter(|&&c| c == b'-').count(), 3);
         // Affine: one open + three extends.
         let matched: i32 = a
             .iter()
@@ -201,15 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn local_score_never_negative_and_global_le_local_alignedwise() {
+    fn local_score_never_negative() {
         let mut rng = Pcg32::new(9);
         for _ in 0..20 {
             let a = random_protein(40, &mut rng);
             let b = random_protein(40, &mut rng);
-            let l = local(&a, &b);
-            assert!(l.score >= 0);
-            // Local is at least as good as global on the same pair.
-            assert!(l.score >= global(&a, &b).score);
+            assert!(local(&a, &b).score >= 0);
         }
     }
 
@@ -219,11 +166,11 @@ mod tests {
         for _ in 0..10 {
             let a = random_protein(30, &mut rng);
             let b = random_protein(25, &mut rng);
-            let g = global(&a, &b);
+            let g = local(&a, &b);
             let ra: Vec<u8> = g.aligned_a.iter().copied().filter(|&c| c != b'-').collect();
             let rb: Vec<u8> = g.aligned_b.iter().copied().filter(|&c| c != b'-').collect();
-            assert_eq!(ra, a);
-            assert_eq!(rb, b);
+            assert_eq!(ra, a[g.start_a..g.start_a + ra.len()]);
+            assert_eq!(rb, b[g.start_b..g.start_b + rb.len()]);
             assert_eq!(g.aligned_a.len(), g.aligned_b.len());
         }
     }
@@ -236,7 +183,7 @@ mod tests {
         let mut b = a.clone();
         b.drain(10..14);
         b[20] = b'W';
-        let g = global(&a, &b);
+        let g = local(&a, &b);
         let mut recomputed = 0i32;
         let mut in_gap = false;
         for (&x, &y) in g.aligned_a.iter().zip(&g.aligned_b) {

@@ -98,21 +98,6 @@ impl Contig {
     }
 }
 
-/// Assembly summary statistics (the numbers Cap3 users look at first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AssemblyStats {
-    pub n_contigs: usize,
-    pub n_singletons: usize,
-    /// Total assembled bases across contigs.
-    pub total_bp: usize,
-    pub largest_bp: usize,
-    pub n50: usize,
-    /// Fewest contigs covering half the assembly.
-    pub l50: usize,
-    /// Reads placed into contigs (excludes singletons).
-    pub reads_placed: usize,
-}
-
 /// The result of assembling one read set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assembly {
@@ -123,47 +108,6 @@ pub struct Assembly {
 }
 
 impl Assembly {
-    /// N50 of the contig set (0 when there are no contigs).
-    pub fn n50(&self) -> usize {
-        let mut lens: Vec<usize> = self.contigs.iter().map(|c| c.consensus.len()).collect();
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        let total: usize = lens.iter().sum();
-        let mut acc = 0;
-        for l in lens {
-            acc += l;
-            if acc * 2 >= total {
-                return l;
-            }
-        }
-        0
-    }
-
-    /// Summary statistics over the assembly.
-    pub fn stats(&self) -> AssemblyStats {
-        let mut lens: Vec<usize> = self.contigs.iter().map(|c| c.consensus.len()).collect();
-        lens.sort_unstable_by(|a, b| b.cmp(a));
-        let total_bp: usize = lens.iter().sum();
-        // L50: smallest number of contigs covering half the assembly.
-        let mut acc = 0;
-        let mut l50 = 0;
-        for l in &lens {
-            acc += l;
-            l50 += 1;
-            if acc * 2 >= total_bp {
-                break;
-            }
-        }
-        AssemblyStats {
-            n_contigs: self.contigs.len(),
-            n_singletons: self.singletons.len(),
-            total_bp,
-            largest_bp: lens.first().copied().unwrap_or(0),
-            n50: self.n50(),
-            l50: if total_bp == 0 { 0 } else { l50 },
-            reads_placed: self.contigs.iter().map(Contig::n_reads).sum(),
-        }
-    }
-
     /// Render as FASTA: contigs then singleton markers.
     pub fn to_fasta(&self) -> Vec<FastaRecord> {
         self.contigs
@@ -1014,66 +958,6 @@ mod tests {
     fn empty_input() {
         let asm = assemble(&[], &AssemblyParams::default());
         assert!(asm.contigs.is_empty() && asm.singletons.is_empty());
-        assert_eq!(asm.n50(), 0);
-    }
-
-    #[test]
-    fn stats_summarize_assembly() {
-        let asm = Assembly {
-            contigs: vec![
-                Contig {
-                    consensus: vec![b'A'; 100],
-                    read_ids: vec!["a".into(), "b".into(), "c".into()],
-                },
-                Contig {
-                    consensus: vec![b'A'; 60],
-                    read_ids: vec!["d".into(), "e".into()],
-                },
-                Contig {
-                    consensus: vec![b'A'; 40],
-                    read_ids: vec!["f".into(), "g".into()],
-                },
-            ],
-            singletons: vec!["h".into()],
-        };
-        let s = asm.stats();
-        assert_eq!(s.n_contigs, 3);
-        assert_eq!(s.n_singletons, 1);
-        assert_eq!(s.total_bp, 200);
-        assert_eq!(s.largest_bp, 100);
-        assert_eq!(s.n50, 100);
-        assert_eq!(s.l50, 1);
-        assert_eq!(s.reads_placed, 7);
-        // Empty assembly degenerates cleanly.
-        let empty = Assembly {
-            contigs: vec![],
-            singletons: vec![],
-        };
-        let e = empty.stats();
-        assert_eq!((e.n_contigs, e.total_bp, e.n50, e.l50), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn n50_computation() {
-        let asm = Assembly {
-            contigs: vec![
-                Contig {
-                    consensus: vec![b'A'; 100],
-                    read_ids: vec!["a".into(), "b".into()],
-                },
-                Contig {
-                    consensus: vec![b'A'; 60],
-                    read_ids: vec!["c".into(), "d".into()],
-                },
-                Contig {
-                    consensus: vec![b'A'; 40],
-                    read_ids: vec!["e".into(), "f".into()],
-                },
-            ],
-            singletons: vec![],
-        };
-        // total 200; cumulative 100 >= 100 -> N50 = 100.
-        assert_eq!(asm.n50(), 100);
     }
 
     #[test]

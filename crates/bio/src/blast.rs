@@ -160,10 +160,6 @@ impl BlastDb {
         self.seqs.is_empty()
     }
 
-    pub fn total_residues(&self) -> usize {
-        self.total_residues
-    }
-
     /// Approximate resident bytes — the number the memory-pressure model
     /// cares about: each record (residues, id and 48 bytes of overhead),
     /// its residue codes (1 byte each), the `starts` table (4 bytes per
@@ -292,14 +288,8 @@ impl BlastDb {
     /// search each translation, merging hits by subject (best frame wins) —
     /// the mode the paper describes in §5 ("to translate a FASTA formatted
     /// nucleotide query and to compare it to a protein database").
-    /// Returns hits tagged with the winning frame.
-    pub fn search_translated(&self, dna: &[u8], params: &BlastParams) -> Vec<(i8, Hit)> {
-        self.search_translated_cancellable(dna, params, &Cancel::never())
-            .expect("never cancelled")
-    }
-
-    /// [`BlastDb::search_translated`] that polls `cancel` inside every
-    /// segment's search.
+    /// Returns hits tagged with the winning frame, polling `cancel` inside
+    /// every segment's search.
     pub fn search_translated_cancellable(
         &self,
         dna: &[u8],
@@ -561,6 +551,11 @@ mod tests {
     use ppc_core::rng::Pcg32;
     use reference::{reference_search, reference_search_translated, RefDb};
 
+    fn blastx(db: &BlastDb, dna: &[u8], params: &BlastParams) -> Vec<(i8, Hit)> {
+        db.search_translated_cancellable(dna, params, &Cancel::never())
+            .expect("never cancelled")
+    }
+
     fn codes(seq: &[u8]) -> Vec<u8> {
         let mut c = Vec::new();
         encode(seq, &mut c);
@@ -752,7 +747,7 @@ mod tests {
         // Encode a fragment of the protein as DNA (forward strand).
         let fragment = &src.seq[10..90];
         let dna = crate::codon::arbitrary_coding_dna(fragment);
-        let hits = db.search_translated(&dna, &BlastParams::default());
+        let hits = blastx(&db, &dna, &BlastParams::default());
         assert!(!hits.is_empty());
         assert_eq!(
             hits[0].1.subject_id, src.id,
@@ -762,7 +757,7 @@ mod tests {
 
         // And on the reverse strand after reverse-complementing the DNA.
         let rc = crate::fasta::reverse_complement(&dna);
-        let hits_rc = db.search_translated(&rc, &BlastParams::default());
+        let hits_rc = blastx(&db, &rc, &BlastParams::default());
         assert_eq!(hits_rc[0].1.subject_id, src.id);
         assert!(
             hits_rc[0].0 < 0,
@@ -781,7 +776,7 @@ mod tests {
         protein.push(b'*');
         protein.extend_from_slice(&src.seq[60..100]);
         let dna = crate::codon::arbitrary_coding_dna(&protein);
-        let hits = db.search_translated(&dna, &BlastParams::default());
+        let hits = blastx(&db, &dna, &BlastParams::default());
         assert!(
             hits.iter().any(|(_, h)| h.subject_id == src.id),
             "ORF segments searched around the stop"
@@ -855,7 +850,7 @@ mod tests {
             3,
         );
         assert!(big.resident_bytes() > 2 * small.resident_bytes());
-        assert!(big.total_residues() > small.total_residues());
+        assert!(big.total_residues > small.total_residues);
     }
 
     #[test]
@@ -1005,7 +1000,7 @@ mod tests {
                         .map(|(frame, h)| (*frame, hit_bits(h)))
                         .collect::<Vec<_>>()
                 };
-                let got = key(fast.search_translated(dna, &params));
+                let got = key(blastx(&fast, dna, &params));
                 let want = key(reference_search_translated(&slow, dna, &params));
                 assert_eq!(got, want, "seed {seed} blastx");
                 compared += got.len();
@@ -1157,6 +1152,7 @@ mod tests {
                     }
                 }
             }
+            #[allow(clippy::disallowed_methods)] // sorted before use
             let mut hits: Vec<(i8, Hit)> = best.into_values().collect();
             hits.sort_by(|a, b| {
                 a.1.e_value

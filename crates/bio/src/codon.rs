@@ -4,7 +4,8 @@
 //! nucleotide query and to compare it to a protein database" (§5) — i.e.
 //! blastx: translate the DNA in all six reading frames (three offsets on
 //! each strand) and search each translation. This module supplies the
-//! translation; [`crate::blast::BlastDb::search_translated`] does the rest.
+//! translation; [`crate::blast::BlastDb::search_translated_cancellable`]
+//! does the rest.
 
 use crate::fasta::reverse_complement;
 

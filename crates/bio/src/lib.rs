@@ -19,9 +19,8 @@
 //!   BLAST (§5.1's memory observations).
 //! * [`codon`] — the genetic code and six-frame translation, powering the
 //!   blastx-style nucleotide-vs-protein mode the paper describes.
-//! * [`align`] — exact Needleman–Wunsch / Smith–Waterman with affine gaps
-//!   and traceback: the reference the banded BLAST kernel is checked
-//!   against.
+//! * [`align`] — exact Smith–Waterman with affine gaps and traceback:
+//!   the reference the banded BLAST kernel is checked against.
 //! * [`matrix`] — BLOSUM62 and alignment scoring parameters.
 
 pub mod align;

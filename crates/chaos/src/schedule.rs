@@ -183,18 +183,6 @@ impl FaultSchedule {
         self.seed
     }
 
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// True when the schedule injects nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        self.events.is_empty()
-            && self.die_before_execute == 0.0
-            && self.die_mid_execute == 0.0
-            && self.die_before_delete == 0.0
-    }
-
     /// Reject malformed schedules: probabilities outside `[0, 1]`,
     /// slowdown factors below 1, inverted or non-finite windows.
     pub fn validate(&self) -> Result<()> {
@@ -436,7 +424,6 @@ mod tests {
     #[test]
     fn quiet_schedule_injects_nothing() {
         let s = FaultSchedule::none();
-        assert!(s.is_quiet());
         assert!(s.validate().is_ok());
         assert!(!s.kills_in(0, 0.0, 1e9));
         assert!(!s.die_before_execute(0, 0));

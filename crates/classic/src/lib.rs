@@ -44,6 +44,6 @@ pub use engine::ClassicEngine;
 pub use harness::{run, simulate};
 pub use history::{record, runs_of, RunRecord};
 pub use report::{ClassicReport, FleetReport};
-pub use runtime::{run_sequential, ClassicConfig};
+pub use runtime::ClassicConfig;
 pub use sim::{sequential_baseline_seconds, SimConfig};
 pub use spec::JobSpec;

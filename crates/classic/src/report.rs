@@ -145,11 +145,6 @@ impl Bill {
     pub fn total(&self) -> Usd {
         self.instances.compute_cost + self.queue + self.storage
     }
-
-    /// Total with amortized instance billing (the paper's second view).
-    pub fn total_amortized(&self) -> Usd {
-        self.instances.amortized_cost + self.queue + self.storage
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +228,7 @@ mod tests {
         assert_eq!(bill.queue, Usd::cents(1));
         assert_eq!(bill.storage, Usd::cents(24));
         assert_eq!(bill.total(), Usd::cents(1113));
-        assert!(bill.total_amortized() < bill.total());
+        assert!(bill.instances.amortized_cost < bill.instances.compute_cost);
     }
 
     #[test]

@@ -169,6 +169,7 @@ impl MonitorDefense {
         done: &HashSet<u64>,
         now_s: f64,
     ) {
+        #[allow(clippy::disallowed_methods)] // sorted before use
         let mut by_age: Vec<(f64, u64)> = self.running.iter().map(|(&id, &at)| (at, id)).collect();
         by_age.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for (_, id) in by_age {
@@ -824,6 +825,7 @@ impl Run<'_> {
                     }
                     if done.len() + failed.len() >= n_tasks {
                         *self.finished_at.lock().unwrap() = Some(Instant::now());
+                        #[allow(clippy::disallowed_methods)] // sorted before use
                         let mut f: Vec<TaskId> = failed.iter().map(|&i| TaskId(i)).collect();
                         f.sort();
                         *self.failed.lock().unwrap() = f;
@@ -1071,16 +1073,6 @@ impl Run<'_> {
             tt.mark(Phase::Ack, done_s);
         }
     }
-}
-
-/// Sequential baseline for Equation 1: run every task back to back on this
-/// thread with inputs already local (no storage round trips).
-pub fn run_sequential(inputs: &[(TaskSpec, Vec<u8>)], executor: &dyn Executor) -> Result<f64> {
-    let start = Instant::now();
-    for (spec, input) in inputs {
-        executor.run(spec, input)?;
-    }
-    Ok(start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
@@ -1818,21 +1810,6 @@ mod tests {
         assert_eq!(report.summary.tasks, 30);
         let fleet = report.fleet.expect("autoscaled run reports its fleet");
         assert!(fleet.billed_hours >= 1);
-    }
-
-    #[test]
-    fn sequential_baseline_runs_all() {
-        let inputs: Vec<(TaskSpec, Vec<u8>)> = (0..10)
-            .map(|i| {
-                (
-                    TaskSpec::new(i, "rev", format!("f{i}"), ResourceProfile::cpu_bound(0.0)),
-                    vec![1u8; 8],
-                )
-            })
-            .collect();
-        let exec = reverse_executor();
-        let t = run_sequential(&inputs, exec.as_ref()).unwrap();
-        assert!(t >= 0.0);
     }
 
     /// Kernel thread id of the calling thread (Linux), read from

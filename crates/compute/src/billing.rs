@@ -168,47 +168,6 @@ impl OwnedClusterCost {
     }
 }
 
-/// Walker-style lease-or-buy analysis (the paper's §7 discussion of
-/// Walker, "The Real Cost of a CPU Hour"): at what utilization does owning
-/// the cluster beat leasing equivalent cloud capacity?
-#[derive(Debug, Clone, Copy)]
-pub struct LeaseOrBuy {
-    /// TCO model of the candidate purchase.
-    pub owned: OwnedClusterCost,
-    /// Cloud fleet that matches the owned cluster's capacity.
-    pub cloud_equivalent_hourly: Usd,
-}
-
-impl LeaseOrBuy {
-    /// Cost of owning for a year at a given utilization, per *useful* hour.
-    pub fn owned_cost_per_useful_hour(&self, utilization: f64) -> Usd {
-        assert!(utilization > 0.0 && utilization <= 1.0);
-        self.owned.hourly_rate().scale(1.0 / utilization)
-    }
-
-    /// Cloud cost per useful hour (you only lease when you have work).
-    pub fn cloud_cost_per_useful_hour(&self) -> Usd {
-        self.cloud_equivalent_hourly
-    }
-
-    /// Utilization above which owning is cheaper than leasing; `None` when
-    /// owning never wins (cloud cheaper even at 100% utilization).
-    pub fn breakeven_utilization(&self) -> Option<f64> {
-        let owned = self.owned.hourly_rate().as_f64();
-        let cloud = self.cloud_equivalent_hourly.as_f64();
-        if cloud <= 0.0 {
-            return None;
-        }
-        let u = owned / cloud;
-        (u <= 1.0).then_some(u)
-    }
-
-    /// Decision at a given expected utilization.
-    pub fn should_buy(&self, utilization: f64) -> bool {
-        self.owned_cost_per_useful_hour(utilization) < self.cloud_cost_per_useful_hour()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,37 +278,5 @@ mod tests {
     #[should_panic(expected = "utilization in (0,1]")]
     fn zero_utilization_rejected() {
         OwnedClusterCost::paper_internal_cluster().job_cost(1.0, 0.0);
-    }
-
-    #[test]
-    fn lease_or_buy_breakeven() {
-        // The paper's internal cluster (~$36.15/h TCO) vs renting its
-        // capacity on EC2: 32 nodes x 24 cores ≈ 96 HCXL instances ≈
-        // $65.28/h. Owning wins above ~55% utilization.
-        let analysis = LeaseOrBuy {
-            owned: OwnedClusterCost::paper_internal_cluster(),
-            cloud_equivalent_hourly: Usd::cents(68) * 96,
-        };
-        let breakeven = analysis.breakeven_utilization().expect("owning can win");
-        assert!((0.5..0.62).contains(&breakeven), "breakeven {breakeven}");
-        assert!(analysis.should_buy(0.8));
-        assert!(!analysis.should_buy(0.3));
-        // Wilkening et al's observation (paper §7): at 100% utilization the
-        // local cluster is cheaper than the cloud.
-        assert!(analysis.owned_cost_per_useful_hour(1.0) < analysis.cloud_cost_per_useful_hour());
-    }
-
-    #[test]
-    fn lease_or_buy_cloud_always_wins_for_expensive_clusters() {
-        let analysis = LeaseOrBuy {
-            owned: OwnedClusterCost {
-                purchase: Usd::dollars(10_000_000),
-                depreciation_years: 3,
-                yearly_maintenance: Usd::dollars(1_000_000),
-            },
-            cloud_equivalent_hourly: Usd::dollars(100),
-        };
-        assert!(analysis.breakeven_utilization().is_none());
-        assert!(!analysis.should_buy(1.0));
     }
 }

@@ -76,12 +76,6 @@ impl Cluster {
         self.nodes.iter().map(|n| n.workers).sum()
     }
 
-    /// Total physical cores across the fleet. The paper's "16 cores" studies
-    /// fix this number while varying the instance type.
-    pub fn total_cores(&self) -> usize {
-        self.nodes.iter().map(|n| n.itype.cores).sum()
-    }
-
     /// Cost of holding the whole fleet for `seconds`.
     pub fn cost(&self, seconds: f64) -> CostBreakdown {
         instance_cost(&self.itype(), self.n_nodes(), seconds)
@@ -93,33 +87,6 @@ impl Cluster {
         self.nodes
             .iter()
             .flat_map(|n| (0..n.workers).map(move |w| (n.id, w)))
-    }
-
-    /// Provision one more instance of the same type (elastic scale-out);
-    /// returns the new node's id. The label keeps the *initial* shape —
-    /// elastic fleets report their size over time via the fleet timeline.
-    pub fn grow(&mut self, workers: usize) -> usize {
-        assert!(workers > 0, "need at least one worker per instance");
-        let id = self.nodes.len();
-        self.nodes.push(Node {
-            id,
-            itype: self.itype(),
-            workers,
-        });
-        id
-    }
-
-    /// Release an instance (elastic scale-in). The node keeps its id slot
-    /// so historical ids stay stable; it simply stops contributing slots.
-    /// The last remaining instance cannot be retired.
-    pub fn retire(&mut self, node_id: usize) -> Node {
-        assert!(self.nodes.len() > 1, "cannot retire the last instance");
-        let pos = self
-            .nodes
-            .iter()
-            .position(|n| n.id == node_id)
-            .unwrap_or_else(|| panic!("node {node_id} not in cluster"));
-        self.nodes.remove(pos)
     }
 }
 
@@ -134,7 +101,7 @@ mod tests {
         let c = Cluster::provision(EC2_HCXL, 2, 8);
         assert_eq!(c.label(), "HCXL - 2 x 8");
         assert_eq!(c.total_workers(), 16);
-        assert_eq!(c.total_cores(), 16);
+        assert_eq!(c.n_nodes() * c.itype().cores, 16);
     }
 
     #[test]
@@ -147,7 +114,7 @@ mod tests {
             (crate::instance::EC2_HM4XL, 2),
         ] {
             let c = Cluster::provision_per_core(t, n);
-            assert_eq!(c.total_cores(), 16, "{}", c.label());
+            assert_eq!(c.n_nodes() * c.itype().cores, 16, "{}", c.label());
         }
     }
 
@@ -168,28 +135,5 @@ mod tests {
     #[should_panic(expected = "at least one instance")]
     fn empty_cluster_rejected() {
         Cluster::provision(EC2_HCXL, 0, 8);
-    }
-
-    #[test]
-    fn grow_and_retire_track_slots() {
-        let mut c = Cluster::provision(EC2_HCXL, 2, 8);
-        assert_eq!(c.total_workers(), 16);
-        let id = c.grow(8);
-        assert_eq!(id, 2);
-        assert_eq!(c.n_nodes(), 3);
-        assert_eq!(c.total_workers(), 24);
-        let gone = c.retire(0);
-        assert_eq!(gone.id, 0);
-        assert_eq!(c.total_workers(), 16);
-        // Remaining ids are stable.
-        let ids: Vec<usize> = c.nodes().iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot retire the last instance")]
-    fn retire_last_instance_rejected() {
-        let mut c = Cluster::provision(EC2_HCXL, 1, 8);
-        c.retire(0);
     }
 }

@@ -254,12 +254,6 @@ pub const EC2_TYPES: [InstanceType; 4] = [EC2_LARGE, EC2_XLARGE, EC2_HCXL, EC2_H
 pub const AZURE_TYPES: [InstanceType; 4] = [AZURE_SMALL, AZURE_MEDIUM, AZURE_LARGE, AZURE_XLARGE];
 
 impl InstanceType {
-    /// Memory available per core, bytes — the quantity the paper keeps
-    /// returning to when explaining BLAST behaviour.
-    pub fn memory_per_core(&self) -> u64 {
-        self.memory_bytes / self.cores as u64
-    }
-
     /// Look up a type by catalog name.
     pub fn by_name(name: &str) -> Option<InstanceType> {
         EC2_TYPES
@@ -277,11 +271,6 @@ impl InstanceType {
             )
             .find(|t| t.name == name)
             .copied()
-    }
-
-    /// Dollars per core-hour — a first-order cost-effectiveness signal.
-    pub fn cost_per_core_hour(&self) -> Usd {
-        self.cost_per_hour.scale(1.0 / self.cores as f64)
     }
 }
 
@@ -324,9 +313,10 @@ mod tests {
     #[test]
     fn hcxl_has_least_memory_per_core() {
         // "<1 GB per core" vs "3.75 GB per core" for L/XL (§5.1).
-        assert!(EC2_HCXL.memory_per_core() < 1 << 30);
-        assert!(EC2_LARGE.memory_per_core() > 3 * (1 << 30));
-        assert!(EC2_XLARGE.memory_per_core() > 3 * (1 << 30));
+        let per_core = |t: InstanceType| t.memory_bytes / t.cores as u64;
+        assert!(per_core(EC2_HCXL) < 1 << 30);
+        assert!(per_core(EC2_LARGE) > 3 * (1 << 30));
+        assert!(per_core(EC2_XLARGE) > 3 * (1 << 30));
     }
 
     #[test]
@@ -339,7 +329,7 @@ mod tests {
     #[test]
     fn cost_per_core_hour_ranks_hcxl_cheapest_ec2() {
         let mut by_core_cost = EC2_TYPES;
-        by_core_cost.sort_by_key(|a| a.cost_per_core_hour());
+        by_core_cost.sort_by_key(|a| a.cost_per_hour.scale(1.0 / a.cores as f64));
         assert_eq!(by_core_cost[0].name, "HCXL");
     }
 

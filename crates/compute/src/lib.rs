@@ -18,7 +18,7 @@ pub mod cluster;
 pub mod instance;
 pub mod model;
 
-pub use billing::{CostBreakdown, FleetLedger, LeaseOrBuy, OwnedClusterCost};
+pub use billing::{CostBreakdown, FleetLedger, OwnedClusterCost};
 pub use cluster::{Cluster, Node};
 pub use instance::{InstanceType, OsPlatform, Provider};
 pub use model::{task_service_seconds, AppModel};

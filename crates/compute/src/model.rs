@@ -101,21 +101,6 @@ pub fn task_service_seconds(
     t_cpu.max(t_mem) + t_page
 }
 
-/// Sequential baseline (Equation 1's `T1`) for a set of tasks on one core of
-/// `itype` with the rest of the machine idle — matching the paper's method
-/// of measuring `T1` "in each of the different environments, having the
-/// input files present in the local disks, avoiding the data transfers".
-pub fn sequential_seconds(
-    itype: &InstanceType,
-    profiles: &[ResourceProfile],
-    app: &AppModel,
-) -> f64 {
-    profiles
-        .iter()
-        .map(|p| task_service_seconds(itype, 1, p, app))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,12 +209,5 @@ mod tests {
             (loaded - 20.0).abs() < 1e-9,
             "16 workers on 8 cores double the time"
         );
-    }
-
-    #[test]
-    fn sequential_baseline_sums() {
-        let ps = vec![cpu_task(2.0); 5];
-        let t1 = sequential_seconds(&EC2_HCXL, &ps, &AppModel::DEFAULT);
-        assert!((t1 - 10.0).abs() < 1e-9);
     }
 }

@@ -56,13 +56,6 @@ impl Json {
             .ok_or_else(|| PpcError::Codec(format!("missing field '{key}'")))
     }
 
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(type_err("bool", other)),
-        }
-    }
-
     pub fn as_u64(&self) -> Result<u64> {
         match self {
             Json::Int(i) => u64::try_from(*i).map_err(|_| type_err("u64", self)),

@@ -11,8 +11,8 @@
 //! * [`report`] — aligned text tables and data series used by the benchmark
 //!   harness to print the paper's tables and figures.
 //! * [`retry`] — the shared recovery layer: [`retry::RetryPolicy`]
-//!   (exponential backoff + jitter + retry budget), a circuit breaker,
-//!   and deadline propagation, adopted by storage, queue, and runtimes.
+//!   (exponential backoff + jitter + retry budget) and a circuit
+//!   breaker, adopted by storage, queue, and runtimes.
 //! * [`rng`] — tiny deterministic PRNGs (SplitMix64 / PCG32) so simulation
 //!   results are reproducible without threading `rand` through everything.
 //! * [`json`] — a small JSON value/parser/writer for the wire formats
@@ -45,5 +45,5 @@ pub use cancel::Cancel;
 pub use error::{PpcError, Result};
 pub use exec::{Executor, FnExecutor};
 pub use money::Usd;
-pub use retry::{BreakerState, CircuitBreaker, Deadline, RetryPolicy};
+pub use retry::{CircuitBreaker, RetryPolicy};
 pub use task::{ResourceProfile, TaskId, TaskSpec};

@@ -30,14 +30,6 @@ pub fn avg_time_per_task_per_core(tp_seconds: f64, p_cores: usize, n_tasks: usiz
     tp_seconds * p_cores as f64 / n_tasks as f64
 }
 
-/// Speedup `T1 / Tp`; the paper reports efficiency, but ablations use both.
-pub fn speedup(t1_seconds: f64, tp_seconds: f64) -> f64 {
-    if tp_seconds <= 0.0 {
-        return 0.0;
-    }
-    t1_seconds / tp_seconds
-}
-
 /// Outcome of one framework run, consumed by the benchmark harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
@@ -80,11 +72,6 @@ impl RunSummary {
     /// Equation 1 against a supplied sequential baseline.
     pub fn efficiency(&self, t1_seconds: f64) -> f64 {
         parallel_efficiency(t1_seconds, self.makespan_seconds, self.cores)
-    }
-
-    /// Equation 2.
-    pub fn per_task_per_core(&self) -> f64 {
-        avg_time_per_task_per_core(self.makespan_seconds, self.cores, self.tasks)
     }
 }
 
@@ -176,7 +163,6 @@ mod tests {
             remote_bytes: 0,
         };
         assert!((s.efficiency(1600.0) - 0.8).abs() < 1e-12);
-        assert!((s.per_task_per_core() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -66,16 +66,6 @@ impl Usd {
         Usd((self.0 as f64 * factor).round() as i64)
     }
 
-    /// `true` when the amount is exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating subtraction clamped at zero; bills never go negative.
-    pub fn saturating_sub_zero(self, other: Usd) -> Usd {
-        Usd((self.0 - other.0).max(0))
-    }
-
     /// Parse a dollar amount: `"10.88"`, `"10.88$"`, `"$10.88"`, `"-0.34"`.
     /// Accepts up to 6 decimal places (micro-dollar precision).
     pub fn parse(text: &str) -> crate::Result<Usd> {
@@ -220,15 +210,6 @@ mod tests {
         let hourly = Usd::cents(68);
         let frac = hourly.scale(1000.0 / 3600.0);
         assert_eq!(frac, Usd::micros(188_889));
-    }
-
-    #[test]
-    fn saturating_sub() {
-        assert_eq!(Usd::cents(5).saturating_sub_zero(Usd::cents(10)), Usd::ZERO);
-        assert_eq!(
-            Usd::cents(10).saturating_sub_zero(Usd::cents(5)),
-            Usd::cents(5)
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shared recovery layer: retry policy, circuit breaker, deadline.
+//! Shared recovery layer: retry policy and circuit breaker.
 //!
 //! Every ad-hoc retry loop in the workspace (storage `get_with_retry`,
 //! the queue client's transient-error polling, Dryad's vertex re-run)
@@ -12,9 +12,9 @@
 //! That keeps the whole layer usable from both the threaded runtimes and
 //! the discrete-event simulator, and keeps every test deterministic.
 
-use crate::error::{PpcError, Result};
+use crate::error::Result;
 use crate::rng::Pcg32;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Exponential backoff with jitter and a total-sleep retry budget.
 ///
@@ -40,54 +40,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries at all: one attempt, surface the first error.
-    pub const NONE: RetryPolicy = RetryPolicy {
-        max_attempts: 1,
-        base_delay: Duration::ZERO,
-        max_delay: Duration::ZERO,
-        multiplier: 1.0,
-        jitter: 0.0,
-        budget: None,
-    };
-
-    /// A sensible cloud-client default: `attempts` tries, 1 ms doubling
-    /// backoff capped at 100 ms, 50% jitter, unbounded budget.
-    pub fn with_attempts(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: attempts,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(100),
-            multiplier: 2.0,
-            jitter: 0.5,
-            budget: None,
-        }
-    }
-
-    /// Immediate retries (no sleeping) — for compute-side re-runs where
-    /// waiting buys nothing, e.g. Dryad vertex re-execution.
-    pub fn immediate(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: attempts,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            multiplier: 1.0,
-            jitter: 0.0,
-            budget: None,
-        }
-    }
-
-    /// Builder-style base delay override.
-    pub fn with_base_delay(mut self, d: Duration) -> RetryPolicy {
-        self.base_delay = d;
-        self
-    }
-
-    /// Builder-style budget override.
-    pub fn with_budget(mut self, budget: Duration) -> RetryPolicy {
-        self.budget = Some(budget);
-        self
-    }
-
     /// The pre-jitter delay before retry number `attempt` (0-based: the
     /// delay between the first failure and the second try is `delay(0)`).
     pub fn delay(&self, attempt: u32) -> Duration {
@@ -114,100 +66,40 @@ impl RetryPolicy {
     /// backoff delay — pass `std::thread::sleep` in a native runtime, a
     /// virtual-time hook in a simulator, or a recorder in tests. Stops on
     /// the first success, the first non-retryable error, attempt
-    /// exhaustion, budget exhaustion, or `deadline` expiry.
+    /// exhaustion, or budget exhaustion.
     pub fn run<T>(
         &self,
         rng: &mut Pcg32,
-        deadline: Option<&Deadline>,
         mut sleep: impl FnMut(Duration),
         mut op: impl FnMut(u32) -> Result<T>,
     ) -> Result<T> {
         let attempts = self.max_attempts.max(1);
         let mut slept = Duration::ZERO;
-        let mut last = None;
         for attempt in 0..attempts {
-            if let Some(d) = deadline {
-                if d.expired() {
-                    return Err(last.unwrap_or_else(|| {
-                        PpcError::Transient("deadline expired before first attempt".into())
-                    }));
-                }
-            }
             match op(attempt) {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_retryable() && attempt + 1 < attempts => {
-                    let mut pause = self.jittered_delay(attempt, rng);
+                    let pause = self.jittered_delay(attempt, rng);
                     if let Some(budget) = self.budget {
                         if slept + pause > budget {
                             return Err(e);
-                        }
-                    }
-                    if let Some(d) = deadline {
-                        match d.remaining() {
-                            Some(rem) => pause = pause.min(rem),
-                            None => return Err(e),
                         }
                     }
                     if !pause.is_zero() {
                         sleep(pause);
                         slept += pause;
                     }
-                    last = Some(e);
                 }
                 Err(e) => return Err(e),
             }
         }
-        Err(last.unwrap_or_else(|| PpcError::Transient("retry policy made no attempts".into())))
+        unreachable!("the last attempt returns its result")
     }
 
     /// [`RetryPolicy::run`] sleeping on the current thread.
     pub fn run_blocking<T>(&self, rng: &mut Pcg32, op: impl FnMut(u32) -> Result<T>) -> Result<T> {
-        self.run(rng, None, std::thread::sleep, op)
+        self.run(rng, std::thread::sleep, op)
     }
-}
-
-/// A wall-clock deadline propagated down through retry loops: the caller's
-/// patience, carried with the request the way gRPC and SQS long-poll carry
-/// theirs. Retry loops cap their sleeps at `remaining()` and stop retrying
-/// once `expired()`.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    at: Instant,
-}
-
-impl Deadline {
-    /// A deadline `d` from now.
-    pub fn after(d: Duration) -> Deadline {
-        Deadline {
-            at: Instant::now() + d,
-        }
-    }
-
-    /// Absolute deadline.
-    pub fn at(at: Instant) -> Deadline {
-        Deadline { at }
-    }
-
-    /// Time left, or `None` once past the deadline.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at.checked_duration_since(Instant::now())
-    }
-
-    /// True once the deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_none()
-    }
-}
-
-/// Circuit breaker state visible to callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow; consecutive failures are counted.
-    Closed,
-    /// Requests are refused until `reset_after_s` elapses.
-    Open,
-    /// One probe request is allowed through to test recovery.
-    HalfOpen,
 }
 
 /// A minimal circuit breaker: after `failure_threshold` consecutive
@@ -228,7 +120,6 @@ struct BreakerInner {
     consecutive_failures: u32,
     opened_at_s: Option<f64>,
     probe_outstanding: bool,
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -240,19 +131,7 @@ impl CircuitBreaker {
                 consecutive_failures: 0,
                 opened_at_s: None,
                 probe_outstanding: false,
-                trips: 0,
             }),
-        }
-    }
-
-    /// Current state at time `now_s` (an Open breaker reports `HalfOpen`
-    /// once the reset interval has elapsed).
-    pub fn state(&self, now_s: f64) -> BreakerState {
-        let inner = self.inner.lock();
-        match inner.opened_at_s {
-            None => BreakerState::Closed,
-            Some(at) if now_s - at >= self.reset_after_s => BreakerState::HalfOpen,
-            Some(_) => BreakerState::Open,
         }
     }
 
@@ -289,22 +168,15 @@ impl CircuitBreaker {
         inner.probe_outstanding = false;
         inner.consecutive_failures += 1;
         if inner.opened_at_s.is_some() || inner.consecutive_failures >= self.failure_threshold {
-            if inner.opened_at_s.is_none() {
-                inner.trips += 1;
-            }
             inner.opened_at_s = Some(now_s);
         }
-    }
-
-    /// How many times the breaker has tripped from closed to open.
-    pub fn trips(&self) -> u64 {
-        self.inner.lock().trips
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PpcError;
 
     fn policy() -> RetryPolicy {
         RetryPolicy {
@@ -351,7 +223,6 @@ mod tests {
         let mut calls = 0;
         let out = policy().run(
             &mut rng,
-            None,
             |d| sleeps.push(d),
             |attempt| {
                 calls += 1;
@@ -375,7 +246,6 @@ mod tests {
         let mut calls = 0;
         let out: Result<()> = policy().run(
             &mut rng,
-            None,
             |_| panic!("must not sleep"),
             |_| {
                 calls += 1;
@@ -392,7 +262,6 @@ mod tests {
         let mut calls = 0;
         let out: Result<()> = policy().run(
             &mut rng,
-            None,
             |_| {},
             |_| {
                 calls += 1;
@@ -405,13 +274,15 @@ mod tests {
 
     #[test]
     fn budget_stops_retries_before_attempts_run_out() {
-        let p = policy().with_budget(Duration::from_millis(25));
+        let p = RetryPolicy {
+            budget: Some(Duration::from_millis(25)),
+            ..policy()
+        };
         let mut rng = Pcg32::new(1);
         let mut slept = Duration::ZERO;
         let mut calls = 0;
         let out: Result<()> = p.run(
             &mut rng,
-            None,
             |d| slept += d,
             |_| {
                 calls += 1;
@@ -426,31 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn deadline_caps_sleep_and_stops_retries() {
-        let p = policy();
-        let mut rng = Pcg32::new(1);
-        let deadline = Deadline::after(Duration::from_millis(5));
-        let mut sleeps = Vec::new();
-        let out: Result<()> = p.run(
-            &mut rng,
-            Some(&deadline),
-            |d| sleeps.push(d),
-            |_| Err(PpcError::Transient("always".into())),
-        );
-        assert!(out.is_err());
-        // Every sleep is capped at the deadline's remaining time.
-        for d in &sleeps {
-            assert!(*d <= Duration::from_millis(5));
-        }
-    }
-
-    #[test]
     fn immediate_policy_never_sleeps() {
         let mut rng = Pcg32::new(1);
         let mut calls = 0;
-        let out: Result<()> = RetryPolicy::immediate(3).run(
+        let immediate = RetryPolicy {
+            max_attempts: 3,
+            base_delay: Duration::ZERO,
+            ..policy()
+        };
+        let out: Result<()> = immediate.run(
             &mut rng,
-            None,
             |_| panic!("immediate policy must not sleep"),
             |_| {
                 calls += 1;
@@ -464,32 +320,28 @@ mod tests {
     #[test]
     fn breaker_opens_after_threshold_and_recovers() {
         let b = CircuitBreaker::new(3, 1.0);
-        assert_eq!(b.state(0.0), BreakerState::Closed);
+        assert!(b.allow(0.0), "closed");
         b.record_failure(0.1);
         b.record_failure(0.2);
         assert!(b.allow(0.3), "still closed below threshold");
         b.record_failure(0.3);
-        assert_eq!(b.state(0.3), BreakerState::Open);
         assert!(!b.allow(0.5), "open: fast-fail");
-        assert_eq!(b.trips(), 1);
         // After the reset interval one probe gets through.
-        assert_eq!(b.state(1.4), BreakerState::HalfOpen);
         assert!(b.allow(1.4), "half-open probe");
         assert!(!b.allow(1.4), "only one probe at a time");
         b.record_success();
-        assert_eq!(b.state(1.5), BreakerState::Closed);
         assert!(b.allow(1.5));
+        assert!(b.allow(1.5), "closed again: no probe limit");
     }
 
     #[test]
     fn breaker_reopens_on_failed_probe() {
         let b = CircuitBreaker::new(1, 1.0);
         b.record_failure(0.0);
-        assert_eq!(b.state(0.5), BreakerState::Open);
+        assert!(!b.allow(0.5), "open");
         assert!(b.allow(1.2), "probe");
         b.record_failure(1.2);
-        assert_eq!(b.state(1.5), BreakerState::Open);
-        assert!(!b.allow(1.5));
-        assert_eq!(b.trips(), 1, "re-opening is not a fresh trip");
+        assert!(!b.allow(1.5), "re-opened at the failed probe");
+        assert!(b.allow(2.2), "the next probe waits a fresh reset interval");
     }
 }

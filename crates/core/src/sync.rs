@@ -16,10 +16,6 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Mutex<T> {
         Mutex(sync::Mutex::new(value))
     }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -35,10 +31,6 @@ pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
 impl<T> RwLock<T> {
     pub fn new(value: T) -> RwLock<T> {
         RwLock(sync::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -62,7 +54,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
@@ -70,7 +61,7 @@ mod tests {
         let l = RwLock::new(vec![1, 2]);
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
+        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

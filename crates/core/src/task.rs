@@ -63,31 +63,6 @@ impl ResourceProfile {
             output_bytes: 0,
         }
     }
-
-    /// Merge two profiles as if the tasks ran back to back (used when
-    /// bundling fine-grained work into coarser tasks).
-    pub fn concat(self, other: ResourceProfile) -> ResourceProfile {
-        ResourceProfile {
-            cpu_seconds_ref: self.cpu_seconds_ref + other.cpu_seconds_ref,
-            mem_bytes: self.mem_bytes.max(other.mem_bytes),
-            shared_mem_bytes: self.shared_mem_bytes.max(other.shared_mem_bytes),
-            mem_traffic_bytes: self.mem_traffic_bytes + other.mem_traffic_bytes,
-            input_bytes: self.input_bytes + other.input_bytes,
-            output_bytes: self.output_bytes + other.output_bytes,
-        }
-    }
-
-    /// Scale the whole profile by a factor (e.g. replicate a workload 6x).
-    pub fn scaled(self, factor: f64) -> ResourceProfile {
-        ResourceProfile {
-            cpu_seconds_ref: self.cpu_seconds_ref * factor,
-            mem_bytes: self.mem_bytes,
-            shared_mem_bytes: self.shared_mem_bytes,
-            mem_traffic_bytes: (self.mem_traffic_bytes as f64 * factor) as u64,
-            input_bytes: (self.input_bytes as f64 * factor) as u64,
-            output_bytes: (self.output_bytes as f64 * factor) as u64,
-        }
-    }
 }
 
 /// A framework-independent description of one unit of pleasingly parallel
@@ -175,23 +150,6 @@ impl TaskSpec {
     }
 }
 
-/// One task plus the (virtual or wall-clock) offset at which it arrives at
-/// the scheduling queue — the unit of a *bursty* workload. A job whose
-/// tasks all carry `at_s == 0` degenerates to the paper's all-upfront
-/// submission.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskArrival {
-    pub spec: TaskSpec,
-    /// Seconds after job start at which this task is enqueued.
-    pub at_s: f64,
-}
-
-impl TaskArrival {
-    pub fn upfront(spec: TaskSpec) -> TaskArrival {
-        TaskArrival { spec, at_s: 0.0 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,48 +180,6 @@ mod tests {
     #[test]
     fn output_key_derived() {
         assert_eq!(sample().output_key, "inputs/file7.fa.out");
-    }
-
-    #[test]
-    fn concat_sums_flows_and_maxes_residency() {
-        let a = ResourceProfile {
-            cpu_seconds_ref: 1.0,
-            mem_bytes: 100,
-            shared_mem_bytes: 0,
-            mem_traffic_bytes: 10,
-            input_bytes: 5,
-            output_bytes: 1,
-        };
-        let b = ResourceProfile {
-            cpu_seconds_ref: 2.0,
-            mem_bytes: 50,
-            shared_mem_bytes: 0,
-            mem_traffic_bytes: 20,
-            input_bytes: 7,
-            output_bytes: 3,
-        };
-        let c = a.concat(b);
-        assert_eq!(c.cpu_seconds_ref, 3.0);
-        assert_eq!(c.mem_bytes, 100);
-        assert_eq!(c.mem_traffic_bytes, 30);
-        assert_eq!(c.input_bytes, 12);
-        assert_eq!(c.output_bytes, 4);
-    }
-
-    #[test]
-    fn scaled_profile() {
-        let p = ResourceProfile {
-            cpu_seconds_ref: 2.0,
-            mem_bytes: 100,
-            shared_mem_bytes: 0,
-            mem_traffic_bytes: 10,
-            input_bytes: 4,
-            output_bytes: 2,
-        };
-        let s = p.scaled(3.0);
-        assert_eq!(s.cpu_seconds_ref, 6.0);
-        assert_eq!(s.mem_bytes, 100); // residency unchanged
-        assert_eq!(s.mem_traffic_bytes, 30);
     }
 
     #[test]

@@ -143,16 +143,6 @@ impl FleetTimeline {
         self.steps.is_empty()
     }
 
-    /// Fleet size at a given time (0 before the first record).
-    pub fn size_at(&self, at_s: f64) -> u32 {
-        self.steps
-            .iter()
-            .take_while(|(t, _)| *t <= at_s)
-            .last()
-            .map(|&(_, s)| s)
-            .unwrap_or(0)
-    }
-
     /// Largest fleet ever held.
     pub fn peak(&self) -> u32 {
         self.steps.iter().map(|&(_, s)| s).max().unwrap_or(0)
@@ -287,10 +277,6 @@ mod tests {
     #[test]
     fn fleet_step_function() {
         let f = fleet_sample();
-        assert_eq!(f.size_at(0.0), 2);
-        assert_eq!(f.size_at(9.9), 2);
-        assert_eq!(f.size_at(10.0), 4);
-        assert_eq!(f.size_at(100.0), 1);
         assert_eq!(f.peak(), 4);
         // (10*2 + 20*4 + 10*1) / 40 = 110/40
         assert!((f.mean_size(40.0) - 2.75).abs() < 1e-12);

@@ -361,11 +361,6 @@ impl<E> Engine<E> {
         Some(self.post_at(at, event))
     }
 
-    /// Like [`Engine::reschedule_at`], relative to now.
-    pub fn reschedule_in(&mut self, id: EventId, delay: SimTime) -> Option<EventId> {
-        self.reschedule_at(id, self.now + delay)
-    }
-
     /// Whether a popped queue key still refers to its live event.
     #[inline]
     fn key_is_live(&self, e: EventEntry) -> bool {

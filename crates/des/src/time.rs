@@ -44,22 +44,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Duration until `later`; saturates at zero if `later` is earlier.
-    pub fn until(self, later: SimTime) -> SimTime {
-        SimTime(later.0.saturating_sub(self.0))
-    }
-
-    /// Number of whole billing hours covering this duration (ceiling),
-    /// minimum 1 when any time at all has passed — matching the paper's
-    /// "instances are billed hourly" rule.
-    pub fn billed_hours(self) -> u64 {
-        if self.0 == 0 {
-            0
-        } else {
-            self.0.div_ceil(3_600_000_000)
-        }
-    }
 }
 
 impl Add for SimTime {
@@ -137,7 +121,6 @@ mod tests {
         t += SimTime::from_micros(1);
         assert_eq!(t, far, "AddAssign saturates");
         assert_eq!(far - SimTime::ZERO, far);
-        assert_eq!(far.until(SimTime::ZERO), SimTime::ZERO);
     }
 
     #[test]
@@ -147,23 +130,6 @@ mod tests {
             SimTime::from_secs(5) - SimTime::from_secs(2),
             SimTime::from_secs(3)
         );
-    }
-
-    #[test]
-    fn billed_hours_ceiling() {
-        assert_eq!(SimTime::ZERO.billed_hours(), 0);
-        assert_eq!(SimTime::from_secs(1).billed_hours(), 1);
-        assert_eq!(SimTime::from_secs(3600).billed_hours(), 1);
-        assert_eq!(SimTime::from_secs(3601).billed_hours(), 2);
-        assert_eq!(SimTime::from_secs(7200).billed_hours(), 2);
-    }
-
-    #[test]
-    fn until_saturates() {
-        let a = SimTime::from_secs(10);
-        let b = SimTime::from_secs(4);
-        assert_eq!(b.until(a), SimTime::from_secs(6));
-        assert_eq!(a.until(b), SimTime::ZERO);
     }
 
     #[test]

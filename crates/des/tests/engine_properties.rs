@@ -105,35 +105,6 @@ fn run_until_partitions_cleanly() {
     }
 }
 
-/// SimTime billing hours: ceiling, 1-hour granularity, monotone.
-#[test]
-fn billed_hours_monotone() {
-    for seed in 0..128u64 {
-        let mut rng = Pcg32::new(0xB111 + seed);
-        let n = 2 + rng.next_below(18) as usize;
-        let mut sorted: Vec<u64> = (0..n).map(|_| rng.next_below(20_000) as u64).collect();
-        sorted.sort_unstable();
-        let hours: Vec<u64> = sorted
-            .iter()
-            .map(|&s| SimTime::from_secs(s).billed_hours())
-            .collect();
-        for pair in hours.windows(2) {
-            assert!(pair[0] <= pair[1], "seed {seed}");
-        }
-        for (&s, &h) in sorted.iter().zip(&hours) {
-            if s == 0 {
-                assert_eq!(h, 0);
-            } else {
-                assert!(h * 3600 >= s, "ceiling covers duration, seed {seed}");
-                assert!(
-                    (h - 1) * 3600 < s,
-                    "no over-billing by a whole hour, seed {seed}"
-                );
-            }
-        }
-    }
-}
-
 /// Cancellation semantics: under arbitrary interleavings
 /// of schedule / cancel / reschedule, (a) cancelled events never fire,
 /// (b) nothing fires twice, (c) `pending()` always equals the live count,

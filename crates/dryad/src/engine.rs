@@ -32,7 +32,7 @@ pub fn vertex_graph(wf: &Workflow) -> Result<Graph> {
     for (s, stage) in wf.stages.iter().enumerate() {
         vid.push(
             (0..stage.specs.len())
-                .map(|p| g.add_vertex(format!("{}[{p}]", stage.name), level_of[s], p))
+                .map(|_| g.add_vertex(level_of[s]))
                 .collect(),
         );
     }

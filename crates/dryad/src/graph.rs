@@ -7,21 +7,13 @@
 
 use ppc_core::{PpcError, Result};
 
-/// Vertex metadata (the computation payloads live with the executing layer;
-/// the graph only carries structure, as Dryad's graph manager does).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VertexInfo {
-    pub name: String,
-    /// Which stage (operator) this vertex belongs to.
-    pub stage: usize,
-    /// Which partition of its stage this vertex processes.
-    pub partition: usize,
-}
-
-/// A DAG of vertices and channels.
+/// A DAG of vertices and channels. The graph only carries structure, as
+/// Dryad's graph manager does: the computation payloads live with the
+/// executing layer.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    vertices: Vec<VertexInfo>,
+    /// Each vertex's stage (the operator it belongs to), by vertex index.
+    stage_of: Vec<usize>,
     /// Channel (from, to) pairs by vertex index.
     edges: Vec<(usize, usize)>,
 }
@@ -31,19 +23,15 @@ impl Graph {
         Graph::default()
     }
 
-    /// Add a vertex; returns its index.
-    pub fn add_vertex(&mut self, name: impl Into<String>, stage: usize, partition: usize) -> usize {
-        self.vertices.push(VertexInfo {
-            name: name.into(),
-            stage,
-            partition,
-        });
-        self.vertices.len() - 1
+    /// Add a vertex of `stage`; returns its index.
+    pub fn add_vertex(&mut self, stage: usize) -> usize {
+        self.stage_of.push(stage);
+        self.stage_of.len() - 1
     }
 
     /// Connect `from`'s output channel to `to`'s input.
     pub fn add_edge(&mut self, from: usize, to: usize) -> Result<()> {
-        if from >= self.vertices.len() || to >= self.vertices.len() {
+        if from >= self.stage_of.len() || to >= self.stage_of.len() {
             return Err(PpcError::InvalidArgument(
                 "edge references unknown vertex".into(),
             ));
@@ -58,29 +46,12 @@ impl Graph {
     }
 
     pub fn n_vertices(&self) -> usize {
-        self.vertices.len()
-    }
-
-    pub fn n_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    pub fn vertex(&self, i: usize) -> &VertexInfo {
-        &self.vertices[i]
-    }
-
-    /// Vertices feeding into `v`.
-    pub fn inputs_of(&self, v: usize) -> Vec<usize> {
-        self.edges
-            .iter()
-            .filter(|(_, t)| *t == v)
-            .map(|(f, _)| *f)
-            .collect()
+        self.stage_of.len()
     }
 
     /// Kahn's algorithm: topological order, or an error if a cycle exists.
     pub fn topological_order(&self) -> Result<Vec<usize>> {
-        let n = self.vertices.len();
+        let n = self.stage_of.len();
         let mut indegree = vec![0usize; n];
         for &(_, t) in &self.edges {
             indegree[t] += 1;
@@ -108,16 +79,10 @@ impl Graph {
     /// runtime executes with a barrier between stages, like Dryad's stage
     /// manager.
     pub fn stages(&self) -> Vec<Vec<usize>> {
-        let max_stage = self
-            .vertices
-            .iter()
-            .map(|v| v.stage)
-            .max()
-            .map(|s| s + 1)
-            .unwrap_or(0);
-        let mut stages = vec![Vec::new(); max_stage];
-        for (i, v) in self.vertices.iter().enumerate() {
-            stages[v.stage].push(i);
+        let n_stages = self.stage_of.iter().max().map_or(0, |s| s + 1);
+        let mut stages = vec![Vec::new(); n_stages];
+        for (i, &stage) in self.stage_of.iter().enumerate() {
+            stages[stage].push(i);
         }
         stages
     }
@@ -130,10 +95,10 @@ mod tests {
     #[test]
     fn build_and_topo_sort() {
         let mut g = Graph::new();
-        let a = g.add_vertex("read-0", 0, 0);
-        let b = g.add_vertex("read-1", 0, 1);
-        let c = g.add_vertex("select-0", 1, 0);
-        let d = g.add_vertex("select-1", 1, 1);
+        let a = g.add_vertex(0);
+        let b = g.add_vertex(0);
+        let c = g.add_vertex(1);
+        let d = g.add_vertex(1);
         g.add_edge(a, c).unwrap();
         g.add_edge(b, d).unwrap();
         let order = g.topological_order().unwrap();
@@ -141,14 +106,13 @@ mod tests {
         assert!(pos(a) < pos(c));
         assert!(pos(b) < pos(d));
         assert_eq!(g.n_vertices(), 4);
-        assert_eq!(g.n_edges(), 2);
     }
 
     #[test]
     fn cycle_detected() {
         let mut g = Graph::new();
-        let a = g.add_vertex("a", 0, 0);
-        let b = g.add_vertex("b", 0, 1);
+        let a = g.add_vertex(0);
+        let b = g.add_vertex(0);
         g.add_edge(a, b).unwrap();
         g.add_edge(b, a).unwrap();
         assert_eq!(g.topological_order().unwrap_err().code(), "InvalidState");
@@ -157,38 +121,26 @@ mod tests {
     #[test]
     fn self_loop_rejected() {
         let mut g = Graph::new();
-        let a = g.add_vertex("a", 0, 0);
+        let a = g.add_vertex(0);
         assert!(g.add_edge(a, a).is_err());
     }
 
     #[test]
     fn bad_edge_rejected() {
         let mut g = Graph::new();
-        let a = g.add_vertex("a", 0, 0);
+        let a = g.add_vertex(0);
         assert!(g.add_edge(a, 99).is_err());
     }
 
     #[test]
     fn stages_group_vertices() {
         let mut g = Graph::new();
-        g.add_vertex("r0", 0, 0);
-        g.add_vertex("r1", 0, 1);
-        g.add_vertex("s0", 1, 0);
+        g.add_vertex(0);
+        g.add_vertex(0);
+        g.add_vertex(1);
         let stages = g.stages();
         assert_eq!(stages.len(), 2);
         assert_eq!(stages[0], vec![0, 1]);
         assert_eq!(stages[1], vec![2]);
-    }
-
-    #[test]
-    fn inputs_of() {
-        let mut g = Graph::new();
-        let a = g.add_vertex("a", 0, 0);
-        let b = g.add_vertex("b", 0, 1);
-        let c = g.add_vertex("c", 1, 0);
-        g.add_edge(a, c).unwrap();
-        g.add_edge(b, c).unwrap();
-        assert_eq!(g.inputs_of(c), vec![a, b]);
-        assert!(g.inputs_of(a).is_empty());
     }
 }

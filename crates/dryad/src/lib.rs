@@ -41,6 +41,6 @@ pub use engine::{vertex_graph, DryadEngine};
 pub use graph::Graph;
 pub use harness::{run, simulate};
 pub use linq::DVec;
-pub use partition::{partition_contiguous, partition_round_robin, PartitionManifest};
+pub use partition::{partition_contiguous, partition_round_robin};
 pub use runtime::{DryadConfig, DryadReport, JobOutputs};
 pub use sim::DryadSimConfig;

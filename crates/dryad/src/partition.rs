@@ -3,10 +3,7 @@
 //! DryadLINQ required "data for the computations ... be partitioned manually
 //! and stored beforehand in the local disks of the computational nodes",
 //! with the paper's framework implementing "the data partition and the
-//! distribution programs" and "the generation of metadata files for the data
-//! partitions" (§2.3, §2.4). These are those programs.
-
-use ppc_core::{PpcError, Result};
+//! distribution programs" (§2.3, §2.4). These are those programs.
 
 /// Deal items round-robin across `n` partitions (even counts, arbitrary
 /// content mix — the paper's default distribution).
@@ -32,71 +29,6 @@ pub fn partition_contiguous<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
         parts.push(iter.by_ref().take(take).collect());
     }
     parts
-}
-
-/// The metadata file describing a partitioned data set — what DryadLINQ
-/// reads to know where each partition lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionManifest {
-    pub name: String,
-    /// Per-partition (node index, item count).
-    pub partitions: Vec<(usize, usize)>,
-}
-
-impl PartitionManifest {
-    pub fn describe<T>(name: impl Into<String>, parts: &[Vec<T>]) -> PartitionManifest {
-        PartitionManifest {
-            name: name.into(),
-            partitions: parts
-                .iter()
-                .enumerate()
-                .map(|(node, p)| (node, p.len()))
-                .collect(),
-        }
-    }
-
-    pub fn total_items(&self) -> usize {
-        self.partitions.iter().map(|(_, c)| c).sum()
-    }
-
-    /// Serialize in the simple one-line-per-partition text format the
-    /// paper's partition tool would emit.
-    pub fn to_text(&self) -> String {
-        let mut s = format!("{}\n{}\n", self.name, self.partitions.len());
-        for (node, count) in &self.partitions {
-            s.push_str(&format!("{node}\t{count}\n"));
-        }
-        s
-    }
-
-    pub fn from_text(text: &str) -> Result<PartitionManifest> {
-        let mut lines = text.lines();
-        let name = lines
-            .next()
-            .ok_or_else(|| PpcError::Codec("manifest missing name".into()))?
-            .to_string();
-        let n: usize = lines
-            .next()
-            .and_then(|l| l.parse().ok())
-            .ok_or_else(|| PpcError::Codec("manifest missing partition count".into()))?;
-        let mut partitions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| PpcError::Codec("manifest truncated".into()))?;
-            let mut f = line.split('\t');
-            let node: usize = f
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| PpcError::Codec("bad node".into()))?;
-            let count: usize = f
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| PpcError::Codec("bad count".into()))?;
-            partitions.push((node, count));
-        }
-        Ok(PartitionManifest { name, partitions })
-    }
 }
 
 #[cfg(test)]
@@ -127,22 +59,5 @@ mod tests {
         assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 2);
         let parts = partition_contiguous(vec![1, 2], 5);
         assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 2);
-    }
-
-    #[test]
-    fn manifest_round_trip() {
-        let parts = partition_round_robin((0..7).collect(), 3);
-        let m = PartitionManifest::describe("pubchem", &parts);
-        assert_eq!(m.total_items(), 7);
-        let text = m.to_text();
-        let back = PartitionManifest::from_text(&text).unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn manifest_rejects_garbage() {
-        assert!(PartitionManifest::from_text("").is_err());
-        assert!(PartitionManifest::from_text("name\nnotanumber\n").is_err());
-        assert!(PartitionManifest::from_text("name\n2\n0\t1\n").is_err());
     }
 }

@@ -341,16 +341,6 @@ impl Workload {
         }
     }
 
-    pub fn with_max_attempts(mut self, n: u32) -> Workload {
-        self.max_attempts = n;
-        self
-    }
-
-    pub fn with_visibility_timeout(mut self, t: std::time::Duration) -> Workload {
-        self.visibility_timeout = Some(t);
-        self
-    }
-
     /// The task specs alone (what the simulators consume).
     pub fn specs(&self) -> Vec<TaskSpec> {
         self.inputs.iter().map(|(t, _)| t.clone()).collect()

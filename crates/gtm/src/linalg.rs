@@ -183,11 +183,6 @@ impl Matrix {
             .map(|(a, b)| (a - b) * (a - b))
             .sum()
     }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -259,10 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn row_distance_and_norm() {
+    fn row_distance() {
         let a = Matrix::from_rows(vec![vec![0.0, 0.0], vec![3.0, 4.0]]);
         assert_eq!(a.row_sq_dist(0, &a, 1), 25.0);
-        assert_eq!(a.frobenius(), 5.0);
     }
 
     #[test]

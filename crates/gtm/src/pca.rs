@@ -16,22 +16,6 @@ pub struct Pca {
     pub mean: Vec<f64>,
 }
 
-impl Pca {
-    /// Project a data row onto the principal axes (centered coordinates).
-    pub fn project_row(&self, row: &[f64]) -> Vec<f64> {
-        self.components
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .zip(row)
-                    .zip(&self.mean)
-                    .map(|((ci, xi), mi)| ci * (xi - mi))
-                    .sum()
-            })
-            .collect()
-    }
-}
-
 /// Compute the top `n_components` principal components of `data` (rows are
 /// observations) via power iteration with `iters` rounds per component and
 /// deflation between components.
@@ -165,15 +149,6 @@ mod tests {
         // Eigenvalues non-increasing.
         assert!(p.std_devs[0] >= p.std_devs[1]);
         assert!(p.std_devs[1] >= p.std_devs[2]);
-    }
-
-    #[test]
-    fn projection_centers_data() {
-        let data = Matrix::from_rows(vec![vec![1.0, 0.0], vec![3.0, 0.0], vec![5.0, 0.0]]);
-        let p = pca(&data, 1, 50);
-        let proj: Vec<f64> = (0..3).map(|i| p.project_row(data.row(i))[0]).collect();
-        let sum: f64 = proj.iter().sum();
-        assert!(sum.abs() < 1e-9, "projections centered: {proj:?}");
     }
 
     #[test]

@@ -50,10 +50,6 @@ impl RbfBasis {
         }
     }
 
-    pub fn n_basis(&self) -> usize {
-        self.centers.rows() + 1 // + bias
-    }
-
     /// Evaluate Φ at a set of latent points: `points.rows() × (M+1)`,
     /// last column the constant bias 1.
     pub fn phi(&self, points: &Matrix) -> Matrix {

@@ -63,12 +63,6 @@ impl GtmModel {
         r.transpose().matmul(&self.grid.points)
     }
 
-    /// Estimated bytes touched per projected point — feeds the simulator's
-    /// memory-traffic model (`K × D` distance pass dominates).
-    pub fn traffic_bytes_per_point(&self) -> u64 {
-        (self.grid.n_points() * self.w.cols() * std::mem::size_of::<f64>()) as u64
-    }
-
     /// Serialize the trained model for distribution to workers — the GTM
     /// counterpart of pre-distributing the BLAST database (§5): train once,
     /// ship the (small) model, interpolate everywhere.
@@ -441,11 +435,5 @@ mod tests {
         assert_eq!(a, b);
         // Garbage is rejected cleanly.
         assert!(GtmModel::from_bytes(b"not a model").is_err());
-    }
-
-    #[test]
-    fn traffic_estimate_scales_with_model() {
-        let (model, _, _) = train_small(8);
-        assert_eq!(model.traffic_bytes_per_point(), (36 * 40 * 8) as u64);
     }
 }

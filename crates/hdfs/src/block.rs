@@ -55,16 +55,6 @@ impl FileStatus {
         hosts.dedup();
         hosts
     }
-
-    /// Lowest replica count over the file's blocks (0 if any block lost all
-    /// replicas — the file is then partially unreadable).
-    pub fn min_replication(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.replicas.len())
-            .min()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -101,17 +91,15 @@ mod tests {
             st.hosts(),
             vec![DataNodeId(0), DataNodeId(1), DataNodeId(2)]
         );
-        assert_eq!(st.min_replication(), 2);
     }
 
     #[test]
-    fn empty_file_has_zero_replication() {
+    fn empty_file_has_no_hosts() {
         let st = FileStatus {
             path: "/e".into(),
             len: 0,
             blocks: vec![],
         };
-        assert_eq!(st.min_replication(), 0);
         assert!(st.hosts().is_empty());
     }
 }

@@ -84,10 +84,6 @@ impl MiniHdfs {
         self.policy.n_nodes
     }
 
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
     /// (local, remote) block-read counters.
     pub fn read_stats(&self) -> (u64, u64) {
         (
@@ -242,22 +238,10 @@ impl MiniHdfs {
         Ok((out, all_local))
     }
 
-    /// Delete a file and free its blocks.
-    pub fn delete(&self, path: &str) -> Result<()> {
-        let mut inner = self.inner.write();
-        let meta = inner
-            .files
-            .remove(path)
-            .ok_or_else(|| PpcError::NotFound(format!("file '{path}'")))?;
-        for id in meta.blocks {
-            inner.blocks.remove(&id);
-        }
-        Ok(())
-    }
-
     /// List paths with a prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
         let inner = self.inner.read();
+        #[allow(clippy::disallowed_methods)] // sorted before use
         let mut v: Vec<String> = inner
             .files
             .keys()
@@ -278,21 +262,6 @@ impl MiniHdfs {
         Ok(())
     }
 
-    /// Bring a datanode back (empty — its old replicas are gone, matching a
-    /// reformatted machine).
-    pub fn revive_datanode(&self, node: DataNodeId) -> Result<()> {
-        let mut inner = self.inner.write();
-        if node.0 >= inner.alive.len() {
-            return Err(PpcError::NotFound(format!("datanode {node}")));
-        }
-        // Purge stale replica records pointing at the reborn node.
-        for rec in inner.blocks.values_mut() {
-            rec.replicas.retain(|r| *r != node);
-        }
-        inner.alive[node.0] = true;
-        Ok(())
-    }
-
     /// Blocks currently below the replication target (counting only alive
     /// replicas), as the namenode's replication monitor would see them.
     pub fn under_replicated(&self) -> Vec<BlockId> {
@@ -301,6 +270,7 @@ impl MiniHdfs {
             .policy
             .effective_replication()
             .min(inner.alive.iter().filter(|a| **a).count());
+        #[allow(clippy::disallowed_methods)] // sorted before use
         let mut v: Vec<BlockId> = inner
             .blocks
             .iter()
@@ -314,12 +284,15 @@ impl MiniHdfs {
     /// Restore replication for all under-replicated blocks from surviving
     /// replicas. Returns the number of new replicas created. Blocks with no
     /// surviving replica are lost and skipped (real HDFS reports these as
-    /// corrupt files).
+    /// corrupt files). Blocks are visited in id order, so the seeded target
+    /// draws repeat from run to run.
     pub fn re_replicate(&self) -> usize {
         let mut inner = self.inner.write();
         let alive_count = inner.alive.iter().filter(|a| **a).count();
         let want = self.policy.effective_replication().min(alive_count);
-        let ids: Vec<BlockId> = inner.blocks.keys().copied().collect();
+        #[allow(clippy::disallowed_methods)] // sorted before use
+        let mut ids: Vec<BlockId> = inner.blocks.keys().copied().collect();
+        ids.sort_unstable();
         let mut created = 0;
         for id in ids {
             let (live, lost_all): (Vec<DataNodeId>, bool) = {
@@ -363,89 +336,6 @@ impl MiniHdfs {
         }
         created
     }
-
-    /// Total bytes of file data (not counting replication).
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.read().files.values().map(|f| f.len).sum()
-    }
-
-    /// Per-datanode stored bytes including replication — `hdfs dfsadmin
-    /// -report`'s per-node usage view.
-    pub fn node_usage(&self) -> Vec<u64> {
-        let inner = self.inner.read();
-        let mut usage = vec![0u64; self.policy.n_nodes];
-        for rec in inner.blocks.values() {
-            for r in &rec.replicas {
-                usage[r.0] += rec.data.len() as u64;
-            }
-        }
-        usage
-    }
-
-    /// Imbalance ratio: most-loaded node over mean (1.0 = perfectly even).
-    pub fn balance_ratio(&self) -> f64 {
-        let usage = self.node_usage();
-        let total: u64 = usage.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / usage.len() as f64;
-        usage.iter().copied().max().unwrap_or(0) as f64 / mean
-    }
-
-    /// The HDFS balancer: move replicas from over-loaded to under-loaded
-    /// alive datanodes until every node is within `threshold` (fraction,
-    /// e.g. 0.1 = 10%) of the mean, or no legal move remains (a move is
-    /// legal when the target holds no replica of the block). Returns the
-    /// number of replicas moved.
-    pub fn balance(&self, threshold: f64) -> usize {
-        assert!(threshold >= 0.0);
-        let mut moved = 0;
-        // Bounded iterations: each move strictly reduces the max-loaded
-        // node's usage, but cap for safety.
-        for _ in 0..10_000 {
-            let usage = self.node_usage();
-            let inner_check = self.inner.read();
-            let alive: Vec<usize> = (0..usage.len()).filter(|&i| inner_check.alive[i]).collect();
-            drop(inner_check);
-            if alive.len() < 2 {
-                break;
-            }
-            let total: u64 = alive.iter().map(|&i| usage[i]).sum();
-            let mean = total as f64 / alive.len() as f64;
-            let hi = *alive.iter().max_by_key(|&&i| usage[i]).expect("non-empty");
-            let lo = *alive.iter().min_by_key(|&&i| usage[i]).expect("non-empty");
-            if usage[hi] as f64 <= mean * (1.0 + threshold) {
-                break; // balanced enough
-            }
-            // Move one block replica from hi to lo (any block on hi whose
-            // replicas do not already include lo).
-            let mut inner = self.inner.write();
-            let candidate = inner
-                .blocks
-                .iter()
-                .filter(|(_, rec)| {
-                    rec.replicas.contains(&DataNodeId(hi))
-                        && !rec.replicas.contains(&DataNodeId(lo))
-                })
-                .map(|(id, _)| *id)
-                .next();
-            match candidate {
-                Some(id) => {
-                    let rec = inner.blocks.get_mut(&id).expect("block exists");
-                    for r in rec.replicas.iter_mut() {
-                        if *r == DataNodeId(hi) {
-                            *r = DataNodeId(lo);
-                            break;
-                        }
-                    }
-                    moved += 1;
-                }
-                None => break, // no legal move
-            }
-        }
-        moved
-    }
 }
 
 #[cfg(test)]
@@ -476,7 +366,7 @@ mod tests {
     fn replication_level_respected() {
         let fs = MiniHdfs::new(6, 1 << 20, 3, 2);
         let st = fs.create("/f", &[1; 100], None).unwrap();
-        assert_eq!(st.min_replication(), 3);
+        assert!(st.blocks.iter().all(|b| b.replicas.len() == 3));
     }
 
     #[test]
@@ -537,27 +427,34 @@ mod tests {
     }
 
     #[test]
-    fn revive_forgets_old_replicas() {
-        let fs = MiniHdfs::new(2, 1 << 20, 2, 8);
-        fs.create("/f", &[1; 4], None).unwrap();
-        fs.kill_datanode(DataNodeId(0)).unwrap();
-        fs.revive_datanode(DataNodeId(0)).unwrap();
-        // The revived node holds nothing; file served by the other replica.
-        let st = fs.status("/f").unwrap();
-        assert_eq!(st.blocks[0].replicas, vec![DataNodeId(1)]);
-        assert!(fs.read("/f").is_ok());
+    fn same_seed_re_replicates_to_the_same_hosts() {
+        // Each under-replicated block draws its new targets from the seeded
+        // RNG, so blocks must be visited in an order that does not depend
+        // on hash iteration.
+        let hosts_after_repair = || {
+            let fs = MiniHdfs::new(8, 1024, 3, 7);
+            for i in 0..64 {
+                fs.create(&format!("/f{i}"), &[i as u8; 3000], None)
+                    .unwrap();
+            }
+            fs.kill_datanode(DataNodeId(2)).unwrap();
+            fs.kill_datanode(DataNodeId(5)).unwrap();
+            assert!(fs.re_replicate() > 0);
+            let replicas = |i| fs.status(&format!("/f{i}")).unwrap().blocks;
+            (0..64)
+                .flat_map(|i| replicas(i).into_iter().map(|b| b.replicas))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(hosts_after_repair(), hosts_after_repair());
     }
 
     #[test]
-    fn list_and_delete() {
+    fn list_filters_by_prefix() {
         let fs = MiniHdfs::new(2, 1 << 20, 1, 9);
         fs.create("/in/a", b"1", None).unwrap();
         fs.create("/in/b", b"2", None).unwrap();
         fs.create("/out/c", b"3", None).unwrap();
         assert_eq!(fs.list("/in/"), vec!["/in/a", "/in/b"]);
-        fs.delete("/in/a").unwrap();
-        assert_eq!(fs.list("/in/"), vec!["/in/b"]);
-        assert_eq!(fs.delete("/in/a").unwrap_err().code(), "NotFound");
     }
 
     #[test]
@@ -566,41 +463,6 @@ mod tests {
         let st = fs.create("/empty", b"", None).unwrap();
         assert_eq!(st.len, 0);
         assert_eq!(fs.read("/empty").unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn balancer_levels_skewed_replicas() {
-        // Pin every write to node 0: maximal imbalance.
-        let fs = MiniHdfs::new(4, 64, 1, 77);
-        for i in 0..32 {
-            fs.create(&format!("/f{i}"), &[i as u8; 64], Some(DataNodeId(0)))
-                .unwrap();
-        }
-        assert!(fs.balance_ratio() > 3.0, "skewed: {}", fs.balance_ratio());
-        let moved = fs.balance(0.1);
-        assert!(moved > 0);
-        assert!(fs.balance_ratio() < 1.2, "balanced: {}", fs.balance_ratio());
-        // Data still fully readable after the moves.
-        for i in 0..32 {
-            assert_eq!(fs.read(&format!("/f{i}")).unwrap(), vec![i as u8; 64]);
-        }
-        // Usage spread across all four nodes now.
-        let usage = fs.node_usage();
-        assert!(usage.iter().all(|&u| u > 0), "{usage:?}");
-    }
-
-    #[test]
-    fn balancer_noop_when_already_balanced() {
-        let fs = MiniHdfs::new(4, 64, 2, 78);
-        for i in 0..16 {
-            fs.create(&format!("/f{i}"), &[0u8; 64], None).unwrap();
-        }
-        let before = fs.balance_ratio();
-        let moved = fs.balance(0.5);
-        if before <= 1.5 {
-            assert_eq!(moved, 0, "already within threshold");
-        }
-        assert!(fs.balance_ratio() <= before + 1e-9);
     }
 
     #[test]
@@ -618,6 +480,5 @@ mod tests {
             }
         });
         assert_eq!(fs.list("/").len(), 160);
-        assert_eq!(fs.used_bytes(), 16_000);
     }
 }

@@ -88,24 +88,6 @@ impl PlacementPolicy {
             .collect();
         rng.choose(&candidates).copied()
     }
-
-    /// Pick replacement targets when a block is under-replicated: any nodes
-    /// that do not already hold a replica.
-    pub fn re_replicate_targets(&self, current: &[DataNodeId], rng: &mut Pcg32) -> Vec<DataNodeId> {
-        let want = self.effective_replication().saturating_sub(current.len());
-        let mut taken: Vec<DataNodeId> = current.to_vec();
-        let mut out = Vec::with_capacity(want);
-        for _ in 0..want {
-            match self.pick(rng, &taken, |_| true) {
-                Some(n) => {
-                    taken.push(n);
-                    out.push(n);
-                }
-                None => break,
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -152,16 +134,6 @@ mod tests {
         let mut rng = Pcg32::new(4);
         let r = p.place(None, &mut rng);
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn re_replication_avoids_existing_holders() {
-        let p = PlacementPolicy::new(6, 3, 3);
-        let mut rng = Pcg32::new(5);
-        let current = vec![DataNodeId(0)];
-        let targets = p.re_replicate_targets(&current, &mut rng);
-        assert_eq!(targets.len(), 2);
-        assert!(!targets.contains(&DataNodeId(0)));
     }
 
     #[test]

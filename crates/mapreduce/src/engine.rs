@@ -58,7 +58,7 @@ impl Engine for HadoopEngine {
         let mut job = MapReduceJob::map_only(workload.name.clone(), paths, "/out");
         job.max_attempts = workload.max_attempts;
         let mapper = ExecutableMapper::new(workload.name.clone(), workload.executor.clone());
-        let report = crate::harness::run(ctx, &fs, &job, &mapper, None, &self.native)?;
+        let report = crate::harness::run(ctx, &fs, &job, &mapper, &self.native)?;
         let mut outputs = JobOutputs::new();
         for path in fs.list("/out/") {
             let bytes = fs.read(&path)?;

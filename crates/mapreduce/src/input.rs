@@ -1,27 +1,16 @@
-//! Input formats and splits.
+//! Input splits.
 //!
 //! Hadoop's default input formats parse file *contents* into records, which
 //! "is not possible" for legacy executables that "expect a file path as the
 //! input instead of the contents" (§2.2). The paper therefore implemented a
 //! custom `InputFormat`/`RecordReader` pair delivering the file name as the
 //! key and the HDFS path as the value, "while preserving the Hadoop data
-//! locality based scheduling". Both that format and a whole-file format are
-//! provided here; both carry locality hints.
+//! locality based scheduling". That format is the only one here: a split
+//! names one file and carries its locality hints.
 
 use ppc_core::Result;
 use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
-
-/// How file inputs become map records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InputFormat {
-    /// Key = bare file name, value = full HDFS path (UTF-8). The map
-    /// function reads the file itself — the paper's custom format.
-    FileName,
-    /// Key = full path, value = the file's bytes, read by the framework on
-    /// the mapper's node (counts toward locality stats).
-    WholeFile,
-}
 
 /// One map task's input: a whole file (the paper's applications are
 /// file-per-task, so splits never straddle files).

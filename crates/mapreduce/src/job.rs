@@ -1,6 +1,5 @@
-//! Job descriptions, the Mapper/Reducer traits, and the executable adapter.
+//! Job descriptions, the Mapper trait, and the executable adapter.
 
-use crate::input::InputFormat;
 use ppc_core::exec::Executor;
 use ppc_core::task::{ResourceProfile, TaskSpec};
 use ppc_core::{Cancel, PpcError, Result};
@@ -8,9 +7,10 @@ use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
 use std::sync::Arc;
 
-/// A MapReduce job. With `reducer: None` it is map-only — the shape of all
-/// three paper applications, whose outputs "can be collected independently
-/// and do not need any combining steps" (§4).
+/// A map-only MapReduce job — the shape of all three paper applications,
+/// whose outputs "can be collected independently and do not need any
+/// combining steps" (§4). Each map gets its file's name and HDFS path, the
+/// paper's custom `InputFormat`, and reads the file itself.
 #[derive(Clone)]
 pub struct MapReduceJob {
     pub name: String,
@@ -18,15 +18,8 @@ pub struct MapReduceJob {
     pub input_paths: Vec<String>,
     /// HDFS directory where outputs land.
     pub output_dir: String,
-    pub input_format: InputFormat,
-    /// Number of reduce tasks (ignored for map-only jobs).
-    pub n_reducers: usize,
     /// Attempts per task before the job declares it failed.
     pub max_attempts: u32,
-    /// Run the reducer as a *map-side combiner* on each map task's output
-    /// before the shuffle (valid only for associative, commutative reduce
-    /// functions — Hadoop's same caveat).
-    pub use_combiner: bool,
 }
 
 impl MapReduceJob {
@@ -39,26 +32,8 @@ impl MapReduceJob {
             name: name.into(),
             input_paths,
             output_dir: output_dir.into(),
-            input_format: InputFormat::FileName,
-            n_reducers: 0,
             max_attempts: 4,
-            use_combiner: false,
         }
-    }
-
-    pub fn with_reducers(mut self, n: usize) -> Self {
-        self.n_reducers = n;
-        self
-    }
-
-    pub fn with_input_format(mut self, f: InputFormat) -> Self {
-        self.input_format = f;
-        self
-    }
-
-    pub fn with_combiner(mut self, on: bool) -> Self {
-        self.use_combiner = on;
-        self
     }
 
     pub fn validate(&self) -> Result<()> {
@@ -121,7 +96,8 @@ impl<'a> MapContext<'a> {
         Ok(data)
     }
 
-    /// Emit an intermediate (map-only: final) key/value pair.
+    /// Emit an output key/value pair: `key` names the file under the job's
+    /// output directory.
     pub fn emit(&mut self, key: impl Into<String>, value: Vec<u8>) {
         self.emitted.push((key.into(), value));
     }
@@ -137,15 +113,10 @@ pub trait Mapper: Send + Sync {
     fn map(&self, key: &str, value: &[u8], ctx: &mut MapContext<'_>) -> Result<()>;
 }
 
-/// A reduce function: all values for one key, sorted by arrival.
-pub trait Reducer: Send + Sync {
-    fn reduce(&self, key: &str, values: &[Vec<u8>]) -> Result<Vec<u8>>;
-}
-
 /// The paper's map function (§2.4): "copy the input file from HDFS to the
 /// working directory, execute the external program as a process and finally
-/// upload the result file to the HDFS". Wraps any [`Executor`] as a Mapper
-/// for [`InputFormat::FileName`] jobs.
+/// upload the result file to the HDFS". Wraps any [`Executor`] as a
+/// Mapper.
 pub struct ExecutableMapper {
     executor: Arc<dyn Executor>,
     app: String,
@@ -177,18 +148,6 @@ impl Mapper for ExecutableMapper {
         ctx.emit(format!("{key}.out"), output);
         Ok(())
     }
-}
-
-/// Hash-partition a key among `n` reducers (Hadoop's default partitioner).
-pub fn partition_for(key: &str, n_reducers: usize) -> usize {
-    debug_assert!(n_reducers > 0);
-    // FNV-1a, stable across runs and platforms.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % n_reducers as u64) as usize
 }
 
 #[cfg(test)]
@@ -233,21 +192,5 @@ mod tests {
         mapper.map("x.fa", b"/in/x.fa", &mut ctx).unwrap();
         let (emitted, _) = ctx.finish();
         assert_eq!(emitted, vec![("x.fa.out".to_string(), b"ACGT".to_vec())]);
-    }
-
-    #[test]
-    fn partitioner_is_stable_and_in_range() {
-        for n in [1usize, 3, 8] {
-            for key in ["a", "bb", "ccc", "x.out"] {
-                let p = partition_for(key, n);
-                assert!(p < n);
-                assert_eq!(p, partition_for(key, n), "stable");
-            }
-        }
-        // Different keys spread across partitions (sanity, not uniformity).
-        let ps: std::collections::HashSet<usize> = (0..100)
-            .map(|i| partition_for(&format!("key-{i}"), 8))
-            .collect();
-        assert!(ps.len() >= 6);
     }
 }

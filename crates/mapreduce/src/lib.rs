@@ -15,12 +15,12 @@
 //! * **File-oriented inputs** — the paper's custom `InputFormat` /
 //!   `RecordReader` that hand the *file name* and *HDFS path* to the map
 //!   function (instead of file contents) so legacy executables can be
-//!   wrapped; [`input::InputFormat::FileName`] is exactly that.
+//!   wrapped; every [`MapReduceJob`] reads its inputs that way.
 //!
-//! Map-only jobs (all three paper applications), full map/shuffle/reduce
-//! jobs, and Twister-style **iterative MapReduce** ([`iterative`] — the
-//! paper's §8 future work) are all supported. Two runtimes share the
-//! [`scheduler::Scheduler`] — a locality-aware queue over the shared
+//! Jobs are map-only, as all three paper applications are; Twister-style
+//! **iterative MapReduce** ([`iterative`] — the paper's §8 future work)
+//! runs its reduce on `ppc-workflow`'s fixed-point loop. Two runtimes
+//! share the [`scheduler::Scheduler`] — a locality-aware queue over the shared
 //! [`ppc_resilience::AttemptLedger`], which owns attempt state, retries
 //! and speculation — and both are reached through exactly two entry
 //! points driven by a [`ppc_exec::RunContext`]:
@@ -45,9 +45,9 @@ pub mod sim;
 
 pub use engine::HadoopEngine;
 pub use harness::{run, simulate};
-pub use input::{InputFormat, InputSplit};
+pub use input::InputSplit;
 pub use iterative::cache_splits;
-pub use job::{ExecutableMapper, MapContext, MapReduceJob, Mapper, Reducer};
+pub use job::{ExecutableMapper, MapContext, MapReduceJob, Mapper};
 pub use report::MapReduceReport;
 pub use runtime::HadoopConfig;
 pub use sim::HadoopSimConfig;

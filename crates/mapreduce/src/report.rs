@@ -18,10 +18,12 @@ pub struct MapReduceReport {
     pub scheduler: SchedulerStats,
     /// Map attempts whose HDFS reads were all node-local.
     pub data_local_tasks: usize,
-    /// Key/value records emitted by the map phase (before any combining).
+    /// Key/value records the committed map attempts emitted. Natively it
+    /// equals `shuffle_records` (jobs are map-only); the simulator reports 0.
     pub map_output_records: usize,
-    /// Records actually shuffled to reducers (== map output unless a
-    /// map-side combiner ran).
+    /// Natively the same count as `map_output_records`, since a map-only
+    /// job shuffles nothing to a reducer; the simulator reports 0. Both
+    /// fields stay because the golden digests hash the report's `Debug`.
     pub shuffle_records: usize,
 }
 

@@ -1,16 +1,16 @@
 //! The native MapReduce runtime: Hadoop's policy over the shared
-//! [`SlotPool`] on a real `MiniHdfs`, plus its reduce phase and report.
+//! [`SlotPool`] on a real `MiniHdfs`, and its report.
 //!
 //! Slots live on the datanodes, which makes data-local scheduling
 //! meaningful, and share one partition, the global queue: a slot takes
 //! [`Scheduler::next_at`]'s pick (a replica-local task, any task, then a
 //! speculative duplicate), and a failed or cut attempt's task goes back in
-//! the queue. The data path is an HDFS read, the map and the combiner; only
-//! a task's *first* completion commits (Hadoop's output committer), so
+//! the queue. The data path is the map, which reads its file from HDFS;
+//! only a task's *first* completion commits (Hadoop's output committer), so
 //! duplicates and retries can never corrupt results.
 
-use crate::input::{compute_splits, InputFormat, InputSplit};
-use crate::job::{partition_for, MapContext, MapReduceJob, Mapper, Reducer};
+use crate::input::{compute_splits, InputSplit};
+use crate::job::{MapContext, MapReduceJob, Mapper};
 use crate::report::MapReduceReport;
 use crate::scheduler::Scheduler;
 use ppc_core::rng::Pcg32;
@@ -22,7 +22,6 @@ use ppc_hdfs::block::DataNodeId;
 use ppc_hdfs::fs::MiniHdfs;
 use ppc_resilience::{AttemptLedger, HedgeConfig};
 use ppc_trace::Phase;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -67,7 +66,7 @@ impl HadoopConfig {
     }
 }
 
-/// Run a job (map-only or map+reduce) natively on the cluster underlying
+/// Run a map-only job natively on the cluster underlying
 /// `fs`: real threads, real HDFS reads, Hadoop's output-committer
 /// discipline, retries and hedging/quarantine/deadlines from the shared
 /// [`Scheduler`] + the context's [`ppc_resilience::ResiliencePolicy`].
@@ -88,7 +87,6 @@ pub fn run(
     fs: &Arc<MiniHdfs>,
     job: &MapReduceJob,
     mapper: &dyn Mapper,
-    reducer: Option<&dyn Reducer>,
     config: &HadoopConfig,
 ) -> Result<MapReduceReport> {
     job.validate()?;
@@ -107,64 +105,28 @@ pub fn run(
         fs,
         job,
         mapper,
-        reducer,
         splits,
         failure_p: config.attempt_failure_p,
         rngs: (0..n_nodes * slots).map(rng).collect(),
         traced_hedges: ctx.resilience.is_some(),
-        intermediate: Mutex::new(Vec::new()),
         remote_bytes: AtomicU64::new(0),
-        map_output_records: AtomicUsize::new(0),
-        shuffle_records: AtomicUsize::new(0),
+        records: AtomicUsize::new(0),
     };
     let homes: Vec<_> = (0..n_nodes).flat_map(|n| [(n, 0)].repeat(slots)).collect();
     let (hadoop, mut run) = SlotPool::new(ctx, hadoop, sched, &homes).run();
-
-    // Reduce phase (if any): shuffle by key, reduce each partition.
-    if let (Some(reducer), true) = (reducer, job.n_reducers > 0) {
-        let mut parts = vec![BTreeMap::<String, Vec<Vec<u8>>>::new(); job.n_reducers];
-        for (key, value) in std::mem::take(&mut *hadoop.intermediate.lock().unwrap()) {
-            let part = &mut parts[partition_for(&key, job.n_reducers)];
-            part.entry(key).or_default().push(value);
-        }
-        let reduce = |part: &BTreeMap<String, Vec<Vec<u8>>>| {
-            let mut out = Vec::new();
-            for (key, values) in part {
-                if let Ok(reduced) = reducer.reduce(key, values) {
-                    out.extend_from_slice(key.as_bytes());
-                    out.push(b'\t');
-                    out.extend_from_slice(&reduced);
-                    out.push(b'\n');
-                }
-            }
-            out
-        };
-        let outputs: Vec<_> = std::thread::scope(|s| {
-            let reducers: Vec<_> = parts.iter().map(|p| s.spawn(move || reduce(p))).collect();
-            reducers.into_iter().map(|r| r.join().unwrap()).collect()
-        });
-        for (i, data) in outputs.iter().enumerate() {
-            let _ = fs.create(&format!("{}/part-r-{i:05}", job.output_dir), data, None);
-        }
-    }
-
-    // The reduce phase, if any, is part of the makespan.
-    let makespan = match job.n_reducers {
-        0 => run.finished_s,
-        _ => run.clock.now_s(),
-    };
     let remote_bytes = hadoop.remote_bytes.load(Relaxed);
     let mut failed: Vec<_> = run.failed.iter().map(|&(t, _)| TaskId(t as u64)).collect();
     failed.sort();
-    let core = run.report("hadoop", makespan, remote_bytes, failed, None);
+    let core = run.report("hadoop", run.finished_s, remote_bytes, failed, None);
     let stats = run.book.stats();
     Ok(MapReduceReport {
         core,
         scheduler: stats,
         // Per *assignment*, as in the simulator: duplicates count too.
         data_local_tasks: stats.local_assignments as usize,
-        map_output_records: hadoop.map_output_records.load(Relaxed),
-        shuffle_records: hadoop.shuffle_records.load(Relaxed),
+        // Map-only: every emitted record is the job's output.
+        map_output_records: hadoop.records.load(Relaxed),
+        shuffle_records: hadoop.records.load(Relaxed),
     })
 }
 
@@ -173,7 +135,6 @@ struct Hadoop<'a> {
     fs: &'a Arc<MiniHdfs>,
     job: &'a MapReduceJob,
     mapper: &'a dyn Mapper,
-    reducer: Option<&'a dyn Reducer>,
     splits: Vec<InputSplit>,
     failure_p: f64,
     /// Each slot's injected-failure stream, by worker.
@@ -181,16 +142,15 @@ struct Hadoop<'a> {
     /// Whether duplicates are traced as hedges (a resilience policy's, not
     /// Hadoop's default speculation).
     traced_hedges: bool,
-    intermediate: Mutex<Vec<(String, Vec<u8>)>>,
     remote_bytes: AtomicU64,
-    map_output_records: AtomicUsize,
-    shuffle_records: AtomicUsize,
+    /// Records emitted by committed attempts.
+    records: AtomicUsize,
 }
 
 impl SlotPolicy for Hadoop<'_> {
     type Book = Scheduler;
-    /// The map's records after the combiner, and their count before it.
-    type Out = (Vec<(String, Vec<u8>)>, usize);
+    /// The map's emitted records.
+    type Out = Vec<(String, Vec<u8>)>;
     const LAUNCH_PHASE: Phase = Phase::Dispatch;
 
     fn ledger(sched: &mut Scheduler) -> &mut AttemptLedger {
@@ -240,19 +200,12 @@ impl SlotPolicy for Hadoop<'_> {
         };
         let started = Instant::now();
         let mut ctx = MapContext::new(self.fs, node).with_cancel(a.cancel.clone());
-        let mapped = match self.job.input_format {
-            // The "read" is the split metadata itself; the span still
-            // closes here so the phase set matches the simulator's.
-            InputFormat::FileName => {
-                a.mark(read);
-                self.mapper
-                    .map(&split.name, split.path.as_bytes(), &mut ctx)
-            }
-            InputFormat::WholeFile => ctx.read(&split.path).and_then(|data| {
-                a.mark(read);
-                self.mapper.map(&split.path, &data, &mut ctx)
-            }),
-        };
+        // The "read" is the split metadata itself; the span still closes
+        // here so the phase set matches the simulator's.
+        a.mark(read);
+        let mapped = self
+            .mapper
+            .map(&split.name, split.path.as_bytes(), &mut ctx);
         let _ = a.stretch(started);
         a.mark(Phase::Map);
         // Killed by the committing attempt, or cut at the deadline.
@@ -261,43 +214,19 @@ impl SlotPolicy for Hadoop<'_> {
         // takes only a *completed* attempt, so no partial output lands.
         a.dice(true)?;
         mapped?;
-        let (mut emitted, _all_local) = ctx.finish();
-        let map_records = emitted.len();
-        let combiner = self
-            .reducer
-            .filter(|_| self.job.use_combiner && self.job.n_reducers > 0);
-        if let Some(reducer) = combiner {
-            // Map-side combine: fold each key's values before the shuffle.
-            let mut grouped = BTreeMap::<String, Vec<Vec<u8>>>::new();
-            for (k, v) in emitted.drain(..) {
-                grouped.entry(k).or_default().push(v);
-            }
-            for (k, vs) in grouped {
-                match reducer.reduce(&k, &vs) {
-                    Ok(combined) => emitted.push((k, combined)),
-                    // Combining is an optimization; fall back to raw records.
-                    Err(_) => emitted.extend(vs.into_iter().map(|v| (k.clone(), v))),
-                }
-            }
-        }
-        Ok((emitted, map_records))
+        Ok(ctx.finish().0)
     }
 
-    fn commit(&self, a: &mut Attempt<'_, '_, Self>, (emitted, map_records): Self::Out) {
-        self.map_output_records.fetch_add(map_records, Relaxed);
-        self.shuffle_records.fetch_add(emitted.len(), Relaxed);
-        if self.job.n_reducers > 0 {
-            self.intermediate.lock().unwrap().extend(emitted);
-        } else {
-            // Map-only: a dead local datanode can't take the write, so it
-            // pipelines through any live one instead.
-            for (key, value) in emitted {
-                let path = format!("{}/{key}", self.job.output_dir);
-                let local = self.fs.create(&path, &value, Some(DataNodeId(a.slot.node)));
-                let created = local.or_else(|_| self.fs.create(&path, &value, None));
-                if let Err(e) = created {
-                    assert!(e.code() == "AlreadyExists", "commit of '{path}' lost: {e}");
-                }
+    fn commit(&self, a: &mut Attempt<'_, '_, Self>, emitted: Self::Out) {
+        self.records.fetch_add(emitted.len(), Relaxed);
+        // A dead local datanode can't take the write, so it pipelines
+        // through any live one instead.
+        for (key, value) in emitted {
+            let path = format!("{}/{key}", self.job.output_dir);
+            let local = self.fs.create(&path, &value, Some(DataNodeId(a.slot.node)));
+            let created = local.or_else(|_| self.fs.create(&path, &value, None));
+            if let Err(e) = created {
+                assert!(e.code() == "AlreadyExists", "commit of '{path}' lost: {e}");
             }
         }
         // The committing attempt is the task's single terminal span.
@@ -318,14 +247,12 @@ mod tests {
         fs: &Arc<MiniHdfs>,
         job: &MapReduceJob,
         mapper: &dyn Mapper,
-        reducer: Option<&dyn Reducer>,
     ) -> Result<MapReduceReport> {
         crate::run(
             &RunContext::local(),
             fs,
             job,
             mapper,
-            reducer,
             &HadoopConfig::default(),
         )
     }
@@ -334,10 +261,9 @@ mod tests {
         fs: &Arc<MiniHdfs>,
         job: &MapReduceJob,
         mapper: &dyn Mapper,
-        reducer: Option<&dyn Reducer>,
         config: &HadoopConfig,
     ) -> Result<MapReduceReport> {
-        crate::run(&RunContext::local(), fs, job, mapper, reducer, config)
+        crate::run(&RunContext::local(), fs, job, mapper, config)
     }
 
     fn make_fs(n_nodes: usize, files: usize) -> (Arc<MiniHdfs>, Vec<String>) {
@@ -362,7 +288,7 @@ mod tests {
             Ok(i.to_ascii_uppercase())
         });
         let mapper = ExecutableMapper::new("upper", exec);
-        let report = run_job(&fs, &job, &mapper, None).unwrap();
+        let report = run_job(&fs, &job, &mapper).unwrap();
         assert!(report.is_complete());
         assert_eq!(report.summary.tasks, 48);
         for i in 0..48 {
@@ -388,7 +314,7 @@ mod tests {
             ..HadoopConfig::default()
         };
         let ctx = RunContext::local().with_seed(7);
-        let report = crate::run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, &config).unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);
         assert!(
             report.scheduler.retries > 0,
@@ -409,7 +335,7 @@ mod tests {
             }
         });
         let mapper = ExecutableMapper::new("poison", exec);
-        let report = run_job(&fs, &job, &mapper, None).unwrap();
+        let report = run_job(&fs, &job, &mapper).unwrap();
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.summary.tasks, 4);
     }
@@ -431,7 +357,7 @@ mod tests {
             slots_per_node: 2,
             ..HadoopConfig::default()
         };
-        let report = crate::run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, &config).unwrap();
         assert!(report.is_complete());
         assert!(
             report.scheduler.speculative_assignments > 0,
@@ -496,7 +422,7 @@ mod tests {
         let report = std::thread::scope(|s| {
             std::thread::Builder::new()
                 .name(PROBE.into())
-                .spawn_scoped(s, || run_job_with(&fs, &job, &mapper, None, &config))
+                .spawn_scoped(s, || run_job_with(&fs, &job, &mapper, &config))
                 .unwrap()
                 .join()
                 .unwrap()
@@ -567,7 +493,7 @@ mod tests {
             ..HadoopConfig::default()
         };
         let start = Instant::now();
-        let report = crate::run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, &config).unwrap();
         let wall = start.elapsed();
         assert_eq!(report.failed, vec![TaskId(0)]);
         assert_eq!(report.total_attempts, 3);
@@ -587,107 +513,12 @@ mod tests {
     }
 
     #[test]
-    fn word_count_with_reduce_phase() {
-        let fs = MiniHdfs::new(2, 1 << 20, 2, 5);
-        fs.create("/in/d0", b"apple banana apple", None).unwrap();
-        fs.create("/in/d1", b"banana cherry", None).unwrap();
-        let job = MapReduceJob::map_only("wc", vec!["/in/d0".into(), "/in/d1".into()], "/out")
-            .with_input_format(InputFormat::WholeFile)
-            .with_reducers(2);
-
-        struct WcMapper;
-        impl Mapper for WcMapper {
-            fn map(&self, _key: &str, value: &[u8], ctx: &mut MapContext<'_>) -> Result<()> {
-                for word in String::from_utf8_lossy(value).split_whitespace() {
-                    ctx.emit(word.to_string(), vec![1]);
-                }
-                Ok(())
-            }
-        }
-        struct WcReducer;
-        impl Reducer for WcReducer {
-            fn reduce(&self, _key: &str, values: &[Vec<u8>]) -> Result<Vec<u8>> {
-                Ok(values.len().to_string().into_bytes())
-            }
-        }
-        let report = run_job(&fs, &job, &WcMapper, Some(&WcReducer)).unwrap();
-        assert!(report.is_complete());
-        // Gather all reduce outputs and check the counts.
-        let mut combined = String::new();
-        for p in fs.list("/out/") {
-            combined.push_str(&String::from_utf8(fs.read(&p).unwrap()).unwrap());
-        }
-        assert!(combined.contains("apple\t2"), "{combined}");
-        assert!(combined.contains("banana\t2"), "{combined}");
-        assert!(combined.contains("cherry\t1"), "{combined}");
-    }
-
-    #[test]
-    fn map_side_combiner_shrinks_shuffle_without_changing_results() {
-        // Word count with a *sum* reducer (valid as a combiner, unlike a
-        // count reducer): values are ASCII numbers summed at each stage.
-        struct WcMapper;
-        impl Mapper for WcMapper {
-            fn map(&self, _key: &str, value: &[u8], ctx: &mut MapContext<'_>) -> Result<()> {
-                for word in String::from_utf8_lossy(value).split_whitespace() {
-                    ctx.emit(word.to_string(), b"1".to_vec());
-                }
-                Ok(())
-            }
-        }
-        struct SumReducer;
-        impl Reducer for SumReducer {
-            fn reduce(&self, _key: &str, values: &[Vec<u8>]) -> Result<Vec<u8>> {
-                let total: u64 = values
-                    .iter()
-                    .map(|v| String::from_utf8_lossy(v).parse::<u64>().unwrap_or(0))
-                    .sum();
-                Ok(total.to_string().into_bytes())
-            }
-        }
-
-        let run = |combine: bool| {
-            let fs = MiniHdfs::new(2, 1 << 20, 2, 55);
-            fs.create("/in/d0", b"apple banana apple apple", None)
-                .unwrap();
-            fs.create("/in/d1", b"banana apple banana", None).unwrap();
-            let job = MapReduceJob::map_only("wc", vec!["/in/d0".into(), "/in/d1".into()], "/out")
-                .with_input_format(InputFormat::WholeFile)
-                .with_reducers(2)
-                .with_combiner(combine);
-            let report = run_job(&fs, &job, &WcMapper, Some(&SumReducer)).unwrap();
-            let mut combined = String::new();
-            for p in fs.list("/out/") {
-                combined.push_str(&String::from_utf8(fs.read(&p).unwrap()).unwrap());
-            }
-            (report, combined)
-        };
-
-        let (plain, out_plain) = run(false);
-        let (combined, out_combined) = run(true);
-        // Identical results...
-        assert!(out_plain.contains("apple\t4"), "{out_plain}");
-        assert!(out_plain.contains("banana\t3"));
-        assert_eq!(out_plain.len(), out_combined.len());
-        assert!(out_combined.contains("apple\t4") && out_combined.contains("banana\t3"));
-        // ...but fewer records shuffled.
-        assert_eq!(plain.map_output_records, 7);
-        assert_eq!(plain.shuffle_records, 7);
-        assert_eq!(combined.map_output_records, 7);
-        assert!(
-            combined.shuffle_records <= 4,
-            "combined shuffle {}",
-            combined.shuffle_records
-        );
-    }
-
-    #[test]
     fn empty_job_rejected() {
         let (fs, _) = make_fs(2, 1);
         let job = MapReduceJob::map_only("e", vec![], "/out");
         let exec = FnExecutor::new("id", |_s, i: &[u8]| Ok(i.to_vec()));
         let mapper = ExecutableMapper::new("id", exec);
-        assert!(run_job(&fs, &job, &mapper, None).is_err());
+        assert!(run_job(&fs, &job, &mapper).is_err());
     }
 
     #[test]
@@ -700,12 +531,12 @@ mod tests {
             attempt_failure_p: 1.5,
             ..HadoopConfig::default()
         };
-        let err = run_job_with(&fs, &job, &mapper, None, &config).unwrap_err();
+        let err = run_job_with(&fs, &job, &mapper, &config).unwrap_err();
         assert_eq!(err.code(), "InvalidArgument");
 
         let ctx =
             RunContext::local().with_schedule(Arc::new(FaultSchedule::new(1).brownout(0.5, 0.1)));
-        let err = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap_err();
+        let err = crate::run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap_err();
         assert_eq!(err.code(), "InvalidArgument");
     }
 
@@ -730,7 +561,7 @@ mod tests {
             .degrade(2, 3.0, 0.0, 0.060)
             .with_death_probabilities(0.05, 0.05, 0.05);
         let ctx = RunContext::local().with_schedule(Arc::new(schedule));
-        let report = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
         assert!(report.is_complete(), "failed: {:?}", report.failed);
         assert_eq!(report.summary.tasks, 24);
         assert!(
@@ -754,7 +585,7 @@ mod tests {
         let mapper = ExecutableMapper::new("nap", exec);
         let schedule = FaultSchedule::new(1).kill_at(0, 0.001).kill_at(1, 0.001);
         let ctx = RunContext::local().with_schedule(Arc::new(schedule));
-        let report = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
         assert_eq!(report.summary.tasks + report.failed.len(), 8);
         assert!(!report.is_complete(), "failed: {:?}", report.failed);
         assert_eq!(fs.list("/out/").len(), report.summary.tasks);
@@ -768,7 +599,7 @@ mod tests {
         let mapper = ExecutableMapper::new("id", exec);
         let schedule = FaultSchedule::new(3).brownout(0.0, 0.030);
         let ctx = RunContext::local().with_schedule(Arc::new(schedule));
-        let report = crate::run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+        let report = crate::run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
         assert!(report.is_complete());
         // Every worker rode out the 30 ms outage window before reading.
         assert!(

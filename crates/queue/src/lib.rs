@@ -26,11 +26,9 @@ pub mod chaos;
 pub mod message;
 pub mod polling;
 pub mod queue;
-pub mod redrive;
 pub mod service;
 
 pub use chaos::ChaosConfig;
 pub use message::{Message, MessageId, ReceiptHandle};
 pub use queue::{Queue, QueueConfig, QueueMetricsSnapshot, QueueStats};
-pub use redrive::{RedrivePolicy, RedriveQueue};
 pub use service::QueueService;

@@ -14,10 +14,10 @@ impl fmt::Display for MessageId {
 }
 
 /// A single-use token proving a particular *receive* of a message. Deletion
-/// and visibility changes require the receipt of the most recent receive —
-/// once the visibility timeout lapses and the message reappears, old receipts
-/// are dead, exactly as with SQS receipt handles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// requires the receipt of the most recent receive — once the visibility
+/// timeout lapses and the message reappears, old receipts are dead, exactly
+/// as with SQS receipt handles. Receipts are issued in increasing order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReceiptHandle(pub u64);
 
 impl fmt::Display for ReceiptHandle {
@@ -33,19 +33,12 @@ pub struct Message {
     /// Opaque body; the Classic Cloud framework stores a serialized
     /// `TaskSpec` here ("every message in the queue describes a single task").
     pub body: String,
-    /// Receipt for this receive; required to delete or extend visibility.
+    /// Receipt for this receive; required to delete the message.
     pub receipt: ReceiptHandle,
     /// How many times this message has been received, including this one.
     /// First delivery is 1; anything higher means a redelivery (a prior
     /// consumer died, stalled past the timeout, or chaos duplicated it).
     pub receive_count: u32,
-}
-
-impl Message {
-    /// True when this is a repeat delivery.
-    pub fn is_redelivery(&self) -> bool {
-        self.receive_count > 1
-    }
 }
 
 #[cfg(test)]
@@ -56,21 +49,5 @@ mod tests {
     fn display_forms() {
         assert_eq!(MessageId(4).to_string(), "msg-4");
         assert_eq!(ReceiptHandle(9).to_string(), "rcpt-9");
-    }
-
-    #[test]
-    fn redelivery_flag() {
-        let m = Message {
-            id: MessageId(1),
-            body: String::new(),
-            receipt: ReceiptHandle(1),
-            receive_count: 1,
-        };
-        assert!(!m.is_redelivery());
-        let m2 = Message {
-            receive_count: 3,
-            ..m
-        };
-        assert!(m2.is_redelivery());
     }
 }

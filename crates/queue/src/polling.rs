@@ -1,19 +1,15 @@
-//! Long polling and batch operations.
+//! Long polling.
 //!
 //! SQS clients avoid hammering the endpoint with empty receives by using
-//! *long polling* (`WaitTimeSeconds`) and cut request counts (and bills —
-//! SQS charges per request) with *batch* send/delete. Both are implemented
-//! here as extensions on [`Queue`].
+//! *long polling* (`WaitTimeSeconds`), implemented here as an extension on
+//! [`Queue`].
 
-use crate::message::{Message, MessageId, ReceiptHandle};
+use crate::message::Message;
 use crate::queue::Queue;
-use ppc_core::{PpcError, Result};
+use ppc_core::Result;
 use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Maximum entries per batch call (SQS's limit).
-pub const MAX_BATCH: usize = 10;
 
 /// Re-poll pause after a chaos empty receive or a transient error: those
 /// misses come with no notification to wait for.
@@ -28,8 +24,8 @@ impl Queue {
     /// An empty queue parks the caller on a condition variable until the
     /// first of: the wait deadline, the earliest in-flight lease expiry
     /// (a timed-out or delayed message becomes visible then), or a
-    /// notification. Sends, visibility changes and [`Self::close`] notify,
-    /// but only when someone is parked. A chaos empty receive or a
+    /// notification. Sends, leases that become the earliest expiry and
+    /// [`Self::close`] notify, but only when someone is parked. A chaos empty receive or a
     /// transient error re-polls after 200 µs instead, since no
     /// notification announces the next chance. However often it wakes,
     /// the whole wait bills as one receive, plus one empty receive if it
@@ -70,37 +66,6 @@ impl Queue {
             self.stats().empty_receives.fetch_add(1, Ordering::Relaxed);
         }
         out
-    }
-
-    /// Send up to [`MAX_BATCH`] messages in one request. Returns the ids in
-    /// input order. Partial failure is not modeled: the batch is atomic
-    /// here, which is *stronger* than SQS — acceptable because callers must
-    /// already handle per-message retry for the non-batch path.
-    pub fn send_batch(&self, bodies: &[String]) -> Result<Vec<MessageId>> {
-        if bodies.is_empty() || bodies.len() > MAX_BATCH {
-            return Err(PpcError::InvalidArgument(format!(
-                "batch size must be 1..={MAX_BATCH}, got {}",
-                bodies.len()
-            )));
-        }
-        let mut ids = Vec::with_capacity(bodies.len());
-        for body in bodies {
-            ids.push(self.send(body.clone())?);
-        }
-        Ok(ids)
-    }
-
-    /// Delete up to [`MAX_BATCH`] receipts in one request. Returns, per
-    /// receipt, whether the delete succeeded (stale receipts fail
-    /// individually without failing the batch — SQS semantics).
-    pub fn delete_batch(&self, receipts: &[ReceiptHandle]) -> Result<Vec<bool>> {
-        if receipts.is_empty() || receipts.len() > MAX_BATCH {
-            return Err(PpcError::InvalidArgument(format!(
-                "batch size must be 1..={MAX_BATCH}, got {}",
-                receipts.len()
-            )));
-        }
-        Ok(receipts.iter().map(|r| self.delete(*r).is_ok()).collect())
     }
 }
 
@@ -285,40 +250,5 @@ mod tests {
         assert_eq!(count(&q.stats().receives), 1);
         assert_eq!(count(&q.stats().empty_receives), 0);
         assert_eq!(q.stats().requests(), 4, "three sends and one receive");
-    }
-
-    #[test]
-    fn batch_send_and_delete() {
-        let q = Queue::new("b", QueueConfig::default());
-        let bodies: Vec<String> = (0..10).map(|i| format!("m{i}")).collect();
-        let ids = q.send_batch(&bodies).unwrap();
-        assert_eq!(ids.len(), 10);
-        let mut receipts = Vec::new();
-        while let Some(m) = q.receive().unwrap() {
-            receipts.push(m.receipt);
-        }
-        let results = q.delete_batch(&receipts).unwrap();
-        assert!(results.iter().all(|&ok| ok));
-        assert!(q.is_drained());
-    }
-
-    #[test]
-    fn batch_delete_reports_stale_individually() {
-        let q = Queue::new("b", QueueConfig::default());
-        q.send("x").unwrap();
-        let m = q.receive().unwrap().unwrap();
-        q.delete(m.receipt).unwrap();
-        // Re-deleting the same receipt is stale but does not error the batch.
-        let results = q.delete_batch(&[m.receipt]).unwrap();
-        assert_eq!(results, vec![false]);
-    }
-
-    #[test]
-    fn batch_limits_enforced() {
-        let q = Queue::new("b", QueueConfig::default());
-        assert!(q.send_batch(&[]).is_err());
-        let too_many: Vec<String> = (0..11).map(|i| format!("{i}")).collect();
-        assert!(q.send_batch(&too_many).is_err());
-        assert!(q.delete_batch(&[]).is_err());
     }
 }

@@ -49,7 +49,7 @@ pub(crate) struct State {
     rng: Pcg32,
     /// Lower bound on the earliest in-flight deadline (`None`: nothing in
     /// flight). Expiry scans run only once it has passed; every lease added
-    /// or shortened lowers it, and long-poll waiters sleep no later than it.
+    /// lowers it, and long-poll waiters sleep no later than it.
     next_expiry: Option<Instant>,
     /// Long-poll receivers parked on [`Queue::arrival`]; state changes
     /// notify only when this is non-zero.
@@ -97,9 +97,9 @@ impl QueueStats {
 
 /// One atomic reading of a queue's monitoring metrics, taken under a single
 /// lock acquisition so the three numbers are mutually consistent — unlike
-/// calling [`Queue::approximate_len`], [`Queue::approximate_in_flight`] and
-/// [`Queue::approximate_age_of_oldest`] back to back, where messages can
-/// move between pools mid-read. Autoscaling policies key off this snapshot.
+/// calling [`Queue::approximate_len`] and [`Queue::approximate_in_flight`]
+/// back to back, where messages can move between pools mid-read.
+/// Autoscaling policies key off this snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueMetricsSnapshot {
     /// Visible (receivable) messages.
@@ -108,13 +108,6 @@ pub struct QueueMetricsSnapshot {
     pub in_flight: usize,
     /// Age of the oldest visible message; `None` when nothing is visible.
     pub oldest_age: Option<Duration>,
-}
-
-impl QueueMetricsSnapshot {
-    /// Total outstanding messages: visible plus leased.
-    pub fn outstanding(&self) -> usize {
-        self.visible + self.in_flight
-    }
 }
 
 /// A single named queue. Thread-safe; share via `Arc`.
@@ -128,7 +121,8 @@ impl QueueMetricsSnapshot {
 /// // The message is hidden until deleted (or the visibility timeout lapses).
 /// assert!(q.receive().unwrap().is_none());
 /// q.delete(msg.receipt).unwrap();
-/// assert!(q.is_drained());
+/// let snap = q.metrics_snapshot();
+/// assert_eq!((snap.visible, snap.in_flight), (0, 0));
 /// ```
 pub struct Queue {
     name: String,
@@ -233,9 +227,10 @@ impl Queue {
         self.wake_waiters(&state);
     }
 
-    /// Bring timed-out in-flight messages back to the visible pool. A no-op
-    /// until the earliest lease can have lapsed; the scan then recomputes
-    /// that bound.
+    /// Bring timed-out in-flight messages back to the visible pool, in
+    /// receipt order so the seeded draw that follows sees the same pool on
+    /// every run. A no-op until the earliest lease can have lapsed; the
+    /// scan then recomputes that bound.
     fn expire_in_flight(&self, state: &mut State, now: Instant) {
         if state.next_expiry.is_none_or(|t| t > now) {
             return;
@@ -250,6 +245,7 @@ impl Queue {
             }
         }
         state.next_expiry = next;
+        expired.sort_unstable();
         for r in expired {
             let f = state.in_flight.remove(&r).expect("receipt present");
             self.stats
@@ -393,8 +389,8 @@ impl Queue {
         Ok(Some(delivered))
     }
 
-    /// Account for a lease added or shortened to `deadline`: parked long
-    /// polls re-arm their timers if it is now the earliest expiry.
+    /// Account for a lease added with `deadline`: parked long polls re-arm
+    /// their timers if it is now the earliest expiry.
     fn note_lease(&self, state: &mut State, deadline: Instant) {
         if state.next_expiry.is_none_or(|t| deadline < t) {
             state.next_expiry = Some(deadline);
@@ -444,27 +440,6 @@ impl Queue {
         }
     }
 
-    /// Extend (or shrink) the visibility of an in-flight message — SQS's
-    /// `ChangeMessageVisibility`, used by long-running workers to keep a
-    /// lease alive.
-    pub fn change_visibility(&self, receipt: ReceiptHandle, timeout: Duration) -> Result<()> {
-        let now = Instant::now();
-        let mut state = self.state.lock();
-        self.expire_in_flight(&mut state, now);
-        match state.in_flight.get_mut(&receipt) {
-            Some(f) => {
-                let deadline = now + timeout;
-                f.deadline = deadline;
-                self.note_lease(&mut state, deadline);
-                Ok(())
-            }
-            None => Err(PpcError::InvalidState(format!(
-                "queue '{}': receipt {receipt} is stale",
-                self.name
-            ))),
-        }
-    }
-
     /// Approximate number of visible messages (monitoring only — racy by
     /// nature, like SQS's `ApproximateNumberOfMessages`).
     pub fn approximate_len(&self) -> usize {
@@ -478,15 +453,6 @@ impl Queue {
         let mut state = self.state.lock();
         self.expire_in_flight(&mut state, Instant::now());
         state.in_flight.len()
-    }
-
-    /// Age of the oldest *visible* message — CloudWatch's
-    /// `ApproximateAgeOfOldestMessage`, the backlog signal autoscalers key
-    /// off. `None` when nothing is visible.
-    pub fn approximate_age_of_oldest(&self) -> Option<Duration> {
-        let mut state = self.state.lock();
-        self.expire_in_flight(&mut state, Instant::now());
-        state.visible.iter().map(|m| m.sent_at.elapsed()).max()
     }
 
     /// All monitoring metrics in one consistent read (one lock hold): the
@@ -505,18 +471,17 @@ impl Queue {
                 .max(),
         }
     }
-
-    /// True when no message is visible nor in flight.
-    pub fn is_drained(&self) -> bool {
-        let mut state = self.state.lock();
-        self.expire_in_flight(&mut state, Instant::now());
-        state.visible.is_empty() && state.in_flight.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Messages visible or in flight.
+    fn outstanding(q: &Queue) -> usize {
+        let snap = q.metrics_snapshot();
+        snap.visible + snap.in_flight
+    }
 
     fn quick_queue(visibility_ms: u64) -> Queue {
         Queue::new(
@@ -536,24 +501,23 @@ mod tests {
         assert_eq!(m.id, id);
         assert_eq!(m.body, "task 1");
         assert_eq!(m.receive_count, 1);
-        assert!(!m.is_redelivery());
         // Hidden while in flight.
         assert!(q.receive().unwrap().is_none());
         q.delete(m.receipt).unwrap();
-        assert!(q.is_drained());
+        assert_eq!(outstanding(&q), 0);
     }
 
     #[test]
     fn oldest_message_age_tracks_backlog() {
         let q = quick_queue(10_000);
         assert!(
-            q.approximate_age_of_oldest().is_none(),
+            q.metrics_snapshot().oldest_age.is_none(),
             "empty queue has no age"
         );
         q.send("old").unwrap();
         std::thread::sleep(Duration::from_millis(30));
         q.send("new").unwrap();
-        let age = q.approximate_age_of_oldest().expect("backlog");
+        let age = q.metrics_snapshot().oldest_age.expect("backlog");
         assert!(
             age >= Duration::from_millis(30),
             "age {age:?} reflects the oldest"
@@ -569,7 +533,7 @@ mod tests {
             // put "new" back via timeout not needed; just delete it too
             q.delete(m.receipt).unwrap();
         }
-        assert!(drained_old || q.approximate_age_of_oldest().is_none());
+        assert!(drained_old || q.metrics_snapshot().oldest_age.is_none());
     }
 
     #[test]
@@ -594,59 +558,54 @@ mod tests {
         let second = q.receive().unwrap().expect("reappears after timeout");
         assert_eq!(second.id, first.id);
         assert_eq!(second.receive_count, 2);
-        assert!(second.is_redelivery());
         // The original receipt is now stale.
         assert_eq!(q.delete(first.receipt).unwrap_err().code(), "InvalidState");
         // The fresh receipt works.
         q.delete(second.receipt).unwrap();
-        assert!(q.is_drained());
+        assert_eq!(outstanding(&q), 0);
     }
 
     #[test]
     fn staggered_leases_each_expire() {
         // The first expiry scan must keep a bound for the lease still out.
         let q = quick_queue(10_000);
-        q.send("short").unwrap();
-        q.send("long").unwrap();
-        let a = q.receive().unwrap().unwrap();
-        let b = q.receive().unwrap().unwrap();
-        let (short, long) = if a.body == "short" { (a, b) } else { (b, a) };
-        q.change_visibility(short.receipt, Duration::from_millis(20))
-            .unwrap();
-        q.change_visibility(long.receipt, Duration::from_millis(400))
-            .unwrap();
+        q.send_delayed("short", Duration::from_millis(20)).unwrap();
+        q.send_delayed("long", Duration::from_millis(400)).unwrap();
         std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(q.receive().unwrap().unwrap().id, short.id);
+        assert_eq!(q.receive().unwrap().unwrap().body, "short");
         assert!(q.receive().unwrap().is_none(), "long lease still out");
         std::thread::sleep(Duration::from_millis(400));
-        assert_eq!(q.receive().unwrap().unwrap().id, long.id);
+        assert_eq!(q.receive().unwrap().unwrap().body, "long");
     }
 
     #[test]
-    fn shortened_lease_expires_early() {
-        let q = quick_queue(10_000);
+    fn earlier_lease_lowers_the_expiry_bound() {
+        let q = quick_queue(20);
+        q.send_delayed("later", Duration::from_secs(10)).unwrap();
         q.send("t").unwrap();
         let m = q.receive().unwrap().unwrap();
-        q.change_visibility(m.receipt, Duration::from_millis(20))
-            .unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        let again = q.receive().unwrap().expect("shortened lease lapsed");
+        let again = q.receive().unwrap().expect("the 20-ms lease lapsed");
+        assert_eq!(again.id, m.id);
         assert_eq!(again.receive_count, 2);
     }
 
     #[test]
-    fn change_visibility_extends_lease() {
-        let q = quick_queue(40);
-        q.send("t").unwrap();
-        let m = q.receive().unwrap().unwrap();
-        q.change_visibility(m.receipt, Duration::from_millis(300))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(
-            q.receive().unwrap().is_none(),
-            "lease extended past original timeout"
-        );
-        q.delete(m.receipt).unwrap();
+    fn same_seed_redelivers_lapsed_leases_in_the_same_order() {
+        // Lapsed leases return to the pool that the seeded draw picks from,
+        // so their return order must not depend on hash iteration.
+        let deliveries = || {
+            let q = quick_queue(50);
+            for i in 0..16 {
+                q.send(format!("{i}")).unwrap();
+            }
+            let receive = || q.receive().unwrap().expect("visible").id;
+            let mut ids: Vec<_> = (0..16).map(|_| receive()).collect();
+            std::thread::sleep(Duration::from_millis(120));
+            ids.extend((0..16).map(|_| receive()));
+            ids
+        };
+        assert_eq!(deliveries(), deliveries());
     }
 
     #[test]
@@ -712,7 +671,7 @@ mod tests {
         assert_eq!(a.id, b.id, "same message delivered twice");
         assert!(b.receive_count > a.receive_count);
         q.delete(b.receipt).unwrap();
-        assert!(q.is_drained(), "deleting one receipt purges all copies");
+        assert_eq!(outstanding(&q), 0, "deleting one receipt purges all copies");
         // Deleting the other receipt now fails (message gone) but that is a
         // stale-receipt error the worker loop tolerates.
         assert!(q.delete(a.receipt).is_err());
@@ -744,14 +703,14 @@ mod tests {
         let snap = q.metrics_snapshot();
         assert_eq!(snap.visible, 3);
         assert_eq!(snap.in_flight, 2);
-        assert_eq!(snap.outstanding(), 5);
+        assert_eq!(snap.visible + snap.in_flight, 5);
         assert!(snap.oldest_age.is_some());
         q.delete(a.receipt).unwrap();
-        assert_eq!(q.metrics_snapshot().outstanding(), 4);
+        assert_eq!(outstanding(&q), 4);
         // Empty queue: no age.
         let empty = Queue::new("e", QueueConfig::default());
         let snap = empty.metrics_snapshot();
-        assert_eq!(snap.outstanding(), 0);
+        assert_eq!(snap.visible + snap.in_flight, 0);
         assert!(snap.oldest_age.is_none());
     }
 
@@ -793,7 +752,7 @@ mod tests {
                             q.delete(m.receipt).unwrap();
                         }
                         None => {
-                            if q.is_drained() {
+                            if outstanding(&q) == 0 {
                                 break;
                             }
                             std::thread::yield_now();
@@ -803,6 +762,6 @@ mod tests {
             }
         });
         assert_eq!(seen.lock().unwrap().len(), n);
-        assert!(q.is_drained());
+        assert_eq!(outstanding(&q), 0);
     }
 }

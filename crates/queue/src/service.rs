@@ -3,20 +3,18 @@
 //! SQS and Azure Queue let users "create an unlimited number of queues";
 //! the Classic Cloud framework uses (at least) a scheduling queue and a
 //! monitoring queue per job. [`QueueService`] is that named-queue namespace
-//! plus account-level billing.
+//! plus the account's request count that SQS bills.
 
 use crate::queue::{Queue, QueueConfig};
-use ppc_core::money::Usd;
-use ppc_core::pricing::PriceBook;
 use ppc_core::sync::RwLock;
 use ppc_core::{PpcError, Result};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A namespace of named queues (one cloud account's queue service).
 #[derive(Default)]
 pub struct QueueService {
-    queues: RwLock<HashMap<String, Arc<Queue>>>,
+    queues: RwLock<BTreeMap<String, Arc<Queue>>>,
 }
 
 impl QueueService {
@@ -60,13 +58,6 @@ impl QueueService {
         Ok(())
     }
 
-    /// Names of all queues, sorted.
-    pub fn list_queues(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.queues.read().keys().cloned().collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Total billable requests across all queues (including deleted ones'
     /// surviving handles — billing follows the `Arc`, so keep handles if you
     /// delete queues mid-run and still want their bill).
@@ -77,28 +68,12 @@ impl QueueService {
             .map(|q| q.stats().requests())
             .sum()
     }
-
-    /// Price the account's queue usage against a provider price book.
-    pub fn bill(&self, book: &PriceBook) -> Usd {
-        book.queue_requests(self.total_requests())
-    }
-
-    /// Aggregate stats snapshot keyed by queue name.
-    pub fn stats(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .queues
-            .read()
-            .iter()
-            .map(|(n, q)| (n.clone(), q.stats().requests()))
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_core::money::Usd;
     use ppc_core::pricing::AWS_2010;
 
     #[test]
@@ -118,15 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn list_is_sorted() {
-        let svc = QueueService::new();
-        for n in ["monitor", "sched", "audit"] {
-            svc.create_queue(n, QueueConfig::default()).unwrap();
-        }
-        assert_eq!(svc.list_queues(), vec!["audit", "monitor", "sched"]);
-    }
-
-    #[test]
     fn billing_counts_all_queues() {
         let svc = QueueService::new();
         let a = svc.create_queue("a", QueueConfig::default()).unwrap();
@@ -138,15 +104,7 @@ mod tests {
             b.send("y").unwrap();
         }
         assert_eq!(svc.total_requests(), 10_000);
-        assert_eq!(svc.bill(&AWS_2010), Usd::cents(1)); // Table 4's "~10,000 messages: 0.01$"
-    }
-
-    #[test]
-    fn stats_by_queue() {
-        let svc = QueueService::new();
-        let a = svc.create_queue("a", QueueConfig::default()).unwrap();
-        a.send("x").unwrap();
-        let stats = svc.stats();
-        assert_eq!(stats, vec![("a".to_string(), 1)]);
+        // Table 4's "~10,000 messages: 0.01$".
+        assert_eq!(AWS_2010.queue_requests(svc.total_requests()), Usd::cents(1));
     }
 }

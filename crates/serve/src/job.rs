@@ -91,16 +91,6 @@ impl JobSpec {
     ) -> JobSpec {
         JobSpec::new(tenant, engine, JobPayload::Modeled { tasks, task_s })
     }
-
-    pub fn with_priority(mut self, p: Priority) -> JobSpec {
-        self.priority = p;
-        self
-    }
-
-    pub fn with_deadline_hint(mut self, s: f64) -> JobSpec {
-        self.deadline_hint_s = Some(s);
-        self
-    }
 }
 
 /// The job lifecycle: `Queued → Admitted → Running → Done/Failed`, with

@@ -186,9 +186,9 @@ mod tests {
         let (batch, _) = svc
             .submit(JobSpec::modeled("blast", "stub", 1, 10.0))
             .unwrap();
-        let (inter, _) = svc
-            .submit(JobSpec::modeled("blast", "stub", 1, 10.0).with_priority(Priority::Interactive))
-            .unwrap();
+        let mut interactive = JobSpec::modeled("blast", "stub", 1, 10.0);
+        interactive.priority = Priority::Interactive;
+        let (inter, _) = svc.submit(interactive).unwrap();
         svc.drain(&RunContext::local()).unwrap();
         let b = svc.record(batch).unwrap();
         let i = svc.record(inter).unwrap();

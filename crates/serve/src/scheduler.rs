@@ -83,14 +83,6 @@ impl DrrScheduler {
         }
     }
 
-    pub fn queued(&self, lane: usize) -> usize {
-        self.lanes[lane].queue.len()
-    }
-
-    pub fn total_queued(&self) -> usize {
-        self.lanes.iter().map(|l| l.queue.len()).sum()
-    }
-
     /// Earliest submission time among lane heads — the queue-age signal
     /// fed to the autoscaler (approximate under front-insertions).
     pub fn oldest_submitted(&self) -> Option<f64> {
@@ -244,7 +236,7 @@ mod tests {
         assert_eq!(got.0, 1);
         // Lane 0 still queued; nobody eligible ⇒ None, no livelock.
         assert!(s.dequeue(|_| false).is_none());
-        assert_eq!(s.queued(0), 1);
+        assert_eq!(s.dequeue(|_| true).unwrap().0, 0);
     }
 
     #[test]

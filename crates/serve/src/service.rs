@@ -98,15 +98,6 @@ impl JobService {
         })
     }
 
-    pub fn tenants(&self) -> &[TenantSpec] {
-        &self.cfg.tenants
-    }
-
-    /// The lifecycle events emitted so far (submit/admit/reject/…).
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
     fn tenant_index(&self, name: &str) -> Result<usize> {
         self.cfg
             .tenants
@@ -202,10 +193,6 @@ impl JobService {
     /// The full lifecycle record of a job.
     pub fn record(&self, id: JobId) -> Option<&JobRecord> {
         self.records.get(id.0 as usize)
-    }
-
-    pub fn records(&self) -> &[JobRecord] {
-        &self.records
     }
 
     /// Run every queued job to completion in fair-share order and return

@@ -8,7 +8,7 @@
 //! crate therefore models:
 //!
 //! * **A thread-safe service** ([`service::StorageService`]): `PUT`/`GET`/
-//!   `DELETE`/`LIST`/`HEAD` from any number of worker threads.
+//!   `LIST` from any number of worker threads.
 //! * **An HTTP cost model** ([`latency::LatencyModel`]): per-request latency
 //!   plus size/bandwidth transfer time. The native runtime can optionally
 //!   sleep these out (scaled); the discrete-event simulator uses them as
@@ -20,19 +20,17 @@
 //!   peak stored bytes, convertible to dollars through
 //!   `ppc_core::pricing::PriceBook`.
 //! * **Entity tables** ([`table::TableService`]): the Azure Table Storage
-//!   analog (partition/row keys, ETags, partition range queries) that
+//!   analog (partition/row keys, ETags, partition queries) that
 //!   AzureBlast-style applications keep their metadata in.
 
 pub mod consistency;
 pub mod latency;
 pub mod metering;
-pub mod multipart;
 pub mod service;
 pub mod table;
 
 pub use consistency::ConsistencyModel;
 pub use latency::LatencyModel;
 pub use metering::{Metering, MeteringSnapshot};
-pub use multipart::{MultipartUploader, UploadId};
-pub use service::{ObjectMeta, StorageService};
+pub use service::StorageService;
 pub use table::{Entity, TableService};

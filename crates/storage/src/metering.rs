@@ -85,12 +85,6 @@ impl MeteringSnapshot {
             + book.transfer_in(self.bytes_in)
             + book.transfer_out(self.bytes_out)
     }
-
-    /// Price this usage as *queue* service usage (requests only; queue
-    /// payload transfer is folded into request pricing, as SQS does).
-    pub fn queue_cost(&self, book: &PriceBook) -> Usd {
-        book.queue_requests(self.requests)
-    }
 }
 
 #[cfg(test)]
@@ -133,15 +127,6 @@ mod tests {
         };
         // 1 GiB stored a month ($0.14) + 1 GiB in ($0.10) = $0.24 on AWS.
         assert_eq!(s.storage_cost(&AWS_2010, 1.0), Usd::cents(24));
-    }
-
-    #[test]
-    fn queue_pricing_counts_requests() {
-        let s = MeteringSnapshot {
-            requests: 10_000,
-            ..Default::default()
-        };
-        assert_eq!(s.queue_cost(&AWS_2010), Usd::cents(1));
     }
 
     #[test]

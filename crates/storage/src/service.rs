@@ -17,15 +17,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Metadata for one stored object.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObjectMeta {
-    pub key: String,
-    pub size: u64,
-    /// Seconds since the service epoch at which this version was written.
-    pub written_at_s: f64,
-}
-
 struct StoredObject {
     data: Arc<Vec<u8>>,
     written_at_s: f64,
@@ -127,11 +118,6 @@ impl StorageService {
         Ok(())
     }
 
-    /// The latency model clients should assume for this endpoint.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
-
     /// Usage counters for billing.
     pub fn metering(&self) -> &Metering {
         &self.metering
@@ -163,22 +149,6 @@ impl StorageService {
     pub fn ensure_bucket(&self, name: &str) {
         self.metering.record_request();
         self.buckets.write().entry(name.to_string()).or_default();
-    }
-
-    /// Delete an *empty* bucket.
-    pub fn delete_bucket(&self, name: &str) -> Result<()> {
-        self.metering.record_request();
-        let mut buckets = self.buckets.write();
-        match buckets.get(name) {
-            None => Err(PpcError::NotFound(format!("bucket '{name}'"))),
-            Some(b) if !b.is_empty() => Err(PpcError::InvalidState(format!(
-                "bucket '{name}' is not empty"
-            ))),
-            Some(_) => {
-                buckets.remove(name);
-                Ok(())
-            }
-        }
     }
 
     /// Store an object (replacing any prior version).
@@ -260,132 +230,9 @@ impl StorageService {
         let mut rng = Pcg32::new(seed);
         policy.run(
             &mut rng,
-            None,
             |d| self.sleep_for(d.as_secs_f64()),
             |_| self.get(bucket, key),
         )
-    }
-
-    /// Object metadata without the payload (HTTP `HEAD`).
-    pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta> {
-        self.chaos_check()?;
-        self.metering.record_request();
-        let buckets = self.buckets.read();
-        let b = buckets
-            .get(bucket)
-            .ok_or_else(|| PpcError::NotFound(format!("bucket '{bucket}'")))?;
-        let o = b
-            .get(key)
-            .ok_or_else(|| PpcError::NotFound(format!("object '{bucket}/{key}'")))?;
-        Ok(ObjectMeta {
-            key: key.to_string(),
-            size: o.data.len() as u64,
-            written_at_s: o.written_at_s,
-        })
-    }
-
-    /// Fetch a byte range of an object (HTTP `Range` requests — how real
-    /// workers resume interrupted downloads of big inputs like the BLAST
-    /// database). The range is clamped to the object size; an empty clamped
-    /// range returns an empty payload.
-    pub fn get_range(&self, bucket: &str, key: &str, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.chaos_check()?;
-        self.metering.record_request();
-        let (data, age_s) = {
-            let buckets = self.buckets.read();
-            let b = buckets
-                .get(bucket)
-                .ok_or_else(|| PpcError::NotFound(format!("bucket '{bucket}'")))?;
-            let o = b
-                .get(key)
-                .ok_or_else(|| PpcError::NotFound(format!("object '{bucket}/{key}'")))?;
-            (o.data.clone(), self.now_s() - o.written_at_s)
-        };
-        if !self.consistency.read_visible(age_s) {
-            return Err(PpcError::Transient(format!(
-                "object '{bucket}/{key}' not yet visible (eventual consistency)"
-            )));
-        }
-        let start = (offset as usize).min(data.len());
-        let end = (offset.saturating_add(len) as usize).min(data.len());
-        let slice = data[start..end].to_vec();
-        self.metering.record_bytes_out(slice.len() as u64);
-        self.sleep_for(self.latency.transfer_seconds(slice.len() as u64));
-        Ok(slice)
-    }
-
-    /// Server-side copy (S3 `CopyObject`): no bytes cross the wire.
-    pub fn copy(
-        &self,
-        src_bucket: &str,
-        src_key: &str,
-        dst_bucket: &str,
-        dst_key: &str,
-    ) -> Result<()> {
-        if dst_key.is_empty() {
-            return Err(PpcError::InvalidArgument("empty destination key".into()));
-        }
-        self.chaos_check()?;
-        self.metering.record_request();
-        let mut buckets = self.buckets.write();
-        let data = buckets
-            .get(src_bucket)
-            .ok_or_else(|| PpcError::NotFound(format!("bucket '{src_bucket}'")))?
-            .get(src_key)
-            .ok_or_else(|| PpcError::NotFound(format!("object '{src_bucket}/{src_key}'")))?
-            .data
-            .clone();
-        let dst = buckets
-            .get_mut(dst_bucket)
-            .ok_or_else(|| PpcError::NotFound(format!("bucket '{dst_bucket}'")))?;
-        let prior = dst.get(dst_key).map(|o| o.data.len() as u64).unwrap_or(0);
-        let size = data.len() as u64;
-        dst.insert(
-            dst_key.to_string(),
-            StoredObject {
-                data,
-                written_at_s: self.now_s(),
-            },
-        );
-        self.metering.record_stored_delta(size, prior);
-        Ok(())
-    }
-
-    /// Paginated listing (S3 `ListObjectsV2`): up to `max_keys` keys after
-    /// `start_after`, plus a continuation token when truncated.
-    pub fn list_page(
-        &self,
-        bucket: &str,
-        prefix: &str,
-        start_after: Option<&str>,
-        max_keys: usize,
-    ) -> Result<(Vec<String>, Option<String>)> {
-        let all = self.list(bucket, prefix)?;
-        let begin = match start_after {
-            Some(after) => all.partition_point(|k| k.as_str() <= after),
-            None => 0,
-        };
-        let page: Vec<String> = all[begin..].iter().take(max_keys).cloned().collect();
-        let token = if begin + page.len() < all.len() {
-            page.last().cloned()
-        } else {
-            None
-        };
-        Ok((page, token))
-    }
-
-    /// Delete an object; deleting a missing object succeeds (S3 semantics).
-    pub fn delete(&self, bucket: &str, key: &str) -> Result<()> {
-        self.chaos_check()?;
-        self.metering.record_request();
-        let mut buckets = self.buckets.write();
-        let b = buckets
-            .get_mut(bucket)
-            .ok_or_else(|| PpcError::NotFound(format!("bucket '{bucket}'")))?;
-        if let Some(o) = b.remove(key) {
-            self.metering.record_stored_delta(0, o.data.len() as u64);
-        }
-        Ok(())
     }
 
     /// List keys in a bucket with the given prefix, sorted.
@@ -395,6 +242,7 @@ impl StorageService {
         let b = buckets
             .get(bucket)
             .ok_or_else(|| PpcError::NotFound(format!("bucket '{bucket}'")))?;
+        #[allow(clippy::disallowed_methods)] // sorted before use
         let mut keys: Vec<String> = b
             .keys()
             .filter(|k| k.starts_with(prefix))
@@ -402,15 +250,6 @@ impl StorageService {
             .collect();
         keys.sort_unstable();
         Ok(keys)
-    }
-
-    /// Number of objects currently in a bucket.
-    pub fn count(&self, bucket: &str) -> Result<usize> {
-        let buckets = self.buckets.read();
-        buckets
-            .get(bucket)
-            .map(|b| b.len())
-            .ok_or_else(|| PpcError::NotFound(format!("bucket '{bucket}'")))
     }
 }
 
@@ -441,25 +280,7 @@ mod tests {
         assert_eq!(s.create_bucket("b").unwrap_err().code(), "AlreadyExists");
         s.ensure_bucket("b");
         s.ensure_bucket("c");
-        assert!(s.count("c").unwrap() == 0);
-    }
-
-    #[test]
-    fn delete_bucket_requires_empty() {
-        let s = StorageService::in_memory();
-        s.create_bucket("b").unwrap();
-        s.put("b", "k", vec![1]).unwrap();
-        assert_eq!(s.delete_bucket("b").unwrap_err().code(), "InvalidState");
-        s.delete("b", "k").unwrap();
-        s.delete_bucket("b").unwrap();
-        assert_eq!(s.count("b").unwrap_err().code(), "NotFound");
-    }
-
-    #[test]
-    fn delete_missing_object_is_ok() {
-        let s = StorageService::in_memory();
-        s.create_bucket("b").unwrap();
-        s.delete("b", "ghost").unwrap();
+        assert!(s.list("c", "").unwrap().is_empty());
     }
 
     #[test]
@@ -471,16 +292,6 @@ mod tests {
         }
         assert_eq!(s.list("b", "in/").unwrap(), vec!["in/1", "in/2"]);
         assert_eq!(s.list("b", "").unwrap().len(), 3);
-    }
-
-    #[test]
-    fn head_reports_size() {
-        let s = StorageService::in_memory();
-        s.create_bucket("b").unwrap();
-        s.put("b", "k", vec![9; 123]).unwrap();
-        let m = s.head("b", "k").unwrap();
-        assert_eq!(m.size, 123);
-        assert_eq!(m.key, "k");
     }
 
     #[test]
@@ -537,65 +348,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.count("b").unwrap(), 400);
-    }
-
-    #[test]
-    fn range_reads() {
-        let s = StorageService::in_memory();
-        s.create_bucket("b").unwrap();
-        s.put("b", "k", (0..100u8).collect()).unwrap();
-        assert_eq!(
-            s.get_range("b", "k", 10, 5).unwrap(),
-            vec![10, 11, 12, 13, 14]
-        );
-        assert_eq!(
-            s.get_range("b", "k", 95, 50).unwrap(),
-            vec![95, 96, 97, 98, 99],
-            "clamped at end"
-        );
-        assert!(
-            s.get_range("b", "k", 500, 10).unwrap().is_empty(),
-            "past-end range is empty"
-        );
-        assert_eq!(
-            s.get_range("b", "ghost", 0, 1).unwrap_err().code(),
-            "NotFound"
-        );
-    }
-
-    #[test]
-    fn server_side_copy() {
-        let s = StorageService::in_memory();
-        s.create_bucket("src").unwrap();
-        s.create_bucket("dst").unwrap();
-        s.put("src", "k", vec![1, 2, 3]).unwrap();
-        let out_before = s.metering().snapshot().bytes_out;
-        s.copy("src", "k", "dst", "k2").unwrap();
-        assert_eq!(*s.get("dst", "k2").unwrap(), vec![1, 2, 3]);
-        assert_eq!(
-            s.metering().snapshot().bytes_out,
-            out_before + 3,
-            "only the verification GET moved bytes"
-        );
-        assert!(s.copy("src", "ghost", "dst", "x").is_err());
-    }
-
-    #[test]
-    fn paginated_listing() {
-        let s = StorageService::in_memory();
-        s.create_bucket("b").unwrap();
-        for i in 0..7 {
-            s.put("b", &format!("k{i}"), vec![0]).unwrap();
-        }
-        let (page1, token1) = s.list_page("b", "k", None, 3).unwrap();
-        assert_eq!(page1, vec!["k0", "k1", "k2"]);
-        let token1 = token1.expect("truncated");
-        let (page2, token2) = s.list_page("b", "k", Some(&token1), 3).unwrap();
-        assert_eq!(page2, vec!["k3", "k4", "k5"]);
-        let (page3, token3) = s.list_page("b", "k", token2.as_deref(), 3).unwrap();
-        assert_eq!(page3, vec!["k6"]);
-        assert!(token3.is_none(), "final page has no token");
+        assert_eq!(s.list("b", "").unwrap().len(), 400);
     }
 
     #[test]

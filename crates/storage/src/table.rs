@@ -4,8 +4,8 @@
 //! Azure Queues, Tables and Blob Storage"; tables are the piece our Classic
 //! Cloud framework uses for durable job metadata (see
 //! `ppc_classic::history`). The model is Azure's: entities addressed by
-//! `(partition_key, row_key)`, strongly ordered range queries within a
-//! partition, and optimistic concurrency via ETags.
+//! `(partition_key, row_key)`, partition queries in row-key order, and an
+//! ETag stamped on every write.
 
 use ppc_core::sync::RwLock;
 use ppc_core::{PpcError, Result};
@@ -50,7 +50,6 @@ type Partition = BTreeMap<String, Entity>;
 pub struct TableService {
     tables: RwLock<BTreeMap<String, BTreeMap<String, Partition>>>,
     next_etag: AtomicU64,
-    requests: AtomicU64,
 }
 
 impl TableService {
@@ -58,13 +57,7 @@ impl TableService {
         TableService::default()
     }
 
-    /// Billable API requests so far.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
     fn tick(&self) -> u64 {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         self.next_etag.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -72,25 +65,6 @@ impl TableService {
     pub fn ensure_table(&self, name: &str) {
         self.tick();
         self.tables.write().entry(name.to_string()).or_default();
-    }
-
-    /// Insert a new entity; fails if the key pair already exists.
-    pub fn insert(&self, table: &str, mut entity: Entity) -> Result<u64> {
-        let etag = self.tick();
-        let mut tables = self.tables.write();
-        let t = tables
-            .get_mut(table)
-            .ok_or_else(|| PpcError::NotFound(format!("table '{table}'")))?;
-        let part = t.entry(entity.partition_key.clone()).or_default();
-        if part.contains_key(&entity.row_key) {
-            return Err(PpcError::AlreadyExists(format!(
-                "entity ({}, {})",
-                entity.partition_key, entity.row_key
-            )));
-        }
-        entity.etag = etag;
-        part.insert(entity.row_key.clone(), entity);
-        Ok(etag)
     }
 
     /// Insert or replace unconditionally (`InsertOrReplace`).
@@ -107,50 +81,6 @@ impl TableService {
         Ok(etag)
     }
 
-    /// Replace only if the caller holds the current ETag (optimistic
-    /// concurrency — Azure's `If-Match`).
-    pub fn replace_if(&self, table: &str, mut entity: Entity, expected_etag: u64) -> Result<u64> {
-        let etag = self.tick();
-        let mut tables = self.tables.write();
-        let t = tables
-            .get_mut(table)
-            .ok_or_else(|| PpcError::NotFound(format!("table '{table}'")))?;
-        let part = t.get_mut(&entity.partition_key).ok_or_else(|| {
-            PpcError::NotFound(format!(
-                "entity ({}, {})",
-                entity.partition_key, entity.row_key
-            ))
-        })?;
-        let current = part.get(&entity.row_key).ok_or_else(|| {
-            PpcError::NotFound(format!(
-                "entity ({}, {})",
-                entity.partition_key, entity.row_key
-            ))
-        })?;
-        if current.etag != expected_etag {
-            return Err(PpcError::InvalidState(format!(
-                "etag mismatch: held {expected_etag}, current {}",
-                current.etag
-            )));
-        }
-        entity.etag = etag;
-        part.insert(entity.row_key.clone(), entity);
-        Ok(etag)
-    }
-
-    /// Point lookup.
-    pub fn get(&self, table: &str, partition_key: &str, row_key: &str) -> Result<Entity> {
-        self.tick();
-        let tables = self.tables.read();
-        tables
-            .get(table)
-            .ok_or_else(|| PpcError::NotFound(format!("table '{table}'")))?
-            .get(partition_key)
-            .and_then(|p| p.get(row_key))
-            .cloned()
-            .ok_or_else(|| PpcError::NotFound(format!("entity ({partition_key}, {row_key})")))
-    }
-
     /// All entities of one partition, in row-key order (the fast query
     /// pattern Azure Tables are designed around).
     pub fn query_partition(&self, table: &str, partition_key: &str) -> Result<Vec<Entity>> {
@@ -162,41 +92,6 @@ impl TableService {
         Ok(t.get(partition_key)
             .map(|p| p.values().cloned().collect())
             .unwrap_or_default())
-    }
-
-    /// Row-key range scan within a partition: `[from, to)`.
-    pub fn query_range(
-        &self,
-        table: &str,
-        partition_key: &str,
-        from: &str,
-        to: &str,
-    ) -> Result<Vec<Entity>> {
-        self.tick();
-        let tables = self.tables.read();
-        let t = tables
-            .get(table)
-            .ok_or_else(|| PpcError::NotFound(format!("table '{table}'")))?;
-        Ok(t.get(partition_key)
-            .map(|p| {
-                p.range(from.to_string()..to.to_string())
-                    .map(|(_, e)| e.clone())
-                    .collect()
-            })
-            .unwrap_or_default())
-    }
-
-    /// Delete an entity; deleting a missing one succeeds.
-    pub fn delete(&self, table: &str, partition_key: &str, row_key: &str) -> Result<()> {
-        self.tick();
-        let mut tables = self.tables.write();
-        let t = tables
-            .get_mut(table)
-            .ok_or_else(|| PpcError::NotFound(format!("table '{table}'")))?;
-        if let Some(p) = t.get_mut(partition_key) {
-            p.remove(row_key);
-        }
-        Ok(())
     }
 }
 
@@ -211,71 +106,20 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_round_trip() {
-        let s = svc();
-        let e = Entity::new("cap3", "run-001")
-            .with("status", "done")
-            .with("tasks", "200");
-        s.insert("jobs", e).unwrap();
-        let back = s.get("jobs", "cap3", "run-001").unwrap();
-        assert_eq!(back.get("status"), Some("done"));
-        assert_eq!(back.get("tasks"), Some("200"));
-        assert_eq!(back.get("missing"), None);
-    }
-
-    #[test]
-    fn insert_conflicts_upsert_does_not() {
-        let s = svc();
-        s.insert("jobs", Entity::new("p", "r")).unwrap();
-        assert_eq!(
-            s.insert("jobs", Entity::new("p", "r")).unwrap_err().code(),
-            "AlreadyExists"
-        );
-        s.upsert("jobs", Entity::new("p", "r").with("v", "2"))
-            .unwrap();
-        assert_eq!(s.get("jobs", "p", "r").unwrap().get("v"), Some("2"));
-    }
-
-    #[test]
-    fn optimistic_concurrency() {
-        let s = svc();
-        let etag1 = s
-            .insert("jobs", Entity::new("p", "r").with("v", "1"))
-            .unwrap();
-        // A second writer replaces with the right etag...
-        let etag2 = s
-            .replace_if("jobs", Entity::new("p", "r").with("v", "2"), etag1)
-            .unwrap();
-        assert!(etag2 > etag1);
-        // ...and the first writer's stale etag now loses.
-        let err = s
-            .replace_if("jobs", Entity::new("p", "r").with("v", "3"), etag1)
-            .unwrap_err();
-        assert_eq!(err.code(), "InvalidState");
-        assert_eq!(s.get("jobs", "p", "r").unwrap().get("v"), Some("2"));
-    }
-
-    #[test]
     fn partition_queries_ordered() {
         let s = svc();
         for rk in ["run-003", "run-001", "run-002"] {
-            s.insert("jobs", Entity::new("cap3", rk)).unwrap();
+            s.upsert("jobs", Entity::new("cap3", rk).with("status", "done"))
+                .unwrap();
         }
-        s.insert("jobs", Entity::new("blast", "run-009")).unwrap();
+        s.upsert("jobs", Entity::new("blast", "run-009")).unwrap();
         let rows = s.query_partition("jobs", "cap3").unwrap();
         let keys: Vec<&str> = rows.iter().map(|e| e.row_key.as_str()).collect();
         assert_eq!(keys, vec!["run-001", "run-002", "run-003"]);
-        let range = s.query_range("jobs", "cap3", "run-001", "run-003").unwrap();
-        assert_eq!(range.len(), 2);
+        assert!(rows.iter().all(|e| e.get("status") == Some("done")));
+        assert_eq!(rows[0].get("missing"), None);
         assert!(s.query_partition("jobs", "ghost").unwrap().is_empty());
-    }
-
-    #[test]
-    fn missing_table_errors_and_requests_metered() {
-        let s = svc();
-        assert!(s.get("nope", "p", "r").is_err());
-        assert!(s.requests() >= 2);
-        s.delete("jobs", "p", "never-existed").unwrap();
+        assert!(s.query_partition("nope", "cap3").is_err());
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //!   `vertex_start → read_local → execute → write`.
 //! - [`TraceEvent`]: fleet-level instants (worker launch/kill/replace) from
 //!   ppc-autoscale and ppc-chaos.
-//! - [`TraceSink`]: the recording trait. [`NoopSink`] is free; [`Recorder`]
-//!   keeps everything; [`RingSink`] keeps the last N spans.
-//! - [`Trace`]: an immutable snapshot with well-formedness checks, Eq. 1 /
-//!   Eq. 2 recomputation from spans, and a legacy
+//! - [`TraceSink`]: the recording trait; [`Recorder`] keeps everything.
+//!   A context without a sink records nothing.
+//! - [`Trace`]: an immutable snapshot with well-formedness checks, Eq. 1
+//!   recomputation from spans, and a legacy
 //!   [`Timeline`](ppc_core::trace::Timeline) view for Gantt rendering.
-//! - [`Registry`]/[`Histogram`]: counters and log-bucket histograms
-//!   (p50/p95/p99) built from a trace or fed directly.
+//! - [`Histogram`]: log-bucket histograms (p50/p95/p99).
 //! - [`OverheadReport`]: attributes the efficiency gap to named per-framework
 //!   overhead categories, recomputed purely from spans.
 //! - [`chrome_trace_json`]: `chrome://tracing` / Perfetto JSON export.
@@ -32,10 +31,10 @@ mod span;
 mod store;
 
 pub use chrome::chrome_trace_json;
-pub use metrics::{Histogram, Registry};
+pub use metrics::Histogram;
 pub use overhead::{
     OverheadCategory, OverheadReport, Paradigm, INTER_STAGE_MATERIALIZATION, WASTED_DUPLICATE_WORK,
 };
-pub use sink::{AttemptMarker, NoopSink, Recorder, RingSink, TraceSink};
+pub use sink::{AttemptMarker, Recorder, TraceSink};
 pub use span::{EventKind, Phase, RunMeta, Span, TraceEvent, JOB_TASK, NO_WORKER};
 pub use store::Trace;

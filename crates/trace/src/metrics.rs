@@ -1,10 +1,6 @@
-//! Metrics registry: monotonic counters and mergeable log-bucket histograms
-//! with p50/p95/p99 estimates.
+//! Mergeable log-bucket histograms with p50/p95/p99 estimates.
 
-use crate::span::JOB_TASK;
-use crate::store::Trace;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Sub-buckets per power of two. 8 gives ~9% worst-case relative error on
 /// quantile estimates — plenty for overhead attribution.
@@ -61,10 +57,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum += v;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     pub fn sum(&self) -> f64 {
@@ -134,111 +126,6 @@ impl Histogram {
 
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-}
-
-/// Named counters + histograms, thread-safe, render-to-table.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-}
-
-impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Increment a counter. Counters only ever grow.
-    pub fn inc(&self, name: &str, by: u64) {
-        *self
-            .counters
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_insert(0) += by;
-    }
-
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .unwrap()
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    pub fn observe(&self, name: &str, v: f64) {
-        self.histograms
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.histograms.lock().unwrap().get(name).cloned()
-    }
-
-    pub fn counter_names(&self) -> Vec<String> {
-        self.counters.lock().unwrap().keys().cloned().collect()
-    }
-
-    /// Build per-phase duration histograms and span/event counters from a
-    /// finished trace.
-    pub fn from_trace(trace: &Trace) -> Registry {
-        let reg = Registry::new();
-        for s in trace.spans() {
-            if s.task == JOB_TASK {
-                continue;
-            }
-            reg.inc("spans", 1);
-            if s.phase == crate::span::Phase::Attempt {
-                reg.inc("attempts", 1);
-            }
-            if s.phase.is_terminal() {
-                reg.inc("tasks_completed", 1);
-            }
-            if !s.phase.is_structural() {
-                reg.observe(&format!("phase.{}.seconds", s.phase.name()), s.duration_s());
-            }
-        }
-        for e in trace.events() {
-            reg.inc(&format!("events.{}", e.kind.name()), 1);
-        }
-        reg
-    }
-
-    /// Render counters and histogram quantiles as an ASCII table.
-    pub fn render(&self) -> String {
-        let mut t = ppc_core::report::Table::new(
-            "metrics registry",
-            &["metric", "count", "p50", "p95", "p99", "min", "max"],
-        );
-        for (name, v) in self.counters.lock().unwrap().iter() {
-            t.row(vec![
-                name.clone(),
-                v.to_string(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-        }
-        for (name, h) in self.histograms.lock().unwrap().iter() {
-            t.row(vec![
-                name.clone(),
-                h.count().to_string(),
-                format!("{:.6}", h.p50()),
-                format!("{:.6}", h.p95()),
-                format!("{:.6}", h.p99()),
-                format!("{:.6}", h.min()),
-                format!("{:.6}", h.max()),
-            ]);
-        }
-        t.to_string()
     }
 }
 
@@ -340,37 +227,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_never_decrease() {
-        let reg = Registry::new();
-        let mut rng = Pcg32::new(404);
-        let mut last = 0;
-        for _ in 0..500 {
-            reg.inc("ops", rng.next_below(5) as u64);
-            let now = reg.counter("ops");
-            assert!(now >= last, "counter went backwards: {last} -> {now}");
-            last = now;
-        }
-        assert_eq!(reg.counter("missing"), 0);
-    }
-
-    #[test]
     fn empty_histogram_is_inert() {
         let h = Histogram::new();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.count, 0);
         assert_eq!(h.quantile(0.5), 0.0);
         let mut m = Histogram::new();
         m.merge(&h);
-        assert_eq!(m.count(), 0);
-    }
-
-    #[test]
-    fn registry_renders_counters_and_histograms() {
-        let reg = Registry::new();
-        reg.inc("spans", 3);
-        reg.observe("phase.execute.seconds", 1.5);
-        reg.observe("phase.execute.seconds", 2.5);
-        let out = reg.render();
-        assert!(out.contains("spans"));
-        assert!(out.contains("phase.execute.seconds"));
+        assert_eq!(m.count, 0);
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::span::{Phase, NO_WORKER};
 use crate::store::Trace;
-use ppc_core::metrics::{avg_time_per_task_per_core, parallel_efficiency};
 use ppc_core::report::Table;
 use std::collections::HashMap;
 
@@ -190,16 +189,6 @@ impl OverheadReport {
         }
     }
 
-    /// Eq. 1 recomputed from the trace: `E = T1 / (P · Tp)`.
-    pub fn efficiency(&self, t1_seconds: f64) -> f64 {
-        parallel_efficiency(t1_seconds, self.makespan_s, self.cores)
-    }
-
-    /// Eq. 2 recomputed from the trace.
-    pub fn per_task_per_core(&self) -> f64 {
-        avg_time_per_task_per_core(self.makespan_s, self.cores, self.tasks)
-    }
-
     /// Total worker-seconds across all overhead categories.
     pub fn overhead_s(&self) -> f64 {
         self.categories.iter().map(|c| c.seconds).sum()
@@ -305,8 +294,6 @@ mod tests {
         assert_eq!(r.categories[2].seconds, 1.0);
         let total = r.compute_s + r.overhead_s() + r.idle_s;
         assert!((total - 2.0 * 10.0).abs() < 1e-9);
-        // Eq. 1: with T1 = compute, E = 5 / 20.
-        assert!((r.efficiency(5.0) - 0.25).abs() < 1e-12);
         let rendered = r.render();
         assert!(rendered.contains("queue control"));
         assert!(rendered.contains("idle"));

@@ -6,7 +6,6 @@
 
 use crate::span::{Phase, RunMeta, Span, TraceEvent};
 use crate::store::Trace;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -96,12 +95,6 @@ impl Drop for AttemptMarker<'_> {
     }
 }
 
-/// Discards everything; the default when tracing is off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {}
-
 /// Keeps every span and event; the sink behind `trace: true` runs.
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -142,58 +135,6 @@ impl TraceSink for Recorder {
     }
 }
 
-/// Bounded recorder keeping only the most recent `capacity` spans — for
-/// long runs where only the tail matters. Events and meta are unbounded
-/// (they are few).
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    spans: Mutex<VecDeque<Span>>,
-    events: Mutex<Vec<TraceEvent>>,
-    meta: Mutex<RunMeta>,
-}
-
-impl RingSink {
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity: capacity.max(1),
-            spans: Mutex::new(VecDeque::new()),
-            events: Mutex::new(Vec::new()),
-            meta: Mutex::new(RunMeta::default()),
-        }
-    }
-}
-
-impl TraceSink for RingSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn span(&self, span: Span) {
-        let mut q = self.spans.lock().unwrap();
-        if q.len() == self.capacity {
-            q.pop_front();
-        }
-        q.push_back(span);
-    }
-
-    fn event(&self, event: TraceEvent) {
-        self.events.lock().unwrap().push(event);
-    }
-
-    fn set_meta(&self, meta: RunMeta) {
-        *self.meta.lock().unwrap() = meta;
-    }
-
-    fn snapshot(&self) -> Option<Trace> {
-        Some(Trace::new(
-            self.meta.lock().unwrap().clone(),
-            self.spans.lock().unwrap().iter().copied().collect(),
-            self.events.lock().unwrap().clone(),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,14 +142,6 @@ mod tests {
 
     fn span(task: u64) -> Span {
         Span::new(task, 0, 0, Phase::Execute, 0.0, 1.0)
-    }
-
-    #[test]
-    fn noop_sink_records_nothing() {
-        let s = NoopSink;
-        assert!(!s.enabled());
-        s.span(span(1));
-        assert!(s.snapshot().is_none());
     }
 
     #[test]
@@ -257,16 +190,5 @@ mod tests {
         assert_eq!(attempt.phase, Phase::Attempt);
         assert_eq!((attempt.start_s, attempt.end_s), (10.0, 12.0));
         assert_eq!((attempt.task, attempt.attempt, attempt.worker), (7, 1, 3));
-    }
-
-    #[test]
-    fn ring_sink_keeps_only_the_tail() {
-        let r = RingSink::new(3);
-        for i in 0..10 {
-            r.span(span(i));
-        }
-        let t = r.snapshot().unwrap();
-        let tasks: Vec<u64> = t.spans().iter().map(|s| s.task).collect();
-        assert_eq!(tasks, vec![7, 8, 9]);
     }
 }

@@ -2,7 +2,7 @@
 //! recomputation, and the legacy Gantt view.
 
 use crate::span::{EventKind, Phase, RunMeta, Span, TraceEvent, JOB_TASK, NO_WORKER};
-use ppc_core::metrics::{avg_time_per_task_per_core, parallel_efficiency};
+use ppc_core::metrics::parallel_efficiency;
 use ppc_core::trace::Timeline;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,15 +61,6 @@ impl Trace {
             .collect()
     }
 
-    /// Spans belonging to one `(task, attempt)`, in recording order.
-    pub fn spans_of(&self, task: u64, attempt: u32) -> Vec<Span> {
-        self.spans
-            .iter()
-            .filter(|s| s.task == task && s.attempt == attempt)
-            .copied()
-            .collect()
-    }
-
     /// The job-level root span, if the engine recorded one.
     pub fn job_span(&self) -> Option<Span> {
         self.spans.iter().find(|s| s.phase == Phase::Job).copied()
@@ -122,11 +113,6 @@ impl Trace {
     /// duration and `P` the recorded core count.
     pub fn parallel_efficiency(&self, t1_seconds: f64) -> f64 {
         parallel_efficiency(t1_seconds, self.makespan_s(), self.meta.cores)
-    }
-
-    /// Eq. 2 from spans: average time per task per core.
-    pub fn per_task_per_core(&self) -> f64 {
-        avg_time_per_task_per_core(self.makespan_s(), self.meta.cores, self.meta.tasks)
     }
 
     /// Structural well-formedness violations; empty means the trace is sound.
@@ -222,12 +208,6 @@ impl Trace {
         }
         tl
     }
-
-    /// ASCII Gantt chart of winning attempts per worker — a rendering view
-    /// over the span store via the legacy [`Timeline`] engine.
-    pub fn render_gantt(&self, width: usize) -> String {
-        self.to_timeline().render_ascii(width)
-    }
 }
 
 #[cfg(test)]
@@ -301,8 +281,6 @@ mod tests {
         assert_eq!(t.makespan_s(), 10.0);
         let e = t.parallel_efficiency(18.0);
         assert!((e - 18.0 / (2.0 * 10.0)).abs() < 1e-12);
-        let eq2 = t.per_task_per_core();
-        assert!((eq2 - 10.0 * 2.0 / 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -311,8 +289,6 @@ mod tests {
         let tl = t.to_timeline();
         // 3 attempt spans, but only 2 won.
         assert_eq!(tl.intervals().len(), 2);
-        let gantt = t.render_gantt(40);
-        assert!(gantt.contains('#') || !gantt.is_empty());
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl FixedPointJob {
         self.max_iterations = n;
         self
     }
-
-    pub fn with_parallelism(mut self, n: usize) -> FixedPointJob {
-        self.parallelism = n;
-        self
-    }
 }
 
 /// Outcome of a fixed-point run.

@@ -204,11 +204,6 @@ impl Stage {
         self
     }
 
-    pub fn with_resilience(mut self, policy: ResiliencePolicy) -> Stage {
-        self.resilience = Some(policy);
-        self
-    }
-
     /// Total output bytes this stage's task profiles promise — what a
     /// materialize edge out of this stage must move.
     pub fn output_bytes(&self) -> u64 {
@@ -309,11 +304,6 @@ impl Workflow {
             policy,
             adapter: None,
         });
-        self
-    }
-
-    pub fn with_materialize_model(mut self, model: MaterializeModel) -> Workflow {
-        self.materialize = model;
         self
     }
 

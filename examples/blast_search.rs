@@ -83,7 +83,6 @@ fn main() -> ppc::core::Result<()> {
         &fs,
         &mr_job,
         &mapper,
-        None,
         &HadoopConfig::default(),
     )?;
     println!(

@@ -141,7 +141,7 @@ fn mapreduce_native_conforms_under_hostile_schedule() {
     job.max_attempts = 8; // headroom for dice-chained attempt failures
     let mapper = ExecutableMapper::new("rev", reverse_executor());
     let ctx = RunContext::local().with_schedule(hostile());
-    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
 
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     assert_eq!(report.summary.tasks, N_TASKS as usize);

@@ -75,7 +75,6 @@ fn cap3_outputs_identical_across_frameworks() {
         &fs,
         &mr,
         &mapper,
-        None,
         &HadoopConfig::default(),
     )
     .unwrap();
@@ -364,7 +363,7 @@ fn every_entry_point_rejects_a_bad_context() {
         fs.create("/in/f0", b"x", None).unwrap();
         let mr = MapReduceJob::map_only("bad", vec!["/in/f0".into()], "/out");
         let mapper = ExecutableMapper::new("id", executor.clone());
-        let hadoop = hadoop_run(ctx, &fs, &mr, &mapper, None, &HadoopConfig::default());
+        let hadoop = hadoop_run(ctx, &fs, &mr, &mapper, &HadoopConfig::default());
         let dryad = dryad_run(
             ctx,
             inputs.clone(),

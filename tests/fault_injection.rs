@@ -127,7 +127,6 @@ fn hadoop_survives_datanode_loss() {
         &fs,
         &job,
         &mapper,
-        None,
         &HadoopConfig::default(),
     )
     .unwrap();
@@ -162,7 +161,7 @@ fn hadoop_retries_do_not_duplicate_outputs() {
         ..HadoopConfig::default()
     };
     let ctx = RunContext::local().with_seed(5);
-    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, &config).unwrap();
     assert!(report.is_complete());
     assert!(report.scheduler.retries > 0);
     let outs = fs.list("/out/");

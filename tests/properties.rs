@@ -363,7 +363,6 @@ fn hedging_preserves_exactly_once_outputs() {
             &fs,
             &job,
             &ExecutableMapper::new("rev", executor()),
-            None,
             &ppc::mapreduce::HadoopConfig::default(),
         )
         .unwrap();

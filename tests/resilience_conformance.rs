@@ -100,8 +100,8 @@ fn specs() -> Vec<TaskSpec> {
 /// end (the attempt that committed) minus the task's first attempt start.
 /// Losing duplicates draining after the winner do not count.
 fn task_latencies(trace: &Trace) -> Vec<f64> {
-    let mut started: HashMap<u64, f64> = HashMap::new();
-    let mut committed: HashMap<u64, f64> = HashMap::new();
+    let mut started: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut committed: BTreeMap<u64, f64> = BTreeMap::new();
     for s in trace.spans() {
         if s.task == JOB_TASK {
             continue;
@@ -342,7 +342,7 @@ fn mapreduce_native(
     job.max_attempts = 8;
     let mapper = ExecutableMapper::new("rev", reverse_executor());
     let ctx = native_ctx(RunContext::local(), schedule, policy);
-    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     let outputs = expected_outputs()
         .keys()

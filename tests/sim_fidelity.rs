@@ -124,7 +124,7 @@ fn hadoop_sim_predicts_native_makespan() {
         ..HadoopConfig::default()
     };
     let ctx = RunContext::local().with_resilience(ResiliencePolicy::default());
-    let native = hadoop_run(&ctx, &fs, &job, &mapper, None, &config).unwrap();
+    let native = hadoop_run(&ctx, &fs, &job, &mapper, &config).unwrap();
 
     // --- simulated twin (no dispatch overhead, free IO, BARE_CAP3 runs at
     // the 2.5 GHz reference clock so cpu_seconds_ref maps 1:1) ---

@@ -229,7 +229,7 @@ fn hadoop_native_trace_conforms() {
     job.max_attempts = 8;
     let mapper = ExecutableMapper::new("rev", reverse_executor());
     let ctx = recorded(RunContext::local().with_schedule(hostile()));
-    let report = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+    let report = hadoop_run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
     assert!(report.is_complete(), "failed: {:?}", report.failed);
 
     let trace = report.trace.as_ref().expect("trace recorded");

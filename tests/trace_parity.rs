@@ -154,7 +154,7 @@ fn hadoop_native_and_sim_speak_the_same_trace_language() {
     let job = MapReduceJob::map_only("cap3-parity", paths, "/out");
     let mapper = ExecutableMapper::new("cap3", cap3_executor());
     let ctx = recorded(RunContext::local());
-    let native = hadoop_run(&ctx, &fs, &job, &mapper, None, &HadoopConfig::default()).unwrap();
+    let native = hadoop_run(&ctx, &fs, &job, &mapper, &HadoopConfig::default()).unwrap();
     assert!(native.is_complete());
 
     let cluster = Cluster::provision(BARE_CAP3, 2, 2);
