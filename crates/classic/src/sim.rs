@@ -23,6 +23,12 @@
 //! finalisation. The elastic bookkeeping (dead-instance sweep, fleet
 //! ledger close, fleet-event trace replay) is shared with the native
 //! runtime.
+//!
+//! The sim runs on a typed `ppc_des::Engine<Event>`: an event names a
+//! worker, a task or a timer, the message a worker pulled sits in the
+//! sim's per-worker table until its attempt ends, and the node NICs are
+//! typed `FifoServer`s whose completions are events too. The run handler
+//! borrows the sim's state and the caller's task list directly.
 
 use crate::elastic;
 use crate::report::{ClassicReport, FleetReport};
@@ -35,9 +41,9 @@ use ppc_compute::instance::InstanceType;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
-use ppc_core::task::{ResourceProfile, TaskId, TaskSpec};
+use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
-use ppc_des::{Engine, EventId, FifoServer, SimTime};
+use ppc_des::{Engine, EventId, FifoServer, Fired, SimTime};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_resilience::{
     Admit, AttemptId, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker, ResiliencePolicy,
@@ -45,9 +51,7 @@ use ppc_resilience::{
 use ppc_storage::latency::LatencyModel;
 use ppc_storage::metering::MeteringSnapshot;
 use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
-use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Configuration of the simulated platform.
@@ -199,16 +203,28 @@ fn record_attempt(
 }
 
 /// One simulated worker slot.
-#[derive(Clone)]
-struct WorkerRef {
-    /// Flat index of this worker in the fleet (timeline row) — on an
-    /// elastic fleet, the controller's slot id.
-    index: u32,
+struct Worker {
     itype: InstanceType,
     /// Configured workers on this worker's node (drives contention).
     per_node: usize,
-    /// The node's shared NIC, when NIC contention is modeled.
-    nic: Option<FifoServer>,
+    /// The node's shared NIC ([`Sim::nics`]), when NIC contention is
+    /// modeled.
+    nic: Option<u32>,
+    /// The pulled message in this worker's hands, from its pull until
+    /// the attempt's end.
+    attempt: Option<Attempt>,
+}
+
+impl Worker {
+    /// An elastic fleet's slot: a single-worker instance, no shared NIC.
+    fn elastic(itype: InstanceType) -> Worker {
+        Worker {
+            itype,
+            per_node: 1,
+            nic: None,
+            attempt: None,
+        }
+    }
 }
 
 /// What a fixed and an elastic fleet do differently; everything else in
@@ -237,18 +253,6 @@ struct Elastic {
     dead: HashSet<u32>,
     /// Virtual time of the controller's last timed-kill sweep.
     last_kill_check_s: f64,
-}
-
-impl WorkerRef {
-    /// An elastic fleet's slot: a single-worker instance, no shared NIC.
-    fn elastic(itype: InstanceType, slot: u32) -> WorkerRef {
-        WorkerRef {
-            index: slot,
-            itype,
-            per_node: 1,
-            nic: None,
-        }
-    }
 }
 
 impl Fleet {
@@ -313,7 +317,7 @@ struct SimState {
     /// current time and every receive a `pop_front`.
     pending: VecDeque<Message>,
     /// Parked workers with nothing to do (never a draining slot).
-    idle: Vec<WorkerRef>,
+    idle: Vec<u32>,
     in_flight: usize,
     executions: usize,
     deaths: usize,
@@ -396,7 +400,7 @@ impl SimState {
     /// The report both fleets share; `fleet` is `Some` on elastic runs.
     fn report(
         &self,
-        tasks: &[(TaskId, ResourceProfile)],
+        tasks: &[TaskSpec],
         platform: String,
         cores: usize,
         makespan: f64,
@@ -428,7 +432,7 @@ impl SimState {
                     .ledger
                     .failed_tasks()
                     .into_iter()
-                    .map(|i| tasks[i].0)
+                    .map(|i| tasks[i].id)
                     .collect(),
                 total_attempts: self.executions,
                 worker_deaths: self.deaths,
@@ -450,23 +454,72 @@ impl SimState {
     }
 }
 
-/// One simulation: the mutable state plus the config and policy every
-/// event reads.
-struct Sim {
+/// One Classic-sim event. Each is posted where the sim's logic schedules
+/// it, so same-instant events keep their `(at, seq)` tie order.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A worker polls the queue ([`Sim::worker_tick`]).
+    Poll(u32),
+    /// A worker's attempt ends ([`Sim::finish_attempt`]).
+    Finish(u32),
+    /// A lost message of a task becomes visible again.
+    Reappear(u32),
+    /// The client sends a task's message (elastic arrivals).
+    Arrive(u32),
+    /// The hedge timer ([`Sim::send_hedges`]).
+    Hedge,
+    /// An autoscale controller evaluation ([`Sim::controller_tick`]).
+    Control,
+    /// A worker's transfer through its node's NIC ends: the download, or
+    /// with `upload` the upload.
+    Transferred { worker: u32, upload: bool },
+    /// A worker on the NIC path has computed; its upload joins the NIC.
+    Computed(u32),
+}
+
+type Des = Engine<Event>;
+
+/// One simulation: the mutable state plus the config, policy and tasks
+/// every event reads.
+struct Sim<'a> {
     cfg: SimConfig,
     resilience: Option<ResiliencePolicy>,
     /// Each task's id and resource profile: all an attempt reads of it.
-    tasks: Vec<(TaskId, ResourceProfile)>,
-    st: RefCell<SimState>,
+    tasks: &'a [TaskSpec],
+    /// Every worker slot by index (timeline row); on an elastic fleet,
+    /// the controller's slot id.
+    workers: Vec<Worker>,
+    /// One shared uplink per node when NIC contention is modeled.
+    nics: Vec<FifoServer<Event>>,
+    st: SimState,
 }
 
-impl Sim {
-    fn new(cfg: &SimConfig, ctx: &RunContext, tasks: &[TaskSpec], fleet: Fleet) -> Rc<Sim> {
-        Rc::new(Sim {
+impl<'a> Sim<'a> {
+    fn new(cfg: &SimConfig, ctx: &RunContext, tasks: &'a [TaskSpec], fleet: Fleet) -> Sim<'a> {
+        Sim {
             cfg: *cfg,
             resilience: ctx.resilience,
-            tasks: tasks.iter().map(|t| (t.id, t.profile)).collect(),
-            st: RefCell::new(SimState::new(ctx, tasks.len(), fleet)),
+            tasks,
+            workers: Vec::new(),
+            nics: Vec::new(),
+            st: SimState::new(ctx, tasks.len(), fleet),
+        }
+    }
+
+    /// Run the calendar dry; returns the final simulated time.
+    fn run(&mut self, engine: &mut Des) -> SimTime {
+        engine.run_with(|e, fired| match fired {
+            Fired::Event(Event::Poll(w)) => self.worker_tick(e, w),
+            Fired::Event(Event::Finish(w)) => self.finish_attempt(e, w),
+            Fired::Event(Event::Reappear(task)) => self.send(e, task as usize, None),
+            Fired::Event(Event::Arrive(task)) => self.arrive(e, task as usize),
+            Fired::Event(Event::Hedge) => self.send_hedges(e),
+            Fired::Event(Event::Control) => self.controller_tick(e),
+            Fired::Event(Event::Transferred { worker, upload }) => {
+                self.transferred(e, worker, upload)
+            }
+            Fired::Event(Event::Computed(w)) => self.computed(e, w),
+            Fired::Tick(_) => unreachable!("the Classic sim uses no lane"),
         })
     }
 }
@@ -503,9 +556,9 @@ pub(crate) fn sim_fleets_impl(
     check_sim_inputs(cfg, ctx);
     let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
     let last_kill = vec![0.0; total_workers];
-    let sim = Sim::new(cfg, ctx, tasks, Fleet::Fixed { last_kill });
+    let mut sim = Sim::new(cfg, ctx, tasks, Fleet::Fixed { last_kill });
     {
-        let st = &mut *sim.st.borrow_mut();
+        let st = &mut sim.st;
         // The client's shuffle and the workers' jitter/failure dice draw
         // from independent streams of the one run seed.
         let mut client_rng = Pcg32::for_stream(st.seed, CLIENT_STREAM);
@@ -528,29 +581,29 @@ pub(crate) fn sim_fleets_impl(
         }
     }
 
-    let mut engine = Engine::new();
-    let mut index = 0;
+    let mut engine = Des::typed();
     for cluster in fleets {
         for node in cluster.nodes() {
             // One shared uplink per instance (serializes that node's
             // concurrent storage transfers) when NIC modeling is on.
-            let nic = cfg.nic_bandwidth_bytes_per_s.map(|_| FifoServer::new());
+            let nic = cfg.nic_bandwidth_bytes_per_s.map(|_| {
+                sim.nics.push(FifoServer::new());
+                (sim.nics.len() - 1) as u32
+            });
             for _slot in 0..node.workers {
-                let sim = sim.clone();
-                let worker = WorkerRef {
-                    index,
+                engine.post_at(SimTime::ZERO, Event::Poll(sim.workers.len() as u32));
+                sim.workers.push(Worker {
                     itype: cluster.itype(),
                     per_node: node.workers,
-                    nic: nic.clone(),
-                };
-                index += 1;
-                engine.schedule_at(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
+                    nic,
+                    attempt: None,
+                });
             }
         }
     }
 
-    let end = engine.run();
-    let st = sim.st.borrow();
+    let end = sim.run(&mut engine);
+    let st = &sim.st;
     // On defended runs the job is over when the last unique result commits;
     // hedged losers draining afterwards stretch the engine, not the job.
     let makespan = if ctx.resilience.is_some() && st.finished_at_s > 0.0 {
@@ -559,7 +612,7 @@ pub(crate) fn sim_fleets_impl(
         end.as_secs_f64()
     };
     st.report(
-        &sim.tasks,
+        tasks,
         format!("classic-sim-{}", fleets[0].itype().name),
         total_workers,
         makespan,
@@ -607,42 +660,23 @@ pub(crate) fn sim_autoscaled_impl(
         dead: HashSet::new(),
         last_kill_check_s: 0.0,
     }));
-    let sim = Sim::new(cfg, ctx, tasks, fleet);
+    let mut sim = Sim::new(cfg, ctx, tasks, fleet);
 
-    let mut engine = Engine::new();
+    let mut engine = Des::typed();
     // Arrivals first, so that same-instant arrivals precede the worker
     // ticks of the initial fleet (events fire in insertion order).
-    for (task, t) in tasks.iter().enumerate() {
+    for task in 0..tasks.len() {
         let at = arrivals.get(task).copied().unwrap_or(0.0);
-        let sim = sim.clone();
-        let id = t.id.0;
-        engine.schedule_at(SimTime::from_secs_f64(at), move |e| {
-            let now = e.now().as_secs_f64();
-            {
-                let mut st = sim.st.borrow_mut();
-                st.queue_requests += 1; // the client's send
-                if let Some(rec) = &st.rec {
-                    rec.span(Span::new(id, 0, NO_WORKER, Phase::Enqueue, now, now));
-                }
-            }
-            send(e, &sim, task, None);
-        });
+        engine.post_at(SimTime::from_secs_f64(at), Event::Arrive(task as u32));
     }
     for slot in 0..autoscale.min_workers {
-        let sim = sim.clone();
-        let worker = WorkerRef::elastic(itype, slot);
-        engine.schedule_at(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
+        sim.workers.push(Worker::elastic(itype));
+        engine.post_at(SimTime::ZERO, Event::Poll(slot));
     }
-    {
-        let sim = sim.clone();
-        engine.schedule_in(SimTime::from_secs_f64(autoscale.interval_s), move |e| {
-            controller_tick(e, sim);
-        });
-    }
+    engine.post_in(SimTime::from_secs_f64(autoscale.interval_s), Event::Control);
 
-    let end = engine.run();
-    let mut guard = sim.st.borrow_mut();
-    let st = &mut *guard;
+    let end = sim.run(&mut engine);
+    let st = &mut sim.st;
     let makespan = if st.finished_at_s > 0.0 {
         st.finished_at_s
     } else {
@@ -658,7 +692,7 @@ pub(crate) fn sim_autoscaled_impl(
         elastic::trace_fleet_events(&el.controller, rec);
     }
     st.report(
-        &sim.tasks,
+        tasks,
         format!("classic-sim-autoscale-{}", itype.name),
         fleet.peak_fleet() as usize,
         makespan,
@@ -681,69 +715,61 @@ fn strictly_after_now(now: SimTime, at_s: f64) -> f64 {
     }
 }
 
-/// Wake one parked worker, if any (one message, one worker).
-fn wake_idle(engine: &mut Engine, sim: &Rc<Sim>) {
-    let woken = sim.st.borrow_mut().idle.pop();
-    if let Some(worker) = woken {
-        let sim = sim.clone();
-        engine.schedule_in(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
+impl Sim<'_> {
+    /// Make a message of `task` visible now, waking one parked worker,
+    /// if any (one message, one worker).
+    fn send(&mut self, engine: &mut Des, task: usize, hedge: Option<u32>) {
+        let since_s = engine.now().as_secs_f64();
+        self.st.pending.push_back(Message {
+            task,
+            hedge,
+            since_s,
+        });
+        if let Some(w) = self.st.idle.pop() {
+            engine.post_in(SimTime::ZERO, Event::Poll(w));
+        }
     }
-}
 
-/// Make a message of `task` visible now, waking a parked worker.
-fn send(engine: &mut Engine, sim: &Rc<Sim>, task: usize, hedge: Option<u32>) {
-    let since_s = engine.now().as_secs_f64();
-    sim.st.borrow_mut().pending.push_back(Message {
-        task,
-        hedge,
-        since_s,
-    });
-    wake_idle(engine, sim);
-}
+    /// The client's send of `task`'s message on an elastic fleet.
+    fn arrive(&mut self, engine: &mut Des, task: usize) {
+        let now = engine.now().as_secs_f64();
+        self.st.queue_requests += 1; // the client's send
+        if let Some(rec) = &self.st.rec {
+            let id = self.tasks[task].id.0;
+            rec.span(Span::new(id, 0, NO_WORKER, Phase::Enqueue, now, now));
+        }
+        self.send(engine, task, None);
+    }
 
-/// Make a lost message visible again at `at`, waking a parked worker.
-fn reappear_at(engine: &mut Engine, sim: &Rc<Sim>, task: usize, at: SimTime) {
-    let sim = sim.clone();
-    engine.schedule_at(at, move |e| send(e, &sim, task, None));
-}
-
-/// One worker iteration, on either fleet: pass the pre-pull gate and the
-/// quarantine gate, pull the next message (or park), model the receive →
-/// download → execute → upload → report → delete pipeline, and schedule
-/// the attempt's end ([`finish_attempt`]).
-fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
-    let cfg = &sim.cfg;
-    let w = worker.index;
-    let now_s = engine.now().as_secs_f64();
-    // Quarantine gate: a benched worker pulls nothing until its sentence
-    // expires, then re-enters through probation.
-    let admit = {
-        let mut st = sim.st.borrow_mut();
+    /// One worker iteration, on either fleet: pass the pre-pull gate and
+    /// the quarantine gate, pull the next message (or park), model the
+    /// receive → download → execute → upload → report → delete pipeline,
+    /// and schedule the attempt's end ([`Sim::finish_attempt`]).
+    fn worker_tick(&mut self, engine: &mut Des, w: u32) {
+        let cfg = self.cfg;
+        let now_s = engine.now().as_secs_f64();
+        let st = &mut self.st;
+        // Quarantine gate: a benched worker pulls nothing until its
+        // sentence expires, then re-enters through probation.
         let job_done = st.ledger.is_complete();
         if !st.fleet.may_pull(w, job_done) {
             return;
         }
-        let SimState { health, rec, .. } = &mut *st;
-        health.as_mut().map_or(Admit::Go, |tracker| {
-            tracker.admit(w, now_s, &HealthTrace(rec.as_ref()))
-        })
-    };
-    if let Admit::Benched { until_s } = admit {
-        let wake = strictly_after_now(engine.now(), until_s);
-        engine.schedule_at(SimTime::from_secs_f64(wake), move |e| {
-            worker_tick(e, sim, worker)
+        let admit = st.health.as_mut().map_or(Admit::Go, |tracker| {
+            tracker.admit(w, now_s, &HealthTrace(st.rec.as_ref()))
         });
-        return;
-    }
+        if let Admit::Benched { until_s } = admit {
+            let wake = strictly_after_now(engine.now(), until_s);
+            engine.post_at(SimTime::from_secs_f64(wake), Event::Poll(w));
+            return;
+        }
 
-    // Pull the next message and model the full pipeline duration for it.
-    let a = {
-        let mut st = sim.st.borrow_mut();
+        // Pull the next message and model the full pipeline duration for it.
         st.queue_requests += 1; // the receive call
         let id = loop {
             let Some(m) = st.pending.pop_front() else {
                 // Nothing visible: park; a redelivery event will wake us.
-                st.idle.push(worker);
+                st.idle.push(w);
                 return;
             };
             // A message of a resolved task (first result wins) is deleted,
@@ -771,7 +797,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
                 None => st.queue_requests += 1, // the dropped message's delete
             }
         };
-        let profile = sim.tasks[id.task].1;
+        let profile = self.tasks[id.task].profile;
         st.executions += 1;
         st.storage_requests += 2;
         st.bytes_in += profile.output_bytes;
@@ -779,6 +805,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         st.remote_bytes += profile.input_bytes + profile.output_bytes;
         st.in_flight += 1;
 
+        let worker = &self.workers[w as usize];
         let mut t_in = cfg.storage_latency.transfer_seconds(profile.input_bytes);
         let t_out = cfg.storage_latency.transfer_seconds(profile.output_bytes);
         let t_exec_base = task_service_seconds(&worker.itype, worker.per_node, &profile, &cfg.app);
@@ -805,7 +832,7 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         let mut duration_s = t_in + t_exec + t_out + t_ctrl;
         // Per-task deadline: an attempt that would outlive the timeout is
         // cut there and the message re-sent immediately (cancel-and-requeue).
-        let cancelled = match sim.resilience.and_then(|p| p.deadline) {
+        let cancelled = match self.resilience.and_then(|p| p.deadline) {
             Some(d) if duration_s > d.timeout_s => {
                 duration_s = d.timeout_s;
                 true
@@ -832,105 +859,141 @@ fn worker_tick(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef) {
         } else {
             (t_in, t_exec, t_out, t_ctrl)
         };
-        Attempt {
+        let nic = worker.nic;
+        self.workers[w as usize].attempt = Some(Attempt {
             id,
             pulled_s: now_s,
             duration_s,
             parts,
             fails,
             cancelled,
-        }
-    };
-
-    // NIC contention: route the two transfers through the node's shared
-    // uplink — concurrent transfers on one instance serialize. Download
-    // (storage latency + NIC occupancy) -> compute -> upload (NIC
-    // occupancy) -> control -> end.
-    if let (Some(nic), Some(bw)) = (worker.nic.clone(), cfg.nic_bandwidth_bytes_per_s) {
-        let (t_in, t_exec, t_out, t_ctrl) = a.parts;
-        let profile = sim.tasks[a.id.task].1;
-        let t_nic_in = SimTime::from_secs_f64(profile.input_bytes as f64 / bw);
-        let t_nic_out = SimTime::from_secs_f64(profile.output_bytes as f64 / bw);
-        nic.clone().submit(engine, t_nic_in, move |e| {
-            e.schedule_in(SimTime::from_secs_f64(t_in + t_exec), move |e| {
-                nic.submit(e, t_nic_out, move |e| {
-                    e.schedule_in(SimTime::from_secs_f64(t_out + t_ctrl), move |e| {
-                        finish_attempt(e, sim, worker, a)
-                    });
-                });
-            });
         });
-        return;
+
+        // NIC contention: route the two transfers through the node's
+        // shared uplink — concurrent transfers on one instance serialize.
+        // Download (storage latency + NIC occupancy) -> compute -> upload
+        // (NIC occupancy) -> control -> end.
+        if let (Some(nic), Some(bw)) = (nic, cfg.nic_bandwidth_bytes_per_s) {
+            let t_nic_in = SimTime::from_secs_f64(profile.input_bytes as f64 / bw);
+            let done = Event::Transferred {
+                worker: w,
+                upload: false,
+            };
+            self.nics[nic as usize].submit(engine, t_nic_in, done);
+            return;
+        }
+
+        self.sync_hedge_timer(engine);
+        // A fixed fleet's lost message reappears one visibility timeout
+        // after its pull, so its redelivery is scheduled now, ahead of the
+        // death.
+        if fails && matches!(self.st.fleet, Fleet::Fixed { .. }) {
+            let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
+            engine.post_at(at, Event::Reappear(id.task as u32));
+        }
+        engine.post_in(SimTime::from_secs_f64(duration_s), Event::Finish(w));
     }
 
-    sync_hedge_timer(engine, &sim);
-    // A fixed fleet's lost message reappears one visibility timeout after
-    // its pull, so its redelivery is scheduled now, ahead of the death.
-    if a.fails && matches!(sim.st.borrow().fleet, Fleet::Fixed { .. }) {
-        let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
-        reappear_at(engine, &sim, a.id.task, at);
+    /// A NIC transfer of worker `w` ended. The node's uplink passes to its
+    /// next waiting transfer *before* the attempt moves on, so that
+    /// transfer's end ties ahead of the next step posted here: after the
+    /// download, download latency and compute; after the upload, the
+    /// upload latency and control round trips, then the attempt's end.
+    fn transferred(&mut self, engine: &mut Des, w: u32, upload: bool) {
+        let worker = &self.workers[w as usize];
+        let nic = worker
+            .nic
+            .expect("a NIC transfer on a worker without a NIC");
+        let (t_in, t_exec, t_out, t_ctrl) = worker
+            .attempt
+            .as_ref()
+            .expect("a NIC transfer without an attempt")
+            .parts;
+        self.nics[nic as usize].finish(engine);
+        if upload {
+            engine.post_in(SimTime::from_secs_f64(t_out + t_ctrl), Event::Finish(w));
+        } else {
+            engine.post_in(SimTime::from_secs_f64(t_in + t_exec), Event::Computed(w));
+        }
     }
-    engine.schedule_in(SimTime::from_secs_f64(a.duration_s), move |e| {
-        finish_attempt(e, sim, worker, a)
-    });
-}
 
-/// The end of an attempt, on either fleet: a commit (first result wins),
-/// a death (dice, torn upload, timed kill, or — on an elastic fleet — the
-/// whole instance), or a deadline cancel that re-sends the message at
-/// once. A failed attempt's message is re-sent only while the ledger
-/// retries its task; a fixed fleet's reappearance, scheduled at the pull,
-/// is deleted at its pull instead. Scores the worker's health, records
-/// the attempt's spans, and polls again unless the instance died.
-fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attempt) {
-    let cfg = &sim.cfg;
-    let now = engine.now().as_secs_f64();
-    let w = worker.index;
-    let nic = worker.nic.is_some();
-    let (slot_died, fixed) = {
-        let fleet = &sim.st.borrow().fleet;
-        (fleet.instance_died(w), matches!(fleet, Fleet::Fixed { .. }))
-    };
-    let lost = a.fails || slot_died;
-    let cancel = a.cancelled && !a.fails && !slot_died;
-    let ok = !lost && !cancel;
-    // The NIC path measures its latency end to end (it includes queueing
-    // on the shared link); otherwise it is the modeled duration.
-    let latency_s = if nic { now - a.pulled_s } else { a.duration_s };
-    let retried = {
-        let mut st = sim.st.borrow_mut();
+    /// Worker `w` on the NIC path has computed: its upload joins the NIC.
+    fn computed(&mut self, engine: &mut Des, w: u32) {
+        let worker = &self.workers[w as usize];
+        let nic = worker.nic.expect("a NIC upload on a worker without a NIC");
+        let task = worker
+            .attempt
+            .as_ref()
+            .expect("a NIC upload without an attempt")
+            .id
+            .task;
+        let bw = self
+            .cfg
+            .nic_bandwidth_bytes_per_s
+            .expect("a NIC upload without NIC bandwidth");
+        let t_nic_out = SimTime::from_secs_f64(self.tasks[task].profile.output_bytes as f64 / bw);
+        let done = Event::Transferred {
+            worker: w,
+            upload: true,
+        };
+        self.nics[nic as usize].submit(engine, t_nic_out, done);
+    }
+
+    /// The end of an attempt, on either fleet: a commit (first result
+    /// wins), a death (dice, torn upload, timed kill, or — on an elastic
+    /// fleet — the whole instance), or a deadline cancel that re-sends the
+    /// message at once. A failed attempt's message is re-sent only while
+    /// the ledger retries its task; a fixed fleet's reappearance, scheduled
+    /// at the pull, is deleted at its pull instead. Scores the worker's
+    /// health, records the attempt's spans, and polls again unless the
+    /// instance died.
+    fn finish_attempt(&mut self, engine: &mut Des, w: u32) {
+        let now = engine.now().as_secs_f64();
+        let worker = &mut self.workers[w as usize];
+        let nic = worker.nic.is_some();
+        let a = worker
+            .attempt
+            .take()
+            .expect("an attempt end without an attempt");
+        let st = &mut self.st;
+        let slot_died = st.fleet.instance_died(w);
+        let fixed = matches!(st.fleet, Fleet::Fixed { .. });
+        let lost = a.fails || slot_died;
+        let cancel = a.cancelled && !a.fails && !slot_died;
+        let ok = !lost && !cancel;
+        // The NIC path measures its latency end to end (it includes
+        // queueing on the shared link); otherwise it is the modeled
+        // duration.
+        let latency_s = if nic { now - a.pulled_s } else { a.duration_s };
         st.in_flight -= 1;
-        let SimState {
-            ledger,
-            health,
-            rec,
-            finished_at_s,
-            deaths,
-            ..
-        } = &mut *st;
         // First result wins: a hedged loser's output is discarded (its
         // time shows up as wasted duplicate work in the trace).
         let (resolved, retried) = if ok {
             (
-                ledger.complete_at(a.id, now) == CompleteOutcome::First,
+                st.ledger.complete_at(a.id, now) == CompleteOutcome::First,
                 false,
             )
         } else {
-            *deaths += usize::from(!cancel);
-            let outcome = ledger.fail(a.id);
+            st.deaths += usize::from(!cancel);
+            let outcome = st.ledger.fail(a.id);
             (
                 outcome == FailOutcome::TaskFailed,
                 outcome == FailOutcome::Retried,
             )
         };
-        if resolved && ledger.is_complete() {
-            *finished_at_s = now;
+        if resolved && st.ledger.is_complete() {
+            st.finished_at_s = now;
         }
         // A whole-instance death is no evidence against the worker slot.
-        if let Some(h) = health.as_mut().filter(|_| !slot_died) {
-            h.record(w, ok.then_some(latency_s), now, &HealthTrace(rec.as_ref()));
+        if let Some(h) = st.health.as_mut().filter(|_| !slot_died) {
+            h.record(
+                w,
+                ok.then_some(latency_s),
+                now,
+                &HealthTrace(st.rec.as_ref()),
+            );
         }
-        if let Some(rec) = rec {
+        if let Some(rec) = &st.rec {
             // A fixed fleet stamps a lost or cancelled attempt back from
             // its end by the modeled duration.
             let start_s = if fixed && !nic && (lost || cancel) {
@@ -938,7 +1001,7 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
             } else {
                 a.pulled_s
             };
-            record_attempt(rec, w, sim.tasks[a.id.task].0 .0, &a, start_s, now, ok);
+            record_attempt(rec, w, self.tasks[a.id.task].id.0, &a, start_s, now, ok);
             // Whole-instance deaths are the controller's events; only
             // per-task deaths are recorded here.
             let kind = if cancel {
@@ -954,107 +1017,92 @@ fn finish_attempt(engine: &mut Engine, sim: Rc<Sim>, worker: WorkerRef, a: Attem
                 });
             }
         }
-        retried
-    };
-    sync_hedge_timer(engine, &sim);
-    if cancel {
-        // Cancel-and-requeue: the worker deleted its lease and re-sent the
-        // message, so the retry is visible immediately.
-        if retried {
-            sim.st.borrow_mut().queue_requests += 1; // the cancel's re-send
-            send(engine, &sim, a.id.task, None);
+        self.sync_hedge_timer(engine);
+        let task = a.id.task;
+        if cancel {
+            // Cancel-and-requeue: the worker deleted its lease and re-sent
+            // the message, so the retry is visible immediately.
+            if retried {
+                self.st.queue_requests += 1; // the cancel's re-send
+                self.send(engine, task, None);
+            }
+            // Re-poll as an event *after* the wake above, so a woken
+            // healthy worker claims the requeued message ahead of this
+            // (possibly gray) worker — a direct call here would livelock a
+            // lone gray worker on its own cancelled task.
+            engine.post_in(SimTime::ZERO, Event::Poll(w));
+            return;
         }
-        // Re-poll as an event *after* the wake above, so a woken healthy
-        // worker claims the requeued message ahead of this (possibly gray)
-        // worker — a direct call here would livelock a lone gray worker on
-        // its own cancelled task.
-        engine.schedule_in(SimTime::ZERO, move |e| worker_tick(e, sim, worker));
-        return;
-    }
-    if lost && retried {
-        // The undeleted message reappears one visibility timeout after its
-        // receive. A fixed fleet already scheduled that at the pull, except
-        // on the NIC path, whose timeout runs from the attempt's end; an
-        // elastic fleet's message reappears no earlier than now.
-        let vt = cfg.visibility_timeout_s;
-        if !fixed {
-            let at = SimTime::from_secs_f64((a.pulled_s + vt).max(now));
-            reappear_at(engine, &sim, a.id.task, at);
-        } else if nic {
-            let at = engine.now() + SimTime::from_secs_f64(vt);
-            reappear_at(engine, &sim, a.id.task, at);
+        if lost && retried {
+            // The undeleted message reappears one visibility timeout after
+            // its receive. A fixed fleet already scheduled that at the
+            // pull, except on the NIC path, whose timeout runs from the
+            // attempt's end; an elastic fleet's message reappears no
+            // earlier than now.
+            let vt = self.cfg.visibility_timeout_s;
+            if !fixed {
+                let at = SimTime::from_secs_f64((a.pulled_s + vt).max(now));
+                engine.post_at(at, Event::Reappear(task as u32));
+            } else if nic {
+                let at = engine.now() + SimTime::from_secs_f64(vt);
+                engine.post_at(at, Event::Reappear(task as u32));
+            }
+        }
+        if !slot_died {
+            // The worker (or a dead worker's replacement) polls again at
+            // once.
+            self.worker_tick(engine, w);
         }
     }
-    if !slot_died {
-        // The worker (or a dead worker's replacement) polls again at once.
-        worker_tick(engine, sim, worker);
-    }
-}
 
-/// Keep the one hedge timer aimed at the ledger's earliest hedge time:
-/// re-armed (the old one cancelled) when that time moves, dropped when
-/// there is none. Unhedged runs never arm it.
-fn sync_hedge_timer(engine: &mut Engine, sim: &Rc<Sim>) {
-    let mut st = sim.st.borrow_mut();
-    let want = st
-        .ledger
-        .earliest_hedge_s(0)
-        .map(|at_s| SimTime::from_secs_f64(strictly_after_now(engine.now(), at_s)));
-    if st.hedge_timer.map(|(_, at)| at) == want {
-        return;
+    /// Keep the one hedge timer aimed at the ledger's earliest hedge
+    /// time: re-armed (the old one cancelled) when that time moves,
+    /// dropped when there is none. Unhedged runs never arm it.
+    fn sync_hedge_timer(&mut self, engine: &mut Des) {
+        let st = &mut self.st;
+        let want = st
+            .ledger
+            .earliest_hedge_s(0)
+            .map(|at_s| SimTime::from_secs_f64(strictly_after_now(engine.now(), at_s)));
+        if st.hedge_timer.map(|(_, at)| at) == want {
+            return;
+        }
+        if let Some((timer, _)) = st.hedge_timer.take() {
+            engine.cancel(timer);
+        }
+        if let Some(at) = want {
+            st.hedge_timer = Some((engine.post_at(at, Event::Hedge), at));
+        }
     }
-    if let Some((timer, _)) = st.hedge_timer.take() {
-        engine.cancel(timer);
-    }
-    if let Some(at) = want {
-        let sim = sim.clone();
-        let timer = engine.schedule_at(at, move |e| send_hedges(e, sim));
-        st.hedge_timer = Some((timer, at));
-    }
-}
 
-/// The hedge timer: send a duplicate message of each task the ledger
-/// hedges now, oldest first, then re-aim the timer. The Classic Cloud
-/// hedge is a queue re-dispatch, since the queue has no worker affinity
-/// and any idle worker picks the copy up; the loser runs to completion.
-fn send_hedges(engine: &mut Engine, sim: Rc<Sim>) {
-    let now = engine.now().as_secs_f64();
-    sim.st.borrow_mut().hedge_timer = None;
-    loop {
-        let hedge = {
-            let mut st = sim.st.borrow_mut();
-            let SimState {
-                ledger,
-                queue_requests,
-                rec,
-                ..
-            } = &mut *st;
-            let Some(id) = ledger.launch_hedge(0, now) else {
-                break;
-            };
-            *queue_requests += 1; // the duplicate's send
-            if let Some(rec) = rec {
+    /// The hedge timer: send a duplicate message of each task the ledger
+    /// hedges now, oldest first, then re-aim the timer. The Classic Cloud
+    /// hedge is a queue re-dispatch, since the queue has no worker
+    /// affinity and any idle worker picks the copy up; the loser runs to
+    /// completion.
+    fn send_hedges(&mut self, engine: &mut Des) {
+        let now = engine.now().as_secs_f64();
+        self.st.hedge_timer = None;
+        while let Some(hedge) = self.st.ledger.launch_hedge(0, now) {
+            self.st.queue_requests += 1; // the duplicate's send
+            if let Some(rec) = &self.st.rec {
                 rec.event(TraceEvent {
                     at_s: now,
                     worker: NO_WORKER,
                     kind: EventKind::Hedge,
                 });
             }
-            id
-        };
-        send(engine, &sim, hedge.task, Some(hedge.attempt));
+            self.send(engine, hedge.task, Some(hedge.attempt));
+        }
+        self.sync_hedge_timer(engine);
     }
-    sync_hedge_timer(engine, &sim);
-}
 
-/// One controller evaluation in virtual time: confirm retirements, sweep
-/// for timed kills, take a telemetry snapshot, apply the decision, and
-/// reschedule — until the job completes, after which the tick chain ends
-/// and the engine drains.
-fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
-    let now_s = engine.now().as_secs_f64();
-    let (launches, warmup_s, interval_s) = {
-        let mut guard = sim.st.borrow_mut();
+    /// One controller evaluation in virtual time: confirm retirements,
+    /// sweep for timed kills, take a telemetry snapshot, apply the
+    /// decision, and reschedule — until the job completes, after which the
+    /// tick chain ends and the engine drains.
+    fn controller_tick(&mut self, engine: &mut Des) {
+        let now_s = engine.now().as_secs_f64();
         let SimState {
             fleet,
             idle,
@@ -1063,7 +1111,7 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
             in_flight,
             ledger,
             ..
-        } = &mut *guard;
+        } = &mut self.st;
         let Fleet::Elastic(el) = fleet else {
             unreachable!("only elastic fleets have a controller")
         };
@@ -1078,7 +1126,7 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
             for id in elastic::dead_slots(&el.controller, schedule, from_s, now_s) {
                 el.controller.mark_dead(id, now_s);
                 el.dead.insert(id);
-                if let Some(pos) = idle.iter().position(|w| w.index == id) {
+                if let Some(pos) = idle.iter().position(|&w| w == id) {
                     idle.remove(pos);
                 }
             }
@@ -1098,7 +1146,7 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
             Decision::Drain { ids } => {
                 for id in ids {
                     el.drain.insert(id);
-                    if let Some(pos) = idle.iter().position(|w| w.index == id) {
+                    if let Some(pos) = idle.iter().position(|&w| w == id) {
                         // An idle victim holds no lease: retire right now.
                         idle.remove(pos);
                         el.controller.confirm_retired(id, now_s);
@@ -1109,21 +1157,14 @@ fn controller_tick(engine: &mut Engine, sim: Rc<Sim>) {
             Decision::Hold => Vec::new(),
         };
         let acfg = el.controller.config();
-        let launches: Vec<WorkerRef> = launches
-            .into_iter()
-            .map(|id| WorkerRef::elastic(el.itype, id))
-            .collect();
-        (launches, acfg.warmup_s, acfg.interval_s)
-    };
-    for worker in launches {
-        let sim = sim.clone();
-        engine.schedule_in(SimTime::from_secs_f64(warmup_s), move |e| {
-            worker_tick(e, sim, worker)
-        });
+        let (warmup_s, interval_s) = (acfg.warmup_s, acfg.interval_s);
+        for id in launches {
+            assert_eq!(id as usize, self.workers.len(), "slot ids must be dense");
+            self.workers.push(Worker::elastic(el.itype));
+            engine.post_in(SimTime::from_secs_f64(warmup_s), Event::Poll(id));
+        }
+        engine.post_in(SimTime::from_secs_f64(interval_s), Event::Control);
     }
-    engine.schedule_in(SimTime::from_secs_f64(interval_s), move |e| {
-        controller_tick(e, sim)
-    });
 }
 
 /// Equation 1's sequential baseline on this instance type: all tasks back to

@@ -13,9 +13,10 @@
 //! [`Engine::run_with`] hands each fired payload to a handler the sim
 //! passes in, which may borrow the sim's state directly. The default
 //! instantiation, plain `Engine`, stores boxed closures ([`ClosureEvent`])
-//! and fires them itself: [`Engine::schedule_at`] and [`Engine::run`]. The
-//! MapReduce sim runs on `Engine<u32>` (its event is a worker slot); the
-//! Classic and serve sims run on closures.
+//! and fires them itself: [`Engine::schedule_at`] and [`Engine::run`]. Every
+//! sim runs on typed events: MapReduce on `Engine<u32>` (its event is a
+//! worker slot), Classic and serve on small `Copy` event enums. The closure
+//! instantiation serves benchmarks and tests.
 //!
 //! Scheduling returns a stable [`EventId`]: a generation-checked handle
 //! that supports O(1) [`Engine::cancel`] (the slab slot is freed

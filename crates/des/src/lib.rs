@@ -20,11 +20,13 @@
 //!   ([`Engine::set_lane`]) carries periodic polls with the same keys and
 //!   order, and skips whole rounds of polls its owner declares idle
 //!   ([`Engine::set_quiet_horizon`]).
-//! * [`resource::FifoServer`] — a one-server FIFO queue: the Classic sim's
-//!   per-node NIC uplink.
+//! * [`resource::FifoServer`] — a one-server FIFO queue over a typed
+//!   engine, whose job completions are the owner's events: the Classic
+//!   sim's per-node NIC uplink.
 //!
-//! A typed sim's handler borrows its state directly; closure sims share
-//! theirs in `Rc<RefCell<_>>` captured by event closures. The engine is
+//! A typed sim's handler borrows its state directly; every sim in the
+//! workspace is typed, and closure code (benchmarks, tests) shares its
+//! state in `Rc<RefCell<_>>` captured by event closures. The engine is
 //! strictly single-threaded, which is what makes determinism cheap (see
 //! *Rust Atomics and Locks* on why sharing across threads would demand
 //! much heavier machinery for zero benefit here).

@@ -5,99 +5,88 @@
 
 use crate::engine::Engine;
 use crate::time::SimTime;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
-type DoneFn = Box<dyn FnOnce(&mut Engine)>;
-
-struct Job {
-    service: SimTime,
-    on_done: DoneFn,
-}
-
-#[derive(Default)]
-struct Inner {
+/// A one-server FIFO queueing station on a typed [`Engine`]. A job is its
+/// service time plus the event that marks its completion; the owner hands
+/// that event back through [`FifoServer::finish`] when it fires.
+pub struct FifoServer<E> {
     busy: bool,
-    waiting: VecDeque<Job>,
+    waiting: VecDeque<(SimTime, E)>,
 }
 
-/// A one-server FIFO queueing station. Cheap to clone (shared handle).
-#[derive(Clone, Default)]
-pub struct FifoServer {
-    inner: Rc<RefCell<Inner>>,
+impl<E> Default for FifoServer<E> {
+    fn default() -> Self {
+        FifoServer {
+            busy: false,
+            waiting: VecDeque::new(),
+        }
+    }
 }
 
-impl FifoServer {
-    pub fn new() -> FifoServer {
+impl<E> FifoServer<E> {
+    pub fn new() -> FifoServer<E> {
         FifoServer::default()
     }
 
-    /// Submit a job needing `service` time; `on_done` fires at completion.
-    /// Starts immediately if the server is free, otherwise queues FIFO.
-    pub fn submit(
-        &self,
-        engine: &mut Engine,
-        service: SimTime,
-        on_done: impl FnOnce(&mut Engine) + 'static,
-    ) {
-        let on_done: DoneFn = Box::new(on_done);
-        let mut inner = self.inner.borrow_mut();
-        if inner.busy {
-            inner.waiting.push_back(Job { service, on_done });
+    /// Submit a job needing `service` time whose completion is the event
+    /// `done`. Starts immediately (posting `done` `service` from now) if
+    /// the server is free, otherwise queues FIFO.
+    pub fn submit(&mut self, engine: &mut Engine<E>, service: SimTime, done: E) {
+        if self.busy {
+            self.waiting.push_back((service, done));
         } else {
-            inner.busy = true;
-            drop(inner);
-            self.begin(engine, service, on_done);
+            self.busy = true;
+            engine.post_in(service, done);
         }
     }
 
-    fn begin(&self, engine: &mut Engine, service: SimTime, on_done: DoneFn) {
-        let this = self.clone();
-        engine.schedule_in(service, move |e| this.finish(e, on_done));
-    }
-
-    fn finish(&self, engine: &mut Engine, on_done: DoneFn) {
-        // Hand the server to the next waiter *before* invoking the
-        // completion callback, so the callback sees a consistent station.
-        let next = {
-            let mut inner = self.inner.borrow_mut();
-            let next = inner.waiting.pop_front();
-            inner.busy = next.is_some();
-            next
-        };
-        if let Some(job) = next {
-            self.begin(engine, job.service, job.on_done);
+    /// The job in service completed: hand the server to the next waiter,
+    /// posting its completion. Call this when a `done` event fires,
+    /// *before* acting on it, so the completion's continuation sees a
+    /// consistent station and the next job's completion ties ahead of
+    /// whatever the continuation posts.
+    pub fn finish(&mut self, engine: &mut Engine<E>) {
+        match self.waiting.pop_front() {
+            Some((service, done)) => {
+                engine.post_in(service, done);
+            }
+            None => self.busy = false,
         }
-        on_done(engine);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::engine::Fired;
+
+    /// One event of the test model: job `idx` arrives, or completes.
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Arrive(usize),
+        Done(usize),
+    }
 
     fn run_jobs(jobs: &[(u64, u64)]) -> (Vec<(u64, u64)>, SimTime) {
         // jobs: (arrival_s, service_s); returns (job index, completion time_s).
-        let mut e = Engine::new();
-        let server = FifoServer::new();
-        let done: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
-        for (idx, &(arr, svc)) in jobs.iter().enumerate() {
-            let server = server.clone();
-            let done = done.clone();
-            e.schedule_at(SimTime::from_secs(arr), move |e| {
-                let done = done.clone();
-                server.submit(e, SimTime::from_secs(svc), move |e| {
-                    done.borrow_mut()
-                        .push((idx as u64, e.now().as_micros() / 1_000_000));
-                });
-            });
+        let mut e: Engine<Ev> = Engine::typed();
+        let mut server = FifoServer::new();
+        let mut done = Vec::new();
+        for (idx, &(arr, _)) in jobs.iter().enumerate() {
+            e.post_at(SimTime::from_secs(arr), Ev::Arrive(idx));
         }
-        let end = e.run();
-        let result = done.borrow().clone();
-        (result, end)
+        let end = e.run_with(|e, fired| match fired {
+            Fired::Event(Ev::Arrive(idx)) => {
+                server.submit(e, SimTime::from_secs(jobs[idx].1), Ev::Done(idx))
+            }
+            Fired::Event(Ev::Done(idx)) => {
+                server.finish(e);
+                done.push((idx as u64, e.now().as_micros() / 1_000_000));
+            }
+            Fired::Tick(_) => unreachable!(),
+        });
+        (done, end)
     }
 
     #[test]

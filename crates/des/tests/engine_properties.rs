@@ -193,26 +193,30 @@ fn cancellation_interleavings_never_misfire() {
 /// the sum of service times.
 #[test]
 fn fifo_server_conserves_work() {
-    use ppc_des::FifoServer;
+    use ppc_des::{FifoServer, Fired};
     let mut rng = Pcg32::new(99);
     for _ in 0..20 {
         let n_jobs = 5 + rng.next_below(40) as usize;
         let services: Vec<u64> = (0..n_jobs).map(|_| 1 + rng.next_below(50) as u64).collect();
-        let mut engine = Engine::new();
-        let server = FifoServer::new();
-        let done: Rc<RefCell<Vec<usize>>> = Rc::default();
-        for (i, &svc) in services.iter().enumerate() {
-            let server = server.clone();
-            let done = done.clone();
-            engine.schedule_at(SimTime::ZERO, move |e| {
-                let done = done.clone();
-                server.submit(e, SimTime::from_secs(svc), move |_| {
-                    done.borrow_mut().push(i)
-                });
-            });
+        // Events: `(i, false)` submits job i, `(i, true)` completes it.
+        let mut engine: Engine<(usize, bool)> = Engine::typed();
+        let mut server = FifoServer::new();
+        let mut done = Vec::new();
+        for i in 0..n_jobs {
+            engine.post_at(SimTime::ZERO, (i, false));
         }
-        let end = engine.run();
-        assert_eq!(*done.borrow(), (0..n_jobs).collect::<Vec<_>>());
+        let end = engine.run_with(|e, fired| {
+            let Fired::Event((i, finished)) = fired else {
+                unreachable!()
+            };
+            if finished {
+                server.finish(e);
+                done.push(i);
+            } else {
+                server.submit(e, SimTime::from_secs(services[i]), (i, true));
+            }
+        });
+        assert_eq!(done, (0..n_jobs).collect::<Vec<_>>());
         // Work conservation: busy from time zero to the end.
         let total_service: u64 = services.iter().sum();
         assert_eq!(end, SimTime::from_secs(total_service));

@@ -37,7 +37,7 @@ pub mod partition;
 pub mod runtime;
 pub mod sim;
 
-pub use engine::{vertex_graph, DryadEngine};
+pub use engine::DryadEngine;
 pub use graph::Graph;
 pub use harness::{run, simulate};
 pub use linq::DVec;

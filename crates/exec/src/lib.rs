@@ -49,9 +49,7 @@ pub mod workflow;
 pub use ppc_workflow::{
     DataPolicy, FnAdapter, MaterializeModel, Stage, StageAdapter, StageEdge, Workflow,
 };
-pub use workflow::{
-    drive_workflow, run_workflow_with, simulate_workflow_with, StageReport, WorkflowReport,
-};
+pub use workflow::{run_workflow_with, simulate_workflow_with, StageReport, WorkflowReport};
 
 /// Version stamp emitted as the `"schema"` key of every report JSON
 /// object in the workspace ([`RunReport`], [`WorkflowReport`], and
@@ -368,8 +366,7 @@ pub trait Engine {
     /// Execute a multi-stage [`Workflow`] natively: topological stage
     /// order, adapter-resolved inter-stage payloads, materialization
     /// barriers, merged trace. The default drives every stage through
-    /// [`Engine::run`]; engines with a native staged runtime (Dryad's
-    /// vertex graph) override it.
+    /// [`Engine::run`].
     fn run_workflow(
         &self,
         ctx: &RunContext,

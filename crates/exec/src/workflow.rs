@@ -6,11 +6,10 @@
 //! input payloads (seed inputs for sources, the in-edge adapter over the
 //! upstream stage's outputs otherwise), pay the materialization barrier on
 //! `Materialize` edges, run the stage under a per-stage [`RunContext`]
-//! (resilience override, fresh trace recorder), and stitch the per-stage
-//! traces into one workflow trace with `stage_start`/`materialize`/
-//! `stage_done` boundary spans. Engines with a native staged runtime (Dryad)
-//! override [`Engine::run_workflow`] but reuse [`drive_workflow`] with their
-//! own per-stage runner, so the DAG semantics stay identical everywhere.
+//! (a fresh trace recorder), and stitch the per-stage traces into one
+//! workflow trace with `stage_start`/`materialize`/`stage_done` boundary
+//! spans. Every engine's [`Engine::run_workflow`] is [`run_workflow_with`],
+//! so the DAG semantics stay identical everywhere.
 
 use crate::{Engine, JobOutputs, RunContext, RunReport, Workload};
 use ppc_chaos::RunClock;
@@ -133,23 +132,18 @@ impl WorkflowReport {
     }
 }
 
-/// Runs one stage natively and returns the engine's ordinary results.
-/// [`drive_workflow`] is generic over this so Dryad's vertex runtime can
-/// slot in without re-implementing the DAG orchestration.
-pub type StageRunner<'a> =
-    dyn FnMut(&RunContext, usize, &Workload) -> Result<(RunReport, JobOutputs)> + 'a;
-
-/// Native workflow orchestration: topological stage order, adapter-resolved
-/// payloads, materialization barriers, per-stage contexts, merged trace.
+/// Default native driver: topological stage order, adapter-resolved
+/// payloads, materialization barriers, per-stage contexts, merged trace;
+/// every stage goes through [`Engine::run`].
 ///
 /// Outputs of sink stages (no outgoing edges) are concatenated in stage
 /// index order; keys keep each engine's own namespace, so cross-paradigm
 /// comparisons should canonicalize on the trailing basename like
 /// [`ppc_workflow::model::key_basename`] does.
-pub fn drive_workflow(
+pub fn run_workflow_with<E: Engine + ?Sized>(
+    engine: &E,
     ctx: &RunContext,
     wf: &Workflow,
-    run_stage: &mut StageRunner<'_>,
 ) -> Result<(WorkflowReport, JobOutputs)> {
     wf.validate_native()?;
     let order = wf.topo_order()?;
@@ -197,9 +191,9 @@ pub fn drive_workflow(
             max_attempts: stage.max_attempts,
             visibility_timeout: stage.visibility_timeout,
         };
-        let sctx = stage_context(ctx, stage, want_trace);
+        let sctx = stage_context(ctx, want_trace);
         let start_s = clock.now_s();
-        let (report, outs) = run_stage(&sctx, s, &workload)?;
+        let (report, outs) = engine.run(&sctx, &workload)?;
         let end_s = clock.now_s();
         if !report.is_complete() {
             return Err(ppc_core::PpcError::InvalidState(format!(
@@ -230,17 +224,6 @@ pub fn drive_workflow(
         final_outputs.extend(outputs[s].take().unwrap());
     }
     Ok((report, final_outputs))
-}
-
-/// Default native driver: every stage goes through [`Engine::run`].
-pub fn run_workflow_with<E: Engine + ?Sized>(
-    engine: &E,
-    ctx: &RunContext,
-    wf: &Workflow,
-) -> Result<(WorkflowReport, JobOutputs)> {
-    drive_workflow(ctx, wf, &mut |sctx, _s, workload| {
-        engine.run(sctx, workload)
-    })
 }
 
 /// Default simulated driver: each stage goes through [`Engine::simulate`];
@@ -278,7 +261,7 @@ pub fn simulate_workflow_with<E: Engine + ?Sized>(
             start_s = start_s.max(finish[edge.from] + cost);
         }
 
-        let sctx = stage_context(ctx, stage, want_trace);
+        let sctx = stage_context(ctx, want_trace);
         let report = engine.simulate(&sctx, &stage.specs);
         let end_s = start_s + report.summary.makespan_seconds;
         finish[s] = end_s;
@@ -296,15 +279,12 @@ pub fn simulate_workflow_with<E: Engine + ?Sized>(
     Ok(assemble(wf, stages, &mat_windows, makespan, want_trace))
 }
 
-/// Per-stage context: same fleet/seed/chaos as the workflow context, the
-/// stage's resilience override when it has one, and a fresh recorder per
-/// stage when tracing (so stage traces merge cleanly on the workflow
-/// clock instead of interleaving in one sink).
-fn stage_context(ctx: &RunContext, stage: &Stage, want_trace: bool) -> RunContext {
+/// Per-stage context: the workflow context's fleet, seed, chaos and
+/// resilience, with a fresh recorder per stage when tracing (so stage
+/// traces merge cleanly on the workflow clock instead of interleaving in
+/// one sink).
+fn stage_context(ctx: &RunContext, want_trace: bool) -> RunContext {
     let mut sctx = ctx.clone();
-    if let Some(policy) = stage.resilience {
-        sctx = sctx.with_resilience(policy);
-    }
     if want_trace {
         sctx.sink = Some(Arc::new(Recorder::new()));
         sctx.trace = true;

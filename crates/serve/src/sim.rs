@@ -9,6 +9,10 @@
 //! one instance each for `overhead + demand / cores` seconds; the fleet is
 //! either fixed or elastic under the `ppc-autoscale` controller, and the
 //! bill comes from the same [`FleetLedger`] the batch engines use.
+//!
+//! The sim runs on a typed `ppc_des::Engine<Event>`: an event names a
+//! client or a slot, the run handler borrows one state struct and the
+//! caller's tenant loads, and a submission allocates nothing.
 
 use crate::admission::AdmissionPolicy;
 use crate::job::{JobId, JobRecord, JobStatus, Priority};
@@ -19,11 +23,9 @@ use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
 use ppc_compute::billing::FleetLedger;
 use ppc_compute::instance::InstanceType;
 use ppc_core::rng::Pcg32;
-use ppc_des::{Engine as DesEngine, SimTime};
+use ppc_des::{Engine as DesEngine, Fired, SimTime};
 use ppc_exec::RunContext;
 use ppc_trace::{EventKind, TraceEvent, NO_WORKER};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// One tenant's offered load.
 #[derive(Debug, Clone)]
@@ -140,8 +142,25 @@ struct Client {
     rng: Pcg32,
 }
 
-struct World {
-    loads: Vec<TenantLoad>,
+/// One serve-sim event. Each is posted where the sim's logic schedules
+/// it, so same-instant events keep their `(at, seq)` tie order.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A client submits: its first job, its next after thinking, or a
+    /// retry after backing off a rejection.
+    Submit(u32),
+    /// The job on a slot finishes.
+    Complete(u32),
+    /// A launched slot finishes warming up.
+    Warm(u32),
+    /// An autoscale evaluation (elastic fleets).
+    Tick,
+}
+
+type Des = DesEngine<Event>;
+
+struct World<'a> {
+    loads: &'a [TenantLoad],
     admission: AdmissionPolicy,
     itype_cores: usize,
     dispatch_overhead_s: f64,
@@ -163,27 +182,6 @@ struct World {
     events: Vec<TraceEvent>,
 }
 
-impl World {
-    fn event(&mut self, at_s: f64, worker: u32, kind: EventKind) {
-        if self.record_events {
-            self.events.push(TraceEvent { at_s, worker, kind });
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.active_clients == 0 && self.total_queued == 0 && self.total_running == 0
-    }
-
-    fn service_time(&self, demand_s: f64, tasks: u32) -> f64 {
-        // Pleasingly parallel: the job's tasks spread over the instance's
-        // cores; a job smaller than the core count still pays per-wave.
-        let lanes = (self.itype_cores as u32).min(tasks.max(1)) as f64;
-        self.dispatch_overhead_s + demand_s / lanes
-    }
-}
-
-type Shared = Rc<RefCell<World>>;
-
 /// Run the closed-loop load generator. Deterministic in
 /// `ctx.seed.unwrap_or(cfg.seed)`.
 pub fn simulate_serve(ctx: &RunContext, cfg: &ServeSimConfig) -> ServeRun {
@@ -192,7 +190,7 @@ pub fn simulate_serve(ctx: &RunContext, cfg: &ServeSimConfig) -> ServeRun {
         "serve sim needs at least one tenant"
     );
     let seed = ctx.seed.unwrap_or(cfg.seed);
-    let mut des = DesEngine::new();
+    let mut des = Des::typed();
 
     let weights: Vec<u32> = cfg.tenants.iter().map(|t| t.spec.weight).collect();
     let n_tenants = cfg.tenants.len();
@@ -225,8 +223,8 @@ pub fn simulate_serve(ctx: &RunContext, cfg: &ServeSimConfig) -> ServeRun {
     }
     let n_clients = clients.len();
 
-    let world: Shared = Rc::new(RefCell::new(World {
-        loads: cfg.tenants.clone(),
+    let mut world = World {
+        loads: &cfg.tenants,
         admission: cfg.admission,
         itype_cores: cfg.itype.cores,
         dispatch_overhead_s: cfg.dispatch_overhead_s,
@@ -251,286 +249,244 @@ pub fn simulate_serve(ctx: &RunContext, cfg: &ServeSimConfig) -> ServeRun {
         last_finish_s: 0.0,
         record_events: cfg.record_events,
         events: Vec::new(),
-    }));
+    };
 
     // Stagger first submissions over one mean think time per tenant so a
     // million clients do not all arrive in the same microsecond.
-    for ci in 0..n_clients {
-        let first = {
-            let mut w = world.borrow_mut();
-            let tenant = w.clients[ci].tenant as usize;
-            let think = w.loads[tenant].think_s;
-            w.clients[ci].rng.uniform(0.0, think.max(1e-6))
-        };
-        let w = world.clone();
-        des.schedule_at(SimTime::from_secs_f64(first), move |des| {
-            submit(&w, des, ci);
-        });
+    for (ci, client) in world.clients.iter_mut().enumerate() {
+        let think = cfg.tenants[client.tenant as usize].think_s;
+        let first = client.rng.uniform(0.0, think.max(1e-6));
+        des.post_at(SimTime::from_secs_f64(first), Event::Submit(ci as u32));
     }
 
     // Autoscale evaluation ticks.
     if let ServeFleet::Elastic(auto) = &cfg.fleet {
-        let w = world.clone();
-        let interval = auto.interval_s;
-        des.schedule_at(SimTime::from_secs_f64(interval), move |des| {
-            tick(&w, des, interval);
-        });
+        des.post_at(SimTime::from_secs_f64(auto.interval_s), Event::Tick);
     }
 
-    des.run();
+    des.run_with(|des, fired| match fired {
+        Fired::Event(Event::Submit(ci)) => world.submit(des, ci as usize),
+        Fired::Event(Event::Complete(slot)) => world.complete(des, slot),
+        Fired::Event(Event::Warm(slot)) => world.warm(des, slot),
+        Fired::Event(Event::Tick) => world.tick(des),
+        Fired::Tick(_) => unreachable!("the serve sim uses no lane"),
+    });
 
-    let world = Rc::try_unwrap(world)
-        .unwrap_or_else(|_| panic!("events still hold the world"))
-        .into_inner();
     finalize(cfg, world)
 }
 
-fn submit(world: &Shared, des: &mut DesEngine, ci: usize) {
-    let now = des.now().as_secs_f64();
-    let mut w = world.borrow_mut();
-    let tenant = w.clients[ci].tenant as usize;
-    let load = w.loads[tenant].clone();
-    w.clients[ci].remaining -= 1;
+impl World<'_> {
+    fn event(&mut self, at_s: f64, worker: u32, kind: EventKind) {
+        if self.record_events {
+            self.events.push(TraceEvent { at_s, worker, kind });
+        }
+    }
 
-    let demand_s = {
-        let rng = &mut w.clients[ci].rng;
+    fn finished(&self) -> bool {
+        self.active_clients == 0 && self.total_queued == 0 && self.total_running == 0
+    }
+
+    fn service_time(&self, demand_s: f64, tasks: u32) -> f64 {
+        // Pleasingly parallel: the job's tasks spread over the instance's
+        // cores; a job smaller than the core count still pays per-wave.
+        let lanes = (self.itype_cores as u32).min(tasks.max(1)) as f64;
+        self.dispatch_overhead_s + demand_s / lanes
+    }
+
+    fn submit(&mut self, des: &mut Des, ci: usize) {
+        let now = des.now().as_secs_f64();
+        let tenant = self.clients[ci].tenant as usize;
+        let loads = self.loads;
+        let load = &loads[tenant];
+        let client = &mut self.clients[ci];
+        client.remaining -= 1;
+
         let jitter = if load.jitter_sigma > 0.0 {
-            rng.log_normal(0.0, load.jitter_sigma)
+            client.rng.log_normal(0.0, load.jitter_sigma)
         } else {
             1.0
         };
-        load.job_tasks as f64 * load.task_s * jitter
-    };
-    let id = JobId(w.records.len() as u64);
-    w.rollups[tenant].submitted += 1;
+        let demand_s = load.job_tasks as f64 * load.task_s * jitter;
+        let id = JobId(self.records.len() as u64);
+        self.rollups[tenant].submitted += 1;
 
-    let verdict = w
-        .admission
-        .decide(w.queued[tenant], &load.spec.quota, w.total_queued);
-    match verdict {
-        Err(_) => {
-            let rec = JobRecord::rejected(id, tenant as u32, ci as u32, demand_s, now);
-            w.records.push(rec);
-            w.rollups[tenant].rejected += 1;
-            w.event(now, NO_WORKER, EventKind::JobReject);
-            // Shed: the client backs off and retries (a fresh submission)
-            // if it still has budget.
-            if w.clients[ci].remaining > 0 {
-                let backoff = {
-                    let rng = &mut w.clients[ci].rng;
-                    load.retry_backoff_s * rng.uniform(0.5, 1.5)
-                };
-                drop(w);
-                let wshared = world.clone();
-                des.schedule_in(SimTime::from_secs_f64(backoff), move |des| {
-                    submit(&wshared, des, ci);
-                });
-            } else {
-                w.active_clients -= 1;
+        let verdict =
+            self.admission
+                .decide(self.queued[tenant], &load.spec.quota, self.total_queued);
+        match verdict {
+            Err(_) => {
+                let rec = JobRecord::rejected(id, tenant as u32, ci as u32, demand_s, now);
+                self.records.push(rec);
+                self.rollups[tenant].rejected += 1;
+                self.event(now, NO_WORKER, EventKind::JobReject);
+                // Shed: the client backs off and retries (a fresh
+                // submission) if it still has budget.
+                let client = &mut self.clients[ci];
+                if client.remaining > 0 {
+                    let backoff = load.retry_backoff_s * client.rng.uniform(0.5, 1.5);
+                    des.post_in(SimTime::from_secs_f64(backoff), Event::Submit(ci as u32));
+                } else {
+                    self.active_clients -= 1;
+                }
+            }
+            Ok(()) => {
+                let rec = JobRecord::queued(id, tenant as u32, ci as u32, demand_s, now);
+                self.records.push(rec);
+                self.sched.enqueue(
+                    tenant,
+                    QueuedJob {
+                        job: id.0,
+                        demand_s,
+                        submitted_s: now,
+                    },
+                    load.priority == Priority::Interactive,
+                );
+                self.queued[tenant] += 1;
+                self.total_queued += 1;
+                let roll = &mut self.rollups[tenant];
+                roll.peak_queued = roll.peak_queued.max(self.queued[tenant]);
+                self.event(now, NO_WORKER, EventKind::JobSubmit);
+                self.try_dispatch(des);
             }
         }
-        Ok(()) => {
-            let rec = JobRecord::queued(id, tenant as u32, ci as u32, demand_s, now);
-            w.records.push(rec);
-            w.sched.enqueue(
-                tenant,
-                QueuedJob {
-                    job: id.0,
-                    demand_s,
-                    submitted_s: now,
-                },
-                load.priority == Priority::Interactive,
-            );
-            w.queued[tenant] += 1;
-            w.total_queued += 1;
-            if w.queued[tenant] > w.rollups[tenant].peak_queued {
-                w.rollups[tenant].peak_queued = w.queued[tenant];
-            }
-            w.event(now, NO_WORKER, EventKind::JobSubmit);
-            drop(w);
-            try_dispatch(world, des);
+    }
+
+    fn try_dispatch(&mut self, des: &mut Des) {
+        let now = des.now().as_secs_f64();
+        while !self.free.is_empty() {
+            let (loads, running) = (self.loads, &self.running);
+            let next = self
+                .sched
+                .dequeue(|t| running[t] < loads[t].spec.quota.max_running);
+            let Some((tenant, qj)) = next else {
+                return;
+            };
+            let slot = self.free.pop().expect("the loop runs while a slot is free");
+            let id = JobId(qj.job);
+            let service = self.service_time(qj.demand_s, loads[tenant].job_tasks);
+
+            let rec = &mut self.records[qj.job as usize];
+            rec.advance(JobStatus::Admitted, now);
+            rec.advance(JobStatus::Running, now);
+            self.queued[tenant] -= 1;
+            self.total_queued -= 1;
+            self.running[tenant] += 1;
+            self.total_running += 1;
+            let roll = &mut self.rollups[tenant];
+            roll.peak_running = roll.peak_running.max(self.running[tenant]);
+            roll.busy_seconds += service;
+            self.slots[slot as usize].busy = Some(id);
+            self.event(now, slot, EventKind::JobDispatch);
+            des.post_in(SimTime::from_secs_f64(service), Event::Complete(slot));
         }
     }
-}
 
-fn try_dispatch(world: &Shared, des: &mut DesEngine) {
-    let now = des.now().as_secs_f64();
-    loop {
-        let mut w = world.borrow_mut();
-        if w.free.is_empty() {
-            return;
-        }
-        let next = {
-            let World {
-                sched,
-                running,
-                loads,
-                ..
-            } = &mut *w;
-            sched.dequeue(|t| running[t] < loads[t].spec.quota.max_running)
-        };
-        let Some((tenant, qj)) = next else {
-            return;
-        };
-        let slot = w.free.pop().unwrap();
-        let id = JobId(qj.job);
-        let load_tasks = w.loads[tenant].job_tasks;
-        let service = w.service_time(qj.demand_s, load_tasks);
-
-        let rec = &mut w.records[qj.job as usize];
-        rec.advance(JobStatus::Admitted, now);
-        rec.advance(JobStatus::Running, now);
-        w.queued[tenant] -= 1;
-        w.total_queued -= 1;
-        w.running[tenant] += 1;
-        w.total_running += 1;
-        if w.running[tenant] > w.rollups[tenant].peak_running {
-            w.rollups[tenant].peak_running = w.running[tenant];
-        }
-        w.rollups[tenant].busy_seconds += service;
-        w.slots[slot as usize].busy = Some(id);
-        w.event(now, slot, EventKind::JobDispatch);
-        drop(w);
-
-        let wshared = world.clone();
-        des.schedule_in(SimTime::from_secs_f64(service), move |des| {
-            complete(&wshared, des, slot);
-        });
-    }
-}
-
-fn complete(world: &Shared, des: &mut DesEngine, slot: u32) {
-    let now = des.now().as_secs_f64();
-    let mut w = world.borrow_mut();
-    let id = w.slots[slot as usize]
-        .busy
-        .take()
-        .expect("completion on an idle slot");
-    let (tenant, ci, latency, wait) = {
-        let rec = &mut w.records[id.0 as usize];
+    fn complete(&mut self, des: &mut Des, slot: u32) {
+        let now = des.now().as_secs_f64();
+        let id = self.slots[slot as usize]
+            .busy
+            .take()
+            .expect("completion on an idle slot");
+        let rec = &mut self.records[id.0 as usize];
         rec.advance(JobStatus::Done, now);
-        (
-            rec.tenant as usize,
-            rec.client as usize,
-            rec.latency_s().unwrap(),
-            rec.wait_s().unwrap(),
-        )
-    };
-    w.running[tenant] -= 1;
-    w.total_running -= 1;
-    w.last_finish_s = now;
-    let deadline = w.loads[tenant].deadline_hint_s;
-    {
-        let roll = &mut w.rollups[tenant];
+        let (tenant, ci) = (rec.tenant as usize, rec.client as usize);
+        let latency = rec.latency_s().expect("a done job has a latency");
+        let wait = rec.wait_s().expect("a done job was dispatched");
+        self.running[tenant] -= 1;
+        self.total_running -= 1;
+        self.last_finish_s = now;
+        let load = &self.loads[tenant];
+        let roll = &mut self.rollups[tenant];
         roll.completed += 1;
         roll.latency.observe(latency);
         roll.wait.observe(wait);
-        if deadline.is_some_and(|d| latency > d) {
+        if load.deadline_hint_s.is_some_and(|d| latency > d) {
             roll.deadline_missed += 1;
         }
-    }
-    w.event(now, slot, EventKind::JobComplete);
+        self.event(now, slot, EventKind::JobComplete);
 
-    // Slot teardown: a draining slot retires the moment its job finishes;
-    // otherwise it returns to the idle pool.
-    if w.slots[slot as usize].draining {
-        w.slots[slot as usize].live = false;
-        w.controller
-            .as_mut()
-            .expect("draining slot without a controller")
-            .confirm_retired(slot, now);
-    } else {
-        w.free.push(slot);
-    }
-
-    // Closed loop: the submitting client thinks, then submits again.
-    if w.clients[ci].remaining > 0 {
-        let think = {
-            let mean = w.loads[tenant].think_s;
-            w.clients[ci].rng.exponential(mean.max(1e-9))
-        };
-        drop(w);
-        let wshared = world.clone();
-        des.schedule_in(SimTime::from_secs_f64(think), move |des| {
-            submit(&wshared, des, ci);
-        });
-    } else {
-        w.active_clients -= 1;
-        drop(w);
-    }
-    try_dispatch(world, des);
-}
-
-fn tick(world: &Shared, des: &mut DesEngine, interval_s: f64) {
-    let now = des.now().as_secs_f64();
-    let mut w = world.borrow_mut();
-    if w.finished() {
-        return; // stop rescheduling; the run drains out
-    }
-    let telemetry = Telemetry {
-        queued: w.total_queued,
-        in_flight: w.total_running,
-        oldest_age_s: w.sched.oldest_submitted().map(|s| (now - s).max(0.0)),
-    };
-    let warmup_s = w
-        .controller
-        .as_ref()
-        .expect("tick without a controller")
-        .config()
-        .warmup_s;
-    let decision = w.controller.as_mut().unwrap().decide(now, &telemetry);
-    match decision {
-        Decision::Hold => {}
-        Decision::Launch { ids } => {
-            for id in ids {
-                assert_eq!(id as usize, w.slots.len(), "slot ids must be dense");
-                w.slots.push(SimSlot {
-                    live: false,
-                    draining: false,
-                    busy: None,
-                });
-                w.event(now, id, EventKind::Launch);
-                let wshared = world.clone();
-                des.schedule_in(SimTime::from_secs_f64(warmup_s), move |des| {
-                    warm(&wshared, des, id);
-                });
-            }
+        // Slot teardown: a draining slot retires the moment its job
+        // finishes; otherwise it returns to the idle pool.
+        if self.slots[slot as usize].draining {
+            self.slots[slot as usize].live = false;
+            self.controller
+                .as_mut()
+                .expect("draining slot without a controller")
+                .confirm_retired(slot, now);
+        } else {
+            self.free.push(slot);
         }
-        Decision::Drain { ids } => {
-            for id in ids {
-                w.event(now, id, EventKind::Drain);
-                let slot = &mut w.slots[id as usize];
-                slot.draining = true;
-                if slot.busy.is_none() {
-                    // Idle victim: retire right away.
-                    slot.live = false;
-                    if let Some(pos) = w.free.iter().position(|&s| s == id) {
-                        w.free.swap_remove(pos);
+
+        // Closed loop: the submitting client thinks, then submits again.
+        let client = &mut self.clients[ci];
+        if client.remaining > 0 {
+            let think = client.rng.exponential(load.think_s.max(1e-9));
+            des.post_in(SimTime::from_secs_f64(think), Event::Submit(ci as u32));
+        } else {
+            self.active_clients -= 1;
+        }
+        self.try_dispatch(des);
+    }
+
+    fn tick(&mut self, des: &mut Des) {
+        let now = des.now().as_secs_f64();
+        if self.finished() {
+            return; // stop rescheduling; the run drains out
+        }
+        let telemetry = Telemetry {
+            queued: self.total_queued,
+            in_flight: self.total_running,
+            oldest_age_s: self.sched.oldest_submitted().map(|s| (now - s).max(0.0)),
+        };
+        let controller = self.controller.as_mut().expect("tick without a controller");
+        let (warmup_s, interval_s) = (controller.config().warmup_s, controller.config().interval_s);
+        match controller.decide(now, &telemetry) {
+            Decision::Hold => {}
+            Decision::Launch { ids } => {
+                for id in ids {
+                    assert_eq!(id as usize, self.slots.len(), "slot ids must be dense");
+                    self.slots.push(SimSlot {
+                        live: false,
+                        draining: false,
+                        busy: None,
+                    });
+                    self.event(now, id, EventKind::Launch);
+                    des.post_in(SimTime::from_secs_f64(warmup_s), Event::Warm(id));
+                }
+            }
+            Decision::Drain { ids } => {
+                for id in ids {
+                    self.event(now, id, EventKind::Drain);
+                    let slot = &mut self.slots[id as usize];
+                    slot.draining = true;
+                    if slot.busy.is_none() {
+                        // Idle victim: retire right away.
+                        slot.live = false;
+                        if let Some(pos) = self.free.iter().position(|&s| s == id) {
+                            self.free.swap_remove(pos);
+                        }
+                        self.controller
+                            .as_mut()
+                            .expect("tick without a controller")
+                            .confirm_retired(id, now);
                     }
-                    w.controller.as_mut().unwrap().confirm_retired(id, now);
                 }
             }
         }
+        des.post_in(SimTime::from_secs_f64(interval_s), Event::Tick);
     }
-    drop(w);
-    let wshared = world.clone();
-    des.schedule_in(SimTime::from_secs_f64(interval_s), move |des| {
-        tick(&wshared, des, interval_s);
-    });
-}
 
-fn warm(world: &Shared, des: &mut DesEngine, slot: u32) {
-    let mut w = world.borrow_mut();
-    // The controller only drains *active* slots and a warm event always
-    // precedes a same-instant tick, but guard anyway: a slot drained
-    // before its warm event must never re-enter the idle pool.
-    if w.slots[slot as usize].draining {
-        return;
+    fn warm(&mut self, des: &mut Des, slot: u32) {
+        // The controller only drains *active* slots and a warm event
+        // always precedes a same-instant tick, but guard anyway: a slot
+        // drained before its warm event must never re-enter the idle pool.
+        if self.slots[slot as usize].draining {
+            return;
+        }
+        self.slots[slot as usize].live = true;
+        self.free.push(slot);
+        self.try_dispatch(des);
     }
-    w.slots[slot as usize].live = true;
-    w.free.push(slot);
-    drop(w);
-    try_dispatch(world, des);
 }
 
 fn finalize(cfg: &ServeSimConfig, w: World) -> ServeRun {

@@ -4,7 +4,6 @@
 use ppc_core::exec::Executor;
 use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
-use ppc_resilience::ResiliencePolicy;
 use std::sync::Arc;
 
 /// How a data edge moves bytes between two stages.
@@ -157,11 +156,6 @@ pub struct Stage {
     /// Attempt budget per task, mapped onto each paradigm's own
     /// fault-tolerance mechanism.
     pub max_attempts: u32,
-    /// Per-stage straggler defense override. A long-tailed stage can hedge
-    /// aggressively while cheap stages keep the run context's policy — the
-    /// straggler-aware piece of stage scheduling, composed from
-    /// `ppc-resilience`.
-    pub resilience: Option<ResiliencePolicy>,
     /// Message-redelivery timeout for queue-based engines (the Classic
     /// Cloud visibility timeout). `None` keeps each engine's own default,
     /// which is deliberately generous; stages with short tasks running
@@ -179,7 +173,6 @@ impl Stage {
             executor: None,
             inputs: Vec::new(),
             max_attempts: 4,
-            resilience: None,
             visibility_timeout: None,
         }
     }

@@ -554,6 +554,98 @@ const CLASSIC_PATH_GOLDEN: [[u64; 7]; 3] = [
     ],
 ];
 
+/// FNV-1a digest of an autoscaled serve run under one seed: the report
+/// JSON followed by the `Debug` rendering of the report, every job record
+/// and every lifecycle/fleet event. Three tenants share an elastic fleet:
+/// an `Interactive` tenant with a deadline hint, a batch tenant whose
+/// small queue quota sheds submissions into client back-off, and a short
+/// batch burst whose end lets the controller drain. The run is checked to
+/// launch, warm and drain slots, including a slot drained while busy, so
+/// every handler of the serve sim feeds the digest.
+fn elastic_serve_digest(seed: u64) -> u64 {
+    use ppc::autoscale::AutoscaleConfig;
+    use ppc::serve::{
+        simulate_serve, Priority, ServeFleet, ServeSimConfig, TenantLoad, TenantQuota, TenantSpec,
+    };
+    use ppc::trace::EventKind;
+
+    let tenant = |name: &str, weight, max_queued, clients, jobs| {
+        let quota = TenantQuota {
+            max_queued,
+            max_running: 6,
+        };
+        TenantLoad::new(
+            TenantSpec::new(name, weight).with_quota(quota),
+            clients,
+            jobs,
+        )
+    };
+    let mut interactive = tenant("blast", 3, 40, 12, 40);
+    interactive.priority = Priority::Interactive;
+    interactive.think_s = 20.0;
+    interactive.job_tasks = 4;
+    interactive.deadline_hint_s = Some(20.0);
+    let mut shed = tenant("cap3", 1, 4, 20, 10);
+    shed.think_s = 1.5;
+    shed.retry_backoff_s = 8.0;
+    shed.deadline_hint_s = Some(8.0);
+    let mut burst = tenant("gtm", 2, 30, 30, 4);
+    burst.think_s = 2.0;
+    burst.task_s = 6.0;
+    let mut auto = AutoscaleConfig::target_tracking(2, 10, 2.0);
+    auto.interval_s = 5.0;
+    auto.warmup_s = 12.0;
+    auto.scale_up_cooldown_s = 10.0;
+    auto.scale_down_cooldown_s = 15.0;
+    auto.billing_hour_s = 600.0;
+    let mut cfg = ServeSimConfig::new(
+        EC2_HCXL,
+        ServeFleet::Elastic(auto),
+        vec![interactive, shed, burst],
+    );
+    cfg.billing_hour_s = 600.0;
+    cfg.record_events = true;
+    let run = simulate_serve(&RunContext::local().with_seed(seed), &cfg);
+
+    let count = |kind| run.events.iter().filter(|e| e.kind == kind).count();
+    assert!(count(EventKind::Launch) > 0, "seed {seed}: never launched");
+    assert!(count(EventKind::Drain) > 0, "seed {seed}: never drained");
+    let busy_drain = run.events.iter().enumerate().any(|(i, e)| {
+        e.kind == EventKind::Drain
+            && run.events[i + 1..]
+                .iter()
+                .any(|l| l.worker == e.worker && l.kind == EventKind::JobComplete)
+    });
+    assert!(busy_drain, "seed {seed}: no slot drained while busy");
+    let t = &run.report.tenants;
+    assert!(t[1].rejected > 0, "seed {seed}: nothing shed");
+    assert!(
+        t[0].deadline_missed + t[1].deadline_missed > 0,
+        "seed {seed}: no deadline hint missed"
+    );
+    assert!(
+        t[0].completed > 0,
+        "seed {seed}: interactive tenant starved"
+    );
+    let debug = format!("{:?}\n{:?}\n{:?}", run.report, run.records, run.events);
+    fnv64(&format!("{}\n{debug}", run.report.to_json()))
+}
+
+/// Bit-identity pin for the serve sim's elastic path: launch, warm-up,
+/// drain (idle and busy), shedding with client back-off, the interactive
+/// lane and deadline hints, on every CI chaos seed.
+#[test]
+fn elastic_serve_sim_matches_golden_digests() {
+    for (seed, want) in CHAOS_SEEDS.into_iter().zip(SERVE_ELASTIC_GOLDEN) {
+        let got = elastic_serve_digest(seed);
+        assert_eq!(got, want, "seed {seed}: got {got:#018x}");
+    }
+}
+
+/// Generated by [`elastic_serve_sim_matches_golden_digests`] on the
+/// closure-driven serve sim, one entry per [`CHAOS_SEEDS`] entry.
+const SERVE_ELASTIC_GOLDEN: [u64; 3] = [0x3de8bfe595a81078, 0x3a2a799cf0914f5d, 0x8590dfa9b780e476];
+
 /// FNV-1a digest (report JSON + `Debug`, trace on) of a defended Dryad sim
 /// under one chaos seed: the hostile schedule plus a gray slot, with
 /// hedging, quarantine and a per-vertex deadline all on, so benches,
