@@ -13,8 +13,10 @@
 //! function of `(seed, worker, time/sequence)`, so the same schedule
 //! drives the threaded native runtimes (wall-clock seconds since run
 //! start) and the discrete-event simulators (virtual seconds) and gives
-//! bit-identical decisions on both.
+//! bit-identical decisions on both. Every engine tracks each worker's
+//! place in the schedule (roll index, last timed-kill check) on one
+//! [`ChaosCursor`].
 
 pub mod schedule;
 
-pub use schedule::{FaultEvent, FaultSchedule, RunClock, StorageFault};
+pub use schedule::{ChaosCursor, FaultEvent, FaultSchedule, Roll, RunClock, StorageFault};

@@ -276,6 +276,15 @@ impl FaultSchedule {
         self.roll(ROLL_BEFORE_DELETE, worker, task_seq, self.die_before_delete)
     }
 
+    /// The one death roll of engines that do not tell the pipeline points
+    /// apart: does any of the three death dice hit `worker`'s
+    /// `task_seq`-th task?
+    pub fn dies(&self, worker: u32, task_seq: u32) -> bool {
+        self.die_before_execute(worker, task_seq)
+            || self.die_mid_execute(worker, task_seq)
+            || self.die_before_delete(worker, task_seq)
+    }
+
     /// Is `worker`'s `task_seq`-th upload scheduled to be torn (without
     /// the worker itself dying)?
     pub fn is_torn_upload(&self, worker: u32, task_seq: u32) -> bool {
@@ -363,6 +372,65 @@ impl FaultSchedule {
     }
 }
 
+/// One worker's place in a [`FaultSchedule`], kept by every engine for
+/// each of its workers: the roll index (the worker's pulls so far) and the
+/// run time of its last timed-kill check, so each scheduled kill fires
+/// exactly once and each pull rolls its own dice.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChaosCursor {
+    seq: u32,
+    last_kill_s: f64,
+}
+
+/// What one pull's roll decided ([`ChaosCursor::roll`]); the default is
+/// a pull no fault touches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Roll {
+    /// A timed kill landed in the checked window.
+    pub killed: bool,
+    /// The worker died: a timed kill or any death die.
+    pub died: bool,
+    /// The attempt fails: a death or a torn upload.
+    pub fails: bool,
+}
+
+impl ChaosCursor {
+    /// Claim the roll index of the pull just taken.
+    pub fn next_seq(&mut self) -> u32 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Has a timed kill of `worker` landed since the last check, up to
+    /// `now_s`? The check window then starts at `now_s`.
+    pub fn killed(&mut self, schedule: &FaultSchedule, worker: u32, now_s: f64) -> bool {
+        let hit = schedule.kills_in(worker, self.last_kill_s, now_s);
+        self.last_kill_s = now_s;
+        hit
+    }
+
+    /// One simulated pull by `worker`: claim its roll index, check timed
+    /// kills up to `kill_until_s` (`None` leaves timed kills to someone
+    /// else) and roll the death dice and the torn-upload event.
+    pub fn roll(
+        &mut self,
+        schedule: &FaultSchedule,
+        worker: u32,
+        kill_until_s: Option<f64>,
+    ) -> Roll {
+        let seq = self.next_seq();
+        let killed = kill_until_s.is_some_and(|t| self.killed(schedule, worker, t));
+        let died = killed || schedule.dies(worker, seq);
+        let fails = died || schedule.is_torn_upload(worker, seq);
+        Roll {
+            killed,
+            died,
+            fails,
+        }
+    }
+}
+
 /// Wall-clock seconds since a fixed start — the native engines' view of
 /// schedule time. (Simulators pass their virtual clock instead.)
 #[derive(Debug, Clone, Copy)]
@@ -440,6 +508,58 @@ mod tests {
         assert!(s.kills_in(2, 4.9, 5.0), "interval is (from, to]");
         assert!(!s.kills_in(2, 5.0, 10.0), "already fired");
         assert!(!s.kills_in(1, 0.0, 10.0), "other worker unaffected");
+    }
+
+    #[test]
+    fn cursor_fires_each_kill_once_over_consecutive_windows() {
+        let s = FaultSchedule::new(1)
+            .kill_at(2, 5.0)
+            .kill_at(2, 7.5)
+            .kill_at(3, 6.0);
+        let mut cursor = ChaosCursor::default();
+        let fired: Vec<f64> = (1..=20)
+            .map(|i| f64::from(i) * 0.5)
+            .filter(|&t| cursor.killed(&s, 2, t))
+            .collect();
+        assert_eq!(fired, [5.0, 7.5], "each kill in exactly one window");
+        assert!(!cursor.killed(&s, 2, 1e9), "nothing left to fire");
+    }
+
+    #[test]
+    fn cursor_roll_index_advances_once_per_pull() {
+        let s = FaultSchedule::new(1).kill_mid_execute(0, 3);
+        let mut cursor = ChaosCursor::default();
+        assert_eq!(cursor.next_seq(), 0);
+        assert_eq!(cursor.next_seq(), 1);
+        assert!(!cursor.roll(&s, 0, None).died, "the roll takes index 2");
+        assert!(cursor.roll(&s, 0, None).died, "the roll takes index 3");
+        assert_eq!(cursor.next_seq(), 4);
+    }
+
+    #[test]
+    fn cursor_death_roll_ors_the_three_dice() {
+        for seed in [4242, 1, 987_654_321] {
+            let s = FaultSchedule::hostile(seed);
+            let (mut deaths, mut torn) = (0, 0);
+            for worker in 0..8 {
+                let mut cursor = ChaosCursor::default();
+                for seq in 0..64 {
+                    let roll = cursor.roll(&s, worker, None);
+                    let dice = s.die_before_execute(worker, seq)
+                        || s.die_mid_execute(worker, seq)
+                        || s.die_before_delete(worker, seq);
+                    assert_eq!(roll.died, dice, "seed {seed} worker {worker} seq {seq}");
+                    assert_eq!(roll.died, s.dies(worker, seq));
+                    assert_eq!(roll.fails, dice || s.is_torn_upload(worker, seq));
+                    assert!(!roll.killed, "no kill window was checked");
+                    deaths += usize::from(roll.died);
+                    torn += usize::from(roll.fails && !roll.died);
+                }
+            }
+            assert!(deaths > 0, "seed {seed}: the hostile dice must hit");
+            let torn_alone = usize::from(!s.dies(2, 2));
+            assert_eq!(torn, torn_alone, "seed {seed}: the scheduled torn upload");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! The run context's [`ppc_chaos::FaultSchedule`] kills workers at the
 //! three interesting points of that pipeline, by timed kill or i.i.d.
-//! death dice:
+//! death dice, each worker tracking its place in the schedule on a
+//! [`ppc_chaos::ChaosCursor`]:
 //!
 //! * **before execute** — the worker took the message and died; no output
 //!   exists; redelivery re-runs the task.
@@ -28,7 +29,7 @@ use crate::elastic;
 use crate::report::ClassicReport;
 use crate::spec::JobSpec;
 use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
-use ppc_chaos::{FaultSchedule, RunClock};
+use ppc_chaos::{ChaosCursor, RunClock};
 use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::InstanceType;
 use ppc_core::exec::Executor;
@@ -42,7 +43,7 @@ use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
 use ppc_resilience::{Admit, DeadlineConfig, HealthTracker, HedgePolicy, ResiliencePolicy};
 use ppc_storage::service::StorageService;
-use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
+use ppc_trace::{AttemptMarker, EventKind, Phase, Span, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -245,78 +246,6 @@ fn client_send_policy() -> RetryPolicy {
         multiplier: 2.0,
         jitter: 0.5,
         budget: None,
-    }
-}
-
-/// A worker's view of the run's [`FaultSchedule`] (timed kills, death
-/// dice, torn uploads, gray slowdowns), tracked against the shared run
-/// clock. Dice are pure hashes of `(seed, roll-point, worker, task_seq)`,
-/// so outcomes are deterministic for a given schedule regardless of thread
-/// interleaving.
-struct WorkerChaos<'a> {
-    schedule: Option<&'a FaultSchedule>,
-    clock: &'a RunClock,
-    worker: u32,
-    /// Messages this worker has received so far; the per-task roll index.
-    task_seq: u32,
-    /// Run-clock position of the last timed-kill check, so each scheduled
-    /// kill fires exactly once (half-open interval semantics).
-    last_kill_s: f64,
-}
-
-impl<'a> WorkerChaos<'a> {
-    fn new(ctx: &'a RunContext, clock: &'a RunClock, worker: u32) -> WorkerChaos<'a> {
-        WorkerChaos {
-            schedule: ctx.schedule.as_deref(),
-            clock,
-            worker,
-            task_seq: 0,
-            last_kill_s: 0.0,
-        }
-    }
-
-    /// Claim the roll index for the message just received.
-    fn next_seq(&mut self) -> u32 {
-        let seq = self.task_seq;
-        self.task_seq += 1;
-        seq
-    }
-
-    /// Has a scheduled timed kill fired since the last check?
-    fn kill_event_pending(&mut self) -> bool {
-        let Some(schedule) = self.schedule else {
-            return false;
-        };
-        let now = self.clock.now_s();
-        let hit = schedule.kills_in(self.worker, self.last_kill_s, now);
-        self.last_kill_s = now;
-        hit
-    }
-
-    fn die_before_execute(&self, seq: u32) -> bool {
-        self.schedule
-            .is_some_and(|s| s.die_before_execute(self.worker, seq))
-    }
-
-    fn die_mid_execute(&self, seq: u32) -> bool {
-        self.schedule
-            .is_some_and(|s| s.die_mid_execute(self.worker, seq))
-    }
-
-    fn die_before_delete(&self, seq: u32) -> bool {
-        self.schedule
-            .is_some_and(|s| s.die_before_delete(self.worker, seq))
-    }
-
-    fn torn_upload(&self, seq: u32) -> bool {
-        self.schedule
-            .is_some_and(|s| s.is_torn_upload(self.worker, seq))
-    }
-
-    /// Gray-failure slowdown factor in effect for this worker right now.
-    fn slowdown(&self) -> f64 {
-        self.schedule
-            .map_or(1.0, |s| s.slowdown(self.worker, self.clock.now_s()))
     }
 }
 
@@ -560,25 +489,22 @@ pub fn run(
     };
 
     let storage_after = storage.metering().snapshot();
-    let mut report = ClassicReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform,
-                cores,
-                tasks: completed,
-                makespan_seconds: makespan,
-                redundant_executions: total_executions.saturating_sub(completed),
-                remote_bytes: run.remote_bytes.load(Ordering::Relaxed),
-            },
-            failed,
-            total_attempts: total_executions,
-            worker_deaths: run.worker_deaths.load(Ordering::Relaxed),
-            cost: Some(cost),
-            trace: None,
-        },
+    let summary = RunSummary {
+        platform,
+        cores,
+        tasks: completed,
+        makespan_seconds: makespan,
+        redundant_executions: total_executions.saturating_sub(completed),
+        remote_bytes: run.remote_bytes.load(Ordering::Relaxed),
+    };
+    let deaths = run.worker_deaths.load(Ordering::Relaxed);
+    let sink = live_sink(ctx);
+    let core = RunReport::close(summary, failed, total_executions, deaths, Some(cost), sink);
+    let report = ClassicReport {
+        timeline: core.trace.as_ref().map(ppc_trace::Trace::to_timeline),
+        core,
         queue_requests: queues.total_requests() - requests_before,
         executions_per_fleet: run.per_fleet.into_inner().unwrap(),
-        timeline: None,
         fleet,
         storage: ppc_storage::metering::MeteringSnapshot {
             requests: storage_after.requests - storage_before.requests,
@@ -588,32 +514,12 @@ pub fn run(
             peak_stored_bytes: storage_after.peak_stored_bytes,
         },
     };
-    finalize_trace(ctx, &mut report);
-
     // Clean up the job queues; the DLQ and the buckets are left for the
     // caller to inspect.
     let _ = queues.delete_queue(&job.sched_queue());
     let _ = queues.delete_queue(&job.monitor_queue());
 
     Ok(report)
-}
-
-/// Stamp the run metadata + job span into the sink and move the finished
-/// trace (and its derived legacy timeline) into the report. The makespan
-/// written here is byte-identical to `report.summary.makespan_seconds`, so
-/// `Trace::parallel_efficiency` reproduces `RunSummary::efficiency` exactly.
-fn finalize_trace(ctx: &RunContext, report: &mut ClassicReport) {
-    if let Some(s) = live_sink(ctx) {
-        s.set_meta(RunMeta {
-            platform: report.summary.platform.clone(),
-            cores: report.summary.cores,
-            tasks: report.summary.tasks,
-            makespan_seconds: report.summary.makespan_seconds,
-        });
-        s.span(Span::job(report.summary.makespan_seconds));
-        report.trace = s.snapshot();
-        report.timeline = report.trace.as_ref().map(ppc_trace::Trace::to_timeline);
-    }
 }
 
 impl Elastic<'_> {
@@ -767,11 +673,11 @@ impl Run<'_> {
     /// fleet, until its drain flag is raised. One poll holds at most one
     /// lease, so stopping between polls never abandons a leased message.
     fn work(&self, worker: u32, fleet_id: usize, drain: Option<&AtomicBool>) {
-        let mut chaos = WorkerChaos::new(self.ctx, &self.clock, worker);
+        let mut chaos = ChaosCursor::default();
         while !self.stop.load(Ordering::Acquire)
             && !drain.is_some_and(|d| d.load(Ordering::Acquire))
         {
-            self.poll_once(fleet_id, &mut chaos);
+            self.poll_once(worker, fleet_id, &mut chaos);
         }
     }
 
@@ -850,10 +756,13 @@ impl Run<'_> {
         }
     }
 
-    /// One worker iteration: receive → download → execute → upload → report →
-    /// delete. A `return` leaves any in-flight message to the visibility
-    /// timeout.
-    fn poll_once(&self, fleet_id: usize, chaos: &mut WorkerChaos<'_>) {
+    /// One iteration of `worker`: receive → download → execute → upload →
+    /// report → delete. A `return` leaves any in-flight message to the
+    /// visibility timeout. The run's fault schedule hits the worker at the
+    /// pipeline's three points through its `chaos` cursor, by timed kill
+    /// or by the point's own death die; dice are pure hashes of `(seed,
+    /// point, worker, roll index)`, whatever the thread interleaving.
+    fn poll_once(&self, worker: u32, fleet_id: usize, chaos: &mut ChaosCursor) {
         let Run {
             sched,
             monitor,
@@ -863,13 +772,14 @@ impl Run<'_> {
             ctx,
             config,
             executor,
+            clock,
             breaker,
             ..
         } = self;
         let health = self.health.as_ref();
         let restart_delay = Duration::from_millis(config.restart_delay_ms);
         let sink = live_sink(ctx);
-        let worker = chaos.worker;
+        let schedule = ctx.schedule.as_deref();
         // Score a finished attempt (`None` = failed) into the health tracker,
         // which traces any bench it imposes.
         let score = |latency_s: Option<f64>, now_s: f64| {
@@ -892,7 +802,7 @@ impl Run<'_> {
         // path entirely (it does not even receive), then re-enters through
         // probation when its bench expires.
         let benched = health.is_some_and(|h| {
-            let now_s = chaos.clock.now_s();
+            let now_s = clock.now_s();
             h.lock().unwrap().admit(worker, now_s, &HealthTrace(sink)) != Admit::Go
         });
         if benched {
@@ -900,7 +810,7 @@ impl Run<'_> {
             return;
         }
 
-        let polled_at = sink.map(|_| chaos.clock.now_s());
+        let polled_at = sink.map(|_| clock.now_s());
         // Long polling (SQS WaitTimeSeconds): one billable request per wait
         // window instead of a busy-poll storm.
         let msg = match sched.receive_wait(config.long_poll_wait) {
@@ -928,7 +838,7 @@ impl Run<'_> {
             }
         };
         let seq = chaos.next_seq();
-        let attempt_began_s = chaos.clock.now_s();
+        let attempt_began_s = clock.now_s();
 
         // Attempt number = redelivery ordinal, so chaos re-executions show up
         // in the trace as distinct attempts of the same task. The structural
@@ -938,10 +848,10 @@ impl Run<'_> {
                 s,
                 spec.id.0,
                 msg.receive_count.saturating_sub(1),
-                chaos.worker,
+                worker,
                 polled_at.unwrap_or(0.0),
             );
-            tt.mark(Phase::Dequeue, chaos.clock.now_s());
+            tt.mark(Phase::Dequeue, clock.now_s());
             tt
         });
 
@@ -966,7 +876,8 @@ impl Run<'_> {
         // Injected death between receive and execute — a timed kill from the
         // schedule or an i.i.d. roll. The message stays in flight and
         // reappears after the visibility timeout.
-        if chaos.kill_event_pending() || chaos.die_before_execute(seq) {
+        let mut killed = |s| chaos.killed(s, worker, clock.now_s());
+        if schedule.is_some_and(|s| killed(s) || s.die_before_execute(worker, seq)) {
             die();
             return;
         }
@@ -975,7 +886,7 @@ impl Run<'_> {
         // shared circuit breaker: during a storage brownout the first few
         // workers exhaust their retries and trip the breaker, and everyone
         // else fast-fails to redelivery instead of piling on.
-        if !breaker.allow(chaos.clock.now_s()) {
+        if !breaker.allow(clock.now_s()) {
             std::thread::sleep(POLL_BACKOFF);
             return; // lease reappears after the timeout
         }
@@ -987,12 +898,12 @@ impl Run<'_> {
             Ok(d) => {
                 breaker.record_success();
                 if let Some(tt) = tt.as_mut() {
-                    tt.mark(Phase::Download, chaos.clock.now_s());
+                    tt.mark(Phase::Download, clock.now_s());
                 }
                 d
             }
             Err(e) if e.is_retryable() => {
-                breaker.record_failure(chaos.clock.now_s());
+                breaker.record_failure(clock.now_s());
                 return; // let it reappear
             }
             Err(_) => {
@@ -1011,35 +922,35 @@ impl Run<'_> {
                 // Leave the message; redelivery retries until the dead-letter
                 // policy gives up.
                 if let Some(tt) = tt.as_mut() {
-                    tt.mark(Phase::Execute, chaos.clock.now_s());
+                    tt.mark(Phase::Execute, clock.now_s());
                 }
-                score(None, chaos.clock.now_s());
+                score(None, clock.now_s());
                 return;
             }
         };
         // Gray failure: a degraded (not dead) worker runs slower by the
         // schedule's factor — it still completes, it just holds tasks longer.
-        let factor = chaos.slowdown();
+        let factor = schedule.map_or(1.0, |s| s.slowdown(worker, clock.now_s()));
         if factor > 1.0 {
             std::thread::sleep(exec_started.elapsed().mul_f64(factor - 1.0));
         }
         if let Some(tt) = tt.as_mut() {
-            tt.mark(Phase::Execute, chaos.clock.now_s());
+            tt.mark(Phase::Execute, clock.now_s());
         }
 
         // Death mid-upload: the worker dies before its PUT completes. An
         // object-store PUT (S3, Azure Blob) commits atomically, so nothing
         // lands, and a lapsed lease can never clobber a redelivered attempt's
         // committed output. Redelivery re-runs the task.
-        if chaos.die_mid_execute(seq) {
+        if schedule.is_some_and(|s| s.die_mid_execute(worker, seq)) {
             die();
             return;
         }
         // Torn upload without a death: the PUT fails partway, so (being
         // atomic) it writes nothing; the worker abandons the lease and
         // redelivery retries the task.
-        if chaos.torn_upload(seq) {
-            score(None, chaos.clock.now_s());
+        if schedule.is_some_and(|s| s.is_torn_upload(worker, seq)) {
+            score(None, clock.now_s());
             return;
         }
 
@@ -1052,12 +963,12 @@ impl Run<'_> {
             return; // redelivery will retry the whole task
         }
         if let Some(tt) = tt.as_mut() {
-            tt.mark(Phase::Upload, chaos.clock.now_s());
+            tt.mark(Phase::Upload, clock.now_s());
         }
 
         // Injected death between upload and delete: the duplicate re-execution
         // must overwrite with identical output.
-        if chaos.die_before_delete(seq) {
+        if schedule.is_some_and(|s| s.die_before_delete(worker, seq)) {
             die();
             return;
         }
@@ -1067,7 +978,7 @@ impl Run<'_> {
         // A stale receipt here means someone else finished the task first —
         // harmless by idempotence.
         let _ = sched.delete(msg.receipt);
-        let done_s = chaos.clock.now_s();
+        let done_s = clock.now_s();
         score(Some(done_s - attempt_began_s), done_s);
         if let Some(tt) = tt.as_mut() {
             tt.mark(Phase::Ack, done_s);
@@ -1078,6 +989,7 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_chaos::FaultSchedule;
     use ppc_compute::cluster::Cluster;
     use ppc_compute::instance::EC2_HCXL;
     use ppc_core::exec::FnExecutor;

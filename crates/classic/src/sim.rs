@@ -24,6 +24,11 @@
 //! ledger close, fleet-event trace replay) is shared with the native
 //! runtime.
 //!
+//! Each worker slot keeps its lifecycle state (live, parked, draining,
+//! dead) and its [`ChaosCursor`] in the sim's `workers` table; the run
+//! closes through [`RunReport::close`], as every engine's does. The
+//! attempt spans stay with `record_attempt` (see its docs).
+//!
 //! The sim runs on a typed `ppc_des::Engine<Event>`: an event names a
 //! worker, a task or a timer, the message a worker pulled sits in the
 //! sim's per-worker table until its attempt ends, and the node NICs are
@@ -34,7 +39,7 @@ use crate::elastic;
 use crate::report::{ClassicReport, FleetReport};
 use crate::spec::DEFAULT_MAX_DELIVERIES;
 use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
-use ppc_chaos::FaultSchedule;
+use ppc_chaos::{ChaosCursor, FaultSchedule};
 use ppc_compute::billing::CostBreakdown;
 use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::InstanceType;
@@ -50,8 +55,8 @@ use ppc_resilience::{
 };
 use ppc_storage::latency::LatencyModel;
 use ppc_storage::metering::MeteringSnapshot;
-use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
-use std::collections::{HashSet, VecDeque};
+use ppc_trace::{EventKind, Phase, Recorder, Span, TraceEvent, TraceSink, NO_WORKER};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration of the simulated platform.
@@ -80,9 +85,6 @@ pub struct SimConfig {
     /// run whose context policy hedges or sets deadlines panics on it.
     pub nic_bandwidth_bytes_per_s: Option<f64>,
 }
-
-/// Seed of a simulation whose context sets none.
-const DEFAULT_SEED: u64 = 42;
 
 impl SimConfig {
     /// EC2-flavored defaults: 2010 S3/SQS latencies, no failures.
@@ -172,6 +174,12 @@ fn check_sim_inputs(cfg: &SimConfig, ctx: &RunContext) {
 /// and the monitor-send + delete round-trips close it; a failed attempt
 /// lumps everything after the download into `execute` (the worker died
 /// somewhere in there) and records no terminal ack.
+///
+/// Unlike the MapReduce and Dryad sims, this does not go through
+/// `AttemptMarker`: the upload and ack are anchored on the attempt's end,
+/// so NIC queueing shows as a gap between execute and upload, and no
+/// boundary is clamped. A marker writes contiguous, clamped phases, which
+/// would move the pinned Classic trace digests.
 fn record_attempt(
     rec: &Recorder,
     worker: u32,
@@ -213,16 +221,33 @@ struct Worker {
     /// The pulled message in this worker's hands, from its pull until
     /// the attempt's end.
     attempt: Option<Attempt>,
+    life: Life,
+    /// This slot's place in the fault schedule.
+    chaos: ChaosCursor,
+}
+
+/// A worker slot's lifecycle. Only an elastic fleet's slots drain or die.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Life {
+    Live,
+    /// Waiting in [`SimState::idle`] for a message.
+    Parked,
+    /// Told to retire after its in-hand task.
+    Draining,
+    /// Killed by the schedule: its tick chain ends, and a task in hand at
+    /// death is lost to the visibility timeout.
+    Dead,
 }
 
 impl Worker {
-    /// An elastic fleet's slot: a single-worker instance, no shared NIC.
-    fn elastic(itype: InstanceType) -> Worker {
+    fn new(itype: InstanceType, per_node: usize, nic: Option<u32>) -> Worker {
         Worker {
             itype,
-            per_node: 1,
-            nic: None,
+            per_node,
+            nic,
             attempt: None,
+            life: Life::Live,
+            chaos: ChaosCursor::default(),
         }
     }
 }
@@ -231,9 +256,8 @@ impl Worker {
 /// the worker lifecycle is shared.
 enum Fleet {
     /// A fixed fleet. Timed kills are detected per task: a kill landing in
-    /// a pulled task's service window costs that execution. `last_kill`
-    /// holds each worker's last checked virtual time.
-    Fixed { last_kill: Vec<f64> },
+    /// a pulled task's service window costs that execution.
+    Fixed,
     /// Single-worker instances launched and retired by an autoscale
     /// controller, which also sweeps for timed kills (whole-instance
     /// deaths) on each tick.
@@ -243,57 +267,11 @@ enum Fleet {
 struct Elastic {
     itype: InstanceType,
     controller: Controller,
-    /// Slots told to retire after their in-hand task.
-    drain: HashSet<u32>,
     /// Drained slots whose worker has exited, awaiting confirmation at the
     /// controller's next tick.
     retired_inbox: Vec<u32>,
-    /// Slots killed by the schedule: their tick chains end, and a task in
-    /// hand at death is lost to the visibility timeout.
-    dead: HashSet<u32>,
     /// Virtual time of the controller's last timed-kill sweep.
     last_kill_check_s: f64,
-}
-
-impl Fleet {
-    /// The pre-pull gate. Fixed-fleet workers always poll. An elastic slot
-    /// stops once the job is done or its instance died; a draining slot
-    /// holds no lease between tasks, so it retires here.
-    fn may_pull(&mut self, slot: u32, job_done: bool) -> bool {
-        match self {
-            Fleet::Fixed { .. } => true,
-            Fleet::Elastic(el) => {
-                if job_done || el.dead.contains(&slot) {
-                    false
-                } else if el.drain.contains(&slot) {
-                    el.retired_inbox.push(slot);
-                    false
-                } else {
-                    true
-                }
-            }
-        }
-    }
-
-    /// Per-task timed-kill detection: does a kill land in `slot`'s service
-    /// window ending at `window_end`? Elastic fleets leave timed kills to
-    /// the controller's sweep.
-    fn killed_before(&mut self, schedule: &FaultSchedule, slot: u32, window_end: f64) -> bool {
-        match self {
-            Fleet::Fixed { last_kill } => {
-                let last = &mut last_kill[slot as usize];
-                let killed = schedule.kills_in(slot, *last, window_end);
-                *last = window_end;
-                killed
-            }
-            Fleet::Elastic(_) => false,
-        }
-    }
-
-    /// Whether `slot`'s whole instance was killed (elastic fleets only).
-    fn instance_died(&self, slot: u32) -> bool {
-        matches!(self, Fleet::Elastic(el) if el.dead.contains(&slot))
-    }
 }
 
 /// One visible queue message.
@@ -316,7 +294,9 @@ struct SimState {
     /// Visible messages, oldest first: every send is a `push_back` at the
     /// current time and every receive a `pop_front`.
     pending: VecDeque<Message>,
-    /// Parked workers with nothing to do (never a draining slot).
+    /// Parked workers with nothing to do, the last parked on top. A slot
+    /// that drained or died while parked stays here until a send pops
+    /// it and passes over it.
     idle: Vec<u32>,
     in_flight: usize,
     executions: usize,
@@ -334,8 +314,6 @@ struct SimState {
     rngs: Vec<Pcg32>,
     /// Optional event-based chaos shared with the other engines.
     schedule: Option<Arc<FaultSchedule>>,
-    /// Per-slot count of tasks pulled so far (the chaos roll index).
-    task_seqs: Vec<u32>,
     /// Worker quarantine state machine, when the policy asks for one.
     health: Option<HealthTracker>,
     /// When the ledger resolved its last task. On defended runs this is
@@ -364,27 +342,15 @@ impl SimState {
             remote_bytes: 0,
             bytes_in: 0,
             bytes_out: 0,
-            seed: ctx.seed.unwrap_or(DEFAULT_SEED),
+            seed: ctx.sim_seed(),
             rngs: Vec::new(),
             schedule: ctx.schedule.clone(),
-            task_seqs: Vec::new(),
             health: ctx
                 .resilience
                 .and_then(|p| p.quarantine)
                 .map(HealthTracker::new),
             finished_at_s: 0.0,
         }
-    }
-
-    /// Claim the chaos roll index for `slot`'s next task.
-    fn next_seq(&mut self, slot: u32) -> u32 {
-        let i = slot as usize;
-        if self.task_seqs.len() <= i {
-            self.task_seqs.resize(i + 1, 0);
-        }
-        let seq = self.task_seqs[i];
-        self.task_seqs[i] += 1;
-        seq
     }
 
     /// The RNG stream of `slot`, created on first use.
@@ -408,40 +374,23 @@ impl SimState {
         fleet: Option<FleetReport>,
     ) -> ClassicReport {
         let done = self.ledger.n_done();
-        let trace = self.rec.as_ref().and_then(|rec| {
-            rec.set_meta(RunMeta {
-                platform: platform.clone(),
-                cores,
-                tasks: done,
-                makespan_seconds: makespan,
-            });
-            rec.span(Span::job(makespan));
-            rec.snapshot()
-        });
+        let summary = RunSummary {
+            platform,
+            cores,
+            tasks: done,
+            makespan_seconds: makespan,
+            redundant_executions: self.executions - done,
+            remote_bytes: self.remote_bytes,
+        };
+        let failed = self.ledger.failed_tasks().into_iter();
+        let failed = failed.map(|i| tasks[i].id).collect();
+        let (attempts, deaths, rec) = (self.executions, self.deaths, self.rec.as_ref());
+        let core = RunReport::close(summary, failed, attempts, deaths, Some(cost), rec);
         ClassicReport {
-            core: RunReport {
-                summary: RunSummary {
-                    platform,
-                    cores,
-                    tasks: done,
-                    makespan_seconds: makespan,
-                    redundant_executions: self.executions - done,
-                    remote_bytes: self.remote_bytes,
-                },
-                failed: self
-                    .ledger
-                    .failed_tasks()
-                    .into_iter()
-                    .map(|i| tasks[i].id)
-                    .collect(),
-                total_attempts: self.executions,
-                worker_deaths: self.deaths,
-                cost: Some(cost),
-                trace: trace.clone(),
-            },
+            timeline: core.trace.as_ref().map(ppc_trace::Trace::to_timeline),
+            core,
             queue_requests: self.queue_requests,
             executions_per_fleet: Vec::new(),
-            timeline: trace.as_ref().map(ppc_trace::Trace::to_timeline),
             fleet,
             storage: MeteringSnapshot {
                 requests: self.storage_requests,
@@ -555,8 +504,7 @@ pub(crate) fn sim_fleets_impl(
     assert!(!fleets.is_empty(), "no fleets to simulate");
     check_sim_inputs(cfg, ctx);
     let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
-    let last_kill = vec![0.0; total_workers];
-    let mut sim = Sim::new(cfg, ctx, tasks, Fleet::Fixed { last_kill });
+    let mut sim = Sim::new(cfg, ctx, tasks, Fleet::Fixed);
     {
         let st = &mut sim.st;
         // The client's shuffle and the workers' jitter/failure dice draw
@@ -592,12 +540,8 @@ pub(crate) fn sim_fleets_impl(
             });
             for _slot in 0..node.workers {
                 engine.post_at(SimTime::ZERO, Event::Poll(sim.workers.len() as u32));
-                sim.workers.push(Worker {
-                    itype: cluster.itype(),
-                    per_node: node.workers,
-                    nic,
-                    attempt: None,
-                });
+                sim.workers
+                    .push(Worker::new(cluster.itype(), node.workers, nic));
             }
         }
     }
@@ -655,9 +599,7 @@ pub(crate) fn sim_autoscaled_impl(
     let fleet = Fleet::Elastic(Box::new(Elastic {
         itype,
         controller: Controller::new(autoscale.clone()),
-        drain: HashSet::new(),
         retired_inbox: Vec::new(),
-        dead: HashSet::new(),
         last_kill_check_s: 0.0,
     }));
     let mut sim = Sim::new(cfg, ctx, tasks, fleet);
@@ -670,7 +612,7 @@ pub(crate) fn sim_autoscaled_impl(
         engine.post_at(SimTime::from_secs_f64(at), Event::Arrive(task as u32));
     }
     for slot in 0..autoscale.min_workers {
-        sim.workers.push(Worker::elastic(itype));
+        sim.workers.push(Worker::new(itype, 1, None));
         engine.post_at(SimTime::ZERO, Event::Poll(slot));
     }
     engine.post_in(SimTime::from_secs_f64(autoscale.interval_s), Event::Control);
@@ -716,8 +658,8 @@ fn strictly_after_now(now: SimTime, at_s: f64) -> f64 {
 }
 
 impl Sim<'_> {
-    /// Make a message of `task` visible now, waking one parked worker,
-    /// if any (one message, one worker).
+    /// Make a message of `task` visible now, waking the last parked
+    /// worker, if any (one message, one worker).
     fn send(&mut self, engine: &mut Des, task: usize, hedge: Option<u32>) {
         let since_s = engine.now().as_secs_f64();
         self.st.pending.push_back(Message {
@@ -725,8 +667,30 @@ impl Sim<'_> {
             hedge,
             since_s,
         });
-        if let Some(w) = self.st.idle.pop() {
-            engine.post_in(SimTime::ZERO, Event::Poll(w));
+        while let Some(w) = self.st.idle.pop() {
+            let life = &mut self.workers[w as usize].life;
+            if *life == Life::Parked {
+                *life = Life::Live;
+                engine.post_in(SimTime::ZERO, Event::Poll(w));
+                break;
+            }
+        }
+    }
+
+    /// The pre-pull gate. Fixed-fleet workers always poll. An elastic slot
+    /// stops once the job is done or its instance died; a draining slot
+    /// holds no lease between tasks, so it retires here.
+    fn may_pull(&mut self, w: u32) -> bool {
+        let Fleet::Elastic(el) = &mut self.st.fleet else {
+            return true;
+        };
+        match self.workers[w as usize].life {
+            _ if self.st.ledger.is_complete() => false,
+            Life::Draining => {
+                el.retired_inbox.push(w);
+                false
+            }
+            life => life == Life::Live,
         }
     }
 
@@ -748,13 +712,12 @@ impl Sim<'_> {
     fn worker_tick(&mut self, engine: &mut Des, w: u32) {
         let cfg = self.cfg;
         let now_s = engine.now().as_secs_f64();
+        if !self.may_pull(w) {
+            return;
+        }
         let st = &mut self.st;
         // Quarantine gate: a benched worker pulls nothing until its
         // sentence expires, then re-enters through probation.
-        let job_done = st.ledger.is_complete();
-        if !st.fleet.may_pull(w, job_done) {
-            return;
-        }
         let admit = st.health.as_mut().map_or(Admit::Go, |tracker| {
             tracker.admit(w, now_s, &HealthTrace(st.rec.as_ref()))
         });
@@ -769,6 +732,7 @@ impl Sim<'_> {
         let id = loop {
             let Some(m) = st.pending.pop_front() else {
                 // Nothing visible: park; a redelivery event will wake us.
+                self.workers[w as usize].life = Life::Parked;
                 st.idle.push(w);
                 return;
             };
@@ -805,7 +769,7 @@ impl Sim<'_> {
         st.remote_bytes += profile.input_bytes + profile.output_bytes;
         st.in_flight += 1;
 
-        let worker = &self.workers[w as usize];
+        let worker = &mut self.workers[w as usize];
         let mut t_in = cfg.storage_latency.transfer_seconds(profile.input_bytes);
         let t_out = cfg.storage_latency.transfer_seconds(profile.output_bytes);
         let t_exec_base = task_service_seconds(&worker.itype, worker.per_node, &profile, &cfg.app);
@@ -819,8 +783,8 @@ impl Sim<'_> {
         let t_ctrl = 3.0 * cfg.queue_latency.request_seconds();
         st.queue_requests += 2; // monitor send + delete
         let mut fails = cfg.failure_rate > 0.0 && st.rng(w).chance(cfg.failure_rate);
-        let schedule = st.schedule.clone();
-        if let Some(schedule) = &schedule {
+        let schedule = st.schedule.as_deref();
+        if let Some(schedule) = schedule {
             // Gray failure: a degraded worker computes slower.
             t_exec *= schedule.slowdown(w, now_s);
             // Storage outage: the fetch's retries ride the window out, so
@@ -840,19 +804,14 @@ impl Sim<'_> {
             _ => false,
         };
         if let Some(schedule) = schedule {
-            let seq = st.next_seq(w);
             // Deaths: a pipeline-point die roll, a torn upload, or a timed
             // kill landing inside this task's service window (cut at the
             // deadline) all cost this execution — the message reappears
             // after the visibility timeout, matching the native engine's
-            // recovery story. A death outranks the cut.
-            let killed = st.fleet.killed_before(&schedule, w, now_s + duration_s);
-            fails = fails
-                || killed
-                || schedule.die_before_execute(w, seq)
-                || schedule.die_mid_execute(w, seq)
-                || schedule.die_before_delete(w, seq)
-                || schedule.is_torn_upload(w, seq);
+            // recovery story. A death outranks the cut. Elastic fleets
+            // leave timed kills to the controller's sweep.
+            let window_end = matches!(st.fleet, Fleet::Fixed).then_some(now_s + duration_s);
+            fails = worker.chaos.roll(schedule, w, window_end).fails || fails;
         }
         let parts = if cancelled {
             (t_in.min(duration_s), 0.0, 0.0, 0.0)
@@ -860,7 +819,7 @@ impl Sim<'_> {
             (t_in, t_exec, t_out, t_ctrl)
         };
         let nic = worker.nic;
-        self.workers[w as usize].attempt = Some(Attempt {
+        worker.attempt = Some(Attempt {
             id,
             pulled_s: now_s,
             duration_s,
@@ -887,7 +846,7 @@ impl Sim<'_> {
         // A fixed fleet's lost message reappears one visibility timeout
         // after its pull, so its redelivery is scheduled now, ahead of the
         // death.
-        if fails && matches!(self.st.fleet, Fleet::Fixed { .. }) {
+        if fails && matches!(self.st.fleet, Fleet::Fixed) {
             let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
             engine.post_at(at, Event::Reappear(id.task as u32));
         }
@@ -955,9 +914,10 @@ impl Sim<'_> {
             .attempt
             .take()
             .expect("an attempt end without an attempt");
+        // A whole-instance death (elastic fleets only).
+        let slot_died = worker.life == Life::Dead;
         let st = &mut self.st;
-        let slot_died = st.fleet.instance_died(w);
-        let fixed = matches!(st.fleet, Fleet::Fixed { .. });
+        let fixed = matches!(st.fleet, Fleet::Fixed);
         let lost = a.fails || slot_died;
         let cancel = a.cancelled && !a.fails && !slot_died;
         let ok = !lost && !cancel;
@@ -1105,7 +1065,6 @@ impl Sim<'_> {
         let now_s = engine.now().as_secs_f64();
         let SimState {
             fleet,
-            idle,
             schedule,
             pending,
             in_flight,
@@ -1125,10 +1084,7 @@ impl Sim<'_> {
             let from_s = el.last_kill_check_s;
             for id in elastic::dead_slots(&el.controller, schedule, from_s, now_s) {
                 el.controller.mark_dead(id, now_s);
-                el.dead.insert(id);
-                if let Some(pos) = idle.iter().position(|&w| w == id) {
-                    idle.remove(pos);
-                }
+                self.workers[id as usize].life = Life::Dead;
             }
         }
         el.last_kill_check_s = now_s;
@@ -1145,12 +1101,12 @@ impl Sim<'_> {
             Decision::Launch { ids } => ids,
             Decision::Drain { ids } => {
                 for id in ids {
-                    el.drain.insert(id);
-                    if let Some(pos) = idle.iter().position(|&w| w == id) {
+                    let life = &mut self.workers[id as usize].life;
+                    if *life == Life::Parked {
                         // An idle victim holds no lease: retire right now.
-                        idle.remove(pos);
                         el.controller.confirm_retired(id, now_s);
                     }
+                    *life = Life::Draining;
                 }
                 Vec::new()
             }
@@ -1160,7 +1116,7 @@ impl Sim<'_> {
         let (warmup_s, interval_s) = (acfg.warmup_s, acfg.interval_s);
         for id in launches {
             assert_eq!(id as usize, self.workers.len(), "slot ids must be dense");
-            self.workers.push(Worker::elastic(el.itype));
+            self.workers.push(Worker::new(el.itype, 1, None));
             engine.post_in(SimTime::from_secs_f64(warmup_s), Event::Poll(id));
         }
         engine.post_in(SimTime::from_secs_f64(interval_s), Event::Control);

@@ -232,7 +232,7 @@ impl SlotPolicy for Dryad {
     /// The node's next vertex, else a backup of its oldest hedge-eligible
     /// straggler. Backups and re-runs roll no chaos dice: the dice model
     /// per-pull hazards.
-    fn take(&self, book: &mut Book, slot: &Slot, now_s: f64) -> Option<Pick> {
+    fn take(&self, book: &mut Book, slot: &mut Slot, now_s: f64) -> Option<Pick> {
         let p = slot.partition;
         book.lists[p].pop_front().or_else(|| {
             let id = book.ledger.launch_hedge(p, now_s)?;
@@ -256,8 +256,7 @@ impl SlotPolicy for Dryad {
     fn attempt(&self, a: &mut Attempt<'_, '_, Self>) -> Result<Vec<u8>> {
         let started = Instant::now();
         // Any death die or a torn output costs exactly one failed attempt.
-        a.dice(false)?;
-        a.dice(true)?;
+        a.dice()?;
         // Inputs are already in node-local memory: the read phase is an
         // instant that keeps the native phase set aligned with the sim's.
         a.mark(Phase::ReadLocal);

@@ -6,7 +6,13 @@
 //! slots, and the job's makespan is the slowest node's finish time. (This is
 //! precisely why DryadLINQ load-balances worse than the global-queue
 //! platforms — nothing can flow between nodes mid-job.)
+//!
+//! Chaos, spans and the report attach as in every engine: each slot rolls
+//! the schedule on its own [`ChaosCursor`], a vertex attempt's phase spans
+//! are written through an [`AttemptMarker`] once its end is known, and the
+//! run closes through [`RunReport::close`].
 
+use ppc_chaos::ChaosCursor;
 use ppc_compute::cluster::Cluster;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
@@ -16,7 +22,7 @@ use ppc_core::{PpcError, Result};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_resilience::{Admit, HealthTracker, HedgePolicy};
 use ppc_storage::latency::LatencyModel;
-use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink, NO_WORKER};
+use ppc_trace::{AttemptMarker, EventKind, Phase, Recorder, TraceEvent, TraceSink, NO_WORKER};
 use std::collections::BinaryHeap;
 
 use crate::runtime::DryadReport;
@@ -33,9 +39,6 @@ pub struct DryadSimConfig {
     pub jitter_sigma: f64,
 }
 
-/// Seed of a simulation whose context sets none.
-const DEFAULT_SEED: u64 = 42;
-
 impl Default for DryadSimConfig {
     fn default() -> Self {
         DryadSimConfig {
@@ -45,48 +48,6 @@ impl Default for DryadSimConfig {
             jitter_sigma: 0.02,
         }
     }
-}
-
-/// Emit one vertex attempt's phase spans, boundaries clamped so µs
-/// quantization of the schedule can never produce a negative-length span.
-/// Only a successful attempt writes its output (the terminal `Write`).
-#[allow(clippy::too_many_arguments)]
-fn record_vertex(
-    rec: &Recorder,
-    task: u64,
-    attempt: u32,
-    worker: u32,
-    start_s: f64,
-    end_s: f64,
-    overhead_s: f64,
-    t_in: f64,
-    t_out: f64,
-    ok: bool,
-) {
-    let d1 = (start_s + overhead_s).min(end_s);
-    let d2 = (d1 + t_in).min(end_s);
-    let d3 = if ok { (end_s - t_out).max(d2) } else { end_s };
-    rec.span(Span::new(
-        task,
-        attempt,
-        worker,
-        Phase::VertexStart,
-        start_s,
-        d1,
-    ));
-    rec.span(Span::new(task, attempt, worker, Phase::ReadLocal, d1, d2));
-    rec.span(Span::new(task, attempt, worker, Phase::Execute, d2, d3));
-    if ok {
-        rec.span(Span::new(task, attempt, worker, Phase::Write, d3, end_s));
-    }
-    rec.span(Span::new(
-        task,
-        attempt,
-        worker,
-        Phase::Attempt,
-        start_s,
-        end_s,
-    ));
 }
 
 impl DryadSimConfig {
@@ -170,7 +131,7 @@ pub(crate) fn simulate_impl(
     let n_nodes = cluster.n_nodes();
     let itype = cluster.itype();
     // One independent RNG stream per worker slot (flat node-major index).
-    let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
+    let seed = ctx.sim_seed();
     let mut rngs: Vec<Pcg32> = (0..cluster.total_workers())
         .map(|w| Pcg32::for_stream(seed, w as u64))
         .collect();
@@ -209,20 +170,33 @@ pub(crate) fn simulate_impl(
         let mut slots: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = (0..workers)
             .map(|s| std::cmp::Reverse((0u64, node_base + s)))
             .collect();
-        let mut task_seqs = vec![0u32; workers];
-        let mut last_kill = vec![0.0f64; workers];
+        let mut chaos = vec![ChaosCursor::default(); workers];
         let mut node_finish = 0u64; // microseconds
         for task in node_tasks {
             let t_exec = task_service_seconds(&itype, workers, &task.profile, &cfg.app);
             let t_in = cfg.local_io.transfer_seconds(task.profile.input_bytes);
             let t_out = cfg.local_io.transfer_seconds(task.profile.output_bytes);
             let t_io = t_in + t_out;
+            // One vertex attempt's spans; only the attempt that wins writes
+            // its output (the terminal `Write`).
+            let record = |attempt: u32, w: u32, start_s: f64, end_s: f64, wins: bool| {
+                if let Some(rec) = &rec {
+                    let phases = [
+                        Phase::VertexStart,
+                        Phase::ReadLocal,
+                        Phase::Execute,
+                        Phase::Write,
+                    ];
+                    let parts = (cfg.vertex_overhead_s, t_in, t_out);
+                    AttemptMarker::new(rec, task.id.0, attempt, w, start_s)
+                        .modeled(phases, parts, end_s, wins);
+                }
+            };
             let mut attempt_idx = 0u32;
             let (mut start, mut slot) = pick_slot(&mut slots, health.as_mut(), 0, rec.as_ref());
             let mut jitter = draw(&mut rngs[slot]);
             loop {
                 let w = slot as u32;
-                let local_slot = slot - node_base;
                 let start_s = start as f64 / 1e6;
                 let factor = schedule.map_or(1.0, |s| s.slowdown(w, start_s));
                 let dur_s = cfg.vertex_overhead_s + t_exec * jitter * factor + t_io;
@@ -231,47 +205,24 @@ pub(crate) fn simulate_impl(
                 let cut = deadline.filter(|d| dur_s > d.timeout_s);
                 let mut finish = start + (cut.map_or(dur_s, |d| d.timeout_s) * 1e6).round() as u64;
                 total_attempts += 1;
-                let mut killed = false;
-                let mut dies = false;
-                if let Some(schedule) = schedule {
-                    let seq = task_seqs[local_slot];
-                    task_seqs[local_slot] += 1;
-                    let end_s = finish as f64 / 1e6;
-                    killed = schedule.kills_in(w, last_kill[local_slot], end_s);
-                    last_kill[local_slot] = end_s;
-                    let died = killed
-                        || schedule.die_before_execute(w, seq)
-                        || schedule.die_mid_execute(w, seq)
-                        || schedule.die_before_delete(w, seq);
-                    if died {
-                        deaths += 1;
-                    }
-                    dies = died || schedule.is_torn_upload(w, seq);
-                }
+                let end_s = Some(finish as f64 / 1e6);
+                let roll = schedule
+                    .map(|s| chaos[slot - node_base].roll(s, w, end_s))
+                    .unwrap_or_default();
+                deaths += usize::from(roll.died);
                 // A death outranks the cut.
-                let cut = cut.filter(|_| !dies);
-                if dies || cut.is_some() {
+                let cut = cut.filter(|_| !roll.fails);
+                if roll.fails || cut.is_some() {
                     // A failed attempt: a death re-runs the vertex in place,
                     // on this slot; a deadline cancels it at the timeout and
                     // re-runs it through slot selection, where the
                     // quarantine gate can divert it off a gray slot.
                     let end_s = finish as f64 / 1e6;
+                    record(attempt_idx, w, start_s, end_s, false);
                     if let Some(rec) = &rec {
-                        record_vertex(
-                            rec,
-                            task.id.0,
-                            attempt_idx,
-                            w,
-                            start_s,
-                            end_s,
-                            cfg.vertex_overhead_s,
-                            t_in,
-                            t_out,
-                            false,
-                        );
                         let kind = match cut {
                             Some(_) => Some(EventKind::Cancel),
-                            None => killed.then_some(EventKind::Death),
+                            None => roll.killed.then_some(EventKind::Death),
                         };
                         if let Some(kind) = kind {
                             rec.event(TraceEvent {
@@ -337,32 +288,9 @@ pub(crate) fn simulate_impl(
                             // at the winner's completion, freeing both
                             // slots there.
                             let win = finish.min(b_finish);
-                            if let Some(rec) = &rec {
-                                record_vertex(
-                                    rec,
-                                    task.id.0,
-                                    attempt_idx,
-                                    w,
-                                    start_s,
-                                    win as f64 / 1e6,
-                                    cfg.vertex_overhead_s,
-                                    t_in,
-                                    t_out,
-                                    b_finish >= finish,
-                                );
-                                record_vertex(
-                                    rec,
-                                    task.id.0,
-                                    attempt_idx + 1,
-                                    bw,
-                                    b_start_s,
-                                    win as f64 / 1e6,
-                                    cfg.vertex_overhead_s,
-                                    t_in,
-                                    t_out,
-                                    b_finish < finish,
-                                );
-                            }
+                            let win_s = win as f64 / 1e6;
+                            record(attempt_idx, w, start_s, win_s, b_finish >= finish);
+                            record(attempt_idx + 1, bw, b_start_s, win_s, b_finish < finish);
                             if b_finish < finish {
                                 winner_w = bw;
                                 winner_latency = b_dur_s;
@@ -379,20 +307,7 @@ pub(crate) fn simulate_impl(
                     }
                 }
                 if !hedged {
-                    if let Some(rec) = &rec {
-                        record_vertex(
-                            rec,
-                            task.id.0,
-                            attempt_idx,
-                            w,
-                            start_s,
-                            finish as f64 / 1e6,
-                            cfg.vertex_overhead_s,
-                            t_in,
-                            t_out,
-                            true,
-                        );
-                    }
+                    record(attempt_idx, w, start_s, finish as f64 / 1e6, true);
                     node_finish = node_finish.max(finish);
                     slots.push(std::cmp::Reverse((finish, slot)));
                 }
@@ -416,35 +331,17 @@ pub(crate) fn simulate_impl(
     }
 
     let makespan = per_node_seconds.iter().cloned().fold(0.0, f64::max);
-    let platform = format!("dryad-sim-{}", itype.name);
-    // Identical f64 makespan in meta and summary: Eq. 1 recomputed from
-    // the trace matches the engine exactly.
-    let trace = rec.as_ref().and_then(|rec| {
-        rec.set_meta(RunMeta {
-            platform: platform.clone(),
-            cores: cluster.total_workers(),
-            tasks: tasks.len() - vertex_failures,
-            makespan_seconds: makespan,
-        });
-        rec.span(Span::job(makespan));
-        rec.snapshot()
-    });
+    let summary = RunSummary {
+        platform: format!("dryad-sim-{}", itype.name),
+        cores: cluster.total_workers(),
+        tasks: tasks.len() - vertex_failures,
+        makespan_seconds: makespan,
+        redundant_executions: vertex_retries + hedged_losers,
+        remote_bytes: 0,
+    };
+    let cost = Some(cluster.cost(makespan));
     DryadReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform,
-                cores: cluster.total_workers(),
-                tasks: tasks.len() - vertex_failures,
-                makespan_seconds: makespan,
-                redundant_executions: vertex_retries + hedged_losers,
-                remote_bytes: 0,
-            },
-            failed,
-            total_attempts,
-            worker_deaths: deaths,
-            cost: Some(cluster.cost(makespan)),
-            trace,
-        },
+        core: RunReport::close(summary, failed, total_attempts, deaths, cost, rec.as_ref()),
         per_node_seconds,
         vertex_failures,
         vertex_retries,

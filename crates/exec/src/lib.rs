@@ -17,7 +17,9 @@
 //!   cross-framework studies iterate paradigms generically.
 //! * [`RunReport`] is the report core every paradigm embeds (makespan
 //!   summary, failed tasks, attempt/death counters, cost, optional
-//!   trace), with the one JSON serializer in place of per-crate copies.
+//!   trace), with the one JSON serializer in place of per-crate copies;
+//!   every engine builds it, and stamps its trace, with
+//!   [`RunReport::close`].
 //! * [`HealthTrace`] is how every engine hands a run's trace sink to its
 //!   `ppc-resilience` health tracker, which then records its own
 //!   `Quarantine`/`Release` transitions.
@@ -40,7 +42,7 @@ use ppc_core::metrics::RunSummary;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
 use ppc_resilience::{HealthSink, ResiliencePolicy, Transition};
-use ppc_trace::{EventKind, Trace, TraceEvent, TraceSink};
+use ppc_trace::{EventKind, RunMeta, Span, Trace, TraceEvent, TraceSink};
 use std::sync::Arc;
 
 pub mod slots;
@@ -182,6 +184,12 @@ impl RunContext {
         self
     }
 
+    /// A simulation's run seed: the context's, else 42, the one default
+    /// every simulator shares.
+    pub fn sim_seed(&self) -> u64 {
+        self.seed.unwrap_or(42)
+    }
+
     /// Reject a malformed fault schedule or resilience policy. Every
     /// entry point calls this first: a native run returns the error before
     /// it starts a thread, a simulation panics with its message.
@@ -243,6 +251,39 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The one run closer every engine ends with. When tracing, it stamps
+    /// `sink` with the summary's [`RunMeta`] and the job span
+    /// `[0, makespan]` and keeps the sink's snapshot as the report's
+    /// trace, so the trace's meta equals the summary bit for bit and Eq. 1
+    /// recomputed from the trace matches the report exactly.
+    pub fn close<S: TraceSink + ?Sized>(
+        summary: RunSummary,
+        failed: Vec<TaskId>,
+        total_attempts: usize,
+        worker_deaths: usize,
+        cost: Option<CostBreakdown>,
+        sink: Option<&S>,
+    ) -> RunReport {
+        let trace = sink.and_then(|s| {
+            s.set_meta(RunMeta {
+                platform: summary.platform.clone(),
+                cores: summary.cores,
+                tasks: summary.tasks,
+                makespan_seconds: summary.makespan_seconds,
+            });
+            s.span(Span::job(summary.makespan_seconds));
+            s.snapshot()
+        });
+        RunReport {
+            summary,
+            failed,
+            total_attempts,
+            worker_deaths,
+            cost,
+            trace,
+        }
+    }
+
     /// Whether every task eventually completed.
     pub fn is_complete(&self) -> bool {
         self.failed.is_empty()

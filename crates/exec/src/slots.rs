@@ -6,16 +6,19 @@
 //! list). A slot loops: run a re-run handed to it; leave once its partition
 //! is settled; pass the health gate; take work from the policy under the
 //! pool's one lock, which guards the policy's book and its
-//! [`AttemptLedger`]; roll the schedule's timed kill; run the policy's data
-//! path; settle through the ledger's `is_live` guard. The first Ok commits
-//! and fires the losers' kill tokens; a killed loser leaves as redundant
-//! work; a failed attempt's task is queued again by the policy or re-run in
-//! place by the pool. The calling thread cuts every attempt past the
-//! context's deadline. The last slot of a partition to die fails what is
-//! left on it. The health tracker's lock is never taken under the pool's.
+//! [`AttemptLedger`]; check the schedule's timed kills on the slot's
+//! [`ChaosCursor`]; run the policy's data path, which rolls the attempt's
+//! one death roll ([`Attempt::dice`]); settle through the ledger's
+//! `is_live` guard. The first Ok commits and fires the losers' kill
+//! tokens; a killed loser leaves as redundant work; a failed attempt's
+//! task is queued again by the policy or re-run in place by the pool. The
+//! calling thread cuts every attempt past the context's deadline. The last
+//! slot of a partition to die fails what is left on it. The health
+//! tracker's lock is never taken under the pool's. A run closes through
+//! [`RunReport::close`], as every engine's does.
 
 use crate::{HealthTrace, RunContext, RunReport};
-use ppc_chaos::{FaultSchedule, RunClock};
+use ppc_chaos::{ChaosCursor, FaultSchedule, RunClock};
 use ppc_compute::billing::CostBreakdown;
 use ppc_core::metrics::RunSummary;
 use ppc_core::task::TaskId;
@@ -23,7 +26,7 @@ use ppc_core::{Cancel, PpcError, Result};
 use ppc_resilience::{
     Admit, AttemptId, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker,
 };
-use ppc_trace::{AttemptMarker, EventKind, Phase, RunMeta, Span, TraceEvent, TraceSink};
+use ppc_trace::{AttemptMarker, EventKind, Phase, TraceEvent, TraceSink};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -31,18 +34,19 @@ use std::time::{Duration, Instant};
 pub const POLL: Duration = Duration::from_micros(200);
 
 /// One slot thread: its flat worker index (node-major, the schedule's and
-/// the trace's name for it), node, partition and picks taken so far.
+/// the trace's name for it), node, partition and place in the schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct Slot {
     pub worker: u32,
     pub node: usize,
     pub partition: usize,
-    pub picks: u32,
+    pub chaos: ChaosCursor,
 }
 
 /// Work a slot takes: `task`, already `launched` by the policy or pending.
-/// With `dice`, its `(worker, task_seq)` chaos address, the slot also rolls
-/// the schedule's timed kill. `hedge` names the worker of a `Hedge` event.
+/// With `dice`, its `(worker, task_seq)` chaos address, the slot also
+/// checks the schedule's timed kills. `hedge` names the worker of a `Hedge`
+/// event.
 pub struct Pick {
     pub task: usize,
     pub launched: Option<AttemptId>,
@@ -66,7 +70,7 @@ pub trait SlotPolicy: Sync + Sized {
     fn task_id(&self, task: usize) -> TaskId;
 
     /// `slot`'s next work at `now_s`, if any.
-    fn take(&self, book: &mut Self::Book, slot: &Slot, now_s: f64) -> Option<Pick>;
+    fn take(&self, book: &mut Self::Book, slot: &mut Slot, now_s: f64) -> Option<Pick>;
 
     /// Take back a pending pick whose slot a timed kill took down.
     fn put_back(&self, _book: &mut Self::Book, _slot: &Slot, _pick: Pick) {
@@ -112,20 +116,17 @@ impl<P: SlotPolicy> Attempt<'_, '_, P> {
         }
     }
 
-    /// Roll the death dice before the work, or `after` it with the torn
-    /// output die; a hit fails the attempt, a death is counted and traced.
-    pub fn dice(&self, after: bool) -> Result<()> {
+    /// Roll the attempt's one death roll and its torn output: a hit fails
+    /// the attempt, a death is counted and traced.
+    pub fn dice(&self) -> Result<()> {
         let (Some(s), Some((w, seq))) = (self.pool.chaos, self.dice) else {
             return Ok(());
         };
-        let died = match after {
-            false => s.die_before_execute(w, seq),
-            true => s.die_mid_execute(w, seq) || s.die_before_delete(w, seq),
-        };
+        let died = s.dies(w, seq);
         if died {
             self.pool.death(&mut self.pool.lock(), self.slot.worker);
         }
-        match died || (after && s.is_torn_upload(w, seq)) {
+        match died || s.is_torn_upload(w, seq) {
             true => Err(PpcError::Transient("chaos: attempt killed".into())),
             false => Ok(()),
         }
@@ -165,10 +166,8 @@ pub struct Run<'a, P: SlotPolicy> {
 }
 
 impl<P: SlotPolicy> Run<'_, P> {
-    /// The report core of a run on `platform`: its cores are the pool's
-    /// slots, its tasks the committed ones. When tracing, the trace's meta
-    /// and job span carry the same makespan, so Eq. 1 recomputed from the
-    /// trace matches the report exactly.
+    /// The report core of a run on `platform`, closed on the run's sink:
+    /// its cores are the pool's slots, its tasks the committed ones.
     pub fn report(
         &mut self,
         platform: &str,
@@ -186,24 +185,7 @@ impl<P: SlotPolicy> Run<'_, P> {
             redundant_executions: ledger.duplicate_completions() as usize,
             remote_bytes,
         };
-        let trace = self.sink.and_then(|s| {
-            s.set_meta(RunMeta {
-                platform: summary.platform.clone(),
-                cores: summary.cores,
-                tasks: summary.tasks,
-                makespan_seconds,
-            });
-            s.span(Span::job(makespan_seconds));
-            s.snapshot()
-        });
-        RunReport {
-            summary,
-            failed,
-            total_attempts: self.attempts,
-            worker_deaths: self.deaths,
-            cost,
-            trace,
-        }
+        RunReport::close(summary, failed, self.attempts, self.deaths, cost, self.sink)
     }
 }
 
@@ -239,7 +221,7 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
                 worker: w as u32,
                 node,
                 partition,
-                picks: 0,
+                chaos: ChaosCursor::default(),
             })
             .collect();
         let n = slots.iter().map(|s| s.partition + 1).max().unwrap_or(0);
@@ -310,7 +292,6 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
     fn slot_loop(&self, mut slot: Slot) {
         let w = slot.worker as usize;
         self.event(slot.worker, EventKind::WorkerStart, self.clock.now_s());
-        let mut last_kill_s = 0.0;
         loop {
             let mut run = self.lock();
             let held = std::mem::take(&mut run.held[w]);
@@ -335,13 +316,15 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
             }
             let poll_at = self.clock.now_s();
             let mut run = self.lock();
-            let Some(pick) = self.policy.take(&mut run.book, &slot, self.clock.now_s()) else {
+            let Some(pick) = self
+                .policy
+                .take(&mut run.book, &mut slot, self.clock.now_s())
+            else {
                 run.held[w] = Held::Idle;
                 drop(run);
                 std::thread::sleep(POLL);
                 continue;
             };
-            slot.picks += 1;
             let armed = pick.launched.map(|id| (id, self.arm(&mut run, id, w)));
             drop(run);
             if let Some(worker) = pick.hedge {
@@ -350,7 +333,7 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
             let a = armed.map(|(id, cancel)| self.begin(slot, id, cancel, pick.dice, poll_at));
             let now_s = self.clock.now_s();
             let chaos = self.chaos.filter(|_| pick.dice.is_some());
-            if chaos.is_some_and(|s| s.kills_in(slot.worker, last_kill_s, now_s)) {
+            if chaos.is_some_and(|s| slot.chaos.killed(s, slot.worker, now_s)) {
                 // The whole slot goes down: an in-hand attempt fails, a
                 // pending pick goes back, and the slot leaves.
                 let mut run = self.lock();
@@ -366,7 +349,6 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
                 }
                 break self.leave(run, slot.partition);
             }
-            last_kill_s = chaos.map_or(last_kill_s, |_| now_s);
             let a = a.unwrap_or_else(|| {
                 // Read the clock under the lock: launch times stay in order.
                 let mut run = self.lock();
@@ -565,9 +547,9 @@ mod tests {
             TaskId(task as u64)
         }
 
-        fn take(&self, book: &mut Self::Book, slot: &Slot, _now_s: f64) -> Option<Pick> {
+        fn take(&self, book: &mut Self::Book, slot: &mut Slot, _now_s: f64) -> Option<Pick> {
             let task = book.1[slot.partition].pop_front()?;
-            let dice = Some((slot.worker, slot.picks));
+            let dice = Some((slot.worker, slot.chaos.next_seq()));
             let (launched, hedge) = (None, None);
             Some(Pick {
                 task,
@@ -586,7 +568,7 @@ mod tests {
         }
 
         fn attempt(&self, a: &mut Attempt<'_, '_, Self>) -> Result<()> {
-            a.dice(false)?;
+            a.dice()?;
             a.cancel.sleep(Duration::from_millis(2))
         }
 

@@ -161,7 +161,7 @@ impl SlotPolicy for Hadoop<'_> {
         TaskId(task as u64)
     }
 
-    fn take(&self, sched: &mut Scheduler, slot: &Slot, now_s: f64) -> Option<Pick> {
+    fn take(&self, sched: &mut Scheduler, slot: &mut Slot, now_s: f64) -> Option<Pick> {
         let a = sched.next_at(DataNodeId(slot.node), now_s)?;
         if !a.local {
             self.remote_bytes
@@ -170,7 +170,7 @@ impl SlotPolicy for Hadoop<'_> {
         Some(Pick {
             task: a.id.task,
             launched: Some(a.id),
-            dice: Some((slot.worker, slot.picks)),
+            dice: Some((slot.worker, slot.chaos.next_seq())),
             hedge: (a.speculative && self.traced_hedges).then_some(slot.worker),
         })
     }
@@ -181,7 +181,8 @@ impl SlotPolicy for Hadoop<'_> {
     }
 
     fn attempt(&self, a: &mut Attempt<'_, '_, Self>) -> Result<Self::Out> {
-        a.dice(false)?;
+        // Any death die or a torn output costs exactly one failed attempt.
+        a.dice()?;
         // HDFS brownout/partition: the client rides out the window instead
         // of burning an attempt.
         let outage = a.chaos().and_then(|s| s.storage_outage_until(a.now_s()));
@@ -210,9 +211,6 @@ impl SlotPolicy for Hadoop<'_> {
         a.mark(Phase::Map);
         // Killed by the committing attempt, or cut at the deadline.
         a.cancel.check()?;
-        // A late death or a torn output fails the attempt: the committer
-        // takes only a *completed* attempt, so no partial output lands.
-        a.dice(true)?;
         mapped?;
         Ok(ctx.finish().0)
     }

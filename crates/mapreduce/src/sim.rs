@@ -18,11 +18,16 @@
 //! the sim's per-slot table, so an event allocates nothing. The run
 //! handler borrows the sim's state and the caller's task list directly;
 //! the splits it synthesizes carry only their locality hints.
+//!
+//! Chaos, spans and the report attach as in every engine: each slot rolls
+//! the schedule on its own [`ChaosCursor`], an attempt's phase spans are
+//! written through an [`AttemptMarker`] at its end, and the run closes
+//! through [`RunReport::close`].
 
 use crate::input::InputSplit;
 use crate::report::MapReduceReport;
 use crate::scheduler::{Assignment, CompleteOutcome, Scheduler};
-use ppc_chaos::FaultSchedule;
+use ppc_chaos::{ChaosCursor, FaultSchedule};
 use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::InstanceType;
 use ppc_compute::model::{task_service_seconds, AppModel};
@@ -35,7 +40,7 @@ use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_hdfs::block::DataNodeId;
 use ppc_resilience::{Admit, HealthTracker, HedgeConfig, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
-use ppc_trace::{EventKind, Phase, Recorder, RunMeta, Span, TraceEvent, TraceSink};
+use ppc_trace::{AttemptMarker, EventKind, Phase, Recorder, TraceEvent, TraceSink};
 
 /// Configuration of the simulated Hadoop platform.
 #[derive(Debug, Clone, Copy)]
@@ -66,9 +71,6 @@ pub struct HadoopSimConfig {
     /// (every read goes over the cluster network).
     pub ignore_locality: bool,
 }
-
-/// Seed of a simulation whose context sets none.
-const DEFAULT_SEED: u64 = 42;
 
 impl Default for HadoopSimConfig {
     fn default() -> Self {
@@ -151,8 +153,8 @@ struct Sim<'a> {
     data_local: usize,
     remote_bytes: u64,
     schedule: Option<&'a FaultSchedule>,
-    task_seqs: Vec<u32>,
-    last_kill: Vec<f64>,
+    /// Each slot's place in the schedule.
+    chaos: Vec<ChaosCursor>,
     rec: Option<Recorder>,
     health: Option<HealthTracker>,
     tasks: &'a [TaskSpec],
@@ -180,7 +182,7 @@ pub(crate) fn simulate_impl(
     if let Err(e) = cfg.validate().and_then(|()| ctx.validate()) {
         panic!("{e}");
     }
-    let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
+    let seed = ctx.sim_seed();
     let n_nodes = cluster.n_nodes();
     let total_workers = cluster.total_workers();
     // Locality synthesis happens on the master's stream; each worker slot
@@ -228,8 +230,7 @@ pub(crate) fn simulate_impl(
         data_local: 0,
         remote_bytes: 0,
         schedule: ctx.schedule.as_deref(),
-        task_seqs: vec![0; total_workers],
-        last_kill: vec![0.0; total_workers],
+        chaos: vec![ChaosCursor::default(); total_workers],
         rec: ctx.trace.then(Recorder::new),
         health: ctx
             .resilience
@@ -261,42 +262,29 @@ pub(crate) fn simulate_impl(
     let makespan = sim.completed_at.unwrap_or(SimTime::ZERO).as_secs_f64();
     let stats = sim.scheduler.stats();
 
-    let platform = format!("hadoop-sim-{}", cluster.itype().name);
-    // The trace's meta carries the *same* f64 makespan and core count as
-    // the summary, so efficiency recomputed from the job span matches the
-    // report's exactly.
-    let trace = sim.rec.as_ref().and_then(|rec| {
-        rec.set_meta(RunMeta {
-            platform: platform.clone(),
-            cores: cluster.total_workers(),
-            tasks: sim.scheduler.n_done(),
-            makespan_seconds: makespan,
-        });
-        rec.span(Span::job(makespan));
-        rec.snapshot()
-    });
-
+    let summary = RunSummary {
+        platform: format!("hadoop-sim-{}", cluster.itype().name),
+        cores: cluster.total_workers(),
+        tasks: sim.scheduler.n_done(),
+        makespan_seconds: makespan,
+        redundant_executions: stats.duplicate_completions as usize,
+        remote_bytes: sim.remote_bytes,
+    };
+    let failed = sim
+        .scheduler
+        .failed_tasks()
+        .iter()
+        .map(|&i| tasks[i].id)
+        .collect();
     MapReduceReport {
-        core: RunReport {
-            summary: RunSummary {
-                platform,
-                cores: cluster.total_workers(),
-                tasks: sim.scheduler.n_done(),
-                makespan_seconds: makespan,
-                redundant_executions: stats.duplicate_completions as usize,
-                remote_bytes: sim.remote_bytes,
-            },
-            failed: sim
-                .scheduler
-                .failed_tasks()
-                .iter()
-                .map(|&i| tasks[i].id)
-                .collect(),
-            total_attempts: sim.attempts,
-            worker_deaths: sim.deaths,
-            cost: Some(cluster.cost(makespan)),
-            trace,
-        },
+        core: RunReport::close(
+            summary,
+            failed,
+            sim.attempts,
+            sim.deaths,
+            Some(cluster.cost(makespan)),
+            sim.rec.as_ref(),
+        ),
         scheduler: stats,
         data_local_tasks: sim.data_local,
         map_output_records: 0,
@@ -414,9 +402,7 @@ impl Sim<'_> {
         };
         let t_write = cfg.local_read.transfer_seconds(task.profile.output_bytes);
         let mut fails = cfg.attempt_failure_p > 0.0 && rng.chance(cfg.attempt_failure_p);
-        let seq = self.task_seqs[worker];
         if let Some(schedule) = self.schedule {
-            self.task_seqs[worker] += 1;
             // Gray degradation stretches the attempt; an HDFS outage
             // window stalls the read until the window closes (the
             // client rides it out rather than burning attempts).
@@ -437,27 +423,19 @@ impl Sim<'_> {
         if let Some(d) = cut {
             duration_s = d.timeout_s;
         }
-        let mut killed = false;
-        let mut died = false;
-        if let Some(schedule) = self.schedule {
-            // A kill landing anywhere in the attempt's service window (cut
-            // at the deadline), any death die, or a torn output fails the
-            // attempt; the scheduler re-executes on the attempt budget.
-            let w = worker as u32;
-            let window_end = now_s + duration_s;
-            killed = schedule.kills_in(w, self.last_kill[worker], window_end);
-            self.last_kill[worker] = window_end;
-            died = killed
-                || schedule.die_before_execute(w, seq)
-                || schedule.die_mid_execute(w, seq)
-                || schedule.die_before_delete(w, seq);
-            if died {
-                self.deaths += 1;
-            }
-            fails = fails || died || schedule.is_torn_upload(w, seq);
-        }
+        // A kill landing anywhere in the attempt's service window (cut at
+        // the deadline), any death die, or a torn output fails the attempt;
+        // the scheduler re-executes on the attempt budget.
+        let window_end = Some(now_s + duration_s);
+        let roll = self
+            .schedule
+            .map(|s| self.chaos[worker].roll(s, worker as u32, window_end))
+            .unwrap_or_default();
+        self.deaths += usize::from(roll.died);
+        fails = fails || roll.fails;
+        let killed = roll.killed;
         // A death outranks the cut.
-        let cancelled = cut.is_some() && !died;
+        let cancelled = cut.is_some() && !roll.died;
         engine.post_in(SimTime::from_secs_f64(duration_s), worker as u32);
         self.running[worker] = Some(Attempt {
             assignment,
@@ -500,33 +478,19 @@ impl Sim<'_> {
             );
         }
         if let Some(rec) = &self.rec {
-            // Phase boundaries, clamped so engine-clock quantization can
-            // never produce a negative-length span. Commit is recorded only
-            // for the attempt that actually finished the task, so each
-            // completed task has exactly one terminal span; duplicate and
-            // failed attempts fold the tail into the map phase.
-            let task_id = self.tasks[assignment.split].id.0;
-            let w = worker as u32;
-            let a = assignment.id.attempt;
-            let d1 = (now_s + self.cfg.dispatch_overhead_s).min(end);
-            let d2 = (d1 + t_read).min(end);
-            let d3 = if terminal {
-                (end - t_write).max(d2)
-            } else {
-                end
+            // Commit is recorded only for the attempt that actually
+            // finished the task, so each completed task has exactly one
+            // terminal span; duplicate and failed attempts fold the tail
+            // into the map phase.
+            let (task_id, w) = (self.tasks[assignment.split].id.0, worker as u32);
+            let read = match assignment.local {
+                true => Phase::ReadLocal,
+                false => Phase::ReadRemote,
             };
-            let read_phase = if assignment.local {
-                Phase::ReadLocal
-            } else {
-                Phase::ReadRemote
-            };
-            rec.span(Span::new(task_id, a, w, Phase::Dispatch, now_s, d1));
-            rec.span(Span::new(task_id, a, w, read_phase, d1, d2));
-            rec.span(Span::new(task_id, a, w, Phase::Map, d2, d3));
-            if terminal {
-                rec.span(Span::new(task_id, a, w, Phase::Commit, d3, end));
-            }
-            rec.span(Span::new(task_id, a, w, Phase::Attempt, now_s, end));
+            let phases = [Phase::Dispatch, read, Phase::Map, Phase::Commit];
+            let parts = (self.cfg.dispatch_overhead_s, t_read, t_write);
+            AttemptMarker::new(rec, task_id, assignment.id.attempt, w, now_s)
+                .modeled(phases, parts, end, terminal);
             if killed {
                 rec.event(TraceEvent {
                     at_s: end,

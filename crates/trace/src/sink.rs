@@ -33,11 +33,14 @@ pub trait TraceSink: Send + Sync + fmt::Debug {
 ///
 /// Native engines create one marker per attempt and call [`mark`] with
 /// wall-clock seconds from their run clock as each phase completes; every
-/// `mark` closes the phase running since the previous one. The structural
-/// [`Phase::Attempt`] parent span is emitted on drop, so early exits
-/// (worker death, lost lease, failed attempt) still close the span tree.
+/// `mark` closes the phase running since the previous one. The MapReduce
+/// and Dryad sims write each attempt at its end with [`modeled`]. The
+/// structural [`Phase::Attempt`] parent span is emitted on drop, so early
+/// exits (worker death, lost lease, failed attempt) still close the span
+/// tree.
 ///
 /// [`mark`]: AttemptMarker::mark
+/// [`modeled`]: AttemptMarker::modeled
 pub struct AttemptMarker<'a> {
     sink: &'a dyn TraceSink,
     task: u64,
@@ -79,6 +82,28 @@ impl<'a> AttemptMarker<'a> {
             end,
         ));
         self.last_s = end;
+    }
+
+    /// Write a simulated attempt ending at `end_s` from its modeled parts:
+    /// `phases[0]` for `open_s`, `phases[1]` for `read_s`, then
+    /// `phases[2]`, and for the attempt that wins its task `phases[3]`,
+    /// the terminal phase, over the last `write_s`. A failed or losing
+    /// attempt folds its tail into `phases[2]`. Every boundary is clamped
+    /// to `end_s`, so the engine's µs clock can never stretch a phase past
+    /// the attempt's end.
+    pub fn modeled(
+        mut self,
+        phases: [Phase; 4],
+        (open_s, read_s, write_s): (f64, f64, f64),
+        end_s: f64,
+        wins: bool,
+    ) {
+        self.mark(phases[0], (self.last_s + open_s).min(end_s));
+        self.mark(phases[1], (self.last_s + read_s).min(end_s));
+        self.mark(phases[2], if wins { end_s - write_s } else { end_s });
+        if wins {
+            self.mark(phases[3], end_s);
+        }
     }
 }
 

@@ -16,6 +16,9 @@
 //!    attempt.
 //! 4. **Eq. 1 agreement** — parallel efficiency recomputed from the trace
 //!    matches the engine's reported value to 1e-9.
+//! 5. **Meta agreement** — the trace's run metadata (platform, cores,
+//!    tasks, makespan) equals the engine's summary bit for bit, and the job
+//!    span carries the same makespan.
 //!
 //! The schedule seed comes from `PPC_CHAOS_SEED` (CI sweeps several), so
 //! the invariants must hold for any seed.
@@ -104,7 +107,24 @@ fn assert_conformant(
         "{}: job span must carry the reported makespan",
         summary.platform
     );
-    assert_eq!(trace.meta().cores, summary.cores, "{}", summary.platform);
+    // The trace's meta is the summary's, bit for bit.
+    let meta = trace.meta();
+    assert_eq!(
+        (
+            meta.platform.as_str(),
+            meta.cores,
+            meta.tasks,
+            meta.makespan_seconds.to_bits()
+        ),
+        (
+            summary.platform.as_str(),
+            summary.cores,
+            summary.tasks,
+            summary.makespan_seconds.to_bits()
+        ),
+        "{}: trace meta must equal the summary",
+        summary.platform
+    );
 
     // 2. Terminal spans: every completed task has at least one, and no
     //    more than the paradigm's bound.
