@@ -38,6 +38,7 @@ use ppc_core::retry::{CircuitBreaker, RetryPolicy};
 use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
+use ppc_exec::slots::join_all;
 use ppc_exec::{FleetPlan, HealthTrace, RunContext, RunReport};
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
@@ -67,7 +68,7 @@ pub struct ClassicConfig {
     pub restart_delay_ms: u64,
     /// Chaos dials for the queues this job creates.
     pub queue_chaos: ppc_queue::chaos::ChaosConfig,
-    /// Optional live progress probe: the monitor thread stores the number
+    /// Optional live progress probe: the monitor stores the number
     /// of resolved (done + failed) tasks here as the job runs, so an
     /// external observer can watch a running job — the role of the paper's
     /// monitoring queue.
@@ -107,7 +108,7 @@ fn live_sink(ctx: &RunContext) -> Option<&dyn TraceSink> {
     ctx.sink.as_deref().filter(|s| s.enabled())
 }
 
-/// The monitor thread's straggler defense: watches `start:`/`done:`
+/// The monitor's straggler defense: watches `start:`/`done:`
 /// progress reports against the run clock and re-dispatches the bodies of
 /// tasks that outlive the hedge delay (a duplicate attempt races the
 /// straggler — Hadoop's speculation generalized to queue re-dispatch) or
@@ -330,6 +331,15 @@ struct Elastic<'a> {
 ///   carries a [`FleetReport`](crate::report::FleetReport) with the
 ///   fleet-size timeline and the staggered per-instance bill.
 ///
+/// Threads: one per worker slot (on an elastic fleet, one per live
+/// instance, plus the client and the controller); the calling thread runs
+/// the monitor, which drains the monitoring queue and closes the job. A
+/// separate monitor thread would be one more runnable thread than a small
+/// host has cores at every job start: on a 2-core host with two slots,
+/// about half of all two-task jobs started their second worker 0.9–1.9 ms
+/// late or ran both workers on one core. The monitor then joins the
+/// threads it spawned, so `run` returns once they have exited.
+///
 /// A malformed context schedule or policy is an `InvalidArgument` error,
 /// returned before any thread starts. Without a context seed the run uses
 /// seed 0.
@@ -432,9 +442,7 @@ pub fn run(
 
     std::thread::scope(|scope| {
         let run = &run;
-        // Monitor: drains the monitoring queue, decides when the job is done.
-        scope.spawn(|| run.monitor_loop());
-        match &fleet {
+        let threads = match &fleet {
             Fleet::Fixed(fleets) => {
                 // One thread per worker slot, across every fleet. The chaos
                 // schedule addresses workers by their flat spawn index.
@@ -442,19 +450,25 @@ pub fn run(
                     .iter()
                     .enumerate()
                     .flat_map(|(f, c)| c.worker_slots().map(move |_| f));
-                for (windex, fleet_id) in fleet_ids.enumerate() {
-                    let worker = windex as u32;
-                    scope.spawn(move || {
-                        run.event(worker, EventKind::WorkerStart);
-                        run.work(worker, fleet_id, None);
-                    });
-                }
+                (fleet_ids.enumerate())
+                    .map(|(windex, fleet_id)| {
+                        let worker = windex as u32;
+                        scope.spawn(move || {
+                            run.event(worker, EventKind::WorkerStart);
+                            run.work(worker, fleet_id, None);
+                        })
+                    })
+                    .collect()
             }
-            Fleet::Elastic(el) => {
-                scope.spawn(|| run.send_arrivals(el.arrivals, start));
-                scope.spawn(|| el.control(scope, run, start));
-            }
-        }
+            Fleet::Elastic(el) => vec![
+                scope.spawn(|| run.send_arrivals(el.arrivals, start)),
+                scope.spawn(|| el.control(scope, run, start)),
+            ],
+        };
+        // The monitor, on the calling thread: drains the monitoring queue
+        // and decides when the job is done.
+        run.monitor_loop();
+        join_all(threads);
     });
     if ctx.schedule.is_some() {
         storage.clear_chaos();
@@ -681,8 +695,8 @@ impl Run<'_> {
         }
     }
 
-    /// The monitor thread body: drains the monitoring queue and flips
-    /// `stop` (closing `sched`) once every task is resolved (done or
+    /// The monitor, on the calling thread: drains the monitoring queue and
+    /// flips `stop` (closing `sched`) once every task is resolved (done or
     /// failed). When a resilience policy with hedging or deadlines is set, the
     /// monitor also plays job manager: it tracks `start:` progress reports and
     /// re-dispatches straggling tasks through `sched` (see [`MonitorDefense`]).

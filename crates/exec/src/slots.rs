@@ -13,9 +13,11 @@
 //! tokens; a killed loser leaves as redundant work; a failed attempt's
 //! task is queued again by the policy or re-run in place by the pool. The
 //! calling thread cuts every attempt past the context's deadline. The last
-//! slot of a partition to die fails what is left on it. The health
-//! tracker's lock is never taken under the pool's. A run closes through
-//! [`RunReport::close`], as every engine's does.
+//! slot of a partition to die fails what is left on it. Idle and benched
+//! slots and the cutter wait on the pool's condvar, which a settled task
+//! and a retried or put-back task wake. The health tracker's lock is never
+//! taken under the pool's. A run closes through [`RunReport::close`], as
+//! every engine's does.
 
 use crate::{HealthTrace, RunContext, RunReport};
 use ppc_chaos::{ChaosCursor, FaultSchedule, RunClock};
@@ -27,11 +29,28 @@ use ppc_resilience::{
     Admit, AttemptId, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker,
 };
 use ppc_trace::{AttemptMarker, EventKind, Phase, TraceEvent, TraceSink};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll sleep of a slot with nothing to run, and of the deadline cutter.
+/// The longest wait of an idle or benched slot, and of the deadline
+/// cutter, on the pool's condvar. A settled task and a retried or put-back
+/// task (queued again or handed to a slot as a re-run) wake them at once;
+/// the bound is for what time alone brings: a hedge coming due, a bench
+/// expiring, an attempt passing its deadline.
 pub const POLL: Duration = Duration::from_micros(200);
+
+/// Join `threads`, re-raising the first panic. A thread scope's own end
+/// waits only for each closure to return, so a run would return while
+/// its threads still exit, and the next run (or a thread-count check)
+/// would share the cores with them; a join waits for each to be gone.
+pub fn join_all<T>(threads: Vec<ScopedJoinHandle<'_, T>>) {
+    for t in threads {
+        if let Err(panic) = t.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
 
 /// One slot thread: its flat worker index (node-major, the schedule's and
 /// the trace's name for it), node, partition and place in the schedule.
@@ -209,6 +228,9 @@ pub struct SlotPool<'a, P: SlotPolicy> {
     health: Option<Mutex<HealthTracker>>,
     deadline_s: Option<f64>,
     state: Mutex<Run<'a, P>>,
+    /// Paired with `state`: notified when a task settles and when a retried
+    /// or put-back task waits to run.
+    wake: Condvar,
 }
 
 impl<'a, P: SlotPolicy> SlotPool<'a, P> {
@@ -253,19 +275,24 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
                 .map(|q| Mutex::new(HealthTracker::new(q))),
             deadline_s: defense.deadline.map(|d| d.timeout_s),
             state: Mutex::new(run),
+            wake: Condvar::new(),
         }
     }
 
-    /// Run every slot until each partition settles or loses all its slots.
+    /// Run every slot until each partition settles or loses all its slots;
+    /// return once every slot thread has exited.
     pub fn run(self) -> (P, Run<'a, P>) {
         std::thread::scope(|scope| {
-            for &slot in &self.slots {
-                let pool = &self;
-                scope.spawn(move || pool.slot_loop(slot));
-            }
+            let threads: Vec<_> = (self.slots.iter())
+                .map(|&slot| {
+                    let pool = &self;
+                    scope.spawn(move || pool.slot_loop(slot))
+                })
+                .collect();
             if let Some(timeout_s) = self.deadline_s {
                 self.cut_overdue(timeout_s);
             }
+            join_all(threads);
         });
         let mut run = self.state.into_inner().unwrap();
         let ledger = P::ledger(&mut run.book);
@@ -276,6 +303,12 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
 
     fn lock(&self) -> MutexGuard<'_, Run<'a, P>> {
         self.state.lock().unwrap()
+    }
+
+    /// Release `run` and wait for a wake-up, at most [`POLL`]; the pool's
+    /// lock is held again on return.
+    fn nap<'g>(&self, run: MutexGuard<'g, Run<'a, P>>) -> MutexGuard<'g, Run<'a, P>> {
+        self.wake.wait_timeout(run, POLL).unwrap().0
     }
 
     fn event(&self, worker: u32, kind: EventKind, at_s: f64) {
@@ -310,7 +343,7 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
                     .unwrap()
                     .admit(slot.worker, now_s, &HealthTrace(self.sink));
                 if admit != Admit::Go {
-                    std::thread::sleep(POLL);
+                    drop(self.nap(self.lock()));
                     continue;
                 }
             }
@@ -321,8 +354,9 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
                 .take(&mut run.book, &mut slot, self.clock.now_s())
             else {
                 run.held[w] = Held::Idle;
-                drop(run);
-                std::thread::sleep(POLL);
+                if run.remaining[slot.partition] > 0 {
+                    drop(self.nap(run));
+                }
                 continue;
             };
             let armed = pick.launched.map(|id| (id, self.arm(&mut run, id, w)));
@@ -345,7 +379,10 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
                         run = self.failed(run, a.id, outcome, slot.worker, false, err);
                     }
                     Some(_) => {}
-                    None => self.policy.put_back(&mut run.book, &slot, pick),
+                    None => {
+                        self.policy.put_back(&mut run.book, &slot, pick);
+                        self.wake.notify_all();
+                    }
                 }
                 break self.leave(run, slot.partition);
             }
@@ -455,17 +492,23 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
             let cancel = self.arm(&mut run, rerun, k);
             run.held[k] = Held::Rerun(rerun, cancel);
         }
+        if retried {
+            // Queued again or handed to a slot: wake the idle ones.
+            self.wake.notify_all();
+        }
         if outcome == FailOutcome::TaskFailed {
             self.settle(&mut run, id.task, Some(err));
         }
         run
     }
 
-    /// Count `task` settled now: committed, or failed for good with `err`.
+    /// Count `task` settled now: committed, or failed for good with `err`;
+    /// wake the waiters.
     fn settle(&self, run: &mut Run<P>, task: usize, err: Option<PpcError>) {
         run.remaining[P::ledger(&mut run.book).partition(task)] -= 1;
         run.finished_s = run.finished_s.max(self.clock.now_s());
         run.failed.extend(err.map(|e| (task, e)));
+        self.wake.notify_all();
     }
 
     /// Score a finished attempt (`None`: failed) on `worker`'s health.
@@ -500,24 +543,24 @@ impl<'a, P: SlotPolicy> SlotPool<'a, P> {
     /// settles, cut each attempt past `timeout_s`, busy slots or not; the
     /// cut fails it and fires its token, so it stops at its next check.
     fn cut_overdue(&self, timeout_s: f64) {
-        let partitions = self.lock().remaining.len();
-        while self.lock().remaining.iter().any(|&r| r > 0) {
-            let mut cuts = 0;
-            for partition in 0..partitions {
-                let mut run = self.lock();
+        let mut run = self.lock();
+        while run.remaining.iter().any(|&r| r > 0) {
+            let mut cut = false;
+            for partition in 0..run.remaining.len() {
                 let now_s = self.clock.now_s();
-                let cut = P::ledger(&mut run.book).cut_overdue(partition, now_s, timeout_s);
-                let Some((id, victim, outcome)) = cut else {
+                let overdue = P::ledger(&mut run.book).cut_overdue(partition, now_s, timeout_s);
+                let Some((id, victim, outcome)) = overdue else {
                     continue;
                 };
                 self.event(victim, EventKind::Cancel, now_s);
                 let err = format!("task {}: past its deadline", self.policy.task_id(id.task).0);
                 drop(self.failed(run, id, outcome, victim, true, PpcError::Cancelled(err)));
                 self.score(victim, None);
-                cuts += 1;
+                run = self.lock();
+                cut = true;
             }
-            if cuts == 0 {
-                std::thread::sleep(POLL);
+            if !cut {
+                run = self.nap(run);
             }
         }
     }

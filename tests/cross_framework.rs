@@ -391,3 +391,63 @@ fn every_entry_point_rejects_a_bad_context() {
         }
     }
 }
+
+/// Concurrency guard: on a 1-node × 2-slot fleet, every native engine runs
+/// a 2-task stage's tasks side by side. Each task waits at a two-party
+/// rendezvous and fails if its partner has not arrived within 10 s, so an
+/// engine that ran the tasks one after another, or ran the fleet one slot
+/// short, fails an attempt. No wall-clock window is asserted.
+#[test]
+fn native_engines_run_both_slots_at_once() {
+    use ppc::core::exec::FnExecutor;
+    use ppc::core::task::{ResourceProfile, TaskSpec};
+    use ppc::core::PpcError;
+    use ppc::exec::Workload;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
+
+    let cluster = Cluster::provision(BARE_HPC16, 1, 2);
+    let ctx = RunContext::new(&cluster).with_seed(5);
+    let inputs: Vec<(TaskSpec, Vec<u8>)> = (0..2)
+        .map(|i| {
+            let spec = TaskSpec::new(i, "meet", format!("f{i}"), ResourceProfile::cpu_bound(1.0));
+            (spec, vec![i as u8])
+        })
+        .collect();
+    for engine in ppc::engines() {
+        let meet = Arc::new((Mutex::new(0_usize), Condvar::new()));
+        let timeouts = Arc::new(AtomicUsize::new(0));
+        let missed = timeouts.clone();
+        let executor = FnExecutor::new("meet", move |_s: &TaskSpec, i: &[u8]| {
+            let (count, all_in) = &*meet;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            all_in.notify_all();
+            let wait = Duration::from_secs(10);
+            let waited = all_in.wait_timeout_while(n, wait, |n| *n < 2).unwrap().1;
+            if waited.timed_out() {
+                missed.fetch_add(1, Ordering::Relaxed);
+                return Err(PpcError::Transient("rendezvous partner never came".into()));
+            }
+            Ok(i.to_vec())
+        });
+        let workload = Workload::new("rendezvous", inputs.clone(), executor);
+        let (report, outputs) = engine
+            .run(&ctx, &workload)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", engine.name()));
+        assert!(
+            report.is_complete(),
+            "{} dropped tasks: {:?}",
+            engine.name(),
+            report.failed
+        );
+        assert_eq!(outputs.len(), 2, "{} output set", engine.name());
+        assert_eq!(
+            timeouts.load(Ordering::Relaxed),
+            0,
+            "{} ran the two tasks one after another",
+            engine.name()
+        );
+    }
+}

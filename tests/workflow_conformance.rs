@@ -54,7 +54,9 @@ fn run_everywhere(ctx: &RunContext, label: &str) -> BTreeMap<String, Vec<u8>> {
     let wf = bio_pipeline_native(6, 24, 4242);
     let mut per_engine: Vec<(String, BTreeMap<String, Vec<u8>>)> = Vec::new();
     for engine in ppc::engines() {
-        let (report, outputs) = engine.run_workflow(ctx, &wf).unwrap();
+        let (report, outputs) = engine
+            .run_workflow(ctx, &wf)
+            .unwrap_or_else(|e| panic!("[{label}] {} failed: {e}", engine.name()));
         assert!(
             report.is_complete(),
             "[{label}] {} dropped tasks",
@@ -266,11 +268,15 @@ fn workload_lifts_to_a_single_stage_workflow() {
     let ctx = RunContext::new(&cluster).with_seed(5);
     for engine in ppc::engines() {
         let workload = Workload::new("lift", inputs.clone(), Arc::new(Cap3Executor::new()));
-        let (_, direct) = engine.run(&ctx, &workload).unwrap();
+        let (_, direct) = engine
+            .run(&ctx, &workload)
+            .unwrap_or_else(|e| panic!("{} run failed: {e}", engine.name()));
         let wf = Workflow::from(workload);
         assert_eq!(wf.stages.len(), 1);
         assert!(wf.edges.is_empty());
-        let (report, lifted) = engine.run_workflow(&ctx, &wf).unwrap();
+        let (report, lifted) = engine
+            .run_workflow(&ctx, &wf)
+            .unwrap_or_else(|e| panic!("{} run_workflow failed: {e}", engine.name()));
         assert!(report.is_complete(), "{}", engine.name());
         assert_eq!(report.materialize_s, 0.0, "{}", engine.name());
         assert_eq!(
