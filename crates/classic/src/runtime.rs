@@ -6,6 +6,8 @@
 //! upload output → report to the monitoring queue → delete the message.
 //! Everything that can fail does so through the services' own error
 //! surfaces, and recovery is purely the visibility-timeout mechanism.
+//! Every attempt lives in one [`AttemptLedger`], which each pull drives
+//! through the delivery step the sim shares ([`AttemptLedger::deliver`]).
 //!
 //! The run context's [`ppc_chaos::FaultSchedule`] kills workers at the
 //! three interesting points of that pipeline, by timed kill or i.i.d.
@@ -42,10 +44,9 @@ use ppc_exec::slots::join_all;
 use ppc_exec::{FleetPlan, HealthTrace, RunContext, RunReport};
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
-use ppc_resilience::{Admit, DeadlineConfig, HealthTracker, HedgePolicy, ResiliencePolicy};
+use ppc_resilience::{Admit, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker};
 use ppc_storage::service::StorageService;
 use ppc_trace::{AttemptMarker, EventKind, Phase, Span, TraceEvent, TraceSink, NO_WORKER};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Scope;
@@ -108,151 +109,35 @@ fn live_sink(ctx: &RunContext) -> Option<&dyn TraceSink> {
     ctx.sink.as_deref().filter(|s| s.enabled())
 }
 
-/// The monitor's straggler defense: watches `start:`/`done:`
-/// progress reports against the run clock and re-dispatches the bodies of
-/// tasks that outlive the hedge delay (a duplicate attempt races the
-/// straggler — Hadoop's speculation generalized to queue re-dispatch) or
-/// their deadline (cancel-and-requeue). First result wins: outputs are
-/// idempotent overwrites and the done set ignores late duplicates.
-struct MonitorDefense {
-    hedge: Option<HedgePolicy>,
-    deadline: Option<DeadlineConfig>,
-    /// Message body of each task, for re-dispatch.
-    bodies: HashMap<u64, String>,
-    /// Start time of the most recent attempt of each unresolved task.
-    running: HashMap<u64, f64>,
-    /// Tasks already hedged once (one duplicate per task).
-    hedged: HashSet<u64>,
-    n_tasks: usize,
+/// A hedge copy's body prefix: `hedge:<attempt>:` and then the task's
+/// body, so the pull that takes the copy runs the attempt the ledger
+/// launched when the copy was sent.
+const HEDGE_PREFIX: &str = "hedge:";
+
+/// Split a scheduling-queue body into the hedge attempt it carries, if
+/// any, and the task's body.
+fn split_hedge(body: &str) -> (Option<u32>, &str) {
+    body.strip_prefix(HEDGE_PREFIX)
+        .and_then(|rest| rest.split_once(':'))
+        .and_then(|(attempt, task)| Some((Some(attempt.parse().ok()?), task)))
+        .unwrap_or((None, body))
 }
 
-impl MonitorDefense {
-    /// Build the defense when the policy asks for hedging or deadlines.
-    fn new(policy: Option<ResiliencePolicy>, job: &JobSpec) -> Option<MonitorDefense> {
-        let policy = policy?;
-        if policy.hedge.is_none() && policy.deadline.is_none() {
-            return None;
-        }
-        let bodies = job
-            .tasks
-            .iter()
-            .filter_map(|t| t.to_message().ok().map(|b| (t.id.0, b)))
-            .collect();
-        Some(MonitorDefense {
-            hedge: policy.hedge.map(HedgePolicy::new),
-            deadline: policy.deadline,
-            bodies,
-            running: HashMap::new(),
-            hedged: HashSet::new(),
-            n_tasks: job.tasks.len(),
-        })
-    }
-
-    fn on_start(&mut self, id: u64, now_s: f64) {
-        self.running.insert(id, now_s);
-    }
-
-    fn on_done(&mut self, id: u64, now_s: f64) {
-        if let Some(started) = self.running.remove(&id) {
-            if let Some(policy) = &mut self.hedge {
-                policy.observe(now_s - started);
-            }
-        }
-        self.hedged.remove(&id);
-    }
-
-    /// One pass over the running set, oldest attempt first (as the attempt
-    /// ledger picks hedges): hedge stragglers, cancel-and-requeue deadline
-    /// breaches. Called on every monitor iteration.
-    fn sweep(
-        &mut self,
-        sched: &ppc_queue::Queue,
-        sink: Option<&dyn TraceSink>,
-        done: &HashSet<u64>,
-        now_s: f64,
-    ) {
-        #[allow(clippy::disallowed_methods)] // sorted before use
-        let mut by_age: Vec<(f64, u64)> = self.running.iter().map(|(&id, &at)| (at, id)).collect();
-        by_age.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (_, id) in by_age {
-            if done.contains(&id) {
-                self.running.remove(&id);
-                continue;
-            }
-            let started = self.running[&id];
-            let age = now_s - started;
-            if let Some(d) = self.deadline {
-                if age > d.timeout_s {
-                    // Cancel-and-requeue: the stuck attempt is abandoned to
-                    // its lease and a fresh copy of the task re-enters the
-                    // queue right now instead of waiting out the
-                    // visibility timeout.
-                    if let Some(body) = self.bodies.get(&id) {
-                        if sched.send(body.clone()).is_ok() {
-                            if let Some(s) = sink {
-                                s.event(TraceEvent {
-                                    at_s: now_s,
-                                    worker: NO_WORKER,
-                                    kind: EventKind::Cancel,
-                                });
-                            }
-                            self.running.insert(id, now_s);
-                        }
-                    }
-                    continue;
-                }
-            }
-            if let Some(policy) = &mut self.hedge {
-                let live = if self.hedged.contains(&id) { 2 } else { 1 };
-                if policy.should_hedge(age, live, self.n_tasks) {
-                    if let Some(body) = self.bodies.get(&id) {
-                        if sched.send(body.clone()).is_ok() {
-                            policy.record_hedge();
-                            self.hedged.insert(id);
-                            if let Some(s) = sink {
-                                s.event(TraceEvent {
-                                    at_s: now_s,
-                                    worker: NO_WORKER,
-                                    kind: EventKind::Hedge,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Create (or reuse) the job's dead-letter queue. Unlike the scheduling
-/// and monitoring queues, the DLQ persists after the job so operators can
-/// inspect or redrive parked tasks — so a rerun finds it already there.
-fn dead_letter_queue(queues: &QueueService, job: &JobSpec) -> Result<Arc<ppc_queue::Queue>> {
-    match queues.create_queue(&job.dead_letter_queue(), QueueConfig::default()) {
-        Ok(q) => Ok(q),
-        Err(PpcError::AlreadyExists(_)) => queues.queue(&job.dead_letter_queue()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Retry policy for the client's task-submission sends: effectively
-/// unbounded attempts (queue chaos send failures are transient and the
-/// original loop retried forever) with a short jittered backoff instead
-/// of a busy spin.
-fn client_send_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: u32::MAX,
-        base_delay: Duration::from_micros(100),
-        max_delay: Duration::from_millis(5),
-        multiplier: 2.0,
-        jitter: 0.5,
-        budget: None,
-    }
-}
+/// Retry policy for scheduling-queue sends: effectively unbounded
+/// attempts (queue chaos send failures are transient) with a short
+/// jittered backoff instead of a busy spin.
+const SEND_POLICY: RetryPolicy = RetryPolicy {
+    max_attempts: u32::MAX,
+    base_delay: Duration::from_micros(100),
+    max_delay: Duration::from_millis(5),
+    multiplier: 2.0,
+    jitter: 0.5,
+    budget: None,
+};
 
 /// Everything the threads of one native run share: the job's queues and
-/// services, its context and config, and the counters the monitor and
-/// workers update.
+/// services, its context and config, its attempt ledger, and the counters
+/// the monitor and workers update.
 struct Run<'a> {
     sched: Arc<ppc_queue::Queue>,
     monitor: Arc<ppc_queue::Queue>,
@@ -268,11 +153,17 @@ struct Run<'a> {
     breaker: CircuitBreaker,
     health: Option<Mutex<HealthTracker>>,
     stop: AtomicBool,
+    /// Every attempt of every task, in one partition as in the sim: the
+    /// run's only book, whose failure budget is the job's
+    /// `max_deliveries`. Workers and the monitor share it behind one lock
+    /// and read the run clock under it, so launch times stay in order.
+    ledger: Mutex<AttemptLedger>,
+    /// `(task id, task index)` of every task, sorted: a message names its
+    /// task by id, the ledger by index.
+    index: Vec<(u64, usize)>,
     total_executions: AtomicUsize,
     worker_deaths: AtomicUsize,
     remote_bytes: AtomicU64,
-    finished_at: Mutex<Option<Instant>>,
-    failed: Mutex<Vec<TaskId>>,
     /// Successful task completions credited per fleet (hybrid accounting).
     per_fleet: Mutex<Vec<usize>>,
 }
@@ -333,12 +224,9 @@ struct Elastic<'a> {
 ///
 /// Threads: one per worker slot (on an elastic fleet, one per live
 /// instance, plus the client and the controller); the calling thread runs
-/// the monitor, which drains the monitoring queue and closes the job. A
-/// separate monitor thread would be one more runnable thread than a small
-/// host has cores at every job start: on a 2-core host with two slots,
-/// about half of all two-task jobs started their second worker 0.9–1.9 ms
-/// late or ran both workers on one core. The monitor then joins the
-/// threads it spawned, so `run` returns once they have exited.
+/// the monitor, as a separate monitor thread would be one runnable thread
+/// more than a small host has cores at every job start. The monitor then
+/// joins the threads it spawned, so `run` returns once they have exited.
 ///
 /// A malformed context schedule or policy is an `InvalidArgument` error,
 /// returned before any thread starts. Without a context seed the run uses
@@ -388,13 +276,24 @@ pub fn run(
         },
     )?;
     let monitor = queues.create_queue(&job.monitor_queue(), QueueConfig::default())?;
-    let dlq = dead_letter_queue(queues, job)?;
+    // Unlike the scheduling and monitoring queues, the DLQ persists after
+    // the job so operators can inspect or redrive parked tasks, so a rerun
+    // finds it already there.
+    let dlq = match queues.create_queue(&job.dead_letter_queue(), QueueConfig::default()) {
+        Err(PpcError::AlreadyExists(_)) => queues.queue(&job.dead_letter_queue())?,
+        q => q?,
+    };
     storage.ensure_bucket(&job.output_bucket);
 
     let n_fleets = match &fleet {
         Fleet::Fixed(fleets) => fleets.len(),
         Fleet::Elastic(_) => 1,
     };
+    let n_tasks = job.tasks.len();
+    let hedge = ctx.resilience.and_then(|p| p.hedge);
+    let ledger = AttemptLedger::new(vec![0; n_tasks], hedge, job.max_deliveries);
+    let mut index: Vec<(u64, usize)> = job.tasks.iter().map(|t| t.id.0).zip(0..).collect();
+    index.sort_unstable();
     let run = Run {
         sched,
         monitor,
@@ -412,11 +311,11 @@ pub fn run(
             .and_then(|p| p.quarantine)
             .map(|q| Mutex::new(HealthTracker::new(q))),
         stop: AtomicBool::new(false),
+        ledger: Mutex::new(ledger),
+        index,
         total_executions: AtomicUsize::new(0),
         worker_deaths: AtomicUsize::new(0),
         remote_bytes: AtomicU64::new(0),
-        finished_at: Mutex::new(None),
-        failed: Mutex::new(Vec::new()),
         per_fleet: Mutex::new(vec![0; n_fleets]),
     };
     // Arm the storage service with the chaos schedule (brownouts,
@@ -436,11 +335,11 @@ pub fn run(
     if let Fleet::Fixed(_) = fleet {
         let mut rng = Pcg32::for_stream(seed, CLIENT_STREAM);
         for task in &job.tasks {
-            run.send(task, &mut rng)?;
+            run.enqueue(task, &mut rng)?;
         }
     }
 
-    std::thread::scope(|scope| {
+    let finished = std::thread::scope(|scope| {
         let run = &run;
         let threads = match &fleet {
             Fleet::Fixed(fleets) => {
@@ -450,9 +349,8 @@ pub fn run(
                     .iter()
                     .enumerate()
                     .flat_map(|(f, c)| c.worker_slots().map(move |_| f));
-                (fleet_ids.enumerate())
-                    .map(|(windex, fleet_id)| {
-                        let worker = windex as u32;
+                (fleet_ids.zip(0..))
+                    .map(|(fleet_id, worker)| {
                         scope.spawn(move || {
                             run.event(worker, EventKind::WorkerStart);
                             run.work(worker, fleet_id, None);
@@ -465,19 +363,19 @@ pub fn run(
                 scope.spawn(|| el.control(scope, run, start)),
             ],
         };
-        // The monitor, on the calling thread: drains the monitoring queue
-        // and decides when the job is done.
-        run.monitor_loop();
+        let finished = run.monitor_loop();
         join_all(threads);
+        finished
     });
     if ctx.schedule.is_some() {
         storage.clear_chaos();
     }
 
-    let finished = run.finished_at.lock().unwrap().unwrap_or_else(Instant::now);
     let makespan = finished.duration_since(start).as_secs_f64();
-    let failed = run.failed.into_inner().unwrap();
-    let completed = job.tasks.len() - failed.len();
+    let failed = run.ledger.into_inner().unwrap().failed_tasks();
+    let mut failed: Vec<TaskId> = failed.into_iter().map(|i| job.tasks[i].id).collect();
+    failed.sort_unstable();
+    let completed = n_tasks - failed.len();
     let total_executions = run.total_executions.load(Ordering::Relaxed);
     let (platform, cores, cost, fleet) = match fleet {
         Fleet::Fixed(fleets) => (
@@ -539,14 +437,14 @@ pub fn run(
 impl Elastic<'_> {
     /// The controller thread: seeds `min_workers` workers, then ticks
     /// every `interval_s` (wall seconds), spawning and draining worker
-    /// threads per the policy's decisions until the job stops.
+    /// threads per the policy's decisions until the job stops, and joins
+    /// every worker it spawned before it returns.
     fn control<'s, 'e>(&'e self, scope: &'s Scope<'s, 'e>, run: &'e Run<'_>, start: Instant) {
         let spawn_worker = |slot: u32| {
             let drain = {
                 let mut flags = self.drain.lock().unwrap();
-                while flags.len() <= slot as usize {
-                    flags.push(Arc::new(AtomicBool::new(false)));
-                }
+                let len = flags.len().max(slot as usize + 1);
+                flags.resize_with(len, Default::default);
                 flags[slot as usize].clone()
             };
             // The chaos schedule addresses an elastic fleet's workers by
@@ -556,13 +454,11 @@ impl Elastic<'_> {
                 if drain.load(Ordering::Acquire) {
                     self.exited.lock().unwrap().push(slot);
                 }
-            });
+            })
         };
 
         // The controller seeded `min_workers` active slots at t = 0.
-        for slot in 0..self.autoscale.min_workers {
-            spawn_worker(slot);
-        }
+        let mut workers: Vec<_> = (0..self.autoscale.min_workers).map(spawn_worker).collect();
 
         let interval = Duration::from_secs_f64(self.autoscale.interval_s);
         let quantum = interval.min(Duration::from_millis(2));
@@ -582,15 +478,12 @@ impl Elastic<'_> {
             // the death (waiving the scale-up cooldown) so `decide` below
             // can launch a replacement immediately.
             if let Some(schedule) = &run.ctx.schedule {
-                let victims = elastic::dead_slots(&ctrl, schedule, last_tick_s, now_s);
-                if !victims.is_empty() {
-                    let flags = self.drain.lock().unwrap();
-                    for id in victims {
-                        if let Some(f) = flags.get(id as usize) {
-                            f.store(true, Ordering::Release);
-                        }
-                        ctrl.mark_dead(id, now_s);
+                let flags = self.drain.lock().unwrap();
+                for id in elastic::dead_slots(&ctrl, schedule, last_tick_s, now_s) {
+                    if let Some(f) = flags.get(id as usize) {
+                        f.store(true, Ordering::Release);
                     }
+                    ctrl.mark_dead(id, now_s);
                 }
             }
             last_tick_s = now_s;
@@ -604,9 +497,7 @@ impl Elastic<'_> {
             match ctrl.decide(now_s, &telemetry) {
                 Decision::Launch { ids } => {
                     drop(ctrl);
-                    for id in ids {
-                        spawn_worker(id);
-                    }
+                    workers.extend(ids.into_iter().map(spawn_worker));
                 }
                 Decision::Drain { ids } => {
                     let flags = self.drain.lock().unwrap();
@@ -617,25 +508,33 @@ impl Elastic<'_> {
                 Decision::Hold => {}
             }
         }
+        join_all(workers);
     }
 }
 
 impl Run<'_> {
-    /// Send one task to the scheduling queue, tracing its enqueue span.
-    /// Transient send failures (queue chaos) retry through the client
-    /// policy; a stop mid-retry surfaces as a non-retryable error.
-    fn send(&self, task: &TaskSpec, rng: &mut Pcg32) -> Result<()> {
-        let body = task.to_message()?;
-        let sent_at = live_sink(self.ctx).map(|_| self.clock.now_s());
-        client_send_policy().run_blocking(rng, |_| {
+    /// Send `body` to the scheduling queue. Transient send failures
+    /// (queue chaos) retry through the client policy; a stop mid-retry
+    /// surfaces as a non-retryable error.
+    fn send(&self, body: &str, rng: &mut Pcg32) -> Result<()> {
+        SEND_POLICY.run_blocking(rng, |_| {
             if self.stop.load(Ordering::Acquire) {
                 return Err(PpcError::InvalidState("job stopped".into()));
             }
-            self.sched.send(body.clone())
+            self.sched.send(body)
         })?;
+        Ok(())
+    }
+
+    /// Send one task to the scheduling queue, tracing its enqueue span.
+    fn enqueue(&self, task: &TaskSpec, rng: &mut Pcg32) -> Result<()> {
+        let body = task.to_message()?;
+        let sent_at = live_sink(self.ctx).map(|_| self.clock.now_s());
+        self.send(&body, rng)?;
         if let (Some(s), Some(at)) = (live_sink(self.ctx), sent_at) {
+            let id = task.id.0;
             s.span(Span::new(
-                task.id.0,
+                id,
                 0,
                 NO_WORKER,
                 Phase::Enqueue,
@@ -658,17 +557,14 @@ impl Run<'_> {
         }
         for i in order {
             let at = Duration::from_secs_f64(arrivals.get(i).copied().unwrap_or(0.0));
-            while start.elapsed() < at {
-                if self.stop.load(Ordering::Acquire) {
-                    return;
-                }
+            while start.elapsed() < at && !self.stop.load(Ordering::Acquire) {
                 let left = at.saturating_sub(start.elapsed());
                 std::thread::sleep(left.min(Duration::from_millis(2)));
             }
-            let _ = self.send(&self.job.tasks[i], &mut rng);
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
+            let _ = self.enqueue(&self.job.tasks[i], &mut rng);
         }
     }
 
@@ -683,6 +579,25 @@ impl Run<'_> {
         }
     }
 
+    /// One long-poll receive from `queue` (SQS `WaitTimeSeconds`: one
+    /// billable request per wait window instead of a busy-poll storm). An
+    /// error, or an empty poll on a zero-length window, naps
+    /// [`POLL_BACKOFF`] first, so no caller loop can spin.
+    fn receive(&self, queue: &ppc_queue::Queue) -> Option<ppc_queue::Message> {
+        let got = queue.receive_wait(self.config.long_poll_wait);
+        if got.is_err() || matches!(got, Ok(None)) && self.config.long_poll_wait.is_zero() {
+            std::thread::sleep(POLL_BACKOFF);
+        }
+        got.ok().flatten()
+    }
+
+    /// Park the message of a task the ledger failed in the DLQ and report
+    /// the failure. A task fails once, so it is parked once.
+    fn dead_letter(&self, body: &str, id: TaskId) {
+        let _ = self.dlq.send(body);
+        let _ = self.monitor.send(format!("fail:{}", id.0));
+    }
+
     /// One worker's life: poll until the job stops or, on an elastic
     /// fleet, until its drain flag is raised. One poll holds at most one
     /// lease, so stopping between polls never abandons a leased message.
@@ -695,103 +610,78 @@ impl Run<'_> {
         }
     }
 
-    /// The monitor, on the calling thread: drains the monitoring queue and
-    /// flips `stop` (closing `sched`) once every task is resolved (done or
-    /// failed). When a resilience policy with hedging or deadlines is set, the
-    /// monitor also plays job manager: it tracks `start:` progress reports and
-    /// re-dispatches straggling tasks through `sched` (see [`MonitorDefense`]).
-    fn monitor_loop(&self) {
-        let Run {
-            monitor,
-            sched,
-            ctx,
-            config,
-            job,
-            clock,
-            ..
-        } = self;
-        let n_tasks = job.tasks.len();
-        let mut done: HashSet<u64> = HashSet::with_capacity(n_tasks);
-        let mut failed: HashSet<u64> = HashSet::new();
-        let mut defense = MonitorDefense::new(ctx.resilience, job);
-        let sink = live_sink(ctx);
-        while !self.stop.load(Ordering::Acquire) {
-            match monitor.receive_wait(config.long_poll_wait) {
-                Ok(Some(msg)) => {
-                    if let Some(id) = msg.body.strip_prefix("done:") {
-                        if let Ok(id) = id.parse::<u64>() {
-                            done.insert(id);
-                            failed.remove(&id); // a late success still counts
-                            if let Some(d) = &mut defense {
-                                d.on_done(id, clock.now_s());
-                            }
-                        }
-                    } else if let Some(id) = msg.body.strip_prefix("fail:") {
-                        if let Ok(id) = id.parse::<u64>() {
-                            if !done.contains(&id) {
-                                failed.insert(id);
-                            }
-                        }
-                    } else if let Some(id) = msg.body.strip_prefix("start:") {
-                        if let (Ok(id), Some(d)) = (id.parse::<u64>(), &mut defense) {
-                            if !done.contains(&id) {
-                                d.on_start(id, clock.now_s());
-                            }
-                        }
-                    }
-                    let _ = monitor.delete(msg.receipt);
-                    if let Some(probe) = &config.progress {
-                        probe.store(done.len() + failed.len(), Ordering::Relaxed);
-                    }
-                    if done.len() + failed.len() >= n_tasks {
-                        *self.finished_at.lock().unwrap() = Some(Instant::now());
-                        #[allow(clippy::disallowed_methods)] // sorted before use
-                        let mut f: Vec<TaskId> = failed.iter().map(|&i| TaskId(i)).collect();
-                        f.sort();
-                        *self.failed.lock().unwrap() = f;
-                        self.stop.store(true, Ordering::Release);
-                        // Wake workers parked in a long poll so the scope
-                        // joins now, not when their wait windows run out.
-                        sched.close();
-                    }
-                }
-                // Guard against a zero-length long-poll window turning
-                // this loop into a busy spin (and a billing storm).
-                Ok(None) => {
-                    if config.long_poll_wait.is_zero() {
-                        std::thread::sleep(POLL_BACKOFF);
-                    }
-                }
-                Err(_) => std::thread::sleep(POLL_BACKOFF),
+    /// The monitor, on the calling thread: drains the monitoring queue's
+    /// `done:`/`fail:` reports, publishes the ledger's progress, and once
+    /// the ledger has resolved every task flips `stop` (closing `sched`)
+    /// and returns when it did. It also plays job manager, sweeping the
+    /// ledger after each report or empty long poll ([`Run::sweep`]).
+    fn monitor_loop(&self) -> Instant {
+        let mut rng = Pcg32::for_stream(self.seed, CLIENT_STREAM);
+        loop {
+            if let Some(report) = self.receive(&self.monitor) {
+                let _ = self.monitor.delete(report.receipt);
             }
-            if let Some(d) = &mut defense {
-                d.sweep(sched, sink, &done, clock.now_s());
+            let resolved = {
+                let mut ledger = self.ledger.lock().unwrap();
+                self.sweep(&mut ledger, &mut rng);
+                ledger.n_resolved()
+            };
+            if let Some(probe) = &self.config.progress {
+                probe.store(resolved, Ordering::Relaxed);
+            }
+            if resolved == self.job.tasks.len() {
+                let finished = Instant::now();
+                self.stop.store(true, Ordering::Release);
+                // Wake workers parked in a long poll so the scope joins
+                // now, not when their wait windows run out.
+                self.sched.close();
+                return finished;
             }
         }
     }
 
+    /// One job-manager pass over the ledger, a no-op without a deadline
+    /// or hedge policy: cut each attempt past its deadline, re-sending its
+    /// task at once while the ledger retries it (cancel-and-requeue), then
+    /// send a copy of each task the hedge policy duplicates, carrying the
+    /// copy's attempt. Losers run to completion, as on SQS: nothing is
+    /// killed. The sends hold the ledger lock, which no worker holds
+    /// across a queue call.
+    fn sweep(&self, ledger: &mut AttemptLedger, rng: &mut Pcg32) {
+        let now_s = self.clock.now_s();
+        if let Some(d) = self.ctx.resilience.and_then(|p| p.deadline) {
+            while let Some((id, worker, outcome)) = ledger.cut_overdue(0, now_s, d.timeout_s) {
+                self.event(worker, EventKind::Cancel);
+                let task = &self.job.tasks[id.task];
+                match (outcome, task.to_message()) {
+                    (FailOutcome::Retried, Ok(body)) => {
+                        let _ = self.send(&body, rng);
+                    }
+                    (FailOutcome::TaskFailed, Ok(body)) => self.dead_letter(&body, task.id),
+                    _ => {}
+                }
+            }
+        }
+        while let Some(hedge) = ledger.launch_hedge(0, now_s) {
+            if let Ok(body) = self.job.tasks[hedge.task].to_message() {
+                let _ = self.send(&format!("{HEDGE_PREFIX}{}:{body}", hedge.attempt), rng);
+            }
+            self.event(NO_WORKER, EventKind::Hedge);
+        }
+    }
+
     /// One iteration of `worker`: receive → download → execute → upload →
-    /// report → delete. A `return` leaves any in-flight message to the
-    /// visibility timeout. The run's fault schedule hits the worker at the
-    /// pipeline's three points through its `chaos` cursor, by timed kill
-    /// or by the point's own death die; dice are pure hashes of `(seed,
-    /// point, worker, roll index)`, whatever the thread interleaving.
+    /// report → delete. The pull takes its attempt from the ledger's
+    /// delivery step, which the sim shares; every failure settles it, and
+    /// a `return` leaves any in-flight message to the visibility timeout.
+    /// The run's fault schedule hits the worker at the pipeline's three
+    /// points through its `chaos` cursor, by timed kill or by the point's
+    /// own death die; dice are pure hashes of `(seed, point, worker, roll
+    /// index)`, whatever the thread interleaving.
     fn poll_once(&self, worker: u32, fleet_id: usize, chaos: &mut ChaosCursor) {
-        let Run {
-            sched,
-            monitor,
-            dlq,
-            storage,
-            job,
-            ctx,
-            config,
-            executor,
-            clock,
-            breaker,
-            ..
-        } = self;
+        let (sched, job, clock, ledger) = (&self.sched, self.job, &self.clock, &self.ledger);
+        let (ctx, breaker) = (self.ctx, &self.breaker);
         let health = self.health.as_ref();
-        let restart_delay = Duration::from_millis(config.restart_delay_ms);
         let sink = live_sink(ctx);
         let schedule = ctx.schedule.as_deref();
         // Score a finished attempt (`None` = failed) into the health tracker,
@@ -802,14 +692,6 @@ impl Run<'_> {
                     .unwrap()
                     .record(worker, latency_s, now_s, &HealthTrace(sink));
             }
-        };
-        // An injected death: the worker restarts after a delay and its
-        // message, still in flight, reappears after the visibility timeout.
-        let die = || {
-            self.worker_deaths.fetch_add(1, Ordering::Relaxed);
-            self.event(worker, EventKind::Death);
-            score(None, self.clock.now_s());
-            std::thread::sleep(restart_delay);
         };
 
         // Health-scored quarantine: a benched worker stays off the assignment
@@ -825,71 +707,89 @@ impl Run<'_> {
         }
 
         let polled_at = sink.map(|_| clock.now_s());
-        // Long polling (SQS WaitTimeSeconds): one billable request per wait
-        // window instead of a busy-poll storm.
-        let msg = match sched.receive_wait(config.long_poll_wait) {
-            Ok(Some(m)) => m,
-            Ok(None) => {
-                if config.long_poll_wait.is_zero() {
-                    std::thread::sleep(POLL_BACKOFF);
-                }
-                return;
-            }
-            Err(_) => {
-                std::thread::sleep(POLL_BACKOFF);
-                return;
-            }
+        let Some(msg) = self.receive(sched) else {
+            return;
         };
 
-        let spec = match TaskSpec::from_message(&msg.body) {
-            Ok(s) => s,
-            Err(_) => {
-                // Poison message: park it in the DLQ, report, and drop it.
-                let _ = dlq.send(msg.body.clone());
-                let _ = monitor.send("fail:poison".to_string());
-                let _ = sched.delete(msg.receipt);
-                return;
+        let (hedge, body) = split_hedge(&msg.body);
+        let pulled = TaskSpec::from_message(body).ok().and_then(|spec| {
+            let i = self.index.binary_search_by_key(&spec.id.0, |&(id, _)| id);
+            Some((self.index[i.ok()?].1, spec))
+        });
+        let Some((task, spec)) = pulled else {
+            // Poison message, or no task of this job: park it in the DLQ
+            // and drop it.
+            let _ = self.dlq.send(body);
+            let _ = sched.delete(msg.receipt);
+            return;
+        };
+        // The delivery step. A hedge copy carries its attempt on its first
+        // delivery only: redelivered (its lease lapsed, or chaos duplicated
+        // it), it is a plain redelivery. Under a deadline the attempt is
+        // armed, so the monitor's sweep can cut it.
+        let id = {
+            let mut ledger = ledger.lock().unwrap();
+            let hedge = hedge.filter(|_| msg.receive_count == 1);
+            let id = ledger.deliver(task, hedge, clock.now_s());
+            if let Some(id) = id.filter(|_| ctx.resilience.is_some_and(|p| p.deadline.is_some())) {
+                ledger.arm(id, worker);
             }
+            id
+        };
+        let Some(id) = id else {
+            // Its task is resolved, or its delivery budget is spent.
+            let _ = sched.delete(msg.receipt);
+            return;
         };
         let seq = chaos.next_seq();
         let attempt_began_s = clock.now_s();
 
-        // Attempt number = redelivery ordinal, so chaos re-executions show up
-        // in the trace as distinct attempts of the same task. The structural
-        // Attempt span is flushed when `tt` drops, whichever exit is taken.
+        // The attempt's ledger ordinal names its spans, so re-executions
+        // and hedges show up in the trace as distinct attempts of the same
+        // task. The structural Attempt span is flushed when `tt` drops,
+        // whichever exit is taken.
         let mut tt = sink.map(|s| {
-            let mut tt = AttemptMarker::new(
-                s,
-                spec.id.0,
-                msg.receive_count.saturating_sub(1),
-                worker,
-                polled_at.unwrap_or(0.0),
-            );
-            tt.mark(Phase::Dequeue, clock.now_s());
-            tt
+            AttemptMarker::new(s, spec.id.0, id.attempt, worker, polled_at.unwrap_or(0.0))
         });
+        let mut mark = |phase| {
+            if let Some(tt) = tt.as_mut() {
+                tt.mark(phase, clock.now_s());
+            }
+        };
+        mark(Phase::Dequeue);
 
-        // Dead-letter policy: give up on tasks that keep failing and park the
-        // original message in the DLQ for offline inspection or redrive.
-        if msg.receive_count > job.max_deliveries {
-            let _ = dlq.send(msg.body.clone());
-            let _ = monitor.send(format!("fail:{}", spec.id.0));
-            let _ = sched.delete(msg.receipt);
-            return;
-        }
-
-        // Progress report for the monitor's straggler defense: lets it hedge
-        // or deadline-cancel this attempt if it never reports done.
-        if ctx
-            .resilience
-            .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some())
-        {
-            let _ = monitor.send(format!("start:{}", spec.id.0));
-        }
+        // Settle the failed attempt, unless a deadline cut already did. The
+        // settle that fails the task parks its message and deletes the
+        // lease; otherwise the message reappears after the visibility
+        // timeout. `hopeless` fails the task at once.
+        let settle_failed = |hopeless: bool| {
+            let outcome = {
+                let mut ledger = ledger.lock().unwrap();
+                if !ledger.is_live(id) {
+                    return;
+                }
+                if hopeless {
+                    ledger.abandon(id)
+                } else {
+                    ledger.fail(id)
+                }
+            };
+            if outcome == FailOutcome::TaskFailed {
+                self.dead_letter(body, spec.id);
+                let _ = sched.delete(msg.receipt);
+            }
+        };
+        // An injected death: the worker restarts after a delay.
+        let die = || {
+            self.worker_deaths.fetch_add(1, Ordering::Relaxed);
+            self.event(worker, EventKind::Death);
+            score(None, clock.now_s());
+            settle_failed(false);
+            std::thread::sleep(Duration::from_millis(self.config.restart_delay_ms));
+        };
 
         // Injected death between receive and execute — a timed kill from the
-        // schedule or an i.i.d. roll. The message stays in flight and
-        // reappears after the visibility timeout.
+        // schedule or an i.i.d. roll.
         let mut killed = |s| chaos.killed(s, worker, clock.now_s());
         if schedule.is_some_and(|s| killed(s) || s.die_before_execute(worker, seq)) {
             die();
@@ -901,44 +801,41 @@ impl Run<'_> {
         // workers exhaust their retries and trip the breaker, and everyone
         // else fast-fails to redelivery instead of piling on.
         if !breaker.allow(clock.now_s()) {
+            settle_failed(false);
             std::thread::sleep(POLL_BACKOFF);
-            return; // lease reappears after the timeout
+            return;
         }
-        let input = match storage.get_with_retry(
+        let input = match self.storage.get_with_retry(
             &job.input_bucket,
             &spec.input_key,
             INPUT_FETCH_ATTEMPTS,
         ) {
             Ok(d) => {
                 breaker.record_success();
-                if let Some(tt) = tt.as_mut() {
-                    tt.mark(Phase::Download, clock.now_s());
-                }
+                mark(Phase::Download);
                 d
             }
             Err(e) if e.is_retryable() => {
                 breaker.record_failure(clock.now_s());
-                return; // let it reappear
+                settle_failed(false);
+                return;
             }
             Err(_) => {
                 // Input genuinely missing: the task can never run.
-                let _ = monitor.send(format!("fail:{}", spec.id.0));
-                let _ = sched.delete(msg.receipt);
+                settle_failed(true);
                 return;
             }
         };
 
         self.total_executions.fetch_add(1, Ordering::Relaxed);
         let exec_started = Instant::now();
-        let output = match executor.run(&spec, &input) {
+        let output = match self.executor.run(&spec, &input) {
             Ok(o) => o,
             Err(_) => {
-                // Leave the message; redelivery retries until the dead-letter
-                // policy gives up.
-                if let Some(tt) = tt.as_mut() {
-                    tt.mark(Phase::Execute, clock.now_s());
-                }
+                // Redelivery retries until the ledger's budget is spent.
+                mark(Phase::Execute);
                 score(None, clock.now_s());
+                settle_failed(false);
                 return;
             }
         };
@@ -948,9 +845,7 @@ impl Run<'_> {
         if factor > 1.0 {
             std::thread::sleep(exec_started.elapsed().mul_f64(factor - 1.0));
         }
-        if let Some(tt) = tt.as_mut() {
-            tt.mark(Phase::Execute, clock.now_s());
-        }
+        mark(Phase::Execute);
 
         // Death mid-upload: the worker dies before its PUT completes. An
         // object-store PUT (S3, Azure Blob) commits atomically, so nothing
@@ -965,20 +860,21 @@ impl Run<'_> {
         // redelivery retries the task.
         if schedule.is_some_and(|s| s.is_torn_upload(worker, seq)) {
             score(None, clock.now_s());
+            settle_failed(false);
             return;
         }
 
         self.remote_bytes
             .fetch_add(input.len() as u64 + output.len() as u64, Ordering::Relaxed);
-        if storage
+        if self
+            .storage
             .put(&job.output_bucket, &spec.output_key, output)
             .is_err()
         {
+            settle_failed(false);
             return; // redelivery will retry the whole task
         }
-        if let Some(tt) = tt.as_mut() {
-            tt.mark(Phase::Upload, clock.now_s());
-        }
+        mark(Phase::Upload);
 
         // Injected death between upload and delete: the duplicate re-execution
         // must overwrite with identical output.
@@ -987,16 +883,18 @@ impl Run<'_> {
             return;
         }
 
-        let _ = monitor.send(format!("done:{}", spec.id.0));
+        // First result wins: only the commit that finishes the task reports.
+        let first = ledger.lock().unwrap().complete_at(id, clock.now_s());
+        if first == CompleteOutcome::First {
+            let _ = self.monitor.send(format!("done:{}", spec.id.0));
+        }
         self.per_fleet.lock().unwrap()[fleet_id] += 1;
         // A stale receipt here means someone else finished the task first —
         // harmless by idempotence.
         let _ = sched.delete(msg.receipt);
         let done_s = clock.now_s();
         score(Some(done_s - attempt_began_s), done_s);
-        if let Some(tt) = tt.as_mut() {
-            tt.mark(Phase::Ack, done_s);
-        }
+        mark(Phase::Ack);
     }
 }
 
@@ -1009,29 +907,21 @@ mod tests {
     use ppc_core::exec::FnExecutor;
     use ppc_core::task::ResourceProfile;
     use ppc_exec::RunContext;
+    use ppc_resilience::ResiliencePolicy;
     use ppc_trace::Recorder;
+    use std::collections::HashSet;
 
     #[test]
-    fn sweep_resends_overdue_tasks_oldest_first() {
-        // Ten tasks started in a scrambled order, all past a 1-s deadline:
-        // the sweep must re-send them oldest attempt first, ties by id.
-        let (_, _, job) = setup(10);
-        let policy = ResiliencePolicy::default().with_deadline(1.0);
-        let mut defense = MonitorDefense::new(Some(policy), &job).unwrap();
-        let starts = [(7, 0.3), (2, 0.9), (9, 0.1), (4, 0.5), (0, 0.7)];
-        let ties = [(8, 0.2), (1, 0.2), (6, 0.6), (3, 0.4), (5, 0.8)];
-        for &(id, at) in starts.iter().chain(&ties) {
-            defense.on_start(id, at);
-        }
-        let queue = ppc_queue::Queue::new("sweep", QueueConfig::default());
-        defense.sweep(&queue, None, &HashSet::new(), 10.0);
-        let mut sent = Vec::new();
-        while let Some(m) = queue.receive().unwrap() {
-            sent.push((m.id.0, TaskSpec::from_message(&m.body).unwrap().id.0));
-        }
-        sent.sort_unstable();
-        let order: Vec<u64> = sent.into_iter().map(|(_, task)| task).collect();
-        assert_eq!(order, [9, 1, 8, 7, 3, 4, 6, 0, 5, 2]);
+    fn hedge_copies_carry_their_attempt() {
+        let body = TaskSpec::new(3, "rev", "f3", ResourceProfile::cpu_bound(0.0))
+            .to_message()
+            .unwrap();
+        assert_eq!(split_hedge(&body), (None, body.as_str()));
+        let copy = format!("{HEDGE_PREFIX}7:{body}");
+        assert_eq!(split_hedge(&copy), (Some(7), body.as_str()));
+        // A malformed prefix is no hedge: the body then fails to parse.
+        let bad = format!("{HEDGE_PREFIX}x:{body}");
+        assert_eq!(split_hedge(&bad), (None, bad.as_str()));
     }
 
     fn setup(n_tasks: u64) -> (Arc<StorageService>, Arc<QueueService>, JobSpec) {
@@ -1736,6 +1626,45 @@ mod tests {
         assert_eq!(report.summary.tasks, 30);
         let fleet = report.fleet.expect("autoscaled run reports its fleet");
         assert!(fleet.billed_hours >= 1);
+    }
+
+    /// 32 2-ms tasks on four workers, worker 0 running 30x slow, under
+    /// `policy` with tracing on: every task completes, the defense fires
+    /// `kind` events, and the trace is well formed. A hedge copy or a
+    /// deadline re-send runs under a fresh ledger ordinal, so no two
+    /// attempt spans collide. The other three workers need about 20 ms
+    /// for all the tasks, so worker 0 gets one unless it starts that late.
+    fn assert_defended_straggler_run(policy: ResiliencePolicy, kind: EventKind) {
+        let (storage, queues, job) = setup(32);
+        let ctx = RunContext::new(&Cluster::provision(EC2_HCXL, 1, 4))
+            .with_schedule(Arc::new(FaultSchedule::new(1).degrade(0, 30.0, 0.0, 1e9)))
+            .with_resilience(policy)
+            .with_sink(Arc::new(Recorder::new()) as Arc<dyn TraceSink>);
+        let report = crate::run(
+            &ctx,
+            &storage,
+            &queues,
+            &job,
+            sleep_executor(2),
+            &ClassicConfig::default(),
+        )
+        .unwrap();
+        assert!(report.is_complete(), "failed: {:?}", report.failed);
+        let trace = report.trace.as_ref().expect("traced run");
+        assert_eq!(trace.check_well_formed(), Vec::<String>::new());
+        assert!(trace.events_of_kind(kind) > 0, "no {kind:?} event");
+    }
+
+    #[test]
+    fn hedged_straggler_run_is_well_formed() {
+        let hedge = ppc_resilience::HedgeConfig::quantile(0.002);
+        assert_defended_straggler_run(ResiliencePolicy::hedged(hedge), EventKind::Hedge);
+    }
+
+    #[test]
+    fn deadline_cut_resends_and_is_well_formed() {
+        let policy = ResiliencePolicy::default().with_deadline(0.03);
+        assert_defended_straggler_run(policy, EventKind::Cancel);
     }
 
     /// Kernel thread id of the calling thread (Linux), read from

@@ -736,27 +736,9 @@ impl Sim<'_> {
                 st.idle.push(w);
                 return;
             };
-            // A message of a resolved task (first result wins) is deleted,
-            // ending the hedge attempt it carries, and so is one past its
-            // task's delivery budget (dead-lettered); any other starts an
-            // attempt, or carries a hedge's.
-            let hedge = m.hedge.map(|attempt| AttemptId {
-                task: m.task,
-                attempt,
-            });
-            let id = if st.ledger.is_resolved(m.task) {
-                if let Some(id) = hedge {
-                    st.ledger.fail(id);
-                }
-                None
-            } else if hedge.is_some() {
-                hedge
-            } else if st.ledger.live_attempts(m.task) == 0 {
-                Some(st.ledger.launch(m.task, now_s))
-            } else {
-                st.ledger.redeliver(m.task, now_s)
-            };
-            match id {
+            // The delivery step both Classic engines share: a message of a
+            // resolved task, or one past its task's budget, is deleted.
+            match st.ledger.deliver(m.task, m.hedge, now_s) {
                 Some(id) => break id,
                 None => st.queue_requests += 1, // the dropped message's delete
             }

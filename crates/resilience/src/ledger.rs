@@ -1,14 +1,16 @@
 //! The attempt ledger: one sans-IO state machine for every attempt of a
 //! job's tasks — launches, queue redeliveries, hedges, the failure budget,
 //! first-result-wins commit, killed losers and deadline cuts. Callers pass
-//! the time of each call. MapReduce's scheduler and the Classic sim keep
-//! every task in one partition (a global queue); native Dryad gives each
-//! node its own.
+//! the time of each call. MapReduce's scheduler and both Classic engines
+//! keep every task in one partition (a global queue), the Classic ones
+//! pulling through one delivery step ([`AttemptLedger::deliver`]); native
+//! Dryad gives each node its own.
 //!
 //! A native engine also [`arm`](AttemptLedger::arm)s each attempt it
 //! launches with its worker and gets back its kill token, which the ledger
 //! fires when another attempt commits the task or a deadline cut
-//! ([`AttemptLedger::cut_overdue`]) fails it. Simulators never arm.
+//! ([`AttemptLedger::cut_overdue`]) fails it. Simulators never arm, and
+//! native Classic arms only so a deadline can cut: it kills no loser.
 
 use crate::{HedgeConfig, HedgePolicy};
 use ppc_core::Cancel;
@@ -140,6 +142,11 @@ impl AttemptLedger {
         self.n_done
     }
 
+    /// Tasks resolved so far, done or permanently failed.
+    pub fn n_resolved(&self) -> usize {
+        self.n_done + self.n_failed
+    }
+
     pub fn n_tasks(&self) -> usize {
         self.tasks.len()
     }
@@ -205,11 +212,34 @@ impl AttemptLedger {
         self.launch_attempt(task, now_s)
     }
 
+    /// The attempt a queue pull of a message of `task` runs, the delivery
+    /// step of both Classic Cloud engines; `hedge` is the attempt a hedge
+    /// copy carries, launched by [`launch_hedge`](Self::launch_hedge) when
+    /// the copy was sent. A message of a resolved task is dropped, failing
+    /// the hedge attempt it carries; a hedge copy runs its attempt; with
+    /// no live attempt the task launches, else the message is a
+    /// redelivery. `None`: drop the message.
+    pub fn deliver(&mut self, task: usize, hedge: Option<u32>, now_s: f64) -> Option<AttemptId> {
+        let hedge = hedge.map(|attempt| AttemptId { task, attempt });
+        if self.is_resolved(task) {
+            if let Some(id) = hedge {
+                self.fail(id);
+            }
+            None
+        } else if hedge.is_some() {
+            hedge
+        } else if self.tasks[task].live_attempts == 0 {
+            Some(self.launch(task, now_s))
+        } else {
+            self.redeliver(task, now_s)
+        }
+    }
+
     /// Add a live attempt to a running task: a queue redelivery while an
     /// earlier attempt is still live. The running period, and with it the
     /// task's hedge age, carries on. `None` once the task's failure budget
     /// is spent: the delivery is dead-lettered.
-    pub fn redeliver(&mut self, task: usize, now_s: f64) -> Option<AttemptId> {
+    fn redeliver(&mut self, task: usize, now_s: f64) -> Option<AttemptId> {
         let t = &self.tasks[task];
         debug_assert_eq!(t.phase, TaskPhase::Running, "task {task} is not running");
         (t.failures < self.max_attempts).then(|| self.launch_attempt(task, now_s))
@@ -416,10 +446,25 @@ impl AttemptLedger {
 
     /// Settle a failed attempt (a death, an error or a deadline cut).
     pub fn fail(&mut self, id: AttemptId) -> FailOutcome {
+        self.settle_failure(id, false)
+    }
+
+    /// Settle a failed attempt whose task can never succeed (its input is
+    /// missing): the task fails at once, whatever budget it has left.
+    pub fn abandon(&mut self, id: AttemptId) -> FailOutcome {
+        self.settle_failure(id, true)
+    }
+
+    fn settle_failure(&mut self, id: AttemptId, hopeless: bool) -> FailOutcome {
         self.retire(id);
         let t = &mut self.tasks[id.task];
         let outcome = match t.phase {
             TaskPhase::Done | TaskPhase::Failed => FailOutcome::Stale,
+            _ if hopeless => {
+                t.phase = TaskPhase::Failed;
+                self.n_failed += 1;
+                FailOutcome::TaskFailed
+            }
             _ => {
                 t.failures += 1;
                 if t.failures < self.max_attempts {
@@ -603,6 +648,58 @@ mod tests {
         assert_eq!(l.fail(c), FailOutcome::TaskFailed);
         assert!(l.is_resolved(0) && l.spill.is_empty());
         assert_eq!(l.failed_tasks(), vec![0]);
+    }
+
+    /// The delivery step's four cases: first launch, hedge copy,
+    /// redelivery (dead-lettered once the budget is spent) and a
+    /// resolved task's message, dropped with the hedge attempt it carries.
+    #[test]
+    fn delivery_step_launches_carries_redelivers_and_drops() {
+        let mut l = ledger(3, true, 2);
+        // No live attempt: the pull launches.
+        let a = l.deliver(0, None, 0.0).unwrap();
+        assert_eq!(
+            a,
+            AttemptId {
+                task: 0,
+                attempt: 0
+            }
+        );
+        assert_eq!(l.live_attempts(0), 1);
+        // A hedge copy runs the attempt launched when it was sent.
+        let h = l.launch_hedge(0, 1.0).unwrap();
+        assert_eq!(l.deliver(0, Some(h.attempt), 2.0), Some(h));
+        assert_eq!(l.live_attempts(0), 2, "carrying launches nothing");
+        // A plain message with a live attempt is a redelivery.
+        let r = l.deliver(0, None, 3.0).unwrap();
+        assert_eq!(r.attempt, 2);
+        assert_eq!(l.live_attempts(0), 3);
+        // Spent budget: a redelivery is dropped, the task still running.
+        assert_eq!(l.fail(a), FailOutcome::Retried);
+        assert_eq!(l.fail(h), FailOutcome::Stale, "budget spent, r live");
+        assert_eq!(l.deliver(0, None, 4.0), None);
+        assert!(!l.is_resolved(0));
+        assert_eq!(l.fail(r), FailOutcome::TaskFailed);
+        // A failed task's message is dropped, with or without a hedge.
+        assert_eq!(l.deliver(0, None, 5.0), None);
+        let b = l.deliver(1, None, 5.0).unwrap();
+        let hb = l.launch_hedge(0, 6.0).unwrap();
+        assert_eq!(hb.task, 1);
+        assert_eq!(l.abandon(b), FailOutcome::TaskFailed, "input missing");
+        assert!(l.is_live(hb), "the copy is still in the queue");
+        assert_eq!(l.deliver(1, Some(hb.attempt), 7.0), None);
+        assert_eq!(l.live_attempts(1), 0);
+        // A done task's message is dropped; the hedge it carries fails
+        // without touching the budget, and the hedge attempt leaves.
+        let c = l.deliver(2, None, 8.0).unwrap();
+        let hc = l.launch_hedge(0, 9.0).unwrap();
+        assert_eq!(l.complete_at(c, 10.0), CompleteOutcome::First);
+        assert_eq!(l.deliver(2, None, 11.0), None);
+        assert_eq!(l.deliver(2, Some(hc.attempt), 11.0), None);
+        assert!(!l.is_live(hc));
+        assert_eq!(l.failed_tasks(), vec![0, 1]);
+        assert!(l.is_complete() && l.n_resolved() == 3);
+        assert_eq!(l.retries(), 1, "neither the drops nor the abandon");
     }
 
     #[test]

@@ -272,6 +272,18 @@ struct NativeRun {
     total_attempts: usize,
 }
 
+/// A native run's trace, asserted well formed: every attempt span unique
+/// and every phase span inside its attempt, on its worker.
+fn well_formed(engine: &str, trace: Option<Trace>) -> Trace {
+    let trace = trace.expect("traced run");
+    let problems = trace.check_well_formed();
+    assert!(
+        problems.is_empty(),
+        "{engine}: malformed trace: {problems:?}"
+    );
+    trace
+}
+
 /// `base` under `schedule` and `policy`, recording spans.
 fn native_ctx(
     base: RunContext,
@@ -322,7 +334,7 @@ fn classic_native(
         .collect();
     NativeRun {
         outputs,
-        trace: report.core.trace.clone().unwrap(),
+        trace: well_formed("classic", report.core.trace.clone()),
         total_attempts: report.total_attempts,
     }
 }
@@ -350,7 +362,7 @@ fn mapreduce_native(
         .collect();
     NativeRun {
         outputs,
-        trace: report.core.trace.clone().unwrap(),
+        trace: well_formed("mapreduce", report.core.trace.clone()),
         total_attempts: report.total_attempts,
     }
 }
@@ -379,7 +391,7 @@ fn dryad_native(
     );
     NativeRun {
         outputs: outputs.into_iter().collect(),
-        trace: report.core.trace.clone().unwrap(),
+        trace: well_formed("dryad", report.core.trace.clone()),
         total_attempts: report.core.total_attempts,
     }
 }
