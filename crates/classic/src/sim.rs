@@ -643,20 +643,6 @@ pub(crate) fn sim_autoscaled_impl(
     )
 }
 
-/// `at_s`, unless it rounds onto or before `now`, in which case the next
-/// microsecond tick. `SimTime` quantizes to whole microseconds, so a wake
-/// or re-check aimed within half a tick of `now` would land back on this
-/// same instant, where the f64 guard that sent it (`now_s >= until_s`,
-/// `age >= delay`) is still false: the event would re-fire forever
-/// without advancing the clock.
-fn strictly_after_now(now: SimTime, at_s: f64) -> f64 {
-    if SimTime::from_secs_f64(at_s) <= now {
-        SimTime(now.as_micros() + 1).as_secs_f64()
-    } else {
-        at_s
-    }
-}
-
 impl Sim<'_> {
     /// Make a message of `task` visible now, waking the last parked
     /// worker, if any (one message, one worker).
@@ -722,8 +708,7 @@ impl Sim<'_> {
             tracker.admit(w, now_s, &HealthTrace(st.rec.as_ref()))
         });
         if let Admit::Benched { until_s } = admit {
-            let wake = strictly_after_now(engine.now(), until_s);
-            engine.post_at(SimTime::from_secs_f64(wake), Event::Poll(w));
+            engine.post_at(SimTime::after_now(engine.now(), until_s), Event::Poll(w));
             return;
         }
 
@@ -1005,7 +990,7 @@ impl Sim<'_> {
         let want = st
             .ledger
             .earliest_hedge_s(0)
-            .map(|at_s| SimTime::from_secs_f64(strictly_after_now(engine.now(), at_s)));
+            .map(|at_s| SimTime::after_now(engine.now(), at_s));
         if st.hedge_timer.map(|(_, at)| at) == want {
             return;
         }

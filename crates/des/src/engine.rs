@@ -15,8 +15,8 @@
 //! instantiation, plain `Engine`, stores boxed closures ([`ClosureEvent`])
 //! and fires them itself: [`Engine::schedule_at`] and [`Engine::run`]. Every
 //! sim runs on typed events: MapReduce on `Engine<u32>` (its event is a
-//! worker slot), Classic and serve on small `Copy` event enums. The closure
-//! instantiation serves benchmarks and tests.
+//! worker slot), Classic, Dryad and serve on small `Copy` event enums. The
+//! closure instantiation serves benchmarks and tests.
 //!
 //! Scheduling returns a stable [`EventId`]: a generation-checked handle
 //! that supports O(1) [`Engine::cancel`] (the slab slot is freed

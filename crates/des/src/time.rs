@@ -37,6 +37,21 @@ impl SimTime {
         SimTime((s * 1e6).round() as u64)
     }
 
+    /// The time `at_s`, unless it rounds onto or before `now`, in which
+    /// case the next microsecond tick. A wake or re-check aimed within half
+    /// a tick of `now` would otherwise land back on this same instant,
+    /// where the f64 guard that sent it (`now_s >= until_s`, `age >=
+    /// delay`) is still false: the event would re-fire forever without
+    /// advancing the clock.
+    pub fn after_now(now: SimTime, at_s: f64) -> SimTime {
+        let at = SimTime::from_secs_f64(at_s);
+        if at <= now {
+            SimTime(now.0 + 1)
+        } else {
+            at
+        }
+    }
+
     pub const fn as_micros(self) -> u64 {
         self.0
     }

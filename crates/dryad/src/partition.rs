@@ -16,21 +16,6 @@ pub fn partition_round_robin<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
     parts
 }
 
-/// Split items into `n` contiguous runs (preserves order; uneven tails).
-pub fn partition_contiguous<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
-    assert!(n > 0, "need at least one partition");
-    let len = items.len();
-    let base = len / n;
-    let extra = len % n;
-    let mut parts = Vec::with_capacity(n);
-    let mut iter = items.into_iter();
-    for i in 0..n {
-        let take = base + usize::from(i < extra);
-        parts.push(iter.by_ref().take(take).collect());
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,20 +29,8 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_preserves_order() {
-        let parts = partition_contiguous((0..10).collect(), 3);
-        assert_eq!(parts[0], vec![0, 1, 2, 3]);
-        assert_eq!(parts[1], vec![4, 5, 6]);
-        assert_eq!(parts[2], vec![7, 8, 9]);
-        let flat: Vec<i32> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn more_partitions_than_items() {
         let parts = partition_round_robin(vec![1, 2], 5);
-        assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 2);
-        let parts = partition_contiguous(vec![1, 2], 5);
         assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 2);
     }
 }

@@ -9,13 +9,14 @@
 //! load-balancing discussion measures (§4.2). A failed vertex re-runs in
 //! place, and a cut one on a slot of its node idle at the cut.
 
+use ppc_compute::cluster::Cluster;
 use ppc_core::exec::Executor;
 use ppc_core::json::Json;
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
 use ppc_exec::slots::{Attempt, Pick, Slot, SlotPolicy, SlotPool};
 use ppc_exec::{RunContext, RunReport};
-use ppc_resilience::AttemptLedger;
+use ppc_resilience::{AttemptLedger, HedgeConfig};
 use ppc_trace::{Phase, NO_WORKER};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -112,19 +113,18 @@ pub use ppc_exec::JobOutputs;
 /// statically partitioned round-robin across its nodes. Returns the
 /// report and the outputs (output key → bytes), in completion order.
 ///
-/// Each node is one partition of the [`SlotPool`] and of a run-wide
-/// ledger, which keeps each vertex's budget of `max_retries + 1` failed
-/// attempts. A failed attempt (a death die, a torn output) re-runs in
-/// place when no other attempt of the vertex is live; a cut one re-runs on
-/// a slot of its node idle at the cut, else in place. Re-execution never
+/// Each node is one partition of the [`SlotPool`] and of the run-wide
+/// book, whose ledger keeps each vertex's budget of `max_retries + 1`
+/// failed attempts. A failed attempt (a death die, a torn output) re-runs
+/// in place when no other attempt of the vertex is live; a cut one re-runs
+/// on a slot of its node idle at the cut, else in place. Re-execution never
 /// crosses nodes (DryadLINQ's static partitioning): a slot killed as it
 /// pulls a vertex hands it to a surviving slot of its node, and a node
 /// whose every slot dies fails what is left on its list. A vertex's dice
-/// are addressed by its place in a round-robin deal of its node's list over
-/// the node's slots (the `k`-th vertex is slot `k % slots`'s `k / slots`-th
-/// task), on its first attempt only, not by the slot that takes it, so
-/// which vertices fail does not depend on thread timing. Storage outages
-/// do *not* apply: Dryad reads node-local files.
+/// are addressed by its place in the deal, on its first attempt only, not
+/// by the slot that takes it, so which vertices fail does not depend on
+/// thread timing. Storage outages do *not* apply: Dryad reads node-local
+/// files.
 ///
 /// The context's policy is the defense: once its node's list is empty, an
 /// idle slot backs up the node's oldest hedge-eligible straggler, and the
@@ -147,36 +147,13 @@ pub fn run(
         return Err(PpcError::InvalidArgument("no inputs".into()));
     }
     ctx.validate()?;
-    // Ledger task ids number the vertices node-major; each node's list
-    // holds a pick per vertex, with its dice address from the deal.
-    let (mut vertices, mut partitions, mut lists, mut homes) = (vec![], vec![], vec![], vec![]);
-    let parts = crate::partition::partition_round_robin(inputs, cluster.n_nodes());
-    for (node, part) in parts.into_iter().enumerate() {
-        let (base, slots) = (homes.len(), cluster.nodes()[node].workers);
-        homes.extend([(node, node)].repeat(slots));
-        let mut list = VecDeque::new();
-        for (k, vertex) in part.into_iter().enumerate() {
-            list.push_back(Pick {
-                task: vertices.len(),
-                launched: None,
-                dice: Some(((base + k % slots) as u32, (k / slots) as u32)),
-                hedge: None,
-            });
-            vertices.push(vertex);
-            partitions.push(node);
-        }
-        lists.push(list);
-    }
-    // One ledger, so a single hedge quantile learns from every node.
     let hedge = ctx.resilience.unwrap_or_default().hedge;
-    let ledger = AttemptLedger::new(partitions, hedge, config.max_retries + 1);
-    let outputs = Mutex::new(Vec::new());
+    let (book, homes) = Book::deal(cluster, inputs.len(), hedge, config.max_retries + 1);
     let dryad = Dryad {
         executor,
-        vertices,
-        outputs,
+        vertices: inputs,
+        outputs: Mutex::new(Vec::new()),
     };
-    let book = Book { ledger, lists };
     let (dryad, mut run) = SlotPool::new(ctx, dryad, book, &homes).run();
     if config.fail_fast && !run.failed.is_empty() {
         return Err(run.failed.swap_remove(0).1);
@@ -185,13 +162,8 @@ pub fn run(
     let makespan = run.finished_s;
     let failed = run.failed.iter().map(|&(t, _)| dryad.task_id(t)).collect();
     // Node-local files only: no remote bytes.
-    let core = run.report(
-        "dryadlinq",
-        makespan,
-        0,
-        failed,
-        Some(cluster.cost(makespan)),
-    );
+    let cost = Some(cluster.cost(makespan));
+    let core = run.report("dryadlinq", makespan, 0, failed, cost);
     let report = DryadReport {
         core,
         per_node_seconds: run.partition_s.clone(),
@@ -209,11 +181,62 @@ struct Dryad {
     outputs: Mutex<JobOutputs>,
 }
 
-/// What Dryad's slots take work from, under the pool's lock.
-struct Book {
-    ledger: AttemptLedger,
-    /// Each node's vertices not yet pulled.
+/// What Dryad's slots take work from, natively under the pool's lock and
+/// in the sim on its event loop: one run-wide ledger, so a single hedge
+/// quantile learns from every node, and each node's list of vertices not
+/// yet pulled.
+pub(crate) struct Book {
+    pub(crate) ledger: AttemptLedger,
     lists: Vec<VecDeque<Pick>>,
+}
+
+impl Book {
+    /// Deal `n` vertices round-robin over `cluster`'s nodes, ledger task
+    /// `i` on node `i % nodes`, into a ledger that fails a vertex after
+    /// `max_failures` failed attempts. Each node is one partition, and
+    /// each slot's home is `(node, node)`, node-major. A list pick carries
+    /// its dice address from the deal: the node's `k`-th vertex is slot
+    /// `k % slots`'s `k / slots`-th task.
+    pub(crate) fn deal(
+        cluster: &Cluster,
+        n: usize,
+        hedge: Option<HedgeConfig>,
+        max_failures: u32,
+    ) -> (Book, Vec<(usize, usize)>) {
+        let n_nodes = cluster.n_nodes();
+        let (mut lists, mut homes) = (Vec::with_capacity(n_nodes), Vec::new());
+        for (node, spec) in cluster.nodes().iter().enumerate() {
+            let (base, slots) = (homes.len(), spec.workers);
+            homes.extend([(node, node)].repeat(slots));
+            let list = (node..n)
+                .step_by(n_nodes)
+                .enumerate()
+                .map(|(k, task)| Pick {
+                    task,
+                    launched: None,
+                    dice: Some(((base + k % slots) as u32, (k / slots) as u32)),
+                    hedge: None,
+                });
+            lists.push(list.collect());
+        }
+        let partitions = (0..n).map(|i| i % n_nodes).collect();
+        let ledger = AttemptLedger::new(partitions, hedge, max_failures);
+        (Book { ledger, lists }, homes)
+    }
+
+    /// `node`'s next vertex, else a backup of its oldest hedge-eligible
+    /// straggler at `now_s`.
+    pub(crate) fn take(&mut self, node: usize, now_s: f64) -> Option<Pick> {
+        self.lists[node].pop_front().or_else(|| {
+            let id = self.ledger.launch_hedge(node, now_s)?;
+            Some(Pick {
+                task: id.task,
+                launched: Some(id),
+                dice: None,
+                hedge: Some(NO_WORKER),
+            })
+        })
+    }
 }
 
 impl SlotPolicy for Dryad {
@@ -229,20 +252,10 @@ impl SlotPolicy for Dryad {
         self.vertices[task].0.id
     }
 
-    /// The node's next vertex, else a backup of its oldest hedge-eligible
-    /// straggler. Backups and re-runs roll no chaos dice: the dice model
-    /// per-pull hazards.
+    /// The node's next vertex, else a backup. Backups and re-runs roll no
+    /// chaos dice: the dice model per-pull hazards.
     fn take(&self, book: &mut Book, slot: &mut Slot, now_s: f64) -> Option<Pick> {
-        let p = slot.partition;
-        book.lists[p].pop_front().or_else(|| {
-            let id = book.ledger.launch_hedge(p, now_s)?;
-            Some(Pick {
-                task: id.task,
-                launched: Some(id),
-                dice: None,
-                hedge: Some(NO_WORKER),
-            })
-        })
+        book.take(slot.partition, now_s)
     }
 
     fn put_back(&self, book: &mut Book, slot: &Slot, pick: Pick) {

@@ -1,31 +1,23 @@
-//! The simulated DryadLINQ runtime.
-//!
-//! Static node-level partitioning means the nodes never interact after the
-//! partition step, so the simulation decomposes exactly into independent
-//! per-node list schedules: each node runs its own task list on its worker
-//! slots, and the job's makespan is the slowest node's finish time. (This is
-//! precisely why DryadLINQ load-balances worse than the global-queue
-//! platforms — nothing can flow between nodes mid-job.)
-//!
-//! Chaos, spans and the report attach as in every engine: each slot rolls
-//! the schedule on its own [`ChaosCursor`], a vertex attempt's phase spans
-//! are written through an [`AttemptMarker`] once its end is known, and the
-//! run closes through [`RunReport::close`].
+//! The simulated DryadLINQ runtime: native Dryad's book, driven in virtual
+//! time on a typed [`ppc_des::Engine`]. Events fire in time order, so the
+//! run-wide hedge quantile and health ledger learn each completion in its
+//! turn. Chaos, spans and the report attach as in every engine: a
+//! [`ChaosCursor`] per slot, an [`AttemptMarker`] per attempt, and
+//! [`RunReport::close`].
 
-use ppc_chaos::ChaosCursor;
+use crate::runtime::{Book, DryadReport};
+use ppc_chaos::{ChaosCursor, Roll};
 use ppc_compute::cluster::Cluster;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
 use ppc_core::rng::Pcg32;
-use ppc_core::task::{TaskId, TaskSpec};
+use ppc_core::task::TaskSpec;
 use ppc_core::{PpcError, Result};
+use ppc_des::{Engine, EventId, Fired, SimTime};
 use ppc_exec::{HealthTrace, RunContext, RunReport};
-use ppc_resilience::{Admit, HealthTracker, HedgePolicy};
+use ppc_resilience::{Admit, AttemptId, FailOutcome, HealthTracker, ResiliencePolicy};
 use ppc_storage::latency::LatencyModel;
-use ppc_trace::{AttemptMarker, EventKind, Phase, Recorder, TraceEvent, TraceSink, NO_WORKER};
-use std::collections::BinaryHeap;
-
-use crate::runtime::DryadReport;
+use ppc_trace::{AttemptMarker, EventKind, Phase, Recorder, TraceEvent, TraceSink};
 
 /// Configuration of the simulated Dryad platform.
 #[derive(Debug, Clone, Copy)]
@@ -53,298 +45,330 @@ impl Default for DryadSimConfig {
 impl DryadSimConfig {
     /// Reject nonsense configuration before the simulation starts.
     pub fn validate(&self) -> Result<()> {
-        if !self.vertex_overhead_s.is_finite() || self.vertex_overhead_s < 0.0 {
-            return Err(PpcError::InvalidArgument(format!(
-                "dryad sim config: vertex_overhead_s = {} must be finite and >= 0",
-                self.vertex_overhead_s
-            )));
-        }
-        if !self.jitter_sigma.is_finite() || self.jitter_sigma < 0.0 {
-            return Err(PpcError::InvalidArgument(format!(
-                "dryad sim config: jitter_sigma = {} must be finite and >= 0",
-                self.jitter_sigma
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Cap on chaos re-runs of one vertex before it counts as failed (the
-/// i.i.d. death dice can in principle chain forever at p close to 1).
-const MAX_CHAOS_ATTEMPTS: u32 = 16;
-
-/// Take the node's next-free slot through the quarantine gate, starting
-/// no earlier than `earliest` (µs): a benched slot re-enters the heap at
-/// its release time, so the list schedule flows around gray slots.
-fn pick_slot(
-    slots: &mut BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    mut health: Option<&mut HealthTracker>,
-    earliest: u64,
-    rec: Option<&Recorder>,
-) -> (u64, usize) {
-    loop {
-        let std::cmp::Reverse((free_at, slot)) = slots.pop().expect("at least one slot");
-        let start = free_at.max(earliest);
-        let admit = health.as_mut().map_or(Admit::Go, |h| {
-            h.admit(slot as u32, start as f64 / 1e6, &HealthTrace(rec))
-        });
-        match admit {
-            Admit::Go => return (start, slot),
-            Admit::Benched { until_s } => slots.push(std::cmp::Reverse((
-                (until_s * 1e6).round() as u64 + 1,
-                slot,
+        let dials = [
+            ("vertex_overhead_s", self.vertex_overhead_s),
+            ("jitter_sigma", self.jitter_sigma),
+        ];
+        match dials.into_iter().find(|&(_, v)| !v.is_finite() || v < 0.0) {
+            Some((name, v)) => Err(PpcError::InvalidArgument(format!(
+                "dryad sim config: {name} = {v} must be finite and >= 0"
             ))),
+            None => Ok(()),
         }
     }
 }
 
-/// The simulator body, reached through [`crate::simulate`]: independent
-/// per-node list schedules over virtual worker slots, with one vertex
-/// lifecycle for every run.
+/// Failed attempts that fail a vertex for good (the i.i.d. death dice can
+/// in principle chain forever at p close to 1).
+const MAX_FAILURES: u32 = 16;
+
+/// A slot polls its node's book, a slot's attempt ends, or a node's hedge
+/// timer wakes its idle slots.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Poll(u32),
+    End(u32),
+    Hedge(u32),
+}
+
+/// An attempt in a slot's hands, with the chaos roll and cut that decide its end.
+struct Running {
+    id: AttemptId,
+    start_s: f64,
+    end: EventId,
+    roll: Roll,
+    cut: bool,
+}
+
+/// A worker slot; with no attempt, it is idle or waits for a poll.
+struct Slot {
+    node: usize,
+    rng: Pcg32,
+    chaos: ChaosCursor,
+    running: Option<Running>,
+}
+
+/// A node: its unresolved vertices, the time its last one resolved, its
+/// idle slots and its hedge timer.
+#[derive(Default)]
+struct Node {
+    remaining: usize,
+    finish_s: f64,
+    idle: Vec<usize>,
+    timer: Option<(EventId, SimTime)>,
+}
+
+struct Sim<'a> {
+    cfg: &'a DryadSimConfig,
+    ctx: &'a RunContext,
+    cluster: &'a Cluster,
+    tasks: &'a [TaskSpec],
+    policy: ResiliencePolicy,
+    health: Option<HealthTracker>,
+    rec: Option<Recorder>,
+    book: Book,
+    slots: Vec<Slot>,
+    nodes: Vec<Node>,
+    attempts: usize,
+    deaths: usize,
+}
+
+/// Simulate a statically partitioned job of `tasks` in virtual time on
+/// the context's single cluster: the twin of [`crate::run`] for paper-scale
+/// what-if studies, taking work from the same book. Nothing flows between
+/// nodes after the static deal (why DryadLINQ load-balances worse than the
+/// global-queue platforms). Every attempt rolls its slot's dice (slots by
+/// flat node-major index) over the span it runs; gray degradation
+/// stretches the degraded slot's attempts; storage outages do not touch
+/// node-local files. The context's policy is the defense: a backup of the
+/// node's oldest straggler once its list is empty, deadline cuts, and
+/// quarantine benches at each poll.
 ///
-/// Under a [`ppc_chaos::FaultSchedule`], slots are addressed by flat
-/// node-major index. A kill or death die landing on a vertex re-runs it in
-/// place: on the same slot, from the failed attempt's end, with the same
-/// jitter draw — the sim's twin of the native in-slot retry (static
-/// partitioning: work never migrates across nodes). Gray degradation
-/// stretches every vertex the degraded slot runs; cloud-storage outages do
-/// not apply to Dryad's node-local files.
-///
-/// The context's policy is the defense: with a hedge config, a vertex
-/// whose service time exceeds the learned delay gets a *backup vertex* on
-/// the node's next-free slot (never crossing nodes) and the first
-/// completion wins; a deadline cancels an overlong attempt at its timeout
-/// and re-runs the vertex through slot selection, no earlier than the
-/// cancel; a quarantine config benches gray slots off the list schedule.
-/// An unset policy runs the same lifecycle with every defense off.
-pub(crate) fn simulate_impl(
-    cluster: &Cluster,
-    tasks: &[TaskSpec],
-    cfg: &DryadSimConfig,
-    ctx: &RunContext,
-) -> DryadReport {
+/// Without a context seed the run uses seed 42. Panics on no tasks,
+/// malformed sim dials or context, or a hybrid/elastic fleet plan.
+pub fn simulate(ctx: &RunContext, tasks: &[TaskSpec], cfg: &DryadSimConfig) -> DryadReport {
+    let cluster = ctx.single_cluster().unwrap_or_else(|e| panic!("{e}"));
     assert!(!tasks.is_empty(), "no tasks to simulate");
     if let Err(e) = cfg.validate().and_then(|()| ctx.validate()) {
         panic!("{e}");
     }
-    let schedule = ctx.schedule.as_deref();
-    let n_nodes = cluster.n_nodes();
-    let itype = cluster.itype();
-    // One independent RNG stream per worker slot (flat node-major index).
-    let seed = ctx.sim_seed();
-    let mut rngs: Vec<Pcg32> = (0..cluster.total_workers())
-        .map(|w| Pcg32::for_stream(seed, w as u64))
-        .collect();
-    // The executing slot draws a vertex's jitter from its own stream; a
-    // re-run in place reuses the draw, a re-slotted attempt draws afresh.
-    let draw = |rng: &mut Pcg32| {
-        if cfg.jitter_sigma > 0.0 {
-            rng.log_normal(0.0, cfg.jitter_sigma)
-        } else {
-            1.0
-        }
-    };
-    let rec: Option<Recorder> = ctx.trace.then(Recorder::new);
-
-    // Static round-robin partitioning, fixed before execution starts.
-    let partitions = crate::partition::partition_round_robin(tasks.to_vec(), n_nodes);
-
-    let mut per_node_seconds = Vec::with_capacity(n_nodes);
-    let mut vertex_failures = 0usize;
-    let mut vertex_retries = 0usize;
-    let mut total_attempts = 0usize;
-    let mut deaths = 0usize;
-    let mut failed: Vec<TaskId> = Vec::new();
-    // Defense state is cluster-wide (one latency quantile, one health
-    // ledger) even though backup vertices never cross nodes.
     let policy = ctx.resilience.unwrap_or_default();
-    let mut hedge = policy.hedge.map(HedgePolicy::new);
-    let mut health = policy.quarantine.map(HealthTracker::new);
-    let deadline = policy.deadline;
-    let mut hedged_losers = 0usize;
-    let mut node_base = 0usize;
-    for (node_idx, node_tasks) in partitions.iter().enumerate() {
-        let workers = cluster.nodes()[node_idx].workers;
-        // List-schedule the node's tasks onto its worker slots: a min-heap
-        // of (slot-free time, flat slot id) — exact for FIFO within a node.
-        let mut slots: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = (0..workers)
-            .map(|s| std::cmp::Reverse((0u64, node_base + s)))
-            .collect();
-        let mut chaos = vec![ChaosCursor::default(); workers];
-        let mut node_finish = 0u64; // microseconds
-        for task in node_tasks {
-            let t_exec = task_service_seconds(&itype, workers, &task.profile, &cfg.app);
-            let t_in = cfg.local_io.transfer_seconds(task.profile.input_bytes);
-            let t_out = cfg.local_io.transfer_seconds(task.profile.output_bytes);
-            let t_io = t_in + t_out;
-            // One vertex attempt's spans; only the attempt that wins writes
-            // its output (the terminal `Write`).
-            let record = |attempt: u32, w: u32, start_s: f64, end_s: f64, wins: bool| {
-                if let Some(rec) = &rec {
-                    let phases = [
-                        Phase::VertexStart,
-                        Phase::ReadLocal,
-                        Phase::Execute,
-                        Phase::Write,
-                    ];
-                    let parts = (cfg.vertex_overhead_s, t_in, t_out);
-                    AttemptMarker::new(rec, task.id.0, attempt, w, start_s)
-                        .modeled(phases, parts, end_s, wins);
-                }
-            };
-            let mut attempt_idx = 0u32;
-            let (mut start, mut slot) = pick_slot(&mut slots, health.as_mut(), 0, rec.as_ref());
-            let mut jitter = draw(&mut rngs[slot]);
-            loop {
-                let w = slot as u32;
-                let start_s = start as f64 / 1e6;
-                let factor = schedule.map_or(1.0, |s| s.slowdown(w, start_s));
-                let dur_s = cfg.vertex_overhead_s + t_exec * jitter * factor + t_io;
-                // A deadline cuts the attempt first: kills and dice then
-                // land only inside the span it actually runs.
-                let cut = deadline.filter(|d| dur_s > d.timeout_s);
-                let mut finish = start + (cut.map_or(dur_s, |d| d.timeout_s) * 1e6).round() as u64;
-                total_attempts += 1;
-                let end_s = Some(finish as f64 / 1e6);
-                let roll = schedule
-                    .map(|s| chaos[slot - node_base].roll(s, w, end_s))
-                    .unwrap_or_default();
-                deaths += usize::from(roll.died);
-                // A death outranks the cut.
-                let cut = cut.filter(|_| !roll.fails);
-                if roll.fails || cut.is_some() {
-                    // A failed attempt: a death re-runs the vertex in place,
-                    // on this slot; a deadline cancels it at the timeout and
-                    // re-runs it through slot selection, where the
-                    // quarantine gate can divert it off a gray slot.
-                    let end_s = finish as f64 / 1e6;
-                    record(attempt_idx, w, start_s, end_s, false);
-                    if let Some(rec) = &rec {
-                        let kind = match cut {
-                            Some(_) => Some(EventKind::Cancel),
-                            None => roll.killed.then_some(EventKind::Death),
-                        };
-                        if let Some(kind) = kind {
-                            rec.event(TraceEvent {
-                                at_s: end_s,
-                                worker: w,
-                                kind,
-                            });
-                        }
-                    }
-                    if let Some(h) = &mut health {
-                        h.record(w, None, end_s, &HealthTrace(rec.as_ref()));
-                    }
-                    node_finish = node_finish.max(finish);
-                    attempt_idx += 1;
-                    if attempt_idx >= MAX_CHAOS_ATTEMPTS {
-                        vertex_failures += 1;
-                        failed.push(task.id);
-                        slots.push(std::cmp::Reverse((finish, slot)));
-                        break;
-                    }
-                    vertex_retries += 1;
-                    if cut.is_some() {
-                        slots.push(std::cmp::Reverse((finish, slot)));
-                        (start, slot) =
-                            pick_slot(&mut slots, health.as_mut(), finish, rec.as_ref());
-                        jitter = draw(&mut rngs[slot]);
-                    } else {
-                        start = finish;
-                    }
-                    continue;
-                }
-                // The attempt will complete; a straggler may earn a
-                // backup vertex on the node's next-free slot first.
-                let mut winner_w = w;
-                let mut winner_latency = dur_s;
-                let mut hedged = false;
-                if let Some(policy) = hedge.as_mut() {
-                    let delay = policy.hedge_delay();
-                    if dur_s > delay && policy.should_hedge(delay, 1, tasks.len()) {
-                        let std::cmp::Reverse((b_free, b_slot)) =
-                            slots.pop().expect("at least one slot");
-                        let b_start = b_free.max(start + (delay * 1e6).round() as u64);
-                        if b_start < finish {
-                            let bw = b_slot as u32;
-                            let b_start_s = b_start as f64 / 1e6;
-                            let b_jitter = draw(&mut rngs[b_slot]);
-                            let b_factor = schedule.map_or(1.0, |s| s.slowdown(bw, b_start_s));
-                            let b_dur_s =
-                                cfg.vertex_overhead_s + t_exec * b_jitter * b_factor + t_io;
-                            let b_finish = b_start + (b_dur_s * 1e6).round() as u64;
-                            policy.record_hedge();
-                            total_attempts += 1;
-                            hedged = true;
-                            hedged_losers += 1;
-                            if let Some(rec) = &rec {
-                                rec.event(TraceEvent {
-                                    at_s: b_start_s,
-                                    worker: NO_WORKER,
-                                    kind: EventKind::Hedge,
-                                });
-                            }
-                            // First result wins; the loser is cancelled
-                            // at the winner's completion, freeing both
-                            // slots there.
-                            let win = finish.min(b_finish);
-                            let win_s = win as f64 / 1e6;
-                            record(attempt_idx, w, start_s, win_s, b_finish >= finish);
-                            record(attempt_idx + 1, bw, b_start_s, win_s, b_finish < finish);
-                            if b_finish < finish {
-                                winner_w = bw;
-                                winner_latency = b_dur_s;
-                            }
-                            node_finish = node_finish.max(win);
-                            slots.push(std::cmp::Reverse((win, slot)));
-                            slots.push(std::cmp::Reverse((win, b_slot)));
-                            finish = win;
-                        } else {
-                            // The backup could not launch before the
-                            // primary finishes: pointless, skip it.
-                            slots.push(std::cmp::Reverse((b_free, b_slot)));
-                        }
-                    }
-                }
-                if !hedged {
-                    record(attempt_idx, w, start_s, finish as f64 / 1e6, true);
-                    node_finish = node_finish.max(finish);
-                    slots.push(std::cmp::Reverse((finish, slot)));
-                }
-                let end_s = finish as f64 / 1e6;
-                if let Some(policy) = hedge.as_mut() {
-                    policy.observe(winner_latency);
-                }
-                if let Some(h) = &mut health {
-                    h.record(
-                        winner_w,
-                        Some(winner_latency),
-                        end_s,
-                        &HealthTrace(rec.as_ref()),
-                    );
-                }
-                break;
-            }
-        }
-        per_node_seconds.push(node_finish as f64 / 1e6);
-        node_base += workers;
+    let (book, homes) = Book::deal(cluster, tasks.len(), policy.hedge, MAX_FAILURES);
+    let slots = (homes.iter().enumerate())
+        .map(|(w, &(node, _))| Slot {
+            node,
+            rng: Pcg32::for_stream(ctx.sim_seed(), w as u64),
+            chaos: ChaosCursor::default(),
+            running: None,
+        })
+        .collect();
+    let mut nodes: Vec<Node> = cluster.nodes().iter().map(|_| Node::default()).collect();
+    (0..tasks.len()).for_each(|t| nodes[book.ledger.partition(t)].remaining += 1);
+    let mut sim = Sim {
+        cfg,
+        ctx,
+        cluster,
+        tasks,
+        policy,
+        health: policy.quarantine.map(HealthTracker::new),
+        rec: ctx.trace.then(Recorder::new),
+        book,
+        slots,
+        nodes,
+        attempts: 0,
+        deaths: 0,
+    };
+    let mut engine = Engine::typed();
+    for w in 0..homes.len() {
+        engine.post_at(SimTime::ZERO, Event::Poll(w as u32));
     }
-
+    engine.run_with(|e, fired| match fired {
+        Fired::Event(event) => sim.fire(e, event),
+        Fired::Tick(_) => unreachable!("the Dryad sim uses no lane"),
+    });
+    let per_node_seconds: Vec<f64> = sim.nodes.iter().map(|n| n.finish_s).collect();
     let makespan = per_node_seconds.iter().cloned().fold(0.0, f64::max);
+    let ledger = &sim.book.ledger;
+    let failed: Vec<_> = ledger.failed_tasks().iter().map(|&t| tasks[t].id).collect();
+    let vertex_retries = ledger.retries() as usize;
     let summary = RunSummary {
-        platform: format!("dryad-sim-{}", itype.name),
+        platform: format!("dryad-sim-{}", cluster.itype().name),
         cores: cluster.total_workers(),
-        tasks: tasks.len() - vertex_failures,
+        tasks: ledger.n_done(),
         makespan_seconds: makespan,
-        redundant_executions: vertex_retries + hedged_losers,
+        redundant_executions: vertex_retries + ledger.duplicate_completions() as usize,
         remote_bytes: 0,
     };
-    let cost = Some(cluster.cost(makespan));
+    let (cost, vertex_failures) = (Some(cluster.cost(makespan)), failed.len());
+    let (attempts, deaths, rec) = (sim.attempts, sim.deaths, sim.rec.as_ref());
     DryadReport {
-        core: RunReport::close(summary, failed, total_attempts, deaths, cost, rec.as_ref()),
+        core: RunReport::close(summary, failed, attempts, deaths, cost, rec),
         per_node_seconds,
         vertex_failures,
         vertex_retries,
+    }
+}
+
+impl Sim<'_> {
+    fn fire(&mut self, e: &mut Engine<Event>, event: Event) {
+        match event {
+            Event::Poll(w) => self.poll(e, w as usize),
+            Event::End(w) => self.end(e, w as usize),
+            Event::Hedge(node) => {
+                let node = &mut self.nodes[node as usize];
+                node.timer = None;
+                for k in std::mem::take(&mut node.idle) {
+                    self.poll(e, k);
+                }
+            }
+        }
+        if self.policy.hedge.is_some() {
+            // A commit moves the run-wide hedge delay: re-aim every timer.
+            (0..self.nodes.len()).for_each(|node| self.sync_hedge_timer(e, node));
+        }
+    }
+
+    /// Slot `w` polls: it leaves once its node has resolved every vertex,
+    /// waits out a bench, else takes its node's next vertex or a backup,
+    /// or idles until the node's hedge timer.
+    fn poll(&mut self, e: &mut Engine<Event>, w: usize) {
+        let (now_s, node) = (e.now().as_secs_f64(), self.slots[w].node);
+        if self.nodes[node].remaining == 0 {
+            return;
+        }
+        let trace = HealthTrace(self.rec.as_ref());
+        let admit = (self.health.as_mut()).map(|h| h.admit(w as u32, now_s, &trace));
+        if let Some(Admit::Benched { until_s }) = admit {
+            e.post_at(SimTime::after_now(e.now(), until_s), Event::Poll(w as u32));
+            return;
+        }
+        let Some(pick) = self.book.take(node, now_s) else {
+            self.nodes[node].idle.push(w);
+            return;
+        };
+        let id = (pick.launched).unwrap_or_else(|| self.book.ledger.launch(pick.task, now_s));
+        self.start(e, w, id);
+        if let Some(worker) = pick.hedge {
+            self.event(worker, EventKind::Hedge, now_s);
+        }
+    }
+
+    /// Launch attempt `id` on slot `w` now: jitter from the slot's stream,
+    /// the slot's gray slowdown, the deadline's cut, then the slot's chaos
+    /// over the span the attempt runs; a death outranks the cut.
+    fn start(&mut self, e: &mut Engine<Event>, w: usize, id: AttemptId) {
+        let (cfg, now_s, slot) = (self.cfg, e.now().as_secs_f64(), &mut self.slots[w]);
+        let (profile, schedule) = (&self.tasks[id.task].profile, self.ctx.schedule.as_deref());
+        let workers = self.cluster.nodes()[slot.node].workers;
+        let t_exec = task_service_seconds(&self.cluster.itype(), workers, profile, &cfg.app);
+        let t_in = cfg.local_io.transfer_seconds(profile.input_bytes);
+        let t_io = t_in + cfg.local_io.transfer_seconds(profile.output_bytes);
+        let jitter = match cfg.jitter_sigma > 0.0 {
+            true => slot.rng.log_normal(0.0, cfg.jitter_sigma),
+            false => 1.0,
+        };
+        let factor = schedule.map_or(1.0, |s| s.slowdown(w as u32, now_s));
+        let dur_s = cfg.vertex_overhead_s + t_exec * jitter * factor + t_io;
+        let cut = self.policy.deadline.filter(|d| dur_s > d.timeout_s);
+        let end_at = e.now() + SimTime::from_secs_f64(cut.map_or(dur_s, |d| d.timeout_s));
+        let window = Some(end_at.as_secs_f64());
+        let roll = (schedule.map(|s| slot.chaos.roll(s, w as u32, window))).unwrap_or_default();
+        self.deaths += usize::from(roll.died);
+        self.attempts += 1;
+        slot.running = Some(Running {
+            id,
+            start_s: now_s,
+            end: e.post_at(end_at, Event::End(w as u32)),
+            roll,
+            cut: cut.is_some() && !roll.fails,
+        });
+    }
+
+    /// Slot `w`'s attempt ends now. A commit kills the vertex's other live
+    /// attempts. A failure (a death, a torn output, a deadline cut) re-runs
+    /// the vertex if it has budget left and no other attempt live: in place,
+    /// or for a cut on an idle slot of its node if it has one. The slot then
+    /// polls, unless it re-runs.
+    fn end(&mut self, e: &mut Engine<Event>, w: usize) {
+        let now_s = e.now().as_secs_f64();
+        let r = (self.slots[w].running.take()).expect("an end without an attempt");
+        let (node, task, ok) = (self.slots[w].node, r.id.task, !r.roll.fails && !r.cut);
+        self.record(w, &r, now_s, ok);
+        match (r.cut, r.roll.killed) {
+            (true, _) => self.event(w as u32, EventKind::Cancel, now_s),
+            (_, true) => self.event(w as u32, EventKind::Death, now_s),
+            _ => {}
+        }
+        let trace = HealthTrace(self.rec.as_ref());
+        if let Some(h) = &mut self.health {
+            h.record(w as u32, ok.then_some(now_s - r.start_s), now_s, &trace);
+        }
+        if ok {
+            self.book.ledger.complete_at(r.id, now_s);
+            self.settle(node, now_s);
+            if self.book.ledger.live_attempts(task) > 0 {
+                self.kill_rivals(e, task);
+            }
+        } else {
+            match self.book.ledger.fail(r.id) {
+                FailOutcome::Retried if self.book.ledger.live_attempts(task) == 0 => {
+                    let idle = r.cut.then(|| self.nodes[node].idle.pop()).flatten();
+                    let id = self.book.ledger.launch(task, now_s);
+                    self.start(e, idle.unwrap_or(w), id);
+                    if idle.is_none() {
+                        return;
+                    }
+                }
+                FailOutcome::TaskFailed => self.settle(node, now_s),
+                _ => {}
+            }
+        }
+        self.poll(e, w);
+    }
+
+    /// Kill `task`'s live attempts, losers of its commit now, and let their
+    /// slots poll. An attempt is armed only as it is killed, for the ledger.
+    fn kill_rivals(&mut self, e: &mut Engine<Event>, task: usize) {
+        let now_s = e.now().as_secs_f64();
+        for k in 0..self.slots.len() {
+            if let Some(loser) = self.slots[k].running.take_if(|l| l.id.task == task) {
+                e.cancel(loser.end);
+                self.book.ledger.arm(loser.id, k as u32).cancel();
+                self.book.ledger.release_cancelled(loser.id);
+                self.record(k, &loser, now_s, false);
+                self.event(k as u32, EventKind::Cancel, now_s);
+                self.poll(e, k);
+            }
+        }
+    }
+
+    /// Count one of `node`'s vertices resolved now.
+    fn settle(&mut self, node: usize, now_s: f64) {
+        self.nodes[node].remaining -= 1;
+        self.nodes[node].finish_s = now_s;
+    }
+
+    /// Keep `node`'s hedge timer aimed at its earliest hedge time while it
+    /// has an idle slot to launch it, as the Classic sim's is.
+    fn sync_hedge_timer(&mut self, e: &mut Engine<Event>, node: usize) {
+        let n = &mut self.nodes[node];
+        let want = (!n.idle.is_empty())
+            .then(|| self.book.ledger.earliest_hedge_s(node))
+            .flatten()
+            .map(|at_s| SimTime::after_now(e.now(), at_s));
+        if n.timer.map(|(_, at)| at) != want {
+            if let Some((timer, _)) = n.timer.take() {
+                e.cancel(timer);
+            }
+            n.timer = want.map(|at| (e.post_at(at, Event::Hedge(node as u32)), at));
+        }
+    }
+
+    /// Write attempt `r`'s spans on slot `w`, ended at `end_s`; only the
+    /// winner writes its output (the terminal `Write`).
+    fn record(&self, w: usize, r: &Running, end_s: f64, wins: bool) {
+        let Some(rec) = &self.rec else {
+            return;
+        };
+        use Phase::{Execute, ReadLocal, VertexStart, Write};
+        let (task, io) = (&self.tasks[r.id.task], &self.cfg.local_io);
+        let (t_in, t_out) = (
+            io.transfer_seconds(task.profile.input_bytes),
+            io.transfer_seconds(task.profile.output_bytes),
+        );
+        let phases = [VertexStart, ReadLocal, Execute, Write];
+        AttemptMarker::new(rec, task.id.0, r.id.attempt, w as u32, r.start_s).modeled(
+            phases,
+            (self.cfg.vertex_overhead_s, t_in, t_out),
+            end_s,
+            wins,
+        );
+    }
+
+    fn event(&self, worker: u32, kind: EventKind, at_s: f64) {
+        if let Some(rec) = &self.rec {
+            rec.event(TraceEvent { at_s, worker, kind });
+        }
     }
 }
 
@@ -530,11 +554,39 @@ mod tests {
     }
 
     #[test]
+    fn backups_wait_for_the_node_list_to_empty() {
+        use ppc_resilience::HedgeConfig;
+        // Native Dryad's `take` rule: a slot backs up a straggler only once
+        // its node's list is empty. No dice fail anything, so every attempt
+        // past the first is a backup, and none starts before the node's
+        // last first attempt.
+        let cluster = Cluster::provision(BARE_HPC16, 1, 8);
+        let policy = ResiliencePolicy::hedged(HedgeConfig::quantile(20.0));
+        let report = simulate_gray(&cluster, &cpu_tasks(64, 10.0), Some(policy));
+        let trace = report.core.trace.as_ref().unwrap();
+        let starts = |backup: bool| {
+            (trace.spans().iter())
+                .filter(move |s| s.phase == Phase::Attempt && (s.attempt >= 1) == backup)
+                .map(|s| s.start_s)
+        };
+        let last_first = starts(false).fold(0.0, f64::max);
+        let first_backup = starts(true).fold(f64::INFINITY, f64::min);
+        assert!(
+            first_backup.is_finite(),
+            "the gray slot's vertex gets a backup"
+        );
+        assert!(
+            first_backup >= last_first,
+            "a backup starts at {first_backup}, before the last first attempt at {last_first}"
+        );
+    }
+
+    #[test]
     fn sim_quarantine_benches_gray_slot() {
         use ppc_resilience::QuarantineConfig;
         // Slot 0 is gray (30x): after two ~327s vertices its EWMA is far
-        // past 3x the fleet median, so it is benched and the list schedule
-        // flows around it.
+        // past 3x the fleet median, so it is benched and its node's list
+        // flows to the other slots.
         let cluster = Cluster::provision(BARE_HPC16, 1, 8);
         let tasks = cpu_tasks(512, 10.0);
         let plain = simulate_gray(&cluster, &tasks, None);

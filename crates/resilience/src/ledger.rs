@@ -4,13 +4,14 @@
 //! the time of each call. MapReduce's scheduler and both Classic engines
 //! keep every task in one partition (a global queue), the Classic ones
 //! pulling through one delivery step ([`AttemptLedger::deliver`]); native
-//! Dryad gives each node its own.
+//! Dryad and its sim give each node its own.
 //!
 //! A native engine also [`arm`](AttemptLedger::arm)s each attempt it
 //! launches with its worker and gets back its kill token, which the ledger
 //! fires when another attempt commits the task or a deadline cut
-//! ([`AttemptLedger::cut_overdue`]) fails it. Simulators never arm, and
-//! native Classic arms only so a deadline can cut: it kills no loser.
+//! ([`AttemptLedger::cut_overdue`]) fails it. Native Classic arms only so a
+//! deadline can cut: it kills no loser. Simulators arm nothing at launch;
+//! the Dryad sim arms a loser only as a commit kills it, to release it.
 
 use crate::{HedgeConfig, HedgePolicy};
 use ppc_core::Cancel;
@@ -245,8 +246,8 @@ impl AttemptLedger {
         (t.failures < self.max_attempts).then(|| self.launch_attempt(task, now_s))
     }
 
-    /// Duplicate the oldest running task of `partition` if the
-    /// [`HedgePolicy`] approves it at `now_s`; if the oldest is not past
+    /// Duplicate the oldest running task of `partition` if the hedge
+    /// policy approves it at `now_s`; if the oldest is not past
     /// the hedge delay, no candidate is.
     pub fn launch_hedge(&mut self, partition: usize, now_s: f64) -> Option<AttemptId> {
         let task = self.first_candidate(partition)?;

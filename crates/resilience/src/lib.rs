@@ -6,10 +6,11 @@
 //! crate is the one defense layer all three paradigms (Classic Cloud,
 //! MapReduce, Dryad) adopt, native and simulated:
 //!
-//! * [`HedgePolicy`] — launch a duplicate attempt once a task has run past
+//! * [`HedgeConfig`] — launch a duplicate attempt once a task has run past
 //!   a quantile-derived delay (Hadoop's speculative execution generalized:
 //!   classic queue re-dispatch, Dryad backup vertices), first result wins,
-//!   with a hedge budget so duplicates can't stampede.
+//!   with a hedge budget so duplicates can't stampede. The ledger below
+//!   makes every hedge decision, through the crate-private `HedgePolicy`.
 //! * [`HealthTracker`] — score workers by EWMA completion latency and
 //!   failure streaks, bench gray workers off the assignment path, and
 //!   release them through a probation window.
@@ -21,8 +22,8 @@
 //!   the release of killed losers. It also owns the native engines' live
 //!   attempts: each armed attempt's worker and kill token, fired for the
 //!   losers of a first commit and for the oldest deadline breach it cuts.
-//!   MapReduce's scheduler and the Classic sim keep every task in one
-//!   partition; native Dryad uses one partition per node.
+//!   MapReduce's scheduler and both Classic engines keep every task in one
+//!   partition; both Dryad engines use one partition per node.
 //!
 //! The knobs travel as one [`ResiliencePolicy`] value on
 //! `ppc_exec::RunContext` or a paradigm config. With no policy (`None`),
@@ -136,7 +137,7 @@ impl HedgeConfig {
 /// whose top it is, and a min-heap of the rest. `k` grows by at most one
 /// per observation, so `observe` is O(log n).
 #[derive(Debug, Clone)]
-pub struct HedgePolicy {
+pub(crate) struct HedgePolicy {
     cfg: HedgeConfig,
     /// The `k` smallest observations; the top is the quantile.
     low: BinaryHeap<Latency>,
@@ -181,7 +182,7 @@ impl PartialEq for Latency {
 impl Eq for Latency {}
 
 impl HedgePolicy {
-    pub fn new(cfg: HedgeConfig) -> HedgePolicy {
+    pub(crate) fn new(cfg: HedgeConfig) -> HedgePolicy {
         HedgePolicy {
             cfg,
             low: BinaryHeap::new(),
@@ -191,12 +192,12 @@ impl HedgePolicy {
         }
     }
 
-    pub fn config(&self) -> &HedgeConfig {
+    pub(crate) fn config(&self) -> &HedgeConfig {
         &self.cfg
     }
 
     /// Feed one completed attempt's latency into the quantile estimate.
-    pub fn observe(&mut self, latency_s: f64) {
+    pub(crate) fn observe(&mut self, latency_s: f64) {
         if !(latency_s.is_finite() && latency_s >= 0.0) {
             return;
         }
@@ -232,14 +233,14 @@ impl HedgePolicy {
     /// The delay past which a running task becomes a hedge candidate:
     /// `max(min_delay_s, quantile_latency × factor)` once
     /// `min_observations` completions are in, `min_delay_s` before that.
-    pub fn hedge_delay(&self) -> f64 {
+    pub(crate) fn hedge_delay(&self) -> f64 {
         self.delay_s
     }
 
     /// Whether a task that has been running `age_s` with `live_attempts`
     /// copies in flight should get a backup, given the budget over a job
     /// of `n_tasks`.
-    pub fn should_hedge(&self, age_s: f64, live_attempts: u32, n_tasks: usize) -> bool {
+    pub(crate) fn should_hedge(&self, age_s: f64, live_attempts: u32, n_tasks: usize) -> bool {
         live_attempts < self.cfg.max_live_attempts
             && self.budget_remaining(n_tasks)
             && age_s >= self.hedge_delay()
@@ -247,7 +248,7 @@ impl HedgePolicy {
 
     /// Whether the hedge budget over a job of `n_tasks` allows another
     /// duplicate.
-    pub fn budget_remaining(&self, n_tasks: usize) -> bool {
+    pub(crate) fn budget_remaining(&self, n_tasks: usize) -> bool {
         if self.cfg.budget_fraction.is_infinite() {
             return true;
         }
@@ -256,11 +257,11 @@ impl HedgePolicy {
     }
 
     /// Record that a hedge was launched (counts against the budget).
-    pub fn record_hedge(&mut self) {
+    pub(crate) fn record_hedge(&mut self) {
         self.hedges_launched += 1;
     }
 
-    pub fn hedges_launched(&self) -> usize {
+    pub(crate) fn hedges_launched(&self) -> usize {
         self.hedges_launched
     }
 }
@@ -425,19 +426,23 @@ impl HealthTracker {
         &mut self.workers[i]
     }
 
-    /// Median EWMA latency across workers with enough samples.
-    fn fleet_median(&self) -> Option<f64> {
-        let mut ewmas: Vec<f64> = self
+    /// Whether `ewma_s` is past `slow_factor` × the median EWMA latency of
+    /// the workers with enough samples; never with fewer than two of them,
+    /// as one has no peers to be slow relative to. The median, the `n /
+    /// 2`-th smallest of `n`, is under the bar exactly when `n / 2 + 1` of
+    /// them are, since `slow_factor × ewma` grows with the ewma: one pass,
+    /// no sort.
+    fn slow_next_to_fleet(&self, ewma_s: f64) -> bool {
+        let (mut n, mut under) = (0, 0);
+        let peers = self
             .workers
             .iter()
-            .filter(|w| w.samples >= self.cfg.min_samples)
-            .filter_map(|w| w.ewma_s)
-            .collect();
-        if ewmas.len() < 2 {
-            return None; // one worker has no peers to be slow relative to
+            .filter(|w| w.samples >= self.cfg.min_samples);
+        for peer in peers.filter_map(|w| w.ewma_s) {
+            n += 1;
+            under += usize::from(ewma_s > self.cfg.slow_factor * peer);
         }
-        ewmas.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Some(ewmas[ewmas.len() / 2])
+        n >= 2 && under > n / 2
     }
 
     fn benched(&self) -> usize {
@@ -476,10 +481,7 @@ impl HealthTracker {
         let s = &self.workers[worker as usize];
         s.health == Health::Healthy
             && s.samples >= self.cfg.min_samples
-            && match (s.ewma_s, self.fleet_median()) {
-                (Some(e), Some(m)) => e > self.cfg.slow_factor * m,
-                _ => false,
-            }
+            && s.ewma_s.is_some_and(|e| self.slow_next_to_fleet(e))
     }
 
     /// Score a failure; whether it trips a streak or breaks probation.
@@ -891,6 +893,36 @@ mod tests {
         assert_eq!(t.admit(0, 30.0, &log), Admit::Go);
         assert_eq!(t.releases(), 1);
         assert_eq!(log.take(), [(0, 30.0, Transition::Release)]);
+    }
+
+    /// The one-pass gray check decides exactly as comparing against the
+    /// median of a sorted copy of the peers' EWMAs, ties and the bar's
+    /// edge included.
+    #[test]
+    fn gray_check_matches_the_sorted_median() {
+        let cfg = QuarantineConfig::default();
+        let mut rng = ppc_core::rng::Pcg32::new(0x6a7);
+        for case in 0..2_000 {
+            let mut t = HealthTracker::new(cfg);
+            for w in 0..rng.next_below(9) {
+                let s = t.score(w);
+                s.samples = rng.next_below(2 * cfg.min_samples);
+                s.ewma_s = (rng.next_below(8) > 0).then(|| f64::from(rng.next_below(6)) * 0.5);
+            }
+            let ewma_s = f64::from(rng.next_below(24)) * 0.5;
+            let mut peers: Vec<f64> = (t.workers.iter())
+                .filter(|w| w.samples >= cfg.min_samples)
+                .filter_map(|w| w.ewma_s)
+                .collect();
+            peers.sort_by(f64::total_cmp);
+            let median = peers.get(peers.len() / 2).filter(|_| peers.len() >= 2);
+            let want = median.is_some_and(|&m| ewma_s > cfg.slow_factor * m);
+            assert_eq!(
+                t.slow_next_to_fleet(ewma_s),
+                want,
+                "case {case}: {peers:?} vs {ewma_s}"
+            );
+        }
     }
 
     #[test]

@@ -845,11 +845,10 @@ fn mapreduce_sim_matches_golden_digest() {
     );
 }
 
-/// The Dryad simulator runs no event queue (quantized list scheduler), so
-/// its report never depended on the backend; it is pinned all the same.
-/// The digests were regenerated when the Dryad sim moved to one vertex
-/// lifecycle (a death re-runs its vertex in place, a deadline replacement
-/// starts no earlier than its cancel).
+/// The Dryad simulator's full report under chaos + hedging. The digests
+/// were regenerated when the Dryad sim moved onto the typed event core and
+/// native Dryad's book: a backup waits for its node's list to empty, every
+/// event fires in time order, and a winning commit kills its rivals.
 #[test]
 fn dryad_sim_matches_golden_digest() {
     let tasks = sim_tasks(64);
@@ -857,7 +856,7 @@ fn dryad_sim_matches_golden_digest() {
     let cfg = ppc::dryad::DryadSimConfig::default();
     assert_golden_digest(
         "dryad",
-        [0x82cd1c5137a2f155, 0x1210f76a36cc36cd, 0x0fb938ff26c4f37c],
+        [0x71e6e18756d11b0b, 0xa8fc61c93ff05b79, 0x377ce0b815d5da14],
         |seed| {
             ppc::dryad::simulate(&hostile_ctx(&cluster, seed), &tasks, &cfg)
                 .to_json()

@@ -9,7 +9,7 @@ use ppc::bio::fasta::{self, FastaRecord};
 use ppc::core::money::Usd;
 use ppc::core::rng::Pcg32;
 use ppc::dryad::linq::DVec;
-use ppc::dryad::partition::{partition_contiguous, partition_round_robin};
+use ppc::dryad::partition::partition_round_robin;
 use ppc::queue::queue::{Queue, QueueConfig};
 
 const ID_CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.";
@@ -107,17 +107,13 @@ fn partitioners_conserve() {
         let len = rng.next_below(200) as usize;
         let items: Vec<u32> = (0..len).map(|_| rng.next_u32()).collect();
         let n = 1 + rng.next_below(15) as usize;
-        for parts in [
-            partition_round_robin(items.clone(), n),
-            partition_contiguous(items.clone(), n),
-        ] {
-            assert_eq!(parts.len(), n);
-            let mut flat: Vec<u32> = parts.into_iter().flatten().collect();
-            let mut expect = items.clone();
-            flat.sort_unstable();
-            expect.sort_unstable();
-            assert_eq!(flat, expect, "seed {seed}");
-        }
+        let parts = partition_round_robin(items.clone(), n);
+        assert_eq!(parts.len(), n);
+        let mut flat: Vec<u32> = parts.into_iter().flatten().collect();
+        let mut expect = items.clone();
+        flat.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(flat, expect, "seed {seed}");
         // Round-robin balance: sizes differ by at most one.
         let sizes: Vec<usize> = partition_round_robin(items.clone(), n)
             .iter()

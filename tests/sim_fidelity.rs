@@ -346,15 +346,15 @@ fn sims_match_chaos_golden_digests() {
 
 /// Generated by [`sims_match_chaos_golden_digests`] on the
 /// timing wheel, one row per [`CHAOS_SEEDS`] entry. The `dryad` column was
-/// regenerated when the Dryad sim moved to one vertex lifecycle: a death
-/// re-runs its vertex in place, and a deadline replacement starts no
-/// earlier than its cancel.
+/// regenerated when the Dryad sim moved onto the typed event core and
+/// native Dryad's book (a backup waits for its node's list to empty, every
+/// event fires in time order, a winning commit kills its rivals).
 const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     [
         0x81f421d437c53590,
         0x0c163d8d91887c95,
         0x25377d007db1fdfb,
-        0xfc9a5f931f464c62,
+        0xc686d3dc0be76b9c,
         0x5d1eb10573f0a3d6,
         0x50c9fde0e6b44e7b,
     ],
@@ -362,7 +362,7 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
         0xd55990a010f018bc,
         0xccc66558259fc5b8,
         0x0e994efff9f7bd8d,
-        0x13fd8123f436f0c0,
+        0x6ca9567432ba7e64,
         0x038baa496c255040,
         0x8075838ddc382e52,
     ],
@@ -370,7 +370,7 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
         0xda86c26886cf5a92,
         0x1a980359b519a658,
         0x4401c7f5e5023024,
-        0x44bd2d2f85e0a821,
+        0x6a13e99046230a88,
         0xfa99de34c99fdedf,
         0x781e850be05db46b,
     ],
@@ -707,12 +707,10 @@ fn dryad_defended_sim_matches_golden_digests() {
 }
 
 /// Generated by [`dryad_defended_sim_matches_golden_digests`] when the
-/// Dryad sim moved to one vertex lifecycle (a death re-runs its vertex in
-/// place, a deadline replacement starts no earlier than its cancel), one
-/// entry per [`CHAOS_SEEDS`] entry; seed 1's entry regenerated when the
-/// deadline cut came to precede the timed-kill check.
+/// Dryad sim moved onto the typed event core and native Dryad's book, one
+/// entry per [`CHAOS_SEEDS`] entry.
 const DRYAD_DEFENDED_GOLDEN: [u64; 3] =
-    [0x88b0a18311bd588d, 0x1546dd3560e9291b, 0x46268589b88798c4];
+    [0xd5ae247ede3c0fb8, 0xccfe1a0fe01f69ae, 0x732fc471e00640a6];
 
 /// FNV-1a digests (report JSON + `Debug`, trace on) of the undefended
 /// Dryad sim under one chaos seed: fault-free, then under the hostile
@@ -763,13 +761,15 @@ fn dryad_undefended_sim_matches_golden_digests() {
     );
 }
 
-/// Generated by [`dryad_undefended_sim_matches_golden_digests`] while the
-/// Dryad sim still had a separate undefended branch, one `[fault-free,
-/// chaos]` pair per [`CHAOS_SEEDS`] entry.
+/// Generated by [`dryad_undefended_sim_matches_golden_digests`] when the
+/// Dryad sim moved onto the typed event core and native Dryad's book, one
+/// `[fault-free, chaos]` pair per [`CHAOS_SEEDS`] entry. The fault-free
+/// reports did not move; the traced digests did, as spans and events are
+/// now recorded in time order rather than node by node.
 const DRYAD_UNDEFENDED_GOLDEN: [[u64; 2]; 3] = [
-    [0xac72b45d505fb726, 0xd6f66a32c0f1cbc1],
-    [0x96ca956331d6332c, 0xd1a283fbe8592af6],
-    [0x02960e2577198242, 0xd76ca0b3677ea9d1],
+    [0x60f0553e0c373fa4, 0xbd647458e1bf1c00],
+    [0x48759f88c84c45a6, 0xb50973d6e06fc791],
+    [0xb9981a471d0beb64, 0x77184d5fc13d0072],
 ];
 
 /// FNV-1a over a string, 64-bit.
