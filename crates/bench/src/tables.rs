@@ -105,7 +105,7 @@ pub fn table4() -> Table {
         &tasks,
         &SimConfig::ec2().with_app(app),
     );
-    let ec2_bill = ec2.bill(&ec2_cluster, &AWS_2010, 1.0);
+    let ec2_bill = ec2.bill(&AWS_2010, 1.0);
 
     // Azure: 128 Small instances.
     let az_cluster = Cluster::provision_per_core(AZURE_SMALL, 128);
@@ -114,7 +114,7 @@ pub fn table4() -> Table {
         &tasks,
         &SimConfig::azure().with_app(app),
     );
-    let az_bill = az.bill(&az_cluster, &AZURE_2010, 1.0);
+    let az_bill = az.bill(&AZURE_2010, 1.0);
 
     // Owned cluster: Hadoop on 32 × 24-core nodes.
     let owned_cluster = Cluster::provision(BARE_XEON24, 32, 24);
@@ -222,7 +222,7 @@ pub fn cost_comparison(app_name: &str) -> (String, ppc_core::Usd, ppc_core::Usd,
         &tasks,
         &SimConfig::ec2().with_app(app),
     );
-    let ec2_total = ec2.bill(&ec2_cluster, &AWS_2010, 1.0).total();
+    let ec2_total = ec2.bill(&AWS_2010, 1.0).total();
 
     let az_cluster = Cluster::provision_per_core(azure_type, azure_n);
     let az = classic_sim(
@@ -230,7 +230,7 @@ pub fn cost_comparison(app_name: &str) -> (String, ppc_core::Usd, ppc_core::Usd,
         &tasks,
         &SimConfig::azure().with_app(app),
     );
-    let az_total = az.bill(&az_cluster, &AZURE_2010, 1.0).total();
+    let az_total = az.bill(&AZURE_2010, 1.0).total();
 
     let owned_cluster = Cluster::provision(BARE_XEON24, 32, 24);
     let hadoop = hadoop_sim(

@@ -24,15 +24,14 @@
 //!   modeled on the `ppc-des` engine in virtual time, used for the
 //!   paper-scale experiments (hundreds of cores, hour-scale billing).
 //!
-//! The context's fleet plan picks the shape (single cluster, hybrid
-//! fleets, elastic autoscaled fleet), and the context alone carries the
-//! run's seed, fault schedule, tracing and resilience policy; the
-//! per-runtime configs hold platform dials only. [`ClassicEngine`]
-//! exposes the same pair behind the paradigm-generic
-//! [`ppc_exec::Engine`] trait.
+//! The context's fleet plan picks the instance groups both runtimes run
+//! on (one cluster, hybrid clusters side by side, or an autoscaled group),
+//! and the context alone carries the run's seed, fault schedule, tracing
+//! and resilience policy. [`ClassicEngine`] exposes the pair behind the
+//! paradigm-generic [`ppc_exec::Engine`] trait.
 
-mod elastic;
 pub mod engine;
+mod fleet;
 pub mod harness;
 pub mod history;
 pub mod report;

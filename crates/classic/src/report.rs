@@ -1,7 +1,6 @@
 //! Run reports and cost accounting for Classic Cloud jobs.
 
 use ppc_compute::billing::CostBreakdown;
-use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::InstanceType;
 use ppc_core::json::Json;
 use ppc_core::money::Usd;
@@ -22,9 +21,10 @@ pub struct ClassicReport {
     pub core: RunReport,
     /// Billable queue API requests across scheduling + monitoring queues.
     pub queue_requests: u64,
-    /// Successful task completions credited to each worker fleet (one
-    /// entry per fleet for hybrid runs; a single entry otherwise; empty
-    /// for simulated runs, which model a single fleet).
+    /// Successful task completions credited to each instance group of a
+    /// native run (one entry per cluster of a hybrid run; a single entry
+    /// otherwise). Empty for simulated runs: the sim runs hybrid fleets
+    /// too, but does not credit each one.
     pub executions_per_fleet: Vec<usize>,
     /// Storage service usage.
     pub storage: MeteringSnapshot,
@@ -79,21 +79,6 @@ impl FleetReport {
     }
 }
 
-/// Combined whole-fleet cost of a fixed-fleet run: every cluster held for
-/// the full makespan. Shared by the native runtime and the simulator.
-pub(crate) fn fleets_cost(fleets: &[Cluster], makespan_s: f64) -> CostBreakdown {
-    fleets.iter().map(|c| c.cost(makespan_s)).fold(
-        CostBreakdown {
-            compute_cost: Usd::cents(0),
-            amortized_cost: Usd::cents(0),
-        },
-        |acc, c| CostBreakdown {
-            compute_cost: acc.compute_cost + c.compute_cost,
-            amortized_cost: acc.amortized_cost + c.amortized_cost,
-        },
-    )
-}
-
 impl ClassicReport {
     /// Re-executed task count: wasted (but harmless) work.
     pub fn redundant_executions(&self) -> usize {
@@ -108,20 +93,20 @@ impl ClassicReport {
         };
         fields.push(("queue_requests".into(), Json::from(self.queue_requests)));
         fields.push(("storage_requests".into(), Json::from(self.storage.requests)));
-        fields.push((
-            "peak_fleet".into(),
-            match &self.fleet {
-                Some(f) => Json::from(f.peak_fleet() as u64),
-                None => Json::Null,
-            },
-        ));
+        let peak = self.fleet.as_ref().map(|f| f.peak_fleet() as u64);
+        fields.push(("peak_fleet".into(), peak.map_or(Json::Null, Json::from)));
         Json::Obj(fields)
     }
 
-    /// Full cost of the run: instances + queue requests + storage,
-    /// in the paper's Table 4 shape.
-    pub fn bill(&self, cluster: &Cluster, book: &PriceBook, storage_months: f64) -> Bill {
-        let instances = cluster.cost(self.summary.makespan_seconds);
+    /// Full cost of the run: the run's own fleet bill (the report's
+    /// `cost`: every cluster for the makespan, or an autoscaled fleet per
+    /// instance) + queue requests + storage, in the paper's Table 4 shape.
+    /// A report without a cost bills no instances.
+    pub fn bill(&self, book: &PriceBook, storage_months: f64) -> Bill {
+        let instances = self.cost.unwrap_or(CostBreakdown {
+            compute_cost: Usd::ZERO,
+            amortized_cost: Usd::ZERO,
+        });
         let queue = book.queue_requests(self.queue_requests);
         let storage = self.storage.storage_cost(book, storage_months);
         Bill {
@@ -150,6 +135,7 @@ impl Bill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_compute::cluster::Cluster;
     use ppc_compute::instance::EC2_HCXL;
     use ppc_core::metrics::RunSummary;
     use ppc_core::pricing::AWS_2010;
@@ -168,7 +154,8 @@ mod tests {
                 failed: vec![],
                 total_attempts: 4100,
                 worker_deaths: 2,
-                cost: None,
+                // 16 HCXL within the hour.
+                cost: Some(Cluster::provision_per_core(EC2_HCXL, 16).cost(3000.0)),
                 trace: None,
             },
             queue_requests: 10_000,
@@ -222,23 +209,11 @@ mod tests {
         // 16 HCXL within the hour: $10.88 compute + $0.01 queue + $0.24
         // storage/transfer = $11.13 — the paper's AWS column.
         let r = report();
-        let cluster = Cluster::provision_per_core(EC2_HCXL, 16);
-        let bill = r.bill(&cluster, &AWS_2010, 1.0);
+        let bill = r.bill(&AWS_2010, 1.0);
         assert_eq!(bill.instances.compute_cost, Usd::cents(1088));
         assert_eq!(bill.queue, Usd::cents(1));
         assert_eq!(bill.storage, Usd::cents(24));
         assert_eq!(bill.total(), Usd::cents(1113));
         assert!(bill.instances.amortized_cost < bill.instances.compute_cost);
-    }
-
-    #[test]
-    fn fleet_costs_sum_across_clusters() {
-        let a = Cluster::provision(EC2_HCXL, 2, 8);
-        let single = fleets_cost(std::slice::from_ref(&a), 1800.0);
-        let double = fleets_cost(&[a.clone(), a], 1800.0);
-        assert_eq!(
-            double.compute_cost,
-            single.compute_cost + single.compute_cost
-        );
     }
 }

@@ -9,31 +9,20 @@
 //! Every attempt lives in one [`AttemptLedger`], which each pull drives
 //! through the delivery step the sim shares ([`AttemptLedger::deliver`]).
 //!
-//! The run context's [`ppc_chaos::FaultSchedule`] kills workers at the
-//! three interesting points of that pipeline, by timed kill or i.i.d.
-//! death dice, each worker tracking its place in the schedule on a
-//! [`ppc_chaos::ChaosCursor`]:
-//!
-//! * **before execute** — the worker took the message and died; no output
-//!   exists; redelivery re-runs the task.
-//! * **mid execute** — the worker ran the task but died during the output
-//!   upload; the PUT is atomic, so nothing lands, and redelivery re-runs
-//!   the task.
-//! * **before delete** — the worker produced and uploaded the output but
-//!   died before deleting the message; redelivery runs the task *again*,
-//!   harmlessly overwriting the identical output (idempotence).
-//!
-//! A dead worker abandons its current message and is replaced after
-//! [`ClassicConfig::restart_delay_ms`] (the cloud's instance
-//! auto-recovery).
+//! The run context's [`ppc_chaos::FaultSchedule`] kills workers, by timed
+//! kill or i.i.d. death dice tracked on a [`ppc_chaos::ChaosCursor`], at
+//! three points: **before execute** (no output exists), **mid execute**
+//! (the atomic PUT lands nothing) and **before delete** (the output is
+//! uploaded, so redelivery harmlessly overwrites it with identical bytes).
+//! Redelivery re-runs the task in each case. A dead worker abandons its
+//! message and is replaced after [`ClassicConfig::restart_delay_ms`] (the
+//! cloud's instance auto-recovery).
 
-use crate::elastic;
+use crate::fleet::{Autoscaler, Fleet, POISONED};
 use crate::report::ClassicReport;
 use crate::spec::JobSpec;
-use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
+use ppc_autoscale::{Decision, Telemetry};
 use ppc_chaos::{ChaosCursor, RunClock};
-use ppc_compute::cluster::Cluster;
-use ppc_compute::instance::InstanceType;
 use ppc_core::exec::Executor;
 use ppc_core::metrics::RunSummary;
 use ppc_core::retry::{CircuitBreaker, RetryPolicy};
@@ -41,7 +30,7 @@ use ppc_core::rng::{Pcg32, CLIENT_STREAM};
 use ppc_core::task::{TaskId, TaskSpec};
 use ppc_core::{PpcError, Result};
 use ppc_exec::slots::join_all;
-use ppc_exec::{FleetPlan, HealthTrace, RunContext, RunReport};
+use ppc_exec::{HealthTrace, RunContext, RunReport};
 use ppc_queue::queue::QueueConfig;
 use ppc_queue::service::QueueService;
 use ppc_resilience::{Admit, AttemptLedger, CompleteOutcome, FailOutcome, HealthTracker};
@@ -102,9 +91,8 @@ const STORAGE_BREAKER_RESET_S: f64 = 0.005;
 const DEFAULT_SEED: u64 = 0;
 
 /// The context's span sink, if tracing is on: `None` costs one branch.
-/// Every task attempt records its lifecycle phases (`enqueue → dequeue →
-/// download → execute → upload → ack`) plus worker events, and the report
-/// carries the finished [`ppc_trace::Trace`].
+/// Every attempt records its phases (`enqueue → dequeue → download →
+/// execute → upload → ack`) and worker events into it.
 fn live_sink(ctx: &RunContext) -> Option<&dyn TraceSink> {
     ctx.sink.as_deref().filter(|s| s.enabled())
 }
@@ -164,73 +152,37 @@ struct Run<'a> {
     total_executions: AtomicUsize,
     worker_deaths: AtomicUsize,
     remote_bytes: AtomicU64,
-    /// Successful task completions credited per fleet (hybrid accounting).
+    /// Successful task completions credited per instance group (hybrid
+    /// accounting).
     per_fleet: Mutex<Vec<usize>>,
-}
-
-/// What a fixed and an elastic fleet do differently in a native run, as
-/// in the sim's `Fleet`; everything else is shared.
-enum Fleet<'a> {
-    /// One or more fixed fleets: every worker slot runs for the whole job.
-    Fixed(&'a [Cluster]),
-    /// Single-worker instances launched and drained by a controller.
-    Elastic(Box<Elastic<'a>>),
-}
-
-/// An elastic fleet's live state, driven by a `ppc-autoscale`
-/// [`Controller`] watching the scheduling queue's
-/// [`metrics snapshot`](ppc_queue::Queue::metrics_snapshot). Every
-/// `AutoscaleConfig` time is in wall seconds: tests and examples compress
-/// them (10 ms ticks, 100 ms "billing hours") so elastic behavior plays
-/// out in milliseconds.
-struct Elastic<'a> {
-    itype: InstanceType,
-    autoscale: &'a AutoscaleConfig,
-    arrivals: &'a [f64],
-    controller: Mutex<Controller>,
-    /// Per-slot drain flags, indexed by slot id; grown under the lock as
-    /// the controller launches instances.
-    drain: Mutex<Vec<Arc<AtomicBool>>>,
-    /// Slots whose workers left on their drain flag (drained or killed),
-    /// awaiting confirmation at the controller's next tick.
-    exited: Mutex<Vec<u32>>,
 }
 
 /// Execute `job` natively on the context's fleet plan: real worker
 /// threads polling a real queue, moving real bytes through `storage`.
-/// Workers pull from one scheduling queue, whether they come from one
-/// fixed fleet, from several side by side (the paper's §2.1.3 extension:
-/// "One interesting feature of the Classic Cloud framework is the ability
-/// to extend it to use the local machines and clusters side by side with
-/// the clouds."), or from an elastic pool of single-worker instances a
+/// Workers pull from one scheduling queue, whatever instance group they
+/// belong to: one cluster, several side by side (the paper's §2.1.3
+/// extension: "One interesting feature of the Classic Cloud framework is
+/// the ability to extend it to use the local machines and clusters side
+/// by side with the clouds."), or single-worker instances a
 /// `ppc-autoscale` controller launches and retires. Returns once every
 /// task has either completed or been declared failed after
 /// `max_deliveries` attempts.
 ///
-/// Only these steps branch on the fleet:
-/// * sending: a fixed fleet gets every task before any worker starts, and
-///   a failed send aborts the job; an elastic fleet's client thread sends
-///   each task at its arrival offset (in wall seconds, finite and
-///   non-negative, else an `InvalidArgument` error) until the job stops;
-/// * spawning: fixed-fleet workers are numbered in flat spawn order, each
-///   credited to its fleet and traced with a `WorkerStart`; elastic
-///   workers take their controller slot id and a drain flag;
-/// * the controller thread, elastic fleets only. Scale-in drains: a
-///   victim finishes the lease it holds, then exits, and the next tick
-///   confirms it, so scale-in never orphans a leased message;
-/// * the report's platform, core count and cost. An elastic report also
-///   carries a [`FleetReport`](crate::report::FleetReport) with the
-///   fleet-size timeline and the staggered per-instance bill.
+/// One send rule holds on every plan: the tasks at arrival offset 0 are
+/// sent before any worker starts, and a send that fails for good aborts
+/// the run; a client thread, spawned only if some task arrives later,
+/// sends each at its offset until the job stops. Only spawning follows
+/// the plan: a constant group's workers take flat spawn indices across
+/// groups and trace a `WorkerStart`; an autoscaled group gets a
+/// controller thread (its times in wall seconds), whose workers take their
+/// slot id and a drain flag. A drained victim finishes its lease before it
+/// exits, so scale-in never orphans a leased message.
 ///
-/// Threads: one per worker slot (on an elastic fleet, one per live
-/// instance, plus the client and the controller); the calling thread runs
-/// the monitor, as a separate monitor thread would be one runnable thread
-/// more than a small host has cores at every job start. The monitor then
-/// joins the threads it spawned, so `run` returns once they have exited.
-///
-/// A malformed context schedule or policy is an `InvalidArgument` error,
-/// returned before any thread starts. Without a context seed the run uses
-/// seed 0.
+/// The calling thread runs the monitor, as a monitor thread would be one
+/// runnable thread more than a small host has cores at every job start,
+/// and then joins every thread `run` spawned. A malformed job, context or
+/// arrival offset is an `InvalidArgument` error, returned before any
+/// thread starts. Without a context seed the run uses seed 0.
 pub fn run(
     ctx: &RunContext,
     storage: &Arc<StorageService>,
@@ -239,33 +191,11 @@ pub fn run(
     executor: Arc<dyn Executor>,
     config: &ClassicConfig,
 ) -> Result<ClassicReport> {
-    if matches!(&ctx.fleet, FleetPlan::Fixed(fleets) if fleets.is_empty()) {
-        return Err(PpcError::InvalidArgument(
-            "run context has an empty fleet list".into(),
-        ));
-    }
+    let mut fleet = Fleet::new(&ctx.fleet, job.tasks.len())?;
     job.validate()?;
     ctx.validate()?;
     config.queue_chaos.validate()?;
     let seed = ctx.seed.unwrap_or(DEFAULT_SEED);
-    let fleet = match &ctx.fleet {
-        FleetPlan::Fixed(fleets) => Fleet::Fixed(fleets),
-        FleetPlan::Elastic {
-            itype,
-            autoscale,
-            arrivals,
-        } => {
-            elastic::check_arrivals(arrivals, job.tasks.len())?;
-            Fleet::Elastic(Box::new(Elastic {
-                itype: *itype,
-                autoscale,
-                arrivals,
-                controller: Mutex::new(Controller::new(autoscale.clone())),
-                drain: Mutex::new(Vec::new()),
-                exited: Mutex::new(Vec::new()),
-            }))
-        }
-    };
 
     let sched = queues.create_queue(
         &job.sched_queue(),
@@ -285,10 +215,6 @@ pub fn run(
     };
     storage.ensure_bucket(&job.output_bucket);
 
-    let n_fleets = match &fleet {
-        Fleet::Fixed(fleets) => fleets.len(),
-        Fleet::Elastic(_) => 1,
-    };
     let n_tasks = job.tasks.len();
     let hedge = ctx.resilience.and_then(|p| p.hedge);
     let ledger = AttemptLedger::new(vec![0; n_tasks], hedge, job.max_deliveries);
@@ -316,7 +242,7 @@ pub fn run(
         total_executions: AtomicUsize::new(0),
         worker_deaths: AtomicUsize::new(0),
         remote_bytes: AtomicU64::new(0),
-        per_fleet: Mutex::new(vec![0; n_fleets]),
+        per_fleet: Mutex::new(vec![0; fleet.groups.len()]),
     };
     // Arm the storage service with the chaos schedule (brownouts,
     // partitions) for the duration of the run; workers share the run
@@ -329,40 +255,34 @@ pub fn run(
     let requests_before = queues.total_requests();
     let start = Instant::now();
 
-    // The client populates the scheduling queue with tasks (Figure 1). A
-    // fixed fleet gets them all before any worker starts; a send that
-    // fails for good aborts the job.
-    if let Fleet::Fixed(_) = fleet {
-        let mut rng = Pcg32::for_stream(seed, CLIENT_STREAM);
-        for task in &job.tasks {
-            run.enqueue(task, &mut rng)?;
-        }
+    // The client populates the scheduling queue (Figure 1).
+    let mut rng = Pcg32::for_stream(seed, CLIENT_STREAM);
+    for &i in &fleet.batch {
+        run.enqueue(&job.tasks[i], &mut rng)?;
     }
 
     let finished = std::thread::scope(|scope| {
         let run = &run;
-        let threads = match &fleet {
-            Fleet::Fixed(fleets) => {
-                // One thread per worker slot, across every fleet. The chaos
-                // schedule addresses workers by their flat spawn index.
-                let fleet_ids = fleets
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(f, c)| c.worker_slots().map(move |_| f));
-                (fleet_ids.zip(0..))
-                    .map(|(fleet_id, worker)| {
-                        scope.spawn(move || {
-                            run.event(worker, EventKind::WorkerStart);
-                            run.work(worker, fleet_id, None);
-                        })
-                    })
-                    .collect()
+        let mut threads = Vec::new();
+        if !fleet.later.is_empty() {
+            threads.push(scope.spawn(|| run.send_arrivals(&fleet.later, rng, start)));
+        }
+        // The chaos schedule addresses a constant group's workers by their
+        // flat spawn index across groups.
+        let mut worker = 0;
+        for (g, group) in fleet.groups.iter().enumerate() {
+            if let Some(auto) = group.autoscaler() {
+                threads.push(scope.spawn(move || run.control(scope, auto, g, start)));
+                continue;
             }
-            Fleet::Elastic(el) => vec![
-                scope.spawn(|| run.send_arrivals(el.arrivals, start)),
-                scope.spawn(|| el.control(scope, run, start)),
-            ],
-        };
+            for _ in 0..group.instances().iter().sum() {
+                threads.push(scope.spawn(move || {
+                    run.event(worker, EventKind::WorkerStart);
+                    run.work(worker, g, None);
+                }));
+                worker += 1;
+            }
+        }
         let finished = run.monitor_loop();
         join_all(threads);
         finished
@@ -377,32 +297,12 @@ pub fn run(
     failed.sort_unstable();
     let completed = n_tasks - failed.len();
     let total_executions = run.total_executions.load(Ordering::Relaxed);
-    let (platform, cores, cost, fleet) = match fleet {
-        Fleet::Fixed(fleets) => (
-            "classic".to_string(),
-            fleets.iter().map(Cluster::total_workers).sum(),
-            crate::report::fleets_cost(fleets, makespan),
-            None,
-        ),
-        Fleet::Elastic(el) => {
-            let mut ctrl = el.controller.into_inner().unwrap();
-            let exited = el.exited.into_inner().unwrap();
-            let fleet = elastic::close_fleet(&mut ctrl, exited, makespan, el.itype);
-            if let Some(s) = live_sink(ctx) {
-                elastic::trace_fleet_events(&ctrl, s);
-            }
-            (
-                format!("classic-autoscale-{}", el.itype.name),
-                fleet.peak_fleet() as usize,
-                fleet.cost,
-                Some(fleet),
-            )
-        }
-    };
+    let sink = live_sink(ctx);
+    let (cores, cost, fleet_report) = fleet.close(makespan, sink);
 
     let storage_after = storage.metering().snapshot();
     let summary = RunSummary {
-        platform,
+        platform: fleet.platform(false),
         cores,
         tasks: completed,
         makespan_seconds: makespan,
@@ -410,14 +310,13 @@ pub fn run(
         remote_bytes: run.remote_bytes.load(Ordering::Relaxed),
     };
     let deaths = run.worker_deaths.load(Ordering::Relaxed);
-    let sink = live_sink(ctx);
     let core = RunReport::close(summary, failed, total_executions, deaths, Some(cost), sink);
     let report = ClassicReport {
         timeline: core.trace.as_ref().map(ppc_trace::Trace::to_timeline),
         core,
         queue_requests: queues.total_requests() - requests_before,
         executions_per_fleet: run.per_fleet.into_inner().unwrap(),
-        fleet,
+        fleet: fleet_report,
         storage: ppc_storage::metering::MeteringSnapshot {
             requests: storage_after.requests - storage_before.requests,
             bytes_in: storage_after.bytes_in - storage_before.bytes_in,
@@ -432,84 +331,6 @@ pub fn run(
     let _ = queues.delete_queue(&job.monitor_queue());
 
     Ok(report)
-}
-
-impl Elastic<'_> {
-    /// The controller thread: seeds `min_workers` workers, then ticks
-    /// every `interval_s` (wall seconds), spawning and draining worker
-    /// threads per the policy's decisions until the job stops, and joins
-    /// every worker it spawned before it returns.
-    fn control<'s, 'e>(&'e self, scope: &'s Scope<'s, 'e>, run: &'e Run<'_>, start: Instant) {
-        let spawn_worker = |slot: u32| {
-            let drain = {
-                let mut flags = self.drain.lock().unwrap();
-                let len = flags.len().max(slot as usize + 1);
-                flags.resize_with(len, Default::default);
-                flags[slot as usize].clone()
-            };
-            // The chaos schedule addresses an elastic fleet's workers by
-            // their controller slot id.
-            scope.spawn(move || {
-                run.work(slot, 0, Some(&drain));
-                if drain.load(Ordering::Acquire) {
-                    self.exited.lock().unwrap().push(slot);
-                }
-            })
-        };
-
-        // The controller seeded `min_workers` active slots at t = 0.
-        let mut workers: Vec<_> = (0..self.autoscale.min_workers).map(spawn_worker).collect();
-
-        let interval = Duration::from_secs_f64(self.autoscale.interval_s);
-        let quantum = interval.min(Duration::from_millis(2));
-        let mut next_tick = interval;
-        let mut last_tick_s = 0.0_f64;
-        while !run.stop.load(Ordering::Acquire) {
-            std::thread::sleep(quantum);
-            let now = start.elapsed();
-            if now < next_tick {
-                continue;
-            }
-            next_tick += interval;
-            let now_s = now.as_secs_f64();
-            let mut ctrl = self.controller.lock().unwrap();
-            // Dead-instance detection: a timed kill addressed to a live
-            // slot takes the whole instance down. The controller records
-            // the death (waiving the scale-up cooldown) so `decide` below
-            // can launch a replacement immediately.
-            if let Some(schedule) = &run.ctx.schedule {
-                let flags = self.drain.lock().unwrap();
-                for id in elastic::dead_slots(&ctrl, schedule, last_tick_s, now_s) {
-                    if let Some(f) = flags.get(id as usize) {
-                        f.store(true, Ordering::Release);
-                    }
-                    ctrl.mark_dead(id, now_s);
-                }
-            }
-            last_tick_s = now_s;
-            elastic::confirm_exits(&mut ctrl, self.exited.lock().unwrap().drain(..), now_s);
-            let snap = run.sched.metrics_snapshot();
-            let telemetry = Telemetry {
-                queued: snap.visible,
-                in_flight: snap.in_flight,
-                oldest_age_s: snap.oldest_age.map(|d| d.as_secs_f64()),
-            };
-            match ctrl.decide(now_s, &telemetry) {
-                Decision::Launch { ids } => {
-                    drop(ctrl);
-                    workers.extend(ids.into_iter().map(spawn_worker));
-                }
-                Decision::Drain { ids } => {
-                    let flags = self.drain.lock().unwrap();
-                    for id in ids {
-                        flags[id as usize].store(true, Ordering::Release);
-                    }
-                }
-                Decision::Hold => {}
-            }
-        }
-        join_all(workers);
-    }
 }
 
 impl Run<'_> {
@@ -529,34 +350,20 @@ impl Run<'_> {
     /// Send one task to the scheduling queue, tracing its enqueue span.
     fn enqueue(&self, task: &TaskSpec, rng: &mut Pcg32) -> Result<()> {
         let body = task.to_message()?;
-        let sent_at = live_sink(self.ctx).map(|_| self.clock.now_s());
+        let sent_at = self.clock.now_s();
         self.send(&body, rng)?;
-        if let (Some(s), Some(at)) = (live_sink(self.ctx), sent_at) {
-            let id = task.id.0;
-            s.span(Span::new(
-                id,
-                0,
-                NO_WORKER,
-                Phase::Enqueue,
-                at,
-                self.clock.now_s(),
-            ));
+        if let Some(s) = live_sink(self.ctx) {
+            let (id, now) = (task.id.0, self.clock.now_s());
+            s.span(Span::new(id, 0, NO_WORKER, Phase::Enqueue, sent_at, now));
         }
         Ok(())
     }
 
-    /// The elastic client thread: sends each task at its arrival offset
-    /// (every task at once when `arrivals` is empty) until the job stops.
-    /// A task whose send fails is skipped.
-    fn send_arrivals(&self, arrivals: &[f64], start: Instant) {
-        let mut rng = Pcg32::for_stream(self.seed, CLIENT_STREAM);
-        let mut order: Vec<usize> = (0..self.job.tasks.len()).collect();
-        // The offsets were checked finite up front, so they compare.
-        if !arrivals.is_empty() {
-            order.sort_by(|&a, &b| arrivals[a].partial_cmp(&arrivals[b]).unwrap());
-        }
-        for i in order {
-            let at = Duration::from_secs_f64(arrivals.get(i).copied().unwrap_or(0.0));
+    /// The client thread: sends each later task at its offset until the job
+    /// stops, skipping a task whose send fails.
+    fn send_arrivals(&self, later: &[(usize, f64)], mut rng: Pcg32, start: Instant) {
+        for &(i, at_s) in later {
+            let at = Duration::from_secs_f64(at_s);
             while start.elapsed() < at && !self.stop.load(Ordering::Acquire) {
                 let left = at.saturating_sub(start.elapsed());
                 std::thread::sleep(left.min(Duration::from_millis(2)));
@@ -566,6 +373,75 @@ impl Run<'_> {
             }
             let _ = self.enqueue(&self.job.tasks[i], &mut rng);
         }
+    }
+
+    /// The controller thread of autoscaled group `group`: spawns the seed
+    /// instances' workers, then ticks every `interval_s` on the scheduling
+    /// queue's [`metrics snapshot`](ppc_queue::Queue::metrics_snapshot),
+    /// spawning and draining workers until the job stops, and joins them.
+    /// A timed kill raises its instance's drain flag.
+    fn control<'s, 'e>(
+        &'e self,
+        scope: &'s Scope<'s, 'e>,
+        auto: &'e Mutex<Autoscaler>,
+        group: usize,
+        start: Instant,
+    ) {
+        // A worker's thread and drain flag; the chaos schedule addresses
+        // the worker by its slot id.
+        let spawn = |slot: u32| {
+            let drain = Arc::new(AtomicBool::new(false));
+            let flag = drain.clone();
+            let thread = scope.spawn(move || {
+                self.work(slot, group, Some(&drain));
+                if drain.load(Ordering::Acquire) {
+                    auto.lock().expect(POISONED).exited.push(slot);
+                }
+            });
+            (flag, thread)
+        };
+        let cfg = auto.lock().expect(POISONED).controller.config().clone();
+        // Drain flags by slot id: the controller hands out dense ids.
+        let (mut drains, mut workers): (Vec<_>, Vec<_>) = (0..cfg.min_workers).map(spawn).unzip();
+
+        let interval = Duration::from_secs_f64(cfg.interval_s);
+        let quantum = interval.min(Duration::from_millis(2));
+        let mut next_tick = interval;
+        while !self.stop.load(Ordering::Acquire) {
+            std::thread::sleep(quantum);
+            let now = start.elapsed();
+            if now < next_tick {
+                continue;
+            }
+            next_tick += interval;
+            let now_s = now.as_secs_f64();
+            let mut auto = auto.lock().expect(POISONED);
+            for id in auto.sweep(self.ctx.schedule.as_deref(), now_s) {
+                drains[id as usize].store(true, Ordering::Release);
+            }
+            let snap = self.sched.metrics_snapshot();
+            let telemetry = Telemetry {
+                queued: snap.visible,
+                in_flight: snap.in_flight,
+                oldest_age_s: snap.oldest_age.map(|d| d.as_secs_f64()),
+            };
+            match auto.controller.decide(now_s, &telemetry) {
+                Decision::Launch { ids } => {
+                    drop(auto);
+                    for (drain, thread) in ids.into_iter().map(spawn) {
+                        drains.push(drain);
+                        workers.push(thread);
+                    }
+                }
+                Decision::Drain { ids } => {
+                    for id in ids {
+                        drains[id as usize].store(true, Ordering::Release);
+                    }
+                }
+                Decision::Hold => {}
+            }
+        }
+        join_all(workers);
     }
 
     /// Record a worker event at the run clock's now, when tracing is on.
@@ -598,15 +474,15 @@ impl Run<'_> {
         let _ = self.monitor.send(format!("fail:{}", id.0));
     }
 
-    /// One worker's life: poll until the job stops or, on an elastic
-    /// fleet, until its drain flag is raised. One poll holds at most one
+    /// One worker's life: poll until the job stops or, on an autoscaled
+    /// group, until its drain flag is raised. One poll holds at most one
     /// lease, so stopping between polls never abandons a leased message.
-    fn work(&self, worker: u32, fleet_id: usize, drain: Option<&AtomicBool>) {
+    fn work(&self, worker: u32, group: usize, drain: Option<&AtomicBool>) {
         let mut chaos = ChaosCursor::default();
         while !self.stop.load(Ordering::Acquire)
             && !drain.is_some_and(|d| d.load(Ordering::Acquire))
         {
-            self.poll_once(worker, fleet_id, &mut chaos);
+            self.poll_once(worker, group, &mut chaos);
         }
     }
 
@@ -678,7 +554,7 @@ impl Run<'_> {
     /// points through its `chaos` cursor, by timed kill or by the point's
     /// own death die; dice are pure hashes of `(seed, point, worker, roll
     /// index)`, whatever the thread interleaving.
-    fn poll_once(&self, worker: u32, fleet_id: usize, chaos: &mut ChaosCursor) {
+    fn poll_once(&self, worker: u32, group: usize, chaos: &mut ChaosCursor) {
         let (sched, job, clock, ledger) = (&self.sched, self.job, &self.clock, &self.ledger);
         let (ctx, breaker) = (self.ctx, &self.breaker);
         let health = self.health.as_ref();
@@ -888,7 +764,7 @@ impl Run<'_> {
         if first == CompleteOutcome::First {
             let _ = self.monitor.send(format!("done:{}", spec.id.0));
         }
-        self.per_fleet.lock().unwrap()[fleet_id] += 1;
+        self.per_fleet.lock().unwrap()[group] += 1;
         // A stale receipt here means someone else finished the task first —
         // harmless by idempotence.
         let _ = sched.delete(msg.receipt);
@@ -901,6 +777,7 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_autoscale::AutoscaleConfig;
     use ppc_chaos::FaultSchedule;
     use ppc_compute::cluster::Cluster;
     use ppc_compute::instance::EC2_HCXL;
@@ -1192,13 +1069,11 @@ mod tests {
         assert!(report.is_complete());
         assert_eq!(report.summary.platform, "classic");
         assert_eq!(report.summary.cores, 6);
-        assert_eq!(
-            report.cost,
-            Some(crate::report::fleets_cost(
-                &fleets,
-                report.summary.makespan_seconds
-            ))
-        );
+        let makespan = report.summary.makespan_seconds;
+        let (a, b) = (fleets[0].cost(makespan), fleets[1].cost(makespan));
+        let cost = report.cost.expect("a fleet bill");
+        assert_eq!(cost.compute_cost, a.compute_cost + b.compute_cost);
+        assert_eq!(cost.amortized_cost, a.amortized_cost + b.amortized_cost);
         assert!(report.fleet.is_none());
         let trace = report.trace.as_ref().expect("traced run");
         // One WorkerStart per worker, numbered in flat spawn order.
@@ -1426,6 +1301,39 @@ mod tests {
             let err = err.unwrap_or_else(|| panic!("offset {bad} was accepted"));
             assert_eq!(err.code(), "InvalidArgument", "offset {bad}: {err}");
             assert!(untouched, "offset {bad}: the run created its queues");
+        }
+    }
+
+    #[test]
+    fn unparseable_task_is_rejected_before_starting() {
+        // Regression: a non-finite cpu_seconds_ref travels as `null`, so
+        // the task's message cannot be parsed back; a worker parked it in
+        // the DLQ as poison without settling the task, and the run never
+        // returned. The run goes on a helper thread so a regression fails
+        // here instead of hanging the suite.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let (storage, queues, mut job) = setup(2);
+                job.tasks[1].profile = ResourceProfile::cpu_bound(bad);
+                let cluster = Cluster::provision(EC2_HCXL, 1, 2);
+                let config = ClassicConfig::default();
+                let run = run_job(
+                    &storage,
+                    &queues,
+                    &cluster,
+                    &job,
+                    reverse_executor(),
+                    &config,
+                );
+                let _ = tx.send(run.err());
+            });
+            let err = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{bad}: the run did not return"))
+                .unwrap_or_else(|| panic!("{bad}: the task was accepted"));
+            assert_eq!(err.code(), "InvalidArgument", "{bad}: {err}");
+            assert!(err.to_string().contains("task 1 "), "{bad}: {err}");
         }
     }
 

@@ -1,47 +1,32 @@
 //! The simulated Classic Cloud runtime (discrete-event, virtual time).
 //!
 //! Models the identical pipeline to [`crate::runtime`] — receive → download
-//! → execute → upload → report → delete — but on the `ppc-des` engine, so a
-//! 128-instance fleet processing hours of work runs in milliseconds of real
-//! time. Task execution times come from the calibrated
-//! `ppc_compute::model::task_service_seconds` service-time model; transfer
-//! times from `ppc_storage::latency::LatencyModel`.
+//! → execute → upload → report → delete — on a typed `ppc_des::Engine`, so
+//! a 128-instance fleet processing hours of work runs in milliseconds.
+//! Execution times come from the calibrated
+//! `ppc_compute::model::task_service_seconds` model, transfer times from
+//! `ppc_storage::latency::LatencyModel`. Every worker pulls its next task
+//! from the shared queue the moment it frees up: the "natural load
+//! balancing" the paper credits this architecture with (§4.2).
 //!
-//! The dynamic global queue is inherent here: every worker pulls its next
-//! task from the shared pool the moment it frees up, which is precisely the
-//! "natural load balancing" property the paper credits this architecture
-//! with sharing with Hadoop (§4.2).
-//!
-//! Fixed and elastic fleets run one worker lifecycle (`worker_tick` →
-//! `finish_attempt`), as the native runtime runs one body for both. Every
-//! attempt lives in one [`AttemptLedger`] partition, since the queue has
-//! no worker affinity: it owns launches, redeliveries, hedges, first
-//! result wins and the delivery budget (native Classic's default
-//! `max_deliveries`), and one timer sends its hedges as queue messages.
-//! A `Fleet` holds the few steps that differ: the pre-pull gate,
-//! timed-kill detection, when a lost message reappears, and set-up and
-//! finalisation. The elastic bookkeeping (dead-instance sweep, fleet
-//! ledger close, fleet-event trace replay) is shared with the native
-//! runtime.
-//!
-//! Each worker slot keeps its lifecycle state (live, parked, draining,
-//! dead) and its [`ChaosCursor`] in the sim's `workers` table; the run
-//! closes through [`RunReport::close`], as every engine's does. The
-//! attempt spans stay with `record_attempt` (see its docs).
-//!
-//! The sim runs on a typed `ppc_des::Engine<Event>`: an event names a
-//! worker, a task or a timer, the message a worker pulled sits in the
-//! sim's per-worker table until its attempt ends, and the node NICs are
-//! typed `FifoServer`s whose completions are events too. The run handler
-//! borrows the sim's state and the caller's task list directly.
+//! Every plan runs one entry body ([`simulate`]) and one worker lifecycle
+//! (`worker_tick` → `finish_attempt`) over the crate's instance groups,
+//! which the native runtime builds too. Every attempt lives in one
+//! [`AttemptLedger`] partition, since the queue has no worker affinity: it
+//! owns launches, redeliveries, hedges, first result wins and the delivery
+//! budget (native Classic's default `max_deliveries`), and one timer sends
+//! its hedges as queue messages. A worker's group answers the three steps
+//! that still differ by plan: the pre-pull gate, the timed-kill rule and
+//! when a lost message reappears. Each slot keeps its lifecycle state, its
+//! [`ChaosCursor`] and the message it pulled in the sim's `workers` table;
+//! the node NICs are typed `FifoServer`s whose completions are events too.
+//! The run closes through [`RunReport::close`], as every engine's does.
 
-use crate::elastic;
-use crate::report::{ClassicReport, FleetReport};
+use crate::fleet::{Fleet, Reappear, POISONED};
+use crate::report::ClassicReport;
 use crate::spec::DEFAULT_MAX_DELIVERIES;
-use ppc_autoscale::{AutoscaleConfig, Controller, Decision, Telemetry};
+use ppc_autoscale::{Decision, Telemetry};
 use ppc_chaos::{ChaosCursor, FaultSchedule};
-use ppc_compute::billing::CostBreakdown;
-use ppc_compute::cluster::Cluster;
 use ppc_compute::instance::InstanceType;
 use ppc_compute::model::{task_service_seconds, AppModel};
 use ppc_core::metrics::RunSummary;
@@ -80,9 +65,8 @@ pub struct SimConfig {
     /// positive). `None` (default) gives every worker the full
     /// per-connection storage path — the regime where paper-scale tasks
     /// live; enable it to study IO-heavy workloads (the
-    /// `ablate_nic_contention` bench). Fixed fleets only: an elastic run
-    /// panics on it. The NIC-contention path models quarantine only: a
-    /// run whose context policy hedges or sets deadlines panics on it.
+    /// `ablate_nic_contention` bench). A run on an autoscaled fleet, or
+    /// whose context policy hedges or sets deadlines, panics on it.
     pub nic_bandwidth_bytes_per_s: Option<f64>,
 }
 
@@ -155,18 +139,23 @@ impl SimConfig {
 /// Panic with the validation message when a simulation is handed
 /// malformed dials or context — simulators return reports, not `Result`s,
 /// so a bad configuration fails loudly rather than silently skewing
-/// results.
-fn check_sim_inputs(cfg: &SimConfig, ctx: &RunContext) {
+/// results. The NIC model covers neither hedges, deadlines nor an
+/// autoscaled fleet: a run refuses the dial rather than ignore it.
+fn check_sim_inputs(cfg: &SimConfig, ctx: &RunContext, fleet: &Fleet) {
     if let Err(e) = cfg.validate().and_then(|()| ctx.validate()) {
         panic!("{e}");
     }
-    assert!(
-        cfg.nic_bandwidth_bytes_per_s.is_none()
-            || !ctx
-                .resilience
-                .is_some_and(|p| p.hedge.is_some() || p.deadline.is_some()),
-        "sim config: hedging and deadlines are not modeled with NIC contention"
-    );
+    if cfg.nic_bandwidth_bytes_per_s.is_some() {
+        let policy = ctx.resilience.unwrap_or_default();
+        assert!(
+            policy.hedge.is_none() && policy.deadline.is_none(),
+            "sim config: hedging and deadlines are not modeled with NIC contention"
+        );
+        assert!(
+            !fleet.autoscaled(),
+            "sim config: nic_bandwidth_bytes_per_s is modeled on fixed fleets only, not on an elastic fleet"
+        );
+    }
 }
 
 /// Distribute one attempt's phase spans over `[start_s, end_s]` from the
@@ -212,7 +201,8 @@ fn record_attempt(
 
 /// One simulated worker slot.
 struct Worker {
-    itype: InstanceType,
+    /// The worker's instance group (`Sim::fleet`).
+    group: u32,
     /// Configured workers on this worker's node (drives contention).
     per_node: usize,
     /// The node's shared NIC ([`Sim::nics`]), when NIC contention is
@@ -226,7 +216,8 @@ struct Worker {
     chaos: ChaosCursor,
 }
 
-/// A worker slot's lifecycle. Only an elastic fleet's slots drain or die.
+/// A worker slot's lifecycle. Only an autoscaled group's slots drain or
+/// die.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Life {
     Live,
@@ -240,9 +231,9 @@ enum Life {
 }
 
 impl Worker {
-    fn new(itype: InstanceType, per_node: usize, nic: Option<u32>) -> Worker {
+    fn new(group: u32, per_node: usize, nic: Option<u32>) -> Worker {
         Worker {
-            itype,
+            group,
             per_node,
             nic,
             attempt: None,
@@ -252,39 +243,16 @@ impl Worker {
     }
 }
 
-/// What a fixed and an elastic fleet do differently; everything else in
-/// the worker lifecycle is shared.
-enum Fleet {
-    /// A fixed fleet. Timed kills are detected per task: a kill landing in
-    /// a pulled task's service window costs that execution.
-    Fixed,
-    /// Single-worker instances launched and retired by an autoscale
-    /// controller, which also sweeps for timed kills (whole-instance
-    /// deaths) on each tick.
-    Elastic(Box<Elastic>),
-}
-
-struct Elastic {
-    itype: InstanceType,
-    controller: Controller,
-    /// Drained slots whose worker has exited, awaiting confirmation at the
-    /// controller's next tick.
-    retired_inbox: Vec<u32>,
-    /// Virtual time of the controller's last timed-kill sweep.
-    last_kill_check_s: f64,
-}
-
 /// One visible queue message.
 struct Message {
     task: usize,
     /// A hedge copy's attempt, launched in the ledger when it was sent.
     hedge: Option<u32>,
-    /// When it became visible: the elastic controller's oldest-message age.
+    /// When it became visible: the controller's oldest-message age.
     since_s: f64,
 }
 
 struct SimState {
-    fleet: Fleet,
     rec: Option<Recorder>,
     /// Every attempt of every task, in one partition. Its failure budget
     /// is the delivery budget: a task that spends it is dead-lettered.
@@ -310,21 +278,21 @@ struct SimState {
     seed: u64,
     /// One independent RNG stream per worker slot (jitter, failure dice),
     /// all derived from the run seed — see [`ppc_core::rng::stream_seed`].
-    /// Grown on first use, as an elastic fleet scales out.
+    /// Grown on first use, as an autoscaled group scales out.
     rngs: Vec<Pcg32>,
     /// Optional event-based chaos shared with the other engines.
     schedule: Option<Arc<FaultSchedule>>,
     /// Worker quarantine state machine, when the policy asks for one.
     health: Option<HealthTracker>,
-    /// When the ledger resolved its last task. On defended runs this is
-    /// the makespan — hedged losers may still be draining after it.
+    /// When the ledger resolved its last task: the makespan. Hedged
+    /// losers, a controller's ticks and the late reappearance of a
+    /// dead-lettered task's message may run on after it.
     finished_at_s: f64,
 }
 
 impl SimState {
-    fn new(ctx: &RunContext, n_tasks: usize, fleet: Fleet) -> SimState {
+    fn new(ctx: &RunContext, n_tasks: usize) -> SimState {
         SimState {
-            fleet,
             rec: ctx.trace.then(Recorder::new),
             ledger: AttemptLedger::new(
                 vec![0; n_tasks],
@@ -363,19 +331,12 @@ impl SimState {
         &mut self.rngs[i]
     }
 
-    /// The report both fleets share; `fleet` is `Some` on elastic runs.
-    fn report(
-        &self,
-        tasks: &[TaskSpec],
-        platform: String,
-        cores: usize,
-        makespan: f64,
-        cost: CostBreakdown,
-        fleet: Option<FleetReport>,
-    ) -> ClassicReport {
+    /// The run's report, closing `fleet` at the makespan.
+    fn report(&self, tasks: &[TaskSpec], fleet: &mut Fleet, makespan: f64) -> ClassicReport {
+        let (cores, cost, fleet_report) = fleet.close(makespan, self.rec.as_ref());
         let done = self.ledger.n_done();
         let summary = RunSummary {
-            platform,
+            platform: fleet.platform(true),
             cores,
             tasks: done,
             makespan_seconds: makespan,
@@ -391,7 +352,7 @@ impl SimState {
             core,
             queue_requests: self.queue_requests,
             executions_per_fleet: Vec::new(),
-            fleet,
+            fleet: fleet_report,
             storage: MeteringSnapshot {
                 requests: self.storage_requests,
                 bytes_in: self.bytes_in,
@@ -413,12 +374,13 @@ enum Event {
     Finish(u32),
     /// A lost message of a task becomes visible again.
     Reappear(u32),
-    /// The client sends a task's message (elastic arrivals).
+    /// The client sends the message of a task that arrives after t = 0.
     Arrive(u32),
     /// The hedge timer ([`Sim::send_hedges`]).
     Hedge,
-    /// An autoscale controller evaluation ([`Sim::controller_tick`]).
-    Control,
+    /// An autoscaled group's controller evaluation
+    /// ([`Sim::controller_tick`]).
+    Control(u32),
     /// A worker's transfer through its node's NIC ends: the download, or
     /// with `upload` the upload.
     Transferred { worker: u32, upload: bool },
@@ -435,7 +397,9 @@ struct Sim<'a> {
     resilience: Option<ResiliencePolicy>,
     /// Each task's id and resource profile: all an attempt reads of it.
     tasks: &'a [TaskSpec],
-    /// Every worker slot by index (timeline row); on an elastic fleet,
+    /// The instance groups.
+    fleet: Fleet<'a>,
+    /// Every worker slot by index (timeline row); on an autoscaled group,
     /// the controller's slot id.
     workers: Vec<Worker>,
     /// One shared uplink per node when NIC contention is modeled.
@@ -443,18 +407,7 @@ struct Sim<'a> {
     st: SimState,
 }
 
-impl<'a> Sim<'a> {
-    fn new(cfg: &SimConfig, ctx: &RunContext, tasks: &'a [TaskSpec], fleet: Fleet) -> Sim<'a> {
-        Sim {
-            cfg: *cfg,
-            resilience: ctx.resilience,
-            tasks,
-            workers: Vec::new(),
-            nics: Vec::new(),
-            st: SimState::new(ctx, tasks.len(), fleet),
-        }
-    }
-
+impl Sim<'_> {
     /// Run the calendar dry; returns the final simulated time.
     fn run(&mut self, engine: &mut Des) -> SimTime {
         engine.run_with(|e, fired| match fired {
@@ -463,7 +416,7 @@ impl<'a> Sim<'a> {
             Fired::Event(Event::Reappear(task)) => self.send(e, task as usize, None),
             Fired::Event(Event::Arrive(task)) => self.arrive(e, task as usize),
             Fired::Event(Event::Hedge) => self.send_hedges(e),
-            Fired::Event(Event::Control) => self.controller_tick(e),
+            Fired::Event(Event::Control(group)) => self.controller_tick(e, group),
             Fired::Event(Event::Transferred { worker, upload }) => {
                 self.transferred(e, worker, upload)
             }
@@ -485,165 +438,97 @@ struct Attempt {
     fails: bool,
     /// The attempt overruns its deadline and is cut there.
     cancelled: bool,
+    /// When its message reappears if it is lost, by its group's plan.
+    reappear: Reappear,
 }
 
-/// The fixed-fleet simulation: every worker slot of every fleet polls
-/// the shared scheduling queue in virtual time — the simulated twin of
-/// the native [`crate::run`] on fixed fleets, for paper-scale what-if
-/// studies ("how much does adding my local cluster to the cloud fleet
-/// help?").
-/// The client pushes every message, shuffled, at t = 0. Reached through
-/// [`crate::simulate`], which resolves the `RunContext`.
-pub(crate) fn sim_fleets_impl(
-    fleets: &[Cluster],
-    tasks: &[TaskSpec],
-    cfg: &SimConfig,
-    ctx: &RunContext,
-) -> ClassicReport {
+/// Simulate `tasks` in virtual time on the context's fleet plan: the
+/// `ppc-des` twin of [`crate::run`] for paper-scale what-if studies ("how
+/// much does adding my local cluster to the cloud fleet help?"). Every
+/// slot of every instance group polls the one scheduling queue. An
+/// autoscaled group drives the native engine's `ppc-autoscale`
+/// controller, and under a [`FaultSchedule`] its timed kills take whole
+/// instances down, which the controller replaces with the scale-up
+/// cooldown waived.
+///
+/// Without a context seed the run uses seed 42. Panics, like every
+/// simulator here, on no tasks, malformed sim dials, context or arrival
+/// offsets, and on a NIC bandwidth alongside a hedge or deadline policy
+/// or on an autoscaled fleet, which the NIC model does not cover.
+pub fn simulate(ctx: &RunContext, tasks: &[TaskSpec], cfg: &SimConfig) -> ClassicReport {
     assert!(!tasks.is_empty(), "no tasks to simulate");
-    assert!(!fleets.is_empty(), "no fleets to simulate");
-    check_sim_inputs(cfg, ctx);
-    let total_workers: usize = fleets.iter().map(Cluster::total_workers).sum();
-    let mut sim = Sim::new(cfg, ctx, tasks, Fleet::Fixed);
-    {
-        let st = &mut sim.st;
+    let fleet = Fleet::new(&ctx.fleet, tasks.len()).unwrap_or_else(|e| panic!("{e}"));
+    check_sim_inputs(cfg, ctx, &fleet);
+    let mut sim = Sim {
+        cfg: *cfg,
+        resilience: ctx.resilience,
+        tasks,
+        fleet,
+        workers: Vec::new(),
+        nics: Vec::new(),
+        st: SimState::new(ctx, tasks.len()),
+    };
+    let mut engine = Des::typed();
+    sim.set_up(&mut engine);
+    let end_s = sim.run(&mut engine).as_secs_f64();
+    let Sim { fleet, st, .. } = &mut sim;
+    let makespan = if st.finished_at_s > 0.0 {
+        st.finished_at_s
+    } else {
+        end_s
+    };
+    st.report(tasks, fleet, makespan)
+}
+
+impl Sim<'_> {
+    /// Set the run up at t = 0. The client sends every task at offset 0
+    /// now, in its seeded shuffle (the queue has no ordering guarantee),
+    /// and posts an arrival for each later one, ahead of any same-instant
+    /// tick; then each group's slots start polling, one NIC per node when
+    /// NIC contention is modeled, and an autoscaled group's controller
+    /// starts its tick chain.
+    fn set_up(&mut self, engine: &mut Des) {
+        let st = &mut self.st;
         // The client's shuffle and the workers' jitter/failure dice draw
         // from independent streams of the one run seed.
         let mut client_rng = Pcg32::for_stream(st.seed, CLIENT_STREAM);
-        // The queue has no ordering guarantee; workers see a shuffled
-        // stream. Every message is visible from t = 0.
-        let mut order: Vec<Message> = (0..tasks.len())
-            .map(|task| Message {
+        let mut batch: Vec<Message> = (self.fleet.batch.iter())
+            .map(|&task| Message {
                 task,
                 hedge: None,
                 since_s: 0.0,
             })
             .collect();
-        client_rng.shuffle(&mut order);
-        st.pending = order.into();
-        st.queue_requests = tasks.len() as u64; // the client's sends
+        client_rng.shuffle(&mut batch);
+        st.queue_requests = batch.len() as u64; // the client's sends
         if let Some(rec) = &st.rec {
-            for t in tasks {
-                rec.span(Span::new(t.id.0, 0, NO_WORKER, Phase::Enqueue, 0.0, 0.0));
+            for &task in &self.fleet.batch {
+                let id = self.tasks[task].id.0;
+                rec.span(Span::new(id, 0, NO_WORKER, Phase::Enqueue, 0.0, 0.0));
+            }
+        }
+        st.pending = batch.into();
+        for &(task, at_s) in &self.fleet.later {
+            engine.post_at(SimTime::from_secs_f64(at_s), Event::Arrive(task as u32));
+        }
+        for (g, group) in (0..).zip(&self.fleet.groups) {
+            for per_node in group.instances() {
+                let nic = self.cfg.nic_bandwidth_bytes_per_s.map(|_| {
+                    self.nics.push(FifoServer::new());
+                    (self.nics.len() - 1) as u32
+                });
+                for _slot in 0..per_node {
+                    engine.post_at(SimTime::ZERO, Event::Poll(self.workers.len() as u32));
+                    self.workers.push(Worker::new(g, per_node, nic));
+                }
+            }
+            if let Some(auto) = group.autoscaler() {
+                let interval_s = auto.lock().expect(POISONED).controller.config().interval_s;
+                engine.post_in(SimTime::from_secs_f64(interval_s), Event::Control(g));
             }
         }
     }
 
-    let mut engine = Des::typed();
-    for cluster in fleets {
-        for node in cluster.nodes() {
-            // One shared uplink per instance (serializes that node's
-            // concurrent storage transfers) when NIC modeling is on.
-            let nic = cfg.nic_bandwidth_bytes_per_s.map(|_| {
-                sim.nics.push(FifoServer::new());
-                (sim.nics.len() - 1) as u32
-            });
-            for _slot in 0..node.workers {
-                engine.post_at(SimTime::ZERO, Event::Poll(sim.workers.len() as u32));
-                sim.workers
-                    .push(Worker::new(cluster.itype(), node.workers, nic));
-            }
-        }
-    }
-
-    let end = sim.run(&mut engine);
-    let st = &sim.st;
-    // On defended runs the job is over when the last unique result commits;
-    // hedged losers draining afterwards stretch the engine, not the job.
-    let makespan = if ctx.resilience.is_some() && st.finished_at_s > 0.0 {
-        st.finished_at_s
-    } else {
-        end.as_secs_f64()
-    };
-    st.report(
-        tasks,
-        format!("classic-sim-{}", fleets[0].itype().name),
-        total_workers,
-        makespan,
-        crate::report::fleets_cost(fleets, makespan),
-        None,
-    )
-}
-
-/// The elastic simulation: single-worker instances of `itype` launched
-/// and retired in virtual time by a `ppc-autoscale` [`Controller`] — the
-/// simulated twin of the native [`crate::run`] on an elastic fleet,
-/// sharing its decision logic and billing exactly (both engines drive the
-/// same pure state machine, so a deterministic workload yields the same
-/// fleet-size trajectory). `arrivals[i]` is the virtual second at which
-/// `tasks[i]` enters the queue (empty: all at t = 0); delivery is FIFO
-/// (no shuffle) to keep elastic runs reproducible. Under a
-/// [`FaultSchedule`], timed kills take whole instances down (the
-/// controller detects the death, records it, and launches a replacement
-/// with the scale-up cooldown waived). Reached through
-/// [`crate::simulate`].
-pub(crate) fn sim_autoscaled_impl(
-    itype: InstanceType,
-    tasks: &[TaskSpec],
-    arrivals: &[f64],
-    cfg: &SimConfig,
-    autoscale: &AutoscaleConfig,
-    ctx: &RunContext,
-) -> ClassicReport {
-    assert!(!tasks.is_empty(), "no tasks to simulate");
-    if let Err(e) = elastic::check_arrivals(arrivals, tasks.len()) {
-        panic!("{e}");
-    }
-    check_sim_inputs(cfg, ctx);
-    // Elastic workers have no per-instance NIC model: refuse the dial
-    // rather than report a run that silently ignored it.
-    assert!(
-        cfg.nic_bandwidth_bytes_per_s.is_none(),
-        "sim config: nic_bandwidth_bytes_per_s is modeled on fixed fleets only, not on an elastic fleet"
-    );
-    let fleet = Fleet::Elastic(Box::new(Elastic {
-        itype,
-        controller: Controller::new(autoscale.clone()),
-        retired_inbox: Vec::new(),
-        last_kill_check_s: 0.0,
-    }));
-    let mut sim = Sim::new(cfg, ctx, tasks, fleet);
-
-    let mut engine = Des::typed();
-    // Arrivals first, so that same-instant arrivals precede the worker
-    // ticks of the initial fleet (events fire in insertion order).
-    for task in 0..tasks.len() {
-        let at = arrivals.get(task).copied().unwrap_or(0.0);
-        engine.post_at(SimTime::from_secs_f64(at), Event::Arrive(task as u32));
-    }
-    for slot in 0..autoscale.min_workers {
-        sim.workers.push(Worker::new(itype, 1, None));
-        engine.post_at(SimTime::ZERO, Event::Poll(slot));
-    }
-    engine.post_in(SimTime::from_secs_f64(autoscale.interval_s), Event::Control);
-
-    let end = sim.run(&mut engine);
-    let st = &mut sim.st;
-    let makespan = if st.finished_at_s > 0.0 {
-        st.finished_at_s
-    } else {
-        end.as_secs_f64()
-    };
-
-    let Fleet::Elastic(el) = &mut st.fleet else {
-        unreachable!("an elastic run holds an elastic fleet")
-    };
-    let exited = std::mem::take(&mut el.retired_inbox);
-    let fleet = elastic::close_fleet(&mut el.controller, exited, makespan, itype);
-    if let Some(rec) = &st.rec {
-        elastic::trace_fleet_events(&el.controller, rec);
-    }
-    st.report(
-        tasks,
-        format!("classic-sim-autoscale-{}", itype.name),
-        fleet.peak_fleet() as usize,
-        makespan,
-        fleet.cost,
-        Some(fleet),
-    )
-}
-
-impl Sim<'_> {
     /// Make a message of `task` visible now, waking the last parked
     /// worker, if any (one message, one worker).
     fn send(&mut self, engine: &mut Des, task: usize, hedge: Option<u32>) {
@@ -663,24 +548,16 @@ impl Sim<'_> {
         }
     }
 
-    /// The pre-pull gate. Fixed-fleet workers always poll. An elastic slot
-    /// stops once the job is done or its instance died; a draining slot
-    /// holds no lease between tasks, so it retires here.
+    /// The pre-pull gate: the worker's group decides (`Group::may_pull`),
+    /// and a slot pulls only while live.
     fn may_pull(&mut self, w: u32) -> bool {
-        let Fleet::Elastic(el) = &mut self.st.fleet else {
-            return true;
-        };
-        match self.workers[w as usize].life {
-            _ if self.st.ledger.is_complete() => false,
-            Life::Draining => {
-                el.retired_inbox.push(w);
-                false
-            }
-            life => life == Life::Live,
-        }
+        let Worker { group, life, .. } = self.workers[w as usize];
+        let done = self.st.ledger.is_complete();
+        let group = &mut self.fleet.groups[group as usize];
+        group.may_pull(w, life == Life::Draining, done) && life == Life::Live
     }
 
-    /// The client's send of `task`'s message on an elastic fleet.
+    /// The client's send of a later task's message, on its arrival.
     fn arrive(&mut self, engine: &mut Des, task: usize) {
         let now = engine.now().as_secs_f64();
         self.st.queue_requests += 1; // the client's send
@@ -691,7 +568,7 @@ impl Sim<'_> {
         self.send(engine, task, None);
     }
 
-    /// One worker iteration, on either fleet: pass the pre-pull gate and
+    /// One worker iteration, on every plan: pass the pre-pull gate and
     /// the quarantine gate, pull the next message (or park), model the
     /// receive → download → execute → upload → report → delete pipeline,
     /// and schedule the attempt's end ([`Sim::finish_attempt`]).
@@ -737,9 +614,10 @@ impl Sim<'_> {
         st.in_flight += 1;
 
         let worker = &mut self.workers[w as usize];
+        let group = &self.fleet.groups[worker.group as usize];
         let mut t_in = cfg.storage_latency.transfer_seconds(profile.input_bytes);
         let t_out = cfg.storage_latency.transfer_seconds(profile.output_bytes);
-        let t_exec_base = task_service_seconds(&worker.itype, worker.per_node, &profile, &cfg.app);
+        let t_exec_base = task_service_seconds(&group.itype, worker.per_node, &profile, &cfg.app);
         let jitter = if cfg.jitter_sigma > 0.0 {
             st.rng(w).log_normal(0.0, cfg.jitter_sigma)
         } else {
@@ -775,9 +653,8 @@ impl Sim<'_> {
             // kill landing inside this task's service window (cut at the
             // deadline) all cost this execution — the message reappears
             // after the visibility timeout, matching the native engine's
-            // recovery story. A death outranks the cut. Elastic fleets
-            // leave timed kills to the controller's sweep.
-            let window_end = matches!(st.fleet, Fleet::Fixed).then_some(now_s + duration_s);
+            // recovery story. A death outranks the cut.
+            let window_end = group.kill_window(now_s + duration_s);
             fails = worker.chaos.roll(schedule, w, window_end).fails || fails;
         }
         let parts = if cancelled {
@@ -786,6 +663,7 @@ impl Sim<'_> {
             (t_in, t_exec, t_out, t_ctrl)
         };
         let nic = worker.nic;
+        let reappear = group.reappear(nic.is_some());
         worker.attempt = Some(Attempt {
             id,
             pulled_s: now_s,
@@ -793,6 +671,7 @@ impl Sim<'_> {
             parts,
             fails,
             cancelled,
+            reappear,
         });
 
         // NIC contention: route the two transfers through the node's
@@ -810,10 +689,8 @@ impl Sim<'_> {
         }
 
         self.sync_hedge_timer(engine);
-        // A fixed fleet's lost message reappears one visibility timeout
-        // after its pull, so its redelivery is scheduled now, ahead of the
-        // death.
-        if fails && matches!(self.st.fleet, Fleet::Fixed) {
+        // Where the pull knows the loss, its reappearance is posted now.
+        if fails && reappear == Reappear::AtPull {
             let at = engine.now() + SimTime::from_secs_f64(cfg.visibility_timeout_s);
             engine.post_at(at, Event::Reappear(id.task as u32));
         }
@@ -865,14 +742,12 @@ impl Sim<'_> {
         self.nics[nic as usize].submit(engine, t_nic_out, done);
     }
 
-    /// The end of an attempt, on either fleet: a commit (first result
-    /// wins), a death (dice, torn upload, timed kill, or — on an elastic
-    /// fleet — the whole instance), or a deadline cancel that re-sends the
-    /// message at once. A failed attempt's message is re-sent only while
-    /// the ledger retries its task; a fixed fleet's reappearance, scheduled
-    /// at the pull, is deleted at its pull instead. Scores the worker's
-    /// health, records the attempt's spans, and polls again unless the
-    /// instance died.
+    /// The end of an attempt, on every plan: a commit (first result
+    /// wins), a death (dice, torn upload, timed kill, or an autoscaled
+    /// group's whole instance), or a deadline cancel that re-sends the
+    /// message at once. A lost message reappears only while the ledger
+    /// retries its task (one posted at the pull is deleted at its pull).
+    /// Scores health, records spans, and polls again unless the slot died.
     fn finish_attempt(&mut self, engine: &mut Des, w: u32) {
         let now = engine.now().as_secs_f64();
         let worker = &mut self.workers[w as usize];
@@ -881,10 +756,9 @@ impl Sim<'_> {
             .attempt
             .take()
             .expect("an attempt end without an attempt");
-        // A whole-instance death (elastic fleets only).
+        // A whole-instance death (autoscaled groups only).
         let slot_died = worker.life == Life::Dead;
         let st = &mut self.st;
-        let fixed = matches!(st.fleet, Fleet::Fixed);
         let lost = a.fails || slot_died;
         let cancel = a.cancelled && !a.fails && !slot_died;
         let ok = !lost && !cancel;
@@ -921,9 +795,9 @@ impl Sim<'_> {
             );
         }
         if let Some(rec) = &st.rec {
-            // A fixed fleet stamps a lost or cancelled attempt back from
-            // its end by the modeled duration.
-            let start_s = if fixed && !nic && (lost || cancel) {
+            // A lost or cancelled attempt whose end was known at its pull
+            // is stamped back from that end by the modeled duration.
+            let start_s = if a.reappear == Reappear::AtPull && (lost || cancel) {
                 now - a.duration_s
             } else {
                 a.pulled_s
@@ -960,24 +834,16 @@ impl Sim<'_> {
             engine.post_in(SimTime::ZERO, Event::Poll(w));
             return;
         }
-        if lost && retried {
-            // The undeleted message reappears one visibility timeout after
-            // its receive. A fixed fleet already scheduled that at the
-            // pull, except on the NIC path, whose timeout runs from the
-            // attempt's end; an elastic fleet's message reappears no
-            // earlier than now.
+        // A reappearance the pull did not post is posted now.
+        if lost && retried && a.reappear != Reappear::AtPull {
             let vt = self.cfg.visibility_timeout_s;
-            if !fixed {
-                let at = SimTime::from_secs_f64((a.pulled_s + vt).max(now));
-                engine.post_at(at, Event::Reappear(task as u32));
-            } else if nic {
-                let at = engine.now() + SimTime::from_secs_f64(vt);
-                engine.post_at(at, Event::Reappear(task as u32));
-            }
+            let at = match a.reappear {
+                Reappear::AfterEnd => engine.now() + SimTime::from_secs_f64(vt),
+                _ => SimTime::from_secs_f64((a.pulled_s + vt).max(now)),
+            };
+            engine.post_at(at, Event::Reappear(task as u32));
         }
         if !slot_died {
-            // The worker (or a dead worker's replacement) polls again at
-            // once.
             self.worker_tick(engine, w);
         }
     }
@@ -1024,54 +890,35 @@ impl Sim<'_> {
         self.sync_hedge_timer(engine);
     }
 
-    /// One controller evaluation in virtual time: confirm retirements,
-    /// sweep for timed kills, take a telemetry snapshot, apply the
-    /// decision, and reschedule — until the job completes, after which the
-    /// tick chain ends and the engine drains.
-    fn controller_tick(&mut self, engine: &mut Des) {
+    /// One tick of group `g`'s controller: confirm exits, sweep for timed
+    /// kills, decide on a telemetry snapshot, apply, and reschedule — until
+    /// the job completes, which ends the tick chain.
+    fn controller_tick(&mut self, engine: &mut Des, g: u32) {
         let now_s = engine.now().as_secs_f64();
-        let SimState {
-            fleet,
-            schedule,
-            pending,
-            in_flight,
-            ledger,
-            ..
-        } = &mut self.st;
-        let Fleet::Elastic(el) = fleet else {
-            unreachable!("only elastic fleets have a controller")
-        };
-        let exited = std::mem::take(&mut el.retired_inbox);
-        elastic::confirm_exits(&mut el.controller, exited, now_s);
-        // Dead-instance sweep: a timed kill addressed to a live slot takes
-        // the whole instance down. `mark_dead` records the death and
-        // waives the scale-up cooldown so `decide` below can launch a
-        // replacement on this very tick.
-        if let Some(schedule) = schedule {
-            let from_s = el.last_kill_check_s;
-            for id in elastic::dead_slots(&el.controller, schedule, from_s, now_s) {
-                el.controller.mark_dead(id, now_s);
-                self.workers[id as usize].life = Life::Dead;
-            }
+        let group = &self.fleet.groups[g as usize];
+        let auto = group.autoscaler().expect("only an autoscaled group ticks");
+        let mut auto = auto.lock().expect(POISONED);
+        for id in auto.sweep(self.st.schedule.as_deref(), now_s) {
+            self.workers[id as usize].life = Life::Dead;
         }
-        el.last_kill_check_s = now_s;
-        if ledger.is_complete() {
+        let st = &self.st;
+        if st.ledger.is_complete() {
             return; // no more ticks: let the engine run dry
         }
         let telemetry = Telemetry {
-            queued: pending.len(),
-            in_flight: *in_flight,
+            queued: st.pending.len(),
+            in_flight: st.in_flight,
             // Sends append at the current time: the front is the oldest.
-            oldest_age_s: pending.front().map(|m| (now_s - m.since_s).max(0.0)),
+            oldest_age_s: st.pending.front().map(|m| (now_s - m.since_s).max(0.0)),
         };
-        let launches = match el.controller.decide(now_s, &telemetry) {
+        let launches = match auto.controller.decide(now_s, &telemetry) {
             Decision::Launch { ids } => ids,
             Decision::Drain { ids } => {
                 for id in ids {
                     let life = &mut self.workers[id as usize].life;
                     if *life == Life::Parked {
                         // An idle victim holds no lease: retire right now.
-                        el.controller.confirm_retired(id, now_s);
+                        auto.controller.confirm_retired(id, now_s);
                     }
                     *life = Life::Draining;
                 }
@@ -1079,14 +926,14 @@ impl Sim<'_> {
             }
             Decision::Hold => Vec::new(),
         };
-        let acfg = el.controller.config();
+        let acfg = auto.controller.config();
         let (warmup_s, interval_s) = (acfg.warmup_s, acfg.interval_s);
         for id in launches {
             assert_eq!(id as usize, self.workers.len(), "slot ids must be dense");
-            self.workers.push(Worker::new(el.itype, 1, None));
+            self.workers.push(Worker::new(g, 1, None));
             engine.post_in(SimTime::from_secs_f64(warmup_s), Event::Poll(id));
         }
-        engine.post_in(SimTime::from_secs_f64(interval_s), Event::Control);
+        engine.post_in(SimTime::from_secs_f64(interval_s), Event::Control(g));
     }
 }
 
@@ -1106,6 +953,8 @@ pub fn sequential_baseline_seconds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppc_autoscale::AutoscaleConfig;
+    use ppc_compute::cluster::Cluster;
     use ppc_compute::instance::{EC2_HCXL, EC2_HM4XL, EC2_LARGE};
     use ppc_core::task::ResourceProfile;
     use ppc_exec::RunContext;
@@ -1378,6 +1227,25 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_lettered_tasks_late_reappearance_is_not_makespan() {
+        // Every attempt dies; each task is dead-lettered at its fifth
+        // failure, but the fifth lost message still reappears a
+        // visibility timeout after its pull, and the worker pulls and
+        // deletes it. The job ended with the last attempt, not there.
+        let cfg = SimConfig {
+            jitter_sigma: 0.0,
+            ..SimConfig::ec2().with_failures(1.0, 600.0)
+        };
+        let ctx = RunContext::new(&Cluster::provision(EC2_HCXL, 1, 1)).with_trace(true);
+        let report = crate::simulate(&ctx, &cpu_tasks(2, 10.0), &cfg);
+        assert_eq!(report.failed.len(), 2);
+        let spans = report.core.trace.as_ref().expect("traced run").spans();
+        let attempts = spans.iter().filter(|s| s.phase == Phase::Attempt);
+        let last_end = attempts.map(|s| s.end_s).fold(0.0, f64::max);
+        assert_eq!(report.summary.makespan_seconds, last_end);
+    }
+
+    #[test]
     fn queue_requests_scale_with_tasks() {
         let cluster = Cluster::provision(EC2_HCXL, 1, 4);
         let report = simulate(&cluster, &cpu_tasks(100, 1.0), &SimConfig::ec2());
@@ -1437,6 +1305,47 @@ mod tests {
             &free_cfg(),
         );
         assert!(report.summary.makespan_seconds < fixed_min.summary.makespan_seconds);
+    }
+
+    #[test]
+    fn a_fleet_whose_plan_never_changes_runs_as_a_constant_one() {
+        // Four single-worker HCXL instances, held by a constant plan or by
+        // a controller pinned at min = max = 4 with no warm-up, and no
+        // arrivals or chaos: one send rule and one seed put the same
+        // attempts on the same slots at the same times. Mixed task lengths
+        // make the send order show.
+        let tasks: Vec<TaskSpec> = (0..40)
+            .map(|i| {
+                let profile = ResourceProfile::cpu_bound(10.0 + (i % 7) as f64);
+                TaskSpec::new(i, "cap3", format!("f{i}"), profile)
+            })
+            .collect();
+        let pinned = AutoscaleConfig {
+            min_workers: 4,
+            max_workers: 4,
+            ..autoscale_cfg()
+        };
+        let [constant, autoscaled] = [
+            RunContext::new(&Cluster::provision(EC2_HCXL, 4, 1)),
+            RunContext::elastic(EC2_HCXL, pinned, Vec::new()),
+        ]
+        .map(|ctx| {
+            let ctx = ctx.with_seed(9).with_trace(true);
+            crate::simulate(&ctx, &tasks, &SimConfig::ec2())
+        });
+        let attempts = |r: &ClassicReport| -> Vec<(u64, u32, u32, f64, f64)> {
+            let spans = r.core.trace.as_ref().expect("traced run").spans();
+            (spans.iter().filter(|s| s.phase == Phase::Attempt))
+                .map(|s| (s.task, s.attempt, s.worker, s.start_s, s.end_s))
+                .collect()
+        };
+        assert_eq!(constant.summary.tasks, 40);
+        assert_eq!(
+            constant.summary.makespan_seconds,
+            autoscaled.summary.makespan_seconds
+        );
+        assert_eq!(constant.total_attempts, autoscaled.total_attempts);
+        assert_eq!(attempts(&constant), attempts(&autoscaled));
     }
 
     #[test]

@@ -72,7 +72,10 @@ impl JobSpec {
         format!("{}-dlq", self.name)
     }
 
-    /// Sanity-check the job before spending money on it.
+    /// Sanity-check the job before spending money on it. A task whose
+    /// queue message could not be parsed back (a non-finite
+    /// `cpu_seconds_ref` travels as `null`) is rejected: a worker would
+    /// park it as poison and the job would never resolve it.
     pub fn validate(&self) -> Result<()> {
         if self.tasks.is_empty() {
             return Err(PpcError::InvalidArgument(format!(
@@ -92,6 +95,12 @@ impl JobSpec {
             return Err(PpcError::InvalidArgument(format!(
                 "job '{}' has duplicate task ids",
                 self.name
+            )));
+        }
+        if let Some(t) = (self.tasks.iter()).find(|t| !t.profile.cpu_seconds_ref.is_finite()) {
+            return Err(PpcError::InvalidArgument(format!(
+                "job '{}': task {} has cpu_seconds_ref = {}, which its queue message cannot carry",
+                self.name, t.id.0, t.profile.cpu_seconds_ref
             )));
         }
         Ok(())
@@ -132,6 +141,17 @@ mod tests {
         let mut ts = tasks(2);
         ts[1].id = ts[0].id;
         assert!(JobSpec::new("x", ts).validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_cpu_seconds_rejected_naming_the_task() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut ts = tasks(3);
+            ts[1].profile.cpu_seconds_ref = bad;
+            let err = JobSpec::new("x", ts).validate().unwrap_err();
+            assert_eq!(err.code(), "InvalidArgument");
+            assert!(err.to_string().contains("task 1 "), "{bad}: {err}");
+        }
     }
 
     #[test]

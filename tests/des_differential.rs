@@ -795,8 +795,9 @@ fn classic_sim_matches_golden_digest() {
     );
 }
 
-/// The elastic (autoscaled) Classic path runs its own engine loop; its
-/// report is pinned the same way.
+/// The elastic (autoscaled) Classic path is pinned the same way. Its
+/// digests were regenerated when every Classic plan began sending its
+/// t = 0 batch in the client's seeded shuffle.
 #[test]
 fn classic_elastic_sim_matches_golden_digest() {
     use ppc::autoscale::{AutoscaleConfig, Policy};
@@ -816,7 +817,7 @@ fn classic_elastic_sim_matches_golden_digest() {
     let cfg = ppc::classic::SimConfig::ec2();
     assert_golden_digest(
         "classic elastic",
-        [0x6a080f4639adea05, 0xca62ec1319b1ae94, 0x1182b567263ef9f5],
+        [0x2be4deac5c729288, 0xf32c825f84d2a6d1, 0x630416796e5f63a8],
         |seed| {
             let ctx = RunContext::elastic(EC2_HCXL, autoscale.clone(), Vec::new())
                 .with_schedule(Arc::new(FaultSchedule::hostile(seed)));

@@ -503,6 +503,9 @@ fn all_gray_fleet_completes_with_fault_free_outputs() {
 
 /// Hedged elastic BLAST: a hedge re-check lands within half a tick of now
 /// and, without the one-tick bump, re-fires at the same instant forever.
+/// Seed 21 reproduces that with the t = 0 batch in the client's shuffle
+/// (the default seed did so while an elastic batch went out in task
+/// order).
 #[test]
 fn elastic_hedge_recheck_near_a_tick_terminates() {
     use ppc::apps::workload::{blast_sim_base_set, replicate};
@@ -513,13 +516,14 @@ fn elastic_hedge_recheck_near_a_tick_terminates() {
         AutoscaleConfig::target_tracking(2, 32, 4.0),
         Vec::new(),
     )
+    .with_seed(21)
     .with_resilience(ResiliencePolicy::hedged(HedgeConfig::quantile(30.0)));
     let classic = ppc::engine_by_name("classic").expect("classic engine");
     let report = classic.simulate(&ctx, &tasks);
     assert!(report.is_complete(), "failed: {:?}", report.failed);
     assert_eq!(report.summary.tasks, 16);
     assert!(
-        (report.summary.makespan_seconds - 1725.8).abs() < 0.1,
+        (report.summary.makespan_seconds - 1564.7).abs() < 0.1,
         "makespan {}",
         report.summary.makespan_seconds
     );

@@ -348,11 +348,14 @@ fn sims_match_chaos_golden_digests() {
 /// timing wheel, one row per [`CHAOS_SEEDS`] entry. The `dryad` column was
 /// regenerated when the Dryad sim moved onto the typed event core and
 /// native Dryad's book (a backup waits for its node's list to empty, every
-/// event fires in time order, a winning commit kills its rivals).
+/// event fires in time order, a winning commit kills its rivals). The
+/// `classic_elastic` column was regenerated when every Classic plan began
+/// sending its t = 0 batch in the client's seeded shuffle (an autoscaled
+/// fleet's went out in task order before).
 const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     [
         0x81f421d437c53590,
-        0x0c163d8d91887c95,
+        0x209ee0740a4df722,
         0x25377d007db1fdfb,
         0xc686d3dc0be76b9c,
         0x5d1eb10573f0a3d6,
@@ -360,7 +363,7 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     ],
     [
         0xd55990a010f018bc,
-        0xccc66558259fc5b8,
+        0x6389df74de37efd7,
         0x0e994efff9f7bd8d,
         0x6ca9567432ba7e64,
         0x038baa496c255040,
@@ -368,7 +371,7 @@ const CHAOS_GOLDEN: [[u64; 6]; 3] = [
     ],
     [
         0xda86c26886cf5a92,
-        0x1a980359b519a658,
+        0x1b6bc7797c024976,
         0x4401c7f5e5023024,
         0x6a13e99046230a88,
         0xfa99de34c99fdedf,
@@ -523,32 +526,34 @@ fn classic_sim_paths_match_golden_digests() {
 
 /// Generated by [`classic_sim_paths_match_golden_digests`] before the
 /// fixed- and elastic-fleet Classic sims were merged into one worker
-/// lifecycle, one row per [`CHAOS_SEEDS`] entry.
+/// lifecycle, one row per [`CHAOS_SEEDS`] entry. The two `elastic_*`
+/// columns were regenerated when every Classic plan began sending its
+/// t = 0 batch in the client's seeded shuffle.
 const CLASSIC_PATH_GOLDEN: [[u64; 7]; 3] = [
     [
         0xd2b340c71f954868,
         0xb0e6ea5ca1d7b2d3,
-        0x11d66f7f772f4697,
+        0xe5378f0aaff9f427,
         0xbd2d18a507a6309f,
-        0xd9978b56b8f7edbf,
+        0x18b343b2cc686886,
         0x229b6eec28174a79,
         0x0f4df2d2222a288c,
     ],
     [
         0x8b4c3974b67a49fe,
         0x15c7888bfc47d25c,
-        0xa242d49d8212a57f,
+        0x1f545fbbf50c8b67,
         0x77f2f4822e4b6955,
-        0x6fafdc06336b9e33,
+        0xa5ea4d3b9f5374ab,
         0x2579461802f86a20,
         0xd32f373a9c541ba4,
     ],
     [
         0x163f2dc14787bb8c,
         0xf044ca99ea2986b4,
-        0xce5a6ecf2cd8b4c6,
+        0x1a3e4e8ced581c1c,
         0xddd595f45792d985,
-        0x3412c7250b97a808,
+        0xb90d0066a89423d9,
         0x3024883e1b8f2e14,
         0x947d6be850579df7,
     ],
